@@ -512,8 +512,6 @@ mod tests {
         assert!(Components3::compute(&lab).is_empty());
     }
 
-    use mesh_topo::Parallelism;
-
     fn churn_and_repair(
         mesh: &mut Mesh2D,
         lab: &mut Labelling2,
@@ -527,7 +525,7 @@ mod tests {
         for &c in healed {
             assert!(mesh.heal_fault(c));
         }
-        let changed = lab.repair(injected, healed, Parallelism::SEQ);
+        let changed = lab.repair(injected, healed);
         comps.repair(lab, &changed)
     }
 
@@ -653,7 +651,7 @@ mod tests {
                 for &c in &healed {
                     assert!(mesh.heal_fault(c));
                 }
-                let changed = lab.repair(&injected, &healed, Parallelism::SEQ);
+                let changed = lab.repair(&injected, &healed);
                 comps.repair(&lab, &changed);
                 let fresh = Components3::compute(&lab);
                 assert_eq!(comps.cells, fresh.cells);

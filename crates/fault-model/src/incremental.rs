@@ -57,7 +57,7 @@
 //! assert_eq!(m.mccs.len(), 1);
 //! ```
 
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, Parallelism, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, C2, C3};
 
 use crate::components::{Components2, Components3};
 use crate::mcc2::MccSet2;
@@ -149,7 +149,6 @@ pub struct IncModelsRef2<'a> {
 pub struct IncrementalModels2 {
     mesh: Mesh2D,
     border: BorderPolicy,
-    parallelism: Parallelism,
     /// Bumped by every [`IncrementalModels2::apply`].
     generation: u64,
     /// Churn batches not yet replayed by every live slot, ascending `gen`.
@@ -165,21 +164,9 @@ pub struct IncrementalModels2 {
 impl IncrementalModels2 {
     /// Take ownership of `mesh`; nothing is computed until requested.
     pub fn new(mesh: Mesh2D, border: BorderPolicy) -> IncrementalModels2 {
-        IncrementalModels2::with_parallelism(mesh, border, Parallelism::SEQ)
-    }
-
-    /// Like [`IncrementalModels2::new`] with a thread budget for the
-    /// labelling computations and bulk repairs (repaired models are
-    /// bit-for-bit independent of the budget).
-    pub fn with_parallelism(
-        mesh: Mesh2D,
-        border: BorderPolicy,
-        parallelism: Parallelism,
-    ) -> IncrementalModels2 {
         IncrementalModels2 {
             mesh,
             border,
-            parallelism,
             generation: 0,
             log: Vec::new(),
             slots: [None, None, None, None],
@@ -345,7 +332,7 @@ impl IncrementalModels2 {
         let idx = frame.index();
         let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
         if rebuild {
-            let lab = Labelling2::compute_par(&self.mesh, frame, self.border, self.parallelism);
+            let lab = Labelling2::compute(&self.mesh, frame, self.border);
             let comps = Components2::compute(&lab);
             let mccs = MccSet2::compute(&lab);
             self.slots[idx] = Some(IncSlot2 {
@@ -358,7 +345,7 @@ impl IncrementalModels2 {
         let slot = self.slots[idx].as_mut().expect("just filled");
         if slot.synced < self.generation {
             for e in self.log.iter().filter(|e| e.gen > slot.synced) {
-                let changed = slot.lab.repair(&e.injected, &e.healed, self.parallelism);
+                let changed = slot.lab.repair(&e.injected, &e.healed);
                 let sources = slot.comps.repair(&slot.lab, &changed);
                 slot.mccs.repair(&slot.lab, &slot.comps, &sources, &changed);
                 self.repaired_statuses += changed.len();
@@ -410,7 +397,6 @@ pub struct IncModelsRef3<'a> {
 pub struct IncrementalModels3 {
     mesh: Mesh3D,
     border: BorderPolicy,
-    parallelism: Parallelism,
     generation: u64,
     log: Vec<LogEntry<C3>>,
     slots: [Option<IncSlot3>; 8],
@@ -422,20 +408,9 @@ pub struct IncrementalModels3 {
 impl IncrementalModels3 {
     /// Take ownership of `mesh`; nothing is computed until requested.
     pub fn new(mesh: Mesh3D, border: BorderPolicy) -> IncrementalModels3 {
-        IncrementalModels3::with_parallelism(mesh, border, Parallelism::SEQ)
-    }
-
-    /// Like [`IncrementalModels3::new`] with a thread budget (repaired
-    /// models are bit-for-bit independent of the budget).
-    pub fn with_parallelism(
-        mesh: Mesh3D,
-        border: BorderPolicy,
-        parallelism: Parallelism,
-    ) -> IncrementalModels3 {
         IncrementalModels3 {
             mesh,
             border,
-            parallelism,
             generation: 0,
             log: Vec::new(),
             slots: [None, None, None, None, None, None, None, None],
@@ -575,7 +550,7 @@ impl IncrementalModels3 {
         let idx = frame.index();
         let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
         if rebuild {
-            let lab = Labelling3::compute_par(&self.mesh, frame, self.border, self.parallelism);
+            let lab = Labelling3::compute(&self.mesh, frame, self.border);
             let comps = Components3::compute(&lab);
             let mccs = MccSet3::compute(&lab);
             self.slots[idx] = Some(IncSlot3 {
@@ -588,7 +563,7 @@ impl IncrementalModels3 {
         let slot = self.slots[idx].as_mut().expect("just filled");
         if slot.synced < self.generation {
             for e in self.log.iter().filter(|e| e.gen > slot.synced) {
-                let changed = slot.lab.repair(&e.injected, &e.healed, self.parallelism);
+                let changed = slot.lab.repair(&e.injected, &e.healed);
                 let sources = slot.comps.repair(&slot.lab, &changed);
                 slot.mccs.repair(&slot.lab, &slot.comps, &sources, &changed);
                 self.repaired_statuses += changed.len();

@@ -27,9 +27,8 @@
 //! fixpoint is property-tested equal to the definitional worklist closure
 //! over the wrapped neighbor relation (`tests/properties.rs`).
 
-use mesh_topo::{par, Frame2, Mesh2D, NodeGrid, NodeSet, NodeSpace2, Parallelism, C2};
+use mesh_topo::{Frame2, Mesh2D, NodeGrid, NodeSet, NodeSpace2, C2};
 
-use crate::par::{unsafe_set_par, wavefront, SweepDir, PAR_MIN_NODES, TILES_PER_THREAD};
 use crate::status::{BorderPolicy, NodeStatus};
 
 /// The fixpoint of Algorithm 1 for one quadrant orientation of a mesh.
@@ -69,56 +68,6 @@ impl Labelling2 {
                 unsafe_set.insert(i);
             }
         }
-        Labelling2 {
-            frame,
-            policy,
-            space,
-            status,
-            unsafe_set,
-        }
-    }
-
-    /// Run the labelling closure with a thread budget: the raster sweeps
-    /// run as a tiled wavefront over contiguous row bands (see
-    /// `crate::par` and DESIGN.md §11), **bit-for-bit equal** to
-    /// [`Labelling2::compute`] for every thread count. Falls back to the
-    /// sequential sweeps when the budget resolves to one thread, the mesh
-    /// is small, or there are not at least two row bands.
-    pub fn compute_par(
-        mesh: &Mesh2D,
-        frame: Frame2,
-        policy: BorderPolicy,
-        parallelism: Parallelism,
-    ) -> Labelling2 {
-        let space = mesh.space();
-        let threads = parallelism.resolve();
-        let h = space.height() as usize;
-        let bands = par::bands(h, threads * TILES_PER_THREAD);
-        if threads <= 1 || space.len() < PAR_MIN_NODES || bands.len() < 2 {
-            return Labelling2::compute(mesh, frame, policy);
-        }
-
-        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
-        }
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        let w = space.width() as usize;
-        let wraps = space.wraps();
-        let s = status.as_mut_slice();
-
-        wavefront(s, w, &bands, threads, wraps, SweepDir::Decreasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_useless_band(band, w, wraps, border_blocks, halo)
-            }
-        });
-        wavefront(s, w, &bands, threads, wraps, SweepDir::Increasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_cant_reach_band(band, w, wraps, border_blocks, halo)
-            }
-        });
-
-        let unsafe_set = unsafe_set_par(status.as_slice(), threads);
         Labelling2 {
             frame,
             policy,
@@ -245,19 +194,13 @@ impl Labelling2 {
     /// independent of mesh size. Once the batch is a sizeable fraction of
     /// the mesh (`1/`[`BULK_REPAIR_FANOUT`]) the worklist's per-node
     /// overhead loses to the raster sweeps and the repair falls back to
-    /// relabelling via the same tiled wavefront `compute_par` uses, under
-    /// `parallelism`. Both tiers return the same statuses and the same
-    /// changed list; the tier cut-over is a pure function of batch and
-    /// mesh size, never of the thread budget.
+    /// relabelling with the sweeps [`Labelling2::compute`] uses. Both tiers
+    /// return the same statuses and the same changed list; the tier
+    /// cut-over is a pure function of batch and mesh size.
     ///
     /// Returns the canonical indices whose status byte changed, sorted
     /// ascending — the dirty region that drives component and MCC repair.
-    pub fn repair(
-        &mut self,
-        injected: &[C2],
-        healed: &[C2],
-        parallelism: Parallelism,
-    ) -> Vec<usize> {
+    pub fn repair(&mut self, injected: &[C2], healed: &[C2]) -> Vec<usize> {
         let space = self.space;
         let frame = self.frame;
         let inj: Vec<usize> = injected
@@ -272,7 +215,7 @@ impl Labelling2 {
             return Vec::new();
         }
         let mut changed = if (inj.len() + heal.len()) * BULK_REPAIR_FANOUT >= space.len() {
-            self.repair_bulk(&inj, &heal, parallelism)
+            self.repair_bulk(&inj, &heal)
         } else {
             self.repair_worklist(&inj, &heal)
         };
@@ -476,15 +419,9 @@ impl Labelling2 {
     }
 
     /// Bulk repair tier: reset every label bit and rerun the closures over
-    /// the whole grid — sequentially, or via the same tiled wavefront as
-    /// [`Labelling2::compute_par`] when the budget and mesh warrant it.
-    /// The changed list comes from diffing a pre-churn snapshot.
-    fn repair_bulk(
-        &mut self,
-        inj: &[usize],
-        heal: &[usize],
-        parallelism: Parallelism,
-    ) -> Vec<usize> {
+    /// the whole grid. The changed list comes from diffing a pre-churn
+    /// snapshot.
+    fn repair_bulk(&mut self, inj: &[usize], heal: &[usize]) -> Vec<usize> {
         let w = self.space.width() as usize;
         let h = self.space.height() as usize;
         let wraps = self.space.wraps();
@@ -506,23 +443,8 @@ impl Labelling2 {
                 NodeStatus::SAFE
             };
         }
-        let threads = parallelism.resolve();
-        let bands = par::bands(h, threads * TILES_PER_THREAD);
-        if threads <= 1 || s.len() < PAR_MIN_NODES || bands.len() < 2 {
-            useless_fixpoint(s, w, h, wraps, border_blocks);
-            cant_reach_fixpoint(s, w, h, wraps, border_blocks);
-        } else {
-            wavefront(s, w, &bands, threads, wraps, SweepDir::Decreasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_useless_band(band, w, wraps, border_blocks, halo)
-                }
-            });
-            wavefront(s, w, &bands, threads, wraps, SweepDir::Increasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_cant_reach_band(band, w, wraps, border_blocks, halo)
-                }
-            });
-        }
+        useless_fixpoint(s, w, h, wraps, border_blocks);
+        cant_reach_fixpoint(s, w, h, wraps, border_blocks);
         snapshot
             .iter()
             .enumerate()
@@ -534,9 +456,7 @@ impl Labelling2 {
 
 /// Perturbation-size fanout above which [`Labelling2::repair`] (and its
 /// 3-D twin) abandons the node-granular worklist for a full relabel:
-/// batches of `≥ nodes / BULK_REPAIR_FANOUT` flips re-sweep the grid. A
-/// pure function of batch and mesh size — never thread count — so the
-/// repair path taken is identical under every parallelism budget.
+/// batches of `≥ nodes / BULK_REPAIR_FANOUT` flips re-sweep the grid.
 pub const BULK_REPAIR_FANOUT: usize = 48;
 
 /// Test-only fault injection for the mutation-style negative tests: prove
@@ -633,115 +553,6 @@ fn cant_reach_fixpoint(s: &mut [NodeStatus], w: usize, h: usize, wraps: bool, bo
             break;
         }
     }
-}
-
-/// One tile's useless sweep to the tile-local fixpoint. `halo` is the
-/// frozen copy of the row the tile's top row reads through `+Y` (`None`
-/// only on the mesh border, where the border policy applies). Mirrors the
-/// sequential sweep exactly: one decreasing-`(y, x)` pass suffices on a
-/// mesh (all `+X`/`+Y` dependencies inside the tile are already final),
-/// while the torus in-row `x`-ring needs the loop-until-quiescent.
-/// Returns whether the tile's first row (the row the tile below reads)
-/// gained a label.
-fn sweep_useless_band(
-    band: &mut [NodeStatus],
-    w: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let rows = band.len() / w;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for y in (0..rows).rev() {
-            let row = y * w;
-            for x in (0..w).rev() {
-                let i = row + x;
-                if band[i].blocks_forward() {
-                    continue;
-                }
-                let xp = if x + 1 < w {
-                    band[i + 1].blocks_forward()
-                } else if wraps {
-                    band[row].blocks_forward()
-                } else {
-                    border_blocks
-                };
-                let yp = if y + 1 < rows {
-                    band[i + w].blocks_forward()
-                } else {
-                    match halo {
-                        Some(h) => h[x].blocks_forward(),
-                        None => border_blocks,
-                    }
-                };
-                if xp && yp {
-                    band[i].mark_useless();
-                    changed = true;
-                    if y == 0 {
-                        boundary_changed = true;
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
-}
-
-/// The can't-reach mirror of [`sweep_useless_band`]: increasing order,
-/// `-X`/`-Y` reads, `halo` is the row below the tile's first row. Returns
-/// whether the tile's last row (read by the tile above) gained a label.
-fn sweep_cant_reach_band(
-    band: &mut [NodeStatus],
-    w: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let rows = band.len() / w;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for y in 0..rows {
-            let row = y * w;
-            for x in 0..w {
-                let i = row + x;
-                if band[i].blocks_backward() {
-                    continue;
-                }
-                let xm = if x > 0 {
-                    band[i - 1].blocks_backward()
-                } else if wraps {
-                    band[row + w - 1].blocks_backward()
-                } else {
-                    border_blocks
-                };
-                let ym = if y > 0 {
-                    band[i - w].blocks_backward()
-                } else {
-                    match halo {
-                        Some(h) => h[x].blocks_backward(),
-                        None => border_blocks,
-                    }
-                };
-                if xm && ym {
-                    band[i].mark_cant_reach();
-                    changed = true;
-                    if y == rows - 1 {
-                        boundary_changed = true;
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
 }
 
 #[cfg(test)]
@@ -956,7 +767,7 @@ mod tests {
         for &c in healed {
             assert!(mesh.heal_fault(c));
         }
-        lab.repair(injected, healed, Parallelism::SEQ)
+        lab.repair(injected, healed)
     }
 
     fn assert_matches_recompute(mesh: &Mesh2D, lab: &Labelling2) {
@@ -1052,7 +863,7 @@ mod tests {
     fn bulk_repair_tier_matches_worklist_tier() {
         // A batch big enough to trip the BULK_REPAIR_FANOUT cut-over on an
         // 8×8 grid (64 nodes: >= 2 flips), exercised against recompute on
-        // both topologies and both tiers' parallel fallbacks.
+        // both topologies.
         for torus in [false, true] {
             let mut mesh = if torus {
                 Mesh2D::torus(8, 8)
@@ -1074,7 +885,7 @@ mod tests {
             for &c in &healed {
                 mesh.heal_fault(c);
             }
-            let changed = l.repair(&injected, &healed, Parallelism::new(4));
+            let changed = l.repair(&injected, &healed);
             assert_matches_recompute(&mesh, &l);
             assert!(changed.windows(2).all(|p| p[0] < p[1]));
         }

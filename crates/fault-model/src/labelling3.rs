@@ -13,9 +13,8 @@
 //! mirror image. On a torus the sweeps read the wrapped neighbors and
 //! iterate to the fixpoint (see [`crate::labelling2`]).
 
-use mesh_topo::{par, Frame3, Mesh3D, NodeGrid, NodeSet, NodeSpace3, Parallelism, C3};
+use mesh_topo::{Frame3, Mesh3D, NodeGrid, NodeSet, NodeSpace3, C3};
 
-use crate::par::{unsafe_set_par, wavefront, SweepDir, PAR_MIN_NODES, TILES_PER_THREAD};
 use crate::status::{BorderPolicy, NodeStatus};
 
 /// The fixpoint of Algorithm 4 for one octant orientation of a 3-D mesh.
@@ -55,60 +54,6 @@ impl Labelling3 {
                 unsafe_set.insert(i);
             }
         }
-        Labelling3 {
-            frame,
-            policy,
-            space,
-            status,
-            unsafe_set,
-        }
-    }
-
-    /// Run the labelling closure with a thread budget: the raster sweeps
-    /// run as a tiled wavefront over contiguous **z-plane** bands (see
-    /// `crate::par` and DESIGN.md §11), **bit-for-bit equal** to
-    /// [`Labelling3::compute`] for every thread count. The `±X` and `±Y`
-    /// dependencies (including their torus wraps) stay inside a band's
-    /// planes; only `±Z` crosses bands, through the one frozen halo plane.
-    /// Falls back to the sequential sweeps when the budget resolves to one
-    /// thread, the mesh is small, or there are not at least two bands.
-    pub fn compute_par(
-        mesh: &Mesh3D,
-        frame: Frame3,
-        policy: BorderPolicy,
-        parallelism: Parallelism,
-    ) -> Labelling3 {
-        let space = mesh.space();
-        let threads = parallelism.resolve();
-        let nz = space.nz() as usize;
-        let bands = par::bands(nz, threads * TILES_PER_THREAD);
-        if threads <= 1 || space.len() < PAR_MIN_NODES || bands.len() < 2 {
-            return Labelling3::compute(mesh, frame, policy);
-        }
-
-        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
-        }
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        let nx = space.nx() as usize;
-        let ny = space.ny() as usize;
-        let plane = nx * ny;
-        let wraps = space.wraps();
-        let s = status.as_mut_slice();
-
-        wavefront(s, plane, &bands, threads, wraps, SweepDir::Decreasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_useless_band3(band, nx, ny, wraps, border_blocks, halo)
-            }
-        });
-        wavefront(s, plane, &bands, threads, wraps, SweepDir::Increasing, {
-            |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                sweep_cant_reach_band3(band, nx, ny, wraps, border_blocks, halo)
-            }
-        });
-
-        let unsafe_set = unsafe_set_par(status.as_slice(), threads);
         Labelling3 {
             frame,
             policy,
@@ -232,13 +177,8 @@ impl Labelling3 {
     /// churned mesh; returns the changed canonical indices, sorted
     /// ascending. Small batches run the node-granular worklist, batches
     /// over `nodes /` [`crate::labelling2::BULK_REPAIR_FANOUT`] fall back
-    /// to a full relabel under `parallelism`.
-    pub fn repair(
-        &mut self,
-        injected: &[C3],
-        healed: &[C3],
-        parallelism: Parallelism,
-    ) -> Vec<usize> {
+    /// to a full relabel.
+    pub fn repair(&mut self, injected: &[C3], healed: &[C3]) -> Vec<usize> {
         let space = self.space;
         let frame = self.frame;
         let inj: Vec<usize> = injected
@@ -254,7 +194,7 @@ impl Labelling3 {
         }
         let bulk = (inj.len() + heal.len()) * crate::labelling2::BULK_REPAIR_FANOUT >= space.len();
         let mut changed = if bulk {
-            self.repair_bulk(&inj, &heal, parallelism)
+            self.repair_bulk(&inj, &heal)
         } else {
             self.repair_worklist(&inj, &heal)
         };
@@ -478,17 +418,11 @@ impl Labelling3 {
     }
 
     /// Bulk repair tier: reset every label bit and rerun the closures over
-    /// the whole grid, sequentially or via the tiled wavefront.
-    fn repair_bulk(
-        &mut self,
-        inj: &[usize],
-        heal: &[usize],
-        parallelism: Parallelism,
-    ) -> Vec<usize> {
+    /// the whole grid.
+    fn repair_bulk(&mut self, inj: &[usize], heal: &[usize]) -> Vec<usize> {
         let nx = self.space.nx() as usize;
         let ny = self.space.ny() as usize;
         let nz = self.space.nz() as usize;
-        let plane = nx * ny;
         let wraps = self.space.wraps();
         let border_blocks = matches!(self.policy, BorderPolicy::BorderBlocked);
         let snapshot = self.status.as_slice().to_vec();
@@ -508,23 +442,8 @@ impl Labelling3 {
                 NodeStatus::SAFE
             };
         }
-        let threads = parallelism.resolve();
-        let bands = par::bands(nz, threads * TILES_PER_THREAD);
-        if threads <= 1 || s.len() < PAR_MIN_NODES || bands.len() < 2 {
-            useless_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
-            cant_reach_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
-        } else {
-            wavefront(s, plane, &bands, threads, wraps, SweepDir::Decreasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_useless_band3(band, nx, ny, wraps, border_blocks, halo)
-                }
-            });
-            wavefront(s, plane, &bands, threads, wraps, SweepDir::Increasing, {
-                |band: &mut [NodeStatus], halo: Option<&[NodeStatus]>| {
-                    sweep_cant_reach_band3(band, nx, ny, wraps, border_blocks, halo)
-                }
-            });
-        }
+        useless_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
+        cant_reach_fixpoint3(s, nx, ny, nz, wraps, border_blocks);
         snapshot
             .iter()
             .enumerate()
@@ -646,135 +565,6 @@ fn cant_reach_fixpoint3(
             break;
         }
     }
-}
-
-/// One z-plane band's useless sweep to the band-local fixpoint. `halo` is
-/// the frozen `+Z` plane above the band (`None` only on the mesh border).
-/// The `±X`/`±Y` reads — wrapped or not — never leave the band, so on a
-/// torus the loop-until-quiescent resolves the in-plane ring cycles
-/// locally. Returns whether the band's first plane (read by the band
-/// below through `+Z`) gained a label.
-fn sweep_useless_band3(
-    band: &mut [NodeStatus],
-    nx: usize,
-    ny: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let plane = nx * ny;
-    let planes = band.len() / plane;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for z in (0..planes).rev() {
-            for y in (0..ny).rev() {
-                let row = z * plane + y * nx;
-                for x in (0..nx).rev() {
-                    let i = row + x;
-                    if band[i].blocks_forward() {
-                        continue;
-                    }
-                    let xp = if x + 1 < nx {
-                        band[i + 1].blocks_forward()
-                    } else if wraps {
-                        band[row].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    let yp = if y + 1 < ny {
-                        band[i + nx].blocks_forward()
-                    } else if wraps {
-                        band[z * plane + x].blocks_forward()
-                    } else {
-                        border_blocks
-                    };
-                    let zp = if z + 1 < planes {
-                        band[i + plane].blocks_forward()
-                    } else {
-                        match halo {
-                            Some(h) => h[y * nx + x].blocks_forward(),
-                            None => border_blocks,
-                        }
-                    };
-                    if xp && yp && zp {
-                        band[i].mark_useless();
-                        changed = true;
-                        if z == 0 {
-                            boundary_changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
-}
-
-/// The can't-reach mirror of [`sweep_useless_band3`]: increasing order,
-/// `-X`/`-Y`/`-Z` reads, `halo` is the plane below the band's first
-/// plane. Returns whether the band's last plane gained a label.
-fn sweep_cant_reach_band3(
-    band: &mut [NodeStatus],
-    nx: usize,
-    ny: usize,
-    wraps: bool,
-    border_blocks: bool,
-    halo: Option<&[NodeStatus]>,
-) -> bool {
-    let plane = nx * ny;
-    let planes = band.len() / plane;
-    let mut boundary_changed = false;
-    loop {
-        let mut changed = false;
-        for z in 0..planes {
-            for y in 0..ny {
-                let row = z * plane + y * nx;
-                for x in 0..nx {
-                    let i = row + x;
-                    if band[i].blocks_backward() {
-                        continue;
-                    }
-                    let xm = if x > 0 {
-                        band[i - 1].blocks_backward()
-                    } else if wraps {
-                        band[row + nx - 1].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    let ym = if y > 0 {
-                        band[i - nx].blocks_backward()
-                    } else if wraps {
-                        band[z * plane + (ny - 1) * nx + x].blocks_backward()
-                    } else {
-                        border_blocks
-                    };
-                    let zm = if z > 0 {
-                        band[i - plane].blocks_backward()
-                    } else {
-                        match halo {
-                            Some(h) => h[y * nx + x].blocks_backward(),
-                            None => border_blocks,
-                        }
-                    };
-                    if xm && ym && zm {
-                        band[i].mark_cant_reach();
-                        changed = true;
-                        if z == planes - 1 {
-                            boundary_changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !(wraps && changed) {
-            break;
-        }
-    }
-    boundary_changed
 }
 
 #[cfg(test)]
@@ -963,7 +753,7 @@ mod tests {
                     for &c in &healed {
                         assert!(mesh.heal_fault(c));
                     }
-                    l.repair(&injected, &healed, Parallelism::SEQ);
+                    l.repair(&injected, &healed);
                     let fresh = Labelling3::compute(&mesh, l.frame(), policy);
                     for ((c, a), (_, b)) in l.iter().zip(fresh.iter()) {
                         assert_eq!(a, b, "status diverged at {c}");

@@ -84,7 +84,6 @@ pub mod mcc2;
 pub mod mcc3;
 pub mod models;
 pub mod oracle;
-mod par;
 pub mod reference;
 pub mod regime;
 pub mod rfb2;

@@ -486,7 +486,6 @@ mod tests {
     #[test]
     fn repair_matches_compute_on_random_churn() {
         use crate::components::Components2;
-        use mesh_topo::Parallelism;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for torus in [false, true] {
@@ -526,7 +525,7 @@ mod tests {
                 for &c in &healed {
                     mesh.heal_fault(c);
                 }
-                let changed = l.repair(&injected, &healed, Parallelism::SEQ);
+                let changed = l.repair(&injected, &healed);
                 let sources = comps.repair(&l, &changed);
                 set.repair(&l, &comps, &sources, &changed);
                 let fresh = MccSet2::compute(&l);

@@ -36,7 +36,7 @@
 //! assert!(m.blocks.expect("requested").is_disabled(c2(4, 4)));
 //! ```
 
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, Parallelism};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 
 use crate::mcc2::MccSet2;
 use crate::mcc3::MccSet3;
@@ -70,7 +70,6 @@ pub struct ModelsRef2<'a> {
 pub struct ModelCache2<'m> {
     mesh: &'m Mesh2D,
     border: BorderPolicy,
-    parallelism: Parallelism,
     blocks: Option<FaultBlocks2>,
     slots: [Option<Slot2>; 4],
 }
@@ -78,21 +77,9 @@ pub struct ModelCache2<'m> {
 impl<'m> ModelCache2<'m> {
     /// An empty cache for `mesh`; nothing is computed until requested.
     pub fn new(mesh: &'m Mesh2D, border: BorderPolicy) -> ModelCache2<'m> {
-        ModelCache2::with_parallelism(mesh, border, Parallelism::SEQ)
-    }
-
-    /// An empty cache whose labellings run with `parallelism` threads
-    /// (via [`Labelling2::compute_par`] — bit-for-bit equal to the
-    /// sequential labelling, so cached models never depend on the budget).
-    pub fn with_parallelism(
-        mesh: &'m Mesh2D,
-        border: BorderPolicy,
-        parallelism: Parallelism,
-    ) -> ModelCache2<'m> {
         ModelCache2 {
             mesh,
             border,
-            parallelism,
             blocks: None,
             slots: [None, None, None, None],
         }
@@ -124,7 +111,7 @@ impl<'m> ModelCache2<'m> {
         let stale = !matches!(&self.slots[idx], Some(slot) if slot.lab.frame() == frame);
         if stale {
             self.slots[idx] = Some(Slot2 {
-                lab: Labelling2::compute_par(self.mesh, frame, self.border, self.parallelism),
+                lab: Labelling2::compute(self.mesh, frame, self.border),
                 mccs: None,
             });
         }
@@ -176,7 +163,6 @@ pub struct ModelsRef3<'a> {
 pub struct ModelCache3<'m> {
     mesh: &'m Mesh3D,
     border: BorderPolicy,
-    parallelism: Parallelism,
     blocks: Option<FaultBlocks3>,
     slots: [Option<Slot3>; 8],
 }
@@ -184,21 +170,9 @@ pub struct ModelCache3<'m> {
 impl<'m> ModelCache3<'m> {
     /// An empty cache for `mesh`; nothing is computed until requested.
     pub fn new(mesh: &'m Mesh3D, border: BorderPolicy) -> ModelCache3<'m> {
-        ModelCache3::with_parallelism(mesh, border, Parallelism::SEQ)
-    }
-
-    /// An empty cache whose labellings run with `parallelism` threads
-    /// (via [`Labelling3::compute_par`] — bit-for-bit equal to the
-    /// sequential labelling, so cached models never depend on the budget).
-    pub fn with_parallelism(
-        mesh: &'m Mesh3D,
-        border: BorderPolicy,
-        parallelism: Parallelism,
-    ) -> ModelCache3<'m> {
         ModelCache3 {
             mesh,
             border,
-            parallelism,
             blocks: None,
             slots: [None, None, None, None, None, None, None, None],
         }
@@ -222,7 +196,7 @@ impl<'m> ModelCache3<'m> {
         let stale = !matches!(&self.slots[idx], Some(slot) if slot.lab.frame() == frame);
         if stale {
             self.slots[idx] = Some(Slot3 {
-                lab: Labelling3::compute_par(self.mesh, frame, self.border, self.parallelism),
+                lab: Labelling3::compute(self.mesh, frame, self.border),
                 mccs: None,
             });
         }

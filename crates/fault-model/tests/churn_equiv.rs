@@ -1,8 +1,8 @@
 //! The churn equivalence battery (headline artifact of DESIGN.md §12).
 //!
 //! Random churn traces — interleaved fault injections and heals on 2-D and
-//! 3-D meshes **and** tori, under both border policies and thread budgets
-//! 1/2/5/8 — are driven through [`IncrementalModels2`] /
+//! 3-D meshes **and** tori, under both border policies — are driven
+//! through [`IncrementalModels2`] /
 //! [`IncrementalModels3`], and after **every** step each maintained model
 //! is pinned bit-for-bit against a from-scratch recomputation on the
 //! churned mesh:
@@ -24,12 +24,8 @@ use fault_model::mcc2::MccSet2;
 use fault_model::mcc3::MccSet3;
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling2, Labelling3};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, Parallelism, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 use proptest::prelude::*;
-
-/// The thread budgets of the battery (1 = sequential reference; 2/5/8
-/// exercise the tiled wavefront's band seams in the bulk-repair tier).
-const THREADS: [usize; 4] = [1, 2, 5, 8];
 
 fn border(blocked: bool) -> BorderPolicy {
     if blocked {
@@ -140,13 +136,12 @@ proptest! {
     /// 2-D: every orientation's maintained labelling, components and MCCs
     /// stay bit-for-bit equal to from-scratch recomputation after every
     /// step of a random inject/heal trace, on mesh and torus, both border
-    /// policies, every thread budget of [`THREADS`].
+    /// policies.
     #[test]
     fn incremental_equals_fresh_2d(
         dims in (7..13i32, 7..13i32),
         torus in any::<bool>(),
         border_blocked in any::<bool>(),
-        threads_pick in 0..THREADS.len(),
         init in proptest::collection::vec((0..13i32, 0..13i32), 0..18),
         trace in proptest::collection::vec(
             (proptest::collection::vec((0..13i32, 0..13i32), 0..3),
@@ -161,11 +156,7 @@ proptest! {
                 mesh.inject_fault(c);
             }
         }
-        let mut inc = IncrementalModels2::with_parallelism(
-            mesh,
-            border(border_blocked),
-            Parallelism::new(THREADS[threads_pick]),
-        );
+        let mut inc = IncrementalModels2::new(mesh, border(border_blocked));
         let frames = Frame2::all(inc.mesh());
         for (step, raw) in trace.iter().enumerate() {
             let (injected, healed) = decode_step_2d(inc.mesh(), raw);
@@ -190,7 +181,6 @@ proptest! {
         k in 5..8i32,
         torus in any::<bool>(),
         border_blocked in any::<bool>(),
-        threads_pick in 0..THREADS.len(),
         init in proptest::collection::vec((0..8i32, 0..8i32, 0..8i32), 0..16),
         trace in proptest::collection::vec(
             (proptest::collection::vec((0..8i32, 0..8i32, 0..8i32), 0..3),
@@ -204,11 +194,7 @@ proptest! {
                 mesh.inject_fault(c);
             }
         }
-        let mut inc = IncrementalModels3::with_parallelism(
-            mesh,
-            border(border_blocked),
-            Parallelism::new(THREADS[threads_pick]),
-        );
+        let mut inc = IncrementalModels3::new(mesh, border(border_blocked));
         // Eight octant slots are too slow to pin all per step; pin the two
         // that stagger most (identity synced every step, one reflected
         // octant every other step) plus a full pass at the end.

@@ -48,9 +48,8 @@ fn recovery_case(log_len: u64, snapshot_every: u64) -> Option<RecoveryCase> {
         snapshot_every,
     );
     let dir = TempDir::new(&format!("bench-recovery-{log_len}-{snapshot_every}"));
-    let par = Parallelism::auto().from_env();
-    let mut writer =
-        ShardCore::open(dir.path(), spec, par, CrashPoint::none()).expect("open writer shard");
+    let mut writer = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+        .expect("open writer shard");
     for seed in 0..log_len {
         writer
             .handle(&Request::ChurnRandom {
@@ -67,8 +66,8 @@ fn recovery_case(log_len: u64, snapshot_every: u64) -> Option<RecoveryCase> {
     let mut best = u128::MAX;
     for _ in 0..REPS {
         let start = Instant::now();
-        let mut recovered =
-            ShardCore::open(dir.path(), spec, par, CrashPoint::none()).expect("recover shard");
+        let mut recovered = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+            .expect("recover shard");
         best = best.min(start.elapsed().as_nanos());
         if recovered.digest() != reference {
             eprintln!(

@@ -41,14 +41,14 @@ use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
 use mcc_routing::trial::TrialOptions;
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::par::bands;
-use mesh_topo::{detected_cores, Frame2, Frame3, Mesh2D, Mesh3D, Parallelism};
+use mesh_topo::{detected_cores, Frame2, Frame3, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::hist::LatencyHist;
-use crate::runner::{mix_trial_seed, random_healthy_pair_2d, random_healthy_pair_3d, split_budget};
-use crate::scenario::{LoadProfile, MeshDims, Scenario, ScenarioError, TableKind};
+use crate::runner::{mix_trial_seed, random_healthy_pair_2d, random_healthy_pair_3d};
+use crate::scenario::{worker_count, LoadProfile, MeshDims, Scenario, ScenarioError, TableKind};
 
 /// The workload classes a `[load]` mix interleaves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -237,13 +237,7 @@ pub(crate) fn slot_seed(master: u64, geometry: usize, slot: usize, purpose: u64)
         .wrapping_add(((geometry as u64) << 40) ^ ((slot as u64) << 8) ^ purpose)
 }
 
-fn build_slot(
-    sc: &Scenario,
-    dims: MeshDims,
-    geometry: usize,
-    index: usize,
-    intra: Parallelism,
-) -> Slot {
+fn build_slot(sc: &Scenario, dims: MeshDims, geometry: usize, index: usize) -> Slot {
     let count = sc.fault_counts[0];
     let min_dist = (dims.max_extent() as f64 * sc.min_dist_frac).round() as u32;
     let seed = |purpose| slot_seed(sc.seed_start, geometry, index, purpose);
@@ -261,7 +255,7 @@ fn build_slot(
             Slot::D2 {
                 route: build(0),
                 lab: build(1),
-                inc: IncrementalModels2::with_parallelism(build(2), sc.border, intra),
+                inc: IncrementalModels2::new(build(2), sc.border),
                 min_dist,
             }
         }
@@ -278,7 +272,7 @@ fn build_slot(
             Slot::D3 {
                 route: build(0),
                 lab: build(1),
-                inc: IncrementalModels3::with_parallelism(build(2), sc.border, intra),
+                inc: IncrementalModels3::new(build(2), sc.border),
                 min_dist,
             }
         }
@@ -286,12 +280,7 @@ fn build_slot(
 }
 
 /// Execute one op on its slot; `true` means the op succeeded.
-fn exec_op(
-    ctx: &mut Ctx<'_>,
-    op: &OpSpec,
-    router_ok: impl Fn(bool, bool, bool) -> bool,
-    intra: Parallelism,
-) -> bool {
+fn exec_op(ctx: &mut Ctx<'_>, op: &OpSpec, router_ok: impl Fn(bool, bool, bool) -> bool) -> bool {
     let mut rng = SmallRng::seed_from_u64(op.seed);
     match (op.class, ctx) {
         (OpClass::Routing, Ctx::D2 { prep, min_dist, .. }) => {
@@ -305,12 +294,12 @@ fn exec_op(
             !r.oracle_ok || router_ok(r.mcc_ok, r.rfb_ok, r.greedy_ok)
         }
         (OpClass::Labelling, Ctx::D2 { lab, .. }) => {
-            DistLabelling2::run_par(lab, Frame2::identity(lab), intra)
+            DistLabelling2::run(lab, Frame2::identity(lab))
                 .stats
                 .quiescent
         }
         (OpClass::Labelling, Ctx::D3 { lab, .. }) => {
-            DistLabelling3::run_par(lab, Frame3::identity(lab), intra)
+            DistLabelling3::run(lab, Frame3::identity(lab))
                 .stats
                 .quiescent
         }
@@ -357,7 +346,6 @@ fn execute_step(
     slots: &mut [Slot],
     plan: &[OpSpec],
     workers: usize,
-    intra: Parallelism,
     opts: TrialOptions,
     sc: &Scenario,
 ) -> (LatencyHist, u64, Duration) {
@@ -393,7 +381,7 @@ fn execute_step(
                             inc,
                             min_dist,
                         } => Ctx::D2 {
-                            prep: PreparedMesh2::with_parallelism(route, opts, intra),
+                            prep: PreparedMesh2::new(route, opts),
                             lab,
                             inc,
                             min_dist: *min_dist,
@@ -404,7 +392,7 @@ fn execute_step(
                             inc,
                             min_dist,
                         } => Ctx::D3 {
-                            prep: PreparedMesh3::with_parallelism(route, opts, intra),
+                            prep: PreparedMesh3::new(route, opts),
                             lab,
                             inc,
                             min_dist: *min_dist,
@@ -419,7 +407,7 @@ fn execute_step(
                     if let Some(wait) = sched.checked_sub(t0.elapsed()) {
                         std::thread::sleep(wait);
                     }
-                    let ok = exec_op(&mut ctxs[op.slot - lo], op, router_ok, intra);
+                    let ok = exec_op(&mut ctxs[op.slot - lo], op, router_ok);
                     if !ok {
                         failures += 1;
                     }
@@ -469,13 +457,12 @@ pub fn run_load(sc: &Scenario) -> Result<LoadReport, ScenarioError> {
     };
     let geometries: Vec<MeshDims> = std::iter::once(sc.dims).chain(load.alt_dims).collect();
     let total_slots = load.pool * geometries.len();
-    let budget = Parallelism::new(sc.threads).from_env().resolve();
-    let (workers, intra) = split_budget(budget, total_slots);
+    let workers = worker_count(sc)?;
     let mut slots: Vec<Slot> = geometries
         .iter()
         .enumerate()
         .flat_map(|(g, &dims)| (0..load.pool).map(move |i| (g, dims, i)))
-        .map(|(g, dims, i)| build_slot(sc, dims, g, i, intra))
+        .map(|(g, dims, i)| build_slot(sc, dims, g, i))
         .collect();
 
     let mut steps = Vec::new();
@@ -486,7 +473,7 @@ pub fn run_load(sc: &Scenario) -> Result<LoadReport, ScenarioError> {
         let plan = plan_step(&load, rps, total_slots, sc.seed_start, op_base);
         op_base += plan.len() as u64;
         let class_count = |class| plan.iter().filter(|op| op.class == class).count() as u64;
-        let (hist, failures, elapsed) = execute_step(&mut slots, &plan, workers, intra, opts, sc);
+        let (hist, failures, elapsed) = execute_step(&mut slots, &plan, workers, opts, sc);
         let ops = plan.len() as u64;
         let fail_rate = failures as f64 / ops as f64;
         let p99_us = hist.percentile(0.99) / 1_000;
@@ -514,7 +501,7 @@ pub fn run_load(sc: &Scenario) -> Result<LoadReport, ScenarioError> {
     }
     Ok(LoadReport {
         scenario: sc.clone(),
-        threads: budget,
+        threads: workers,
         detected_cores: detected_cores(),
         pool_slots: total_slots,
         geometries: geometries.iter().map(|d| dims_label(*d)).collect(),

@@ -9,14 +9,10 @@
 //! rows are scattered back by seed index regardless of thread
 //! interleaving.
 //!
-//! The thread budget comes from the scenario's `threads` knob (after the
-//! `MCC_THREADS` environment override, see [`mesh_topo::Parallelism`]) and
-//! is split between the two parallelism levels: seeds soak up threads
-//! first — independent trials parallelize perfectly — and whatever the
-//! seed range cannot use spills into the per-seed kernels as intra-mesh
-//! parallelism (tiled labelling sweeps, sharded protocol rounds). Both
-//! levels are pinned bit-for-bit equal to sequential execution, so the
-//! budget is a pure performance knob.
+//! The worker count comes from the scenario's `threads` knob after the
+//! `MCC_THREADS` environment override (see [`worker_count`]). It sizes the
+//! seed sweep only; each seed's kernels run sequentially. The count is a
+//! pure performance knob: rows never depend on it.
 //!
 //! Routing kernels run on the amortized pipeline of
 //! [`mcc_routing::prepared`]: one `PreparedMesh` per seed's fault
@@ -34,14 +30,14 @@ use mcc_protocols::labelling::{DistLabelling2, DistLabelling3};
 use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
 use mcc_routing::trial::{TrialOptions, TrialResult};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, Parallelism, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sim_net::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::scenario::{MeshDims, Scenario, ScenarioError, TableKind};
+use crate::scenario::{worker_count, MeshDims, Scenario, ScenarioError, TableKind};
 use crate::{ChurnRow, LabellingRow, OverheadRow, RegionRow, RoutingRow};
 
 /// Rows produced by one scenario, tagged by table family.
@@ -121,29 +117,6 @@ pub(crate) fn parallel_seeds_with<T: Send>(
         .collect()
 }
 
-/// Split a resolved thread budget between an outer sweep of at most
-/// `outer_cap` independent units and the per-unit kernels. The outer
-/// level soaks up the budget first — independent units parallelize
-/// perfectly — and only when the unit count is narrower than the budget
-/// does the surplus spill inward as intra-mesh parallelism. Shared by the
-/// seed sweep here and the slot pool in [`crate::loadgen`].
-pub(crate) fn split_budget(budget: usize, outer_cap: usize) -> (usize, Parallelism) {
-    let budget = budget.max(1);
-    let outer = budget.min(outer_cap.max(1));
-    let intra = (budget / outer).max(1);
-    (outer, Parallelism::new(intra))
-}
-
-/// Split the scenario's thread budget (after the `MCC_THREADS` override)
-/// between the seed sweep and the per-seed kernels. Seeds soak up the
-/// budget first; only when the seed range is narrower than the budget
-/// (large meshes swept over a handful of seeds) does the surplus spill
-/// into intra-mesh parallelism.
-fn thread_split(sc: &Scenario) -> (usize, Parallelism) {
-    let budget = Parallelism::new(sc.threads).from_env().resolve();
-    split_budget(budget, sc.seed_count().max(1) as usize)
-}
-
 // --- Per-kind seed-mixing streams ---------------------------------------
 //
 // Every table family derives its per-seed randomness from the scenario
@@ -206,12 +179,13 @@ fn build_mesh_3d(sc: &Scenario, x: i32, y: i32, z: i32) -> Mesh3D {
 /// scenarios obey the same knob rules as loaded ones.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
     scenario.validate()?;
+    let workers = worker_count(scenario)?;
     let rows = match scenario.table {
-        TableKind::Regions => TableRows::Regions(run_regions(scenario)),
-        TableKind::Routing => TableRows::Routing(run_routing(scenario)),
-        TableKind::Overhead => TableRows::Overhead(run_overhead(scenario)?),
-        TableKind::Labelling => TableRows::Labelling(run_labelling(scenario)),
-        TableKind::Churn => TableRows::Churn(run_churn(scenario)),
+        TableKind::Regions => TableRows::Regions(run_regions(scenario, workers)),
+        TableKind::Routing => TableRows::Routing(run_routing(scenario, workers)),
+        TableKind::Overhead => TableRows::Overhead(run_overhead(scenario, workers)?),
+        TableKind::Labelling => TableRows::Labelling(run_labelling(scenario, workers)),
+        TableKind::Churn => TableRows::Churn(run_churn(scenario, workers)),
         TableKind::Load | TableKind::Service => {
             return Err(ScenarioError::new(
                 "load and service scenarios are open-loop ramps, not row \
@@ -225,12 +199,11 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
     })
 }
 
-fn run_regions(sc: &Scenario) -> Vec<RegionRow> {
-    let (outer, _) = thread_split(sc);
+fn run_regions(sc: &Scenario, workers: usize) -> Vec<RegionRow> {
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, outer, |seed| {
+            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                 let fseed = mix_fault_seed(seed, n);
                 match sc.dims {
                     MeshDims::D2 { width, height } => {
@@ -341,7 +314,7 @@ pub(crate) fn random_healthy_pair_3d(rng: &mut SmallRng, mesh: &Mesh3D, min_dist
 /// fault set is drawn first and pairs are rejection-sampled from the
 /// healthy remainder (a protected set of 2·pairs nodes would distort the
 /// fault distribution).
-fn run_routing(sc: &Scenario) -> Vec<RoutingRow> {
+fn run_routing(sc: &Scenario, workers: usize) -> Vec<RoutingRow> {
     let opts = TrialOptions {
         border: sc.border,
         eval_mcc: sc.router.wants_mcc(),
@@ -349,11 +322,10 @@ fn run_routing(sc: &Scenario) -> Vec<RoutingRow> {
         eval_greedy: sc.router.wants_greedy(),
     };
     let min_dist = (sc.dims.max_extent() as f64 * sc.min_dist_frac).round() as u32;
-    let (outer, intra) = thread_split(sc);
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let results = parallel_seeds_with(sc.seed_start..sc.seed_end, outer, |seed| {
+            let results = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                 let mut rng = SmallRng::seed_from_u64(mix_trial_seed(seed, n));
                 match sc.dims {
                     MeshDims::D2 { width, height } => {
@@ -366,7 +338,7 @@ fn run_routing(sc: &Scenario) -> Vec<RoutingRow> {
                             sc.inject_2d(&mut mesh, n, rng.gen(), &[]);
                             None
                         };
-                        let mut pm = PreparedMesh2::with_parallelism(&mesh, opts, intra);
+                        let mut pm = PreparedMesh2::new(&mesh, opts);
                         (0..sc.pairs_per_seed)
                             .map(|_| {
                                 let (s, d) = legacy_pair.unwrap_or_else(|| {
@@ -386,7 +358,7 @@ fn run_routing(sc: &Scenario) -> Vec<RoutingRow> {
                             sc.inject_3d(&mut mesh, n, rng.gen(), &[]);
                             None
                         };
-                        let mut pm = PreparedMesh3::with_parallelism(&mesh, opts, intra);
+                        let mut pm = PreparedMesh3::new(&mesh, opts);
                         (0..sc.pairs_per_seed)
                             .map(|_| {
                                 let (s, d) = legacy_pair.unwrap_or_else(|| {
@@ -439,16 +411,17 @@ pub(crate) fn aggregate_routing(n: usize, results: &[TrialResult]) -> RoutingRow
     }
 }
 
-fn run_overhead(sc: &Scenario) -> Result<Vec<OverheadRow>, ScenarioError> {
+fn run_overhead(sc: &Scenario, workers: usize) -> Result<Vec<OverheadRow>, ScenarioError> {
     // wrap = true is rejected by Scenario::validate() before we get here.
     match sc.dims {
-        MeshDims::D2 { width, height } => run_overhead_2d(sc, width, height),
-        MeshDims::D3 { x, y, z } => Ok(run_overhead_3d(sc, x, y, z)),
+        MeshDims::D2 { width, height } => run_overhead_2d(sc, workers, width, height),
+        MeshDims::D3 { x, y, z } => Ok(run_overhead_3d(sc, workers, x, y, z)),
     }
 }
 
 fn run_overhead_2d(
     sc: &Scenario,
+    workers: usize,
     width: i32,
     height: i32,
 ) -> Result<Vec<OverheadRow>, ScenarioError> {
@@ -474,12 +447,11 @@ fn run_overhead_2d(
              interior ({interior} nodes); fault count {n} does not fit"
         )));
     }
-    let (outer, _) = thread_split(sc);
     Ok(sc
         .fault_counts
         .iter()
         .map(|&n| {
-            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, outer, |seed| {
+            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                 let mut mesh = Mesh2D::new(width, height);
                 // Interior faults only: the identification walks assume
                 // regions that stay off the mesh border (see DESIGN.md).
@@ -530,24 +502,23 @@ fn run_overhead_2d(
 /// [`RunStats`]. Unlike the 2-D overhead pipeline this places faults
 /// anywhere in the mesh — labelling has no interior-fault assumption —
 /// so the protocol layer can be swept at the paper's full fault ramps.
-fn run_labelling(sc: &Scenario) -> Vec<LabellingRow> {
-    let (outer, intra) = thread_split(sc);
+fn run_labelling(sc: &Scenario, workers: usize) -> Vec<LabellingRow> {
     sc.fault_counts
         .iter()
         .map(|&n| {
             let stats: Vec<RunStats> =
-                parallel_seeds_with(sc.seed_start..sc.seed_end, outer, |seed| {
+                parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                     let fseed = mix_interior_seed(seed, n);
                     match sc.dims {
                         MeshDims::D2 { width, height } => {
                             let mut mesh = build_mesh_2d(sc, width, height);
                             sc.inject_2d(&mut mesh, n, fseed, &[]);
-                            DistLabelling2::run_par(&mesh, Frame2::identity(&mesh), intra).stats
+                            DistLabelling2::run(&mesh, Frame2::identity(&mesh)).stats
                         }
                         MeshDims::D3 { x, y, z } => {
                             let mut mesh = build_mesh_3d(sc, x, y, z);
                             sc.inject_3d(&mut mesh, n, fseed, &[]);
-                            DistLabelling3::run_par(&mesh, Frame3::identity(&mesh), intra).stats
+                            DistLabelling3::run(&mesh, Frame3::identity(&mesh)).stats
                         }
                     }
                 });
@@ -594,12 +565,11 @@ fn churn_flips(rate: f64, faults: usize, healthy: usize) -> usize {
 /// itself an equivalence certificate. `statuses_repaired` counts the node
 /// statuses the incremental repairs actually touched — the quantity that
 /// scales with perturbation size rather than mesh size.
-fn run_churn(sc: &Scenario) -> Vec<ChurnRow> {
-    let (outer, intra) = thread_split(sc);
+fn run_churn(sc: &Scenario, workers: usize) -> Vec<ChurnRow> {
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let seeds = parallel_seeds_with(sc.seed_start..sc.seed_end, outer, |seed| {
+            let seeds = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                 let mut rng = SmallRng::seed_from_u64(mix_trial_seed(seed, n));
                 let fseed = mix_fault_seed(seed, n);
                 match sc.dims {
@@ -616,11 +586,11 @@ fn run_churn(sc: &Scenario) -> Vec<ChurnRow> {
                                 for c in schedule.initial_faults() {
                                     mesh.inject_fault(c);
                                 }
-                                churn_seed_2d(sc, mesh, intra, &mut rng, Some(schedule))
+                                churn_seed_2d(sc, mesh, &mut rng, Some(schedule))
                             }
                             None => {
                                 sc.inject_2d(&mut mesh, n, fseed, &[]);
-                                churn_seed_2d(sc, mesh, intra, &mut rng, None)
+                                churn_seed_2d(sc, mesh, &mut rng, None)
                             }
                         }
                     }
@@ -632,11 +602,11 @@ fn run_churn(sc: &Scenario) -> Vec<ChurnRow> {
                                 for c in schedule.initial_faults() {
                                     mesh.inject_fault(c);
                                 }
-                                churn_seed_3d(sc, mesh, intra, &mut rng, Some(schedule))
+                                churn_seed_3d(sc, mesh, &mut rng, Some(schedule))
                             }
                             None => {
                                 sc.inject_3d(&mut mesh, n, fseed, &[]);
-                                churn_seed_3d(sc, mesh, intra, &mut rng, None)
+                                churn_seed_3d(sc, mesh, &mut rng, None)
                             }
                         }
                     }
@@ -667,13 +637,12 @@ fn run_churn(sc: &Scenario) -> Vec<ChurnRow> {
 fn churn_seed_2d(
     sc: &Scenario,
     mesh: Mesh2D,
-    intra: Parallelism,
     rng: &mut SmallRng,
     mut schedule: Option<Schedule<C2>>,
 ) -> ChurnSeed {
     let (w, h) = (mesh.width(), mesh.height());
     let nodes = (w * h) as usize;
-    let mut inc = IncrementalModels2::with_parallelism(mesh, sc.border, intra);
+    let mut inc = IncrementalModels2::new(mesh, sc.border);
     let mut out = ChurnSeed {
         injected: 0,
         healed: 0,
@@ -733,13 +702,12 @@ fn churn_seed_2d(
 fn churn_seed_3d(
     sc: &Scenario,
     mesh: Mesh3D,
-    intra: Parallelism,
     rng: &mut SmallRng,
     mut schedule: Option<Schedule<C3>>,
 ) -> ChurnSeed {
     let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
     let nodes = (nx * ny * nz) as usize;
-    let mut inc = IncrementalModels3::with_parallelism(mesh, sc.border, intra);
+    let mut inc = IncrementalModels3::new(mesh, sc.border);
     let mut out = ChurnSeed {
         injected: 0,
         healed: 0,
@@ -800,16 +768,15 @@ fn churn_seed_3d(
     out
 }
 
-fn run_overhead_3d(sc: &Scenario, x: i32, y: i32, z: i32) -> Vec<OverheadRow> {
+fn run_overhead_3d(sc: &Scenario, workers: usize, x: i32, y: i32, z: i32) -> Vec<OverheadRow> {
     let (near, far) = (c3(0, 0, 0), c3(x - 1, y - 1, z - 1));
-    let (outer, intra) = thread_split(sc);
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, outer, |seed| {
+            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                 let mut mesh = Mesh3D::new(x, y, z);
                 sc.inject_3d(&mut mesh, n, seed ^ ((n as u64) << 24), &[near, far]);
-                let lab = DistLabelling3::run_par(&mesh, Frame3::identity(&mesh), intra);
+                let lab = DistLabelling3::run(&mesh, Frame3::identity(&mesh));
                 let lab_stats = lab.stats;
                 let detect = if lab.status(near).is_safe() && lab.status(far).is_safe() {
                     let (_, st) =
@@ -1001,18 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn split_budget_soaks_outer_first() {
-        // Budget narrower than the outer cap: all of it goes outward.
-        assert_eq!(split_budget(4, 100).0, 4);
-        assert_eq!(split_budget(4, 100).1.resolve(), 1);
-        // Outer cap narrower than the budget: surplus spills inward.
-        let (outer, intra) = split_budget(8, 2);
-        assert_eq!((outer, intra.resolve()), (2, 4));
-        // Degenerate inputs clamp instead of dividing by zero.
-        assert_eq!(split_budget(0, 0).0, 1);
-    }
-
-    #[test]
     fn work_stealing_sweep_is_ordered_for_every_pool_size() {
         // More workers than seeds, fewer workers than seeds, one worker
         // (the short-circuit) and zero (clamped to one) must all produce
@@ -1041,8 +996,7 @@ mod tests {
     }
 
     /// The thread budget is a pure performance knob: the same scenario run
-    /// with 1, 2 and 4 threads must produce byte-identical rows, across
-    /// both parallelism levels (seed sweep and intra-mesh kernels).
+    /// with 1, 2 and 4 seed-sweep workers must produce byte-identical rows.
     #[test]
     fn table_rows_are_identical_for_every_thread_count() {
         let routing = Scenario::routing_2d(10, &[4, 10], 6);

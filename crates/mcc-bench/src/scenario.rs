@@ -450,6 +450,38 @@ fn invalid(msg: impl Into<String>) -> ScenarioError {
     ScenarioError::new(msg)
 }
 
+/// Largest worker pool `run.threads` or `MCC_THREADS` may request. A
+/// four-digit cap catches unit mix-ups (e.g. a nanosecond or node count
+/// pasted into the wrong knob) before the runner tries to spawn thousands
+/// of OS threads.
+pub const MAX_THREADS: usize = 1024;
+
+/// The worker count `sc` runs with: the `MCC_THREADS` environment variable
+/// when set, else `run.threads`, with `0` resolved to every detected core.
+/// It sizes the seed sweep and the loadgen/service-load worker pools. A
+/// malformed or over-cap `MCC_THREADS` is an error, not silently ignored.
+pub fn worker_count(sc: &Scenario) -> Result<usize, ScenarioError> {
+    let env = std::env::var_os("MCC_THREADS").map(|v| v.to_string_lossy().into_owned());
+    resolve_workers(sc.threads, env.as_deref())
+}
+
+/// [`worker_count`] as a pure function of the `MCC_THREADS` value.
+fn resolve_workers(threads: usize, env: Option<&str>) -> Result<usize, ScenarioError> {
+    let threads = match env {
+        None => threads,
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n <= MAX_THREADS => n,
+            _ => {
+                return Err(invalid(format!(
+                    "`MCC_THREADS` must be 0 (all cores) or a pool size up to \
+                     {MAX_THREADS}, got {v:?}"
+                )))
+            }
+        },
+    };
+    Ok(mesh_topo::Parallelism::new(threads).resolve())
+}
+
 fn require<'a>(table: &'a Table, section: &str, key: &str) -> Result<&'a Value, ScenarioError> {
     table
         .get(key)
@@ -1096,13 +1128,11 @@ impl Scenario {
             ));
         }
         // `0` means "all detected cores"; anything else is a literal pool
-        // size. A four-digit cap catches unit mix-ups (e.g. a nanosecond
-        // or node count pasted into the wrong knob) before the runner
-        // tries to spawn thousands of OS threads.
-        if self.threads > 1024 {
+        // size, capped at [`MAX_THREADS`].
+        if self.threads > MAX_THREADS {
             return Err(invalid(format!(
-                "`run.threads` must be 0 (all cores) or a pool size up to 1024, \
-                 got {}",
+                "`run.threads` must be 0 (all cores) or a pool size up to \
+                 {MAX_THREADS}, got {}",
                 self.threads
             )));
         }
@@ -1845,6 +1875,21 @@ mod tests {
         assert!(!default.to_toml().contains("threads"));
         assert!(Scenario::from_toml(&format!("{base}threads = -2\n")).is_err());
         assert!(Scenario::from_toml(&format!("{base}threads = 5000\n")).is_err());
+    }
+
+    #[test]
+    fn mcc_threads_overrides_and_rejects_bad_values() {
+        let cores = mesh_topo::detected_cores();
+        assert_eq!(resolve_workers(3, None).unwrap(), 3);
+        assert_eq!(resolve_workers(0, None).unwrap(), cores);
+        assert_eq!(resolve_workers(3, Some("1")).unwrap(), 1);
+        assert_eq!(resolve_workers(3, Some(" 2 ")).unwrap(), 2);
+        assert_eq!(resolve_workers(3, Some("0")).unwrap(), cores);
+        assert_eq!(resolve_workers(3, Some("1024")).unwrap(), 1024);
+        for bad in ["", "two", "-1", "1.5", "1025", "99999999999999999999"] {
+            let err = resolve_workers(3, Some(bad)).unwrap_err().to_string();
+            assert!(err.contains("MCC_THREADS"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::hist::LatencyHist;
 use crate::loadgen::{offered_rps, plan_step, slot_seed, OpClass, OpSpec};
-use crate::scenario::{MeshDims, Scenario, ScenarioError, TableKind};
+use crate::scenario::{worker_count, MeshDims, Scenario, ScenarioError, TableKind};
 
 /// Per-step measurements. Every field except the explicitly wall-clock
 /// ones (`achieved_rps`, `elapsed_ms`, the percentiles) is deterministic
@@ -85,7 +85,8 @@ pub struct ServiceStepReport {
 pub struct ServiceLoadReport {
     /// The scenario that was run.
     pub scenario: Scenario,
-    /// Resolved per-shard thread budget for model computations.
+    /// Resolved client worker budget (the issuing pool is capped at one
+    /// worker per shard).
     pub threads: usize,
     /// Hardware threads the platform reports (for cross-machine reading).
     pub detected_cores: usize,
@@ -220,7 +221,7 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
         .iter()
         .map(|dims| (dims.max_extent() as f64 * sc.min_dist_frac).round() as u32)
         .collect();
-    let threads = Parallelism::new(sc.threads).from_env();
+    let threads = worker_count(sc)?;
 
     // Shard journals live for exactly this run.
     let root = mesh_service::testutil::TempDir::new("loadgen");
@@ -239,7 +240,6 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
     }
 
     let mut cfg = ServiceConfig::new(root.path());
-    cfg.threads = threads;
     cfg.admission = AdmissionConfig {
         queue_cap: profile.queue_cap,
         deadline_ns: (profile.deadline_ms * 1_000_000.0) as u64,
@@ -249,7 +249,7 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
     let svc = MeshService::start(cfg, &specs)
         .map_err(|e| ScenarioError::new(format!("service start: {e}")))?;
 
-    let workers = detected_cores().min(shards_n).max(1);
+    let workers = threads.min(shards_n);
     let mut steps = Vec::new();
     let mut saturated_at = None;
     let mut op_base = 0u64;
@@ -309,7 +309,7 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
 
     Ok(ServiceLoadReport {
         scenario: sc.clone(),
-        threads: threads.resolve(),
+        threads,
         detected_cores: detected_cores(),
         shards: shards_n,
         geometries: geometries.iter().map(|d| dims_label(*d)).collect(),

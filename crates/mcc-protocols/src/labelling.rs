@@ -20,7 +20,7 @@
 //! pinned stats-identical by the parity tests.
 
 use fault_model::{BorderPolicy, Labelling2, Labelling3, NodeStatus};
-use mesh_topo::{Dir2, Dir3, Frame2, Frame3, Mesh2D, Mesh3D, Parallelism, C2, C3};
+use mesh_topo::{Dir2, Dir3, Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 use sim_net::{Grid2, Grid3, RunStats, SimNet};
 
 /// Per-node protocol state (2-D and 3-D share the shape).
@@ -59,14 +59,6 @@ pub struct DistLabelling3 {
 impl DistLabelling2 {
     /// Run the protocol for `mesh` under `frame`.
     pub fn run(mesh: &Mesh2D, frame: Frame2) -> DistLabelling2 {
-        DistLabelling2::run_par(mesh, frame, Parallelism::SEQ)
-    }
-
-    /// [`DistLabelling2::run`] with round dispatch sharded over
-    /// `parallelism` threads (see [`SimNet::run_par`]) — converged
-    /// states, message counts and [`RunStats`] are bit-for-bit equal to
-    /// the sequential run for every thread count.
-    pub fn run_par(mesh: &Mesh2D, frame: Frame2, parallelism: Parallelism) -> DistLabelling2 {
         let topo = Grid2::from_space(mesh.space());
         let space = topo.space();
         let mut net: SimNet<Grid2, LabelState, LabelMsg> =
@@ -77,7 +69,7 @@ impl DistLabelling2 {
         let max_rounds = (mesh.width() + mesh.height()) as usize * 4 + 8;
         let w = mesh.width() as usize;
         let wrap = space.wraps();
-        let stats = net.run_par(max_rounds, parallelism, move |state, inbox, ctx| {
+        let stats = net.run(max_rounds, move |state, inbox, ctx| {
             let me = ctx.me();
             // Absorb announcements: the sender is a neighbor (engine
             // invariant). On a mesh its direction is exactly its index
@@ -160,14 +152,6 @@ impl DistLabelling2 {
 impl DistLabelling3 {
     /// Run the protocol for `mesh` under `frame`.
     pub fn run(mesh: &Mesh3D, frame: Frame3) -> DistLabelling3 {
-        DistLabelling3::run_par(mesh, frame, Parallelism::SEQ)
-    }
-
-    /// [`DistLabelling3::run`] with round dispatch sharded over
-    /// `parallelism` threads (see [`SimNet::run_par`]) — converged
-    /// states, message counts and [`RunStats`] are bit-for-bit equal to
-    /// the sequential run for every thread count.
-    pub fn run_par(mesh: &Mesh3D, frame: Frame3, parallelism: Parallelism) -> DistLabelling3 {
         let topo = Grid3::from_space(mesh.space());
         let space = topo.space();
         let mut net: SimNet<Grid3, LabelState, LabelMsg> =
@@ -179,7 +163,7 @@ impl DistLabelling3 {
         let nx = mesh.nx() as usize;
         let nxy = nx * mesh.ny() as usize;
         let wrap = space.wraps();
-        let stats = net.run_par(max_rounds, parallelism, move |state, inbox, ctx| {
+        let stats = net.run(max_rounds, move |state, inbox, ctx| {
             let me = ctx.me();
             // Sender direction from the index offset, as in 2-D: larger
             // strides first, so dimension-1 meshes (where +1 == +nx or
@@ -427,41 +411,6 @@ mod tests {
             let reference =
                 Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
             assert!(dist.matches(&reference), "dims {dims:?}");
-        }
-    }
-
-    #[test]
-    fn run_par_matches_run_bit_for_bit() {
-        // Sharded round dispatch must reproduce the sequential protocol
-        // exactly: same converged statuses, same RunStats — on mesh and
-        // torus, 2-D and 3-D, across thread counts.
-        for seed in 0..4u64 {
-            let mut mesh = Mesh2D::new(14, 14);
-            FaultSpec::uniform(20, seed).inject_2d(&mut mesh, &[]);
-            let mut torus = Mesh2D::torus(11, 9);
-            FaultSpec::uniform(14, seed).inject_2d(&mut torus, &[]);
-            for m in [&mesh, &torus] {
-                let frame = Frame2::identity(m);
-                let seq = DistLabelling2::run(m, frame);
-                for t in [2usize, 4, 8] {
-                    let par = DistLabelling2::run_par(m, frame, Parallelism::new(t));
-                    assert_eq!(seq.stats, par.stats, "seed {seed}, {t} threads");
-                    for (c, s) in seq.net.iter_coords() {
-                        assert_eq!(s.status, par.status(c), "seed {seed}, {t} threads, {c}");
-                    }
-                }
-            }
-        }
-        let mut mesh = Mesh3D::kary(8);
-        FaultSpec::uniform(30, 3).inject_3d(&mut mesh, &[]);
-        let frame = Frame3::identity(&mesh);
-        let seq = DistLabelling3::run(&mesh, frame);
-        for t in [2usize, 8] {
-            let par = DistLabelling3::run_par(&mesh, frame, Parallelism::new(t));
-            assert_eq!(seq.stats, par.stats, "{t} threads");
-            for (c, s) in seq.net.iter_coords() {
-                assert_eq!(s.status, par.status(c), "{t} threads, {c}");
-            }
         }
     }
 

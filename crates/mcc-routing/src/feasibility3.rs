@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use fault_model::Labelling3;
-use mesh_topo::{Axis3, NodeSet, NodeSpace3, Parallelism, C3};
+use mesh_topo::{Axis3, NodeSet, NodeSpace3, C3};
 use serde::{Deserialize, Serialize};
 
 /// Result of the source feasibility check in 3-D.
@@ -40,55 +40,23 @@ impl Detection3 {
     }
 }
 
-/// State of one detection flood: the visited bitset over the RMP box and
-/// the BFS queue.
+/// Reusable flood state for [`detect_3d_in`]: the visited bitset over the
+/// RMP box and the BFS queue, shared by the three surface floods. One
+/// instance carried across many detections keeps the floods
+/// allocation-free in steady state (the bitset grows to the largest box
+/// seen, the queue to the widest frontier).
 #[derive(Clone, Debug)]
-struct FloodLane {
+pub struct FloodScratch3 {
     seen: NodeSet,
     queue: VecDeque<C3>,
 }
 
-impl FloodLane {
-    fn new() -> FloodLane {
-        FloodLane {
+impl FloodScratch3 {
+    /// Fresh, empty flood state.
+    pub fn new() -> FloodScratch3 {
+        FloodScratch3 {
             seen: NodeSet::new(1),
             queue: VecDeque::new(),
-        }
-    }
-}
-
-/// Reusable flood state for [`detect_3d_in`]. One instance carried across
-/// many detections keeps the floods allocation-free in steady state (each
-/// bitset grows to the largest box seen, each queue to the widest
-/// frontier).
-///
-/// Holds one lane per surface flood plus a thread budget: with
-/// [`FloodScratch3::parallel`] and a budget of two or more threads, the
-/// three floods of a detection run concurrently on scoped threads, one
-/// lane each. Each flood is an independent BFS with its own visited set
-/// and per-flood visit count (summed in fixed x, y, z order), so the
-/// parallel detection is **bit-for-bit equal** to the sequential one. A
-/// sequential scratch runs all three floods through lane 0, preserving
-/// the single-bitset memory footprint of the original.
-#[derive(Clone, Debug)]
-pub struct FloodScratch3 {
-    lanes: [FloodLane; 3],
-    parallelism: Parallelism,
-}
-
-impl FloodScratch3 {
-    /// Fresh, empty, sequential flood state.
-    pub fn new() -> FloodScratch3 {
-        FloodScratch3::parallel(Parallelism::SEQ)
-    }
-
-    /// Fresh flood state that fans the three surface floods out over
-    /// scoped threads when `parallelism` resolves to two or more (and the
-    /// RMP box is large enough to pay for the spawns).
-    pub fn parallel(parallelism: Parallelism) -> FloodScratch3 {
-        FloodScratch3 {
-            lanes: [FloodLane::new(), FloodLane::new(), FloodLane::new()],
-            parallelism,
         }
     }
 }
@@ -123,47 +91,17 @@ pub fn detect_3d_in(lab: &Labelling3, s: C3, d: C3, scratch: &mut FloodScratch3)
         ([Axis3::X, Axis3::Z], Axis3::Y, Axis3::Z),
         ([Axis3::X, Axis3::Y], Axis3::Z, Axis3::X),
     ];
-    let boxlen = ((d.x - s.x + 1) * (d.y - s.y + 1) * (d.z - s.z + 1)) as usize;
-    let mut results = [(false, 0usize); 3];
-    if scratch.parallelism.resolve() >= 2 && boxlen >= PAR_MIN_BOX {
-        // One scoped thread per surface flood, one lane each. The floods
-        // never interact (disjoint visited sets, per-flood counts), so
-        // this is the sequential result computed three-at-a-time.
-        std::thread::scope(|scope| {
-            for ((lane, cfg), out) in scratch
-                .lanes
-                .iter_mut()
-                .zip(SURFACES)
-                .zip(results.iter_mut())
-            {
-                scope.spawn(move || {
-                    let mut visited = 0;
-                    let ok = flood(lab, s, d, cfg.0, cfg.1, cfg.2, &mut visited, lane);
-                    *out = (ok, visited);
-                });
-            }
-        });
-    } else {
-        // Sequential: all three floods share lane 0, preserving the
-        // original single-bitset allocation reuse.
-        let lane = &mut scratch.lanes[0];
-        for (cfg, out) in SURFACES.iter().zip(results.iter_mut()) {
-            let mut visited = 0;
-            let ok = flood(lab, s, d, cfg.0, cfg.1, cfg.2, &mut visited, lane);
-            *out = (ok, visited);
-        }
-    }
+    let mut visited = 0;
+    let [x, y, z] = SURFACES.map(|(main, detour, target)| {
+        flood(lab, s, d, main, detour, target, &mut visited, scratch)
+    });
     Detection3 {
-        x_surface_ok: results[0].0,
-        y_surface_ok: results[1].0,
-        z_surface_ok: results[2].0,
-        visited: results[0].1 + results[1].1 + results[2].1,
+        x_surface_ok: x,
+        y_surface_ok: y,
+        z_surface_ok: z,
+        visited,
     }
 }
-
-/// RMP-box node count below which a detection's floods stay sequential:
-/// small-box floods finish faster than the three thread spawns.
-const PAR_MIN_BOX: usize = 4096;
 
 /// Surface flood: breadth-first propagation from `s` over safe nodes of the
 /// RMP. Moves along the two `main` axes are always allowed; a move along
@@ -174,7 +112,7 @@ const PAR_MIN_BOX: usize = 4096;
 /// The visited map is a flat `NodeSet` bitset over the `[s, d]` RMP box
 /// (the flood never leaves it), so per-detection cost scales with the
 /// routing box, not the whole mesh — and no coordinate is ever re-hashed.
-/// Both the bitset and the queue live in one caller-provided [`FloodLane`].
+/// Both the bitset and the queue live in the caller's [`FloodScratch3`].
 #[allow(clippy::too_many_arguments)] // axis roles + counters are clearest flat
 fn flood(
     lab: &Labelling3,
@@ -184,14 +122,14 @@ fn flood(
     detour: Axis3,
     target: Axis3,
     visited_count: &mut usize,
-    lane: &mut FloodLane,
+    scratch: &mut FloodScratch3,
 ) -> bool {
     if s.get(target) == d.get(target) {
         return true;
     }
     let space = NodeSpace3::new(d.x - s.x + 1, d.y - s.y + 1, d.z - s.z + 1);
-    let seen = &mut lane.seen;
-    let queue = &mut lane.queue;
+    let seen = &mut scratch.seen;
+    let queue = &mut scratch.queue;
     seen.reset(space.len());
     queue.clear();
     seen.insert(space.index(C3::ORIGIN));
@@ -333,42 +271,5 @@ mod tests {
     fn unsafe_endpoint_panics() {
         let lab = lab_of(&[c3(3, 3, 3)], 8);
         detect_3d(&lab, c3(0, 0, 0), c3(3, 3, 3));
-    }
-
-    #[test]
-    fn parallel_floods_match_sequential_randomized() {
-        use mesh_topo::Parallelism;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        // Boxes of 8000 nodes clear the PAR_MIN_BOX floor, so the
-        // parallel fan-out really runs; every surface verdict and the
-        // visited total must be bit-identical to the sequential floods.
-        let mut rng = SmallRng::seed_from_u64(97);
-        let mut seq_scratch = FloodScratch3::new();
-        let mut par_scratch = FloodScratch3::parallel(Parallelism::new(3));
-        let mut checked = 0;
-        for _ in 0..40 {
-            let mut mesh = Mesh3D::kary(20);
-            for _ in 0..rng.gen_range(0..600) {
-                let c = c3(
-                    rng.gen_range(0..20),
-                    rng.gen_range(0..20),
-                    rng.gen_range(0..20),
-                );
-                if mesh.is_healthy(c) {
-                    mesh.inject_fault(c);
-                }
-            }
-            let lab = Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-            let (s, d) = (c3(0, 0, 0), c3(19, 19, 19));
-            if !lab.is_safe(s) || !lab.is_safe(d) {
-                continue;
-            }
-            checked += 1;
-            let seq = detect_3d_in(&lab, s, d, &mut seq_scratch);
-            let par = detect_3d_in(&lab, s, d, &mut par_scratch);
-            assert_eq!(seq, par, "parallel floods must match sequential");
-        }
-        assert!(checked > 10, "too few safe-endpoint trials: {checked}");
     }
 }

@@ -50,7 +50,7 @@
 
 use fault_model::oracle::{Useful2, Useful3};
 use fault_model::{oracle, ModelCache2, ModelCache3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, Parallelism, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 
 use crate::baseline;
 use crate::feasibility3::FloodScratch3;
@@ -79,20 +79,8 @@ impl<'m> PreparedMesh2<'m> {
     /// Prepare `mesh` for trials under `opts`. Nothing is computed until
     /// the first trial demands it.
     pub fn new(mesh: &'m Mesh2D, opts: TrialOptions) -> PreparedMesh2<'m> {
-        PreparedMesh2::with_parallelism(mesh, opts, Parallelism::SEQ)
-    }
-
-    /// [`PreparedMesh2::new`] with an intra-mesh thread budget: cached
-    /// labellings run as tiled wavefront sweeps. Trial results are
-    /// **bit-for-bit equal** to the sequential prepared path for every
-    /// budget.
-    pub fn with_parallelism(
-        mesh: &'m Mesh2D,
-        opts: TrialOptions,
-        parallelism: Parallelism,
-    ) -> PreparedMesh2<'m> {
         PreparedMesh2 {
-            models: ModelCache2::with_parallelism(mesh, opts.border, parallelism),
+            models: ModelCache2::new(mesh, opts.border),
             opts,
             useful: Useful2::scratch(),
             cond_useful: Useful2::scratch(),
@@ -212,25 +200,12 @@ impl<'m> PreparedMesh3<'m> {
     /// Prepare `mesh` for trials under `opts`. Nothing is computed until
     /// the first trial demands it.
     pub fn new(mesh: &'m Mesh3D, opts: TrialOptions) -> PreparedMesh3<'m> {
-        PreparedMesh3::with_parallelism(mesh, opts, Parallelism::SEQ)
-    }
-
-    /// [`PreparedMesh3::new`] with an intra-mesh thread budget: cached
-    /// labellings run as tiled wavefront sweeps and the three detection
-    /// floods of each trial fan out over scoped threads. Trial results
-    /// are **bit-for-bit equal** to the sequential prepared path for
-    /// every budget.
-    pub fn with_parallelism(
-        mesh: &'m Mesh3D,
-        opts: TrialOptions,
-        parallelism: Parallelism,
-    ) -> PreparedMesh3<'m> {
         PreparedMesh3 {
-            models: ModelCache3::with_parallelism(mesh, opts.border, parallelism),
+            models: ModelCache3::new(mesh, opts.border),
             opts,
             useful: Useful3::scratch(),
             cond_useful: Useful3::scratch(),
-            flood: FloodScratch3::parallel(parallelism),
+            flood: FloodScratch3::new(),
         }
     }
 

@@ -25,8 +25,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use mesh_topo::par::Parallelism;
-
 use crate::admission::{Admission, AdmissionConfig};
 use crate::crash::CrashPoint;
 use crate::error::ServiceError;
@@ -37,8 +35,6 @@ use crate::shard::{Request, Response, ShardCore, ShardSpec};
 pub struct ServiceConfig {
     /// Directory holding one journal subdirectory per shard.
     pub root: PathBuf,
-    /// Thread budget for model computations inside each shard.
-    pub threads: Parallelism,
     /// Admission parameters applied to every shard.
     pub admission: AdmissionConfig,
     /// How long a caller waits for a reply before giving up.
@@ -53,7 +49,6 @@ impl ServiceConfig {
     pub fn new(root: impl Into<PathBuf>) -> ServiceConfig {
         ServiceConfig {
             root: root.into(),
-            threads: Parallelism::SEQ,
             admission: AdmissionConfig::default(),
             timeout: Duration::from_secs(10),
             crash: CrashPoint::none(),
@@ -101,7 +96,7 @@ impl MeshService {
             let dir = cfg.root.join(format!("shard-{i:04}"));
             // Open on the caller's thread so startup corruption surfaces
             // here, not as a dead channel later.
-            let core = ShardCore::open(&dir, spec, cfg.threads, cfg.crash.clone())?;
+            let core = ShardCore::open_counted(&dir, spec, cfg.crash.clone(), 0)?;
             let link = spawn_shard(core, cfg.admission);
             shards.push(ShardEntry {
                 spec,
@@ -204,12 +199,8 @@ impl MeshService {
             },
             None => env,
         };
-        let core = ShardCore::open(
-            &entry.dir,
-            entry.spec,
-            self.inner.cfg.threads,
-            self.inner.cfg.crash.clone(),
-        )?;
+        let core =
+            ShardCore::open_counted(&entry.dir, entry.spec, self.inner.cfg.crash.clone(), 0)?;
         let l = spawn_shard(core, self.inner.cfg.admission);
         l.tx.send(env).map_err(|_| ServiceError::ShardDown)?;
         *link = Some(l);
@@ -283,7 +274,6 @@ fn reopen(core: &ShardCore) -> Result<ShardCore, ServiceError> {
     ShardCore::open_counted(
         core.dir(),
         *core.spec(),
-        core.par(),
         CrashPoint::none(),
         core.stats().recoveries + 1,
     )

@@ -22,7 +22,7 @@
 //! gaps), and truncate the torn tail. Determinism: every journaled record
 //! is a *resolved* coordinate batch — seed-driven sampling happens before
 //! journaling — so replay is a pure fold over the journal, independent of
-//! wall clock, thread budget and restart count.
+//! wall clock and restart count.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -306,8 +306,8 @@ pub enum ShardModels {
 
 impl ShardModels {
     /// A fault-free cache for `spec`'s geometry.
-    pub fn fresh(spec: &ShardSpec, par: Parallelism) -> ShardModels {
-        ShardModels::from_fault_words(spec, None, par).expect("fresh build cannot mismatch")
+    pub fn fresh(spec: &ShardSpec) -> ShardModels {
+        ShardModels::from_fault_words(spec, None).expect("fresh build cannot mismatch")
     }
 
     /// Rebuild a cache from snapshot fault words (or fault-free for
@@ -315,7 +315,6 @@ impl ShardModels {
     pub fn from_fault_words(
         spec: &ShardSpec,
         faults: Option<(usize, Vec<u64>)>,
-        par: Parallelism,
     ) -> Result<ShardModels, String> {
         let nodes = spec.geom.node_count();
         let set = match faults {
@@ -344,11 +343,7 @@ impl ShardModels {
                 if let Some(set) = set {
                     mesh.inject_fault_set(&set);
                 }
-                ShardModels::D2(Box::new(IncrementalModels2::with_parallelism(
-                    mesh,
-                    spec.border,
-                    par,
-                )))
+                ShardModels::D2(Box::new(IncrementalModels2::new(mesh, spec.border)))
             }
             Geometry::M3 { nx, ny, nz, wrap } => {
                 let mut mesh = if wrap {
@@ -359,11 +354,7 @@ impl ShardModels {
                 if let Some(set) = set {
                     mesh.inject_fault_set(&set);
                 }
-                ShardModels::D3(Box::new(IncrementalModels3::with_parallelism(
-                    mesh,
-                    spec.border,
-                    par,
-                )))
+                ShardModels::D3(Box::new(IncrementalModels3::new(mesh, spec.border)))
             }
         })
     }
@@ -563,7 +554,6 @@ fn sample_flip(
 pub struct ShardCore {
     dir: PathBuf,
     spec: ShardSpec,
-    par: Parallelism,
     crash: CrashPoint,
     models: ShardModels,
     wal: Wal,
@@ -575,13 +565,16 @@ pub struct ShardCore {
 
 impl ShardCore {
     /// Open (or recover) the shard journaled under `dir`.
+    ///
+    /// `_par` is ignored: shard models are computed sequentially. The
+    /// argument stays only so existing callers keep compiling.
     pub fn open(
         dir: &Path,
         spec: ShardSpec,
-        par: Parallelism,
+        _par: Parallelism,
         crash: CrashPoint,
     ) -> Result<ShardCore, ServiceError> {
-        ShardCore::open_counted(dir, spec, par, crash, 0)
+        ShardCore::open_counted(dir, spec, crash, 0)
     }
 
     /// [`open`](ShardCore::open) carrying a recovery counter across
@@ -589,7 +582,6 @@ impl ShardCore {
     pub fn open_counted(
         dir: &Path,
         spec: ShardSpec,
-        par: Parallelism,
         crash: CrashPoint,
         recoveries: u64,
     ) -> Result<ShardCore, ServiceError> {
@@ -608,14 +600,14 @@ impl ShardCore {
             Some(s) => {
                 check_snapshot_spec(&s, &spec, &snap_path)?;
                 let models =
-                    ShardModels::from_fault_words(&spec, Some((s.nbits as usize, s.words)), par)
+                    ShardModels::from_fault_words(&spec, Some((s.nbits as usize, s.words)))
                         .map_err(|detail| ServiceError::Corrupt {
                             path: snap_path.clone(),
                             detail,
                         })?;
                 (models, s.gen)
             }
-            None => (ShardModels::fresh(&spec, par), 0),
+            None => (ShardModels::fresh(&spec), 0),
         };
 
         let wal_path = dir.join(WAL_FILE);
@@ -654,7 +646,6 @@ impl ShardCore {
         Ok(ShardCore {
             dir: dir.to_path_buf(),
             spec,
-            par,
             crash,
             models,
             wal,
@@ -673,11 +664,6 @@ impl ShardCore {
     /// The spec this shard was built from.
     pub fn spec(&self) -> &ShardSpec {
         &self.spec
-    }
-
-    /// The thread budget model computations run under.
-    pub fn par(&self) -> Parallelism {
-        self.par
     }
 
     /// Durable churn generation.

@@ -6,9 +6,7 @@
 //! The trace mixes explicit and seeded-random churn with explicit
 //! snapshots plus auto-snapshot cadence, so the site enumeration covers
 //! append, snapshot-tmp, snapshot-rename, and WAL-truncate boundaries in
-//! realistic interleavings. The thread budget honours `MCC_THREADS`, so
-//! the CI matrix runs this battery under both serial and parallel model
-//! rebuilds.
+//! realistic interleavings.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -20,10 +18,6 @@ use mesh_service::StateDigest;
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::par::Parallelism;
 
-fn par() -> Parallelism {
-    Parallelism::auto().from_env()
-}
-
 /// Run `trace` uninterrupted in a fresh dir, returning the digest at every
 /// generation the run passes through (gen 0 included).
 fn reference_digests(
@@ -32,7 +26,8 @@ fn reference_digests(
     trace: &[Request],
 ) -> (TempDir, BTreeMap<u64, StateDigest>) {
     let dir = TempDir::new(tag);
-    let mut core = ShardCore::open(dir.path(), spec, par(), CrashPoint::none()).expect("open");
+    let mut core =
+        ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none()).expect("open");
     let mut digests = BTreeMap::new();
     digests.insert(core.gen(), core.digest());
     for req in trace {
@@ -51,7 +46,8 @@ fn run_site_battery(tag: &str, spec: ShardSpec, trace: &[Request]) {
     let counter = CrashPoint::counting();
     {
         let dir = TempDir::new(&format!("{tag}-count"));
-        let mut core = ShardCore::open(dir.path(), spec, par(), counter.clone()).expect("open");
+        let mut core =
+            ShardCore::open(dir.path(), spec, Parallelism::SEQ, counter.clone()).expect("open");
         for req in trace {
             core.handle(req).expect("counting op");
         }
@@ -62,7 +58,8 @@ fn run_site_battery(tag: &str, spec: ShardSpec, trace: &[Request]) {
     for k in 0..sites {
         let dir = TempDir::new(&format!("{tag}-kill{k}"));
         let crash = CrashPoint::after(k);
-        let mut core = ShardCore::open(dir.path(), spec, par(), crash.clone()).expect("open");
+        let mut core =
+            ShardCore::open(dir.path(), spec, Parallelism::SEQ, crash.clone()).expect("open");
         let mut fired = None;
         for req in trace {
             match core.handle(req) {
@@ -78,8 +75,8 @@ fn run_site_battery(tag: &str, spec: ShardSpec, trace: &[Request]) {
         drop(core);
 
         // The simulated process is dead; recover from the journal alone.
-        let mut recovered =
-            ShardCore::open(dir.path(), spec, par(), CrashPoint::none()).expect("recover");
+        let mut recovered = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+            .expect("recover");
         let gen = recovered.gen();
         let want = reference.get(&gen).unwrap_or_else(|| {
             panic!("site {k} ({site}): recovered to generation {gen} the reference never saw")
@@ -175,8 +172,8 @@ fn torn_tail_at_every_byte_offset() {
         fs::create_dir_all(dir.path()).expect("mk shard dir");
         fs::write(dir.path().join(WAL_FILE), &wal[..cut]).expect("write torn WAL");
 
-        let mut recovered =
-            ShardCore::open(dir.path(), spec, par(), CrashPoint::none()).expect("recover");
+        let mut recovered = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+            .expect("recover");
         let (contained, _) = decode_records(&wal[..cut]);
         assert_eq!(
             recovered.gen(),

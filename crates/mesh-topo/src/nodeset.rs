@@ -32,8 +32,6 @@
 //! assert_eq!(coords, vec![c2(3, 4), c2(7, 7)]);
 //! ```
 
-use std::ops::Range;
-
 use crate::coord::{C2, C3};
 use crate::dir::{Dir2, Dir3};
 
@@ -918,43 +916,6 @@ impl NodeSet {
         set
     }
 
-    /// Iterate member indices in `range` in increasing order — the shard
-    /// view of the set: a contiguous index range dispatched on its own
-    /// thread sees exactly the members a full iteration would visit there,
-    /// in the same order. Only the (at most) two boundary words are
-    /// bit-masked; interior words scan at full word speed.
-    ///
-    /// # Panics
-    /// If `range.end` exceeds the capacity.
-    pub fn iter_range(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        assert!(range.end <= self.nbits, "range end out of capacity");
-        let (lo, hi) = (range.start, range.end);
-        let first_word = lo / 64;
-        let last_word = hi.div_ceil(64);
-        self.words[first_word..last_word]
-            .iter()
-            .enumerate()
-            .flat_map(move |(k, &word)| {
-                let wi = first_word + k;
-                let mut bits = word;
-                if wi == lo / 64 {
-                    bits &= !0u64 << (lo % 64);
-                }
-                if hi % 64 != 0 && wi == hi / 64 {
-                    bits &= (1u64 << (hi % 64)) - 1;
-                }
-                std::iter::from_fn(move || {
-                    if bits == 0 {
-                        None
-                    } else {
-                        let tz = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        Some(wi * 64 + tz)
-                    }
-                })
-            })
-    }
-
     fn recount(&mut self) {
         self.ones = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
@@ -1079,30 +1040,6 @@ mod tests {
         assert_eq!(lazy, materialized);
         assert_eq!(lazy, vec![0, 63, 65, 199]);
         assert!(b.difference_iter(&a).eq([140]));
-    }
-
-    #[test]
-    fn iter_range_matches_filtered_full_iteration() {
-        let members = [0usize, 3, 63, 64, 65, 127, 128, 199];
-        let set = NodeSet::from_indices(200, members);
-        for (lo, hi) in [(0, 200), (1, 64), (63, 65), (64, 128), (65, 65), (100, 199)] {
-            let ranged: Vec<usize> = set.iter_range(lo..hi).collect();
-            let filtered: Vec<usize> = set.iter().filter(|&i| (lo..hi).contains(&i)).collect();
-            assert_eq!(ranged, filtered, "range {lo}..{hi}");
-        }
-    }
-
-    #[test]
-    fn iter_range_bands_partition_full_iteration() {
-        // Shard contract: contiguous bands concatenated in order must
-        // reproduce a full iteration exactly.
-        let set = NodeSet::from_indices(333, (0..333).filter(|i| i % 7 == 0 || i % 11 == 3));
-        let all: Vec<usize> = set.iter().collect();
-        let mut merged = Vec::new();
-        for band in crate::par::bands(333, 5) {
-            merged.extend(set.iter_range(band));
-        }
-        assert_eq!(merged, all);
     }
 
     #[test]

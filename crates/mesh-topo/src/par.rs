@@ -1,28 +1,24 @@
-//! Intra-mesh parallelism configuration and partition helpers.
+//! The worker-pool budget.
 //!
-//! Every parallel kernel in the workspace — the tiled labelling sweeps in
-//! `fault-model`, the partitioned round dispatch in `sim-net`, the
-//! surface-flood fan-out in `mcc-routing` and the seed sweeps in
-//! `mcc-bench` — takes its thread budget from one [`Parallelism`] value
-//! threaded down from the scenario layer. The type deliberately carries
-//! *intent* (`0` = use every detected core) rather than a resolved count,
-//! so a scenario file stays machine-independent; [`Parallelism::resolve`]
-//! pins it to a concrete thread count at the call site, and
-//! [`Parallelism::from_env`] lets the `MCC_THREADS` environment variable
-//! override whatever the scenario asked for (CI forces single-threaded
-//! runs this way).
+//! Every kernel in the workspace runs sequentially on one thread. What
+//! does scale is running *independent* units side by side: the seed sweep
+//! of `mcc-bench` and the slot/shard worker pools of its load generators.
+//! Those pools take their size from one [`Parallelism`] value. The type
+//! carries *intent* (`0` = use every detected core) rather than a resolved
+//! count, so a scenario file stays machine-independent;
+//! [`Parallelism::resolve`] pins it to a concrete thread count at the call
+//! site, and [`bands`] splits the units into contiguous per-worker ranges.
 //!
-//! All parallel kernels are **pinned bit-for-bit equal** to their
-//! sequential twins, so the thread count is a pure performance knob:
-//! tables, goldens and `RunStats` never depend on it.
+//! Every pool scatters its results back in unit order, so the worker count
+//! is a pure performance knob: tables, goldens and `RunStats` never depend
+//! on it.
 
 use std::ops::Range;
 
-/// An intra-mesh thread budget. `threads == 0` means "all detected cores".
+/// A worker-pool budget. `threads == 0` means "all detected cores".
 ///
-/// The value is plain data (no handle to a pool): kernels spawn scoped
-/// threads on demand, so a `Parallelism` can be stored in configs and
-/// caches freely.
+/// The value is plain data (no handle to a pool): pools spawn scoped
+/// threads on demand, so a `Parallelism` can be stored in configs freely.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Parallelism {
     /// Requested thread count; `0` resolves to the detected core count.
@@ -30,8 +26,7 @@ pub struct Parallelism {
 }
 
 impl Default for Parallelism {
-    /// Defaults to sequential — parallelism is strictly opt-in, so code
-    /// that never asks for threads behaves exactly as before.
+    /// Defaults to sequential: parallelism is strictly opt-in.
     fn default() -> Parallelism {
         Parallelism::SEQ
     }
@@ -44,25 +39,6 @@ impl Parallelism {
     /// An explicit thread budget (`0` = all detected cores).
     pub fn new(threads: usize) -> Parallelism {
         Parallelism { threads }
-    }
-
-    /// Use every core the machine reports.
-    pub fn auto() -> Parallelism {
-        Parallelism { threads: 0 }
-    }
-
-    /// Apply the `MCC_THREADS` environment override: a parseable value
-    /// replaces this budget (`0` = all cores), anything else leaves it
-    /// untouched. The bench runner and CI call this so golden regeneration
-    /// can be forced single-threaded without editing scenarios.
-    pub fn from_env(self) -> Parallelism {
-        match std::env::var("MCC_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) => Parallelism { threads: n },
-                Err(_) => self,
-            },
-            Err(_) => self,
-        }
     }
 
     /// The concrete thread count to use: the explicit budget, or the
@@ -87,10 +63,9 @@ pub fn detected_cores() -> usize {
 }
 
 /// Split `0..items` into at most `want` contiguous, non-empty, near-equal
-/// ranges (fewer when `items < want`). The tile partition used by the
-/// wavefront sweeps (rows in 2-D, planes in 3-D) and the sim-net shard
-/// dispatch: contiguity is what lets parallel results merge back in index
-/// order, bit-identical to a sequential pass.
+/// ranges (fewer when `items < want`). The slot/shard partition of the
+/// load generators' worker pools: contiguity is what lets per-worker
+/// results merge back in index order, bit-identical to a sequential pass.
 pub fn bands(items: usize, want: usize) -> Vec<Range<usize>> {
     if items == 0 || want == 0 {
         return Vec::new();
@@ -121,7 +96,7 @@ mod tests {
 
     #[test]
     fn auto_budget_resolves_to_detected_cores() {
-        assert_eq!(Parallelism::auto().resolve(), detected_cores());
+        assert_eq!(Parallelism::new(0).resolve(), detected_cores());
         assert!(detected_cores() >= 1);
     }
 

@@ -23,7 +23,7 @@
 //! identically to the reference engine in [`crate::reference`]; the parity
 //! tests in `mcc-protocols` pin this.
 
-use mesh_topo::{par, NodeSet, Parallelism};
+use mesh_topo::NodeSet;
 
 use crate::stats::RunStats;
 use crate::topology::Topology;
@@ -393,112 +393,6 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
         self.stats.absorb(run_stats);
         run_stats
     }
-
-    /// [`SimNet::run`] with round dispatch sharded over scoped threads.
-    ///
-    /// Nodes are split into contiguous index ranges (one shard per
-    /// thread); each shard dispatches its nodes **in ascending index
-    /// order** into a private outbox, and the shard outboxes are
-    /// concatenated in shard order afterwards. Since sequential dispatch
-    /// is also ascending index order, the merged outbox reproduces the
-    /// sequential send order exactly — and the stable counting-sort
-    /// delivery then produces identical inboxes. Rounds, messages,
-    /// delivered order and [`RunStats`] are therefore **bit-for-bit
-    /// equal** to [`SimNet::run`] for every thread count (the handler
-    /// itself must not depend on dispatch interleaving across nodes,
-    /// which the `Fn`-not-`FnMut` bound enforces: no shared mutable
-    /// capture). Falls back to [`SimNet::run`] when the budget resolves
-    /// to one thread or the network is too small to shard.
-    pub fn run_par(
-        &mut self,
-        max_rounds: usize,
-        parallelism: Parallelism,
-        step: impl Fn(&mut S, Inbox<'_, M>, &mut Ctx<'_, T, M>) + Sync,
-    ) -> RunStats
-    where
-        T: Sync,
-        S: Send,
-        M: Send + Sync,
-    {
-        let threads = parallelism.resolve();
-        let shards = par::bands(self.states.len(), threads);
-        if threads <= 1 || shards.len() < 2 {
-            return self.run(max_rounds, step);
-        }
-        let mut run_stats = RunStats::default();
-        for round in 0..max_rounds {
-            self.deliver();
-            let inflight = self.inbox_data.len();
-            let mut sent_this_round = 0usize;
-            {
-                let SimNet {
-                    topo,
-                    states,
-                    inbox_data,
-                    inbox_order,
-                    inbox_start,
-                    outbox,
-                    active,
-                    ..
-                } = self;
-                let topo: &T = topo;
-                let inbox_data: &[(u32, M)] = inbox_data;
-                let inbox_order: &[u32] = inbox_order;
-                let inbox_start: &[u32] = inbox_start;
-                let active: &NodeSet = active;
-                std::thread::scope(|scope| {
-                    let mut rest: &mut [S] = states;
-                    let mut handles = Vec::with_capacity(shards.len());
-                    for range in &shards {
-                        let (shard_states, tail) = rest.split_at_mut(range.len());
-                        rest = tail;
-                        let range = range.clone();
-                        let step = &step;
-                        handles.push(scope.spawn(move || {
-                            let mut shard_outbox: Vec<(u32, u32, M)> = Vec::new();
-                            let mut sent = 0usize;
-                            let mut dispatch = |i: usize| {
-                                let inbox = Inbox {
-                                    data: inbox_data,
-                                    order: &inbox_order
-                                        [inbox_start[i] as usize..inbox_start[i + 1] as usize],
-                                };
-                                let mut ctx = Ctx {
-                                    round,
-                                    me: i as u32,
-                                    topo,
-                                    outbox: &mut shard_outbox,
-                                    sent: 0,
-                                };
-                                step(&mut shard_states[i - range.start], inbox, &mut ctx);
-                                sent += ctx.sent;
-                            };
-                            if round == 0 {
-                                range.clone().for_each(&mut dispatch);
-                            } else {
-                                active.iter_range(range.clone()).for_each(&mut dispatch);
-                            }
-                            (shard_outbox, sent)
-                        }));
-                    }
-                    for h in handles {
-                        let (shard_outbox, sent) = h.join().expect("sim-net shard thread panicked");
-                        outbox.extend(shard_outbox);
-                        sent_this_round += sent;
-                    }
-                });
-            }
-            run_stats.rounds += 1;
-            run_stats.messages += sent_this_round;
-            run_stats.max_inflight = run_stats.max_inflight.max(sent_this_round);
-            if inflight == 0 && sent_this_round == 0 {
-                run_stats.quiescent = true;
-                break;
-            }
-        }
-        self.stats.absorb(run_stats);
-        run_stats
-    }
 }
 
 #[cfg(test)]
@@ -640,62 +534,6 @@ mod tests {
         assert_eq!(*net.state_at(c3(1, 2, 0)), 42);
         assert_eq!(net.len(), 27);
         assert_eq!(net.iter_coords().filter(|(_, &s)| s == 42).count(), 1);
-    }
-
-    #[test]
-    fn run_par_flood_matches_run_bit_for_bit() {
-        use mesh_topo::Parallelism;
-        // The same corner flood, sequential vs sharded: states, per-run
-        // stats and cumulative stats must all be identical.
-        let flood = |seen: &mut bool, inbox: Inbox<'_, ()>, ctx: &mut Ctx<'_, Grid2, ()>| {
-            if !inbox.is_empty() && !*seen {
-                *seen = true;
-                let me = ctx.me();
-                let space = Grid2::new(16, 16).space();
-                for d in Dir2::ALL {
-                    if let Some(j) = space.step(me, d) {
-                        ctx.send(j, ());
-                    }
-                }
-            }
-        };
-        let topo = Grid2::new(16, 16);
-        let start = topo.space().index(c2(0, 0));
-        let mut seq: SimNet<Grid2, bool, ()> = SimNet::new(Grid2::new(16, 16), |_| false);
-        seq.post(start, ());
-        let seq_stats = seq.run(1000, flood);
-        for t in [1usize, 2, 3, 8] {
-            let mut par: SimNet<Grid2, bool, ()> = SimNet::new(Grid2::new(16, 16), |_| false);
-            par.post(start, ());
-            let par_stats = par.run_par(1000, Parallelism::new(t), flood);
-            assert_eq!(seq_stats, par_stats, "{t} threads");
-            assert_eq!(seq.stats(), par.stats(), "{t} threads");
-            for (i, s) in seq.iter() {
-                assert_eq!(*s, *par.state(i), "state diverged at {i}, {t} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn run_par_preserves_inbox_sender_order() {
-        use mesh_topo::Parallelism;
-        // Shard-order outbox merge must keep each inbox grouped by
-        // ascending sender index, exactly like the sequential engine.
-        for t in [2usize, 4] {
-            let mut net = line_net(3);
-            let seen = std::sync::Mutex::new(Vec::<(u32, u32)>::new());
-            net.run_par(3, Parallelism::new(t), |_, inbox, ctx| {
-                if ctx.round == 0 && ctx.me() != 1 {
-                    ctx.send(1, ctx.me() as u32);
-                }
-                if ctx.me() == 1 {
-                    seen.lock()
-                        .unwrap()
-                        .extend(inbox.iter().map(|&(f, m)| (f, m)));
-                }
-            });
-            assert_eq!(seen.into_inner().unwrap(), vec![(0, 0), (2, 2)]);
-        }
     }
 
     #[test]
