@@ -13,14 +13,15 @@
 //! Discovery runs on the flat node-state layer: the labelling's
 //! [`mesh_topo::NodeSet`] of unsafe nodes is scanned word-by-word for
 //! unvisited seeds, and the BFS frontier holds linear node indices whose
-//! neighbors come from [`NodeSpace2::for_neighbors8`] /
-//! [`NodeSpace3::for_neighbors18`] — no hashing, no per-node coordinate
-//! arithmetic beyond one decode per visit.
+//! neighbors come from [`Space::for_region_neighbors`]
+//! ([`NodeSpace2::for_neighbors8`] / [`NodeSpace3::for_neighbors18`]) — no
+//! hashing, no per-node coordinate arithmetic beyond one decode per visit.
+//! [`Components`] is written once over the node space; [`Components2`] and
+//! [`Components3`] are its two instantiations.
 
-use mesh_topo::{NodeGrid, NodeSpace2, NodeSpace3, C2, C3};
+use mesh_topo::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
 
-use crate::labelling2::Labelling2;
-use crate::labelling3::Labelling3;
+use crate::labelling::Labelling;
 
 /// Sentinel for "not part of any component".
 pub const NO_COMPONENT: u32 = u32::MAX;
@@ -62,7 +63,7 @@ pub const NEIGHBORS_18: [(i32, i32, i32); 18] = [
 ];
 
 /// Provenance of one component after an incremental repair
-/// ([`Components2::repair`] / [`Components3::repair`]).
+/// ([`Components::repair`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompSource {
     /// Fresh DFS re-discovery: membership or cell order may have changed.
@@ -75,53 +76,37 @@ pub enum CompSource {
     },
 }
 
-/// Component decomposition of the unsafe set of a 2-D labelling.
+/// Component decomposition of the unsafe set of a labelling.
 #[derive(Clone, Debug)]
-pub struct Components2 {
-    space: NodeSpace2,
+pub struct Components<S: Space> {
+    space: S,
     id: NodeGrid<u32>,
     /// Cells of each component, in discovery (BFS) order.
-    pub cells: Vec<Vec<C2>>,
+    pub cells: Vec<Vec<S::Coord>>,
 }
 
-/// Component decomposition of the unsafe set of a 3-D labelling.
-#[derive(Clone, Debug)]
-pub struct Components3 {
-    space: NodeSpace3,
-    id: NodeGrid<u32>,
-    /// Cells of each component, in discovery (BFS) order.
-    pub cells: Vec<Vec<C3>>,
-}
+/// Component decomposition of a 2-D labelling (8-connectivity).
+pub type Components2 = Components<NodeSpace2>;
 
-impl Components2 {
+/// Component decomposition of a 3-D labelling (18-connectivity).
+pub type Components3 = Components<NodeSpace3>;
+
+impl<S: Space> Components<S> {
     /// Decompose the unsafe set of `lab` into connected components.
-    pub fn compute(lab: &Labelling2) -> Components2 {
-        let space = lab.space();
-        let unsafe_set = lab.unsafe_set();
-        let mut id = NodeGrid::new(space.len(), NO_COMPONENT);
-        let mut cells: Vec<Vec<C2>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
+    pub fn compute(lab: &Labelling<S>) -> Components<S> {
+        let (space, unsafe_set) = (lab.space(), lab.unsafe_set());
+        let mut id = NodeGrid::new(space.node_count(), NO_COMPONENT);
+        let mut cells = Vec::new();
+        let mut queue = Vec::new();
         for start in unsafe_set.iter() {
-            if id[start] != NO_COMPONENT {
-                continue;
+            if id[start] == NO_COMPONENT {
+                let mark = cells.len() as u32;
+                cells.push(discover(
+                    space, unsafe_set, &mut id, start, mark, &mut queue,
+                ));
             }
-            let comp = cells.len() as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = comp;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors8(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = comp;
-                        queue.push(v);
-                    }
-                });
-            }
-            cells.push(comp_cells);
         }
-        Components2 { space, id, cells }
+        Components { space, id, cells }
     }
 
     /// Number of components.
@@ -135,7 +120,7 @@ impl Components2 {
     }
 
     /// Component id of canonical `c`, if it is unsafe.
-    pub fn component_of(&self, c: C2) -> Option<u32> {
+    pub fn component_of(&self, c: S::Coord) -> Option<u32> {
         match self.space.index_checked(c).map(|i| self.id[i]) {
             Some(i) if i != NO_COMPONENT => Some(i),
             _ => None,
@@ -144,21 +129,19 @@ impl Components2 {
 
     /// Incrementally repair the decomposition after a labelling repair:
     /// `lab` is the repaired labelling and `changed` the sorted dirty
-    /// region [`Labelling2::repair`] returned. Components touched by a
+    /// region [`Labelling::repair`] returned. Components touched by a
     /// membership flip — they lost a cell, or gained or became adjacent to
-    /// one — are re-discovered with [`Components2::compute`]'s exact DFS;
+    /// one — are re-discovered with [`Components::compute`]'s exact DFS;
     /// the rest are carried over, renumbered into the same min-cell-index
     /// order `compute` emits. Ids, component order and per-component cell
     /// order end up **bit-for-bit identical** to a from-scratch
-    /// `Components2::compute(lab)` (see DESIGN.md §12).
+    /// `Components::compute(lab)` (see DESIGN.md §12).
     ///
     /// Returns the provenance of every post-repair component — the input
     /// MCC repair needs to decide which shapes to re-extract.
-    pub fn repair(&mut self, lab: &Labelling2, changed: &[usize]) -> Vec<CompSource> {
-        let space = self.space;
-        let unsafe_set = lab.unsafe_set();
-        let id = &mut self.id;
-        let cells = &mut self.cells;
+    pub fn repair(&mut self, lab: &Labelling<S>, changed: &[usize]) -> Vec<CompSource> {
+        let (space, unsafe_set) = (self.space, lab.unsafe_set());
+        let (id, cells) = (&mut self.id, &mut self.cells);
         let mut affected: Vec<u32> = Vec::new();
         let mut added: Vec<usize> = Vec::new();
         for &i in changed {
@@ -166,7 +149,7 @@ impl Components2 {
             let was = id[i] != NO_COMPONENT;
             if now && !was {
                 added.push(i);
-                space.for_neighbors8(i, |v| {
+                space.for_region_neighbors(i, |v| {
                     if id[v] != NO_COMPONENT {
                         affected.push(id[v]);
                     }
@@ -201,27 +184,13 @@ impl Components2 {
         // runs through an added node, whose neighbor components were all
         // marked affected above — so the `id[v] == NO_COMPONENT` guard
         // confines the walk exactly as in a full compute.
-        let mut rebuilt: Vec<Vec<C2>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
+        let mut rebuilt: Vec<Vec<S::Coord>> = Vec::new();
+        let mut queue = Vec::new();
         for &start in &seeds {
-            if id[start] != NO_COMPONENT {
-                continue;
+            if id[start] == NO_COMPONENT {
+                let mark = (cells.len() + rebuilt.len()) as u32;
+                rebuilt.push(discover(space, unsafe_set, id, start, mark, &mut queue));
             }
-            let mark = (cells.len() + rebuilt.len()) as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = mark;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors8(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = mark;
-                        queue.push(v);
-                    }
-                });
-            }
-            rebuilt.push(comp_cells);
         }
         // Merge survivors and rebuilds in min-cell-index order — the order
         // compute() discovers components in (each seed above, like each
@@ -231,13 +200,14 @@ impl Components2 {
         for &a in &affected {
             affected_mask[a as usize] = true;
         }
-        let survivors: Vec<(usize, Vec<C2>)> = std::mem::take(cells)
+        let survivors: Vec<(usize, Vec<S::Coord>)> = std::mem::take(cells)
             .into_iter()
             .enumerate()
             .filter(|&(o, _)| !affected_mask[o])
             .collect();
-        let mut out: Vec<Vec<C2>> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sources: Vec<CompSource> = Vec::with_capacity(survivors.len() + rebuilt.len());
+        let total = survivors.len() + rebuilt.len();
+        let mut sources: Vec<CompSource> = Vec::with_capacity(total);
+        cells.reserve(total);
         let mut sv = survivors.into_iter().peekable();
         let mut rb = rebuilt.into_iter().peekable();
         loop {
@@ -247,195 +217,63 @@ impl Components2 {
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            let new_id = out.len() as u32;
-            if take_survivor {
+            let new_id = cells.len() as u32;
+            let (source, comp_cells, moved) = if take_survivor {
                 let (old, comp_cells) = sv.next().expect("peeked");
-                if old as u32 != new_id {
-                    for &c in &comp_cells {
-                        id[space.index(c)] = new_id;
-                    }
-                }
-                sources.push(CompSource::Carried { old });
-                out.push(comp_cells);
+                (
+                    CompSource::Carried { old },
+                    comp_cells,
+                    old != new_id as usize,
+                )
             } else {
-                let comp_cells = rb.next().expect("peeked");
+                (CompSource::Rebuilt, rb.next().expect("peeked"), true)
+            };
+            if moved {
                 for &c in &comp_cells {
                     id[space.index(c)] = new_id;
                 }
-                sources.push(CompSource::Rebuilt);
-                out.push(comp_cells);
             }
+            sources.push(source);
+            cells.push(comp_cells);
         }
-        *cells = out;
         sources
     }
 }
 
-impl Components3 {
-    /// Decompose the unsafe set of `lab` into connected components.
-    pub fn compute(lab: &Labelling3) -> Components3 {
-        let space = lab.space();
-        let unsafe_set = lab.unsafe_set();
-        let mut id = NodeGrid::new(space.len(), NO_COMPONENT);
-        let mut cells: Vec<Vec<C3>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for start in unsafe_set.iter() {
-            if id[start] != NO_COMPONENT {
-                continue;
+/// The component BFS: label every unsafe node reachable from `start`
+/// through not-yet-labelled unsafe nodes with `mark`, and return them in
+/// discovery order.
+fn discover<S: Space>(
+    space: S,
+    unsafe_set: &NodeSet,
+    id: &mut NodeGrid<u32>,
+    start: usize,
+    mark: u32,
+    queue: &mut Vec<usize>,
+) -> Vec<S::Coord> {
+    let mut cells = Vec::new();
+    queue.clear();
+    queue.push(start);
+    id[start] = mark;
+    while let Some(u) = queue.pop() {
+        cells.push(space.coord(u));
+        space.for_region_neighbors(u, |v| {
+            if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
+                id[v] = mark;
+                queue.push(v);
             }
-            let comp = cells.len() as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = comp;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors18(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = comp;
-                        queue.push(v);
-                    }
-                });
-            }
-            cells.push(comp_cells);
-        }
-        Components3 { space, id, cells }
+        });
     }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the unsafe set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Component id of canonical `c`, if it is unsafe.
-    pub fn component_of(&self, c: C3) -> Option<u32> {
-        match self.space.index_checked(c).map(|i| self.id[i]) {
-            Some(i) if i != NO_COMPONENT => Some(i),
-            _ => None,
-        }
-    }
-
-    /// Incrementally repair the decomposition — the 3-D twin of
-    /// [`Components2::repair`], over 18-connectivity. Same contract:
-    /// bit-for-bit identical to `Components3::compute(lab)`, returns the
-    /// per-component provenance.
-    pub fn repair(&mut self, lab: &Labelling3, changed: &[usize]) -> Vec<CompSource> {
-        let space = self.space;
-        let unsafe_set = lab.unsafe_set();
-        let id = &mut self.id;
-        let cells = &mut self.cells;
-        let mut affected: Vec<u32> = Vec::new();
-        let mut added: Vec<usize> = Vec::new();
-        for &i in changed {
-            let now = unsafe_set.contains(i);
-            let was = id[i] != NO_COMPONENT;
-            if now && !was {
-                added.push(i);
-                space.for_neighbors18(i, |v| {
-                    if id[v] != NO_COMPONENT {
-                        affected.push(id[v]);
-                    }
-                });
-            } else if !now && was {
-                affected.push(id[i]);
-            }
-        }
-        if added.is_empty() && affected.is_empty() {
-            return (0..cells.len())
-                .map(|old| CompSource::Carried { old })
-                .collect();
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        let mut seeds = added;
-        for &a in &affected {
-            for &c in &cells[a as usize] {
-                let i = space.index(c);
-                id[i] = NO_COMPONENT;
-                if unsafe_set.contains(i) {
-                    seeds.push(i);
-                }
-            }
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-        let mut rebuilt: Vec<Vec<C3>> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for &start in &seeds {
-            if id[start] != NO_COMPONENT {
-                continue;
-            }
-            let mark = (cells.len() + rebuilt.len()) as u32;
-            let mut comp_cells = Vec::new();
-            queue.clear();
-            queue.push(start);
-            id[start] = mark;
-            while let Some(u) = queue.pop() {
-                comp_cells.push(space.coord(u));
-                space.for_neighbors18(u, |v| {
-                    if unsafe_set.contains(v) && id[v] == NO_COMPONENT {
-                        id[v] = mark;
-                        queue.push(v);
-                    }
-                });
-            }
-            rebuilt.push(comp_cells);
-        }
-        let mut affected_mask = vec![false; cells.len()];
-        for &a in &affected {
-            affected_mask[a as usize] = true;
-        }
-        let survivors: Vec<(usize, Vec<C3>)> = std::mem::take(cells)
-            .into_iter()
-            .enumerate()
-            .filter(|&(o, _)| !affected_mask[o])
-            .collect();
-        let mut out: Vec<Vec<C3>> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sources: Vec<CompSource> = Vec::with_capacity(survivors.len() + rebuilt.len());
-        let mut sv = survivors.into_iter().peekable();
-        let mut rb = rebuilt.into_iter().peekable();
-        loop {
-            let take_survivor = match (sv.peek(), rb.peek()) {
-                (Some((_, sc)), Some(rc)) => space.index(sc[0]) < space.index(rc[0]),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let new_id = out.len() as u32;
-            if take_survivor {
-                let (old, comp_cells) = sv.next().expect("peeked");
-                if old as u32 != new_id {
-                    for &c in &comp_cells {
-                        id[space.index(c)] = new_id;
-                    }
-                }
-                sources.push(CompSource::Carried { old });
-                out.push(comp_cells);
-            } else {
-                let comp_cells = rb.next().expect("peeked");
-                for &c in &comp_cells {
-                    id[space.index(c)] = new_id;
-                }
-                sources.push(CompSource::Rebuilt);
-                out.push(comp_cells);
-            }
-        }
-        *cells = out;
-        sources
-    }
+    cells
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labelling::{Labelling2, Labelling3};
     use crate::status::BorderPolicy;
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
+    use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2};
 
     #[test]
     fn two_isolated_faults_two_components() {
@@ -529,8 +367,8 @@ mod tests {
         comps.repair(lab, &changed)
     }
 
-    fn assert_comps_match(lab: &Labelling2, comps: &Components2) {
-        let fresh = Components2::compute(lab);
+    fn assert_comps_match<S: Space>(lab: &Labelling<S>, comps: &Components<S>) {
+        let fresh = Components::compute(lab);
         assert_eq!(comps.cells, fresh.cells, "cells/order diverged");
         assert_eq!(comps.id, fresh.id, "id grid diverged");
     }
@@ -653,9 +491,7 @@ mod tests {
                 }
                 let changed = lab.repair(&injected, &healed);
                 comps.repair(&lab, &changed);
-                let fresh = Components3::compute(&lab);
-                assert_eq!(comps.cells, fresh.cells);
-                assert_eq!(comps.id, fresh.id);
+                assert_comps_match(&lab, &comps);
             }
         }
     }

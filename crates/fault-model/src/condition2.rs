@@ -28,7 +28,7 @@
 use mesh_topo::C2;
 use serde::{Deserialize, Serialize};
 
-use crate::labelling2::Labelling2;
+use crate::labelling::Labelling2;
 use crate::mcc2::{Mcc2, MccSet2, RegionAxis2};
 use crate::oracle;
 

@@ -17,7 +17,7 @@
 use mesh_topo::C3;
 use serde::{Deserialize, Serialize};
 
-use crate::labelling3::Labelling3;
+use crate::labelling::Labelling3;
 use crate::oracle;
 
 /// Outcome of the 3-D existence condition.

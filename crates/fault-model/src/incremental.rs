@@ -2,16 +2,18 @@
 //!
 //! [`ModelCache2`](crate::ModelCache2) memoizes the models of one *frozen*
 //! fault configuration — it borrows the mesh, so any churn forces the caller
-//! to throw the whole cache away. [`IncrementalModels2`] /
-//! [`IncrementalModels3`] instead **own** their mesh and keep the full model
-//! stack alive across batched fault injections and heals:
+//! to throw the whole cache away. [`IncrementalModels`]
+//! ([`IncrementalModels2`] / [`IncrementalModels3`]) instead **owns** its
+//! mesh and keeps the full model stack alive across batched fault
+//! injections and heals:
 //!
 //! * the labelling of each orientation is patched in place by
-//!   [`Labelling2::repair`] (dirty-region worklist or bulk re-sweep),
-//! * the component decomposition by [`Components2::repair`] (localized
+//!   [`Labelling::repair`] (dirty-region worklist or bulk re-sweep),
+//! * the component decomposition by [`Components::repair`] (localized
 //!   merge/split with carried-component provenance),
-//! * the MCC shapes by [`MccSet2::repair`] (only rebuilt or status-touched
-//!   components are re-extracted),
+//! * the MCC shapes by [`MccSet2::repair`](crate::mcc2::MccSet2::repair) /
+//!   [`MccSet3::repair`](crate::mcc3::MccSet3::repair) (only rebuilt or
+//!   status-touched components are re-extracted),
 //! * the orientation-free block model is invalidated wholesale and lazily
 //!   recomputed — it is cheap relative to the labelling family and has no
 //!   per-orientation structure to exploit.
@@ -32,8 +34,11 @@
 //! top. The equivalence battery in `tests/churn_equiv.rs` pins this after
 //! every step of random inject/heal traces (DESIGN.md §12).
 //!
-//! [`apply`]: IncrementalModels2::apply
-//! [`models`]: IncrementalModels2::models
+//! The cache is written once over the node space and reaches the
+//! per-dimension MCC and block models through [`ModelSpace`].
+//!
+//! [`apply`]: IncrementalModels::apply
+//! [`models`]: IncrementalModels::models
 //!
 //! # Examples
 //!
@@ -57,15 +62,12 @@
 //! assert_eq!(m.mccs.len(), 1);
 //! ```
 
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, C2, C3};
+use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3};
 
-use crate::components::{Components2, Components3};
-use crate::mcc2::MccSet2;
-use crate::mcc3::MccSet3;
-use crate::rfb2::FaultBlocks2;
-use crate::rfb3::FaultBlocks3;
+use crate::components::Components;
+use crate::labelling::Labelling;
+use crate::models::ModelSpace;
 use crate::status::BorderPolicy;
-use crate::{Labelling2, Labelling3};
 
 /// Maximum number of generations a slot may lag behind before it is
 /// dropped and rebuilt from scratch instead of replayed. Also bounds the
@@ -82,7 +84,7 @@ pub const LOG_CAP: u64 = 32;
 /// `#[should_panic(expected = ...)]` pins stay valid.
 ///
 /// [`Display`]: std::fmt::Display
-/// [`apply`]: IncrementalModels2::apply
+/// [`apply`]: IncrementalModels::apply
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChurnError<C> {
     /// A named node lies outside the mesh.
@@ -125,51 +127,64 @@ struct LogEntry<C> {
 
 /// The incrementally maintained models of one orientation.
 #[derive(Clone, Debug)]
-struct IncSlot2 {
+struct IncSlot<S: ModelSpace> {
     /// Generation the models below reflect.
     synced: u64,
-    lab: Labelling2,
-    comps: Components2,
-    mccs: MccSet2,
+    lab: Labelling<S>,
+    comps: Components<S>,
+    mccs: S::Mccs,
 }
 
 /// Borrowed views of one orientation's incrementally maintained models.
-#[derive(Clone, Copy, Debug)]
-pub struct IncModelsRef2<'a> {
+#[derive(Debug)]
+pub struct IncModelsRef<'a, S: ModelSpace> {
     /// The labelling of the requested orientation.
-    pub lab: &'a Labelling2,
+    pub lab: &'a Labelling<S>,
     /// Its component decomposition.
-    pub comps: &'a Components2,
+    pub comps: &'a Components<S>,
     /// Its MCC shapes.
-    pub mccs: &'a MccSet2,
+    pub mccs: &'a S::Mccs,
 }
 
-/// Owned, churn-capable model cache over a 2-D mesh (see the module docs).
+/// Borrowed views of one 2-D orientation's maintained models.
+pub type IncModelsRef2<'a> = IncModelsRef<'a, NodeSpace2>;
+
+/// Borrowed views of one 3-D orientation's maintained models.
+pub type IncModelsRef3<'a> = IncModelsRef<'a, NodeSpace3>;
+
+/// Owned, churn-capable model cache over a mesh (see the module docs).
 #[derive(Clone, Debug)]
-pub struct IncrementalModels2 {
-    mesh: Mesh2D,
+pub struct IncrementalModels<S: ModelSpace> {
+    mesh: S::Mesh,
     border: BorderPolicy,
-    /// Bumped by every [`IncrementalModels2::apply`].
+    /// Bumped by every [`IncrementalModels::apply`].
     generation: u64,
     /// Churn batches not yet replayed by every live slot, ascending `gen`.
-    log: Vec<LogEntry<C2>>,
-    slots: [Option<IncSlot2>; 4],
-    blocks: Option<FaultBlocks2>,
+    log: Vec<LogEntry<S::Coord>>,
+    /// One slot per orientation.
+    slots: Vec<Option<IncSlot<S>>>,
+    blocks: Option<S::Blocks>,
     /// Generation `blocks` reflects (meaningless while `blocks` is `None`).
     blocks_synced: u64,
     /// Total statuses changed by slot replays — the incremental work done.
     repaired_statuses: usize,
 }
 
-impl IncrementalModels2 {
+/// The incrementally maintained models of a 2-D mesh (4 quadrant slots).
+pub type IncrementalModels2 = IncrementalModels<NodeSpace2>;
+
+/// The incrementally maintained models of a 3-D mesh (8 octant slots).
+pub type IncrementalModels3 = IncrementalModels<NodeSpace3>;
+
+impl<S: ModelSpace> IncrementalModels<S> {
     /// Take ownership of `mesh`; nothing is computed until requested.
-    pub fn new(mesh: Mesh2D, border: BorderPolicy) -> IncrementalModels2 {
-        IncrementalModels2 {
+    pub fn new(mesh: S::Mesh, border: BorderPolicy) -> IncrementalModels<S> {
+        IncrementalModels {
             mesh,
             border,
             generation: 0,
             log: Vec::new(),
-            slots: [None, None, None, None],
+            slots: (0..S::ORIENTATIONS).map(|_| None).collect(),
             blocks: None,
             blocks_synced: 0,
             repaired_statuses: 0,
@@ -177,7 +192,7 @@ impl IncrementalModels2 {
     }
 
     /// The current (churned) mesh.
-    pub fn mesh(&self) -> &Mesh2D {
+    pub fn mesh(&self) -> &S::Mesh {
         &self.mesh
     }
 
@@ -201,10 +216,10 @@ impl IncrementalModels2 {
     /// reflects the current generation (a [`models`] call would neither
     /// rebuild nor replay).
     ///
-    /// [`models`]: IncrementalModels2::models
-    pub fn slot_current(&self, frame: Frame2) -> bool {
+    /// [`models`]: IncrementalModels::models
+    pub fn slot_current(&self, frame: S::Frame) -> bool {
         matches!(
-            &self.slots[frame.index()],
+            &self.slots[S::frame_index(frame)],
             Some(sl) if sl.lab.frame() == frame && sl.synced == self.generation
         )
     }
@@ -222,8 +237,8 @@ impl IncrementalModels2 {
     /// already-satisfied entry is a caller bug and panics. Long-lived
     /// callers fed untrusted batches use [`try_apply`] instead.
     ///
-    /// [`try_apply`]: IncrementalModels2::try_apply
-    pub fn apply(&mut self, injected: &[C2], healed: &[C2]) {
+    /// [`try_apply`]: IncrementalModels::try_apply
+    pub fn apply(&mut self, injected: &[S::Coord], healed: &[S::Coord]) {
         if let Err(e) = self.try_apply(injected, healed) {
             panic!("{e}");
         }
@@ -234,10 +249,14 @@ impl IncrementalModels2 {
     /// generation counter and every maintained model are untouched, so a
     /// resident service can reject a malformed request and keep serving.
     ///
-    /// [`apply`]: IncrementalModels2::apply
-    pub fn try_apply(&mut self, injected: &[C2], healed: &[C2]) -> Result<(), ChurnError<C2>> {
+    /// [`apply`]: IncrementalModels::apply
+    pub fn try_apply(
+        &mut self,
+        injected: &[S::Coord],
+        healed: &[S::Coord],
+    ) -> Result<(), ChurnError<S::Coord>> {
         let (inj, heal) = self.validated_sets(injected, healed)?;
-        let flipped = self.mesh.inject_fault_set(&inj) + self.mesh.heal_fault_set(&heal);
+        let flipped = S::flip_faults(&mut self.mesh, &inj, &heal);
         debug_assert_eq!(flipped, injected.len() + healed.len());
         self.generation += 1;
         self.log.push(LogEntry {
@@ -254,8 +273,12 @@ impl IncrementalModels2 {
     /// caller validates first, journals the batch, and only then applies
     /// it, so the apply step cannot fail after the log record is durable.
     ///
-    /// [`try_apply`]: IncrementalModels2::try_apply
-    pub fn check(&self, injected: &[C2], healed: &[C2]) -> Result<(), ChurnError<C2>> {
+    /// [`try_apply`]: IncrementalModels::try_apply
+    pub fn check(
+        &self,
+        injected: &[S::Coord],
+        healed: &[S::Coord],
+    ) -> Result<(), ChurnError<S::Coord>> {
         self.validated_sets(injected, healed).map(|_| ())
     }
 
@@ -264,22 +287,23 @@ impl IncrementalModels2 {
     /// overlap, already-faulty, not-faulty) so which error a multiply
     /// malformed batch reports stays stable.
     ///
-    /// [`check`]: IncrementalModels2::check
-    /// [`try_apply`]: IncrementalModels2::try_apply
+    /// [`check`]: IncrementalModels::check
+    /// [`try_apply`]: IncrementalModels::try_apply
     fn validated_sets(
         &self,
-        injected: &[C2],
-        healed: &[C2],
-    ) -> Result<(NodeSet, NodeSet), ChurnError<C2>> {
-        let space = self.mesh.space();
-        let mut inj = NodeSet::new(space.len());
+        injected: &[S::Coord],
+        healed: &[S::Coord],
+    ) -> Result<(NodeSet, NodeSet), ChurnError<S::Coord>> {
+        let space = S::of_mesh(&self.mesh);
+        let faulty = S::fault_set(&self.mesh);
+        let mut inj = NodeSet::new(space.node_count());
         for &c in injected {
             let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
             if !inj.insert(i) {
                 return Err(ChurnError::DuplicateInjected(c));
             }
         }
-        let mut heal = NodeSet::new(space.len());
+        let mut heal = NodeSet::new(space.node_count());
         for &c in healed {
             let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
             if !heal.insert(i) {
@@ -292,12 +316,12 @@ impl IncrementalModels2 {
             }
         }
         for &c in injected {
-            if self.mesh.fault_set().contains(space.index(c)) {
+            if faulty.contains(space.index(c)) {
                 return Err(ChurnError::AlreadyFaulty(c));
             }
         }
         for &c in healed {
-            if !self.mesh.fault_set().contains(space.index(c)) {
+            if !faulty.contains(space.index(c)) {
                 return Err(ChurnError::NotFaulty(c));
             }
         }
@@ -328,14 +352,14 @@ impl IncrementalModels2 {
     /// differently-rotated) slot is built from scratch; a lagging slot
     /// replays only the churn batches it has not seen, repairing labelling,
     /// components and MCCs in place.
-    pub fn models(&mut self, frame: Frame2) -> IncModelsRef2<'_> {
-        let idx = frame.index();
+    pub fn models(&mut self, frame: S::Frame) -> IncModelsRef<'_, S> {
+        let idx = S::frame_index(frame);
         let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
         if rebuild {
-            let lab = Labelling2::compute(&self.mesh, frame, self.border);
-            let comps = Components2::compute(&lab);
-            let mccs = MccSet2::compute(&lab);
-            self.slots[idx] = Some(IncSlot2 {
+            let lab = Labelling::compute(&self.mesh, frame, self.border);
+            let comps = Components::compute(&lab);
+            let mccs = S::mccs(&lab);
+            self.slots[idx] = Some(IncSlot {
                 synced: self.generation,
                 lab,
                 comps,
@@ -347,13 +371,13 @@ impl IncrementalModels2 {
             for e in self.log.iter().filter(|e| e.gen > slot.synced) {
                 let changed = slot.lab.repair(&e.injected, &e.healed);
                 let sources = slot.comps.repair(&slot.lab, &changed);
-                slot.mccs.repair(&slot.lab, &slot.comps, &sources, &changed);
+                S::repair_mccs(&mut slot.mccs, &slot.lab, &slot.comps, &sources, &changed);
                 self.repaired_statuses += changed.len();
             }
             slot.synced = self.generation;
         }
         let slot = self.slots[idx].as_ref().expect("just filled");
-        IncModelsRef2 {
+        IncModelsRef {
             lab: &slot.lab,
             comps: &slot.comps,
             mccs: &slot.mccs,
@@ -362,227 +386,9 @@ impl IncrementalModels2 {
 
     /// The orientation-free block model of the current mesh, recomputed
     /// lazily after churn (any applied batch invalidates it wholesale).
-    pub fn blocks(&mut self) -> &FaultBlocks2 {
+    pub fn blocks(&mut self) -> &S::Blocks {
         if !self.blocks_current() {
-            self.blocks = Some(FaultBlocks2::compute(&self.mesh));
-            self.blocks_synced = self.generation;
-        }
-        self.blocks.as_ref().expect("just filled")
-    }
-}
-
-/// The incrementally maintained models of one 3-D orientation.
-#[derive(Clone, Debug)]
-struct IncSlot3 {
-    synced: u64,
-    lab: Labelling3,
-    comps: Components3,
-    mccs: MccSet3,
-}
-
-/// Borrowed views of one 3-D orientation's models (see [`IncModelsRef2`]).
-#[derive(Clone, Copy, Debug)]
-pub struct IncModelsRef3<'a> {
-    /// The labelling of the requested orientation.
-    pub lab: &'a Labelling3,
-    /// Its component decomposition.
-    pub comps: &'a Components3,
-    /// Its MCC shapes.
-    pub mccs: &'a MccSet3,
-}
-
-/// Owned, churn-capable model cache over a 3-D mesh — the twin of
-/// [`IncrementalModels2`] with eight orientation slots.
-#[derive(Clone, Debug)]
-pub struct IncrementalModels3 {
-    mesh: Mesh3D,
-    border: BorderPolicy,
-    generation: u64,
-    log: Vec<LogEntry<C3>>,
-    slots: [Option<IncSlot3>; 8],
-    blocks: Option<FaultBlocks3>,
-    blocks_synced: u64,
-    repaired_statuses: usize,
-}
-
-impl IncrementalModels3 {
-    /// Take ownership of `mesh`; nothing is computed until requested.
-    pub fn new(mesh: Mesh3D, border: BorderPolicy) -> IncrementalModels3 {
-        IncrementalModels3 {
-            mesh,
-            border,
-            generation: 0,
-            log: Vec::new(),
-            slots: [None, None, None, None, None, None, None, None],
-            blocks: None,
-            blocks_synced: 0,
-            repaired_statuses: 0,
-        }
-    }
-
-    /// The current (churned) mesh.
-    pub fn mesh(&self) -> &Mesh3D {
-        &self.mesh
-    }
-
-    /// The border policy every maintained labelling uses.
-    pub fn border(&self) -> BorderPolicy {
-        self.border
-    }
-
-    /// Number of churn batches applied so far.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Total node statuses changed across all slot replays.
-    pub fn statuses_repaired(&self) -> usize {
-        self.repaired_statuses
-    }
-
-    /// True if `frame`'s slot exists and reflects the current generation.
-    pub fn slot_current(&self, frame: Frame3) -> bool {
-        matches!(
-            &self.slots[frame.index()],
-            Some(sl) if sl.lab.frame() == frame && sl.synced == self.generation
-        )
-    }
-
-    /// True if the block model exists and reflects the current generation.
-    pub fn blocks_current(&self) -> bool {
-        self.blocks.is_some() && self.blocks_synced == self.generation
-    }
-
-    /// Apply one churn batch (see [`IncrementalModels2::apply`]).
-    pub fn apply(&mut self, injected: &[C3], healed: &[C3]) {
-        if let Err(e) = self.try_apply(injected, healed) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible twin of [`apply`] (see [`IncrementalModels2::try_apply`]).
-    ///
-    /// [`apply`]: IncrementalModels3::apply
-    pub fn try_apply(&mut self, injected: &[C3], healed: &[C3]) -> Result<(), ChurnError<C3>> {
-        let (inj, heal) = self.validated_sets(injected, healed)?;
-        let flipped = self.mesh.inject_fault_set(&inj) + self.mesh.heal_fault_set(&heal);
-        debug_assert_eq!(flipped, injected.len() + healed.len());
-        self.generation += 1;
-        self.log.push(LogEntry {
-            gen: self.generation,
-            injected: injected.to_vec(),
-            healed: healed.to_vec(),
-        });
-        self.compact();
-        Ok(())
-    }
-
-    /// Validate a churn batch without applying it (see
-    /// [`IncrementalModels2::check`]).
-    pub fn check(&self, injected: &[C3], healed: &[C3]) -> Result<(), ChurnError<C3>> {
-        self.validated_sets(injected, healed).map(|_| ())
-    }
-
-    /// Shared validation pass behind [`check`] and [`try_apply`]; check
-    /// order matches the historical assert order (see
-    /// [`IncrementalModels2`]'s twin for the rationale).
-    ///
-    /// [`check`]: IncrementalModels3::check
-    /// [`try_apply`]: IncrementalModels3::try_apply
-    fn validated_sets(
-        &self,
-        injected: &[C3],
-        healed: &[C3],
-    ) -> Result<(NodeSet, NodeSet), ChurnError<C3>> {
-        let space = self.mesh.space();
-        let mut inj = NodeSet::new(space.len());
-        for &c in injected {
-            let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
-            if !inj.insert(i) {
-                return Err(ChurnError::DuplicateInjected(c));
-            }
-        }
-        let mut heal = NodeSet::new(space.len());
-        for &c in healed {
-            let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
-            if !heal.insert(i) {
-                return Err(ChurnError::DuplicateHealed(c));
-            }
-        }
-        for &c in healed {
-            if inj.contains(space.index(c)) {
-                return Err(ChurnError::Overlap(c));
-            }
-        }
-        for &c in injected {
-            if self.mesh.fault_set().contains(space.index(c)) {
-                return Err(ChurnError::AlreadyFaulty(c));
-            }
-        }
-        for &c in healed {
-            if !self.mesh.fault_set().contains(space.index(c)) {
-                return Err(ChurnError::NotFaulty(c));
-            }
-        }
-        Ok((inj, heal))
-    }
-
-    fn compact(&mut self) {
-        let cutoff = self.generation.saturating_sub(LOG_CAP);
-        for slot in &mut self.slots {
-            if matches!(slot, Some(sl) if sl.synced < cutoff) {
-                *slot = None;
-            }
-        }
-        let keep_after = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|sl| sl.synced)
-            .min()
-            .unwrap_or(self.generation);
-        self.log.retain(|e| e.gen > keep_after);
-    }
-
-    /// Fetch the maintained models for `frame`'s orientation (see
-    /// [`IncrementalModels2::models`]).
-    pub fn models(&mut self, frame: Frame3) -> IncModelsRef3<'_> {
-        let idx = frame.index();
-        let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
-        if rebuild {
-            let lab = Labelling3::compute(&self.mesh, frame, self.border);
-            let comps = Components3::compute(&lab);
-            let mccs = MccSet3::compute(&lab);
-            self.slots[idx] = Some(IncSlot3 {
-                synced: self.generation,
-                lab,
-                comps,
-                mccs,
-            });
-        }
-        let slot = self.slots[idx].as_mut().expect("just filled");
-        if slot.synced < self.generation {
-            for e in self.log.iter().filter(|e| e.gen > slot.synced) {
-                let changed = slot.lab.repair(&e.injected, &e.healed);
-                let sources = slot.comps.repair(&slot.lab, &changed);
-                slot.mccs.repair(&slot.lab, &slot.comps, &sources, &changed);
-                self.repaired_statuses += changed.len();
-            }
-            slot.synced = self.generation;
-        }
-        let slot = self.slots[idx].as_ref().expect("just filled");
-        IncModelsRef3 {
-            lab: &slot.lab,
-            comps: &slot.comps,
-            mccs: &slot.mccs,
-        }
-    }
-
-    /// The orientation-free block model of the current mesh, recomputed
-    /// lazily after churn.
-    pub fn blocks(&mut self) -> &FaultBlocks3 {
-        if !self.blocks_current() {
-            self.blocks = Some(FaultBlocks3::compute(&self.mesh));
+            self.blocks = Some(S::blocks(&self.mesh));
             self.blocks_synced = self.generation;
         }
         self.blocks.as_ref().expect("just filled")
@@ -592,21 +398,24 @@ impl IncrementalModels3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultBlocks2;
     use mesh_topo::coord::{c2, c3};
+    use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2};
 
-    fn assert_slot_matches_fresh(inc: &mut IncrementalModels2, frame: Frame2) {
+    fn assert_slot_matches_fresh<S: ModelSpace>(inc: &mut IncrementalModels<S>, frame: S::Frame)
+    where
+        S::Mccs: PartialEq,
+    {
         let mesh = inc.mesh().clone();
         let border = inc.border();
         let m = inc.models(frame);
-        let lab = Labelling2::compute(&mesh, frame, border);
+        let lab = Labelling::compute(&mesh, frame, border);
         for ((c, a), (_, b)) in m.lab.iter().zip(lab.iter()) {
             assert_eq!(a, b, "status diverged at {c} for {frame:?}");
         }
         assert_eq!(m.lab.unsafe_set(), lab.unsafe_set());
-        let comps = Components2::compute(&lab);
-        assert_eq!(m.comps.cells, comps.cells);
-        let mccs = MccSet2::compute(&lab);
-        assert_eq!(m.mccs.mccs, mccs.mccs);
+        assert_eq!(m.comps.cells, Components::compute(&lab).cells);
+        assert_eq!(m.mccs, &S::mccs(&lab));
     }
 
     #[test]
@@ -758,14 +567,7 @@ mod tests {
                 healed.push(faults[rng.gen_range(0..faults.len())]);
             }
             inc.apply(&injected, &healed);
-            let mesh = inc.mesh().clone();
-            let m = inc.models(frame);
-            let lab = Labelling3::compute(&mesh, frame, BorderPolicy::BorderSafe);
-            for ((c, a), (_, b)) in m.lab.iter().zip(lab.iter()) {
-                assert_eq!(a, b, "status diverged at {c}");
-            }
-            assert_eq!(m.comps.cells, Components3::compute(&lab).cells);
-            assert_eq!(m.mccs.mccs, MccSet3::compute(&lab).mccs);
+            assert_slot_matches_fresh(&mut inc, frame);
             assert!(inc.blocks_current() || inc.generation() > 0);
         }
     }
@@ -857,7 +659,7 @@ mod tests {
     /// missing invalidation path, not silently pass.
     #[test]
     fn skipping_heal_retraction_breaks_equivalence() {
-        use crate::labelling2::mutation::SKIP_HEAL_RETRACTION;
+        use crate::labelling::mutation::SKIP_HEAL_RETRACTION;
 
         struct Reset;
         impl Drop for Reset {
@@ -867,32 +669,46 @@ mod tests {
         }
         let _reset = Reset;
 
-        // The seam-crossing scenario on a torus large enough that a
-        // one-node heal stays below the bulk-tier cut-over (the bulk tier
-        // recomputes from scratch and is immune to the skipped path):
-        // healing (1,2) must retract the useless label of (0,2) and,
-        // across the wrap seam, (11,2).
+        /// Heal `heal` under the mutation and check that `probe` keeps a
+        /// useless label a from-scratch labelling retracts. Each torus is
+        /// large enough that a one-node heal stays below the bulk-tier
+        /// cut-over (the bulk tier recomputes from scratch and is immune
+        /// to the skipped path).
+        fn case<S: ModelSpace>(mesh: S::Mesh, frame: S::Frame, heal: S::Coord, probe: S::Coord) {
+            let mut inc = IncrementalModels::<S>::new(mesh, BorderPolicy::BorderSafe);
+            assert!(inc.models(frame).lab.status(probe).is_useless());
+
+            SKIP_HEAL_RETRACTION.with(|f| f.set(true));
+            inc.apply(&[], &[heal]);
+            let stale = inc.models(frame).lab.status(probe);
+            let fresh = Labelling::<S>::compute(inc.mesh(), frame, BorderPolicy::BorderSafe);
+            assert!(
+                fresh.status(probe).is_safe(),
+                "ground truth: the label must retract"
+            );
+            assert!(
+                stale.is_useless(),
+                "mutated repair must leave the stale label the battery would flag"
+            );
+            assert_ne!(stale, fresh.status(probe), "equivalence check fails");
+        }
+
+        // 2-D seam: healing (1,2) must retract the useless label of (0,2)
+        // and, across the wrap seam, (11,2).
         let mut torus = Mesh2D::torus(12, 5);
         for c in [c2(1, 2), c2(0, 3), c2(11, 3)] {
             torus.inject_fault(c);
         }
-        let mut inc = IncrementalModels2::new(torus, BorderPolicy::BorderSafe);
-        let frame = Frame2::identity(inc.mesh());
-        assert!(inc.models(frame).lab.status(c2(11, 2)).is_useless());
+        let frame = Frame2::identity(&torus);
+        case::<NodeSpace2>(torus, frame, c2(1, 2), c2(11, 2));
 
-        SKIP_HEAL_RETRACTION.with(|f| f.set(true));
-        inc.apply(&[], &[c2(1, 2)]);
-        let mesh = inc.mesh().clone();
-        let stale = inc.models(frame).lab.status(c2(11, 2));
-        let fresh = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
-        assert!(
-            fresh.status(c2(11, 2)).is_safe(),
-            "ground truth: the label must retract"
-        );
-        assert!(
-            stale.is_useless(),
-            "mutated repair must leave the stale label the battery would flag"
-        );
-        assert_ne!(stale, fresh.status(c2(11, 2)), "equivalence check fails");
+        // 3-D seam: the corner (5,5,5) is sealed only by its three wrapped
+        // `+` neighbors; healing (0,5,5) must retract it across the X wrap.
+        let mut torus = Mesh3D::torus_kary(6);
+        for c in [c3(0, 5, 5), c3(5, 0, 5), c3(5, 5, 0)] {
+            torus.inject_fault(c);
+        }
+        let frame = Frame3::identity(&torus);
+        case::<NodeSpace3>(torus, frame, c3(0, 5, 5), c3(5, 5, 5));
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`status`] — node status lattice (safe / faulty / useless / can't-reach)
 //!   and the mesh-border policy,
-//! * [`labelling2`] / [`labelling3`] — the recursive labelling closures
-//!   (Algorithm 1 and Algorithm 4 of the paper),
+//! * [`labelling`] — the recursive labelling closure (Algorithm 1 and
+//!   Algorithm 4 of the paper), written once over the node space,
 //! * [`components`] — connected components of unsafe nodes,
 //! * [`mcc2`] / [`mcc3`] — Minimal Connected Components: shape extraction,
 //!   profiles, corners and sections,
@@ -24,10 +24,11 @@
 //!   pipeline, kept as the validation and benchmarking baseline,
 //! * [`stats`] — fault-region statistics for the evaluation.
 //!
-//! Module ↔ paper map: [`status`] and [`labelling2`] implement the node
-//! states and Algorithm 1 of Section 3 (2-D model); [`labelling3`] is
-//! Algorithm 4 of Section 4, whose Figure 5 example is pinned by this
-//! crate's tests; [`mcc2`]/[`mcc3`] realize the MCC shape machinery
+//! Module ↔ paper map: [`status`] and [`labelling`] implement the node
+//! states and Algorithm 1 of Section 3 (2-D model, [`Labelling2`]);
+//! [`labelling`] is also Algorithm 4 of Section 4 ([`Labelling3`]), whose
+//! Figure 5 example is pinned by this crate's tests; [`mcc2`]/[`mcc3`]
+//! realize the MCC shape machinery
 //! (boundaries, corners, sections) of Sections 3–4; [`condition2`] is
 //! Lemma 1/Theorem 1, [`condition3`] Theorem 2; [`rfb2`]/[`rfb3`] are the
 //! faulty-block baselines of the Section 6 evaluation.
@@ -78,8 +79,12 @@ pub mod components;
 pub mod condition2;
 pub mod condition3;
 pub mod incremental;
-pub mod labelling2;
-pub mod labelling3;
+pub mod labelling;
+// The unit tests of `labelling`, one module per dimension.
+#[cfg(test)]
+mod labelling2;
+#[cfg(test)]
+mod labelling3;
 pub mod mcc2;
 pub mod mcc3;
 pub mod models;
@@ -91,15 +96,14 @@ pub mod rfb3;
 pub mod stats;
 pub mod status;
 
-pub use components::CompSource;
+pub use components::{CompSource, Components};
 pub use condition2::{minimal_path_exists_2d, minimal_path_exists_2d_in, Existence2};
 pub use condition3::{minimal_path_exists_3d, minimal_path_exists_3d_in, Existence3};
-pub use incremental::{ChurnError, IncrementalModels2, IncrementalModels3};
-pub use labelling2::Labelling2;
-pub use labelling3::Labelling3;
+pub use incremental::{ChurnError, IncrementalModels, IncrementalModels2, IncrementalModels3};
+pub use labelling::{Labelling, Labelling2, Labelling3};
 pub use mcc2::Mcc2;
 pub use mcc3::Mcc3;
-pub use models::{ModelCache2, ModelCache3};
+pub use models::{ModelCache, ModelCache2, ModelCache3, ModelSpace};
 pub use regime::{AdversarialReport, FaultRegime, Schedule};
 pub use rfb2::FaultBlocks2;
 pub use rfb3::FaultBlocks3;

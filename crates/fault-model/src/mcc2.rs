@@ -24,7 +24,7 @@ use mesh_topo::{Rect, C2};
 use serde::{Deserialize, Serialize};
 
 use crate::components::{CompSource, Components2};
-use crate::labelling2::Labelling2;
+use crate::labelling::Labelling2;
 
 /// The axis a forbidden/critical region pair refers to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -60,7 +60,7 @@ pub struct Mcc2 {
 }
 
 /// All MCCs of one labelling.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MccSet2 {
     /// The components, indexed by id.
     pub mccs: Vec<Mcc2>,

@@ -28,7 +28,7 @@ use mesh_topo::{Axis3, Box3, NodeSet, NodeSpace3, C2, C3};
 use serde::{Deserialize, Serialize};
 
 use crate::components::{CompSource, Components3};
-use crate::labelling3::Labelling3;
+use crate::labelling::Labelling3;
 
 /// Sentinel line extent meaning "the component does not touch this line".
 const NO_LINE: (i32, i32) = (i32::MAX, i32::MIN);
@@ -59,7 +59,7 @@ pub struct Mcc3 {
 }
 
 /// All MCCs of one 3-D labelling.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MccSet3 {
     /// The components, indexed by id.
     pub mccs: Vec<Mcc3>,

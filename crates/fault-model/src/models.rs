@@ -6,16 +6,19 @@
 //! see [`mesh_topo::Frame2`]):
 //!
 //! * [`FaultBlocks2`] / [`FaultBlocks3`] — orientation-free, one per mesh,
-//! * [`Labelling2`] / [`Labelling3`] — one per orientation,
+//! * [`Labelling2`](crate::Labelling2) / [`Labelling3`](crate::Labelling3) —
+//!   one per orientation,
 //! * [`MccSet2`] / [`MccSet3`] — derived from the labelling, one per
 //!   orientation.
 //!
-//! A [`ModelCache2`] / [`ModelCache3`] therefore memoizes each model the
+//! A [`ModelCache`] ([`ModelCache2`] / [`ModelCache3`]) therefore memoizes each model the
 //! first time an orientation asks for it and hands out borrows afterwards,
 //! so a sweep that evaluates many source/destination pairs against the
 //! same fault set pays for model construction at most `1 + 4` (2-D) or
 //! `1 + 8` (3-D) times instead of once per pair. This is the compute layer
-//! behind `mcc_routing`'s prepared-trial path (DESIGN.md §9).
+//! behind `mcc_routing`'s prepared-trial path (DESIGN.md §9). The cache is
+//! written once over the node space; it reaches the per-dimension MCC and
+//! block models through [`ModelSpace`].
 //!
 //! # Examples
 //!
@@ -36,63 +39,136 @@
 //! assert!(m.blocks.expect("requested").is_disabled(c2(4, 4)));
 //! ```
 
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
+use mesh_topo::{NodeSpace2, NodeSpace3, Space};
 
+use crate::components::{CompSource, Components};
+use crate::labelling::Labelling;
 use crate::mcc2::MccSet2;
 use crate::mcc3::MccSet3;
 use crate::rfb2::FaultBlocks2;
 use crate::rfb3::FaultBlocks3;
 use crate::status::BorderPolicy;
-use crate::{Labelling2, Labelling3};
+
+/// The per-dimension models the caches hold beside the generic labelling
+/// and components: the MCC shapes (2-D profiles vs 3-D sections) and the
+/// faulty-block baseline (rectangles vs cuboids).
+pub trait ModelSpace: Space {
+    /// The MCC decomposition of a labelling.
+    type Mccs: Clone + std::fmt::Debug;
+    /// The orientation-free faulty-block model of a mesh.
+    type Blocks: Clone + std::fmt::Debug;
+
+    /// Extract every MCC of `lab`.
+    fn mccs(lab: &Labelling<Self>) -> Self::Mccs;
+    /// Repair `mccs` after a component repair (see [`MccSet2::repair`]).
+    fn repair_mccs(
+        mccs: &mut Self::Mccs,
+        lab: &Labelling<Self>,
+        comps: &Components<Self>,
+        sources: &[CompSource],
+        changed: &[usize],
+    );
+    /// Build the faulty-block model of `mesh`.
+    fn blocks(mesh: &Self::Mesh) -> Self::Blocks;
+}
+
+impl ModelSpace for NodeSpace2 {
+    type Mccs = MccSet2;
+    type Blocks = FaultBlocks2;
+
+    fn mccs(lab: &Labelling<Self>) -> MccSet2 {
+        MccSet2::compute(lab)
+    }
+    fn repair_mccs(
+        mccs: &mut MccSet2,
+        lab: &Labelling<Self>,
+        comps: &Components<Self>,
+        sources: &[CompSource],
+        changed: &[usize],
+    ) {
+        mccs.repair(lab, comps, sources, changed)
+    }
+    fn blocks(mesh: &Self::Mesh) -> FaultBlocks2 {
+        FaultBlocks2::compute(mesh)
+    }
+}
+
+impl ModelSpace for NodeSpace3 {
+    type Mccs = MccSet3;
+    type Blocks = FaultBlocks3;
+
+    fn mccs(lab: &Labelling<Self>) -> MccSet3 {
+        MccSet3::compute(lab)
+    }
+    fn repair_mccs(
+        mccs: &mut MccSet3,
+        lab: &Labelling<Self>,
+        comps: &Components<Self>,
+        sources: &[CompSource],
+        changed: &[usize],
+    ) {
+        mccs.repair(lab, comps, sources, changed)
+    }
+    fn blocks(mesh: &Self::Mesh) -> FaultBlocks3 {
+        FaultBlocks3::compute(mesh)
+    }
+}
 
 /// The models of one orientation: the labelling always, the MCC
 /// decomposition only once something has requested it.
 #[derive(Clone, Debug)]
-struct Slot2 {
-    lab: Labelling2,
-    mccs: Option<MccSet2>,
+struct Slot<S: ModelSpace> {
+    lab: Labelling<S>,
+    mccs: Option<S::Mccs>,
 }
 
 /// Borrowed views of every model a trial needs, fetched (and lazily
 /// computed) in one call so the borrows coexist.
-#[derive(Clone, Copy, Debug)]
-pub struct ModelsRef2<'a> {
+#[derive(Debug)]
+pub struct ModelsRef<'a, S: ModelSpace> {
     /// The labelling of the requested orientation.
-    pub lab: &'a Labelling2,
+    pub lab: &'a Labelling<S>,
     /// The MCC decomposition of that labelling, if requested.
-    pub mccs: Option<&'a MccSet2>,
-    /// The orientation-free rectangular block model, if requested.
-    pub blocks: Option<&'a FaultBlocks2>,
+    pub mccs: Option<&'a S::Mccs>,
+    /// The orientation-free block model, if requested.
+    pub blocks: Option<&'a S::Blocks>,
 }
 
-/// Lazy per-orientation model cache over one 2-D fault configuration.
+/// Borrowed views of the 2-D models (rectangular blocks).
+pub type ModelsRef2<'a> = ModelsRef<'a, NodeSpace2>;
+
+/// Borrowed views of the 3-D models (cuboid blocks).
+pub type ModelsRef3<'a> = ModelsRef<'a, NodeSpace3>;
+
+/// Lazy per-orientation model cache over one fault configuration.
 #[derive(Clone, Debug)]
-pub struct ModelCache2<'m> {
-    mesh: &'m Mesh2D,
+pub struct ModelCache<'m, S: ModelSpace> {
+    mesh: &'m S::Mesh,
     border: BorderPolicy,
-    blocks: Option<FaultBlocks2>,
-    slots: [Option<Slot2>; 4],
+    blocks: Option<S::Blocks>,
+    slots: Vec<Option<Slot<S>>>,
 }
 
-impl<'m> ModelCache2<'m> {
+/// The model cache over a 2-D mesh (4 quadrant slots).
+pub type ModelCache2<'m> = ModelCache<'m, NodeSpace2>;
+
+/// The model cache over a 3-D mesh (8 octant slots).
+pub type ModelCache3<'m> = ModelCache<'m, NodeSpace3>;
+
+impl<'m, S: ModelSpace> ModelCache<'m, S> {
     /// An empty cache for `mesh`; nothing is computed until requested.
-    pub fn new(mesh: &'m Mesh2D, border: BorderPolicy) -> ModelCache2<'m> {
-        ModelCache2 {
+    pub fn new(mesh: &'m S::Mesh, border: BorderPolicy) -> ModelCache<'m, S> {
+        ModelCache {
             mesh,
             border,
             blocks: None,
-            slots: [None, None, None, None],
+            slots: (0..S::ORIENTATIONS).map(|_| None).collect(),
         }
     }
 
     /// The mesh this cache describes.
-    pub fn mesh(&self) -> &'m Mesh2D {
+    pub fn mesh(&self) -> &'m S::Mesh {
         self.mesh
-    }
-
-    /// The border policy every cached labelling uses.
-    pub fn border(&self) -> BorderPolicy {
-        self.border
     }
 
     /// Fetch the models for `frame`'s orientation, computing whatever this
@@ -100,115 +176,35 @@ impl<'m> ModelCache2<'m> {
     /// orientation, the MCC set on first use with `want_mccs`, the block
     /// model on first use with `want_blocks` (any orientation).
     ///
-    /// Slots are keyed by [`Frame2::index`] but guarded by **full-frame**
-    /// equality: on a torus, frames with the same reflection carry
-    /// pair-specific rotations, so a slot holding a different frame is
-    /// recomputed rather than wrongly reused. Mesh frames are unique per
-    /// index, so mesh behavior (and its ≤ `1 + 4` compute bound) is
-    /// unchanged.
-    pub fn models(&mut self, frame: Frame2, want_mccs: bool, want_blocks: bool) -> ModelsRef2<'_> {
-        let idx = frame.index();
+    /// Slots are keyed by the frame's reflection index but guarded by
+    /// **full-frame** equality: on a torus, frames with the same
+    /// reflection carry pair-specific rotations, so a slot holding a
+    /// different frame is recomputed rather than wrongly reused. Mesh
+    /// frames are unique per index, so mesh behavior (and its
+    /// ≤ `1 + ORIENTATIONS` compute bound) is unchanged.
+    pub fn models(
+        &mut self,
+        frame: S::Frame,
+        want_mccs: bool,
+        want_blocks: bool,
+    ) -> ModelsRef<'_, S> {
+        let idx = S::frame_index(frame);
         let stale = !matches!(&self.slots[idx], Some(slot) if slot.lab.frame() == frame);
         if stale {
-            self.slots[idx] = Some(Slot2 {
-                lab: Labelling2::compute(self.mesh, frame, self.border),
+            self.slots[idx] = Some(Slot {
+                lab: Labelling::compute(self.mesh, frame, self.border),
                 mccs: None,
             });
         }
         let slot = self.slots[idx].as_mut().expect("just filled");
         if want_mccs && slot.mccs.is_none() {
-            slot.mccs = Some(MccSet2::compute(&slot.lab));
+            slot.mccs = Some(S::mccs(&slot.lab));
         }
         if want_blocks && self.blocks.is_none() {
-            self.blocks = Some(FaultBlocks2::compute(self.mesh));
+            self.blocks = Some(S::blocks(self.mesh));
         }
         let slot = self.slots[idx].as_ref().expect("just filled");
-        ModelsRef2 {
-            lab: &slot.lab,
-            mccs: if want_mccs { slot.mccs.as_ref() } else { None },
-            blocks: if want_blocks {
-                self.blocks.as_ref()
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Number of orientations whose labelling has been computed.
-    pub fn orientations_computed(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
-/// The models of one 3-D orientation (see [`Slot2`]).
-#[derive(Clone, Debug)]
-struct Slot3 {
-    lab: Labelling3,
-    mccs: Option<MccSet3>,
-}
-
-/// Borrowed views of every 3-D model a trial needs (see [`ModelsRef2`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ModelsRef3<'a> {
-    /// The labelling of the requested orientation.
-    pub lab: &'a Labelling3,
-    /// The MCC decomposition of that labelling, if requested.
-    pub mccs: Option<&'a MccSet3>,
-    /// The orientation-free cuboid block model, if requested.
-    pub blocks: Option<&'a FaultBlocks3>,
-}
-
-/// Lazy per-orientation model cache over one 3-D fault configuration.
-#[derive(Clone, Debug)]
-pub struct ModelCache3<'m> {
-    mesh: &'m Mesh3D,
-    border: BorderPolicy,
-    blocks: Option<FaultBlocks3>,
-    slots: [Option<Slot3>; 8],
-}
-
-impl<'m> ModelCache3<'m> {
-    /// An empty cache for `mesh`; nothing is computed until requested.
-    pub fn new(mesh: &'m Mesh3D, border: BorderPolicy) -> ModelCache3<'m> {
-        ModelCache3 {
-            mesh,
-            border,
-            blocks: None,
-            slots: [None, None, None, None, None, None, None, None],
-        }
-    }
-
-    /// The mesh this cache describes.
-    pub fn mesh(&self) -> &'m Mesh3D {
-        self.mesh
-    }
-
-    /// The border policy every cached labelling uses.
-    pub fn border(&self) -> BorderPolicy {
-        self.border
-    }
-
-    /// Fetch the models for `frame`'s orientation (see
-    /// [`ModelCache2::models`]; slots verify full-frame equality so torus
-    /// rotations never alias).
-    pub fn models(&mut self, frame: Frame3, want_mccs: bool, want_blocks: bool) -> ModelsRef3<'_> {
-        let idx = frame.index();
-        let stale = !matches!(&self.slots[idx], Some(slot) if slot.lab.frame() == frame);
-        if stale {
-            self.slots[idx] = Some(Slot3 {
-                lab: Labelling3::compute(self.mesh, frame, self.border),
-                mccs: None,
-            });
-        }
-        let slot = self.slots[idx].as_mut().expect("just filled");
-        if want_mccs && slot.mccs.is_none() {
-            slot.mccs = Some(MccSet3::compute(&slot.lab));
-        }
-        if want_blocks && self.blocks.is_none() {
-            self.blocks = Some(FaultBlocks3::compute(self.mesh));
-        }
-        let slot = self.slots[idx].as_ref().expect("just filled");
-        ModelsRef3 {
+        ModelsRef {
             lab: &slot.lab,
             mccs: if want_mccs { slot.mccs.as_ref() } else { None },
             blocks: if want_blocks {
@@ -228,7 +224,9 @@ impl<'m> ModelCache3<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Labelling2;
     use mesh_topo::coord::{c2, c3};
+    use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 
     #[test]
     fn cache_matches_fresh_models_every_orientation() {
@@ -260,7 +258,6 @@ mod tests {
 
     #[test]
     fn torus_rotations_never_alias_slots() {
-        use crate::Labelling2;
         // On a torus every pair brings its own rotation; frames sharing a
         // reflection index must still be recomputed, never reused.
         let mut mesh = Mesh2D::torus(8, 6);

@@ -55,8 +55,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::labelling2::Labelling2;
-use crate::labelling3::Labelling3;
+use crate::labelling::Labelling2;
+use crate::labelling::Labelling3;
 use crate::oracle;
 use crate::status::BorderPolicy;
 

@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn rfb_is_coarser_than_mcc() {
-        use crate::labelling2::Labelling2;
+        use crate::labelling::Labelling2;
         use crate::mcc2::MccSet2;
         use crate::status::BorderPolicy;
         use mesh_topo::Frame2;

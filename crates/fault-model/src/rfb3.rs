@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn rfb3_coarser_than_mcc3() {
-        use crate::labelling3::Labelling3;
+        use crate::labelling::Labelling3;
         use crate::status::BorderPolicy;
         use mesh_topo::Frame3;
         let (mesh, b) = blocks_of(&[c3(3, 3, 3), c3(4, 4, 3)], 8);

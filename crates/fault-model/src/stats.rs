@@ -11,8 +11,8 @@
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 use serde::{Deserialize, Serialize};
 
-use crate::labelling2::Labelling2;
-use crate::labelling3::Labelling3;
+use crate::labelling::Labelling2;
+use crate::labelling::Labelling3;
 use crate::rfb2::FaultBlocks2;
 use crate::rfb3::FaultBlocks3;
 use crate::status::BorderPolicy;

@@ -18,13 +18,11 @@
 //! step, the rest every few steps) so the log-replay path — not just the
 //! single-batch repair — is what the battery exercises.
 
-use fault_model::components::{Components2, Components3};
-use fault_model::incremental::{IncrementalModels2, IncrementalModels3};
-use fault_model::mcc2::MccSet2;
-use fault_model::mcc3::MccSet3;
-use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling2, Labelling3};
+use fault_model::components::Components;
+use fault_model::incremental::{IncrementalModels, IncrementalModels2, IncrementalModels3};
+use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, ModelSpace};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
 use proptest::prelude::*;
 
 fn border(blocked: bool) -> BorderPolicy {
@@ -35,20 +33,24 @@ fn border(blocked: bool) -> BorderPolicy {
     }
 }
 
-/// One churn step decoded from raw proptest integers: up to 3 injections
-/// and up to 3 heals, both clamped to currently-legal nodes.
-fn decode_step_2d(mesh: &Mesh2D, raw: &(Vec<(i32, i32)>, Vec<u8>)) -> (Vec<C2>, Vec<C2>) {
-    let (w, h) = (mesh.width(), mesh.height());
+/// One churn step decoded from raw proptest integers: the distinct healthy
+/// nodes of `inject` (up to 3) and up to one heal per `picks` entry (up to
+/// 3), both clamped to currently-legal nodes.
+fn decode_step<S: Space>(
+    mesh: &S::Mesh,
+    inject: impl Iterator<Item = S::Coord>,
+    picks: &[u8],
+) -> (Vec<S::Coord>, Vec<S::Coord>) {
+    let (space, faulty) = (S::of_mesh(mesh), S::fault_set(mesh));
     let mut injected = Vec::new();
-    for &(x, y) in &raw.0 {
-        let c = c2(x.rem_euclid(w), y.rem_euclid(h));
-        if mesh.is_healthy(c) && !injected.contains(&c) {
+    for c in inject {
+        if !faulty.contains(space.index(c)) && !injected.contains(&c) {
             injected.push(c);
         }
     }
-    let faults = mesh.faults();
+    let faults = S::faults(mesh);
     let mut healed = Vec::new();
-    for &pick in &raw.1 {
+    for &pick in picks {
         if faults.is_empty() {
             break;
         }
@@ -60,40 +62,20 @@ fn decode_step_2d(mesh: &Mesh2D, raw: &(Vec<(i32, i32)>, Vec<u8>)) -> (Vec<C2>, 
     (injected, healed)
 }
 
-fn decode_step_3d(mesh: &Mesh3D, raw: &(Vec<(i32, i32, i32)>, Vec<u8>)) -> (Vec<C3>, Vec<C3>) {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
-    let mut injected = Vec::new();
-    for &(x, y, z) in &raw.0 {
-        let c = c3(x.rem_euclid(nx), y.rem_euclid(ny), z.rem_euclid(nz));
-        if mesh.is_healthy(c) && !injected.contains(&c) {
-            injected.push(c);
-        }
-    }
-    let faults = mesh.faults();
-    let mut healed = Vec::new();
-    for &pick in &raw.1 {
-        if faults.is_empty() {
-            break;
-        }
-        let c = faults[pick as usize % faults.len()];
-        if !healed.contains(&c) {
-            healed.push(c);
-        }
-    }
-    (injected, healed)
-}
-
-/// Pin every maintained 2-D model of `frame` against from-scratch twins.
-fn assert_models_equal_fresh_2d(inc: &mut IncrementalModels2, frame: Frame2) {
+/// Pin every maintained model of `frame` against from-scratch twins.
+fn assert_models_equal_fresh<S: ModelSpace>(inc: &mut IncrementalModels<S>, frame: S::Frame)
+where
+    S::Mccs: PartialEq,
+{
     let mesh = inc.mesh().clone();
     let b = inc.border();
     let m = inc.models(frame);
-    let lab = Labelling2::compute(&mesh, frame, b);
+    let lab = Labelling::compute(&mesh, frame, b);
     for ((c, a), (_, f)) in m.lab.iter().zip(lab.iter()) {
         assert_eq!(a, f, "status diverged at {c} for {frame:?}");
     }
     assert_eq!(m.lab.unsafe_set(), lab.unsafe_set(), "unsafe set diverged");
-    let comps = Components2::compute(&lab);
+    let comps = Components::compute(&lab);
     assert_eq!(m.comps.cells, comps.cells, "component cells diverged");
     for cells in &comps.cells {
         for &c in cells {
@@ -104,30 +86,7 @@ fn assert_models_equal_fresh_2d(inc: &mut IncrementalModels2, frame: Frame2) {
             );
         }
     }
-    assert_eq!(m.mccs.mccs, MccSet2::compute(&lab).mccs, "MCCs diverged");
-}
-
-fn assert_models_equal_fresh_3d(inc: &mut IncrementalModels3, frame: Frame3) {
-    let mesh = inc.mesh().clone();
-    let b = inc.border();
-    let m = inc.models(frame);
-    let lab = Labelling3::compute(&mesh, frame, b);
-    for ((c, a), (_, f)) in m.lab.iter().zip(lab.iter()) {
-        assert_eq!(a, f, "status diverged at {c} for {frame:?}");
-    }
-    assert_eq!(m.lab.unsafe_set(), lab.unsafe_set(), "unsafe set diverged");
-    let comps = Components3::compute(&lab);
-    assert_eq!(m.comps.cells, comps.cells, "component cells diverged");
-    for cells in &comps.cells {
-        for &c in cells {
-            assert_eq!(
-                m.comps.component_of(c),
-                comps.component_of(c),
-                "component id diverged at {c}"
-            );
-        }
-    }
-    assert_eq!(m.mccs.mccs, MccSet3::compute(&lab).mccs, "MCCs diverged");
+    assert_eq!(m.mccs, &S::mccs(&lab), "MCCs diverged");
 }
 
 proptest! {
@@ -159,19 +118,20 @@ proptest! {
         let mut inc = IncrementalModels2::new(mesh, border(border_blocked));
         let frames = Frame2::all(inc.mesh());
         for (step, raw) in trace.iter().enumerate() {
-            let (injected, healed) = decode_step_2d(inc.mesh(), raw);
+            let inject = raw.0.iter().map(|&(x, y)| c2(x.rem_euclid(w), y.rem_euclid(h)));
+            let (injected, healed) = decode_step::<NodeSpace2>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
             // Stagger sync: the first orientation every step, the rest only
             // every other step, so slots replay logs of varying depth.
             let sync = if step % 2 == 0 { frames.len() } else { 1 };
             for &frame in frames.iter().take(sync) {
-                assert_models_equal_fresh_2d(&mut inc, frame);
+                assert_models_equal_fresh(&mut inc, frame);
             }
             let fresh_blocks = FaultBlocks2::compute(&inc.mesh().clone());
             prop_assert_eq!(inc.blocks().blocks.clone(), fresh_blocks.blocks);
         }
         for frame in frames {
-            assert_models_equal_fresh_2d(&mut inc, frame);
+            assert_models_equal_fresh(&mut inc, frame);
         }
     }
 
@@ -200,17 +160,18 @@ proptest! {
         // octant every other step) plus a full pass at the end.
         let frames = Frame3::all(inc.mesh());
         for (step, raw) in trace.iter().enumerate() {
-            let (injected, healed) = decode_step_3d(inc.mesh(), raw);
+            let inject = raw.0.iter().map(|&(x, y, z)| c3(x.rem_euclid(k), y.rem_euclid(k), z.rem_euclid(k)));
+            let (injected, healed) = decode_step::<NodeSpace3>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
-            assert_models_equal_fresh_3d(&mut inc, frames[0]);
+            assert_models_equal_fresh(&mut inc, frames[0]);
             if step % 2 == 1 {
-                assert_models_equal_fresh_3d(&mut inc, frames[5]);
+                assert_models_equal_fresh(&mut inc, frames[5]);
             }
             let fresh_blocks = FaultBlocks3::compute(&inc.mesh().clone());
             prop_assert_eq!(inc.blocks().blocks.clone(), fresh_blocks.blocks);
         }
         for frame in [frames[0], frames[3], frames[5], frames[7]] {
-            assert_models_equal_fresh_3d(&mut inc, frame);
+            assert_models_equal_fresh(&mut inc, frame);
         }
     }
 }

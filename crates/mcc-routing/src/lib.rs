@@ -73,7 +73,7 @@ pub mod trial;
 pub use feasibility2::{detect_2d, Detection2};
 pub use feasibility3::{detect_3d, detect_3d_in, Detection3, FloodScratch3};
 pub use policy::Policy;
-pub use prepared::{run_trial_2d_prepared, run_trial_3d_prepared, PreparedMesh2, PreparedMesh3};
+pub use prepared::{PreparedMesh2, PreparedMesh3};
 pub use router2::Router2;
 pub use router3::{RouteScratch3, Router3};
 pub use trace::{RouteOutcome2, RouteOutcome3};

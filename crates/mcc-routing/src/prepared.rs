@@ -306,34 +306,6 @@ impl<'m> PreparedMesh3<'m> {
     }
 }
 
-/// Run one 2-D trial against a prepared mesh (the batched form of
-/// [`crate::trial::run_trial_2d_with`]).
-///
-/// # Panics
-/// If either endpoint is faulty.
-pub fn run_trial_2d_prepared(
-    prepared: &mut PreparedMesh2<'_>,
-    s: C2,
-    d: C2,
-    policy_seed: u64,
-) -> TrialResult {
-    prepared.run_trial(s, d, policy_seed)
-}
-
-/// Run one 3-D trial against a prepared mesh (the batched form of
-/// [`crate::trial::run_trial_3d_with`]).
-///
-/// # Panics
-/// If either endpoint is faulty.
-pub fn run_trial_3d_prepared(
-    prepared: &mut PreparedMesh3<'_>,
-    s: C3,
-    d: C3,
-    policy_seed: u64,
-) -> TrialResult {
-    prepared.run_trial(s, d, policy_seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,7 +326,7 @@ mod tests {
                 continue;
             }
             trials += 1;
-            let p = run_trial_2d_prepared(&mut pm, a, b, seed);
+            let p = pm.run_trial(a, b, seed);
             let f = crate::trial::run_trial_2d_with(&mesh, a, b, seed, &opts);
             assert!(p.bit_identical(&f), "seed {seed}: {p:?} != {f:?}");
         }
@@ -385,7 +357,7 @@ mod tests {
                 continue;
             }
             trials += 1;
-            let p = run_trial_3d_prepared(&mut pm, a, b, seed);
+            let p = pm.run_trial(a, b, seed);
             let f = crate::trial::run_trial_3d_with(&mesh, a, b, seed, &opts);
             assert!(p.bit_identical(&f), "seed {seed}: {p:?} != {f:?}");
         }

@@ -10,9 +10,7 @@
 //! runner in without perturbing a single table row.
 
 use fault_model::BorderPolicy;
-use mcc_routing::prepared::{
-    run_trial_2d_prepared, run_trial_3d_prepared, PreparedMesh2, PreparedMesh3,
-};
+use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
 use mcc_routing::trial::{run_trial_2d_with, run_trial_3d_with};
 use mcc_routing::TrialOptions;
 use mesh_topo::coord::{c2, c3};
@@ -65,7 +63,7 @@ proptest! {
                 continue;
             }
             let policy_seed = seed.wrapping_add(i as u64);
-            let prepared = run_trial_2d_prepared(&mut pm, s, d, policy_seed);
+            let prepared = pm.run_trial(s, d, policy_seed);
             let fresh = run_trial_2d_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
@@ -107,7 +105,7 @@ proptest! {
                 continue;
             }
             let policy_seed = seed.wrapping_add(i as u64);
-            let prepared = run_trial_3d_prepared(&mut pm, s, d, policy_seed);
+            let prepared = pm.run_trial(s, d, policy_seed);
             let fresh = run_trial_3d_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
@@ -150,7 +148,7 @@ proptest! {
                 continue;
             }
             let policy_seed = seed.wrapping_add(i as u64);
-            let prepared = run_trial_2d_prepared(&mut pm, s, d, policy_seed);
+            let prepared = pm.run_trial(s, d, policy_seed);
             let fresh = run_trial_2d_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
@@ -192,7 +190,7 @@ proptest! {
                 continue;
             }
             let policy_seed = seed.wrapping_add(i as u64);
-            let prepared = run_trial_3d_prepared(&mut pm, s, d, policy_seed);
+            let prepared = pm.run_trial(s, d, policy_seed);
             let fresh = run_trial_3d_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),

@@ -17,6 +17,8 @@
 //! * [`nodeset`] — the flat node-state layer: linearized index spaces
 //!   ([`NodeSpace2`], [`NodeSpace3`]), the packed [`NodeSet`] bitset and the
 //!   dense [`NodeGrid`] value array that every hot mesh kernel runs on,
+//! * [`space`] — the [`Space`] trait that lets the fault model write its
+//!   closure, repair, component and cache layers once for both dimensions,
 //! * [`path`] — routing paths and minimality/validity checks.
 //!
 //! In the paper's vocabulary this crate is the *network model* of Section 2:
@@ -62,6 +64,7 @@ pub mod nodeset;
 pub mod par;
 pub mod path;
 pub mod region;
+pub mod space;
 
 pub use coord::{C2, C3};
 pub use dir::{Axis2, Axis3, Dir2, Dir3};
@@ -73,3 +76,4 @@ pub use nodeset::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3};
 pub use par::{detected_cores, Parallelism};
 pub use path::{Path2, Path3};
 pub use region::{Box3, Rect};
+pub use space::Space;
