@@ -26,42 +26,6 @@ use crate::labelling::Labelling;
 /// Sentinel for "not part of any component".
 pub const NO_COMPONENT: u32 = u32::MAX;
 
-/// The 8-neighborhood (face + diagonal) used for 2-D region connectivity.
-pub const NEIGHBORS_8: [(i32, i32); 8] = [
-    (1, 0),
-    (-1, 0),
-    (0, 1),
-    (0, -1),
-    (1, 1),
-    (1, -1),
-    (-1, 1),
-    (-1, -1),
-];
-
-/// The 18-neighborhood (face + planar-diagonal) used for 3-D region
-/// connectivity. Space diagonals (all three coordinates differing) are
-/// excluded, matching the paper's Figure 5 decomposition.
-pub const NEIGHBORS_18: [(i32, i32, i32); 18] = [
-    (1, 0, 0),
-    (-1, 0, 0),
-    (0, 1, 0),
-    (0, -1, 0),
-    (0, 0, 1),
-    (0, 0, -1),
-    (1, 1, 0),
-    (1, -1, 0),
-    (-1, 1, 0),
-    (-1, -1, 0),
-    (1, 0, 1),
-    (1, 0, -1),
-    (-1, 0, 1),
-    (-1, 0, -1),
-    (0, 1, 1),
-    (0, 1, -1),
-    (0, -1, 1),
-    (0, -1, -1),
-];
-
 /// Provenance of one component after an incremental repair
 /// ([`Components::repair`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -23,10 +23,10 @@
 //! has not seen the next time [`models`] asks for its orientation. A heal
 //! whose effect never reaches a slot's orientation still replays there, but
 //! the replay touches only the perturbation's closure cone — update cost
-//! scales with the batch, not the mesh (`BENCH_churn.json`). The log is
-//! compacted once every live slot has advanced past an entry, and a slot
-//! left behind by more than [`LOG_CAP`] generations is dropped and rebuilt
-//! from scratch on next use, bounding both memory and replay time.
+//! scales with the batch, not the mesh. The log is compacted once every
+//! live slot has advanced past an entry, and a slot left behind by more
+//! than [`LOG_CAP`] generations is dropped and rebuilt from scratch on
+//! next use, bounding both memory and replay time.
 //!
 //! Every repaired model is **bit-for-bit equal** to recomputing from
 //! scratch on the churned mesh — statuses, unsafe sets, component ids and

@@ -28,8 +28,8 @@
 //! a row loop: `x` is the inner loop, and every other axis contributes one
 //! per-row neighbor offset (the in-grid stride, the wrap jump, or the
 //! border), so the loop body is the same for D = 2 and D = 3. The
-//! hash-based worklist formulation is preserved in [`crate::reference`]
-//! and property-tested equal.
+//! hash-based worklist formulation is preserved as a test oracle beside
+//! `tests/properties.rs` and property-tested equal.
 //!
 //! On a **torus** the rules read the wrapped neighbors, whose ring cycles
 //! defeat the single-pass argument: the sweeps iterate until quiescent

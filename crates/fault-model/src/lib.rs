@@ -20,8 +20,6 @@
 //!   models the paper compares against,
 //! * [`oracle`] — exact monotone-reachability ground truth used to validate
 //!   everything above,
-//! * [`reference`](mod@reference) — the hash-based pre-flat-layer
-//!   pipeline, kept as the validation and benchmarking baseline,
 //! * [`stats`] — fault-region statistics for the evaluation.
 //!
 //! Module ↔ paper map: [`status`] and [`labelling`] implement the node
@@ -89,7 +87,6 @@ pub mod mcc2;
 pub mod mcc3;
 pub mod models;
 pub mod oracle;
-pub mod reference;
 pub mod regime;
 pub mod rfb2;
 pub mod rfb3;

@@ -17,8 +17,7 @@
 //! Storage is bounding-box-local and flat: membership is a
 //! [`mesh_topo::NodeSet`] bitset over the box and the line-extent tables are
 //! dense arrays indexed by the box-relative plane coordinates — the former
-//! `HashSet<C3>` / `BTreeMap` representation survives only in
-//! [`crate::reference`] as the validation baseline. Note the trade-off:
+//! `HashSet<C3>` / `BTreeMap` representation is gone. Note the trade-off:
 //! per-component memory is O(bounding-box volume), not O(cells) — compact
 //! for the localized regions fault injection produces, but a long diagonal
 //! chain of cells would allocate its whole spanning box (one bit per box

@@ -12,17 +12,19 @@
 //! * **Representation equivalence**: the flat bitset pipeline
 //!   (raster-sweep labelling + index-BFS components) produces identical
 //!   statuses and component partitions to the hash-based reference
-//!   ([`fault_model::reference`]) on random meshes, under both border
+//!   ([`reference`], beside this file) on random meshes, under both border
 //!   policies.
+
+mod reference;
 
 use fault_model::components::{Components2, Components3};
 use fault_model::mcc2::MccSet2;
 use fault_model::mcc3::MccSet3;
+use fault_model::oracle;
 use fault_model::{
     minimal_path_exists_2d, minimal_path_exists_3d, BorderPolicy, FaultBlocks2, FaultBlocks3,
     Labelling2, Labelling3,
 };
-use fault_model::{oracle, reference};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 use proptest::prelude::*;

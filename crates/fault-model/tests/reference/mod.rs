@@ -1,27 +1,54 @@
 //! Hash-based reference implementations of labelling and component
-//! discovery — the pre-flat-layer representation, kept as a baseline.
+//! discovery — the pre-flat-layer representation, kept as a test oracle.
 //!
 //! Before the flat node-state layer ([`mesh_topo::nodeset`]) landed, the
 //! labelling closure ran as a coordinate worklist over pointer-chased maps
 //! and component discovery BFS'd through `HashSet<C2>`/`HashSet<C3>`
-//! membership. This module preserves that representation verbatim for two
-//! purposes:
-//!
-//! * **validation** — the property tests in `tests/properties.rs` assert
-//!   the flat pipeline produces *identical* statuses and component
-//!   partitions on random meshes, both border policies included;
-//! * **benchmarking** — `mcc-bench`'s `mcc_label` bench and the
-//!   `bench_label` binary time this baseline against the flat pipeline to
-//!   keep the speedup on record (`BENCH_mcc_label.json`).
-//!
-//! Nothing in the production pipeline calls into this module.
+//! membership. This module preserves that representation verbatim so the
+//! property tests in `properties.rs` can assert the flat pipeline produces
+//! *identical* statuses and component partitions on random meshes, both
+//! border policies included.
 
 use std::collections::{HashMap, HashSet};
 
+use fault_model::{BorderPolicy, NodeStatus};
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 
-use crate::components::{NEIGHBORS_18, NEIGHBORS_8};
-use crate::status::{BorderPolicy, NodeStatus};
+/// The 8-neighborhood (face + diagonal) used for 2-D region connectivity.
+const NEIGHBORS_8: [(i32, i32); 8] = [
+    (1, 0),
+    (-1, 0),
+    (0, 1),
+    (0, -1),
+    (1, 1),
+    (1, -1),
+    (-1, 1),
+    (-1, -1),
+];
+
+/// The 18-neighborhood (face + planar-diagonal) used for 3-D region
+/// connectivity. Space diagonals (all three coordinates differing) are
+/// excluded, matching the paper's Figure 5 decomposition.
+const NEIGHBORS_18: [(i32, i32, i32); 18] = [
+    (1, 0, 0),
+    (-1, 0, 0),
+    (0, 1, 0),
+    (0, -1, 0),
+    (0, 0, 1),
+    (0, 0, -1),
+    (1, 1, 0),
+    (1, -1, 0),
+    (-1, 1, 0),
+    (-1, -1, 0),
+    (1, 0, 1),
+    (1, 0, -1),
+    (-1, 0, 1),
+    (-1, 0, -1),
+    (0, 1, 1),
+    (0, 1, -1),
+    (0, -1, 1),
+    (0, -1, -1),
+];
 
 /// The hash-based 2-D labelling: per-node status keyed by canonical
 /// coordinate.

@@ -12,11 +12,10 @@
 //! Each scenario's ramp (see `mcc_bench::loadgen` and DESIGN.md §13)
 //! prints a per-step table to stdout and writes a machine-readable JSON
 //! summary: to `--out FILE` when given (single scenario only), otherwise
-//! to `BENCH_loadgen_<stem>.json` next to the working directory, matching
-//! the other `BENCH_*.json` snapshots. `--quick` shrinks the ramp to a
-//! sub-second smoke run (a tenth of the step duration, at most three
-//! steps). The resolved file list is deduplicated by canonical path like
-//! the `tables` binary.
+//! to `BENCH_loadgen_<stem>.json` in the working directory. `--quick`
+//! shrinks the ramp to a sub-second smoke run (a tenth of the step
+//! duration, at most three steps). The resolved file list is deduplicated
+//! by canonical path like the `tables` binary.
 
 use std::collections::HashSet;
 use std::path::PathBuf;

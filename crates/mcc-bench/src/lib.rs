@@ -6,20 +6,11 @@
 //! (deserialized from the TOML files under `scenarios/`) fixes mesh
 //! dimensions, fault pattern and ramp, border policy, router choice and
 //! seed range, and [`runner::run_scenario`] turns it into table rows. The
-//! `tables` binary prints the rows for the scenario files it is given; the
-//! criterion benches under `benches/` time the kernels that regenerate
-//! them.
+//! `tables` binary prints the rows for the scenario files it is given.
+//! Performance numbers come from the separate `repobench/` harness, not
+//! from this crate.
 //!
 //! Sweeps parallelize over seeds with `std::thread::scope` scoped threads.
-//!
-//! The free functions below (`region_sweep_2d`, `routing_sweep_3d`, …) are
-//! the original programmatic sweep API; each is now a thin wrapper that
-//! builds the equivalent [`scenario::Scenario`] and runs it, so code- and
-//! data-driven callers take exactly the same path.
-//!
-//! The `bench_label` binary snapshots the flat-vs-hash MCC-construction
-//! speedup to `BENCH_mcc_label.json` (see DESIGN.md §6); the criterion
-//! benches under `benches/` time the other kernels.
 //!
 //! The `loadgen` binary drives `table = "load"` scenarios: open-loop
 //! saturation ramps over a pool of prepared meshes mixing routing,
@@ -57,9 +48,6 @@ pub mod service_load;
 pub mod toml_lite;
 
 use serde::{Deserialize, Serialize};
-
-use runner::TableRows;
-use scenario::Scenario;
 
 pub use runner::{run_scenario, ScenarioReport};
 
@@ -167,123 +155,25 @@ pub struct LabellingRow {
     pub converged: f64,
 }
 
-fn expect_regions(scenario: Scenario) -> Vec<RegionRow> {
-    match runner::run_scenario(&scenario)
-        .expect("programmatic scenario is valid")
-        .rows
-    {
-        TableRows::Regions(rows) => rows,
-        _ => unreachable!("regions scenario produced a different table"),
-    }
-}
-
-fn expect_routing(scenario: Scenario) -> Vec<RoutingRow> {
-    match runner::run_scenario(&scenario)
-        .expect("programmatic scenario is valid")
-        .rows
-    {
-        TableRows::Routing(rows) => rows,
-        _ => unreachable!("routing scenario produced a different table"),
-    }
-}
-
-fn expect_overhead(scenario: Scenario) -> Vec<OverheadRow> {
-    match runner::run_scenario(&scenario)
-        .expect("programmatic scenario is valid")
-        .rows
-    {
-        TableRows::Overhead(rows) => rows,
-        _ => unreachable!("overhead scenario produced a different table"),
-    }
-}
-
-/// E1 — fault-region sizes in a 2-D mesh, per fault count.
-pub fn region_sweep_2d(width: i32, fault_counts: &[usize], seeds: u64) -> Vec<RegionRow> {
-    expect_regions(Scenario::regions_2d(width, fault_counts, seeds))
-}
-
-/// E2 — fault-region sizes in a 3-D mesh, per fault count.
-pub fn region_sweep_3d(k: i32, fault_counts: &[usize], seeds: u64) -> Vec<RegionRow> {
-    expect_regions(Scenario::regions_3d(k, fault_counts, seeds))
-}
-
-/// E3/E6 — routing success rates and path metrics in a 2-D mesh.
-pub fn routing_sweep_2d(width: i32, fault_counts: &[usize], trials: u64) -> Vec<RoutingRow> {
-    expect_routing(Scenario::routing_2d(width, fault_counts, trials))
-}
-
-/// E4/E6 — routing success rates and path metrics in a 3-D mesh.
-pub fn routing_sweep_3d(k: i32, fault_counts: &[usize], trials: u64) -> Vec<RoutingRow> {
-    expect_routing(Scenario::routing_3d(k, fault_counts, trials))
-}
-
-/// E5/E7 — distributed-construction overhead in a 2-D mesh.
-pub fn overhead_sweep_2d(width: i32, fault_counts: &[usize], seeds: u64) -> Vec<OverheadRow> {
-    expect_overhead(Scenario::overhead_2d(width, fault_counts, seeds))
-}
-
-/// E7 (3-D) — distributed labelling convergence in a 3-D mesh, plus the
-/// detection-flood cost of one routing request (reported in the
-/// `boundary_msgs` column).
-pub fn overhead_sweep_3d(k: i32, fault_counts: &[usize], seeds: u64) -> Vec<OverheadRow> {
-    expect_overhead(Scenario::overhead_3d(k, fault_counts, seeds))
-}
-
-fn expect_labelling(scenario: Scenario) -> Vec<LabellingRow> {
-    match runner::run_scenario(&scenario)
-        .expect("programmatic scenario is valid")
-        .rows
-    {
-        TableRows::Labelling(rows) => rows,
-        _ => unreachable!("labelling scenario produced a different table"),
-    }
-}
-
-/// E7 (protocol layer) — distributed labelling convergence alone in a 2-D
-/// mesh, seed-parallel on the flat engine.
-pub fn labelling_sweep_2d(width: i32, fault_counts: &[usize], seeds: u64) -> Vec<LabellingRow> {
-    expect_labelling(Scenario::labelling_2d(width, fault_counts, seeds))
-}
-
-/// E7 (protocol layer) — distributed labelling convergence alone in a 3-D
-/// mesh, seed-parallel on the flat engine.
-pub fn labelling_sweep_3d(k: i32, fault_counts: &[usize], seeds: u64) -> Vec<LabellingRow> {
-    expect_labelling(Scenario::labelling_3d(k, fault_counts, seeds))
-}
-
-/// E8 — clustered-fault ablation: region sizes under clustered instead of
-/// uniform fault placement (stressing the models with large connected
-/// regions).
-pub fn region_sweep_2d_clustered(
-    width: i32,
-    fault_counts: &[usize],
-    clusters: usize,
-    seeds: u64,
-) -> Vec<RegionRow> {
-    let mut sc = Scenario::regions_2d(width, fault_counts, seeds);
-    sc.regime = fault_model::FaultRegime::Clustered { clusters };
-    expect_regions(sc)
-}
-
-/// E8 (routing) — success rates under clustered faults in 3-D.
-pub fn routing_sweep_3d_clustered(
-    k: i32,
-    fault_counts: &[usize],
-    clusters: usize,
-    trials: u64,
-) -> Vec<RoutingRow> {
-    let mut sc = Scenario::routing_3d(k, fault_counts, trials);
-    sc.regime = fault_model::FaultRegime::Clustered { clusters };
-    expect_routing(sc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use runner::TableRows;
+    use scenario::Scenario;
+
+    /// Run `scenario` and unwrap its table, which must be of kind `$kind`.
+    macro_rules! rows {
+        ($kind:ident, $scenario:expr) => {
+            match run_scenario(&$scenario).expect("valid scenario").rows {
+                TableRows::$kind(rows) => rows,
+                _ => unreachable!("scenario produced a different table"),
+            }
+        };
+    }
 
     #[test]
     fn region_sweep_2d_monotone_models() {
-        let rows = region_sweep_2d(16, &[4, 16], 8);
+        let rows = rows!(Regions, Scenario::regions_2d(16, &[4, 16], 8));
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.mcc <= r.rfb, "MCC must capture fewer: {r:?}");
@@ -294,7 +184,7 @@ mod tests {
 
     #[test]
     fn routing_sweep_2d_orderings() {
-        let rows = routing_sweep_2d(12, &[8], 24);
+        let rows = rows!(Routing, Scenario::routing_2d(12, &[8], 24));
         let r = rows[0];
         assert!((r.mcc - r.oracle).abs() < 1e-12, "MCC condition is exact");
         assert!(r.rfb <= r.mcc + 1e-12);
@@ -303,7 +193,7 @@ mod tests {
 
     #[test]
     fn routing_sweep_3d_orderings() {
-        let rows = routing_sweep_3d(6, &[10], 12);
+        let rows = rows!(Routing, Scenario::routing_3d(6, &[10], 12));
         let r = rows[0];
         assert!((r.mcc - r.oracle).abs() < 1e-12);
         assert!(r.rfb <= r.mcc + 1e-12);
@@ -311,33 +201,35 @@ mod tests {
 
     #[test]
     fn overhead_rows_scale() {
-        let rows = overhead_sweep_2d(12, &[2, 10], 4);
+        let rows = rows!(Overhead, Scenario::overhead_2d(12, &[2, 10], 4));
         assert!(rows[1].total_msgs > rows[0].total_msgs * 0.8);
         assert!(rows[0].labelling_msgs > 0.0);
     }
 
     #[test]
     fn overhead_3d_runs() {
-        let rows = overhead_sweep_3d(6, &[5], 3);
+        let rows = rows!(Overhead, Scenario::overhead_3d(6, &[5], 3));
         assert!(rows[0].labelling_msgs > 0.0);
     }
 
     #[test]
     fn labelling_sweeps_run_both_dims() {
-        let rows2 = labelling_sweep_2d(16, &[4, 40], 6);
+        let rows2 = rows!(Labelling, Scenario::labelling_2d(16, &[4, 40], 6));
         assert_eq!(rows2.len(), 2);
         assert!(rows2.iter().all(|r| r.converged == 1.0));
         // Every node announces once, so the floor is the directed-edge
         // count; more faults mean more re-announcements.
         assert!(rows2[0].messages >= (2 * (2 * 16 * 15)) as f64);
         assert!(rows2[1].messages >= rows2[0].messages);
-        let rows3 = labelling_sweep_3d(6, &[10], 4);
+        let rows3 = rows!(Labelling, Scenario::labelling_3d(6, &[10], 4));
         assert!(rows3[0].converged == 1.0 && rows3[0].rounds >= 2.0);
     }
 
     #[test]
     fn clustered_sweeps_run() {
-        let rows = region_sweep_2d_clustered(12, &[8], 2, 4);
+        let mut sc = Scenario::regions_2d(12, &[8], 4);
+        sc.regime = fault_model::FaultRegime::Clustered { clusters: 2 };
+        let rows = rows!(Regions, sc);
         assert_eq!(rows.len(), 1);
         assert!(rows[0].mcc <= rows[0].rfb + 1e-12);
     }

@@ -518,8 +518,8 @@ fn dims_label(dims: MeshDims) -> String {
 }
 
 impl LoadReport {
-    /// The machine-readable summary the `loadgen` binary writes (same
-    /// hand-built-JSON idiom as the other `BENCH_*.json` snapshots).
+    /// The machine-readable summary the `loadgen` binary writes
+    /// (hand-built JSON).
     pub fn to_json(&self) -> String {
         let sc = &self.scenario;
         let load = sc

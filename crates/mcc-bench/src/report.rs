@@ -1,17 +1,16 @@
-//! Snapshot-file writing shared by the `bench_*` / `loadgen` binaries.
+//! Snapshot-file writing for the `loadgen` binary.
 //!
-//! The binaries' only I/O failure mode is writing their `BENCH_*.json`
+//! The binary's only I/O failure mode is writing its `--out` JSON
 //! snapshot; a bare `expect` there dies with a panic backtrace that does
 //! not even name the file. [`write_snapshot`] turns the failure into an
-//! error message carrying the offending path, so every binary can print
+//! error message carrying the offending path, so the binary can print
 //! `error: cannot write <path>: <why>` and exit nonzero (pinned by the
 //! CLI exit-path tests in `tests/loadgen.rs`).
 
-/// Render the `"fault_regime"` snapshot field. Every `BENCH_*.json`
-/// names the sampling law its fault populations were drawn from (the
-/// fixed-workload benches all use `"uniform"`; the loadgen/service
-/// drivers take it from the scenario's regime), so snapshots measured
-/// under different regimes are never compared by accident.
+/// Render the `"fault_regime"` snapshot field. Every loadgen/service
+/// snapshot names the sampling law its fault populations were drawn from
+/// (taken from the scenario's regime), so snapshots measured under
+/// different regimes are never compared by accident.
 pub fn fault_regime_field(regime: &str) -> String {
     format!("  \"fault_regime\": \"{regime}\",\n")
 }
@@ -19,16 +18,6 @@ pub fn fault_regime_field(regime: &str) -> String {
 /// Write `contents` to `path`; on failure the error names the path.
 pub fn write_snapshot(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// [`write_snapshot`], then either confirm the file on stdout or print
-/// `error: …` and exit 1 — the shared tail of every `bench_*` binary.
-pub fn write_snapshot_or_exit(path: &str, contents: &str) {
-    if let Err(e) = write_snapshot(path, contents) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path}");
 }
 
 #[cfg(test)]

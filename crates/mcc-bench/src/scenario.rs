@@ -1700,17 +1700,6 @@ impl Scenario {
         )
     }
 
-    /// E2-style region sweep over a k-ary 3-D mesh.
-    pub fn regions_3d(k: i32, counts: &[usize], seeds: u64) -> Scenario {
-        Scenario::base(
-            "regions 3-D",
-            TableKind::Regions,
-            MeshDims::D3 { x: k, y: k, z: k },
-            counts,
-            seeds,
-        )
-    }
-
     /// E3/E6-style routing sweep over a square 2-D mesh.
     pub fn routing_2d(width: i32, counts: &[usize], trials: u64) -> Scenario {
         Scenario::base(

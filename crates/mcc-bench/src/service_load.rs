@@ -399,8 +399,8 @@ fn execute_step(
 }
 
 impl ServiceLoadReport {
-    /// The machine-readable summary the `loadgen` binary writes (same
-    /// hand-built-JSON idiom as the other `BENCH_*.json` snapshots).
+    /// The machine-readable summary the `loadgen` binary writes
+    /// (hand-built JSON).
     pub fn to_json(&self) -> String {
         let sc = &self.scenario;
         let service = sc

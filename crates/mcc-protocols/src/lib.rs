@@ -69,7 +69,6 @@ pub mod detect3;
 pub mod ident2;
 pub mod labelling;
 pub mod records;
-pub mod reference;
 pub mod route2;
 pub mod route3;
 

@@ -5,7 +5,7 @@
 //!
 //! * **Old-vs-new [`RunStats`] equality** — the distributed labelling runs
 //!   on both engines (the flat one and the pre-refactor hash engine kept
-//!   in [`mcc_protocols::reference`]) over fixed seeds; rounds, messages,
+//!   in [`reference`], beside this file) over fixed seeds; rounds, messages,
 //!   max-inflight and quiescence must agree exactly, and so must every
 //!   node's converged label.
 //! * **Pinned E7 pipeline counts** — the full 2-D construction pipeline
@@ -15,19 +15,23 @@
 //!   any future engine or protocol change that silently shifts the paper's
 //!   overhead tables (E5/E7) fails here, not in a regenerated table.
 
+mod reference;
+
 use mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_protocols::labelling::{DistLabelling2, DistLabelling3};
-use mcc_protocols::reference::{RefDistLabelling2, RefDistLabelling3};
 use mesh_topo::coord::c2;
 use mesh_topo::{FaultSpec, Frame2, Frame3, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use reference::{RefDistLabelling2, RefDistLabelling3};
 
 #[test]
 fn labelling_stats_parity_2d() {
-    for seed in 0..10u64 {
-        let mut mesh = Mesh2D::new(24, 24);
-        FaultSpec::uniform(80, seed).inject_2d(&mut mesh, &[]);
+    // Ten 24×24 meshes at 80 faults, plus one sparse 12×12 mesh.
+    let cases = (0..10u64).map(|seed| (24, 80, seed)).chain([(12, 14, 7)]);
+    for (width, faults, seed) in cases {
+        let mut mesh = Mesh2D::new(width, width);
+        FaultSpec::uniform(faults, seed).inject_2d(&mut mesh, &[]);
         for frame in Frame2::all(&mesh) {
             let new = DistLabelling2::run(&mesh, frame);
             let old = RefDistLabelling2::run(&mesh, frame);

@@ -4,16 +4,15 @@
 //! index, every node allocates its own inbox `Vec` per round, the link
 //! relation is a boxed closure, and every node's handler runs every round
 //! whether or not it has messages. It is semantically equivalent to the
-//! flat engine in [`crate::engine`] — the parity tests in `mcc-protocols`
-//! pin identical round and message counts on fixed seeds — and exists so
-//! the speedup of the flat engine stays measurable (`BENCH_sim_rounds.json`)
-//! and so a behavioral regression in the rewrite has a ground truth to be
-//! caught against.
+//! flat engine [`sim_net::SimNet`] — the parity tests in `parity.rs` pin
+//! identical round and message counts on fixed seeds — and exists so a
+//! behavioral regression in the rewrite has a ground truth to be caught
+//! against.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use crate::stats::RunStats;
+use sim_net::RunStats;
 
 /// Per-step context of the reference engine: round number plus an outbox.
 pub struct HashCtx<'a, C, M> {
@@ -59,7 +58,6 @@ pub struct HashSimNet<C, S, M> {
     states: Vec<S>,
     inboxes: Vec<Vec<(C, M)>>,
     neighbor_check: Box<dyn Fn(C, C) -> bool>,
-    stats: RunStats,
 }
 
 impl<C, S, M> HashSimNet<C, S, M>
@@ -91,18 +89,7 @@ where
             states,
             inboxes,
             neighbor_check: Box::new(neighbor_check),
-            stats: RunStats::default(),
         }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// True if the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.coords.is_empty()
     }
 
     /// Borrow a node's state.
@@ -125,11 +112,6 @@ where
     /// Iterate `(coordinate, &state)` in coordinate order.
     pub fn iter(&self) -> impl Iterator<Item = (C, &S)> {
         self.coords.iter().copied().zip(self.states.iter())
-    }
-
-    /// Statistics accumulated over all `run` calls so far.
-    pub fn stats(&self) -> RunStats {
-        self.stats
     }
 
     /// Inject a message to be delivered to `to` at the start of the next
@@ -184,7 +166,6 @@ where
                 break;
             }
         }
-        self.stats.absorb(run_stats);
         run_stats
     }
 }

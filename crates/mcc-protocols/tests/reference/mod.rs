@@ -1,28 +1,39 @@
 //! Pre-refactor distributed labelling on the hash-addressed engine.
 //!
 //! This is the labelling protocol exactly as it ran before the flat-engine
-//! rework, on [`sim_net::reference::HashSimNet`]: coordinate-keyed nodes,
-//! boxed neighbor closure, per-node inbox `Vec`s, every node stepping every
-//! round. It exists for two jobs:
+//! rework, on [`hash_net::HashSimNet`]: coordinate-keyed nodes, boxed
+//! neighbor closure, per-node inbox `Vec`s, every node stepping every
+//! round. The parity tests (`parity.rs`) use it to pin that the flat engine
+//! changed cost accounting by zero — identical [`RunStats`] on fixed seeds
+//! — and that the converged labels agree node for node.
 //!
-//! * the **parity tests** (`tests/parity.rs`) pin that the flat engine
-//!   changed cost accounting by zero — identical [`RunStats`] on fixed
-//!   seeds — and that the converged labels agree node for node;
-//! * the **engine benchmark** (`benches/sim_rounds.rs` and the `bench_sim`
-//!   binary in `mcc-bench`, snapshotting `BENCH_sim_rounds.json`) measures
-//!   the flat engine's speedup against it.
-//!
-//! Keep this module byte-faithful to the old protocol logic; it is a
-//! measurement baseline, not a surface for new features.
+//! Keep this module byte-faithful to the old protocol logic; it is a test
+//! oracle, not a surface for new features.
+
+pub mod hash_net;
 
 use fault_model::{Labelling2, Labelling3, NodeStatus};
+use mcc_protocols::labelling::LabelMsg;
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
-use sim_net::reference::HashSimNet;
 use sim_net::RunStats;
 
-use crate::labelling::{LabelMsg, LabelState};
+use hash_net::HashSimNet;
 
-/// Pre-refactor [`crate::DistLabelling2`]: same protocol, hash engine.
+/// Per-node protocol state, the shape of
+/// `mcc_protocols::labelling::LabelState`. The oracle keeps its own copy
+/// because the library's `announced` field is private to its crate.
+#[derive(Clone, Debug, Default)]
+pub struct LabelState {
+    /// The node's own current status.
+    pub status: NodeStatus,
+    /// What the node believes about each neighbor, keyed by direction
+    /// index: `(blocks_forward, blocks_backward)`.
+    pub nbr_blocks: [(bool, bool); 6],
+    /// Whether the node has announced its current status.
+    announced: (bool, bool),
+}
+
+/// Pre-refactor [`mcc_protocols::DistLabelling2`]: same protocol, hash engine.
 pub struct RefDistLabelling2 {
     /// The converged network (canonical coordinates).
     pub net: HashSimNet<C2, LabelState, LabelMsg>,
@@ -30,7 +41,7 @@ pub struct RefDistLabelling2 {
     pub stats: RunStats,
 }
 
-/// Pre-refactor [`crate::DistLabelling3`]: same protocol, hash engine.
+/// Pre-refactor [`mcc_protocols::DistLabelling3`]: same protocol, hash engine.
 pub struct RefDistLabelling3 {
     /// The converged network (canonical coordinates).
     pub net: HashSimNet<C3, LabelState, LabelMsg>,
@@ -105,11 +116,6 @@ impl RefDistLabelling2 {
         RefDistLabelling2 { net, stats }
     }
 
-    /// Status of the node at canonical `c`.
-    pub fn status(&self, c: C2) -> NodeStatus {
-        self.net.state(c).status
-    }
-
     /// True if the converged labels equal the centralized closure.
     pub fn matches(&self, reference: &Labelling2) -> bool {
         self.net
@@ -174,11 +180,6 @@ impl RefDistLabelling3 {
             }
         });
         RefDistLabelling3 { net, stats }
-    }
-
-    /// Status of the node at canonical `c`.
-    pub fn status(&self, c: C3) -> NodeStatus {
-        self.net.state(c).status
     }
 
     /// True if the converged labels equal the centralized closure.

@@ -22,9 +22,8 @@
 //! in `tests/prepared_equiv.rs` pins the equivalence): the models are pure
 //! functions of `(faults, orientation, border policy)` and the policy
 //! seeding is untouched, so caching cannot change a single field of the
-//! [`TrialResult`]. The benchmark harness (`mcc-bench`) batches all pairs
-//! of a seed against one prepared mesh; `BENCH_routing_trials.json`
-//! records the resulting speedup.
+//! [`TrialResult`]. The scenario runner (`mcc-bench`) batches all pairs
+//! of a seed against one prepared mesh.
 //!
 //! # Examples
 //!
@@ -90,11 +89,6 @@ impl<'m> PreparedMesh2<'m> {
     /// The mesh this prepared state describes.
     pub fn mesh(&self) -> &'m Mesh2D {
         self.models.mesh()
-    }
-
-    /// The trial options every trial of this batch runs under.
-    pub fn opts(&self) -> &TrialOptions {
-        &self.opts
     }
 
     /// Number of frame orientations whose models have been computed so far.
@@ -212,11 +206,6 @@ impl<'m> PreparedMesh3<'m> {
     /// The mesh this prepared state describes.
     pub fn mesh(&self) -> &'m Mesh3D {
         self.models.mesh()
-    }
-
-    /// The trial options every trial of this batch runs under.
-    pub fn opts(&self) -> &TrialOptions {
-        &self.opts
     }
 
     /// Number of frame orientations whose models have been computed so far.

@@ -64,9 +64,8 @@ impl TrialResult {
     ///
     /// This is the single source of the fresh ≡ prepared equivalence
     /// contract: the property battery (`tests/prepared_equiv.rs`) and the
-    /// snapshot-refusal gate of `mcc-bench`'s `bench_trials` binary both
-    /// go through it, so a field added here cannot silently escape the
-    /// gates.
+    /// output checks of the `repobench` benchmark both go through it, so a
+    /// field added here cannot silently escape the gates.
     pub fn bit_identical(&self, other: &TrialResult) -> bool {
         let TrialResult {
             oracle_ok,

@@ -54,8 +54,8 @@ impl Parallelism {
 
 /// Number of hardware threads the platform reports (at least 1).
 ///
-/// Recorded in every `BENCH_*.json` snapshot so perf trajectories are
-/// comparable across machines.
+/// Recorded in every loadgen/service JSON snapshot so perf trajectories
+/// are comparable across machines.
 pub fn detected_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

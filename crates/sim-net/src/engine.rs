@@ -20,8 +20,8 @@
 //! exactly the discipline the paper's protocols already follow.
 //!
 //! Statistics (rounds, messages, max in-flight, quiescence) are accounted
-//! identically to the reference engine in [`crate::reference`]; the parity
-//! tests in `mcc-protocols` pin this.
+//! identically to the pre-refactor hash engine; the parity tests in
+//! `mcc-protocols`, which keep that engine as their oracle, pin this.
 
 use mesh_topo::NodeSet;
 

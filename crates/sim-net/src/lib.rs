@@ -18,8 +18,8 @@
 //! index, per-round delivery reuses one double-buffered message slab, and
 //! an active-node bitset skips converged nodes entirely (see the
 //! [`engine`] module docs for the layout, and DESIGN.md §7 for the
-//! complexity budget). The pre-refactor hash-addressed engine survives in
-//! [`crate::reference`] as the parity/benchmark twin.
+//! complexity budget). The pre-refactor hash-addressed engine survives as
+//! a test oracle beside `mcc-protocols`' `tests/parity.rs`.
 //!
 //! [`SimNet::run`] drives rounds until quiescence (no messages in flight)
 //! or a round limit, returning message/round statistics — the protocol
@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod reference;
 pub mod stats;
 pub mod topology;
 

@@ -2,10 +2,10 @@
 //!
 //! The flat engine addresses nodes by **linear index**; a [`Topology`] is
 //! the compile-time-known link relation over those indices. It replaces
-//! the boxed `neighbor_check` closure of the pre-refactor engine (kept in
-//! [`crate::reference`]): the engine and its handlers are generic over a
-//! `Copy` topology value, so neighbor tests inline and carry no dynamic
-//! dispatch or hashing.
+//! the boxed `neighbor_check` closure of the pre-refactor engine (kept as
+//! a test oracle in `mcc-protocols`): the engine and its handlers are
+//! generic over a `Copy` topology value, so neighbor tests inline and carry
+//! no dynamic dispatch or hashing.
 //!
 //! [`Grid2`] and [`Grid3`] are the full rectangular/cuboid meshes of the
 //! paper, linearized by [`mesh_topo::NodeSpace2`] / [`mesh_topo::NodeSpace3`]
