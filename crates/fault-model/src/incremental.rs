@@ -67,6 +67,7 @@ use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3};
 use crate::components::Components;
 use crate::labelling::Labelling;
 use crate::models::ModelSpace;
+use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
 /// Maximum number of generations a slot may lag behind before it is
@@ -163,7 +164,7 @@ pub struct IncrementalModels<S: ModelSpace> {
     log: Vec<LogEntry<S::Coord>>,
     /// One slot per orientation.
     slots: Vec<Option<IncSlot<S>>>,
-    blocks: Option<S::Blocks>,
+    blocks: Option<FaultBlocks<S>>,
     /// Generation `blocks` reflects (meaningless while `blocks` is `None`).
     blocks_synced: u64,
     /// Total statuses changed by slot replays — the incremental work done.
@@ -386,9 +387,9 @@ impl<S: ModelSpace> IncrementalModels<S> {
 
     /// The orientation-free block model of the current mesh, recomputed
     /// lazily after churn (any applied batch invalidates it wholesale).
-    pub fn blocks(&mut self) -> &S::Blocks {
+    pub fn blocks(&mut self) -> &FaultBlocks<S> {
         if !self.blocks_current() {
-            self.blocks = Some(S::blocks(&self.mesh));
+            self.blocks = Some(FaultBlocks::compute(&self.mesh));
             self.blocks_synced = self.generation;
         }
         self.blocks.as_ref().expect("just filled")

@@ -16,8 +16,8 @@
 //! * [`models`] — orientation-keyed lazy caches of labellings, MCC sets and
 //!   fault blocks for one fault configuration (the compute layer behind
 //!   the prepared-trial path of `mcc-routing`),
-//! * [`rfb2`] / [`rfb3`] — the rectangular / cuboid faulty-block baseline
-//!   models the paper compares against,
+//! * [`rfb`] — the rectangular / cuboid faulty-block baseline models the
+//!   paper compares against, written once over the node space,
 //! * [`oracle`] — exact monotone-reachability ground truth used to validate
 //!   everything above,
 //! * [`stats`] — fault-region statistics for the evaluation.
@@ -28,8 +28,8 @@
 //! Figure 5 example is pinned by this crate's tests; [`mcc2`]/[`mcc3`]
 //! realize the MCC shape machinery
 //! (boundaries, corners, sections) of Sections 3–4; [`condition2`] is
-//! Lemma 1/Theorem 1, [`condition3`] Theorem 2; [`rfb2`]/[`rfb3`] are the
-//! faulty-block baselines of the Section 6 evaluation.
+//! Lemma 1/Theorem 1, [`condition3`] Theorem 2; [`rfb`] is the
+//! faulty-block baseline of the Section 6 evaluation.
 //!
 //! All labelling-level computation happens in *canonical coordinates*: the
 //! source/destination pair is first reflected by a
@@ -88,8 +88,12 @@ pub mod mcc3;
 pub mod models;
 pub mod oracle;
 pub mod regime;
-pub mod rfb2;
-pub mod rfb3;
+pub mod rfb;
+// The unit tests of `rfb`, one module per dimension.
+#[cfg(test)]
+mod rfb2;
+#[cfg(test)]
+mod rfb3;
 pub mod stats;
 pub mod status;
 
@@ -102,6 +106,5 @@ pub use mcc2::Mcc2;
 pub use mcc3::Mcc3;
 pub use models::{ModelCache, ModelCache2, ModelCache3, ModelSpace};
 pub use regime::{AdversarialReport, FaultRegime, Schedule};
-pub use rfb2::FaultBlocks2;
-pub use rfb3::FaultBlocks3;
+pub use rfb::{FaultBlocks, FaultBlocks2, FaultBlocks3};
 pub use status::{BorderPolicy, NodeStatus};

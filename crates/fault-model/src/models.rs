@@ -5,7 +5,8 @@
 //! canonical frame orientations (4 quadrants in 2-D, 8 octants in 3-D;
 //! see [`mesh_topo::Frame2`]):
 //!
-//! * [`FaultBlocks2`] / [`FaultBlocks3`] — orientation-free, one per mesh,
+//! * [`FaultBlocks2`](crate::FaultBlocks2) /
+//!   [`FaultBlocks3`](crate::FaultBlocks3) — orientation-free, one per mesh,
 //! * [`Labelling2`](crate::Labelling2) / [`Labelling3`](crate::Labelling3) —
 //!   one per orientation,
 //! * [`MccSet2`] / [`MccSet3`] — derived from the labelling, one per
@@ -17,8 +18,8 @@
 //! same fault set pays for model construction at most `1 + 4` (2-D) or
 //! `1 + 8` (3-D) times instead of once per pair. This is the compute layer
 //! behind `mcc_routing`'s prepared-trial path (DESIGN.md §9). The cache is
-//! written once over the node space; it reaches the per-dimension MCC and
-//! block models through [`ModelSpace`].
+//! written once over the node space; it reaches the per-dimension MCC
+//! model through [`ModelSpace`].
 //!
 //! # Examples
 //!
@@ -45,18 +46,15 @@ use crate::components::{CompSource, Components};
 use crate::labelling::Labelling;
 use crate::mcc2::MccSet2;
 use crate::mcc3::MccSet3;
-use crate::rfb2::FaultBlocks2;
-use crate::rfb3::FaultBlocks3;
+use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
-/// The per-dimension models the caches hold beside the generic labelling
-/// and components: the MCC shapes (2-D profiles vs 3-D sections) and the
-/// faulty-block baseline (rectangles vs cuboids).
+/// The per-dimension model the caches hold beside the generic labelling,
+/// components and block model: the MCC shapes (2-D profiles vs 3-D
+/// sections).
 pub trait ModelSpace: Space {
     /// The MCC decomposition of a labelling.
     type Mccs: Clone + std::fmt::Debug;
-    /// The orientation-free faulty-block model of a mesh.
-    type Blocks: Clone + std::fmt::Debug;
 
     /// Extract every MCC of `lab`.
     fn mccs(lab: &Labelling<Self>) -> Self::Mccs;
@@ -68,13 +66,10 @@ pub trait ModelSpace: Space {
         sources: &[CompSource],
         changed: &[usize],
     );
-    /// Build the faulty-block model of `mesh`.
-    fn blocks(mesh: &Self::Mesh) -> Self::Blocks;
 }
 
 impl ModelSpace for NodeSpace2 {
     type Mccs = MccSet2;
-    type Blocks = FaultBlocks2;
 
     fn mccs(lab: &Labelling<Self>) -> MccSet2 {
         MccSet2::compute(lab)
@@ -88,14 +83,10 @@ impl ModelSpace for NodeSpace2 {
     ) {
         mccs.repair(lab, comps, sources, changed)
     }
-    fn blocks(mesh: &Self::Mesh) -> FaultBlocks2 {
-        FaultBlocks2::compute(mesh)
-    }
 }
 
 impl ModelSpace for NodeSpace3 {
     type Mccs = MccSet3;
-    type Blocks = FaultBlocks3;
 
     fn mccs(lab: &Labelling<Self>) -> MccSet3 {
         MccSet3::compute(lab)
@@ -108,9 +99,6 @@ impl ModelSpace for NodeSpace3 {
         changed: &[usize],
     ) {
         mccs.repair(lab, comps, sources, changed)
-    }
-    fn blocks(mesh: &Self::Mesh) -> FaultBlocks3 {
-        FaultBlocks3::compute(mesh)
     }
 }
 
@@ -131,7 +119,7 @@ pub struct ModelsRef<'a, S: ModelSpace> {
     /// The MCC decomposition of that labelling, if requested.
     pub mccs: Option<&'a S::Mccs>,
     /// The orientation-free block model, if requested.
-    pub blocks: Option<&'a S::Blocks>,
+    pub blocks: Option<&'a FaultBlocks<S>>,
 }
 
 /// Borrowed views of the 2-D models (rectangular blocks).
@@ -145,7 +133,7 @@ pub type ModelsRef3<'a> = ModelsRef<'a, NodeSpace3>;
 pub struct ModelCache<'m, S: ModelSpace> {
     mesh: &'m S::Mesh,
     border: BorderPolicy,
-    blocks: Option<S::Blocks>,
+    blocks: Option<FaultBlocks<S>>,
     slots: Vec<Option<Slot<S>>>,
 }
 
@@ -201,7 +189,7 @@ impl<'m, S: ModelSpace> ModelCache<'m, S> {
             slot.mccs = Some(S::mccs(&slot.lab));
         }
         if want_blocks && self.blocks.is_none() {
-            self.blocks = Some(S::blocks(self.mesh));
+            self.blocks = Some(FaultBlocks::compute(self.mesh));
         }
         let slot = self.slots[idx].as_ref().expect("just filled");
         ModelsRef {
@@ -224,7 +212,7 @@ impl<'m, S: ModelSpace> ModelCache<'m, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Labelling2;
+    use crate::{FaultBlocks2, Labelling2};
     use mesh_topo::coord::{c2, c3};
     use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 

@@ -33,8 +33,8 @@
 //!
 //! Every regime is a pure function of `(mesh, count, seed, protected)`:
 //! sampling uses a private `SmallRng` seeded from the caller's seed, and
-//! candidate orders come from `mesh_topo::faults::eligible_indices_2d`/
-//! `_3d`, whose iteration order is fixed. No regime reads thread counts,
+//! candidate orders come from `mesh_topo::faults::eligible_indices`, whose
+//! iteration order is fixed. No regime reads thread counts,
 //! wall clocks or global state, so fault sets are bit-identical across
 //! `MCC_THREADS` settings — the scenario layer's thread-invariance
 //! battery relies on this.
@@ -46,10 +46,8 @@
 
 use std::collections::VecDeque;
 
-use mesh_topo::faults::{
-    eligible_indices_2d, eligible_indices_3d, sample_clustered, sample_uniform,
-};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, C2, C3};
+use mesh_topo::faults::{eligible_indices, sample_clustered, sample_uniform};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -141,13 +139,14 @@ impl FaultRegime {
         let chosen: Vec<usize> = match *self {
             FaultRegime::Uniform => {
                 let mut rng = SmallRng::seed_from_u64(seed);
-                sample_uniform(&eligible_indices_2d(mesh, protected), count, &mut rng)
+                let eligible = eligible_indices::<NodeSpace2>(mesh, protected);
+                sample_uniform(eligible, count, &mut rng)
             }
             FaultRegime::Clustered { clusters } => {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 sample_clustered(
                     space.len(),
-                    &eligible_indices_2d(mesh, protected),
+                    &eligible_indices::<NodeSpace2>(mesh, protected),
                     count,
                     clusters,
                     &mut rng,
@@ -158,7 +157,7 @@ impl FaultRegime {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 sample_front(
                     space.len(),
-                    &eligible_indices_2d(mesh, protected),
+                    &eligible_indices::<NodeSpace2>(mesh, protected),
                     count,
                     fronts,
                     &mut rng,
@@ -171,7 +170,8 @@ impl FaultRegime {
                 order
             }
             FaultRegime::TransientSchedule { period, duty } => {
-                let sites = transient_sites_2d(mesh, protected, count, period, duty, seed);
+                let sites =
+                    transient_sites::<NodeSpace2>(mesh, protected, count, period, duty, seed);
                 sites.on_at(0).into_iter().map(|c| space.index(c)).collect()
             }
             FaultRegime::AdversarialBoundary { restarts } => {
@@ -198,13 +198,14 @@ impl FaultRegime {
         let chosen: Vec<usize> = match *self {
             FaultRegime::Uniform => {
                 let mut rng = SmallRng::seed_from_u64(seed);
-                sample_uniform(&eligible_indices_3d(mesh, protected), count, &mut rng)
+                let eligible = eligible_indices::<NodeSpace3>(mesh, protected);
+                sample_uniform(eligible, count, &mut rng)
             }
             FaultRegime::Clustered { clusters } => {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 sample_clustered(
                     space.len(),
-                    &eligible_indices_3d(mesh, protected),
+                    &eligible_indices::<NodeSpace3>(mesh, protected),
                     count,
                     clusters,
                     &mut rng,
@@ -215,7 +216,7 @@ impl FaultRegime {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 sample_front(
                     space.len(),
-                    &eligible_indices_3d(mesh, protected),
+                    &eligible_indices::<NodeSpace3>(mesh, protected),
                     count,
                     fronts,
                     &mut rng,
@@ -228,7 +229,8 @@ impl FaultRegime {
                 order
             }
             FaultRegime::TransientSchedule { period, duty } => {
-                let sites = transient_sites_3d(mesh, protected, count, period, duty, seed);
+                let sites =
+                    transient_sites::<NodeSpace3>(mesh, protected, count, period, duty, seed);
                 sites.on_at(0).into_iter().map(|c| space.index(c)).collect()
             }
             FaultRegime::AdversarialBoundary { restarts } => {
@@ -268,7 +270,7 @@ impl FaultRegime {
                 Some(Schedule::plane(order, count))
             }
             FaultRegime::TransientSchedule { period, duty } => Some(Schedule::Transient(
-                transient_sites_2d(mesh, protected, count, period, duty, seed),
+                transient_sites::<NodeSpace2>(mesh, protected, count, period, duty, seed),
             )),
             _ => None,
         }
@@ -292,7 +294,7 @@ impl FaultRegime {
                 Some(Schedule::plane(order, count))
             }
             FaultRegime::TransientSchedule { period, duty } => Some(Schedule::Transient(
-                transient_sites_3d(mesh, protected, count, period, duty, seed),
+                transient_sites::<NodeSpace3>(mesh, protected, count, period, duty, seed),
             )),
             _ => None,
         }
@@ -379,7 +381,7 @@ fn plane_order_2d(mesh: &Mesh2D, protected: &[C2], axis: usize, seed: u64) -> Ve
     let mut rng = SmallRng::seed_from_u64(seed);
     let descending = rng.gen_range(0..2) == 1;
     let space = mesh.space();
-    let mut order = eligible_indices_2d(mesh, protected);
+    let mut order = eligible_indices::<NodeSpace2>(mesh, protected);
     order.sort_by_key(|&i| {
         let c = space.coord(i);
         let k = if axis == 0 { c.x } else { c.y };
@@ -397,7 +399,7 @@ fn plane_order_3d(mesh: &Mesh3D, protected: &[C3], axis: usize, seed: u64) -> Ve
     let mut rng = SmallRng::seed_from_u64(seed);
     let descending = rng.gen_range(0..2) == 1;
     let space = mesh.space();
-    let mut order = eligible_indices_3d(mesh, protected);
+    let mut order = eligible_indices::<NodeSpace3>(mesh, protected);
     order.sort_by_key(|&i| {
         let c = space.coord(i);
         let k = match axis {
@@ -445,41 +447,18 @@ fn transient_on_rounds(period: usize, duty: f64) -> usize {
     (((period as f64) * duty).round() as usize).clamp(1, period.saturating_sub(1).max(1))
 }
 
-fn transient_sites_2d(
-    mesh: &Mesh2D,
-    protected: &[C2],
+fn transient_sites<S: Space>(
+    mesh: &S::Mesh,
+    protected: &[S::Coord],
     count: usize,
     period: usize,
     duty: f64,
     seed: u64,
-) -> TransientSites<C2> {
+) -> TransientSites<S::Coord> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let space = mesh.space();
+    let space = S::of_mesh(mesh);
     let period = period.max(2);
-    let sites = sample_uniform(&eligible_indices_2d(mesh, protected), count, &mut rng)
-        .into_iter()
-        .map(|i| (space.coord(i), rng.gen_range(0..period)))
-        .collect();
-    TransientSites {
-        sites,
-        period,
-        on_rounds: transient_on_rounds(period, duty),
-        round: 0,
-    }
-}
-
-fn transient_sites_3d(
-    mesh: &Mesh3D,
-    protected: &[C3],
-    count: usize,
-    period: usize,
-    duty: f64,
-    seed: u64,
-) -> TransientSites<C3> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let space = mesh.space();
-    let period = period.max(2);
-    let sites = sample_uniform(&eligible_indices_3d(mesh, protected), count, &mut rng)
+    let sites = sample_uniform(eligible_indices::<S>(mesh, protected), count, &mut rng)
         .into_iter()
         .map(|i| (space.coord(i), rng.gen_range(0..period)))
         .collect();
@@ -857,7 +836,7 @@ fn inject_adversarial_2d(
             shield.push(d);
         }
         for i in sample_uniform(
-            &eligible_indices_2d(mesh, &shield),
+            eligible_indices::<NodeSpace2>(mesh, &shield),
             count - injected,
             &mut rng,
         ) {
@@ -904,7 +883,7 @@ fn inject_adversarial_3d(
             shield.push(d);
         }
         for i in sample_uniform(
-            &eligible_indices_3d(mesh, &shield),
+            eligible_indices::<NodeSpace3>(mesh, &shield),
             count - injected,
             &mut rng,
         ) {

@@ -1,179 +1,9 @@
-//! Cuboid faulty blocks — the classical 3-D baseline model.
-//!
-//! The 3-D generalization of the rectangular block model (Boppana–Chalasani
-//! style, as used by the routing literature the paper compares against): a
-//! healthy node is *disabled* if it has **two or more** faulty-or-disabled
-//! neighbors. The closure is iterated together with cuboid completion
-//! (components widen to bounding boxes, intersecting boxes merge, boxes are
-//! filled) until the disabled set is a disjoint union of full cuboids.
+//! Unit tests of [`crate::rfb`] on 3-D meshes: the cuboid block model.
 
-use mesh_topo::{Box3, Mesh3D, NodeSet, NodeSpace3, C3};
-
-use crate::oracle;
-
-/// The cuboid-faulty-block decomposition of a 3-D mesh.
-///
-/// Like [`crate::rfb2::FaultBlocks2`], the disabled set is a [`NodeSet`]
-/// bitset over the mesh's [`NodeSpace3`], and the closure runs on linear
-/// node indices.
-#[derive(Clone, Debug)]
-pub struct FaultBlocks3 {
-    space: NodeSpace3,
-    disabled: NodeSet,
-    /// The fault cuboids (bounding boxes of the disabled components).
-    pub blocks: Vec<Box3>,
-    fault_count: usize,
-}
-
-impl FaultBlocks3 {
-    /// Compute the cuboid-block closure of the mesh's fault set.
-    pub fn compute(mesh: &Mesh3D) -> FaultBlocks3 {
-        let space = mesh.space();
-        let mut disabled = mesh.fault_set().clone();
-        let mut blocks;
-        loop {
-            let grew = Self::close_rule(space, &mut disabled);
-            blocks = Self::boxes_of_components(space, &disabled);
-            let filled = Self::fill_boxes(space, &mut disabled, &blocks);
-            if !grew && !filled {
-                break;
-            }
-        }
-        FaultBlocks3 {
-            space,
-            disabled,
-            blocks,
-            fault_count: mesh.fault_count(),
-        }
-    }
-
-    /// "Two or more faulty/disabled neighbors" rule, to a fixpoint.
-    /// Returns true if any node was newly disabled.
-    fn close_rule(space: NodeSpace3, disabled: &mut NodeSet) -> bool {
-        let rule = |set: &NodeSet, i: usize| {
-            let mut n = 0;
-            space.for_neighbors6(i, |j| n += set.contains(j) as usize);
-            n >= 2
-        };
-        let mut grew = false;
-        let mut work: Vec<usize> = (0..space.len()).collect();
-        while let Some(u) = work.pop() {
-            if disabled.contains(u) || !rule(disabled, u) {
-                continue;
-            }
-            disabled.insert(u);
-            grew = true;
-            space.for_neighbors6(u, |v| {
-                if !disabled.contains(v) {
-                    work.push(v);
-                }
-            });
-        }
-        grew
-    }
-
-    /// Bounding boxes of the connected disabled components, merged until
-    /// pairwise disjoint.
-    fn boxes_of_components(space: NodeSpace3, disabled: &NodeSet) -> Vec<Box3> {
-        let mut seen = NodeSet::new(space.len());
-        let mut blocks: Vec<Box3> = Vec::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for start in disabled.iter() {
-            if seen.contains(start) {
-                continue;
-            }
-            let mut bb = Box3::point(space.coord(start));
-            queue.clear();
-            queue.push(start);
-            seen.insert(start);
-            while let Some(u) = queue.pop() {
-                bb.include(space.coord(u));
-                space.for_neighbors6(u, |v| {
-                    if disabled.contains(v) && seen.insert(v) {
-                        queue.push(v);
-                    }
-                });
-            }
-            blocks.push(bb);
-        }
-        loop {
-            let mut merged = false;
-            'outer: for i in 0..blocks.len() {
-                for j in (i + 1)..blocks.len() {
-                    if blocks[i].intersects(&blocks[j]) {
-                        blocks[i] = blocks[i].union(&blocks[j]);
-                        blocks.swap_remove(j);
-                        merged = true;
-                        break 'outer;
-                    }
-                }
-            }
-            if !merged {
-                return blocks;
-            }
-        }
-    }
-
-    /// Disable every cell of every block. Returns true if anything changed.
-    fn fill_boxes(space: NodeSpace3, disabled: &mut NodeSet, blocks: &[Box3]) -> bool {
-        let mut changed = false;
-        for b in blocks {
-            for c in b.iter() {
-                if let Some(i) = space.index_checked(c) {
-                    changed |= disabled.insert(i);
-                }
-            }
-        }
-        changed
-    }
-
-    /// True if `c` is inside some fault cuboid.
-    #[inline]
-    pub fn is_disabled(&self, c: C3) -> bool {
-        self.space
-            .index_checked(c)
-            .is_some_and(|i| self.disabled.contains(i))
-    }
-
-    /// Healthy nodes sacrificed by the model.
-    pub fn sacrificed_count(&self) -> usize {
-        self.disabled.len() - self.fault_count
-    }
-
-    /// Total disabled nodes (faulty + sacrificed).
-    pub fn disabled_count(&self) -> usize {
-        self.disabled.len()
-    }
-
-    /// Existence of a minimal path from `s` to `d` under the cuboid model:
-    /// a monotone path (after canonicalization) avoiding every disabled
-    /// node. `s`, `d` are mesh coordinates.
-    pub fn minimal_path_exists(&self, mesh: &Mesh3D, s: C3, d: C3) -> bool {
-        self.minimal_path_exists_in(mesh, s, d, &mut oracle::Useful3::scratch())
-    }
-
-    /// [`FaultBlocks3::minimal_path_exists`] with a caller-provided scratch
-    /// buffer for the reachability sweep (see [`oracle::Useful3::recompute`]).
-    pub fn minimal_path_exists_in(
-        &self,
-        mesh: &Mesh3D,
-        s: C3,
-        d: C3,
-        useful: &mut oracle::Useful3,
-    ) -> bool {
-        if self.is_disabled(s) || self.is_disabled(d) {
-            return false;
-        }
-        let frame = mesh_topo::Frame3::for_pair(mesh, s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        oracle::reachable_3d_in(cs, cd, |c| self.is_disabled(frame.from_canon(c)), useful)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::rfb::FaultBlocks3;
     use mesh_topo::coord::c3;
+    use mesh_topo::{Box3, Mesh3D, C3};
 
     fn blocks_of(faults: &[C3], k: i32) -> (Mesh3D, FaultBlocks3) {
         let mut mesh = Mesh3D::kary(k);
@@ -261,5 +91,18 @@ mod tests {
         let (_, b) = blocks_of(&[c3(1, 1, 1), c3(6, 6, 6)], 8);
         assert_eq!(b.blocks.len(), 2);
         assert!(!b.blocks[0].intersects(&b.blocks[1]));
+    }
+
+    #[test]
+    fn two_diagonals_percolate_through_the_whole_16_cube() {
+        // The diagonal of the z = 0 plane fills that plane, the diagonal
+        // of the x = 0 plane fills that one, and from the two planes every
+        // node gains a disabled -x and -z neighbor in turn.
+        let mut faults: Vec<C3> = (0..16).map(|i| c3(i, i, 0)).collect();
+        faults.extend((1..16).map(|j| c3(0, j, j)));
+        let (_, b) = blocks_of(&faults, 16);
+        assert_eq!(b.disabled_count(), 4096);
+        assert_eq!(b.sacrificed_count(), 4096 - 31);
+        assert_eq!(b.blocks, vec![Box3::spanning(c3(0, 0, 0), c3(15, 15, 15))]);
     }
 }

@@ -13,8 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::labelling::Labelling2;
 use crate::labelling::Labelling3;
-use crate::rfb2::FaultBlocks2;
-use crate::rfb3::FaultBlocks3;
+use crate::rfb::{FaultBlocks2, FaultBlocks3};
 use crate::status::BorderPolicy;
 
 /// Sacrifice counts of the competing fault models on one fault configuration.

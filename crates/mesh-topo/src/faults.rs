@@ -20,11 +20,10 @@
 //! test below pins that equivalence.
 //!
 //! The samplers themselves ([`sample_uniform`], [`sample_clustered`]) and
-//! the eligible-candidate construction ([`eligible_indices_2d`],
-//! [`eligible_indices_3d`]) are public: the fault-regime layer in the
-//! `fault-model` crate reuses them verbatim so its `Uniform`/`Clustered`
-//! regimes stay RNG-sequence-identical with [`FaultSpec`], which is now a
-//! thin adapter over these building blocks.
+//! the eligible-candidate construction ([`eligible_indices`]) are public:
+//! the fault-regime layer in the `fault-model` crate reuses them verbatim
+//! so its `Uniform`/`Clustered` regimes stay RNG-sequence-identical with
+//! [`FaultSpec`], which is now a thin adapter over these building blocks.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -33,7 +32,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::coord::{C2, C3};
 use crate::mesh::{Mesh2D, Mesh3D};
-use crate::nodeset::NodeSet;
+use crate::nodeset::{NodeSet, NodeSpace2, NodeSpace3};
+use crate::space::Space;
 
 /// Spatial distribution of injected faults.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -84,9 +84,9 @@ impl FaultSpec {
     pub fn inject_2d(&self, mesh: &mut Mesh2D, protected: &[C2]) -> usize {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let space = mesh.space();
-        let eligible = eligible_indices_2d(mesh, protected);
+        let eligible = eligible_indices::<NodeSpace2>(mesh, protected);
         let chosen = match self.pattern {
-            FaultPattern::Uniform => sample_uniform(&eligible, self.count, &mut rng),
+            FaultPattern::Uniform => sample_uniform(eligible, self.count, &mut rng),
             FaultPattern::Clustered { clusters } => sample_clustered(
                 space.len(),
                 &eligible,
@@ -109,9 +109,9 @@ impl FaultSpec {
     pub fn inject_3d(&self, mesh: &mut Mesh3D, protected: &[C3]) -> usize {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let space = mesh.space();
-        let eligible = eligible_indices_3d(mesh, protected);
+        let eligible = eligible_indices::<NodeSpace3>(mesh, protected);
         let chosen = match self.pattern {
-            FaultPattern::Uniform => sample_uniform(&eligible, self.count, &mut rng),
+            FaultPattern::Uniform => sample_uniform(eligible, self.count, &mut rng),
             FaultPattern::Clustered { clusters } => sample_clustered(
                 space.len(),
                 &eligible,
@@ -129,31 +129,25 @@ impl FaultSpec {
     }
 }
 
-/// Linear indices of the 2-D nodes eligible for injection: healthy and
-/// not in `protected`, in node-iteration order. The order is part of the
-/// reproducible RNG draw sequence, so every sampler caller must build its
-/// candidate list through here (or reproduce this order exactly).
-pub fn eligible_indices_2d(mesh: &Mesh2D, protected: &[C2]) -> Vec<usize> {
-    let space = mesh.space();
-    mesh.nodes()
-        .filter(|c| !protected.contains(c) && mesh.is_healthy(*c))
-        .map(|c| space.index(c))
-        .collect()
+/// Linear indices of the nodes of `mesh` eligible for injection: healthy
+/// and not in `protected`, in ascending index order, which is
+/// node-iteration order. The order is part of the reproducible RNG draw
+/// sequence, so every sampler caller must build its candidate list through
+/// here (or reproduce this order exactly). A protected coordinate outside
+/// the space excludes nothing.
+pub fn eligible_indices<S: Space>(mesh: &S::Mesh, protected: &[S::Coord]) -> Vec<usize> {
+    let space = S::of_mesh(mesh);
+    let healthy = S::fault_set(mesh).words().iter().map(|w| !w).collect();
+    let mut eligible = NodeSet::from_raw_words(space.node_count(), healthy);
+    for i in protected.iter().filter_map(|&c| space.index_checked(c)) {
+        eligible.remove(i);
+    }
+    eligible.iter().collect()
 }
 
-/// 3-D twin of [`eligible_indices_2d`].
-pub fn eligible_indices_3d(mesh: &Mesh3D, protected: &[C3]) -> Vec<usize> {
-    let space = mesh.space();
-    mesh.nodes()
-        .filter(|c| !protected.contains(c) && mesh.is_healthy(*c))
-        .map(|c| space.index(c))
-        .collect()
-}
-
-/// Choose `count` distinct indices uniformly at random from `eligible`
+/// Choose `count` distinct indices uniformly at random from `pool`
 /// (shuffle-and-truncate, preserving the historical draw sequence).
-pub fn sample_uniform(eligible: &[usize], count: usize, rng: &mut SmallRng) -> Vec<usize> {
-    let mut pool: Vec<usize> = eligible.to_vec();
+pub fn sample_uniform(mut pool: Vec<usize>, count: usize, rng: &mut SmallRng) -> Vec<usize> {
     pool.shuffle(rng);
     pool.truncate(count.min(pool.len()));
     pool
@@ -302,6 +296,49 @@ mod tests {
         let mut m = Mesh3D::kary(6);
         assert_eq!(FaultSpec::uniform(50, 5).inject_3d(&mut m, &[]), 50);
         assert_eq!(m.fault_count(), 50);
+    }
+
+    /// `eligible_indices` equals the coordinate filter it replaced, on
+    /// meshes and tori whose node counts do and do not fill the last
+    /// bitset word, with protected coordinates that are in the space,
+    /// duplicated, faulty, or outside it.
+    #[test]
+    fn eligible_indices_match_coordinate_filter() {
+        for torus in [false, true] {
+            for seed in 0..12u64 {
+                let (w, h) = (8 + seed as i32 % 5, 8);
+                let mut m = if torus {
+                    Mesh2D::torus(w, h)
+                } else {
+                    Mesh2D::new(w, h)
+                };
+                FaultSpec::uniform(5 * seed as usize, seed).inject_2d(&mut m, &[]);
+                let mut protected = vec![c2(0, 0), c2(3, 2), c2(3, 2), c2(-1, 2), c2(w, 0)];
+                protected.extend(m.faults().first());
+                let filter: Vec<usize> = m
+                    .nodes()
+                    .filter(|c| !protected.contains(c) && m.is_healthy(*c))
+                    .map(|c| m.space().index(c))
+                    .collect();
+                assert_eq!(eligible_indices::<NodeSpace2>(&m, &protected), filter);
+
+                let k = 4 + seed as i32 % 3;
+                let mut m = if torus {
+                    Mesh3D::torus(k, k, k)
+                } else {
+                    Mesh3D::kary(k)
+                };
+                FaultSpec::uniform(4 * seed as usize, seed).inject_3d(&mut m, &[]);
+                let mut protected = vec![c3(1, 1, 1), c3(1, 1, 1), c3(0, 0, -1), c3(0, k, 0)];
+                protected.extend(m.faults().first());
+                let filter: Vec<usize> = m
+                    .nodes()
+                    .filter(|c| !protected.contains(c) && m.is_healthy(*c))
+                    .map(|c| m.space().index(c))
+                    .collect();
+                assert_eq!(eligible_indices::<NodeSpace3>(&m, &protected), filter);
+            }
+        }
     }
 
     /// The hash-based sampler this module replaced, kept verbatim as the

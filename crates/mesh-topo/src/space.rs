@@ -31,6 +31,7 @@ use crate::coord::{C2, C3};
 use crate::frame::{Frame2, Frame3};
 use crate::mesh::{Mesh2D, Mesh3D};
 use crate::nodeset::{NodeSet, NodeSpace2, NodeSpace3};
+use crate::region::{Box3, Rect};
 
 /// A linearized node space of one dimension, `x` fastest.
 pub trait Space: Copy + Eq + Debug + 'static {
@@ -40,6 +41,8 @@ pub trait Space: Copy + Eq + Debug + 'static {
     type Frame: Copy + Eq + Debug;
     /// The mesh (or torus) with its fault set.
     type Mesh: Clone + Debug;
+    /// The axis-aligned box: [`Rect`] in 2-D, [`Box3`] in 3-D.
+    type Block: Copy + Eq + Debug;
 
     /// Number of axes.
     const DIMS: usize;
@@ -58,6 +61,8 @@ pub trait Space: Copy + Eq + Debug + 'static {
     fn extents(self) -> [usize; 3];
     /// True if every axis wraps (the space is a torus).
     fn wraps(self) -> bool;
+    /// The box with inclusive corners `lo` and `hi`.
+    fn block(lo: Self::Coord, hi: Self::Coord) -> Self::Block;
     /// Call `f` with every region-connectivity neighbor of `i`: the
     /// 8-neighborhood in 2-D, the 18-neighborhood in 3-D, in the fixed
     /// order component discovery relies on.
@@ -82,6 +87,7 @@ impl Space for NodeSpace2 {
     type Coord = C2;
     type Frame = Frame2;
     type Mesh = Mesh2D;
+    type Block = Rect;
     const DIMS: usize = 2;
     const ORIENTATIONS: usize = 4;
 
@@ -105,6 +111,9 @@ impl Space for NodeSpace2 {
     }
     fn wraps(self) -> bool {
         NodeSpace2::wraps(self)
+    }
+    fn block(lo: C2, hi: C2) -> Rect {
+        Rect::spanning(lo, hi)
     }
     #[inline]
     fn for_region_neighbors(self, i: usize, f: impl FnMut(usize)) {
@@ -135,6 +144,7 @@ impl Space for NodeSpace3 {
     type Coord = C3;
     type Frame = Frame3;
     type Mesh = Mesh3D;
+    type Block = Box3;
     const DIMS: usize = 3;
     const ORIENTATIONS: usize = 8;
 
@@ -158,6 +168,9 @@ impl Space for NodeSpace3 {
     }
     fn wraps(self) -> bool {
         NodeSpace3::wraps(self)
+    }
+    fn block(lo: C3, hi: C3) -> Box3 {
+        Box3::spanning(lo, hi)
     }
     #[inline]
     fn for_region_neighbors(self, i: usize, f: impl FnMut(usize)) {
