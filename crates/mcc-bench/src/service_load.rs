@@ -245,7 +245,6 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
         deadline_ns: (profile.deadline_ms * 1_000_000.0) as u64,
         cost_ns: profile.cost_us.map(|c| c * 1_000),
     };
-    cfg.timeout = Duration::from_secs(60);
     let svc = MeshService::start(cfg, &specs)
         .map_err(|e| ScenarioError::new(format!("service start: {e}")))?;
 

@@ -6,9 +6,10 @@
 //! ([`ServiceError::Rejected`]) — the request itself is malformed and
 //! retrying is pointless; and *infrastructure*
 //! ([`ServiceError::Io`] / [`ServiceError::Corrupt`] /
-//! [`ServiceError::Timeout`] / [`ServiceError::ShardDown`] /
 //! [`ServiceError::ShardPanicked`]) — the shard or its journal is in
-//! trouble. Every I/O and corruption error names the offending path.
+//! trouble. There is no timeout family: a call runs on its caller's thread
+//! and only waits for its shard's lock. Every I/O and corruption error
+//! names the offending path.
 
 use std::path::PathBuf;
 
@@ -36,10 +37,6 @@ pub enum ServiceError {
         /// [`ChurnError`](fault_model::ChurnError) message.
         reason: String,
     },
-    /// No reply within the caller's timeout.
-    Timeout,
-    /// The shard's request channel is gone and could not be respawned.
-    ShardDown,
     /// The shard panicked while handling this request; it has been
     /// restarted from its journal and the request was *not* applied.
     ShardPanicked,
@@ -96,8 +93,6 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "deadline: predicted wait {wait_ns}ns exceeds deadline")
             }
             ServiceError::Rejected { reason } => write!(f, "rejected: {reason}"),
-            ServiceError::Timeout => f.write_str("timed out waiting for shard reply"),
-            ServiceError::ShardDown => f.write_str("shard is down"),
             ServiceError::ShardPanicked => {
                 f.write_str("shard panicked and was restarted from its journal")
             }
@@ -133,6 +128,6 @@ mod tests {
     fn shed_classification() {
         assert!(ServiceError::Overloaded { depth: 4 }.is_shed());
         assert!(ServiceError::Deadline { wait_ns: 10 }.is_shed());
-        assert!(!ServiceError::Timeout.is_shed());
+        assert!(!ServiceError::ShardPanicked.is_shed());
     }
 }

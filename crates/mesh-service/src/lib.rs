@@ -1,9 +1,10 @@
 //! # mesh-service — the crash-safe resident mesh service
 //!
 //! A long-lived service owning many mesh instances, sharded by mesh id.
-//! Each shard is a single-threaded actor over an mpsc channel serving
-//! route / query-region / churn / snapshot / stats requests against its
-//! own [`fault_model::IncrementalModels2`]/[`fault_model::IncrementalModels3`]
+//! Each shard is a state machine behind its own lock, driven on the
+//! caller's thread, serving route / query-region / churn / snapshot /
+//! stats requests against its own
+//! [`fault_model::IncrementalModels2`]/[`fault_model::IncrementalModels3`]
 //! cache, with three robustness layers the rest of the workspace only
 //! simulates:
 //!

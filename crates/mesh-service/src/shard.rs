@@ -1,11 +1,11 @@
 //! One shard: a single mesh instance, its `IncrementalModels` cache, and
 //! its journal (WAL + snapshot).
 //!
-//! A [`ShardCore`] is the synchronous, single-threaded state machine the
-//! actor loop of [`crate::service`] drives. Requests either read the
-//! maintained models (route, query, stats) or mutate the fault
-//! configuration (churn), and every mutation follows the write-ahead
-//! discipline:
+//! A [`ShardCore`] is the synchronous state machine [`crate::service`]
+//! drives on each caller's thread, one call at a time under the shard's
+//! lock. Requests either read the maintained models (route, query,
+//! stats) or mutate the fault configuration (churn), and every mutation
+//! follows the write-ahead discipline:
 //!
 //! 1. **check** — validate the batch against the current state
 //!    ([`fault_model`]'s `check`, surfaced as
@@ -199,8 +199,8 @@ pub enum Request {
     Snapshot,
     /// Report shard statistics.
     Stats,
-    /// Panic the shard (supervision testing — the supervisor must restart
-    /// it from its journal).
+    /// Panic the shard (supervision testing — the service must rebuild it
+    /// from its journal).
     Panic,
 }
 
@@ -578,8 +578,8 @@ impl ShardCore {
     }
 
     /// [`open`](ShardCore::open) carrying a recovery counter across
-    /// restarts (the supervisor increments it on each respawn).
-    pub fn open_counted(
+    /// restarts (the service increments it on each reopen).
+    pub(crate) fn open_counted(
         dir: &Path,
         spec: ShardSpec,
         crash: CrashPoint,

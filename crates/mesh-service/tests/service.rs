@@ -1,12 +1,14 @@
 //! Service-level behaviour: supervision (panicked shards restart from the
-//! journal), overload shedding with typed errors and a deterministic shed
-//! sequence, restart-resume over the same root, and the retry helper.
+//! journal), the single reopen path after a shutdown or a failed recovery,
+//! overload shedding with typed errors and a deterministic shed sequence,
+//! restart-resume over the same root, and the retry helper.
 
 use std::fs;
 use std::time::Duration;
 
 use mesh_service::prelude::*;
 use mesh_service::shard::ShardStats;
+use mesh_service::CrashSite;
 use mesh_topo::coord::c2;
 
 fn spec_8x8() -> ShardSpec {
@@ -67,6 +69,58 @@ fn panicked_shard_recovers_from_its_journal() {
         svc.call(9, Request::Stats, 0),
         Err(ServiceError::UnknownShard { shard: 9 })
     );
+}
+
+/// A fired crash hook stays fired, so no reopen may re-arm it: neither the
+/// rebuild after the injected crash nor the reopen after `shutdown`.
+#[test]
+fn reopen_after_shutdown_does_not_rearm_a_fired_crash_hook() {
+    let root = TempDir::new("rearm");
+    let mut cfg = ServiceConfig::new(root.path());
+    cfg.crash = CrashPoint::after(0);
+    let svc = MeshService::start(cfg, &[spec_8x8()]).unwrap();
+
+    assert_eq!(
+        svc.call(0, Request::ChurnRandom { seed: 1 }, 0),
+        Err(ServiceError::Injected(CrashSite::AppendStart))
+    );
+    assert_eq!(
+        svc.call(0, Request::ChurnRandom { seed: 2 }, 0),
+        Ok(Response::Churn { gen: 1 })
+    );
+    svc.shutdown();
+    assert_eq!(
+        svc.call(0, Request::ChurnRandom { seed: 3 }, 0),
+        Ok(Response::Churn { gen: 2 })
+    );
+    assert_eq!(stats(&svc, 0).gen, 2);
+}
+
+/// A recovery that fails leaves the shard closed; once the journal is
+/// readable again the next call reopens it, and that reopen counts.
+#[test]
+fn failed_recovery_keeps_the_recovery_count() {
+    let root = TempDir::new("failed-recovery");
+    let svc = MeshService::start(ServiceConfig::new(root.path()), &[spec_8x8()]).unwrap();
+    for seed in 0..4u64 {
+        assert!(svc.call(0, Request::ChurnRandom { seed }, 0).is_ok());
+    }
+    let before = stats(&svc, 0);
+    assert_eq!(before.snapshot_gen, 4);
+
+    let snap = root.path().join("shard-0000").join("snapshot.bin");
+    let good = fs::read(&snap).unwrap();
+    fs::write(&snap, b"not a snapshot").unwrap();
+    for req in [Request::Panic, Request::Stats] {
+        match svc.call(0, req, 0) {
+            Err(ServiceError::Corrupt { path, .. }) => assert_eq!(path, snap),
+            other => panic!("call over damaged snapshot: {other:?}"),
+        }
+    }
+
+    fs::write(&snap, good).unwrap();
+    let after = stats(&svc, 0);
+    assert_eq!((after.gen, after.recoveries), (before.gen, 1));
 }
 
 /// A burst beyond the queue bound sheds with `Overloaded`; the admit/shed

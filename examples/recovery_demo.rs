@@ -3,7 +3,7 @@
 //!
 //! Starts the resident service over one 16x16 shard, journals a few fault
 //! churn batches (write-ahead log + periodic snapshots), panics the shard
-//! mid-flight, and shows the supervisor restart it from its journal with
+//! mid-request, and shows the service rebuild it from its journal with
 //! nothing lost. Then shuts the whole service down and restarts it over
 //! the same directory to show a full process restart resumes identically.
 //!
@@ -49,18 +49,20 @@ fn main() {
         before.gen, before.faults, before.snapshot_gen
     );
 
-    // Kill the shard actor mid-flight. The caller gets a typed error...
+    // Panic the shard mid-request (the default panic hook still prints
+    // the message). The caller gets a typed error...
     assert_eq!(
         svc.call(0, Request::Panic, 0),
         Err(ServiceError::ShardPanicked)
     );
     println!("shard killed (ServiceError::ShardPanicked)");
 
-    // ...and the supervisor lazily restarts it from snapshot + WAL replay.
+    // ...and the service has already rebuilt it, under the shard's lock,
+    // from snapshot + WAL replay.
     let after = stats(&svc);
     assert_eq!((after.gen, after.faults), (before.gen, before.faults));
     println!(
-        "supervisor recovered it: gen {} ({} faults, {} recovery)",
+        "service recovered it: gen {} ({} faults, {} recovery)",
         after.gen, after.faults, after.recoveries
     );
 
