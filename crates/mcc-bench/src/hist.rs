@@ -30,8 +30,6 @@
 //! assert!(lo <= 30 && 30 <= hi);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Linear sub-bucket bits per power-of-two octave: 2^6 = 64 sub-buckets,
 /// bounding relative quantization error by 1/64.
 pub const SUB_BITS: u32 = 6;
@@ -43,7 +41,7 @@ const SUB: u64 = 1 << SUB_BITS;
 const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
 
 /// A fixed-size log-bucketed histogram of `u64` samples.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHist {
     counts: Vec<u64>,
     total: u64,

@@ -47,12 +47,10 @@ pub mod scenario;
 pub mod service_load;
 pub mod toml_lite;
 
-use serde::{Deserialize, Serialize};
-
 pub use runner::{run_scenario, ScenarioReport};
 
 /// One row of the fault-region size tables (E1/E2).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RegionRow {
     /// Injected fault count.
     pub faults: usize,
@@ -71,7 +69,7 @@ pub struct RegionRow {
 }
 
 /// One row of the routing success-rate tables (E3/E4/E6).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RoutingRow {
     /// Injected fault count.
     pub faults: usize,
@@ -94,7 +92,7 @@ pub struct RoutingRow {
 }
 
 /// One row of the protocol-overhead tables (E5/E7).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OverheadRow {
     /// Injected fault count.
     pub faults: usize,
@@ -116,7 +114,7 @@ pub struct OverheadRow {
 ///
 /// Every column is a deterministic count — no timings — so churn rows are
 /// golden-snapshot stable across machines and thread counts.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ChurnRow {
     /// Fault population (held stable by pairing each heal with an inject).
     pub faults: usize,
@@ -141,7 +139,7 @@ pub struct ChurnRow {
 }
 
 /// One row of the labelling-convergence tables (E7, protocol layer only).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LabellingRow {
     /// Injected fault count.
     pub faults: usize,

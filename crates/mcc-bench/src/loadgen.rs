@@ -44,14 +44,13 @@ use mesh_topo::par::bands;
 use mesh_topo::{detected_cores, Frame2, Frame3, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::hist::LatencyHist;
 use crate::runner::{mix_trial_seed, random_healthy_pair_2d, random_healthy_pair_3d};
 use crate::scenario::{worker_count, LoadProfile, MeshDims, Scenario, ScenarioError, TableKind};
 
 /// The workload classes a `[load]` mix interleaves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpClass {
     /// One routing trial (pair sample + MCC/RFB/greedy per the scenario's
     /// router selection) on the slot's prepared routing mesh.
@@ -66,7 +65,7 @@ pub enum OpClass {
 
 /// One planned request: what to run, where, with which randomness, and
 /// when it is scheduled to arrive (nanoseconds from step start).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpSpec {
     /// Workload class, drawn from the mix by error diffusion.
     pub class: OpClass,
@@ -131,7 +130,7 @@ pub fn plan_step(
 /// Per-step measurements. Fields up to `failures`/`fail_rate` are
 /// deterministic for a fixed scenario; the wall-clock fields
 /// (`achieved_rps`, `elapsed_ms`, the percentiles) are not.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StepReport {
     /// 0-based ramp step index.
     pub step: usize,
@@ -168,7 +167,7 @@ pub struct StepReport {
 }
 
 /// The outcome of one saturation ramp.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoadReport {
     /// The scenario that was run.
     pub scenario: Scenario,

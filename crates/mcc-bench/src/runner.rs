@@ -33,7 +33,6 @@ use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use sim_net::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -41,7 +40,7 @@ use crate::scenario::{worker_count, MeshDims, Scenario, ScenarioError, TableKind
 use crate::{ChurnRow, LabellingRow, OverheadRow, RegionRow, RoutingRow};
 
 /// Rows produced by one scenario, tagged by table family.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum TableRows {
     /// Fault-region capture rows (E1/E2-style).
     Regions(Vec<RegionRow>),
@@ -56,7 +55,7 @@ pub enum TableRows {
 }
 
 /// The outcome of running one scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScenarioReport {
     /// The scenario that was run.
     pub scenario: Scenario,

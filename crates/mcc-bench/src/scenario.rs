@@ -12,7 +12,7 @@
 //! ```toml
 //! name = "E1 — healthy nodes captured by fault regions (2-D)"
 //! table = "regions"            # regions | routing | overhead
-//!                              # | labelling | churn | load
+//!                              # | labelling | churn | load | service
 //!
 //! [mesh]
 //! dims = [32, 32]              # two entries for 2-D, three for 3-D
@@ -57,6 +57,15 @@
 //! fail_limit = 0.05            # saturation threshold on failure rate
 //! ```
 //!
+//! Churn tables add `[churn]` (`rounds`, `rate`) and service tables add
+//! `[service]` (see [`ServiceProfile`]).
+//!
+//! The section table `SECTIONS` in this module is the single source of
+//! the schema: every section, the keys it accepts and requires, and which
+//! scenarios carry it. Every section rejects a key it does not name, and
+//! a document rejects a section the table does not name. Range rules live
+//! only in [`Scenario::validate`].
+//!
 //! `pairs_per_seed` (routing tables only) batches that many
 //! source/destination pairs against **one** fault configuration per seed,
 //! amortizing model construction through the prepared-mesh pipeline
@@ -69,12 +78,12 @@ use std::fmt;
 
 use fault_model::{BorderPolicy, FaultRegime};
 use mesh_topo::{Mesh2D, Mesh3D, C2, C3};
-use serde::{Deserialize, Serialize};
 
 use crate::toml_lite::{Doc, ParseError, Table, Value};
+use Presence::{Always, Only, Optional};
 
 /// Which family of tables the scenario produces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TableKind {
     /// Fault-region capture statistics (tables E1/E2).
     Regions,
@@ -105,23 +114,26 @@ pub enum TableKind {
     Service,
 }
 
+/// `table` names.
+const TABLE_KINDS: [(&str, TableKind); 7] = [
+    ("regions", TableKind::Regions),
+    ("routing", TableKind::Routing),
+    ("overhead", TableKind::Overhead),
+    ("labelling", TableKind::Labelling),
+    ("churn", TableKind::Churn),
+    ("load", TableKind::Load),
+    ("service", TableKind::Service),
+];
+
 impl TableKind {
     /// The table name as it appears in scenario files.
     pub fn as_str(self) -> &'static str {
-        match self {
-            TableKind::Regions => "regions",
-            TableKind::Routing => "routing",
-            TableKind::Overhead => "overhead",
-            TableKind::Labelling => "labelling",
-            TableKind::Churn => "churn",
-            TableKind::Load => "load",
-            TableKind::Service => "service",
-        }
+        name_of(&TABLE_KINDS, self)
     }
 }
 
 /// Mesh dimensions: 2-D width×height or 3-D x×y×z.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MeshDims {
     /// A 2-D mesh.
     D2 {
@@ -142,44 +154,34 @@ pub enum MeshDims {
 }
 
 impl MeshDims {
+    /// The extents in axis order (two for 2-D, three for 3-D).
+    pub fn extents(self) -> Vec<i32> {
+        match self {
+            MeshDims::D2 { width, height } => vec![width, height],
+            MeshDims::D3 { x, y, z } => vec![x, y, z],
+        }
+    }
+
     /// The largest extent, used to scale endpoint-separation requirements.
     pub fn max_extent(self) -> i32 {
-        match self {
-            MeshDims::D2 { width, height } => width.max(height),
-            MeshDims::D3 { x, y, z } => x.max(y).max(z),
-        }
+        self.extents().into_iter().fold(i32::MIN, i32::max)
     }
 
     /// Total node count.
     pub fn nodes(self) -> usize {
-        match self {
-            MeshDims::D2 { width, height } => width as usize * height as usize,
-            MeshDims::D3 { x, y, z } => x as usize * y as usize * z as usize,
-        }
+        self.extents().into_iter().map(|k| k as usize).product()
     }
 
     /// The smallest extent (tori need 3 per axis).
     pub fn min_extent(self) -> i32 {
-        match self {
-            MeshDims::D2 { width, height } => width.min(height),
-            MeshDims::D3 { x, y, z } => x.min(y).min(z),
-        }
+        self.extents().into_iter().fold(i32::MAX, i32::min)
     }
 
     /// The network diameter: the largest topology-aware distance between
     /// two nodes. `(k-1)` per mesh axis, `⌊k/2⌋` per torus axis.
     pub fn diameter(self, wrap: bool) -> u32 {
-        let axis = |k: i32| {
-            if wrap {
-                (k / 2) as u32
-            } else {
-                (k - 1) as u32
-            }
-        };
-        match self {
-            MeshDims::D2 { width, height } => axis(width) + axis(height),
-            MeshDims::D3 { x, y, z } => axis(x) + axis(y) + axis(z),
-        }
+        let axis = |k: i32| (if wrap { k / 2 } else { k - 1 }) as u32;
+        self.extents().into_iter().map(axis).sum()
     }
 }
 
@@ -196,7 +198,7 @@ impl MeshDims {
 /// [`crate::loadgen`]). The pool holds `pool` long-lived mesh instances
 /// per geometry; `alt_dims` adds a second geometry so one scenario can
 /// drive a mixed 2-D/3-D pool.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoadProfile {
     /// Offered request rate of the first step (requests/second).
     pub initial_rps: u32,
@@ -261,7 +263,7 @@ impl LoadProfile {
 /// churn — in that order) its virtual service time. `snapshot_every`
 /// sets the shard's auto-snapshot cadence in churn generations (0 never
 /// snapshots, leaving the whole history in the WAL).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServiceProfile {
     /// Bound on each shard's virtual admission-queue depth.
     pub queue_cap: usize,
@@ -290,7 +292,7 @@ impl Default for ServiceProfile {
 /// truth); deselecting a model skips the rest of its work — MCC
 /// extraction/detection/routing, the block model, or the greedy walk —
 /// and hides its columns from the rendered table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RouterChoice {
     /// All models: MCC, the block baseline, and greedy.
     #[default]
@@ -303,14 +305,17 @@ pub enum RouterChoice {
     Greedy,
 }
 
+/// `run.router` names.
+const ROUTERS: [(&str, RouterChoice); 4] = [
+    ("all", RouterChoice::All),
+    ("mcc", RouterChoice::Mcc),
+    ("rfb", RouterChoice::Rfb),
+    ("greedy", RouterChoice::Greedy),
+];
+
 impl RouterChoice {
     fn as_str(self) -> &'static str {
-        match self {
-            RouterChoice::All => "all",
-            RouterChoice::Mcc => "mcc",
-            RouterChoice::Rfb => "rfb",
-            RouterChoice::Greedy => "greedy",
-        }
+        name_of(&ROUTERS, self)
     }
 
     /// Whether MCC columns are reported.
@@ -329,8 +334,31 @@ impl RouterChoice {
     }
 }
 
+/// `faults.border` names.
+const BORDERS: [(&str, BorderPolicy); 2] = [
+    ("safe", BorderPolicy::BorderSafe),
+    ("blocked", BorderPolicy::BorderBlocked),
+];
+
+/// `faults.regime.axis` names of the sweeping plane.
+const AXES: [(&str, usize); 3] = [("x", 0), ("y", 1), ("z", 2)];
+
+/// Every fault regime with its default knobs, and the keys its
+/// `[faults.regime]` section accepts beside `kind`. Kinds are named by
+/// [`FaultRegime::name`]; the legacy ones double as `faults.pattern`
+/// values, with `clusters` read from `[faults]`.
+#[rustfmt::skip]
+const REGIMES: [(FaultRegime, Keys); 6] = [
+    (FaultRegime::Uniform, &[]),
+    (FaultRegime::Clustered { clusters: 3 }, &["clusters"]),
+    (FaultRegime::CorrelatedFront { fronts: 3 }, &["fronts"]),
+    (FaultRegime::SweepingPlane { axis: 0 }, &["axis"]),
+    (FaultRegime::TransientSchedule { period: 4, duty: 0.5 }, &["period", "duty"]),
+    (FaultRegime::AdversarialBoundary { restarts: 8 }, &["restarts"]),
+];
+
 /// A fully-validated, runnable experiment description.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scenario {
     /// Human-readable name, shown as the table header.
     pub name: String,
@@ -365,32 +393,25 @@ pub struct Scenario {
     /// Worker-thread budget for the runner: `0` (the default) uses every
     /// detected core, any other value caps the pool. The `MCC_THREADS`
     /// environment variable overrides this knob at run time.
-    #[serde(default)]
     pub threads: usize,
     /// Churn rounds per seed (churn tables only; `[churn] rounds`). Each
     /// round heals and re-injects `max(1, round(churn_rate × faults))`
     /// faults, keeping the fault population stable.
-    #[serde(default)]
     pub churn_rounds: usize,
     /// Fraction of the fault population perturbed per churn round
     /// (`[churn] rate`, in `(0, 1)`).
-    #[serde(default = "default_churn_rate")]
     pub churn_rate: f64,
     /// Open-loop ramp description (`[load]` section; load and service
     /// tables). For these scenarios `seed_start` doubles as the master
     /// seed of the deterministic request schedule.
-    #[serde(default)]
     pub load: Option<LoadProfile>,
     /// Admission/durability knobs (`[service]` section; service tables
     /// only).
-    #[serde(default)]
     pub service: Option<ServiceProfile>,
 }
 
-/// The serde/schema default for [`Scenario::churn_rate`].
-fn default_churn_rate() -> f64 {
-    0.25
-}
+/// The schema default for [`Scenario::churn_rate`].
+const DEFAULT_CHURN_RATE: f64 = 0.25;
 
 /// Why a scenario failed to load.
 ///
@@ -482,152 +503,348 @@ fn resolve_workers(threads: usize, env: Option<&str>) -> Result<usize, ScenarioE
     Ok(mesh_topo::Parallelism::new(threads).resolve())
 }
 
-fn require<'a>(table: &'a Table, section: &str, key: &str) -> Result<&'a Value, ScenarioError> {
-    table
-        .get(key)
-        .ok_or_else(|| invalid(format!("missing `{key}` in [{section}]")))
-}
-
-fn int_list(value: &Value, what: &str) -> Result<Vec<i64>, ScenarioError> {
-    value
-        .as_array()
-        .ok_or_else(|| invalid(format!("`{what}` must be an array")))?
+/// The name of `value` in a `(name, value)` table.
+fn name_of<T: Copy + PartialEq>(names: &[(&'static str, T)], value: T) -> &'static str {
+    names
         .iter()
-        .map(|v| {
-            v.as_int()
-                .ok_or_else(|| invalid(format!("`{what}` must hold integers")))
-        })
-        .collect()
+        .find(|(_, v)| *v == value)
+        .map_or("?", |(name, _)| name)
 }
 
-/// Parse a 2- or 3-entry integer array into [`MeshDims`] (range rules
-/// live in [`Scenario::validate`], one source of truth).
-fn parse_dims(value: &Value, what: &str) -> Result<MeshDims, ScenarioError> {
-    let raw: Vec<i32> = int_list(value, what)?
-        .into_iter()
-        .map(|d| {
-            i32::try_from(d).map_err(|_| invalid(format!("`{what}` entries are out of range")))
-        })
-        .collect::<Result<_, _>>()?;
-    match raw.as_slice() {
-        [w, h] => Ok(MeshDims::D2 {
-            width: *w,
-            height: *h,
-        }),
-        [x, y, z] => Ok(MeshDims::D3 {
-            x: *x,
-            y: *y,
-            z: *z,
-        }),
-        other => Err(invalid(format!(
-            "`{what}` needs 2 or 3 entries, got {}",
-            other.len()
-        ))),
+/// The value named `got` among `names`, or an error that lists them all.
+fn lookup<T>(
+    path: &str,
+    got: &str,
+    names: impl Iterator<Item = (&'static str, T)> + Clone,
+) -> Result<T, ScenarioError> {
+    if let Some((_, value)) = names.clone().find(|(name, _)| *name == got) {
+        return Ok(value);
     }
+    let all: Vec<String> = names.map(|(name, _)| format!("{name:?}")).collect();
+    let msg = format!("`{path}` must be one of {}, got {got:?}", all.join(", "));
+    Err(invalid(msg))
 }
 
-/// Parse the typed `[faults.regime]` table. Every kind has its own key
-/// whitelist, so a knob belonging to a different regime (or a typo) is a
-/// hard error rather than silently ignored; range rules that need the
-/// rest of the scenario (axis vs. dimensionality, table compatibility)
-/// live in [`Scenario::validate`].
-fn parse_regime(reg: &Table) -> Result<FaultRegime, ScenarioError> {
-    let kind = require(reg, "faults.regime", "kind")?
-        .as_str()
-        .ok_or_else(|| invalid("`faults.regime.kind` must be a string"))?;
-    let allowed: &[&str] = match kind {
-        "uniform" => &["kind"],
-        "clustered" => &["kind", "clusters"],
-        "front" => &["kind", "fronts"],
-        "plane" => &["kind", "axis"],
-        "transient" => &["kind", "period", "duty"],
-        "adversarial" => &["kind", "restarts"],
-        other => {
-            return Err(invalid(format!(
-                "`faults.regime.kind` must be \"uniform\", \"clustered\", \
-                 \"front\", \"plane\", \"transient\" or \"adversarial\", \
-                 got {other:?}"
-            )))
-        }
-    };
-    if let Some(k) = reg.keys().find(|k| !allowed.contains(&k.as_str())) {
+/// Which scenarios carry a section.
+#[derive(Clone, Copy)]
+enum Presence {
+    /// Every scenario.
+    Always,
+    /// Any scenario may.
+    Optional,
+    /// Exactly the scenarios of this table kind.
+    Only(TableKind),
+}
+
+/// A list of scenario keys.
+type Keys = &'static [&'static str];
+
+/// One section of the scenario schema: its name (`""` is the root
+/// table), which scenarios carry it, the keys it must carry, and the keys
+/// it may carry besides.
+type Section = (&'static str, Presence, Keys, Keys);
+
+/// The scenario schema. A section or key not listed here is an error;
+/// `[faults.regime]` also accepts the keys [`REGIMES`] lists for its
+/// `kind`. [`Scenario::validate`] gates `[load]` and `[service]` on the
+/// table kind, since it sees [`Scenario::load`] and [`Scenario::service`];
+/// it cannot see a `[churn]` section, so that rule is a row here.
+#[rustfmt::skip]
+const SECTIONS: [Section; 8] = [
+    ("", Always, &["name", "table"], &[]),
+    ("mesh", Always, &["dims"], &["wrap"]),
+    ("faults", Always, &["counts"], &["pattern", "clusters", "border"]),
+    ("faults.regime", Optional, &["kind"], &[]),
+    ("run", Always, &["seeds"], &["router", "min_dist_frac", "pairs_per_seed", "threads"]),
+    ("churn", Only(TableKind::Churn), &["rounds"], &["rate"]),
+    (
+        "load", Optional,
+        &["initial_rps", "increment_rps", "max_rps", "step_secs", "mix"],
+        &["pool", "alt_dims", "p99_limit_ms", "fail_limit"],
+    ),
+    ("service", Optional, &[], &["queue_cap", "deadline_ms", "cost_us", "snapshot_every"]),
+];
+
+/// Check every section of `doc` against [`SECTIONS`]. An unknown section,
+/// an unknown or missing key, and a section missing from or foreign to
+/// the scenario's table kind are errors that name it.
+fn check_sections(doc: &Doc, table: TableKind) -> Result<(), ScenarioError> {
+    let names = SECTIONS.map(|(name, ..)| name);
+    if let Some(name) = doc.sections.keys().find(|n| !names.contains(&n.as_str())) {
         return Err(invalid(format!(
-            "unknown key `{k}` in [faults.regime] for kind \"{kind}\" \
-             (allowed: {})",
-            allowed.join(", ")
+            "unknown section [{name}] (allowed: [{}])",
+            names[1..].join("], [")
         )));
     }
-    let int_knob = |key: &str, default: i64| -> Result<i64, ScenarioError> {
-        match reg.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .as_int()
-                .ok_or_else(|| invalid(format!("`faults.regime.{key}` must be an integer"))),
+    for (name, presence, required, optional) in SECTIONS {
+        let present = name.is_empty() || doc.sections.contains_key(name);
+        let carried = match presence {
+            Always => true,
+            Optional => present,
+            Only(kind) => kind == table,
+        };
+        if present != carried {
+            let table = table.as_str();
+            return Err(invalid(if present {
+                format!("a {table} scenario takes no [{name}] section")
+            } else {
+                format!("{table} scenarios need a [{name}] section")
+            }));
+        }
+        if !present {
+            continue;
+        }
+        let r = Reader::of(doc, name);
+        let (at, extra) = match name {
+            "faults.regime" => {
+                let (regime, extra) = r.regime_kind()?;
+                (format!("{} for kind \"{}\"", r.at(), regime.name()), extra)
+            }
+            _ => (r.at(), &[][..]),
+        };
+        let allowed = [required, optional, extra].concat();
+        if let Some(key) = r.keys.keys().find(|k| !allowed.contains(&k.as_str())) {
+            return Err(invalid(format!(
+                "unknown key `{key}` in {at} (allowed: {})",
+                allowed.join(", ")
+            )));
+        }
+        if let Some(key) = required.iter().find(|k| !r.has(k)) {
+            return Err(r.missing(key));
+        }
+    }
+    Ok(())
+}
+
+/// A type scenario keys hold, read from its TOML [`Value`].
+trait Knob: Sized {
+    /// What a value of the type looks like, for error messages.
+    fn want() -> String;
+    /// The value as `Self`; `None` for a wrong type or an out-of-range value.
+    fn cast(v: &Value) -> Option<Self>;
+}
+
+/// Implements [`Knob`] for a scalar type, or for integer types by range.
+macro_rules! knob {
+    ($t:ty, $want:expr, $cast:expr) => {
+        impl Knob for $t {
+            fn want() -> String {
+                $want.to_string()
+            }
+            fn cast(v: &Value) -> Option<$t> {
+                $cast(v)
+            }
         }
     };
-    Ok(match kind {
-        "uniform" => FaultRegime::Uniform,
-        "clustered" => {
-            let clusters = int_knob("clusters", 3)?;
-            if clusters < 1 {
-                return Err(invalid("`faults.regime.clusters` must be at least 1"));
-            }
-            FaultRegime::Clustered {
-                clusters: clusters as usize,
-            }
+    (ints: $($t:ty),*) => {$(
+        knob!($t, format!("an integer in {}..={}", <$t>::MIN, <$t>::MAX), |v: &Value| {
+            v.as_int()?.try_into().ok()
+        });
+    )*};
+}
+
+knob!(String, "a string", |v: &Value| Some(v.as_str()?.into()));
+knob!(bool, "a boolean", Value::as_bool);
+knob!(f64, "a number", Value::as_float);
+knob!(ints: i32, u32, u64, usize);
+
+impl<T: Knob> Knob for Vec<T> {
+    fn want() -> String {
+        format!("an array, each entry {}", T::want())
+    }
+    fn cast(v: &Value) -> Option<Vec<T>> {
+        v.as_array()?.iter().map(T::cast).collect()
+    }
+}
+
+impl<T: Knob, const N: usize> Knob for [T; N] {
+    fn want() -> String {
+        format!("an array of {N} entries, each {}", T::want())
+    }
+    fn cast(v: &Value) -> Option<[T; N]> {
+        Vec::cast(v)?.try_into().ok()
+    }
+}
+
+impl Knob for MeshDims {
+    fn want() -> String {
+        format!("an array of 2 or 3 entries, each {}", i32::want())
+    }
+    fn cast(v: &Value) -> Option<MeshDims> {
+        match Vec::cast(v)?[..] {
+            [width, height] => Some(MeshDims::D2 { width, height }),
+            [x, y, z] => Some(MeshDims::D3 { x, y, z }),
+            _ => None,
         }
-        "front" => {
-            let fronts = int_knob("fronts", 3)?;
-            if fronts < 1 {
-                return Err(invalid("`faults.regime.fronts` must be at least 1"));
-            }
-            FaultRegime::CorrelatedFront {
-                fronts: fronts as usize,
-            }
+    }
+}
+
+/// The keys of a section the document lacks.
+static NO_KEYS: Table = Table::new();
+
+/// Typed access to the keys of one section.
+struct Reader<'a> {
+    /// Section name; `""` is the root table.
+    section: &'a str,
+    keys: &'a Table,
+}
+
+impl<'a> Reader<'a> {
+    /// `doc`'s section `name` (`""` is the root); empty when absent.
+    fn of(doc: &'a Doc, section: &'a str) -> Reader<'a> {
+        let keys = match section {
+            "" => &doc.root,
+            name => doc.sections.get(name).unwrap_or(&NO_KEYS),
+        };
+        Reader { section, keys }
+    }
+
+    /// Where the section sits, for error messages.
+    fn at(&self) -> String {
+        match self.section {
+            "" => "the top level".to_string(),
+            name => format!("[{name}]"),
         }
-        "plane" => {
-            let axis = match reg.get("axis").map(|v| v.as_str()) {
-                None | Some(Some("x")) => 0,
-                Some(Some("y")) => 1,
-                Some(Some("z")) => 2,
-                other => {
-                    return Err(invalid(format!(
-                        "`faults.regime.axis` must be \"x\", \"y\" or \"z\", got {other:?}"
-                    )))
-                }
-            };
-            FaultRegime::SweepingPlane { axis }
+    }
+
+    /// The dotted path of `key`, for error messages.
+    fn path(&self, key: &str) -> String {
+        match self.section {
+            "" => key.to_string(),
+            name => format!("{name}.{key}"),
         }
-        "transient" => {
-            let period = int_knob("period", 4)?;
-            if period < 2 {
-                return Err(invalid(
-                    "`faults.regime.period` must be at least 2 rounds (a site \
-                     needs both an on and an off phase)",
-                ));
-            }
-            let duty = match reg.get("duty") {
-                None => 0.5,
-                Some(v) => v
-                    .as_float()
-                    .ok_or_else(|| invalid("`faults.regime.duty` must be a number"))?,
-            };
-            FaultRegime::TransientSchedule {
-                period: period as usize,
-                duty,
-            }
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.keys.contains_key(key)
+    }
+
+    fn missing(&self, key: &str) -> ScenarioError {
+        invalid(format!("missing `{key}` in {}", self.at()))
+    }
+
+    /// `key`'s value, `None` when absent. A wrong type or an out-of-range
+    /// value is an error that says what the key holds.
+    fn get<T: Knob>(&self, key: &str) -> Result<Option<T>, ScenarioError> {
+        let Some(v) = self.keys.get(key) else {
+            return Ok(None);
+        };
+        let wrong = || {
+            invalid(format!(
+                "`{}` must be {}, got {v}",
+                self.path(key),
+                T::want()
+            ))
+        };
+        T::cast(v).map(Some).ok_or_else(wrong)
+    }
+
+    /// `key`'s value, `default` when absent.
+    fn or<T: Knob>(&self, key: &str, default: T) -> Result<T, ScenarioError> {
+        Ok(self.get(key)?.unwrap_or(default))
+    }
+
+    /// A key that [`SECTIONS`] requires.
+    fn need<T: Knob>(&self, key: &str) -> Result<T, ScenarioError> {
+        self.get(key)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// The value of a `(name, value)` table that `key` names.
+    fn named<T: Copy>(
+        &self,
+        key: &str,
+        names: &[(&'static str, T)],
+    ) -> Result<Option<T>, ScenarioError> {
+        self.get::<String>(key)?
+            .map(|got| lookup(&self.path(key), &got, names.iter().copied()))
+            .transpose()
+    }
+
+    /// The [`REGIMES`] entry that `[faults.regime] kind` names.
+    fn regime_kind(&self) -> Result<(FaultRegime, Keys), ScenarioError> {
+        let kind: String = self.need("kind")?;
+        let kinds = REGIMES
+            .iter()
+            .map(|&(regime, keys)| (regime.name(), (regime, keys)));
+        lookup(&self.path("kind"), &kind, kinds)
+    }
+
+    /// The legacy regime that `faults.pattern` names, uniform by default.
+    fn pattern(&self) -> Result<FaultRegime, ScenarioError> {
+        let Some(pattern) = self.get::<String>("pattern")? else {
+            return Ok(FaultRegime::Uniform);
+        };
+        let legacy = REGIMES
+            .iter()
+            .filter(|(regime, _)| regime.is_legacy())
+            .map(|&(regime, _)| (regime.name(), regime));
+        lookup(&self.path("pattern"), &pattern, legacy)
+    }
+
+    /// `default` with each knob this section sets.
+    fn regime(&self, default: FaultRegime) -> Result<FaultRegime, ScenarioError> {
+        Ok(match default {
+            FaultRegime::Uniform => default,
+            FaultRegime::Clustered { clusters } => FaultRegime::Clustered {
+                clusters: self.or("clusters", clusters)?,
+            },
+            FaultRegime::CorrelatedFront { fronts } => FaultRegime::CorrelatedFront {
+                fronts: self.or("fronts", fronts)?,
+            },
+            FaultRegime::SweepingPlane { axis } => FaultRegime::SweepingPlane {
+                axis: self.named("axis", &AXES)?.unwrap_or(axis),
+            },
+            FaultRegime::TransientSchedule { period, duty } => FaultRegime::TransientSchedule {
+                period: self.or("period", period)?,
+                duty: self.or("duty", duty)?,
+            },
+            FaultRegime::AdversarialBoundary { restarts } => FaultRegime::AdversarialBoundary {
+                restarts: self.or("restarts", restarts)?,
+            },
+        })
+    }
+}
+
+/// The knobs of `regime` as scenario keys, the inverse of
+/// [`Reader::regime`].
+fn regime_knobs(regime: FaultRegime) -> Vec<(&'static str, Value)> {
+    let int = |v: usize| Value::Int(v as i64);
+    match regime {
+        FaultRegime::Uniform => vec![],
+        FaultRegime::Clustered { clusters } => vec![("clusters", int(clusters))],
+        FaultRegime::CorrelatedFront { fronts } => vec![("fronts", int(fronts))],
+        FaultRegime::SweepingPlane { axis } => vec![("axis", text(AXES[axis.min(2)].0))],
+        FaultRegime::TransientSchedule { period, duty } => {
+            vec![("period", int(period)), ("duty", Value::Float(duty))]
         }
-        "adversarial" => {
-            let restarts = int_knob("restarts", 8)?;
-            if restarts < 1 {
-                return Err(invalid("`faults.regime.restarts` must be at least 1"));
-            }
-            FaultRegime::AdversarialBoundary {
-                restarts: restarts as usize,
-            }
-        }
-        _ => unreachable!("kind already matched"),
-    })
+        FaultRegime::AdversarialBoundary { restarts } => vec![("restarts", int(restarts))],
+    }
+}
+
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
+fn int_array(items: impl IntoIterator<Item = i64>) -> Value {
+    Value::Array(items.into_iter().map(Value::Int).collect())
+}
+
+/// Check one mesh geometry: every extent in 2..=4096, and at least 3 on
+/// a torus. `what` names the mesh in the error.
+fn check_extents(dims: MeshDims, wrap: bool, what: &str) -> Result<(), ScenarioError> {
+    let extents = dims.extents();
+    if extents.iter().any(|&d| !(2..=4096).contains(&d)) {
+        return Err(invalid(format!(
+            "every {what} dimension must be in 2..=4096, got {extents:?}"
+        )));
+    }
+    if wrap && dims.min_extent() < 3 {
+        return Err(invalid(format!(
+            "a torus needs every {what} dimension >= 3 (distinct +/- neighbors), \
+             got {extents:?}"
+        )));
+    }
+    Ok(())
 }
 
 impl Scenario {
@@ -690,356 +907,92 @@ impl Scenario {
         Scenario::from_toml(&text)
     }
 
+    /// Read `doc` through the schema: [`check_sections`] settles which
+    /// sections and keys exist, [`Reader`] their types, and
+    /// [`Scenario::validate`] every range.
     fn from_doc(doc: &Doc) -> Result<Scenario, ScenarioError> {
-        let name = require(&doc.root, "", "name")?
-            .as_str()
-            .ok_or_else(|| invalid("`name` must be a string"))?
-            .to_string();
-        let table = match require(&doc.root, "", "table")?.as_str() {
-            Some("regions") => TableKind::Regions,
-            Some("routing") => TableKind::Routing,
-            Some("overhead") => TableKind::Overhead,
-            Some("labelling") => TableKind::Labelling,
-            Some("churn") => TableKind::Churn,
-            Some("load") => TableKind::Load,
-            Some("service") => TableKind::Service,
-            other => {
-                return Err(invalid(format!(
-                    "`table` must be \"regions\", \"routing\", \"overhead\", \
-                     \"labelling\", \"churn\", \"load\" or \"service\", got {other:?}"
-                )))
-            }
+        let [root, mesh, faults, run] = ["", "mesh", "faults", "run"].map(|s| Reader::of(doc, s));
+        let table = root.named("table", &TABLE_KINDS)?;
+        let table = table.ok_or_else(|| root.missing("table"))?;
+        check_sections(doc, table)?;
+        let optional = |name| {
+            doc.sections
+                .contains_key(name)
+                .then(|| Reader::of(doc, name))
         };
-
-        let mesh = doc
-            .sections
-            .get("mesh")
-            .ok_or_else(|| invalid("missing [mesh] section"))?;
-        // Only a conversion guard here; the 2..=4096 range rule lives in
-        // `Scenario::validate` (one source of truth for load-time and
-        // programmatic scenarios alike).
-        let dims = parse_dims(require(mesh, "mesh", "dims")?, "mesh.dims")?;
-        let wrap = match mesh.get("wrap") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| invalid("`mesh.wrap` must be a boolean"))?,
-        };
-
-        let faults = doc
-            .sections
-            .get("faults")
-            .ok_or_else(|| invalid("missing [faults] section"))?;
-        let fault_counts: Vec<usize> =
-            int_list(require(faults, "faults", "counts")?, "faults.counts")?
-                .into_iter()
-                .map(|v| {
-                    usize::try_from(v).map_err(|_| invalid("`faults.counts` must be non-negative"))
-                })
-                .collect::<Result<_, _>>()?;
-        // Satellite rule: `[faults]` rejects unknown keys outright (a
-        // typo'd or misplaced knob — e.g. `clusters` under `pattern =
-        // "uniform"` — used to be silently ignored).
-        const FAULTS_KEYS: [&str; 4] = ["counts", "pattern", "clusters", "border"];
-        if let Some(k) = faults.keys().find(|k| !FAULTS_KEYS.contains(&k.as_str())) {
-            return Err(invalid(format!(
-                "unknown key `{k}` in [faults] (allowed: counts, pattern, \
-                 clusters, border; extended regimes go in [faults.regime])"
-            )));
-        }
-        let regime = match doc.sections.get("faults.regime") {
+        let regime = match optional("faults.regime") {
             Some(reg) => {
-                if faults.contains_key("pattern") || faults.contains_key("clusters") {
+                if faults.has("pattern") || faults.has("clusters") {
                     return Err(invalid(
                         "`faults.pattern`/`faults.clusters` and a [faults.regime] \
                          section are mutually exclusive — the regime table already \
                          names the sampling law",
                     ));
                 }
-                parse_regime(reg)?
+                reg.regime(reg.regime_kind()?.0)?
             }
-            None => match faults.get("pattern").map(|v| v.as_str()) {
-                None | Some(Some("uniform")) => {
-                    if faults.contains_key("clusters") {
-                        return Err(invalid(
-                            "`faults.clusters` is only meaningful with `pattern = \
-                             \"clustered\"` (it would be silently ignored here)",
-                        ));
-                    }
-                    FaultRegime::Uniform
-                }
-                Some(Some("clustered")) => {
-                    let clusters = faults.get("clusters").and_then(Value::as_int).unwrap_or(3);
-                    if clusters < 1 {
-                        return Err(invalid("`faults.clusters` must be at least 1"));
-                    }
-                    FaultRegime::Clustered {
-                        clusters: clusters as usize,
-                    }
-                }
-                other => {
-                    return Err(invalid(format!(
-                        "`faults.pattern` must be \"uniform\" or \"clustered\", got {other:?}"
-                    )))
-                }
-            },
-        };
-        let border = match faults.get("border").map(|v| v.as_str()) {
-            None | Some(Some("safe")) => BorderPolicy::BorderSafe,
-            Some(Some("blocked")) => BorderPolicy::BorderBlocked,
-            other => {
-                return Err(invalid(format!(
-                    "`faults.border` must be \"safe\" or \"blocked\", got {other:?}"
-                )))
-            }
-        };
-
-        let run = doc
-            .sections
-            .get("run")
-            .ok_or_else(|| invalid("missing [run] section"))?;
-        let seeds = int_list(require(run, "run", "seeds")?, "run.seeds")?;
-        let (seed_start, seed_end) = match seeds.as_slice() {
-            [start, end] if *start >= 0 && *end >= 0 => (*start as u64, *end as u64),
-            _ => {
-                return Err(invalid(
-                    "`run.seeds` must be `[start, end]` with non-negative entries",
-                ))
-            }
-        };
-        let router = match run.get("router").map(|v| v.as_str()) {
-            None | Some(Some("all")) => RouterChoice::All,
-            Some(Some("mcc")) => RouterChoice::Mcc,
-            Some(Some("rfb")) => RouterChoice::Rfb,
-            Some(Some("greedy")) => RouterChoice::Greedy,
-            other => {
-                return Err(invalid(format!(
-                    "`run.router` must be \"all\", \"mcc\", \"rfb\" or \"greedy\", got {other:?}"
-                )))
-            }
-        };
-        let min_dist_frac = match run.get("min_dist_frac") {
-            None => 0.5,
-            Some(v) => v
-                .as_float()
-                .ok_or_else(|| invalid("`run.min_dist_frac` must be a number"))?,
-        };
-        let pairs_per_seed = match run.get("pairs_per_seed") {
-            None => 1,
-            Some(v) => {
-                let p = v
-                    .as_int()
-                    .ok_or_else(|| invalid("`run.pairs_per_seed` must be an integer"))?;
-                u64::try_from(p)
-                    .map_err(|_| invalid("`run.pairs_per_seed` must be non-negative"))?
-            }
-        };
-        let threads = match run.get("threads") {
-            None => 0,
-            Some(v) => {
-                let t = v
-                    .as_int()
-                    .ok_or_else(|| invalid("`run.threads` must be an integer"))?;
-                usize::try_from(t).map_err(|_| invalid("`run.threads` must be non-negative"))?
-            }
-        };
-
-        let (churn_rounds, churn_rate) = match doc.sections.get("churn") {
-            None => (0, default_churn_rate()),
-            Some(churn) => {
-                if table != TableKind::Churn {
+            None => {
+                let pattern = faults.pattern()?;
+                if pattern == FaultRegime::Uniform && faults.has("clusters") {
                     return Err(invalid(
-                        "a [churn] section is only meaningful with `table = \"churn\"`",
+                        "`faults.clusters` is only meaningful with `pattern = \
+                         \"clustered\"` (it would be silently ignored here)",
                     ));
                 }
-                let rounds = require(churn, "churn", "rounds")?
-                    .as_int()
-                    .ok_or_else(|| invalid("`churn.rounds` must be an integer"))?;
-                let rounds = usize::try_from(rounds)
-                    .map_err(|_| invalid("`churn.rounds` must be non-negative"))?;
-                let rate = match churn.get("rate") {
-                    None => default_churn_rate(),
-                    Some(v) => v
-                        .as_float()
-                        .ok_or_else(|| invalid("`churn.rate` must be a number"))?,
-                };
-                (rounds, rate)
+                faults.regime(pattern)?
             }
         };
-        if table == TableKind::Churn && !doc.sections.contains_key("churn") {
-            return Err(invalid("churn scenarios need a [churn] section"));
-        }
-
-        let load = match doc.sections.get("load") {
+        let [seed_start, seed_end] = run.need("seeds")?;
+        let (churn_rounds, churn_rate) = match optional("churn") {
+            None => (0, DEFAULT_CHURN_RATE),
+            Some(r) => (r.need("rounds")?, r.or("rate", DEFAULT_CHURN_RATE)?),
+        };
+        let load = match optional("load") {
             None => None,
-            Some(load) => {
-                if table != TableKind::Load && table != TableKind::Service {
-                    return Err(invalid(
-                        "a [load] section is only meaningful with `table = \"load\"` \
-                         or `table = \"service\"`",
-                    ));
-                }
-                let int_knob = |key: &str| -> Result<u32, ScenarioError> {
-                    let v = require(load, "load", key)?
-                        .as_int()
-                        .ok_or_else(|| invalid(format!("`load.{key}` must be an integer")))?;
-                    u32::try_from(v).map_err(|_| invalid(format!("`load.{key}` is out of range")))
-                };
-                let float_knob = |key: &str, default: f64| -> Result<f64, ScenarioError> {
-                    match load.get(key) {
-                        None => Ok(default),
-                        Some(v) => v
-                            .as_float()
-                            .ok_or_else(|| invalid(format!("`load.{key}` must be a number"))),
-                    }
-                };
-                let step_secs = require(load, "load", "step_secs")?
-                    .as_float()
-                    .ok_or_else(|| invalid("`load.step_secs` must be a number"))?;
-                let mix: Vec<f64> = require(load, "load", "mix")?
-                    .as_array()
-                    .ok_or_else(|| invalid("`load.mix` must be an array"))?
-                    .iter()
-                    .map(|v| {
-                        v.as_float()
-                            .ok_or_else(|| invalid("`load.mix` must hold numbers"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let [mix_routing, mix_labelling, mix_churn] = match mix.as_slice() {
-                    [r, l, c] => [*r, *l, *c],
-                    other => {
-                        return Err(invalid(format!(
-                            "`load.mix` needs exactly 3 entries \
-                             (routing, labelling, churn weights), got {}",
-                            other.len()
-                        )))
-                    }
-                };
-                let pool = match load.get("pool") {
-                    None => LoadProfile::DEFAULT_POOL,
-                    Some(v) => {
-                        let p = v
-                            .as_int()
-                            .ok_or_else(|| invalid("`load.pool` must be an integer"))?;
-                        usize::try_from(p)
-                            .map_err(|_| invalid("`load.pool` must be non-negative"))?
-                    }
-                };
-                let alt_dims = match load.get("alt_dims") {
-                    None => None,
-                    Some(v) => Some(parse_dims(v, "load.alt_dims")?),
-                };
+            Some(r) => {
+                let [mix_routing, mix_labelling, mix_churn] = r.need("mix")?;
                 Some(LoadProfile {
-                    initial_rps: int_knob("initial_rps")?,
-                    increment_rps: int_knob("increment_rps")?,
-                    max_rps: int_knob("max_rps")?,
-                    step_secs,
+                    initial_rps: r.need("initial_rps")?,
+                    increment_rps: r.need("increment_rps")?,
+                    max_rps: r.need("max_rps")?,
+                    step_secs: r.need("step_secs")?,
                     mix_routing,
                     mix_labelling,
                     mix_churn,
-                    pool,
-                    alt_dims,
-                    p99_limit_ms: float_knob("p99_limit_ms", LoadProfile::DEFAULT_P99_LIMIT_MS)?,
-                    fail_limit: float_knob("fail_limit", LoadProfile::DEFAULT_FAIL_LIMIT)?,
+                    pool: r.or("pool", LoadProfile::DEFAULT_POOL)?,
+                    alt_dims: r.get("alt_dims")?,
+                    p99_limit_ms: r.or("p99_limit_ms", LoadProfile::DEFAULT_P99_LIMIT_MS)?,
+                    fail_limit: r.or("fail_limit", LoadProfile::DEFAULT_FAIL_LIMIT)?,
                 })
             }
         };
-        if table == TableKind::Load && load.is_none() {
-            return Err(invalid("load scenarios need a [load] section"));
-        }
-
-        let service = match doc.sections.get("service") {
+        let service = match optional("service") {
             None => None,
-            Some(sec) => {
-                if table != TableKind::Service {
-                    return Err(invalid(
-                        "a [service] section is only meaningful with `table = \"service\"`",
-                    ));
-                }
-                let defaults = ServiceProfile::default();
-                let queue_cap = match sec.get("queue_cap") {
-                    None => defaults.queue_cap,
-                    Some(v) => {
-                        let q = v
-                            .as_int()
-                            .ok_or_else(|| invalid("`service.queue_cap` must be an integer"))?;
-                        usize::try_from(q)
-                            .map_err(|_| invalid("`service.queue_cap` must be non-negative"))?
-                    }
-                };
-                let deadline_ms = match sec.get("deadline_ms") {
-                    None => defaults.deadline_ms,
-                    Some(v) => v
-                        .as_float()
-                        .ok_or_else(|| invalid("`service.deadline_ms` must be a number"))?,
-                };
-                let cost_us = match sec.get("cost_us") {
-                    None => defaults.cost_us,
-                    Some(v) => {
-                        let raw = int_list(v, "service.cost_us")?;
-                        let raw: Vec<u64> = raw
-                            .into_iter()
-                            .map(|c| {
-                                u64::try_from(c).map_err(|_| {
-                                    invalid("`service.cost_us` must hold non-negative entries")
-                                })
-                            })
-                            .collect::<Result<_, _>>()?;
-                        match raw.as_slice() {
-                            [r, q, c] => [*r, *q, *c],
-                            other => {
-                                return Err(invalid(format!(
-                                    "`service.cost_us` needs exactly 3 entries \
-                                     (route, query, churn costs), got {}",
-                                    other.len()
-                                )))
-                            }
-                        }
-                    }
-                };
-                let snapshot_every = match sec.get("snapshot_every") {
-                    None => defaults.snapshot_every,
-                    Some(v) => {
-                        let s = v.as_int().ok_or_else(|| {
-                            invalid("`service.snapshot_every` must be an integer")
-                        })?;
-                        u64::try_from(s)
-                            .map_err(|_| invalid("`service.snapshot_every` must be non-negative"))?
-                    }
-                };
+            Some(r) => {
+                let d = ServiceProfile::default();
                 Some(ServiceProfile {
-                    queue_cap,
-                    deadline_ms,
-                    cost_us,
-                    snapshot_every,
+                    queue_cap: r.or("queue_cap", d.queue_cap)?,
+                    deadline_ms: r.or("deadline_ms", d.deadline_ms)?,
+                    cost_us: r.or("cost_us", d.cost_us)?,
+                    snapshot_every: r.or("snapshot_every", d.snapshot_every)?,
                 })
             }
         };
-        if table == TableKind::Service {
-            if load.is_none() {
-                return Err(invalid(
-                    "service scenarios need a [load] section (the ramp)",
-                ));
-            }
-            if service.is_none() {
-                return Err(invalid("service scenarios need a [service] section"));
-            }
-        }
 
         let scenario = Scenario {
-            name,
+            name: root.need("name")?,
             table,
-            dims,
-            wrap,
-            fault_counts,
+            dims: mesh.need("dims")?,
+            wrap: mesh.or("wrap", false)?,
+            fault_counts: faults.need("counts")?,
             regime,
-            border,
-            router,
+            border: faults.named("border", &BORDERS)?.unwrap_or_default(),
+            router: run.named("router", &ROUTERS)?.unwrap_or_default(),
             seed_start,
             seed_end,
-            min_dist_frac,
-            pairs_per_seed,
-            threads,
+            min_dist_frac: run.or("min_dist_frac", 0.5)?,
+            pairs_per_seed: run.or("pairs_per_seed", 1)?,
+            threads: run.or("threads", 0)?,
             churn_rounds,
             churn_rate,
             load,
@@ -1062,20 +1015,7 @@ impl Scenario {
     /// rejection sampler forever (a fault *rate* outside [0, 1)), and
     /// zero- or one-wide meshes panicked deep inside the topology layer.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let dims = match self.dims {
-            MeshDims::D2 { width, height } => vec![width, height],
-            MeshDims::D3 { x, y, z } => vec![x, y, z],
-        };
-        if dims.iter().any(|&d| !(2..=4096).contains(&d)) {
-            return Err(invalid(format!(
-                "every mesh dimension must be in 2..=4096, got {dims:?}"
-            )));
-        }
-        if self.wrap && self.dims.min_extent() < 3 {
-            return Err(invalid(format!(
-                "a torus needs every dimension >= 3 (distinct +/- neighbors), got {dims:?}"
-            )));
-        }
+        check_extents(self.dims, self.wrap, "mesh")?;
         if self.wrap && self.table == TableKind::Overhead {
             // The identification/boundary walk pipeline assumes seam-free
             // region geometry (the torus analog of the mesh pipeline's
@@ -1170,35 +1110,32 @@ impl Scenario {
                 )));
             }
         }
-        match (&self.load, self.table) {
-            (None, TableKind::Load) => {
-                return Err(invalid("load scenarios need a [load] section"));
+        let ramp = matches!(self.table, TableKind::Load | TableKind::Service);
+        match (&self.load, ramp) {
+            (None, true) => {
+                return Err(invalid(format!(
+                    "{} scenarios need a [load] section (the ramp)",
+                    self.table.as_str()
+                )));
             }
-            (None, TableKind::Service) => {
-                return Err(invalid(
-                    "service scenarios need a [load] section (the ramp)",
-                ));
-            }
-            (Some(_), t) if t != TableKind::Load && t != TableKind::Service => {
+            (Some(_), false) => {
                 return Err(invalid(
                     "a [load] section is only meaningful with `table = \"load\"` \
                      or `table = \"service\"`",
                 ));
             }
-            (Some(load), _) => self.validate_load(load)?,
-            _ => {}
+            (Some(load), true) => self.validate_load(load)?,
+            (None, false) => {}
         }
-        match (&self.service, self.table) {
-            (None, TableKind::Service) => {
-                return Err(invalid("service scenarios need a [service] section"));
-            }
-            (Some(_), t) if t != TableKind::Service => {
+        match (&self.service, self.table == TableKind::Service) {
+            (None, true) => return Err(invalid("service scenarios need a [service] section")),
+            (Some(_), false) => {
                 return Err(invalid(
                     "a [service] section is only meaningful with `table = \"service\"`",
                 ));
             }
-            (Some(service), TableKind::Service) => self.validate_service(service)?,
-            _ => {}
+            (Some(service), true) => self.validate_service(service)?,
+            (None, false) => {}
         }
         Ok(())
     }
@@ -1225,15 +1162,12 @@ impl Scenario {
                 return Err(invalid("the front regime needs at least 1 epicenter"));
             }
             FaultRegime::SweepingPlane { axis } => {
-                let axes = match self.dims {
-                    MeshDims::D2 { .. } => 2,
-                    MeshDims::D3 { .. } => 3,
-                };
+                let axes = self.dims.extents().len();
                 if axis >= axes {
                     return Err(invalid(format!(
                         "`faults.regime.axis` \"{}\" needs a 3-D mesh, but \
                          `mesh.dims` is {axes}-dimensional",
-                        ["x", "y", "z"].get(axis).copied().unwrap_or("?")
+                        name_of(&AXES, axis)
                     )));
                 }
             }
@@ -1381,23 +1315,12 @@ impl Scenario {
             ));
         }
         // Every geometry in the pool must obey the same shape rules as the
-        // primary mesh, keep two healthy routing endpoints, and admit the
-        // endpoint-separation requirement.
+        // primary mesh (which `validate` has checked), keep two healthy
+        // routing endpoints, and admit the endpoint-separation requirement.
+        if let Some(alt) = load.alt_dims {
+            check_extents(alt, self.wrap, "load-pool mesh")?;
+        }
         for dims in std::iter::once(self.dims).chain(load.alt_dims) {
-            let extents = match dims {
-                MeshDims::D2 { width, height } => vec![width, height],
-                MeshDims::D3 { x, y, z } => vec![x, y, z],
-            };
-            if extents.iter().any(|&d| !(2..=4096).contains(&d)) {
-                return Err(invalid(format!(
-                    "every load-pool mesh dimension must be in 2..=4096, got {extents:?}"
-                )));
-            }
-            if self.wrap && dims.min_extent() < 3 {
-                return Err(invalid(format!(
-                    "a torus needs every dimension >= 3, got {extents:?} in the load pool"
-                )));
-            }
             if count + 2 > dims.nodes() {
                 return Err(invalid(format!(
                     "fault count {count} leaves the {}-node load-pool mesh no \
@@ -1423,182 +1346,86 @@ impl Scenario {
     /// Serialize back to the TOML schema. Round-trips through
     /// [`Scenario::from_toml`].
     pub fn to_toml(&self) -> String {
+        let extents = |dims: MeshDims| int_array(dims.extents().into_iter().map(i64::from));
         let mut doc = Doc::default();
-        doc.root
-            .insert("name".into(), Value::Str(self.name.clone()));
-        doc.root
-            .insert("table".into(), Value::Str(self.table.as_str().into()));
-
-        let mut mesh = Table::new();
-        let dims = match self.dims {
-            MeshDims::D2 { width, height } => vec![width, height],
-            MeshDims::D3 { x, y, z } => vec![x, y, z],
-        };
-        mesh.insert(
-            "dims".into(),
-            Value::Array(dims.into_iter().map(|d| Value::Int(d as i64)).collect()),
-        );
-        mesh.insert("wrap".into(), Value::Bool(self.wrap));
-        doc.sections.insert("mesh".into(), mesh);
-
-        let mut faults = Table::new();
-        faults.insert(
-            "counts".into(),
-            Value::Array(
-                self.fault_counts
-                    .iter()
-                    .map(|&n| Value::Int(n as i64))
-                    .collect(),
-            ),
-        );
+        doc.set("", "name", text(&self.name));
+        doc.set("", "table", text(self.table.as_str()));
+        doc.set("mesh", "dims", extents(self.dims));
+        doc.set("mesh", "wrap", Value::Bool(self.wrap));
+        let counts = self.fault_counts.iter().map(|&n| n as i64);
+        doc.set("faults", "counts", int_array(counts));
+        doc.set("faults", "border", text(name_of(&BORDERS, self.border)));
         // The legacy regimes keep emitting the legacy `pattern` keys so
         // every pre-regime scenario file round-trips byte-for-byte; the
         // extended regimes render as a typed [faults.regime] section
         // (which the BTreeMap section order places right after [faults]).
-        match self.regime {
-            FaultRegime::Uniform => {
-                faults.insert("pattern".into(), Value::Str("uniform".into()));
-            }
-            FaultRegime::Clustered { clusters } => {
-                faults.insert("pattern".into(), Value::Str("clustered".into()));
-                faults.insert("clusters".into(), Value::Int(clusters as i64));
-            }
-            _ => {}
-        }
-        let border = match self.border {
-            BorderPolicy::BorderSafe => "safe",
-            BorderPolicy::BorderBlocked => "blocked",
+        let (section, name) = if self.regime.is_legacy() {
+            ("faults", "pattern")
+        } else {
+            ("faults.regime", "kind")
         };
-        faults.insert("border".into(), Value::Str(border.into()));
-        doc.sections.insert("faults".into(), faults);
-
-        if !self.regime.is_legacy() {
-            let mut reg = Table::new();
-            reg.insert("kind".into(), Value::Str(self.regime.name().into()));
-            match self.regime {
-                FaultRegime::CorrelatedFront { fronts } => {
-                    reg.insert("fronts".into(), Value::Int(fronts as i64));
-                }
-                FaultRegime::SweepingPlane { axis } => {
-                    reg.insert(
-                        "axis".into(),
-                        Value::Str(["x", "y", "z"][axis.min(2)].into()),
-                    );
-                }
-                FaultRegime::TransientSchedule { period, duty } => {
-                    reg.insert("period".into(), Value::Int(period as i64));
-                    reg.insert("duty".into(), Value::Float(duty));
-                }
-                FaultRegime::AdversarialBoundary { restarts } => {
-                    reg.insert("restarts".into(), Value::Int(restarts as i64));
-                }
-                FaultRegime::Uniform | FaultRegime::Clustered { .. } => {}
-            }
-            doc.sections.insert("faults.regime".into(), reg);
+        doc.set(section, name, text(self.regime.name()));
+        for (key, value) in regime_knobs(self.regime) {
+            doc.set(section, key, value);
         }
-
-        let mut run = Table::new();
-        run.insert(
-            "seeds".into(),
-            Value::Array(vec![
-                Value::Int(self.seed_start as i64),
-                Value::Int(self.seed_end as i64),
-            ]),
-        );
-        run.insert("router".into(), Value::Str(self.router.as_str().into()));
-        run.insert("min_dist_frac".into(), Value::Float(self.min_dist_frac));
-        run.insert(
-            "pairs_per_seed".into(),
+        let seeds = [self.seed_start as i64, self.seed_end as i64];
+        doc.set("run", "seeds", int_array(seeds));
+        doc.set("run", "router", text(self.router.as_str()));
+        doc.set("run", "min_dist_frac", Value::Float(self.min_dist_frac));
+        doc.set(
+            "run",
+            "pairs_per_seed",
             Value::Int(self.pairs_per_seed as i64),
         );
         // Emitted only when set: the default (0 = all cores) stays
         // implicit so pre-existing scenario files round-trip byte-for-byte.
         if self.threads != 0 {
-            run.insert("threads".into(), Value::Int(self.threads as i64));
+            doc.set("run", "threads", Value::Int(self.threads as i64));
         }
-        doc.sections.insert("run".into(), run);
-
-        // Emitted only for churn tables, mirroring the parse-time rule that
-        // a [churn] section on any other table kind is rejected; non-churn
-        // scenario files keep round-tripping byte-for-byte.
+        // Only churn tables carry a [churn] section (a SECTIONS rule).
         if self.table == TableKind::Churn {
-            let mut churn = Table::new();
-            churn.insert("rounds".into(), Value::Int(self.churn_rounds as i64));
-            churn.insert("rate".into(), Value::Float(self.churn_rate));
-            doc.sections.insert("churn".into(), churn);
+            doc.set("churn", "rounds", Value::Int(self.churn_rounds as i64));
+            doc.set("churn", "rate", Value::Float(self.churn_rate));
         }
-
-        // Same rule for the load profile: only load tables carry one.
         if let Some(load) = &self.load {
-            let mut sec = Table::new();
-            sec.insert("initial_rps".into(), Value::Int(load.initial_rps as i64));
-            sec.insert(
-                "increment_rps".into(),
-                Value::Int(load.increment_rps as i64),
+            doc.set("load", "initial_rps", Value::Int(load.initial_rps.into()));
+            doc.set(
+                "load",
+                "increment_rps",
+                Value::Int(load.increment_rps.into()),
             );
-            sec.insert("max_rps".into(), Value::Int(load.max_rps as i64));
-            sec.insert("step_secs".into(), Value::Float(load.step_secs));
-            sec.insert(
-                "mix".into(),
-                Value::Array(load.mix().into_iter().map(Value::Float).collect()),
-            );
-            sec.insert("pool".into(), Value::Int(load.pool as i64));
+            doc.set("load", "max_rps", Value::Int(load.max_rps.into()));
+            doc.set("load", "step_secs", Value::Float(load.step_secs));
+            let mix = load.mix().map(Value::Float).to_vec();
+            doc.set("load", "mix", Value::Array(mix));
+            doc.set("load", "pool", Value::Int(load.pool as i64));
             if let Some(alt) = load.alt_dims {
-                let alt_extents = match alt {
-                    MeshDims::D2 { width, height } => vec![width, height],
-                    MeshDims::D3 { x, y, z } => vec![x, y, z],
-                };
-                sec.insert(
-                    "alt_dims".into(),
-                    Value::Array(
-                        alt_extents
-                            .into_iter()
-                            .map(|d| Value::Int(d as i64))
-                            .collect(),
-                    ),
-                );
+                doc.set("load", "alt_dims", extents(alt));
             }
-            sec.insert("p99_limit_ms".into(), Value::Float(load.p99_limit_ms));
-            sec.insert("fail_limit".into(), Value::Float(load.fail_limit));
-            doc.sections.insert("load".into(), sec);
+            doc.set("load", "p99_limit_ms", Value::Float(load.p99_limit_ms));
+            doc.set("load", "fail_limit", Value::Float(load.fail_limit));
         }
-
-        // And only service tables carry a [service] section.
         if let Some(service) = &self.service {
-            let mut sec = Table::new();
-            sec.insert("queue_cap".into(), Value::Int(service.queue_cap as i64));
-            sec.insert("deadline_ms".into(), Value::Float(service.deadline_ms));
-            sec.insert(
-                "cost_us".into(),
-                Value::Array(
-                    service
-                        .cost_us
-                        .iter()
-                        .map(|&c| Value::Int(c as i64))
-                        .collect(),
-                ),
-            );
-            sec.insert(
-                "snapshot_every".into(),
+            doc.set("service", "queue_cap", Value::Int(service.queue_cap as i64));
+            doc.set("service", "deadline_ms", Value::Float(service.deadline_ms));
+            let costs = service.cost_us.map(|c| c as i64);
+            doc.set("service", "cost_us", int_array(costs));
+            doc.set(
+                "service",
+                "snapshot_every",
                 Value::Int(service.snapshot_every as i64),
             );
-            doc.sections.insert("service".into(), sec);
         }
-
         doc.render()
     }
 
     // ---- programmatic constructors used by the legacy sweep API ----
 
-    fn base(
-        name: &str,
-        table: TableKind,
-        dims: MeshDims,
-        counts: &[usize],
-        seeds: u64,
-    ) -> Scenario {
+    /// A uniform-fault `table` scenario over `dims`, named after both
+    /// (e.g. "routing 3-D").
+    fn base(table: TableKind, dims: MeshDims, counts: &[usize], seeds: u64) -> Scenario {
         Scenario {
-            name: name.to_string(),
+            name: format!("{} {}-D", table.as_str(), dims.extents().len()),
             table,
             dims,
             wrap: false,
@@ -1612,7 +1439,7 @@ impl Scenario {
             pairs_per_seed: 1,
             threads: 0,
             churn_rounds: 0,
-            churn_rate: default_churn_rate(),
+            churn_rate: DEFAULT_CHURN_RATE,
             load: None,
             service: None,
         }
@@ -1640,16 +1467,7 @@ impl Scenario {
     /// `seed` becomes the master seed of the deterministic request
     /// schedule.
     pub fn load_2d(width: i32, faults: usize, seed: u64, profile: LoadProfile) -> Scenario {
-        let mut s = Scenario::base(
-            "load 2-D",
-            TableKind::Load,
-            MeshDims::D2 {
-                width,
-                height: width,
-            },
-            &[faults],
-            1,
-        );
+        let mut s = Scenario::base(TableKind::Load, square(width), &[faults], 1);
         s.seed_start = seed;
         s.seed_end = seed + 1;
         s.load = Some(profile);
@@ -1659,124 +1477,68 @@ impl Scenario {
     /// E12-style churn sweep over a square 2-D mesh: `rounds` inject/heal
     /// batches per seed, verified against from-scratch recomputation.
     pub fn churn_2d(width: i32, counts: &[usize], seeds: u64, rounds: usize) -> Scenario {
-        let mut s = Scenario::base(
-            "churn 2-D",
-            TableKind::Churn,
-            MeshDims::D2 {
-                width,
-                height: width,
-            },
-            counts,
-            seeds,
-        );
+        let mut s = Scenario::base(TableKind::Churn, square(width), counts, seeds);
         s.churn_rounds = rounds;
         s
     }
 
     /// E12-style churn sweep over a k-ary 3-D mesh.
     pub fn churn_3d(k: i32, counts: &[usize], seeds: u64, rounds: usize) -> Scenario {
-        let mut s = Scenario::base(
-            "churn 3-D",
-            TableKind::Churn,
-            MeshDims::D3 { x: k, y: k, z: k },
-            counts,
-            seeds,
-        );
+        let mut s = Scenario::base(TableKind::Churn, cube(k), counts, seeds);
         s.churn_rounds = rounds;
         s
     }
 
     /// E1-style region sweep over a square 2-D mesh.
     pub fn regions_2d(width: i32, counts: &[usize], seeds: u64) -> Scenario {
-        Scenario::base(
-            "regions 2-D",
-            TableKind::Regions,
-            MeshDims::D2 {
-                width,
-                height: width,
-            },
-            counts,
-            seeds,
-        )
+        Scenario::base(TableKind::Regions, square(width), counts, seeds)
     }
 
     /// E3/E6-style routing sweep over a square 2-D mesh.
     pub fn routing_2d(width: i32, counts: &[usize], trials: u64) -> Scenario {
-        Scenario::base(
-            "routing 2-D",
-            TableKind::Routing,
-            MeshDims::D2 {
-                width,
-                height: width,
-            },
-            counts,
-            trials,
-        )
+        Scenario::base(TableKind::Routing, square(width), counts, trials)
     }
 
     /// E4/E6-style routing sweep over a k-ary 3-D mesh (endpoints at least
     /// `k` hops apart, matching the paper's setup).
     pub fn routing_3d(k: i32, counts: &[usize], trials: u64) -> Scenario {
-        let mut s = Scenario::base(
-            "routing 3-D",
-            TableKind::Routing,
-            MeshDims::D3 { x: k, y: k, z: k },
-            counts,
-            trials,
-        );
+        let mut s = Scenario::base(TableKind::Routing, cube(k), counts, trials);
         s.min_dist_frac = 1.0;
         s
     }
 
     /// E5/E7-style overhead sweep over a square 2-D mesh.
     pub fn overhead_2d(width: i32, counts: &[usize], seeds: u64) -> Scenario {
-        Scenario::base(
-            "overhead 2-D",
-            TableKind::Overhead,
-            MeshDims::D2 {
-                width,
-                height: width,
-            },
-            counts,
-            seeds,
-        )
+        Scenario::base(TableKind::Overhead, square(width), counts, seeds)
     }
 
     /// E7-style overhead sweep over a k-ary 3-D mesh.
     pub fn overhead_3d(k: i32, counts: &[usize], seeds: u64) -> Scenario {
-        Scenario::base(
-            "overhead 3-D",
-            TableKind::Overhead,
-            MeshDims::D3 { x: k, y: k, z: k },
-            counts,
-            seeds,
-        )
+        Scenario::base(TableKind::Overhead, cube(k), counts, seeds)
     }
 
     /// E7-style labelling-convergence sweep over a square 2-D mesh.
     pub fn labelling_2d(width: i32, counts: &[usize], seeds: u64) -> Scenario {
-        Scenario::base(
-            "labelling 2-D",
-            TableKind::Labelling,
-            MeshDims::D2 {
-                width,
-                height: width,
-            },
-            counts,
-            seeds,
-        )
+        Scenario::base(TableKind::Labelling, square(width), counts, seeds)
     }
 
     /// E7-style labelling-convergence sweep over a k-ary 3-D mesh.
     pub fn labelling_3d(k: i32, counts: &[usize], seeds: u64) -> Scenario {
-        Scenario::base(
-            "labelling 3-D",
-            TableKind::Labelling,
-            MeshDims::D3 { x: k, y: k, z: k },
-            counts,
-            seeds,
-        )
+        Scenario::base(TableKind::Labelling, cube(k), counts, seeds)
     }
+}
+
+/// A `width`×`width` 2-D mesh.
+fn square(width: i32) -> MeshDims {
+    MeshDims::D2 {
+        width,
+        height: width,
+    }
+}
+
+/// A `k`-ary 3-D mesh.
+fn cube(k: i32) -> MeshDims {
+    MeshDims::D3 { x: k, y: k, z: k }
 }
 
 #[cfg(test)]
@@ -2195,6 +1957,41 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("clusters"), "got: {err}");
         assert!(err.to_string().contains("ignored"), "got: {err}");
+        // A non-integer cluster count is a typed error, not the default 3.
+        for clusters in ["2.5", "\"nine\""] {
+            let faults = format!("counts = [8]\npattern = \"clustered\"\nclusters = {clusters}");
+            let err = Scenario::from_toml(&REGIME_BASE.replace("counts = [8]", &faults));
+            let err = err.unwrap_err().to_string();
+            assert!(
+                err.contains("`faults.clusters` must be"),
+                "{clusters}: {err}"
+            );
+        }
+    }
+
+    /// Every section rejects a key the schema does not name, and a
+    /// document rejects such a section; the error names the culprit.
+    #[test]
+    fn unknown_keys_and_sections_are_errors() {
+        let base = REGIME_BASE;
+        let mesh = base.replace("[faults]", "warp = true\n[faults]");
+        let churn = format!("{CHURN_BASE}[churn]\nrounds = 4\n");
+        let service = format!("{SERVICE_BASE}[service]\n");
+        for (text, culprit) in [
+            (format!("nmae = \"r\"\n{base}"), "key `nmae`"),
+            (mesh, "key `warp`"),
+            (format!("{base}pairs_per_sed = 4\n"), "key `pairs_per_sed`"),
+            (format!("{churn}ratee = 0.5\n"), "key `ratee`"),
+            (format!("{SERVICE_BASE}pol = 4\n"), "key `pol`"),
+            (format!("{service}queue = 4\n"), "key `queue`"),
+            (format!("{base}[servce]\n"), "section [servce]"),
+        ] {
+            let err = Scenario::from_toml(&text).unwrap_err().to_string();
+            assert!(err.contains(&format!("unknown {culprit}")), "{err}");
+        }
+        // A second [mesh] header is a parse error at its line, not a merge.
+        let err = Scenario::from_toml(&format!("{base}[mesh]\nwrap = true\n")).unwrap_err();
+        assert_eq!(err.line(), Some(9), "got: {err}");
     }
 
     #[test]

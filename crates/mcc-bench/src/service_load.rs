@@ -34,7 +34,6 @@ use mesh_service::{
 };
 use mesh_topo::par::bands;
 use mesh_topo::{detected_cores, Mesh2D, Mesh3D, Parallelism};
-use serde::{Deserialize, Serialize};
 
 use crate::hist::LatencyHist;
 use crate::loadgen::{offered_rps, plan_step, slot_seed, OpClass, OpSpec};
@@ -43,7 +42,7 @@ use crate::scenario::{worker_count, MeshDims, Scenario, ScenarioError, TableKind
 /// Per-step measurements. Every field except the explicitly wall-clock
 /// ones (`achieved_rps`, `elapsed_ms`, the percentiles) is deterministic
 /// for a fixed scenario.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceStepReport {
     /// 0-based ramp step index.
     pub step: usize,
@@ -81,7 +80,7 @@ pub struct ServiceStepReport {
 }
 
 /// The outcome of one service saturation ramp.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServiceLoadReport {
     /// The scenario that was run.
     pub scenario: Scenario,

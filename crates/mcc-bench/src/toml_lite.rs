@@ -4,7 +4,8 @@
 //! scenario layer uses this self-contained parser for the subset of TOML the
 //! scenario schema needs:
 //!
-//! * root-level and single-level `[section]` tables,
+//! * root-level and single-level `[section]` tables, each header at most
+//!   once,
 //! * `key = value` pairs with string, integer, float, boolean and
 //!   (homogeneous, single- or multi-line) array values,
 //! * `#` comments and blank lines.
@@ -114,6 +115,14 @@ impl Value {
     }
 }
 
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.render(&mut out);
+        f.write_str(&out)
+    }
+}
+
 /// One `key = value` table (root or `[section]`).
 pub type Table = BTreeMap<String, Value>;
 
@@ -189,7 +198,13 @@ impl Doc {
                 if name.is_empty() || name.starts_with('[') {
                     return Err(err(lineno, "unsupported section header"));
                 }
-                doc.sections.entry(name.to_string()).or_default();
+                if doc
+                    .sections
+                    .insert(name.to_string(), Table::new())
+                    .is_some()
+                {
+                    return Err(err(lineno, format!("repeated section header `[{name}]`")));
+                }
                 current = Some(name.to_string());
                 continue;
             }
@@ -228,6 +243,16 @@ impl Doc {
         } else {
             self.sections.get(section)?.get(key)
         }
+    }
+
+    /// Set a key in a section (or the root for `""`), creating the section.
+    pub fn set(&mut self, section: &str, key: &str, value: Value) {
+        let table = if section.is_empty() {
+            &mut self.root
+        } else {
+            self.sections.entry(section.to_string()).or_default()
+        };
+        table.insert(key.to_string(), value);
     }
 
     /// Render back to TOML text (root keys first, then sections).
@@ -416,5 +441,15 @@ mod tests {
         assert!(Doc::parse("dup = 1\ndup = 2").is_err());
         assert!(Doc::parse("[unclosed").is_err());
         assert!(Doc::parse("v = @nope").is_err());
+    }
+
+    /// TOML defines each table once: a second `[mesh]` header is an error
+    /// at its own line, not a silent merge into the first.
+    #[test]
+    fn repeated_section_header_is_an_error() {
+        let e = Doc::parse("[mesh]\ndims = [8, 8]\n[run]\nseeds = [0, 1]\n[mesh]\nwrap = true\n")
+            .unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("[mesh]"), "got: {e}");
     }
 }

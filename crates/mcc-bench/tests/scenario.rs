@@ -3,6 +3,8 @@
 
 use mcc_bench::runner::{run_scenario, TableRows};
 use mcc_bench::scenario::{MeshDims, RouterChoice, Scenario, TableKind};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Every scenario file shipped under `scenarios/` must parse, validate,
 /// and survive a serialize → parse round-trip unchanged.
@@ -385,4 +387,86 @@ fn region_rows_follow_the_ramp() {
         );
     }
     assert_eq!(a.render(), b.render());
+}
+
+/// Tokens the mutation battery splices into scenario text: TOML
+/// structure, and numbers at the edges of the value parser.
+const TOKENS: [&str; 10] = [
+    "[",
+    "]",
+    "\"",
+    "=",
+    "\n",
+    "#",
+    "-",
+    "nan",
+    "1e400",
+    "9999999999999999999999",
+];
+
+/// One to two byte-level edits of `text`: delete a byte, insert a token,
+/// overwrite with a token, or cut a span of up to 16 bytes.
+fn mutate(text: &str, rng: &mut SmallRng) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=2) {
+        let at = rng.gen_range(0..=bytes.len());
+        let token = TOKENS[rng.gen_range(0..TOKENS.len())].bytes();
+        match rng.gen_range(0..4) {
+            0 => {
+                if at < bytes.len() {
+                    bytes.remove(at);
+                }
+            }
+            1 => {
+                bytes.splice(at..at, token);
+            }
+            2 => {
+                let end = (at + token.len()).min(bytes.len());
+                bytes.splice(at..end, token);
+            }
+            _ => {
+                let end = (at + rng.gen_range(1..=16)).min(bytes.len());
+                bytes.drain(at..end);
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Deterministic mutation battery over every shipped scenario: parsing
+/// never panics, and whatever parses is valid and survives a
+/// `to_toml` → `from_toml` round trip unchanged.
+#[test]
+fn mutated_scenarios_parse_or_fail_cleanly() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("scenarios/ exists")
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "toml"))
+        .collect();
+    paths.sort();
+    let (mut accepted, mut total) = (0, 0);
+    for (seed, path) in paths.iter().enumerate() {
+        let text = std::fs::read_to_string(path).unwrap();
+        let mut rng = SmallRng::seed_from_u64(seed as u64);
+        for _ in 0..700 {
+            let mutated = mutate(&text, &mut rng);
+            total += 1;
+            let Ok(scenario) = Scenario::from_toml(&mutated) else {
+                continue;
+            };
+            accepted += 1;
+            let ctx = || format!("{} mutated to:\n{mutated}", path.display());
+            scenario
+                .validate()
+                .unwrap_or_else(|e| panic!("{e}: {}", ctx()));
+            let back = Scenario::from_toml(&scenario.to_toml())
+                .unwrap_or_else(|e| panic!("round trip failed ({e}): {}", ctx()));
+            assert_eq!(scenario, back, "round trip changed {}", ctx());
+        }
+    }
+    assert!(
+        0 < accepted && accepted < total,
+        "the battery must exercise both outcomes ({accepted} of {total} parsed)"
+    );
 }
