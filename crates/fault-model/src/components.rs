@@ -26,25 +26,74 @@ use crate::labelling::Labelling;
 /// Sentinel for "not part of any component".
 pub const NO_COMPONENT: u32 = u32::MAX;
 
-/// Provenance of one component after an incremental repair
-/// ([`Components::repair`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CompSource {
-    /// Fresh DFS re-discovery: membership or cell order may have changed.
-    Rebuilt,
-    /// Carried over intact from the pre-repair decomposition, where it was
-    /// component `old` (only its id can have shifted).
-    Carried {
-        /// Index of this component before the repair.
-        old: usize,
-    },
+/// How one [`Components::repair`] reshaped the component list. Every
+/// component not named here kept its cells and its relative order; an
+/// array with one entry per component follows the repair by applying the
+/// same splice ([`Splice::apply`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Splice {
+    /// Pre-repair positions of the removed components, ascending.
+    pub removed: Vec<usize>,
+    /// Post-repair positions of the re-discovered components, ascending.
+    pub inserted: Vec<usize>,
+}
+
+impl Splice {
+    /// The first position the splice changes, if it changes any.
+    pub fn first_change(&self) -> Option<usize> {
+        match (self.removed.first(), self.inserted.first()) {
+            (Some(&r), Some(&i)) => Some(r.min(i)),
+            (Some(&p), None) | (None, Some(&p)) => Some(p),
+            (None, None) => None,
+        }
+    }
+
+    /// Drop the removed entries of `v` and fill each inserted position `p`
+    /// with `make(p)`, called in ascending `p`. Entries before
+    /// [`first_change`](Splice::first_change) are not touched; the ones
+    /// after it are moved, never read.
+    pub fn apply<T>(&self, v: &mut Vec<T>, mut make: impl FnMut(usize) -> T) {
+        let Some(first) = self.first_change() else {
+            return;
+        };
+        let tail = v.split_off(first);
+        let mut removed = self.removed.iter().peekable();
+        let mut inserted = self.inserted.iter().peekable();
+        for (old, item) in (first..).zip(tail) {
+            while inserted.next_if_eq(&&v.len()).is_some() {
+                v.push(make(v.len()));
+            }
+            if removed.next_if_eq(&&old).is_none() {
+                v.push(item);
+            }
+        }
+        while inserted.next_if_eq(&&v.len()).is_some() {
+            v.push(make(v.len()));
+        }
+        debug_assert!(removed.next().is_none() && inserted.next().is_none());
+    }
 }
 
 /// Component decomposition of the unsafe set of a labelling.
-#[derive(Clone, Debug)]
+///
+/// Components are numbered by *position* — their index in `cells`, which
+/// is ascending by smallest member index, the order [`Components::compute`]
+/// discovers them in. Internally each component also owns a stable
+/// *handle*: the node grid stores handles, so a repair that shifts
+/// positions rewrites two small tables instead of every shifted cell.
+/// Handles depend on the churn history; positions do not, and they are all
+/// the public API (including [`Debug`](std::fmt::Debug)) ever shows.
+#[derive(Clone)]
 pub struct Components<S: Space> {
     space: S,
-    id: NodeGrid<u32>,
+    /// Handle of each node's component, [`NO_COMPONENT`] if it is safe.
+    handle: NodeGrid<u32>,
+    /// Position of each handle; [`NO_COMPONENT`] for a free handle.
+    position: Vec<u32>,
+    /// Handle of each position.
+    handle_at: Vec<u32>,
+    /// Handles no component holds, reused last-freed first.
+    free: Vec<u32>,
     /// Cells of each component, in discovery (BFS) order.
     pub cells: Vec<Vec<S::Coord>>,
 }
@@ -59,18 +108,31 @@ impl<S: Space> Components<S> {
     /// Decompose the unsafe set of `lab` into connected components.
     pub fn compute(lab: &Labelling<S>) -> Components<S> {
         let (space, unsafe_set) = (lab.space(), lab.unsafe_set());
-        let mut id = NodeGrid::new(space.node_count(), NO_COMPONENT);
+        let mut handle = NodeGrid::new(space.node_count(), NO_COMPONENT);
         let mut cells = Vec::new();
         let mut queue = Vec::new();
         for start in unsafe_set.iter() {
-            if id[start] == NO_COMPONENT {
+            if handle[start] == NO_COMPONENT {
                 let mark = cells.len() as u32;
                 cells.push(discover(
-                    space, unsafe_set, &mut id, start, mark, &mut queue,
+                    space,
+                    unsafe_set,
+                    &mut handle,
+                    start,
+                    mark,
+                    &mut queue,
                 ));
             }
         }
-        Components { space, id, cells }
+        let position: Vec<u32> = (0..cells.len() as u32).collect();
+        Components {
+            space,
+            handle,
+            handle_at: position.clone(),
+            position,
+            free: Vec::new(),
+            cells,
+        }
     }
 
     /// Number of components.
@@ -83,124 +145,142 @@ impl<S: Space> Components<S> {
         self.cells.is_empty()
     }
 
-    /// Component id of canonical `c`, if it is unsafe.
+    /// Component id (position in `cells`) of canonical `c`, if it is
+    /// unsafe.
     pub fn component_of(&self, c: S::Coord) -> Option<u32> {
-        match self.space.index_checked(c).map(|i| self.id[i]) {
-            Some(i) if i != NO_COMPONENT => Some(i),
-            _ => None,
+        self.space
+            .index_checked(c)
+            .and_then(|i| self.position_at(i))
+            .map(|p| p as u32)
+    }
+
+    /// Position of the component holding node index `i`, if it is unsafe.
+    pub(crate) fn position_at(&self, i: usize) -> Option<usize> {
+        match self.handle[i] {
+            NO_COMPONENT => None,
+            h => Some(self.position[h as usize] as usize),
         }
     }
 
     /// Incrementally repair the decomposition after a labelling repair:
-    /// `lab` is the repaired labelling and `changed` the sorted dirty
-    /// region [`Labelling::repair`] returned. Components touched by a
-    /// membership flip — they lost a cell, or gained or became adjacent to
-    /// one — are re-discovered with [`Components::compute`]'s exact DFS;
-    /// the rest are carried over, renumbered into the same min-cell-index
-    /// order `compute` emits. Ids, component order and per-component cell
-    /// order end up **bit-for-bit identical** to a from-scratch
-    /// `Components::compute(lab)` (see DESIGN.md §12).
+    /// `lab` is the repaired labelling and `changed` any superset of the
+    /// nodes whose unsafe membership flipped, such as the merged dirty
+    /// regions of one or more [`Labelling::repair`] calls. Components
+    /// touched by a flip — they lost a cell, or gained or became adjacent to
+    /// one — are cleared and re-discovered with [`Components::compute`]'s
+    /// BFS, then spliced into `cells` at their min-cell-index position found
+    /// by binary search; no cell of any other component is read or written.
+    /// Positions, component order and per-component cell order end up
+    /// **bit-for-bit identical** to a from-scratch `Components::compute(lab)`
+    /// (see DESIGN.md §12).
     ///
-    /// Returns the provenance of every post-repair component — the input
-    /// MCC repair needs to decide which shapes to re-extract.
-    pub fn repair(&mut self, lab: &Labelling<S>, changed: &[usize]) -> Vec<CompSource> {
+    /// Returns the [`Splice`] it applied to `cells`, which MCC repair
+    /// replays on the MCC list.
+    pub fn repair(&mut self, lab: &Labelling<S>, changed: &[usize]) -> Splice {
         let (space, unsafe_set) = (self.space, lab.unsafe_set());
-        let (id, cells) = (&mut self.id, &mut self.cells);
-        let mut affected: Vec<u32> = Vec::new();
+        let mut removed: Vec<usize> = Vec::new();
         let mut added: Vec<usize> = Vec::new();
         for &i in changed {
             let now = unsafe_set.contains(i);
-            let was = id[i] != NO_COMPONENT;
-            if now && !was {
-                added.push(i);
-                space.for_region_neighbors(i, |v| {
-                    if id[v] != NO_COMPONENT {
-                        affected.push(id[v]);
-                    }
-                });
-            } else if !now && was {
-                affected.push(id[i]);
+            match self.position_at(i) {
+                None if now => {
+                    added.push(i);
+                    space.for_region_neighbors(i, |v| removed.extend(self.position_at(v)));
+                }
+                Some(p) if !now => removed.push(p),
+                _ => {}
             }
         }
-        if added.is_empty() && affected.is_empty() {
-            return (0..cells.len())
-                .map(|old| CompSource::Carried { old })
-                .collect();
+        if added.is_empty() && removed.is_empty() {
+            return Splice::default();
         }
-        affected.sort_unstable();
-        affected.dedup();
+        removed.sort_unstable();
+        removed.dedup();
         // Clear the affected components and collect the rebuild seeds:
         // their still-unsafe cells plus the newly unsafe nodes, ascending.
         let mut seeds = added;
-        for &a in &affected {
-            for &c in &cells[a as usize] {
+        for &p in &removed {
+            for &c in &self.cells[p] {
                 let i = space.index(c);
-                id[i] = NO_COMPONENT;
+                self.handle[i] = NO_COMPONENT;
                 if unsafe_set.contains(i) {
                     seeds.push(i);
                 }
             }
+            let h = self.handle_at[p];
+            self.position[h as usize] = NO_COMPONENT;
+            self.free.push(h);
         }
         seeds.sort_unstable();
         seeds.dedup();
-        // Re-discover inside the cleared region with compute()'s DFS. A
+        // Re-discover inside the cleared region with compute()'s BFS. A
         // surviving component is never adjacent to the region: any bridge
         // runs through an added node, whose neighbor components were all
-        // marked affected above — so the `id[v] == NO_COMPONENT` guard
-        // confines the walk exactly as in a full compute.
-        let mut rebuilt: Vec<Vec<S::Coord>> = Vec::new();
+        // removed above — so the `NO_COMPONENT` guard confines the walk
+        // exactly as in a full compute. Each seed that starts a component
+        // is its smallest index (every cleared-and-unsafe node is a seed),
+        // so the rebuilt components come out in min-cell-index order.
+        let mut rebuilt: Vec<(u32, Vec<S::Coord>)> = Vec::new();
         let mut queue = Vec::new();
         for &start in &seeds {
-            if id[start] == NO_COMPONENT {
-                let mark = (cells.len() + rebuilt.len()) as u32;
-                rebuilt.push(discover(space, unsafe_set, id, start, mark, &mut queue));
+            if self.handle[start] == NO_COMPONENT {
+                let h = self.free.pop().unwrap_or_else(|| {
+                    self.position.push(NO_COMPONENT);
+                    self.position.len() as u32 - 1
+                });
+                let cells = discover(space, unsafe_set, &mut self.handle, start, h, &mut queue);
+                rebuilt.push((h, cells));
             }
         }
-        // Merge survivors and rebuilds in min-cell-index order — the order
-        // compute() discovers components in (each seed above, like each
-        // compute() seed, is its component's smallest index) — rewriting
-        // ids only where they differ from the pre-repair value.
-        let mut affected_mask = vec![false; cells.len()];
-        for &a in &affected {
-            affected_mask[a as usize] = true;
-        }
-        let survivors: Vec<(usize, Vec<S::Coord>)> = std::mem::take(cells)
-            .into_iter()
+        // Post-repair position of rebuilt component j: the pre-repair
+        // components that start below it, minus the removed ones among
+        // them, plus the j rebuilt components before it. The binary search
+        // reads one first cell per probe, removed components included
+        // (their cells are still in place and still ordered).
+        let inserted: Vec<usize> = rebuilt
+            .iter()
             .enumerate()
-            .filter(|&(o, _)| !affected_mask[o])
+            .map(|(j, (_, cells))| {
+                let start = space.index(cells[0]);
+                let below = self.cells.partition_point(|c| space.index(c[0]) < start);
+                below - removed.partition_point(|&r| r < below) + j
+            })
             .collect();
-        let total = survivors.len() + rebuilt.len();
-        let mut sources: Vec<CompSource> = Vec::with_capacity(total);
-        cells.reserve(total);
-        let mut sv = survivors.into_iter().peekable();
-        let mut rb = rebuilt.into_iter().peekable();
-        loop {
-            let take_survivor = match (sv.peek(), rb.peek()) {
-                (Some((_, sc)), Some(rc)) => space.index(sc[0]) < space.index(rc[0]),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let new_id = cells.len() as u32;
-            let (source, comp_cells, moved) = if take_survivor {
-                let (old, comp_cells) = sv.next().expect("peeked");
-                (
-                    CompSource::Carried { old },
-                    comp_cells,
-                    old != new_id as usize,
-                )
-            } else {
-                (CompSource::Rebuilt, rb.next().expect("peeked"), true)
-            };
-            if moved {
-                for &c in &comp_cells {
-                    id[space.index(c)] = new_id;
-                }
+        let splice = Splice { removed, inserted };
+        let mut handles = rebuilt.iter().map(|&(h, _)| h);
+        splice.apply(&mut self.handle_at, |_| {
+            handles.next().expect("one per insert")
+        });
+        let mut rebuilt = rebuilt.into_iter().map(|(_, cells)| cells);
+        splice.apply(&mut self.cells, |_| rebuilt.next().expect("one per insert"));
+        if let Some(first) = splice.first_change() {
+            for (p, &h) in self.handle_at.iter().enumerate().skip(first) {
+                self.position[h as usize] = p as u32;
             }
-            sources.push(source);
-            cells.push(comp_cells);
         }
-        sources
+        splice
+    }
+}
+
+/// Prints what [`Components::compute`] would build for the same unsafe set:
+/// the node grid as positions, never the history-dependent handles, so two
+/// decompositions of one labelling print identically however they were
+/// reached.
+impl<S: Space> std::fmt::Debug for Components<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Positions<'a, S: Space>(&'a Components<S>);
+        impl<S: Space> std::fmt::Debug for Positions<'_, S> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                let ids = (0..self.0.handle.len())
+                    .map(|i| self.0.position_at(i).map_or(NO_COMPONENT, |p| p as u32));
+                f.debug_list().entries(ids).finish()
+            }
+        }
+        f.debug_struct("Components")
+            .field("space", &self.space)
+            .field("id", &Positions(self))
+            .field("cells", &self.cells)
+            .finish()
     }
 }
 
@@ -320,7 +400,7 @@ mod tests {
         comps: &mut Components2,
         injected: &[C2],
         healed: &[C2],
-    ) -> Vec<CompSource> {
+    ) -> Splice {
         for &c in injected {
             assert!(mesh.inject_fault(c));
         }
@@ -331,10 +411,22 @@ mod tests {
         comps.repair(lab, &changed)
     }
 
+    /// A repaired decomposition must be indistinguishable from a fresh one:
+    /// same cells in the same order, and the same `component_of` on every
+    /// node (a now-safe node must map to `None`).
     fn assert_comps_match<S: Space>(lab: &Labelling<S>, comps: &Components<S>) {
         let fresh = Components::compute(lab);
         assert_eq!(comps.cells, fresh.cells, "cells/order diverged");
-        assert_eq!(comps.id, fresh.id, "id grid diverged");
+        let space = lab.space();
+        for i in 0..space.node_count() {
+            let c = space.coord(i);
+            assert_eq!(
+                comps.component_of(c),
+                fresh.component_of(c),
+                "component id diverged at {c}"
+            );
+        }
+        assert_eq!(format!("{comps:?}"), format!("{fresh:?}"));
     }
 
     #[test]
@@ -350,19 +442,91 @@ mod tests {
         let mut comps = Components2::compute(&lab);
         assert_eq!(comps.len(), 2);
 
-        let sources = churn_and_repair(&mut mesh, &mut lab, &mut comps, &[], &[c2(4, 4)]);
+        let splice = churn_and_repair(&mut mesh, &mut lab, &mut comps, &[], &[c2(4, 4)]);
         assert_eq!(comps.len(), 3, "split must produce two bar components");
         assert_comps_match(&lab, &comps);
-        // The far (9,9) singleton survived the split untouched.
-        assert!(sources.contains(&CompSource::Carried { old: 1 }));
+        // The bar was replaced by its two halves; the far (9,9) singleton
+        // survived the split untouched, one position later.
+        assert_eq!(
+            splice,
+            Splice {
+                removed: vec![0],
+                inserted: vec![0, 1]
+            }
+        );
 
-        let sources = churn_and_repair(&mut mesh, &mut lab, &mut comps, &[c2(4, 4)], &[]);
+        let splice = churn_and_repair(&mut mesh, &mut lab, &mut comps, &[c2(4, 4)], &[]);
         assert_eq!(comps.len(), 2, "re-injection must remerge the bars");
         assert_comps_match(&lab, &comps);
         assert_eq!(
-            sources,
-            vec![CompSource::Rebuilt, CompSource::Carried { old: 2 }]
+            splice,
+            Splice {
+                removed: vec![0, 1],
+                inserted: vec![0]
+            }
         );
+    }
+
+    #[test]
+    fn healing_the_first_and_injecting_a_last_component_shifts_every_position() {
+        // Five singletons along the diagonal. One batch heals the
+        // lowest-index one and injects a new highest-index one: every
+        // surviving component moves down one position, and the new one
+        // reuses the freed handle at the far end of the list.
+        let mut mesh = Mesh2D::new(14, 14);
+        for k in 0..5 {
+            mesh.inject_fault(c2(2 * k + 1, 2 * k + 1));
+        }
+        let mut lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
+        let mut comps = Components2::compute(&lab);
+        assert_eq!(comps.len(), 5);
+
+        let splice = churn_and_repair(&mut mesh, &mut lab, &mut comps, &[c2(12, 12)], &[c2(1, 1)]);
+        assert_eq!(
+            splice,
+            Splice {
+                removed: vec![0],
+                inserted: vec![4]
+            }
+        );
+        assert_eq!(
+            comps.handle_at,
+            vec![1, 2, 3, 4, 0],
+            "handles follow the cells"
+        );
+        assert_comps_match(&lab, &comps);
+        for k in 1..5 {
+            assert_eq!(
+                comps.component_of(c2(2 * k + 1, 2 * k + 1)),
+                Some(k as u32 - 1)
+            );
+        }
+        assert_eq!(comps.component_of(c2(12, 12)), Some(4));
+        assert_eq!(comps.component_of(c2(1, 1)), None);
+
+        // Undo it in two batches: the freed handles are reused, positions
+        // keep following compute.
+        churn_and_repair(&mut mesh, &mut lab, &mut comps, &[c2(1, 1)], &[]);
+        assert_comps_match(&lab, &comps);
+        churn_and_repair(&mut mesh, &mut lab, &mut comps, &[], &[c2(12, 12)]);
+        assert_comps_match(&lab, &comps);
+        assert_eq!(comps.len(), 5);
+    }
+
+    #[test]
+    fn splice_moves_the_tail_and_keeps_the_head() {
+        let splice = Splice {
+            removed: vec![1, 4],
+            inserted: vec![2, 3, 5],
+        };
+        let mut v = vec!["a", "b", "c", "d", "e"];
+        let new = ["x", "y", "z"];
+        let mut next = new.iter();
+        splice.apply(&mut v, |_| next.next().unwrap());
+        assert_eq!(v, ["a", "c", "x", "y", "d", "z"]);
+        assert_eq!(splice.first_change(), Some(1));
+        Splice::default().apply(&mut v, |_| unreachable!());
+        assert_eq!(v.len(), 6);
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //! injections and heals:
 //!
 //! * the labelling of each orientation is patched in place by
-//!   [`Labelling::repair`] (dirty-region worklist or bulk re-sweep),
-//! * the component decomposition by [`Components::repair`] (localized
-//!   merge/split with carried-component provenance),
-//! * the MCC shapes by [`MccSet2::repair`](crate::mcc2::MccSet2::repair) /
-//!   [`MccSet3::repair`](crate::mcc3::MccSet3::repair) (only rebuilt or
-//!   status-touched components are re-extracted),
+//!   [`Labelling::repair`] (dirty-region worklist or bulk re-sweep), once
+//!   per unseen churn batch,
+//! * the component decomposition by [`Components::repair`], once per sync
+//!   over the merged dirty regions: only the components a flip touched are
+//!   re-discovered, and they are spliced into the component list at their
+//!   sorted position ([`Splice`](crate::Splice)) while every other
+//!   component keeps its cells and its stable internal handle,
+//! * the MCC shapes by the same splice on the MCC list: only re-discovered
+//!   or status-touched components are re-extracted, every other MCC is
+//!   left in place,
 //! * the orientation-free block model is invalidated wholesale and lazily
 //!   recomputed — it is cheap relative to the labelling family and has no
 //!   per-orientation structure to exploit.
@@ -23,7 +27,12 @@
 //! has not seen the next time [`models`] asks for its orientation. A heal
 //! whose effect never reaches a slot's orientation still replays there, but
 //! the replay touches only the perturbation's closure cone — update cost
-//! scales with the batch, not the mesh. The log is compacted once every
+//! scales with the batch, not the mesh, and not the number of fault
+//! regions: a sync costs O(changed statuses + affected components +
+//! log #components), plus moving the component and MCC lists' entries
+//! behind the first changed position. [`statuses_repaired`],
+//! [`mccs_extracted`] and [`slot_rebuilds`] count that work
+//! deterministically. The log is compacted once every
 //! live slot has advanced past an entry, and a slot left behind by more
 //! than [`LOG_CAP`] generations is dropped and rebuilt from scratch on
 //! next use, bounding both memory and replay time.
@@ -39,6 +48,9 @@
 //!
 //! [`apply`]: IncrementalModels::apply
 //! [`models`]: IncrementalModels::models
+//! [`statuses_repaired`]: IncrementalModels::statuses_repaired
+//! [`mccs_extracted`]: IncrementalModels::mccs_extracted
+//! [`slot_rebuilds`]: IncrementalModels::slot_rebuilds
 //!
 //! # Examples
 //!
@@ -66,7 +78,7 @@ use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3};
 
 use crate::components::Components;
 use crate::labelling::Labelling;
-use crate::models::ModelSpace;
+use crate::models::{repair_mccs, ModelSpace};
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
@@ -169,6 +181,11 @@ pub struct IncrementalModels<S: ModelSpace> {
     blocks_synced: u64,
     /// Total statuses changed by slot replays — the incremental work done.
     repaired_statuses: usize,
+    /// Slots built from scratch (first use, torus re-rotation, or dropped
+    /// past [`LOG_CAP`]).
+    slot_rebuilds: usize,
+    /// MCCs extracted by slot repairs.
+    mccs_extracted: usize,
 }
 
 /// The incrementally maintained models of a 2-D mesh (4 quadrant slots).
@@ -189,6 +206,8 @@ impl<S: ModelSpace> IncrementalModels<S> {
             blocks: None,
             blocks_synced: 0,
             repaired_statuses: 0,
+            slot_rebuilds: 0,
+            mccs_extracted: 0,
         }
     }
 
@@ -211,6 +230,21 @@ impl<S: ModelSpace> IncrementalModels<S> {
     /// perturbation sizes, not with mesh size or churn count.
     pub fn statuses_repaired(&self) -> usize {
         self.repaired_statuses
+    }
+
+    /// Number of slots built from scratch rather than repaired: first use
+    /// of an orientation, a torus slot asked for another rotation, or a
+    /// slot dropped for lagging more than [`LOG_CAP`] generations.
+    pub fn slot_rebuilds(&self) -> usize {
+        self.slot_rebuilds
+    }
+
+    /// Number of MCCs slot repairs have extracted — the re-discovered
+    /// components plus the carried ones with a changed status. A repair
+    /// reuses every other MCC, so this grows with the churn, not with the
+    /// number of fault regions. Rebuilt slots are not counted here.
+    pub fn mccs_extracted(&self) -> usize {
+        self.mccs_extracted
     }
 
     /// True if the slot holding `frame`'s orientation exists and already
@@ -351,8 +385,9 @@ impl<S: ModelSpace> IncrementalModels<S> {
     /// Fetch the maintained models for `frame`'s orientation, bringing its
     /// slot up to the current generation first: an empty (or, on a torus,
     /// differently-rotated) slot is built from scratch; a lagging slot
-    /// replays only the churn batches it has not seen, repairing labelling,
-    /// components and MCCs in place.
+    /// replays the labelling repair of each churn batch it has not seen,
+    /// then repairs components and MCCs in place **once**, over the merged
+    /// dirty regions of those batches.
     pub fn models(&mut self, frame: S::Frame) -> IncModelsRef<'_, S> {
         let idx = S::frame_index(frame);
         let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
@@ -366,15 +401,24 @@ impl<S: ModelSpace> IncrementalModels<S> {
                 comps,
                 mccs,
             });
+            self.slot_rebuilds += 1;
         }
         let slot = self.slots[idx].as_mut().expect("just filled");
         if slot.synced < self.generation {
+            // A node that flips and flips back inside the window stays in
+            // the merged list: a harmless dirty mark, since the component
+            // and MCC repairs only need a superset of the flipped nodes.
+            let mut changed = Vec::new();
             for e in self.log.iter().filter(|e| e.gen > slot.synced) {
-                let changed = slot.lab.repair(&e.injected, &e.healed);
-                let sources = slot.comps.repair(&slot.lab, &changed);
-                S::repair_mccs(&mut slot.mccs, &slot.lab, &slot.comps, &sources, &changed);
-                self.repaired_statuses += changed.len();
+                let step = slot.lab.repair(&e.injected, &e.healed);
+                self.repaired_statuses += step.len();
+                changed.extend(step);
             }
+            changed.sort_unstable();
+            changed.dedup();
+            let splice = slot.comps.repair(&slot.lab, &changed);
+            self.mccs_extracted +=
+                repair_mccs(&mut slot.mccs, &slot.lab, &slot.comps, &splice, &changed);
             slot.synced = self.generation;
         }
         let slot = self.slots[idx].as_ref().expect("just filled");
@@ -571,6 +615,33 @@ mod tests {
             assert_slot_matches_fresh(&mut inc, frame);
             assert!(inc.blocks_current() || inc.generation() > 0);
         }
+    }
+
+    #[test]
+    fn far_churn_among_many_regions_extracts_only_its_own_mccs() {
+        // 125 isolated single-fault regions on a 16³ lattice. Healing a
+        // middle one and injecting a new one past the last shifts the
+        // positions of half the regions, yet re-extracts at most the two
+        // touched MCCs and rebuilds no slot.
+        let mut mesh = Mesh3D::kary(16);
+        for n in 0..125 {
+            mesh.inject_fault(c3(3 * (n % 5) + 1, 3 * (n / 5 % 5) + 1, 3 * (n / 25) + 1));
+        }
+        let mut inc = IncrementalModels3::new(mesh, BorderPolicy::BorderSafe);
+        let frame = Frame3::identity(inc.mesh());
+        assert_eq!(inc.models(frame).comps.len(), 125);
+        let (rebuilds, extracted) = (inc.slot_rebuilds(), inc.mccs_extracted());
+        assert_eq!((rebuilds, extracted), (1, 0), "the first use builds");
+
+        inc.apply(&[c3(15, 15, 15)], &[c3(7, 7, 7)]);
+        assert_slot_matches_fresh(&mut inc, frame);
+        assert_eq!(inc.models(frame).comps.len(), 125);
+        assert_eq!(inc.slot_rebuilds(), rebuilds, "a replay rebuilds nothing");
+        assert!(
+            inc.mccs_extracted() - extracted <= 2,
+            "extracted {} MCCs",
+            inc.mccs_extracted() - extracted
+        );
     }
 
     #[test]

@@ -97,7 +97,7 @@ mod rfb3;
 pub mod stats;
 pub mod status;
 
-pub use components::{CompSource, Components};
+pub use components::{Components, Splice};
 pub use condition2::{minimal_path_exists_2d, minimal_path_exists_2d_in, Existence2};
 pub use condition3::{minimal_path_exists_3d, minimal_path_exists_3d_in, Existence3};
 pub use incremental::{ChurnError, IncrementalModels, IncrementalModels2, IncrementalModels3};

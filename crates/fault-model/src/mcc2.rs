@@ -23,7 +23,7 @@
 use mesh_topo::{Rect, C2};
 use serde::{Deserialize, Serialize};
 
-use crate::components::{CompSource, Components2};
+use crate::components::Components2;
 use crate::labelling::Labelling2;
 
 /// The axis a forbidden/critical region pair refers to.
@@ -39,8 +39,6 @@ pub enum RegionAxis2 {
 /// profiles and region predicates. Coordinates are canonical.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mcc2 {
-    /// Component id (index into the owning [`MccSet2`]).
-    pub id: u32,
     /// All member cells.
     pub cells: Vec<C2>,
     /// Bounding rectangle.
@@ -62,12 +60,12 @@ pub struct Mcc2 {
 /// All MCCs of one labelling.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MccSet2 {
-    /// The components, indexed by id.
+    /// The components, indexed by component id (position).
     pub mccs: Vec<Mcc2>,
 }
 
 impl Mcc2 {
-    pub(crate) fn from_cells(id: u32, cells: Vec<C2>, lab: &Labelling2) -> Mcc2 {
+    pub(crate) fn from_cells(cells: Vec<C2>, lab: &Labelling2) -> Mcc2 {
         debug_assert!(!cells.is_empty());
         let mut bounds = Rect::point(cells[0]);
         for &c in &cells[1..] {
@@ -93,7 +91,6 @@ impl Mcc2 {
         }
         let sacrificed_count = cells.len() - fault_count;
         Mcc2 {
-            id,
             cells,
             bounds,
             fault_count,
@@ -287,8 +284,7 @@ impl MccSet2 {
             mccs: comps
                 .cells
                 .into_iter()
-                .enumerate()
-                .map(|(i, cells)| Mcc2::from_cells(i as u32, cells, lab))
+                .map(|cells| Mcc2::from_cells(cells, lab))
                 .collect(),
         }
     }
@@ -311,47 +307,6 @@ impl MccSet2 {
     /// Total healthy nodes captured by fault regions.
     pub fn total_sacrificed(&self) -> usize {
         self.mccs.iter().map(|m| m.sacrificed_count).sum()
-    }
-
-    /// Incrementally repair the MCC shapes after a component repair:
-    /// `comps` is the repaired decomposition, `sources` its per-component
-    /// provenance, and `changed` the same dirty region the labelling
-    /// repair produced. A rebuilt component is re-extracted; so is a
-    /// carried component holding **any** status-changed cell — a cell can
-    /// flip useless→faulty without a membership change, which moves the
-    /// fault/sacrificed split even though the shape is untouched. Every
-    /// other MCC is reused with only its id renumbered, making the result
-    /// bit-for-bit equal to `MccSet2::compute(lab)` (DESIGN.md §12).
-    pub fn repair(
-        &mut self,
-        lab: &Labelling2,
-        comps: &Components2,
-        sources: &[CompSource],
-        changed: &[usize],
-    ) {
-        let space = lab.space();
-        let mut dirty = vec![false; comps.len()];
-        for &i in changed {
-            if let Some(id) = comps.component_of(space.coord(i)) {
-                dirty[id as usize] = true;
-            }
-        }
-        let mut old: Vec<Option<Mcc2>> = std::mem::take(&mut self.mccs)
-            .into_iter()
-            .map(Some)
-            .collect();
-        self.mccs = sources
-            .iter()
-            .enumerate()
-            .map(|(j, src)| match *src {
-                CompSource::Carried { old: o } if !dirty[j] => {
-                    let mut m = old[o].take().expect("component carried twice");
-                    m.id = j as u32;
-                    m
-                }
-                _ => Mcc2::from_cells(j as u32, comps.cells[j].clone(), lab),
-            })
-            .collect();
     }
 }
 
@@ -486,6 +441,8 @@ mod tests {
     #[test]
     fn repair_matches_compute_on_random_churn() {
         use crate::components::Components2;
+        use crate::models::repair_mccs;
+        use mesh_topo::NodeSpace2;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for torus in [false, true] {
@@ -526,8 +483,8 @@ mod tests {
                     mesh.heal_fault(c);
                 }
                 let changed = l.repair(&injected, &healed);
-                let sources = comps.repair(&l, &changed);
-                set.repair(&l, &comps, &sources, &changed);
+                let splice = comps.repair(&l, &changed);
+                repair_mccs::<NodeSpace2>(&mut set, &l, &comps, &splice, &changed);
                 let fresh = MccSet2::compute(&l);
                 assert_eq!(set.mccs, fresh.mccs);
             }

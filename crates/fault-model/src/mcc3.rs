@@ -26,7 +26,7 @@
 use mesh_topo::{Axis3, Box3, NodeSet, NodeSpace3, C2, C3};
 use serde::{Deserialize, Serialize};
 
-use crate::components::{CompSource, Components3};
+use crate::components::Components3;
 use crate::labelling::Labelling3;
 
 /// Sentinel line extent meaning "the component does not touch this line".
@@ -35,8 +35,6 @@ const NO_LINE: (i32, i32) = (i32::MAX, i32::MIN);
 /// One Minimal Connected Component of a 3-D labelling (canonical coords).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mcc3 {
-    /// Component id (index into the owning [`MccSet3`]).
-    pub id: u32,
     /// All member cells.
     pub cells: Vec<C3>,
     /// Bounding box.
@@ -60,12 +58,12 @@ pub struct Mcc3 {
 /// All MCCs of one 3-D labelling.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MccSet3 {
-    /// The components, indexed by id.
+    /// The components, indexed by component id (position).
     pub mccs: Vec<Mcc3>,
 }
 
 impl Mcc3 {
-    pub(crate) fn from_cells(id: u32, cells: Vec<C3>, lab: &Labelling3) -> Mcc3 {
+    pub(crate) fn from_cells(cells: Vec<C3>, lab: &Labelling3) -> Mcc3 {
         debug_assert!(!cells.is_empty());
         let mut bounds = Box3::point(cells[0]);
         for &c in &cells[1..] {
@@ -100,7 +98,6 @@ impl Mcc3 {
         }
         let sacrificed_count = cells.len() - fault_count;
         Mcc3 {
-            id,
             cells,
             bounds,
             fault_count,
@@ -208,8 +205,7 @@ impl MccSet3 {
             mccs: comps
                 .cells
                 .into_iter()
-                .enumerate()
-                .map(|(i, cells)| Mcc3::from_cells(i as u32, cells, lab))
+                .map(|cells| Mcc3::from_cells(cells, lab))
                 .collect(),
         }
     }
@@ -237,42 +233,6 @@ impl MccSet3 {
     /// The component containing canonical `c`, if any.
     pub fn component_containing(&self, c: C3) -> Option<&Mcc3> {
         self.mccs.iter().find(|m| m.contains(c))
-    }
-
-    /// Incrementally repair the MCC shapes after a component repair — the
-    /// 3-D twin of [`MccSet2::repair`](crate::mcc2::MccSet2::repair), with the same contract: rebuilt or
-    /// status-touched components are re-extracted, the rest reused with
-    /// renumbered ids, bit-for-bit equal to `MccSet3::compute(lab)`.
-    pub fn repair(
-        &mut self,
-        lab: &Labelling3,
-        comps: &Components3,
-        sources: &[CompSource],
-        changed: &[usize],
-    ) {
-        let space = lab.space();
-        let mut dirty = vec![false; comps.len()];
-        for &i in changed {
-            if let Some(id) = comps.component_of(space.coord(i)) {
-                dirty[id as usize] = true;
-            }
-        }
-        let mut old: Vec<Option<Mcc3>> = std::mem::take(&mut self.mccs)
-            .into_iter()
-            .map(Some)
-            .collect();
-        self.mccs = sources
-            .iter()
-            .enumerate()
-            .map(|(j, src)| match *src {
-                CompSource::Carried { old: o } if !dirty[j] => {
-                    let mut m = old[o].take().expect("component carried twice");
-                    m.id = j as u32;
-                    m
-                }
-                _ => Mcc3::from_cells(j as u32, comps.cells[j].clone(), lab),
-            })
-            .collect();
     }
 }
 
@@ -381,6 +341,8 @@ mod tests {
     #[test]
     fn repair_matches_compute_on_random_churn_3d() {
         use crate::components::Components3;
+        use crate::models::repair_mccs;
+        use mesh_topo::NodeSpace3;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         for torus in [false, true] {
@@ -429,8 +391,8 @@ mod tests {
                     mesh.heal_fault(c);
                 }
                 let changed = l.repair(&injected, &healed);
-                let sources = comps.repair(&l, &changed);
-                set.repair(&l, &comps, &sources, &changed);
+                let splice = comps.repair(&l, &changed);
+                repair_mccs::<NodeSpace3>(&mut set, &l, &comps, &splice, &changed);
                 let fresh = MccSet3::compute(&l);
                 assert_eq!(set.mccs, fresh.mccs);
             }

@@ -9,21 +9,30 @@
 //!
 //! * node statuses and the unsafe [`NodeSet`](mesh_topo::NodeSet),
 //! * component cell lists (membership *and* discovery order) and the
-//!   component id of every unsafe node,
-//! * MCC shapes — `Mcc2`/`Mcc3` are `PartialEq`, so ids, cells, bounds,
-//!   profiles and fault/sacrificed splits are all compared at once,
+//!   component id of every node (a safe node must have none),
+//! * MCC shapes — `Mcc2`/`Mcc3` are `PartialEq`, so cells, bounds,
+//!   profiles and fault/sacrificed splits are all compared at once, and
+//!   the list order pins the ids,
 //! * the rectangular block model after its lazy recompute.
 //!
 //! Orientation sync is deliberately staggered (one orientation synced every
 //! step, the rest every few steps) so the log-replay path — not just the
-//! single-batch repair — is what the battery exercises.
+//! single-batch repair — is what the battery exercises. The service-shaped
+//! lag battery goes further: many fault regions, and every octant synced at
+//! lags from one step to past [`LOG_CAP`], so a sync both replays long
+//! windows and drops and rebuilds its slot. Its full size runs with
+//! `--include-ignored` in release.
 
 use fault_model::components::Components;
-use fault_model::incremental::{IncrementalModels, IncrementalModels2, IncrementalModels3};
+use fault_model::incremental::{
+    IncrementalModels, IncrementalModels2, IncrementalModels3, LOG_CAP,
+};
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, ModelSpace};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn border(blocked: bool) -> BorderPolicy {
     if blocked {
@@ -77,16 +86,132 @@ where
     assert_eq!(m.lab.unsafe_set(), lab.unsafe_set(), "unsafe set diverged");
     let comps = Components::compute(&lab);
     assert_eq!(m.comps.cells, comps.cells, "component cells diverged");
-    for cells in &comps.cells {
-        for &c in cells {
-            assert_eq!(
-                m.comps.component_of(c),
-                comps.component_of(c),
-                "component id diverged at {c}"
-            );
-        }
+    for (c, _) in lab.iter() {
+        assert_eq!(
+            m.comps.component_of(c),
+            comps.component_of(c),
+            "component id diverged at {c}"
+        );
     }
     assert_eq!(m.mccs, &S::mccs(&lab), "MCCs diverged");
+}
+
+/// The sync lags of the lag battery: replays of one, two and seven
+/// batches, the longest replay the log allows, and one lag past it, which
+/// drops the slot and rebuilds it on the next sync.
+const LAGS: [u64; 5] = [1, 2, 7, LOG_CAP - 1, LOG_CAP + 1];
+
+/// Service-shaped lag battery: a `k`³ mesh at about 1.5 % faults, one heal
+/// plus one inject per step, and each of the first `octants` octants synced
+/// (and checked against fresh models) at lags drawn from [`LAGS`]. Steps
+/// `flip` and `flip + 1` inject and then heal the same node while no
+/// octant syncs, so every window spanning them replays a node that flips
+/// and flips back.
+fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let random_node = |rng: &mut SmallRng| {
+        c3(
+            rng.gen_range(0..k),
+            rng.gen_range(0..k),
+            rng.gen_range(0..k),
+        )
+    };
+    let mut mesh = Mesh3D::kary(k);
+    let target = (k * k * k) as usize * 3 / 200;
+    while mesh.faults().len() < target {
+        let c = random_node(&mut rng);
+        mesh.inject_fault(c);
+    }
+    let mut inc = IncrementalModels3::new(mesh, BorderPolicy::BorderSafe);
+    let frames = &Frame3::all(inc.mesh())[..octants];
+    let flip = steps / 2;
+    let mut next_sync = vec![0; octants];
+    let mut flipped = None;
+    for step in 0..steps {
+        if step == flip - 1 {
+            // Sync every octant now and none at `flip`.
+            next_sync.iter_mut().for_each(|n| *n = step);
+        }
+        let faults = inc.mesh().faults().to_vec();
+        let heal = match flipped {
+            Some(c) if step == flip + 1 => c,
+            _ => faults[rng.gen_range(0..faults.len())],
+        };
+        let inject = loop {
+            let c = random_node(&mut rng);
+            if inc.mesh().is_healthy(c) {
+                break c;
+            }
+        };
+        if step == flip {
+            flipped = Some(inject);
+        }
+        inc.apply(&[inject], &[heal]);
+        for (o, &frame) in frames.iter().enumerate() {
+            if next_sync[o] == step {
+                assert_models_equal_fresh(&mut inc, frame);
+                let lag = LAGS[rng.gen_range(0..LAGS.len())];
+                next_sync[o] = step + if step == flip - 1 { lag.max(2) } else { lag };
+            }
+        }
+    }
+    for &frame in frames {
+        assert_models_equal_fresh(&mut inc, frame);
+    }
+    assert!(
+        inc.slot_rebuilds() > octants,
+        "some slot must have lagged past LOG_CAP and been rebuilt"
+    );
+    assert!(inc.statuses_repaired() > 0, "replays must have done work");
+}
+
+/// The bounded slice of the lag battery: a 16³ mesh, 150 steps, every
+/// octant.
+#[test]
+fn lagged_octant_syncs_equal_fresh() {
+    lagged_octants_equal_fresh(16, 150, 8, 41);
+}
+
+/// The full lag battery: a 24³ mesh, 2,000 steps, every octant (release,
+/// `--include-ignored`).
+#[test]
+#[ignore = "full battery; run with --release -- --include-ignored"]
+fn lagged_octant_syncs_equal_fresh_full() {
+    lagged_octants_equal_fresh(24, 2000, 8, 43);
+}
+
+/// Two maintained models that reach one mesh through different histories —
+/// one by replaying churn, one by building from scratch — print the same
+/// components and MCCs. The replayed history heals the lowest-index region
+/// and injects a new highest-index one, so its internal component handles
+/// no longer equal positions; `Debug` must show positions only.
+#[test]
+fn replayed_and_rebuilt_models_print_identically() {
+    let mut mesh = Mesh3D::kary(10);
+    for (x, y, z) in (0..27).map(|n| (n % 3, n / 3 % 3, n / 9)) {
+        mesh.inject_fault(c3(3 * x + 1, 3 * y + 1, 3 * z + 1));
+    }
+    let mut replayed = IncrementalModels3::new(mesh, BorderPolicy::BorderSafe);
+    let frame = Frame3::identity(replayed.mesh());
+    replayed.models(frame);
+    for (injected, healed) in [
+        (vec![c3(9, 9, 9)], vec![c3(1, 1, 1)]),
+        (vec![c3(4, 4, 5), c3(0, 9, 0)], vec![]),
+        (vec![], vec![c3(4, 4, 4)]),
+    ] {
+        replayed.apply(&injected, &healed);
+        replayed.models(frame);
+    }
+    assert_eq!(replayed.slot_rebuilds(), 1, "every later sync replayed");
+    let mut rebuilt = IncrementalModels3::new(replayed.mesh().clone(), BorderPolicy::BorderSafe);
+    let print = |inc: &mut IncrementalModels3| {
+        let m = inc.models(frame);
+        (format!("{:?}", m.comps), format!("{:?}", m.mccs))
+    };
+    let (comps, mccs) = print(&mut replayed);
+    let (fresh_comps, fresh_mccs) = print(&mut rebuilt);
+    assert_eq!(comps, fresh_comps, "component Debug depends on history");
+    assert_eq!(mccs, fresh_mccs, "MCC Debug depends on history");
 }
 
 proptest! {

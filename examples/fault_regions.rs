@@ -61,10 +61,10 @@ fn main() {
     }
 
     println!("\nper-MCC summary (canonical quadrant):");
-    for m in mccs.iter() {
+    for (id, m) in mccs.iter().enumerate() {
         println!(
             "  MCC #{}: {:>3} cells ({} faulty + {} captured), bbox x {}..{}, y {}..{}, HV-convex: {}",
-            m.id,
+            id,
             m.len(),
             m.fault_count,
             m.sacrificed_count,

@@ -41,10 +41,10 @@ fn main() {
 
     let mccs = MccSet3::compute(&lab);
     println!("\nMCC decomposition: {} components (paper: 2)", mccs.len());
-    for m in mccs.iter() {
+    for (id, m) in mccs.iter().enumerate() {
         println!(
             "  MCC #{}: {} cells ({} faulty, {} healthy captured), bounds {:?}..{:?}",
-            m.id,
+            id,
             m.cells.len(),
             m.fault_count,
             m.sacrificed_count,
