@@ -13,16 +13,14 @@
 //!
 //! The resolved file list is deduplicated by canonical path, so passing
 //! the same scenario twice — or combining `--all` with an explicit path it
-//! already covers — runs it once. `table = "load"` scenarios are not row
-//! tables: explicitly naming one is an error pointing at the `loadgen`
-//! binary, and `--all` skips them with a note.
+//! already covers — runs it once.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mcc_bench::runner::run_scenario;
-use mcc_bench::scenario::{Scenario, TableKind};
+use mcc_bench::scenario::Scenario;
 
 const SCENARIO_DIR: &str = "scenarios";
 
@@ -33,23 +31,16 @@ fn usage() -> &'static str {
 /// Merge explicitly named paths with `--all` discoveries into one run
 /// list, first occurrence wins, deduplicated by canonical path (so
 /// `scenarios/e1.toml` and `./scenarios/../scenarios/e1.toml` collapse).
-/// The flag records whether the surviving occurrence was named
-/// explicitly — discovered load scenarios are skipped, explicit ones are
-/// an error.
-fn resolve_paths(explicit: &[PathBuf], discovered: &[PathBuf]) -> Vec<(PathBuf, bool)> {
+fn resolve_paths(explicit: &[PathBuf], discovered: &[PathBuf]) -> Vec<PathBuf> {
     let mut seen = HashSet::new();
-    let mut out = Vec::new();
-    let tagged = explicit
+    explicit
         .iter()
-        .map(|p| (p, true))
-        .chain(discovered.iter().map(|p| (p, false)));
-    for (path, is_explicit) in tagged {
-        let key = std::fs::canonicalize(path).unwrap_or_else(|_| path.clone());
-        if seen.insert(key) {
-            out.push((path.clone(), is_explicit));
-        }
-    }
-    out
+        .chain(discovered)
+        .filter(|path| {
+            seen.insert(std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf()))
+        })
+        .cloned()
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -86,7 +77,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    for (path, is_explicit) in &paths {
+    for path in &paths {
         let scenario = match Scenario::load(path) {
             Ok(s) => s,
             Err(e) => {
@@ -94,23 +85,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if matches!(scenario.table, TableKind::Load | TableKind::Service) {
-            if *is_explicit {
-                eprintln!(
-                    "error: {}: {} scenarios are open-loop ramps, not row tables; \
-                     run them with the `loadgen` binary",
-                    path.display(),
-                    scenario.table.as_str()
-                );
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "skipping {} scenario {} (use `loadgen`)",
-                scenario.table.as_str(),
-                path.display()
-            );
-            continue;
-        }
         let scenario = if quick { scenario.quick() } else { scenario };
         match run_scenario(&scenario) {
             Ok(report) => println!("{}", report.render()),
@@ -162,7 +136,7 @@ mod tests {
         );
         assert_eq!(
             resolved,
-            vec![(a, true), (b, false)],
+            vec![a, b],
             "one run per file; explicit occurrence first"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -175,6 +149,6 @@ mod tests {
         // its error instead of the path silently vanishing.
         let ghost = PathBuf::from("no/such/scenario.toml");
         let resolved = resolve_paths(&[ghost.clone(), ghost.clone()], &[]);
-        assert_eq!(resolved, vec![(ghost, true)]);
+        assert_eq!(resolved, vec![ghost]);
     }
 }

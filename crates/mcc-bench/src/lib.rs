@@ -12,10 +12,10 @@
 //!
 //! Sweeps parallelize over seeds with `std::thread::scope` scoped threads.
 //!
-//! The `loadgen` binary drives `table = "load"` scenarios: open-loop
-//! saturation ramps over a pool of prepared meshes mixing routing,
-//! labelling and churn ops, with per-step latency percentiles from the
-//! log-bucketed [`hist::LatencyHist`] (see [`loadgen`] and DESIGN.md §13).
+//! `table = "service"` scenarios (E15) are row tables too: the runner
+//! offers their open-loop `[load]` ramp to a resident `mesh-service` in
+//! virtual time, on the caller's thread, and reports the admit/shed
+//! counts of every step (see [`service_load`] and DESIGN.md §14).
 //!
 //! # Examples
 //!
@@ -39,9 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hist;
-pub mod loadgen;
-pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod service_load;

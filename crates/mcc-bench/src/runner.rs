@@ -19,6 +19,9 @@
 //! configuration serves all of its `pairs_per_seed` trials, so labellings,
 //! MCC sets and fault blocks are built per orientation instead of per
 //! pair (and table rows stay bit-identical — see `run_routing`).
+//!
+//! Service scenarios have no seed sweep: their ramp runs sequentially in
+//! virtual time through [`crate::service_load`].
 
 use fault_model::incremental::{IncrementalModels2, IncrementalModels3};
 use fault_model::mcc2::MccSet2;
@@ -37,6 +40,7 @@ use sim_net::RunStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::scenario::{worker_count, MeshDims, Scenario, ScenarioError, TableKind};
+use crate::service_load::{run_service_load, ServiceLoadReport};
 use crate::{ChurnRow, LabellingRow, OverheadRow, RegionRow, RoutingRow};
 
 /// Rows produced by one scenario, tagged by table family.
@@ -52,6 +56,8 @@ pub enum TableRows {
     Labelling(Vec<LabellingRow>),
     /// Incremental-maintenance churn rows (E12-style).
     Churn(Vec<ChurnRow>),
+    /// One row per ramp step of a resident-service ramp (E15-style).
+    Service(Box<ServiceLoadReport>),
 }
 
 /// The outcome of running one scenario.
@@ -185,12 +191,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
         TableKind::Overhead => TableRows::Overhead(run_overhead(scenario, workers)?),
         TableKind::Labelling => TableRows::Labelling(run_labelling(scenario, workers)),
         TableKind::Churn => TableRows::Churn(run_churn(scenario, workers)),
-        TableKind::Load | TableKind::Service => {
-            return Err(ScenarioError::new(
-                "load and service scenarios are open-loop ramps, not row \
-                 tables; run them with the `loadgen` binary",
-            ));
-        }
+        TableKind::Service => TableRows::Service(Box::new(run_service_load(scenario)?)),
     };
     Ok(ScenarioReport {
         scenario: scenario.clone(),
@@ -281,7 +282,7 @@ const PAIR_SAMPLE_ATTEMPTS: usize = 100_000;
 /// Sample a healthy pair at least `min_dist` apart on a faulty mesh
 /// (the batched path injects faults first, so endpoints are rejected
 /// rather than protected).
-pub(crate) fn random_healthy_pair_2d(rng: &mut SmallRng, mesh: &Mesh2D, min_dist: u32) -> (C2, C2) {
+fn random_healthy_pair_2d(rng: &mut SmallRng, mesh: &Mesh2D, min_dist: u32) -> (C2, C2) {
     for _ in 0..PAIR_SAMPLE_ATTEMPTS {
         let (s, d) = random_pair_2d(rng, mesh, min_dist);
         if mesh.is_healthy(s) && mesh.is_healthy(d) {
@@ -292,7 +293,7 @@ pub(crate) fn random_healthy_pair_2d(rng: &mut SmallRng, mesh: &Mesh2D, min_dist
 }
 
 /// 3-D twin of [`random_healthy_pair_2d`].
-pub(crate) fn random_healthy_pair_3d(rng: &mut SmallRng, mesh: &Mesh3D, min_dist: u32) -> (C3, C3) {
+fn random_healthy_pair_3d(rng: &mut SmallRng, mesh: &Mesh3D, min_dist: u32) -> (C3, C3) {
     for _ in 0..PAIR_SAMPLE_ATTEMPTS {
         let (s, d) = random_pair_3d(rng, mesh, min_dist);
         if mesh.is_healthy(s) && mesh.is_healthy(d) {
@@ -806,7 +807,8 @@ fn run_overhead_3d(sc: &Scenario, workers: usize, x: i32, y: i32, z: i32) -> Vec
 
 impl ScenarioReport {
     /// Render the report as the aligned text table the `tables` binary
-    /// prints. Column choice honors the scenario's router selection.
+    /// prints. Column choice honors the scenario's router selection; a
+    /// service ramp renders as [`ServiceLoadReport::render`].
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let sc = &self.scenario;
@@ -934,6 +936,8 @@ impl ScenarioReport {
                     );
                 }
             }
+            // A ramp has no seed range; its own header names the shards.
+            TableRows::Service(report) => return report.render(),
         }
         out
     }

@@ -12,7 +12,7 @@
 //! ```toml
 //! name = "E1 — healthy nodes captured by fault regions (2-D)"
 //! table = "regions"            # regions | routing | overhead
-//!                              # | labelling | churn | load | service
+//!                              # | labelling | churn | service
 //!
 //! [mesh]
 //! dims = [32, 32]              # two entries for 2-D, three for 3-D
@@ -41,24 +41,24 @@
 //! threads = 0                  # worker threads (0 = all cores)
 //! ```
 //!
-//! Load scenarios (`table = "load"`) add a `[load]` section describing an
-//! open-loop saturation ramp (see [`LoadProfile`] and [`crate::loadgen`]):
+//! Service scenarios (`table = "service"`) add a `[load]` section
+//! describing an open-loop saturation ramp (see [`LoadProfile`] and
+//! [`crate::service_load`]) and a `[service]` section with the shards'
+//! admission and durability knobs (see [`ServiceProfile`]):
 //!
 //! ```toml
 //! [load]
 //! initial_rps = 100            # offered rate of the first step
 //! increment_rps = 100          # rate increase per step
 //! max_rps = 500                # rate ceiling (ramp stops here)
-//! step_secs = 0.5              # wall-clock seconds per step
-//! mix = [0.6, 0.3, 0.1]        # routing / labelling / churn proportions
-//! pool = 4                     # mesh instances per geometry
+//! step_secs = 0.5              # virtual seconds per step
+//! mix = [0.6, 0.3, 0.1]        # route / query / churn proportions
+//! pool = 4                     # shards per geometry
 //! alt_dims = [8, 8, 8]         # optional second geometry (mixed 2-D/3-D)
-//! p99_limit_ms = 50.0          # saturation threshold on step p99
-//! fail_limit = 0.05            # saturation threshold on failure rate
+//! fail_limit = 0.05            # saturation threshold on the shed rate
 //! ```
 //!
-//! Churn tables add `[churn]` (`rounds`, `rate`) and service tables add
-//! `[service]` (see [`ServiceProfile`]).
+//! Churn tables add `[churn]` (`rounds`, `rate`).
 //!
 //! The section table `SECTIONS` in this module is the single source of
 //! the schema: every section, the keys it accepts and requires, and which
@@ -98,30 +98,22 @@ pub enum TableKind {
     /// [`fault_model::incremental::IncrementalModels2`] (or the 3-D twin)
     /// and verifies every repaired model against from-scratch recomputation.
     Churn,
-    /// Saturation-style load generation (E13/E14-style): an open-loop
-    /// request stream over a long-lived pool of prepared meshes and
-    /// incremental-churn models, ramping the offered rate until latency or
-    /// failure rate saturates. Driven by the `loadgen` binary through
-    /// [`crate::loadgen::run_load`] — the `tables` runner rejects it
-    /// because step reports carry wall-clock timings.
-    Load,
-    /// Resident-service saturation ramp (E15-style): the same open-loop
-    /// `[load]` ramp, but offered to a journaled `mesh-service` instance —
-    /// requests pass each shard's bounded admission queue and are shed
-    /// with typed errors beyond saturation. Needs both a `[load]` and a
-    /// `[service]` section; driven by the `loadgen` binary through
+    /// Resident-service saturation ramp (E15-style): an open-loop
+    /// `[load]` ramp offered in virtual time to a journaled `mesh-service`
+    /// instance — requests pass each shard's bounded admission queue and
+    /// are shed with typed errors beyond saturation. Needs both a `[load]`
+    /// and a `[service]` section; run by
     /// [`crate::service_load::run_service_load`].
     Service,
 }
 
 /// `table` names.
-const TABLE_KINDS: [(&str, TableKind); 7] = [
+const TABLE_KINDS: [(&str, TableKind); 6] = [
     ("regions", TableKind::Regions),
     ("routing", TableKind::Routing),
     ("overhead", TableKind::Overhead),
     ("labelling", TableKind::Labelling),
     ("churn", TableKind::Churn),
-    ("load", TableKind::Load),
     ("service", TableKind::Service),
 ];
 
@@ -185,19 +177,18 @@ impl MeshDims {
     }
 }
 
-/// Open-loop ramp description for `table = "load"` scenarios (the
+/// Open-loop ramp description for `table = "service"` scenarios (the
 /// `[load]` TOML section).
 ///
-/// The loadgen harness offers `initial_rps` requests per second for
-/// `step_secs`, then raises the rate by `increment_rps` per step until
-/// either `max_rps` is reached or a step saturates (its p99 latency
-/// crosses `p99_limit_ms` or its failure rate crosses `fail_limit`).
-/// Each step's requests are drawn from three operation classes — routing
-/// trials, labelling-convergence runs and fault-churn batches — in the
-/// proportions of `mix`, interleaved deterministically (see
-/// [`crate::loadgen`]). The pool holds `pool` long-lived mesh instances
-/// per geometry; `alt_dims` adds a second geometry so one scenario can
-/// drive a mixed 2-D/3-D pool.
+/// The service driver offers `initial_rps` requests per second for
+/// `step_secs` of virtual time, then raises the rate by `increment_rps`
+/// per step until either `max_rps` is reached or a step saturates (its
+/// shed rate crosses `fail_limit`). Each step's requests are drawn from
+/// three classes — routes, region queries and fault-churn batches — in
+/// the proportions of `mix`, interleaved deterministically (see
+/// [`crate::service_load`]). The service holds `pool` shards per
+/// geometry; `alt_dims` adds a second geometry so one scenario can drive
+/// a mixed 2-D/3-D pool.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadProfile {
     /// Offered request rate of the first step (requests/second).
@@ -207,24 +198,22 @@ pub struct LoadProfile {
     pub increment_rps: u32,
     /// Rate ceiling: the ramp stops after the step that reaches it.
     pub max_rps: u32,
-    /// Wall-clock seconds per step; with the offered rate it fixes the
-    /// (deterministic) request count of each step.
+    /// Virtual seconds per step; with the offered rate it fixes the
+    /// request count of each step.
     pub step_secs: f64,
-    /// Workload-mix weight of routing trials.
+    /// Workload-mix weight of routes.
     pub mix_routing: f64,
-    /// Workload-mix weight of labelling-convergence operations.
+    /// Workload-mix weight of region queries.
     pub mix_labelling: f64,
-    /// Workload-mix weight of fault-churn operations.
+    /// Workload-mix weight of fault-churn batches.
     pub mix_churn: f64,
-    /// Long-lived mesh instances per geometry.
+    /// Shards per geometry.
     pub pool: usize,
-    /// Optional second mesh geometry (2 or 3 extents): the pool then holds
-    /// `pool` instances of **both**, and requests spread across all of
+    /// Optional second mesh geometry (2 or 3 extents): the service then
+    /// holds `pool` shards of **both**, and requests spread across all of
     /// them round-robin — a mixed-dimensionality workload in one scenario.
     pub alt_dims: Option<MeshDims>,
-    /// Saturation threshold on a step's p99 latency, in milliseconds.
-    pub p99_limit_ms: f64,
-    /// Saturation threshold on a step's failure rate, in `(0, 1]`.
+    /// Saturation threshold on a step's shed rate, in `(0, 1]`.
     pub fail_limit: f64,
 }
 
@@ -232,12 +221,10 @@ pub struct LoadProfile {
 impl LoadProfile {
     /// Default pool size per geometry.
     pub const DEFAULT_POOL: usize = 2;
-    /// Default p99 saturation threshold (milliseconds).
-    pub const DEFAULT_P99_LIMIT_MS: f64 = 50.0;
-    /// Default failure-rate saturation threshold.
+    /// Default shed-rate saturation threshold.
     pub const DEFAULT_FAIL_LIMIT: f64 = 0.05;
 
-    /// Mix weights in class order (routing, labelling, churn).
+    /// Mix weights in class order (route, query, churn).
     pub fn mix(&self) -> [f64; 3] {
         [self.mix_routing, self.mix_labelling, self.mix_churn]
     }
@@ -255,7 +242,7 @@ impl LoadProfile {
 /// Admission/durability knobs for `table = "service"` scenarios (the
 /// `[service]` TOML section), layered on top of the `[load]` ramp.
 ///
-/// The loadgen `service` driver turns every planned op into a request
+/// The service driver turns every planned op into a request
 /// against a resident `mesh-service` instance. Each shard fronts a
 /// bounded deterministic virtual-time queue: `queue_cap` bounds its
 /// depth, `deadline_ms` bounds the simulated wait a request may incur
@@ -479,8 +466,8 @@ pub const MAX_THREADS: usize = 1024;
 
 /// The worker count `sc` runs with: the `MCC_THREADS` environment variable
 /// when set, else `run.threads`, with `0` resolved to every detected core.
-/// It sizes the seed sweep and the loadgen/service-load worker pools. A
-/// malformed or over-cap `MCC_THREADS` is an error, not silently ignored.
+/// It sizes only the seed sweep. A malformed or over-cap `MCC_THREADS` is
+/// an error, not silently ignored.
 pub fn worker_count(sc: &Scenario) -> Result<usize, ScenarioError> {
     let env = std::env::var_os("MCC_THREADS").map(|v| v.to_string_lossy().into_owned());
     resolve_workers(sc.threads, env.as_deref())
@@ -560,7 +547,7 @@ const SECTIONS: [Section; 8] = [
     (
         "load", Optional,
         &["initial_rps", "increment_rps", "max_rps", "step_secs", "mix"],
-        &["pool", "alt_dims", "p99_limit_ms", "fail_limit"],
+        &["pool", "alt_dims", "fail_limit"],
     ),
     ("service", Optional, &[], &["queue_cap", "deadline_ms", "cost_us", "snapshot_every"]),
 ];
@@ -874,9 +861,9 @@ impl Scenario {
     /// range [`Scenario::validate`] rejects (pinned by
     /// `quick_never_empties_small_seed_ranges` below).
     ///
-    /// Load scenarios additionally shrink their ramp: steps get a tenth of
-    /// the wall-clock (clamped to 50 ms) and the rate ceiling is clamped
-    /// to three steps, so `loadgen --quick` is a sub-second smoke run.
+    /// Service scenarios additionally shrink their ramp: steps get a tenth
+    /// of the virtual time (clamped to 50 ms) and the rate ceiling is
+    /// clamped to three steps.
     pub fn quick(&self) -> Scenario {
         let mut s = self.clone();
         s.seed_end = s.seed_start + (self.seed_count() / 10).max(1);
@@ -961,7 +948,6 @@ impl Scenario {
                     mix_churn,
                     pool: r.or("pool", LoadProfile::DEFAULT_POOL)?,
                     alt_dims: r.get("alt_dims")?,
-                    p99_limit_ms: r.or("p99_limit_ms", LoadProfile::DEFAULT_P99_LIMIT_MS)?,
                     fail_limit: r.or("fail_limit", LoadProfile::DEFAULT_FAIL_LIMIT)?,
                 })
             }
@@ -1110,24 +1096,22 @@ impl Scenario {
                 )));
             }
         }
-        let ramp = matches!(self.table, TableKind::Load | TableKind::Service);
+        let ramp = self.table == TableKind::Service;
         match (&self.load, ramp) {
             (None, true) => {
-                return Err(invalid(format!(
-                    "{} scenarios need a [load] section (the ramp)",
-                    self.table.as_str()
-                )));
+                return Err(invalid(
+                    "service scenarios need a [load] section (the ramp)",
+                ))
             }
             (Some(_), false) => {
                 return Err(invalid(
-                    "a [load] section is only meaningful with `table = \"load\"` \
-                     or `table = \"service\"`",
+                    "a [load] section is only meaningful with `table = \"service\"`",
                 ));
             }
             (Some(load), true) => self.validate_load(load)?,
             (None, false) => {}
         }
-        match (&self.service, self.table == TableKind::Service) {
+        match (&self.service, ramp) {
             (None, true) => return Err(invalid("service scenarios need a [service] section")),
             (Some(_), false) => {
                 return Err(invalid(
@@ -1151,7 +1135,7 @@ impl Scenario {
     /// configuration, so it needs a routing table with `pairs_per_seed =
     /// 1` on a non-wrapping mesh (its violation predicate is defined over
     /// the pair's canonical monotone frame). Request-driven churn
-    /// (load/service tables) would fight a regime-prescribed schedule, so
+    /// (service tables) would fight a regime-prescribed schedule, so
     /// those tables reject the transient regime.
     fn validate_regime(&self) -> Result<(), ScenarioError> {
         match self.regime {
@@ -1184,10 +1168,10 @@ impl Scenario {
                          period a site spends faulty, got {duty}"
                     )));
                 }
-                if self.table == TableKind::Load || self.table == TableKind::Service {
+                if self.table == TableKind::Service {
                     return Err(invalid(
                         "the transient regime prescribes its own inject/heal \
-                         schedule; load/service tables churn per request and \
+                         schedule; service tables churn per request and \
                          would fight it — use uniform, clustered, front or plane",
                     ));
                 }
@@ -1248,7 +1232,7 @@ impl Scenario {
     }
 
     /// Load-profile knob rules (split out of [`Scenario::validate`] for
-    /// readability; only called for `table = "load"` scenarios).
+    /// readability; only called for `table = "service"` scenarios).
     fn validate_load(&self, load: &LoadProfile) -> Result<(), ScenarioError> {
         if load.initial_rps < 1 {
             return Err(invalid("`load.initial_rps` must be at least 1"));
@@ -1289,12 +1273,6 @@ impl Scenario {
                 load.pool
             )));
         }
-        if !(load.p99_limit_ms.is_finite() && load.p99_limit_ms > 0.0) {
-            return Err(invalid(format!(
-                "`load.p99_limit_ms` must be a positive duration, got {}",
-                load.p99_limit_ms
-            )));
-        }
         if !(load.fail_limit.is_finite() && 0.0 < load.fail_limit && load.fail_limit <= 1.0) {
             return Err(invalid(format!(
                 "`load.fail_limit` must be a fraction in (0, 1], got {}",
@@ -1303,7 +1281,7 @@ impl Scenario {
         }
         if self.fault_counts.len() != 1 {
             return Err(invalid(format!(
-                "load scenarios hold the fault population fixed per instance; \
+                "service scenarios hold the fault population fixed per shard; \
                  `faults.counts` must have exactly 1 entry, got {}",
                 self.fault_counts.len()
             )));
@@ -1402,7 +1380,6 @@ impl Scenario {
             if let Some(alt) = load.alt_dims {
                 doc.set("load", "alt_dims", extents(alt));
             }
-            doc.set("load", "p99_limit_ms", Value::Float(load.p99_limit_ms));
             doc.set("load", "fail_limit", Value::Float(load.fail_limit));
         }
         if let Some(service) = &self.service {
@@ -1445,9 +1422,10 @@ impl Scenario {
         }
     }
 
-    /// E15-style resident-service ramp: the `[load]` ramp of
-    /// [`Scenario::load_2d`] offered to a journaled `mesh-service`
-    /// instance with the given admission/durability profile.
+    /// E15-style resident-service ramp: an open-loop ramp over 2-D
+    /// shards (add `alt_dims` to the profile for a mixed 2-D/3-D pool)
+    /// behind the given admission/durability profile. `seed` becomes the
+    /// master seed of the deterministic request schedule.
     pub fn service_2d(
         width: i32,
         faults: usize,
@@ -1455,22 +1433,11 @@ impl Scenario {
         profile: LoadProfile,
         service: ServiceProfile,
     ) -> Scenario {
-        let mut s = Scenario::load_2d(width, faults, seed, profile);
-        s.name = "service 2-D".into();
-        s.table = TableKind::Service;
-        s.service = Some(service);
-        s
-    }
-
-    /// E13/E14-style load scenario: an open-loop ramp over a pool of 2-D
-    /// meshes (add `alt_dims` to the profile for a mixed 2-D/3-D pool).
-    /// `seed` becomes the master seed of the deterministic request
-    /// schedule.
-    pub fn load_2d(width: i32, faults: usize, seed: u64, profile: LoadProfile) -> Scenario {
-        let mut s = Scenario::base(TableKind::Load, square(width), &[faults], 1);
+        let mut s = Scenario::base(TableKind::Service, square(width), &[faults], 1);
         s.seed_start = seed;
         s.seed_end = seed + 1;
         s.load = Some(profile);
+        s.service = Some(service);
         s
     }
 
@@ -1770,13 +1737,17 @@ mod tests {
             mix_churn: 0.1,
             pool: 2,
             alt_dims: None,
-            p99_limit_ms: 50.0,
             fail_limit: 0.05,
         }
     }
 
-    const LOAD_BASE: &str = "name = \"l\"\ntable = \"load\"\n[mesh]\ndims = [16, 16]\n\
-         [faults]\ncounts = [12]\n[run]\nseeds = [0, 1]\n";
+    /// A service scenario without its `[load]` ramp.
+    const LOAD_BASE: &str = "name = \"l\"\ntable = \"service\"\n[mesh]\ndims = [16, 16]\n\
+         [faults]\ncounts = [12]\n[run]\nseeds = [0, 1]\n[service]\n";
+
+    fn service_2d(width: i32, faults: usize, profile: LoadProfile) -> Scenario {
+        Scenario::service_2d(width, faults, 0, profile, ServiceProfile::default())
+    }
 
     #[test]
     fn load_schema_parses_and_round_trips() {
@@ -1785,7 +1756,7 @@ mod tests {
              step_secs = 0.5\nmix = [0.6, 0.3, 0.1]\npool = 4\nalt_dims = [6, 6, 6]\n"
         );
         let s = Scenario::from_toml(&text).unwrap();
-        assert_eq!(s.table, TableKind::Load);
+        assert_eq!(s.table, TableKind::Service);
         let load = s.load.as_ref().unwrap();
         assert_eq!(
             (load.initial_rps, load.increment_rps, load.max_rps),
@@ -1795,8 +1766,7 @@ mod tests {
         assert_eq!(load.mix(), [0.6, 0.3, 0.1]);
         assert_eq!(load.pool, 4);
         assert_eq!(load.alt_dims, Some(MeshDims::D3 { x: 6, y: 6, z: 6 }));
-        // Optional thresholds default.
-        assert_eq!(load.p99_limit_ms, LoadProfile::DEFAULT_P99_LIMIT_MS);
+        // The optional threshold defaults.
         assert_eq!(load.fail_limit, LoadProfile::DEFAULT_FAIL_LIMIT);
         assert_eq!(load.max_steps(), 5);
         let back = Scenario::from_toml(&s.to_toml()).unwrap();
@@ -1839,7 +1809,7 @@ mod tests {
             let text = format!("{LOAD_BASE}{extra}");
             assert!(Scenario::from_toml(&text).is_err(), "should reject: {why}");
         }
-        // A [load] section on a non-load table is rejected, like [churn].
+        // A [load] section on a non-service table is rejected, like [churn].
         let text = "name = \"x\"\ntable = \"regions\"\n[mesh]\ndims = [8, 8]\n\
              [faults]\ncounts = [4]\n[run]\nseeds = [0, 2]\n\
              [load]\ninitial_rps = 10\nincrement_rps = 5\nmax_rps = 50\n\
@@ -1848,7 +1818,7 @@ mod tests {
         assert!(err.to_string().contains("[load]"), "got: {err}");
         // Churn weight needs faults to heal, and the ramp must hold one
         // fixed fault population.
-        let mut sc = Scenario::load_2d(16, 0, 0, demo_profile());
+        let mut sc = service_2d(16, 0, demo_profile());
         let err = sc.validate().unwrap_err();
         assert!(err.to_string().contains("churn mix"), "got: {err}");
         sc.fault_counts = vec![4, 8];
@@ -1861,7 +1831,7 @@ mod tests {
         let mut profile = demo_profile();
         profile.alt_dims = Some(MeshDims::D3 { x: 2, y: 2, z: 2 });
         // 12 faults + 2 endpoints don't fit an 8-node alt mesh.
-        let sc = Scenario::load_2d(16, 12, 0, profile);
+        let sc = service_2d(16, 12, profile);
         let err = sc.validate().unwrap_err();
         assert!(err.to_string().contains("load-pool"), "got: {err}");
     }
@@ -1923,13 +1893,30 @@ mod tests {
 
     #[test]
     fn quick_shrinks_load_ramp_to_a_smoke_run() {
-        let sc = Scenario::load_2d(16, 12, 0, demo_profile());
+        let sc = service_2d(16, 12, demo_profile());
         let q = sc.quick();
         let load = q.load.as_ref().unwrap();
         assert_eq!(load.step_secs, 0.05, "a tenth, clamped to 50 ms");
         assert_eq!(load.max_rps, 300, "ramp clamped to three steps");
         assert_eq!(load.max_steps(), 3);
         q.validate().expect("quick load scenario stays valid");
+    }
+
+    /// `table = "load"` and a `[load] p99_limit_ms` key are outside the
+    /// schema: both are errors that name what was written.
+    #[test]
+    fn retired_load_table_and_p99_limit_are_errors() {
+        let text = LOAD_BASE.replace("table = \"service\"", "table = \"load\"");
+        let err = Scenario::from_toml(&text).unwrap_err().to_string();
+        assert!(err.contains("`table`"), "got: {err}");
+        assert!(err.contains("\"load\""), "got: {err}");
+        let text = format!(
+            "{LOAD_BASE}[load]\ninitial_rps = 10\nincrement_rps = 5\nmax_rps = 50\n\
+             step_secs = 0.5\nmix = [1.0, 0.0, 0.0]\np99_limit_ms = 50.0\n"
+        );
+        let err = Scenario::from_toml(&text).unwrap_err().to_string();
+        assert!(err.contains("unknown key `p99_limit_ms`"), "got: {err}");
+        assert!(err.contains("[load]"), "got: {err}");
     }
 
     const REGIME_BASE: &str = "name = \"r\"\ntable = \"routing\"\n[mesh]\ndims = [16, 16]\n\

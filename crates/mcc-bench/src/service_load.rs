@@ -1,54 +1,129 @@
-//! Saturation ramps against the crash-safe resident service.
+//! Saturation ramps against the crash-safe resident service (E15).
 //!
-//! Where [`crate::loadgen`] drives the model kernels directly, this
-//! driver offers the same open-loop schedule to a journaled
-//! [`mesh_service::MeshService`]: every planned op becomes a request
-//! against one of the service's shards, passes that shard's bounded
-//! virtual-time admission queue, and is either executed (route / region
-//! query / churn, durably journaled) or **shed** with a typed
+//! [`run_service_load`] offers an open-loop request schedule, described
+//! by the scenario's `[load]` section (see [`crate::scenario`]), to a
+//! journaled [`mesh_service::MeshService`]. The offered rate starts at
+//! `initial_rps` and rises by `increment_rps` every `step_secs` of
+//! virtual time; the ramp stops at `max_rps` or after the first step
+//! whose shed rate crosses `fail_limit`. Every planned op becomes a
+//! request against one of the service's shards, passes that shard's
+//! bounded virtual-time admission queue, and is either executed (route /
+//! region query / churn, durably journaled) or **shed** with a typed
 //! [`ServiceError::Overloaded`]/[`ServiceError::Deadline`] error. The
-//! interesting measurement beyond E13/E14 is therefore the *shed-rate*
-//! curve: how gracefully the service refuses work beyond saturation
-//! instead of letting latency collapse.
+//! measurement is therefore the *shed-rate* curve: how gracefully the
+//! service refuses work beyond saturation instead of letting its queue
+//! grow without bound.
 //!
-//! **Determinism contract.** The request sequence is the same
-//! deterministic plan as [`crate::loadgen::plan_step`], and each shard's
-//! requests are issued in schedule order by a single worker, so the
-//! admission verdicts — a pure fold of the virtual-time queue over the
-//! plan — are deterministic too. Everything in the rendered table
-//! (admit/shed/reject counts, shed rate, final shard generations) is a
-//! pure function of the scenario; only the JSON's latency percentiles and
-//! throughput fields are wall-clock. Pinned by the `e15_service` golden
-//! snapshot and the service-loadgen integration tests.
+//! **The plan.** [`plan_step`] fixes a step's request sequence as a pure
+//! function of the profile and the scenario's `seed_start`: how many ops
+//! the step issues, their class interleave (error diffusion over the
+//! `mix` weights), their shard, every per-op RNG seed and every scheduled
+//! arrival.
+//!
+//! **The driver.** Admission is a fold of each shard's virtual-time queue
+//! over the arrivals it is offered, so the ramp needs no clock and no
+//! thread: the driver walks each step's plan in schedule order on the
+//! caller's thread and hands every op its virtual arrival time. Steps
+//! tile one continuous timeline, so the queues drain between steps
+//! exactly as the schedule says. Everything in the report (admit/shed/
+//! reject counts, shed rate, final shard generations) is a pure function
+//! of the scenario, pinned by the `e15_service` golden snapshot and the
+//! service-load integration tests.
 //!
 //! Shard journals live under a per-run temp directory that is removed
 //! when the run finishes; the bootstrap fault population is applied as an
 //! explicit journaled churn batch *before* the service starts, so it
 //! bypasses admission and is covered by recovery like any other write.
 
-use std::time::{Duration, Instant};
-
 use mesh_service::{
-    AdmissionConfig, CrashPoint, Geometry, MeshService, Request, Response, ServiceConfig,
+    AdmissionConfig, CrashPoint, Geometry, MeshService, OpClass, Request, Response, ServiceConfig,
     ServiceError, ShardCore, ShardSpec, SyncPolicy,
 };
-use mesh_topo::par::bands;
-use mesh_topo::{detected_cores, Mesh2D, Mesh3D, Parallelism};
+use mesh_topo::{Mesh2D, Mesh3D, Parallelism};
 
-use crate::hist::LatencyHist;
-use crate::loadgen::{offered_rps, plan_step, slot_seed, OpClass, OpSpec};
-use crate::scenario::{worker_count, MeshDims, Scenario, ScenarioError, TableKind};
+use crate::runner::mix_trial_seed;
+use crate::scenario::{LoadProfile, MeshDims, Scenario, ScenarioError, TableKind};
 
-/// Per-step measurements. Every field except the explicitly wall-clock
-/// ones (`achieved_rps`, `elapsed_ms`, the percentiles) is deterministic
-/// for a fixed scenario.
+/// One planned request: what to run, on which shard, with which
+/// randomness, and when it is scheduled to arrive (nanoseconds from step
+/// start).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OpSpec {
+    /// Request class, drawn from the mix by error diffusion.
+    pub class: OpClass,
+    /// Shard (round-robin over every shard of every geometry).
+    pub slot: usize,
+    /// Per-op RNG seed, mixed from the scenario's `seed_start` and the
+    /// op's global index.
+    pub seed: u64,
+    /// Scheduled arrival, nanoseconds after the step starts.
+    pub sched_ns: u64,
+}
+
+/// The offered rate of ramp step `step` (0-based): `initial_rps`
+/// plus `step` increments, clamped to `max_rps`.
+pub fn offered_rps(load: &LoadProfile, step: usize) -> u32 {
+    (load.initial_rps as u64 + step as u64 * load.increment_rps as u64).min(load.max_rps as u64)
+        as u32
+}
+
+/// Plan one ramp step: `max(1, round(rps × step_secs))` ops, arrivals
+/// spaced evenly at the offered rate, classes interleaved by error
+/// diffusion over the mix weights (each op goes to the class with the
+/// largest accumulated deficit, ties to the earlier class), slots
+/// assigned round-robin by global op index. Deterministic in all
+/// arguments; `op_base` is the count of ops planned by earlier steps, so
+/// seeds and slot rotation continue across steps instead of restarting.
+pub fn plan_step(
+    load: &LoadProfile,
+    rps: u32,
+    slots: usize,
+    master_seed: u64,
+    op_base: u64,
+) -> Vec<OpSpec> {
+    let n = ((rps as f64 * load.step_secs).round() as u64).max(1);
+    let gap_ns = 1_000_000_000.0 / rps as f64;
+    let weights = load.mix();
+    let total: f64 = weights.iter().sum();
+    let classes = [OpClass::Route, OpClass::Query, OpClass::Churn];
+    let mut deficit = [0.0f64; 3];
+    (0..n)
+        .map(|i| {
+            let mut pick = 0;
+            for k in 0..3 {
+                deficit[k] += weights[k];
+                if deficit[k] > deficit[pick] {
+                    pick = k;
+                }
+            }
+            deficit[pick] -= total;
+            let global = op_base + i;
+            OpSpec {
+                class: classes[pick],
+                slot: (global % slots as u64) as usize,
+                seed: mix_trial_seed(master_seed, global as usize),
+                sched_ns: (i as f64 * gap_ns).round() as u64,
+            }
+        })
+        .collect()
+}
+
+/// Decorrelated bootstrap fault-population seed of one shard, so shards
+/// of the same geometry do not start from identical fault sets.
+fn slot_seed(master: u64, geometry: usize, slot: usize, purpose: u64) -> u64 {
+    master
+        .wrapping_mul(0x9e37_79b9)
+        .wrapping_add(((geometry as u64) << 40) ^ ((slot as u64) << 8) ^ purpose)
+}
+
+/// Per-step counts, each a pure function of the scenario.
 #[derive(Clone, Debug)]
 pub struct ServiceStepReport {
     /// 0-based ramp step index.
     pub step: usize,
     /// Offered rate this step ran at.
     pub offered_rps: u32,
-    /// Ops issued (deterministic: `max(1, round(rps × step_secs))`).
+    /// Ops issued: `max(1, round(rps × step_secs))`.
     pub ops: u64,
     /// Ops the admission layer accepted and the shards executed.
     pub admitted: u64,
@@ -58,24 +133,12 @@ pub struct ServiceStepReport {
     pub shed_deadline: u64,
     /// Ops rejected as malformed/unsatisfiable (e.g. no healthy pair).
     pub rejected: u64,
-    /// Admitted route ops whose packet was not delivered (deterministic —
-    /// the router is).
+    /// Admitted route ops whose packet was not delivered.
     pub undelivered: u64,
     /// `(shed_overloaded + shed_deadline) / ops`.
     pub shed_rate: f64,
-    /// Completed ops per wall-clock second (wall-clock).
-    pub achieved_rps: f64,
-    /// Step wall-clock duration in milliseconds (wall-clock).
-    pub elapsed_ms: f64,
-    /// Latency percentiles over the step's **admitted** ops, µs, measured
-    /// from each op's scheduled arrival to its completion (wall-clock).
-    pub p50_us: u64,
-    /// 99th percentile of admitted-op latency (wall-clock).
-    pub p99_us: u64,
-    /// 99.9th percentile of admitted-op latency (wall-clock).
-    pub p999_us: u64,
     /// Whether this step crossed the saturation threshold (shed rate over
-    /// the profile's `fail_limit` — deterministic by design).
+    /// the profile's `fail_limit`).
     pub saturated: bool,
 }
 
@@ -84,11 +147,6 @@ pub struct ServiceStepReport {
 pub struct ServiceLoadReport {
     /// The scenario that was run.
     pub scenario: Scenario,
-    /// Resolved client worker budget (the issuing pool is capped at one
-    /// worker per shard).
-    pub threads: usize,
-    /// Hardware threads the platform reports (for cross-machine reading).
-    pub detected_cores: usize,
     /// Number of service shards (`pool × geometries`).
     pub shards: usize,
     /// The shard mesh geometries, e.g. `["16x16", "6x6x6"]`.
@@ -99,7 +157,7 @@ pub struct ServiceLoadReport {
     /// reaching `max_rps`.
     pub saturated_at_rps: Option<u32>,
     /// Final durable churn generation of every shard, in shard order
-    /// (deterministic: the bootstrap batch plus every admitted churn op).
+    /// (the bootstrap batch plus every admitted churn op).
     pub final_gens: Vec<u64>,
     /// Total supervisor-recorded shard recoveries (0 in a healthy run).
     pub recoveries: u64,
@@ -108,11 +166,11 @@ pub struct ServiceLoadReport {
 /// The request a planned op turns into, against shard `op.slot`.
 fn op_request(op: &OpSpec, min_dist: u32) -> Request {
     match op.class {
-        OpClass::Routing => Request::RouteRandom {
+        OpClass::Route => Request::RouteRandom {
             seed: op.seed,
             min_dist,
         },
-        OpClass::Labelling => Request::QueryRandom { seed: op.seed },
+        OpClass::Query => Request::QueryRandom { seed: op.seed },
         OpClass::Churn => Request::ChurnRandom { seed: op.seed },
     }
 }
@@ -220,10 +278,9 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
         .iter()
         .map(|dims| (dims.max_extent() as f64 * sc.min_dist_frac).round() as u32)
         .collect();
-    let threads = worker_count(sc)?;
 
     // Shard journals live for exactly this run.
-    let root = mesh_service::testutil::TempDir::new("loadgen");
+    let root = mesh_service::testutil::TempDir::new("service-load");
     let specs: Vec<ShardSpec> = shard_dims
         .iter()
         .map(|&dims| {
@@ -247,7 +304,6 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
     let svc = MeshService::start(cfg, &specs)
         .map_err(|e| ScenarioError::new(format!("service start: {e}")))?;
 
-    let workers = threads.min(shards_n);
     let mut steps = Vec::new();
     let mut saturated_at = None;
     let mut op_base = 0u64;
@@ -258,30 +314,48 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
     for step in 0..load.max_steps() {
         let rps = offered_rps(&load, step);
         let plan = plan_step(&load, rps, shards_n, sc.seed_start, op_base);
-        op_base += plan.len() as u64;
-        let virtual_base = step as u64 * step_ns;
-        let (tallies, hist, elapsed) = execute_step(&svc, &plan, workers, &min_dists, virtual_base);
         let ops = plan.len() as u64;
-        let shed = tallies.shed_overloaded + tallies.shed_deadline;
-        let shed_rate = shed as f64 / ops as f64;
-        let saturated = shed_rate > load.fail_limit;
-        steps.push(ServiceStepReport {
+        op_base += ops;
+        let virtual_base = step as u64 * step_ns;
+        let mut report = ServiceStepReport {
             step,
             offered_rps: rps,
             ops,
-            admitted: tallies.admitted,
-            shed_overloaded: tallies.shed_overloaded,
-            shed_deadline: tallies.shed_deadline,
-            rejected: tallies.rejected,
-            undelivered: tallies.undelivered,
-            shed_rate,
-            achieved_rps: ops as f64 / elapsed.as_secs_f64(),
-            elapsed_ms: elapsed.as_secs_f64() * 1_000.0,
-            p50_us: hist.percentile(0.50) / 1_000,
-            p99_us: hist.percentile(0.99) / 1_000,
-            p999_us: hist.percentile(0.999) / 1_000,
-            saturated,
-        });
+            admitted: 0,
+            shed_overloaded: 0,
+            shed_deadline: 0,
+            rejected: 0,
+            undelivered: 0,
+            shed_rate: 0.0,
+            saturated: false,
+        };
+        for op in &plan {
+            let req = op_request(op, min_dists[op.slot]);
+            match svc.call(op.slot, req, virtual_base + op.sched_ns) {
+                Ok(resp) => {
+                    report.admitted += 1;
+                    if let Response::Route {
+                        delivered: false, ..
+                    } = resp
+                    {
+                        report.undelivered += 1;
+                    }
+                }
+                Err(ServiceError::Overloaded { .. }) => report.shed_overloaded += 1,
+                Err(ServiceError::Deadline { .. }) => report.shed_deadline += 1,
+                Err(ServiceError::Rejected { .. }) => report.rejected += 1,
+                Err(e) => {
+                    return Err(ScenarioError::new(format!(
+                        "service op on shard {}: {e}",
+                        op.slot
+                    )))
+                }
+            }
+        }
+        report.shed_rate = (report.shed_overloaded + report.shed_deadline) as f64 / ops as f64;
+        let saturated = report.shed_rate > load.fail_limit;
+        report.saturated = saturated;
+        steps.push(report);
         if saturated {
             saturated_at = Some(rps);
             break;
@@ -307,8 +381,6 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
 
     Ok(ServiceLoadReport {
         scenario: sc.clone(),
-        threads,
-        detected_cores: detected_cores(),
         shards: shards_n,
         geometries: geometries.iter().map(|d| dims_label(*d)).collect(),
         steps,
@@ -318,170 +390,11 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
     })
 }
 
-#[derive(Default)]
-struct Tallies {
-    admitted: u64,
-    shed_overloaded: u64,
-    shed_deadline: u64,
-    rejected: u64,
-    undelivered: u64,
-}
-
-/// Issue one step's plan: shards are sharded contiguously over `workers`
-/// scoped threads, each worker walks its shards' ops in schedule order
-/// (so per-shard request order — and with it every admission verdict —
-/// is deterministic), sleeps until each op's scheduled arrival, and
-/// records admitted-op latency from the scheduled arrival.
-fn execute_step(
-    svc: &MeshService,
-    plan: &[OpSpec],
-    workers: usize,
-    min_dists: &[u32],
-    virtual_base: u64,
-) -> (Tallies, LatencyHist, Duration) {
-    let ranges = bands(min_dists.len(), workers);
-    let t0 = Instant::now();
-    let parts: Vec<(Tallies, LatencyHist)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    let mut tallies = Tallies::default();
-                    let mut hist = LatencyHist::new();
-                    for op in plan.iter().filter(|op| range.contains(&op.slot)) {
-                        let sched = Duration::from_nanos(op.sched_ns);
-                        if let Some(wait) = sched.checked_sub(t0.elapsed()) {
-                            std::thread::sleep(wait);
-                        }
-                        let req = op_request(op, min_dists[op.slot]);
-                        match svc.call(op.slot, req, virtual_base + op.sched_ns) {
-                            Ok(resp) => {
-                                tallies.admitted += 1;
-                                if let Response::Route {
-                                    delivered: false, ..
-                                } = resp
-                                {
-                                    tallies.undelivered += 1;
-                                }
-                                let latency = t0.elapsed().saturating_sub(sched);
-                                hist.record(latency.as_nanos() as u64);
-                            }
-                            Err(ServiceError::Overloaded { .. }) => tallies.shed_overloaded += 1,
-                            Err(ServiceError::Deadline { .. }) => tallies.shed_deadline += 1,
-                            Err(ServiceError::Rejected { .. }) => tallies.rejected += 1,
-                            Err(e) => panic!("service op on shard {}: {e}", op.slot),
-                        }
-                    }
-                    (tallies, hist)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("service loadgen worker panicked"))
-            .collect()
-    });
-    let elapsed = t0.elapsed();
-    let mut tallies = Tallies::default();
-    let mut hist = LatencyHist::new();
-    for (t, h) in &parts {
-        tallies.admitted += t.admitted;
-        tallies.shed_overloaded += t.shed_overloaded;
-        tallies.shed_deadline += t.shed_deadline;
-        tallies.rejected += t.rejected;
-        tallies.undelivered += t.undelivered;
-        hist.merge(h);
-    }
-    (tallies, hist, elapsed)
-}
-
 impl ServiceLoadReport {
-    /// The machine-readable summary the `loadgen` binary writes
-    /// (hand-built JSON).
-    pub fn to_json(&self) -> String {
-        let sc = &self.scenario;
-        let service = sc
-            .service
-            .as_ref()
-            .expect("service reports come from service scenarios");
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"bench\": \"service\",\n");
-        json.push_str(&format!("  \"scenario\": \"{}\",\n", sc.name));
-        json.push_str(&crate::report::fault_regime_field(sc.regime.name()));
-        json.push_str(&format!("  \"seed\": {},\n", sc.seed_start));
-        json.push_str(&format!("  \"threads\": {},\n", self.threads));
-        json.push_str(&format!("  \"detected_cores\": {},\n", self.detected_cores));
-        json.push_str(&format!("  \"shards\": {},\n", self.shards));
-        json.push_str(&format!(
-            "  \"geometries\": [{}],\n",
-            self.geometries
-                .iter()
-                .map(|g| format!("\"{g}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        json.push_str(&format!(
-            "  \"queue_cap\": {}, \"deadline_ms\": {}, \"cost_us\": [{}, {}, {}], \
-             \"snapshot_every\": {},\n",
-            service.queue_cap,
-            service.deadline_ms,
-            service.cost_us[0],
-            service.cost_us[1],
-            service.cost_us[2],
-            service.snapshot_every,
-        ));
-        json.push_str("  \"steps\": [\n");
-        for (i, s) in self.steps.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"step\": {}, \"offered_rps\": {}, \"ops\": {}, \
-                 \"admitted\": {}, \"shed_overloaded\": {}, \"shed_deadline\": {}, \
-                 \"rejected\": {}, \"undelivered\": {}, \"shed_rate\": {:.6}, \
-                 \"achieved_rps\": {:.2}, \"elapsed_ms\": {:.3}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"p999_us\": {}, \"saturated\": {}}}{}\n",
-                s.step,
-                s.offered_rps,
-                s.ops,
-                s.admitted,
-                s.shed_overloaded,
-                s.shed_deadline,
-                s.rejected,
-                s.undelivered,
-                s.shed_rate,
-                s.achieved_rps,
-                s.elapsed_ms,
-                s.p50_us,
-                s.p99_us,
-                s.p999_us,
-                s.saturated,
-                if i + 1 < self.steps.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n");
-        match self.saturated_at_rps {
-            Some(rps) => json.push_str(&format!("  \"saturated_at_rps\": {rps},\n")),
-            None => json.push_str("  \"saturated_at_rps\": null,\n"),
-        }
-        json.push_str(&format!(
-            "  \"final_gens\": [{}],\n",
-            self.final_gens
-                .iter()
-                .map(|g| g.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        json.push_str(&format!("  \"recoveries\": {}\n", self.recoveries));
-        json.push_str("}\n");
-        json
-    }
-
     /// Render the ramp as an aligned text table for the console.
     ///
-    /// Every printed character is deterministic for a fixed scenario —
-    /// no thread counts, no wall-clock fields — so service tables are
-    /// golden-snapshot stable (the latency percentiles live in the JSON
-    /// summary instead).
+    /// Every printed character is a pure function of the scenario, so
+    /// service tables are golden-snapshot stable.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let sc = &self.scenario;
@@ -538,5 +451,96 @@ impl ServiceLoadReport {
                 .join(", ")
         );
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn profile() -> LoadProfile {
+        LoadProfile {
+            initial_rps: 100,
+            increment_rps: 50,
+            max_rps: 260,
+            step_secs: 0.1,
+            mix_routing: 0.5,
+            mix_labelling: 0.3,
+            mix_churn: 0.2,
+            pool: 2,
+            alt_dims: None,
+            fail_limit: 0.05,
+        }
+    }
+
+    #[test]
+    fn offered_rate_ramps_and_clamps() {
+        let load = profile();
+        assert_eq!(offered_rps(&load, 0), 100);
+        assert_eq!(offered_rps(&load, 1), 150);
+        assert_eq!(offered_rps(&load, 3), 250);
+        assert_eq!(offered_rps(&load, 4), 260, "clamped to the ceiling");
+        assert_eq!(offered_rps(&load, 100), 260);
+        assert_eq!(load.max_steps(), 5);
+    }
+
+    #[test]
+    fn plan_is_deterministic_and_proportional() {
+        let load = profile();
+        let a = plan_step(&load, 200, 4, 42, 0);
+        let b = plan_step(&load, 200, 4, 42, 0);
+        assert_eq!(a, b, "same inputs, same plan");
+        assert_eq!(a.len(), 20, "round(200 × 0.1)");
+        // Error diffusion keeps every class within one op of its share.
+        let count = |cl| a.iter().filter(|op| op.class == cl).count() as f64;
+        for (cl, w) in [
+            (OpClass::Route, 0.5),
+            (OpClass::Query, 0.3),
+            (OpClass::Churn, 0.2),
+        ] {
+            assert!((count(cl) - w * 20.0).abs() <= 1.0, "{cl:?} share drifted");
+        }
+        // Arrivals are evenly spaced at the offered rate and monotone.
+        assert_eq!(a[0].sched_ns, 0);
+        assert!(a.windows(2).all(|w| w[0].sched_ns < w[1].sched_ns));
+        assert_eq!(a[1].sched_ns, 5_000_000, "5 ms gap at 200 rps");
+        // Slots rotate round-robin over the whole pool.
+        assert!(a.iter().enumerate().all(|(i, op)| op.slot == i % 4));
+        // A different op_base continues — not restarts — the sequence.
+        let shifted = plan_step(&load, 200, 4, 42, 3);
+        assert_ne!(a[0].seed, shifted[0].seed);
+        assert_eq!(shifted[0].slot, 3);
+    }
+
+    #[test]
+    fn plan_with_zero_weight_skips_the_class() {
+        let mut load = profile();
+        load.mix_churn = 0.0;
+        let plan = plan_step(&load, 500, 3, 7, 0);
+        assert_eq!(plan.len(), 50);
+        assert!(plan.iter().all(|op| op.class != OpClass::Churn));
+    }
+
+    #[test]
+    fn plan_never_plans_zero_ops() {
+        let mut load = profile();
+        load.step_secs = 0.05;
+        // round(1 × 0.05) = 0, clamped up: the step must do something.
+        assert_eq!(plan_step(&load, 1, 2, 0, 0).len(), 1);
+    }
+
+    #[test]
+    fn slot_seeds_are_decorrelated() {
+        let mut seen = std::collections::HashSet::new();
+        for g in 0..2 {
+            for s in 0..8 {
+                for p in 0..3 {
+                    assert!(
+                        seen.insert(slot_seed(99, g, s, p)),
+                        "({g},{s},{p}) collided"
+                    );
+                }
+            }
+        }
     }
 }

@@ -16,7 +16,6 @@
 
 use mcc_bench::runner::run_scenario;
 use mcc_bench::scenario::Scenario;
-use mcc_bench::service_load::run_service_load;
 
 fn assert_quick_matches_golden(scenario_file: &str, golden_file: &str) {
     let root = env!("CARGO_MANIFEST_DIR");
@@ -54,29 +53,10 @@ fn e11_torus_quick_table_matches_golden_snapshot() {
 #[test]
 fn e15_service_quick_ramp_matches_golden_snapshot() {
     // Service ramps run through the resident mesh-service (journaled
-    // shards behind virtual-time admission queues), not the row-table
-    // runner, so this golden pins the whole chain: plan determinism,
-    // admission verdicts, journaled churn generations and the
-    // deterministic-only renderer. Regenerate with:
-    //
-    //   cargo run --release -p mcc-bench --bin loadgen -- --quick \
-    //       scenarios/e15_service.toml
-    //
-    // and copy the table (everything before the `wrote ...` line).
-    let root = env!("CARGO_MANIFEST_DIR");
-    let scenario = Scenario::load(format!("{root}/../../scenarios/e15_service.toml"))
-        .unwrap_or_else(|e| panic!("e15_service.toml parses: {e}"))
-        .quick();
-    let report =
-        run_service_load(&scenario).unwrap_or_else(|e| panic!("e15_service.toml runs: {e}"));
-    let printed = format!("{}\n", report.render());
-    let golden = std::fs::read_to_string(format!("{root}/tests/golden/e15_service_quick.txt"))
-        .expect("golden snapshot exists");
-    assert_eq!(
-        printed, golden,
-        "e15_service.toml --quick ramp drifted from e15_service_quick.txt; \
-         the admit/shed sequence is part of the admission determinism contract"
-    );
+    // shards behind virtual-time admission queues), so this golden pins
+    // the whole chain: plan determinism, admission verdicts, journaled
+    // churn generations and the service renderer.
+    assert_quick_matches_golden("e15_service.toml", "e15_service_quick.txt");
 }
 
 #[test]

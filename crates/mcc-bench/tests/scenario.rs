@@ -470,3 +470,32 @@ fn mutated_scenarios_parse_or_fail_cleanly() {
         "the battery must exercise both outcomes ({accepted} of {total} parsed)"
     );
 }
+
+/// The same scenario passed twice (the second time through a respelled
+/// path) must print exactly one table.
+#[test]
+fn tables_binary_runs_a_repeated_path_once() {
+    let dir = std::env::temp_dir().join(format!("mcc-tables-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("dedupe.toml");
+    std::fs::write(&path, Scenario::regions_2d(8, &[2], 2).to_toml()).expect("write scenario");
+    let respelled = dir.join(".").join("dedupe.toml");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_tables"))
+        .arg(&path)
+        .arg(&path)
+        .arg(&respelled)
+        .output()
+        .expect("run tables");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert!(
+        run.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(
+        stdout.matches("== ").count(),
+        1,
+        "deduped run prints one table: {stdout}"
+    );
+}

@@ -1,8 +1,7 @@
 //! Integration battery for the service saturation driver: the overload
-//! smoke (typed shed errors, a deterministic admit/shed sequence for a
-//! fixed profile+seed, accepted-op p99 under the scenario limit), the
-//! JSON summary's required fields, and the CLI surfaces — including the
-//! snapshot-write failure path that must name the offending file.
+//! smoke (typed shed errors and a deterministic admit/shed sequence for a
+//! fixed profile+seed) and the `tables` CLI surface that prints the shed
+//! table.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,7 +26,6 @@ fn service_scenario() -> Scenario {
             mix_churn: 0.2,
             pool: 2,
             alt_dims: Some(MeshDims::D3 { x: 6, y: 6, z: 6 }),
-            p99_limit_ms: LoadProfile::DEFAULT_P99_LIMIT_MS,
             // Let the whole ramp run: this battery inspects the full shed
             // curve rather than stopping at first saturation.
             fail_limit: 0.95,
@@ -45,8 +43,7 @@ fn service_scenario() -> Scenario {
 /// shed_overloaded, shed_deadline, rejected, undelivered, saturated).
 type StepView = (usize, u32, u64, u64, u64, u64, u64, u64, bool);
 
-/// The deterministic projection of a service report: everything except
-/// the wall-clock fields.
+/// The per-step counts of a service report.
 fn deterministic_view(report: &ServiceLoadReport) -> Vec<StepView> {
     report
         .steps
@@ -68,7 +65,7 @@ fn deterministic_view(report: &ServiceLoadReport) -> Vec<StepView> {
 }
 
 #[test]
-fn overload_smoke_sheds_deterministically_with_p99_under_the_limit() {
+fn overload_smoke_sheds_deterministically() {
     let sc = service_scenario();
     let a = run_service_load(&sc).expect("service scenario runs");
     let b = run_service_load(&sc).expect("service scenario runs twice");
@@ -86,17 +83,9 @@ fn overload_smoke_sheds_deterministically_with_p99_under_the_limit() {
             s.shed_rate,
             (s.shed_overloaded + s.shed_deadline) as f64 / s.ops as f64
         );
-        // Accepted-op latency stays under the scenario's p99 limit: the
-        // admission layer sheds the excess instead of queueing it.
-        assert!(
-            (s.p99_us as f64) / 1_000.0 <= sc.load.as_ref().unwrap().p99_limit_ms,
-            "step {} p99 {}µs breaches the limit",
-            s.step,
-            s.p99_us
-        );
     }
     // Past saturation the service sheds (with typed errors — anything
-    // else panics inside the driver) and the curve rises with the rate.
+    // else is an error from the driver) and the curve rises with the rate.
     let shed: Vec<u64> = a
         .steps
         .iter()
@@ -118,40 +107,6 @@ fn overload_smoke_sheds_deterministically_with_p99_under_the_limit() {
 }
 
 #[test]
-fn json_summary_carries_every_required_field() {
-    let report = run_service_load(&service_scenario()).expect("runs");
-    let json = report.to_json();
-    for key in [
-        "\"bench\": \"service\"",
-        "\"scenario\"",
-        "\"fault_regime\": \"uniform\"",
-        "\"seed\": 7",
-        "\"threads\"",
-        "\"detected_cores\"",
-        "\"shards\": 4",
-        "\"geometries\": [\"12x12\", \"6x6x6\"]",
-        "\"queue_cap\": 8",
-        "\"deadline_ms\"",
-        "\"cost_us\": [12000, 6000, 24000]",
-        "\"snapshot_every\": 4",
-        "\"steps\"",
-        "\"admitted\"",
-        "\"shed_overloaded\"",
-        "\"shed_deadline\"",
-        "\"rejected\"",
-        "\"undelivered\"",
-        "\"shed_rate\"",
-        "\"achieved_rps\"",
-        "\"p99_us\"",
-        "\"saturated_at_rps\"",
-        "\"final_gens\"",
-        "\"recoveries\"",
-    ] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
-}
-
-#[test]
 fn run_service_load_refuses_other_tables() {
     let err = run_service_load(&Scenario::regions_2d(8, &[2], 2)).unwrap_err();
     assert!(err.to_string().contains("service"), "got: {err}");
@@ -167,51 +122,23 @@ fn write_scenario(sc: &Scenario, name: &str) -> PathBuf {
 }
 
 #[test]
-fn loadgen_binary_routes_service_scenarios_to_the_service_driver() {
-    let path = write_scenario(&service_scenario(), "svc.toml");
-    let out = path.with_extension("json");
-    let run = Command::new(env!("CARGO_BIN_EXE_loadgen"))
-        .args(["--quick", "--out"])
-        .arg(&out)
+fn tables_binary_prints_the_service_shed_table() {
+    let sc = service_scenario();
+    let path = write_scenario(&sc, "svc-tables.toml");
+    let run = Command::new(env!("CARGO_BIN_EXE_tables"))
         .arg(&path)
         .output()
-        .expect("run loadgen");
+        .expect("run tables on service scenario");
     assert!(
         run.status.success(),
         "stderr: {}",
         String::from_utf8_lossy(&run.stderr)
     );
-    let stdout = String::from_utf8_lossy(&run.stdout);
-    assert!(stdout.contains("shed%"), "got: {stdout}");
-    let json = std::fs::read_to_string(&out).expect("summary written");
-    assert!(json.contains("\"bench\": \"service\""), "got: {json}");
-}
-
-#[test]
-fn loadgen_binary_names_the_unwritable_summary_path() {
-    let path = write_scenario(&service_scenario(), "unwritable.toml");
-    let run = Command::new(env!("CARGO_BIN_EXE_loadgen"))
-        .args(["--quick", "--out", "/nonexistent-dir-zzz/out.json"])
-        .arg(&path)
-        .output()
-        .expect("run loadgen");
-    assert!(!run.status.success(), "must exit nonzero on write failure");
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert!(
-        stderr.contains("cannot write /nonexistent-dir-zzz/out.json"),
-        "error must name the path: {stderr}"
+    let report = run_service_load(&sc).expect("service scenario runs");
+    assert_eq!(
+        String::from_utf8_lossy(&run.stdout),
+        format!("{}\n", report.render()),
+        "tables prints exactly the rendered shed table"
     );
-}
-
-#[test]
-fn tables_binary_rejects_explicit_service_scenarios() {
-    let path = write_scenario(&service_scenario(), "svc-tables.toml");
-    let run = Command::new(env!("CARGO_BIN_EXE_tables"))
-        .arg(&path)
-        .output()
-        .expect("run tables on service scenario");
-    assert!(!run.status.success());
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert!(stderr.contains("loadgen"), "got: {stderr}");
-    assert!(stderr.contains("service"), "got: {stderr}");
+    assert!(report.render().contains("shed%"));
 }

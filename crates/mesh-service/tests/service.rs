@@ -1,15 +1,18 @@
 //! Service-level behaviour: supervision (panicked shards restart from the
 //! journal), the single reopen path after a shutdown or a failed recovery,
 //! overload shedding with typed errors and a deterministic shed sequence,
-//! restart-resume over the same root, and the retry helper.
+//! restart-resume over the same root, the retry helper, and callers on
+//! several threads at once.
 
 use std::fs;
+use std::thread;
 use std::time::Duration;
 
 use mesh_service::prelude::*;
 use mesh_service::shard::ShardStats;
-use mesh_service::CrashSite;
+use mesh_service::{CrashSite, ShardCore, StateDigest};
 use mesh_topo::coord::c2;
+use mesh_topo::Parallelism;
 
 fn spec_8x8() -> ShardSpec {
     ShardSpec::new(
@@ -257,4 +260,155 @@ fn startup_surfaces_snapshot_corruption() {
         Err(other) => panic!("start over damaged snapshot: {other:?}"),
         Ok(_) => panic!("start over damaged snapshot succeeded"),
     }
+}
+
+/// Two 8×8 and two 5×5×5 shards.
+fn mixed_specs() -> Vec<ShardSpec> {
+    let spec_5x5x5 = ShardSpec::new(
+        Geometry::M3 {
+            nx: 5,
+            ny: 5,
+            nz: 5,
+            wrap: false,
+        },
+        4,
+    );
+    vec![spec_8x8(), spec_8x8(), spec_5x5x5, spec_5x5x5]
+}
+
+/// The request sequence driven on `shard`: churn, route and query in
+/// turn, with seeds unique to the shard and arrivals 150 µs apart — under
+/// the default costs and a 1 ms deadline, some of them shed.
+fn shard_sequence(shard: usize) -> Vec<(Request, u64)> {
+    (0..24u64)
+        .map(|i| {
+            let seed = shard as u64 * 1_000 + i;
+            let req = match i % 3 {
+                0 => Request::ChurnRandom { seed },
+                1 => Request::RouteRandom { seed, min_dist: 4 },
+                _ => Request::QueryRandom { seed },
+            };
+            (req, i * 150_000)
+        })
+        .collect()
+}
+
+type Outcomes = Vec<Result<Response, ServiceError>>;
+
+/// Drive every shard's [`shard_sequence`] — on one thread per shard, or
+/// all on the calling thread — and return each shard's replies, final
+/// stats and the digest of the state its journal recovers to.
+fn drive_mixed(tag: &str, threaded: bool) -> (Vec<Outcomes>, Vec<ShardStats>, Vec<StateDigest>) {
+    let root = TempDir::new(tag);
+    let specs = mixed_specs();
+    let mut cfg = ServiceConfig::new(root.path());
+    cfg.admission.deadline_ns = 1_000_000;
+    let svc = MeshService::start(cfg, &specs).unwrap();
+    let drive = |shard: usize| -> Outcomes {
+        shard_sequence(shard)
+            .into_iter()
+            .map(|(req, at)| svc.call(shard, req, at))
+            .collect()
+    };
+    let outcomes: Vec<Outcomes> = if threaded {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..specs.len())
+                .map(|shard| scope.spawn(move || drive(shard)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller panicked"))
+                .collect()
+        })
+    } else {
+        (0..specs.len()).map(drive).collect()
+    };
+    let stats: Vec<ShardStats> = (0..specs.len()).map(|i| stats(&svc, i)).collect();
+    svc.shutdown();
+    let digests = specs
+        .iter()
+        .enumerate()
+        .map(|(i, &spec)| {
+            let dir = root.path().join(format!("shard-{i:04}"));
+            ShardCore::open(&dir, spec, Parallelism::SEQ, CrashPoint::none())
+                .expect("reopen shard")
+                .digest()
+        })
+        .collect();
+    (outcomes, stats, digests)
+}
+
+/// One caller thread per shard ends exactly where a sequential run of the
+/// same sequences does: same replies, same generations, same state.
+#[test]
+fn concurrent_callers_on_distinct_shards_match_a_sequential_run() {
+    let (outcomes, stats, digests) = drive_mixed("threads-distinct", true);
+    let (seq_outcomes, seq_stats, seq_digests) = drive_mixed("threads-sequential", false);
+    assert_eq!(outcomes, seq_outcomes);
+    let gens: Vec<u64> = stats.iter().map(|s| s.gen).collect();
+    let seq_gens: Vec<u64> = seq_stats.iter().map(|s| s.gen).collect();
+    assert_eq!(gens, seq_gens);
+    assert_eq!(digests, seq_digests);
+    // The sequences do exercise both outcomes on every shard.
+    for replies in &outcomes {
+        assert!(replies.iter().any(|r| r.is_ok()), "{replies:?}");
+        assert!(
+            replies
+                .iter()
+                .any(|r| r.as_ref().is_err_and(|e| e.is_shed())),
+            "{replies:?}"
+        );
+    }
+}
+
+/// Callers contending for one shard serialize on its lock: every call gets
+/// a typed reply, admitted and shed calls add up to those issued, and the
+/// generation rises by exactly the admitted churns.
+#[test]
+fn concurrent_callers_on_one_shard_account_for_every_request() {
+    const THREADS: u64 = 4;
+    const CALLS: u64 = 30;
+    let root = TempDir::new("threads-contend");
+    let mut cfg = ServiceConfig::new(root.path());
+    cfg.admission.queue_cap = 4;
+    let svc = MeshService::start(cfg, &[spec_8x8()]).unwrap();
+    let tallies: Vec<[u64; 3]> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let svc = &svc;
+                scope.spawn(move || {
+                    let [mut admitted, mut shed, mut churns] = [0u64; 3];
+                    for i in 0..CALLS {
+                        let seed = t * 1_000 + i;
+                        let churn = i % 2 == 0;
+                        let req = if churn {
+                            Request::ChurnRandom { seed }
+                        } else {
+                            Request::QueryRandom { seed }
+                        };
+                        // Every thread offers at the same virtual instants.
+                        match svc.call(0, req, i * 100_000) {
+                            Ok(_) => {
+                                admitted += 1;
+                                churns += u64::from(churn);
+                            }
+                            Err(e) if e.is_shed() => shed += 1,
+                            Err(e) => panic!("thread {t}, call {i}: {e}"),
+                        }
+                    }
+                    [admitted, shed, churns]
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("caller panicked"))
+            .collect()
+    });
+    let [admitted, shed, churns] = tallies.iter().fold([0u64; 3], |acc, t| {
+        [acc[0] + t[0], acc[1] + t[1], acc[2] + t[2]]
+    });
+    assert_eq!(admitted + shed, THREADS * CALLS);
+    assert!(shed > 0, "four callers per instant must overload the shard");
+    assert_eq!(stats(&svc, 0).gen, churns);
 }

@@ -2,18 +2,15 @@
 //!
 //! Every kernel in the workspace runs sequentially on one thread. What
 //! does scale is running *independent* units side by side: the seed sweep
-//! of `mcc-bench` and the slot/shard worker pools of its load generators.
-//! Those pools take their size from one [`Parallelism`] value. The type
-//! carries *intent* (`0` = use every detected core) rather than a resolved
-//! count, so a scenario file stays machine-independent;
+//! of `mcc-bench`, which takes its pool size from one [`Parallelism`]
+//! value. The type carries *intent* (`0` = use every detected core) rather
+//! than a resolved count, so a scenario file stays machine-independent;
 //! [`Parallelism::resolve`] pins it to a concrete thread count at the call
-//! site, and [`bands`] splits the units into contiguous per-worker ranges.
+//! site.
 //!
-//! Every pool scatters its results back in unit order, so the worker count
+//! The sweep scatters its results back in seed order, so the worker count
 //! is a pure performance knob: tables, goldens and `RunStats` never depend
 //! on it.
-
-use std::ops::Range;
 
 /// A worker-pool budget. `threads == 0` means "all detected cores".
 ///
@@ -53,35 +50,10 @@ impl Parallelism {
 }
 
 /// Number of hardware threads the platform reports (at least 1).
-///
-/// Recorded in every loadgen/service JSON snapshot so perf trajectories
-/// are comparable across machines.
 pub fn detected_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Split `0..items` into at most `want` contiguous, non-empty, near-equal
-/// ranges (fewer when `items < want`). The slot/shard partition of the
-/// load generators' worker pools: contiguity is what lets per-worker
-/// results merge back in index order, bit-identical to a sequential pass.
-pub fn bands(items: usize, want: usize) -> Vec<Range<usize>> {
-    if items == 0 || want == 0 {
-        return Vec::new();
-    }
-    let n = want.min(items);
-    let base = items / n;
-    let extra = items % n;
-    let mut out = Vec::with_capacity(n);
-    let mut start = 0;
-    for k in 0..n {
-        let len = base + usize::from(k < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, items);
-    out
 }
 
 #[cfg(test)]
@@ -103,33 +75,5 @@ mod tests {
     #[test]
     fn default_is_sequential() {
         assert_eq!(Parallelism::default(), Parallelism::SEQ);
-    }
-
-    #[test]
-    fn bands_cover_exactly_and_stay_near_equal() {
-        for items in [1usize, 2, 5, 63, 64, 65, 1000] {
-            for want in [1usize, 2, 3, 7, 16] {
-                let b = bands(items, want);
-                assert_eq!(b.len(), want.min(items), "{items}/{want}");
-                assert_eq!(b[0].start, 0);
-                assert_eq!(b.last().unwrap().end, items);
-                for w in b.windows(2) {
-                    assert_eq!(w[0].end, w[1].start, "contiguous");
-                }
-                let (min, max) = b
-                    .iter()
-                    .map(|r| r.len())
-                    .fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
-                assert!(max - min <= 1, "near-equal: {items}/{want}");
-                assert!(min >= 1, "non-empty");
-            }
-        }
-    }
-
-    #[test]
-    fn bands_degenerate_inputs() {
-        assert!(bands(0, 4).is_empty());
-        assert!(bands(4, 0).is_empty());
-        assert_eq!(bands(1, 1), vec![0..1]);
     }
 }
