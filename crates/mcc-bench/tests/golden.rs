@@ -1,53 +1,98 @@
-//! Golden-snapshot regression test for the routing-table determinism
-//! contract.
+//! Golden-snapshot regression tests: every shipped scenario's table.
 //!
-//! The rendered table of `e4_routing_2d.toml` in `--quick` mode is
-//! checked in under `tests/golden/`; any change to trial sampling, the
-//! prepared-mesh pipeline, model semantics or the renderer that perturbs
-//! a single character of a row shows up as a diff here (and in the CI
-//! step that runs the actual `tables` binary against the same file).
-//! Regenerate — only after convincing yourself the change is intended —
-//! with:
+//! Each `scenarios/<stem>.toml` has its rendered `--quick` table checked in
+//! as `tests/golden/<stem>_quick.txt`. Any change to fault injection, trial
+//! sampling, the model pipelines or the renderer that perturbs a single
+//! character of a row shows up as a diff here (and in the CI loop that runs
+//! the actual `tables` binary against the same files). A scenario without a
+//! golden fails [`every_scenario_matches_its_quick_golden`]. Regenerate —
+//! only after convincing yourself the change is intended — with:
 //!
 //! ```text
 //! cargo run --release -p mcc-bench --bin tables -- --quick \
-//!     scenarios/e4_routing_2d.toml > crates/mcc-bench/tests/golden/e4_routing_2d_quick.txt
+//!     scenarios/<stem>.toml > crates/mcc-bench/tests/golden/<stem>_quick.txt
 //! ```
 
 use mcc_bench::runner::run_scenario;
 use mcc_bench::scenario::Scenario;
 
-fn assert_quick_matches_golden(scenario_file: &str, golden_file: &str) {
+/// Scenarios whose golden has its own named test below; the table-driven
+/// test covers every other scenario.
+const NAMED: [&str; 10] = [
+    "e4_routing_2d",
+    "e10_torus_2d",
+    "e11_torus_3d",
+    "e12_churn_2d",
+    "e15_service",
+    "e16_front_2d",
+    "e17_plane_3d",
+    "e18_transient_2d",
+    "e18_transient_churn_2d",
+    "e19_adversarial_2d",
+];
+
+/// Kept out of debug builds: its 4th row trips `Router3::route`'s
+/// "exact rule can never strand a feasible route" debug assertion — the
+/// 3-D feasibility-detection defect that is ROADMAP's first open item
+/// ("3-D feasibility detection must agree with Theorem 2"). Release
+/// builds, and the CI golden loop, still diff it.
+const DEBUG_PANICS: &str = "e8_clustered_routing_3d";
+
+fn assert_quick_matches_golden(stem: &str) {
     let root = env!("CARGO_MANIFEST_DIR");
-    let scenario = Scenario::load(format!("{root}/../../scenarios/{scenario_file}"))
-        .unwrap_or_else(|e| panic!("{scenario_file} parses: {e}"))
+    let golden = std::fs::read_to_string(format!("{root}/tests/golden/{stem}_quick.txt"))
+        .unwrap_or_else(|e| panic!("scenario {stem} has no golden {stem}_quick.txt: {e}"));
+    let scenario = Scenario::load(format!("{root}/../../scenarios/{stem}.toml"))
+        .unwrap_or_else(|e| panic!("{stem} parses: {e}"))
         .quick();
-    let report = run_scenario(&scenario).unwrap_or_else(|e| panic!("{scenario_file} runs: {e}"));
+    let report = run_scenario(&scenario).unwrap_or_else(|e| panic!("{stem} runs: {e}"));
     // The `tables` binary prints the rendered report with `println!`,
     // which appends one newline beyond the render itself.
     let printed = format!("{}\n", report.render());
-    let golden = std::fs::read_to_string(format!("{root}/tests/golden/{golden_file}"))
-        .expect("golden snapshot exists");
     assert_eq!(
         printed, golden,
-        "{scenario_file} --quick table drifted from {golden_file}; \
-         routing-table determinism is part of the prepared-pipeline contract"
+        "{stem} --quick table drifted from {stem}_quick.txt; \
+         table determinism is part of the scenario contract"
     );
 }
 
 #[test]
+fn every_scenario_matches_its_quick_golden() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut stems: Vec<String> = std::fs::read_dir(format!("{root}/../../scenarios"))
+        .expect("scenarios/ exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    stems.sort();
+    assert!(stems.len() >= NAMED.len() + 2, "scenarios found: {stems:?}");
+    for stem in &stems {
+        let golden = format!("{root}/tests/golden/{stem}_quick.txt");
+        assert!(
+            std::path::Path::new(&golden).is_file(),
+            "scenario {stem} has no golden {stem}_quick.txt"
+        );
+        if NAMED.contains(&stem.as_str()) || (cfg!(debug_assertions) && stem == DEBUG_PANICS) {
+            continue;
+        }
+        assert_quick_matches_golden(stem);
+    }
+}
+
+#[test]
 fn e4_quick_table_matches_golden_snapshot() {
-    assert_quick_matches_golden("e4_routing_2d.toml", "e4_routing_2d_quick.txt");
+    assert_quick_matches_golden("e4_routing_2d");
 }
 
 #[test]
 fn e10_torus_quick_table_matches_golden_snapshot() {
-    assert_quick_matches_golden("e10_torus_2d.toml", "e10_torus_2d_quick.txt");
+    assert_quick_matches_golden("e10_torus_2d");
 }
 
 #[test]
 fn e11_torus_quick_table_matches_golden_snapshot() {
-    assert_quick_matches_golden("e11_torus_3d.toml", "e11_torus_3d_quick.txt");
+    assert_quick_matches_golden("e11_torus_3d");
 }
 
 #[test]
@@ -56,28 +101,28 @@ fn e15_service_quick_ramp_matches_golden_snapshot() {
     // shards behind virtual-time admission queues), so this golden pins
     // the whole chain: plan determinism, admission verdicts, journaled
     // churn generations and the service renderer.
-    assert_quick_matches_golden("e15_service.toml", "e15_service_quick.txt");
+    assert_quick_matches_golden("e15_service");
 }
 
 #[test]
 fn e16_front_quick_table_matches_golden_snapshot() {
     // Pins the correlated-front regime end to end: epicenter seeding,
     // the bounded flood growth, and the resulting routing table.
-    assert_quick_matches_golden("e16_front_2d.toml", "e16_front_2d_quick.txt");
+    assert_quick_matches_golden("e16_front_2d");
 }
 
 #[test]
 fn e17_plane_quick_table_matches_golden_snapshot() {
     // Pins the sweeping-plane regime's slab order (axis + seed-drawn
     // direction) through the 3-D routing path.
-    assert_quick_matches_golden("e17_plane_3d.toml", "e17_plane_3d_quick.txt");
+    assert_quick_matches_golden("e17_plane_3d");
 }
 
 #[test]
 fn e18_transient_quick_table_matches_golden_snapshot() {
     // Pins the transient regime's round-0 active-set sampling (site
     // draw + per-site phases) through the routing path.
-    assert_quick_matches_golden("e18_transient_2d.toml", "e18_transient_2d_quick.txt");
+    assert_quick_matches_golden("e18_transient_2d");
 }
 
 #[test]
@@ -86,10 +131,7 @@ fn e18_transient_churn_quick_table_matches_golden_snapshot() {
     // models; like E12 the runner refuses to aggregate unless every
     // per-round equivalence check against recomputation passed, so this
     // golden certifies Schedule::step deltas are consistent histories.
-    assert_quick_matches_golden(
-        "e18_transient_churn_2d.toml",
-        "e18_transient_churn_2d_quick.txt",
-    );
+    assert_quick_matches_golden("e18_transient_churn_2d");
 }
 
 #[test]
@@ -97,7 +139,7 @@ fn e19_adversarial_quick_table_matches_golden_snapshot() {
     // Pins the adversarial boundary search (annealed restarts + greedy
     // 1-minimal pruning) and the endpoint-safety collapse it charts:
     // the golden's `safe-ep` column is far below its `oracle` column.
-    assert_quick_matches_golden("e19_adversarial_2d.toml", "e19_adversarial_2d_quick.txt");
+    assert_quick_matches_golden("e19_adversarial_2d");
 }
 
 #[test]
@@ -107,5 +149,5 @@ fn e12_churn_quick_table_matches_golden_snapshot() {
     // unless every per-round equivalence check against from-scratch
     // recomputation passed, so a drift here means the repair pipeline
     // (or its RNG consumption) changed.
-    assert_quick_matches_golden("e12_churn_2d.toml", "e12_churn_2d_quick.txt");
+    assert_quick_matches_golden("e12_churn_2d");
 }
