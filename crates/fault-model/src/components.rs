@@ -317,7 +317,7 @@ mod tests {
     use crate::labelling::{Labelling2, Labelling3};
     use crate::status::BorderPolicy;
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2};
+    use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2};
 
     #[test]
     fn two_isolated_faults_two_components() {
@@ -529,98 +529,38 @@ mod tests {
         assert_eq!(v.len(), 6);
     }
 
-    #[test]
-    fn repair_matches_compute_on_random_churn() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for torus in [false, true] {
-            let (w, h) = (11, 8);
-            let mut mesh = if torus {
-                Mesh2D::torus(w, h)
-            } else {
-                Mesh2D::new(w, h)
-            };
-            let mut rng = SmallRng::seed_from_u64(29 + torus as u64);
-            for _ in 0..14 {
-                mesh.inject_fault(c2(rng.gen_range(0..w), rng.gen_range(0..h)));
-            }
-            let mut lab =
-                Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-            let mut comps = Components2::compute(&lab);
-            for _ in 0..40 {
-                let mut injected = Vec::new();
-                let mut healed = Vec::new();
-                for _ in 0..rng.gen_range(0..3) {
-                    let c = c2(rng.gen_range(0..w), rng.gen_range(0..h));
-                    if mesh.is_healthy(c) && !injected.contains(&c) {
-                        injected.push(c);
-                    }
-                }
-                let faults = mesh.faults().to_vec();
-                for _ in 0..rng.gen_range(0..3) {
-                    let c = faults[rng.gen_range(0..faults.len())];
-                    if !healed.contains(&c) {
-                        healed.push(c);
-                    }
-                }
-                churn_and_repair(&mut mesh, &mut lab, &mut comps, &injected, &healed);
-                assert_comps_match(&lab, &comps);
-            }
+    /// Random churn through labelling and component repair, checked
+    /// against recomputation after every batch.
+    fn repair_tracks_compute_under_churn<S: Space>(
+        clean: Mesh<S>,
+        seed: u64,
+        draws: usize,
+        rounds: usize,
+    ) {
+        use crate::testutil::{churn, with_random_faults};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut mesh = with_random_faults(clean, &mut rng, draws);
+        let identity = S::identity_frame(&mesh);
+        let mut lab = Labelling::<S>::compute(&mesh, identity, BorderPolicy::BorderSafe);
+        let mut comps = Components::compute(&lab);
+        for _ in 0..rounds {
+            let (injected, healed) = churn(&mut rng, &mut mesh, 3);
+            let changed = lab.repair(&injected, &healed);
+            comps.repair(&lab, &changed);
+            assert_comps_match(&lab, &comps);
         }
     }
 
     #[test]
+    fn repair_matches_compute_on_random_churn() {
+        repair_tracks_compute_under_churn(Mesh2D::new(11, 8), 29, 14, 40);
+        repair_tracks_compute_under_churn(Mesh2D::torus(11, 8), 30, 14, 40);
+    }
+
+    #[test]
     fn repair_matches_compute_on_random_churn_3d() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for torus in [false, true] {
-            let k = 6;
-            let mut mesh = if torus {
-                Mesh3D::torus_kary(k)
-            } else {
-                Mesh3D::kary(k)
-            };
-            let mut rng = SmallRng::seed_from_u64(53 + torus as u64);
-            for _ in 0..18 {
-                mesh.inject_fault(c3(
-                    rng.gen_range(0..k),
-                    rng.gen_range(0..k),
-                    rng.gen_range(0..k),
-                ));
-            }
-            let mut lab =
-                Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-            let mut comps = Components3::compute(&lab);
-            for _ in 0..25 {
-                let mut injected = Vec::new();
-                let mut healed = Vec::new();
-                for _ in 0..rng.gen_range(0..3) {
-                    let c = c3(
-                        rng.gen_range(0..k),
-                        rng.gen_range(0..k),
-                        rng.gen_range(0..k),
-                    );
-                    if mesh.is_healthy(c) && !injected.contains(&c) {
-                        injected.push(c);
-                    }
-                }
-                let faults = mesh.faults().to_vec();
-                for _ in 0..rng.gen_range(0..3) {
-                    let c = faults[rng.gen_range(0..faults.len())];
-                    if !healed.contains(&c) {
-                        healed.push(c);
-                    }
-                }
-                for &c in &injected {
-                    assert!(mesh.inject_fault(c));
-                }
-                for &c in &healed {
-                    assert!(mesh.heal_fault(c));
-                }
-                let changed = lab.repair(&injected, &healed);
-                comps.repair(&lab, &changed);
-                assert_comps_match(&lab, &comps);
-            }
-        }
+        repair_tracks_compute_under_churn(Mesh3D::kary(6), 53, 18, 25);
+        repair_tracks_compute_under_churn(Mesh3D::torus_kary(6), 54, 18, 25);
     }
 }

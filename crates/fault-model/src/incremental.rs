@@ -74,7 +74,7 @@
 //! assert_eq!(m.mccs.len(), 1);
 //! ```
 
-use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3};
+use mesh_topo::{Mesh, NodeSet, NodeSpace2, NodeSpace3};
 
 use crate::components::Components;
 use crate::labelling::Labelling;
@@ -168,7 +168,7 @@ pub type IncModelsRef3<'a> = IncModelsRef<'a, NodeSpace3>;
 /// Owned, churn-capable model cache over a mesh (see the module docs).
 #[derive(Clone, Debug)]
 pub struct IncrementalModels<S: ModelSpace> {
-    mesh: S::Mesh,
+    mesh: Mesh<S>,
     border: BorderPolicy,
     /// Bumped by every [`IncrementalModels::apply`].
     generation: u64,
@@ -196,7 +196,7 @@ pub type IncrementalModels3 = IncrementalModels<NodeSpace3>;
 
 impl<S: ModelSpace> IncrementalModels<S> {
     /// Take ownership of `mesh`; nothing is computed until requested.
-    pub fn new(mesh: S::Mesh, border: BorderPolicy) -> IncrementalModels<S> {
+    pub fn new(mesh: Mesh<S>, border: BorderPolicy) -> IncrementalModels<S> {
         IncrementalModels {
             mesh,
             border,
@@ -212,7 +212,7 @@ impl<S: ModelSpace> IncrementalModels<S> {
     }
 
     /// The current (churned) mesh.
-    pub fn mesh(&self) -> &S::Mesh {
+    pub fn mesh(&self) -> &Mesh<S> {
         &self.mesh
     }
 
@@ -291,7 +291,7 @@ impl<S: ModelSpace> IncrementalModels<S> {
         healed: &[S::Coord],
     ) -> Result<(), ChurnError<S::Coord>> {
         let (inj, heal) = self.validated_sets(injected, healed)?;
-        let flipped = S::flip_faults(&mut self.mesh, &inj, &heal);
+        let flipped = self.mesh.inject_fault_set(&inj) + self.mesh.heal_fault_set(&heal);
         debug_assert_eq!(flipped, injected.len() + healed.len());
         self.generation += 1;
         self.log.push(LogEntry {
@@ -329,8 +329,8 @@ impl<S: ModelSpace> IncrementalModels<S> {
         injected: &[S::Coord],
         healed: &[S::Coord],
     ) -> Result<(NodeSet, NodeSet), ChurnError<S::Coord>> {
-        let space = S::of_mesh(&self.mesh);
-        let faulty = S::fault_set(&self.mesh);
+        let space = self.mesh.space();
+        let faulty = self.mesh.fault_set();
         let mut inj = NodeSet::new(space.node_count());
         for &c in injected {
             let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
@@ -746,7 +746,7 @@ mod tests {
         /// large enough that a one-node heal stays below the bulk-tier
         /// cut-over (the bulk tier recomputes from scratch and is immune
         /// to the skipped path).
-        fn case<S: ModelSpace>(mesh: S::Mesh, frame: S::Frame, heal: S::Coord, probe: S::Coord) {
+        fn case<S: ModelSpace>(mesh: Mesh<S>, frame: S::Frame, heal: S::Coord, probe: S::Coord) {
             let mut inc = IncrementalModels::<S>::new(mesh, BorderPolicy::BorderSafe);
             assert!(inc.models(frame).lab.status(probe).is_useless());
 

@@ -37,7 +37,7 @@
 //! fixpoint is property-tested equal to the definitional worklist closure
 //! over the wrapped neighbor relation (`tests/properties.rs`).
 
-use mesh_topo::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Mesh, NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
 
 use crate::status::{BorderPolicy, NodeStatus};
 
@@ -62,10 +62,10 @@ pub type Labelling3 = Labelling<NodeSpace3>;
 
 impl<S: Space> Labelling<S> {
     /// Run the labelling closure for `mesh` under `frame`.
-    pub fn compute(mesh: &S::Mesh, frame: S::Frame, policy: BorderPolicy) -> Labelling<S> {
-        let space = S::of_mesh(mesh);
+    pub fn compute(mesh: &Mesh<S>, frame: S::Frame, policy: BorderPolicy) -> Labelling<S> {
+        let space = mesh.space();
         let mut status = NodeGrid::new(space.node_count(), NodeStatus::SAFE);
-        for &f in S::faults(mesh) {
+        for &f in mesh.faults() {
             status[space.index(S::to_canon(frame, f))] = NodeStatus::FAULT;
         }
         Raster::new(space, policy).close(status.as_mut_slice());

@@ -268,38 +268,21 @@ mod tests {
 
     #[test]
     fn repair_matches_recompute_on_random_churn() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use crate::testutil::{churn, with_random_faults};
+        use rand::{rngs::SmallRng, SeedableRng};
         for torus in [false, true] {
             for policy in [BorderPolicy::BorderSafe, BorderPolicy::BorderBlocked] {
-                let (w, h) = (12, 9);
-                let mut mesh = if torus {
-                    Mesh2D::torus(w, h)
+                let clean = if torus {
+                    Mesh2D::torus(12, 9)
                 } else {
-                    Mesh2D::new(w, h)
+                    Mesh2D::new(12, 9)
                 };
                 let mut rng = SmallRng::seed_from_u64(torus as u64 * 2 + 11);
-                for _ in 0..16 {
-                    mesh.inject_fault(c2(rng.gen_range(0..w), rng.gen_range(0..h)));
-                }
+                let mut mesh = with_random_faults(clean, &mut rng, 16);
                 let mut l = Labelling2::compute(&mesh, Frame2::identity(&mesh), policy);
                 for _ in 0..50 {
-                    let mut injected = Vec::new();
-                    let mut healed = Vec::new();
-                    for _ in 0..rng.gen_range(0..4) {
-                        let c = c2(rng.gen_range(0..w), rng.gen_range(0..h));
-                        if mesh.is_healthy(c) && !injected.contains(&c) {
-                            injected.push(c);
-                        }
-                    }
-                    let faults = mesh.faults().to_vec();
-                    for _ in 0..rng.gen_range(0..4) {
-                        let c = faults[rng.gen_range(0..faults.len())];
-                        if !healed.contains(&c) {
-                            healed.push(c);
-                        }
-                    }
-                    churn_once(&mut mesh, &mut l, &injected, &healed);
+                    let (injected, healed) = churn(&mut rng, &mut mesh, 4);
+                    l.repair(&injected, &healed);
                     assert_matches_recompute(&mesh, &l);
                 }
             }

@@ -143,51 +143,20 @@ mod tests {
 
     #[test]
     fn repair_matches_recompute_on_random_churn_3d() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use crate::testutil::{churn, with_random_faults};
+        use rand::{rngs::SmallRng, SeedableRng};
         for torus in [false, true] {
             for policy in [BorderPolicy::BorderSafe, BorderPolicy::BorderBlocked] {
-                let k = 6;
-                let mut mesh = if torus {
-                    Mesh3D::torus_kary(k)
+                let clean = if torus {
+                    Mesh3D::torus_kary(6)
                 } else {
-                    Mesh3D::kary(k)
+                    Mesh3D::kary(6)
                 };
                 let mut rng = SmallRng::seed_from_u64(torus as u64 * 2 + 3);
-                for _ in 0..20 {
-                    mesh.inject_fault(c3(
-                        rng.gen_range(0..k),
-                        rng.gen_range(0..k),
-                        rng.gen_range(0..k),
-                    ));
-                }
+                let mut mesh = with_random_faults(clean, &mut rng, 20);
                 let mut l = Labelling3::compute(&mesh, Frame3::identity(&mesh), policy);
                 for _ in 0..30 {
-                    let mut injected = Vec::new();
-                    let mut healed = Vec::new();
-                    for _ in 0..rng.gen_range(0..4) {
-                        let c = c3(
-                            rng.gen_range(0..k),
-                            rng.gen_range(0..k),
-                            rng.gen_range(0..k),
-                        );
-                        if mesh.is_healthy(c) && !injected.contains(&c) {
-                            injected.push(c);
-                        }
-                    }
-                    let faults = mesh.faults().to_vec();
-                    for _ in 0..rng.gen_range(0..4) {
-                        let c = faults[rng.gen_range(0..faults.len())];
-                        if !healed.contains(&c) {
-                            healed.push(c);
-                        }
-                    }
-                    for &c in &injected {
-                        assert!(mesh.inject_fault(c));
-                    }
-                    for &c in &healed {
-                        assert!(mesh.heal_fault(c));
-                    }
+                    let (injected, healed) = churn(&mut rng, &mut mesh, 4);
                     l.repair(&injected, &healed);
                     let fresh = Labelling3::compute(&mesh, l.frame(), policy);
                     for ((c, a), (_, b)) in l.iter().zip(fresh.iter()) {

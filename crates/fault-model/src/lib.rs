@@ -96,6 +96,8 @@ mod rfb2;
 mod rfb3;
 pub mod stats;
 pub mod status;
+#[cfg(test)]
+mod testutil;
 
 pub use components::{Components, Splice};
 pub use condition2::{minimal_path_exists_2d, minimal_path_exists_2d_in, Existence2};

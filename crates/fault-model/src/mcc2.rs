@@ -440,54 +440,8 @@ mod tests {
 
     #[test]
     fn repair_matches_compute_on_random_churn() {
-        use crate::components::Components2;
-        use crate::models::repair_mccs;
-        use mesh_topo::NodeSpace2;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for torus in [false, true] {
-            let (w, h) = (11, 8);
-            let mut mesh = if torus {
-                Mesh2D::torus(w, h)
-            } else {
-                Mesh2D::new(w, h)
-            };
-            let mut rng = SmallRng::seed_from_u64(torus as u64 + 23);
-            for _ in 0..14 {
-                mesh.inject_fault(c2(rng.gen_range(0..w), rng.gen_range(0..h)));
-            }
-            let mut l =
-                Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-            let mut comps = Components2::compute(&l);
-            let mut set = MccSet2::compute(&l);
-            for _ in 0..40 {
-                let mut injected = Vec::new();
-                let mut healed = Vec::new();
-                for _ in 0..rng.gen_range(0..4) {
-                    let c = c2(rng.gen_range(0..w), rng.gen_range(0..h));
-                    if mesh.is_healthy(c) && !injected.contains(&c) {
-                        injected.push(c);
-                    }
-                }
-                let faults = mesh.faults().to_vec();
-                for _ in 0..rng.gen_range(0..4) {
-                    let c = faults[rng.gen_range(0..faults.len())];
-                    if !healed.contains(&c) {
-                        healed.push(c);
-                    }
-                }
-                for &c in &injected {
-                    mesh.inject_fault(c);
-                }
-                for &c in &healed {
-                    mesh.heal_fault(c);
-                }
-                let changed = l.repair(&injected, &healed);
-                let splice = comps.repair(&l, &changed);
-                repair_mccs::<NodeSpace2>(&mut set, &l, &comps, &splice, &changed);
-                let fresh = MccSet2::compute(&l);
-                assert_eq!(set.mccs, fresh.mccs);
-            }
-        }
+        use crate::testutil::mcc_repair_tracks_compute;
+        mcc_repair_tracks_compute(Mesh2D::new(11, 8), 23, 14, 40);
+        mcc_repair_tracks_compute(Mesh2D::torus(11, 8), 24, 14, 40);
     }
 }

@@ -340,62 +340,8 @@ mod tests {
 
     #[test]
     fn repair_matches_compute_on_random_churn_3d() {
-        use crate::components::Components3;
-        use crate::models::repair_mccs;
-        use mesh_topo::NodeSpace3;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        for torus in [false, true] {
-            let k = 6;
-            let mut mesh = if torus {
-                Mesh3D::torus(k, k, k)
-            } else {
-                Mesh3D::kary(k)
-            };
-            let mut rng = SmallRng::seed_from_u64(torus as u64 + 31);
-            for _ in 0..18 {
-                mesh.inject_fault(c3(
-                    rng.gen_range(0..k),
-                    rng.gen_range(0..k),
-                    rng.gen_range(0..k),
-                ));
-            }
-            let mut l =
-                Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-            let mut comps = Components3::compute(&l);
-            let mut set = MccSet3::compute(&l);
-            for _ in 0..25 {
-                let mut injected = Vec::new();
-                let mut healed = Vec::new();
-                for _ in 0..rng.gen_range(0..4) {
-                    let c = c3(
-                        rng.gen_range(0..k),
-                        rng.gen_range(0..k),
-                        rng.gen_range(0..k),
-                    );
-                    if mesh.is_healthy(c) && !injected.contains(&c) {
-                        injected.push(c);
-                    }
-                }
-                let faults = mesh.faults().to_vec();
-                for _ in 0..rng.gen_range(0..4) {
-                    let c = faults[rng.gen_range(0..faults.len())];
-                    if !healed.contains(&c) {
-                        healed.push(c);
-                    }
-                }
-                for &c in &injected {
-                    mesh.inject_fault(c);
-                }
-                for &c in &healed {
-                    mesh.heal_fault(c);
-                }
-                let changed = l.repair(&injected, &healed);
-                let splice = comps.repair(&l, &changed);
-                repair_mccs::<NodeSpace3>(&mut set, &l, &comps, &splice, &changed);
-                let fresh = MccSet3::compute(&l);
-                assert_eq!(set.mccs, fresh.mccs);
-            }
-        }
+        use crate::testutil::mcc_repair_tracks_compute;
+        mcc_repair_tracks_compute(Mesh3D::kary(6), 31, 18, 25);
+        mcc_repair_tracks_compute(Mesh3D::torus(6, 6, 6), 32, 18, 25);
     }
 }

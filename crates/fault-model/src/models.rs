@@ -40,23 +40,24 @@
 //! assert!(m.blocks.expect("requested").is_disabled(c2(4, 4)));
 //! ```
 
-use mesh_topo::{NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Mesh, NodeSpace2, NodeSpace3, Space};
 
 use crate::components::{Components, Splice};
 use crate::labelling::Labelling;
 use crate::mcc2::{Mcc2, MccSet2};
 use crate::mcc3::{Mcc3, MccSet3};
+use crate::oracle;
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
 /// The per-dimension model the caches hold beside the generic labelling,
 /// components and block model: the MCC shapes (2-D profiles vs 3-D
-/// sections).
+/// sections), plus the reachability oracle.
 pub trait ModelSpace: Space {
     /// One MCC's shape.
     type Mcc: Clone + std::fmt::Debug;
     /// The MCC decomposition of a labelling.
-    type Mccs: Clone + std::fmt::Debug;
+    type Mccs: Clone + PartialEq + std::fmt::Debug;
 
     /// Extract every MCC of `lab`.
     fn mccs(lab: &Labelling<Self>) -> Self::Mccs;
@@ -65,6 +66,10 @@ pub trait ModelSpace: Space {
     fn mcc_from_cells(cells: Vec<Self::Coord>, lab: &Labelling<Self>) -> Self::Mcc;
     /// The MCCs of a decomposition, indexed by component position.
     fn mcc_list(mccs: &mut Self::Mccs) -> &mut Vec<Self::Mcc>;
+    /// The oracle ([`oracle::reachable_2d`] / [`oracle::reachable_3d`]):
+    /// does a minimal path lead from canonical `s` to `d` around the
+    /// `blocked` nodes?
+    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool;
 }
 
 impl ModelSpace for NodeSpace2 {
@@ -80,6 +85,9 @@ impl ModelSpace for NodeSpace2 {
     fn mcc_list(mccs: &mut MccSet2) -> &mut Vec<Mcc2> {
         &mut mccs.mccs
     }
+    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
+        oracle::reachable_2d(s, d, blocked)
+    }
 }
 
 impl ModelSpace for NodeSpace3 {
@@ -94,6 +102,9 @@ impl ModelSpace for NodeSpace3 {
     }
     fn mcc_list(mccs: &mut MccSet3) -> &mut Vec<Mcc3> {
         &mut mccs.mccs
+    }
+    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
+        oracle::reachable_3d(s, d, blocked)
     }
 }
 
@@ -159,7 +170,7 @@ pub type ModelsRef3<'a> = ModelsRef<'a, NodeSpace3>;
 /// Lazy per-orientation model cache over one fault configuration.
 #[derive(Clone, Debug)]
 pub struct ModelCache<'m, S: ModelSpace> {
-    mesh: &'m S::Mesh,
+    mesh: &'m Mesh<S>,
     border: BorderPolicy,
     blocks: Option<FaultBlocks<S>>,
     slots: Vec<Option<Slot<S>>>,
@@ -173,7 +184,7 @@ pub type ModelCache3<'m> = ModelCache<'m, NodeSpace3>;
 
 impl<'m, S: ModelSpace> ModelCache<'m, S> {
     /// An empty cache for `mesh`; nothing is computed until requested.
-    pub fn new(mesh: &'m S::Mesh, border: BorderPolicy) -> ModelCache<'m, S> {
+    pub fn new(mesh: &'m Mesh<S>, border: BorderPolicy) -> ModelCache<'m, S> {
         ModelCache {
             mesh,
             border,
@@ -183,7 +194,7 @@ impl<'m, S: ModelSpace> ModelCache<'m, S> {
     }
 
     /// The mesh this cache describes.
-    pub fn mesh(&self) -> &'m S::Mesh {
+    pub fn mesh(&self) -> &'m Mesh<S> {
         self.mesh
     }
 

@@ -1,17 +1,13 @@
 //! Composable fault regimes: how fault sets come into being.
 //!
-//! The original stack hard-wired two spatial patterns — uniform and
-//! clustered — through `mesh_topo::FaultSpec`. This module lifts fault
-//! injection into a first-class *regime* abstraction so benchmarks can
-//! also exercise the failure shapes the fault-block literature worries
-//! about but rarely measures:
+//! Fault injection is a first-class *regime* abstraction, so benchmarks
+//! can exercise the two classic spatial patterns as well as the failure
+//! shapes the fault-block literature worries about but rarely measures:
 //!
-//! * [`FaultRegime::Uniform`] / [`FaultRegime::Clustered`] — the legacy
-//!   patterns, delegating to the very same samplers `FaultSpec` uses
-//!   (`mesh_topo::faults::{sample_uniform, sample_clustered}`) with the
-//!   identical eligible-candidate order and RNG seeding, so every
-//!   checked-in golden stays byte-identical (pinned by
-//!   `regime_matches_fault_spec` below);
+//! * [`FaultRegime::Uniform`] / [`FaultRegime::Clustered`] — the classic
+//!   patterns, drawn by `mesh_topo::faults::{sample_uniform,
+//!   sample_clustered}` over the eligible-candidate order of
+//!   `mesh_topo::faults::eligible_indices`;
 //! * [`FaultRegime::CorrelatedFront`] — compact failure blobs grown by a
 //!   bounded breadth-first flood from seeded epicenters (the rack/cooling
 //!   failure analogue: shells fill before the front advances, unlike the
@@ -21,13 +17,17 @@
 //! * [`FaultRegime::TransientSchedule`] — faults with duty-cycled repair:
 //!   each site oscillates on/off with a seeded phase, producing
 //!   inject/heal deltas that feed
-//!   [`IncrementalModels2::try_apply`](crate::IncrementalModels2)
+//!   [`IncrementalModels::try_apply`](crate::IncrementalModels::try_apply)
 //!   directly;
 //! * [`FaultRegime::AdversarialBoundary`] — a seeded random-restart
 //!   hill-climb (with an annealing accept rule and a 1-minimal pruning
 //!   pass) for fault sets that violate the MCC admission conditions at
 //!   minimal cardinality while the oracle still routes, reported as an
 //!   [`AdversarialReport`].
+//!
+//! Every regime is written once over the node space: [`FaultRegime::inject`],
+//! [`FaultRegime::schedule`] and [`adversarial_search`] take a
+//! [`Mesh<S>`](mesh_topo::Mesh) of either dimension.
 //!
 //! # Determinism contract
 //!
@@ -37,7 +37,10 @@
 //! iteration order is fixed. No regime reads thread counts,
 //! wall clocks or global state, so fault sets are bit-identical across
 //! `MCC_THREADS` settings — the scenario layer's thread-invariance
-//! battery relies on this.
+//! battery relies on this. The draw order is the contract: the
+//! per-axis draws and neighbor probes run in `x, y, z` order, and
+//! `tests/regime_pins.rs` pins every regime's fault list on both
+//! dimensions, meshes and tori.
 //!
 //! Torus meshes work everywhere except the adversarial search (whose
 //! violation predicate is defined over the canonical monotone frame of a
@@ -47,25 +50,23 @@
 use std::collections::VecDeque;
 
 use mesh_topo::faults::{eligible_indices, sample_clustered, sample_uniform};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, Space, C2, C3};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::labelling::Labelling2;
-use crate::labelling::Labelling3;
-use crate::oracle;
+use crate::labelling::Labelling;
+use crate::models::ModelSpace;
 use crate::status::BorderPolicy;
 
 /// How a fault set comes into being: the spatial/temporal law faults are
 /// drawn from. See the module docs for the regime taxonomy.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub enum FaultRegime {
-    /// Uniformly random distinct nodes (legacy `FaultPattern::Uniform`).
+    /// Uniformly random distinct nodes.
     Uniform,
-    /// Faults grown in connected clusters around random seed points
-    /// (legacy `FaultPattern::Clustered`).
+    /// Faults grown in connected clusters around random seed points.
     Clustered {
         /// Number of cluster seed points.
         clusters: usize,
@@ -119,7 +120,7 @@ impl FaultRegime {
         matches!(self, FaultRegime::Uniform | FaultRegime::Clustered { .. })
     }
 
-    /// Inject `count` faults into a 2-D mesh, never touching `protected`
+    /// Inject `count` faults into `mesh`, never touching `protected`
     /// nodes. Returns the number actually injected (short only when the
     /// mesh runs out of eligible nodes, or when the adversarial search
     /// finds a violating set smaller than `count` and cannot pad).
@@ -127,6 +128,67 @@ impl FaultRegime {
     /// `border` is only consulted by [`FaultRegime::AdversarialBoundary`]
     /// (its violation predicate labels the mesh); all other regimes are
     /// purely spatial.
+    pub fn inject<S: ModelSpace>(
+        &self,
+        mesh: &mut Mesh<S>,
+        count: usize,
+        seed: u64,
+        protected: &[S::Coord],
+        border: BorderPolicy,
+    ) -> usize {
+        let space = mesh.space();
+        let neighbors =
+            |i: usize, out: &mut Vec<usize>| space.for_axis_neighbors(i, |j| out.push(j));
+        // The sampling arms' stream; the others seed their own from `seed`.
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let chosen: Vec<usize> = match *self {
+            FaultRegime::Uniform => {
+                sample_uniform(eligible_indices(mesh, protected), count, &mut rng)
+            }
+            FaultRegime::Clustered { clusters } => {
+                let eligible = eligible_indices(mesh, protected);
+                sample_clustered(
+                    space.node_count(),
+                    &eligible,
+                    count,
+                    clusters,
+                    &mut rng,
+                    neighbors,
+                )
+            }
+            FaultRegime::CorrelatedFront { fronts } => {
+                let eligible = eligible_indices(mesh, protected);
+                sample_front(
+                    space.node_count(),
+                    &eligible,
+                    count,
+                    fronts,
+                    &mut rng,
+                    neighbors,
+                )
+            }
+            FaultRegime::SweepingPlane { axis } => {
+                let mut order = plane_order(mesh, protected, axis, seed);
+                order.truncate(count.min(order.len()));
+                order
+            }
+            FaultRegime::TransientSchedule { period, duty } => {
+                let sites = transient_sites(mesh, protected, count, period, duty, seed);
+                sites.on_at(0).into_iter().map(|c| space.index(c)).collect()
+            }
+            FaultRegime::AdversarialBoundary { restarts } => {
+                return inject_adversarial(mesh, count, seed, protected, border, restarts);
+            }
+        };
+        let n = chosen.len();
+        for i in chosen {
+            mesh.inject_fault(space.coord(i));
+        }
+        n
+    }
+
+    /// [`inject`](FaultRegime::inject) on a 2-D mesh. Kept as a named
+    /// entry point because the benchmark crate (`repobench/`) calls it.
     pub fn inject_2d(
         &self,
         mesh: &mut Mesh2D,
@@ -135,57 +197,11 @@ impl FaultRegime {
         protected: &[C2],
         border: BorderPolicy,
     ) -> usize {
-        let space = mesh.space();
-        let chosen: Vec<usize> = match *self {
-            FaultRegime::Uniform => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let eligible = eligible_indices::<NodeSpace2>(mesh, protected);
-                sample_uniform(eligible, count, &mut rng)
-            }
-            FaultRegime::Clustered { clusters } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                sample_clustered(
-                    space.len(),
-                    &eligible_indices::<NodeSpace2>(mesh, protected),
-                    count,
-                    clusters,
-                    &mut rng,
-                    |i, out| space.for_neighbors4(i, |j| out.push(j)),
-                )
-            }
-            FaultRegime::CorrelatedFront { fronts } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                sample_front(
-                    space.len(),
-                    &eligible_indices::<NodeSpace2>(mesh, protected),
-                    count,
-                    fronts,
-                    &mut rng,
-                    |i, out| space.for_neighbors4(i, |j| out.push(j)),
-                )
-            }
-            FaultRegime::SweepingPlane { axis } => {
-                let mut order = plane_order_2d(mesh, protected, axis, seed);
-                order.truncate(count.min(order.len()));
-                order
-            }
-            FaultRegime::TransientSchedule { period, duty } => {
-                let sites =
-                    transient_sites::<NodeSpace2>(mesh, protected, count, period, duty, seed);
-                sites.on_at(0).into_iter().map(|c| space.index(c)).collect()
-            }
-            FaultRegime::AdversarialBoundary { restarts } => {
-                return inject_adversarial_2d(mesh, count, seed, protected, border, restarts);
-            }
-        };
-        let n = chosen.len();
-        for i in chosen {
-            mesh.inject_fault(space.coord(i));
-        }
-        n
+        self.inject(mesh, count, seed, protected, border)
     }
 
-    /// 3-D twin of [`inject_2d`](FaultRegime::inject_2d).
+    /// [`inject`](FaultRegime::inject) on a 3-D mesh. Kept as a named
+    /// entry point because the benchmark crate (`repobench/`) calls it.
     pub fn inject_3d(
         &self,
         mesh: &mut Mesh3D,
@@ -194,107 +210,36 @@ impl FaultRegime {
         protected: &[C3],
         border: BorderPolicy,
     ) -> usize {
-        let space = mesh.space();
-        let chosen: Vec<usize> = match *self {
-            FaultRegime::Uniform => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let eligible = eligible_indices::<NodeSpace3>(mesh, protected);
-                sample_uniform(eligible, count, &mut rng)
-            }
-            FaultRegime::Clustered { clusters } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                sample_clustered(
-                    space.len(),
-                    &eligible_indices::<NodeSpace3>(mesh, protected),
-                    count,
-                    clusters,
-                    &mut rng,
-                    |i, out| space.for_neighbors6(i, |j| out.push(j)),
-                )
-            }
-            FaultRegime::CorrelatedFront { fronts } => {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                sample_front(
-                    space.len(),
-                    &eligible_indices::<NodeSpace3>(mesh, protected),
-                    count,
-                    fronts,
-                    &mut rng,
-                    |i, out| space.for_neighbors6(i, |j| out.push(j)),
-                )
-            }
-            FaultRegime::SweepingPlane { axis } => {
-                let mut order = plane_order_3d(mesh, protected, axis, seed);
-                order.truncate(count.min(order.len()));
-                order
-            }
-            FaultRegime::TransientSchedule { period, duty } => {
-                let sites =
-                    transient_sites::<NodeSpace3>(mesh, protected, count, period, duty, seed);
-                sites.on_at(0).into_iter().map(|c| space.index(c)).collect()
-            }
-            FaultRegime::AdversarialBoundary { restarts } => {
-                return inject_adversarial_3d(mesh, count, seed, protected, border, restarts);
-            }
-        };
-        let n = chosen.len();
-        for i in chosen {
-            mesh.inject_fault(space.coord(i));
-        }
-        n
+        self.inject(mesh, count, seed, protected, border)
     }
 
     /// Build the churn schedule this regime prescribes over a **clean**
-    /// (pre-injection) 2-D mesh, or `None` for regimes whose churn is
+    /// (pre-injection) mesh, or `None` for regimes whose churn is
     /// externally driven (uniform/clustered/front random flips) or
     /// undefined (adversarial).
     ///
     /// The schedule's [`initial_faults`](Schedule::initial_faults) equal
-    /// exactly what [`inject_2d`](FaultRegime::inject_2d) would inject
-    /// for the same `(count, seed, protected)`, so drivers can inject the
-    /// initial population and then step the schedule without drift.
-    pub fn schedule_2d(
+    /// exactly what [`inject`](FaultRegime::inject) would inject for the
+    /// same `(count, seed, protected)`, so drivers can inject the initial
+    /// population and then step the schedule without drift.
+    pub fn schedule<S: Space>(
         &self,
-        mesh: &Mesh2D,
+        mesh: &Mesh<S>,
         count: usize,
         seed: u64,
-        protected: &[C2],
-    ) -> Option<Schedule<C2>> {
+        protected: &[S::Coord],
+    ) -> Option<Schedule<S::Coord>> {
         match *self {
             FaultRegime::SweepingPlane { axis } => {
                 let space = mesh.space();
-                let order: Vec<C2> = plane_order_2d(mesh, protected, axis, seed)
+                let order: Vec<S::Coord> = plane_order(mesh, protected, axis, seed)
                     .into_iter()
                     .map(|i| space.coord(i))
                     .collect();
                 Some(Schedule::plane(order, count))
             }
             FaultRegime::TransientSchedule { period, duty } => Some(Schedule::Transient(
-                transient_sites::<NodeSpace2>(mesh, protected, count, period, duty, seed),
-            )),
-            _ => None,
-        }
-    }
-
-    /// 3-D twin of [`schedule_2d`](FaultRegime::schedule_2d).
-    pub fn schedule_3d(
-        &self,
-        mesh: &Mesh3D,
-        count: usize,
-        seed: u64,
-        protected: &[C3],
-    ) -> Option<Schedule<C3>> {
-        match *self {
-            FaultRegime::SweepingPlane { axis } => {
-                let space = mesh.space();
-                let order: Vec<C3> = plane_order_3d(mesh, protected, axis, seed)
-                    .into_iter()
-                    .map(|i| space.coord(i))
-                    .collect();
-                Some(Schedule::plane(order, count))
-            }
-            FaultRegime::TransientSchedule { period, duty } => Some(Schedule::Transient(
-                transient_sites::<NodeSpace3>(mesh, protected, count, period, duty, seed),
+                transient_sites(mesh, protected, count, period, duty, seed),
             )),
             _ => None,
         }
@@ -373,40 +318,23 @@ fn sample_front(
     chosen
 }
 
-/// Eligible 2-D node indices sorted along the sweep axis; the seed draws
-/// the sweep direction (ascending or descending coordinate). The sort is
-/// stable, so ties keep node-iteration order — part of the determinism
-/// contract.
-fn plane_order_2d(mesh: &Mesh2D, protected: &[C2], axis: usize, seed: u64) -> Vec<usize> {
+/// Eligible node indices sorted along the sweep axis (an axis past the
+/// last one means the last one); the seed draws the sweep direction
+/// (ascending or descending coordinate). The sort is stable, so ties keep
+/// node-iteration order — part of the determinism contract.
+fn plane_order<S: Space>(
+    mesh: &Mesh<S>,
+    protected: &[S::Coord],
+    axis: usize,
+    seed: u64,
+) -> Vec<usize> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let descending = rng.gen_range(0..2) == 1;
     let space = mesh.space();
-    let mut order = eligible_indices::<NodeSpace2>(mesh, protected);
+    let axis = axis.min(S::DIMS - 1);
+    let mut order = eligible_indices(mesh, protected);
     order.sort_by_key(|&i| {
-        let c = space.coord(i);
-        let k = if axis == 0 { c.x } else { c.y };
-        if descending {
-            -k
-        } else {
-            k
-        }
-    });
-    order
-}
-
-/// 3-D twin of [`plane_order_2d`].
-fn plane_order_3d(mesh: &Mesh3D, protected: &[C3], axis: usize, seed: u64) -> Vec<usize> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let descending = rng.gen_range(0..2) == 1;
-    let space = mesh.space();
-    let mut order = eligible_indices::<NodeSpace3>(mesh, protected);
-    order.sort_by_key(|&i| {
-        let c = space.coord(i);
-        let k = match axis {
-            0 => c.x,
-            1 => c.y,
-            _ => c.z,
-        };
+        let k = S::xyz(space.coord(i))[axis];
         if descending {
             -k
         } else {
@@ -448,7 +376,7 @@ fn transient_on_rounds(period: usize, duty: f64) -> usize {
 }
 
 fn transient_sites<S: Space>(
-    mesh: &S::Mesh,
+    mesh: &Mesh<S>,
     protected: &[S::Coord],
     count: usize,
     period: usize,
@@ -456,9 +384,9 @@ fn transient_sites<S: Space>(
     seed: u64,
 ) -> TransientSites<S::Coord> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let space = S::of_mesh(mesh);
+    let space = mesh.space();
     let period = period.max(2);
-    let sites = sample_uniform(eligible_indices::<S>(mesh, protected), count, &mut rng)
+    let sites = sample_uniform(eligible_indices(mesh, protected), count, &mut rng)
         .into_iter()
         .map(|i| (space.coord(i), rng.gen_range(0..period)))
         .collect();
@@ -471,8 +399,8 @@ fn transient_sites<S: Space>(
 }
 
 /// A regime-prescribed churn schedule: per-round inject/heal deltas meant
-/// to be fed to `IncrementalModels2/3::try_apply`. Produced by
-/// [`FaultRegime::schedule_2d`]/[`schedule_3d`](FaultRegime::schedule_3d).
+/// to be fed to `IncrementalModels::try_apply`. Produced by
+/// [`FaultRegime::schedule`].
 #[derive(Clone, Debug)]
 pub enum Schedule<C> {
     /// Sliding slab: `order` is the full eligible sweep order, the faulty
@@ -588,37 +516,25 @@ impl<C> AdversarialReport<C> {
 }
 
 const ANNEAL_STEPS: usize = 200;
-const MAX_SET_2D: usize = 4;
-const MAX_SET_3D: usize = 6;
 
 /// Evaluate the violation predicate for `faults` against pair `(s, d)` on
 /// an otherwise-clean `mesh` (restored before returning). Returns
 /// `(oracle_ok, endpoints_safe)`.
-fn probe_2d(mesh: &mut Mesh2D, faults: &[C2], s: C2, d: C2, border: BorderPolicy) -> (bool, bool) {
+fn probe<S: ModelSpace>(
+    mesh: &mut Mesh<S>,
+    faults: &[S::Coord],
+    s: S::Coord,
+    d: S::Coord,
+    border: BorderPolicy,
+) -> (bool, bool) {
     for &f in faults {
         mesh.inject_fault(f);
     }
-    let frame = Frame2::for_pair(mesh, s, d);
-    let lab = Labelling2::compute(mesh, frame, border);
+    let frame = S::frame_for_pair(mesh, s, d);
+    let lab = Labelling::<S>::compute(mesh, frame, border);
     let endpoints_safe = lab.status_mesh(s).is_safe() && lab.status_mesh(d).is_safe();
-    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-    let oracle_ok = oracle::reachable_2d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
-    for &f in faults {
-        mesh.heal_fault(f);
-    }
-    (oracle_ok, endpoints_safe)
-}
-
-/// 3-D twin of [`probe_2d`].
-fn probe_3d(mesh: &mut Mesh3D, faults: &[C3], s: C3, d: C3, border: BorderPolicy) -> (bool, bool) {
-    for &f in faults {
-        mesh.inject_fault(f);
-    }
-    let frame = Frame3::for_pair(mesh, s, d);
-    let lab = Labelling3::compute(mesh, frame, border);
-    let endpoints_safe = lab.status_mesh(s).is_safe() && lab.status_mesh(d).is_safe();
-    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-    let oracle_ok = oracle::reachable_3d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
+    let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+    let oracle_ok = S::reachable(cs, cd, |c| mesh.is_faulty(S::from_canon(frame, c)));
     for &f in faults {
         mesh.heal_fault(f);
     }
@@ -645,177 +561,145 @@ fn score(oracle_ok: bool, endpoints_safe: bool, len: usize, adj: i64) -> i64 {
     }
 }
 
-macro_rules! adversarial_search_impl {
-    ($name:ident, $mesh:ty, $coord:ty, $probe:ident, $max_set:expr, $cheb:expr) => {
-        /// Seeded random-restart hill-climb for a 1-minimal fault set
-        /// violating the MCC endpoint-safety gate for pair `(s, d)` while
-        /// the oracle still routes. Candidates are drawn from the healthy
-        /// nodes near either endpoint (the only region where small sets
-        /// can sacrifice an endpoint). Returns `None` when no violation
-        /// is found (e.g. degenerate pairs or wrapped meshes).
-        pub fn $name(
-            mesh: &$mesh,
-            s: $coord,
-            d: $coord,
-            restarts: usize,
-            seed: u64,
-            border: BorderPolicy,
-        ) -> Option<AdversarialReport<$coord>> {
-            if mesh.wraps() || s == d || !mesh.is_healthy(s) || !mesh.is_healthy(d) {
-                return None;
-            }
-            let mut scratch = mesh.clone();
-            let pool: Vec<$coord> = mesh
-                .nodes()
-                .filter(|&c| {
-                    c != s && c != d && mesh.is_healthy(c) && ($cheb(c, s) <= 2 || $cheb(c, d) <= 2)
-                })
-                .collect();
-            if pool.len() < 2 {
-                return None;
-            }
-            let max_set = $max_set.min(pool.len());
-            let adjacency = |set: &[$coord]| -> i64 {
-                set.iter()
-                    .filter(|&&f| mesh.are_neighbors(f, s) || mesh.are_neighbors(f, d))
-                    .count() as i64
-            };
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut best: Option<Vec<$coord>> = None;
-            for _ in 0..restarts.max(1) {
-                let mut cur: Vec<$coord> = {
-                    let mut p = pool.clone();
-                    p.shuffle(&mut rng);
-                    p.truncate(rng.gen_range(2..=max_set));
-                    p
-                };
-                let (mut ok, mut eps) = $probe(&mut scratch, &cur, s, d, border);
-                let mut cur_score = score(ok, eps, cur.len(), adjacency(&cur));
-                for step in 0..ANNEAL_STEPS {
-                    if ok && !eps {
-                        break;
-                    }
-                    let mut cand = cur.clone();
-                    match rng.gen_range(0..3) {
-                        0 if cand.len() > 2 => {
-                            let i = rng.gen_range(0..cand.len());
-                            cand.swap_remove(i);
-                        }
-                        1 if cand.len() < max_set => {
-                            let c = pool[rng.gen_range(0..pool.len())];
-                            if !cand.contains(&c) {
-                                cand.push(c);
-                            }
-                        }
-                        _ => {
-                            let i = rng.gen_range(0..cand.len());
-                            let c = pool[rng.gen_range(0..pool.len())];
-                            if !cand.contains(&c) {
-                                cand[i] = c;
-                            }
-                        }
-                    }
-                    let (cok, ceps) = $probe(&mut scratch, &cand, s, d, border);
-                    let cand_score = score(cok, ceps, cand.len(), adjacency(&cand));
-                    // Annealing accept: always take improvements; in the
-                    // first half of the walk also take one-in-four
-                    // regressions to escape local optima.
-                    if cand_score >= cur_score
-                        || (step < ANNEAL_STEPS / 2 && rng.gen_range(0..4) == 0)
-                    {
-                        cur = cand;
-                        cur_score = cand_score;
-                        ok = cok;
-                        eps = ceps;
-                    }
-                }
-                if !(ok && !eps) {
-                    continue;
-                }
-                // Greedy 1-minimal pruning: drop any fault whose removal
-                // preserves the violation.
-                'prune: loop {
-                    for i in 0..cur.len() {
-                        let mut cand = cur.clone();
-                        cand.remove(i);
-                        let (cok, ceps) = $probe(&mut scratch, &cand, s, d, border);
-                        if cok && !ceps {
-                            cur = cand;
-                            continue 'prune;
-                        }
-                    }
-                    break;
-                }
-                if best.as_ref().is_none_or(|b| cur.len() < b.len()) {
-                    best = Some(cur);
-                }
-            }
-            best.map(|faults| {
-                let (oracle_ok, endpoints_safe) = $probe(&mut scratch, &faults, s, d, border);
-                AdversarialReport {
-                    faults,
-                    s,
-                    d,
-                    oracle_ok,
-                    endpoints_safe,
-                }
-            })
-        }
+/// Chebyshev (max-axis) distance.
+fn cheb<S: Space>(a: S::Coord, b: S::Coord) -> i32 {
+    let (a, b) = (S::xyz(a), S::xyz(b));
+    (0..3).map(|k| (a[k] - b[k]).abs()).max().unwrap_or(0)
+}
+
+/// Seeded random-restart hill-climb for a 1-minimal fault set violating
+/// the MCC endpoint-safety gate for pair `(s, d)` while the oracle still
+/// routes. Candidates are drawn from the healthy nodes near either
+/// endpoint (the only region where small sets can sacrifice an endpoint);
+/// a working set holds at most one fault per axis neighbor of an endpoint
+/// (`2·DIMS`). Returns `None` when no violation is found (e.g. degenerate
+/// pairs or wrapped meshes).
+pub fn adversarial_search<S: ModelSpace>(
+    mesh: &Mesh<S>,
+    s: S::Coord,
+    d: S::Coord,
+    restarts: usize,
+    seed: u64,
+    border: BorderPolicy,
+) -> Option<AdversarialReport<S::Coord>> {
+    if mesh.wraps() || s == d || !mesh.is_healthy(s) || !mesh.is_healthy(d) {
+        return None;
+    }
+    let mut scratch = mesh.clone();
+    let pool: Vec<S::Coord> = mesh
+        .nodes()
+        .filter(|&c| {
+            c != s && c != d && mesh.is_healthy(c) && (cheb::<S>(c, s) <= 2 || cheb::<S>(c, d) <= 2)
+        })
+        .collect();
+    if pool.len() < 2 {
+        return None;
+    }
+    let max_set = (2 * S::DIMS).min(pool.len());
+    let adjacency = |set: &[S::Coord]| -> i64 {
+        set.iter()
+            .filter(|&&f| mesh.are_neighbors(f, s) || mesh.are_neighbors(f, d))
+            .count() as i64
     };
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut best: Option<Vec<S::Coord>> = None;
+    for _ in 0..restarts.max(1) {
+        let mut cur: Vec<S::Coord> = {
+            let mut p = pool.clone();
+            p.shuffle(&mut rng);
+            p.truncate(rng.gen_range(2..=max_set));
+            p
+        };
+        let (mut ok, mut eps) = probe(&mut scratch, &cur, s, d, border);
+        let mut cur_score = score(ok, eps, cur.len(), adjacency(&cur));
+        for step in 0..ANNEAL_STEPS {
+            if ok && !eps {
+                break;
+            }
+            let mut cand = cur.clone();
+            match rng.gen_range(0..3) {
+                0 if cand.len() > 2 => {
+                    let i = rng.gen_range(0..cand.len());
+                    cand.swap_remove(i);
+                }
+                1 if cand.len() < max_set => {
+                    let c = pool[rng.gen_range(0..pool.len())];
+                    if !cand.contains(&c) {
+                        cand.push(c);
+                    }
+                }
+                _ => {
+                    let i = rng.gen_range(0..cand.len());
+                    let c = pool[rng.gen_range(0..pool.len())];
+                    if !cand.contains(&c) {
+                        cand[i] = c;
+                    }
+                }
+            }
+            let (cok, ceps) = probe(&mut scratch, &cand, s, d, border);
+            let cand_score = score(cok, ceps, cand.len(), adjacency(&cand));
+            // Annealing accept: always take improvements; in the first
+            // half of the walk also take one-in-four regressions to
+            // escape local optima.
+            if cand_score >= cur_score || (step < ANNEAL_STEPS / 2 && rng.gen_range(0..4) == 0) {
+                cur = cand;
+                cur_score = cand_score;
+                ok = cok;
+                eps = ceps;
+            }
+        }
+        if !ok || eps {
+            continue;
+        }
+        // Greedy 1-minimal pruning: drop any fault whose removal
+        // preserves the violation.
+        'prune: loop {
+            for i in 0..cur.len() {
+                let mut cand = cur.clone();
+                cand.remove(i);
+                let (cok, ceps) = probe(&mut scratch, &cand, s, d, border);
+                if cok && !ceps {
+                    cur = cand;
+                    continue 'prune;
+                }
+            }
+            break;
+        }
+        if best.as_ref().is_none_or(|b| cur.len() < b.len()) {
+            best = Some(cur);
+        }
+    }
+    best.map(|faults| {
+        let (oracle_ok, endpoints_safe) = probe(&mut scratch, &faults, s, d, border);
+        AdversarialReport {
+            faults,
+            s,
+            d,
+            oracle_ok,
+            endpoints_safe,
+        }
+    })
 }
-
-fn cheb2(a: C2, b: C2) -> i32 {
-    (a.x - b.x).abs().max((a.y - b.y).abs())
-}
-
-fn cheb3(a: C3, b: C3) -> i32 {
-    (a.x - b.x)
-        .abs()
-        .max((a.y - b.y).abs())
-        .max((a.z - b.z).abs())
-}
-
-adversarial_search_impl!(
-    adversarial_search_2d,
-    Mesh2D,
-    C2,
-    probe_2d,
-    MAX_SET_2D,
-    cheb2
-);
-adversarial_search_impl!(
-    adversarial_search_3d,
-    Mesh3D,
-    C3,
-    probe_3d,
-    MAX_SET_3D,
-    cheb3
-);
 
 /// Inject the adversarial regime's fault set: the found violating set
 /// (targeting `protected[0] → protected[1]` when given, else the mesh
 /// corner pair), padded up to `count` with uniformly sampled filler from
 /// a derived seed stream.
-fn inject_adversarial_2d(
-    mesh: &mut Mesh2D,
+fn inject_adversarial<S: ModelSpace>(
+    mesh: &mut Mesh<S>,
     count: usize,
     seed: u64,
-    protected: &[C2],
+    protected: &[S::Coord],
     border: BorderPolicy,
     restarts: usize,
 ) -> usize {
+    let space = mesh.space();
     let (s, d) = match protected {
         [s, d, ..] => (*s, *d),
-        _ => {
-            let b = mesh.bounds();
-            (
-                mesh_topo::coord::c2(b.x0, b.y0),
-                mesh_topo::coord::c2(b.x1, b.y1),
-            )
-        }
+        _ => (space.coord(0), space.coord(space.node_count() - 1)),
     };
     let mut injected = 0usize;
-    if let Some(report) = adversarial_search_2d(mesh, s, d, restarts, seed, border) {
+    if let Some(report) = adversarial_search(mesh, s, d, restarts, seed, border) {
         for &f in report.faults.iter().take(count) {
             if mesh.is_healthy(f) {
                 mesh.inject_fault(f);
@@ -827,66 +711,14 @@ fn inject_adversarial_2d(
         // Filler stream is decoupled from the search stream so a changed
         // search never perturbs the padding draw.
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xadfa_u64.rotate_left(32));
-        let space = mesh.space();
-        let mut shield: Vec<C2> = protected.to_vec();
+        let mut shield: Vec<S::Coord> = protected.to_vec();
         if !shield.contains(&s) {
             shield.push(s);
         }
         if !shield.contains(&d) {
             shield.push(d);
         }
-        for i in sample_uniform(
-            eligible_indices::<NodeSpace2>(mesh, &shield),
-            count - injected,
-            &mut rng,
-        ) {
-            mesh.inject_fault(space.coord(i));
-            injected += 1;
-        }
-    }
-    injected
-}
-
-/// 3-D twin of [`inject_adversarial_2d`].
-fn inject_adversarial_3d(
-    mesh: &mut Mesh3D,
-    count: usize,
-    seed: u64,
-    protected: &[C3],
-    border: BorderPolicy,
-    restarts: usize,
-) -> usize {
-    let (s, d) = match protected {
-        [s, d, ..] => (*s, *d),
-        _ => {
-            let b = mesh.bounds();
-            (b.lo, b.hi)
-        }
-    };
-    let mut injected = 0usize;
-    if let Some(report) = adversarial_search_3d(mesh, s, d, restarts, seed, border) {
-        for &f in report.faults.iter().take(count) {
-            if mesh.is_healthy(f) {
-                mesh.inject_fault(f);
-                injected += 1;
-            }
-        }
-    }
-    if injected < count {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xadfa_u64.rotate_left(32));
-        let space = mesh.space();
-        let mut shield: Vec<C3> = protected.to_vec();
-        if !shield.contains(&s) {
-            shield.push(s);
-        }
-        if !shield.contains(&d) {
-            shield.push(d);
-        }
-        for i in sample_uniform(
-            eligible_indices::<NodeSpace3>(mesh, &shield),
-            count - injected,
-            &mut rng,
-        ) {
+        for i in sample_uniform(eligible_indices(mesh, &shield), count - injected, &mut rng) {
             mesh.inject_fault(space.coord(i));
             injected += 1;
         }
@@ -898,60 +730,17 @@ fn inject_adversarial_3d(
 mod tests {
     use super::*;
     use crate::incremental::IncrementalModels2;
-    use mesh_topo::coord::{c2, c3};
-    use mesh_topo::FaultSpec;
+    use mesh_topo::coord::c2;
 
     const B: BorderPolicy = BorderPolicy::BorderSafe;
-
-    /// Acceptance pin: the Uniform/Clustered regimes reproduce the legacy
-    /// `FaultSpec` RNG sequence exactly — fault sets equal including
-    /// injection order — so every checked-in golden stays byte-identical.
-    #[test]
-    fn regime_matches_fault_spec() {
-        for seed in [0u64, 3, 42, 0xfeed_f00d] {
-            for &(count, clusters) in &[(12usize, 1usize), (40, 3), (80, 5)] {
-                let protected = [c2(1, 1), c2(10, 8)];
-                let mut legacy = Mesh2D::new(14, 12);
-                FaultSpec::uniform(count, seed).inject_2d(&mut legacy, &protected);
-                let mut regime = Mesh2D::new(14, 12);
-                FaultRegime::Uniform.inject_2d(&mut regime, count, seed, &protected, B);
-                assert_eq!(legacy.faults(), regime.faults(), "2d uniform seed {seed}");
-
-                let mut legacy = Mesh2D::new(14, 12);
-                FaultSpec::clustered(count, clusters, seed).inject_2d(&mut legacy, &protected);
-                let mut regime = Mesh2D::new(14, 12);
-                FaultRegime::Clustered { clusters }.inject_2d(
-                    &mut regime,
-                    count,
-                    seed,
-                    &protected,
-                    B,
-                );
-                assert_eq!(legacy.faults(), regime.faults(), "2d clustered seed {seed}");
-
-                let p3 = [c3(0, 0, 0)];
-                let mut legacy = Mesh3D::kary(8);
-                FaultSpec::uniform(count, seed).inject_3d(&mut legacy, &p3);
-                let mut regime = Mesh3D::kary(8);
-                FaultRegime::Uniform.inject_3d(&mut regime, count, seed, &p3, B);
-                assert_eq!(legacy.faults(), regime.faults(), "3d uniform seed {seed}");
-
-                let mut legacy = Mesh3D::kary(8);
-                FaultSpec::clustered(count, clusters, seed).inject_3d(&mut legacy, &p3);
-                let mut regime = Mesh3D::kary(8);
-                FaultRegime::Clustered { clusters }.inject_3d(&mut regime, count, seed, &p3, B);
-                assert_eq!(legacy.faults(), regime.faults(), "3d clustered seed {seed}");
-            }
-        }
-    }
 
     #[test]
     fn front_blobs_are_connected_and_reproducible() {
         let regime = FaultRegime::CorrelatedFront { fronts: 2 };
         let mut m1 = Mesh2D::new(20, 20);
         let mut m2 = Mesh2D::new(20, 20);
-        assert_eq!(regime.inject_2d(&mut m1, 36, 11, &[], B), 36);
-        assert_eq!(regime.inject_2d(&mut m2, 36, 11, &[], B), 36);
+        assert_eq!(regime.inject(&mut m1, 36, 11, &[], B), 36);
+        assert_eq!(regime.inject(&mut m2, 36, 11, &[], B), 36);
         assert_eq!(m1.faults(), m2.faults());
         // At most the two epicenters may be isolated from other faults.
         let isolated = m1
@@ -966,7 +755,7 @@ mod tests {
     fn front_respects_protection_and_saturates() {
         let regime = FaultRegime::CorrelatedFront { fronts: 3 };
         let mut m = Mesh2D::new(4, 4);
-        let n = regime.inject_2d(&mut m, 100, 5, &[c2(0, 0)], B);
+        let n = regime.inject(&mut m, 100, 5, &[c2(0, 0)], B);
         assert_eq!(n, 15);
         assert!(m.is_healthy(c2(0, 0)));
     }
@@ -975,7 +764,7 @@ mod tests {
     fn plane_injects_an_axis_slab() {
         let regime = FaultRegime::SweepingPlane { axis: 0 };
         let mut m = Mesh2D::new(10, 10);
-        assert_eq!(regime.inject_2d(&mut m, 30, 7, &[], B), 30);
+        assert_eq!(regime.inject(&mut m, 30, 7, &[], B), 30);
         // 30 faults on a 10-wide mesh = exactly three full columns from
         // one side (which side depends on the seeded direction).
         let xs: Vec<i32> = m.faults().iter().map(|c| c.x).collect();
@@ -989,11 +778,9 @@ mod tests {
     fn plane_schedule_matches_injection_and_slides() {
         let regime = FaultRegime::SweepingPlane { axis: 1 };
         let clean = Mesh2D::new(8, 8);
-        let mut schedule = regime
-            .schedule_2d(&clean, 16, 3, &[])
-            .expect("plane churns");
+        let mut schedule = regime.schedule(&clean, 16, 3, &[]).expect("plane churns");
         let mut mesh = Mesh2D::new(8, 8);
-        assert_eq!(regime.inject_2d(&mut mesh, 16, 3, &[], B), 16);
+        assert_eq!(regime.inject(&mut mesh, 16, 3, &[], B), 16);
         assert_eq!(schedule.initial_faults(), mesh.faults().to_vec());
         // Slide three rounds of 4 flips through incremental maintenance.
         let mut inc = IncrementalModels2::new(mesh, B);
@@ -1014,10 +801,10 @@ mod tests {
         };
         let clean = Mesh2D::new(12, 12);
         let mut schedule = regime
-            .schedule_2d(&clean, 20, 9, &[])
+            .schedule(&clean, 20, 9, &[])
             .expect("transient churns");
         let mut mesh = Mesh2D::new(12, 12);
-        let injected = regime.inject_2d(&mut mesh, 20, 9, &[], B);
+        let injected = regime.inject(&mut mesh, 20, 9, &[], B);
         assert_eq!(schedule.initial_faults(), mesh.faults().to_vec());
         assert!(
             injected > 0 && injected < 20,
@@ -1040,7 +827,7 @@ mod tests {
     fn adversarial_finds_minimal_violation_verified_by_oracle() {
         let mesh = Mesh2D::new(12, 12);
         let (s, d) = (c2(2, 2), c2(9, 9));
-        let report = adversarial_search_2d(&mesh, s, d, 8, 1, B).expect("violation exists");
+        let report = adversarial_search(&mesh, s, d, 8, 1, B).expect("violation exists");
         assert!(
             report.violates(),
             "oracle routes but an endpoint is sacrificed"
@@ -1049,8 +836,8 @@ mod tests {
         // endpoint: cardinality 2 (1-minimal by the pruning pass).
         assert_eq!(report.cardinality(), 2, "faults: {:?}", report.faults);
         // Independent re-verification against the oracle and labelling.
-        let mut probe = mesh.clone();
-        let (oracle_ok, endpoints_safe) = probe_2d(&mut probe, &report.faults, s, d, B);
+        let mut scratch = mesh.clone();
+        let (oracle_ok, endpoints_safe) = probe(&mut scratch, &report.faults, s, d, B);
         assert!(oracle_ok && !endpoints_safe);
     }
 
@@ -1058,7 +845,7 @@ mod tests {
     fn adversarial_inject_pads_to_count() {
         let regime = FaultRegime::AdversarialBoundary { restarts: 4 };
         let mut mesh = Mesh2D::new(12, 12);
-        let n = regime.inject_2d(&mut mesh, 6, 2, &[c2(1, 1), c2(10, 10)], B);
+        let n = regime.inject(&mut mesh, 6, 2, &[c2(1, 1), c2(10, 10)], B);
         assert_eq!(n, 6);
         assert!(mesh.is_healthy(c2(1, 1)) && mesh.is_healthy(c2(10, 10)));
     }
@@ -1066,9 +853,9 @@ mod tests {
     #[test]
     fn adversarial_declines_torus_and_degenerate_pairs() {
         let torus = Mesh2D::torus(8, 8);
-        assert!(adversarial_search_2d(&torus, c2(0, 0), c2(5, 5), 4, 1, B).is_none());
+        assert!(adversarial_search(&torus, c2(0, 0), c2(5, 5), 4, 1, B).is_none());
         let mesh = Mesh2D::new(8, 8);
-        assert!(adversarial_search_2d(&mesh, c2(3, 3), c2(3, 3), 4, 1, B).is_none());
+        assert!(adversarial_search(&mesh, c2(3, 3), c2(3, 3), 4, 1, B).is_none());
     }
 
     #[test]

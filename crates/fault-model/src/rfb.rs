@@ -20,7 +20,9 @@
 //! and [`FaultBlocks::blocks`] lists them in ascending linear index of
 //! their min corners (DESIGN.md §6, "The faulty-block kernel").
 
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
+use mesh_topo::{
+    Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3,
+};
 
 use crate::oracle;
 
@@ -47,9 +49,9 @@ pub type FaultBlocks3 = FaultBlocks<NodeSpace3>;
 
 impl<S: Space> FaultBlocks<S> {
     /// Compute the block closure of the mesh's fault set.
-    pub fn compute(mesh: &S::Mesh) -> FaultBlocks<S> {
-        let space = S::of_mesh(mesh);
-        let faults = S::fault_set(mesh);
+    pub fn compute(mesh: &Mesh<S>) -> FaultBlocks<S> {
+        let space = mesh.space();
+        let faults = mesh.fault_set();
         let mut k = Closure::new(Geometry::of(space), faults);
         let mut boxes = loop {
             k.close();

@@ -8,12 +8,12 @@
 //! These helpers compute the per-instance numbers; the `mcc-bench` crate
 //! aggregates them over seeds into the tables of `EXPERIMENTS.md`.
 
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
+use mesh_topo::Mesh;
 use serde::{Deserialize, Serialize};
 
-use crate::labelling::Labelling2;
-use crate::labelling::Labelling3;
-use crate::rfb::{FaultBlocks2, FaultBlocks3};
+use crate::labelling::Labelling;
+use crate::models::ModelSpace;
+use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
 /// Sacrifice counts of the competing fault models on one fault configuration.
@@ -35,11 +35,11 @@ pub struct RegionStats {
     pub rfb_count: usize,
 }
 
-/// Compute [`RegionStats`] for a 2-D mesh.
-pub fn region_stats_2d(mesh: &Mesh2D, policy: BorderPolicy) -> RegionStats {
-    let labs: Vec<Labelling2> = Frame2::all(mesh)
+/// Compute [`RegionStats`] for a 2-D or 3-D mesh.
+pub fn region_stats<S: ModelSpace>(mesh: &Mesh<S>, policy: BorderPolicy) -> RegionStats {
+    let labs: Vec<Labelling<S>> = S::all_frames(mesh)
         .into_iter()
-        .map(|f| Labelling2::compute(mesh, f, policy))
+        .map(|f| Labelling::compute(mesh, f, policy))
         .collect();
     let canonical = &labs[0];
     let mcc_sacrificed = canonical.sacrificed_count();
@@ -51,43 +51,15 @@ pub fn region_stats_2d(mesh: &Mesh2D, policy: BorderPolicy) -> RegionStats {
             union += 1;
         }
     }
-    let blocks = FaultBlocks2::compute(mesh);
-    let mccs = crate::mcc2::MccSet2::compute(canonical);
+    let blocks = FaultBlocks::compute(mesh);
+    let mut mccs = S::mccs(canonical);
     RegionStats {
         faults: mesh.fault_count(),
         mcc_sacrificed,
         mcc_sacrificed_worst,
         mcc_sacrificed_union: union,
         rfb_sacrificed: blocks.sacrificed_count(),
-        mcc_count: mccs.len(),
-        rfb_count: blocks.blocks.len(),
-    }
-}
-
-/// Compute [`RegionStats`] for a 3-D mesh.
-pub fn region_stats_3d(mesh: &Mesh3D, policy: BorderPolicy) -> RegionStats {
-    let labs: Vec<Labelling3> = Frame3::all(mesh)
-        .into_iter()
-        .map(|f| Labelling3::compute(mesh, f, policy))
-        .collect();
-    let canonical = &labs[0];
-    let mcc_sacrificed = canonical.sacrificed_count();
-    let mcc_sacrificed_worst = labs.iter().map(|l| l.sacrificed_count()).max().unwrap_or(0);
-    let mut union = 0usize;
-    for c in mesh.nodes() {
-        if mesh.is_healthy(c) && labs.iter().any(|l| l.status_mesh(c).is_unsafe()) {
-            union += 1;
-        }
-    }
-    let blocks = FaultBlocks3::compute(mesh);
-    let mccs = crate::mcc3::MccSet3::compute(canonical);
-    RegionStats {
-        faults: mesh.fault_count(),
-        mcc_sacrificed,
-        mcc_sacrificed_worst,
-        mcc_sacrificed_union: union,
-        rfb_sacrificed: blocks.sacrificed_count(),
-        mcc_count: mccs.len(),
+        mcc_count: S::mcc_list(&mut mccs).len(),
         rfb_count: blocks.blocks.len(),
     }
 }
@@ -95,45 +67,45 @@ pub fn region_stats_3d(mesh: &Mesh3D, policy: BorderPolicy) -> RegionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultRegime;
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::FaultSpec;
+    use mesh_topo::{Mesh2D, Mesh3D};
 
-    #[test]
-    fn mcc_never_sacrifices_more_than_rfb_2d() {
-        for seed in 0..20 {
-            let mut mesh = Mesh2D::new(16, 16);
-            FaultSpec::uniform(12, seed).inject_2d(&mut mesh, &[]);
-            let s = region_stats_2d(&mesh, BorderPolicy::BorderSafe);
+    const B: BorderPolicy = BorderPolicy::BorderSafe;
+
+    /// MCCs never sacrifice more than blocks, and the canonical, worst
+    /// and union counts nest, over `seeds` uniform fault sets of `count`.
+    fn assert_models_nest<S: ModelSpace>(clean: Mesh<S>, count: usize, seeds: u64) {
+        for seed in 0..seeds {
+            let mut mesh = clean.clone();
+            FaultRegime::Uniform.inject(&mut mesh, count, seed, &[], B);
+            let s = region_stats(&mesh, B);
+            assert!(s.mcc_sacrificed <= s.rfb_sacrificed, "seed {seed}: {s:?}");
             assert!(
-                s.mcc_sacrificed <= s.rfb_sacrificed,
-                "seed {seed}: MCC {} > RFB {}",
-                s.mcc_sacrificed,
-                s.rfb_sacrificed
+                s.mcc_sacrificed <= s.mcc_sacrificed_worst,
+                "seed {seed}: {s:?}"
             );
-            assert!(s.mcc_sacrificed <= s.mcc_sacrificed_worst);
-            assert!(s.mcc_sacrificed_worst <= s.mcc_sacrificed_union);
+            assert!(
+                s.mcc_sacrificed_worst <= s.mcc_sacrificed_union,
+                "seed {seed}: {s:?}"
+            );
         }
     }
 
     #[test]
+    fn mcc_never_sacrifices_more_than_rfb_2d() {
+        assert_models_nest(Mesh2D::new(16, 16), 12, 20);
+    }
+
+    #[test]
     fn mcc_never_sacrifices_more_than_rfb_3d() {
-        for seed in 0..10 {
-            let mut mesh = Mesh3D::kary(8);
-            FaultSpec::uniform(20, seed).inject_3d(&mut mesh, &[]);
-            let s = region_stats_3d(&mesh, BorderPolicy::BorderSafe);
-            assert!(
-                s.mcc_sacrificed <= s.rfb_sacrificed,
-                "seed {seed}: MCC {} > RFB {}",
-                s.mcc_sacrificed,
-                s.rfb_sacrificed
-            );
-        }
+        assert_models_nest(Mesh3D::kary(8), 20, 10);
     }
 
     #[test]
     fn fault_free_stats_are_zero() {
         let mesh = Mesh2D::new(8, 8);
-        let s = region_stats_2d(&mesh, BorderPolicy::BorderSafe);
+        let s = region_stats(&mesh, B);
         assert_eq!(s, RegionStats::default());
     }
 
@@ -143,7 +115,7 @@ mod tests {
         let mut mesh = Mesh2D::new(10, 10);
         mesh.inject_fault(c2(4, 4));
         mesh.inject_fault(c2(5, 5));
-        let s = region_stats_2d(&mesh, BorderPolicy::BorderSafe);
+        let s = region_stats(&mesh, B);
         assert_eq!(s.mcc_sacrificed, 0);
         assert_eq!(s.rfb_sacrificed, 2);
         // Some orientation does pay (the "\" view of the same faults).
@@ -155,7 +127,7 @@ mod tests {
         let mut mesh = Mesh3D::kary(8);
         mesh.inject_fault(c3(3, 3, 3));
         mesh.inject_fault(c3(4, 4, 3));
-        let s = region_stats_3d(&mesh, BorderPolicy::BorderSafe);
+        let s = region_stats(&mesh, B);
         assert_eq!(s.mcc_sacrificed, 0);
         assert_eq!(s.mcc_sacrificed_worst, 0); // 3-D needs all 3 dims blocked
         assert_eq!(s.rfb_sacrificed, 2);

@@ -29,7 +29,7 @@ use fault_model::incremental::{
 };
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, ModelSpace};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,18 +46,18 @@ fn border(blocked: bool) -> BorderPolicy {
 /// nodes of `inject` (up to 3) and up to one heal per `picks` entry (up to
 /// 3), both clamped to currently-legal nodes.
 fn decode_step<S: Space>(
-    mesh: &S::Mesh,
+    mesh: &Mesh<S>,
     inject: impl Iterator<Item = S::Coord>,
     picks: &[u8],
 ) -> (Vec<S::Coord>, Vec<S::Coord>) {
-    let (space, faulty) = (S::of_mesh(mesh), S::fault_set(mesh));
+    let (space, faulty) = (mesh.space(), mesh.fault_set());
     let mut injected = Vec::new();
     for c in inject {
         if !faulty.contains(space.index(c)) && !injected.contains(&c) {
             injected.push(c);
         }
     }
-    let faults = S::faults(mesh);
+    let faults = mesh.faults();
     let mut healed = Vec::new();
     for &pick in picks {
         if faults.is_empty() {

@@ -26,36 +26,30 @@ use fault_model::{
     Labelling2, Labelling3,
 };
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
 use proptest::prelude::*;
 
 const W: i32 = 12;
 const K: i32 = 8;
 
-fn arb_mesh2() -> impl Strategy<Value = Mesh2D> {
-    proptest::collection::vec((0..W, 0..W), 0..20).prop_map(|faults| {
-        let mut mesh = Mesh2D::new(W, W);
-        for (x, y) in faults {
-            let c = c2(x, y);
-            if mesh.is_healthy(c) {
-                mesh.inject_fault(c);
-            }
+/// `mesh` with every (deduplicated) node of `faults` injected.
+fn with_faults<S: Space>(mut mesh: Mesh<S>, faults: impl IntoIterator<Item = S::Coord>) -> Mesh<S> {
+    for c in faults {
+        if mesh.is_healthy(c) {
+            mesh.inject_fault(c);
         }
-        mesh
-    })
+    }
+    mesh
+}
+
+fn arb_mesh2() -> impl Strategy<Value = Mesh2D> {
+    proptest::collection::vec((0..W, 0..W), 0..20)
+        .prop_map(|f| with_faults(Mesh2D::new(W, W), f.into_iter().map(|(x, y)| c2(x, y))))
 }
 
 fn arb_mesh3() -> impl Strategy<Value = Mesh3D> {
-    proptest::collection::vec((0..K, 0..K, 0..K), 0..32).prop_map(|faults| {
-        let mut mesh = Mesh3D::kary(K);
-        for (x, y, z) in faults {
-            let c = c3(x, y, z);
-            if mesh.is_healthy(c) {
-                mesh.inject_fault(c);
-            }
-        }
-        mesh
-    })
+    proptest::collection::vec((0..K, 0..K, 0..K), 0..32)
+        .prop_map(|f| with_faults(Mesh3D::kary(K), f.into_iter().map(|(x, y, z)| c3(x, y, z))))
 }
 
 fn canon_pair2(s: C2, d: C2) -> (C2, C2) {
@@ -283,7 +277,6 @@ proptest! {
 //   through the shorter-arc canonical frame.
 
 use fault_model::NodeStatus;
-use mesh_topo::{Dir2, Dir3};
 
 fn arb_torus2() -> impl Strategy<Value = Mesh2D> {
     (
@@ -291,94 +284,46 @@ fn arb_torus2() -> impl Strategy<Value = Mesh2D> {
         3i32..9,
         proptest::collection::vec((0i32..9, 0i32..9), 0..14),
     )
-        .prop_map(|(w, h, faults)| {
-            let mut mesh = Mesh2D::torus(w, h);
-            for (x, y) in faults {
-                let c = c2(x % w, y % h);
-                if mesh.is_healthy(c) {
-                    mesh.inject_fault(c);
-                }
-            }
-            mesh
+        .prop_map(|(w, h, f)| {
+            with_faults(
+                Mesh2D::torus(w, h),
+                f.into_iter().map(|(x, y)| c2(x % w, y % h)),
+            )
         })
 }
 
 fn arb_torus3() -> impl Strategy<Value = Mesh3D> {
-    (
-        3i32..6,
-        3i32..6,
-        3i32..6,
-        proptest::collection::vec((0i32..6, 0i32..6, 0i32..6), 0..18),
-    )
-        .prop_map(|(nx, ny, nz, faults)| {
-            let mut mesh = Mesh3D::torus(nx, ny, nz);
-            for (x, y, z) in faults {
-                let c = c3(x % nx, y % ny, z % nz);
-                if mesh.is_healthy(c) {
-                    mesh.inject_fault(c);
-                }
-            }
-            mesh
-        })
+    let faults = proptest::collection::vec((0i32..6, 0i32..6, 0i32..6), 0..18);
+    (3i32..6, 3i32..6, 3i32..6, faults).prop_map(|(nx, ny, nz, f)| {
+        let f = f.into_iter().map(|(x, y, z)| c3(x % nx, y % ny, z % nz));
+        with_faults(Mesh3D::torus(nx, ny, nz), f)
+    })
 }
 
-/// Definitional worklist closure with wrapped neighbors.
-fn worklist_closure_2d(mesh: &Mesh2D) -> Vec<NodeStatus> {
+/// Definitional worklist closure with wrapped neighbors: a node is
+/// useless once its `+` neighbor on every axis blocks forward, and
+/// can't-reach once its `-` neighbor on every axis blocks backward.
+fn worklist_closure<S: Space>(mesh: &Mesh<S>) -> Vec<NodeStatus> {
     let space = mesh.space();
-    let mut st = vec![NodeStatus::SAFE; space.len()];
+    let ext = space.extents();
+    let mut st = vec![NodeStatus::SAFE; space.node_count()];
     for &f in mesh.faults() {
         st[space.index(f)] = NodeStatus::FAULT;
     }
-    let nbr = |c: C2, d: Dir2| space.index(space.wrap_coord(c.step(d)));
+    let nbr = |c: S::Coord, axis: usize, step: i32| {
+        let mut p = S::xyz(c);
+        p[axis] = (p[axis] + step).rem_euclid(ext[axis] as i32);
+        space.index(S::from_xyz(p))
+    };
     loop {
         let mut changed = false;
         for c in mesh.nodes() {
             let i = space.index(c);
-            if !st[i].blocks_forward()
-                && st[nbr(c, Dir2::Xp)].blocks_forward()
-                && st[nbr(c, Dir2::Yp)].blocks_forward()
-            {
+            if !st[i].blocks_forward() && (0..S::DIMS).all(|a| st[nbr(c, a, 1)].blocks_forward()) {
                 st[i].mark_useless();
                 changed = true;
             }
-            if !st[i].blocks_backward()
-                && st[nbr(c, Dir2::Xm)].blocks_backward()
-                && st[nbr(c, Dir2::Ym)].blocks_backward()
-            {
-                st[i].mark_cant_reach();
-                changed = true;
-            }
-        }
-        if !changed {
-            return st;
-        }
-    }
-}
-
-/// 3-D twin of [`worklist_closure_2d`].
-fn worklist_closure_3d(mesh: &Mesh3D) -> Vec<NodeStatus> {
-    let space = mesh.space();
-    let mut st = vec![NodeStatus::SAFE; space.len()];
-    for &f in mesh.faults() {
-        st[space.index(f)] = NodeStatus::FAULT;
-    }
-    let nbr = |c: C3, d: Dir3| space.index(space.wrap_coord(c.step(d)));
-    loop {
-        let mut changed = false;
-        for c in mesh.nodes() {
-            let i = space.index(c);
-            if !st[i].blocks_forward()
-                && st[nbr(c, Dir3::Xp)].blocks_forward()
-                && st[nbr(c, Dir3::Yp)].blocks_forward()
-                && st[nbr(c, Dir3::Zp)].blocks_forward()
-            {
-                st[i].mark_useless();
-                changed = true;
-            }
-            if !st[i].blocks_backward()
-                && st[nbr(c, Dir3::Xm)].blocks_backward()
-                && st[nbr(c, Dir3::Ym)].blocks_backward()
-                && st[nbr(c, Dir3::Zm)].blocks_backward()
+            if !st[i].blocks_backward() && (0..S::DIMS).all(|a| st[nbr(c, a, -1)].blocks_backward())
             {
                 st[i].mark_cant_reach();
                 changed = true;
@@ -398,7 +343,7 @@ proptest! {
     #[test]
     fn torus_labelling2_equals_worklist_oracle(mesh in arb_torus2()) {
         let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-        let oracle_status = worklist_closure_2d(&mesh);
+        let oracle_status = worklist_closure(&mesh);
         let space = mesh.space();
         for c in mesh.nodes() {
             prop_assert_eq!(
@@ -411,7 +356,7 @@ proptest! {
     #[test]
     fn torus_labelling3_equals_worklist_oracle(mesh in arb_torus3()) {
         let lab = Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-        let oracle_status = worklist_closure_3d(&mesh);
+        let oracle_status = worklist_closure(&mesh);
         let space = mesh.space();
         for c in mesh.nodes() {
             prop_assert_eq!(

@@ -12,7 +12,7 @@
 //! sets are interesting: they chart exactly where endpoint safety, not
 //! the condition, is the binding constraint.
 
-use fault_model::regime::{adversarial_search_2d, adversarial_search_3d};
+use fault_model::regime::adversarial_search;
 use fault_model::BorderPolicy;
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Mesh2D, Mesh3D};
@@ -23,7 +23,7 @@ const B: BorderPolicy = BorderPolicy::BorderSafe;
 fn fixed_seed_2d_search_reports_minimal_violation() {
     let mesh = Mesh2D::new(16, 16);
     let (s, d) = (c2(3, 3), c2(12, 12));
-    let report = adversarial_search_2d(&mesh, s, d, 8, 42, B)
+    let report = adversarial_search(&mesh, s, d, 8, 42, B)
         .expect("seed 42 finds a violation on a clean 16x16 mesh");
     assert!(report.violates());
     assert!(report.oracle_ok && !report.endpoints_safe);
@@ -43,8 +43,8 @@ fn fixed_seed_2d_search_reports_minimal_violation() {
 fn fixed_seed_2d_search_is_deterministic() {
     let mesh = Mesh2D::new(16, 16);
     let (s, d) = (c2(3, 3), c2(12, 12));
-    let a = adversarial_search_2d(&mesh, s, d, 8, 42, B).expect("violation");
-    let b = adversarial_search_2d(&mesh, s, d, 8, 42, B).expect("violation");
+    let a = adversarial_search(&mesh, s, d, 8, 42, B).expect("violation");
+    let b = adversarial_search(&mesh, s, d, 8, 42, B).expect("violation");
     assert_eq!(a.faults, b.faults, "same seed, same violating set");
 }
 
@@ -52,7 +52,7 @@ fn fixed_seed_2d_search_is_deterministic() {
 fn fixed_seed_3d_search_reports_verified_violation() {
     let mesh = Mesh3D::kary(8);
     let (s, d) = (c3(1, 1, 1), c3(6, 6, 6));
-    let report = adversarial_search_3d(&mesh, s, d, 8, 7, B)
+    let report = adversarial_search(&mesh, s, d, 8, 7, B)
         .expect("seed 7 finds a violation on a clean 8^3 mesh");
     assert!(report.violates());
     // 3-D endpoints have three forward neighbors, so sacrificing one

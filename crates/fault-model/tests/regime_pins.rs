@@ -11,9 +11,9 @@
 //! On a mismatch the test prints the whole table as it now stands, so an
 //! intended change (and only an intended one) can be pasted back in.
 
-use fault_model::{BorderPolicy, FaultRegime, Schedule};
+use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Mesh2D, Mesh3D, C2, C3};
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, Space};
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
 const SEED: u64 = 0x005e_ed0f_fa17;
@@ -74,29 +74,34 @@ impl Fnv {
     }
 }
 
-fn a2(cs: &[C2]) -> Vec<[i32; 3]> {
-    cs.iter().map(|c| [c.x, c.y, 0]).collect()
+fn flat<S: Space>(cs: &[S::Coord]) -> Vec<[i32; 3]> {
+    cs.iter().map(|&c| S::xyz(c)).collect()
 }
 
-fn a3(cs: &[C3]) -> Vec<[i32; 3]> {
-    cs.iter().map(|c| [c.x, c.y, c.z]).collect()
-}
-
-fn schedule_digest<C: Copy + PartialEq>(
-    schedule: Option<Schedule<C>>,
-    flat: impl Fn(&[C]) -> Vec<[i32; 3]>,
-) -> u64 {
-    let Some(mut schedule) = schedule else {
-        return 0;
+/// The digests of one case: the injected fault list, and the schedule's
+/// initial faults plus its first three steps (0 without a schedule).
+fn digests<S: ModelSpace>(
+    regime: FaultRegime,
+    clean: Mesh<S>,
+    count: usize,
+    protected: &[S::Coord],
+) -> (u64, u64) {
+    let mut mesh = clean.clone();
+    let n = regime.inject(&mut mesh, count, SEED, protected, B);
+    assert_eq!(n, mesh.fault_count());
+    let mut inject = Fnv::new();
+    inject.coords(&flat::<S>(mesh.faults()));
+    let Some(mut schedule) = regime.schedule(&clean, count, SEED, protected) else {
+        return (inject.0, 0);
     };
-    let mut h = Fnv::new();
-    h.coords(&flat(&schedule.initial_faults()));
+    let mut sched = Fnv::new();
+    sched.coords(&flat::<S>(&schedule.initial_faults()));
     for _ in 0..3 {
         let (injected, healed) = schedule.step(FLIPS);
-        h.coords(&flat(&injected));
-        h.coords(&flat(&healed));
+        sched.coords(&flat::<S>(&injected));
+        sched.coords(&flat::<S>(&healed));
     }
-    h.0
+    (inject.0, sched.0)
 }
 
 fn regimes(dims: usize) -> Vec<FaultRegime> {
@@ -126,45 +131,23 @@ fn label(regime: &FaultRegime, dims: usize, torus: bool) -> String {
 fn observe() -> Vec<(String, u64, u64)> {
     let mut out = Vec::new();
     for torus in [false, true] {
-        for regime in regimes(2) {
-            if torus && matches!(regime, FaultRegime::AdversarialBoundary { .. }) {
-                continue;
-            }
-            let build = || {
-                if torus {
-                    Mesh2D::torus(12, 10)
-                } else {
-                    Mesh2D::new(12, 10)
+        let (mesh2, mesh3) = if torus {
+            (Mesh2D::torus(12, 10), Mesh3D::torus(6, 5, 4))
+        } else {
+            (Mesh2D::new(12, 10), Mesh3D::new(6, 5, 4))
+        };
+        for dims in [2, 3] {
+            for regime in regimes(dims) {
+                if torus && matches!(regime, FaultRegime::AdversarialBoundary { .. }) {
+                    continue;
                 }
-            };
-            let protected = [c2(1, 2), c2(9, 8)];
-            let mut mesh = build();
-            let n = regime.inject_2d(&mut mesh, 14, SEED, &protected, B);
-            assert_eq!(n, mesh.fault_count());
-            let mut h = Fnv::new();
-            h.coords(&a2(mesh.faults()));
-            let sched = regime.schedule_2d(&build(), 14, SEED, &protected);
-            out.push((label(&regime, 2, torus), h.0, schedule_digest(sched, a2)));
-        }
-        for regime in regimes(3) {
-            if torus && matches!(regime, FaultRegime::AdversarialBoundary { .. }) {
-                continue;
-            }
-            let build = || {
-                if torus {
-                    Mesh3D::torus(6, 5, 4)
+                let (inject, schedule) = if dims == 2 {
+                    digests(regime, mesh2.clone(), 14, &[c2(1, 2), c2(9, 8)])
                 } else {
-                    Mesh3D::new(6, 5, 4)
-                }
-            };
-            let protected = [c3(1, 1, 0), c3(4, 4, 3)];
-            let mut mesh = build();
-            let n = regime.inject_3d(&mut mesh, 16, SEED, &protected, B);
-            assert_eq!(n, mesh.fault_count());
-            let mut h = Fnv::new();
-            h.coords(&a3(mesh.faults()));
-            let sched = regime.schedule_3d(&build(), 16, SEED, &protected);
-            out.push((label(&regime, 3, torus), h.0, schedule_digest(sched, a3)));
+                    digests(regime, mesh3.clone(), 16, &[c3(1, 1, 0), c3(4, 4, 3)])
+                };
+                out.push((label(&regime, dims, torus), inject, schedule));
+            }
         }
     }
     out

@@ -131,7 +131,7 @@ fn battery(seed: u64, cases: usize, max3: i32) -> Coverage {
             Mesh2D::new(w, h)
         };
         let count = fault_count(&mut rng, mesh.space().len());
-        regime(&mut rng, 2).inject_2d(&mut mesh, count, rng.gen(), &[], BorderPolicy::BorderSafe);
+        regime(&mut rng, 2).inject(&mut mesh, count, rng.gen(), &[], BorderPolicy::BorderSafe);
         check_2d(&mesh, &mut cov);
 
         let e = [
@@ -145,7 +145,7 @@ fn battery(seed: u64, cases: usize, max3: i32) -> Coverage {
             Mesh3D::new(e[0], e[1], e[2])
         };
         let count = fault_count(&mut rng, mesh.space().len());
-        regime(&mut rng, 3).inject_3d(&mut mesh, count, rng.gen(), &[], BorderPolicy::BorderSafe);
+        regime(&mut rng, 3).inject(&mut mesh, count, rng.gen(), &[], BorderPolicy::BorderSafe);
         check_3d(&mesh, &mut cov);
     }
     cov
@@ -178,7 +178,7 @@ fn block_model_matches_reference_at_16_cubed() {
     for _ in 0..24 {
         let mut mesh = Mesh3D::kary(16);
         let count = rng.gen_range(10..=120);
-        FaultRegime::Uniform.inject_3d(&mut mesh, count, rng.gen(), &[], BorderPolicy::BorderSafe);
+        FaultRegime::Uniform.inject(&mut mesh, count, rng.gen(), &[], BorderPolicy::BorderSafe);
         check_3d(&mesh, &mut cov);
     }
     assert!(cov.full_percolation > 0, "{cov:?}");

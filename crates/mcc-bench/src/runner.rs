@@ -23,17 +23,15 @@
 //! Service scenarios have no seed sweep: their ramp runs sequentially in
 //! virtual time through [`crate::service_load`].
 
-use fault_model::incremental::{IncrementalModels2, IncrementalModels3};
-use fault_model::mcc2::MccSet2;
-use fault_model::mcc3::MccSet3;
-use fault_model::stats::{region_stats_2d, region_stats_3d};
-use fault_model::{FaultRegime, Labelling2, Labelling3, Schedule};
+use fault_model::stats::{region_stats, RegionStats};
+use fault_model::{FaultRegime, IncrementalModels, Labelling, ModelSpace};
 use mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_protocols::labelling::{DistLabelling2, DistLabelling3};
 use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
 use mcc_routing::trial::{TrialOptions, TrialResult};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
+use mesh_topo::faults::random_node;
+use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space, C2, C3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_net::RunStats;
@@ -160,22 +158,84 @@ pub(crate) fn mix_trial_seed(seed: u64, n: usize) -> u64 {
     seed.wrapping_mul(0x9e37_79b9) ^ n as u64
 }
 
-/// Construct the scenario's 2-D network (mesh or torus).
-fn build_mesh_2d(sc: &Scenario, width: i32, height: i32) -> Mesh2D {
-    if sc.wrap {
-        Mesh2D::torus(width, height)
-    } else {
-        Mesh2D::new(width, height)
+/// What the table drivers need of a node space beyond [`ModelSpace`]: the
+/// distributed labelling protocol and the prepared trial pipeline exist
+/// once per dimension.
+trait BenchSpace: ModelSpace {
+    /// Run the distributed labelling protocol under the identity frame.
+    fn labelling_stats(mesh: &Mesh<Self>) -> RunStats;
+    /// Prepare `mesh` once (orientation-keyed model cache + trial scratch)
+    /// and run one trial per `(s, d, policy seed)` that `next` yields.
+    fn trials(
+        mesh: &Mesh<Self>,
+        opts: TrialOptions,
+        next: impl FnMut() -> Option<(Self::Coord, Self::Coord, u64)>,
+    ) -> Vec<TrialResult>;
+}
+
+impl BenchSpace for NodeSpace2 {
+    fn labelling_stats(mesh: &Mesh2D) -> RunStats {
+        DistLabelling2::run(mesh, Frame2::identity(mesh)).stats
+    }
+    fn trials(
+        mesh: &Mesh2D,
+        opts: TrialOptions,
+        mut next: impl FnMut() -> Option<(C2, C2, u64)>,
+    ) -> Vec<TrialResult> {
+        let mut pm = PreparedMesh2::new(mesh, opts);
+        std::iter::from_fn(|| next().map(|(s, d, seed)| pm.run_trial(s, d, seed))).collect()
     }
 }
 
-/// Construct the scenario's 3-D network (mesh or torus).
-fn build_mesh_3d(sc: &Scenario, x: i32, y: i32, z: i32) -> Mesh3D {
-    if sc.wrap {
-        Mesh3D::torus(x, y, z)
-    } else {
-        Mesh3D::new(x, y, z)
+impl BenchSpace for NodeSpace3 {
+    fn labelling_stats(mesh: &Mesh3D) -> RunStats {
+        DistLabelling3::run(mesh, Frame3::identity(mesh)).stats
     }
+    fn trials(
+        mesh: &Mesh3D,
+        opts: TrialOptions,
+        mut next: impl FnMut() -> Option<(C3, C3, u64)>,
+    ) -> Vec<TrialResult> {
+        let mut pm = PreparedMesh3::new(mesh, opts);
+        std::iter::from_fn(|| next().map(|(s, d, seed)| pm.run_trial(s, d, seed))).collect()
+    }
+}
+
+/// One `(fault count, seed)` cell of a scenario's sweep.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    sc: &'a Scenario,
+    n: usize,
+    seed: u64,
+}
+
+/// A table's per-seed body, written once over the node space.
+trait SeedBody {
+    /// What one seed contributes to the row.
+    type Out: Send;
+    /// Run `cell` on `mesh`, a fresh fault-free copy of the network.
+    fn run<S: BenchSpace>(cell: Cell<'_>, mesh: Mesh<S>) -> Self::Out;
+}
+
+/// Construct the scenario's network (mesh or torus) and run `B` on it: the
+/// one place the generic table drivers branch on the dimension.
+fn build_mesh<B: SeedBody>(cell: Cell<'_>) -> B::Out {
+    match cell.sc.dims {
+        MeshDims::D2 { width, height } if cell.sc.wrap => {
+            B::run(cell, Mesh2D::torus(width, height))
+        }
+        MeshDims::D2 { width, height } => B::run(cell, Mesh2D::new(width, height)),
+        MeshDims::D3 { x, y, z } if cell.sc.wrap => B::run(cell, Mesh3D::torus(x, y, z)),
+        MeshDims::D3 { x, y, z } => B::run(cell, Mesh3D::new(x, y, z)),
+    }
+}
+
+/// Run `B` for every seed of the scenario at fault count `n`, in seed
+/// order (see [`parallel_seeds_with`]).
+fn sweep<B: SeedBody>(sc: &Scenario, workers: usize, n: usize) -> Vec<B::Out> {
+    parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
+        build_mesh::<B>(Cell { sc, n, seed })
+    })
 }
 
 /// Run a scenario, parallelizing over its seed range.
@@ -187,7 +247,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
     let workers = worker_count(scenario)?;
     let rows = match scenario.table {
         TableKind::Regions => TableRows::Regions(run_regions(scenario, workers)),
-        TableKind::Routing => TableRows::Routing(run_routing(scenario, workers)),
+        TableKind::Routing => TableRows::Routing(run_routing(scenario, workers)?),
         TableKind::Overhead => TableRows::Overhead(run_overhead(scenario, workers)?),
         TableKind::Labelling => TableRows::Labelling(run_labelling(scenario, workers)),
         TableKind::Churn => TableRows::Churn(run_churn(scenario, workers)),
@@ -199,25 +259,22 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
     })
 }
 
+/// Regions tables: region statistics of one fault configuration per seed.
+struct Regions;
+
+impl SeedBody for Regions {
+    type Out = RegionStats;
+    fn run<S: BenchSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RegionStats {
+        c.sc.inject(&mut mesh, c.n, mix_fault_seed(c.seed, c.n), &[]);
+        region_stats(&mesh, c.sc.border)
+    }
+}
+
 fn run_regions(sc: &Scenario, workers: usize) -> Vec<RegionRow> {
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
-                let fseed = mix_fault_seed(seed, n);
-                match sc.dims {
-                    MeshDims::D2 { width, height } => {
-                        let mut mesh = build_mesh_2d(sc, width, height);
-                        sc.inject_2d(&mut mesh, n, fseed, &[]);
-                        region_stats_2d(&mesh, sc.border)
-                    }
-                    MeshDims::D3 { x, y, z } => {
-                        let mut mesh = build_mesh_3d(sc, x, y, z);
-                        sc.inject_3d(&mut mesh, n, fseed, &[]);
-                        region_stats_3d(&mesh, sc.border)
-                    }
-                }
-            });
+            let stats = sweep::<Regions>(sc, workers, n);
             let k = stats.len() as f64;
             RegionRow {
                 faults: n,
@@ -244,31 +301,16 @@ fn run_regions(sc: &Scenario, workers: usize) -> Vec<RegionRow> {
 /// (Manhattan on a mesh, Lee on a torus). On a mesh `mesh.dist` *is*
 /// Manhattan distance, so the historical RNG consumption and acceptance
 /// sequence — and therefore every existing table — is untouched.
-fn random_pair_2d(rng: &mut SmallRng, mesh: &Mesh2D, min_dist: u32) -> (C2, C2) {
-    let (w, h) = (mesh.width(), mesh.height());
+/// [`Scenario::validate`] guarantees the network's diameter reaches
+/// `min_dist`.
+fn random_pair<S: Space>(
+    rng: &mut SmallRng,
+    mesh: &Mesh<S>,
+    min_dist: u32,
+) -> (S::Coord, S::Coord) {
     loop {
-        let s = c2(rng.gen_range(0..w), rng.gen_range(0..h));
-        let d = c2(rng.gen_range(0..w), rng.gen_range(0..h));
-        if mesh.dist(s, d) >= min_dist {
-            return (s, d);
-        }
-    }
-}
-
-/// 3-D twin of [`random_pair_2d`].
-fn random_pair_3d(rng: &mut SmallRng, mesh: &Mesh3D, min_dist: u32) -> (C3, C3) {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
-    loop {
-        let s = c3(
-            rng.gen_range(0..nx),
-            rng.gen_range(0..ny),
-            rng.gen_range(0..nz),
-        );
-        let d = c3(
-            rng.gen_range(0..nx),
-            rng.gen_range(0..ny),
-            rng.gen_range(0..nz),
-        );
+        let s = random_node(mesh.space(), rng);
+        let d = random_node(mesh.space(), rng);
         if mesh.dist(s, d) >= min_dist {
             return (s, d);
         }
@@ -281,26 +323,16 @@ const PAIR_SAMPLE_ATTEMPTS: usize = 100_000;
 
 /// Sample a healthy pair at least `min_dist` apart on a faulty mesh
 /// (the batched path injects faults first, so endpoints are rejected
-/// rather than protected).
-fn random_healthy_pair_2d(rng: &mut SmallRng, mesh: &Mesh2D, min_dist: u32) -> (C2, C2) {
-    for _ in 0..PAIR_SAMPLE_ATTEMPTS {
-        let (s, d) = random_pair_2d(rng, mesh, min_dist);
-        if mesh.is_healthy(s) && mesh.is_healthy(d) {
-            return (s, d);
-        }
-    }
-    panic!("could not sample a healthy pair: mesh too faulty for the separation requirement");
-}
-
-/// 3-D twin of [`random_healthy_pair_2d`].
-fn random_healthy_pair_3d(rng: &mut SmallRng, mesh: &Mesh3D, min_dist: u32) -> (C3, C3) {
-    for _ in 0..PAIR_SAMPLE_ATTEMPTS {
-        let (s, d) = random_pair_3d(rng, mesh, min_dist);
-        if mesh.is_healthy(s) && mesh.is_healthy(d) {
-            return (s, d);
-        }
-    }
-    panic!("could not sample a healthy pair: mesh too faulty for the separation requirement");
+/// rather than protected), or `None` once [`PAIR_SAMPLE_ATTEMPTS`] draws
+/// have all failed.
+fn random_healthy_pair<S: Space>(
+    rng: &mut SmallRng,
+    mesh: &Mesh<S>,
+    min_dist: u32,
+) -> Option<(S::Coord, S::Coord)> {
+    (0..PAIR_SAMPLE_ATTEMPTS)
+        .map(|_| random_pair(rng, mesh, min_dist))
+        .find(|&(s, d)| mesh.is_healthy(s) && mesh.is_healthy(d))
 }
 
 /// Routing tables: every seed owns one fault configuration, prepared once
@@ -313,65 +345,60 @@ fn random_healthy_pair_3d(rng: &mut SmallRng, mesh: &Mesh3D, min_dist: u32) -> (
 /// scenarios reproduce their tables bit-for-bit. With larger batches the
 /// fault set is drawn first and pairs are rejection-sampled from the
 /// healthy remainder (a protected set of 2·pairs nodes would distort the
-/// fault distribution).
-fn run_routing(sc: &Scenario, workers: usize) -> Vec<RoutingRow> {
-    let opts = TrialOptions {
-        border: sc.border,
-        eval_mcc: sc.router.wants_mcc(),
-        eval_rfb: sc.router.wants_rfb(),
-        eval_greedy: sc.router.wants_greedy(),
-    };
-    let min_dist = (sc.dims.max_extent() as f64 * sc.min_dist_frac).round() as u32;
+/// fault distribution); a configuration too faulty to yield a healthy
+/// pair is an error, not a panic.
+struct Routing;
+
+impl SeedBody for Routing {
+    type Out = Result<Vec<TrialResult>, ScenarioError>;
+    fn run<S: BenchSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> Self::Out {
+        let sc = c.sc;
+        let opts = TrialOptions {
+            border: sc.border,
+            eval_mcc: sc.router.wants_mcc(),
+            eval_rfb: sc.router.wants_rfb(),
+            eval_greedy: sc.router.wants_greedy(),
+        };
+        let min_dist = (sc.dims.max_extent() as f64 * sc.min_dist_frac).round() as u32;
+        let mut rng = SmallRng::seed_from_u64(mix_trial_seed(c.seed, c.n));
+        let legacy_pair = if sc.pairs_per_seed == 1 {
+            let (s, d) = random_pair(&mut rng, &mesh, min_dist);
+            sc.inject(&mut mesh, c.n, rng.gen(), &[s, d]);
+            Some((s, d))
+        } else {
+            sc.inject(&mut mesh, c.n, rng.gen(), &[]);
+            None
+        };
+        let mut left = sc.pairs_per_seed;
+        let mut stranded = false;
+        let trials = S::trials(&mesh, opts, || {
+            if left == 0 {
+                return None;
+            }
+            left -= 1;
+            let pair = legacy_pair.or_else(|| random_healthy_pair(&mut rng, &mesh, min_dist));
+            stranded = pair.is_none();
+            pair.map(|(s, d)| (s, d, rng.gen()))
+        });
+        if stranded {
+            return Err(ScenarioError::new(format!(
+                "{} faults leave no healthy pair at least {min_dist} hops apart \
+                 (pairs_per_seed = {}, min_dist_frac = {}) after {PAIR_SAMPLE_ATTEMPTS} draws; \
+                 lower the fault count or the separation",
+                c.n, sc.pairs_per_seed, sc.min_dist_frac
+            )));
+        }
+        Ok(trials)
+    }
+}
+
+fn run_routing(sc: &Scenario, workers: usize) -> Result<Vec<RoutingRow>, ScenarioError> {
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let results = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
-                let mut rng = SmallRng::seed_from_u64(mix_trial_seed(seed, n));
-                match sc.dims {
-                    MeshDims::D2 { width, height } => {
-                        let mut mesh = build_mesh_2d(sc, width, height);
-                        let legacy_pair = if sc.pairs_per_seed == 1 {
-                            let (s, d) = random_pair_2d(&mut rng, &mesh, min_dist);
-                            sc.inject_2d(&mut mesh, n, rng.gen(), &[s, d]);
-                            Some((s, d))
-                        } else {
-                            sc.inject_2d(&mut mesh, n, rng.gen(), &[]);
-                            None
-                        };
-                        let mut pm = PreparedMesh2::new(&mesh, opts);
-                        (0..sc.pairs_per_seed)
-                            .map(|_| {
-                                let (s, d) = legacy_pair.unwrap_or_else(|| {
-                                    random_healthy_pair_2d(&mut rng, pm.mesh(), min_dist)
-                                });
-                                pm.run_trial(s, d, rng.gen())
-                            })
-                            .collect::<Vec<TrialResult>>()
-                    }
-                    MeshDims::D3 { x, y, z } => {
-                        let mut mesh = build_mesh_3d(sc, x, y, z);
-                        let legacy_pair = if sc.pairs_per_seed == 1 {
-                            let (s, d) = random_pair_3d(&mut rng, &mesh, min_dist);
-                            sc.inject_3d(&mut mesh, n, rng.gen(), &[s, d]);
-                            Some((s, d))
-                        } else {
-                            sc.inject_3d(&mut mesh, n, rng.gen(), &[]);
-                            None
-                        };
-                        let mut pm = PreparedMesh3::new(&mesh, opts);
-                        (0..sc.pairs_per_seed)
-                            .map(|_| {
-                                let (s, d) = legacy_pair.unwrap_or_else(|| {
-                                    random_healthy_pair_3d(&mut rng, pm.mesh(), min_dist)
-                                });
-                                pm.run_trial(s, d, rng.gen())
-                            })
-                            .collect::<Vec<TrialResult>>()
-                    }
-                }
-            });
-            let flat: Vec<TrialResult> = results.into_iter().flatten().collect();
-            aggregate_routing(n, &flat)
+            let results = sweep::<Routing>(sc, workers, n);
+            let flat = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+            Ok(aggregate_routing(n, &flat.concat()))
         })
         .collect()
 }
@@ -502,26 +529,21 @@ fn run_overhead_2d(
 /// [`RunStats`]. Unlike the 2-D overhead pipeline this places faults
 /// anywhere in the mesh — labelling has no interior-fault assumption —
 /// so the protocol layer can be swept at the paper's full fault ramps.
+struct Labellings;
+
+impl SeedBody for Labellings {
+    type Out = RunStats;
+    fn run<S: BenchSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RunStats {
+        c.sc.inject(&mut mesh, c.n, mix_interior_seed(c.seed, c.n), &[]);
+        S::labelling_stats(&mesh)
+    }
+}
+
 fn run_labelling(sc: &Scenario, workers: usize) -> Vec<LabellingRow> {
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let stats: Vec<RunStats> =
-                parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
-                    let fseed = mix_interior_seed(seed, n);
-                    match sc.dims {
-                        MeshDims::D2 { width, height } => {
-                            let mut mesh = build_mesh_2d(sc, width, height);
-                            sc.inject_2d(&mut mesh, n, fseed, &[]);
-                            DistLabelling2::run(&mesh, Frame2::identity(&mesh)).stats
-                        }
-                        MeshDims::D3 { x, y, z } => {
-                            let mut mesh = build_mesh_3d(sc, x, y, z);
-                            sc.inject_3d(&mut mesh, n, fseed, &[]);
-                            DistLabelling3::run(&mesh, Frame3::identity(&mesh)).stats
-                        }
-                    }
-                });
+            let stats = sweep::<Labellings>(sc, workers, n);
             let k = stats.len() as f64;
             LabellingRow {
                 faults: n,
@@ -556,62 +578,20 @@ fn churn_flips(rate: f64, faults: usize, healthy: usize) -> usize {
 }
 
 /// E12-style churn tables: each seed owns one fault configuration wrapped
-/// in [`IncrementalModels2`]/[`IncrementalModels3`] and drives
-/// `churn_rounds` rounds of paired heal+inject churn through it (the
-/// fault population stays at the row's nominal count). After **every**
-/// round the maintained identity-orientation models are checked against a
-/// from-scratch recomputation; the runner refuses (panics) to aggregate a
-/// row unless every check of every seed matched, so a churn table is
-/// itself an equivalence certificate. `statuses_repaired` counts the node
-/// statuses the incremental repairs actually touched — the quantity that
-/// scales with perturbation size rather than mesh size.
+/// in [`IncrementalModels`] and drives `churn_rounds` rounds of paired
+/// heal+inject churn through it (the fault population stays at the row's
+/// nominal count). After **every** round the maintained
+/// identity-orientation models are checked against a from-scratch
+/// recomputation; the runner refuses (panics) to aggregate a row unless
+/// every check of every seed matched, so a churn table is itself an
+/// equivalence certificate. `statuses_repaired` counts the node statuses
+/// the incremental repairs actually touched — the quantity that scales
+/// with perturbation size rather than mesh size.
 fn run_churn(sc: &Scenario, workers: usize) -> Vec<ChurnRow> {
     sc.fault_counts
         .iter()
         .map(|&n| {
-            let seeds = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
-                let mut rng = SmallRng::seed_from_u64(mix_trial_seed(seed, n));
-                let fseed = mix_fault_seed(seed, n);
-                match sc.dims {
-                    MeshDims::D2 { width, height } => {
-                        let mut mesh = build_mesh_2d(sc, width, height);
-                        // Scheduled regimes (sweeping plane, transient)
-                        // replace the random flip draws with their own
-                        // churn law; `initial_faults` matches what
-                        // `Scenario::inject_2d` would place, so round 0
-                        // starts from the same population either way.
-                        let schedule = sc.regime.schedule_2d(&mesh, n, fseed, &[]);
-                        match schedule {
-                            Some(schedule) => {
-                                for c in schedule.initial_faults() {
-                                    mesh.inject_fault(c);
-                                }
-                                churn_seed_2d(sc, mesh, &mut rng, Some(schedule))
-                            }
-                            None => {
-                                sc.inject_2d(&mut mesh, n, fseed, &[]);
-                                churn_seed_2d(sc, mesh, &mut rng, None)
-                            }
-                        }
-                    }
-                    MeshDims::D3 { x, y, z } => {
-                        let mut mesh = build_mesh_3d(sc, x, y, z);
-                        let schedule = sc.regime.schedule_3d(&mesh, n, fseed, &[]);
-                        match schedule {
-                            Some(schedule) => {
-                                for c in schedule.initial_faults() {
-                                    mesh.inject_fault(c);
-                                }
-                                churn_seed_3d(sc, mesh, &mut rng, Some(schedule))
-                            }
-                            None => {
-                                sc.inject_3d(&mut mesh, n, fseed, &[]);
-                                churn_seed_3d(sc, mesh, &mut rng, None)
-                            }
-                        }
-                    }
-                }
-            });
+            let seeds = sweep::<ChurnSeed>(sc, workers, n);
             let k = seeds.len() as f64;
             let checks: usize = seeds.iter().map(|s| s.checks).sum();
             let matched: usize = seeds.iter().map(|s| s.matched).sum();
@@ -634,80 +614,34 @@ fn run_churn(sc: &Scenario, workers: usize) -> Vec<ChurnRow> {
         .collect()
 }
 
-fn churn_seed_2d(
-    sc: &Scenario,
-    mesh: Mesh2D,
-    rng: &mut SmallRng,
-    mut schedule: Option<Schedule<C2>>,
-) -> ChurnSeed {
-    let (w, h) = (mesh.width(), mesh.height());
-    let nodes = (w * h) as usize;
-    let mut inc = IncrementalModels2::new(mesh, sc.border);
-    let mut out = ChurnSeed {
-        injected: 0,
-        healed: 0,
-        repaired: 0,
-        unsafe_end: 0,
-        mccs_end: 0,
-        checks: 0,
-        matched: 0,
-    };
-    for _ in 0..sc.churn_rounds {
-        let (injected, healed) = if let Some(sched) = schedule.as_mut() {
-            let faults = inc.mesh().faults().len();
-            let flips = churn_flips(sc.churn_rate, faults, nodes - faults);
-            sched.step(flips)
-        } else {
-            let faults = inc.mesh().faults().to_vec();
-            let flips = churn_flips(sc.churn_rate, faults.len(), nodes - faults.len());
-            let mut healed: Vec<C2> = Vec::new();
-            while healed.len() < flips {
-                let c = faults[rng.gen_range(0..faults.len())];
-                if !healed.contains(&c) {
-                    healed.push(c);
-                }
-            }
-            let mut injected: Vec<C2> = Vec::new();
-            while injected.len() < flips {
-                let c = c2(rng.gen_range(0..w), rng.gen_range(0..h));
-                if inc.mesh().is_healthy(c) && !injected.contains(&c) {
-                    injected.push(c);
-                }
-            }
-            (injected, healed)
-        };
-        inc.apply(&injected, &healed);
-        out.injected += injected.len();
-        out.healed += healed.len();
-
-        let mesh = inc.mesh().clone();
-        let frame = Frame2::identity(&mesh);
-        let m = inc.models(frame);
-        let lab = Labelling2::compute(&mesh, frame, sc.border);
-        let mccs = MccSet2::compute(&lab);
-        out.checks += 1;
-        let ok = m.lab.iter().zip(lab.iter()).all(|((_, a), (_, b))| a == b)
-            && m.lab.unsafe_set() == lab.unsafe_set()
-            && m.mccs.mccs == mccs.mccs;
-        if ok {
-            out.matched += 1;
-        }
-        out.unsafe_end = lab.unsafe_set().len();
-        out.mccs_end = mccs.mccs.len();
+impl SeedBody for ChurnSeed {
+    type Out = ChurnSeed;
+    fn run<S: BenchSpace>(c: Cell<'_>, mesh: Mesh<S>) -> ChurnSeed {
+        churn_seed(c, mesh)
     }
-    out.repaired = inc.statuses_repaired();
-    out
 }
 
-fn churn_seed_3d(
-    sc: &Scenario,
-    mesh: Mesh3D,
-    rng: &mut SmallRng,
-    mut schedule: Option<Schedule<C3>>,
-) -> ChurnSeed {
-    let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
-    let nodes = (nx * ny * nz) as usize;
-    let mut inc = IncrementalModels3::new(mesh, sc.border);
+fn churn_seed<S: ModelSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
+    let sc = c.sc;
+    let mut rng = SmallRng::seed_from_u64(mix_trial_seed(c.seed, c.n));
+    let fseed = mix_fault_seed(c.seed, c.n);
+    // Scheduled regimes (sweeping plane, transient) replace the random
+    // flip draws with their own churn law; `initial_faults` matches what
+    // `Scenario::inject` would place, so round 0 starts from the same
+    // population either way.
+    let mut schedule = sc.regime.schedule(&mesh, c.n, fseed, &[]);
+    match &schedule {
+        Some(schedule) => {
+            for f in schedule.initial_faults() {
+                mesh.inject_fault(f);
+            }
+        }
+        None => {
+            sc.inject(&mut mesh, c.n, fseed, &[]);
+        }
+    }
+    let (space, nodes) = (mesh.space(), mesh.node_count());
+    let mut inc = IncrementalModels::new(mesh, sc.border);
     let mut out = ChurnSeed {
         injected: 0,
         healed: 0,
@@ -725,22 +659,18 @@ fn churn_seed_3d(
         } else {
             let faults = inc.mesh().faults().to_vec();
             let flips = churn_flips(sc.churn_rate, faults.len(), nodes - faults.len());
-            let mut healed: Vec<C3> = Vec::new();
+            let mut healed = Vec::new();
             while healed.len() < flips {
-                let c = faults[rng.gen_range(0..faults.len())];
-                if !healed.contains(&c) {
-                    healed.push(c);
+                let f = faults[rng.gen_range(0..faults.len())];
+                if !healed.contains(&f) {
+                    healed.push(f);
                 }
             }
-            let mut injected: Vec<C3> = Vec::new();
+            let mut injected = Vec::new();
             while injected.len() < flips {
-                let c = c3(
-                    rng.gen_range(0..nx),
-                    rng.gen_range(0..ny),
-                    rng.gen_range(0..nz),
-                );
-                if inc.mesh().is_healthy(c) && !injected.contains(&c) {
-                    injected.push(c);
+                let f = random_node(space, &mut rng);
+                if inc.mesh().is_healthy(f) && !injected.contains(&f) {
+                    injected.push(f);
                 }
             }
             (injected, healed)
@@ -750,19 +680,19 @@ fn churn_seed_3d(
         out.healed += healed.len();
 
         let mesh = inc.mesh().clone();
-        let frame = Frame3::identity(&mesh);
+        let frame = S::identity_frame(&mesh);
         let m = inc.models(frame);
-        let lab = Labelling3::compute(&mesh, frame, sc.border);
-        let mccs = MccSet3::compute(&lab);
+        let lab = Labelling::compute(&mesh, frame, sc.border);
+        let mut mccs = S::mccs(&lab);
         out.checks += 1;
         let ok = m.lab.iter().zip(lab.iter()).all(|((_, a), (_, b))| a == b)
             && m.lab.unsafe_set() == lab.unsafe_set()
-            && m.mccs.mccs == mccs.mccs;
+            && *m.mccs == mccs;
         if ok {
             out.matched += 1;
         }
         out.unsafe_end = lab.unsafe_set().len();
-        out.mccs_end = mccs.mccs.len();
+        out.mccs_end = S::mcc_list(&mut mccs).len();
     }
     out.repaired = inc.statuses_repaired();
     out
@@ -775,7 +705,7 @@ fn run_overhead_3d(sc: &Scenario, workers: usize, x: i32, y: i32, z: i32) -> Vec
         .map(|&n| {
             let stats = parallel_seeds_with(sc.seed_start..sc.seed_end, workers, |seed| {
                 let mut mesh = Mesh3D::new(x, y, z);
-                sc.inject_3d(&mut mesh, n, seed ^ ((n as u64) << 24), &[near, far]);
+                sc.inject(&mut mesh, n, mix_interior_seed(seed, n), &[near, far]);
                 let lab = DistLabelling3::run(&mesh, Frame3::identity(&mesh));
                 let lab_stats = lab.stats;
                 let detect = if lab.status(near).is_safe() && lab.status(far).is_safe() {

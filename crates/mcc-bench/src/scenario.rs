@@ -76,8 +76,8 @@
 
 use std::fmt;
 
-use fault_model::{BorderPolicy, FaultRegime};
-use mesh_topo::{Mesh2D, Mesh3D, C2, C3};
+use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
+use mesh_topo::Mesh;
 
 use crate::toml_lite::{Doc, ParseError, Table, Value};
 use Presence::{Always, Only, Optional};
@@ -95,7 +95,7 @@ pub enum TableKind {
     Labelling,
     /// Incremental model maintenance under fault churn (E12-style): each
     /// seed runs an inject/heal trace through
-    /// [`fault_model::incremental::IncrementalModels2`] (or the 3-D twin)
+    /// [`fault_model::IncrementalModels`]
     /// and verifies every repaired model against from-scratch recomputation.
     Churn,
     /// Resident-service saturation ramp (E15-style): an open-loop
@@ -840,19 +840,18 @@ impl Scenario {
         self.seed_end - self.seed_start
     }
 
-    /// Inject one `(fault count, seed)` cell into a 2-D mesh through the
-    /// active fault regime, never touching `protected` nodes. Returns the
-    /// number of faults injected. For the legacy regimes this reproduces
-    /// the historical `FaultSpec` RNG sequence bit-for-bit.
-    pub fn inject_2d(&self, mesh: &mut Mesh2D, count: usize, seed: u64, protected: &[C2]) -> usize {
+    /// Inject one `(fault count, seed)` cell into a 2-D or 3-D mesh
+    /// through the active fault regime, never touching `protected` nodes.
+    /// Returns the number of faults injected.
+    pub fn inject<S: ModelSpace>(
+        &self,
+        mesh: &mut Mesh<S>,
+        count: usize,
+        seed: u64,
+        protected: &[S::Coord],
+    ) -> usize {
         self.regime
-            .inject_2d(mesh, count, seed, protected, self.border)
-    }
-
-    /// 3-D twin of [`Scenario::inject_2d`].
-    pub fn inject_3d(&self, mesh: &mut Mesh3D, count: usize, seed: u64, protected: &[C3]) -> usize {
-        self.regime
-            .inject_3d(mesh, count, seed, protected, self.border)
+            .inject(mesh, count, seed, protected, self.border)
     }
 
     /// A copy with the seed range shrunk to roughly a tenth, for `--quick`

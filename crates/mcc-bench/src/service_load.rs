@@ -220,7 +220,7 @@ fn bootstrap_shard(
             } else {
                 Mesh2D::new(width, height)
             };
-            sc.inject_2d(&mut mesh, count, seed, &[]);
+            sc.inject(&mut mesh, count, seed, &[]);
             Request::Churn2 {
                 injected: mesh.faults().to_vec(),
                 healed: vec![],
@@ -232,7 +232,7 @@ fn bootstrap_shard(
             } else {
                 Mesh3D::new(x, y, z)
             };
-            sc.inject_3d(&mut mesh, count, seed, &[]);
+            sc.inject(&mut mesh, count, seed, &[]);
             Request::Churn3 {
                 injected: mesh.faults().to_vec(),
                 healed: vec![],

@@ -16,21 +16,6 @@
 use mcc_bench::runner::run_scenario;
 use mcc_bench::scenario::Scenario;
 
-/// Scenarios whose golden has its own named test below; the table-driven
-/// test covers every other scenario.
-const NAMED: [&str; 10] = [
-    "e4_routing_2d",
-    "e10_torus_2d",
-    "e11_torus_3d",
-    "e12_churn_2d",
-    "e15_service",
-    "e16_front_2d",
-    "e17_plane_3d",
-    "e18_transient_2d",
-    "e18_transient_churn_2d",
-    "e19_adversarial_2d",
-];
-
 /// Kept out of debug builds: its 4th row trips `Router3::route`'s
 /// "exact rule can never strand a feasible route" debug assertion — the
 /// 3-D feasibility-detection defect that is ROADMAP's first open item
@@ -80,74 +65,34 @@ fn every_scenario_matches_its_quick_golden() {
     }
 }
 
-#[test]
-fn e4_quick_table_matches_golden_snapshot() {
-    assert_quick_matches_golden("e4_routing_2d");
+/// One named test per listed scenario, plus `NAMED`, the stems the
+/// table-driven test leaves to them.
+macro_rules! named_goldens {
+    ($($test:ident: $stem:literal,)*) => {
+        const NAMED: &[&str] = &[$($stem),*];
+        $(
+            #[test]
+            fn $test() {
+                assert_quick_matches_golden($stem);
+            }
+        )*
+    };
 }
 
-#[test]
-fn e10_torus_quick_table_matches_golden_snapshot() {
-    assert_quick_matches_golden("e10_torus_2d");
-}
-
-#[test]
-fn e11_torus_quick_table_matches_golden_snapshot() {
-    assert_quick_matches_golden("e11_torus_3d");
-}
-
-#[test]
-fn e15_service_quick_ramp_matches_golden_snapshot() {
-    // Service ramps run through the resident mesh-service (journaled
-    // shards behind virtual-time admission queues), so this golden pins
-    // the whole chain: plan determinism, admission verdicts, journaled
-    // churn generations and the service renderer.
-    assert_quick_matches_golden("e15_service");
-}
-
-#[test]
-fn e16_front_quick_table_matches_golden_snapshot() {
-    // Pins the correlated-front regime end to end: epicenter seeding,
-    // the bounded flood growth, and the resulting routing table.
-    assert_quick_matches_golden("e16_front_2d");
-}
-
-#[test]
-fn e17_plane_quick_table_matches_golden_snapshot() {
-    // Pins the sweeping-plane regime's slab order (axis + seed-drawn
-    // direction) through the 3-D routing path.
-    assert_quick_matches_golden("e17_plane_3d");
-}
-
-#[test]
-fn e18_transient_quick_table_matches_golden_snapshot() {
-    // Pins the transient regime's round-0 active-set sampling (site
-    // draw + per-site phases) through the routing path.
-    assert_quick_matches_golden("e18_transient_2d");
-}
-
-#[test]
-fn e18_transient_churn_quick_table_matches_golden_snapshot() {
-    // The churn twin drives the same schedules through the incremental
-    // models; like E12 the runner refuses to aggregate unless every
-    // per-round equivalence check against recomputation passed, so this
-    // golden certifies Schedule::step deltas are consistent histories.
-    assert_quick_matches_golden("e18_transient_churn_2d");
-}
-
-#[test]
-fn e19_adversarial_quick_table_matches_golden_snapshot() {
-    // Pins the adversarial boundary search (annealed restarts + greedy
-    // 1-minimal pruning) and the endpoint-safety collapse it charts:
-    // the golden's `safe-ep` column is far below its `oracle` column.
-    assert_quick_matches_golden("e19_adversarial_2d");
-}
-
-#[test]
-fn e12_churn_quick_table_matches_golden_snapshot() {
-    // Beyond renderer determinism this pins the incremental-maintenance
-    // path end-to-end: the runner refuses to produce churn rows at all
-    // unless every per-round equivalence check against from-scratch
-    // recomputation passed, so a drift here means the repair pipeline
-    // (or its RNG consumption) changed.
-    assert_quick_matches_golden("e12_churn_2d");
+// The scenarios that were pinned one test each keep their test names.
+// E12 and the E18 churn twin exist only if every per-round incremental
+// equivalence check passed, so their goldens also certify the repair
+// pipeline; E15's pins the service chain (admission verdicts, journaled
+// churn generations, renderer); E16–E19 pin the regime samplers.
+named_goldens! {
+    e4_quick_table_matches_golden_snapshot: "e4_routing_2d",
+    e10_torus_quick_table_matches_golden_snapshot: "e10_torus_2d",
+    e11_torus_quick_table_matches_golden_snapshot: "e11_torus_3d",
+    e12_churn_quick_table_matches_golden_snapshot: "e12_churn_2d",
+    e15_service_quick_ramp_matches_golden_snapshot: "e15_service",
+    e16_front_quick_table_matches_golden_snapshot: "e16_front_2d",
+    e17_plane_quick_table_matches_golden_snapshot: "e17_plane_3d",
+    e18_transient_quick_table_matches_golden_snapshot: "e18_transient_2d",
+    e18_transient_churn_quick_table_matches_golden_snapshot: "e18_transient_churn_2d",
+    e19_adversarial_quick_table_matches_golden_snapshot: "e19_adversarial_2d",
 }

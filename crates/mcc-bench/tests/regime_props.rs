@@ -10,9 +10,9 @@
 //!   and pinned digests for fixed seeds force the CI thread-matrix legs
 //!   (`MCC_THREADS=1` vs `=0`) to produce byte-identical populations.
 
-use fault_model::{BorderPolicy, FaultRegime};
+use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
 use mcc_bench::scenario::Scenario;
-use mesh_topo::{Mesh2D, Mesh3D};
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, Space};
 use proptest::prelude::*;
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
@@ -51,28 +51,31 @@ fn sampling_regime_strategy() -> impl Strategy<Value = FaultRegime> {
         .prop_map(|(kind, knob, period, pct)| regime_from(kind, knob, period, pct))
 }
 
-/// FNV-1a over the fault list in mesh iteration order: any change to
+/// FNV-1a over the fault list in injection order: any change to
 /// membership *or* placement changes the digest.
-fn digest_2d(mesh: &Mesh2D) -> u64 {
+fn digest<S: Space>(mesh: &Mesh<S>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in mesh.faults() {
-        for v in [c.x, c.y] {
-            h ^= v as u64;
+    for &c in mesh.faults() {
+        for v in &S::xyz(c)[..S::DIMS] {
+            h ^= *v as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     }
     h
 }
 
-fn digest_3d(mesh: &Mesh3D) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for c in mesh.faults() {
-        for v in [c.x, c.y, c.z] {
-            h ^= v as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+/// Inject `regime` into two fresh copies of `clean`; returns both
+/// injected counts and whether the fault lists agree.
+fn resample<S: ModelSpace>(
+    regime: FaultRegime,
+    clean: &Mesh<S>,
+    count: usize,
+    seed: u64,
+) -> (usize, usize, bool) {
+    let (mut a, mut b) = (clean.clone(), clean.clone());
+    let na = regime.inject(&mut a, count, seed, &[], B);
+    let nb = regime.inject(&mut b, count, seed, &[], B);
+    (na, nb, a.faults() == b.faults())
 }
 
 proptest! {
@@ -99,21 +102,14 @@ proptest! {
         seed in any::<u64>(),
         count in 1usize..24,
     ) {
-        let mut a = Mesh2D::new(12, 12);
-        let mut b = Mesh2D::new(12, 12);
-        let na = regime.inject_2d(&mut a, count, seed, &[], B);
-        let nb = regime.inject_2d(&mut b, count, seed, &[], B);
-        prop_assert_eq!(na, nb);
-        prop_assert_eq!(a.faults(), b.faults());
-        prop_assert!(a.faults().len() <= count);
-
-        let mut a = Mesh3D::new(6, 6, 6);
-        let mut b = Mesh3D::new(6, 6, 6);
-        let na = regime.inject_3d(&mut a, count, seed, &[], B);
-        let nb = regime.inject_3d(&mut b, count, seed, &[], B);
-        prop_assert_eq!(na, nb);
-        prop_assert_eq!(a.faults(), b.faults());
-        prop_assert!(a.faults().len() <= count);
+        for (na, nb, same) in [
+            resample(regime, &Mesh2D::new(12, 12), count, seed),
+            resample(regime, &Mesh3D::new(6, 6, 6), count, seed),
+        ] {
+            prop_assert_eq!(na, nb);
+            prop_assert!(same);
+            prop_assert!(na <= count);
+        }
     }
 }
 
@@ -152,20 +148,18 @@ fn fixed_seed_fault_sets_match_pinned_digests() {
     ];
     for (i, (name, regime)) in regimes.iter().enumerate() {
         let mut mesh = Mesh2D::new(16, 16);
-        regime.inject_2d(&mut mesh, 16, 42, &[], B);
+        regime.inject(&mut mesh, 16, 42, &[], B);
+        let got = digest(&mesh);
         assert_eq!(
-            digest_2d(&mesh),
-            expected_2d[i],
-            "2-D {name} fault set drifted (digest {:#x})",
-            digest_2d(&mesh)
+            got, expected_2d[i],
+            "2-D {name} fault set drifted ({got:#x})"
         );
         let mut mesh = Mesh3D::kary(8);
-        regime.inject_3d(&mut mesh, 24, 42, &[], B);
+        regime.inject(&mut mesh, 24, 42, &[], B);
+        let got = digest(&mesh);
         assert_eq!(
-            digest_3d(&mesh),
-            expected_3d[i],
-            "3-D {name} fault set drifted (digest {:#x})",
-            digest_3d(&mesh)
+            got, expected_3d[i],
+            "3-D {name} fault set drifted ({got:#x})"
         );
     }
 }

@@ -499,3 +499,45 @@ fn tables_binary_runs_a_repeated_path_once() {
         "deduped run prints one table: {stdout}"
     );
 }
+
+/// A valid routing scenario so faulty that no healthy pair meets the
+/// separation: 34 faults leave two healthy nodes on a 6x6 mesh.
+const DENSE: &str = "\
+name = \"dense\"
+table = \"routing\"
+[mesh]
+dims = [6, 6]
+[faults]
+counts = [34]
+[run]
+seeds = [0, 4]
+pairs_per_seed = 2
+min_dist_frac = 1.0
+";
+
+/// Running out of healthy pairs is a scenario error naming the fault
+/// count, the batch size and the separation, never a panic: in process
+/// and through the `tables` binary.
+#[test]
+fn overfaulted_routing_scenario_is_an_error_not_a_panic() {
+    let sc = Scenario::from_toml(DENSE).expect("the scenario is valid");
+    let err = run_scenario(&sc).expect_err("no healthy pair can be drawn");
+    let msg = err.to_string();
+    for part in ["34 faults", "6 hops", "pairs_per_seed = 2"] {
+        assert!(msg.contains(part), "`{part}` missing from: {msg}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("mcc-tables-dense-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("dense.toml");
+    std::fs::write(&path, DENSE).expect("write scenario");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_tables"))
+        .arg(&path)
+        .output()
+        .expect("run tables");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "tables accepted it: {stderr}");
+    assert!(stderr.contains("34 faults"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

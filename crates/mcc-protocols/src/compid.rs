@@ -170,8 +170,8 @@ impl DistComponents2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::c2;
-    use mesh_topo::FaultSpec;
 
     fn run_for(faults: &[C2], w: i32, h: i32) -> (Mesh2D, DistComponents2) {
         let mut mesh = Mesh2D::new(w, h);
@@ -226,7 +226,7 @@ mod tests {
     fn matches_centralized_on_random_instances() {
         for seed in 0..10u64 {
             let mut mesh = Mesh2D::new(14, 14);
-            FaultSpec::uniform(20, seed).inject_2d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 20, seed, &[], BorderPolicy::BorderSafe);
             let frame = Frame2::identity(&mesh);
             let lab = DistLabelling2::run(&mesh, frame);
             let comps = DistComponents2::run(&mesh, &lab);
@@ -258,7 +258,7 @@ mod tests {
     fn torus_matches_centralized_on_random_instances() {
         for seed in 0..8u64 {
             let mut mesh = Mesh2D::torus(12, 12);
-            FaultSpec::uniform(18, seed).inject_2d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 18, seed, &[], BorderPolicy::BorderSafe);
             let frame = Frame2::identity(&mesh);
             let lab = DistLabelling2::run(&mesh, frame);
             let comps = DistComponents2::run(&mesh, &lab);

@@ -185,8 +185,9 @@ pub fn detect_distributed_3d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_model::FaultRegime;
     use mesh_topo::coord::c3;
-    use mesh_topo::{FaultSpec, Frame3};
+    use mesh_topo::Frame3;
 
     fn setup(faults: &[C3], k: i32) -> (Mesh3D, DistLabelling3) {
         let mut mesh = Mesh3D::kary(k);
@@ -234,7 +235,13 @@ mod tests {
         let mut checked = 0;
         for seed in 0..25u64 {
             let mut mesh = Mesh3D::kary(6);
-            FaultSpec::uniform(12, seed).inject_3d(&mut mesh, &[c3(0, 0, 0), c3(5, 5, 5)]);
+            FaultRegime::Uniform.inject(
+                &mut mesh,
+                12,
+                seed,
+                &[c3(0, 0, 0), c3(5, 5, 5)],
+                BorderPolicy::BorderSafe,
+            );
             let frame = Frame3::identity(&mesh);
             let sem_lab = Labelling3::compute(&mesh, frame, BorderPolicy::BorderSafe);
             let (s, d) = (c3(0, 0, 0), c3(5, 5, 5));
@@ -264,7 +271,7 @@ mod tests {
         let mut checked = 0;
         for seed in 0..25u64 {
             let mut mesh = Mesh3D::torus_kary(6);
-            FaultSpec::uniform(12, seed).inject_3d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 12, seed, &[], BorderPolicy::BorderSafe);
             let (s, d) = (c3(5, 1, 4), c3(2, 4, 0));
             if !mesh.is_healthy(s) || !mesh.is_healthy(d) {
                 continue;

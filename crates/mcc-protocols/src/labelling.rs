@@ -261,14 +261,14 @@ pub fn labelled_net_3d(mesh: &Mesh3D, frame: Frame3) -> DistLabelling3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::FaultSpec;
 
     #[test]
     fn converges_to_centralized_fixpoint_2d() {
         for seed in 0..12u64 {
             let mut mesh = Mesh2D::new(14, 14);
-            FaultSpec::uniform(16, seed).inject_2d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 16, seed, &[], BorderPolicy::BorderSafe);
             for frame in Frame2::all(&mesh) {
                 let reference = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
                 let dist = DistLabelling2::run(&mesh, frame);
@@ -282,7 +282,7 @@ mod tests {
     fn converges_to_centralized_fixpoint_3d() {
         for seed in 0..6u64 {
             let mut mesh = Mesh3D::kary(8);
-            FaultSpec::uniform(30, seed).inject_3d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 30, seed, &[], BorderPolicy::BorderSafe);
             let frame = Frame3::identity(&mesh);
             let reference = Labelling3::compute(&mesh, frame, BorderPolicy::BorderSafe);
             let dist = DistLabelling3::run(&mesh, frame);
@@ -298,7 +298,7 @@ mod tests {
         // rotated pair frame.
         for seed in 0..8u64 {
             let mut mesh = Mesh2D::torus(11, 9);
-            FaultSpec::uniform(14, seed).inject_2d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 14, seed, &[], BorderPolicy::BorderSafe);
             let mut frames = Frame2::all(&mesh).to_vec();
             frames.push(Frame2::for_pair(&mesh, c2(9, 7), c2(2, 1)));
             for frame in frames {
@@ -314,7 +314,7 @@ mod tests {
     fn torus_converges_to_centralized_fixpoint_3d() {
         for seed in 0..4u64 {
             let mut mesh = Mesh3D::torus(5, 6, 4);
-            FaultSpec::uniform(18, seed).inject_3d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 18, seed, &[], BorderPolicy::BorderSafe);
             for frame in [
                 Frame3::identity(&mesh),
                 Frame3::for_pair(&mesh, c3(4, 5, 3), c3(1, 1, 1)),
@@ -369,9 +369,9 @@ mod tests {
     #[test]
     fn message_count_scales_with_faults() {
         let mut sparse = Mesh2D::new(16, 16);
-        FaultSpec::uniform(4, 1).inject_2d(&mut sparse, &[]);
+        FaultRegime::Uniform.inject(&mut sparse, 4, 1, &[], BorderPolicy::BorderSafe);
         let mut dense = Mesh2D::new(16, 16);
-        FaultSpec::uniform(60, 1).inject_2d(&mut dense, &[]);
+        FaultRegime::Uniform.inject(&mut dense, 60, 1, &[], BorderPolicy::BorderSafe);
         let a = DistLabelling2::run(&sparse, Frame2::identity(&sparse));
         let b = DistLabelling2::run(&dense, Frame2::identity(&dense));
         // Denser faults mean more label changes and hence more messages
@@ -420,7 +420,7 @@ mod tests {
         // (the engine itself lives in tests/reference; the full parity
         // suite against it is tests/parity.rs).
         let mut mesh = Mesh2D::new(12, 12);
-        FaultSpec::uniform(14, 7).inject_2d(&mut mesh, &[]);
+        FaultRegime::Uniform.inject(&mut mesh, 14, 7, &[], BorderPolicy::BorderSafe);
         let frame = Frame2::identity(&mesh);
         let new = DistLabelling2::run(&mesh, frame);
         let reference = RunStats {

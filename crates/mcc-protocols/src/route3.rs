@@ -95,8 +95,9 @@ pub fn route_distributed_3d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::c3;
-    use mesh_topo::{FaultSpec, Frame3};
+    use mesh_topo::Frame3;
 
     fn setup(faults: &[C3], k: i32) -> (Mesh3D, DistLabelling3) {
         let mut mesh = Mesh3D::kary(k);
@@ -150,7 +151,13 @@ mod tests {
     fn delivers_whenever_feasible_randomized() {
         for seed in 0..15u64 {
             let mut mesh = Mesh3D::kary(7);
-            FaultSpec::uniform(18, seed).inject_3d(&mut mesh, &[c3(0, 0, 0), c3(6, 6, 6)]);
+            FaultRegime::Uniform.inject(
+                &mut mesh,
+                18,
+                seed,
+                &[c3(0, 0, 0), c3(6, 6, 6)],
+                BorderPolicy::BorderSafe,
+            );
             let lab = DistLabelling3::run(&mesh, Frame3::identity(&mesh));
             if !lab.status(c3(0, 0, 0)).is_safe() || !lab.status(c3(6, 6, 6)).is_safe() {
                 continue;

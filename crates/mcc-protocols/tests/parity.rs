@@ -17,10 +17,11 @@
 
 mod reference;
 
+use fault_model::{BorderPolicy, FaultRegime};
 use mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_protocols::labelling::{DistLabelling2, DistLabelling3};
 use mesh_topo::coord::c2;
-use mesh_topo::{FaultSpec, Frame2, Frame3, Mesh2D, Mesh3D};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reference::{RefDistLabelling2, RefDistLabelling3};
@@ -31,7 +32,7 @@ fn labelling_stats_parity_2d() {
     let cases = (0..10u64).map(|seed| (24, 80, seed)).chain([(12, 14, 7)]);
     for (width, faults, seed) in cases {
         let mut mesh = Mesh2D::new(width, width);
-        FaultSpec::uniform(faults, seed).inject_2d(&mut mesh, &[]);
+        FaultRegime::Uniform.inject(&mut mesh, faults, seed, &[], BorderPolicy::BorderSafe);
         for frame in Frame2::all(&mesh) {
             let new = DistLabelling2::run(&mesh, frame);
             let old = RefDistLabelling2::run(&mesh, frame);
@@ -51,7 +52,7 @@ fn labelling_stats_parity_2d() {
 fn labelling_stats_parity_3d() {
     for seed in 0..6u64 {
         let mut mesh = Mesh3D::kary(10);
-        FaultSpec::uniform(120, seed).inject_3d(&mut mesh, &[]);
+        FaultRegime::Uniform.inject(&mut mesh, 120, seed, &[], BorderPolicy::BorderSafe);
         let frame = Frame3::identity(&mesh);
         let new = DistLabelling3::run(&mesh, frame);
         let old = RefDistLabelling3::run(&mesh, frame);

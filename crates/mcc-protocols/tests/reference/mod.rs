@@ -193,13 +193,12 @@ impl RefDistLabelling3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fault_model::BorderPolicy;
-    use mesh_topo::FaultSpec;
+    use fault_model::{BorderPolicy, FaultRegime};
 
     #[test]
     fn reference_still_converges_to_the_fixpoint() {
         let mut mesh = Mesh2D::new(12, 12);
-        FaultSpec::uniform(14, 3).inject_2d(&mut mesh, &[]);
+        FaultRegime::Uniform.inject(&mut mesh, 14, 3, &[], BorderPolicy::BorderSafe);
         let frame = Frame2::identity(&mesh);
         let reference = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
         let dist = RefDistLabelling2::run(&mesh, frame);
@@ -207,7 +206,7 @@ mod tests {
         assert!(dist.matches(&reference));
 
         let mut mesh3 = Mesh3D::kary(6);
-        FaultSpec::uniform(16, 3).inject_3d(&mut mesh3, &[]);
+        FaultRegime::Uniform.inject(&mut mesh3, 16, 3, &[], BorderPolicy::BorderSafe);
         let frame3 = Frame3::identity(&mesh3);
         let reference3 = Labelling3::compute(&mesh3, frame3, BorderPolicy::BorderSafe);
         let dist3 = RefDistLabelling3::run(&mesh3, frame3);

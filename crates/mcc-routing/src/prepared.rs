@@ -298,13 +298,13 @@ impl<'m> PreparedMesh3<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::FaultSpec;
 
     #[test]
     fn prepared_matches_fresh_across_a_batch_2d() {
         let mut mesh = Mesh2D::new(16, 16);
-        FaultSpec::uniform(30, 5).inject_2d(&mut mesh, &[]);
+        FaultRegime::Uniform.inject(&mut mesh, 30, 5, &[], BorderPolicy::BorderSafe);
         let opts = TrialOptions::default();
         let mut pm = PreparedMesh2::new(&mesh, opts);
         let mut trials = 0;
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn prepared_matches_fresh_across_a_batch_3d() {
         let mut mesh = Mesh3D::kary(8);
-        FaultSpec::uniform(40, 9).inject_3d(&mut mesh, &[]);
+        FaultRegime::Uniform.inject(&mut mesh, 40, 9, &[], BorderPolicy::BorderSafe);
         let opts = TrialOptions::default();
         let mut pm = PreparedMesh3::new(&mesh, opts);
         let mut trials = 0;

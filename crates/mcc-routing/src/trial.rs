@@ -203,8 +203,8 @@ pub fn run_trial_3d_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::FaultSpec;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -218,7 +218,7 @@ mod tests {
             if d == s {
                 d = c2((s.x + 1) % 16, s.y);
             }
-            FaultSpec::uniform(14, seed).inject_2d(&mut mesh, &[s, d]);
+            FaultRegime::Uniform.inject(&mut mesh, 14, seed, &[s, d], BorderPolicy::BorderSafe);
             let t = run_trial_2d(&mesh, s, d, seed);
             // MCC condition is exact.
             assert_eq!(t.mcc_ok, t.oracle_ok, "seed {seed}");
@@ -252,7 +252,7 @@ mod tests {
             if d == s {
                 d = c3((s.x + 1) % 8, s.y, s.z);
             }
-            FaultSpec::uniform(25, seed).inject_3d(&mut mesh, &[s, d]);
+            FaultRegime::Uniform.inject(&mut mesh, 25, seed, &[s, d], BorderPolicy::BorderSafe);
             let t = run_trial_3d(&mesh, s, d, seed);
             assert_eq!(t.mcc_ok, t.oracle_ok, "seed {seed}");
             assert!(!t.rfb_ok || t.oracle_ok, "seed {seed}");
@@ -288,7 +288,7 @@ mod tests {
         let mut delivered = 0;
         for seed in 0..60u64 {
             let mut mesh = Mesh2D::torus(12, 12);
-            FaultSpec::uniform(12, seed).inject_2d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 12, seed, &[], BorderPolicy::BorderSafe);
             let s = c2(rng.gen_range(0..12), rng.gen_range(0..12));
             let mut d = c2(rng.gen_range(0..12), rng.gen_range(0..12));
             if d == s {
@@ -320,7 +320,7 @@ mod tests {
         let mut delivered = 0;
         for seed in 0..30u64 {
             let mut mesh = Mesh3D::torus_kary(6);
-            FaultSpec::uniform(16, seed).inject_3d(&mut mesh, &[]);
+            FaultRegime::Uniform.inject(&mut mesh, 16, seed, &[], BorderPolicy::BorderSafe);
             let s = c3(
                 rng.gen_range(0..6),
                 rng.gen_range(0..6),

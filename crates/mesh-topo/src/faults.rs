@@ -1,133 +1,34 @@
-//! Seeded random fault injection.
+//! Seeded random fault samplers.
 //!
 //! The evaluation sweeps inject a given number of node faults into a mesh and
-//! average over many seeds. Two spatial patterns are provided:
+//! average over many seeds. This module holds the two spatial samplers the
+//! fault-regime layer (`fault_model::FaultRegime`) builds on:
 //!
-//! * [`FaultPattern::Uniform`] — faults chosen uniformly at random without
+//! * [`sample_uniform`] — faults chosen uniformly at random without
 //!   replacement (the standard workload in the fault-block literature),
-//! * [`FaultPattern::Clustered`] — faults grown around random cluster seeds,
-//!   stressing the models with large connected fault regions.
+//! * [`sample_clustered`] — faults grown around random cluster seeds,
+//!   stressing the models with large connected fault regions,
 //!
-//! Injection can protect a set of nodes (typically the source and destination
-//! under test) from being chosen.
+//! and [`eligible_indices`], the candidate list both draw from: the healthy
+//! nodes outside a protected set (typically the source and destination
+//! under test). [`random_node`] is the one-node draw the scenario drivers
+//! use for endpoints and churn.
 //!
 //! Sampling runs entirely on the flat node-state layer
 //! ([`crate::nodeset`]): candidates are linear node indices, and
 //! eligibility/membership checks are [`NodeSet`] bit tests instead of the
 //! per-call `HashSet` rebuilds of the original implementation. The RNG draw
-//! sequence is unchanged, so a given `(seed, pattern)` produces the same
-//! fault set the hash-based sampler produced — the determinism regression
-//! test below pins that equivalence.
-//!
-//! The samplers themselves ([`sample_uniform`], [`sample_clustered`]) and
-//! the eligible-candidate construction ([`eligible_indices`]) are public:
-//! the fault-regime layer in the `fault-model` crate reuses them verbatim
-//! so its `Uniform`/`Clustered` regimes stay RNG-sequence-identical with
-//! [`FaultSpec`], which is now a thin adapter over these building blocks.
+//! sequence is unchanged, so a given seed produces the same fault set the
+//! hash-based sampler produced — the determinism regression test below
+//! pins that equivalence.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use rand::Rng;
 
-use crate::coord::{C2, C3};
-use crate::mesh::{Mesh2D, Mesh3D};
-use crate::nodeset::{NodeSet, NodeSpace2, NodeSpace3};
+use crate::mesh::Mesh;
+use crate::nodeset::NodeSet;
 use crate::space::Space;
-
-/// Spatial distribution of injected faults.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum FaultPattern {
-    /// Uniformly random distinct nodes.
-    Uniform,
-    /// Faults grown in connected clusters around `clusters` random seeds.
-    Clustered {
-        /// Number of cluster seed points.
-        clusters: usize,
-    },
-}
-
-/// A reproducible fault-injection request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct FaultSpec {
-    /// Number of faulty nodes to create.
-    pub count: usize,
-    /// Spatial pattern.
-    pub pattern: FaultPattern,
-    /// RNG seed; equal seeds give equal fault sets.
-    pub seed: u64,
-}
-
-impl FaultSpec {
-    /// Uniform pattern with the given count and seed.
-    pub fn uniform(count: usize, seed: u64) -> FaultSpec {
-        FaultSpec {
-            count,
-            pattern: FaultPattern::Uniform,
-            seed,
-        }
-    }
-
-    /// Clustered pattern with the given count, cluster count and seed.
-    pub fn clustered(count: usize, clusters: usize, seed: u64) -> FaultSpec {
-        FaultSpec {
-            count,
-            pattern: FaultPattern::Clustered { clusters },
-            seed,
-        }
-    }
-
-    /// Inject into a 2-D mesh, never marking nodes in `protected` faulty.
-    ///
-    /// Returns the number of faults actually injected (smaller than
-    /// `self.count` only when the mesh runs out of eligible nodes).
-    pub fn inject_2d(&self, mesh: &mut Mesh2D, protected: &[C2]) -> usize {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let space = mesh.space();
-        let eligible = eligible_indices::<NodeSpace2>(mesh, protected);
-        let chosen = match self.pattern {
-            FaultPattern::Uniform => sample_uniform(eligible, self.count, &mut rng),
-            FaultPattern::Clustered { clusters } => sample_clustered(
-                space.len(),
-                &eligible,
-                self.count,
-                clusters,
-                &mut rng,
-                |i, out| space.for_neighbors4(i, |j| out.push(j)),
-            ),
-        };
-        let n = chosen.len();
-        for i in chosen {
-            mesh.inject_fault(space.coord(i));
-        }
-        n
-    }
-
-    /// Inject into a 3-D mesh, never marking nodes in `protected` faulty.
-    ///
-    /// Returns the number of faults actually injected.
-    pub fn inject_3d(&self, mesh: &mut Mesh3D, protected: &[C3]) -> usize {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let space = mesh.space();
-        let eligible = eligible_indices::<NodeSpace3>(mesh, protected);
-        let chosen = match self.pattern {
-            FaultPattern::Uniform => sample_uniform(eligible, self.count, &mut rng),
-            FaultPattern::Clustered { clusters } => sample_clustered(
-                space.len(),
-                &eligible,
-                self.count,
-                clusters,
-                &mut rng,
-                |i, out| space.for_neighbors6(i, |j| out.push(j)),
-            ),
-        };
-        let n = chosen.len();
-        for i in chosen {
-            mesh.inject_fault(space.coord(i));
-        }
-        n
-    }
-}
 
 /// Linear indices of the nodes of `mesh` eligible for injection: healthy
 /// and not in `protected`, in ascending index order, which is
@@ -135,14 +36,26 @@ impl FaultSpec {
 /// sequence, so every sampler caller must build its candidate list through
 /// here (or reproduce this order exactly). A protected coordinate outside
 /// the space excludes nothing.
-pub fn eligible_indices<S: Space>(mesh: &S::Mesh, protected: &[S::Coord]) -> Vec<usize> {
-    let space = S::of_mesh(mesh);
-    let healthy = S::fault_set(mesh).words().iter().map(|w| !w).collect();
+pub fn eligible_indices<S: Space>(mesh: &Mesh<S>, protected: &[S::Coord]) -> Vec<usize> {
+    let space = mesh.space();
+    let healthy = mesh.fault_set().words().iter().map(|w| !w).collect();
     let mut eligible = NodeSet::from_raw_words(space.node_count(), healthy);
     for i in protected.iter().filter_map(|&c| space.index_checked(c)) {
         eligible.remove(i);
     }
     eligible.iter().collect()
+}
+
+/// A uniformly random node of `space`: one draw per axis, in `x, y, z`
+/// order (the order is part of every caller's reproducible draw
+/// sequence).
+pub fn random_node<S: Space>(space: S, rng: &mut SmallRng) -> S::Coord {
+    let ext = space.extents();
+    let mut p = [0; 3];
+    for (axis, v) in p.iter_mut().enumerate().take(S::DIMS) {
+        *v = rng.gen_range(0..ext[axis] as i32);
+    }
+    S::from_xyz(p)
 }
 
 /// Choose `count` distinct indices uniformly at random from `pool`
@@ -230,16 +143,60 @@ pub fn sample_clustered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coord::{c2, c3};
+    use crate::coord::{c2, c3, C2, C3};
+    use crate::mesh::{Mesh2D, Mesh3D};
+    use rand::SeedableRng;
+
+    /// Inject `count` uniformly sampled faults, drawing exactly as the
+    /// uniform fault regime does.
+    fn uniform<S: Space>(
+        mesh: &mut Mesh<S>,
+        count: usize,
+        seed: u64,
+        protected: &[S::Coord],
+    ) -> usize {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let chosen = sample_uniform(eligible_indices(mesh, protected), count, &mut rng);
+        inject(mesh, chosen)
+    }
+
+    /// Inject `count` clustered faults, drawing exactly as the clustered
+    /// fault regime does.
+    fn clustered<S: Space>(
+        mesh: &mut Mesh<S>,
+        count: usize,
+        clusters: usize,
+        seed: u64,
+        protected: &[S::Coord],
+    ) -> usize {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let space = mesh.space();
+        let eligible = eligible_indices(mesh, protected);
+        let chosen = sample_clustered(
+            space.node_count(),
+            &eligible,
+            count,
+            clusters,
+            &mut rng,
+            |i, out| space.for_axis_neighbors(i, |j| out.push(j)),
+        );
+        inject(mesh, chosen)
+    }
+
+    fn inject<S: Space>(mesh: &mut Mesh<S>, chosen: Vec<usize>) -> usize {
+        for &i in &chosen {
+            mesh.inject_fault(mesh.space().coord(i));
+        }
+        chosen.len()
+    }
 
     #[test]
     fn uniform_2d_is_reproducible_and_respects_protection() {
         let protected = [c2(0, 0), c2(9, 9)];
         let mut m1 = Mesh2D::new(10, 10);
         let mut m2 = Mesh2D::new(10, 10);
-        let spec = FaultSpec::uniform(20, 42);
-        assert_eq!(spec.inject_2d(&mut m1, &protected), 20);
-        assert_eq!(spec.inject_2d(&mut m2, &protected), 20);
+        assert_eq!(uniform(&mut m1, 20, 42, &protected), 20);
+        assert_eq!(uniform(&mut m2, 20, 42, &protected), 20);
         assert_eq!(m1.faults(), m2.faults());
         assert!(m1.is_healthy(c2(0, 0)) && m1.is_healthy(c2(9, 9)));
         assert_eq!(m1.fault_count(), 20);
@@ -249,15 +206,15 @@ mod tests {
     fn different_seeds_differ() {
         let mut m1 = Mesh2D::new(10, 10);
         let mut m2 = Mesh2D::new(10, 10);
-        FaultSpec::uniform(20, 1).inject_2d(&mut m1, &[]);
-        FaultSpec::uniform(20, 2).inject_2d(&mut m2, &[]);
+        uniform(&mut m1, 20, 1, &[]);
+        uniform(&mut m2, 20, 2, &[]);
         assert_ne!(m1.faults(), m2.faults());
     }
 
     #[test]
     fn count_saturates_at_eligible() {
         let mut m = Mesh2D::new(3, 3);
-        let n = FaultSpec::uniform(100, 7).inject_2d(&mut m, &[c2(0, 0)]);
+        let n = uniform(&mut m, 100, 7, &[c2(0, 0)]);
         assert_eq!(n, 8);
         assert!(m.is_healthy(c2(0, 0)));
     }
@@ -265,7 +222,7 @@ mod tests {
     #[test]
     fn clustered_2d_produces_connected_growth() {
         let mut m = Mesh2D::new(20, 20);
-        let n = FaultSpec::clustered(30, 2, 9).inject_2d(&mut m, &[]);
+        let n = clustered(&mut m, 30, 2, 9, &[]);
         assert_eq!(n, 30);
         // Every fault is either a seed or adjacent to another fault —
         // verify no fault is fully isolated unless it is one of the 2 seeds.
@@ -284,9 +241,8 @@ mod tests {
     fn clustered_3d_reproducible() {
         let mut m1 = Mesh3D::kary(8);
         let mut m2 = Mesh3D::kary(8);
-        let spec = FaultSpec::clustered(25, 3, 77);
-        assert_eq!(spec.inject_3d(&mut m1, &[c3(0, 0, 0)]), 25);
-        assert_eq!(spec.inject_3d(&mut m2, &[c3(0, 0, 0)]), 25);
+        assert_eq!(clustered(&mut m1, 25, 3, 77, &[c3(0, 0, 0)]), 25);
+        assert_eq!(clustered(&mut m2, 25, 3, 77, &[c3(0, 0, 0)]), 25);
         assert_eq!(m1.faults(), m2.faults());
         assert!(m1.is_healthy(c3(0, 0, 0)));
     }
@@ -294,7 +250,7 @@ mod tests {
     #[test]
     fn uniform_3d_counts() {
         let mut m = Mesh3D::kary(6);
-        assert_eq!(FaultSpec::uniform(50, 5).inject_3d(&mut m, &[]), 50);
+        assert_eq!(uniform(&mut m, 50, 5, &[]), 50);
         assert_eq!(m.fault_count(), 50);
     }
 
@@ -312,7 +268,7 @@ mod tests {
                 } else {
                     Mesh2D::new(w, h)
                 };
-                FaultSpec::uniform(5 * seed as usize, seed).inject_2d(&mut m, &[]);
+                uniform(&mut m, 5 * seed as usize, seed, &[]);
                 let mut protected = vec![c2(0, 0), c2(3, 2), c2(3, 2), c2(-1, 2), c2(w, 0)];
                 protected.extend(m.faults().first());
                 let filter: Vec<usize> = m
@@ -320,7 +276,7 @@ mod tests {
                     .filter(|c| !protected.contains(c) && m.is_healthy(*c))
                     .map(|c| m.space().index(c))
                     .collect();
-                assert_eq!(eligible_indices::<NodeSpace2>(&m, &protected), filter);
+                assert_eq!(eligible_indices(&m, &protected), filter);
 
                 let k = 4 + seed as i32 % 3;
                 let mut m = if torus {
@@ -328,7 +284,7 @@ mod tests {
                 } else {
                     Mesh3D::kary(k)
                 };
-                FaultSpec::uniform(4 * seed as usize, seed).inject_3d(&mut m, &[]);
+                uniform(&mut m, 4 * seed as usize, seed, &[]);
                 let mut protected = vec![c3(1, 1, 1), c3(1, 1, 1), c3(0, 0, -1), c3(0, k, 0)];
                 protected.extend(m.faults().first());
                 let filter: Vec<usize> = m
@@ -336,7 +292,7 @@ mod tests {
                     .filter(|c| !protected.contains(c) && m.is_healthy(*c))
                     .map(|c| m.space().index(c))
                     .collect();
-                assert_eq!(eligible_indices::<NodeSpace3>(&m, &protected), filter);
+                assert_eq!(eligible_indices(&m, &protected), filter);
             }
         }
     }
@@ -439,10 +395,10 @@ mod tests {
                     });
 
                 let mut m = Mesh2D::new(12, 12);
-                FaultSpec::uniform(count, seed).inject_2d(&mut m, &protected);
+                uniform(&mut m, count, seed, &protected);
                 assert_eq!(m.faults(), expect_uniform, "2d uniform seed {seed}");
                 let mut m = Mesh2D::new(12, 12);
-                FaultSpec::clustered(count, clusters, seed).inject_2d(&mut m, &protected);
+                clustered(&mut m, count, clusters, seed, &protected);
                 assert_eq!(m.faults(), expect_clustered, "2d clustered seed {seed}");
 
                 // 3-D, clustered (the pattern that exercised the hash sets).
@@ -454,7 +410,7 @@ mod tests {
                         crate::dir::Dir3::ALL.iter().map(|&d| c.step(d)).collect()
                     });
                 let mut m3 = Mesh3D::kary(7);
-                FaultSpec::clustered(count, clusters, seed).inject_3d(&mut m3, &[]);
+                clustered(&mut m3, count, clusters, seed, &[]);
                 assert_eq!(m3.faults(), expect3, "3d clustered seed {seed}");
             }
         }

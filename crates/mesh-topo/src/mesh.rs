@@ -7,69 +7,41 @@
 //! failure; link faults are modelled, as in the paper, by disabling the
 //! adjacent nodes.
 //!
+//! [`Mesh<S>`] is written once over the node [`Space`]; [`Mesh2D`] and
+//! [`Mesh3D`] name its two dimensions. Only the constructors and the
+//! per-axis extent getters are per-dimension.
+//!
 //! Fault membership is a packed [`NodeSet`] over the mesh's linear
 //! [`NodeSpace2`]/[`NodeSpace3`] index space — `is_faulty` is a shift and
 //! mask, and whole-mesh consumers (labelling, component discovery, fault
-//! sampling) can grab the bitset directly via [`Mesh2D::fault_set`] /
-//! [`Mesh3D::fault_set`] instead of re-deriving it per call.
+//! sampling) can grab the bitset directly via [`Mesh::fault_set`] instead
+//! of re-deriving it per call.
 
-use crate::coord::{C2, C3};
-use crate::dir::{Dir2, Dir3};
 use crate::nodeset::{NodeSet, NodeSpace2, NodeSpace3};
-use crate::region::{Box3, Rect};
+use crate::space::Space;
+
+/// A mesh (or torus) over the node space `S`, with a set of faulty nodes.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Mesh<S: Space> {
+    space: S,
+    faulty: NodeSet,
+    fault_list: Vec<S::Coord>,
+}
 
 /// A `width × height` 2-D mesh with a set of faulty nodes.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Mesh2D {
-    space: NodeSpace2,
-    faulty: NodeSet,
-    fault_list: Vec<C2>,
-}
+pub type Mesh2D = Mesh<NodeSpace2>;
 
 /// An `nx × ny × nz` 3-D mesh with a set of faulty nodes.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Mesh3D {
-    space: NodeSpace3,
-    faulty: NodeSet,
-    fault_list: Vec<C3>,
-}
+pub type Mesh3D = Mesh<NodeSpace3>;
 
-impl Mesh2D {
-    /// A fault-free `width × height` mesh.
-    ///
-    /// # Panics
-    /// If either dimension is not positive.
-    pub fn new(width: i32, height: i32) -> Self {
-        let space = NodeSpace2::new(width, height);
-        Mesh2D {
+impl<S: Space> Mesh<S> {
+    /// A fault-free mesh over `space`.
+    fn over(space: S) -> Self {
+        Mesh {
             space,
-            faulty: NodeSet::new(space.len()),
+            faulty: NodeSet::new(space.node_count()),
             fault_list: Vec::new(),
         }
-    }
-
-    /// A `k × k` mesh (the paper's "k-ary 2-dimensional mesh").
-    pub fn kary(k: i32) -> Self {
-        Mesh2D::new(k, k)
-    }
-
-    /// A fault-free `width × height` torus: the wrap-around variant of the
-    /// mesh, every axis closing on itself.
-    ///
-    /// # Panics
-    /// If either dimension is smaller than 3 (see [`NodeSpace2::torus`]).
-    pub fn torus(width: i32, height: i32) -> Self {
-        let space = NodeSpace2::torus(width, height);
-        Mesh2D {
-            space,
-            faulty: NodeSet::new(space.len()),
-            fault_list: Vec::new(),
-        }
-    }
-
-    /// A `k × k` torus (the "k-ary 2-cube" of the routing literature).
-    pub fn torus_kary(k: i32) -> Self {
-        Mesh2D::torus(k, k)
     }
 
     /// True if this network wraps around (it is a torus).
@@ -81,61 +53,45 @@ impl Mesh2D {
     /// Topology-aware distance between two nodes: Manhattan on a mesh, Lee
     /// distance (per-axis shorter arc) on a torus.
     #[inline]
-    pub fn dist(&self, a: C2, b: C2) -> u32 {
+    pub fn dist(&self, a: S::Coord, b: S::Coord) -> u32 {
         self.space.dist(a, b)
     }
 
     /// True if both coordinates address nodes of this network and the nodes
     /// share a link (wrap links included on a torus).
-    pub fn are_neighbors(&self, a: C2, b: C2) -> bool {
+    pub fn are_neighbors(&self, a: S::Coord, b: S::Coord) -> bool {
         self.contains(a) && self.contains(b) && self.space.dist(a, b) == 1
-    }
-
-    /// Width (extent along X).
-    #[inline]
-    pub fn width(&self) -> i32 {
-        self.space.width()
-    }
-
-    /// Height (extent along Y).
-    #[inline]
-    pub fn height(&self) -> i32 {
-        self.space.height()
     }
 
     /// Total number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.space.len()
+        self.space.node_count()
     }
 
     /// The linear index space of this mesh's nodes.
     #[inline]
-    pub fn space(&self) -> NodeSpace2 {
+    pub fn space(&self) -> S {
         self.space
     }
 
     /// True if `c` addresses a node of this mesh.
     #[inline]
-    pub fn contains(&self, c: C2) -> bool {
-        self.space.contains(c)
+    pub fn contains(&self, c: S::Coord) -> bool {
+        self.space.index_checked(c).is_some()
     }
 
-    /// The full extent of the mesh as an inclusive rectangle.
-    pub fn bounds(&self) -> Rect {
-        Rect {
-            x0: 0,
-            y0: 0,
-            x1: self.width() - 1,
-            y1: self.height() - 1,
-        }
+    /// The full extent of the mesh as an inclusive rectangle (2-D) or box
+    /// (3-D).
+    pub fn bounds(&self) -> S::Block {
+        S::block(self.space.coord(0), self.space.coord(self.node_count() - 1))
     }
 
     /// Mark `c` faulty. Returns `true` if the node was previously healthy.
     ///
     /// # Panics
     /// If `c` is outside the mesh.
-    pub fn inject_fault(&mut self, c: C2) -> bool {
+    pub fn inject_fault(&mut self, c: S::Coord) -> bool {
         assert!(self.contains(c), "fault injected outside mesh: {c:?}");
         if self.faulty.insert(self.space.index(c)) {
             self.fault_list.push(c);
@@ -150,7 +106,7 @@ impl Mesh2D {
     ///
     /// # Panics
     /// If `c` is outside the mesh.
-    pub fn heal_fault(&mut self, c: C2) -> bool {
+    pub fn heal_fault(&mut self, c: S::Coord) -> bool {
         assert!(self.contains(c), "fault healed outside mesh: {c:?}");
         if self.faulty.remove(self.space.index(c)) {
             self.fault_list.retain(|&f| f != c);
@@ -160,7 +116,7 @@ impl Mesh2D {
         }
     }
 
-    /// Batch-inject every node of `delta` (a bitset over [`Mesh2D::space`]).
+    /// Batch-inject every node of `delta` (a bitset over [`Mesh::space`]).
     /// Already-faulty nodes are left untouched; new faults are appended to
     /// the fault list in index order. Returns how many nodes flipped.
     ///
@@ -169,7 +125,7 @@ impl Mesh2D {
     pub fn inject_fault_set(&mut self, delta: &NodeSet) -> usize {
         assert_eq!(
             delta.capacity(),
-            self.space.len(),
+            self.node_count(),
             "delta/mesh size mismatch"
         );
         let mut flipped = 0;
@@ -182,7 +138,7 @@ impl Mesh2D {
         flipped
     }
 
-    /// Batch-heal every node of `delta` (a bitset over [`Mesh2D::space`])
+    /// Batch-heal every node of `delta` (a bitset over [`Mesh::space`])
     /// in one pass over the fault list (injection order of the survivors is
     /// preserved). Healthy members of `delta` are ignored. Returns how many
     /// nodes flipped.
@@ -192,7 +148,7 @@ impl Mesh2D {
     pub fn heal_fault_set(&mut self, delta: &NodeSet) -> usize {
         assert_eq!(
             delta.capacity(),
-            self.space.len(),
+            self.node_count(),
             "delta/mesh size mismatch"
         );
         let before = self.fault_list.len();
@@ -204,7 +160,7 @@ impl Mesh2D {
 
     /// True if the node exists and is faulty.
     #[inline]
-    pub fn is_faulty(&self, c: C2) -> bool {
+    pub fn is_faulty(&self, c: S::Coord) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| self.faulty.contains(i))
@@ -212,7 +168,7 @@ impl Mesh2D {
 
     /// True if the node exists and is healthy.
     #[inline]
-    pub fn is_healthy(&self, c: C2) -> bool {
+    pub fn is_healthy(&self, c: S::Coord) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| !self.faulty.contains(i))
@@ -220,11 +176,11 @@ impl Mesh2D {
 
     /// All injected faults, in injection order.
     #[inline]
-    pub fn faults(&self) -> &[C2] {
+    pub fn faults(&self) -> &[S::Coord] {
         &self.fault_list
     }
 
-    /// The fault set as a packed bitset over [`Mesh2D::space`].
+    /// The fault set as a packed bitset over [`Mesh::space`].
     #[inline]
     pub fn fault_set(&self) -> &NodeSet {
         &self.faulty
@@ -236,25 +192,29 @@ impl Mesh2D {
         self.fault_list.len()
     }
 
-    /// Neighbors of `c`, in [`Dir2::ALL`] order: 2–4 of them on a mesh
-    /// (border nodes lose probes), always 4 on a torus (steps wrap).
-    pub fn neighbors(&self, c: C2) -> impl Iterator<Item = C2> + '_ {
-        let space = self.space;
-        Dir2::ALL
-            .into_iter()
-            .map(move |d| {
-                if space.wraps() {
-                    space.wrap_coord(c.step(d))
-                } else {
-                    c.step(d)
+    /// Neighbors of `c`, in [`Dir2::ALL`](crate::Dir2::ALL) /
+    /// [`Dir3::ALL`](crate::Dir3::ALL) order (`+X, -X, +Y, -Y[, +Z, -Z]`):
+    /// 2–4 (3–6) of them on a mesh, where border nodes lose probes, and
+    /// always 4 (6) on a torus, where steps wrap.
+    pub fn neighbors(&self, c: S::Coord) -> impl Iterator<Item = S::Coord> + '_ {
+        let ext = self.space.extents().map(|e| e as i32);
+        (0..2 * S::DIMS)
+            .map(move |k| {
+                let mut p = S::xyz(c);
+                p[k / 2] += if k % 2 == 0 { 1 } else { -1 };
+                if self.wraps() {
+                    for axis in 0..S::DIMS {
+                        p[axis] = p[axis].rem_euclid(ext[axis]);
+                    }
                 }
+                S::from_xyz(p)
             })
             .filter(|&n| self.contains(n))
     }
 
-    /// Iterate all node coordinates in row-major order.
-    pub fn nodes(&self) -> impl Iterator<Item = C2> + '_ {
-        self.space.coords()
+    /// Iterate all node coordinates in index order (x fastest).
+    pub fn nodes(&self) -> impl Iterator<Item = S::Coord> + '_ {
+        (0..self.node_count()).map(|i| self.space.coord(i))
     }
 
     /// Remove all faults.
@@ -264,18 +224,54 @@ impl Mesh2D {
     }
 }
 
+impl Mesh2D {
+    /// A fault-free `width × height` mesh.
+    ///
+    /// # Panics
+    /// If either dimension is not positive.
+    pub fn new(width: i32, height: i32) -> Self {
+        Mesh::over(NodeSpace2::new(width, height))
+    }
+
+    /// A `k × k` mesh (the paper's "k-ary 2-dimensional mesh").
+    pub fn kary(k: i32) -> Self {
+        Mesh2D::new(k, k)
+    }
+
+    /// A fault-free `width × height` torus: the wrap-around variant of the
+    /// mesh, every axis closing on itself.
+    ///
+    /// # Panics
+    /// If either dimension is smaller than 3 (see [`NodeSpace2::torus`]).
+    pub fn torus(width: i32, height: i32) -> Self {
+        Mesh::over(NodeSpace2::torus(width, height))
+    }
+
+    /// A `k × k` torus (the "k-ary 2-cube" of the routing literature).
+    pub fn torus_kary(k: i32) -> Self {
+        Mesh2D::torus(k, k)
+    }
+
+    /// Width (extent along X).
+    #[inline]
+    pub fn width(&self) -> i32 {
+        self.space.width()
+    }
+
+    /// Height (extent along Y).
+    #[inline]
+    pub fn height(&self) -> i32 {
+        self.space.height()
+    }
+}
+
 impl Mesh3D {
     /// A fault-free `nx × ny × nz` mesh.
     ///
     /// # Panics
     /// If any dimension is not positive.
     pub fn new(nx: i32, ny: i32, nz: i32) -> Self {
-        let space = NodeSpace3::new(nx, ny, nz);
-        Mesh3D {
-            space,
-            faulty: NodeSet::new(space.len()),
-            fault_list: Vec::new(),
-        }
+        Mesh::over(NodeSpace3::new(nx, ny, nz))
     }
 
     /// A `k × k × k` mesh (the paper's "k-ary 3-dimensional mesh").
@@ -289,36 +285,12 @@ impl Mesh3D {
     /// # Panics
     /// If any dimension is smaller than 3 (see [`NodeSpace3::torus`]).
     pub fn torus(nx: i32, ny: i32, nz: i32) -> Self {
-        let space = NodeSpace3::torus(nx, ny, nz);
-        Mesh3D {
-            space,
-            faulty: NodeSet::new(space.len()),
-            fault_list: Vec::new(),
-        }
+        Mesh::over(NodeSpace3::torus(nx, ny, nz))
     }
 
     /// A `k × k × k` torus (the "k-ary 3-cube" of the routing literature).
     pub fn torus_kary(k: i32) -> Self {
         Mesh3D::torus(k, k, k)
-    }
-
-    /// True if this network wraps around (it is a torus).
-    #[inline]
-    pub fn wraps(&self) -> bool {
-        self.space.wraps()
-    }
-
-    /// Topology-aware distance between two nodes: Manhattan on a mesh, Lee
-    /// distance (per-axis shorter arc) on a torus.
-    #[inline]
-    pub fn dist(&self, a: C3, b: C3) -> u32 {
-        self.space.dist(a, b)
-    }
-
-    /// True if both coordinates address nodes of this network and the nodes
-    /// share a link (wrap links included on a torus).
-    pub fn are_neighbors(&self, a: C3, b: C3) -> bool {
-        self.contains(a) && self.contains(b) && self.space.dist(a, b) == 1
     }
 
     /// Extent along X.
@@ -338,174 +310,12 @@ impl Mesh3D {
     pub fn nz(&self) -> i32 {
         self.space.nz()
     }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.space.len()
-    }
-
-    /// The linear index space of this mesh's nodes.
-    #[inline]
-    pub fn space(&self) -> NodeSpace3 {
-        self.space
-    }
-
-    /// True if `c` addresses a node of this mesh.
-    #[inline]
-    pub fn contains(&self, c: C3) -> bool {
-        self.space.contains(c)
-    }
-
-    /// The full extent of the mesh as an inclusive box.
-    pub fn bounds(&self) -> Box3 {
-        Box3 {
-            lo: C3::ORIGIN,
-            hi: C3 {
-                x: self.nx() - 1,
-                y: self.ny() - 1,
-                z: self.nz() - 1,
-            },
-        }
-    }
-
-    /// Mark `c` faulty. Returns `true` if the node was previously healthy.
-    ///
-    /// # Panics
-    /// If `c` is outside the mesh.
-    pub fn inject_fault(&mut self, c: C3) -> bool {
-        assert!(self.contains(c), "fault injected outside mesh: {c:?}");
-        if self.faulty.insert(self.space.index(c)) {
-            self.fault_list.push(c);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Return `c` to healthy. Returns `true` if the node was previously
-    /// faulty. The fault list keeps the injection order of the survivors.
-    ///
-    /// # Panics
-    /// If `c` is outside the mesh.
-    pub fn heal_fault(&mut self, c: C3) -> bool {
-        assert!(self.contains(c), "fault healed outside mesh: {c:?}");
-        if self.faulty.remove(self.space.index(c)) {
-            self.fault_list.retain(|&f| f != c);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Batch-inject every node of `delta` (a bitset over [`Mesh3D::space`]).
-    /// Already-faulty nodes are left untouched; new faults are appended to
-    /// the fault list in index order. Returns how many nodes flipped.
-    ///
-    /// # Panics
-    /// If `delta` is not sized for this mesh's node space.
-    pub fn inject_fault_set(&mut self, delta: &NodeSet) -> usize {
-        assert_eq!(
-            delta.capacity(),
-            self.space.len(),
-            "delta/mesh size mismatch"
-        );
-        let mut flipped = 0;
-        for i in delta.iter() {
-            if self.faulty.insert(i) {
-                self.fault_list.push(self.space.coord(i));
-                flipped += 1;
-            }
-        }
-        flipped
-    }
-
-    /// Batch-heal every node of `delta` (a bitset over [`Mesh3D::space`])
-    /// in one pass over the fault list (injection order of the survivors is
-    /// preserved). Healthy members of `delta` are ignored. Returns how many
-    /// nodes flipped.
-    ///
-    /// # Panics
-    /// If `delta` is not sized for this mesh's node space.
-    pub fn heal_fault_set(&mut self, delta: &NodeSet) -> usize {
-        assert_eq!(
-            delta.capacity(),
-            self.space.len(),
-            "delta/mesh size mismatch"
-        );
-        let before = self.fault_list.len();
-        let space = self.space;
-        self.fault_list.retain(|&f| !delta.contains(space.index(f)));
-        self.faulty.difference_with(delta);
-        before - self.fault_list.len()
-    }
-
-    /// True if the node exists and is faulty.
-    #[inline]
-    pub fn is_faulty(&self, c: C3) -> bool {
-        self.space
-            .index_checked(c)
-            .is_some_and(|i| self.faulty.contains(i))
-    }
-
-    /// True if the node exists and is healthy.
-    #[inline]
-    pub fn is_healthy(&self, c: C3) -> bool {
-        self.space
-            .index_checked(c)
-            .is_some_and(|i| !self.faulty.contains(i))
-    }
-
-    /// All injected faults, in injection order.
-    #[inline]
-    pub fn faults(&self) -> &[C3] {
-        &self.fault_list
-    }
-
-    /// The fault set as a packed bitset over [`Mesh3D::space`].
-    #[inline]
-    pub fn fault_set(&self) -> &NodeSet {
-        &self.faulty
-    }
-
-    /// Number of faulty nodes.
-    #[inline]
-    pub fn fault_count(&self) -> usize {
-        self.fault_list.len()
-    }
-
-    /// Neighbors of `c`, in [`Dir3::ALL`] order: 3–6 of them on a mesh
-    /// (border nodes lose probes), always 6 on a torus (steps wrap).
-    pub fn neighbors(&self, c: C3) -> impl Iterator<Item = C3> + '_ {
-        let space = self.space;
-        Dir3::ALL
-            .into_iter()
-            .map(move |d| {
-                if space.wraps() {
-                    space.wrap_coord(c.step(d))
-                } else {
-                    c.step(d)
-                }
-            })
-            .filter(|&n| self.contains(n))
-    }
-
-    /// Iterate all node coordinates (x fastest).
-    pub fn nodes(&self) -> impl Iterator<Item = C3> + '_ {
-        self.space.coords()
-    }
-
-    /// Remove all faults.
-    pub fn clear_faults(&mut self) {
-        self.faulty.clear();
-        self.fault_list.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coord::{c2, c3};
+    use crate::coord::{c2, c3, C2, C3};
 
     #[test]
     fn mesh2_bounds_and_neighbors() {

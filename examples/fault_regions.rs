@@ -9,9 +9,9 @@
 //! disabled by the rectangular-block model only, `.` free.
 
 use mcc_mesh::fault_model::mcc2::MccSet2;
-use mcc_mesh::fault_model::{BorderPolicy, FaultBlocks2, Labelling2};
+use mcc_mesh::fault_model::{BorderPolicy, FaultBlocks2, FaultRegime, Labelling2};
 use mcc_mesh::mesh_topo::coord::c2;
-use mcc_mesh::mesh_topo::{FaultSpec, Frame2, Mesh2D};
+use mcc_mesh::mesh_topo::{Frame2, Mesh2D};
 
 fn main() {
     let mut mesh = Mesh2D::new(24, 16);
@@ -22,7 +22,7 @@ fn main() {
     for i in 0..3 {
         mesh.inject_fault(c2(14 + i, 4 + i));
     }
-    FaultSpec::uniform(6, 7).inject_2d(&mut mesh, &[]);
+    FaultRegime::Uniform.inject(&mut mesh, 6, 7, &[], BorderPolicy::BorderSafe);
 
     let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
     let mccs = MccSet2::compute(&lab);

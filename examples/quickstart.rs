@@ -8,17 +8,18 @@
 //! ```
 
 use mcc_mesh::fault_model::mcc3::MccSet3;
-use mcc_mesh::fault_model::{minimal_path_exists_3d, BorderPolicy, Labelling3};
+use mcc_mesh::fault_model::{minimal_path_exists_3d, BorderPolicy, FaultRegime, Labelling3};
 use mcc_mesh::mcc_routing::policy::Policy;
 use mcc_mesh::mcc_routing::Router3;
 use mcc_mesh::mesh_topo::coord::c3;
-use mcc_mesh::mesh_topo::{FaultSpec, Frame3, Mesh3D};
+use mcc_mesh::mesh_topo::{Frame3, Mesh3D};
 
 fn main() {
     // A 16-ary 3-D mesh with 60 random faults (source/destination spared).
     let (s, d) = (c3(1, 2, 0), c3(14, 13, 15));
     let mut mesh = Mesh3D::kary(16);
-    let injected = FaultSpec::uniform(60, 2024).inject_3d(&mut mesh, &[s, d]);
+    let injected =
+        FaultRegime::Uniform.inject(&mut mesh, 60, 2024, &[s, d], BorderPolicy::BorderSafe);
     println!(
         "mesh: 16^3 = {} nodes, {injected} faults",
         mesh.node_count()

@@ -12,18 +12,18 @@
 //! ```
 
 use mcc_mesh::fault_model::mcc2::MccSet2;
-use mcc_mesh::fault_model::{minimal_path_exists_2d, BorderPolicy, Labelling2};
+use mcc_mesh::fault_model::{minimal_path_exists_2d, BorderPolicy, FaultRegime, Labelling2};
 use mcc_mesh::mcc_routing::policy::Policy;
 use mcc_mesh::mcc_routing::prepared::PreparedMesh2;
 use mcc_mesh::mcc_routing::{Router2, TrialOptions};
 use mcc_mesh::mesh_topo::coord::c2;
-use mcc_mesh::mesh_topo::{FaultSpec, Frame2, Mesh2D};
+use mcc_mesh::mesh_topo::{Frame2, Mesh2D};
 
 fn main() {
     // A 16x16 torus with 24 random faults (source/destination spared).
     let (s, d) = (c2(14, 2), c2(3, 13));
     let mut mesh = Mesh2D::torus_kary(16);
-    let injected = FaultSpec::uniform(24, 7).inject_2d(&mut mesh, &[s, d]);
+    let injected = FaultRegime::Uniform.inject(&mut mesh, 24, 7, &[s, d], BorderPolicy::BorderSafe);
     println!(
         "torus: 16x16 = {} nodes, {injected} faults; D({s}, {d}) = {} (Lee), \
          {} on the open mesh",

@@ -15,12 +15,14 @@
 //! The shortest possible end-to-end run — inject faults, label, route:
 //!
 //! ```
+//! use mcc_mesh::fault_model::{BorderPolicy, FaultRegime};
 //! use mcc_mesh::mcc_routing::run_trial_2d;
 //! use mcc_mesh::mesh_topo::coord::c2;
-//! use mcc_mesh::mesh_topo::{FaultSpec, Mesh2D};
+//! use mcc_mesh::mesh_topo::Mesh2D;
 //!
 //! let mut mesh = Mesh2D::new(12, 12);
-//! FaultSpec::uniform(10, 3).inject_2d(&mut mesh, &[c2(0, 0), c2(11, 11)]);
+//! let protected = [c2(0, 0), c2(11, 11)];
+//! FaultRegime::Uniform.inject(&mut mesh, 10, 3, &protected, BorderPolicy::BorderSafe);
 //! let trial = run_trial_2d(&mesh, c2(0, 0), c2(11, 11), 3);
 //! assert_eq!(trial.mcc_ok, trial.oracle_ok); // the MCC condition is exact
 //! ```

@@ -4,6 +4,7 @@
 
 use mcc_mesh::fault_model::mcc2::MccSet2;
 use mcc_mesh::fault_model::mcc3::MccSet3;
+use mcc_mesh::fault_model::FaultRegime;
 use mcc_mesh::fault_model::{
     minimal_path_exists_2d, minimal_path_exists_3d, oracle, BorderPolicy, FaultBlocks2, Labelling2,
     Labelling3,
@@ -16,7 +17,7 @@ use mcc_mesh::mcc_routing::policy::Policy;
 use mcc_mesh::mcc_routing::trial::{run_trial_2d, run_trial_3d};
 use mcc_mesh::mcc_routing::{Router2, Router3};
 use mcc_mesh::mesh_topo::coord::{c2, c3};
-use mcc_mesh::mesh_topo::{FaultSpec, Frame2, Frame3, Mesh2D, Mesh3D};
+use mcc_mesh::mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,7 +74,13 @@ fn all_layers_agree_2d() {
 fn all_layers_agree_3d() {
     for seed in 0..10u64 {
         let mut mesh = Mesh3D::kary(8);
-        FaultSpec::uniform(24, seed).inject_3d(&mut mesh, &[c3(0, 0, 0), c3(7, 7, 7)]);
+        FaultRegime::Uniform.inject(
+            &mut mesh,
+            24,
+            seed,
+            &[c3(0, 0, 0), c3(7, 7, 7)],
+            BorderPolicy::BorderSafe,
+        );
         let (s, d) = (c3(0, 0, 0), c3(7, 7, 7));
         let frame = Frame3::for_pair(&mesh, s, d);
         let lab = Labelling3::compute(&mesh, frame, BorderPolicy::BorderSafe);
