@@ -70,7 +70,7 @@ pub fn minimal_path_exists_2d(lab: &Labelling2, mccs: &MccSet2, s: C2, d: C2) ->
 }
 
 /// [`minimal_path_exists_2d`] with a caller-provided scratch buffer for
-/// the reachability sweep (see [`oracle::Useful2::recompute`]).
+/// the reachability sweep (see [`oracle::Useful::recompute_set`]).
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
@@ -98,13 +98,8 @@ pub fn minimal_path_exists_2d_in(
             // Safe endpoints: avoiding the closure loses nothing
             // (property-tested); this is the semantic content of Lemma 1
             // with merged regions.
-            let ok = oracle::reachable_2d_in(
-                s,
-                d,
-                |c| lab.status_get(c).map(|st| st.is_unsafe()).unwrap_or(true),
-                useful,
-            );
-            if ok {
+            useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
+            if useful.contains(s) {
                 Existence2::Exists
             } else {
                 Existence2::Blocked

@@ -56,7 +56,7 @@ pub fn minimal_path_exists_3d(lab: &Labelling3, s: C3, d: C3) -> Existence3 {
 }
 
 /// [`minimal_path_exists_3d`] with a caller-provided scratch buffer for
-/// the reachability sweep (see [`oracle::Useful3::recompute`]).
+/// the reachability sweep (see [`oracle::Useful::recompute_set`]).
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
@@ -82,13 +82,8 @@ pub fn minimal_path_exists_3d_in(
         (false, false) => {
             // Avoiding the closure loses nothing for safe endpoints
             // (property-tested); this is the semantic content of Theorem 2.
-            let ok = oracle::reachable_3d_in(
-                s,
-                d,
-                |c| lab.status_get(c).map(|st| st.is_unsafe()).unwrap_or(true),
-                useful,
-            );
-            if ok {
+            useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
+            if useful.contains(s) {
                 Existence3::Exists
             } else {
                 Existence3::Blocked

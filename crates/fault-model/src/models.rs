@@ -46,13 +46,12 @@ use crate::components::{Components, Splice};
 use crate::labelling::Labelling;
 use crate::mcc2::{Mcc2, MccSet2};
 use crate::mcc3::{Mcc3, MccSet3};
-use crate::oracle;
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
 /// The per-dimension model the caches hold beside the generic labelling,
 /// components and block model: the MCC shapes (2-D profiles vs 3-D
-/// sections), plus the reachability oracle.
+/// sections).
 pub trait ModelSpace: Space {
     /// One MCC's shape.
     type Mcc: Clone + std::fmt::Debug;
@@ -66,10 +65,6 @@ pub trait ModelSpace: Space {
     fn mcc_from_cells(cells: Vec<Self::Coord>, lab: &Labelling<Self>) -> Self::Mcc;
     /// The MCCs of a decomposition, indexed by component position.
     fn mcc_list(mccs: &mut Self::Mccs) -> &mut Vec<Self::Mcc>;
-    /// The oracle ([`oracle::reachable_2d`] / [`oracle::reachable_3d`]):
-    /// does a minimal path lead from canonical `s` to `d` around the
-    /// `blocked` nodes?
-    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool;
 }
 
 impl ModelSpace for NodeSpace2 {
@@ -85,9 +80,6 @@ impl ModelSpace for NodeSpace2 {
     fn mcc_list(mccs: &mut MccSet2) -> &mut Vec<Mcc2> {
         &mut mccs.mccs
     }
-    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
-        oracle::reachable_2d(s, d, blocked)
-    }
 }
 
 impl ModelSpace for NodeSpace3 {
@@ -102,9 +94,6 @@ impl ModelSpace for NodeSpace3 {
     }
     fn mcc_list(mccs: &mut MccSet3) -> &mut Vec<Mcc3> {
         &mut mccs.mccs
-    }
-    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
-        oracle::reachable_3d(s, d, blocked)
     }
 }
 

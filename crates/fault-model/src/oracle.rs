@@ -11,11 +11,41 @@
 //! * Wang's minimality theorem — avoiding the unsafe *closure* blocks no more
 //!   destinations than avoiding the faults — is property-tested by comparing
 //!   the oracle on the two blocked sets,
-//! * per-hop routing decisions use the backward variant ([`Useful2`] /
-//!   [`Useful3`]): the set of nodes from which the destination is still
-//!   monotonically reachable.
+//! * per-hop routing decisions use the backward variant ([`Useful`]): the
+//!   set of nodes from which the destination is still monotonically
+//!   reachable.
+//!
+//! # The kernel
+//!
+//! [`Useful`] stores the box as rows along `x`, one bit per node, each row
+//! **reversed** so bit `i` is `x = d.x − i`: reachability then flows from
+//! low bits to high bits, the direction a carry runs. The rows are swept
+//! from `d` backward, `z` outer and `y` inner, so the `+Y` and `+Z`
+//! neighbor rows are final when a row is reached. A row's *seeds* are its
+//! free nodes with a useful `+Y` or `+Z` neighbor (and `d` itself in the
+//! last row); every free node of a free run that starts at a seed is
+//! useful too. With `rest = free & !seeds`, one carry-propagating add
+//! finds those runs: `(rest + (seeds << 1)) ^ rest` flips exactly the run
+//! above each seed (plus the bit that stops it, masked off by `& free`
+//! unless it is a seed itself).
+//! Rows wider than 64 nodes carry the add and the shifted-in seed bit
+//! across words.
+//!
+//! The free bits of a row come from one of two places:
+//!
+//! * [`Useful::recompute_set`] reads them straight from a [`NodeSet`] —
+//!   the mesh's fault set, a labelling's unsafe set, a block model's
+//!   disabled set — with no per-node work. The frame fixes one mesh run
+//!   per row (two when a torus row crosses the wrap seam); a reflected `x`
+//!   axis already lists the row in reversed order, an unreflected one is
+//!   bit-reversed after the copy. The direction comes from the frame's
+//!   reflection, never from the mesh images of the row's two ends: when
+//!   `d` sits at Lee distance `k/2` a wrapping row's ends differ by
+//!   exactly `k/2` too.
+//! * [`Useful::recompute`] asks a `blocked` closure once per box node and
+//!   hands the rows to the same sweep.
 
-use mesh_topo::{NodeSet, C2, C3};
+use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
 
 /// True if a monotone (`+X`/`+Y`) path from `s` to `d` exists that avoids
 /// every node for which `blocked` returns true. Requires `s ≤ d`
@@ -28,7 +58,7 @@ pub fn reachable_2d(s: C2, d: C2, blocked: impl Fn(C2) -> bool) -> bool {
 }
 
 /// [`reachable_2d`] with a caller-provided scratch buffer (see
-/// [`Useful2::recompute`]); the buffer's previous contents are discarded.
+/// [`Useful::recompute`]); the buffer's previous contents are discarded.
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
@@ -47,7 +77,7 @@ pub fn reachable_3d(s: C3, d: C3, blocked: impl Fn(C3) -> bool) -> bool {
 }
 
 /// [`reachable_3d`] with a caller-provided scratch buffer (see
-/// [`Useful3::recompute`]); the buffer's previous contents are discarded.
+/// [`Useful::recompute`]); the buffer's previous contents are discarded.
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
@@ -56,189 +86,246 @@ pub fn reachable_3d_in(s: C3, d: C3, blocked: impl Fn(C3) -> bool, useful: &mut 
     useful.contains(s)
 }
 
-/// The backward reachability set in 2-D: all nodes `u` in `[s, d]` from which
-/// `d` is monotonically reachable avoiding blocked nodes.
+/// The backward reachability set: all nodes `u` in the box `[s, d]` from
+/// which `d` is monotonically reachable avoiding blocked nodes.
 ///
 /// A fully-adaptive minimal router that only ever steps onto *useful*
 /// neighbors can never get stuck and always produces a minimal path.
 ///
-/// The set is a packed [`NodeSet`] over the RMP box, filled by one reverse
-/// raster sweep.
+/// The set is stored as reversed bit rows along `x` and filled by the
+/// word-parallel sweep of the module docs.
 #[derive(Clone, Debug)]
-pub struct Useful2 {
-    s: C2,
-    d: C2,
-    w: i32,
-    useful: NodeSet,
+pub struct Useful<S: Space> {
+    s: S::Coord,
+    d: S::Coord,
+    /// Rows per `z` plane (the box's `y` extent).
+    wy: usize,
+    /// Words per row.
+    wpr: usize,
+    /// Row `(z − s.z)·wy + (y − s.y)` occupies words `row·wpr ..`; bit
+    /// `i` of a row is the node at `x = d.x − i`.
+    rows: Vec<u64>,
 }
 
-impl Useful2 {
+/// The backward reachability set in 2-D.
+pub type Useful2 = Useful<NodeSpace2>;
+
+/// The backward reachability set in 3-D.
+pub type Useful3 = Useful<NodeSpace3>;
+
+impl<S: Space> Useful<S> {
     /// An empty scratch instance (a degenerate one-node box) whose storage
-    /// is meant to be recycled through [`Useful2::recompute`].
-    pub fn scratch() -> Useful2 {
-        Useful2 {
-            s: C2::ORIGIN,
-            d: C2::ORIGIN,
-            w: 1,
-            useful: NodeSet::new(1),
-        }
-    }
-
-    /// Recompute the useful set for a new box `[s, d]`, reusing this
-    /// instance's bitset storage (no allocation once the buffer has grown
-    /// to the largest box seen). Equivalent to `*self = Useful2::compute(..)`.
-    ///
-    /// # Panics
-    /// If `s` does not precede `d` componentwise.
-    pub fn recompute(&mut self, s: C2, d: C2, blocked: impl Fn(C2) -> bool) {
-        assert!(
-            s.dominated_by(d),
-            "oracle requires canonical s <= d, got {s:?} {d:?}"
-        );
-        let w = d.x - s.x + 1;
-        let h = d.y - s.y + 1;
-        self.useful.reset((w as usize) * (h as usize));
-        let useful = &mut self.useful;
-        let idx = |c: C2| ((c.y - s.y) as usize) * (w as usize) + ((c.x - s.x) as usize);
-        // Sweep from d down to s; at c, usefulness depends on c+X / c+Y which
-        // are later in the sweep order reversed, i.e. already computed.
-        for y in (s.y..=d.y).rev() {
-            for x in (s.x..=d.x).rev() {
-                let c = C2 { x, y };
-                if blocked(c) {
-                    continue;
-                }
-                let ok = (c == d)
-                    || (x < d.x && useful.contains(idx(C2 { x: x + 1, y })))
-                    || (y < d.y && useful.contains(idx(C2 { x, y: y + 1 })));
-                if ok {
-                    useful.insert(idx(c));
-                }
-            }
-        }
-        self.s = s;
-        self.d = d;
-        self.w = w;
-    }
-
-    /// Compute the useful set for the box `[s, d]`.
-    ///
-    /// # Panics
-    /// If `s` does not precede `d` componentwise.
-    pub fn compute(s: C2, d: C2, blocked: impl Fn(C2) -> bool) -> Useful2 {
-        let mut u = Useful2::scratch();
-        u.recompute(s, d, blocked);
-        u
-    }
-
-    /// True if `c` lies in `[s, d]` and `d` is monotonically reachable from it.
-    #[inline]
-    pub fn contains(&self, c: C2) -> bool {
-        if !(self.s.dominated_by(c) && c.dominated_by(self.d)) {
-            return false;
-        }
-        self.useful
-            .contains(((c.y - self.s.y) as usize) * (self.w as usize) + ((c.x - self.s.x) as usize))
-    }
-
-    /// Number of useful nodes in the box.
-    pub fn count(&self) -> usize {
-        self.useful.len()
-    }
-}
-
-/// The backward reachability set in 3-D (see [`Useful2`]).
-#[derive(Clone, Debug)]
-pub struct Useful3 {
-    s: C3,
-    d: C3,
-    wx: i32,
-    wy: i32,
-    useful: NodeSet,
-}
-
-impl Useful3 {
-    /// An empty scratch instance (a degenerate one-node box) whose storage
-    /// is meant to be recycled through [`Useful3::recompute`].
-    pub fn scratch() -> Useful3 {
-        Useful3 {
-            s: C3::ORIGIN,
-            d: C3::ORIGIN,
-            wx: 1,
+    /// is meant to be recycled through [`Useful::recompute`] or
+    /// [`Useful::recompute_set`].
+    pub fn scratch() -> Useful<S> {
+        let origin = S::from_xyz([0; 3]);
+        Useful {
+            s: origin,
+            d: origin,
             wy: 1,
-            useful: NodeSet::new(1),
+            wpr: 1,
+            rows: vec![0],
         }
     }
 
-    /// Recompute the useful set for a new box `[s, d]`, reusing this
-    /// instance's bitset storage (no allocation once the buffer has grown
-    /// to the largest box seen). Equivalent to `*self = Useful3::compute(..)`.
+    /// Recompute the useful set for a new box `[s, d]`, asking `blocked`
+    /// once per box node, reusing this instance's storage (no allocation
+    /// once the buffer has grown to the largest box seen). Equivalent to
+    /// `*self = Useful::compute(..)`.
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
-    pub fn recompute(&mut self, s: C3, d: C3, blocked: impl Fn(C3) -> bool) {
-        assert!(
-            s.dominated_by(d),
-            "oracle requires canonical s <= d, got {s:?} {d:?}"
-        );
-        let wx = d.x - s.x + 1;
-        let wy = d.y - s.y + 1;
-        let wz = d.z - s.z + 1;
-        self.useful
-            .reset((wx as usize) * (wy as usize) * (wz as usize));
-        let useful = &mut self.useful;
-        let idx = |c: C3| {
-            (((c.z - s.z) as usize) * (wy as usize) + ((c.y - s.y) as usize)) * (wx as usize)
-                + ((c.x - s.x) as usize)
-        };
-        for z in (s.z..=d.z).rev() {
-            for y in (s.y..=d.y).rev() {
-                for x in (s.x..=d.x).rev() {
-                    let c = C3 { x, y, z };
-                    if blocked(c) {
-                        continue;
-                    }
-                    let ok = (c == d)
-                        || (x < d.x && useful.contains(idx(C3 { x: x + 1, y, z })))
-                        || (y < d.y && useful.contains(idx(C3 { x, y: y + 1, z })))
-                        || (z < d.z && useful.contains(idx(C3 { x, y, z: z + 1 })));
-                    if ok {
-                        useful.insert(idx(c));
-                    }
+    pub fn recompute(&mut self, s: S::Coord, d: S::Coord, blocked: impl Fn(S::Coord) -> bool) {
+        let (x0, x1) = (S::xyz(s)[0], S::xyz(d)[0]);
+        self.sweep(s, d, |y, z, row| {
+            for (i, x) in (x0..=x1).rev().enumerate() {
+                if !blocked(S::from_xyz([x, y, z])) {
+                    row[i / 64] |= 1 << (i % 64);
                 }
             }
-        }
-        self.s = s;
-        self.d = d;
-        self.wx = wx;
-        self.wy = wy;
+        });
+    }
+
+    /// Recompute the useful set for a new box `[s, d]` whose blocked nodes
+    /// are the members of `set`, a bitset over `space`. `frame` maps box
+    /// coordinates to `space` coordinates (a node `c` is blocked iff
+    /// `set` holds `space.index(S::from_canon(frame, c))`); `None` means
+    /// the set is indexed by the box coordinates themselves, as a
+    /// labelling's unsafe set is. Each row is copied out of the set's
+    /// words whole; no node is visited on its own.
+    ///
+    /// # Panics
+    /// If `s` does not precede `d` componentwise, or the box does not lie
+    /// inside `space`'s extents.
+    pub fn recompute_set(
+        &mut self,
+        s: S::Coord,
+        d: S::Coord,
+        set: &NodeSet,
+        space: S,
+        frame: Option<S::Frame>,
+    ) {
+        let (lo, hi, ext) = (S::xyz(s), S::xyz(d), space.extents());
+        assert!(
+            (0..3).all(|k| 0 <= lo[k] && lo[k] <= hi[k] && (hi[k] as usize) < ext[k]),
+            "oracle requires canonical s <= d inside {space:?}, got {s:?} {d:?}"
+        );
+        let to_space = |c| frame.map_or(c, |f| S::from_canon(f, c));
+        // The node-space run of each row starts at the image of `d.x`
+        // when the frame reflects `x` (the run is then already reversed)
+        // and at the image of `s.x` otherwise.
+        let flip = frame.is_some_and(S::flips_x);
+        let xs = if flip { hi[0] } else { lo[0] };
+        let wx = (hi[0] - lo[0] + 1) as usize;
+        let width = ext[0];
+        let mstart = S::xyz(to_space(S::from_xyz([xs, lo[1], lo[2]])))[0] as usize;
+        // Nodes before the wrap seam; a torus row may continue at x = 0.
+        let head = wx.min(width - mstart);
+        let words = set.words();
+        self.sweep(s, d, |y, z, row| {
+            let start = space.index(to_space(S::from_xyz([xs, y, z])));
+            if let [one] = row {
+                let mut run = take_bits(words, start, head);
+                if head < wx {
+                    run |= take_bits(words, start - mstart, wx - head) << head;
+                }
+                let blocked = if flip {
+                    run
+                } else {
+                    run.reverse_bits() >> (64 - wx)
+                };
+                *one = !blocked & (u64::MAX >> (64 - wx));
+            } else {
+                put_bits(row, 0, words, start, head);
+                if head < wx {
+                    put_bits(row, head, words, start - mstart, wx - head);
+                }
+                if !flip {
+                    reverse_row(row, wx);
+                }
+                for w in row.iter_mut() {
+                    *w = !*w;
+                }
+                row[row.len() - 1] &= u64::MAX >> (row.len() * 64 - wx);
+            }
+        });
     }
 
     /// Compute the useful set for the box `[s, d]`.
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
-    pub fn compute(s: C3, d: C3, blocked: impl Fn(C3) -> bool) -> Useful3 {
-        let mut u = Useful3::scratch();
+    pub fn compute(s: S::Coord, d: S::Coord, blocked: impl Fn(S::Coord) -> bool) -> Useful<S> {
+        let mut u = Useful::scratch();
         u.recompute(s, d, blocked);
         u
     }
 
+    /// The word-parallel sweep: shape the rows for `[s, d]`, then, from
+    /// `d`'s row backward, let `fill(y, z, row)` set the row's free bits
+    /// (the row arrives zeroed) and turn them into its useful bits.
+    fn sweep(&mut self, s: S::Coord, d: S::Coord, mut fill: impl FnMut(i32, i32, &mut [u64])) {
+        let (lo, hi) = (S::xyz(s), S::xyz(d));
+        assert!(
+            (0..3).all(|k| lo[k] <= hi[k]),
+            "oracle requires canonical s <= d, got {s:?} {d:?}"
+        );
+        let [wx, wy, wz] = [0, 1, 2].map(|k| (hi[k] - lo[k] + 1) as usize);
+        let wpr = wx.div_ceil(64);
+        let nrows = wy * wz;
+        self.rows.clear();
+        self.rows.resize(nrows * wpr, 0);
+        let mut r = nrows;
+        for zi in (0..wz).rev() {
+            for yi in (0..wy).rev() {
+                r -= 1;
+                let (done, later) = self.rows.split_at_mut((r + 1) * wpr);
+                let row = &mut done[r * wpr..];
+                fill(lo[1] + yi as i32, lo[2] + zi as i32, row);
+                // Row r + 1 is the +Y neighbor row, row r + wy the +Z one.
+                let up_y = (yi + 1 < wy).then(|| &later[..wpr]);
+                let up_z = (zi + 1 < wz).then(|| &later[(wy - 1) * wpr..wy * wpr]);
+                let d_row = r + 1 == nrows;
+                let (mut carry, mut shifted_in) = (0, 0);
+                for k in 0..wpr {
+                    let free = row[k];
+                    let mut above = up_y.map_or(0, |w| w[k]) | up_z.map_or(0, |w| w[k]);
+                    if d_row && k == 0 {
+                        above |= 1; // d itself
+                    }
+                    let seeds = free & above;
+                    let rest = free & !seeds;
+                    let shifted = (seeds << 1) | shifted_in;
+                    shifted_in = seeds >> 63;
+                    let (sum, c1) = rest.overflowing_add(shifted);
+                    let (sum, c2) = sum.overflowing_add(carry);
+                    carry = u64::from(c1 | c2);
+                    row[k] = ((sum ^ rest) & free) | seeds;
+                }
+            }
+        }
+        self.s = s;
+        self.d = d;
+        self.wy = wy;
+        self.wpr = wpr;
+    }
+
     /// True if `c` lies in `[s, d]` and `d` is monotonically reachable from it.
     #[inline]
-    pub fn contains(&self, c: C3) -> bool {
-        if !(self.s.dominated_by(c) && c.dominated_by(self.d)) {
+    pub fn contains(&self, c: S::Coord) -> bool {
+        let (c, lo, hi) = (S::xyz(c), S::xyz(self.s), S::xyz(self.d));
+        if (0..3).any(|k| c[k] < lo[k] || c[k] > hi[k]) {
             return false;
         }
-        let i = (((c.z - self.s.z) as usize) * (self.wy as usize) + ((c.y - self.s.y) as usize))
-            * (self.wx as usize)
-            + ((c.x - self.s.x) as usize);
-        self.useful.contains(i)
+        let i = (hi[0] - c[0]) as usize;
+        let row = (c[2] - lo[2]) as usize * self.wy + (c[1] - lo[1]) as usize;
+        (self.rows[row * self.wpr + i / 64] >> (i % 64)) & 1 != 0
     }
 
     /// Number of useful nodes in the box.
     pub fn count(&self) -> usize {
-        self.useful.len()
+        self.rows.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// `len` (1–64) bits of `words` starting at bit `start`, low bit first.
+#[inline]
+fn take_bits(words: &[u64], start: usize, len: usize) -> u64 {
+    let (w, b) = (start / 64, start % 64);
+    let mut bits = words[w] >> b;
+    if b != 0 && b + len > 64 {
+        bits |= words[w + 1] << (64 - b);
+    }
+    bits & (u64::MAX >> (64 - len))
+}
+
+/// OR `len` bits of `words` starting at bit `start` into `row` at bit `at`.
+fn put_bits(row: &mut [u64], at: usize, words: &[u64], start: usize, len: usize) {
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(64);
+        let bits = take_bits(words, start + done, n);
+        let (w, b) = ((at + done) / 64, (at + done) % 64);
+        row[w] |= bits << b;
+        if b != 0 && b + n > 64 {
+            row[w + 1] |= bits >> (64 - b);
+        }
+        done += n;
+    }
+}
+
+/// Reverse the low `len` bits of the multi-word `row` in place.
+fn reverse_row(row: &mut [u64], len: usize) {
+    row.reverse();
+    for w in row.iter_mut() {
+        *w = w.reverse_bits();
+    }
+    let pad = row.len() * 64 - len;
+    if pad > 0 {
+        for k in 0..row.len() {
+            let next = row.get(k + 1).map_or(0, |w| w << (64 - pad));
+            row[k] = (row[k] >> pad) | next;
+        }
     }
 }
 

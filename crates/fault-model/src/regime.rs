@@ -58,6 +58,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::labelling::Labelling;
 use crate::models::ModelSpace;
+use crate::oracle::Useful;
 use crate::status::BorderPolicy;
 
 /// How a fault set comes into being: the spatial/temporal law faults are
@@ -534,7 +535,9 @@ fn probe<S: ModelSpace>(
     let lab = Labelling::<S>::compute(mesh, frame, border);
     let endpoints_safe = lab.status_mesh(s).is_safe() && lab.status_mesh(d).is_safe();
     let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
-    let oracle_ok = S::reachable(cs, cd, |c| mesh.is_faulty(S::from_canon(frame, c)));
+    let mut useful = Useful::scratch();
+    useful.recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
+    let oracle_ok = useful.contains(cs);
     for &f in faults {
         mesh.heal_fault(f);
     }

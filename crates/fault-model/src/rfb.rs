@@ -20,11 +20,9 @@
 //! and [`FaultBlocks::blocks`] lists them in ascending linear index of
 //! their min corners (DESIGN.md §6, "The faulty-block kernel").
 
-use mesh_topo::{
-    Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3,
-};
+use mesh_topo::{Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
 
-use crate::oracle;
+use crate::oracle::Useful;
 
 /// The faulty-block decomposition of a mesh or torus.
 ///
@@ -93,57 +91,34 @@ impl<S: Space> FaultBlocks<S> {
     }
 }
 
-impl FaultBlocks2 {
+impl<S: Space> FaultBlocks<S> {
     /// Existence of a minimal path from `s` to `d` **under the block model**:
     /// a monotone path (after canonicalization) avoiding every disabled node.
     /// This is how block-based routing decides success — endpoints inside a
     /// block or separated by blocks fail even when the physical fault set
     /// would admit a minimal path. `s`, `d` are mesh coordinates.
-    pub fn minimal_path_exists(&self, mesh: &Mesh2D, s: C2, d: C2) -> bool {
-        self.minimal_path_exists_in(mesh, s, d, &mut oracle::Useful2::scratch())
+    pub fn minimal_path_exists(&self, mesh: &Mesh<S>, s: S::Coord, d: S::Coord) -> bool {
+        self.minimal_path_exists_in(mesh, s, d, &mut Useful::scratch())
     }
 
-    /// [`FaultBlocks2::minimal_path_exists`] with a caller-provided scratch
-    /// buffer for the reachability sweep (see [`oracle::Useful2::recompute`]).
+    /// [`FaultBlocks::minimal_path_exists`] with a caller-provided scratch
+    /// buffer for the reachability sweep, which reads the disabled set's
+    /// rows directly (see [`Useful::recompute_set`]). When it returns
+    /// `true`, `useful` holds the block-useful set of the canonical pair.
     pub fn minimal_path_exists_in(
         &self,
-        mesh: &Mesh2D,
-        s: C2,
-        d: C2,
-        useful: &mut oracle::Useful2,
+        mesh: &Mesh<S>,
+        s: S::Coord,
+        d: S::Coord,
+        useful: &mut Useful<S>,
     ) -> bool {
         if self.is_disabled(s) || self.is_disabled(d) {
             return false;
         }
-        let frame = Frame2::for_pair(mesh, s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        oracle::reachable_2d_in(cs, cd, |c| self.is_disabled(frame.from_canon(c)), useful)
-    }
-}
-
-impl FaultBlocks3 {
-    /// Existence of a minimal path from `s` to `d` under the cuboid model:
-    /// a monotone path (after canonicalization) avoiding every disabled
-    /// node. `s`, `d` are mesh coordinates.
-    pub fn minimal_path_exists(&self, mesh: &Mesh3D, s: C3, d: C3) -> bool {
-        self.minimal_path_exists_in(mesh, s, d, &mut oracle::Useful3::scratch())
-    }
-
-    /// [`FaultBlocks3::minimal_path_exists`] with a caller-provided scratch
-    /// buffer for the reachability sweep (see [`oracle::Useful3::recompute`]).
-    pub fn minimal_path_exists_in(
-        &self,
-        mesh: &Mesh3D,
-        s: C3,
-        d: C3,
-        useful: &mut oracle::Useful3,
-    ) -> bool {
-        if self.is_disabled(s) || self.is_disabled(d) {
-            return false;
-        }
-        let frame = Frame3::for_pair(mesh, s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        oracle::reachable_3d_in(cs, cd, |c| self.is_disabled(frame.from_canon(c)), useful)
+        let frame = S::frame_for_pair(mesh, s, d);
+        let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+        useful.recompute_set(cs, cd, &self.disabled, self.space, Some(frame));
+        useful.contains(cs)
     }
 }
 

@@ -19,6 +19,9 @@ const B: BorderPolicy = BorderPolicy::BorderSafe;
 const SEED: u64 = 0x005e_ed0f_fa17;
 const FLIPS: usize = 3;
 
+/// The fault set of `adversarial_3d_set_depends_on_the_z_axis`.
+const PIN_3D_Z: &[[i32; 3]] = &[[1, 0, 1], [1, 1, 0], [0, 1, 1]];
+
 /// One line per case: `case inject-digest schedule-digest` (hex; the
 /// schedule digest is 0 for regimes without a schedule).
 const PINS: &str = "\
@@ -171,4 +174,27 @@ fn scheduled_regimes_have_schedules() {
         let scheduled = case.starts_with("plane") || case.starts_with("transient");
         assert_eq!(schedule != 0, scheduled, "{case}");
     }
+}
+
+/// The 3-D adversarial candidate pool is the healthy nodes within
+/// Chebyshev distance 2 of either endpoint on **all three** axes. On a
+/// mesh long in z, with the endpoints far apart in z only, a pool that
+/// ignored z would hold nearly every node, and the search would assemble
+/// a different set. This pins the set the search finds, in search order.
+#[test]
+fn adversarial_3d_set_depends_on_the_z_axis() {
+    let mesh = Mesh3D::new(6, 6, 12);
+    let (s, d) = (c3(1, 1, 1), c3(4, 4, 10));
+    let report = fault_model::regime::adversarial_search(&mesh, s, d, 8, 7, B)
+        .expect("the search finds a violation");
+    let got: Vec<[i32; 3]> = flat::<mesh_topo::NodeSpace3>(&report.faults);
+    assert!(report.violates());
+    for f in &got {
+        let near = |e: [i32; 3]| (0..3).all(|k| (f[k] - e[k]).abs() <= 2);
+        assert!(
+            near([1, 1, 1]) || near([4, 4, 10]),
+            "{f:?} outside the pool"
+        );
+    }
+    assert_eq!(got, PIN_3D_Z);
 }

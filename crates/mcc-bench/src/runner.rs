@@ -381,7 +381,7 @@ impl SeedBody for Routing {
             pair.map(|(s, d)| (s, d, rng.gen()))
         });
         if stranded {
-            return Err(ScenarioError::new(format!(
+            return Err(ScenarioError::run(format!(
                 "{} faults leave no healthy pair at least {min_dist} hops apart \
                  (pairs_per_seed = {}, min_dist_frac = {}) after {PAIR_SAMPLE_ATTEMPTS} draws; \
                  lower the fault count or the separation",

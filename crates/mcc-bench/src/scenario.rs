@@ -400,12 +400,13 @@ pub struct Scenario {
 /// The schema default for [`Scenario::churn_rate`].
 const DEFAULT_CHURN_RATE: f64 = 0.25;
 
-/// Why a scenario failed to load.
+/// Why a scenario failed to load or to run.
 ///
 /// Parse failures stay **typed**: the offending line number of the TOML
 /// text travels with the error (the `tables` binary prints it and exits
 /// nonzero), instead of being flattened into a string the caller can no
-/// longer inspect.
+/// longer inspect. A valid scenario that cannot complete is a
+/// [`ScenarioError::Run`], which does not call the scenario invalid.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioError {
     /// The TOML text is malformed; carries the 1-based offending line.
@@ -413,6 +414,10 @@ pub enum ScenarioError {
     /// The document parsed but violates the scenario schema or holds
     /// knob values the runner cannot execute meaningfully.
     Invalid(String),
+    /// The scenario is valid but its run could not complete (say, its
+    /// fault count leaves no healthy pair to route, or a service op
+    /// failed).
+    Run(String),
 }
 
 impl fmt::Display for ScenarioError {
@@ -420,6 +425,7 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::Parse(e) => write!(f, "{e}"),
             ScenarioError::Invalid(msg) => write!(f, "invalid scenario: {msg}"),
+            ScenarioError::Run(msg) => write!(f, "run failed: {msg}"),
         }
     }
 }
@@ -428,7 +434,7 @@ impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioError::Parse(e) => Some(e),
-            ScenarioError::Invalid(_) => None,
+            ScenarioError::Invalid(_) | ScenarioError::Run(_) => None,
         }
     }
 }
@@ -445,11 +451,16 @@ impl ScenarioError {
         ScenarioError::Invalid(msg.into())
     }
 
+    /// Build a run-time failure of a valid scenario.
+    pub fn run(msg: impl Into<String>) -> ScenarioError {
+        ScenarioError::Run(msg.into())
+    }
+
     /// The offending TOML line, for parse failures.
     pub fn line(&self) -> Option<usize> {
         match self {
             ScenarioError::Parse(e) => Some(e.line),
-            ScenarioError::Invalid(_) => None,
+            ScenarioError::Invalid(_) | ScenarioError::Run(_) => None,
         }
     }
 }

@@ -212,7 +212,7 @@ fn bootstrap_shard(
     let count = sc.fault_counts[0];
     let seed = slot_seed(sc.seed_start, geometry, index, 3);
     let mut core = ShardCore::open(dir, spec, Parallelism::SEQ, CrashPoint::none())
-        .map_err(|e| ScenarioError::new(format!("bootstrap shard {index}: {e}")))?;
+        .map_err(|e| ScenarioError::run(format!("bootstrap shard {index}: {e}")))?;
     let req = match dims {
         MeshDims::D2 { width, height } => {
             let mut mesh = if sc.wrap {
@@ -241,7 +241,7 @@ fn bootstrap_shard(
     };
     if count > 0 {
         core.handle(&req)
-            .map_err(|e| ScenarioError::new(format!("bootstrap churn on shard {index}: {e}")))?;
+            .map_err(|e| ScenarioError::run(format!("bootstrap churn on shard {index}: {e}")))?;
     }
     Ok(())
 }
@@ -302,7 +302,7 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
         cost_ns: profile.cost_us.map(|c| c * 1_000),
     };
     let svc = MeshService::start(cfg, &specs)
-        .map_err(|e| ScenarioError::new(format!("service start: {e}")))?;
+        .map_err(|e| ScenarioError::run(format!("service start: {e}")))?;
 
     let mut steps = Vec::new();
     let mut saturated_at = None;
@@ -345,7 +345,7 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
                 Err(ServiceError::Deadline { .. }) => report.shed_deadline += 1,
                 Err(ServiceError::Rejected { .. }) => report.rejected += 1,
                 Err(e) => {
-                    return Err(ScenarioError::new(format!(
+                    return Err(ScenarioError::run(format!(
                         "service op on shard {}: {e}",
                         op.slot
                     )))
@@ -371,7 +371,7 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
                 recoveries += s.recoveries;
             }
             other => {
-                return Err(ScenarioError::new(format!(
+                return Err(ScenarioError::run(format!(
                     "final stats on shard {shard}: {other:?}"
                 )))
             }

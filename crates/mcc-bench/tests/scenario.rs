@@ -541,3 +541,43 @@ fn overfaulted_routing_scenario_is_an_error_not_a_panic() {
     assert!(stderr.contains("34 faults"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+/// A schema error and a run-time failure read differently: a key no
+/// section declares is an invalid scenario, while a valid scenario too
+/// faulty to route is a failed run, not an invalid one. In process and
+/// through the `tables` binary.
+#[test]
+fn schema_errors_and_run_errors_print_differently() {
+    use mcc_bench::scenario::ScenarioError;
+    let unknown_key = "name = \"w\"\ntable = \"regions\"\n[mesh]\ndims = [8, 8]\nwarp = true\n\
+                       [faults]\ncounts = [4]\n[run]\nseeds = [0, 2]\n";
+    let err = Scenario::from_toml(unknown_key).unwrap_err();
+    assert!(matches!(err, ScenarioError::Invalid(_)), "got: {err:?}");
+    let err = run_scenario(&Scenario::from_toml(DENSE).unwrap()).unwrap_err();
+    assert!(matches!(err, ScenarioError::Run(_)), "got: {err:?}");
+    assert!(!err.to_string().contains("invalid"), "got: {err}");
+
+    let dir = std::env::temp_dir().join(format!("mcc-tables-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let stderr_of = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write scenario");
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_tables"))
+            .arg(&path)
+            .output()
+            .expect("run tables");
+        assert!(!run.status.success(), "tables accepted {name}");
+        String::from_utf8_lossy(&run.stderr).into_owned()
+    };
+    let schema = stderr_of("warp.toml", unknown_key);
+    let run = stderr_of("dense.toml", DENSE);
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert!(
+        schema.contains("invalid scenario") && schema.contains("warp"),
+        "stderr: {schema}"
+    );
+    assert!(
+        run.contains("run failed: 34 faults") && !run.contains("invalid scenario"),
+        "stderr: {run}"
+    );
+}

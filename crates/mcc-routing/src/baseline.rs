@@ -134,7 +134,7 @@ pub fn route_rfb_2d(
 }
 
 /// [`route_rfb_2d`] with a caller-provided scratch buffer for the
-/// block-useful set (see [`Useful2::recompute`]).
+/// block-useful set (see [`FaultBlocks2::minimal_path_exists_in`]).
 pub fn route_rfb_2d_in(
     blocks: &FaultBlocks2,
     mesh: &mesh_topo::Mesh2D,
@@ -143,13 +143,7 @@ pub fn route_rfb_2d_in(
     policy: &mut Policy,
     useful: &mut Useful2,
 ) -> RouteOutcome2 {
-    let frame = mesh_topo::Frame2::for_pair(mesh, s, d);
-    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-    let disabled = |c: C2| {
-        let m = frame.from_canon(c);
-        !mesh.contains(m) || blocks.is_disabled(m)
-    };
-    if disabled(cs) || disabled(cd) {
+    if !blocks.minimal_path_exists_in(mesh, s, d, useful) {
         return RouteOutcome2 {
             result: RouteResult::Infeasible,
             path: Path2::start(s),
@@ -157,7 +151,6 @@ pub fn route_rfb_2d_in(
             detection_hops: 0,
         };
     }
-    useful.recompute(cs, cd, disabled);
     route_rfb_2d_reusing(mesh, s, d, policy, useful)
 }
 
@@ -223,7 +216,7 @@ pub fn route_rfb_3d(
 }
 
 /// [`route_rfb_3d`] with a caller-provided scratch buffer for the
-/// block-useful set (see [`Useful3::recompute`]).
+/// block-useful set (see [`FaultBlocks3::minimal_path_exists_in`]).
 pub fn route_rfb_3d_in(
     blocks: &FaultBlocks3,
     mesh: &mesh_topo::Mesh3D,
@@ -232,13 +225,7 @@ pub fn route_rfb_3d_in(
     policy: &mut Policy,
     useful: &mut Useful3,
 ) -> RouteOutcome3 {
-    let frame = mesh_topo::Frame3::for_pair(mesh, s, d);
-    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-    let disabled = |c: C3| {
-        let m = frame.from_canon(c);
-        !mesh.contains(m) || blocks.is_disabled(m)
-    };
-    if disabled(cs) || disabled(cd) {
+    if !blocks.minimal_path_exists_in(mesh, s, d, useful) {
         return RouteOutcome3 {
             result: RouteResult::Infeasible,
             path: Path3::start(s),
@@ -246,7 +233,6 @@ pub fn route_rfb_3d_in(
             detection_cost: 0,
         };
     }
-    useful.recompute(cs, cd, disabled);
     route_rfb_3d_reusing(mesh, s, d, policy, useful)
 }
 

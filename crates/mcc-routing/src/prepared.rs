@@ -48,7 +48,7 @@
 //! ```
 
 use fault_model::oracle::{Useful2, Useful3};
-use fault_model::{oracle, ModelCache2, ModelCache3};
+use fault_model::{ModelCache2, ModelCache3};
 use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 
 use crate::baseline;
@@ -113,15 +113,9 @@ impl<'m> PreparedMesh2<'m> {
         let m = self.models.models(frame, opts.eval_mcc, opts.eval_rfb);
         let (lab, mccs, blocks) = (m.lab, m.mccs, m.blocks);
 
-        let oracle_ok = oracle::reachable_2d_in(
-            cs,
-            cd,
-            |c| {
-                let m = frame.from_canon(c);
-                !mesh.contains(m) || mesh.is_faulty(m)
-            },
-            &mut self.useful,
-        );
+        self.useful
+            .recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
+        let oracle_ok = self.useful.contains(cs);
         // The condition's sweep stays in `cond_useful` for the router; the
         // block check's sweep stays in `useful` for the block router.
         let mcc_ok = mcc_ok_2d(lab, mccs, cs, cd, &mut self.cond_useful);
@@ -230,15 +224,9 @@ impl<'m> PreparedMesh3<'m> {
         let m = self.models.models(frame, opts.eval_mcc, opts.eval_rfb);
         let (lab, mccs, blocks) = (m.lab, m.mccs, m.blocks);
 
-        let oracle_ok = oracle::reachable_3d_in(
-            cs,
-            cd,
-            |c| {
-                let m = frame.from_canon(c);
-                !mesh.contains(m) || mesh.is_faulty(m)
-            },
-            &mut self.useful,
-        );
+        self.useful
+            .recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
+        let oracle_ok = self.useful.contains(cs);
         let mcc_ok = mcc_ok_3d(lab, mccs, cs, cd, &mut self.cond_useful);
         let rfb_ok = blocks.is_some_and(|b| b.minimal_path_exists_in(mesh, s, d, &mut self.useful));
         let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);

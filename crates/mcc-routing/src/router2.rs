@@ -93,12 +93,7 @@ impl<'a> Router2<'a> {
             Ok(det) => det,
             Err(refused) => return refused,
         };
-        useful.recompute(s, d, |c| {
-            self.lab
-                .status_get(c)
-                .map(|t| t.is_unsafe())
-                .unwrap_or(true)
-        });
+        useful.recompute_set(s, d, self.lab.unsafe_set(), self.lab.space(), None);
         self.forward(s, d, policy, rule, useful, det)
     }
 

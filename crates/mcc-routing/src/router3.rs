@@ -95,12 +95,9 @@ impl<'a> Router3<'a> {
             Ok(det) => det,
             Err(refused) => return refused,
         };
-        scratch.useful.recompute(s, d, |c| {
-            self.lab
-                .status_get(c)
-                .map(|t| t.is_unsafe())
-                .unwrap_or(true)
-        });
+        scratch
+            .useful
+            .recompute_set(s, d, self.lab.unsafe_set(), self.lab.space(), None);
         self.forward(s, d, policy, rule, &scratch.useful, det)
     }
 

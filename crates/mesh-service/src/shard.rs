@@ -27,8 +27,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use fault_model::oracle::Useful2;
 use fault_model::{BorderPolicy, IncrementalModels2, IncrementalModels3};
-use mcc_routing::{Policy, Router2, Router3};
+use mcc_routing::router2::DecisionRule;
+use mcc_routing::{Policy, RouteScratch3, Router2, Router3};
 use mesh_topo::coord::{C2, C3};
 use mesh_topo::nodeset::NodeSet;
 use mesh_topo::par::Parallelism;
@@ -561,6 +563,10 @@ pub struct ShardCore {
     snapshot_gen: u64,
     ops_applied: u64,
     recoveries: u64,
+    /// Route scratch, reused by every route request: the 2-D
+    /// backward-reachability set, and the 3-D set plus detection flood.
+    useful2: Useful2,
+    scratch3: RouteScratch3,
 }
 
 impl ShardCore {
@@ -653,6 +659,8 @@ impl ShardCore {
             snapshot_gen: snap_gen,
             ops_applied: 0,
             recoveries,
+            useful2: Useful2::scratch(),
+            scratch3: RouteScratch3::new(),
         })
     }
 
@@ -776,7 +784,13 @@ impl ShardCore {
         let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
         let m = inc.models(frame);
         let mut policy = Policy::random(seed);
-        let out = Router2::new(m.lab, m.mccs).route(cs, cd, &mut policy);
+        let out = Router2::new(m.lab, m.mccs).route_with_rule_in(
+            cs,
+            cd,
+            &mut policy,
+            DecisionRule::BoundaryExact,
+            &mut self.useful2,
+        );
         Ok(Response::Route {
             delivered: out.delivered(),
             hops: out.path.hops(),
@@ -797,7 +811,13 @@ impl ShardCore {
         let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
         let m = inc.models(frame);
         let mut policy = Policy::random(seed);
-        let out = Router3::new(m.lab, m.mccs).route(cs, cd, &mut policy);
+        let out = Router3::new(m.lab, m.mccs).route_with_rule_in(
+            cs,
+            cd,
+            &mut policy,
+            DecisionRule::BoundaryExact,
+            &mut self.scratch3,
+        );
         Ok(Response::Route {
             delivered: out.delivered(),
             hops: out.path.hops(),

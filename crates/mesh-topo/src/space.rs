@@ -84,6 +84,9 @@ pub trait Space: Copy + Eq + Debug + 'static {
     fn to_canon(frame: Self::Frame, c: Self::Coord) -> Self::Coord;
     /// Map a `frame`-canonical coordinate back to mesh coordinates.
     fn from_canon(frame: Self::Frame, c: Self::Coord) -> Self::Coord;
+    /// True if `frame` reflects the x axis, so canonical `+x` runs along
+    /// mesh `-x` (modulo the extent on a torus).
+    fn flips_x(frame: Self::Frame) -> bool;
     /// The identity frame of `mesh`.
     fn identity_frame(mesh: &Mesh<Self>) -> Self::Frame;
     /// Every reflection frame of `mesh`, in [`Space::frame_index`] order.
@@ -156,6 +159,10 @@ impl Space for NodeSpace2 {
     #[inline]
     fn from_canon(frame: Frame2, c: C2) -> C2 {
         frame.from_canon(c)
+    }
+    #[inline]
+    fn flips_x(frame: Frame2) -> bool {
+        frame.flip_x
     }
     fn identity_frame(mesh: &Mesh<Self>) -> Frame2 {
         Frame2::identity(mesh)
@@ -236,6 +243,10 @@ impl Space for NodeSpace3 {
     #[inline]
     fn from_canon(frame: Frame3, c: C3) -> C3 {
         frame.from_canon(c)
+    }
+    #[inline]
+    fn flips_x(frame: Frame3) -> bool {
+        frame.flip_x
     }
     fn identity_frame(mesh: &Mesh<Self>) -> Frame3 {
         Frame3::identity(mesh)
