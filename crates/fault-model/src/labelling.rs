@@ -19,26 +19,30 @@
 //! node space and [`Labelling2`] / [`Labelling3`] are its two
 //! instantiations.
 //!
-//! The closure runs on the flat node-state layer
-//! ([`mesh_topo::nodeset`]) as **two raster sweeps** over a dense status
-//! array, not as a worklist: rule 2 makes a node's label depend only on its
-//! `+` neighbors, so one sweep in decreasing linear-index order sees every
-//! dependency already finalized and reaches the fixpoint in a single pass;
-//! rule 3 is the mirror image, one sweep in increasing order. Each sweep is
-//! a row loop: `x` is the inner loop, and every other axis contributes one
-//! per-row neighbor offset (the in-grid stride, the wrap jump, or the
-//! border), so the loop body is the same for D = 2 and D = 3. The
-//! hash-based worklist formulation is preserved as a test oracle beside
+//! The closures run on **bit rows** along `x` (`crate::rows`), not per
+//! node. Rule 3 makes a node's label depend only on its `-` neighbors, so
+//! one sweep of the rows in increasing `(z, y)` order sees its `-y` and
+//! `-z` neighbor rows final. Within a row a candidate is a healthy node
+//! whose off-row inputs all block; a candidate is labelled once its `-x`
+//! neighbor blocks, so the labels are the candidate runs that start next to
+//! a fault (or the border), and one carry-propagating add per word finds
+//! them. Rule 2 is the same kernel run on the point reflection of the grid
+//! (each fault placed at its reflected coordinate, each label mapped back),
+//! so the one kernel body serves both closures and both dimensions. The
+//! statuses and the unsafe set are then written from the row words,
+//! touching only unsafe nodes.
+//! The hash-based worklist formulation is preserved as a test oracle beside
 //! `tests/properties.rs` and property-tested equal.
 //!
 //! On a **torus** the rules read the wrapped neighbors, whose ring cycles
-//! defeat the single-pass argument: the sweeps iterate until quiescent
-//! (extra passes only when a label chain crosses the wrap seam), and the
-//! fixpoint is property-tested equal to the definitional worklist closure
-//! over the wrapped neighbor relation (`tests/properties.rs`).
+//! defeat the single-pass argument: a row is redone until its seam input is
+//! settled, and the sweeps repeat until no row changes. The fixpoint is
+//! property-tested equal to the definitional worklist closure over the
+//! wrapped neighbor relation (`tests/properties.rs`).
 
 use mesh_topo::{Mesh, NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
 
+use crate::rows::{Rows, RunFill};
 use crate::status::{BorderPolicy, NodeStatus};
 
 /// The fixpoint of the labelling closure for one orientation of a mesh.
@@ -63,26 +67,72 @@ pub type Labelling3 = Labelling<NodeSpace3>;
 impl<S: Space> Labelling<S> {
     /// Run the labelling closure for `mesh` under `frame`.
     pub fn compute(mesh: &Mesh<S>, frame: S::Frame, policy: BorderPolicy) -> Labelling<S> {
-        let space = mesh.space();
-        let mut status = NodeGrid::new(space.node_count(), NodeStatus::SAFE);
-        for &f in mesh.faults() {
-            status[space.index(S::to_canon(frame, f))] = NodeStatus::FAULT;
-        }
-        Raster::new(space, policy).close(status.as_mut_slice());
+        let faults = mesh.faults().iter().map(|&f| S::xyz(S::to_canon(frame, f)));
+        Labelling::from_faults(mesh.space(), frame, policy, faults)
+    }
 
-        let unsafe_set = NodeSet::from_indices(
-            space.node_count(),
-            status
-                .iter()
-                .filter(|(_, st)| st.is_unsafe())
-                .map(|(i, _)| i),
-        );
+    /// Both closures over the faults at the canonical coordinates
+    /// `faults`, then the statuses and the unsafe set, written from the
+    /// row words.
+    fn from_faults(
+        space: S,
+        frame: S::Frame,
+        policy: BorderPolicy,
+        faults: impl Iterator<Item = [i32; 3]>,
+    ) -> Self {
+        let rows = Rows::of(space);
+        let ([nx, ny, nz], wpr) = (rows.ext, rows.wpr);
+        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
+        // Rule 3 reads the `-` neighbors, the kernel's own orientation.
+        // Rule 2 reads the `+` neighbors, so it runs on the point
+        // reflection of the grid (`flipped`).
+        let (mut fault_rows, mut flipped) = (rows.zeroed(), rows.zeroed());
+        let far = [nx, ny, nz].map(|n| n as i32 - 1);
+        for [x, y, z] in faults {
+            rows.toggle(&mut fault_rows, [x, y, z]);
+            rows.toggle(&mut flipped, [far[0] - x, far[1] - y, far[2] - z]);
+        }
+        let mut unsafe_rows = fault_rows.clone();
+        close(rows, border_blocks, &fault_rows, &mut unsafe_rows);
+        let mut useless = flipped.clone();
+        close(rows, border_blocks, &flipped, &mut useless);
+
+        let mut status = NodeGrid::new(space.node_count(), NodeStatus::SAFE);
+        let st = status.as_mut_slice();
+        // Word `i` is word `i % wpr` of row `i / wpr`.
+        let (row, x0) = (|i: usize| i / wpr, |i: usize| i % wpr * 64);
+        for (i, (&f, &blocked)) in fault_rows.iter().zip(&unsafe_rows).enumerate() {
+            let mut bits = blocked;
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                st[row(i) * nx + x0(i) + b as usize] = if f >> b & 1 != 0 {
+                    NodeStatus::FAULT
+                } else {
+                    let mut cant = NodeStatus::SAFE;
+                    cant.mark_cant_reach();
+                    cant
+                };
+            }
+        }
+        // The useless nodes, reflected back.
+        let last = rows.count() - 1;
+        for (i, (&f, &blocked)) in flipped.iter().zip(&useless).enumerate() {
+            let mut bits = blocked & !f;
+            while bits != 0 {
+                let x = nx - 1 - (x0(i) + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                let r = last - row(i);
+                st[r * nx + x].mark_useless();
+                unsafe_rows[r * wpr + x / 64] |= 1 << (x % 64);
+            }
+        }
         Labelling {
             frame,
             policy,
             space,
             status,
-            unsafe_set,
+            unsafe_set: rows.pack(&unsafe_rows),
         }
     }
 
@@ -184,8 +234,8 @@ impl<S: Space> Labelling<S> {
     /// from the perturbed seeds only — O(perturbation + retraction cone),
     /// independent of mesh size. Once the batch is a sizeable fraction of
     /// the mesh (`1/`[`BULK_REPAIR_FANOUT`]) the worklist's per-node
-    /// overhead loses to the raster sweeps and the repair falls back to
-    /// relabelling with the sweeps [`Labelling::compute`] uses. Both tiers
+    /// overhead loses to the row kernels and the repair falls back to
+    /// relabelling with the kernels [`Labelling::compute`] uses. Both tiers
     /// return the same statuses and the same changed list; the tier
     /// cut-over is a pure function of batch and mesh size.
     ///
@@ -246,22 +296,19 @@ impl<S: Space> Labelling<S> {
             .collect()
     }
 
-    /// Bulk repair tier: reset every label bit and rerun the closures over
-    /// the whole grid. The changed list comes from diffing a pre-churn
-    /// snapshot.
+    /// Bulk repair tier: relabel the churned fault set with the row
+    /// kernels. The changed list comes from diffing a pre-churn snapshot.
     fn repair_bulk(&mut self, inj: &[usize], heal: &[usize]) -> Vec<usize> {
         let snapshot = self.status.as_slice().to_vec();
-        let s = self.status.as_mut_slice();
-        flip(s, inj, heal);
-        for st in s.iter_mut() {
-            st.clear_useless();
-            st.clear_cant_reach();
-        }
-        Raster::new(self.space, self.policy).close(s);
+        flip(self.status.as_mut_slice(), inj, heal);
+        let space = self.space;
+        let faults = self.status.iter().filter(|(_, st)| st.is_faulty());
+        let faults = faults.map(|(i, _)| S::xyz(space.coord(i)));
+        *self = Labelling::from_faults(space, self.frame, self.policy, faults);
         snapshot
             .iter()
             .enumerate()
-            .filter(|&(i, &old)| s[i] != old)
+            .filter(|&(i, &old)| self.status[i] != old)
             .map(|(i, _)| i)
             .collect()
     }
@@ -343,8 +390,8 @@ fn clear<const CLOSURE: bool>(st: &mut NodeStatus) {
     }
 }
 
-/// The row geometry of a node space for the closures: per-axis extents
-/// (`x` fastest), the wrap mode and the border policy.
+/// The neighbor geometry of a node space for the node-granular repair:
+/// per-axis extents (`x` fastest), the wrap mode and the border policy.
 #[derive(Clone, Copy)]
 struct Raster<S> {
     space: S,
@@ -430,60 +477,6 @@ impl<S: Space> Raster<S> {
         }
     }
 
-    /// Run both closures to their fixpoint over the whole grid.
-    fn close(&self, s: &mut [NodeStatus]) {
-        self.fixpoint::<USELESS>(s);
-        self.fixpoint::<CANT_REACH>(s);
-    }
-
-    /// One closure over the whole grid, sequential. On a mesh rule 2
-    /// depends only on `+` neighbors, which a decreasing-index sweep has
-    /// already finalized, so the loop runs exactly one pass (rule 3 is the
-    /// increasing mirror). On a torus the rules read the wrapped neighbors,
-    /// whose ring cycles defeat the single-pass argument: the sweep
-    /// iterates until quiescent (extra passes only when a label chain
-    /// crosses the wrap seam), and the border policy is irrelevant (a torus
-    /// has no border, so `border_blocks` is never read).
-    fn fixpoint<const CLOSURE: bool>(&self, s: &mut [NodeStatus]) {
-        let [nx, ny, nz] = self.ext;
-        // Decreasing linear-index order for rule 2, increasing for rule 3.
-        let order = |k: usize, n: usize| if CLOSURE == USELESS { n - 1 - k } else { k };
-        loop {
-            let mut changed = false;
-            for kz in 0..nz {
-                for ky in 0..ny {
-                    let (y, z) = (order(ky, ny), order(kz, nz));
-                    let row = (z * ny + y) * nx;
-                    // Every axis but `x` reads one neighbor row.
-                    let c = [0, y, z];
-                    let mut inputs = [None; 2];
-                    for a in 1..S::DIMS {
-                        inputs[a - 1] = self.input::<CLOSURE>(row, a, c[a]);
-                    }
-                    let inputs = &inputs[..S::DIMS - 1];
-                    for kx in 0..nx {
-                        let x = order(kx, nx);
-                        let i = row + x;
-                        if blocks::<CLOSURE>(s[i]) {
-                            continue;
-                        }
-                        if self.input_blocks::<CLOSURE>(s, self.input::<CLOSURE>(i, 0, x))
-                            && inputs
-                                .iter()
-                                .all(|&r| self.input_blocks::<CLOSURE>(s, r.map(|r| r + x)))
-                        {
-                            mark::<CLOSURE>(&mut s[i]);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !(self.space.wraps() && changed) {
-                break;
-            }
-        }
-    }
-
     /// One closure's share of the node-granular repair. First retract the
     /// reader cone of every healed node (clearing doubles as the visited
     /// mark), unless `retract` is off; then re-propagate from the cleared
@@ -537,6 +530,94 @@ impl<S: Space> Raster<S> {
                 mark::<CLOSURE>(&mut s[i]);
                 self.for_readers::<CLOSURE>(i, |j| work.push(j));
             }
+        }
+    }
+}
+
+/// One closure over whole rows, in rule 3's orientation: a healthy node is
+/// labelled once its `-x`, `-y` (and `-z`) neighbors all block. `blocked`
+/// holds the rows of `faults` on entry and faults plus labels on return.
+///
+/// On a mesh one sweep in increasing row order is the fixpoint: a row's
+/// `-y` and `-z` neighbor rows are final when it is reached. A row's
+/// candidates are its healthy nodes whose off-row inputs all block; its
+/// seeds are the candidates whose `-x` input blocks, and every candidate
+/// of a run that starts at a seed is labelled, which one run fill finds. A
+/// row past a mesh border blocks everything under `border_blocks` and
+/// nothing otherwise. On a torus a row's bit 0 reads bit `nx − 1`, so the
+/// row is redone until it is stable, and the sweep repeats until no row
+/// changes.
+fn close(rows: Rows, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
+    // Rows of one or two words get their own copies of the sweep, in
+    // which the row width `W` is a constant the compiler folds; `W = 0`
+    // reads the width at run time.
+    match rows.wpr {
+        1 => sweep::<1>(rows, border_blocks, faults, blocked),
+        2 => sweep::<2>(rows, border_blocks, faults, blocked),
+        _ => sweep::<0>(rows, border_blocks, faults, blocked),
+    }
+}
+
+/// [`close`] for rows of `W` words (`0`: any width).
+fn sweep<const W: usize>(rows: Rows, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
+    let [nx, ny, nz] = rows.ext;
+    let wpr = if W == 0 { rows.wpr } else { W };
+    let (top, top_bit) = ((nx - 1) / 64, (nx - 1) % 64);
+    loop {
+        let mut changed = false;
+        for z in 0..nz {
+            for y in 0..ny {
+                let r = z * ny + y;
+                let (mut inputs, mut n, mut open) = ([0; 2], 0, false);
+                for a in 1..rows.dims {
+                    match rows.step(r, [y, z], a, false) {
+                        Some(j) => {
+                            inputs[n] = j * wpr;
+                            n += 1;
+                        }
+                        None => open |= !border_blocks,
+                    }
+                }
+                if open {
+                    continue; // an input past an open border: no candidates
+                }
+                let (inputs, row) = (&inputs[..n], r * wpr);
+                loop {
+                    // The bit shifted into bit 0: its `-x` input.
+                    let mut below = if rows.wrap {
+                        blocked[row + top] >> top_bit & 1
+                    } else {
+                        u64::from(border_blocks)
+                    };
+                    let mut fill = RunFill::default();
+                    let mut row_changed = false;
+                    for k in 0..wpr {
+                        let f = faults[row + k];
+                        let cand = inputs
+                            .iter()
+                            .fold(!f & rows.mask(k), |c, &j| c & blocked[j + k]);
+                        let old = blocked[row + k];
+                        if cand == 0 {
+                            // No labels here, and no run carries on.
+                            fill = RunFill::default();
+                            below = old >> 63;
+                            continue;
+                        }
+                        let seeds = cand & (old << 1 | below);
+                        below = old >> 63;
+                        let new = f | fill.word(cand, seeds);
+                        row_changed |= new != old;
+                        blocked[row + k] = new;
+                    }
+                    changed |= row_changed;
+                    if !(rows.wrap && row_changed) {
+                        break;
+                    }
+                }
+            }
+        }
+        if !(rows.wrap && changed) {
+            break;
         }
     }
 }

@@ -94,6 +94,7 @@ pub mod rfb;
 mod rfb2;
 #[cfg(test)]
 mod rfb3;
+mod rows;
 pub mod stats;
 pub mod status;
 #[cfg(test)]

@@ -24,12 +24,10 @@
 //! neighbor rows are final when a row is reached. A row's *seeds* are its
 //! free nodes with a useful `+Y` or `+Z` neighbor (and `d` itself in the
 //! last row); every free node of a free run that starts at a seed is
-//! useful too. With `rest = free & !seeds`, one carry-propagating add
-//! finds those runs: `(rest + (seeds << 1)) ^ rest` flips exactly the run
-//! above each seed (plus the bit that stops it, masked off by `& free`
-//! unless it is a seed itself).
-//! Rows wider than 64 nodes carry the add and the shifted-in seed bit
-//! across words.
+//! useful too. One carry-propagating add per word finds those runs: the
+//! run fill of `crate::rows`, which the labelling and block closures
+//! share. Rows wider than 64 nodes carry the add and the shifted-in seed
+//! bit across words.
 //!
 //! The free bits of a row come from one of two places:
 //!
@@ -46,6 +44,8 @@
 //!   hands the rows to the same sweep.
 
 use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
+
+use crate::rows::{reverse_row, RunFill};
 
 /// True if a monotone (`+X`/`+Y`) path from `s` to `d` exists that avoids
 /// every node for which `blocked` returns true. Requires `s ≤ d`
@@ -246,21 +246,14 @@ impl<S: Space> Useful<S> {
                 let up_y = (yi + 1 < wy).then(|| &later[..wpr]);
                 let up_z = (zi + 1 < wz).then(|| &later[(wy - 1) * wpr..wy * wpr]);
                 let d_row = r + 1 == nrows;
-                let (mut carry, mut shifted_in) = (0, 0);
+                let mut fill = RunFill::default();
                 for k in 0..wpr {
                     let free = row[k];
                     let mut above = up_y.map_or(0, |w| w[k]) | up_z.map_or(0, |w| w[k]);
                     if d_row && k == 0 {
                         above |= 1; // d itself
                     }
-                    let seeds = free & above;
-                    let rest = free & !seeds;
-                    let shifted = (seeds << 1) | shifted_in;
-                    shifted_in = seeds >> 63;
-                    let (sum, c1) = rest.overflowing_add(shifted);
-                    let (sum, c2) = sum.overflowing_add(carry);
-                    carry = u64::from(c1 | c2);
-                    row[k] = ((sum ^ rest) & free) | seeds;
+                    row[k] = fill.word(free, free & above);
                 }
             }
         }
@@ -311,21 +304,6 @@ fn put_bits(row: &mut [u64], at: usize, words: &[u64], start: usize, len: usize)
             row[w + 1] |= bits >> (64 - b);
         }
         done += n;
-    }
-}
-
-/// Reverse the low `len` bits of the multi-word `row` in place.
-fn reverse_row(row: &mut [u64], len: usize) {
-    row.reverse();
-    for w in row.iter_mut() {
-        *w = w.reverse_bits();
-    }
-    let pad = row.len() * 64 - len;
-    if pad > 0 {
-        for k in 0..row.len() {
-            let next = row.get(k + 1).map_or(0, |w| w << (64 - pad));
-            row[k] = (row[k] >> pad) | next;
-        }
     }
 }
 

@@ -10,19 +10,25 @@
 //! more aggressive than MCC: it is the baseline the paper's evaluation
 //! counts sacrificed healthy nodes against.
 //!
-//! The rule is 2-neighbour bootstrap percolation, run in frontier form:
-//! every node counts its disabled neighbors and enters the worklist once,
-//! when it is disabled. Worklist entries carry their coordinates, so a
-//! neighbor probe never divides. After the closure one pass finds each
-//! component's box; boxes that are not full are filled and the closure
-//! resumes. That fill fires only on a torus, where a component crossing
-//! the wrap seam has a grid-spanning box. At the fixpoint no boxes merge,
-//! and [`FaultBlocks::blocks`] lists them in ascending linear index of
-//! their min corners (DESIGN.md §6, "The faulty-block kernel").
+//! The rule is 2-neighbour bootstrap percolation, run on bit rows along
+//! `x` (`crate::rows`) with a dirty-row worklist. With its off-row neighbor
+//! rows held fixed, a row closes in a few word operations: a node with two
+//! disabled off-row neighbors is disabled outright, a node with one is
+//! disabled once an in-row neighbor is (a run fill each way along the
+//! row), and a node with none once both in-row neighbors are (a shift and
+//! an AND). A row that changes marks its neighbor rows dirty, and sweeps
+//! up and down the grid settle the dirty rows until none is left. After
+//! the closure the row runs are joined into components; boxes that are
+//! not full are filled and the closure resumes. That fill fires only on a torus, where
+//! a component crossing the wrap seam has a grid-spanning box. At the
+//! fixpoint no boxes merge, and [`FaultBlocks::blocks`] lists them in
+//! ascending linear index of their min corners (DESIGN.md §6, "The
+//! faulty-block kernel").
 
 use mesh_topo::{Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
 
 use crate::oracle::Useful;
+use crate::rows::{push_runs, reverse_row, Rows, RunFill};
 
 /// The faulty-block decomposition of a mesh or torus.
 ///
@@ -48,27 +54,26 @@ pub type FaultBlocks3 = FaultBlocks<NodeSpace3>;
 impl<S: Space> FaultBlocks<S> {
     /// Compute the block closure of the mesh's fault set.
     pub fn compute(mesh: &Mesh<S>) -> FaultBlocks<S> {
-        let space = mesh.space();
-        let faults = mesh.fault_set();
-        let mut k = Closure::new(Geometry::of(space), faults);
+        let mut p = Percolation::new(mesh);
         let mut boxes = loop {
-            k.close();
-            let boxes = k.component_boxes();
-            if !k.fill(&boxes) {
+            p.close();
+            let boxes = p.component_boxes();
+            if !p.fill(&boxes) {
                 break boxes;
             }
         };
         // Each box is full, so its min corner is its component's first node.
-        boxes.sort_unstable_by_key(|b| k.geo.index(b.lo));
-        let corner = |c| space.coord(k.geo.index(c) as usize);
+        let [nx, ny, _] = p.rows.ext;
+        boxes.sort_unstable_by_key(|b| (b.lo[2] * ny + b.lo[1]) * nx + b.lo[0]);
+        let corner = |c: [usize; 3]| S::from_xyz(c.map(|v| v as i32));
         FaultBlocks {
-            space,
-            disabled: k.disabled_set(),
+            space: mesh.space(),
+            disabled: p.rows.pack(&p.disabled),
             blocks: boxes
                 .iter()
                 .map(|b| S::block(corner(b.lo), corner(b.hi)))
                 .collect(),
-            fault_count: faults.len(),
+            fault_count: mesh.fault_count(),
         }
     }
 
@@ -122,233 +127,387 @@ impl<S: Space> FaultBlocks<S> {
     }
 }
 
-/// A node's linear index and its `[x, y, z]` coordinates, in 16 bytes so
-/// the worklist stays small.
-type Node = (u32, [u32; 3]);
-
-/// The extents, strides and wrap mode of a node space, `x` fastest.
-#[derive(Clone, Copy)]
-struct Geometry {
-    extent: [u32; 3],
-    stride: [u32; 3],
-    wrap: bool,
-}
-
-impl Geometry {
-    fn of<S: Space>(space: S) -> Geometry {
-        u32::try_from(space.node_count()).expect("block model: more than 2^32 nodes");
-        let extent = space.extents().map(|n| n as u32);
-        Geometry {
-            extent,
-            stride: [1, extent[0], extent[0] * extent[1]],
-            wrap: space.wraps(),
-        }
-    }
-
-    fn index(self, c: [u32; 3]) -> u32 {
-        c[0] + c[1] * self.stride[1] + c[2] * self.stride[2]
-    }
-
-    fn node(self, i: usize) -> Node {
-        let [nx, ny, _] = self.extent;
-        let i = i as u32;
-        (i, [i % nx, i / nx % ny, i / (nx * ny)])
-    }
-
-    /// Call `f` with every face neighbor of `u`, once per adjacency: on an
-    /// extent-2 torus axis both directions reach the same node, which is
-    /// then reported twice. Axes of extent 1 have no neighbors.
-    #[inline]
-    fn for_neighbors(self, (i, c): Node, mut f: impl FnMut(Node)) {
-        for a in 0..3 {
-            let (n, s) = (self.extent[a], self.stride[a]);
-            if n == 1 {
-                continue;
-            }
-            let (mut up, mut down) = (c, c);
-            if c[a] + 1 < n {
-                up[a] += 1;
-                f((i + s, up));
-            } else if self.wrap {
-                up[a] = 0;
-                f((i + s - n * s, up));
-            }
-            if c[a] > 0 {
-                down[a] -= 1;
-                f((i - s, down));
-            } else if self.wrap {
-                down[a] = n - 1;
-                f((i + (n - 1) * s, down));
-            }
-        }
-    }
-}
-
 /// The bounding box of one connected disabled component.
 struct Bounds {
-    lo: [u32; 3],
-    hi: [u32; 3],
-    /// True if every node of the box is disabled.
-    full: bool,
+    lo: [usize; 3],
+    hi: [usize; 3],
+    /// The number of nodes in the component.
+    size: usize,
 }
 
-/// Flags of a node's state byte; the low bits count its disabled
-/// neighbors (at most 6), per adjacency.
-const DISABLED: u8 = 0x80;
-const SEEN: u8 = 0x40;
+impl Bounds {
+    /// True if every node of the box is disabled.
+    fn full(&self) -> bool {
+        self.size == (0..3).map(|k| self.hi[k] - self.lo[k] + 1).product()
+    }
+}
 
 /// The scratch state of one [`FaultBlocks::compute`].
-struct Closure {
-    geo: Geometry,
-    /// Per node: its disabled-neighbor count, `DISABLED` and, during a
-    /// component pass, `SEEN`.
-    state: Vec<u8>,
-    /// Every disabled node, in the order it was disabled. The worklist is
-    /// `disabled[next..]`: the nodes whose neighbors' counts are not yet
-    /// raised.
-    disabled: Vec<Node>,
-    next: usize,
+struct Percolation {
+    rows: Rows,
+    /// The disabled set, as rows.
+    disabled: Vec<u64>,
+    /// The rows to settle, and how many there are.
+    dirty: Vec<bool>,
+    pending: usize,
+    /// Row-sized buffers for [`Percolation::settle`] on rows of more
+    /// than two words.
+    scratch: [Vec<u64>; 7],
 }
 
-impl Closure {
-    /// The state of `faults` before any propagation: every fault disabled
-    /// and enqueued.
-    fn new(geo: Geometry, faults: &NodeSet) -> Closure {
-        let mut state = vec![0; faults.capacity()];
-        // Grown on demand, not reserved for every node: on a large mesh
-        // that reservation is an mmap, and glibc raises its mmap threshold
-        // when one is freed, which slowed the per-pair layers of the
-        // `batch` benchmark by 4 %.
-        let mut disabled = Vec::with_capacity(faults.len());
-        for i in faults.iter() {
-            state[i] = DISABLED;
-            disabled.push(geo.node(i));
+impl Percolation {
+    /// The state of `mesh`'s faults before any propagation, every row
+    /// dirty.
+    fn new<S: Space>(mesh: &Mesh<S>) -> Percolation {
+        let rows = Rows::of(mesh.space());
+        let mut p = Percolation {
+            rows,
+            disabled: rows.zeroed(),
+            dirty: vec![true; rows.count()],
+            pending: rows.count(),
+            // Narrower rows use stack buffers (`settle`), so these stay
+            // empty and allocate nothing.
+            scratch: std::array::from_fn(|_| vec![0; if rows.wpr > 2 { rows.wpr } else { 0 }]),
+        };
+        for &f in mesh.faults() {
+            rows.toggle(&mut p.disabled, S::xyz(f));
         }
-        Closure {
-            geo,
-            state,
-            disabled,
-            next: 0,
-        }
+        p
     }
 
-    /// Drain the worklist: raise the counts around each newly disabled
-    /// node, and disable (and enqueue) every node whose count reaches 2.
-    /// A disabled node's byte never equals 2, so it is enqueued only once.
-    fn close(&mut self) {
-        let geo = self.geo;
-        while let Some(&u) = self.disabled.get(self.next) {
-            self.next += 1;
-            geo.for_neighbors(u, |v| {
-                let s = &mut self.state[v.0 as usize];
-                *s += 1;
-                if *s == 2 {
-                    *s |= DISABLED;
-                    self.disabled.push(v);
+    /// The rows next to row `r` (at `y`, `z`) along `y` and `z`; the first
+    /// `n` are set.
+    #[inline(always)]
+    fn neighbors(&self, r: usize, y: usize, z: usize) -> ([usize; 4], usize) {
+        let (mut out, mut n) = ([0; 4], 0);
+        for a in 1..self.rows.dims {
+            for up in [true, false] {
+                if let Some(j) = self.rows.step(r, [y, z], a, up) {
+                    out[n] = j;
+                    n += 1;
                 }
-            });
+            }
+        }
+        (out, n)
+    }
+
+    fn row(&self, r: usize) -> &[u64] {
+        &self.disabled[r * self.rows.wpr..(r + 1) * self.rows.wpr]
+    }
+
+    fn mark(&mut self, r: usize) {
+        if !self.dirty[r] {
+            self.dirty[r] = true;
+            self.pending += 1;
         }
     }
 
-    /// The bounding box of every connected disabled component.
-    fn component_boxes(&mut self) -> Vec<Bounds> {
-        let geo = self.geo;
-        if self.disabled.len() == self.state.len() {
+    fn mark_neighbors(&mut self, r: usize, y: usize, z: usize) {
+        let (nbrs, n) = self.neighbors(r, y, z);
+        for &j in &nbrs[..n] {
+            self.mark(j);
+        }
+    }
+
+    /// Settle the dirty rows in sweeps up and down the grid, alternately,
+    /// until none is left. A row that changes marks its neighbor rows
+    /// dirty, and a row later in the same sweep sees the change at once.
+    fn close(&mut self) {
+        // Rows of one or two words get their own copies of the sweep, in
+        // which the row width `W` is a constant the compiler folds and the
+        // row buffers live on the stack; `W = 0` reads the width at run
+        // time.
+        match self.rows.wpr {
+            1 => self.sweep::<1>(),
+            2 => self.sweep::<2>(),
+            _ => self.sweep::<0>(),
+        }
+    }
+
+    /// [`Percolation::close`] for rows of `W` words (`0`: any width).
+    fn sweep<const W: usize>(&mut self) {
+        let [_, ny, nz] = self.rows.ext;
+        let mut up = true;
+        while self.pending > 0 {
+            for kz in 0..nz {
+                for ky in 0..ny {
+                    let (y, z) = if up {
+                        (ky, kz)
+                    } else {
+                        (ny - 1 - ky, nz - 1 - kz)
+                    };
+                    let r = z * ny + y;
+                    if self.dirty[r] {
+                        self.dirty[r] = false;
+                        self.pending -= 1;
+                        self.settle::<W>(r, y, z);
+                    }
+                }
+            }
+            up = !up;
+        }
+    }
+
+    /// Close row `r` (at `y`, `z`) under the rule with its neighbor rows
+    /// held fixed, and mark dirty each neighbor row that the nodes it
+    /// gains can change: one that does not already hold them all.
+    ///
+    /// Off the row, `any` and `two` count the disabled neighbor rows
+    /// bit-sliced. A node in `two` is disabled, and so is a node whose two
+    /// in-row neighbors are. A node in `any` is disabled once an in-row
+    /// neighbor is, so every run of `any` nodes that touches a disabled
+    /// node fills ([`spread`]). Rounds of these repeat until none adds a
+    /// node.
+    #[inline(always)]
+    fn settle<const W: usize>(&mut self, r: usize, y: usize, z: usize) {
+        let (nbrs, n) = self.neighbors(r, y, z);
+        let rows = self.rows;
+        let wpr = if W == 0 { rows.wpr } else { W };
+        let mut stack = [[0; W]; 7];
+        let [any, two, cur, seeds, free, rf, rs] = if W == 0 {
+            self.scratch.each_mut().map(|b| &mut b[..])
+        } else {
+            stack.each_mut().map(|b| &mut b[..])
+        };
+        for k in 0..wpr {
+            let (mut a, mut t) = (0, 0);
+            for &j in &nbrs[..n] {
+                let w = self.disabled[j * wpr + k];
+                t |= a & w;
+                a |= w;
+            }
+            any[k] = a;
+            two[k] = t;
+        }
+        let row = &mut self.disabled[r * wpr..(r + 1) * wpr];
+        if !round(rows, row, any, two, seeds, free) {
+            return;
+        }
+        loop {
+            spread(rows.ext[0], free, seeds, cur, [rf, rs]);
+            if !round(rows, cur, any, two, seeds, free) {
+                break;
+            }
+        }
+        let gained = seeds;
+        for k in 0..wpr {
+            gained[k] = cur[k] & !row[k];
+        }
+        row.copy_from_slice(cur);
+        for &j in &nbrs[..n] {
+            let there = &self.disabled[j * wpr..(j + 1) * wpr];
+            if !self.dirty[j] && (0..wpr).any(|k| gained[k] & !there[k] != 0) {
+                self.dirty[j] = true;
+                self.pending += 1;
+            }
+        }
+    }
+
+    /// The bounding box of every connected disabled component. Components
+    /// are built from the row runs: runs that overlap in neighboring rows
+    /// join, and on a torus so do the runs at either end of a row.
+    fn component_boxes(&self) -> Vec<Bounds> {
+        let rows = self.rows;
+        let ([nx, ny, nz], wpr) = (rows.ext, rows.wpr);
+        let ones: usize = self.disabled.iter().map(|w| w.count_ones() as usize).sum();
+        if ones == rows.count() * nx {
             // Percolation: the one component is the whole grid.
             return vec![Bounds {
                 lo: [0; 3],
-                hi: geo.extent.map(|n| n - 1),
-                full: true,
+                hi: rows.ext.map(|n| n - 1),
+                size: ones,
             }];
         }
-        let mut stack: Vec<Node> = Vec::new();
-        let mut boxes = Vec::new();
-        for k in 0..self.disabled.len() {
-            let start = self.disabled[k];
-            if self.state[start.0 as usize] & SEEN != 0 {
-                continue;
-            }
-            self.state[start.0 as usize] |= SEEN;
-            let (mut lo, mut hi, mut size) = (start.1, start.1, 0u32);
-            stack.push(start);
-            while let Some(u) = stack.pop() {
-                size += 1;
-                for a in 0..3 {
-                    lo[a] = lo[a].min(u.1[a]);
-                    hi[a] = hi[a].max(u.1[a]);
-                }
-                geo.for_neighbors(u, |v| {
-                    let s = &mut self.state[v.0 as usize];
-                    if *s & (DISABLED | SEEN) == DISABLED {
-                        *s |= SEEN;
-                        stack.push(v);
-                    }
-                });
-            }
-            let volume: u32 = (0..3).map(|a| hi[a] - lo[a] + 1).product();
-            boxes.push(Bounds {
-                lo,
-                hi,
-                full: size == volume,
-            });
+        // Row `r`'s runs `(x0, x1)` are `runs[first[r]..first[r + 1]]`.
+        let mut runs = Vec::with_capacity(ones);
+        let mut first = Vec::with_capacity(rows.count() + 1);
+        for row in self.disabled.chunks_exact(wpr) {
+            first.push(runs.len());
+            push_runs(row, &mut runs);
         }
-        boxes
-    }
+        first.push(runs.len());
 
-    /// Disable and enqueue every node of every box that is not full, and
-    /// clear the component marks for the next pass. Returns true if any
-    /// node changed.
-    fn fill(&mut self, boxes: &[Bounds]) -> bool {
-        let mut filled = false;
-        for b in boxes.iter().filter(|b| !b.full) {
-            for z in b.lo[2]..=b.hi[2] {
-                for y in b.lo[1]..=b.hi[1] {
-                    for x in b.lo[0]..=b.hi[0] {
-                        let i = self.geo.index([x, y, z]);
-                        let s = &mut self.state[i as usize];
-                        if *s & DISABLED == 0 {
-                            *s |= DISABLED;
-                            self.disabled.push((i, [x, y, z]));
-                            filled = true;
+        let mut parent: Vec<usize> = (0..runs.len()).collect();
+        let find = |parent: &mut Vec<usize>, mut i: usize| {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        };
+        let join = |parent: &mut Vec<usize>, a: usize, b: usize| {
+            let (a, b) = (find(parent, a), find(parent, b));
+            parent[a.max(b)] = a.min(b);
+        };
+        for z in 0..nz {
+            for y in 0..ny {
+                let r = z * ny + y;
+                let (a0, a1) = (first[r], first[r + 1]);
+                if rows.wrap && a1 - a0 >= 2 && runs[a0].0 == 0 && runs[a1 - 1].1 == nx - 1 {
+                    join(&mut parent, a0, a1 - 1);
+                }
+                for a in 1..rows.dims {
+                    let Some(j) = rows.step(r, [y, z], a, true) else {
+                        continue;
+                    };
+                    // Each run of the rows' intersection joins the run of
+                    // either row that holds its first node.
+                    let (here, there) = (self.row(r), self.row(j));
+                    let holder = |r: usize, x: usize| {
+                        let row = &runs[first[r]..first[r + 1]];
+                        first[r] + row.partition_point(|&(_, x1)| x1 < x)
+                    };
+                    for k in 0..wpr {
+                        let mut both = here[k] & there[k];
+                        let below = if k > 0 { here[k - 1] & there[k - 1] } else { 0 };
+                        both &= !(both << 1 | below >> 63);
+                        while both != 0 {
+                            let x = k * 64 + both.trailing_zeros() as usize;
+                            join(&mut parent, holder(r, x), holder(j, x));
+                            both &= both - 1;
                         }
                     }
                 }
             }
         }
-        if filled {
-            for &(i, _) in &self.disabled {
-                self.state[i as usize] &= !SEEN;
+
+        // A run's parent never follows it (`join` keeps the lower index),
+        // so in one pass in run order each parent is already a root, and
+        // each box opens at its root.
+        let mut slot = vec![0; runs.len()];
+        let mut boxes: Vec<Bounds> = Vec::with_capacity(runs.len());
+        for z in 0..nz {
+            for y in 0..ny {
+                let r = z * ny + y;
+                for i in first[r]..first[r + 1] {
+                    let (x0, x1) = runs[i];
+                    let root = parent[parent[i]];
+                    parent[i] = root;
+                    if root == i {
+                        slot[i] = boxes.len();
+                        boxes.push(Bounds {
+                            lo: [x0, y, z],
+                            hi: [x1, y, z],
+                            size: 0,
+                        });
+                    }
+                    let b = &mut boxes[slot[root]];
+                    for (k, v) in [(0, x0), (1, y), (2, z)] {
+                        b.lo[k] = b.lo[k].min(v);
+                    }
+                    for (k, v) in [(0, x1), (1, y), (2, z)] {
+                        b.hi[k] = b.hi[k].max(v);
+                    }
+                    b.size += x1 - x0 + 1;
+                }
+            }
+        }
+        boxes
+    }
+
+    /// Disable every node of every box that is not full, and queue the
+    /// changed rows and their neighbors. Returns true if any node changed.
+    fn fill(&mut self, boxes: &[Bounds]) -> bool {
+        let (ny, wpr) = (self.rows.ext[1], self.rows.wpr);
+        let mut filled = false;
+        for b in boxes.iter().filter(|b| !b.full()) {
+            for z in b.lo[2]..=b.hi[2] {
+                for y in b.lo[1]..=b.hi[1] {
+                    let r = z * ny + y;
+                    let mut changed = false;
+                    for k in 0..wpr {
+                        let (w0, w1) = (k * 64, k * 64 + 63);
+                        if b.hi[0] < w0 || b.lo[0] > w1 {
+                            continue;
+                        }
+                        let (from, to) = (b.lo[0].max(w0) - w0, b.hi[0].min(w1) - w0);
+                        let m = (u64::MAX >> (63 - to)) & (u64::MAX << from);
+                        let w = &mut self.disabled[r * wpr + k];
+                        changed |= m & !*w != 0;
+                        *w |= m;
+                    }
+                    if changed {
+                        filled = true;
+                        self.mark(r);
+                        self.mark_neighbors(r, y, z);
+                    }
+                }
             }
         }
         filled
     }
-
-    /// The disabled nodes as a bitset.
-    fn disabled_set(&self) -> NodeSet {
-        let mut words = vec![0u64; self.state.len().div_ceil(64)];
-        for &(i, _) in &self.disabled {
-            words[i as usize / 64] |= 1 << (i % 64);
-        }
-        NodeSet::from_raw_words(self.state.len(), words)
-    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// One round of the block rule on row `cur`, whose neighbor rows count
+/// `any` and `two`: `seeds` = `cur` plus the nodes the rule disables at
+/// once — those in `two`, those between two disabled in-row neighbors,
+/// and those in `any` next to a disabled node — and `free` = `any` ∪
+/// `seeds`, the nodes a disabled in-row neighbor disables. Returns true
+/// if `seeds` adds a node to `cur`. On a torus bit 0 and bit `nx − 1`
+/// are neighbors.
+#[inline(always)]
+fn round(
+    rows: Rows,
+    cur: &[u64],
+    any: &[u64],
+    two: &[u64],
+    seeds: &mut [u64],
+    free: &mut [u64],
+) -> bool {
+    let (w, top) = (cur.len(), (rows.ext[0] - 1) % 64);
+    let (mut below, wrap_in) = if rows.wrap {
+        (cur[w - 1] >> top & 1, (cur[0] & 1) << top)
+    } else {
+        (0, 0)
+    };
+    let mut grows = false;
+    for k in 0..w {
+        let c = cur[k];
+        let above = cur.get(k + 1).map_or(wrap_in, |n| n << 63);
+        // Whether each node's `-x` and `+x` neighbor is disabled.
+        let (lo, hi) = ((c << 1 | below) & rows.mask(k), c >> 1 | above);
+        below = c >> 63;
+        let s = c | two[k] | (any[k] & (lo | hi)) | (lo & hi);
+        seeds[k] = s;
+        free[k] = any[k] | s;
+        grows |= s != c;
+    }
+    grows
+}
 
-    #[test]
-    fn extent_2_wrap_axis_counts_its_one_neighbor_twice() {
-        // On a wrapping axis of extent 2 the +x and -x neighbors of a node
-        // are the same node, which the rule counts twice: one fault
-        // disables its partner across the axis, and nothing else.
-        let geo = Geometry {
-            extent: [2, 4, 1],
-            stride: [1, 2, 8],
-            wrap: true,
-        };
-        let mut k = Closure::new(geo, &NodeSet::from_indices(8, [0]));
-        k.close();
-        assert_eq!(k.disabled_set(), NodeSet::from_indices(8, [0, 1]));
+/// `out` = every bit of the `nx`-bit row `free` in a run that holds a bit
+/// of `seeds` (a subset of `free`): a run fill up the row and, where a run
+/// reaches below its lowest seed, one down it on the bit-reversed row.
+/// `tmp` are two row-sized buffers.
+#[inline(always)]
+fn spread(nx: usize, free: &[u64], seeds: &[u64], out: &mut [u64], tmp: [&mut [u64]; 2]) {
+    let mut fill = RunFill::default();
+    for k in 0..free.len() {
+        out[k] = fill.word(free[k], seeds[k]);
+    }
+    let down = (0..out.len()).any(|k| {
+        let above = out.get(k + 1).map_or(0, |n| n << 63);
+        (out[k] >> 1 | above) & free[k] & !out[k] != 0
+    });
+    if !down {
+        return;
+    }
+    if let ([f], [s], [o]) = (free, seeds, &mut *out) {
+        let rev = |w: u64| w.reverse_bits() >> (64 - nx);
+        *o |= rev(RunFill::default().word(rev(*f), rev(*s)));
+        return;
+    }
+    let [rf, rs] = tmp;
+    rf.copy_from_slice(free);
+    rs.copy_from_slice(seeds);
+    reverse_row(rf, nx);
+    reverse_row(rs, nx);
+    let mut fill = RunFill::default();
+    for k in 0..free.len() {
+        rf[k] = fill.word(rf[k], rs[k]);
+    }
+    reverse_row(rf, nx);
+    for (o, &d) in out.iter_mut().zip(rf.iter()) {
+        *o |= d;
     }
 }

@@ -1,0 +1,244 @@
+//! The small-scope exhaustive battery of the model invariants.
+//!
+//! Every fault set of a small mesh or torus, up to a fault count, is
+//! checked against the independent oracles:
+//!
+//! * the labelling kernel equals the hash reference on meshes and the
+//!   wrapped worklist closure on tori, in every frame under both border
+//!   policies, and its unsafe set equals its statuses;
+//! * the block kernel equals the reference closure of `reference/rfb.rs`:
+//!   the disabled set, the block list (order included) and the sacrificed
+//!   count;
+//! * every node an MCC captures (border-safe, any frame) the block model
+//!   captures too;
+//! * the existence condition (Theorem 1 in 2-D, Theorem 2 in 3-D) agrees
+//!   with the reachability oracle on every ordered pair of healthy nodes,
+//!   through the pair's own frame.
+//!
+//! The sets run in the fixed order of [`fault_sets`], so the failure
+//! reported is the first in that order: the fewest faults, then the lowest
+//! node indices. `cargo test` runs a slice (3×4 and 3×3×3 with up to two
+//! faults, the 3×3×3 torus with up to one); the full battery (every 4×4 set, every 3×3×3 set of up to
+//! three faults, meshes and tori) is the ignored test, run in release:
+//!
+//! ```text
+//! cargo test --release -p fault-model --test exhaustive -- --include-ignored
+//! ```
+
+mod fault_sets;
+// The component references serve `properties.rs`.
+#[allow(dead_code)]
+mod reference;
+#[path = "reference/rfb.rs"]
+mod rfb_reference;
+
+use fault_model::mcc2::MccSet2;
+use fault_model::oracle;
+use fault_model::{
+    minimal_path_exists_2d, minimal_path_exists_3d, BorderPolicy, FaultBlocks, Labelling,
+    ModelSpace, NodeStatus,
+};
+use fault_sets::FaultSets;
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3};
+use rfb_reference::{RefBlocks2, RefBlocks3};
+
+/// Fault sets per checked range.
+const CHUNK: u64 = 256;
+
+/// The per-dimension references.
+trait Dim: ModelSpace {
+    fn mesh(extents: [i32; 3], torus: bool) -> Mesh<Self>;
+    /// The hash reference's statuses on a mesh, by canonical index.
+    fn hash(mesh: &Mesh<Self>, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus>;
+    /// The reference block model: disabled set, blocks, sacrificed count.
+    fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<Self::Block>, usize);
+    /// The existence condition for the canonical pair `s`, `d`.
+    fn condition(lab: &Labelling<Self>, mccs: &Self::Mccs, s: Self::Coord, d: Self::Coord) -> bool;
+    /// The reachability oracle for the canonical pair `s`, `d`.
+    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool;
+}
+
+impl Dim for NodeSpace2 {
+    fn mesh(e: [i32; 3], torus: bool) -> Mesh2D {
+        if torus {
+            Mesh2D::torus(e[0], e[1])
+        } else {
+            Mesh2D::new(e[0], e[1])
+        }
+    }
+    fn hash(mesh: &Mesh2D, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus> {
+        let st = reference::HashLabelling2::compute(mesh, frame, policy).status;
+        let space = mesh.space();
+        (0..space.len()).map(|i| st[&space.coord(i)]).collect()
+    }
+    fn ref_blocks(mesh: &Mesh2D) -> (NodeSet, Vec<Self::Block>, usize) {
+        let r = RefBlocks2::compute(mesh);
+        (r.disabled, r.blocks, r.sacrificed)
+    }
+    fn condition(lab: &Labelling<Self>, mccs: &MccSet2, s: Self::Coord, d: Self::Coord) -> bool {
+        minimal_path_exists_2d(lab, mccs, s, d).exists()
+    }
+    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
+        oracle::reachable_2d(s, d, blocked)
+    }
+}
+
+impl Dim for NodeSpace3 {
+    fn mesh(e: [i32; 3], torus: bool) -> Mesh3D {
+        if torus {
+            Mesh3D::torus(e[0], e[1], e[2])
+        } else {
+            Mesh3D::new(e[0], e[1], e[2])
+        }
+    }
+    fn hash(mesh: &Mesh3D, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus> {
+        let st = reference::HashLabelling3::compute(mesh, frame, policy).status;
+        let space = mesh.space();
+        (0..space.len()).map(|i| st[&space.coord(i)]).collect()
+    }
+    fn ref_blocks(mesh: &Mesh3D) -> (NodeSet, Vec<Self::Block>, usize) {
+        let r = RefBlocks3::compute(mesh);
+        (r.disabled, r.blocks, r.sacrificed)
+    }
+    fn condition(lab: &Labelling<Self>, _: &Self::Mccs, s: Self::Coord, d: Self::Coord) -> bool {
+        minimal_path_exists_3d(lab, s, d).exists()
+    }
+    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
+        oracle::reachable_3d(s, d, blocked)
+    }
+}
+
+/// Check every invariant on `mesh`.
+fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
+    let space = mesh.space();
+    // The labelling kernel against its oracles.
+    for policy in [BorderPolicy::BorderSafe, BorderPolicy::BorderBlocked] {
+        for frame in S::all_frames(mesh) {
+            let lab = Labelling::<S>::compute(mesh, frame, policy);
+            let want = if mesh.wraps() {
+                reference::worklist_closure(mesh, frame)
+            } else {
+                S::hash(mesh, frame, policy)
+            };
+            for (c, st) in lab.iter() {
+                if st != want[space.index(c)] || lab.is_unsafe(c) != st.is_unsafe() {
+                    return Err(format!(
+                        "labelling ({policy:?}, {frame:?}) at {c}: {st:?}, want {:?}",
+                        want[space.index(c)]
+                    ));
+                }
+            }
+        }
+    }
+
+    // The block kernel against the reference closure.
+    let blocks = FaultBlocks::compute(mesh);
+    let (disabled, ref_blocks, sacrificed) = S::ref_blocks(mesh);
+    if let Some(c) = mesh
+        .nodes()
+        .find(|&c| blocks.is_disabled(c) != disabled.contains(space.index(c)))
+    {
+        return Err(format!("block model: disabled set differs at {c}"));
+    }
+    if blocks.blocks != ref_blocks || blocks.sacrificed_count() != sacrificed {
+        return Err(format!(
+            "block model: blocks {:?}, want {ref_blocks:?}",
+            blocks.blocks
+        ));
+    }
+
+    // MCC capture within block capture, and the condition against the
+    // oracle. The border-safe labelling of each frame a pair uses is
+    // computed once.
+    let mut models: Vec<(S::Frame, Labelling<S>, S::Mccs)> = Vec::new();
+    for frame in S::all_frames(mesh) {
+        let i = model(&mut models, mesh, frame);
+        let lab = &models[i].1;
+        if let Some(c) = mesh
+            .nodes()
+            .find(|&c| lab.status_mesh(c).is_unsafe() && !blocks.is_disabled(c))
+        {
+            return Err(format!(
+                "MCC ({frame:?}) captures {c}, the block model does not"
+            ));
+        }
+    }
+    let healthy: Vec<S::Coord> = mesh.nodes().filter(|&c| mesh.is_healthy(c)).collect();
+    for &s in &healthy {
+        for &d in &healthy {
+            let frame = S::frame_for_pair(mesh, s, d);
+            let i = model(&mut models, mesh, frame);
+            let (_, lab, mccs) = &models[i];
+            let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+            let claim = S::condition(lab, mccs, cs, cd);
+            let truth = S::reachable(cs, cd, |c| mesh.is_faulty(S::from_canon(frame, c)));
+            if claim != truth {
+                return Err(format!("condition {s} -> {d}: {claim}, oracle {truth}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The position in `models` of the border-safe labelling and MCCs of
+/// `mesh` under `frame`, computed on first use.
+fn model<S: Dim>(
+    models: &mut Vec<(S::Frame, Labelling<S>, S::Mccs)>,
+    mesh: &Mesh<S>,
+    frame: S::Frame,
+) -> usize {
+    if let Some(i) = models.iter().position(|m| m.0 == frame) {
+        return i;
+    }
+    let lab = Labelling::<S>::compute(mesh, frame, BorderPolicy::BorderSafe);
+    let mccs = S::mccs(&lab);
+    models.push((frame, lab, mccs));
+    models.len() - 1
+}
+
+/// Check every set of at most `max` faults on the mesh (or torus) of
+/// `extents`; panic with the first failure.
+fn exhaust<S: Dim + Sync>(extents: [i32; 3], torus: bool, max: usize) -> u64
+where
+    S::Coord: Sync,
+{
+    let clean = S::mesh(extents, torus);
+    let space = clean.space();
+    let sets = FaultSets::new(space.node_count(), max);
+    let failure = sets.first_failure(CHUNK, |faults| {
+        let mut mesh = clean.clone();
+        for &i in faults {
+            mesh.inject_fault(space.coord(i));
+        }
+        check(&mesh)
+    });
+    if let Some(f) = failure {
+        let faults: Vec<S::Coord> = f.faults.iter().map(|&i| space.coord(i)).collect();
+        panic!(
+            "{extents:?} (torus: {torus}), set {} with faults {faults:?}: {}",
+            f.index, f.message
+        );
+    }
+    sets.len()
+}
+
+#[test]
+fn model_invariants_hold_on_every_small_fault_set_slice() {
+    for torus in [false, true] {
+        assert_eq!(exhaust::<NodeSpace2>([3, 4, 1], torus, 2), 1 + 12 + 66);
+    }
+    assert_eq!(exhaust::<NodeSpace3>([3, 3, 3], false, 2), 1 + 27 + 351);
+    assert_eq!(exhaust::<NodeSpace3>([3, 3, 3], true, 1), 1 + 27);
+}
+
+#[test]
+#[ignore = "the full battery; run in release with --include-ignored"]
+fn model_invariants_hold_on_every_small_fault_set_full() {
+    for torus in [false, true] {
+        assert_eq!(exhaust::<NodeSpace2>([4, 4, 1], torus, 16), 1 << 16);
+        assert_eq!(
+            exhaust::<NodeSpace3>([3, 3, 3], torus, 3),
+            1 + 27 + 351 + 2925
+        );
+    }
+}

@@ -1,0 +1,185 @@
+//! Every fault set over a node space, in a fixed order, checked in fixed
+//! index ranges.
+//!
+//! The sets of at most `max` faults among `n` nodes are listed by fault
+//! count, then in lexicographic order of their sorted node indices: the
+//! empty set is set 0, the single faults follow in index order, and so on.
+//! [`FaultSets::first_failure`] splits that list into fixed ranges and
+//! checks them on a few threads. Within a range the sets run in order, and
+//! a range that starts past a failure already found is skipped, so the
+//! failure reported is the first in the list — the fewest faults, then the
+//! lowest indices — whatever the thread count.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// The sets of at most `max` of `n` nodes.
+pub struct FaultSets {
+    n: usize,
+    /// `first[k]`: the list index of the first set of `k` faults; one
+    /// entry past the last size holds the list length.
+    first: Vec<u64>,
+}
+
+/// A fault set that failed its check.
+#[derive(Debug)]
+pub struct Failure {
+    /// Its position in the list.
+    pub index: u64,
+    /// Its node indices, ascending.
+    pub faults: Vec<usize>,
+    /// What the check reported.
+    pub message: String,
+}
+
+/// `n` choose `k`.
+fn binomial(n: usize, k: usize) -> u64 {
+    if k > n {
+        return 0;
+    }
+    (0..k as u64).fold(1, |acc, i| acc * (n as u64 - i) / (i + 1))
+}
+
+impl FaultSets {
+    /// Every set of at most `max` faults among `n` nodes.
+    pub fn new(n: usize, max: usize) -> FaultSets {
+        let mut first = vec![0];
+        for k in 0..=max.min(n) {
+            first.push(first[k] + binomial(n, k));
+        }
+        FaultSets { n, first }
+    }
+
+    /// The number of sets.
+    pub fn len(&self) -> u64 {
+        *self.first.last().expect("the list has a length")
+    }
+
+    /// Set `index` of the list.
+    pub fn nth(&self, index: u64) -> Vec<usize> {
+        let k = self.first.partition_point(|&f| f <= index) - 1;
+        let mut rank = index - self.first[k];
+        let mut set = Vec::with_capacity(k);
+        let mut v = 0;
+        while set.len() < k {
+            // The sets that hold `v` as their next node.
+            let with_v = binomial(self.n - v - 1, k - set.len() - 1);
+            if rank < with_v {
+                set.push(v);
+            } else {
+                rank -= with_v;
+            }
+            v += 1;
+        }
+        set
+    }
+
+    /// Advance `set` to the next set of the list; false past the last.
+    fn advance(&self, set: &mut Vec<usize>) -> bool {
+        let k = set.len();
+        // The last position that can still grow.
+        if let Some(i) = (0..k).rev().find(|&i| set[i] < self.n - k + i) {
+            set[i] += 1;
+            for j in i + 1..k {
+                set[j] = set[j - 1] + 1;
+            }
+            return true;
+        }
+        if k + 2 >= self.first.len() {
+            return false;
+        }
+        *set = (0..=k).collect();
+        true
+    }
+
+    /// Check every set with `check` on up to four threads, `chunk` sets
+    /// per range, and return the first failure in list order, if any.
+    pub fn first_failure(
+        &self,
+        chunk: u64,
+        check: impl Fn(&[usize]) -> Result<(), String> + Sync,
+    ) -> Option<Failure> {
+        let len = self.len();
+        let next = AtomicU64::new(0);
+        let found: Mutex<Option<Failure>> = Mutex::new(None);
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    // Ranges are handed out in list order.
+                    let lo = next.fetch_add(chunk, Ordering::SeqCst);
+                    let before_failure = |at: u64| {
+                        let found = found.lock().expect("a checker panicked");
+                        found.as_ref().is_none_or(|f| at < f.index)
+                    };
+                    if lo >= len || !before_failure(lo) {
+                        return;
+                    }
+                    let mut set = self.nth(lo);
+                    for index in lo..(lo + chunk).min(len) {
+                        if let Err(message) = check(&set) {
+                            let mut found = found.lock().expect("a checker panicked");
+                            if found.as_ref().is_none_or(|f| index < f.index) {
+                                *found = Some(Failure {
+                                    index,
+                                    faults: set,
+                                    message,
+                                });
+                            }
+                            break;
+                        }
+                        self.advance(&mut set);
+                    }
+                });
+            }
+        });
+        found.into_inner().expect("a checker panicked")
+    }
+}
+
+#[test]
+fn the_list_runs_by_count_then_lexicographically() {
+    let sets = FaultSets::new(4, 2);
+    assert_eq!(sets.len(), 1 + 4 + 6);
+    let mut set = sets.nth(0);
+    let mut all = vec![set.clone()];
+    while sets.advance(&mut set) {
+        all.push(set.clone());
+    }
+    let want: Vec<Vec<usize>> = vec![
+        vec![],
+        vec![0],
+        vec![1],
+        vec![2],
+        vec![3],
+        vec![0, 1],
+        vec![0, 2],
+        vec![0, 3],
+        vec![1, 2],
+        vec![1, 3],
+        vec![2, 3],
+    ];
+    assert_eq!(all, want);
+    for (i, s) in want.iter().enumerate() {
+        assert_eq!(&sets.nth(i as u64), s);
+    }
+}
+
+#[test]
+fn the_first_failure_is_reported_whatever_the_ranges() {
+    let sets = FaultSets::new(10, 4);
+    // Fails on every set holding both 3 and 7; the first is [3, 7].
+    let check = |s: &[usize]| {
+        if s.contains(&3) && s.contains(&7) {
+            Err(format!("{s:?}"))
+        } else {
+            Ok(())
+        }
+    };
+    for chunk in [1, 7, 64, 1000] {
+        let f = sets.first_failure(chunk, check).expect("a set fails");
+        assert_eq!(f.faults, vec![3, 7], "chunk {chunk}");
+        assert_eq!(sets.nth(f.index), vec![3, 7]);
+    }
+    assert!(sets.first_failure(16, |_| Ok(())).is_none());
+}

@@ -276,8 +276,6 @@ proptest! {
 // * closure minimality and condition exactness carry over to the torus
 //   through the shorter-arc canonical frame.
 
-use fault_model::NodeStatus;
-
 fn arb_torus2() -> impl Strategy<Value = Mesh2D> {
     (
         3i32..9,
@@ -300,41 +298,6 @@ fn arb_torus3() -> impl Strategy<Value = Mesh3D> {
     })
 }
 
-/// Definitional worklist closure with wrapped neighbors: a node is
-/// useless once its `+` neighbor on every axis blocks forward, and
-/// can't-reach once its `-` neighbor on every axis blocks backward.
-fn worklist_closure<S: Space>(mesh: &Mesh<S>) -> Vec<NodeStatus> {
-    let space = mesh.space();
-    let ext = space.extents();
-    let mut st = vec![NodeStatus::SAFE; space.node_count()];
-    for &f in mesh.faults() {
-        st[space.index(f)] = NodeStatus::FAULT;
-    }
-    let nbr = |c: S::Coord, axis: usize, step: i32| {
-        let mut p = S::xyz(c);
-        p[axis] = (p[axis] + step).rem_euclid(ext[axis] as i32);
-        space.index(S::from_xyz(p))
-    };
-    loop {
-        let mut changed = false;
-        for c in mesh.nodes() {
-            let i = space.index(c);
-            if !st[i].blocks_forward() && (0..S::DIMS).all(|a| st[nbr(c, a, 1)].blocks_forward()) {
-                st[i].mark_useless();
-                changed = true;
-            }
-            if !st[i].blocks_backward() && (0..S::DIMS).all(|a| st[nbr(c, a, -1)].blocks_backward())
-            {
-                st[i].mark_cant_reach();
-                changed = true;
-            }
-        }
-        if !changed {
-            return st;
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -343,7 +306,7 @@ proptest! {
     #[test]
     fn torus_labelling2_equals_worklist_oracle(mesh in arb_torus2()) {
         let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-        let oracle_status = worklist_closure(&mesh);
+        let oracle_status = reference::worklist_closure(&mesh, Frame2::identity(&mesh));
         let space = mesh.space();
         for c in mesh.nodes() {
             prop_assert_eq!(
@@ -356,7 +319,7 @@ proptest! {
     #[test]
     fn torus_labelling3_equals_worklist_oracle(mesh in arb_torus3()) {
         let lab = Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-        let oracle_status = worklist_closure(&mesh);
+        let oracle_status = reference::worklist_closure(&mesh, Frame3::identity(&mesh));
         let space = mesh.space();
         for c in mesh.nodes() {
             prop_assert_eq!(
@@ -420,5 +383,142 @@ proptest! {
         let truth = oracle::reachable_3d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
         prop_assert_eq!(claim, truth,
             "torus condition mismatch: s={} d={} faults={:?}", s, d, mesh.faults());
+    }
+}
+
+// ---- wide rows -------------------------------------------------------------
+//
+// The batteries above keep every row within one word. These cases draw
+// rows of one, two and three words (`x` extents up to 130; 2-D heights up
+// to 7, 3-D `y` and `z` extents up to 4) on meshes and tori, and check
+// every frame under both border policies: meshes against the hash
+// reference, tori against the wrapped worklist closure. The unsafe set is
+// checked against the statuses too, since the kernel writes both.
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// What a wide-row run covered.
+#[derive(Default, Debug)]
+struct WideCoverage {
+    /// Meshes and tori by words per row: one, two, three.
+    words: [usize; 3],
+    /// Labellings with at least one labelled (useless or can't-reach) node.
+    labelled: usize,
+}
+
+/// `mesh` with each node faulty with a random probability below 30 %.
+fn random_faults<S: Space>(mut mesh: Mesh<S>, rng: &mut SmallRng) -> Mesh<S> {
+    let share = rng.gen_range(0.0..0.3);
+    for i in 0..mesh.node_count() {
+        if rng.gen_bool(share) {
+            mesh.inject_fault(mesh.space().coord(i));
+        }
+    }
+    mesh
+}
+
+/// Check every frame and both policies of `mesh`; `hash` gives the mesh
+/// reference's statuses for one frame and policy, by canonical index.
+fn check_wide<S: Space>(
+    mesh: &Mesh<S>,
+    hash: impl Fn(S::Frame, BorderPolicy) -> Vec<fault_model::NodeStatus>,
+    cov: &mut WideCoverage,
+) {
+    let space = mesh.space();
+    cov.words[space.extents()[0].div_ceil(64) - 1] += 1;
+    for policy in [BorderPolicy::BorderSafe, BorderPolicy::BorderBlocked] {
+        for frame in S::all_frames(mesh) {
+            let lab = fault_model::Labelling::<S>::compute(mesh, frame, policy);
+            let want = if mesh.wraps() {
+                reference::worklist_closure(mesh, frame)
+            } else {
+                hash(frame, policy)
+            };
+            for (c, st) in lab.iter() {
+                let i = space.index(c);
+                assert_eq!(
+                    st, want[i],
+                    "status at {c:?} ({policy:?}, {frame:?}) on {mesh:?}"
+                );
+                assert_eq!(
+                    lab.is_unsafe(c),
+                    st.is_unsafe(),
+                    "unsafe set at {c:?} on {mesh:?}"
+                );
+            }
+            let unsafe_count = want.iter().filter(|st| st.is_unsafe()).count();
+            assert_eq!(lab.unsafe_count(), unsafe_count, "{mesh:?}");
+            cov.labelled += usize::from(lab.sacrificed_count() > 0);
+        }
+    }
+}
+
+/// A random `x` extent of at least `lo`: first the words per row, one to
+/// three, then the extent within them.
+fn wide_x(rng: &mut SmallRng, lo: i32) -> i32 {
+    let words = rng.gen_range(1..=3);
+    rng.gen_range(lo.max(64 * (words - 1) + 1)..=130.min(64 * words))
+}
+
+/// `cases` random wide 2-D and 3-D meshes and tori from `seed`.
+fn wide_battery(seed: u64, cases: usize) -> (WideCoverage, WideCoverage) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut cov2, mut cov3) = (WideCoverage::default(), WideCoverage::default());
+    for case in 0..cases {
+        let torus = case % 2 == 1;
+        let lo = if torus { 3 } else { 1 };
+        let (w, h) = (wide_x(&mut rng, lo), rng.gen_range(lo..=7));
+        let mesh = if torus {
+            Mesh2D::torus(w, h)
+        } else {
+            Mesh2D::new(w, h)
+        };
+        let mesh = random_faults(mesh, &mut rng);
+        let space = mesh.space();
+        let hash = |f, p| {
+            let st = reference::HashLabelling2::compute(&mesh, f, p).status;
+            (0..space.len()).map(|i| st[&space.coord(i)]).collect()
+        };
+        check_wide(&mesh, hash, &mut cov2);
+
+        let e = [
+            wide_x(&mut rng, lo),
+            rng.gen_range(lo..=4),
+            rng.gen_range(lo..=4),
+        ];
+        let mesh = if torus {
+            Mesh3D::torus(e[0], e[1], e[2])
+        } else {
+            Mesh3D::new(e[0], e[1], e[2])
+        };
+        let mesh = random_faults(mesh, &mut rng);
+        let space = mesh.space();
+        let hash = |f, p| {
+            let st = reference::HashLabelling3::compute(&mesh, f, p).status;
+            (0..space.len()).map(|i| st[&space.coord(i)]).collect()
+        };
+        check_wide(&mesh, hash, &mut cov3);
+    }
+    (cov2, cov3)
+}
+
+#[test]
+fn labelling_wide_rows_match_references_slice() {
+    let (cov2, cov3) = wide_battery(27, 24);
+    for cov in [cov2, cov3] {
+        assert!(cov.words.iter().all(|&n| n > 0), "{cov:?}");
+        assert!(cov.labelled > 0, "{cov:?}");
+    }
+}
+
+#[test]
+#[ignore = "the full battery; run in release with --include-ignored"]
+fn labelling_wide_rows_match_references_full() {
+    let (cov2, cov3) = wide_battery(0x51de, 1_000);
+    for cov in [cov2, cov3] {
+        assert_eq!(cov.words.iter().sum::<usize>(), 1_000);
+        assert!(cov.words.iter().all(|&n| n > 100), "{cov:?}");
+        assert!(cov.labelled > 0, "{cov:?}");
     }
 }

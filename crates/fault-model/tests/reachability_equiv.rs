@@ -190,13 +190,10 @@ fn random_box<S: Space>(rng: &mut SmallRng, extents: [i32; 3]) -> (S::Coord, S::
 /// frame, every reflection frame and the identity indexing in turn.
 fn case<S: Reference>(rng: &mut SmallRng, kernel: &mut Useful<S>, torus: bool, cov: &mut Coverage) {
     let lo = if torus { 3 } else { 1 };
-    // Torus pair frames keep at most half the ring, so the x extent
-    // reaches twice the widest box.
-    let max_x = if torus {
-        2 * MAX_WIDTH + 2
-    } else {
-        MAX_WIDTH + 10
-    };
+    // A box is at most as wide as the mesh, and a torus pair frame keeps
+    // at most half the ring plus one node, so these extents keep every
+    // box within MAX_WIDTH.
+    let max_x = if torus { 2 * MAX_WIDTH - 1 } else { MAX_WIDTH };
     let small = if S::DIMS == 2 { 7 } else { 4 };
     let mut extents = [rng.gen_range(lo..=max_x), rng.gen_range(lo..=small), 1];
     if S::DIMS == 3 {

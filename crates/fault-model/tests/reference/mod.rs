@@ -7,12 +7,13 @@
 //! membership. This module preserves that representation verbatim so the
 //! property tests in `properties.rs` can assert the flat pipeline produces
 //! *identical* statuses and component partitions on random meshes, both
-//! border policies included.
+//! border policies included. The definitional worklist closure over the
+//! wrapped neighbor relation is the matching oracle on tori.
 
 use std::collections::{HashMap, HashSet};
 
 use fault_model::{BorderPolicy, NodeStatus};
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
 
 /// The 8-neighborhood (face + diagonal) used for 2-D region connectivity.
 const NEIGHBORS_8: [(i32, i32); 8] = [
@@ -202,6 +203,42 @@ impl HashLabelling3 {
             .filter(|(_, s)| s.is_unsafe())
             .map(|(&c, _)| c)
             .collect()
+    }
+}
+
+/// Definitional worklist closure with wrapped neighbors, in the canonical
+/// coordinates of `frame`: a node is useless once its `+` neighbor on
+/// every axis blocks forward, and can't-reach once its `-` neighbor on
+/// every axis blocks backward. Statuses are indexed by canonical node.
+pub fn worklist_closure<S: Space>(mesh: &Mesh<S>, frame: S::Frame) -> Vec<NodeStatus> {
+    let space = mesh.space();
+    let ext = space.extents();
+    let mut st = vec![NodeStatus::SAFE; space.node_count()];
+    for &f in mesh.faults() {
+        st[space.index(S::to_canon(frame, f))] = NodeStatus::FAULT;
+    }
+    let nbr = |c: S::Coord, axis: usize, step: i32| {
+        let mut p = S::xyz(c);
+        p[axis] = (p[axis] + step).rem_euclid(ext[axis] as i32);
+        space.index(S::from_xyz(p))
+    };
+    loop {
+        let mut changed = false;
+        for c in mesh.nodes() {
+            let i = space.index(c);
+            if !st[i].blocks_forward() && (0..S::DIMS).all(|a| st[nbr(c, a, 1)].blocks_forward()) {
+                st[i].mark_useless();
+                changed = true;
+            }
+            if !st[i].blocks_backward() && (0..S::DIMS).all(|a| st[nbr(c, a, -1)].blocks_backward())
+            {
+                st[i].mark_cant_reach();
+                changed = true;
+            }
+        }
+        if !changed {
+            return st;
+        }
     }
 }
 

@@ -7,15 +7,17 @@
 //! same `blocks` Vec (order included) and the same sacrificed count.
 //!
 //! Cases cover 2-D and 3-D meshes (extents 2–16) and tori (extents 3–16;
-//! the node space rejects smaller tori), the uniform, clustered, front and
-//! plane fault regimes, and fault shares from none up to well past the
-//! point where the closure percolates to the whole grid. The battery
+//! the node space rejects smaller tori), plus wide ones whose rows span
+//! one, two and three words (`x` extents up to 130, with 2-D heights up
+//! to 7 and 3-D `y` and `z` extents up to 4), the uniform, clustered,
+//! front and plane fault regimes, and fault shares from none up to well
+//! past the point where the closure percolates to the whole grid. The battery
 //! counts the cases where the closure disables every node and the cases
 //! whose box fill adds nodes the rule alone does not. It fails if either
 //! kind is missing on tori, or if a fill adds anything on a mesh (where a
 //! connected set closed under the rule is already a full box).
 //!
-//! `cargo test` runs a bounded slice; the full battery (12,000 cases) is
+//! `cargo test` runs a bounded slice; the full battery (16,000 cases) is
 //! the ignored test, run in release:
 //!
 //! ```text
@@ -38,7 +40,30 @@ struct Coverage {
     full_percolation: usize,
     torus_fill: usize,
     mesh_fill: usize,
+    /// Cases by words per row: one, two, three.
+    words: [usize; 3],
 }
+
+/// The largest extents a battery draws: `[width, height]` in 2-D and
+/// `[nx, ny, nz]` in 3-D.
+struct Shape {
+    max2: [i32; 2],
+    max3: [i32; 3],
+}
+
+/// Extents 2–16 (3-D up to `max3` per axis).
+fn narrow(max3: i32) -> Shape {
+    Shape {
+        max2: [16, 16],
+        max3: [max3; 3],
+    }
+}
+
+/// Rows of up to three words.
+const WIDE: Shape = Shape {
+    max2: [130, 7],
+    max3: [130, 4, 4],
+};
 
 /// One of the four spatial regimes, drawn from `rng`.
 fn regime(rng: &mut SmallRng, dims: usize) -> FaultRegime {
@@ -78,6 +103,7 @@ fn check_2d(mesh: &Mesh2D, cov: &mut Coverage) {
     assert_eq!(new.sacrificed_count(), old.sacrificed, "{mesh:?}");
 
     cov.cases += 1;
+    cov.words[(space.width() as usize).div_ceil(64) - 1] += 1;
     cov.full_percolation += usize::from(old.disabled.len() == space.len());
     let mut rule_only = mesh.fault_set().clone();
     RefBlocks2::close_rule(space, &mut rule_only);
@@ -105,6 +131,7 @@ fn check_3d(mesh: &Mesh3D, cov: &mut Coverage) {
     assert_eq!(new.sacrificed_count(), old.sacrificed, "{mesh:?}");
 
     cov.cases += 1;
+    cov.words[(space.nx() as usize).div_ceil(64) - 1] += 1;
     cov.full_percolation += usize::from(old.disabled.len() == space.len());
     let mut rule_only = mesh.fault_set().clone();
     RefBlocks3::close_rule(space, &mut rule_only);
@@ -116,15 +143,28 @@ fn check_3d(mesh: &Mesh3D, cov: &mut Coverage) {
     }
 }
 
+/// A random `x` extent in `lo..=max`. Past one word, the words per row are
+/// drawn first, so rows of every word count are equally common.
+fn x_extent(rng: &mut SmallRng, lo: i32, max: i32) -> i32 {
+    if max <= 64 {
+        return rng.gen_range(lo..=max);
+    }
+    let words = rng.gen_range(1..=(max + 63) / 64);
+    rng.gen_range(lo.max(64 * (words - 1) + 1)..=max.min(64 * words))
+}
+
 /// Run `cases` random 2-D and `cases` random 3-D cases from `seed`, half
-/// of each on tori. 3-D extents stop at `max3`.
-fn battery(seed: u64, cases: usize, max3: i32) -> Coverage {
+/// of each on tori, with extents up to `shape`.
+fn battery(seed: u64, cases: usize, shape: Shape) -> Coverage {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut cov = Coverage::default();
     for case in 0..cases {
         let torus = case % 2 == 1;
         let lo = if torus { 3 } else { 2 };
-        let (w, h) = (rng.gen_range(lo..=16), rng.gen_range(lo..=16));
+        let (w, h) = (
+            x_extent(&mut rng, lo, shape.max2[0]),
+            rng.gen_range(lo..=shape.max2[1]),
+        );
         let mut mesh = if torus {
             Mesh2D::torus(w, h)
         } else {
@@ -135,9 +175,9 @@ fn battery(seed: u64, cases: usize, max3: i32) -> Coverage {
         check_2d(&mesh, &mut cov);
 
         let e = [
-            rng.gen_range(lo..=max3),
-            rng.gen_range(lo..=max3),
-            rng.gen_range(lo..=max3),
+            x_extent(&mut rng, lo, shape.max3[0]),
+            rng.gen_range(lo..=shape.max3[1]),
+            rng.gen_range(lo..=shape.max3[2]),
         ];
         let mut mesh = if torus {
             Mesh3D::torus(e[0], e[1], e[2])
@@ -153,8 +193,16 @@ fn battery(seed: u64, cases: usize, max3: i32) -> Coverage {
 
 #[test]
 fn block_model_matches_reference_slice() {
-    let cov = battery(17, 300, 10);
+    let cov = battery(17, 300, narrow(10));
     assert!(cov.full_percolation > 0, "{cov:?}");
+    assert!(cov.torus_fill > 0, "{cov:?}");
+    assert_eq!(cov.mesh_fill, 0, "{cov:?}");
+}
+
+#[test]
+fn block_model_matches_reference_wide_rows_slice() {
+    let cov = battery(27, 60, WIDE);
+    assert!(cov.words.iter().all(|&n| n > 0), "{cov:?}");
     assert!(cov.torus_fill > 0, "{cov:?}");
     assert_eq!(cov.mesh_fill, 0, "{cov:?}");
 }
@@ -162,8 +210,14 @@ fn block_model_matches_reference_slice() {
 #[test]
 #[ignore = "the full battery; run in release with --include-ignored"]
 fn block_model_matches_reference_full() {
-    let cov = battery(0x5eed, 6_000, 16);
+    let cov = battery(0x5eed, 6_000, narrow(16));
     assert_eq!(cov.cases, 12_000);
+    assert!(cov.full_percolation > 0, "{cov:?}");
+    assert!(cov.torus_fill > 0, "{cov:?}");
+    assert_eq!(cov.mesh_fill, 0, "{cov:?}");
+    let cov = battery(0x51de, 2_000, WIDE);
+    assert_eq!(cov.cases, 4_000);
+    assert!(cov.words.iter().all(|&n| n > 0), "{cov:?}");
     assert!(cov.full_percolation > 0, "{cov:?}");
     assert!(cov.torus_fill > 0, "{cov:?}");
     assert_eq!(cov.mesh_fill, 0, "{cov:?}");
