@@ -11,7 +11,7 @@ use std::time::Duration;
 use mesh_service::prelude::*;
 use mesh_service::shard::ShardStats;
 use mesh_service::{CrashSite, ShardCore, StateDigest};
-use mesh_topo::coord::c2;
+use mesh_topo::coord::{c2, c3};
 use mesh_topo::Parallelism;
 
 fn spec_8x8() -> ShardSpec {
@@ -411,4 +411,120 @@ fn concurrent_callers_on_one_shard_account_for_every_request() {
     assert_eq!(admitted + shed, THREADS * CALLS);
     assert!(shed > 0, "four callers per instant must overload the shard");
     assert_eq!(stats(&svc, 0).gen, churns);
+}
+
+/// A request of the wrong dimension, or naming nodes outside the mesh, is
+/// rejected with its reason and leaves the shard untouched: same
+/// generation, same journal length, same state.
+#[test]
+fn malformed_requests_are_rejected_without_a_trace() {
+    let root = TempDir::new("reject");
+    let spec_4x4x3 = ShardSpec::new(
+        Geometry::M3 {
+            nx: 4,
+            ny: 4,
+            nz: 3,
+            wrap: false,
+        },
+        0,
+    );
+    let mut d2 = ShardCore::open(
+        &root.join("d2"),
+        spec_8x8(),
+        Parallelism::SEQ,
+        CrashPoint::none(),
+    )
+    .unwrap();
+    let mut d3 = ShardCore::open(
+        &root.join("d3"),
+        spec_4x4x3,
+        Parallelism::SEQ,
+        CrashPoint::none(),
+    )
+    .unwrap();
+    // One journaled churn each, so the generation and the WAL are not at
+    // their zero values.
+    let churn2 = Request::Churn2 {
+        injected: vec![c2(3, 3)],
+        healed: vec![],
+    };
+    let churn3 = Request::Churn3 {
+        injected: vec![c3(1, 2, 1)],
+        healed: vec![],
+    };
+    assert_eq!(d2.handle(&churn2), Ok(Response::Churn { gen: 1 }));
+    assert_eq!(d3.handle(&churn3), Ok(Response::Churn { gen: 1 }));
+
+    let rejects = |core: &mut ShardCore, req: Request, reason: &str| {
+        let (gen, wal, digest) = (core.gen(), core.stats().wal_bytes, core.digest());
+        assert!(wal > 0);
+        assert_eq!(
+            core.handle(&req),
+            Err(ServiceError::Rejected {
+                reason: reason.to_string()
+            }),
+            "{req:?}"
+        );
+        assert_eq!(core.gen(), gen, "{req:?}");
+        assert_eq!(core.stats().wal_bytes, wal, "{req:?}");
+        assert_eq!(core.digest(), digest, "{req:?}");
+    };
+
+    // The wrong dimension, each way.
+    let route2 = Request::Route2 {
+        s: c2(0, 0),
+        d: c2(1, 1),
+        seed: 1,
+    };
+    let route3 = Request::Route3 {
+        s: c3(0, 0, 0),
+        d: c3(1, 1, 1),
+        seed: 1,
+    };
+    rejects(&mut d3, route2, "request is 2-D but shard is 3-D");
+    rejects(
+        &mut d3,
+        Request::Query2(c2(0, 0)),
+        "request is 2-D but shard is 3-D",
+    );
+    rejects(&mut d3, churn2, "churn batch is 2-D but shard is 3-D");
+    rejects(&mut d2, route3, "request is 3-D but shard is 2-D");
+    rejects(
+        &mut d2,
+        Request::Query3(c3(0, 0, 0)),
+        "request is 3-D but shard is 2-D",
+    );
+    rejects(&mut d2, churn3, "churn batch is 3-D but shard is 2-D");
+
+    // Nodes outside the mesh.
+    let route2 = Request::Route2 {
+        s: c2(0, 0),
+        d: c2(8, 2),
+        seed: 1,
+    };
+    let route3 = Request::Route3 {
+        s: c3(-1, 0, 0),
+        d: c3(1, 1, 1),
+        seed: 1,
+    };
+    rejects(
+        &mut d2,
+        route2,
+        "route endpoints (0,0) -> (8,2) outside the mesh",
+    );
+    rejects(
+        &mut d3,
+        route3,
+        "route endpoints (-1,0,0) -> (1,1,1) outside the mesh",
+    );
+    rejects(
+        &mut d2,
+        Request::Query2(c2(2, -1)),
+        "query node (2,-1) outside the mesh",
+    );
+    rejects(
+        &mut d3,
+        Request::Query3(c3(0, 0, 3)),
+        "query node (0,0,3) outside the mesh",
+    );
 }
