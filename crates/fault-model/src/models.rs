@@ -65,6 +65,8 @@ pub trait ModelSpace: Space {
     fn mcc_from_cells(cells: Vec<Self::Coord>, lab: &Labelling<Self>) -> Self::Mcc;
     /// The MCCs of a decomposition, indexed by component position.
     fn mcc_list(mccs: &mut Self::Mccs) -> &mut Vec<Self::Mcc>;
+    /// The number of MCCs in a decomposition.
+    fn mcc_count(mccs: &Self::Mccs) -> usize;
 }
 
 impl ModelSpace for NodeSpace2 {
@@ -80,6 +82,9 @@ impl ModelSpace for NodeSpace2 {
     fn mcc_list(mccs: &mut MccSet2) -> &mut Vec<Mcc2> {
         &mut mccs.mccs
     }
+    fn mcc_count(mccs: &MccSet2) -> usize {
+        mccs.len()
+    }
 }
 
 impl ModelSpace for NodeSpace3 {
@@ -94,6 +99,9 @@ impl ModelSpace for NodeSpace3 {
     }
     fn mcc_list(mccs: &mut MccSet3) -> &mut Vec<Mcc3> {
         &mut mccs.mccs
+    }
+    fn mcc_count(mccs: &MccSet3) -> usize {
+        mccs.len()
     }
 }
 

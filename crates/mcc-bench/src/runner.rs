@@ -27,11 +27,11 @@ use fault_model::stats::{region_stats, RegionStats};
 use fault_model::{FaultRegime, IncrementalModels, Labelling, ModelSpace};
 use mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_protocols::labelling::{DistLabelling2, DistLabelling3};
-use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
 use mcc_routing::trial::{TrialOptions, TrialResult};
+use mcc_routing::{PreparedMesh, RouteSpace};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::faults::random_node;
-use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space, C2, C3};
+use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_net::RunStats;
@@ -158,46 +158,22 @@ pub(crate) fn mix_trial_seed(seed: u64, n: usize) -> u64 {
     seed.wrapping_mul(0x9e37_79b9) ^ n as u64
 }
 
-/// What the table drivers need of a node space beyond [`ModelSpace`]: the
-/// distributed labelling protocol and the prepared trial pipeline exist
-/// once per dimension.
-trait BenchSpace: ModelSpace {
+/// What the table drivers need of a node space beyond [`RouteSpace`]: the
+/// distributed labelling protocol exists once per dimension.
+trait BenchSpace: RouteSpace {
     /// Run the distributed labelling protocol under the identity frame.
     fn labelling_stats(mesh: &Mesh<Self>) -> RunStats;
-    /// Prepare `mesh` once (orientation-keyed model cache + trial scratch)
-    /// and run one trial per `(s, d, policy seed)` that `next` yields.
-    fn trials(
-        mesh: &Mesh<Self>,
-        opts: TrialOptions,
-        next: impl FnMut() -> Option<(Self::Coord, Self::Coord, u64)>,
-    ) -> Vec<TrialResult>;
 }
 
 impl BenchSpace for NodeSpace2 {
     fn labelling_stats(mesh: &Mesh2D) -> RunStats {
         DistLabelling2::run(mesh, Frame2::identity(mesh)).stats
     }
-    fn trials(
-        mesh: &Mesh2D,
-        opts: TrialOptions,
-        mut next: impl FnMut() -> Option<(C2, C2, u64)>,
-    ) -> Vec<TrialResult> {
-        let mut pm = PreparedMesh2::new(mesh, opts);
-        std::iter::from_fn(|| next().map(|(s, d, seed)| pm.run_trial(s, d, seed))).collect()
-    }
 }
 
 impl BenchSpace for NodeSpace3 {
     fn labelling_stats(mesh: &Mesh3D) -> RunStats {
         DistLabelling3::run(mesh, Frame3::identity(mesh)).stats
-    }
-    fn trials(
-        mesh: &Mesh3D,
-        opts: TrialOptions,
-        mut next: impl FnMut() -> Option<(C3, C3, u64)>,
-    ) -> Vec<TrialResult> {
-        let mut pm = PreparedMesh3::new(mesh, opts);
-        std::iter::from_fn(|| next().map(|(s, d, seed)| pm.run_trial(s, d, seed))).collect()
     }
 }
 
@@ -371,15 +347,17 @@ impl SeedBody for Routing {
         };
         let mut left = sc.pairs_per_seed;
         let mut stranded = false;
-        let trials = S::trials(&mesh, opts, || {
+        let mut pm = PreparedMesh::<S>::new(&mesh, opts);
+        let trials = std::iter::from_fn(|| {
             if left == 0 {
                 return None;
             }
             left -= 1;
             let pair = legacy_pair.or_else(|| random_healthy_pair(&mut rng, &mesh, min_dist));
             stranded = pair.is_none();
-            pair.map(|(s, d)| (s, d, rng.gen()))
-        });
+            pair.map(|(s, d)| pm.run_trial(s, d, rng.gen()))
+        })
+        .collect::<Vec<_>>();
         if stranded {
             return Err(ScenarioError::run(format!(
                 "{} faults leave no healthy pair at least {min_dist} hops apart \

@@ -20,7 +20,9 @@
 //! * [`prepared`] — the amortized trial pipeline: per-mesh model caching
 //!   (orientation-keyed) plus reusable scratch buffers, so a batch of
 //!   trials against one fault configuration pays for model construction
-//!   once instead of once per pair.
+//!   once instead of once per pair,
+//! * [`route_space`] — [`RouteSpace`], the per-dimension steps (Theorem 1
+//!   or 2, Algorithm 3 or 6, the baselines) the one trial pipeline calls.
 //!
 //! Module ↔ paper map: [`feasibility2`] and [`router2`] are Algorithm 3
 //! (Section 3, 2-D routing); [`feasibility3`] and [`router3`] are
@@ -33,11 +35,11 @@
 //!
 //! Run a complete trial — labelling, feasibility, MCC routing and all
 //! baselines — on a small faulty mesh
-//! ([`run_trial_2d_with`](trial::run_trial_2d_with)):
+//! ([`run_trial_with`]):
 //!
 //! ```
 //! use mcc_routing::{run_trial_2d, TrialOptions};
-//! use mcc_routing::trial::run_trial_2d_with;
+//! use mcc_routing::trial::run_trial_with;
 //! use mesh_topo::coord::c2;
 //! use mesh_topo::Mesh2D;
 //!
@@ -52,7 +54,7 @@
 //!
 //! // The same trial with the block baseline switched off.
 //! let opts = TrialOptions { eval_rfb: false, ..TrialOptions::default() };
-//! let t = run_trial_2d_with(&mesh, c2(0, 0), c2(11, 11), 7, &opts);
+//! let t = run_trial_with(&mesh, c2(0, 0), c2(11, 11), 7, &opts);
 //! assert!(!t.rfb_ok);
 //! ```
 
@@ -65,6 +67,7 @@ pub mod feasibility2;
 pub mod feasibility3;
 pub mod policy;
 pub mod prepared;
+pub mod route_space;
 pub mod router2;
 pub mod router3;
 pub mod trace;
@@ -73,8 +76,9 @@ pub mod trial;
 pub use feasibility2::{detect_2d, Detection2};
 pub use feasibility3::{detect_3d, detect_3d_in, Detection3, FloodScratch3};
 pub use policy::Policy;
-pub use prepared::{PreparedMesh2, PreparedMesh3};
+pub use prepared::{PreparedMesh, PreparedMesh2, PreparedMesh3};
+pub use route_space::RouteSpace;
 pub use router2::Router2;
 pub use router3::{RouteScratch3, Router3};
-pub use trace::{RouteOutcome2, RouteOutcome3};
-pub use trial::{run_trial_2d, run_trial_3d, TrialOptions, TrialResult};
+pub use trace::{RouteOutcome2, RouteOutcome3, RouteSummary};
+pub use trial::{run_trial_2d, run_trial_3d, run_trial_with, TrialOptions, TrialResult};

@@ -91,14 +91,25 @@ impl<'a> Router3<'a> {
         rule: DecisionRule,
         scratch: &mut RouteScratch3,
     ) -> RouteOutcome3 {
-        let det = match self.precheck(s, d, &mut scratch.flood) {
+        self.route_with_rule_split(s, d, policy, rule, &mut scratch.useful, &mut scratch.flood)
+    }
+
+    /// [`Router3::route_with_rule_in`] over the two buffers held apart.
+    pub(crate) fn route_with_rule_split(
+        &self,
+        s: C3,
+        d: C3,
+        policy: &mut Policy,
+        rule: DecisionRule,
+        useful: &mut Useful3,
+        flood: &mut FloodScratch3,
+    ) -> RouteOutcome3 {
+        let det = match self.precheck(s, d, flood) {
             Ok(det) => det,
             Err(refused) => return refused,
         };
-        scratch
-            .useful
-            .recompute_set(s, d, self.lab.unsafe_set(), self.lab.space(), None);
-        self.forward(s, d, policy, rule, &scratch.useful, det)
+        useful.recompute_set(s, d, self.lab.unsafe_set(), self.lab.space(), None);
+        self.forward(s, d, policy, rule, useful, det)
     }
 
     /// Route reusing a backward-reachability set the caller just computed
@@ -111,7 +122,7 @@ impl<'a> Router3<'a> {
         policy: &mut Policy,
         rule: DecisionRule,
         useful: &Useful3,
-        flood: &mut crate::feasibility3::FloodScratch3,
+        flood: &mut FloodScratch3,
     ) -> RouteOutcome3 {
         let det = match self.precheck(s, d, flood) {
             Ok(det) => det,
@@ -130,7 +141,7 @@ impl<'a> Router3<'a> {
         &self,
         s: C3,
         d: C3,
-        flood: &mut crate::feasibility3::FloodScratch3,
+        flood: &mut FloodScratch3,
     ) -> Result<crate::feasibility3::Detection3, RouteOutcome3> {
         assert!(s.dominated_by(d), "router requires canonical s <= d");
         if !self.lab.is_safe(s) || !self.lab.is_safe(d) {

@@ -44,7 +44,31 @@ pub struct RouteOutcome3 {
     pub detection_cost: usize,
 }
 
+/// What the trial pipeline and the service read of a routing attempt,
+/// the same in both dimensions.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RouteSummary {
+    /// The message was delivered.
+    pub delivered: bool,
+    /// Hops taken.
+    pub hops: usize,
+    /// Average allowed forwarding directions per hop.
+    pub adaptivity: f64,
+    /// Cost of the source detection (hops in 2-D, visited nodes in 3-D).
+    pub detection_cost: usize,
+}
+
 impl RouteOutcome2 {
+    /// The dimension-free summary of this attempt.
+    pub fn summary(&self) -> RouteSummary {
+        RouteSummary {
+            delivered: self.delivered(),
+            hops: self.path.hops(),
+            adaptivity: self.adaptivity(),
+            detection_cost: self.detection_hops,
+        }
+    }
+
     /// True when the message was delivered.
     pub fn delivered(&self) -> bool {
         self.result == RouteResult::Delivered
@@ -61,6 +85,16 @@ impl RouteOutcome2 {
 }
 
 impl RouteOutcome3 {
+    /// The dimension-free summary of this attempt.
+    pub fn summary(&self) -> RouteSummary {
+        RouteSummary {
+            delivered: self.delivered(),
+            hops: self.path.hops(),
+            adaptivity: self.adaptivity(),
+            detection_cost: self.detection_cost,
+        }
+    }
+
     /// True when the message was delivered.
     pub fn delivered(&self) -> bool {
         self.result == RouteResult::Delivered

@@ -14,24 +14,17 @@
 //!
 //! The per-trial functions here are thin wrappers over the prepared-mesh
 //! pipeline of [`crate::prepared`]: each builds a throwaway
-//! [`crate::prepared::PreparedMesh2`]/[`PreparedMesh3`] for its single
-//! pair, so fresh and batched trials share one code path and cannot
-//! drift. Callers evaluating many pairs against one fault configuration
-//! should hold a prepared mesh themselves and amortize model
-//! construction (see DESIGN.md §9).
-//!
-//! [`PreparedMesh3`]: crate::prepared::PreparedMesh3
+//! [`PreparedMesh`] for its single pair, so fresh and batched trials share
+//! one code path and cannot drift. Callers evaluating many pairs against
+//! one fault configuration should hold a prepared mesh themselves and
+//! amortize model construction (see DESIGN.md §9).
 
-use fault_model::mcc2::MccSet2;
-use fault_model::mcc3::MccSet3;
-use fault_model::oracle::{Useful2, Useful3};
-use fault_model::{
-    minimal_path_exists_2d_in, minimal_path_exists_3d_in, BorderPolicy, Labelling2, Labelling3,
-};
-use mesh_topo::{Mesh2D, Mesh3D, C2, C3};
+use fault_model::BorderPolicy;
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, C2, C3};
 use serde::{Deserialize, Serialize};
 
-use crate::prepared::{PreparedMesh2, PreparedMesh3};
+use crate::prepared::PreparedMesh;
+use crate::route_space::RouteSpace;
 
 /// Aggregatable result of one routing trial.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -128,50 +121,7 @@ impl Default for TrialOptions {
 /// # Panics
 /// If either endpoint is faulty.
 pub fn run_trial_2d(mesh: &Mesh2D, s: C2, d: C2, policy_seed: u64) -> TrialResult {
-    run_trial_2d_with(mesh, s, d, policy_seed, &TrialOptions::default())
-}
-
-/// Run one 2-D trial for arbitrary (healthy) mesh-coordinate endpoints.
-///
-/// Builds a throwaway [`PreparedMesh2`] for this single pair; batch
-/// callers should prepare once and reuse it.
-///
-/// # Panics
-/// If either endpoint is faulty.
-pub fn run_trial_2d_with(
-    mesh: &Mesh2D,
-    s: C2,
-    d: C2,
-    policy_seed: u64,
-    opts: &TrialOptions,
-) -> TrialResult {
-    PreparedMesh2::new(mesh, *opts).run_trial(s, d, policy_seed)
-}
-
-/// The MCC admission gate, shared verbatim by the fresh and prepared
-/// paths in both dimensions: the model admits the routing iff MCC
-/// evaluation was requested (`mccs` computed) and the existence condition
-/// holds for the canonical pair.
-pub(crate) fn mcc_ok_2d(
-    lab: &Labelling2,
-    mccs: Option<&MccSet2>,
-    cs: C2,
-    cd: C2,
-    useful: &mut Useful2,
-) -> bool {
-    mccs.is_some_and(|m| minimal_path_exists_2d_in(lab, m, cs, cd, useful).exists())
-}
-
-/// 3-D twin of [`mcc_ok_2d`] (the 3-D condition needs no MCC set, but the
-/// gate is the same: evaluate only when the model was requested).
-pub(crate) fn mcc_ok_3d(
-    lab: &Labelling3,
-    mccs: Option<&MccSet3>,
-    cs: C3,
-    cd: C3,
-    useful: &mut Useful3,
-) -> bool {
-    mccs.is_some() && minimal_path_exists_3d_in(lab, cs, cd, useful).exists()
+    run_trial_with(mesh, s, d, policy_seed, &TrialOptions::default())
 }
 
 /// Run one 3-D trial with the paper-faithful defaults (border-safe
@@ -180,24 +130,25 @@ pub(crate) fn mcc_ok_3d(
 /// # Panics
 /// If either endpoint is faulty.
 pub fn run_trial_3d(mesh: &Mesh3D, s: C3, d: C3, policy_seed: u64) -> TrialResult {
-    run_trial_3d_with(mesh, s, d, policy_seed, &TrialOptions::default())
+    run_trial_with(mesh, s, d, policy_seed, &TrialOptions::default())
 }
 
-/// Run one 3-D trial for arbitrary (healthy) mesh-coordinate endpoints.
+/// Run one trial for arbitrary (healthy) mesh-coordinate endpoints, in
+/// either dimension.
 ///
-/// Builds a throwaway [`PreparedMesh3`] for this single pair; batch
+/// Builds a throwaway [`PreparedMesh`] for this single pair; batch
 /// callers should prepare once and reuse it.
 ///
 /// # Panics
 /// If either endpoint is faulty.
-pub fn run_trial_3d_with(
-    mesh: &Mesh3D,
-    s: C3,
-    d: C3,
+pub fn run_trial_with<S: RouteSpace>(
+    mesh: &Mesh<S>,
+    s: S::Coord,
+    d: S::Coord,
     policy_seed: u64,
     opts: &TrialOptions,
 ) -> TrialResult {
-    PreparedMesh3::new(mesh, *opts).run_trial(s, d, policy_seed)
+    PreparedMesh::new(mesh, *opts).run_trial(s, d, policy_seed)
 }
 
 #[cfg(test)]

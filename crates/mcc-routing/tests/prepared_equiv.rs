@@ -11,7 +11,7 @@
 
 use fault_model::BorderPolicy;
 use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
-use mcc_routing::trial::{run_trial_2d_with, run_trial_3d_with};
+use mcc_routing::trial::run_trial_with;
 use mcc_routing::TrialOptions;
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Mesh2D, Mesh3D};
@@ -64,7 +64,7 @@ proptest! {
             }
             let policy_seed = seed.wrapping_add(i as u64);
             let prepared = pm.run_trial(s, d, policy_seed);
-            let fresh = run_trial_2d_with(&mesh, s, d, policy_seed, &opts);
+            let fresh = run_trial_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
                 "pair {s}->{d} opts {opts:?} faults {:?}: {prepared:?} != {fresh:?}",
@@ -106,7 +106,7 @@ proptest! {
             }
             let policy_seed = seed.wrapping_add(i as u64);
             let prepared = pm.run_trial(s, d, policy_seed);
-            let fresh = run_trial_3d_with(&mesh, s, d, policy_seed, &opts);
+            let fresh = run_trial_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
                 "pair {s}->{d} opts {opts:?} faults {:?}: {prepared:?} != {fresh:?}",
@@ -149,7 +149,7 @@ proptest! {
             }
             let policy_seed = seed.wrapping_add(i as u64);
             let prepared = pm.run_trial(s, d, policy_seed);
-            let fresh = run_trial_2d_with(&mesh, s, d, policy_seed, &opts);
+            let fresh = run_trial_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
                 "torus pair {s}->{d} opts {opts:?} faults {:?}: {prepared:?} != {fresh:?}",
@@ -191,7 +191,7 @@ proptest! {
             }
             let policy_seed = seed.wrapping_add(i as u64);
             let prepared = pm.run_trial(s, d, policy_seed);
-            let fresh = run_trial_3d_with(&mesh, s, d, policy_seed, &opts);
+            let fresh = run_trial_with(&mesh, s, d, policy_seed, &opts);
             prop_assert!(
                 prepared.bit_identical(&fresh),
                 "torus pair {s}->{d} opts {opts:?} faults {:?}: {prepared:?} != {fresh:?}",

@@ -76,9 +76,7 @@ pub use crash::{CrashPoint, CrashSite};
 pub use error::ServiceError;
 pub use ops::ChurnRecord;
 pub use service::{MeshService, ServiceConfig};
-pub use shard::{
-    Geometry, Request, Response, ShardCore, ShardModels, ShardSpec, ShardStats, StateDigest,
-};
+pub use shard::{Geometry, Request, Response, ShardCore, ShardSpec, ShardStats, StateDigest};
 pub use wal::SyncPolicy;
 
 /// Everything a service caller typically needs.

@@ -34,6 +34,14 @@ pub enum ChurnRecord {
 }
 
 impl ChurnRecord {
+    /// The batch's dimensionality (2 or 3).
+    pub fn dim(&self) -> u8 {
+        match self {
+            ChurnRecord::D2 { .. } => 2,
+            ChurnRecord::D3 { .. } => 3,
+        }
+    }
+
     /// Total coordinates in the batch.
     pub fn len(&self) -> usize {
         match self {

@@ -23,18 +23,27 @@
 //! is a *resolved* coordinate batch — seed-driven sampling happens before
 //! journaling — so replay is a pure fold over the journal, independent of
 //! wall clock and restart count.
+//!
+//! Every request body — route, query, their seed-sampled forms, churn
+//! check and apply, churn resolution, the digest and the snapshot's fault
+//! words — is written once, over the node space of the shard's models;
+//! the per-dimension steps of the paper (Theorem 1 or 2, Algorithm 3 or
+//! 6) come from [`mcc_routing::RouteSpace`]. Only the durable and wire
+//! forms keep their 2-D/3-D variants: [`Request`] names its coordinates,
+//! and [`ChurnRecord`]'s encoding, dimension tag included, is WAL data, so
+//! a small per-space mapping ties each variant to the models of its
+//! dimension. A request of the other dimension is rejected.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fault_model::oracle::Useful2;
-use fault_model::{BorderPolicy, IncrementalModels2, IncrementalModels3};
-use mcc_routing::router2::DecisionRule;
-use mcc_routing::{Policy, RouteScratch3, Router2, Router3};
+use fault_model::oracle::Useful;
+use fault_model::{BorderPolicy, IncrementalModels};
+use mcc_routing::{Policy, RouteSpace};
 use mesh_topo::coord::{C2, C3};
 use mesh_topo::nodeset::NodeSet;
 use mesh_topo::par::Parallelism;
-use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -297,24 +306,91 @@ pub struct StateDigest {
     pub comps: String,
 }
 
-/// The dimension-erased model cache a shard owns.
+/// One dimension's shard state: the maintained models plus the route
+/// scratch every route request reuses — the backward-reachability set and
+/// the exact router's own scratch (the 3-D detection flood).
 #[derive(Clone, Debug)]
-pub enum ShardModels {
+struct Models<S: ShardSpace> {
+    inc: IncrementalModels<S>,
+    useful: Useful<S>,
+    scratch: S::RouteScratch,
+}
+
+/// The dimension-erased models a shard owns.
+#[derive(Clone, Debug)]
+enum ShardModels {
     /// 2-D models (boxed: the caches are KiB-sized, the enum should not be).
-    D2(Box<IncrementalModels2>),
+    D2(Box<Models<NodeSpace2>>),
     /// 3-D models.
-    D3(Box<IncrementalModels3>),
+    D3(Box<Models<NodeSpace3>>),
+}
+
+/// Evaluate `$body` with `$m` bound to the shard's models, whichever their
+/// dimension.
+macro_rules! each {
+    ($models:expr, $m:ident => $body:expr) => {
+        match $models {
+            ShardModels::D2($m) => $body,
+            ShardModels::D3($m) => $body,
+        }
+    };
+}
+
+/// A churn batch borrowed from its record: the nodes to inject, then the
+/// nodes to heal.
+type Batch<'r, C> = (&'r [C], &'r [C]);
+
+/// The per-space mapping between a shard's models and the durable
+/// 2-D/3-D variants of [`ChurnRecord`] (and of [`Request`]).
+trait ShardSpace: RouteSpace {
+    /// The shard's models, if they have this dimension.
+    fn of(models: &mut ShardModels) -> Option<&mut Models<Self>>;
+    /// A batch of this dimension as a record.
+    fn record(injected: Vec<Self::Coord>, healed: Vec<Self::Coord>) -> ChurnRecord;
+    /// `rec`'s batch, if it has this dimension.
+    fn batch(rec: &ChurnRecord) -> Option<Batch<'_, Self::Coord>>;
+}
+
+impl ShardSpace for NodeSpace2 {
+    fn of(models: &mut ShardModels) -> Option<&mut Models<Self>> {
+        match models {
+            ShardModels::D2(m) => Some(m),
+            ShardModels::D3(_) => None,
+        }
+    }
+    fn record(injected: Vec<C2>, healed: Vec<C2>) -> ChurnRecord {
+        ChurnRecord::D2 { injected, healed }
+    }
+    fn batch(rec: &ChurnRecord) -> Option<Batch<'_, C2>> {
+        match rec {
+            ChurnRecord::D2 { injected, healed } => Some((injected, healed)),
+            ChurnRecord::D3 { .. } => None,
+        }
+    }
+}
+
+impl ShardSpace for NodeSpace3 {
+    fn of(models: &mut ShardModels) -> Option<&mut Models<Self>> {
+        match models {
+            ShardModels::D3(m) => Some(m),
+            ShardModels::D2(_) => None,
+        }
+    }
+    fn record(injected: Vec<C3>, healed: Vec<C3>) -> ChurnRecord {
+        ChurnRecord::D3 { injected, healed }
+    }
+    fn batch(rec: &ChurnRecord) -> Option<Batch<'_, C3>> {
+        match rec {
+            ChurnRecord::D3 { injected, healed } => Some((injected, healed)),
+            ChurnRecord::D2 { .. } => None,
+        }
+    }
 }
 
 impl ShardModels {
-    /// A fault-free cache for `spec`'s geometry.
-    pub fn fresh(spec: &ShardSpec) -> ShardModels {
-        ShardModels::from_fault_words(spec, None).expect("fresh build cannot mismatch")
-    }
-
-    /// Rebuild a cache from snapshot fault words (or fault-free for
+    /// Build the models from snapshot fault words (or fault-free for
     /// `None`), validating the word count against the geometry.
-    pub fn from_fault_words(
+    fn from_fault_words(
         spec: &ShardSpec,
         faults: Option<(usize, Vec<u64>)>,
     ) -> Result<ShardModels, String> {
@@ -337,153 +413,137 @@ impl ShardModels {
                 height,
                 wrap,
             } => {
-                let mut mesh = if wrap {
+                let mesh = if wrap {
                     Mesh2D::torus(width, height)
                 } else {
                     Mesh2D::new(width, height)
                 };
-                if let Some(set) = set {
-                    mesh.inject_fault_set(&set);
-                }
-                ShardModels::D2(Box::new(IncrementalModels2::new(mesh, spec.border)))
+                ShardModels::D2(Box::new(Models::new(mesh, set, spec.border)))
             }
             Geometry::M3 { nx, ny, nz, wrap } => {
-                let mut mesh = if wrap {
+                let mesh = if wrap {
                     Mesh3D::torus(nx, ny, nz)
                 } else {
                     Mesh3D::new(nx, ny, nz)
                 };
-                if let Some(set) = set {
-                    mesh.inject_fault_set(&set);
-                }
-                ShardModels::D3(Box::new(IncrementalModels3::new(mesh, spec.border)))
+                ShardModels::D3(Box::new(Models::new(mesh, set, spec.border)))
             }
         })
     }
 
     /// Mesh dimensionality (2 or 3).
-    pub fn dim(&self) -> u8 {
-        match self {
-            ShardModels::D2(_) => 2,
-            ShardModels::D3(_) => 3,
+    fn dim(&self) -> u8 {
+        each!(self, m => m.dim())
+    }
+
+    /// The models of `S`'s dimension, or the rejection a request of that
+    /// dimension gets from a shard of the other.
+    fn of<S: ShardSpace>(&mut self) -> Result<&mut Models<S>, ServiceError> {
+        let dim = self.dim();
+        S::of(self).ok_or_else(|| wrong_dim(S::DIMS as u8, dim))
+    }
+
+    fn fault_count(&self) -> usize {
+        each!(self, m => m.inc.mesh().fault_set().len())
+    }
+
+    fn node_count(&self) -> usize {
+        each!(self, m => m.inc.mesh().node_count())
+    }
+
+    fn fault_words(&self) -> (usize, Vec<u64>) {
+        each!(self, m => m.fault_words())
+    }
+
+    fn check(&self, rec: &ChurnRecord) -> Result<(), String> {
+        each!(self, m => m.check(rec))
+    }
+
+    fn try_apply(&mut self, rec: &ChurnRecord) -> Result<(), String> {
+        each!(self, m => m.try_apply(rec))
+    }
+
+    fn digest(&mut self, gen: u64) -> StateDigest {
+        each!(self, m => m.digest(gen))
+    }
+
+    fn resolve_churn_random(&self, seed: u64) -> ChurnRecord {
+        each!(self, m => m.resolve_churn_random(seed))
+    }
+
+    fn route_random(&mut self, seed: u64, min_dist: u32) -> Result<Response, ServiceError> {
+        each!(self, m => m.route_random(seed, min_dist))
+    }
+
+    fn query_random(&mut self, seed: u64) -> Result<Response, ServiceError> {
+        each!(self, m => m.query_random(seed))
+    }
+}
+
+impl<S: ShardSpace> Models<S> {
+    /// Fault-free models over `mesh`, or with the faults of `set`.
+    fn new(mut mesh: Mesh<S>, set: Option<NodeSet>, border: BorderPolicy) -> Models<S> {
+        if let Some(set) = set {
+            mesh.inject_fault_set(&set);
+        }
+        Models {
+            inc: IncrementalModels::new(mesh, border),
+            useful: Useful::scratch(),
+            scratch: Default::default(),
         }
     }
 
-    /// Current fault count.
-    pub fn fault_count(&self) -> usize {
-        match self {
-            ShardModels::D2(inc) => inc.mesh().fault_set().len(),
-            ShardModels::D3(inc) => inc.mesh().fault_set().len(),
-        }
-    }
-
-    /// Total node count.
-    pub fn node_count(&self) -> usize {
-        match self {
-            ShardModels::D2(inc) => inc.mesh().node_count(),
-            ShardModels::D3(inc) => inc.mesh().node_count(),
-        }
+    fn dim(&self) -> u8 {
+        S::DIMS as u8
     }
 
     /// The fault set as `(nbits, words)` — the snapshot payload.
-    pub fn fault_words(&self) -> (usize, Vec<u64>) {
-        match self {
-            ShardModels::D2(inc) => {
-                let set = inc.mesh().fault_set();
-                (set.capacity(), set.words().to_vec())
-            }
-            ShardModels::D3(inc) => {
-                let set = inc.mesh().fault_set();
-                (set.capacity(), set.words().to_vec())
-            }
-        }
+    fn fault_words(&self) -> (usize, Vec<u64>) {
+        let set = self.inc.mesh().fault_set();
+        (set.capacity(), set.words().to_vec())
+    }
+
+    /// `rec`'s batch, or the rejection of a batch of the other dimension.
+    fn batch(rec: &ChurnRecord) -> Result<Batch<'_, S::Coord>, String> {
+        S::batch(rec)
+            .ok_or_else(|| format!("churn batch is {}-D but shard is {}-D", rec.dim(), S::DIMS))
     }
 
     /// Validate a churn record against the current state without applying
     /// it (dimension match plus the fault-model batch checks).
-    pub fn check(&self, rec: &ChurnRecord) -> Result<(), String> {
-        match (self, rec) {
-            (ShardModels::D2(inc), ChurnRecord::D2 { injected, healed }) => {
-                inc.check(injected, healed).map_err(|e| e.to_string())
-            }
-            (ShardModels::D3(inc), ChurnRecord::D3 { injected, healed }) => {
-                inc.check(injected, healed).map_err(|e| e.to_string())
-            }
-            _ => Err(format!(
-                "churn batch is {}-D but shard is {}-D",
-                if matches!(rec, ChurnRecord::D2 { .. }) {
-                    2
-                } else {
-                    3
-                },
-                self.dim()
-            )),
-        }
+    fn check(&self, rec: &ChurnRecord) -> Result<(), String> {
+        let (injected, healed) = Self::batch(rec)?;
+        self.inc.check(injected, healed).map_err(|e| e.to_string())
     }
 
-    /// Apply a churn record that already passed [`check`](ShardModels::check).
-    ///
-    /// # Panics
-    /// If the record is invalid for the current state.
-    pub fn apply(&mut self, rec: &ChurnRecord) {
-        self.try_apply(rec).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible apply (check + mutate in one step) — the replay path.
-    pub fn try_apply(&mut self, rec: &ChurnRecord) -> Result<(), String> {
-        self.check(rec)?;
-        match (self, rec) {
-            (ShardModels::D2(inc), ChurnRecord::D2 { injected, healed }) => {
-                inc.try_apply(injected, healed).map_err(|e| e.to_string())
-            }
-            (ShardModels::D3(inc), ChurnRecord::D3 { injected, healed }) => {
-                inc.try_apply(injected, healed).map_err(|e| e.to_string())
-            }
-            _ => unreachable!("check already matched dimensions"),
-        }
+    /// Validate and apply a churn record in one step: the fault-model
+    /// batch checks run once, inside `try_apply`.
+    fn try_apply(&mut self, rec: &ChurnRecord) -> Result<(), String> {
+        let (injected, healed) = Self::batch(rec)?;
+        self.inc
+            .try_apply(injected, healed)
+            .map_err(|e| e.to_string())
     }
 
     /// The full comparable state in the identity orientation. `gen` is the
     /// durable generation the caller tracks (the internal model generation
     /// restarts at zero on recovery and is deliberately not compared).
-    pub fn digest(&mut self, gen: u64) -> StateDigest {
-        match self {
-            ShardModels::D2(inc) => {
-                let frame = Frame2::identity(inc.mesh());
-                let faults = inc.mesh().fault_set().clone();
-                let m = inc.models(frame);
-                StateDigest {
-                    gen,
-                    faults,
-                    statuses: m
-                        .lab
-                        .iter()
-                        .map(|(_, s)| format!("{s:?}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    unsafe_set: m.lab.unsafe_set().clone(),
-                    mccs: format!("{:?}", m.mccs),
-                    comps: format!("{:?}", m.comps),
-                }
-            }
-            ShardModels::D3(inc) => {
-                let frame = Frame3::identity(inc.mesh());
-                let faults = inc.mesh().fault_set().clone();
-                let m = inc.models(frame);
-                StateDigest {
-                    gen,
-                    faults,
-                    statuses: m
-                        .lab
-                        .iter()
-                        .map(|(_, s)| format!("{s:?}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                    unsafe_set: m.lab.unsafe_set().clone(),
-                    mccs: format!("{:?}", m.mccs),
-                    comps: format!("{:?}", m.comps),
-                }
-            }
+    fn digest(&mut self, gen: u64) -> StateDigest {
+        let frame = S::identity_frame(self.inc.mesh());
+        let faults = self.inc.mesh().fault_set().clone();
+        let m = self.inc.models(frame);
+        StateDigest {
+            gen,
+            faults,
+            statuses: m
+                .lab
+                .iter()
+                .map(|(_, s)| format!("{s:?}"))
+                .collect::<Vec<_>>()
+                .join(","),
+            unsafe_set: m.lab.unsafe_set().clone(),
+            mccs: format!("{:?}", m.mccs),
+            comps: format!("{:?}", m.comps),
         }
     }
 
@@ -491,28 +551,79 @@ impl ShardModels {
     /// the current state: heal one sampled faulty node (if any), inject
     /// one sampled healthy node (if any). Deterministic in
     /// `(seed, current fault configuration)`.
-    pub fn resolve_churn_random(&self, seed: u64) -> ChurnRecord {
+    fn resolve_churn_random(&self, seed: u64) -> ChurnRecord {
         let mut rng = SmallRng::seed_from_u64(seed);
-        match self {
-            ShardModels::D2(inc) => {
-                let mesh = inc.mesh();
-                let space = mesh.space();
-                let (inj, heal) = sample_flip(&mut rng, mesh.fault_set(), space.len());
-                ChurnRecord::D2 {
-                    injected: inj.into_iter().map(|i| space.coord(i)).collect(),
-                    healed: heal.into_iter().map(|i| space.coord(i)).collect(),
-                }
-            }
-            ShardModels::D3(inc) => {
-                let mesh = inc.mesh();
-                let space = mesh.space();
-                let (inj, heal) = sample_flip(&mut rng, mesh.fault_set(), space.len());
-                ChurnRecord::D3 {
-                    injected: inj.into_iter().map(|i| space.coord(i)).collect(),
-                    healed: heal.into_iter().map(|i| space.coord(i)).collect(),
-                }
-            }
+        let mesh = self.inc.mesh();
+        let space = mesh.space();
+        let (inj, heal) = sample_flip(&mut rng, mesh.fault_set(), space.node_count());
+        S::record(
+            inj.into_iter().map(|i| space.coord(i)).collect(),
+            heal.into_iter().map(|i| space.coord(i)).collect(),
+        )
+    }
+
+    fn route(&mut self, s: S::Coord, d: S::Coord, seed: u64) -> Result<Response, ServiceError> {
+        let space = self.inc.mesh().space();
+        if space.index_checked(s).is_none() || space.index_checked(d).is_none() {
+            return Err(ServiceError::Rejected {
+                reason: format!("route endpoints {s:?} -> {d:?} outside the mesh"),
+            });
         }
+        let frame = S::frame_for_pair(self.inc.mesh(), s, d);
+        let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+        let m = self.inc.models(frame);
+        let out = S::route_in(
+            m.lab,
+            m.mccs,
+            cs,
+            cd,
+            &mut Policy::random(seed),
+            &mut self.useful,
+            &mut self.scratch,
+        );
+        Ok(Response::Route {
+            delivered: out.delivered,
+            hops: out.hops,
+        })
+    }
+
+    fn route_random(&mut self, seed: u64, min_dist: u32) -> Result<Response, ServiceError> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mesh = self.inc.mesh();
+        let space = mesh.space();
+        let pair = sample_pair(&mut rng, space.node_count(), |i, j| {
+            let (a, b) = (space.coord(i), space.coord(j));
+            mesh.is_healthy(a) && mesh.is_healthy(b) && space.dist(a, b) >= min_dist.max(1)
+        });
+        let Some((i, j)) = pair else {
+            return Err(ServiceError::Rejected {
+                reason: "no healthy pair satisfies the separation requirement".into(),
+            });
+        };
+        self.route(space.coord(i), space.coord(j), seed)
+    }
+
+    fn query(&mut self, c: S::Coord) -> Result<Response, ServiceError> {
+        let space = self.inc.mesh().space();
+        let Some(i) = space.index_checked(c) else {
+            return Err(ServiceError::Rejected {
+                reason: format!("query node {c:?} outside the mesh"),
+            });
+        };
+        let frame = S::identity_frame(self.inc.mesh());
+        let m = self.inc.models(frame);
+        Ok(Response::Region {
+            status: format!("{:?}", m.lab.status(c)),
+            in_unsafe: m.lab.unsafe_set().contains(i),
+            mccs: S::mcc_count(m.mccs),
+        })
+    }
+
+    fn query_random(&mut self, seed: u64) -> Result<Response, ServiceError> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let space = self.inc.mesh().space();
+        let c = space.coord(rng.gen_range(0..space.node_count()));
+        self.query(c)
     }
 }
 
@@ -563,10 +674,6 @@ pub struct ShardCore {
     snapshot_gen: u64,
     ops_applied: u64,
     recoveries: u64,
-    /// Route scratch, reused by every route request: the 2-D
-    /// backward-reachability set, and the 3-D set plus detection flood.
-    useful2: Useful2,
-    scratch3: RouteScratch3,
 }
 
 impl ShardCore {
@@ -602,19 +709,19 @@ impl ShardCore {
         }
 
         let snap_path = dir.join(SNAP_FILE);
-        let (mut models, snap_gen) = match snapshot::load(&snap_path)? {
+        let (faults, snap_gen) = match snapshot::load(&snap_path)? {
             Some(s) => {
                 check_snapshot_spec(&s, &spec, &snap_path)?;
-                let models =
-                    ShardModels::from_fault_words(&spec, Some((s.nbits as usize, s.words)))
-                        .map_err(|detail| ServiceError::Corrupt {
-                            path: snap_path.clone(),
-                            detail,
-                        })?;
-                (models, s.gen)
+                (Some((s.nbits as usize, s.words)), s.gen)
             }
-            None => (ShardModels::fresh(&spec), 0),
+            None => (None, 0),
         };
+        let mut models = ShardModels::from_fault_words(&spec, faults).map_err(|detail| {
+            ServiceError::Corrupt {
+                path: snap_path,
+                detail,
+            }
+        })?;
 
         let wal_path = dir.join(WAL_FILE);
         let buf = match fs::read(&wal_path) {
@@ -659,8 +766,6 @@ impl ShardCore {
             snapshot_gen: snap_gen,
             ops_applied: 0,
             recoveries,
-            useful2: Useful2::scratch(),
-            scratch3: RouteScratch3::new(),
         })
     }
 
@@ -687,12 +792,12 @@ impl ShardCore {
     /// Serve one request.
     pub fn handle(&mut self, req: &Request) -> Result<Response, ServiceError> {
         match req {
-            Request::Route2 { s, d, seed } => self.route2(*s, *d, *seed),
-            Request::Route3 { s, d, seed } => self.route3(*s, *d, *seed),
-            Request::RouteRandom { seed, min_dist } => self.route_random(*seed, *min_dist),
-            Request::Query2(c) => self.query2(*c),
-            Request::Query3(c) => self.query3(*c),
-            Request::QueryRandom { seed } => self.query_random(*seed),
+            Request::Route2 { s, d, seed } => self.models.of::<NodeSpace2>()?.route(*s, *d, *seed),
+            Request::Route3 { s, d, seed } => self.models.of::<NodeSpace3>()?.route(*s, *d, *seed),
+            Request::RouteRandom { seed, min_dist } => self.models.route_random(*seed, *min_dist),
+            Request::Query2(c) => self.models.of::<NodeSpace2>()?.query(*c),
+            Request::Query3(c) => self.models.of::<NodeSpace3>()?.query(*c),
+            Request::QueryRandom { seed } => self.models.query_random(*seed),
             Request::Churn2 { injected, healed } => self.churn(ChurnRecord::D2 {
                 injected: injected.clone(),
                 healed: healed.clone(),
@@ -760,7 +865,10 @@ impl ShardCore {
             .map_err(|reason| ServiceError::Rejected { reason })?;
         let seq = self.gen + 1;
         self.wal.append(seq, &rec.encode(), &self.crash)?;
-        self.models.apply(&rec);
+        // Infallible after the check above.
+        self.models
+            .try_apply(&rec)
+            .unwrap_or_else(|e| panic!("{e}"));
         self.gen = seq;
         self.ops_applied += 1;
         if self.spec.snapshot_every > 0 && self.gen - self.snapshot_gen >= self.spec.snapshot_every
@@ -768,149 +876,6 @@ impl ShardCore {
             self.snapshot_now()?;
         }
         Ok(Response::Churn { gen: self.gen })
-    }
-
-    fn route2(&mut self, s: C2, d: C2, seed: u64) -> Result<Response, ServiceError> {
-        let ShardModels::D2(inc) = &mut self.models else {
-            return Err(wrong_dim(2, self.models.dim()));
-        };
-        let space = inc.mesh().space();
-        if space.index_checked(s).is_none() || space.index_checked(d).is_none() {
-            return Err(ServiceError::Rejected {
-                reason: format!("route endpoints {s:?} -> {d:?} outside the mesh"),
-            });
-        }
-        let frame = Frame2::for_pair(inc.mesh(), s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let m = inc.models(frame);
-        let mut policy = Policy::random(seed);
-        let out = Router2::new(m.lab, m.mccs).route_with_rule_in(
-            cs,
-            cd,
-            &mut policy,
-            DecisionRule::BoundaryExact,
-            &mut self.useful2,
-        );
-        Ok(Response::Route {
-            delivered: out.delivered(),
-            hops: out.path.hops(),
-        })
-    }
-
-    fn route3(&mut self, s: C3, d: C3, seed: u64) -> Result<Response, ServiceError> {
-        let ShardModels::D3(inc) = &mut self.models else {
-            return Err(wrong_dim(3, self.models.dim()));
-        };
-        let space = inc.mesh().space();
-        if space.index_checked(s).is_none() || space.index_checked(d).is_none() {
-            return Err(ServiceError::Rejected {
-                reason: format!("route endpoints {s:?} -> {d:?} outside the mesh"),
-            });
-        }
-        let frame = Frame3::for_pair(inc.mesh(), s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let m = inc.models(frame);
-        let mut policy = Policy::random(seed);
-        let out = Router3::new(m.lab, m.mccs).route_with_rule_in(
-            cs,
-            cd,
-            &mut policy,
-            DecisionRule::BoundaryExact,
-            &mut self.scratch3,
-        );
-        Ok(Response::Route {
-            delivered: out.delivered(),
-            hops: out.path.hops(),
-        })
-    }
-
-    fn route_random(&mut self, seed: u64, min_dist: u32) -> Result<Response, ServiceError> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        match &self.models {
-            ShardModels::D2(inc) => {
-                let mesh = inc.mesh();
-                let space = mesh.space();
-                let pair = sample_pair(&mut rng, space.len(), |i, j| {
-                    let (a, b) = (space.coord(i), space.coord(j));
-                    mesh.is_healthy(a) && mesh.is_healthy(b) && space.dist(a, b) >= min_dist.max(1)
-                });
-                let Some((i, j)) = pair else {
-                    return Err(ServiceError::Rejected {
-                        reason: "no healthy pair satisfies the separation requirement".into(),
-                    });
-                };
-                let (s, d) = (space.coord(i), space.coord(j));
-                self.route2(s, d, seed)
-            }
-            ShardModels::D3(inc) => {
-                let mesh = inc.mesh();
-                let space = mesh.space();
-                let pair = sample_pair(&mut rng, space.len(), |i, j| {
-                    let (a, b) = (space.coord(i), space.coord(j));
-                    mesh.is_healthy(a) && mesh.is_healthy(b) && space.dist(a, b) >= min_dist.max(1)
-                });
-                let Some((i, j)) = pair else {
-                    return Err(ServiceError::Rejected {
-                        reason: "no healthy pair satisfies the separation requirement".into(),
-                    });
-                };
-                let (s, d) = (space.coord(i), space.coord(j));
-                self.route3(s, d, seed)
-            }
-        }
-    }
-
-    fn query2(&mut self, c: C2) -> Result<Response, ServiceError> {
-        let ShardModels::D2(inc) = &mut self.models else {
-            return Err(wrong_dim(2, self.models.dim()));
-        };
-        let space = inc.mesh().space();
-        let Some(i) = space.index_checked(c) else {
-            return Err(ServiceError::Rejected {
-                reason: format!("query node {c:?} outside the mesh"),
-            });
-        };
-        let frame = Frame2::identity(inc.mesh());
-        let m = inc.models(frame);
-        Ok(Response::Region {
-            status: format!("{:?}", m.lab.status(c)),
-            in_unsafe: m.lab.unsafe_set().contains(i),
-            mccs: m.mccs.len(),
-        })
-    }
-
-    fn query3(&mut self, c: C3) -> Result<Response, ServiceError> {
-        let ShardModels::D3(inc) = &mut self.models else {
-            return Err(wrong_dim(3, self.models.dim()));
-        };
-        let space = inc.mesh().space();
-        let Some(i) = space.index_checked(c) else {
-            return Err(ServiceError::Rejected {
-                reason: format!("query node {c:?} outside the mesh"),
-            });
-        };
-        let frame = Frame3::identity(inc.mesh());
-        let m = inc.models(frame);
-        Ok(Response::Region {
-            status: format!("{:?}", m.lab.status(c)),
-            in_unsafe: m.lab.unsafe_set().contains(i),
-            mccs: m.mccs.len(),
-        })
-    }
-
-    fn query_random(&mut self, seed: u64) -> Result<Response, ServiceError> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let i = rng.gen_range(0..self.models.node_count());
-        match &self.models {
-            ShardModels::D2(inc) => {
-                let c = inc.mesh().space().coord(i);
-                self.query2(c)
-            }
-            ShardModels::D3(inc) => {
-                let c = inc.mesh().space().coord(i);
-                self.query3(c)
-            }
-        }
     }
 }
 
