@@ -5,11 +5,13 @@
 //! count, then in lexicographic order of their sorted node indices: the
 //! empty set is set 0, the single faults follow in index order, and so on.
 //! [`FaultSets::first_failure`] splits that list into fixed ranges and
-//! checks them on a few threads. Within a range the sets run in order, and
-//! a range that starts past a failure already found is skipped, so the
+//! checks them on a few threads ([`first_failure_in`], which the Gray-code
+//! churn walk also runs on). Within a range the sets run in order, and a
+//! range that starts past a failure already found is skipped, so the
 //! failure reported is the first in the list — the fewest faults, then the
 //! lowest indices — whatever the thread count.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -99,42 +101,62 @@ impl FaultSets {
         chunk: u64,
         check: impl Fn(&[usize]) -> Result<(), String> + Sync,
     ) -> Option<Failure> {
-        let len = self.len();
-        let next = AtomicU64::new(0);
-        let found: Mutex<Option<Failure>> = Mutex::new(None);
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Ranges are handed out in list order.
-                    let lo = next.fetch_add(chunk, Ordering::SeqCst);
-                    let before_failure = |at: u64| {
-                        let found = found.lock().expect("a checker panicked");
-                        found.as_ref().is_none_or(|f| at < f.index)
-                    };
-                    if lo >= len || !before_failure(lo) {
-                        return;
-                    }
-                    let mut set = self.nth(lo);
-                    for index in lo..(lo + chunk).min(len) {
-                        if let Err(message) = check(&set) {
-                            let mut found = found.lock().expect("a checker panicked");
-                            if found.as_ref().is_none_or(|f| index < f.index) {
-                                *found = Some(Failure {
-                                    index,
-                                    faults: set,
-                                    message,
-                                });
-                            }
-                            break;
-                        }
-                        self.advance(&mut set);
-                    }
-                });
+        first_failure_in(self.len(), chunk, workers(), |range| {
+            let mut set = self.nth(range.start);
+            for index in range {
+                if let Err(message) = check(&set) {
+                    return Some(Failure {
+                        index,
+                        faults: set,
+                        message,
+                    });
+                }
+                self.advance(&mut set);
             }
-        });
-        found.into_inner().expect("a checker panicked")
+            None
+        })
     }
+}
+
+/// The worker count of the batteries: the available cores, at most four.
+pub fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+}
+
+/// Split `0..len` into the fixed ranges `[k·chunk, (k+1)·chunk)` and check
+/// them on `workers` threads. `check` runs one range in order and returns
+/// its first failure. Ranges are handed out in order and a range that
+/// starts past a failure already found is skipped, so the failure returned
+/// is the one with the lowest index whatever `workers` is.
+pub fn first_failure_in(
+    len: u64,
+    chunk: u64,
+    workers: usize,
+    check: impl Fn(Range<u64>) -> Option<Failure> + Sync,
+) -> Option<Failure> {
+    let next = AtomicU64::new(0);
+    let found: Mutex<Option<Failure>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let lo = next.fetch_add(chunk, Ordering::SeqCst);
+                let before_failure = |at: u64| {
+                    let found = found.lock().expect("a checker panicked");
+                    found.as_ref().is_none_or(|f| at < f.index)
+                };
+                if lo >= len || !before_failure(lo) {
+                    return;
+                }
+                if let Some(failure) = check(lo..(lo + chunk).min(len)) {
+                    let mut found = found.lock().expect("a checker panicked");
+                    if found.as_ref().is_none_or(|f| failure.index < f.index) {
+                        *found = Some(failure);
+                    }
+                }
+            });
+        }
+    });
+    found.into_inner().expect("a checker panicked")
 }
 
 #[test]
@@ -182,4 +204,26 @@ fn the_first_failure_is_reported_whatever_the_ranges() {
         assert_eq!(sets.nth(f.index), vec![3, 7]);
     }
     assert!(sets.first_failure(16, |_| Ok(())).is_none());
+}
+
+#[test]
+fn the_first_failure_in_ranges_does_not_depend_on_the_workers() {
+    // Every index divisible by 37 past 500 fails.
+    let check = |range: Range<u64>| {
+        range
+            .into_iter()
+            .find(|&i| i > 500 && i % 37 == 0)
+            .map(|index| Failure {
+                index,
+                faults: vec![],
+                message: String::new(),
+            })
+    };
+    for workers in 1..=4 {
+        for chunk in [1, 16, 100, 5000] {
+            let f = first_failure_in(2000, chunk, workers, check).expect("an index fails");
+            assert_eq!(f.index, 518, "workers {workers}, chunk {chunk}");
+        }
+    }
+    assert!(first_failure_in(2000, 16, 3, |_| None).is_none());
 }
