@@ -188,59 +188,46 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
 mod tests {
     use super::*;
     use fault_model::{BorderPolicy, FaultRegime};
-    use mesh_topo::coord::{c2, c3};
+    use mesh_topo::coord::c2;
     use mesh_topo::{Mesh2D, Mesh3D};
 
-    #[test]
-    fn prepared_matches_fresh_across_a_batch_2d() {
-        let mut mesh = Mesh2D::new(16, 16);
-        FaultRegime::Uniform.inject(&mut mesh, 30, 5, &[], BorderPolicy::BorderSafe);
+    /// Run 40 pairs of the `k`-ary `mesh` through one prepared mesh and
+    /// through fresh trials, requiring bit-identical results; returns the
+    /// prepared mesh.
+    fn batch_matches_fresh<S: RouteSpace>(mesh: &Mesh<S>, k: i32) -> PreparedMesh<'_, S> {
         let opts = TrialOptions::default();
-        let mut pm = PreparedMesh2::new(&mesh, opts);
+        let mut pm = PreparedMesh::new(mesh, opts);
         let mut trials = 0;
         for seed in 0..40u64 {
-            let a = c2((seed as i32 * 7) % 16, (seed as i32 * 3) % 16);
-            let b = c2((seed as i32 * 5 + 2) % 16, (seed as i32 * 11 + 4) % 16);
+            let at = |m: [i32; 3], c: [i32; 3]| {
+                S::from_xyz([0, 1, 2].map(|i| (seed as i32 * m[i] + c[i]) % k))
+            };
+            let (a, b) = (at([7, 3, 5], [0; 3]), at([5, 11, 13], [2, 4, 1]));
             if !mesh.is_healthy(a) || !mesh.is_healthy(b) {
                 continue;
             }
             trials += 1;
             let p = pm.run_trial(a, b, seed);
-            let f = crate::trial::run_trial_with(&mesh, a, b, seed, &opts);
+            let f = crate::trial::run_trial_with(mesh, a, b, seed, &opts);
             assert!(p.bit_identical(&f), "seed {seed}: {p:?} != {f:?}");
         }
         assert!(trials > 20, "too few healthy pairs: {trials}");
-        // All four quadrant orientations were exercised and cached.
-        assert!(pm.orientations_computed() >= 2);
+        pm
+    }
+
+    #[test]
+    fn prepared_matches_fresh_across_a_batch_2d() {
+        let mut mesh = Mesh2D::new(16, 16);
+        FaultRegime::Uniform.inject(&mut mesh, 30, 5, &[], BorderPolicy::BorderSafe);
+        // More than one quadrant orientation was exercised and cached.
+        assert!(batch_matches_fresh(&mesh, 16).orientations_computed() >= 2);
     }
 
     #[test]
     fn prepared_matches_fresh_across_a_batch_3d() {
         let mut mesh = Mesh3D::kary(8);
         FaultRegime::Uniform.inject(&mut mesh, 40, 9, &[], BorderPolicy::BorderSafe);
-        let opts = TrialOptions::default();
-        let mut pm = PreparedMesh3::new(&mesh, opts);
-        let mut trials = 0;
-        for seed in 0..40u64 {
-            let a = c3(
-                (seed as i32 * 7) % 8,
-                (seed as i32 * 3) % 8,
-                (seed as i32 * 5) % 8,
-            );
-            let b = c3(
-                (seed as i32 * 5 + 2) % 8,
-                (seed as i32 * 11 + 4) % 8,
-                (seed as i32 * 13 + 1) % 8,
-            );
-            if !mesh.is_healthy(a) || !mesh.is_healthy(b) {
-                continue;
-            }
-            trials += 1;
-            let p = pm.run_trial(a, b, seed);
-            let f = crate::trial::run_trial_with(&mesh, a, b, seed, &opts);
-            assert!(p.bit_identical(&f), "seed {seed}: {p:?} != {f:?}");
-        }
-        assert!(trials > 20, "too few healthy pairs: {trials}");
+        batch_matches_fresh(&mesh, 8);
     }
 
     #[test]

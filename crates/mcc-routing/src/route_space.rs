@@ -17,9 +17,12 @@
 //! Every method forwards to the existing per-dimension function, so a
 //! generic caller runs exactly the code a dimension-specific one did.
 
-use fault_model::oracle::Useful;
-use fault_model::{minimal_path_exists_2d_in, minimal_path_exists_3d_in, Labelling, ModelSpace};
-use mesh_topo::{Mesh, NodeSpace2, NodeSpace3};
+use fault_model::mcc2::MccSet2;
+use fault_model::mcc3::MccSet3;
+use fault_model::oracle::{Useful, Useful2, Useful3};
+use fault_model::{minimal_path_exists_2d_in, minimal_path_exists_3d_in};
+use fault_model::{Labelling, Labelling2, Labelling3, ModelSpace};
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, C2, C3};
 
 use crate::baseline;
 use crate::feasibility3::FloodScratch3;
@@ -27,6 +30,10 @@ use crate::policy::Policy;
 use crate::router2::{DecisionRule, Router2};
 use crate::router3::Router3;
 use crate::trace::RouteSummary;
+
+/// Both routers run the exact rule; the ablation rule is reached through
+/// the routers directly.
+const EXACT: DecisionRule = DecisionRule::BoundaryExact;
 
 /// A node space with the paper's per-dimension routing steps.
 pub trait RouteSpace: ModelSpace {
@@ -93,122 +100,88 @@ pub trait RouteSpace: ModelSpace {
 impl RouteSpace for NodeSpace2 {
     type RouteScratch = ();
 
-    fn mcc_ok(
-        lab: &Labelling<Self>,
-        mccs: Option<&Self::Mccs>,
-        s: Self::Coord,
-        d: Self::Coord,
-        useful: &mut Useful<Self>,
-    ) -> bool {
-        mccs.is_some_and(|m| minimal_path_exists_2d_in(lab, m, s, d, useful).exists())
+    fn mcc_ok(lab: &Labelling2, mccs: Option<&MccSet2>, s: C2, d: C2, u: &mut Useful2) -> bool {
+        mccs.is_some_and(|m| minimal_path_exists_2d_in(lab, m, s, d, u).exists())
     }
 
     fn route_reusing(
-        lab: &Labelling<Self>,
-        mccs: &Self::Mccs,
-        s: Self::Coord,
-        d: Self::Coord,
+        lab: &Labelling2,
+        mccs: &MccSet2,
+        s: C2,
+        d: C2,
         policy: &mut Policy,
-        useful: &Useful<Self>,
+        useful: &Useful2,
         _: &mut (),
     ) -> RouteSummary {
         Router2::new(lab, mccs)
-            .route_with_rule_reusing(s, d, policy, DecisionRule::BoundaryExact, useful)
+            .route_with_rule_reusing(s, d, policy, EXACT, useful)
             .summary()
     }
 
     fn route_in(
-        lab: &Labelling<Self>,
-        mccs: &Self::Mccs,
-        s: Self::Coord,
-        d: Self::Coord,
+        lab: &Labelling2,
+        mccs: &MccSet2,
+        s: C2,
+        d: C2,
         policy: &mut Policy,
-        useful: &mut Useful<Self>,
+        useful: &mut Useful2,
         _: &mut (),
     ) -> RouteSummary {
         Router2::new(lab, mccs)
-            .route_with_rule_in(s, d, policy, DecisionRule::BoundaryExact, useful)
+            .route_with_rule_in(s, d, policy, EXACT, useful)
             .summary()
     }
 
-    fn route_greedy(
-        lab: &Labelling<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-    ) -> RouteSummary {
+    fn route_greedy(lab: &Labelling2, s: C2, d: C2, policy: &mut Policy) -> RouteSummary {
         baseline::route_greedy_2d(lab, s, d, policy).summary()
     }
 
-    fn route_rfb_reusing(
-        mesh: &Mesh<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-        useful: &Useful<Self>,
-    ) -> RouteSummary {
-        baseline::route_rfb_2d_reusing(mesh, s, d, policy, useful).summary()
+    fn route_rfb_reusing(m: &Mesh2D, s: C2, d: C2, p: &mut Policy, u: &Useful2) -> RouteSummary {
+        baseline::route_rfb_2d_reusing(m, s, d, p, u).summary()
     }
 }
 
 impl RouteSpace for NodeSpace3 {
     type RouteScratch = FloodScratch3;
 
-    fn mcc_ok(
-        lab: &Labelling<Self>,
-        mccs: Option<&Self::Mccs>,
-        s: Self::Coord,
-        d: Self::Coord,
-        useful: &mut Useful<Self>,
-    ) -> bool {
+    fn mcc_ok(lab: &Labelling3, mccs: Option<&MccSet3>, s: C3, d: C3, u: &mut Useful3) -> bool {
         // Theorem 2 reads no MCC set, but the gate is the same.
-        mccs.is_some() && minimal_path_exists_3d_in(lab, s, d, useful).exists()
+        mccs.is_some() && minimal_path_exists_3d_in(lab, s, d, u).exists()
     }
 
     fn route_reusing(
-        lab: &Labelling<Self>,
-        mccs: &Self::Mccs,
-        s: Self::Coord,
-        d: Self::Coord,
+        lab: &Labelling3,
+        mccs: &MccSet3,
+        s: C3,
+        d: C3,
         policy: &mut Policy,
-        useful: &Useful<Self>,
+        useful: &Useful3,
         flood: &mut FloodScratch3,
     ) -> RouteSummary {
         Router3::new(lab, mccs)
-            .route_with_rule_reusing(s, d, policy, DecisionRule::BoundaryExact, useful, flood)
+            .route_with_rule_reusing(s, d, policy, EXACT, useful, flood)
             .summary()
     }
 
     fn route_in(
-        lab: &Labelling<Self>,
-        mccs: &Self::Mccs,
-        s: Self::Coord,
-        d: Self::Coord,
+        lab: &Labelling3,
+        mccs: &MccSet3,
+        s: C3,
+        d: C3,
         policy: &mut Policy,
-        useful: &mut Useful<Self>,
+        useful: &mut Useful3,
         flood: &mut FloodScratch3,
     ) -> RouteSummary {
         Router3::new(lab, mccs)
-            .route_with_rule_split(s, d, policy, DecisionRule::BoundaryExact, useful, flood)
+            .route_with_rule_split(s, d, policy, EXACT, useful, flood)
             .summary()
     }
 
-    fn route_greedy(
-        lab: &Labelling<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-    ) -> RouteSummary {
+    fn route_greedy(lab: &Labelling3, s: C3, d: C3, policy: &mut Policy) -> RouteSummary {
         baseline::route_greedy_3d(lab, s, d, policy).summary()
     }
 
-    fn route_rfb_reusing(
-        mesh: &Mesh<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-        useful: &Useful<Self>,
-    ) -> RouteSummary {
-        baseline::route_rfb_3d_reusing(mesh, s, d, policy, useful).summary()
+    fn route_rfb_reusing(m: &Mesh3D, s: C3, d: C3, p: &mut Policy, u: &Useful3) -> RouteSummary {
+        baseline::route_rfb_3d_reusing(m, s, d, p, u).summary()
     }
 }

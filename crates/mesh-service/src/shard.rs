@@ -430,54 +430,6 @@ impl ShardModels {
             }
         })
     }
-
-    /// Mesh dimensionality (2 or 3).
-    fn dim(&self) -> u8 {
-        each!(self, m => m.dim())
-    }
-
-    /// The models of `S`'s dimension, or the rejection a request of that
-    /// dimension gets from a shard of the other.
-    fn of<S: ShardSpace>(&mut self) -> Result<&mut Models<S>, ServiceError> {
-        let dim = self.dim();
-        S::of(self).ok_or_else(|| wrong_dim(S::DIMS as u8, dim))
-    }
-
-    fn fault_count(&self) -> usize {
-        each!(self, m => m.inc.mesh().fault_set().len())
-    }
-
-    fn node_count(&self) -> usize {
-        each!(self, m => m.inc.mesh().node_count())
-    }
-
-    fn fault_words(&self) -> (usize, Vec<u64>) {
-        each!(self, m => m.fault_words())
-    }
-
-    fn check(&self, rec: &ChurnRecord) -> Result<(), String> {
-        each!(self, m => m.check(rec))
-    }
-
-    fn try_apply(&mut self, rec: &ChurnRecord) -> Result<(), String> {
-        each!(self, m => m.try_apply(rec))
-    }
-
-    fn digest(&mut self, gen: u64) -> StateDigest {
-        each!(self, m => m.digest(gen))
-    }
-
-    fn resolve_churn_random(&self, seed: u64) -> ChurnRecord {
-        each!(self, m => m.resolve_churn_random(seed))
-    }
-
-    fn route_random(&mut self, seed: u64, min_dist: u32) -> Result<Response, ServiceError> {
-        each!(self, m => m.route_random(seed, min_dist))
-    }
-
-    fn query_random(&mut self, seed: u64) -> Result<Response, ServiceError> {
-        each!(self, m => m.query_random(seed))
-    }
 }
 
 impl<S: ShardSpace> Models<S> {
@@ -491,10 +443,6 @@ impl<S: ShardSpace> Models<S> {
             useful: Useful::scratch(),
             scratch: Default::default(),
         }
-    }
-
-    fn dim(&self) -> u8 {
-        S::DIMS as u8
     }
 
     /// The fault set as `(nbits, words)` — the snapshot payload.
@@ -747,12 +695,10 @@ impl ShardCore {
                 path: wal_path.clone(),
                 detail,
             })?;
-            models
-                .try_apply(&rec)
-                .map_err(|detail| ServiceError::Corrupt {
-                    path: wal_path.clone(),
-                    detail: format!("journaled record {seq} does not apply: {detail}"),
-                })?;
+            each!(&mut models, m => m.try_apply(&rec)).map_err(|detail| ServiceError::Corrupt {
+                path: wal_path.clone(),
+                detail: format!("journaled record {seq} does not apply: {detail}"),
+            })?;
             gen = seq;
         }
         let wal = Wal::open_at(&wal_path, clean_len as u64, spec.sync)?;
@@ -786,18 +732,27 @@ impl ShardCore {
 
     /// The full comparable state (see [`StateDigest`]).
     pub fn digest(&mut self) -> StateDigest {
-        self.models.digest(self.gen)
+        each!(&mut self.models, m => m.digest(self.gen))
+    }
+
+    /// The models of `S`'s dimension, or the rejection of a request of
+    /// that dimension.
+    fn models_of<S: ShardSpace>(&mut self) -> Result<&mut Models<S>, ServiceError> {
+        let shard = self.spec.geom.dim();
+        S::of(&mut self.models).ok_or_else(|| wrong_dim(S::DIMS as u8, shard))
     }
 
     /// Serve one request.
     pub fn handle(&mut self, req: &Request) -> Result<Response, ServiceError> {
         match req {
-            Request::Route2 { s, d, seed } => self.models.of::<NodeSpace2>()?.route(*s, *d, *seed),
-            Request::Route3 { s, d, seed } => self.models.of::<NodeSpace3>()?.route(*s, *d, *seed),
-            Request::RouteRandom { seed, min_dist } => self.models.route_random(*seed, *min_dist),
-            Request::Query2(c) => self.models.of::<NodeSpace2>()?.query(*c),
-            Request::Query3(c) => self.models.of::<NodeSpace3>()?.query(*c),
-            Request::QueryRandom { seed } => self.models.query_random(*seed),
+            Request::Route2 { s, d, seed } => self.models_of::<NodeSpace2>()?.route(*s, *d, *seed),
+            Request::Route3 { s, d, seed } => self.models_of::<NodeSpace3>()?.route(*s, *d, *seed),
+            Request::RouteRandom { seed, min_dist } => {
+                each!(&mut self.models, m => m.route_random(*seed, *min_dist))
+            }
+            Request::Query2(c) => self.models_of::<NodeSpace2>()?.query(*c),
+            Request::Query3(c) => self.models_of::<NodeSpace3>()?.query(*c),
+            Request::QueryRandom { seed } => each!(&mut self.models, m => m.query_random(*seed)),
             Request::Churn2 { injected, healed } => self.churn(ChurnRecord::D2 {
                 injected: injected.clone(),
                 healed: healed.clone(),
@@ -807,7 +762,7 @@ impl ShardCore {
                 healed: healed.clone(),
             }),
             Request::ChurnRandom { seed } => {
-                let rec = self.models.resolve_churn_random(*seed);
+                let rec = each!(&self.models, m => m.resolve_churn_random(*seed));
                 self.churn(rec)
             }
             Request::Snapshot => {
@@ -826,8 +781,8 @@ impl ShardCore {
             snapshot_gen: self.snapshot_gen,
             ops_applied: self.ops_applied,
             wal_bytes: self.wal.len_bytes(),
-            faults: self.models.fault_count(),
-            nodes: self.models.node_count(),
+            faults: each!(&self.models, m => m.inc.mesh().fault_set().len()),
+            nodes: each!(&self.models, m => m.inc.mesh().node_count()),
             recoveries: self.recoveries,
         }
     }
@@ -835,7 +790,7 @@ impl ShardCore {
     /// Write a snapshot covering the current generation and truncate the
     /// WAL. Returns the covered generation.
     pub fn snapshot_now(&mut self) -> Result<u64, ServiceError> {
-        let (nbits, words) = self.models.fault_words();
+        let (nbits, words) = each!(&self.models, m => m.fault_words());
         let snap = Snapshot {
             dim: self.spec.geom.dim(),
             wrap: self.spec.geom.wraps(),
@@ -860,15 +815,12 @@ impl ShardCore {
     /// The write-ahead churn path: check → journal → apply → maybe
     /// snapshot.
     fn churn(&mut self, rec: ChurnRecord) -> Result<Response, ServiceError> {
-        self.models
-            .check(&rec)
+        each!(&self.models, m => m.check(&rec))
             .map_err(|reason| ServiceError::Rejected { reason })?;
         let seq = self.gen + 1;
         self.wal.append(seq, &rec.encode(), &self.crash)?;
         // Infallible after the check above.
-        self.models
-            .try_apply(&rec)
-            .unwrap_or_else(|e| panic!("{e}"));
+        each!(&mut self.models, m => m.try_apply(&rec)).unwrap_or_else(|e| panic!("{e}"));
         self.gen = seq;
         self.ops_applied += 1;
         if self.spec.snapshot_every > 0 && self.gen - self.snapshot_gen >= self.spec.snapshot_every
