@@ -46,7 +46,7 @@ pub struct RouteOutcome3 {
 
 /// What the trial pipeline and the service read of a routing attempt,
 /// the same in both dimensions.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct RouteSummary {
     /// The message was delivered.
     pub delivered: bool,
