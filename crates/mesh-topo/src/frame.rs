@@ -496,6 +496,60 @@ mod tests {
     }
 
     #[test]
+    fn frame_equality_is_the_model_cache_key() {
+        // A frame keys the model cache: equality and hashing decide which
+        // cached models a pair may reuse.
+        use std::collections::HashSet;
+        let torus = Mesh2D::torus(7, 5);
+        // `identity` and `all` carry no rotation, even on a torus: they
+        // map like pure reflections and equal their mesh twins.
+        let all = Frame2::all(&torus);
+        assert_eq!(Frame2::identity(&torus), all[0]);
+        assert_eq!(all[1].to_canon(c2(0, 0)), c2(6, 0));
+        assert_eq!(all[3].to_canon(c2(1, 1)), c2(5, 3));
+        let mesh = Mesh2D::new(7, 5);
+        assert_eq!(Frame2::all(&mesh), all);
+        assert_ne!(
+            Frame2::identity(&mesh),
+            Frame2::identity(&Mesh2D::new(5, 7))
+        );
+        // A torus pair frame with zero rotation maps like the identity,
+        // yet compares unequal to it.
+        let zero = Frame2::for_pair(&torus, c2(0, 0), c2(1, 1));
+        for c in torus.nodes() {
+            assert_eq!(zero.to_canon(c), c);
+        }
+        assert_ne!(zero, Frame2::identity(&torus));
+        // `index()` names the reflection only: rotations share it.
+        let turned = Frame2::for_pair(&torus, c2(2, 3), c2(4, 4));
+        assert_eq!((zero.index(), turned.index()), (0, 0));
+        assert_ne!(zero, turned);
+        assert_eq!(Frame2::for_pair(&torus, c2(4, 4), c2(2, 3)).index(), 3);
+        // On a mesh a pair frame is the reflection frame of `all`.
+        assert_eq!(
+            Frame2::for_pair(&mesh, c2(3, 3), c2(0, 4)),
+            Frame2::all(&mesh)[1]
+        );
+        // Hashing agrees with equality.
+        let again = Frame2::for_pair(&torus, c2(2, 3), c2(4, 4));
+        let keys: HashSet<Frame2> = [all[0], Frame2::identity(&mesh), zero, turned, again]
+            .into_iter()
+            .collect();
+        assert_eq!(keys.len(), 3);
+
+        let t3 = Mesh3D::torus(4, 5, 6);
+        let zero3 = Frame3::for_pair(&t3, c3(0, 0, 0), c3(1, 1, 1));
+        assert_ne!(zero3, Frame3::identity(&t3));
+        assert_eq!(
+            Frame3::identity(&t3),
+            Frame3::identity(&Mesh3D::new(4, 5, 6))
+        );
+        assert_eq!(Frame3::for_pair(&t3, c3(1, 2, 3), c3(0, 1, 2)).index(), 7);
+        let keys: HashSet<Frame3> = Frame3::all(&t3).into_iter().chain([zero3]).collect();
+        assert_eq!(keys.len(), 9);
+    }
+
+    #[test]
     fn bounds_stay_in_mesh() {
         let mesh = Mesh2D::new(9, 3);
         for f in Frame2::all(&mesh) {

@@ -1,16 +1,18 @@
-//! Property battery pinning the torus neighbor math against brute-force
-//! modular arithmetic.
+//! Property battery pinning the neighbor math of the node spaces against
+//! brute-force coordinate arithmetic.
 //!
-//! The wrap-aware enumerators in `mesh_topo::nodeset` compute neighbor
-//! indices with branchy in-place offset math (no division in the hot
-//! loop). These tests re-derive every neighborhood from the definition —
-//! `(x ± 1) mod k` per axis — and require exact agreement, for every node
-//! of randomly drawn torus extents, across:
+//! The enumerators in `mesh_topo::nodeset` compute neighbor indices with
+//! branchy in-place offset math (no division in the hot loop). These
+//! tests re-derive every neighborhood from the definition — `c + offset`,
+//! reduced `mod k` per axis on a torus and dropped past a mesh border —
+//! and require exact agreement, in the documented order, for every node
+//! of randomly drawn torus and mesh extents, across:
 //!
 //! * `step` / `step_c` (single probes, index- and coordinate-level),
-//! * `for_neighbors4` / `for_neighbors6` (face neighborhoods),
+//! * `for_neighbors4` / `for_neighbors6` (axis neighborhoods, in the
+//!   order the fault samplers' draw sequence relies on),
 //! * `for_neighbors8` / `for_neighbors18` (region-connectivity
-//!   neighborhoods),
+//!   neighborhoods, in the order component discovery relies on),
 //! * `dist` (per-axis Lee distance) and `wrap_coord` (reduction).
 
 use mesh_topo::coord::{c2, c3};
@@ -22,59 +24,110 @@ fn modk(v: i32, k: i32) -> i32 {
     ((v % k) + k) % k
 }
 
-/// Brute-force oracle for the 2-D face neighborhood of `(x, y)`.
-fn oracle4(x: i32, y: i32, w: i32, h: i32) -> Vec<C2> {
-    // Dir2::ALL order: Xp, Xm, Yp, Ym.
-    vec![
-        c2(modk(x + 1, w), y),
-        c2(modk(x - 1, w), y),
-        c2(x, modk(y + 1, h)),
-        c2(x, modk(y - 1, h)),
-    ]
+/// The 2-D axis-neighbor offsets in the documented enumeration order:
+/// `+X, -X, +Y, -Y` (`Dir2::ALL`), the order the fault samplers' draw
+/// sequence relies on.
+const AXIS4: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
+
+/// The 2-D region-connectivity offsets in the order component discovery
+/// relies on: faces first, then the diagonals.
+const REGION8: [(i32, i32); 8] = [
+    (1, 0),
+    (-1, 0),
+    (0, 1),
+    (0, -1),
+    (1, 1),
+    (1, -1),
+    (-1, 1),
+    (-1, -1),
+];
+
+/// The 3-D axis-neighbor offsets: `+X, -X, +Y, -Y, +Z, -Z` (`Dir3::ALL`).
+const AXIS6: [(i32, i32, i32); 6] = [
+    (1, 0, 0),
+    (-1, 0, 0),
+    (0, 1, 0),
+    (0, -1, 0),
+    (0, 0, 1),
+    (0, 0, -1),
+];
+
+/// The 3-D region-connectivity offsets (faces, then the planar diagonals
+/// of the xy, xz and yz planes; no space diagonal), in discovery order.
+const REGION18: [(i32, i32, i32); 18] = [
+    (1, 0, 0),
+    (-1, 0, 0),
+    (0, 1, 0),
+    (0, -1, 0),
+    (0, 0, 1),
+    (0, 0, -1),
+    (1, 1, 0),
+    (1, -1, 0),
+    (-1, 1, 0),
+    (-1, -1, 0),
+    (1, 0, 1),
+    (1, 0, -1),
+    (-1, 0, 1),
+    (-1, 0, -1),
+    (0, 1, 1),
+    (0, 1, -1),
+    (0, -1, 1),
+    (0, -1, -1),
+];
+
+/// One probe by definition: `c + off` reduced modulo the extents on a
+/// torus, `None` outside a mesh.
+fn probe2(c: C2, (dx, dy): (i32, i32), (w, h): (i32, i32), wrap: bool) -> Option<C2> {
+    let (x, y) = (c.x + dx, c.y + dy);
+    if wrap {
+        Some(c2(modk(x, w), modk(y, h)))
+    } else {
+        let inside = (0..w).contains(&x) && (0..h).contains(&y);
+        inside.then(|| c2(x, y))
+    }
 }
 
-/// Brute-force oracle for the 3-D face neighborhood.
-fn oracle6(c: C3, nx: i32, ny: i32, nz: i32) -> Vec<C3> {
-    // Dir3::ALL order: Xp, Xm, Yp, Ym, Zp, Zm.
-    vec![
-        c3(modk(c.x + 1, nx), c.y, c.z),
-        c3(modk(c.x - 1, nx), c.y, c.z),
-        c3(c.x, modk(c.y + 1, ny), c.z),
-        c3(c.x, modk(c.y - 1, ny), c.z),
-        c3(c.x, c.y, modk(c.z + 1, nz)),
-        c3(c.x, c.y, modk(c.z - 1, nz)),
-    ]
+/// The 3-D twin of [`probe2`].
+fn probe3(c: C3, (dx, dy, dz): (i32, i32, i32), ext: (i32, i32, i32), wrap: bool) -> Option<C3> {
+    let (x, y, z) = (c.x + dx, c.y + dy, c.z + dz);
+    if wrap {
+        Some(c3(modk(x, ext.0), modk(y, ext.1), modk(z, ext.2)))
+    } else {
+        let inside = (0..ext.0).contains(&x) && (0..ext.1).contains(&y) && (0..ext.2).contains(&z);
+        inside.then(|| c3(x, y, z))
+    }
 }
 
 proptest! {
+    // Each case checks a torus and a mesh: the mesh extents are the
+    // torus's less two, so lines one and two nodes wide are covered, and
+    // every node is visited, so are every border and corner.
     #[test]
     fn torus2_neighbors_match_modular_oracle(w in 3i32..12, h in 3i32..12) {
-        let s = NodeSpace2::torus(w, h);
-        for i in 0..s.len() {
-            let c = s.coord(i);
-            let expect = oracle4(c.x, c.y, w, h);
-            // Single-step probes, index- and coordinate-level.
-            for (dir, want) in Dir2::ALL.into_iter().zip(expect.iter()) {
-                prop_assert_eq!(s.coord(s.step(i, dir).unwrap()), *want);
-                prop_assert_eq!(s.step_c(c, dir), Some(*want));
+        for (s, ext) in [
+            (NodeSpace2::torus(w, h), (w, h)),
+            (NodeSpace2::new(w - 2, h - 2), (w - 2, h - 2)),
+        ] {
+            let wrap = s.wraps();
+            for i in 0..s.len() {
+                let c = s.coord(i);
+                // Single-step probes, index- and coordinate-level.
+                for (dir, &off) in Dir2::ALL.into_iter().zip(AXIS4.iter()) {
+                    let want = probe2(c, off, ext, wrap);
+                    prop_assert_eq!(s.step(i, dir).map(|j| s.coord(j)), want);
+                    prop_assert_eq!(s.step_c(c, dir), want);
+                }
+                // Both enumerators, exact order.
+                let axis: Vec<C2> = AXIS4.iter().filter_map(|&o| probe2(c, o, ext, wrap)).collect();
+                let mut got = Vec::new();
+                s.for_neighbors4(i, |j| got.push(s.coord(j)));
+                prop_assert_eq!(&got, &axis, "axis neighbors of {} (wrap {})", c, wrap);
+                let region: Vec<C2> =
+                    REGION8.iter().filter_map(|&o| probe2(c, o, ext, wrap)).collect();
+                let mut got8 = Vec::new();
+                s.for_neighbors8(i, |j| got8.push(s.coord(j)));
+                prop_assert_eq!(&got8, &region, "region neighbors of {} (wrap {})", c, wrap);
             }
-            // Face enumerator, exact order.
-            let mut got = Vec::new();
-            s.for_neighbors4(i, |j| got.push(s.coord(j)));
-            prop_assert_eq!(&got, &expect);
-            // 8-neighborhood equals the set difference of the 3x3 modular
-            // box around c and c itself.
-            let mut got8 = Vec::new();
-            s.for_neighbors8(i, |j| got8.push(s.coord(j)));
-            got8.sort_unstable_by_key(|c| (c.y, c.x));
-            let mut want8: Vec<C2> = (-1..=1)
-                .flat_map(|dy| (-1..=1).map(move |dx| (dx, dy)))
-                .filter(|&(dx, dy)| (dx, dy) != (0, 0))
-                .map(|(dx, dy)| c2(modk(c.x + dx, w), modk(c.y + dy, h)))
-                .collect();
-            want8.sort_unstable_by_key(|c| (c.y, c.x));
-            want8.dedup();
-            prop_assert_eq!(got8, want8);
         }
     }
 
@@ -84,37 +137,28 @@ proptest! {
         ny in 3i32..7,
         nz in 3i32..7,
     ) {
-        let s = NodeSpace3::torus(nx, ny, nz);
-        for i in 0..s.len() {
-            let c = s.coord(i);
-            let expect = oracle6(c, nx, ny, nz);
-            for (dir, want) in Dir3::ALL.into_iter().zip(expect.iter()) {
-                prop_assert_eq!(s.coord(s.step(i, dir).unwrap()), *want);
-                prop_assert_eq!(s.step_c(c, dir), Some(*want));
+        for (s, ext) in [
+            (NodeSpace3::torus(nx, ny, nz), (nx, ny, nz)),
+            (NodeSpace3::new(nx - 2, ny - 2, nz - 2), (nx - 2, ny - 2, nz - 2)),
+        ] {
+            let wrap = s.wraps();
+            for i in 0..s.len() {
+                let c = s.coord(i);
+                for (dir, &off) in Dir3::ALL.into_iter().zip(AXIS6.iter()) {
+                    let want = probe3(c, off, ext, wrap);
+                    prop_assert_eq!(s.step(i, dir).map(|j| s.coord(j)), want);
+                    prop_assert_eq!(s.step_c(c, dir), want);
+                }
+                let axis: Vec<C3> = AXIS6.iter().filter_map(|&o| probe3(c, o, ext, wrap)).collect();
+                let mut got = Vec::new();
+                s.for_neighbors6(i, |j| got.push(s.coord(j)));
+                prop_assert_eq!(&got, &axis, "axis neighbors of {} (wrap {})", c, wrap);
+                let region: Vec<C3> =
+                    REGION18.iter().filter_map(|&o| probe3(c, o, ext, wrap)).collect();
+                let mut got18 = Vec::new();
+                s.for_neighbors18(i, |j| got18.push(s.coord(j)));
+                prop_assert_eq!(&got18, &region, "region neighbors of {} (wrap {})", c, wrap);
             }
-            let mut got = Vec::new();
-            s.for_neighbors6(i, |j| got.push(s.coord(j)));
-            prop_assert_eq!(&got, &expect);
-            // 18-neighborhood: all cells at most one step off per axis with
-            // at most two axes differing (no space diagonals).
-            let mut got18 = Vec::new();
-            s.for_neighbors18(i, |j| got18.push(s.coord(j)));
-            got18.sort_unstable_by_key(|c| (c.z, c.y, c.x));
-            let mut want18: Vec<C3> = (-1..=1)
-                .flat_map(|dz| {
-                    (-1..=1).flat_map(move |dy| (-1..=1).map(move |dx| (dx, dy, dz)))
-                })
-                .filter(|&(dx, dy, dz)| {
-                    let moved = (dx != 0) as u32 + (dy != 0) as u32 + (dz != 0) as u32;
-                    moved == 1 || moved == 2
-                })
-                .map(|(dx, dy, dz)| {
-                    c3(modk(c.x + dx, nx), modk(c.y + dy, ny), modk(c.z + dz, nz))
-                })
-                .collect();
-            want18.sort_unstable_by_key(|c| (c.z, c.y, c.x));
-            want18.dedup();
-            prop_assert_eq!(got18, want18);
         }
     }
 
