@@ -13,8 +13,8 @@
 //! Discovery runs on the flat node-state layer: the labelling's
 //! [`mesh_topo::NodeSet`] of unsafe nodes is scanned word-by-word for
 //! unvisited seeds, and the BFS frontier holds linear node indices whose
-//! neighbors come from [`Space::for_region_neighbors`]
-//! ([`NodeSpace2::for_neighbors8`] / [`NodeSpace3::for_neighbors18`]) — no
+//! neighbors come from [`Space::for_region_neighbors`] (the 8-neighborhood
+//! of a [`NodeSpace2`], the 18-neighborhood of a [`NodeSpace3`]) — no
 //! hashing, no per-node coordinate arithmetic beyond one decode per visit.
 //! [`Components`] is written once over the node space; [`Components2`] and
 //! [`Components3`] are its two instantiations.

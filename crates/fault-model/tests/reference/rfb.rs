@@ -56,7 +56,7 @@ impl RefBlocks2 {
     pub fn close_rule(space: NodeSpace2, disabled: &mut NodeSet) -> bool {
         let rule = |set: &NodeSet, i: usize| {
             let mut n = 0;
-            space.for_neighbors4(i, |j| n += set.contains(j) as usize);
+            space.for_axis_neighbors(i, |j| n += set.contains(j) as usize);
             n >= 2
         };
         let mut grew = false;
@@ -67,7 +67,7 @@ impl RefBlocks2 {
             }
             disabled.insert(u);
             grew = true;
-            space.for_neighbors4(u, |v| {
+            space.for_axis_neighbors(u, |v| {
                 if !disabled.contains(v) {
                     work.push(v);
                 }
@@ -92,7 +92,7 @@ impl RefBlocks2 {
             seen.insert(start);
             while let Some(u) = queue.pop() {
                 rect.include(space.coord(u));
-                space.for_neighbors4(u, |v| {
+                space.for_axis_neighbors(u, |v| {
                     if disabled.contains(v) && seen.insert(v) {
                         queue.push(v);
                     }
@@ -158,7 +158,7 @@ impl RefBlocks3 {
     pub fn close_rule(space: NodeSpace3, disabled: &mut NodeSet) -> bool {
         let rule = |set: &NodeSet, i: usize| {
             let mut n = 0;
-            space.for_neighbors6(i, |j| n += set.contains(j) as usize);
+            space.for_axis_neighbors(i, |j| n += set.contains(j) as usize);
             n >= 2
         };
         let mut grew = false;
@@ -169,7 +169,7 @@ impl RefBlocks3 {
             }
             disabled.insert(u);
             grew = true;
-            space.for_neighbors6(u, |v| {
+            space.for_axis_neighbors(u, |v| {
                 if !disabled.contains(v) {
                     work.push(v);
                 }
@@ -194,7 +194,7 @@ impl RefBlocks3 {
             seen.insert(start);
             while let Some(u) = queue.pop() {
                 bb.include(space.coord(u));
-                space.for_neighbors6(u, |v| {
+                space.for_axis_neighbors(u, |v| {
                     if disabled.contains(v) && seen.insert(v) {
                         queue.push(v);
                     }

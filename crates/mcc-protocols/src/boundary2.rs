@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use fault_model::NodeStatus;
-use mesh_topo::{Dir2, Mesh2D, C2};
-use sim_net::{Grid2, RunStats, SimNet};
+use mesh_topo::{Dir2, Mesh2D, NodeSpace2, C2};
+use sim_net::{RunStats, SimNet};
 
 use crate::ident2::Ident2;
 use crate::records::{BoundaryAxis, BoundaryRecord2, RegionShape};
@@ -54,7 +54,7 @@ pub struct BoundState {
 /// The completed boundary-construction network.
 pub struct Boundary2 {
     /// Per-node state (canonical coordinates).
-    pub net: SimNet<Grid2, BoundState, BoundMsg>,
+    pub net: SimNet<NodeSpace2, BoundState, BoundMsg>,
     /// Rounds/messages of this phase.
     pub stats: RunStats,
 }
@@ -63,10 +63,9 @@ impl Boundary2 {
     /// Run the boundary construction on top of a completed identification.
     pub fn run(mesh: &Mesh2D, ident: &Ident2) -> Boundary2 {
         let (w, h) = (mesh.width(), mesh.height());
-        let topo = Grid2::from_space(mesh.space());
-        let space = topo.space();
-        let mut net: SimNet<Grid2, BoundState, BoundMsg> =
-            SimNet::new(topo, |_| BoundState::default());
+        let space = mesh.space();
+        let mut net: SimNet<NodeSpace2, BoundState, BoundMsg> =
+            SimNet::new(space, |_| BoundState::default());
         for i in 0..net.len() {
             let src = ident.net.state(i);
             let nbr_status = {

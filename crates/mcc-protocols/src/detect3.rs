@@ -15,8 +15,8 @@
 //! instances, and the message counts feed experiment E5.
 
 use fault_model::NodeStatus;
-use mesh_topo::{Axis3, Dir3, Mesh3D, C3};
-use sim_net::{Grid3, RunStats, SimNet};
+use mesh_topo::{Axis3, Dir3, Mesh3D, NodeSpace3, C3};
+use sim_net::{RunStats, SimNet};
 
 use crate::labelling::DistLabelling3;
 
@@ -80,10 +80,9 @@ pub fn detect_distributed_3d(
         lab.status(s).is_safe() && lab.status(d).is_safe(),
         "detection requires safe endpoints"
     );
-    let topo = Grid3::from_space(mesh.space());
-    let space = topo.space();
-    let mut net: SimNet<Grid3, Detect3State, Detect3Msg> =
-        SimNet::new(topo, |_| Detect3State::default());
+    let space = mesh.space();
+    let mut net: SimNet<NodeSpace3, Detect3State, Detect3Msg> =
+        SimNet::new(space, |_| Detect3State::default());
     for i in 0..net.len() {
         let mut nbr_status = [None; 6];
         for dir in Dir3::ALL {

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use fault_model::NodeStatus;
 use mesh_topo::{Dir2, Mesh2D, NodeSpace2, C2};
-use sim_net::{Grid2, RunStats, SimNet};
+use sim_net::{RunStats, SimNet};
 
 use crate::compid::DistComponents2;
 use crate::records::RegionShape;
@@ -99,7 +99,7 @@ pub struct IdentState {
 /// The completed identification network.
 pub struct Ident2 {
     /// Per-node state (canonical coordinates).
-    pub net: SimNet<Grid2, IdentState, IdentMsg>,
+    pub net: SimNet<NodeSpace2, IdentState, IdentMsg>,
     /// Rounds/messages of this phase.
     pub stats: RunStats,
     width: i32,
@@ -131,10 +131,9 @@ impl Ident2 {
     /// Run the identification walks on top of a converged component phase.
     pub fn run(mesh: &Mesh2D, comps: &DistComponents2) -> Ident2 {
         let (w, h) = (mesh.width(), mesh.height());
-        let topo = Grid2::from_space(mesh.space());
-        let space = topo.space();
-        let mut net: SimNet<Grid2, IdentState, IdentMsg> =
-            SimNet::new(topo, |_| IdentState::default());
+        let space = mesh.space();
+        let mut net: SimNet<NodeSpace2, IdentState, IdentMsg> =
+            SimNet::new(space, |_| IdentState::default());
         // Seed from the component phase.
         for i in 0..net.len() {
             let src = comps.net.state(i);

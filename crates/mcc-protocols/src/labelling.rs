@@ -19,9 +19,9 @@
 //! The pre-refactor implementation survives beside `tests/parity.rs` as
 //! the oracle that pins this one stats-identical.
 
-use fault_model::{BorderPolicy, Labelling2, Labelling3, NodeStatus};
-use mesh_topo::{Dir2, Dir3, Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
-use sim_net::{Grid2, Grid3, RunStats, SimNet};
+use fault_model::{Labelling2, Labelling3, NodeStatus};
+use mesh_topo::{Dir2, Dir3, Frame2, Frame3, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, C2, C3};
+use sim_net::{RunStats, SimNet};
 
 /// Per-node protocol state (2-D and 3-D share the shape).
 #[derive(Clone, Debug, Default)]
@@ -41,7 +41,7 @@ pub type LabelMsg = (bool, bool);
 /// Result of running the distributed labelling on one 2-D orientation.
 pub struct DistLabelling2 {
     /// The converged network (canonical coordinates).
-    pub net: SimNet<Grid2, LabelState, LabelMsg>,
+    pub net: SimNet<NodeSpace2, LabelState, LabelMsg>,
     /// Rounds/messages of the labelling run.
     pub stats: RunStats,
     frame: Frame2,
@@ -50,7 +50,7 @@ pub struct DistLabelling2 {
 /// Result of running the distributed labelling on one 3-D orientation.
 pub struct DistLabelling3 {
     /// The converged network (canonical coordinates).
-    pub net: SimNet<Grid3, LabelState, LabelMsg>,
+    pub net: SimNet<NodeSpace3, LabelState, LabelMsg>,
     /// Rounds/messages of the labelling run.
     pub stats: RunStats,
     frame: Frame3,
@@ -59,10 +59,9 @@ pub struct DistLabelling3 {
 impl DistLabelling2 {
     /// Run the protocol for `mesh` under `frame`.
     pub fn run(mesh: &Mesh2D, frame: Frame2) -> DistLabelling2 {
-        let topo = Grid2::from_space(mesh.space());
-        let space = topo.space();
-        let mut net: SimNet<Grid2, LabelState, LabelMsg> =
-            SimNet::new(topo, |_| LabelState::default());
+        let space = mesh.space();
+        let mut net: SimNet<NodeSpace2, LabelState, LabelMsg> =
+            SimNet::new(space, |_| LabelState::default());
         for &f in mesh.faults() {
             net.state_at_mut(frame.to_canon(f)).status = NodeStatus::FAULT;
         }
@@ -125,7 +124,7 @@ impl DistLabelling2 {
             );
             if state.announced != (now.0, now.1) || ctx.round == 0 {
                 state.announced = now;
-                space.for_neighbors4(me, |n| ctx.send(n, now));
+                space.for_axis_neighbors(me, |n| ctx.send(n, now));
             }
         });
         DistLabelling2 { net, stats, frame }
@@ -152,10 +151,9 @@ impl DistLabelling2 {
 impl DistLabelling3 {
     /// Run the protocol for `mesh` under `frame`.
     pub fn run(mesh: &Mesh3D, frame: Frame3) -> DistLabelling3 {
-        let topo = Grid3::from_space(mesh.space());
-        let space = topo.space();
-        let mut net: SimNet<Grid3, LabelState, LabelMsg> =
-            SimNet::new(topo, |_| LabelState::default());
+        let space = mesh.space();
+        let mut net: SimNet<NodeSpace3, LabelState, LabelMsg> =
+            SimNet::new(space, |_| LabelState::default());
         for &f in mesh.faults() {
             net.state_at_mut(frame.to_canon(f)).status = NodeStatus::FAULT;
         }
@@ -220,7 +218,7 @@ impl DistLabelling3 {
             );
             if state.announced != (now.0, now.1) || ctx.round == 0 {
                 state.announced = now;
-                space.for_neighbors6(me, |n| ctx.send(n, now));
+                space.for_axis_neighbors(me, |n| ctx.send(n, now));
             }
         });
         DistLabelling3 { net, stats, frame }
@@ -242,20 +240,6 @@ impl DistLabelling3 {
             .iter_coords()
             .all(|(c, s)| s.status == reference.status(c))
     }
-}
-
-/// Convenience: run and validate against the centralized 2-D closure.
-pub fn labelled_net_2d(mesh: &Mesh2D, frame: Frame2) -> DistLabelling2 {
-    let dist = DistLabelling2::run(mesh, frame);
-    debug_assert!(dist.matches(&Labelling2::compute(mesh, frame, BorderPolicy::BorderSafe)));
-    dist
-}
-
-/// Convenience: run and validate against the centralized 3-D closure.
-pub fn labelled_net_3d(mesh: &Mesh3D, frame: Frame3) -> DistLabelling3 {
-    let dist = DistLabelling3::run(mesh, frame);
-    debug_assert!(dist.matches(&Labelling3::compute(mesh, frame, BorderPolicy::BorderSafe)));
-    dist
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! minimal path whenever the semantic condition admits one.
 
 use mesh_topo::{Dir2, Mesh2D, NodeSpace2, Path2, C2};
-use sim_net::{Grid2, RunStats, SimNet};
+use sim_net::{RunStats, SimNet};
 
 use crate::boundary2::{BoundState, Boundary2};
 use crate::records::BoundaryRecord2;
@@ -87,9 +87,9 @@ pub fn route_distributed_2d(mesh: &Mesh2D, bound: &Boundary2, s: C2, d: C2) -> D
         "distributed routing requires canonical s <= d"
     );
     let (w, h) = (mesh.width(), mesh.height());
-    let topo = Grid2::from_space(mesh.space());
-    let space = topo.space();
-    let mut net: SimNet<Grid2, RouteState, RouteMsg> = SimNet::new(topo, |_| RouteState::default());
+    let space = mesh.space();
+    let mut net: SimNet<NodeSpace2, RouteState, RouteMsg> =
+        SimNet::new(space, |_| RouteState::default());
     for i in 0..net.len() {
         net.state_mut(i).base = bound.net.state(i).clone();
     }
@@ -142,7 +142,7 @@ pub fn route_distributed_2d(mesh: &Mesh2D, bound: &Boundary2, s: C2, d: C2) -> D
 /// forwarding), parameterized by the mesh linearization.
 fn make_step(
     space: NodeSpace2,
-) -> impl FnMut(&mut RouteState, sim_net::Inbox<'_, RouteMsg>, &mut sim_net::Ctx<'_, Grid2, RouteMsg>)
+) -> impl FnMut(&mut RouteState, sim_net::Inbox<'_, RouteMsg>, &mut sim_net::Ctx<'_, NodeSpace2, RouteMsg>)
 {
     move |state, inbox, ctx| {
         let me_i = ctx.me();

@@ -3,10 +3,130 @@
 //! Coordinates are stored as `i32` so that reflection frames ([`crate::frame`])
 //! and off-mesh probes (a neighbor one step outside the mesh) are representable
 //! without wrap-around hazards. All in-mesh coordinates are non-negative.
+//!
+//! [`Coord`] holds the few facts that differ by dimension, so the node
+//! space and the reflection frame are written once over it.
+
+use core::fmt::{Debug, Display};
+use core::hash::Hash;
 
 use serde::{Deserialize, Serialize};
 
 use crate::dir::{Axis2, Axis3, Dir2, Dir3};
+use crate::region::{Box3, Rect};
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::C2 {}
+    impl Sealed for super::C3 {}
+}
+
+/// A lattice coordinate of one dimension: the facts that differ between
+/// the 2-D and the 3-D mesh. [`NodeSpace`](crate::NodeSpace) and
+/// [`Frame`](crate::Frame) are written once over it; everything else they
+/// do is the same rule over `DIMS` axes.
+///
+/// Sealed: [`C2`] and [`C3`] are the only implementors.
+pub trait Coord: sealed::Sealed + Copy + Eq + Hash + Debug + Display + 'static {
+    /// Number of axes.
+    const DIMS: usize;
+    /// The region-connectivity offsets `[dx, dy, dz]` (`dz` is 0 in 2-D):
+    /// the 8-neighborhood in 2-D, the 18-neighborhood (faces and planar
+    /// diagonals, no space diagonal) in 3-D, faces first, in the fixed
+    /// order MCC component discovery relies on.
+    const REGION_OFFSETS: &'static [[i32; 3]];
+    /// The signed unit direction: [`Dir2`] or [`Dir3`].
+    type Dir: Copy;
+    /// The axis-aligned box: [`Rect`] or [`Box3`].
+    type Block: Copy + Eq + Debug;
+
+    /// The coordinate as `[x, y, z]`; `z` is 0 in 2-D.
+    fn xyz(self) -> [i32; 3];
+    /// The coordinate with axes `[x, y, z]`; `z` is ignored in 2-D.
+    fn from_xyz(p: [i32; 3]) -> Self;
+    /// The box with inclusive corners `lo` and `hi`.
+    fn block(lo: Self, hi: Self) -> Self::Block;
+    /// The axis of `d` (0 for x) and whether it points along `+`.
+    fn axis_sign(d: Self::Dir) -> (usize, bool);
+}
+
+impl Coord for C2 {
+    const DIMS: usize = 2;
+    const REGION_OFFSETS: &'static [[i32; 3]] = &[
+        [1, 0, 0],
+        [-1, 0, 0],
+        [0, 1, 0],
+        [0, -1, 0],
+        [1, 1, 0],
+        [1, -1, 0],
+        [-1, 1, 0],
+        [-1, -1, 0],
+    ];
+    type Dir = Dir2;
+    type Block = Rect;
+
+    #[inline]
+    fn xyz(self) -> [i32; 3] {
+        [self.x, self.y, 0]
+    }
+    #[inline]
+    fn from_xyz(p: [i32; 3]) -> C2 {
+        C2 { x: p[0], y: p[1] }
+    }
+    fn block(lo: C2, hi: C2) -> Rect {
+        Rect::spanning(lo, hi)
+    }
+    #[inline]
+    fn axis_sign(d: Dir2) -> (usize, bool) {
+        (d.axis().index(), d.is_positive())
+    }
+}
+
+impl Coord for C3 {
+    const DIMS: usize = 3;
+    const REGION_OFFSETS: &'static [[i32; 3]] = &[
+        [1, 0, 0],
+        [-1, 0, 0],
+        [0, 1, 0],
+        [0, -1, 0],
+        [0, 0, 1],
+        [0, 0, -1],
+        [1, 1, 0],
+        [1, -1, 0],
+        [-1, 1, 0],
+        [-1, -1, 0],
+        [1, 0, 1],
+        [1, 0, -1],
+        [-1, 0, 1],
+        [-1, 0, -1],
+        [0, 1, 1],
+        [0, 1, -1],
+        [0, -1, 1],
+        [0, -1, -1],
+    ];
+    type Dir = Dir3;
+    type Block = Box3;
+
+    #[inline]
+    fn xyz(self) -> [i32; 3] {
+        [self.x, self.y, self.z]
+    }
+    #[inline]
+    fn from_xyz(p: [i32; 3]) -> C3 {
+        C3 {
+            x: p[0],
+            y: p[1],
+            z: p[2],
+        }
+    }
+    fn block(lo: C3, hi: C3) -> Box3 {
+        Box3::spanning(lo, hi)
+    }
+    #[inline]
+    fn axis_sign(d: Dir3) -> (usize, bool) {
+        (d.axis().index(), d.is_positive())
+    }
+}
 
 /// A node address `(x, y)` in a 2-D mesh.
 ///
@@ -125,17 +245,6 @@ impl C2 {
     /// The direction from `self` to a neighboring node, if adjacent.
     pub fn dir_to(self, other: C2) -> Option<Dir2> {
         Dir2::ALL.into_iter().find(|&d| self.step(d) == other)
-    }
-
-    /// Lift into 3-D at height `z` (used when treating a plane section of a
-    /// 3-D mesh with 2-D machinery).
-    #[inline]
-    pub fn lift_z(self, z: i32) -> C3 {
-        C3 {
-            x: self.x,
-            y: self.y,
-            z,
-        }
     }
 }
 

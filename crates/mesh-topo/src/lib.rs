@@ -4,20 +4,21 @@
 //! fault-information-model reproduction (Jiang, Wu, Wang; ICPP 2005):
 //!
 //! * [`coord`] — integer lattice coordinates [`C2`] / [`C3`] with Manhattan
-//!   distance and dominance orders,
+//!   distance and dominance orders, and the sealed [`Coord`] trait holding
+//!   the few facts that differ by dimension,
 //! * [`dir`] — axes and signed unit directions ([`Dir2`], [`Dir3`]),
-//! * [`grid`] — dense row-major storage ([`Grid2`], [`Grid3`]) indexed by
-//!   coordinates,
 //! * [`mesh`] — the mesh networks themselves (one [`Mesh`] over the node
 //!   space, named [`Mesh2D`] / [`Mesh3D`]): bounds, neighborhoods and fault
 //!   sets,
 //! * [`region`] — axis-aligned rectangles and boxes,
-//! * [`frame`] — quadrant/octant reflection frames that canonicalize a
+//! * [`frame`] — quadrant/octant reflection frames (one [`Frame`] over the
+//!   coordinate type, named [`Frame2`] / [`Frame3`]) that canonicalize a
 //!   source/destination pair so the destination dominates the source,
 //! * [`faults`] — seeded random fault samplers (uniform and clustered),
-//! * [`nodeset`] — the flat node-state layer: linearized index spaces
-//!   ([`NodeSpace2`], [`NodeSpace3`]), the packed [`NodeSet`] bitset and the
-//!   dense [`NodeGrid`] value array that every hot mesh kernel runs on,
+//! * [`nodeset`] — the flat node-state layer: linearized index spaces (one
+//!   [`NodeSpace`] over the coordinate type, named [`NodeSpace2`] /
+//!   [`NodeSpace3`]), the packed [`NodeSet`] bitset and the dense
+//!   [`NodeGrid`] value array that every hot mesh kernel runs on,
 //! * [`space`] — the [`Space`] trait that lets the mesh, and the fault
 //!   model's injection, closure, repair, component and cache layers, be
 //!   written once for both dimensions,
@@ -27,8 +28,8 @@
 //! the k-ary n-dimensional mesh, its node addresses and neighborhoods, and
 //! the faulty-node sets the labelling process of Sections 3–4 classifies.
 //!
-//! Everything here is deterministic and allocation-conscious: grids are flat
-//! `Vec`s, fault sets are packed bitsets, neighbor iteration never
+//! Everything here is deterministic and allocation-conscious: node arrays
+//! are flat `Vec`s, fault sets are packed bitsets, neighbor iteration never
 //! allocates, and all random workloads are reproducible from a `u64` seed.
 //!
 //! # Examples
@@ -63,7 +64,6 @@ pub mod coord;
 pub mod dir;
 pub mod faults;
 pub mod frame;
-pub mod grid;
 pub mod mesh;
 pub mod nodeset;
 pub mod par;
@@ -71,12 +71,11 @@ pub mod path;
 pub mod region;
 pub mod space;
 
-pub use coord::{C2, C3};
+pub use coord::{Coord, C2, C3};
 pub use dir::{Axis2, Axis3, Dir2, Dir3};
-pub use frame::{Frame2, Frame3};
-pub use grid::{Grid2, Grid3};
+pub use frame::{Frame, Frame2, Frame3};
 pub use mesh::{Mesh, Mesh2D, Mesh3D};
-pub use nodeset::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3};
+pub use nodeset::{NodeGrid, NodeSet, NodeSpace, NodeSpace2, NodeSpace3};
 pub use par::{detected_cores, Parallelism};
 pub use path::{Path2, Path3};
 pub use region::{Box3, Rect};

@@ -3,16 +3,17 @@
 //!
 //! Everything that iterates whole meshes — fault sets, labelling closures,
 //! connected-component discovery, detection floods — runs over **linear node
-//! indices** instead of hashed coordinates. A [`NodeSpace2`] / [`NodeSpace3`]
-//! is the (copyable) linearization: it maps a coordinate to its row-major
-//! index and back, and enumerates neighbor indices without allocating.
-//! [`NodeSet`] is a `u64`-word bitset over such a space — membership is one
-//! shift and mask, iteration scans whole words with `trailing_zeros`, and
-//! set algebra (union / intersection / difference) is word-parallel.
-//! [`NodeGrid`] is the matching dense value array.
+//! indices** instead of hashed coordinates. A [`NodeSpace`] is the
+//! (copyable) linearization, written once over the coordinate type
+//! ([`NodeSpace2`] / [`NodeSpace3`] name its two dimensions): it maps a
+//! coordinate to its row-major index and back, and enumerates neighbor
+//! indices without allocating. [`NodeSet`] is a `u64`-word bitset over such
+//! a space — membership is one shift and mask, iteration scans whole words
+//! with `trailing_zeros`, and set algebra (union / intersection /
+//! difference) is word-parallel. [`NodeGrid`] is the matching dense value
+//! array.
 //!
-//! Index layout matches [`crate::grid::Grid2`] / [`crate::grid::Grid3`]:
-//! `x` fastest, then `y`, then `z` — `i = (z·ny + y)·nx + x`.
+//! Index layout: `x` fastest, then `y`, then `z` — `i = (z·ny + y)·nx + x`.
 //!
 //! # Examples
 //!
@@ -32,87 +33,59 @@
 //! assert_eq!(coords, vec![c2(3, 4), c2(7, 7)]);
 //! ```
 
-use crate::coord::{C2, C3};
-use crate::dir::{Dir2, Dir3};
+use core::marker::PhantomData;
 
-/// Wrap `v` into `0..k` (the per-axis index math of torus spaces).
-#[inline]
-fn wrap_i(v: i32, k: i32) -> i32 {
-    v.rem_euclid(k)
-}
+use crate::coord::{Coord, C2, C3};
 
-/// Per-axis Lee distance on a `k`-cycle: the shorter of the two arcs.
-#[inline]
-fn axis_lee(a: i32, b: i32, k: i32) -> u32 {
-    let d = a.abs_diff(b);
-    d.min(k as u32 - d)
-}
-
-/// Linearization of a `width × height` 2-D node lattice.
-///
-/// Row-major, matching [`crate::grid::Grid2`]: `i = y·width + x`.
+/// Linearization of a node lattice with coordinates `C`: `x` fastest,
+/// then `y`, then `z` — `i = (z·ny + y)·nx + x`.
 ///
 /// A space is either a **mesh** (no wrap-around; neighbor probes past a
-/// border simply do not exist) or a **torus** ([`NodeSpace2::torus`]): every
-/// axis wraps modulo its extent, so every node has the full neighborhood.
-/// The wrap mode is part of the space's identity (it participates in
-/// equality) and is honored by [`NodeSpace2::step`] and every
-/// `for_neighbors*` enumerator.
+/// border simply do not exist) or a **torus** ([`NodeSpace2::torus`],
+/// [`NodeSpace3::torus`]): every axis wraps modulo its extent, so every
+/// node has the full neighborhood. The wrap mode is part of the space's
+/// identity (it participates in equality) and is honored by
+/// [`NodeSpace::step`] and both neighbor enumerators.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct NodeSpace2 {
-    width: i32,
-    height: i32,
+pub struct NodeSpace<C> {
+    /// Per-axis extents, `x` first; 1 past the space's axes.
+    ext: [i32; 3],
     wrap: bool,
+    coord: PhantomData<C>,
 }
 
-/// Linearization of an `nx × ny × nz` 3-D node lattice.
-///
-/// Matches [`crate::grid::Grid3`]: `i = (z·ny + y)·nx + x`. Like
-/// [`NodeSpace2`], the space is either a mesh or (via [`NodeSpace3::torus`])
-/// a wrap-around torus.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct NodeSpace3 {
-    nx: i32,
-    ny: i32,
-    nz: i32,
-    wrap: bool,
-}
+/// The linearization of a `width × height` 2-D node lattice.
+pub type NodeSpace2 = NodeSpace<C2>;
 
-impl NodeSpace2 {
-    /// The space of a `width × height` mesh.
-    ///
-    /// # Panics
-    /// If either dimension is not positive.
-    pub fn new(width: i32, height: i32) -> NodeSpace2 {
-        assert!(
-            width > 0 && height > 0,
-            "node space dimensions must be positive"
-        );
-        NodeSpace2 {
-            width,
-            height,
-            wrap: false,
+/// The linearization of an `nx × ny × nz` 3-D node lattice.
+pub type NodeSpace3 = NodeSpace<C3>;
+
+impl<C: Coord> NodeSpace<C> {
+    /// The space with extents `ext` (1 past the axes of `C`).
+    fn over(ext: [i32; 3], wrap: bool) -> Self {
+        let axes = &ext[..C::DIMS];
+        if wrap {
+            assert!(
+                axes.iter().all(|&k| k >= 3),
+                "torus dimensions must be at least 3 (distinct +/- neighbors)"
+            );
+        } else {
+            assert!(
+                axes.iter().all(|&k| k > 0),
+                "node space dimensions must be positive"
+            );
+        }
+        NodeSpace {
+            ext,
+            wrap,
+            coord: PhantomData,
         }
     }
 
-    /// The space of a `width × height` torus: every axis wraps modulo its
-    /// extent.
-    ///
-    /// # Panics
-    /// If either dimension is smaller than 3 — with an extent of 1 a node
-    /// would be its own neighbor and with 2 its `+` and `-` neighbors
-    /// coincide, so the torus neighbor math (and the routing model on top)
-    /// requires `k ≥ 3` per axis.
-    pub fn torus(width: i32, height: i32) -> NodeSpace2 {
-        assert!(
-            width >= 3 && height >= 3,
-            "torus dimensions must be at least 3 (distinct +/- neighbors)"
-        );
-        NodeSpace2 {
-            width,
-            height,
-            wrap: true,
-        }
+    /// Per-axis extents, `x` first; 1 past the space's axes.
+    #[inline]
+    pub(crate) fn ext(self) -> [i32; 3] {
+        self.ext
     }
 
     /// True if this space wraps around (it is a torus).
@@ -125,40 +98,31 @@ impl NodeSpace2 {
     /// extents. The identity for in-space coordinates; meaningful for
     /// out-of-range probes only on a torus.
     #[inline]
-    pub fn wrap_coord(self, c: C2) -> C2 {
-        C2 {
-            x: wrap_i(c.x, self.width),
-            y: wrap_i(c.y, self.height),
-        }
+    pub fn wrap_coord(self, c: C) -> C {
+        C::from_xyz(self.wrap_xyz(c.xyz()))
     }
 
     /// Topology-aware distance between two in-space nodes: Manhattan on a
     /// mesh, Lee distance (per-axis shorter arc) on a torus.
     #[inline]
-    pub fn dist(self, a: C2, b: C2) -> u32 {
-        if self.wrap {
-            axis_lee(a.x, b.x, self.width) + axis_lee(a.y, b.y, self.height)
-        } else {
-            a.dist(b)
-        }
-    }
-
-    /// Extent along X.
-    #[inline]
-    pub fn width(self) -> i32 {
-        self.width
-    }
-
-    /// Extent along Y.
-    #[inline]
-    pub fn height(self) -> i32 {
-        self.height
+    pub fn dist(self, a: C, b: C) -> u32 {
+        let (p, q) = (a.xyz(), b.xyz());
+        (0..C::DIMS)
+            .map(|k| {
+                let d = p[k].abs_diff(q[k]);
+                if self.wrap {
+                    d.min(self.ext[k] as u32 - d)
+                } else {
+                    d
+                }
+            })
+            .sum()
     }
 
     /// Total number of nodes.
     #[inline]
     pub fn len(self) -> usize {
-        (self.width as usize) * (self.height as usize)
+        self.ext[..C::DIMS].iter().map(|&k| k as usize).product()
     }
 
     /// Node spaces are never empty (dimensions are positive).
@@ -169,8 +133,8 @@ impl NodeSpace2 {
 
     /// True if `c` addresses a node of this space.
     #[inline]
-    pub fn contains(self, c: C2) -> bool {
-        c.x >= 0 && c.y >= 0 && c.x < self.width && c.y < self.height
+    pub fn contains(self, c: C) -> bool {
+        self.contains_xyz(c.xyz())
     }
 
     /// Linear index of `c`.
@@ -178,187 +142,176 @@ impl NodeSpace2 {
     /// # Panics
     /// If `c` is outside the space.
     #[inline]
-    pub fn index(self, c: C2) -> usize {
+    pub fn index(self, c: C) -> usize {
         assert!(
             self.contains(c),
-            "coordinate {c:?} outside {}x{} node space",
-            self.width,
-            self.height
+            "coordinate {c:?} outside node space of extents {:?}",
+            &self.ext[..C::DIMS]
         );
-        (c.y as usize) * (self.width as usize) + (c.x as usize)
+        self.linear(c.xyz())
     }
 
     /// Linear index of `c`, or `None` if outside the space.
     #[inline]
-    pub fn index_checked(self, c: C2) -> Option<usize> {
-        if self.contains(c) {
-            Some((c.y as usize) * (self.width as usize) + (c.x as usize))
-        } else {
-            None
-        }
+    pub fn index_checked(self, c: C) -> Option<usize> {
+        let p = c.xyz();
+        self.contains_xyz(p).then(|| self.linear(p))
     }
 
     /// The coordinate of linear index `i`.
     #[inline]
-    pub fn coord(self, i: usize) -> C2 {
+    pub fn coord(self, i: usize) -> C {
         debug_assert!(i < self.len());
-        let w = self.width as usize;
-        C2 {
-            x: (i % w) as i32,
-            y: (i / w) as i32,
-        }
-    }
-
-    /// The coordinate one step along `dir` from `c`. `None` at a mesh
-    /// border; on a torus every step exists and the result is reduced
-    /// modulo the extents.
-    #[inline]
-    pub fn step_c(self, c: C2, dir: Dir2) -> Option<C2> {
-        let n = c.step(dir);
-        if self.wrap {
-            Some(self.wrap_coord(n))
-        } else if self.contains(n) {
-            Some(n)
+        let nx = self.ext[0] as usize;
+        let (x, yz) = (i % nx, i / nx);
+        let (y, z) = if C::DIMS == 3 {
+            let ny = self.ext[1] as usize;
+            (yz % ny, yz / ny)
         } else {
-            None
-        }
+            (yz, 0)
+        };
+        C::from_xyz([x as i32, y as i32, z as i32])
     }
 
     /// The index one step along `dir` from `i`. `None` at a mesh border;
     /// on a torus every step exists (it wraps).
     #[inline]
-    pub fn step(self, i: usize, dir: Dir2) -> Option<usize> {
-        let w = self.width as usize;
-        let h = self.height as usize;
-        let (x, y) = (i % w, i / w);
-        if self.wrap {
-            return Some(match dir {
-                Dir2::Xp => {
-                    if x + 1 < w {
-                        i + 1
-                    } else {
-                        i + 1 - w
-                    }
-                }
-                Dir2::Xm => {
-                    if x > 0 {
-                        i - 1
-                    } else {
-                        i + w - 1
-                    }
-                }
-                Dir2::Yp => {
-                    if y + 1 < h {
-                        i + w
-                    } else {
-                        i + w - w * h
-                    }
-                }
-                Dir2::Ym => {
-                    if y > 0 {
-                        i - w
-                    } else {
-                        i + w * h - w
-                    }
-                }
-            });
-        }
-        match dir {
-            Dir2::Xp => (x + 1 < w).then(|| i + 1),
-            Dir2::Xm => (x > 0).then(|| i - 1),
-            Dir2::Yp => (y + 1 < h).then(|| i + w),
-            Dir2::Ym => (y > 0).then(|| i - w),
-        }
-    }
-
-    /// Call `f` with the index of every in-space node of the 4-neighborhood
-    /// of `i`, in [`Dir2::ALL`] order. On a torus all four probes wrap and
-    /// every node has exactly four (distinct) neighbors.
-    #[inline]
-    pub fn for_neighbors4(self, i: usize, mut f: impl FnMut(usize)) {
-        // One coordinate decomposition for all four probes (this runs in
-        // the per-message hot loop of the protocol engine).
-        let w = self.width as usize;
-        let h = self.height as usize;
-        let (x, y) = (i % w, i / w);
-        if self.wrap {
-            f(if x + 1 < w { i + 1 } else { i + 1 - w });
-            f(if x > 0 { i - 1 } else { i + w - 1 });
-            f(if y + 1 < h { i + w } else { i + w - w * h });
-            f(if y > 0 { i - w } else { i + w * h - w });
-            return;
-        }
-        if x + 1 < w {
-            f(i + 1);
-        }
-        if x > 0 {
-            f(i - 1);
-        }
-        if y + 1 < h {
-            f(i + w);
-        }
-        if y > 0 {
-            f(i - w);
-        }
-    }
-
-    /// Call `f` with the index of every in-space node of the 8-neighborhood
-    /// (face + diagonal) of `i`, in the order `+X, -X, +Y, -Y, (+1,+1),
-    /// (+1,-1), (-1,+1), (-1,-1)` — the region-connectivity order used by
-    /// MCC component discovery.
-    #[inline]
-    pub fn for_neighbors8(self, i: usize, mut f: impl FnMut(usize)) {
-        const OFFS: [(i32, i32); 8] = [
-            (1, 0),
-            (-1, 0),
-            (0, 1),
-            (0, -1),
-            (1, 1),
-            (1, -1),
-            (-1, 1),
-            (-1, -1),
-        ];
-        let w = self.width as usize;
-        let (x, y) = ((i % w) as i32, (i / w) as i32);
-        if self.wrap {
-            for (dx, dy) in OFFS {
-                let nx = wrap_i(x + dx, self.width);
-                let ny = wrap_i(y + dy, self.height);
-                f((ny as usize) * w + (nx as usize));
+    pub fn step(self, i: usize, dir: C::Dir) -> Option<usize> {
+        let (axis, positive) = C::axis_sign(dir);
+        let v = self.coord(i).xyz()[axis] as usize;
+        let k = self.ext[axis] as usize;
+        let stride = match axis {
+            0 => 1,
+            1 => self.ext[0] as usize,
+            _ => self.ext[0] as usize * self.ext[1] as usize,
+        };
+        if positive {
+            if v + 1 < k {
+                Some(i + stride)
+            } else {
+                self.wrap.then(|| i + stride - stride * k)
             }
-            return;
+        } else if v > 0 {
+            Some(i - stride)
+        } else {
+            self.wrap.then(|| i + stride * k - stride)
         }
-        for (dx, dy) in OFFS {
-            let (nx, ny) = (x + dx, y + dy);
-            if nx >= 0 && ny >= 0 && nx < self.width && ny < self.height {
-                f((ny as usize) * w + (nx as usize));
+    }
+
+    /// Call `f` with the index of every in-space axis neighbor of `i` (the
+    /// 4-neighborhood in 2-D, the 6-neighborhood in 3-D), in `+X, -X, +Y,
+    /// -Y[, +Z, -Z]` order ([`Dir2::ALL`](crate::Dir2::ALL) /
+    /// [`Dir3::ALL`](crate::Dir3::ALL)). On a torus every probe wraps and
+    /// every node has `2·DIMS` distinct neighbors.
+    #[inline]
+    pub fn for_axis_neighbors(self, i: usize, mut f: impl FnMut(usize)) {
+        // One coordinate decomposition for all probes (this runs in the
+        // per-message hot loop of the protocol engine).
+        let p = self.coord(i).xyz();
+        let mut stride = 1;
+        for (&v, &k) in p.iter().zip(&self.ext).take(C::DIMS) {
+            let (v, k) = (v as usize, k as usize);
+            let span = stride * k;
+            if v + 1 < k {
+                f(i + stride);
+            } else if self.wrap {
+                f(i + stride - span);
+            }
+            if v > 0 {
+                f(i - stride);
+            } else if self.wrap {
+                f(i + span - stride);
+            }
+            stride = span;
+        }
+    }
+
+    /// Call `f` with the index of every in-space region-connectivity
+    /// neighbor of `i` — the 8-neighborhood (face + diagonal) in 2-D, the
+    /// 18-neighborhood (face + planar diagonal) in 3-D — in the order of
+    /// [`Coord::REGION_OFFSETS`], which MCC component discovery relies on.
+    #[inline]
+    pub fn for_region_neighbors(self, i: usize, mut f: impl FnMut(usize)) {
+        let p = self.coord(i).xyz();
+        for off in C::REGION_OFFSETS {
+            let q = [p[0] + off[0], p[1] + off[1], p[2] + off[2]];
+            if self.wrap {
+                f(self.linear(self.wrap_xyz(q)));
+            } else if self.contains_xyz(q) {
+                f(self.linear(q));
             }
         }
     }
 
-    /// Iterate all coordinates in index (row-major) order.
-    pub fn coords(self) -> impl Iterator<Item = C2> {
-        let (w, h) = (self.width, self.height);
-        (0..h).flat_map(move |y| (0..w).map(move |x| C2 { x, y }))
+    /// True if `p` lies inside the extents on every axis of `C`.
+    #[inline]
+    fn contains_xyz(self, p: [i32; 3]) -> bool {
+        (0..C::DIMS).all(|a| p[a] >= 0 && p[a] < self.ext[a])
+    }
+
+    /// `p` reduced modulo the extents on every axis of `C`.
+    #[inline]
+    fn wrap_xyz(self, mut p: [i32; 3]) -> [i32; 3] {
+        for (v, &k) in p.iter_mut().zip(&self.ext).take(C::DIMS) {
+            *v = v.rem_euclid(k);
+        }
+        p
+    }
+
+    /// The linear index of the in-space point `p`.
+    #[inline]
+    fn linear(self, p: [i32; 3]) -> usize {
+        let nx = self.ext[0] as usize;
+        let yz = if C::DIMS == 3 {
+            p[2] as usize * self.ext[1] as usize + p[1] as usize
+        } else {
+            p[1] as usize
+        };
+        yz * nx + p[0] as usize
     }
 }
 
-impl NodeSpace3 {
+impl NodeSpace<C2> {
+    /// The space of a `width × height` mesh.
+    ///
+    /// # Panics
+    /// If either dimension is not positive.
+    pub fn new(width: i32, height: i32) -> Self {
+        Self::over([width, height, 1], false)
+    }
+
+    /// The space of a `width × height` torus: every axis wraps modulo its
+    /// extent.
+    ///
+    /// # Panics
+    /// If either dimension is smaller than 3 — with an extent of 1 a node
+    /// would be its own neighbor and with 2 its `+` and `-` neighbors
+    /// coincide, so the torus neighbor math (and the routing model on top)
+    /// requires `k ≥ 3` per axis.
+    pub fn torus(width: i32, height: i32) -> Self {
+        Self::over([width, height, 1], true)
+    }
+
+    /// Extent along X.
+    #[inline]
+    pub fn width(self) -> i32 {
+        self.ext[0]
+    }
+
+    /// Extent along Y.
+    #[inline]
+    pub fn height(self) -> i32 {
+        self.ext[1]
+    }
+}
+
+impl NodeSpace<C3> {
     /// The space of an `nx × ny × nz` mesh.
     ///
     /// # Panics
     /// If any dimension is not positive.
-    pub fn new(nx: i32, ny: i32, nz: i32) -> NodeSpace3 {
-        assert!(
-            nx > 0 && ny > 0 && nz > 0,
-            "node space dimensions must be positive"
-        );
-        NodeSpace3 {
-            nx,
-            ny,
-            nz,
-            wrap: false,
-        }
+    pub fn new(nx: i32, ny: i32, nz: i32) -> Self {
+        Self::over([nx, ny, nz], false)
     }
 
     /// The space of an `nx × ny × nz` torus: every axis wraps modulo its
@@ -366,305 +319,26 @@ impl NodeSpace3 {
     ///
     /// # Panics
     /// If any dimension is smaller than 3 (see [`NodeSpace2::torus`]).
-    pub fn torus(nx: i32, ny: i32, nz: i32) -> NodeSpace3 {
-        assert!(
-            nx >= 3 && ny >= 3 && nz >= 3,
-            "torus dimensions must be at least 3 (distinct +/- neighbors)"
-        );
-        NodeSpace3 {
-            nx,
-            ny,
-            nz,
-            wrap: true,
-        }
-    }
-
-    /// True if this space wraps around (it is a torus).
-    #[inline]
-    pub fn wraps(self) -> bool {
-        self.wrap
-    }
-
-    /// Reduce an arbitrary integer coordinate into the space modulo the
-    /// extents (see [`NodeSpace2::wrap_coord`]).
-    #[inline]
-    pub fn wrap_coord(self, c: C3) -> C3 {
-        C3 {
-            x: wrap_i(c.x, self.nx),
-            y: wrap_i(c.y, self.ny),
-            z: wrap_i(c.z, self.nz),
-        }
-    }
-
-    /// Topology-aware distance between two in-space nodes: Manhattan on a
-    /// mesh, Lee distance (per-axis shorter arc) on a torus.
-    #[inline]
-    pub fn dist(self, a: C3, b: C3) -> u32 {
-        if self.wrap {
-            axis_lee(a.x, b.x, self.nx) + axis_lee(a.y, b.y, self.ny) + axis_lee(a.z, b.z, self.nz)
-        } else {
-            a.dist(b)
-        }
+    pub fn torus(nx: i32, ny: i32, nz: i32) -> Self {
+        Self::over([nx, ny, nz], true)
     }
 
     /// Extent along X.
     #[inline]
     pub fn nx(self) -> i32 {
-        self.nx
+        self.ext[0]
     }
 
     /// Extent along Y.
     #[inline]
     pub fn ny(self) -> i32 {
-        self.ny
+        self.ext[1]
     }
 
     /// Extent along Z.
     #[inline]
     pub fn nz(self) -> i32 {
-        self.nz
-    }
-
-    /// Total number of nodes.
-    #[inline]
-    pub fn len(self) -> usize {
-        (self.nx as usize) * (self.ny as usize) * (self.nz as usize)
-    }
-
-    /// Node spaces are never empty (dimensions are positive).
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        false
-    }
-
-    /// True if `c` addresses a node of this space.
-    #[inline]
-    pub fn contains(self, c: C3) -> bool {
-        c.x >= 0 && c.y >= 0 && c.z >= 0 && c.x < self.nx && c.y < self.ny && c.z < self.nz
-    }
-
-    /// Linear index of `c`.
-    ///
-    /// # Panics
-    /// If `c` is outside the space.
-    #[inline]
-    pub fn index(self, c: C3) -> usize {
-        assert!(
-            self.contains(c),
-            "coordinate {c:?} outside {}x{}x{} node space",
-            self.nx,
-            self.ny,
-            self.nz
-        );
-        ((c.z as usize) * (self.ny as usize) + (c.y as usize)) * (self.nx as usize) + (c.x as usize)
-    }
-
-    /// Linear index of `c`, or `None` if outside the space.
-    #[inline]
-    pub fn index_checked(self, c: C3) -> Option<usize> {
-        if self.contains(c) {
-            Some(
-                ((c.z as usize) * (self.ny as usize) + (c.y as usize)) * (self.nx as usize)
-                    + (c.x as usize),
-            )
-        } else {
-            None
-        }
-    }
-
-    /// The coordinate of linear index `i`.
-    #[inline]
-    pub fn coord(self, i: usize) -> C3 {
-        debug_assert!(i < self.len());
-        let nx = self.nx as usize;
-        let ny = self.ny as usize;
-        C3 {
-            x: (i % nx) as i32,
-            y: ((i / nx) % ny) as i32,
-            z: (i / (nx * ny)) as i32,
-        }
-    }
-
-    /// The coordinate one step along `dir` from `c` (see
-    /// [`NodeSpace2::step_c`]).
-    #[inline]
-    pub fn step_c(self, c: C3, dir: Dir3) -> Option<C3> {
-        let n = c.step(dir);
-        if self.wrap {
-            Some(self.wrap_coord(n))
-        } else if self.contains(n) {
-            Some(n)
-        } else {
-            None
-        }
-    }
-
-    /// The index one step along `dir` from `i`. `None` at a mesh border;
-    /// on a torus every step exists (it wraps).
-    #[inline]
-    pub fn step(self, i: usize, dir: Dir3) -> Option<usize> {
-        let nx = self.nx as usize;
-        let ny = self.ny as usize;
-        let nz = self.nz as usize;
-        let plane = nx * ny;
-        let (x, yz) = (i % nx, i / nx);
-        let (y, z) = (yz % ny, yz / ny);
-        if self.wrap {
-            return Some(match dir {
-                Dir3::Xp => {
-                    if x + 1 < nx {
-                        i + 1
-                    } else {
-                        i + 1 - nx
-                    }
-                }
-                Dir3::Xm => {
-                    if x > 0 {
-                        i - 1
-                    } else {
-                        i + nx - 1
-                    }
-                }
-                Dir3::Yp => {
-                    if y + 1 < ny {
-                        i + nx
-                    } else {
-                        i + nx - plane
-                    }
-                }
-                Dir3::Ym => {
-                    if y > 0 {
-                        i - nx
-                    } else {
-                        i + plane - nx
-                    }
-                }
-                Dir3::Zp => {
-                    if z + 1 < nz {
-                        i + plane
-                    } else {
-                        i + plane - plane * nz
-                    }
-                }
-                Dir3::Zm => {
-                    if z > 0 {
-                        i - plane
-                    } else {
-                        i + plane * nz - plane
-                    }
-                }
-            });
-        }
-        match dir {
-            Dir3::Xp => (x + 1 < nx).then(|| i + 1),
-            Dir3::Xm => (x > 0).then(|| i - 1),
-            Dir3::Yp => (y + 1 < ny).then(|| i + nx),
-            Dir3::Ym => (y > 0).then(|| i - nx),
-            Dir3::Zp => (z + 1 < nz).then(|| i + plane),
-            Dir3::Zm => (z > 0).then(|| i - plane),
-        }
-    }
-
-    /// Call `f` with the index of every in-space node of the 6-neighborhood
-    /// of `i`, in [`Dir3::ALL`] order. On a torus all six probes wrap and
-    /// every node has exactly six (distinct) neighbors.
-    #[inline]
-    pub fn for_neighbors6(self, i: usize, mut f: impl FnMut(usize)) {
-        // One coordinate decomposition for all six probes (hot loop of the
-        // protocol engine).
-        let nx = self.nx as usize;
-        let ny = self.ny as usize;
-        let nz = self.nz as usize;
-        let plane = nx * ny;
-        let (x, yz) = (i % nx, i / nx);
-        let (y, z) = (yz % ny, yz / ny);
-        if self.wrap {
-            f(if x + 1 < nx { i + 1 } else { i + 1 - nx });
-            f(if x > 0 { i - 1 } else { i + nx - 1 });
-            f(if y + 1 < ny { i + nx } else { i + nx - plane });
-            f(if y > 0 { i - nx } else { i + plane - nx });
-            f(if z + 1 < nz {
-                i + plane
-            } else {
-                i + plane - plane * nz
-            });
-            f(if z > 0 {
-                i - plane
-            } else {
-                i + plane * nz - plane
-            });
-            return;
-        }
-        if x + 1 < nx {
-            f(i + 1);
-        }
-        if x > 0 {
-            f(i - 1);
-        }
-        if y + 1 < ny {
-            f(i + nx);
-        }
-        if y > 0 {
-            f(i - nx);
-        }
-        if z + 1 < nz {
-            f(i + plane);
-        }
-        if z > 0 {
-            f(i - plane);
-        }
-    }
-
-    /// Call `f` with the index of every in-space node of the
-    /// 18-neighborhood (face + planar diagonal) of `i`, in the
-    /// region-connectivity order of MCC component discovery.
-    #[inline]
-    pub fn for_neighbors18(self, i: usize, mut f: impl FnMut(usize)) {
-        const OFFS: [(i32, i32, i32); 18] = [
-            (1, 0, 0),
-            (-1, 0, 0),
-            (0, 1, 0),
-            (0, -1, 0),
-            (0, 0, 1),
-            (0, 0, -1),
-            (1, 1, 0),
-            (1, -1, 0),
-            (-1, 1, 0),
-            (-1, -1, 0),
-            (1, 0, 1),
-            (1, 0, -1),
-            (-1, 0, 1),
-            (-1, 0, -1),
-            (0, 1, 1),
-            (0, 1, -1),
-            (0, -1, 1),
-            (0, -1, -1),
-        ];
-        let nx = self.nx as usize;
-        let ny = self.ny as usize;
-        let (x, yz) = (i % nx, i / nx);
-        let (x, y, z) = (x as i32, (yz % ny) as i32, (yz / ny) as i32);
-        if self.wrap {
-            for (dx, dy, dz) in OFFS {
-                let cx = wrap_i(x + dx, self.nx);
-                let cy = wrap_i(y + dy, self.ny);
-                let cz = wrap_i(z + dz, self.nz);
-                f(((cz as usize) * ny + (cy as usize)) * nx + (cx as usize));
-            }
-            return;
-        }
-        for (dx, dy, dz) in OFFS {
-            let (cx, cy, cz) = (x + dx, y + dy, z + dz);
-            if cx >= 0 && cy >= 0 && cz >= 0 && cx < self.nx && cy < self.ny && cz < self.nz {
-                f(((cz as usize) * ny + (cy as usize)) * nx + (cx as usize));
-            }
-        }
-    }
-
-    /// Iterate all coordinates in index order (x fastest, then y, then z).
-    pub fn coords(self) -> impl Iterator<Item = C3> {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        (0..nz).flat_map(move |z| (0..ny).flat_map(move |y| (0..nx).map(move |x| C3 { x, y, z })))
+        self.ext[2]
     }
 }
 
@@ -1010,6 +684,12 @@ impl<T> core::ops::IndexMut<usize> for NodeGrid<T> {
 mod tests {
     use super::*;
     use crate::coord::{c2, c3};
+    use crate::dir::{Dir2, Dir3};
+
+    /// Every coordinate of `s`, in index order.
+    fn coords<C: Coord>(s: NodeSpace<C>) -> impl Iterator<Item = C> {
+        (0..s.len()).map(move |i| s.coord(i))
+    }
 
     #[test]
     fn from_raw_words_masks_tail_and_counts() {
@@ -1063,7 +743,8 @@ mod tests {
     fn space2_roundtrip() {
         let s = NodeSpace2::new(5, 3);
         assert_eq!(s.len(), 15);
-        for (i, c) in s.coords().enumerate() {
+        let row_major = (0..3).flat_map(|y| (0..5).map(move |x| c2(x, y)));
+        for (i, c) in row_major.enumerate() {
             assert_eq!(s.index(c), i);
             assert_eq!(s.coord(i), c);
         }
@@ -1075,7 +756,9 @@ mod tests {
     fn space3_roundtrip() {
         let s = NodeSpace3::new(3, 4, 5);
         assert_eq!(s.len(), 60);
-        for (i, c) in s.coords().enumerate() {
+        let x_fastest =
+            (0..5).flat_map(|z| (0..4).flat_map(move |y| (0..3).map(move |x| c3(x, y, z))));
+        for (i, c) in x_fastest.enumerate() {
             assert_eq!(s.index(c), i);
             assert_eq!(s.coord(i), c);
         }
@@ -1085,14 +768,14 @@ mod tests {
     #[test]
     fn space_steps_match_coordinate_steps() {
         let s2 = NodeSpace2::new(4, 4);
-        for c in s2.coords() {
+        for c in coords(s2) {
             for d in Dir2::ALL {
                 let via_coord = s2.index_checked(c.step(d));
                 assert_eq!(s2.step(s2.index(c), d), via_coord, "{c:?} {d:?}");
             }
         }
         let s3 = NodeSpace3::new(3, 3, 3);
-        for c in s3.coords() {
+        for c in coords(s3) {
             for d in Dir3::ALL {
                 let via_coord = s3.index_checked(c.step(d));
                 assert_eq!(s3.step(s3.index(c), d), via_coord, "{c:?} {d:?}");
@@ -1103,9 +786,9 @@ mod tests {
     #[test]
     fn neighbors8_matches_offsets() {
         let s = NodeSpace2::new(6, 6);
-        for c in s.coords() {
+        for c in coords(s) {
             let mut got = Vec::new();
-            s.for_neighbors8(s.index(c), |j| got.push(s.coord(j)));
+            s.for_region_neighbors(s.index(c), |j| got.push(s.coord(j)));
             let expect: Vec<C2> = [
                 (1, 0),
                 (-1, 0),
@@ -1129,11 +812,11 @@ mod tests {
         let s = NodeSpace3::new(4, 4, 4);
         // interior node has all 18 neighbors
         let mut n = 0;
-        s.for_neighbors18(s.index(c3(1, 1, 1)), |_| n += 1);
+        s.for_region_neighbors(s.index(c3(1, 1, 1)), |_| n += 1);
         assert_eq!(n, 18);
         // a corner keeps only the inward ones
         let mut corner = Vec::new();
-        s.for_neighbors18(s.index(c3(0, 0, 0)), |j| corner.push(s.coord(j)));
+        s.for_region_neighbors(s.index(c3(0, 0, 0)), |j| corner.push(s.coord(j)));
         assert_eq!(corner.len(), 6); // 3 faces + 3 planar diagonals
         assert!(corner.contains(&c3(1, 1, 0)));
         assert!(!corner.contains(&c3(1, 1, 1))); // space diagonal excluded
@@ -1148,12 +831,12 @@ mod tests {
         // 8-neighbors.
         for i in 0..s.len() {
             let mut n4 = Vec::new();
-            s.for_neighbors4(i, |j| n4.push(j));
+            s.for_axis_neighbors(i, |j| n4.push(j));
             n4.sort_unstable();
             n4.dedup();
             assert_eq!(n4.len(), 4, "node {i}");
             let mut n8 = Vec::new();
-            s.for_neighbors8(i, |j| n8.push(j));
+            s.for_region_neighbors(i, |j| n8.push(j));
             n8.sort_unstable();
             n8.dedup();
             assert_eq!(n8.len(), 8, "node {i}");
@@ -1161,7 +844,7 @@ mod tests {
         // A corner wraps to the opposite edges.
         let corner = s.index(c2(0, 0));
         let mut got = Vec::new();
-        s.for_neighbors4(corner, |j| got.push(s.coord(j)));
+        s.for_axis_neighbors(corner, |j| got.push(s.coord(j)));
         assert_eq!(got, vec![c2(1, 0), c2(4, 0), c2(0, 1), c2(0, 2)]);
     }
 
@@ -1175,12 +858,12 @@ mod tests {
                 assert_eq!(s.coord(j), s.wrap_coord(c.step(d)), "{c:?} {d:?}");
             }
             let mut n6 = Vec::new();
-            s.for_neighbors6(i, |j| n6.push(j));
+            s.for_axis_neighbors(i, |j| n6.push(j));
             n6.sort_unstable();
             n6.dedup();
             assert_eq!(n6.len(), 6, "node {i}");
             let mut n18 = Vec::new();
-            s.for_neighbors18(i, |j| n18.push(j));
+            s.for_region_neighbors(i, |j| n18.push(j));
             n18.sort_unstable();
             n18.dedup();
             assert_eq!(n18.len(), 18, "node {i}");

@@ -3,12 +3,13 @@
 //! The fault model's closure, repair, component and cache layers are the
 //! same rule over D axes (Jiang, Wu & Wang's Algorithms 1 and 4 differ
 //! only in the axis count). [`Space`] is what those layers need to be
-//! written once: the linearization of [`NodeSpace2`] / [`NodeSpace3`], its
-//! per-axis extents, the axis and region-connectivity neighborhoods, the
-//! topology's distance, and the coordinate, frame and block types that
-//! belong to the dimension. [`Mesh<S>`](crate::Mesh) is written over it
-//! too. Generic code is monomorphized per dimension, so it pays no
-//! dispatch cost.
+//! written once: the linearization of a [`NodeSpace`], its per-axis
+//! extents, the axis and region-connectivity neighborhoods, the topology's
+//! distance, and the coordinate, frame and block types that belong to the
+//! dimension. Its one implementation, for every `NodeSpace<C>`, forwards
+//! to the node space and its [`Frame`]. [`Mesh<S>`](crate::Mesh) is
+//! written over it too, and so is the `sim-net` engine. Generic code is
+//! monomorphized per dimension, so it pays no dispatch cost.
 //!
 //! # Examples
 //!
@@ -29,11 +30,10 @@
 
 use core::fmt::{Debug, Display};
 
-use crate::coord::{C2, C3};
-use crate::frame::{Frame2, Frame3};
+use crate::coord::Coord;
+use crate::frame::Frame;
 use crate::mesh::Mesh;
-use crate::nodeset::{NodeSpace2, NodeSpace3};
-use crate::region::{Box3, Rect};
+use crate::nodeset::NodeSpace;
 
 /// A linearized node space of one dimension, `x` fastest.
 pub trait Space: Copy + Eq + Debug + 'static {
@@ -41,7 +41,8 @@ pub trait Space: Copy + Eq + Debug + 'static {
     type Coord: Copy + Eq + Debug + Display;
     /// The orientation frame (quadrant or octant reflection).
     type Frame: Copy + Eq + Debug;
-    /// The axis-aligned box: [`Rect`] in 2-D, [`Box3`] in 3-D.
+    /// The axis-aligned box: [`Rect`](crate::Rect) in 2-D,
+    /// [`Box3`](crate::Box3) in 3-D.
     type Block: Copy + Eq + Debug;
 
     /// Number of axes.
@@ -95,166 +96,82 @@ pub trait Space: Copy + Eq + Debug + 'static {
     fn frame_for_pair(mesh: &Mesh<Self>, s: Self::Coord, d: Self::Coord) -> Self::Frame;
 }
 
-impl Space for NodeSpace2 {
-    type Coord = C2;
-    type Frame = Frame2;
-    type Block = Rect;
-    const DIMS: usize = 2;
-    const ORIENTATIONS: usize = 4;
+impl<C: Coord> Space for NodeSpace<C> {
+    type Coord = C;
+    type Frame = Frame<C>;
+    type Block = C::Block;
+    const DIMS: usize = C::DIMS;
+    const ORIENTATIONS: usize = 1 << C::DIMS;
 
     #[inline]
     fn node_count(self) -> usize {
         self.len()
     }
     #[inline]
-    fn index(self, c: C2) -> usize {
-        NodeSpace2::index(self, c)
+    fn index(self, c: C) -> usize {
+        NodeSpace::index(self, c)
     }
     #[inline]
-    fn index_checked(self, c: C2) -> Option<usize> {
-        NodeSpace2::index_checked(self, c)
+    fn index_checked(self, c: C) -> Option<usize> {
+        NodeSpace::index_checked(self, c)
     }
     #[inline]
-    fn coord(self, i: usize) -> C2 {
-        NodeSpace2::coord(self, i)
-    }
-    #[inline]
-    fn extents(self) -> [usize; 3] {
-        [self.width() as usize, self.height() as usize, 1]
-    }
-    #[inline]
-    fn wraps(self) -> bool {
-        NodeSpace2::wraps(self)
-    }
-    #[inline]
-    fn dist(self, a: C2, b: C2) -> u32 {
-        NodeSpace2::dist(self, a, b)
-    }
-    #[inline]
-    fn xyz(c: C2) -> [i32; 3] {
-        [c.x, c.y, 0]
-    }
-    #[inline]
-    fn from_xyz(p: [i32; 3]) -> C2 {
-        C2 { x: p[0], y: p[1] }
-    }
-    fn block(lo: C2, hi: C2) -> Rect {
-        Rect::spanning(lo, hi)
-    }
-    #[inline]
-    fn for_region_neighbors(self, i: usize, f: impl FnMut(usize)) {
-        self.for_neighbors8(i, f)
-    }
-    #[inline]
-    fn for_axis_neighbors(self, i: usize, f: impl FnMut(usize)) {
-        self.for_neighbors4(i, f)
-    }
-    fn frame_index(frame: Frame2) -> usize {
-        frame.index()
-    }
-    #[inline]
-    fn to_canon(frame: Frame2, c: C2) -> C2 {
-        frame.to_canon(c)
-    }
-    #[inline]
-    fn from_canon(frame: Frame2, c: C2) -> C2 {
-        frame.from_canon(c)
-    }
-    #[inline]
-    fn flips_x(frame: Frame2) -> bool {
-        frame.flip_x
-    }
-    fn identity_frame(mesh: &Mesh<Self>) -> Frame2 {
-        Frame2::identity(mesh)
-    }
-    fn all_frames(mesh: &Mesh<Self>) -> Vec<Frame2> {
-        Frame2::all(mesh).to_vec()
-    }
-    fn frame_for_pair(mesh: &Mesh<Self>, s: C2, d: C2) -> Frame2 {
-        Frame2::for_pair(mesh, s, d)
-    }
-}
-
-impl Space for NodeSpace3 {
-    type Coord = C3;
-    type Frame = Frame3;
-    type Block = Box3;
-    const DIMS: usize = 3;
-    const ORIENTATIONS: usize = 8;
-
-    #[inline]
-    fn node_count(self) -> usize {
-        self.len()
-    }
-    #[inline]
-    fn index(self, c: C3) -> usize {
-        NodeSpace3::index(self, c)
-    }
-    #[inline]
-    fn index_checked(self, c: C3) -> Option<usize> {
-        NodeSpace3::index_checked(self, c)
-    }
-    #[inline]
-    fn coord(self, i: usize) -> C3 {
-        NodeSpace3::coord(self, i)
+    fn coord(self, i: usize) -> C {
+        NodeSpace::coord(self, i)
     }
     #[inline]
     fn extents(self) -> [usize; 3] {
-        [self.nx() as usize, self.ny() as usize, self.nz() as usize]
+        self.ext().map(|k| k as usize)
     }
     #[inline]
     fn wraps(self) -> bool {
-        NodeSpace3::wraps(self)
+        NodeSpace::wraps(self)
     }
     #[inline]
-    fn dist(self, a: C3, b: C3) -> u32 {
-        NodeSpace3::dist(self, a, b)
+    fn dist(self, a: C, b: C) -> u32 {
+        NodeSpace::dist(self, a, b)
     }
     #[inline]
-    fn xyz(c: C3) -> [i32; 3] {
-        [c.x, c.y, c.z]
+    fn xyz(c: C) -> [i32; 3] {
+        c.xyz()
     }
     #[inline]
-    fn from_xyz(p: [i32; 3]) -> C3 {
-        C3 {
-            x: p[0],
-            y: p[1],
-            z: p[2],
-        }
+    fn from_xyz(p: [i32; 3]) -> C {
+        C::from_xyz(p)
     }
-    fn block(lo: C3, hi: C3) -> Box3 {
-        Box3::spanning(lo, hi)
+    fn block(lo: C, hi: C) -> C::Block {
+        C::block(lo, hi)
     }
     #[inline]
     fn for_region_neighbors(self, i: usize, f: impl FnMut(usize)) {
-        self.for_neighbors18(i, f)
+        NodeSpace::for_region_neighbors(self, i, f)
     }
     #[inline]
     fn for_axis_neighbors(self, i: usize, f: impl FnMut(usize)) {
-        self.for_neighbors6(i, f)
+        NodeSpace::for_axis_neighbors(self, i, f)
     }
-    fn frame_index(frame: Frame3) -> usize {
+    fn frame_index(frame: Frame<C>) -> usize {
         frame.index()
     }
     #[inline]
-    fn to_canon(frame: Frame3, c: C3) -> C3 {
+    fn to_canon(frame: Frame<C>, c: C) -> C {
         frame.to_canon(c)
     }
     #[inline]
-    fn from_canon(frame: Frame3, c: C3) -> C3 {
+    fn from_canon(frame: Frame<C>, c: C) -> C {
         frame.from_canon(c)
     }
     #[inline]
-    fn flips_x(frame: Frame3) -> bool {
-        frame.flip_x
+    fn flips_x(frame: Frame<C>) -> bool {
+        frame.flips(0)
     }
-    fn identity_frame(mesh: &Mesh<Self>) -> Frame3 {
-        Frame3::identity(mesh)
+    fn identity_frame(mesh: &Mesh<Self>) -> Frame<C> {
+        Frame::identity(mesh)
     }
-    fn all_frames(mesh: &Mesh<Self>) -> Vec<Frame3> {
-        Frame3::all(mesh).to_vec()
+    fn all_frames(mesh: &Mesh<Self>) -> Vec<Frame<C>> {
+        Frame::all(mesh)
     }
-    fn frame_for_pair(mesh: &Mesh<Self>, s: C3, d: C3) -> Frame3 {
-        Frame3::for_pair(mesh, s, d)
+    fn frame_for_pair(mesh: &Mesh<Self>, s: C, d: C) -> Frame<C> {
+        Frame::for_pair(mesh, s, d)
     }
 }

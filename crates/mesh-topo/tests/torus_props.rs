@@ -8,11 +8,11 @@
 //! and require exact agreement, in the documented order, for every node
 //! of randomly drawn torus and mesh extents, across:
 //!
-//! * `step` / `step_c` (single probes, index- and coordinate-level),
-//! * `for_neighbors4` / `for_neighbors6` (axis neighborhoods, in the
-//!   order the fault samplers' draw sequence relies on),
-//! * `for_neighbors8` / `for_neighbors18` (region-connectivity
-//!   neighborhoods, in the order component discovery relies on),
+//! * `step` (single probes),
+//! * `for_axis_neighbors` (the 4- and 6-neighborhoods, in the order the
+//!   fault samplers' draw sequence relies on),
+//! * `for_region_neighbors` (the 8- and 18-neighborhoods, in the order
+//!   component discovery relies on),
 //! * `dist` (per-axis Lee distance) and `wrap_coord` (reduction).
 
 use mesh_topo::coord::{c2, c3};
@@ -111,21 +111,20 @@ proptest! {
             let wrap = s.wraps();
             for i in 0..s.len() {
                 let c = s.coord(i);
-                // Single-step probes, index- and coordinate-level.
+                // Single-step probes.
                 for (dir, &off) in Dir2::ALL.into_iter().zip(AXIS4.iter()) {
                     let want = probe2(c, off, ext, wrap);
                     prop_assert_eq!(s.step(i, dir).map(|j| s.coord(j)), want);
-                    prop_assert_eq!(s.step_c(c, dir), want);
                 }
                 // Both enumerators, exact order.
                 let axis: Vec<C2> = AXIS4.iter().filter_map(|&o| probe2(c, o, ext, wrap)).collect();
                 let mut got = Vec::new();
-                s.for_neighbors4(i, |j| got.push(s.coord(j)));
+                s.for_axis_neighbors(i, |j| got.push(s.coord(j)));
                 prop_assert_eq!(&got, &axis, "axis neighbors of {} (wrap {})", c, wrap);
                 let region: Vec<C2> =
                     REGION8.iter().filter_map(|&o| probe2(c, o, ext, wrap)).collect();
                 let mut got8 = Vec::new();
-                s.for_neighbors8(i, |j| got8.push(s.coord(j)));
+                s.for_region_neighbors(i, |j| got8.push(s.coord(j)));
                 prop_assert_eq!(&got8, &region, "region neighbors of {} (wrap {})", c, wrap);
             }
         }
@@ -147,16 +146,15 @@ proptest! {
                 for (dir, &off) in Dir3::ALL.into_iter().zip(AXIS6.iter()) {
                     let want = probe3(c, off, ext, wrap);
                     prop_assert_eq!(s.step(i, dir).map(|j| s.coord(j)), want);
-                    prop_assert_eq!(s.step_c(c, dir), want);
                 }
                 let axis: Vec<C3> = AXIS6.iter().filter_map(|&o| probe3(c, o, ext, wrap)).collect();
                 let mut got = Vec::new();
-                s.for_neighbors6(i, |j| got.push(s.coord(j)));
+                s.for_axis_neighbors(i, |j| got.push(s.coord(j)));
                 prop_assert_eq!(&got, &axis, "axis neighbors of {} (wrap {})", c, wrap);
                 let region: Vec<C3> =
                     REGION18.iter().filter_map(|&o| probe3(c, o, ext, wrap)).collect();
                 let mut got18 = Vec::new();
-                s.for_neighbors18(i, |j| got18.push(s.coord(j)));
+                s.for_region_neighbors(i, |j| got18.push(s.coord(j)));
                 prop_assert_eq!(&got18, &region, "region neighbors of {} (wrap {})", c, wrap);
             }
         }

@@ -1,9 +1,11 @@
 //! The flat, index-addressed synchronous round engine.
 //!
-//! Nodes are linear indices `0..topo.len()` into dense state and inbox
-//! arrays; the link relation is a static [`Topology`] value instead of a
-//! boxed closure. Message delivery is a **double buffer**: every send of a
-//! round lands in one shared outbox `Vec`, and an `O(messages + nodes)`
+//! Nodes are linear indices `0..space.node_count()` into dense state and
+//! inbox arrays; the network is a `Copy` [`Space`] value — a mesh or torus
+//! node space — instead of a boxed link closure, and two nodes are linked
+//! when their topology-aware distance is 1 (torus wrap links included).
+//! Message delivery is a **double buffer**: every send of a round lands in
+//! one shared outbox `Vec`, and an `O(messages + nodes)`
 //! counting pass turns it into the next round's inbox view (a CSR layout:
 //! one offset table, one index list grouped by recipient, one payload slab
 //! in send order). No comparison sort runs, each payload is moved exactly
@@ -23,10 +25,17 @@
 //! identically to the pre-refactor hash engine; the parity tests in
 //! `mcc-protocols`, which keep that engine as their oracle, pin this.
 
-use mesh_topo::NodeSet;
+use mesh_topo::{NodeSet, Space};
 
 use crate::stats::RunStats;
-use crate::topology::Topology;
+
+/// True if nodes `a` and `b` of `space` share a link: both exist and their
+/// topology-aware distance is 1, so torus wrap links count.
+#[inline]
+fn linked<T: Space>(space: T, a: usize, b: usize) -> bool {
+    let n = space.node_count();
+    a < n && b < n && space.dist(space.coord(a), space.coord(b)) == 1
+}
 
 /// Error returned by [`Ctx::try_send`] for a send to a non-neighbor.
 ///
@@ -56,16 +65,16 @@ impl std::error::Error for SendError {}
 
 /// Per-step context handed to a node's handler: the current round number
 /// and an outbox for neighbor sends.
-pub struct Ctx<'a, T: Topology, M> {
+pub struct Ctx<'a, T: Space, M> {
     /// The current round (0-based within this `run`).
     pub round: usize,
     me: u32,
-    topo: &'a T,
+    space: T,
     outbox: &'a mut Vec<(u32, u32, M)>,
     sent: usize,
 }
 
-impl<T: Topology, M> Ctx<'_, T, M> {
+impl<T: Space, M> Ctx<'_, T, M> {
     /// The index of the node executing the handler.
     #[inline]
     pub fn me(&self) -> usize {
@@ -75,7 +84,7 @@ impl<T: Topology, M> Ctx<'_, T, M> {
     /// The coordinate of the node executing the handler.
     #[inline]
     pub fn coord(&self) -> T::Coord {
-        self.topo.coord_of(self.me as usize)
+        self.space.coord(self.me as usize)
     }
 
     /// Send `msg` to the neighboring node `to`, arriving next round.
@@ -86,7 +95,7 @@ impl<T: Topology, M> Ctx<'_, T, M> {
     #[inline]
     pub fn send(&mut self, to: usize, msg: M) {
         debug_assert!(
-            self.topo.linked(self.me as usize, to),
+            linked(self.space, self.me as usize, to),
             "node {} tried to send to non-neighbor {}",
             self.me,
             to
@@ -99,7 +108,7 @@ impl<T: Topology, M> Ctx<'_, T, M> {
     /// send as a typed [`SendError`] (in every build profile).
     #[inline]
     pub fn try_send(&mut self, to: usize, msg: M) -> Result<(), SendError> {
-        if !self.topo.linked(self.me as usize, to) {
+        if !linked(self.space, self.me as usize, to) {
             return Err(SendError {
                 from: self.me as usize,
                 to,
@@ -176,13 +185,13 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     }
 }
 
-/// A deterministic synchronous network over a static [`Topology`].
+/// A deterministic synchronous network over the node space `T`.
 ///
 /// `S` is the per-node state, `M` the message payload. Nodes are addressed
-/// by linear index (see [`Topology`]); [`SimNet::state_at`] bridges from
+/// by the space's linear index; [`SimNet::state_at`] bridges from
 /// coordinates where convenient.
-pub struct SimNet<T: Topology, S, M> {
-    topo: T,
+pub struct SimNet<T: Space, S, M> {
+    space: T,
     states: Vec<S>,
     /// This round's messages, `(from, payload)`, in arrival order.
     inbox_data: Vec<(u32, M)>,
@@ -199,14 +208,14 @@ pub struct SimNet<T: Topology, S, M> {
     stats: RunStats,
 }
 
-impl<T: Topology, S, M> SimNet<T, S, M> {
-    /// Build a network over `topo` with per-node initial state from
+impl<T: Space, S, M> SimNet<T, S, M> {
+    /// Build a network over `space` with per-node initial state from
     /// `init` (called with each node's linear index, in index order).
-    pub fn new(topo: T, init: impl FnMut(usize) -> S) -> Self {
-        let n = topo.len();
+    pub fn new(space: T, init: impl FnMut(usize) -> S) -> Self {
+        let n = space.node_count();
         let states: Vec<S> = (0..n).map(init).collect();
         SimNet {
-            topo,
+            space,
             states,
             inbox_data: Vec::new(),
             inbox_order: Vec::new(),
@@ -228,10 +237,10 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
         self.states.is_empty()
     }
 
-    /// The network's topology.
+    /// The network's node space.
     #[inline]
-    pub fn topo(&self) -> &T {
-        &self.topo
+    pub fn space(&self) -> T {
+        self.space
     }
 
     /// Borrow the state of node index `i`.
@@ -249,11 +258,11 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
     /// Borrow the state of the node at coordinate `c`.
     ///
     /// # Panics
-    /// If `c` is not a node of the topology.
+    /// If `c` is not a node of the network.
     pub fn state_at(&self, c: T::Coord) -> &S {
         let i = self
-            .topo
-            .index_of(c)
+            .space
+            .index_checked(c)
             .unwrap_or_else(|| panic!("{c:?} is not a node of this network"));
         &self.states[i]
     }
@@ -261,11 +270,11 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
     /// Mutably borrow the state of the node at coordinate `c`.
     ///
     /// # Panics
-    /// If `c` is not a node of the topology.
+    /// If `c` is not a node of the network.
     pub fn state_at_mut(&mut self, c: T::Coord) -> &mut S {
         let i = self
-            .topo
-            .index_of(c)
+            .space
+            .index_checked(c)
             .unwrap_or_else(|| panic!("{c:?} is not a node of this network"));
         &mut self.states[i]
     }
@@ -280,7 +289,7 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
         self.states
             .iter()
             .enumerate()
-            .map(|(i, s)| (self.topo.coord_of(i), s))
+            .map(|(i, s)| (self.space.coord(i), s))
     }
 
     /// Statistics accumulated over all `run` calls so far.
@@ -350,7 +359,7 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
             let mut sent_this_round = 0usize;
             {
                 let SimNet {
-                    topo,
+                    space,
                     states,
                     inbox_data,
                     inbox_order,
@@ -359,8 +368,8 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                     active,
                     ..
                 } = self;
-                let topo: &T = topo;
-                let n = topo.len();
+                let space: T = *space;
+                let n = space.node_count();
                 let mut dispatch = |i: usize| {
                     let inbox = Inbox {
                         data: inbox_data,
@@ -369,7 +378,7 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
                     let mut ctx = Ctx {
                         round,
                         me: i as u32,
-                        topo,
+                        space,
                         outbox,
                         sent: 0,
                     };
@@ -398,12 +407,68 @@ impl<T: Topology, S, M> SimNet<T, S, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Grid2, Grid3};
-    use mesh_topo::coord::c2;
-    use mesh_topo::Dir2;
+    use mesh_topo::coord::{c2, c3};
+    use mesh_topo::{Dir2, NodeSpace2, NodeSpace3};
 
-    fn line_net(n: i32) -> SimNet<Grid2, u32, u32> {
-        SimNet::new(Grid2::new(n, 1), |_| 0u32)
+    fn line_net(n: i32) -> SimNet<NodeSpace2, u32, u32> {
+        SimNet::new(NodeSpace2::new(n, 1), |_| 0u32)
+    }
+
+    #[test]
+    fn links_match_manhattan_distance() {
+        let g = NodeSpace2::new(4, 3);
+        let a = g.index(c2(1, 1));
+        let b = g.index(c2(2, 1));
+        assert!(linked(g, a, b));
+        assert!(!linked(g, a, g.index(c2(2, 2)))); // diagonal
+        assert!(!linked(g, a, a));
+        assert!(!linked(g, g.index(c2(0, 0)), g.index(c2(3, 0)))); // no wrap on a mesh
+        assert!(!linked(g, a, g.len())); // not a node
+        let g3 = NodeSpace3::new(3, 3, 3);
+        let a = g3.index(c3(1, 1, 1));
+        assert!(linked(g3, a, g3.index(c3(1, 1, 2))));
+        assert!(!linked(g3, a, g3.index(c3(2, 2, 1))));
+    }
+
+    #[test]
+    fn torus_links_cross_the_seam() {
+        let g = NodeSpace2::torus(5, 4);
+        let a = g.index(c2(0, 2));
+        assert!(linked(g, a, g.index(c2(4, 2))), "x wrap link");
+        assert!(
+            linked(g, g.index(c2(3, 0)), g.index(c2(3, 3))),
+            "y wrap link"
+        );
+        assert!(!linked(g, a, g.index(c2(2, 2))));
+        // Every node has exactly four links, and the axis enumerator
+        // agrees with the link check.
+        for i in 0..g.len() {
+            let mut n = Vec::new();
+            g.for_axis_neighbors(i, |j| n.push(j));
+            assert_eq!(n.len(), 4);
+            assert_eq!((0..g.len()).filter(|&j| linked(g, i, j)).count(), 4);
+            assert!(n.iter().all(|&j| linked(g, i, j)));
+        }
+        let g3 = NodeSpace3::torus(3, 4, 5);
+        let a = g3.index(c3(0, 0, 0));
+        for b in [c3(2, 0, 0), c3(0, 3, 0), c3(0, 0, 4)] {
+            assert!(linked(g3, a, g3.index(b)), "{b:?}");
+        }
+    }
+
+    #[test]
+    fn torus_send_crosses_the_seam() {
+        // A wrap link is a link to the engine: the checked send succeeds.
+        let mut net: SimNet<NodeSpace2, u32, u32> = SimNet::new(NodeSpace2::torus(5, 3), |_| 0);
+        net.post(0, 0);
+        let mut results = Vec::new();
+        net.run(3, |_, inbox, ctx| {
+            if !inbox.is_empty() && ctx.me() == 0 {
+                results.push(ctx.try_send(4, 1)); // (0,0) -> (4,0) over the x seam
+                results.push(ctx.try_send(2, 1)); // two hops away
+            }
+        });
+        assert_eq!(results, vec![Ok(()), Err(SendError { from: 0, to: 2 })]);
     }
 
     #[test]
@@ -470,9 +535,8 @@ mod tests {
     #[test]
     fn flood_counts_messages_and_skips_quiet_nodes() {
         // Flood from the corner of a 4x4 mesh; every node forwards once.
-        let topo = Grid2::new(4, 4);
-        let space = topo.space();
-        let mut net: SimNet<Grid2, bool, ()> = SimNet::new(topo, |_| false);
+        let space = NodeSpace2::new(4, 4);
+        let mut net: SimNet<NodeSpace2, bool, ()> = SimNet::new(space, |_| false);
         net.post(space.index(c2(0, 0)), ());
         let stats = net.run(100, move |seen, inbox, ctx| {
             if !inbox.is_empty() && !*seen {
@@ -526,10 +590,9 @@ mod tests {
 
     #[test]
     fn state_access_by_coordinate_and_index() {
-        let mut net: SimNet<Grid3, u32, ()> = SimNet::new(Grid3::new(3, 3, 3), |_| 0);
-        use mesh_topo::coord::c3;
+        let mut net: SimNet<NodeSpace3, u32, ()> = SimNet::new(NodeSpace3::new(3, 3, 3), |_| 0);
         *net.state_at_mut(c3(1, 2, 0)) = 42;
-        let i = net.topo().index_of(c3(1, 2, 0)).unwrap();
+        let i = net.space().index(c3(1, 2, 0));
         assert_eq!(*net.state(i), 42);
         assert_eq!(*net.state_at(c3(1, 2, 0)), 42);
         assert_eq!(net.len(), 27);
