@@ -827,13 +827,26 @@ fn int_array(items: impl IntoIterator<Item = i64>) -> Value {
     Value::Array(items.into_iter().map(Value::Int).collect())
 }
 
-/// Check one mesh geometry: every extent in 2..=4096, and at least 3 on
-/// a torus. `what` names the mesh in the error.
+/// The most nodes one scenario mesh may have: the largest 2-D mesh the
+/// per-axis bound admits, 4096². Without it a 3-D geometry within the
+/// per-axis bound could ask for tens of billions of nodes.
+const MAX_NODES: usize = 4096 * 4096;
+
+/// Check one mesh geometry: every extent in 2..=4096, at most
+/// [`MAX_NODES`] nodes, and at least 3 per axis on a torus. `what` names
+/// the mesh in the error.
 fn check_extents(dims: MeshDims, wrap: bool, what: &str) -> Result<(), ScenarioError> {
     let extents = dims.extents();
     if extents.iter().any(|&d| !(2..=4096).contains(&d)) {
         return Err(invalid(format!(
             "every {what} dimension must be in 2..=4096, got {extents:?}"
+        )));
+    }
+    let nodes = dims.nodes();
+    if nodes > MAX_NODES {
+        return Err(invalid(format!(
+            "a {what} of {extents:?} has {nodes} nodes, more than the {MAX_NODES} \
+             (4096x4096) a scenario may use"
         )));
     }
     if wrap && dims.min_extent() < 3 {
