@@ -145,7 +145,9 @@ impl<C: Coord> Frame<C> {
             if self.flip[a] {
                 *v = self.ext[a] - 1 - *v;
             }
-            if self.wrap {
+        }
+        if self.wrap {
+            for (a, v) in p.iter_mut().enumerate().take(C::DIMS) {
                 *v = (*v + self.off[a]).rem_euclid(self.ext[a]);
             }
         }

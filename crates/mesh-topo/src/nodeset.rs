@@ -122,7 +122,12 @@ impl<C: Coord> NodeSpace<C> {
     /// Total number of nodes.
     #[inline]
     pub fn len(self) -> usize {
-        self.ext[..C::DIMS].iter().map(|&k| k as usize).product()
+        let [x, y, z] = self.ext.map(|k| k as usize);
+        if C::DIMS == 3 {
+            x * y * z
+        } else {
+            x * y
+        }
     }
 
     /// Node spaces are never empty (dimensions are positive).
@@ -246,7 +251,9 @@ impl<C: Coord> NodeSpace<C> {
     /// True if `p` lies inside the extents on every axis of `C`.
     #[inline]
     fn contains_xyz(self, p: [i32; 3]) -> bool {
-        (0..C::DIMS).all(|a| p[a] >= 0 && p[a] < self.ext[a])
+        // A negative coordinate casts past every extent, so one unsigned
+        // compare per axis checks both bounds.
+        (0..C::DIMS).all(|a| (p[a] as u32) < self.ext[a] as u32)
     }
 
     /// `p` reduced modulo the extents on every axis of `C`.
