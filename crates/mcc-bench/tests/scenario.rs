@@ -237,33 +237,6 @@ fn wrap_knob_parses_and_validates() {
     assert!(err.to_string().contains("diameter"), "got: {err}");
 }
 
-/// A geometry within the per-axis bound can still be too large to run:
-/// the node count is capped at 4096², the largest 2-D mesh. Parsing and
-/// validation reject it before anything is allocated.
-#[test]
-fn oversized_geometry_is_rejected_by_node_count() {
-    let base = "name = \"big\"\ntable = \"regions\"\n[mesh]\ndims = [4096, 4096]\n\
-                [faults]\ncounts = [4]\n[run]\nseeds = [0, 1]\n";
-    Scenario::from_toml(base).expect("the largest 2-D mesh is valid");
-    let cube = base.replace("[4096, 4096]", "[4096, 4096, 4096]");
-    let err = Scenario::from_toml(&cube).unwrap_err();
-    assert!(err.to_string().contains("invalid scenario"), "got: {err}");
-    assert!(err.to_string().contains("68719476736 nodes"), "got: {err}");
-    // Just over the cap, and the same check on the load pool's second mesh.
-    let slab = base.replace("[4096, 4096]", "[4096, 4096, 2]");
-    assert!(Scenario::from_toml(&slab).is_err());
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../scenarios/e15_service.toml"
-    );
-    let service = std::fs::read_to_string(path).unwrap();
-    Scenario::from_toml(&service).expect("the shipped service scenario is valid");
-    let alt = service.replace("alt_dims = [6, 6, 6]", "alt_dims = [4096, 2048, 4]");
-    let err = Scenario::from_toml(&alt).unwrap_err();
-    assert!(err.to_string().contains("load-pool mesh"), "got: {err}");
-    assert!(err.to_string().contains("33554432 nodes"), "got: {err}");
-}
-
 /// Malformed scenario TOML surfaces a typed parse error carrying the
 /// offending line, through `Scenario::from_toml` and `Scenario::load`.
 #[test]
@@ -324,6 +297,33 @@ fn runner_revalidates_programmatic_scenarios() {
     sc.seed_end = sc.seed_start;
     let err = run_scenario(&sc).unwrap_err();
     assert!(err.to_string().contains("seeds"), "got: {err}");
+}
+
+/// A geometry within the per-axis bound can still be too large to run:
+/// the node count is capped at 4096², the largest 2-D mesh. Parsing and
+/// validation reject it before anything is allocated.
+#[test]
+fn oversized_geometry_is_rejected_by_node_count() {
+    let base = "name = \"big\"\ntable = \"regions\"\n[mesh]\ndims = [4096, 4096]\n\
+                [faults]\ncounts = [4]\n[run]\nseeds = [0, 1]\n";
+    Scenario::from_toml(base).expect("the largest 2-D mesh is valid");
+    let cube = base.replace("[4096, 4096]", "[4096, 4096, 4096]");
+    let err = Scenario::from_toml(&cube).unwrap_err();
+    assert!(err.to_string().contains("invalid scenario"), "got: {err}");
+    assert!(err.to_string().contains("68719476736 nodes"), "got: {err}");
+    // Just over the cap, and the same check on the load pool's second mesh.
+    let slab = base.replace("[4096, 4096]", "[4096, 4096, 2]");
+    assert!(Scenario::from_toml(&slab).is_err());
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/e15_service.toml"
+    );
+    let service = std::fs::read_to_string(path).unwrap();
+    Scenario::from_toml(&service).expect("the shipped service scenario is valid");
+    let alt = service.replace("alt_dims = [6, 6, 6]", "alt_dims = [4096, 2048, 4]");
+    let err = Scenario::from_toml(&alt).unwrap_err();
+    assert!(err.to_string().contains("load-pool mesh"), "got: {err}");
+    assert!(err.to_string().contains("33554432 nodes"), "got: {err}");
 }
 
 /// A tiny 8×8 scenario produces bit-identical table rows for a fixed seed

@@ -457,21 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn torus_send_crosses_the_seam() {
-        // A wrap link is a link to the engine: the checked send succeeds.
-        let mut net: SimNet<NodeSpace2, u32, u32> = SimNet::new(NodeSpace2::torus(5, 3), |_| 0);
-        net.post(0, 0);
-        let mut results = Vec::new();
-        net.run(3, |_, inbox, ctx| {
-            if !inbox.is_empty() && ctx.me() == 0 {
-                results.push(ctx.try_send(4, 1)); // (0,0) -> (4,0) over the x seam
-                results.push(ctx.try_send(2, 1)); // two hops away
-            }
-        });
-        assert_eq!(results, vec![Ok(()), Err(SendError { from: 0, to: 2 })]);
-    }
-
-    #[test]
     fn quiescent_immediately_without_stimulus() {
         let mut net = line_net(5);
         let stats = net.run(100, |_, _, _| {});
