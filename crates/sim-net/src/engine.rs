@@ -28,14 +28,7 @@
 use mesh_topo::{NodeSet, Space};
 
 use crate::stats::RunStats;
-
-/// True if nodes `a` and `b` of `space` share a link: both exist and their
-/// topology-aware distance is 1, so torus wrap links count.
-#[inline]
-fn linked<T: Space>(space: T, a: usize, b: usize) -> bool {
-    let n = space.node_count();
-    a < n && b < n && space.dist(space.coord(a), space.coord(b)) == 1
-}
+use crate::topology::linked;
 
 /// Error returned by [`Ctx::try_send`] for a send to a non-neighbor.
 ///
@@ -412,48 +405,6 @@ mod tests {
 
     fn line_net(n: i32) -> SimNet<NodeSpace2, u32, u32> {
         SimNet::new(NodeSpace2::new(n, 1), |_| 0u32)
-    }
-
-    #[test]
-    fn links_match_manhattan_distance() {
-        let g = NodeSpace2::new(4, 3);
-        let a = g.index(c2(1, 1));
-        let b = g.index(c2(2, 1));
-        assert!(linked(g, a, b));
-        assert!(!linked(g, a, g.index(c2(2, 2)))); // diagonal
-        assert!(!linked(g, a, a));
-        assert!(!linked(g, g.index(c2(0, 0)), g.index(c2(3, 0)))); // no wrap on a mesh
-        assert!(!linked(g, a, g.len())); // not a node
-        let g3 = NodeSpace3::new(3, 3, 3);
-        let a = g3.index(c3(1, 1, 1));
-        assert!(linked(g3, a, g3.index(c3(1, 1, 2))));
-        assert!(!linked(g3, a, g3.index(c3(2, 2, 1))));
-    }
-
-    #[test]
-    fn torus_links_cross_the_seam() {
-        let g = NodeSpace2::torus(5, 4);
-        let a = g.index(c2(0, 2));
-        assert!(linked(g, a, g.index(c2(4, 2))), "x wrap link");
-        assert!(
-            linked(g, g.index(c2(3, 0)), g.index(c2(3, 3))),
-            "y wrap link"
-        );
-        assert!(!linked(g, a, g.index(c2(2, 2))));
-        // Every node has exactly four links, and the axis enumerator
-        // agrees with the link check.
-        for i in 0..g.len() {
-            let mut n = Vec::new();
-            g.for_axis_neighbors(i, |j| n.push(j));
-            assert_eq!(n.len(), 4);
-            assert_eq!((0..g.len()).filter(|&j| linked(g, i, j)).count(), 4);
-            assert!(n.iter().all(|&j| linked(g, i, j)));
-        }
-        let g3 = NodeSpace3::torus(3, 4, 5);
-        let a = g3.index(c3(0, 0, 0));
-        for b in [c3(2, 0, 0), c3(0, 3, 0), c3(0, 0, 4)] {
-            assert!(linked(g3, a, g3.index(b)), "{b:?}");
-        }
     }
 
     #[test]

@@ -57,6 +57,7 @@
 
 pub mod engine;
 pub mod stats;
+mod topology;
 
 pub use engine::{Ctx, Inbox, SendError, SimNet};
 pub use stats::RunStats;
