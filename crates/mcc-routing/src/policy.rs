@@ -157,6 +157,41 @@ mod tests {
     }
 
     #[test]
+    fn balanced_breaks_ties_toward_the_last_direction() {
+        // Equal remaining offsets: `max_by_key` keeps the last maximum,
+        // and every golden route depends on that tie rule.
+        let mut p = Policy::balanced();
+        assert_eq!(
+            p.choose2(c2(0, 0), c2(4, 4), &[Dir2::Xp, Dir2::Yp]),
+            Dir2::Yp
+        );
+        assert_eq!(
+            p.choose3(c3(0, 0, 0), c3(3, 3, 3), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
+            Dir3::Zp
+        );
+        // A tie between the first two of three still takes the later one.
+        assert_eq!(
+            p.choose3(c3(0, 0, 0), c3(5, 5, 2), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
+            Dir3::Yp
+        );
+    }
+
+    #[test]
+    fn zigzag_alternates_in_3d() {
+        let mut p = Policy::zigzag();
+        let (u, d) = (c3(0, 0, 0), c3(9, 9, 9));
+        let all = [Dir3::Xp, Dir3::Yp, Dir3::Zp];
+        // Only the previous axis is avoided: X and Y alternate while both
+        // stay allowed, and Z is taken when X is the one to avoid.
+        assert_eq!(p.choose3(u, d, &all), Dir3::Xp);
+        assert_eq!(p.choose3(u, d, &all), Dir3::Yp);
+        assert_eq!(p.choose3(u, d, &all), Dir3::Xp);
+        assert_eq!(p.choose3(u, d, &[Dir3::Xp, Dir3::Zp]), Dir3::Zp);
+        assert_eq!(p.choose3(u, d, &[Dir3::Zp]), Dir3::Zp);
+        assert_eq!(p.choose3(u, d, &all), Dir3::Xp);
+    }
+
+    #[test]
     fn zigzag_alternates() {
         let mut p = Policy::zigzag();
         let first = p.choose2(c2(0, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]);
