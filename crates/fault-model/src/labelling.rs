@@ -40,7 +40,7 @@
 //! property-tested equal to the definitional worklist closure over the
 //! wrapped neighbor relation (`tests/properties.rs`).
 
-use mesh_topo::{Mesh, NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Mesh, NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
 
 use crate::rows::{Rows, RunFill};
 use crate::status::{BorderPolicy, NodeStatus};
@@ -67,7 +67,7 @@ pub type Labelling3 = Labelling<NodeSpace3>;
 impl<S: Space> Labelling<S> {
     /// Run the labelling closure for `mesh` under `frame`.
     pub fn compute(mesh: &Mesh<S>, frame: S::Frame, policy: BorderPolicy) -> Labelling<S> {
-        let faults = mesh.faults().iter().map(|&f| S::xyz(S::to_canon(frame, f)));
+        let faults = mesh.faults().iter().map(|&f| S::to_canon(frame, f).xyz());
         Labelling::from_faults(mesh.space(), frame, policy, faults)
     }
 
@@ -303,7 +303,7 @@ impl<S: Space> Labelling<S> {
         flip(self.status.as_mut_slice(), inj, heal);
         let space = self.space;
         let faults = self.status.iter().filter(|(_, st)| st.is_faulty());
-        let faults = faults.map(|(i, _)| S::xyz(space.coord(i)));
+        let faults = faults.map(|(i, _)| space.coord(i).xyz());
         *self = Labelling::from_faults(space, self.frame, self.policy, faults);
         snapshot
             .iter()

@@ -43,7 +43,7 @@
 //! * [`Useful::recompute`] asks a `blocked` closure once per box node and
 //!   hands the rows to the same sweep.
 
-use mesh_topo::{NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
+use mesh_topo::{Coord, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
 
 use crate::rows::{reverse_row, RunFill};
 
@@ -118,7 +118,7 @@ impl<S: Space> Useful<S> {
     /// is meant to be recycled through [`Useful::recompute`] or
     /// [`Useful::recompute_set`].
     pub fn scratch() -> Useful<S> {
-        let origin = S::from_xyz([0; 3]);
+        let origin = S::Coord::from_xyz([0; 3]);
         Useful {
             s: origin,
             d: origin,
@@ -136,10 +136,10 @@ impl<S: Space> Useful<S> {
     /// # Panics
     /// If `s` does not precede `d` componentwise.
     pub fn recompute(&mut self, s: S::Coord, d: S::Coord, blocked: impl Fn(S::Coord) -> bool) {
-        let (x0, x1) = (S::xyz(s)[0], S::xyz(d)[0]);
+        let (x0, x1) = (s.xyz()[0], d.xyz()[0]);
         self.sweep(s, d, |y, z, row| {
             for (i, x) in (x0..=x1).rev().enumerate() {
-                if !blocked(S::from_xyz([x, y, z])) {
+                if !blocked(S::Coord::from_xyz([x, y, z])) {
                     row[i / 64] |= 1 << (i % 64);
                 }
             }
@@ -165,7 +165,7 @@ impl<S: Space> Useful<S> {
         space: S,
         frame: Option<S::Frame>,
     ) {
-        let (lo, hi, ext) = (S::xyz(s), S::xyz(d), space.extents());
+        let (lo, hi, ext) = (s.xyz(), d.xyz(), space.extents());
         assert!(
             (0..3).all(|k| 0 <= lo[k] && lo[k] <= hi[k] && (hi[k] as usize) < ext[k]),
             "oracle requires canonical s <= d inside {space:?}, got {s:?} {d:?}"
@@ -178,12 +178,12 @@ impl<S: Space> Useful<S> {
         let xs = if flip { hi[0] } else { lo[0] };
         let wx = (hi[0] - lo[0] + 1) as usize;
         let width = ext[0];
-        let mstart = S::xyz(to_space(S::from_xyz([xs, lo[1], lo[2]])))[0] as usize;
+        let mstart = to_space(S::Coord::from_xyz([xs, lo[1], lo[2]])).xyz()[0] as usize;
         // Nodes before the wrap seam; a torus row may continue at x = 0.
         let head = wx.min(width - mstart);
         let words = set.words();
         self.sweep(s, d, |y, z, row| {
-            let start = space.index(to_space(S::from_xyz([xs, y, z])));
+            let start = space.index(to_space(S::Coord::from_xyz([xs, y, z])));
             if let [one] = row {
                 let mut run = take_bits(words, start, head);
                 if head < wx {
@@ -225,7 +225,7 @@ impl<S: Space> Useful<S> {
     /// `d`'s row backward, let `fill(y, z, row)` set the row's free bits
     /// (the row arrives zeroed) and turn them into its useful bits.
     fn sweep(&mut self, s: S::Coord, d: S::Coord, mut fill: impl FnMut(i32, i32, &mut [u64])) {
-        let (lo, hi) = (S::xyz(s), S::xyz(d));
+        let (lo, hi) = (s.xyz(), d.xyz());
         assert!(
             (0..3).all(|k| lo[k] <= hi[k]),
             "oracle requires canonical s <= d, got {s:?} {d:?}"
@@ -266,7 +266,7 @@ impl<S: Space> Useful<S> {
     /// True if `c` lies in `[s, d]` and `d` is monotonically reachable from it.
     #[inline]
     pub fn contains(&self, c: S::Coord) -> bool {
-        let (c, lo, hi) = (S::xyz(c), S::xyz(self.s), S::xyz(self.d));
+        let (c, lo, hi) = (c.xyz(), self.s.xyz(), self.d.xyz());
         if (0..3).any(|k| c[k] < lo[k] || c[k] > hi[k]) {
             return false;
         }

@@ -50,7 +50,7 @@
 use std::collections::VecDeque;
 
 use mesh_topo::faults::{eligible_indices, sample_clustered, sample_uniform};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, Space, C2, C3};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, Space, C2, C3};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -335,7 +335,7 @@ fn plane_order<S: Space>(
     let axis = axis.min(S::DIMS - 1);
     let mut order = eligible_indices(mesh, protected);
     order.sort_by_key(|&i| {
-        let k = S::xyz(space.coord(i))[axis];
+        let k = space.coord(i).xyz()[axis];
         if descending {
             -k
         } else {
@@ -566,7 +566,7 @@ fn score(oracle_ok: bool, endpoints_safe: bool, len: usize, adj: i64) -> i64 {
 
 /// Chebyshev (max-axis) distance.
 fn cheb<S: Space>(a: S::Coord, b: S::Coord) -> i32 {
-    let (a, b) = (S::xyz(a), S::xyz(b));
+    let (a, b) = (a.xyz(), b.xyz());
     (0..3).map(|k| (a[k] - b[k]).abs()).max().unwrap_or(0)
 }
 

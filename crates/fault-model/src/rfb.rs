@@ -25,7 +25,7 @@
 //! ascending linear index of their min corners (DESIGN.md §6, "The
 //! faulty-block kernel").
 
-use mesh_topo::{Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
 
 use crate::oracle::Useful;
 use crate::rows::{push_runs, reverse_row, Rows, RunFill};
@@ -41,7 +41,7 @@ pub struct FaultBlocks<S: Space> {
     disabled: NodeSet,
     /// The fault blocks: disjoint, each fully disabled, in ascending
     /// linear index of their min corners.
-    pub blocks: Vec<S::Block>,
+    pub blocks: Vec<<S::Coord as Coord>::Block>,
     fault_count: usize,
 }
 
@@ -65,13 +65,13 @@ impl<S: Space> FaultBlocks<S> {
         // Each box is full, so its min corner is its component's first node.
         let [nx, ny, _] = p.rows.ext;
         boxes.sort_unstable_by_key(|b| (b.lo[2] * ny + b.lo[1]) * nx + b.lo[0]);
-        let corner = |c: [usize; 3]| S::from_xyz(c.map(|v| v as i32));
+        let corner = |c: [usize; 3]| S::Coord::from_xyz(c.map(|v| v as i32));
         FaultBlocks {
             space: mesh.space(),
             disabled: p.rows.pack(&p.disabled),
             blocks: boxes
                 .iter()
-                .map(|b| S::block(corner(b.lo), corner(b.hi)))
+                .map(|b| S::Coord::block(corner(b.lo), corner(b.hi)))
                 .collect(),
             fault_count: mesh.fault_count(),
         }
@@ -170,7 +170,7 @@ impl Percolation {
             scratch: std::array::from_fn(|_| vec![0; if rows.wpr > 2 { rows.wpr } else { 0 }]),
         };
         for &f in mesh.faults() {
-            rows.toggle(&mut p.disabled, S::xyz(f));
+            rows.toggle(&mut p.disabled, f.xyz());
         }
         p
     }

@@ -39,7 +39,7 @@ use fault_model::{
     ModelSpace, NodeStatus,
 };
 use fault_sets::FaultSets;
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3};
 use rfb_reference::{RefBlocks2, RefBlocks3};
 
 /// Fault sets per checked range.
@@ -51,7 +51,7 @@ trait Dim: ModelSpace {
     /// The hash reference's statuses on a mesh, by canonical index.
     fn hash(mesh: &Mesh<Self>, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus>;
     /// The reference block model: disabled set, blocks, sacrificed count.
-    fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<Self::Block>, usize);
+    fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize);
     /// The existence condition for the canonical pair `s`, `d`.
     fn condition(lab: &Labelling<Self>, mccs: &Self::Mccs, s: Self::Coord, d: Self::Coord) -> bool;
     /// The reachability oracle for the canonical pair `s`, `d`.
@@ -71,7 +71,7 @@ impl Dim for NodeSpace2 {
         let space = mesh.space();
         (0..space.len()).map(|i| st[&space.coord(i)]).collect()
     }
-    fn ref_blocks(mesh: &Mesh2D) -> (NodeSet, Vec<Self::Block>, usize) {
+    fn ref_blocks(mesh: &Mesh2D) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize) {
         let r = RefBlocks2::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
     }
@@ -96,7 +96,7 @@ impl Dim for NodeSpace3 {
         let space = mesh.space();
         (0..space.len()).map(|i| st[&space.coord(i)]).collect()
     }
-    fn ref_blocks(mesh: &Mesh3D) -> (NodeSet, Vec<Self::Block>, usize) {
+    fn ref_blocks(mesh: &Mesh3D) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize) {
         let r = RefBlocks3::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
     }

@@ -27,7 +27,7 @@ use fault_model::components::Components;
 use fault_model::labelling::BULK_REPAIR_FANOUT;
 use fault_model::{BorderPolicy, IncrementalModels, Labelling, ModelSpace};
 use fault_sets::{first_failure_in, workers, Failure};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
 
 /// Walk steps per checked range.
 const CHUNK: u64 = 512;
@@ -86,7 +86,7 @@ where
         for y in 0..window[1] {
             for x in 0..window[0] {
                 let at = |a: usize, v: i32| (corner[a] + v).rem_euclid(ext[a] as i32);
-                cells.push(S::from_xyz([at(0, x), at(1, y), at(2, z)]));
+                cells.push(S::Coord::from_xyz([at(0, x), at(1, y), at(2, z)]));
             }
         }
     }

@@ -27,7 +27,7 @@ mod reference;
 
 use fault_model::oracle::Useful;
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -99,12 +99,12 @@ struct Coverage {
 /// Every node of the box `[s, d]`, plus a one-node margin outside it
 /// where the node space allows one (`contains` must say no there).
 fn box_nodes<S: Space>(s: S::Coord, d: S::Coord) -> Vec<S::Coord> {
-    let (lo, hi) = (S::xyz(s), S::xyz(d));
+    let (lo, hi) = (s.xyz(), d.xyz());
     let mut out = Vec::new();
     for z in lo[2] - 1..=hi[2] + 1 {
         for y in lo[1] - 1..=hi[1] + 1 {
             for x in lo[0] - 1..=hi[0] + 1 {
-                out.push(S::from_xyz([x, y, z]));
+                out.push(S::Coord::from_xyz([x, y, z]));
             }
         }
     }
@@ -147,7 +147,7 @@ fn check_box<S: Reference>(
     kernel.recompute(s, d, blocked);
     assert_same(kernel, &want, s, d, "closure entry");
 
-    let (lo, hi) = (S::xyz(s), S::xyz(d));
+    let (lo, hi) = (s.xyz(), d.xyz());
     let wx = hi[0] - lo[0] + 1;
     cov.boxes += 1;
     cov.words[(wx as usize).div_ceil(64) - 1] += 1;
@@ -155,7 +155,7 @@ fn check_box<S: Reference>(
     cov.widest = cov.widest.max(wx);
     if let Some(f) = frame {
         let xs: Vec<i32> = (lo[0]..=hi[0])
-            .map(|x| S::xyz(S::from_canon(f, S::from_xyz([x, lo[1], lo[2]])))[0])
+            .map(|x| S::from_canon(f, S::Coord::from_xyz([x, lo[1], lo[2]])).xyz()[0])
             .collect();
         let span = xs.iter().max().unwrap() - xs.iter().min().unwrap() + 1;
         cov.seam += usize::from(span != wx);
@@ -183,7 +183,7 @@ fn random_box<S: Space>(rng: &mut SmallRng, extents: [i32; 3]) -> (S::Coord, S::
         lo[k] = rng.gen_range(0..=extents[k] - w);
         hi[k] = lo[k] + w - 1;
     }
-    (S::from_xyz(lo), S::from_xyz(hi))
+    (S::Coord::from_xyz(lo), S::Coord::from_xyz(hi))
 }
 
 /// One random case: a mesh or torus, a blocked set, then a per-pair
@@ -208,7 +208,8 @@ fn case<S: Reference>(rng: &mut SmallRng, kernel: &mut Useful<S>, torus: bool, c
     };
     let set = random_set(rng, space, share);
 
-    let pick = |rng: &mut SmallRng| S::from_xyz([0, 1, 2].map(|k| rng.gen_range(0..extents[k])));
+    let pick =
+        |rng: &mut SmallRng| S::Coord::from_xyz([0, 1, 2].map(|k| rng.gen_range(0..extents[k])));
     let (s, d) = (pick(rng), pick(rng));
     let frame = S::frame_for_pair(&mesh, s, d);
     let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));

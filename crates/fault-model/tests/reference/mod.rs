@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 
 use fault_model::{BorderPolicy, NodeStatus};
-use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
+use mesh_topo::{Coord, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
 
 /// The 8-neighborhood (face + diagonal) used for 2-D region connectivity.
 const NEIGHBORS_8: [(i32, i32); 8] = [
@@ -218,9 +218,9 @@ pub fn worklist_closure<S: Space>(mesh: &Mesh<S>, frame: S::Frame) -> Vec<NodeSt
         st[space.index(S::to_canon(frame, f))] = NodeStatus::FAULT;
     }
     let nbr = |c: S::Coord, axis: usize, step: i32| {
-        let mut p = S::xyz(c);
+        let mut p = c.xyz();
         p[axis] = (p[axis] + step).rem_euclid(ext[axis] as i32);
-        space.index(S::from_xyz(p))
+        space.index(S::Coord::from_xyz(p))
     };
     loop {
         let mut changed = false;

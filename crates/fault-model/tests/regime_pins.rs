@@ -13,7 +13,7 @@
 
 use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
 const SEED: u64 = 0x005e_ed0f_fa17;
@@ -78,7 +78,7 @@ impl Fnv {
 }
 
 fn flat<S: Space>(cs: &[S::Coord]) -> Vec<[i32; 3]> {
-    cs.iter().map(|&c| S::xyz(c)).collect()
+    cs.iter().map(|&c| c.xyz()).collect()
 }
 
 /// The digests of one case: the injected fault list, and the schedule's

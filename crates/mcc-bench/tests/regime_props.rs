@@ -12,7 +12,7 @@
 
 use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
 use mcc_bench::scenario::Scenario;
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
 use proptest::prelude::*;
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
@@ -56,7 +56,7 @@ fn sampling_regime_strategy() -> impl Strategy<Value = FaultRegime> {
 fn digest<S: Space>(mesh: &Mesh<S>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &c in mesh.faults() {
-        for v in &S::xyz(c)[..S::DIMS] {
+        for v in &c.xyz()[..S::DIMS] {
             h ^= *v as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }

@@ -189,7 +189,7 @@ mod tests {
     use super::*;
     use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::c2;
-    use mesh_topo::{Mesh2D, Mesh3D};
+    use mesh_topo::{Coord, Mesh2D, Mesh3D};
 
     /// Run 40 pairs of the `k`-ary `mesh` through one prepared mesh and
     /// through fresh trials, requiring bit-identical results; returns the
@@ -200,7 +200,7 @@ mod tests {
         let mut trials = 0;
         for seed in 0..40u64 {
             let at = |m: [i32; 3], c: [i32; 3]| {
-                S::from_xyz([0, 1, 2].map(|i| (seed as i32 * m[i] + c[i]) % k))
+                S::Coord::from_xyz([0, 1, 2].map(|i| (seed as i32 * m[i] + c[i]) % k))
             };
             let (a, b) = (at([7, 3, 5], [0; 3]), at([5, 11, 13], [2, 4, 1]));
             if !mesh.is_healthy(a) || !mesh.is_healthy(b) {

@@ -26,6 +26,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+use crate::coord::Coord;
 use crate::mesh::Mesh;
 use crate::nodeset::NodeSet;
 use crate::space::Space;
@@ -55,7 +56,7 @@ pub fn random_node<S: Space>(space: S, rng: &mut SmallRng) -> S::Coord {
     for (axis, v) in p.iter_mut().enumerate().take(S::DIMS) {
         *v = rng.gen_range(0..ext[axis] as i32);
     }
-    S::from_xyz(p)
+    S::Coord::from_xyz(p)
 }
 
 /// Choose `count` distinct indices uniformly at random from `pool`

@@ -17,6 +17,7 @@
 //! sampling) can grab the bitset directly via [`Mesh::fault_set`] instead
 //! of re-deriving it per call.
 
+use crate::coord::Coord;
 use crate::nodeset::{NodeSet, NodeSpace2, NodeSpace3};
 use crate::space::Space;
 
@@ -83,8 +84,8 @@ impl<S: Space> Mesh<S> {
 
     /// The full extent of the mesh as an inclusive rectangle (2-D) or box
     /// (3-D).
-    pub fn bounds(&self) -> S::Block {
-        S::block(self.space.coord(0), self.space.coord(self.node_count() - 1))
+    pub fn bounds(&self) -> <S::Coord as Coord>::Block {
+        S::Coord::block(self.space.coord(0), self.space.coord(self.node_count() - 1))
     }
 
     /// Mark `c` faulty. Returns `true` if the node was previously healthy.
@@ -200,14 +201,14 @@ impl<S: Space> Mesh<S> {
         let ext = self.space.extents().map(|e| e as i32);
         (0..2 * S::DIMS)
             .map(move |k| {
-                let mut p = S::xyz(c);
+                let mut p = c.xyz();
                 p[k / 2] += if k % 2 == 0 { 1 } else { -1 };
                 if self.wraps() {
                     for axis in 0..S::DIMS {
                         p[axis] = p[axis].rem_euclid(ext[axis]);
                     }
                 }
-                S::from_xyz(p)
+                S::Coord::from_xyz(p)
             })
             .filter(|&n| self.contains(n))
     }

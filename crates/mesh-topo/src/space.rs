@@ -5,9 +5,11 @@
 //! only in the axis count). [`Space`] is what those layers need to be
 //! written once: the linearization of a [`NodeSpace`], its per-axis
 //! extents, the axis and region-connectivity neighborhoods, the topology's
-//! distance, and the coordinate, frame and block types that belong to the
-//! dimension. Its one implementation, for every `NodeSpace<C>`, forwards
-//! to the node space and its [`Frame`]. [`Mesh<S>`](crate::Mesh) is
+//! distance, and the coordinate and frame types that belong to the
+//! dimension; what a coordinate itself knows (its `[x, y, z]` view, its
+//! block and direction types) stays on [`Coord`]. Its one implementation,
+//! for every `NodeSpace<C>`, forwards to the node space and its
+//! [`Frame`]. [`Mesh<S>`](crate::Mesh) is
 //! written over it too, and so is the `sim-net` engine. Generic code is
 //! monomorphized per dimension, so it pays no dispatch cost.
 //!
@@ -28,7 +30,7 @@
 //! assert_eq!(<NodeSpace3 as Space>::extents(space), [4, 4, 4]);
 //! ```
 
-use core::fmt::{Debug, Display};
+use core::fmt::Debug;
 
 use crate::coord::Coord;
 use crate::frame::Frame;
@@ -38,12 +40,9 @@ use crate::nodeset::NodeSpace;
 /// A linearized node space of one dimension, `x` fastest.
 pub trait Space: Copy + Eq + Debug + 'static {
     /// The lattice coordinate.
-    type Coord: Copy + Eq + Debug + Display;
+    type Coord: Coord;
     /// The orientation frame (quadrant or octant reflection).
     type Frame: Copy + Eq + Debug;
-    /// The axis-aligned box: [`Rect`](crate::Rect) in 2-D,
-    /// [`Box3`](crate::Box3) in 3-D.
-    type Block: Copy + Eq + Debug;
 
     /// Number of axes.
     const DIMS: usize;
@@ -64,12 +63,6 @@ pub trait Space: Copy + Eq + Debug + 'static {
     fn wraps(self) -> bool;
     /// Topology-aware distance: Manhattan on a mesh, Lee on a torus.
     fn dist(self, a: Self::Coord, b: Self::Coord) -> u32;
-    /// The coordinate as `[x, y, z]`; `z` is 0 in 2-D.
-    fn xyz(c: Self::Coord) -> [i32; 3];
-    /// The coordinate with axes `[x, y, z]`; `z` is ignored in 2-D.
-    fn from_xyz(p: [i32; 3]) -> Self::Coord;
-    /// The box with inclusive corners `lo` and `hi`.
-    fn block(lo: Self::Coord, hi: Self::Coord) -> Self::Block;
     /// Call `f` with every region-connectivity neighbor of `i`: the
     /// 8-neighborhood in 2-D, the 18-neighborhood in 3-D, in the fixed
     /// order component discovery relies on.
@@ -99,7 +92,6 @@ pub trait Space: Copy + Eq + Debug + 'static {
 impl<C: Coord> Space for NodeSpace<C> {
     type Coord = C;
     type Frame = Frame<C>;
-    type Block = C::Block;
     const DIMS: usize = C::DIMS;
     const ORIENTATIONS: usize = 1 << C::DIMS;
 
@@ -130,17 +122,6 @@ impl<C: Coord> Space for NodeSpace<C> {
     #[inline]
     fn dist(self, a: C, b: C) -> u32 {
         NodeSpace::dist(self, a, b)
-    }
-    #[inline]
-    fn xyz(c: C) -> [i32; 3] {
-        c.xyz()
-    }
-    #[inline]
-    fn from_xyz(p: [i32; 3]) -> C {
-        C::from_xyz(p)
-    }
-    fn block(lo: C, hi: C) -> C::Block {
-        C::block(lo, hi)
     }
     #[inline]
     fn for_region_neighbors(self, i: usize, f: impl FnMut(usize)) {
