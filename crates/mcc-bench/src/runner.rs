@@ -26,12 +26,12 @@
 use fault_model::stats::{region_stats, RegionStats};
 use fault_model::{FaultRegime, IncrementalModels, Labelling, ModelSpace};
 use mcc_protocols::boundary2::build_pipeline_2d;
-use mcc_protocols::labelling::{DistLabelling2, DistLabelling3};
+use mcc_protocols::labelling::{DistLabelling, DistLabelling3};
 use mcc_routing::trial::{TrialOptions, TrialResult};
 use mcc_routing::{PreparedMesh, RouteSpace};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::faults::random_node;
-use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_net::RunStats;
@@ -158,25 +158,6 @@ pub(crate) fn mix_trial_seed(seed: u64, n: usize) -> u64 {
     seed.wrapping_mul(0x9e37_79b9) ^ n as u64
 }
 
-/// What the table drivers need of a node space beyond [`RouteSpace`]: the
-/// distributed labelling protocol exists once per dimension.
-trait BenchSpace: RouteSpace {
-    /// Run the distributed labelling protocol under the identity frame.
-    fn labelling_stats(mesh: &Mesh<Self>) -> RunStats;
-}
-
-impl BenchSpace for NodeSpace2 {
-    fn labelling_stats(mesh: &Mesh2D) -> RunStats {
-        DistLabelling2::run(mesh, Frame2::identity(mesh)).stats
-    }
-}
-
-impl BenchSpace for NodeSpace3 {
-    fn labelling_stats(mesh: &Mesh3D) -> RunStats {
-        DistLabelling3::run(mesh, Frame3::identity(mesh)).stats
-    }
-}
-
 /// One `(fault count, seed)` cell of a scenario's sweep.
 #[derive(Clone, Copy)]
 struct Cell<'a> {
@@ -190,7 +171,7 @@ trait SeedBody {
     /// What one seed contributes to the row.
     type Out: Send;
     /// Run `cell` on `mesh`, a fresh fault-free copy of the network.
-    fn run<S: BenchSpace>(cell: Cell<'_>, mesh: Mesh<S>) -> Self::Out;
+    fn run<S: RouteSpace>(cell: Cell<'_>, mesh: Mesh<S>) -> Self::Out;
 }
 
 /// Construct the scenario's network (mesh or torus) and run `B` on it: the
@@ -240,7 +221,7 @@ struct Regions;
 
 impl SeedBody for Regions {
     type Out = RegionStats;
-    fn run<S: BenchSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RegionStats {
+    fn run<S: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RegionStats {
         c.sc.inject(&mut mesh, c.n, mix_fault_seed(c.seed, c.n), &[]);
         region_stats(&mesh, c.sc.border)
     }
@@ -327,7 +308,7 @@ struct Routing;
 
 impl SeedBody for Routing {
     type Out = Result<Vec<TrialResult>, ScenarioError>;
-    fn run<S: BenchSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> Self::Out {
+    fn run<S: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> Self::Out {
         let sc = c.sc;
         let opts = TrialOptions {
             border: sc.border,
@@ -511,9 +492,9 @@ struct Labellings;
 
 impl SeedBody for Labellings {
     type Out = RunStats;
-    fn run<S: BenchSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RunStats {
+    fn run<S: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RunStats {
         c.sc.inject(&mut mesh, c.n, mix_interior_seed(c.seed, c.n), &[]);
-        S::labelling_stats(&mesh)
+        DistLabelling::<S>::run(&mesh, S::identity_frame(&mesh)).stats
     }
 }
 
@@ -594,7 +575,7 @@ fn run_churn(sc: &Scenario, workers: usize) -> Vec<ChurnRow> {
 
 impl SeedBody for ChurnSeed {
     type Out = ChurnSeed;
-    fn run<S: BenchSpace>(c: Cell<'_>, mesh: Mesh<S>) -> ChurnSeed {
+    fn run<S: RouteSpace>(c: Cell<'_>, mesh: Mesh<S>) -> ChurnSeed {
         churn_seed(c, mesh)
     }
 }

@@ -6,21 +6,26 @@
 //! announcement changes its view, announcing its own new labels in turn.
 //! The protocol reaches the same fixpoint as the centralized closure
 //! (validated by tests) in a number of rounds proportional to the longest
-//! label-propagation chain.
+//! label-propagation chain, which can be far longer than the mesh
+//! diameter; the round cap is therefore derived from the node count.
+//!
+//! The two algorithms differ only in the axis count, so [`DistLabelling`]
+//! is written once over the node space; [`DistLabelling2`] and
+//! [`DistLabelling3`] name it per dimension.
 //!
 //! The network runs in **canonical coordinates** (one instance per
 //! quadrant/octant orientation), so the rules always look at the `+`/`-`
 //! neighbors.
 //!
-//! Runs on the flat engine: nodes are [`mesh_topo::NodeSpace2`] /
-//! [`mesh_topo::NodeSpace3`] linear indices, and once the label wavefront
-//! has passed, converged nodes are never dispatched again (the engine's
-//! active set), so convergence tails cost messages — not whole-mesh scans.
-//! The pre-refactor implementation survives beside `tests/parity.rs` as
-//! the oracle that pins this one stats-identical.
+//! Runs on the flat engine: nodes are linear indices of the mesh's
+//! [`Space`], and once the label wavefront has passed, converged nodes are
+//! never dispatched again (the engine's active set), so convergence tails
+//! cost messages — not whole-mesh scans. The pre-refactor implementation
+//! survives beside `tests/parity.rs` as the oracle that pins this one
+//! stats-identical.
 
-use fault_model::{Labelling2, Labelling3, NodeStatus};
-use mesh_topo::{Dir2, Dir3, Frame2, Frame3, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, C2, C3};
+use fault_model::{Labelling, NodeStatus};
+use mesh_topo::{Mesh, NodeSpace2, NodeSpace3, Space};
 use sim_net::{RunStats, SimNet};
 
 /// Per-node protocol state (2-D and 3-D share the shape).
@@ -29,7 +34,8 @@ pub struct LabelState {
     /// The node's own current status.
     pub status: NodeStatus,
     /// What the node believes about each neighbor, keyed by direction
-    /// index: `(blocks_forward, blocks_backward)`.
+    /// index (`+X, -X, +Y, -Y[, +Z, -Z]`): `(blocks_forward,
+    /// blocks_backward)`.
     pub nbr_blocks: [(bool, bool); 6],
     /// Whether the node has announced its current status.
     pub(crate) announced: (bool, bool),
@@ -38,82 +44,80 @@ pub struct LabelState {
 /// Announcement message: the sender's `(blocks_forward, blocks_backward)`.
 pub type LabelMsg = (bool, bool);
 
-/// Result of running the distributed labelling on one 2-D orientation.
-pub struct DistLabelling2 {
+/// Result of running the distributed labelling on one orientation.
+pub struct DistLabelling<S: Space> {
     /// The converged network (canonical coordinates).
-    pub net: SimNet<NodeSpace2, LabelState, LabelMsg>,
+    pub net: SimNet<S, LabelState, LabelMsg>,
     /// Rounds/messages of the labelling run.
     pub stats: RunStats,
-    frame: Frame2,
+    frame: S::Frame,
 }
 
-/// Result of running the distributed labelling on one 3-D orientation.
-pub struct DistLabelling3 {
-    /// The converged network (canonical coordinates).
-    pub net: SimNet<NodeSpace3, LabelState, LabelMsg>,
-    /// Rounds/messages of the labelling run.
-    pub stats: RunStats,
-    frame: Frame3,
-}
+/// The distributed labelling of a 2-D mesh (Algorithm 1).
+pub type DistLabelling2 = DistLabelling<NodeSpace2>;
 
-impl DistLabelling2 {
+/// The distributed labelling of a 3-D mesh (Algorithm 4).
+pub type DistLabelling3 = DistLabelling<NodeSpace3>;
+
+impl<S: Space> DistLabelling<S> {
     /// Run the protocol for `mesh` under `frame`.
-    pub fn run(mesh: &Mesh2D, frame: Frame2) -> DistLabelling2 {
+    ///
+    /// # Panics
+    /// If the run does not go quiet within its round cap (it always does:
+    /// see the cap's derivation).
+    pub fn run(mesh: &Mesh<S>, frame: S::Frame) -> DistLabelling<S> {
         let space = mesh.space();
-        let mut net: SimNet<NodeSpace2, LabelState, LabelMsg> =
+        let mut net: SimNet<S, LabelState, LabelMsg> =
             SimNet::new(space, |_| LabelState::default());
         for &f in mesh.faults() {
-            net.state_at_mut(frame.to_canon(f)).status = NodeStatus::FAULT;
+            net.state_at_mut(S::to_canon(frame, f)).status = NodeStatus::FAULT;
         }
-        let max_rounds = (mesh.width() + mesh.height()) as usize * 4 + 8;
-        let w = mesh.width() as usize;
+        // Each node's two label flags flip at most once, and every round
+        // after round 0 that sends anything flipped one; the run then needs
+        // one round to absorb the last announcements and one silent round.
+        let max_rounds = 2 * space.node_count() + 3;
+        let ext = space.extents();
+        let strides = [1, ext[0], ext[0] * ext[1]];
         let wrap = space.wraps();
         let stats = net.run(max_rounds, move |state, inbox, ctx| {
             let me = ctx.me();
             // Absorb announcements: the sender is a neighbor (engine
-            // invariant). On a mesh its direction is exactly its index
-            // offset (+1/-1 along x, +w/-w along y) — no coordinate math;
-            // the y-stride is tested first: in a width-1 mesh +1 == +w,
-            // and the only neighbors that exist there are y-steps. On a
-            // torus wrap links break the offset rule; the four wrapped
-            // neighbor indices are decoded once per dispatch (not per
-            // message) and matched against (k ≥ 3 per axis keeps them
-            // distinct).
-            let wrapped = wrap.then(|| Dir2::ALL.map(|d| space.step(me, d)));
+            // invariant). On a torus wrap links break the offset rule;
+            // the wrapped neighbor indices are decoded once per dispatch
+            // (not per message), in direction-index order, and matched
+            // against (k ≥ 3 per axis keeps them distinct).
+            let wrapped = wrap.then(|| {
+                let (mut nbrs, mut k) = ([usize::MAX; 6], 0);
+                space.for_axis_neighbors(me, |n| {
+                    nbrs[k] = n;
+                    k += 1;
+                });
+                nbrs
+            });
             for &(from, blocks) in inbox {
                 let from = from as usize;
-                let dir = if let Some(nbrs) = &wrapped {
-                    let k = nbrs
+                let slot = match &wrapped {
+                    Some(nbrs) => nbrs
                         .iter()
-                        .position(|&n| n == Some(from))
-                        .expect("sender is a neighbor");
-                    Dir2::ALL[k]
-                } else if from == me + w {
-                    Dir2::Yp
-                } else if from + w == me {
-                    Dir2::Ym
-                } else if from == me + 1 {
-                    Dir2::Xp
-                } else {
-                    Dir2::Xm
+                        .position(|&n| n == from)
+                        .expect("sender is a neighbor"),
+                    None => mesh_slot(me, from, &strides[..S::DIMS]),
                 };
-                state.nbr_blocks[dir.index()] = blocks;
+                state.nbr_blocks[slot] = blocks;
             }
-            // Re-evaluate rules (out-of-mesh counts as safe: BorderSafe).
-            use Dir2::{Xm, Xp, Ym, Yp};
-            let fwd_blocked = |s: &LabelState, d: Dir2| s.nbr_blocks[d.index()].0;
-            let bwd_blocked = |s: &LabelState, d: Dir2| s.nbr_blocks[d.index()].1;
+            // Re-evaluate rules (out-of-mesh counts as safe: BorderSafe):
+            // useless once every `+` neighbor blocks forward, can't-reach
+            // once every `-` neighbor blocks backward.
+            let nbrs = &state.nbr_blocks[..2 * S::DIMS];
             if !state.status.blocks_forward()
                 && !state.status.is_faulty()
-                && fwd_blocked(state, Xp)
-                && fwd_blocked(state, Yp)
+                && nbrs.iter().step_by(2).all(|b| b.0)
             {
                 state.status.mark_useless();
             }
             if !state.status.blocks_backward()
                 && !state.status.is_faulty()
-                && bwd_blocked(state, Xm)
-                && bwd_blocked(state, Ym)
+                && nbrs.iter().skip(1).step_by(2).all(|b| b.1)
             {
                 state.status.mark_cant_reach();
             }
@@ -122,131 +126,59 @@ impl DistLabelling2 {
                 state.status.blocks_forward(),
                 state.status.blocks_backward(),
             );
-            if state.announced != (now.0, now.1) || ctx.round == 0 {
+            if state.announced != now || ctx.round == 0 {
                 state.announced = now;
                 space.for_axis_neighbors(me, |n| ctx.send(n, now));
             }
         });
-        DistLabelling2 { net, stats, frame }
+        assert!(
+            stats.quiescent,
+            "distributed labelling did not converge in {max_rounds} rounds"
+        );
+        DistLabelling { net, stats, frame }
     }
 
     /// Status of the node at canonical `c`.
-    pub fn status(&self, c: C2) -> NodeStatus {
+    pub fn status(&self, c: S::Coord) -> NodeStatus {
         self.net.state_at(c).status
     }
 
     /// The frame the protocol ran under.
-    pub fn frame(&self) -> Frame2 {
+    pub fn frame(&self) -> S::Frame {
         self.frame
     }
 
     /// True if the converged labels equal the centralized closure.
-    pub fn matches(&self, reference: &Labelling2) -> bool {
+    pub fn matches(&self, reference: &Labelling<S>) -> bool {
         self.net
             .iter_coords()
             .all(|(c, s)| s.status == reference.status(c))
     }
 }
 
-impl DistLabelling3 {
-    /// Run the protocol for `mesh` under `frame`.
-    pub fn run(mesh: &Mesh3D, frame: Frame3) -> DistLabelling3 {
-        let space = mesh.space();
-        let mut net: SimNet<NodeSpace3, LabelState, LabelMsg> =
-            SimNet::new(space, |_| LabelState::default());
-        for &f in mesh.faults() {
-            net.state_at_mut(frame.to_canon(f)).status = NodeStatus::FAULT;
+/// The direction index of mesh neighbor `from` of `me`: its index offset
+/// is `±stride` of its axis (no coordinate math). Larger strides are
+/// tested first, so degenerate meshes (`+1 == +nx` when `nx == 1`, `+nx ==
+/// +nx·ny` when `ny == 1`) resolve to the only step that exists there.
+#[inline]
+fn mesh_slot(me: usize, from: usize, strides: &[usize]) -> usize {
+    for (axis, &stride) in strides.iter().enumerate().rev() {
+        if from == me + stride {
+            return 2 * axis;
         }
-        let max_rounds = (mesh.nx() + mesh.ny() + mesh.nz()) as usize * 4 + 8;
-        let nx = mesh.nx() as usize;
-        let nxy = nx * mesh.ny() as usize;
-        let wrap = space.wraps();
-        let stats = net.run(max_rounds, move |state, inbox, ctx| {
-            let me = ctx.me();
-            // Sender direction from the index offset, as in 2-D: larger
-            // strides first, so dimension-1 meshes (where +1 == +nx or
-            // +nx == +nx·ny) resolve to the only step that exists there.
-            // Torus wrap links break the offset rule; the six wrapped
-            // neighbor indices are decoded once per dispatch and matched
-            // against (see the 2-D decode).
-            let wrapped = wrap.then(|| Dir3::ALL.map(|d| space.step(me, d)));
-            for &(from, blocks) in inbox {
-                let from = from as usize;
-                let dir = if let Some(nbrs) = &wrapped {
-                    let k = nbrs
-                        .iter()
-                        .position(|&n| n == Some(from))
-                        .expect("sender is a neighbor");
-                    Dir3::ALL[k]
-                } else if from == me + nxy {
-                    Dir3::Zp
-                } else if from + nxy == me {
-                    Dir3::Zm
-                } else if from == me + nx {
-                    Dir3::Yp
-                } else if from + nx == me {
-                    Dir3::Ym
-                } else if from == me + 1 {
-                    Dir3::Xp
-                } else {
-                    Dir3::Xm
-                };
-                state.nbr_blocks[dir.index()] = blocks;
-            }
-            use Dir3::{Xm, Xp, Ym, Yp, Zm, Zp};
-            let fwd = |s: &LabelState, d: Dir3| s.nbr_blocks[d.index()].0;
-            let bwd = |s: &LabelState, d: Dir3| s.nbr_blocks[d.index()].1;
-            if !state.status.blocks_forward()
-                && !state.status.is_faulty()
-                && fwd(state, Xp)
-                && fwd(state, Yp)
-                && fwd(state, Zp)
-            {
-                state.status.mark_useless();
-            }
-            if !state.status.blocks_backward()
-                && !state.status.is_faulty()
-                && bwd(state, Xm)
-                && bwd(state, Ym)
-                && bwd(state, Zm)
-            {
-                state.status.mark_cant_reach();
-            }
-            let now = (
-                state.status.blocks_forward(),
-                state.status.blocks_backward(),
-            );
-            if state.announced != (now.0, now.1) || ctx.round == 0 {
-                state.announced = now;
-                space.for_axis_neighbors(me, |n| ctx.send(n, now));
-            }
-        });
-        DistLabelling3 { net, stats, frame }
+        if from + stride == me {
+            return 2 * axis + 1;
+        }
     }
-
-    /// Status of the node at canonical `c`.
-    pub fn status(&self, c: C3) -> NodeStatus {
-        self.net.state_at(c).status
-    }
-
-    /// The frame the protocol ran under.
-    pub fn frame(&self) -> Frame3 {
-        self.frame
-    }
-
-    /// True if the converged labels equal the centralized closure.
-    pub fn matches(&self, reference: &Labelling3) -> bool {
-        self.net
-            .iter_coords()
-            .all(|(c, s)| s.status == reference.status(c))
-    }
+    unreachable!("sender {from} is not a neighbor of {me}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fault_model::{BorderPolicy, FaultRegime};
+    use fault_model::{BorderPolicy, FaultRegime, Labelling2, Labelling3};
     use mesh_topo::coord::{c2, c3};
+    use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 
     #[test]
     fn converges_to_centralized_fixpoint_2d() {
@@ -338,6 +270,29 @@ mod tests {
         assert!(dist.matches(&reference));
         // The useless cascade is long; convergence needs several rounds.
         assert!(dist.stats.rounds > 4, "rounds = {}", dist.stats.rounds);
+    }
+
+    #[test]
+    fn long_helix_converges_past_the_old_round_cap() {
+        // A torus "helix": odd rows are walls with one connector each,
+        // even rows carry one fault just past the connector, and the last
+        // odd row is solid. The useless label winds row by row through
+        // the whole torus, so its chain is far longer than the mesh
+        // diameter: a round cap of 4·(w + h) + 8 = 168 stops it early.
+        let mut mesh = Mesh2D::torus(20, 20);
+        for r in 0..10i32 {
+            let s = (3 - 2 * r).rem_euclid(20);
+            mesh.inject_fault(c2((s + 1) % 20, 2 * r));
+            for x in 0..20 {
+                if x != s || r == 9 {
+                    mesh.inject_fault(c2(x, 2 * r + 1));
+                }
+            }
+        }
+        let frame = Frame2::identity(&mesh);
+        let dist = DistLabelling2::run(&mesh, frame);
+        assert!(dist.stats.rounds > 168, "rounds = {}", dist.stats.rounds);
+        assert!(dist.matches(&Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe)));
     }
 
     #[test]
