@@ -1,27 +1,25 @@
-//! Fixed-capacity direction buffers for the per-hop candidate sets.
+//! A fixed-capacity direction buffer for the per-hop candidate set.
 //!
 //! Every router hop rebuilds the set of allowed forwarding directions.
 //! A heap-backed `Vec<Dir>` puts an allocation (and a pointer chase) on
-//! the hottest loop of every route; these inline buffers are `Copy`-sized
-//! arrays plus a length, so the candidate set lives entirely in registers
-//! or on the stack. Capacity is the full direction fan-out (4 in 2-D, 6
-//! in 3-D) even though minimal routing only ever pushes the positive
-//! half, so misrouting extensions cannot overflow them.
+//! the hottest loop of every route; this inline buffer is a `Copy`-sized
+//! array plus a length, so the candidate set lives entirely in registers
+//! or on the stack. Capacity is the full 3-D direction fan-out (6) even
+//! though minimal routing only ever pushes the positive half, so
+//! misrouting extensions cannot overflow it in either dimension.
 
-use mesh_topo::{Dir2, Dir3};
-
-/// Inline candidate set of 2-D directions (`[Dir2; 4]` + length).
+/// Inline candidate set of directions `D` (`[D; 6]` + length).
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct DirBuf2 {
-    dirs: [Dir2; 4],
+pub(crate) struct DirBuf<D> {
+    dirs: [D; 6],
     len: usize,
 }
 
-impl DirBuf2 {
-    /// The empty candidate set.
-    pub(crate) fn new() -> DirBuf2 {
-        DirBuf2 {
-            dirs: [Dir2::Xp; 4],
+impl<D: Copy> DirBuf<D> {
+    /// The empty candidate set; `fill` only initializes the unused slots.
+    pub(crate) fn new(fill: D) -> DirBuf<D> {
+        DirBuf {
+            dirs: [fill; 6],
             len: 0,
         }
     }
@@ -35,83 +33,18 @@ impl DirBuf2 {
     /// Append a candidate direction.
     ///
     /// # Panics
-    /// If the buffer already holds all four directions (debug builds).
+    /// If the buffer already holds six directions (debug builds).
     #[inline]
-    pub(crate) fn push(&mut self, d: Dir2) {
+    pub(crate) fn push(&mut self, d: D) {
         debug_assert!(self.len < self.dirs.len(), "direction buffer overflow");
         self.dirs[self.len] = d;
         self.len += 1;
     }
 
-    /// True when no direction is allowed.
+    /// The candidates as a slice (what [`crate::policy::Policy::choose`]
+    /// consumes).
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of allowed directions (the hop's adaptivity contribution).
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The candidates as a slice (what the [`crate::policy::Policy`]
-    /// selectors consume).
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[Dir2] {
-        &self.dirs[..self.len]
-    }
-}
-
-/// Inline candidate set of 3-D directions (`[Dir3; 6]` + length).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct DirBuf3 {
-    dirs: [Dir3; 6],
-    len: usize,
-}
-
-impl DirBuf3 {
-    /// The empty candidate set.
-    pub(crate) fn new() -> DirBuf3 {
-        DirBuf3 {
-            dirs: [Dir3::Xp; 6],
-            len: 0,
-        }
-    }
-
-    /// Drop every candidate.
-    #[inline]
-    pub(crate) fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Append a candidate direction.
-    ///
-    /// # Panics
-    /// If the buffer already holds all six directions (debug builds).
-    #[inline]
-    pub(crate) fn push(&mut self, d: Dir3) {
-        debug_assert!(self.len < self.dirs.len(), "direction buffer overflow");
-        self.dirs[self.len] = d;
-        self.len += 1;
-    }
-
-    /// True when no direction is allowed.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of allowed directions (the hop's adaptivity contribution).
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The candidates as a slice (what the [`crate::policy::Policy`]
-    /// selectors consume).
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[Dir3] {
+    pub(crate) fn as_slice(&self) -> &[D] {
         &self.dirs[..self.len]
     }
 }
@@ -119,26 +52,25 @@ impl DirBuf3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mesh_topo::{Dir2, Dir3};
 
     #[test]
     fn dirbuf2_push_clear_slice() {
-        let mut b = DirBuf2::new();
-        assert!(b.is_empty());
+        let mut b = DirBuf::new(Dir2::Xp);
+        assert!(b.as_slice().is_empty());
         b.push(Dir2::Yp);
         b.push(Dir2::Xp);
-        assert_eq!(b.len(), 2);
         assert_eq!(b.as_slice(), &[Dir2::Yp, Dir2::Xp]);
         b.clear();
-        assert!(b.is_empty() && b.as_slice().is_empty());
+        assert!(b.as_slice().is_empty());
     }
 
     #[test]
     fn dirbuf3_holds_full_fanout() {
-        let mut b = DirBuf3::new();
+        let mut b = DirBuf::new(Dir3::Xp);
         for d in Dir3::ALL {
             b.push(d);
         }
-        assert_eq!(b.len(), 6);
         assert_eq!(b.as_slice(), &Dir3::ALL[..]);
     }
 }

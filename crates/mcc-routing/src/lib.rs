@@ -11,7 +11,8 @@
 //!   surviving preferred directions),
 //! * [`router2`] / [`router3`] — the two-phase routing processes
 //!   (Algorithms 3 and 6): feasibility check at the source, then per-hop
-//!   forwarding that never enters a detour area,
+//!   forwarding that never enters a detour area (one private walk, shared
+//!   with the baselines),
 //! * [`baseline`] — comparison routers: greedy (no fault information) and
 //!   rectangular/cuboid-block routing,
 //! * [`trace`] — route outcomes, adaptivity and path-quality metrics,
@@ -72,6 +73,7 @@ pub mod router2;
 pub mod router3;
 pub mod trace;
 pub mod trial;
+mod walk;
 
 pub use feasibility2::{detect_2d, Detection2};
 pub use feasibility3::{detect_3d, detect_3d_in, Detection3, FloodScratch3};

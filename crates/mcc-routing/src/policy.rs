@@ -5,9 +5,10 @@
 //! computes the surviving set `F`; a [`Policy`] picks one member. Policies
 //! only ever see directions the router already proved harmless, so the
 //! minimality guarantee is policy-independent — which these types make easy
-//! to demonstrate experimentally.
+//! to demonstrate experimentally. [`Policy::choose`] is written once over
+//! the coordinate type, so one policy serves the 2-D and 3-D routers.
 
-use mesh_topo::{Dir2, Dir3, C2, C3};
+use mesh_topo::Coord;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,66 +51,37 @@ impl Policy {
         Policy::Random(SmallRng::seed_from_u64(seed))
     }
 
-    /// Pick a forwarding direction among `allowed` (2-D).
+    /// Pick a forwarding direction among `allowed`, at `u` toward `d`.
     ///
     /// # Panics
     /// If `allowed` is empty — the router must not consult a policy with an
     /// empty candidate set.
-    pub fn choose2(&mut self, u: C2, d: C2, allowed: &[Dir2]) -> Dir2 {
+    pub fn choose<C: Coord>(&mut self, u: C, d: C, allowed: &[C::Dir]) -> C::Dir {
         assert!(
             !allowed.is_empty(),
             "policy consulted with empty direction set"
         );
         match self {
             Policy::XFirst => allowed[0],
-            Policy::Balanced => *allowed
-                .iter()
-                .max_by_key(|dir| match dir {
-                    Dir2::Xp => d.x - u.x,
-                    Dir2::Yp => d.y - u.y,
-                    _ => i32::MIN,
-                })
-                .expect("non-empty"),
-            Policy::ZigZag { last_axis } => {
-                let pick = allowed
+            Policy::Balanced => {
+                // `max_by_key` keeps the last of equal offsets.
+                let (u, d) = (u.xyz(), d.xyz());
+                *allowed
                     .iter()
-                    .find(|dir| Some(dir.axis().index()) != *last_axis)
-                    .copied()
-                    .unwrap_or(allowed[0]);
-                *last_axis = Some(pick.axis().index());
-                pick
+                    .max_by_key(|&&dir| match C::axis_sign(dir) {
+                        (axis, true) => d[axis] - u[axis],
+                        _ => i32::MIN,
+                    })
+                    .expect("non-empty")
             }
-            Policy::Random(rng) => allowed[rng.gen_range(0..allowed.len())],
-        }
-    }
-
-    /// Pick a forwarding direction among `allowed` (3-D).
-    ///
-    /// # Panics
-    /// If `allowed` is empty.
-    pub fn choose3(&mut self, u: C3, d: C3, allowed: &[Dir3]) -> Dir3 {
-        assert!(
-            !allowed.is_empty(),
-            "policy consulted with empty direction set"
-        );
-        match self {
-            Policy::XFirst => allowed[0],
-            Policy::Balanced => *allowed
-                .iter()
-                .max_by_key(|dir| match dir {
-                    Dir3::Xp => d.x - u.x,
-                    Dir3::Yp => d.y - u.y,
-                    Dir3::Zp => d.z - u.z,
-                    _ => i32::MIN,
-                })
-                .expect("non-empty"),
             Policy::ZigZag { last_axis } => {
+                let axis = |dir: C::Dir| C::axis_sign(dir).0;
                 let pick = allowed
                     .iter()
-                    .find(|dir| Some(dir.axis().index()) != *last_axis)
                     .copied()
+                    .find(|&dir| Some(axis(dir)) != *last_axis)
                     .unwrap_or(allowed[0]);
-                *last_axis = Some(pick.axis().index());
+                *last_axis = Some(axis(pick));
                 pick
             }
             Policy::Random(rng) => allowed[rng.gen_range(0..allowed.len())],
@@ -132,26 +104,27 @@ impl Policy {
 mod tests {
     use super::*;
     use mesh_topo::coord::{c2, c3};
+    use mesh_topo::{Dir2, Dir3};
 
     #[test]
     fn x_first_is_deterministic() {
         let mut p = Policy::x_first();
         assert_eq!(
-            p.choose2(c2(0, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]),
+            p.choose(c2(0, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]),
             Dir2::Xp
         );
-        assert_eq!(p.choose2(c2(0, 0), c2(5, 5), &[Dir2::Yp]), Dir2::Yp);
+        assert_eq!(p.choose(c2(0, 0), c2(5, 5), &[Dir2::Yp]), Dir2::Yp);
     }
 
     #[test]
     fn balanced_prefers_long_axis() {
         let mut p = Policy::balanced();
         assert_eq!(
-            p.choose2(c2(0, 0), c2(1, 7), &[Dir2::Xp, Dir2::Yp]),
+            p.choose(c2(0, 0), c2(1, 7), &[Dir2::Xp, Dir2::Yp]),
             Dir2::Yp
         );
         assert_eq!(
-            p.choose3(c3(0, 0, 0), c3(2, 9, 4), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
+            p.choose(c3(0, 0, 0), c3(2, 9, 4), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
             Dir3::Yp
         );
     }
@@ -162,16 +135,16 @@ mod tests {
         // and every golden route depends on that tie rule.
         let mut p = Policy::balanced();
         assert_eq!(
-            p.choose2(c2(0, 0), c2(4, 4), &[Dir2::Xp, Dir2::Yp]),
+            p.choose(c2(0, 0), c2(4, 4), &[Dir2::Xp, Dir2::Yp]),
             Dir2::Yp
         );
         assert_eq!(
-            p.choose3(c3(0, 0, 0), c3(3, 3, 3), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
+            p.choose(c3(0, 0, 0), c3(3, 3, 3), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
             Dir3::Zp
         );
         // A tie between the first two of three still takes the later one.
         assert_eq!(
-            p.choose3(c3(0, 0, 0), c3(5, 5, 2), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
+            p.choose(c3(0, 0, 0), c3(5, 5, 2), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]),
             Dir3::Yp
         );
     }
@@ -183,22 +156,22 @@ mod tests {
         let all = [Dir3::Xp, Dir3::Yp, Dir3::Zp];
         // Only the previous axis is avoided: X and Y alternate while both
         // stay allowed, and Z is taken when X is the one to avoid.
-        assert_eq!(p.choose3(u, d, &all), Dir3::Xp);
-        assert_eq!(p.choose3(u, d, &all), Dir3::Yp);
-        assert_eq!(p.choose3(u, d, &all), Dir3::Xp);
-        assert_eq!(p.choose3(u, d, &[Dir3::Xp, Dir3::Zp]), Dir3::Zp);
-        assert_eq!(p.choose3(u, d, &[Dir3::Zp]), Dir3::Zp);
-        assert_eq!(p.choose3(u, d, &all), Dir3::Xp);
+        assert_eq!(p.choose(u, d, &all), Dir3::Xp);
+        assert_eq!(p.choose(u, d, &all), Dir3::Yp);
+        assert_eq!(p.choose(u, d, &all), Dir3::Xp);
+        assert_eq!(p.choose(u, d, &[Dir3::Xp, Dir3::Zp]), Dir3::Zp);
+        assert_eq!(p.choose(u, d, &[Dir3::Zp]), Dir3::Zp);
+        assert_eq!(p.choose(u, d, &all), Dir3::Xp);
     }
 
     #[test]
     fn zigzag_alternates() {
         let mut p = Policy::zigzag();
-        let first = p.choose2(c2(0, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]);
-        let second = p.choose2(c2(1, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]);
+        let first = p.choose(c2(0, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]);
+        let second = p.choose(c2(1, 0), c2(5, 5), &[Dir2::Xp, Dir2::Yp]);
         assert_ne!(first.axis(), second.axis());
         // Falls back when only the same axis remains.
-        let third = p.choose2(c2(1, 1), c2(5, 5), &[second]);
+        let third = p.choose(c2(1, 1), c2(5, 5), &[second]);
         assert_eq!(third, second);
     }
 
@@ -207,8 +180,8 @@ mod tests {
         let mut p1 = Policy::random(9);
         let mut p2 = Policy::random(9);
         for _ in 0..20 {
-            let a = p1.choose3(c3(0, 0, 0), c3(9, 9, 9), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]);
-            let b = p2.choose3(c3(0, 0, 0), c3(9, 9, 9), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]);
+            let a = p1.choose(c3(0, 0, 0), c3(9, 9, 9), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]);
+            let b = p2.choose(c3(0, 0, 0), c3(9, 9, 9), &[Dir3::Xp, Dir3::Yp, Dir3::Zp]);
             assert_eq!(a, b);
             assert!([Dir3::Xp, Dir3::Yp, Dir3::Zp].contains(&a));
         }
@@ -217,6 +190,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_set_panics() {
-        Policy::x_first().choose2(c2(0, 0), c2(1, 1), &[]);
+        Policy::x_first().choose(c2(0, 0), c2(1, 1), &[]);
     }
 }

@@ -20,17 +20,22 @@
 //!   This is what a node could decide from one MCC's boundary record alone,
 //!   without the merge step; the router can then strand in multi-region
 //!   compositions, and the delta is an ablation the benchmark measures.
+//!
+//! The per-hop forwarding itself is the walk every router shares
+//! (`crate::walk`); this module keeps what Algorithm 3 adds to it: the
+//! detection walks, the exclusion rule, and the exact rule's guarantee
+//! that the candidate set never empties.
 
 use fault_model::mcc2::MccSet2;
 use fault_model::oracle::Useful2;
 use fault_model::Labelling2;
-use mesh_topo::{Dir2, Path2, C2};
+use mesh_topo::C2;
 use serde::{Deserialize, Serialize};
 
-use crate::dirbuf::DirBuf2;
 use crate::feasibility2::detect_2d;
 use crate::policy::Policy;
-use crate::trace::{RouteOutcome2, RouteResult};
+use crate::trace::RouteOutcome2;
+use crate::walk::walk;
 
 /// Per-hop direction-exclusion rule (see module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
@@ -129,21 +134,11 @@ impl<'a> Router2<'a> {
     fn precheck(&self, s: C2, d: C2) -> Result<crate::feasibility2::Detection2, RouteOutcome2> {
         assert!(s.dominated_by(d), "router requires canonical s <= d");
         if !self.lab.is_safe(s) || !self.lab.is_safe(d) {
-            return Err(RouteOutcome2 {
-                result: RouteResult::Infeasible,
-                path: Path2::start(s),
-                adaptivity_sum: 0,
-                detection_hops: 0,
-            });
+            return Err(RouteOutcome2::new(s, None, 0));
         }
         let det = detect_2d(self.lab, s, d);
         if !det.feasible() {
-            return Err(RouteOutcome2 {
-                result: RouteResult::Infeasible,
-                path: Path2::start(s),
-                adaptivity_sum: 0,
-                detection_hops: det.hops,
-            });
+            return Err(RouteOutcome2::new(s, None, det.hops));
         }
         Ok(det)
     }
@@ -160,51 +155,27 @@ impl<'a> Router2<'a> {
         useful: &Useful2,
         det: crate::feasibility2::Detection2,
     ) -> RouteOutcome2 {
-        let mut path = Path2::start(s);
-        let mut adaptivity_sum = 0usize;
-        let mut u = s;
-        let mut allowed = DirBuf2::new();
-        while u != d {
-            allowed.clear();
-            for dir in Dir2::POSITIVE {
-                if u.get(dir.axis()) >= d.get(dir.axis()) {
-                    continue; // not a preferred direction here
-                }
-                let v = u.step(dir);
-                if !self.lab.is_safe(v) {
-                    continue; // never forward into a fault region
-                }
-                let ok = match rule {
-                    DecisionRule::BoundaryExact => useful.contains(v),
-                    DecisionRule::PairRecords => !self.pair_forbidden(v, d),
-                };
-                if ok {
-                    allowed.push(dir);
-                }
-            }
-            if allowed.is_empty() {
-                debug_assert!(
-                    rule == DecisionRule::PairRecords,
-                    "exact rule can never strand a feasible route (at {u:?})"
-                );
-                return RouteOutcome2 {
-                    result: RouteResult::Stuck,
-                    path,
-                    adaptivity_sum,
-                    detection_hops: det.hops,
-                };
-            }
-            adaptivity_sum += allowed.len();
-            let dir = policy.choose2(u, d, allowed.as_slice());
-            u = u.step(dir);
-            path.push(u);
+        let walk = walk(
+            s,
+            d,
+            policy,
+            |v| {
+                // Never forward into a fault region or a detour area.
+                self.lab.is_safe(v)
+                    && match rule {
+                        DecisionRule::BoundaryExact => useful.contains(v),
+                        DecisionRule::PairRecords => !self.pair_forbidden(v, d),
+                    }
+            },
+            |u| u,
+        );
+        if let Some(u) = walk.stuck_at {
+            debug_assert!(
+                rule == DecisionRule::PairRecords,
+                "exact rule can never strand a feasible route (at {u:?})"
+            );
         }
-        RouteOutcome2 {
-            result: RouteResult::Delivered,
-            path,
-            adaptivity_sum,
-            detection_hops: det.hops,
-        }
+        RouteOutcome2::new(s, Some(walk), det.hops)
     }
 
     /// The unmerged-record exclusion: some single MCC has `d` critical and
@@ -220,6 +191,7 @@ impl<'a> Router2<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::RouteResult;
     use fault_model::mcc2::MccSet2;
     use fault_model::BorderPolicy;
     use mesh_topo::coord::c2;

@@ -5,18 +5,20 @@
 //! per-hop forwarding picks among the preferred directions that do not lead
 //! into a detour area. The exact rule uses the merged-region semantics
 //! (precomputed [`Useful3`] over the unsafe closure); the ablation rule uses
-//! unmerged per-MCC line-shadow records.
+//! unmerged per-MCC line-shadow records. The forwarding walk is the one
+//! every router shares (`crate::walk`); the detection floods and the
+//! line-shadow records are what stays 3-D.
 
 use fault_model::mcc3::MccSet3;
 use fault_model::oracle::Useful3;
 use fault_model::Labelling3;
-use mesh_topo::{Axis3, Dir3, Path3, C3};
+use mesh_topo::{Axis3, C3};
 
-use crate::dirbuf::DirBuf3;
 use crate::feasibility3::{detect_3d_in, FloodScratch3};
 use crate::policy::Policy;
 use crate::router2::DecisionRule;
-use crate::trace::{RouteOutcome3, RouteResult};
+use crate::trace::RouteOutcome3;
+use crate::walk::walk;
 
 /// Reusable buffers for one 3-D route: the backward-reachability set and
 /// the detection-flood state. One instance carried across a batch of
@@ -145,21 +147,11 @@ impl<'a> Router3<'a> {
     ) -> Result<crate::feasibility3::Detection3, RouteOutcome3> {
         assert!(s.dominated_by(d), "router requires canonical s <= d");
         if !self.lab.is_safe(s) || !self.lab.is_safe(d) {
-            return Err(RouteOutcome3 {
-                result: RouteResult::Infeasible,
-                path: Path3::start(s),
-                adaptivity_sum: 0,
-                detection_cost: 0,
-            });
+            return Err(RouteOutcome3::new(s, None, 0));
         }
         let det = detect_3d_in(self.lab, s, d, flood);
         if !det.feasible() {
-            return Err(RouteOutcome3 {
-                result: RouteResult::Infeasible,
-                path: Path3::start(s),
-                adaptivity_sum: 0,
-                detection_cost: det.visited,
-            });
+            return Err(RouteOutcome3::new(s, None, det.visited));
         }
         Ok(det)
     }
@@ -176,51 +168,27 @@ impl<'a> Router3<'a> {
         useful: &Useful3,
         det: crate::feasibility3::Detection3,
     ) -> RouteOutcome3 {
-        let mut path = Path3::start(s);
-        let mut adaptivity_sum = 0usize;
-        let mut u = s;
-        let mut allowed = DirBuf3::new();
-        while u != d {
-            allowed.clear();
-            for dir in Dir3::POSITIVE {
-                if u.get(dir.axis()) >= d.get(dir.axis()) {
-                    continue;
-                }
-                let v = u.step(dir);
-                if !self.lab.is_safe(v) {
-                    continue;
-                }
-                let ok = match rule {
-                    DecisionRule::BoundaryExact => useful.contains(v),
-                    DecisionRule::PairRecords => !self.pair_forbidden(v, d),
-                };
-                if ok {
-                    allowed.push(dir);
-                }
-            }
-            if allowed.is_empty() {
-                debug_assert!(
-                    rule == DecisionRule::PairRecords,
-                    "exact rule can never strand a feasible route (at {u:?})"
-                );
-                return RouteOutcome3 {
-                    result: RouteResult::Stuck,
-                    path,
-                    adaptivity_sum,
-                    detection_cost: det.visited,
-                };
-            }
-            adaptivity_sum += allowed.len();
-            let dir = policy.choose3(u, d, allowed.as_slice());
-            u = u.step(dir);
-            path.push(u);
+        let walk = walk(
+            s,
+            d,
+            policy,
+            |v| {
+                // Never forward into a fault region or a detour area.
+                self.lab.is_safe(v)
+                    && match rule {
+                        DecisionRule::BoundaryExact => useful.contains(v),
+                        DecisionRule::PairRecords => !self.pair_forbidden(v, d),
+                    }
+            },
+            |u| u,
+        );
+        if let Some(u) = walk.stuck_at {
+            debug_assert!(
+                rule == DecisionRule::PairRecords,
+                "exact rule can never strand a feasible route (at {u:?})"
+            );
         }
-        RouteOutcome3 {
-            result: RouteResult::Delivered,
-            path,
-            adaptivity_sum,
-            detection_cost: det.visited,
-        }
+        RouteOutcome3::new(s, Some(walk), det.visited)
     }
 
     /// The unmerged-record exclusion via 3-D line shadows.
@@ -236,6 +204,7 @@ impl<'a> Router3<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::RouteResult;
     use fault_model::mcc3::MccSet3;
     use fault_model::BorderPolicy;
     use mesh_topo::coord::c3;

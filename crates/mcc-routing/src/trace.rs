@@ -1,7 +1,9 @@
 //! Route outcomes and path-quality metrics.
 
-use mesh_topo::{Path2, Path3};
+use mesh_topo::{Coord, Path, Path2, Path3, C2, C3};
 use serde::{Deserialize, Serialize};
+
+use crate::walk::Walk;
 
 /// Why a routing attempt ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -58,7 +60,28 @@ pub struct RouteSummary {
     pub detection_cost: usize,
 }
 
+/// The result, path and adaptivity sum of an attempt from `s` that `walk`
+/// finished, or that was refused before its first hop (`None`).
+fn settle<C: Coord>(s: C, walk: Option<Walk<C>>) -> (RouteResult, Path<C>, usize) {
+    match walk {
+        Some(w) if w.stuck_at.is_some() => (RouteResult::Stuck, w.path, w.adaptivity_sum),
+        Some(w) => (RouteResult::Delivered, w.path, w.adaptivity_sum),
+        None => (RouteResult::Infeasible, Path::start(s), 0),
+    }
+}
+
 impl RouteOutcome2 {
+    /// The record of an attempt from `s` (see [`settle`]).
+    pub(crate) fn new(s: C2, walk: Option<Walk<C2>>, detection_hops: usize) -> RouteOutcome2 {
+        let (result, path, adaptivity_sum) = settle(s, walk);
+        RouteOutcome2 {
+            result,
+            path,
+            adaptivity_sum,
+            detection_hops,
+        }
+    }
+
     /// The dimension-free summary of this attempt.
     pub fn summary(&self) -> RouteSummary {
         RouteSummary {
@@ -85,6 +108,17 @@ impl RouteOutcome2 {
 }
 
 impl RouteOutcome3 {
+    /// The record of an attempt from `s` (see [`settle`]).
+    pub(crate) fn new(s: C3, walk: Option<Walk<C3>>, detection_cost: usize) -> RouteOutcome3 {
+        let (result, path, adaptivity_sum) = settle(s, walk);
+        RouteOutcome3 {
+            result,
+            path,
+            adaptivity_sum,
+            detection_cost,
+        }
+    }
+
     /// The dimension-free summary of this attempt.
     pub fn summary(&self) -> RouteSummary {
         RouteSummary {

@@ -37,6 +37,9 @@ pub trait Coord: sealed::Sealed + Copy + Eq + Hash + Debug + Display + 'static {
     const REGION_OFFSETS: &'static [[i32; 3]];
     /// The signed unit direction: [`Dir2`] or [`Dir3`].
     type Dir: Copy;
+    /// The positive directions in axis order: the preferred directions
+    /// toward a canonical destination.
+    const POSITIVE: &'static [Self::Dir];
     /// The axis-aligned box: [`Rect`] or [`Box3`].
     type Block: Copy + Eq + Debug;
 
@@ -48,6 +51,8 @@ pub trait Coord: sealed::Sealed + Copy + Eq + Hash + Debug + Display + 'static {
     fn block(lo: Self, hi: Self) -> Self::Block;
     /// The axis of `d` (0 for x) and whether it points along `+`.
     fn axis_sign(d: Self::Dir) -> (usize, bool);
+    /// The neighbor one step along `d` (may fall outside the mesh).
+    fn step(self, d: Self::Dir) -> Self;
 }
 
 impl Coord for C2 {
@@ -63,6 +68,7 @@ impl Coord for C2 {
         [-1, -1, 0],
     ];
     type Dir = Dir2;
+    const POSITIVE: &'static [Dir2] = &Dir2::POSITIVE;
     type Block = Rect;
 
     #[inline]
@@ -79,6 +85,10 @@ impl Coord for C2 {
     #[inline]
     fn axis_sign(d: Dir2) -> (usize, bool) {
         (d.axis().index(), d.is_positive())
+    }
+    #[inline]
+    fn step(self, d: Dir2) -> C2 {
+        C2::step(self, d)
     }
 }
 
@@ -105,6 +115,7 @@ impl Coord for C3 {
         [0, -1, -1],
     ];
     type Dir = Dir3;
+    const POSITIVE: &'static [Dir3] = &Dir3::POSITIVE;
     type Block = Box3;
 
     #[inline]
@@ -125,6 +136,10 @@ impl Coord for C3 {
     #[inline]
     fn axis_sign(d: Dir3) -> (usize, bool) {
         (d.axis().index(), d.is_positive())
+    }
+    #[inline]
+    fn step(self, d: Dir3) -> C3 {
+        C3::step(self, d)
     }
 }
 

@@ -77,6 +77,6 @@ pub use frame::{Frame, Frame2, Frame3};
 pub use mesh::{Mesh, Mesh2D, Mesh3D};
 pub use nodeset::{NodeGrid, NodeSet, NodeSpace, NodeSpace2, NodeSpace3};
 pub use par::{detected_cores, Parallelism};
-pub use path::{Path2, Path3};
+pub use path::{Path, Path2, Path3};
 pub use region::{Box3, Rect};
 pub use space::Space;

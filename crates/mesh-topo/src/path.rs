@@ -1,46 +1,54 @@
 //! Routing paths and their validity / minimality checks.
 //!
 //! A routing process is *minimal* if the length of the path from source `s`
-//! to destination `d` equals the Manhattan distance `D(s, d)`. [`Path2`] and
-//! [`Path3`] record the visited nodes and provide the checks the test-suite
-//! and the experiment harness rely on.
+//! to destination `d` equals the Manhattan distance `D(s, d)`. [`Path`]
+//! records the visited nodes and provides the checks the test-suite and
+//! the experiment harness rely on, once over every node space;
+//! [`Path2`] and [`Path3`] name it per dimension.
 
 use serde::{Deserialize, Serialize};
 
-use crate::coord::{C2, C3};
-use crate::mesh::{Mesh2D, Mesh3D};
+use crate::coord::{Coord, C2, C3};
+use crate::mesh::Mesh;
+use crate::space::Space;
 
-/// A (possibly partial) route through a 2-D mesh: the sequence of visited
-/// nodes, starting at the source.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct Path2 {
-    nodes: Vec<C2>,
+/// A (possibly partial) route through a mesh with coordinates `C`: the
+/// sequence of visited nodes, starting at the source.
+#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub struct Path<C> {
+    nodes: Vec<C>,
 }
 
-/// A (possibly partial) route through a 3-D mesh.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub struct Path3 {
-    nodes: Vec<C3>,
+/// A route through a 2-D mesh.
+pub type Path2 = Path<C2>;
+
+/// A route through a 3-D mesh.
+pub type Path3 = Path<C3>;
+
+impl<C> Default for Path<C> {
+    fn default() -> Path<C> {
+        Path { nodes: Vec::new() }
+    }
 }
 
-impl Path2 {
+impl<C: Coord> Path<C> {
     /// A path consisting of only the source node.
-    pub fn start(s: C2) -> Path2 {
-        Path2 { nodes: vec![s] }
+    pub fn start(s: C) -> Path<C> {
+        Path { nodes: vec![s] }
     }
 
     /// Construct from a complete node sequence.
-    pub fn from_nodes(nodes: Vec<C2>) -> Path2 {
-        Path2 { nodes }
+    pub fn from_nodes(nodes: Vec<C>) -> Path<C> {
+        Path { nodes }
     }
 
     /// Append the next visited node.
-    pub fn push(&mut self, c: C2) {
+    pub fn push(&mut self, c: C) {
         self.nodes.push(c);
     }
 
     /// Visited nodes, source first.
-    pub fn nodes(&self) -> &[C2] {
+    pub fn nodes(&self) -> &[C] {
         &self.nodes
     }
 
@@ -50,13 +58,13 @@ impl Path2 {
     }
 
     /// The node the route currently sits on.
-    pub fn head(&self) -> Option<C2> {
+    pub fn head(&self) -> Option<C> {
         self.nodes.last().copied()
     }
 
     /// True if consecutive nodes are linked in `mesh` (wrap links count on
     /// a torus) and all nodes lie in `mesh` and are healthy.
-    pub fn is_valid(&self, mesh: &Mesh2D) -> bool {
+    pub fn is_valid<S: Space<Coord = C>>(&self, mesh: &Mesh<S>) -> bool {
         if self.nodes.is_empty() {
             return false;
         }
@@ -71,62 +79,7 @@ impl Path2 {
     /// True if this is a complete **minimal** route from `s` to `d`: valid,
     /// starts at `s`, ends at `d`, and takes exactly `D(s, d)` hops (the
     /// topology-aware distance: Manhattan on a mesh, Lee on a torus).
-    pub fn is_minimal(&self, mesh: &Mesh2D, s: C2, d: C2) -> bool {
-        self.is_valid(mesh)
-            && self.nodes.first() == Some(&s)
-            && self.nodes.last() == Some(&d)
-            && self.hops() as u32 == mesh.dist(s, d)
-    }
-}
-
-impl Path3 {
-    /// A path consisting of only the source node.
-    pub fn start(s: C3) -> Path3 {
-        Path3 { nodes: vec![s] }
-    }
-
-    /// Construct from a complete node sequence.
-    pub fn from_nodes(nodes: Vec<C3>) -> Path3 {
-        Path3 { nodes }
-    }
-
-    /// Append the next visited node.
-    pub fn push(&mut self, c: C3) {
-        self.nodes.push(c);
-    }
-
-    /// Visited nodes, source first.
-    pub fn nodes(&self) -> &[C3] {
-        &self.nodes
-    }
-
-    /// Number of hops (edges) taken.
-    pub fn hops(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
-
-    /// The node the route currently sits on.
-    pub fn head(&self) -> Option<C3> {
-        self.nodes.last().copied()
-    }
-
-    /// True if consecutive nodes are linked in `mesh` (wrap links count on
-    /// a torus) and all nodes lie in `mesh` and are healthy.
-    pub fn is_valid(&self, mesh: &Mesh3D) -> bool {
-        if self.nodes.is_empty() {
-            return false;
-        }
-        if !self.nodes.iter().all(|&c| mesh.is_healthy(c)) {
-            return false;
-        }
-        self.nodes
-            .windows(2)
-            .all(|w| mesh.are_neighbors(w[0], w[1]))
-    }
-
-    /// True if this is a complete **minimal** route from `s` to `d` under
-    /// the topology-aware distance.
-    pub fn is_minimal(&self, mesh: &Mesh3D, s: C3, d: C3) -> bool {
+    pub fn is_minimal<S: Space<Coord = C>>(&self, mesh: &Mesh<S>, s: C, d: C) -> bool {
         self.is_valid(mesh)
             && self.nodes.first() == Some(&s)
             && self.nodes.last() == Some(&d)
@@ -138,6 +91,7 @@ impl Path3 {
 mod tests {
     use super::*;
     use crate::coord::{c2, c3};
+    use crate::mesh::{Mesh2D, Mesh3D};
 
     #[test]
     fn minimal_path_2d() {
