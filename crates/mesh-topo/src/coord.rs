@@ -5,7 +5,8 @@
 //! without wrap-around hazards. All in-mesh coordinates are non-negative.
 //!
 //! [`Coord`] holds the few facts that differ by dimension, so the node
-//! space and the reflection frame are written once over it.
+//! space, the reflection frame, the path and the routers' forwarding walk
+//! are written once over it.
 
 use core::fmt::{Debug, Display};
 use core::hash::Hash;
