@@ -15,7 +15,6 @@ use crate::dirbuf::DirBuf;
 use crate::policy::Policy;
 
 /// What a walk produced.
-#[derive(Debug)]
 pub(crate) struct Walk<C> {
     /// The visited nodes, each mapped by the walk's `to_mesh`.
     pub(crate) path: Path<C>,
@@ -34,7 +33,7 @@ pub(crate) fn walk<C: Coord>(
     s: C,
     d: C,
     policy: &mut Policy,
-    mut allowed: impl FnMut(C) -> bool,
+    allowed: impl Fn(C) -> bool,
     to_mesh: impl Fn(C) -> C,
 ) -> Walk<C> {
     let mut path = Path::start(to_mesh(s));
