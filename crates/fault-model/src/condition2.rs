@@ -65,8 +65,8 @@ impl Existence2 {
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-pub fn minimal_path_exists_2d(lab: &Labelling2, mccs: &MccSet2, s: C2, d: C2) -> Existence2 {
-    minimal_path_exists_2d_in(lab, mccs, s, d, &mut oracle::Useful2::scratch())
+pub fn minimal_path_exists_2d(lab: &Labelling2, _mccs: &MccSet2, s: C2, d: C2) -> Existence2 {
+    evaluate_in(lab, s, d, &mut oracle::Useful2::scratch())
 }
 
 /// [`minimal_path_exists_2d`] with a caller-provided scratch buffer for
@@ -81,6 +81,15 @@ pub fn minimal_path_exists_2d_in(
     d: C2,
     useful: &mut oracle::Useful2,
 ) -> Existence2 {
+    evaluate_in(lab, s, d, useful)
+}
+
+/// [`minimal_path_exists_2d_in`] over the labelling alone: the merged
+/// regions are the unsafe closure (module docs), so no MCC set is read.
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+pub fn evaluate_in(lab: &Labelling2, s: C2, d: C2, useful: &mut oracle::Useful2) -> Existence2 {
     assert!(
         s.dominated_by(d),
         "condition requires canonical coordinates with s <= d, got {s:?} {d:?}"

@@ -542,7 +542,7 @@ mod tests {
         let fresh = FaultBlocks2::compute(inc.mesh());
         let blocks = inc.blocks();
         assert_eq!(blocks.sacrificed_count(), fresh.sacrificed_count());
-        assert_eq!(blocks.blocks, fresh.blocks);
+        assert_eq!(blocks.blocks(), fresh.blocks());
         assert!(
             !blocks.is_disabled(c2(4, 4)),
             "healed node must leave the block"

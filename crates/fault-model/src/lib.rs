@@ -13,9 +13,9 @@
 //!   profiles, corners and sections,
 //! * [`condition2`] / [`condition3`] — the sufficient & necessary conditions
 //!   for existence of a minimal path (Lemma 1 / Theorem 1 / Theorem 2),
-//! * [`models`] — orientation-keyed lazy caches of labellings, MCC sets and
-//!   fault blocks for one fault configuration (the compute layer behind
-//!   the prepared-trial path of `mcc-routing`),
+//! * [`models`] — orientation-keyed lazy caches of the labellings and
+//!   fault blocks of one fault configuration (the compute layer behind
+//!   the prepared-trial path of `mcc-routing`, which builds no MCC set),
 //! * [`rfb`] — the rectangular / cuboid faulty-block baseline models the
 //!   paper compares against, written once over the node space,
 //! * [`oracle`] — exact monotone-reachability ground truth used to validate

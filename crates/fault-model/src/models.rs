@@ -1,25 +1,28 @@
 //! Orientation-keyed model caches for one fault configuration.
 //!
-//! Everything a routing trial consumes is a pure function of the mesh's
-//! fault set plus, for the labelling family, one of the finitely many
-//! canonical frame orientations (4 quadrants in 2-D, 8 octants in 3-D;
-//! see [`mesh_topo::Frame2`]):
+//! A routing trial reads two models, each a pure function of the mesh's
+//! fault set plus, for the labelling, one of the finitely many canonical
+//! frame orientations (4 quadrants in 2-D, 8 octants in 3-D; see
+//! [`mesh_topo::Frame2`]):
 //!
 //! * [`FaultBlocks2`](crate::FaultBlocks2) /
 //!   [`FaultBlocks3`](crate::FaultBlocks3) — orientation-free, one per mesh,
 //! * [`Labelling2`](crate::Labelling2) / [`Labelling3`](crate::Labelling3) —
-//!   one per orientation,
-//! * [`MccSet2`] / [`MccSet3`] — derived from the labelling, one per
-//!   orientation.
+//!   one per orientation.
 //!
-//! A [`ModelCache`] ([`ModelCache2`] / [`ModelCache3`]) therefore memoizes each model the
-//! first time an orientation asks for it and hands out borrows afterwards,
-//! so a sweep that evaluates many source/destination pairs against the
-//! same fault set pays for model construction at most `1 + 4` (2-D) or
-//! `1 + 8` (3-D) times instead of once per pair. This is the compute layer
-//! behind `mcc_routing`'s prepared-trial path (DESIGN.md §9). The cache is
-//! written once over the node space; it reaches the per-dimension MCC
-//! model through [`ModelSpace`].
+//! No trial step reads the MCC shapes ([`MccSet2`] / [`MccSet3`]): the
+//! existence conditions and the exact routers use the labelling's unsafe
+//! closure. Their readers — region statistics, the `PairRecords` ablation,
+//! the protocols and [`IncrementalModels`](crate::IncrementalModels) —
+//! build them on their own, the last through [`ModelSpace`].
+//!
+//! A [`ModelCache`] ([`ModelCache2`] / [`ModelCache3`]) therefore memoizes
+//! each model the first time an orientation asks for it and hands out
+//! borrows afterwards, so a sweep that evaluates many source/destination
+//! pairs against the same fault set pays for model construction at most
+//! `1 + 4` (2-D) or `1 + 8` (3-D) times instead of once per pair. This is
+//! the compute layer behind `mcc_routing`'s prepared-trial path (DESIGN.md
+//! §9).
 //!
 //! # Examples
 //!
@@ -34,9 +37,8 @@
 //! let mut cache = ModelCache2::new(&mesh, BorderPolicy::BorderSafe);
 //!
 //! let frame = Frame2::for_pair(&mesh, c2(7, 0), c2(0, 7)); // flipped X
-//! let m = cache.models(frame, true, true);
+//! let m = cache.models(frame, true);
 //! assert!(m.lab.is_safe(frame.to_canon(c2(0, 0))));
-//! assert_eq!(m.mccs.expect("requested").len(), 1);
 //! assert!(m.blocks.expect("requested").is_disabled(c2(4, 4)));
 //! ```
 
@@ -49,9 +51,9 @@ use crate::mcc3::{Mcc3, MccSet3};
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
-/// The per-dimension model the caches hold beside the generic labelling,
-/// components and block model: the MCC shapes (2-D profiles vs 3-D
-/// sections).
+/// The per-dimension model that [`IncrementalModels`](crate::IncrementalModels)
+/// holds beside the generic labelling, components and block model: the MCC
+/// shapes (2-D profiles vs 3-D sections).
 pub trait ModelSpace: Space {
     /// One MCC's shape.
     type Mcc: Clone + std::fmt::Debug;
@@ -138,22 +140,12 @@ pub(crate) fn repair_mccs<S: ModelSpace>(
     splice.inserted.len() + dirty.len()
 }
 
-/// The models of one orientation: the labelling always, the MCC
-/// decomposition only once something has requested it.
-#[derive(Clone, Debug)]
-struct Slot<S: ModelSpace> {
-    lab: Labelling<S>,
-    mccs: Option<S::Mccs>,
-}
-
 /// Borrowed views of every model a trial needs, fetched (and lazily
 /// computed) in one call so the borrows coexist.
 #[derive(Debug)]
-pub struct ModelsRef<'a, S: ModelSpace> {
+pub struct ModelsRef<'a, S: Space> {
     /// The labelling of the requested orientation.
     pub lab: &'a Labelling<S>,
-    /// The MCC decomposition of that labelling, if requested.
-    pub mccs: Option<&'a S::Mccs>,
     /// The orientation-free block model, if requested.
     pub blocks: Option<&'a FaultBlocks<S>>,
 }
@@ -166,11 +158,11 @@ pub type ModelsRef3<'a> = ModelsRef<'a, NodeSpace3>;
 
 /// Lazy per-orientation model cache over one fault configuration.
 #[derive(Clone, Debug)]
-pub struct ModelCache<'m, S: ModelSpace> {
+pub struct ModelCache<'m, S: Space> {
     mesh: &'m Mesh<S>,
     border: BorderPolicy,
     blocks: Option<FaultBlocks<S>>,
-    slots: Vec<Option<Slot<S>>>,
+    slots: Vec<Option<Labelling<S>>>,
 }
 
 /// The model cache over a 2-D mesh (4 quadrant slots).
@@ -179,7 +171,7 @@ pub type ModelCache2<'m> = ModelCache<'m, NodeSpace2>;
 /// The model cache over a 3-D mesh (8 octant slots).
 pub type ModelCache3<'m> = ModelCache<'m, NodeSpace3>;
 
-impl<'m, S: ModelSpace> ModelCache<'m, S> {
+impl<'m, S: Space> ModelCache<'m, S> {
     /// An empty cache for `mesh`; nothing is computed until requested.
     pub fn new(mesh: &'m Mesh<S>, border: BorderPolicy) -> ModelCache<'m, S> {
         ModelCache {
@@ -197,8 +189,8 @@ impl<'m, S: ModelSpace> ModelCache<'m, S> {
 
     /// Fetch the models for `frame`'s orientation, computing whatever this
     /// cache has not seen yet: the labelling on first use of the
-    /// orientation, the MCC set on first use with `want_mccs`, the block
-    /// model on first use with `want_blocks` (any orientation).
+    /// orientation, the block model on first use with `want_blocks` (any
+    /// orientation).
     ///
     /// Slots are keyed by the frame's reflection index but guarded by
     /// **full-frame** equality: on a torus, frames with the same
@@ -206,31 +198,17 @@ impl<'m, S: ModelSpace> ModelCache<'m, S> {
     /// different frame is recomputed rather than wrongly reused. Mesh
     /// frames are unique per index, so mesh behavior (and its
     /// ≤ `1 + ORIENTATIONS` compute bound) is unchanged.
-    pub fn models(
-        &mut self,
-        frame: S::Frame,
-        want_mccs: bool,
-        want_blocks: bool,
-    ) -> ModelsRef<'_, S> {
+    pub fn models(&mut self, frame: S::Frame, want_blocks: bool) -> ModelsRef<'_, S> {
         let idx = S::frame_index(frame);
-        let stale = !matches!(&self.slots[idx], Some(slot) if slot.lab.frame() == frame);
-        if stale {
-            self.slots[idx] = Some(Slot {
-                lab: Labelling::compute(self.mesh, frame, self.border),
-                mccs: None,
-            });
-        }
-        let slot = self.slots[idx].as_mut().expect("just filled");
-        if want_mccs && slot.mccs.is_none() {
-            slot.mccs = Some(S::mccs(&slot.lab));
+        let slot = &mut self.slots[idx];
+        if !matches!(slot, Some(lab) if lab.frame() == frame) {
+            *slot = Some(Labelling::compute(self.mesh, frame, self.border));
         }
         if want_blocks && self.blocks.is_none() {
             self.blocks = Some(FaultBlocks::compute(self.mesh));
         }
-        let slot = self.slots[idx].as_ref().expect("just filled");
         ModelsRef {
-            lab: &slot.lab,
-            mccs: if want_mccs { slot.mccs.as_ref() } else { None },
+            lab: self.slots[idx].as_ref().expect("just filled"),
             blocks: if want_blocks {
                 self.blocks.as_ref()
             } else {
@@ -261,17 +239,11 @@ mod tests {
         let mut cache = ModelCache2::new(&mesh, BorderPolicy::BorderSafe);
         for frame in Frame2::all(&mesh) {
             let fresh_lab = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
-            let fresh_mccs = MccSet2::compute(&fresh_lab);
-            let m = cache.models(frame, true, true);
+            let m = cache.models(frame, true);
             for c in mesh.nodes() {
                 let cc = frame.to_canon(c);
                 assert_eq!(m.lab.status(cc), fresh_lab.status(cc), "{frame:?} {c}");
             }
-            assert_eq!(
-                m.mccs.expect("requested").len(),
-                fresh_mccs.len(),
-                "{frame:?}"
-            );
             assert_eq!(
                 m.blocks.expect("requested").sacrificed_count(),
                 FaultBlocks2::compute(&mesh).sacrificed_count()
@@ -296,7 +268,7 @@ mod tests {
             (c2(0, 0), c2(3, 2)), // repeat: hits the cached slot again
         ] {
             let frame = Frame2::for_pair(&mesh, s, d);
-            let m = cache.models(frame, true, true);
+            let m = cache.models(frame, true);
             assert_eq!(m.lab.frame(), frame, "slot must hold the asked frame");
             let fresh = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
             for c in mesh.nodes() {
@@ -313,12 +285,12 @@ mod tests {
         let mut cache = ModelCache3::new(&mesh, BorderPolicy::BorderSafe);
         assert_eq!(cache.orientations_computed(), 0);
         let frame = Frame3::for_pair(&mesh, c3(0, 0, 0), c3(5, 5, 5));
-        let m = cache.models(frame, false, false);
-        assert!(m.mccs.is_none() && m.blocks.is_none());
+        let m = cache.models(frame, false);
+        assert!(m.blocks.is_none());
         assert_eq!(cache.orientations_computed(), 1);
-        // Asking again with more models fills them in on the same slot.
-        let m = cache.models(frame, true, true);
-        assert!(m.mccs.is_some() && m.blocks.is_some());
+        // Asking again for the blocks fills them in beside the same slot.
+        let m = cache.models(frame, true);
+        assert!(m.blocks.is_some());
         assert_eq!(cache.orientations_computed(), 1);
     }
 }

@@ -45,7 +45,7 @@
 
 use mesh_topo::{Coord, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
 
-use crate::rows::{reverse_row, RunFill};
+use crate::rows::{put_bits, reverse_row, take_bits, RunFill};
 
 /// True if a monotone (`+X`/`+Y`) path from `s` to `d` exists that avoids
 /// every node for which `blocked` returns true. Requires `s ≤ d`
@@ -278,32 +278,6 @@ impl<S: Space> Useful<S> {
     /// Number of useful nodes in the box.
     pub fn count(&self) -> usize {
         self.rows.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
-/// `len` (1–64) bits of `words` starting at bit `start`, low bit first.
-#[inline]
-fn take_bits(words: &[u64], start: usize, len: usize) -> u64 {
-    let (w, b) = (start / 64, start % 64);
-    let mut bits = words[w] >> b;
-    if b != 0 && b + len > 64 {
-        bits |= words[w + 1] << (64 - b);
-    }
-    bits & (u64::MAX >> (64 - len))
-}
-
-/// OR `len` bits of `words` starting at bit `start` into `row` at bit `at`.
-fn put_bits(row: &mut [u64], at: usize, words: &[u64], start: usize, len: usize) {
-    let mut done = 0;
-    while done < len {
-        let n = (len - done).min(64);
-        let bits = take_bits(words, start + done, n);
-        let (w, b) = ((at + done) / 64, (at + done) % 64);
-        row[w] |= bits << b;
-        if b != 0 && b + n > 64 {
-            row[w + 1] |= bits >> (64 - b);
-        }
-        done += n;
     }
 }
 

@@ -17,13 +17,19 @@
 //! disabled once an in-row neighbor is (a run fill each way along the
 //! row), and a node with none once both in-row neighbors are (a shift and
 //! an AND). A row that changes marks its neighbor rows dirty, and sweeps
-//! up and down the grid settle the dirty rows until none is left. After
-//! the closure the row runs are joined into components; boxes that are
-//! not full are filled and the closure resumes. That fill fires only on a torus, where
-//! a component crossing the wrap seam has a grid-spanning box. At the
-//! fixpoint no boxes merge, and [`FaultBlocks::blocks`] lists them in
-//! ascending linear index of their min corners (DESIGN.md §6, "The
-//! faulty-block kernel").
+//! up and down the grid settle the dirty rows until none is left.
+//!
+//! On a mesh that closure is the model: a connected set closed under the
+//! rule is already a full box, and two boxes closer than ℓ1 distance 3
+//! would leave a node with two disabled neighbors, so the disabled set is
+//! a union of full boxes pairwise ≥ 3 apart. Only on a torus can a
+//! component cross the wrap seam and span the grid without filling its
+//! box, so only there are the row runs joined into components after the
+//! closure, the boxes that are not full filled and the closure resumed.
+//! At the fixpoint no boxes merge. [`FaultBlocks::blocks`] derives the
+//! box list from the disabled rows when asked, in ascending linear index
+//! of the min corners; no trial reads it (DESIGN.md §6, "The faulty-block
+//! kernel").
 
 use mesh_topo::{Coord, Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
 
@@ -39,9 +45,6 @@ use crate::rows::{push_runs, reverse_row, Rows, RunFill};
 pub struct FaultBlocks<S: Space> {
     space: S,
     disabled: NodeSet,
-    /// The fault blocks: disjoint, each fully disabled, in ascending
-    /// linear index of their min corners.
-    pub blocks: Vec<<S::Coord as Coord>::Block>,
     fault_count: usize,
 }
 
@@ -55,26 +58,33 @@ impl<S: Space> FaultBlocks<S> {
     /// Compute the block closure of the mesh's fault set.
     pub fn compute(mesh: &Mesh<S>) -> FaultBlocks<S> {
         let mut p = Percolation::new(mesh);
-        let mut boxes = loop {
+        p.close();
+        // On a mesh the closure is already a union of full boxes (module
+        // docs): only a torus can need the fill.
+        while p.rows.wrap && p.fill(&component_boxes(p.rows, &p.disabled)) {
             p.close();
-            let boxes = p.component_boxes();
-            if !p.fill(&boxes) {
-                break boxes;
-            }
-        };
-        // Each box is full, so its min corner is its component's first node.
-        let [nx, ny, _] = p.rows.ext;
-        boxes.sort_unstable_by_key(|b| (b.lo[2] * ny + b.lo[1]) * nx + b.lo[0]);
-        let corner = |c: [usize; 3]| S::Coord::from_xyz(c.map(|v| v as i32));
+        }
         FaultBlocks {
             space: mesh.space(),
             disabled: p.rows.pack(&p.disabled),
-            blocks: boxes
-                .iter()
-                .map(|b| S::Coord::block(corner(b.lo), corner(b.hi)))
-                .collect(),
             fault_count: mesh.fault_count(),
         }
+    }
+
+    /// The fault blocks: disjoint, each fully disabled, in ascending
+    /// linear index of their min corners. Derived from the disabled set
+    /// on each call.
+    pub fn blocks(&self) -> Vec<<S::Coord as Coord>::Block> {
+        let rows = Rows::of(self.space);
+        let mut boxes = component_boxes(rows, &rows.unpack(&self.disabled));
+        // Each box is full, so its min corner is its component's first node.
+        let [nx, ny, _] = rows.ext;
+        boxes.sort_unstable_by_key(|b| (b.lo[2] * ny + b.lo[1]) * nx + b.lo[0]);
+        let corner = |c: [usize; 3]| S::Coord::from_xyz(c.map(|v| v as i32));
+        boxes
+            .iter()
+            .map(|b| S::Coord::block(corner(b.lo), corner(b.hi)))
+            .collect()
     }
 
     /// True if `c` is inside some fault block (faulty or disabled).
@@ -191,10 +201,6 @@ impl Percolation {
         (out, n)
     }
 
-    fn row(&self, r: usize) -> &[u64] {
-        &self.disabled[r * self.rows.wpr..(r + 1) * self.rows.wpr]
-    }
-
     fn mark(&mut self, r: usize) {
         if !self.dirty[r] {
             self.dirty[r] = true;
@@ -303,108 +309,6 @@ impl Percolation {
         }
     }
 
-    /// The bounding box of every connected disabled component. Components
-    /// are built from the row runs: runs that overlap in neighboring rows
-    /// join, and on a torus so do the runs at either end of a row.
-    fn component_boxes(&self) -> Vec<Bounds> {
-        let rows = self.rows;
-        let ([nx, ny, nz], wpr) = (rows.ext, rows.wpr);
-        let ones: usize = self.disabled.iter().map(|w| w.count_ones() as usize).sum();
-        if ones == rows.count() * nx {
-            // Percolation: the one component is the whole grid.
-            return vec![Bounds {
-                lo: [0; 3],
-                hi: rows.ext.map(|n| n - 1),
-                size: ones,
-            }];
-        }
-        // Row `r`'s runs `(x0, x1)` are `runs[first[r]..first[r + 1]]`.
-        let mut runs = Vec::with_capacity(ones);
-        let mut first = Vec::with_capacity(rows.count() + 1);
-        for row in self.disabled.chunks_exact(wpr) {
-            first.push(runs.len());
-            push_runs(row, &mut runs);
-        }
-        first.push(runs.len());
-
-        let mut parent: Vec<usize> = (0..runs.len()).collect();
-        let find = |parent: &mut Vec<usize>, mut i: usize| {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        };
-        let join = |parent: &mut Vec<usize>, a: usize, b: usize| {
-            let (a, b) = (find(parent, a), find(parent, b));
-            parent[a.max(b)] = a.min(b);
-        };
-        for z in 0..nz {
-            for y in 0..ny {
-                let r = z * ny + y;
-                let (a0, a1) = (first[r], first[r + 1]);
-                if rows.wrap && a1 - a0 >= 2 && runs[a0].0 == 0 && runs[a1 - 1].1 == nx - 1 {
-                    join(&mut parent, a0, a1 - 1);
-                }
-                for a in 1..rows.dims {
-                    let Some(j) = rows.step(r, [y, z], a, true) else {
-                        continue;
-                    };
-                    // Each run of the rows' intersection joins the run of
-                    // either row that holds its first node.
-                    let (here, there) = (self.row(r), self.row(j));
-                    let holder = |r: usize, x: usize| {
-                        let row = &runs[first[r]..first[r + 1]];
-                        first[r] + row.partition_point(|&(_, x1)| x1 < x)
-                    };
-                    for k in 0..wpr {
-                        let mut both = here[k] & there[k];
-                        let below = if k > 0 { here[k - 1] & there[k - 1] } else { 0 };
-                        both &= !(both << 1 | below >> 63);
-                        while both != 0 {
-                            let x = k * 64 + both.trailing_zeros() as usize;
-                            join(&mut parent, holder(r, x), holder(j, x));
-                            both &= both - 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        // A run's parent never follows it (`join` keeps the lower index),
-        // so in one pass in run order each parent is already a root, and
-        // each box opens at its root.
-        let mut slot = vec![0; runs.len()];
-        let mut boxes: Vec<Bounds> = Vec::with_capacity(runs.len());
-        for z in 0..nz {
-            for y in 0..ny {
-                let r = z * ny + y;
-                for i in first[r]..first[r + 1] {
-                    let (x0, x1) = runs[i];
-                    let root = parent[parent[i]];
-                    parent[i] = root;
-                    if root == i {
-                        slot[i] = boxes.len();
-                        boxes.push(Bounds {
-                            lo: [x0, y, z],
-                            hi: [x1, y, z],
-                            size: 0,
-                        });
-                    }
-                    let b = &mut boxes[slot[root]];
-                    for (k, v) in [(0, x0), (1, y), (2, z)] {
-                        b.lo[k] = b.lo[k].min(v);
-                    }
-                    for (k, v) in [(0, x1), (1, y), (2, z)] {
-                        b.hi[k] = b.hi[k].max(v);
-                    }
-                    b.size += x1 - x0 + 1;
-                }
-            }
-        }
-        boxes
-    }
-
     /// Disable every node of every box that is not full, and queue the
     /// changed rows and their neighbors. Returns true if any node changed.
     fn fill(&mut self, boxes: &[Bounds]) -> bool {
@@ -436,6 +340,107 @@ impl Percolation {
         }
         filled
     }
+}
+
+/// The bounding box of every connected disabled component of the rows
+/// `disabled`. Components are built from the row runs: runs that overlap in neighboring rows
+/// join, and on a torus so do the runs at either end of a row.
+fn component_boxes(rows: Rows, disabled: &[u64]) -> Vec<Bounds> {
+    let ([nx, ny, nz], wpr) = (rows.ext, rows.wpr);
+    let ones: usize = disabled.iter().map(|w| w.count_ones() as usize).sum();
+    if ones == rows.count() * nx {
+        // Percolation: the one component is the whole grid.
+        return vec![Bounds {
+            lo: [0; 3],
+            hi: rows.ext.map(|n| n - 1),
+            size: ones,
+        }];
+    }
+    // Row `r`'s runs `(x0, x1)` are `runs[first[r]..first[r + 1]]`.
+    let mut runs = Vec::with_capacity(ones);
+    let mut first = Vec::with_capacity(rows.count() + 1);
+    for row in disabled.chunks_exact(wpr) {
+        first.push(runs.len());
+        push_runs(row, &mut runs);
+    }
+    first.push(runs.len());
+
+    let mut parent: Vec<usize> = (0..runs.len()).collect();
+    let find = |parent: &mut Vec<usize>, mut i: usize| {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    };
+    let join = |parent: &mut Vec<usize>, a: usize, b: usize| {
+        let (a, b) = (find(parent, a), find(parent, b));
+        parent[a.max(b)] = a.min(b);
+    };
+    for z in 0..nz {
+        for y in 0..ny {
+            let r = z * ny + y;
+            let (a0, a1) = (first[r], first[r + 1]);
+            if rows.wrap && a1 - a0 >= 2 && runs[a0].0 == 0 && runs[a1 - 1].1 == nx - 1 {
+                join(&mut parent, a0, a1 - 1);
+            }
+            for a in 1..rows.dims {
+                let Some(j) = rows.step(r, [y, z], a, true) else {
+                    continue;
+                };
+                // Each run of the rows' intersection joins the run of
+                // either row that holds its first node.
+                let (here, there) = (&disabled[r * wpr..], &disabled[j * wpr..]);
+                let holder = |r: usize, x: usize| {
+                    let row = &runs[first[r]..first[r + 1]];
+                    first[r] + row.partition_point(|&(_, x1)| x1 < x)
+                };
+                for k in 0..wpr {
+                    let mut both = here[k] & there[k];
+                    let below = if k > 0 { here[k - 1] & there[k - 1] } else { 0 };
+                    both &= !(both << 1 | below >> 63);
+                    while both != 0 {
+                        let x = k * 64 + both.trailing_zeros() as usize;
+                        join(&mut parent, holder(r, x), holder(j, x));
+                        both &= both - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    // A run's parent never follows it (`join` keeps the lower index),
+    // so in one pass in run order each parent is already a root, and
+    // each box opens at its root.
+    let mut slot = vec![0; runs.len()];
+    let mut boxes: Vec<Bounds> = Vec::with_capacity(runs.len());
+    for z in 0..nz {
+        for y in 0..ny {
+            let r = z * ny + y;
+            for i in first[r]..first[r + 1] {
+                let (x0, x1) = runs[i];
+                let root = parent[parent[i]];
+                parent[i] = root;
+                if root == i {
+                    slot[i] = boxes.len();
+                    boxes.push(Bounds {
+                        lo: [x0, y, z],
+                        hi: [x1, y, z],
+                        size: 0,
+                    });
+                }
+                let b = &mut boxes[slot[root]];
+                for (k, v) in [(0, x0), (1, y), (2, z)] {
+                    b.lo[k] = b.lo[k].min(v);
+                }
+                for (k, v) in [(0, x1), (1, y), (2, z)] {
+                    b.hi[k] = b.hi[k].max(v);
+                }
+                b.size += x1 - x0 + 1;
+            }
+        }
+    }
+    boxes
 }
 
 /// One round of the block rule on row `cur`, whose neighbor rows count

@@ -19,8 +19,8 @@ mod tests {
     #[test]
     fn single_fault_single_cell_block() {
         let (_, b) = blocks_of(&[c2(4, 4)], 10, 10);
-        assert_eq!(b.blocks.len(), 1);
-        assert_eq!(b.blocks[0], Rect::spanning(c2(4, 4), c2(4, 4)));
+        assert_eq!(b.blocks().len(), 1);
+        assert_eq!(b.blocks()[0], Rect::spanning(c2(4, 4), c2(4, 4)));
         assert_eq!(b.sacrificed_count(), 0);
     }
 
@@ -28,11 +28,11 @@ mod tests {
     fn diagonal_faults_close_to_rectangle() {
         // Both diagonal orientations close under the RFB rule (unlike MCC).
         let (_, b) = blocks_of(&[c2(4, 4), c2(5, 5)], 10, 10);
-        assert_eq!(b.blocks.len(), 1);
-        assert_eq!(b.blocks[0], Rect::spanning(c2(4, 4), c2(5, 5)));
+        assert_eq!(b.blocks().len(), 1);
+        assert_eq!(b.blocks()[0], Rect::spanning(c2(4, 4), c2(5, 5)));
         assert_eq!(b.sacrificed_count(), 2);
         let (_, b2) = blocks_of(&[c2(4, 5), c2(5, 4)], 10, 10);
-        assert_eq!(b2.blocks.len(), 1);
+        assert_eq!(b2.blocks().len(), 1);
         assert_eq!(b2.sacrificed_count(), 2);
     }
 
@@ -41,33 +41,33 @@ mod tests {
         // Two faulty nodes two apart in a column: the node between them has
         // two faulty neighbors -> disabled -> a 1x3 rectangle.
         let (_, b) = blocks_of(&[c2(4, 4), c2(4, 6)], 10, 10);
-        assert_eq!(b.blocks.len(), 1);
-        assert_eq!(b.blocks[0], Rect::spanning(c2(4, 4), c2(4, 6)));
+        assert_eq!(b.blocks().len(), 1);
+        assert_eq!(b.blocks()[0], Rect::spanning(c2(4, 4), c2(4, 6)));
         assert_eq!(b.sacrificed_count(), 1);
     }
 
     #[test]
     fn l_shape_fills_rectangle() {
         let (_, b) = blocks_of(&[c2(4, 4), c2(4, 6), c2(6, 4)], 12, 12);
-        assert_eq!(b.blocks.len(), 1);
-        assert_eq!(b.blocks[0], Rect::spanning(c2(4, 4), c2(6, 6)));
+        assert_eq!(b.blocks().len(), 1);
+        assert_eq!(b.blocks()[0], Rect::spanning(c2(4, 4), c2(6, 6)));
         assert_eq!(b.sacrificed_count(), 6);
     }
 
     #[test]
     fn blocks_are_full_rectangles() {
         let (_, b) = blocks_of(&[c2(2, 2), c2(3, 3), c2(2, 4), c2(8, 1), c2(8, 2)], 12, 12);
-        for r in &b.blocks {
+        for r in &b.blocks() {
             for c in r.iter() {
                 assert!(b.is_disabled(c), "{c} inside block {r:?} but not disabled");
             }
         }
-        let total: u64 = b.blocks.iter().map(|r| r.area()).sum();
+        let total: u64 = b.blocks().iter().map(|r| r.area()).sum();
         assert_eq!(total as usize, b.disabled_count());
         // and blocks are pairwise disjoint
-        for i in 0..b.blocks.len() {
-            for j in (i + 1)..b.blocks.len() {
-                assert!(!b.blocks[i].intersects(&b.blocks[j]));
+        for i in 0..b.blocks().len() {
+            for j in (i + 1)..b.blocks().len() {
+                assert!(!b.blocks()[i].intersects(&b.blocks()[j]));
             }
         }
     }
@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn far_apart_faults_stay_separate() {
         let (_, b) = blocks_of(&[c2(2, 2), c2(8, 8)], 12, 12);
-        assert_eq!(b.blocks.len(), 2);
+        assert_eq!(b.blocks().len(), 2);
     }
 
     #[test]
@@ -154,7 +154,7 @@ mod tests {
         mesh.inject_fault(c2(7, 3));
         mesh.inject_fault(c2(0, 3));
         let b = FaultBlocks2::compute(&mesh);
-        assert_eq!(b.blocks, vec![Rect::spanning(c2(0, 3), c2(7, 3))]);
+        assert_eq!(b.blocks(), vec![Rect::spanning(c2(0, 3), c2(7, 3))]);
         assert_eq!(b.sacrificed_count(), 6);
         // The ring cuts every minimal path from row 2 to row 5, although
         // column 2 holds no fault: the loss the RFB columns of the torus

@@ -17,8 +17,8 @@ mod tests {
     #[test]
     fn single_fault_single_cell() {
         let (_, b) = blocks_of(&[c3(3, 3, 3)], 8);
-        assert_eq!(b.blocks.len(), 1);
-        assert_eq!(b.blocks[0].volume(), 1);
+        assert_eq!(b.blocks().len(), 1);
+        assert_eq!(b.blocks()[0].volume(), 1);
         assert_eq!(b.sacrificed_count(), 0);
     }
 
@@ -27,8 +27,8 @@ mod tests {
         // Planar diagonal: the two nodes between them each see two faulty
         // neighbors -> disabled -> one 2x2x1 block.
         let (_, b) = blocks_of(&[c3(3, 3, 3), c3(4, 4, 3)], 8);
-        assert_eq!(b.blocks.len(), 1);
-        assert_eq!(b.blocks[0], Box3::spanning(c3(3, 3, 3), c3(4, 4, 3)));
+        assert_eq!(b.blocks().len(), 1);
+        assert_eq!(b.blocks()[0], Box3::spanning(c3(3, 3, 3), c3(4, 4, 3)));
         assert_eq!(b.sacrificed_count(), 2);
     }
 
@@ -37,18 +37,18 @@ mod tests {
         // Space diagonal (differs in all 3 coords): no node has two
         // faulty neighbors, and the two singleton boxes do not intersect.
         let (_, b) = blocks_of(&[c3(4, 4, 4), c3(5, 5, 5)], 8);
-        assert_eq!(b.blocks.len(), 2);
+        assert_eq!(b.blocks().len(), 2);
     }
 
     #[test]
     fn blocks_are_filled_cuboids() {
         let (_, b) = blocks_of(&[c3(2, 2, 2), c3(3, 3, 2), c3(2, 3, 3)], 8);
-        for blk in &b.blocks {
+        for blk in &b.blocks() {
             for c in blk.iter() {
                 assert!(b.is_disabled(c), "{c} in block {blk:?} not disabled");
             }
         }
-        let total: u64 = b.blocks.iter().map(|bb| bb.volume()).sum();
+        let total: u64 = b.blocks().iter().map(|bb| bb.volume()).sum();
         assert_eq!(total as usize, b.disabled_count());
     }
 
@@ -89,8 +89,8 @@ mod tests {
     #[test]
     fn disjoint_blocks_stay_disjoint() {
         let (_, b) = blocks_of(&[c3(1, 1, 1), c3(6, 6, 6)], 8);
-        assert_eq!(b.blocks.len(), 2);
-        assert!(!b.blocks[0].intersects(&b.blocks[1]));
+        assert_eq!(b.blocks().len(), 2);
+        assert!(!b.blocks()[0].intersects(&b.blocks()[1]));
     }
 
     #[test]
@@ -103,6 +103,9 @@ mod tests {
         let (_, b) = blocks_of(&faults, 16);
         assert_eq!(b.disabled_count(), 4096);
         assert_eq!(b.sacrificed_count(), 4096 - 31);
-        assert_eq!(b.blocks, vec![Box3::spanning(c3(0, 0, 0), c3(15, 15, 15))]);
+        assert_eq!(
+            b.blocks(),
+            vec![Box3::spanning(c3(0, 0, 0), c3(15, 15, 15))]
+        );
     }
 }

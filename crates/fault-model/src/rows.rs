@@ -141,6 +141,16 @@ impl Rows {
         }
         NodeSet::from_raw_words(nbits, words)
     }
+
+    /// `set`, a [`NodeSet`] over this space, as rows: the inverse of
+    /// [`Rows::pack`].
+    pub(crate) fn unpack(self, set: &NodeSet) -> Vec<u64> {
+        let (nx, mut rows) = (self.ext[0], self.zeroed());
+        for (r, row) in rows.chunks_exact_mut(self.wpr).enumerate() {
+            put_bits(row, 0, set.words(), r * nx, nx);
+        }
+        rows
+    }
 }
 
 /// Append every maximal run `(x0, x1)` of set bits in `row`, `x0..=x1`,
@@ -180,5 +190,31 @@ pub(crate) fn reverse_row(row: &mut [u64], len: usize) {
             let next = row.get(k + 1).map_or(0, |w| w << (64 - pad));
             row[k] = (row[k] >> pad) | next;
         }
+    }
+}
+
+/// `len` (1–64) bits of `words` starting at bit `start`, low bit first.
+#[inline]
+pub(crate) fn take_bits(words: &[u64], start: usize, len: usize) -> u64 {
+    let (w, b) = (start / 64, start % 64);
+    let mut bits = words[w] >> b;
+    if b != 0 && b + len > 64 {
+        bits |= words[w + 1] << (64 - b);
+    }
+    bits & (u64::MAX >> (64 - len))
+}
+
+/// OR `len` bits of `words` starting at bit `start` into `row` at bit `at`.
+pub(crate) fn put_bits(row: &mut [u64], at: usize, words: &[u64], start: usize, len: usize) {
+    let mut done = 0;
+    while done < len {
+        let n = (len - done).min(64);
+        let bits = take_bits(words, start + done, n);
+        let (w, b) = ((at + done) / 64, (at + done) % 64);
+        row[w] |= bits << b;
+        if b != 0 && b + n > 64 {
+            row[w + 1] |= bits >> (64 - b);
+        }
+        done += n;
     }
 }

@@ -60,7 +60,7 @@ pub fn region_stats<S: ModelSpace>(mesh: &Mesh<S>, policy: BorderPolicy) -> Regi
         mcc_sacrificed_union: union,
         rfb_sacrificed: blocks.sacrificed_count(),
         mcc_count: S::mcc_list(&mut mccs).len(),
-        rfb_count: blocks.blocks.len(),
+        rfb_count: blocks.blocks().len(),
     }
 }
 

@@ -253,7 +253,7 @@ proptest! {
                 assert_models_equal_fresh(&mut inc, frame);
             }
             let fresh_blocks = FaultBlocks2::compute(&inc.mesh().clone());
-            prop_assert_eq!(inc.blocks().blocks.clone(), fresh_blocks.blocks);
+            prop_assert_eq!(inc.blocks().blocks(), fresh_blocks.blocks());
         }
         for frame in frames {
             assert_models_equal_fresh(&mut inc, frame);
@@ -293,7 +293,7 @@ proptest! {
                 assert_models_equal_fresh(&mut inc, frames[5]);
             }
             let fresh_blocks = FaultBlocks3::compute(&inc.mesh().clone());
-            prop_assert_eq!(inc.blocks().blocks.clone(), fresh_blocks.blocks);
+            prop_assert_eq!(inc.blocks().blocks(), fresh_blocks.blocks());
         }
         for frame in [frames[0], frames[3], frames[5], frames[7]] {
             assert_models_equal_fresh(&mut inc, frame);

@@ -140,10 +140,10 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
     {
         return Err(format!("block model: disabled set differs at {c}"));
     }
-    if blocks.blocks != ref_blocks || blocks.sacrificed_count() != sacrificed {
+    if blocks.blocks() != ref_blocks || blocks.sacrificed_count() != sacrificed {
         return Err(format!(
             "block model: blocks {:?}, want {ref_blocks:?}",
-            blocks.blocks
+            blocks.blocks()
         ));
     }
 

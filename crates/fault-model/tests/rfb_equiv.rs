@@ -15,7 +15,10 @@
 //! counts the cases where the closure disables every node and the cases
 //! whose box fill adds nodes the rule alone does not. It fails if either
 //! kind is missing on tori, or if a fill adds anything on a mesh (where a
-//! connected set closed under the rule is already a full box).
+//! connected set closed under the rule is already a full box). On every
+//! mesh case it also checks why the kernel may skip the fill there: each
+//! component of the disabled set is a full box, and the boxes are pairwise
+//! at ℓ1 distance ≥ 3.
 //!
 //! `cargo test` runs a bounded slice; the full battery (16,000 cases) is
 //! the ignored test, run in release:
@@ -28,7 +31,7 @@
 mod reference;
 
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, FaultRegime};
-use mesh_topo::{Mesh2D, Mesh3D};
+use mesh_topo::{Coord, Mesh2D, Mesh3D, NodeSet, Space};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reference::{RefBlocks2, RefBlocks3};
@@ -87,6 +90,49 @@ fn fault_count(rng: &mut SmallRng, nodes: usize) -> usize {
     (share * share * 0.4 * nodes as f64) as usize
 }
 
+/// Assert that every component of `disabled` is a full box and that the
+/// boxes are pairwise at ℓ1 distance ≥ 3: the shape of a mesh's closure
+/// under the block rule, which therefore needs no fill. (At distance 2 a
+/// node between two boxes would have two disabled neighbors.)
+fn assert_separated_full_boxes<S: Space>(space: S, disabled: &NodeSet) {
+    let mut seen = NodeSet::new(space.node_count());
+    let mut boxes: Vec<([i32; 3], [i32; 3])> = Vec::new();
+    for start in disabled.iter() {
+        if !seen.insert(start) {
+            continue;
+        }
+        let (mut lo, mut hi, mut size, mut stack) = ([i32::MAX; 3], [i32::MIN; 3], 0, vec![start]);
+        while let Some(i) = stack.pop() {
+            size += 1;
+            let c = space.coord(i).xyz();
+            for k in 0..3 {
+                lo[k] = lo[k].min(c[k]);
+                hi[k] = hi[k].max(c[k]);
+            }
+            space.for_axis_neighbors(i, |j| {
+                if disabled.contains(j) && seen.insert(j) {
+                    stack.push(j);
+                }
+            });
+        }
+        let volume: i32 = (0..3).map(|k| hi[k] - lo[k] + 1).product();
+        assert_eq!(
+            size, volume as usize,
+            "component {lo:?}..{hi:?} is not a full box in {space:?}"
+        );
+        for (l, h) in &boxes {
+            let gap: i32 = (0..3)
+                .map(|k| (l[k] - hi[k]).max(lo[k] - h[k]).max(0))
+                .sum();
+            assert!(
+                gap >= 3,
+                "boxes {l:?}..{h:?} and {lo:?}..{hi:?} are {gap} apart in {space:?}"
+            );
+        }
+        boxes.push((lo, hi));
+    }
+}
+
 fn check_2d(mesh: &Mesh2D, cov: &mut Coverage) {
     let new = FaultBlocks2::compute(mesh);
     let old = RefBlocks2::compute(mesh);
@@ -99,7 +145,7 @@ fn check_2d(mesh: &Mesh2D, cov: &mut Coverage) {
         );
     }
     assert_eq!(new.disabled_count(), old.disabled.len(), "{mesh:?}");
-    assert_eq!(new.blocks, old.blocks, "blocks differ on {mesh:?}");
+    assert_eq!(new.blocks(), old.blocks, "blocks differ on {mesh:?}");
     assert_eq!(new.sacrificed_count(), old.sacrificed, "{mesh:?}");
 
     cov.cases += 1;
@@ -112,6 +158,7 @@ fn check_2d(mesh: &Mesh2D, cov: &mut Coverage) {
         cov.torus_fill += filled;
     } else {
         cov.mesh_fill += filled;
+        assert_separated_full_boxes(space, &old.disabled);
     }
 }
 
@@ -127,7 +174,7 @@ fn check_3d(mesh: &Mesh3D, cov: &mut Coverage) {
         );
     }
     assert_eq!(new.disabled_count(), old.disabled.len(), "{mesh:?}");
-    assert_eq!(new.blocks, old.blocks, "blocks differ on {mesh:?}");
+    assert_eq!(new.blocks(), old.blocks, "blocks differ on {mesh:?}");
     assert_eq!(new.sacrificed_count(), old.sacrificed, "{mesh:?}");
 
     cov.cases += 1;
@@ -140,6 +187,7 @@ fn check_3d(mesh: &Mesh3D, cov: &mut Coverage) {
         cov.torus_fill += filled;
     } else {
         cov.mesh_fill += filled;
+        assert_separated_full_boxes(space, &old.disabled);
     }
 }
 

@@ -16,9 +16,10 @@
 //!
 //! Routing kernels run on the amortized pipeline of
 //! [`mcc_routing::prepared`]: one `PreparedMesh` per seed's fault
-//! configuration serves all of its `pairs_per_seed` trials, so labellings,
-//! MCC sets and fault blocks are built per orientation instead of per
-//! pair (and table rows stay bit-identical — see `run_routing`).
+//! configuration serves all of its `pairs_per_seed` trials, so labellings
+//! are built per orientation and the block model once per configuration
+//! instead of per pair; no trial builds an MCC set (table rows stay
+//! bit-identical — see `run_routing`).
 //!
 //! Service scenarios have no seed sweep: their ramp runs sequentially in
 //! virtual time through [`crate::service_load`].

@@ -1,16 +1,18 @@
 //! Amortized trial pipeline: per-mesh model caching + reusable scratch,
 //! written once over the node space.
 //!
-//! A [`crate::trial::run_trial_with`] call rebuilds every model —
-//! labelling, MCC decomposition, fault blocks — for its single
-//! source/destination pair, even though all of them depend only on the
-//! fault set plus (for the labelling family) one of the finitely many
-//! canonical frame orientations. A [`PreparedMesh`] amortizes that work
-//! across every pair evaluated against one fault configuration:
+//! A trial reads two models: the labelling of its pair's orientation
+//! (the existence condition, the exact router and the greedy baseline)
+//! and the disabled set of the block model. Both depend only on the fault
+//! set plus, for the labelling, one of the finitely many canonical frame
+//! orientations; no step reads the per-region MCC shapes, which Theorems 1
+//! and 2 need only as the unsafe closure (DESIGN.md §1). A
+//! [`PreparedMesh`] amortizes that work across every pair evaluated
+//! against one fault configuration:
 //!
-//! * models are fetched through a [`fault_model::ModelCache`] — fault
-//!   blocks computed once per mesh, labelling + MCC set once per
-//!   orientation actually encountered (≤ 4 in 2-D, ≤ 8 in 3-D);
+//! * models are fetched through a [`fault_model::ModelCache`] — the block
+//!   model computed once per mesh, the labelling once per orientation
+//!   actually encountered (≤ 4 in 2-D, ≤ 8 in 3-D);
 //! * per-trial transient state — the oracle/condition/block reachability
 //!   sweeps, the router's backward-reachability set, the 3-D detection
 //!   flood — runs in scratch buffers owned by the prepared mesh, so
@@ -120,15 +122,15 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
         let opts = self.opts;
         let frame = S::frame_for_pair(mesh, s, d);
         let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
-        let m = self.models.models(frame, opts.eval_mcc, opts.eval_rfb);
-        let (lab, mccs, blocks) = (m.lab, m.mccs, m.blocks);
+        let m = self.models.models(frame, opts.eval_rfb);
+        let (lab, blocks) = (m.lab, m.blocks);
 
         self.useful
             .recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
         let oracle_ok = self.useful.contains(cs);
         // The condition's sweep stays in `cond_useful` for the router; the
         // block check's sweep stays in `useful` for the block router.
-        let mcc_ok = S::mcc_ok(lab, mccs, cs, cd, &mut self.cond_useful);
+        let mcc_ok = opts.eval_mcc && S::mcc_ok(lab, cs, cd, &mut self.cond_useful);
         let rfb_ok = blocks.is_some_and(|b| b.minimal_path_exists_in(mesh, s, d, &mut self.useful));
         let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
 
@@ -145,25 +147,22 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
             result.greedy_ok = greedy.delivered;
         }
 
-        if endpoints_safe {
-            if let Some(mccs) = mccs {
-                // `cond_useful` still holds the condition's closure sweep
-                // for exactly this canonical pair (or is unread: s == d).
-                let out = S::route_reusing(
-                    lab,
-                    mccs,
-                    cs,
-                    cd,
-                    &mut Policy::random(policy_seed ^ 0x9e37_79b9),
-                    &self.cond_useful,
-                    &mut self.scratch,
-                );
-                result.detection_cost = out.detection_cost;
-                if out.delivered {
-                    result.mcc_delivered = true;
-                    result.mcc_hops = out.hops;
-                    result.mcc_adaptivity = out.adaptivity;
-                }
+        if endpoints_safe && opts.eval_mcc {
+            // `cond_useful` still holds the condition's closure sweep for
+            // exactly this canonical pair (or is unread: s == d).
+            let out = S::route_reusing(
+                lab,
+                cs,
+                cd,
+                &mut Policy::random(policy_seed ^ 0x9e37_79b9),
+                &self.cond_useful,
+                &mut self.scratch,
+            );
+            result.detection_cost = out.detection_cost;
+            if out.delivered {
+                result.mcc_delivered = true;
+                result.mcc_hops = out.hops;
+                result.mcc_adaptivity = out.adaptivity;
             }
         }
         if rfb_ok {

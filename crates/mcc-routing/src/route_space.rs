@@ -15,25 +15,21 @@
 //!   information-free greedy router and the faulty-block router.
 //!
 //! Every method forwards to the existing per-dimension function, so a
-//! generic caller runs exactly the code a dimension-specific one did.
+//! generic caller runs exactly the code a dimension-specific one did. No
+//! hook reads an MCC set: the condition and the exact rule are evaluated
+//! over the labelling's unsafe closure (DESIGN.md §1, §9).
 
-use fault_model::mcc2::MccSet2;
-use fault_model::mcc3::MccSet3;
+use fault_model::condition2;
+use fault_model::minimal_path_exists_3d_in;
 use fault_model::oracle::{Useful, Useful2, Useful3};
-use fault_model::{minimal_path_exists_2d_in, minimal_path_exists_3d_in};
 use fault_model::{Labelling, Labelling2, Labelling3, ModelSpace};
 use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, C2, C3};
 
 use crate::baseline;
 use crate::feasibility3::FloodScratch3;
 use crate::policy::Policy;
-use crate::router2::{DecisionRule, Router2};
-use crate::router3::Router3;
 use crate::trace::RouteSummary;
-
-/// Both routers run the exact rule; the ablation rule is reached through
-/// the routers directly.
-const EXACT: DecisionRule = DecisionRule::BoundaryExact;
+use crate::{router2, router3};
 
 /// A node space with the paper's per-dimension routing steps.
 pub trait RouteSpace: ModelSpace {
@@ -41,12 +37,10 @@ pub trait RouteSpace: ModelSpace {
     /// the detection-flood state of Algorithm 6 in 3-D, nothing in 2-D.
     type RouteScratch: Clone + std::fmt::Debug + Default;
 
-    /// The MCC admission gate: the model admits the canonical pair iff MCC
-    /// evaluation was requested (`mccs` computed) and the existence
-    /// condition holds. The condition's sweep is left in `useful`.
+    /// The existence condition on the canonical pair, over the labelling
+    /// alone. The condition's sweep is left in `useful`.
     fn mcc_ok(
         lab: &Labelling<Self>,
-        mccs: Option<&Self::Mccs>,
         s: Self::Coord,
         d: Self::Coord,
         useful: &mut Useful<Self>,
@@ -57,7 +51,6 @@ pub trait RouteSpace: ModelSpace {
     /// for exactly this pair (the trial form: no second sweep).
     fn route_reusing(
         lab: &Labelling<Self>,
-        mccs: &Self::Mccs,
         s: Self::Coord,
         d: Self::Coord,
         policy: &mut Policy,
@@ -70,7 +63,6 @@ pub trait RouteSpace: ModelSpace {
     /// pair (the service form).
     fn route_in(
         lab: &Labelling<Self>,
-        mccs: &Self::Mccs,
         s: Self::Coord,
         d: Self::Coord,
         policy: &mut Policy,
@@ -100,36 +92,30 @@ pub trait RouteSpace: ModelSpace {
 impl RouteSpace for NodeSpace2 {
     type RouteScratch = ();
 
-    fn mcc_ok(lab: &Labelling2, mccs: Option<&MccSet2>, s: C2, d: C2, u: &mut Useful2) -> bool {
-        mccs.is_some_and(|m| minimal_path_exists_2d_in(lab, m, s, d, u).exists())
+    fn mcc_ok(lab: &Labelling2, s: C2, d: C2, useful: &mut Useful2) -> bool {
+        condition2::evaluate_in(lab, s, d, useful).exists()
     }
 
     fn route_reusing(
         lab: &Labelling2,
-        mccs: &MccSet2,
         s: C2,
         d: C2,
         policy: &mut Policy,
         useful: &Useful2,
         _: &mut (),
     ) -> RouteSummary {
-        Router2::new(lab, mccs)
-            .route_with_rule_reusing(s, d, policy, EXACT, useful)
-            .summary()
+        router2::route_exact_reusing(lab, s, d, policy, useful).summary()
     }
 
     fn route_in(
         lab: &Labelling2,
-        mccs: &MccSet2,
         s: C2,
         d: C2,
         policy: &mut Policy,
         useful: &mut Useful2,
         _: &mut (),
     ) -> RouteSummary {
-        Router2::new(lab, mccs)
-            .route_with_rule_in(s, d, policy, EXACT, useful)
-            .summary()
+        router2::route_exact_in(lab, s, d, policy, useful).summary()
     }
 
     fn route_greedy(lab: &Labelling2, s: C2, d: C2, policy: &mut Policy) -> RouteSummary {
@@ -144,37 +130,30 @@ impl RouteSpace for NodeSpace2 {
 impl RouteSpace for NodeSpace3 {
     type RouteScratch = FloodScratch3;
 
-    fn mcc_ok(lab: &Labelling3, mccs: Option<&MccSet3>, s: C3, d: C3, u: &mut Useful3) -> bool {
-        // Theorem 2 reads no MCC set, but the gate is the same.
-        mccs.is_some() && minimal_path_exists_3d_in(lab, s, d, u).exists()
+    fn mcc_ok(lab: &Labelling3, s: C3, d: C3, useful: &mut Useful3) -> bool {
+        minimal_path_exists_3d_in(lab, s, d, useful).exists()
     }
 
     fn route_reusing(
         lab: &Labelling3,
-        mccs: &MccSet3,
         s: C3,
         d: C3,
         policy: &mut Policy,
         useful: &Useful3,
         flood: &mut FloodScratch3,
     ) -> RouteSummary {
-        Router3::new(lab, mccs)
-            .route_with_rule_reusing(s, d, policy, EXACT, useful, flood)
-            .summary()
+        router3::route_exact_reusing(lab, s, d, policy, useful, flood).summary()
     }
 
     fn route_in(
         lab: &Labelling3,
-        mccs: &MccSet3,
         s: C3,
         d: C3,
         policy: &mut Policy,
         useful: &mut Useful3,
         flood: &mut FloodScratch3,
     ) -> RouteSummary {
-        Router3::new(lab, mccs)
-            .route_with_rule_split(s, d, policy, EXACT, useful, flood)
-            .summary()
+        router3::route_exact_in(lab, s, d, policy, useful, flood).summary()
     }
 
     fn route_greedy(lab: &Labelling3, s: C3, d: C3, policy: &mut Policy) -> RouteSummary {

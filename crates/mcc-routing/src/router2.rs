@@ -56,7 +56,8 @@ pub struct Router2<'a> {
 
 impl<'a> Router2<'a> {
     /// A router using the labelling and MCC decomposition of the
-    /// destination quadrant. All coordinates are canonical.
+    /// destination quadrant. All coordinates are canonical. Only the
+    /// [`DecisionRule::PairRecords`] ablation reads `mccs`.
     pub fn new(lab: &'a Labelling2, mccs: &'a MccSet2) -> Router2<'a> {
         Router2 { lab, mccs }
     }
@@ -94,88 +95,12 @@ impl<'a> Router2<'a> {
         rule: DecisionRule,
         useful: &mut Useful2,
     ) -> RouteOutcome2 {
-        let det = match self.precheck(s, d) {
-            Ok(det) => det,
-            Err(refused) => return refused,
-        };
-        useful.recompute_set(s, d, self.lab.unsafe_set(), self.lab.space(), None);
-        self.forward(s, d, policy, rule, useful, det)
-    }
-
-    /// Route reusing a backward-reachability set the caller just computed
-    /// for exactly this `(s, d)` over the unsafe closure — what the
-    /// safe-endpoints branch of the existence condition produces. Skips
-    /// one box sweep per route; the set's content is identical to what
-    /// [`Router2::route_with_rule_in`] would recompute, so outcomes are
-    /// unchanged. (The buffer is never read when `s == d`, the one case
-    /// where the condition skips the sweep.)
-    pub(crate) fn route_with_rule_reusing(
-        &self,
-        s: C2,
-        d: C2,
-        policy: &mut Policy,
-        rule: DecisionRule,
-        useful: &Useful2,
-    ) -> RouteOutcome2 {
-        let det = match self.precheck(s, d) {
-            Ok(det) => det,
-            Err(refused) => return refused,
-        };
-        self.forward(s, d, policy, rule, useful, det)
-    }
-
-    /// Source-side triage shared by every entry point: refuse labelled
-    /// endpoints (the model routes between safe nodes; cf. the endpoint
-    /// triage of condition2), then run the detection walks. `Err` carries
-    /// the finished infeasible outcome.
-    ///
-    /// # Panics
-    /// If `s` does not precede `d` componentwise.
-    fn precheck(&self, s: C2, d: C2) -> Result<crate::feasibility2::Detection2, RouteOutcome2> {
-        assert!(s.dominated_by(d), "router requires canonical s <= d");
-        if !self.lab.is_safe(s) || !self.lab.is_safe(d) {
-            return Err(RouteOutcome2::new(s, None, 0));
+        match rule {
+            DecisionRule::BoundaryExact => route_exact_in(self.lab, s, d, policy, useful),
+            DecisionRule::PairRecords => route(self.lab, s, d, policy, rule, || {
+                |v| !self.pair_forbidden(v, d)
+            }),
         }
-        let det = detect_2d(self.lab, s, d);
-        if !det.feasible() {
-            return Err(RouteOutcome2::new(s, None, det.hops));
-        }
-        Ok(det)
-    }
-
-    /// The per-hop forwarding loop shared by every entry point; `useful`
-    /// must hold the backward-reachability set for `(s, d)` and `det` the
-    /// completed (feasible) detection.
-    fn forward(
-        &self,
-        s: C2,
-        d: C2,
-        policy: &mut Policy,
-        rule: DecisionRule,
-        useful: &Useful2,
-        det: crate::feasibility2::Detection2,
-    ) -> RouteOutcome2 {
-        let walk = walk(
-            s,
-            d,
-            policy,
-            |v| {
-                // Never forward into a fault region or a detour area.
-                self.lab.is_safe(v)
-                    && match rule {
-                        DecisionRule::BoundaryExact => useful.contains(v),
-                        DecisionRule::PairRecords => !self.pair_forbidden(v, d),
-                    }
-            },
-            |u| u,
-        );
-        if let Some(u) = walk.stuck_at {
-            debug_assert!(
-                rule == DecisionRule::PairRecords,
-                "exact rule can never strand a feasible route (at {u:?})"
-            );
-        }
-        RouteOutcome2::new(s, Some(walk), det.hops)
     }
 
     /// The unmerged-record exclusion: some single MCC has `d` critical and
@@ -186,6 +111,80 @@ impl<'a> Router2<'a> {
                 || (m.in_critical_y(d) && m.in_forbidden_y(v))
         })
     }
+}
+
+/// The exact rule over the labelling alone (it reads no MCC record),
+/// sweeping the backward-reachability set into `useful` once detection
+/// admits the pair.
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+pub(crate) fn route_exact_in(
+    lab: &Labelling2,
+    s: C2,
+    d: C2,
+    policy: &mut Policy,
+    useful: &mut Useful2,
+) -> RouteOutcome2 {
+    route(lab, s, d, policy, DecisionRule::BoundaryExact, move || {
+        useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
+        move |v| useful.contains(v)
+    })
+}
+
+/// [`route_exact_in`] reusing a backward-reachability set the caller just
+/// computed for exactly this `(s, d)` over the unsafe closure — what the
+/// safe-endpoints branch of the existence condition produces. Skips one
+/// box sweep per route; the set's content is identical to what
+/// [`route_exact_in`] would recompute, so outcomes are unchanged. (The
+/// buffer is never read when `s == d`, the one case where the condition
+/// skips the sweep.)
+pub(crate) fn route_exact_reusing(
+    lab: &Labelling2,
+    s: C2,
+    d: C2,
+    policy: &mut Policy,
+    useful: &Useful2,
+) -> RouteOutcome2 {
+    route(lab, s, d, policy, DecisionRule::BoundaryExact, || {
+        |v| useful.contains(v)
+    })
+}
+
+/// The route every entry point runs. Source-side triage first: refuse
+/// labelled endpoints (the model routes between safe nodes; cf. the
+/// endpoint triage of condition2), then run the detection walks. Once
+/// they admit the pair, `clear()` builds `rule`'s exclusion test (true if
+/// a neighbor is not in a detour area) and the shared walk forwards.
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+fn route<F: Fn(C2) -> bool>(
+    lab: &Labelling2,
+    s: C2,
+    d: C2,
+    policy: &mut Policy,
+    rule: DecisionRule,
+    clear: impl FnOnce() -> F,
+) -> RouteOutcome2 {
+    assert!(s.dominated_by(d), "router requires canonical s <= d");
+    if !lab.is_safe(s) || !lab.is_safe(d) {
+        return RouteOutcome2::new(s, None, 0);
+    }
+    let det = detect_2d(lab, s, d);
+    if !det.feasible() {
+        return RouteOutcome2::new(s, None, det.hops);
+    }
+    let clear = clear();
+    // Never forward into a fault region or a detour area.
+    let walk = walk(s, d, policy, |v| lab.is_safe(v) && clear(v), |u| u);
+    if let Some(u) = walk.stuck_at {
+        debug_assert!(
+            rule == DecisionRule::PairRecords,
+            "exact rule can never strand a feasible route (at {u:?})"
+        );
+    }
+    RouteOutcome2::new(s, Some(walk), det.hops)
 }
 
 #[cfg(test)]

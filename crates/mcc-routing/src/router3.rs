@@ -55,7 +55,8 @@ pub struct Router3<'a> {
 
 impl<'a> Router3<'a> {
     /// A router using the labelling and MCC decomposition of the
-    /// destination octant. All coordinates are canonical.
+    /// destination octant. All coordinates are canonical. Only the
+    /// [`DecisionRule::PairRecords`] ablation reads `mccs`.
     pub fn new(lab: &'a Labelling3, mccs: &'a MccSet3) -> Router3<'a> {
         Router3 { lab, mccs }
     }
@@ -93,102 +94,13 @@ impl<'a> Router3<'a> {
         rule: DecisionRule,
         scratch: &mut RouteScratch3,
     ) -> RouteOutcome3 {
-        self.route_with_rule_split(s, d, policy, rule, &mut scratch.useful, &mut scratch.flood)
-    }
-
-    /// [`Router3::route_with_rule_in`] over the two buffers held apart.
-    pub(crate) fn route_with_rule_split(
-        &self,
-        s: C3,
-        d: C3,
-        policy: &mut Policy,
-        rule: DecisionRule,
-        useful: &mut Useful3,
-        flood: &mut FloodScratch3,
-    ) -> RouteOutcome3 {
-        let det = match self.precheck(s, d, flood) {
-            Ok(det) => det,
-            Err(refused) => return refused,
-        };
-        useful.recompute_set(s, d, self.lab.unsafe_set(), self.lab.space(), None);
-        self.forward(s, d, policy, rule, useful, det)
-    }
-
-    /// Route reusing a backward-reachability set the caller just computed
-    /// for exactly this `(s, d)` over the unsafe closure (see the 2-D
-    /// twin [`crate::router2::Router2::route_with_rule_reusing`]).
-    pub(crate) fn route_with_rule_reusing(
-        &self,
-        s: C3,
-        d: C3,
-        policy: &mut Policy,
-        rule: DecisionRule,
-        useful: &Useful3,
-        flood: &mut FloodScratch3,
-    ) -> RouteOutcome3 {
-        let det = match self.precheck(s, d, flood) {
-            Ok(det) => det,
-            Err(refused) => return refused,
-        };
-        self.forward(s, d, policy, rule, useful, det)
-    }
-
-    /// Source-side triage shared by every entry point: refuse labelled
-    /// endpoints, then run the detection floods. `Err` carries the
-    /// finished infeasible outcome.
-    ///
-    /// # Panics
-    /// If `s` does not precede `d` componentwise.
-    fn precheck(
-        &self,
-        s: C3,
-        d: C3,
-        flood: &mut FloodScratch3,
-    ) -> Result<crate::feasibility3::Detection3, RouteOutcome3> {
-        assert!(s.dominated_by(d), "router requires canonical s <= d");
-        if !self.lab.is_safe(s) || !self.lab.is_safe(d) {
-            return Err(RouteOutcome3::new(s, None, 0));
+        let RouteScratch3 { useful, flood } = scratch;
+        match rule {
+            DecisionRule::BoundaryExact => route_exact_in(self.lab, s, d, policy, useful, flood),
+            DecisionRule::PairRecords => route(self.lab, s, d, policy, rule, flood, || {
+                |v| !self.pair_forbidden(v, d)
+            }),
         }
-        let det = detect_3d_in(self.lab, s, d, flood);
-        if !det.feasible() {
-            return Err(RouteOutcome3::new(s, None, det.visited));
-        }
-        Ok(det)
-    }
-
-    /// The per-hop forwarding loop shared by every entry point; `useful`
-    /// must hold the backward-reachability set for `(s, d)` and `det` the
-    /// completed (feasible) detection.
-    fn forward(
-        &self,
-        s: C3,
-        d: C3,
-        policy: &mut Policy,
-        rule: DecisionRule,
-        useful: &Useful3,
-        det: crate::feasibility3::Detection3,
-    ) -> RouteOutcome3 {
-        let walk = walk(
-            s,
-            d,
-            policy,
-            |v| {
-                // Never forward into a fault region or a detour area.
-                self.lab.is_safe(v)
-                    && match rule {
-                        DecisionRule::BoundaryExact => useful.contains(v),
-                        DecisionRule::PairRecords => !self.pair_forbidden(v, d),
-                    }
-            },
-            |u| u,
-        );
-        if let Some(u) = walk.stuck_at {
-            debug_assert!(
-                rule == DecisionRule::PairRecords,
-                "exact rule can never strand a feasible route (at {u:?})"
-            );
-        }
-        RouteOutcome3::new(s, Some(walk), det.visited)
     }
 
     /// The unmerged-record exclusion via 3-D line shadows.
@@ -199,6 +111,85 @@ impl<'a> Router3<'a> {
                 .any(|axis| m.in_critical(axis, d) && m.in_forbidden(axis, v))
         })
     }
+}
+
+/// The exact rule over the labelling alone (it reads no MCC record),
+/// sweeping the backward-reachability set into `useful` once detection
+/// admits the pair.
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+pub(crate) fn route_exact_in(
+    lab: &Labelling3,
+    s: C3,
+    d: C3,
+    policy: &mut Policy,
+    useful: &mut Useful3,
+    flood: &mut FloodScratch3,
+) -> RouteOutcome3 {
+    route(
+        lab,
+        s,
+        d,
+        policy,
+        DecisionRule::BoundaryExact,
+        flood,
+        move || {
+            useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
+            move |v| useful.contains(v)
+        },
+    )
+}
+
+/// [`route_exact_in`] reusing a backward-reachability set the caller just
+/// computed for exactly this `(s, d)` over the unsafe closure (see the
+/// 2-D twin [`crate::router2::route_exact_reusing`]).
+pub(crate) fn route_exact_reusing(
+    lab: &Labelling3,
+    s: C3,
+    d: C3,
+    policy: &mut Policy,
+    useful: &Useful3,
+    flood: &mut FloodScratch3,
+) -> RouteOutcome3 {
+    let exact = DecisionRule::BoundaryExact;
+    route(lab, s, d, policy, exact, flood, || |v| useful.contains(v))
+}
+
+/// The route every entry point runs: refuse labelled endpoints, run the
+/// detection floods, and once they admit the pair, forward over the
+/// neighbors that `clear()` passes (see the 2-D twin
+/// `crate::router2::route`).
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+fn route<F: Fn(C3) -> bool>(
+    lab: &Labelling3,
+    s: C3,
+    d: C3,
+    policy: &mut Policy,
+    rule: DecisionRule,
+    flood: &mut FloodScratch3,
+    clear: impl FnOnce() -> F,
+) -> RouteOutcome3 {
+    assert!(s.dominated_by(d), "router requires canonical s <= d");
+    if !lab.is_safe(s) || !lab.is_safe(d) {
+        return RouteOutcome3::new(s, None, 0);
+    }
+    let det = detect_3d_in(lab, s, d, flood);
+    if !det.feasible() {
+        return RouteOutcome3::new(s, None, det.visited);
+    }
+    let clear = clear();
+    // Never forward into a fault region or a detour area.
+    let walk = walk(s, d, policy, |v| lab.is_safe(v) && clear(v), |u| u);
+    if let Some(u) = walk.stuck_at {
+        debug_assert!(
+            rule == DecisionRule::PairRecords,
+            "exact rule can never strand a feasible route (at {u:?})"
+        );
+    }
+    RouteOutcome3::new(s, Some(walk), det.visited)
 }
 
 #[cfg(test)]

@@ -88,15 +88,16 @@ impl TrialResult {
 /// Knobs shared by the trial runners, threaded down from the scenario
 /// layer: which border policy the labelling uses and which models are
 /// evaluated at all. Skipping a model skips its computation beyond the
-/// parts other columns need — the labelling always runs (the oracle,
-/// greedy baseline and `endpoints_safe` depend on it), but `eval_mcc:
-/// false` skips MCC extraction, the existence condition, detection and
-/// routing, and `eval_rfb: false` skips the block model entirely.
+/// parts other columns need — the labelling always runs (the greedy
+/// baseline and `endpoints_safe` depend on it), but `eval_mcc: false`
+/// skips the existence condition, detection and routing, and `eval_rfb:
+/// false` skips the block model entirely. No setting builds an MCC set:
+/// the condition and the router read the labelling alone.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct TrialOptions {
     /// Border policy for the MCC labelling.
     pub border: BorderPolicy,
-    /// Evaluate the MCC condition and router.
+    /// Evaluate the MCC model's existence condition and router.
     pub eval_mcc: bool,
     /// Evaluate the rectangular/cuboid block baseline.
     pub eval_rfb: bool,

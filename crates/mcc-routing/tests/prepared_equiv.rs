@@ -1,5 +1,6 @@
-//! Property battery: the prepared (amortized) trial pipeline is
-//! observationally identical to the fresh-per-trial functions.
+//! Property batteries: the prepared (amortized) trial pipeline is
+//! observationally identical to the fresh-per-trial functions, and to the
+//! decomposed public calls that build every MCC set.
 //!
 //! For random meshes, fault ramps, border policies and `TrialOptions`
 //! combinations, a batch of pairs run through one
@@ -8,14 +9,35 @@
 //! bit-for-bit — equals a fresh `run_trial_*_with` call on the same
 //! inputs. This is the contract that lets `mcc-bench` swap the batched
 //! runner in without perturbing a single table row.
+//!
+//! A trial builds no MCC set: it evaluates Theorems 1 and 2 and the exact
+//! rule over the labelling's unsafe closure. The decomposed battery pins
+//! that against the pipeline spelled out in public calls — `MccSet2/3::
+//! compute`, `minimal_path_exists_{2d,3d}_in`, `Router2/3::new(lab,
+//! &mccs)` under `BoundaryExact`, `FaultBlocks::compute` and the two
+//! baselines — on meshes and tori of both dimensions, under every
+//! `TrialOptions`. `cargo test` runs a slice; the full battery is the
+//! ignored test, run in release:
+//!
+//! ```text
+//! cargo test --release -p mcc-routing --test prepared_equiv -- --include-ignored
+//! ```
 
-use fault_model::BorderPolicy;
+use fault_model::mcc2::MccSet2;
+use fault_model::mcc3::MccSet3;
+use fault_model::oracle::{self, Useful2, Useful3};
+use fault_model::{minimal_path_exists_2d_in, minimal_path_exists_3d_in};
+use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, FaultRegime, Labelling2, Labelling3};
 use mcc_routing::prepared::{PreparedMesh2, PreparedMesh3};
+use mcc_routing::router2::DecisionRule;
 use mcc_routing::trial::run_trial_with;
-use mcc_routing::TrialOptions;
+use mcc_routing::{baseline, Policy, RouteScratch3, RouteSummary, Router2, Router3};
+use mcc_routing::{TrialOptions, TrialResult};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Mesh2D, Mesh3D};
+use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2, C3};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn options(border_blocked: bool, mcc: bool, rfb: bool, greedy: bool) -> TrialOptions {
     TrialOptions {
@@ -199,4 +221,190 @@ proptest! {
             );
         }
     }
+}
+
+/// A trial's result from its parts: the three admission verdicts, the
+/// endpoint safety and the summaries of the routes that ran. The routes'
+/// seeds and the fields they fill are those of `PreparedMesh::run_trial`.
+fn assemble(
+    [oracle_ok, mcc_ok, rfb_ok, endpoints_safe]: [bool; 4],
+    greedy: Option<RouteSummary>,
+    mcc: Option<RouteSummary>,
+    rfb: Option<RouteSummary>,
+) -> TrialResult {
+    let mut r = TrialResult {
+        oracle_ok,
+        mcc_ok,
+        rfb_ok,
+        endpoints_safe,
+        greedy_ok: greedy.is_some_and(|g| g.delivered),
+        ..TrialResult::default()
+    };
+    if let Some(out) = mcc {
+        r.detection_cost = out.detection_cost;
+        if out.delivered {
+            r.mcc_delivered = true;
+            r.mcc_hops = out.hops;
+            r.mcc_adaptivity = out.adaptivity;
+        }
+    }
+    if let Some(out) = rfb.filter(|o| o.delivered) {
+        r.rfb_adaptivity = out.adaptivity;
+    }
+    r
+}
+
+/// One 2-D trial through the public per-layer calls, building the MCC set
+/// of the pair's quadrant and routing with it.
+fn decomposed_2d(mesh: &Mesh2D, s: C2, d: C2, seed: u64, opts: &TrialOptions) -> TrialResult {
+    let frame = Frame2::for_pair(mesh, s, d);
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
+    let lab = Labelling2::compute(mesh, frame, opts.border);
+    let mccs = MccSet2::compute(&lab);
+    let blocks = FaultBlocks2::compute(mesh);
+    let oracle_ok = oracle::reachable_2d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
+    let mut useful = Useful2::scratch();
+    let mcc_ok =
+        opts.eval_mcc && minimal_path_exists_2d_in(&lab, &mccs, cs, cd, &mut useful).exists();
+    let rfb_ok = opts.eval_rfb && blocks.minimal_path_exists_in(mesh, s, d, &mut useful);
+    let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
+    let greedy = opts
+        .eval_greedy
+        .then(|| baseline::route_greedy_2d(&lab, cs, cd, &mut Policy::random(seed)).summary());
+    let mcc = (opts.eval_mcc && endpoints_safe).then(|| {
+        let policy = &mut Policy::random(seed ^ 0x9e37_79b9);
+        Router2::new(&lab, &mccs)
+            .route_with_rule_in(cs, cd, policy, DecisionRule::BoundaryExact, &mut useful)
+            .summary()
+    });
+    let rfb = rfb_ok.then(|| {
+        let policy = &mut Policy::random(seed ^ 0x51);
+        baseline::route_rfb_2d_in(&blocks, mesh, s, d, policy, &mut useful).summary()
+    });
+    assemble(
+        [oracle_ok, mcc_ok, rfb_ok, endpoints_safe],
+        greedy,
+        mcc,
+        rfb,
+    )
+}
+
+/// 3-D twin of [`decomposed_2d`].
+fn decomposed_3d(mesh: &Mesh3D, s: C3, d: C3, seed: u64, opts: &TrialOptions) -> TrialResult {
+    let frame = Frame3::for_pair(mesh, s, d);
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
+    let lab = Labelling3::compute(mesh, frame, opts.border);
+    let mccs = MccSet3::compute(&lab);
+    let blocks = FaultBlocks3::compute(mesh);
+    let oracle_ok = oracle::reachable_3d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
+    let mut useful = Useful3::scratch();
+    let mcc_ok = opts.eval_mcc && minimal_path_exists_3d_in(&lab, cs, cd, &mut useful).exists();
+    let rfb_ok = opts.eval_rfb && blocks.minimal_path_exists_in(mesh, s, d, &mut useful);
+    let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
+    let greedy = opts
+        .eval_greedy
+        .then(|| baseline::route_greedy_3d(&lab, cs, cd, &mut Policy::random(seed)).summary());
+    let mcc = (opts.eval_mcc && endpoints_safe).then(|| {
+        let policy = &mut Policy::random(seed ^ 0x9e37_79b9);
+        Router3::new(&lab, &mccs)
+            .route_with_rule_in(
+                cs,
+                cd,
+                policy,
+                DecisionRule::BoundaryExact,
+                &mut RouteScratch3::new(),
+            )
+            .summary()
+    });
+    let rfb = rfb_ok.then(|| {
+        let policy = &mut Policy::random(seed ^ 0x51);
+        baseline::route_rfb_3d_in(&blocks, mesh, s, d, policy, &mut useful).summary()
+    });
+    assemble(
+        [oracle_ok, mcc_ok, rfb_ok, endpoints_safe],
+        greedy,
+        mcc,
+        rfb,
+    )
+}
+
+/// Run `cases` random 2-D and `cases` random 3-D fault configurations
+/// from `seed`, every other one a torus, each under the `TrialOptions`
+/// combination of its index (all 16 in turn), and require every pair of a
+/// batch through one prepared mesh to equal its decomposed trial. Returns
+/// the number of pairs checked.
+fn decomposed_battery(seed: u64, cases: usize) -> usize {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut pairs = 0;
+    for case in 0..cases {
+        let torus = case % 2 == 1;
+        let bit = |k: usize| (case / 2) >> k & 1 == 1;
+        let opts = options(bit(0), bit(1), bit(2), bit(3));
+        let lo = if torus { 3 } else { 2 };
+        let share = rng.gen_range(0.0..0.3);
+
+        let (w, h) = (rng.gen_range(lo..=12), rng.gen_range(lo..=12));
+        let mut mesh = if torus {
+            Mesh2D::torus(w, h)
+        } else {
+            Mesh2D::new(w, h)
+        };
+        let count = (share * (w * h) as f64) as usize;
+        FaultRegime::Uniform.inject(&mut mesh, count, rng.gen(), &[], opts.border);
+        let mut pm = PreparedMesh2::new(&mesh, opts);
+        for _ in 0..8 {
+            let at = |rng: &mut SmallRng| c2(rng.gen_range(0..w), rng.gen_range(0..h));
+            let (s, d, policy_seed) = (at(&mut rng), at(&mut rng), rng.gen());
+            if mesh.is_healthy(s) && mesh.is_healthy(d) {
+                let (got, want) = (
+                    pm.run_trial(s, d, policy_seed),
+                    decomposed_2d(&mesh, s, d, policy_seed, &opts),
+                );
+                assert!(
+                    got.bit_identical(&want),
+                    "{mesh:?} {s}->{d} seed {policy_seed} {opts:?}: {got:?} != {want:?}"
+                );
+                pairs += 1;
+            }
+        }
+
+        let e = [0; 3].map(|_| rng.gen_range(lo..=7));
+        let mut mesh = if torus {
+            Mesh3D::torus(e[0], e[1], e[2])
+        } else {
+            Mesh3D::new(e[0], e[1], e[2])
+        };
+        let count = (share * (e[0] * e[1] * e[2]) as f64) as usize;
+        FaultRegime::Uniform.inject(&mut mesh, count, rng.gen(), &[], opts.border);
+        let mut pm = PreparedMesh3::new(&mesh, opts);
+        for _ in 0..8 {
+            let at = |rng: &mut SmallRng| e.map(|n| rng.gen_range(0..n));
+            let ([sx, sy, sz], [dx, dy, dz]) = (at(&mut rng), at(&mut rng));
+            let (s, d, policy_seed) = (c3(sx, sy, sz), c3(dx, dy, dz), rng.gen());
+            if mesh.is_healthy(s) && mesh.is_healthy(d) {
+                let (got, want) = (
+                    pm.run_trial(s, d, policy_seed),
+                    decomposed_3d(&mesh, s, d, policy_seed, &opts),
+                );
+                assert!(
+                    got.bit_identical(&want),
+                    "{mesh:?} {s}->{d} seed {policy_seed} {opts:?}: {got:?} != {want:?}"
+                );
+                pairs += 1;
+            }
+        }
+    }
+    pairs
+}
+
+#[test]
+fn trial_matches_mcc_set_pipeline_slice() {
+    // Five laps of the 16 option combinations, each on a mesh and a torus.
+    assert!(decomposed_battery(41, 160) > 1_500);
+}
+
+#[test]
+#[ignore = "the full battery; run in release with --include-ignored"]
+fn trial_matches_mcc_set_pipeline_full() {
+    assert!(decomposed_battery(0xdec0, 20_000) > 200_000);
 }

@@ -522,7 +522,6 @@ impl<S: ShardSpace> Models<S> {
         let m = self.inc.models(frame);
         let out = S::route_in(
             m.lab,
-            m.mccs,
             cs,
             cd,
             &mut Policy::random(seed),

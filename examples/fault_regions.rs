@@ -34,7 +34,7 @@ fn main() {
         lab.sacrificed_count(),
         blocks.sacrificed_count()
     );
-    println!("MCCs: {}   blocks: {}\n", mccs.len(), blocks.blocks.len());
+    println!("MCCs: {}   blocks: {}\n", mccs.len(), blocks.blocks().len());
 
     for y in (0..mesh.height()).rev() {
         let mut row = String::with_capacity(mesh.width() as usize * 2);

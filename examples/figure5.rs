@@ -67,10 +67,10 @@ fn main() {
     let blocks = FaultBlocks3::compute(&mesh);
     println!(
         "\ncuboid fault blocks (the conventional model): {}",
-        blocks.blocks.len()
+        blocks.blocks().len()
     );
     let mut total = 0u64;
-    for b in &blocks.blocks {
+    for b in &blocks.blocks() {
         println!("  block {:?}..{:?} ({} cells)", b.lo, b.hi, b.volume());
         total += b.volume();
     }
