@@ -8,65 +8,40 @@
 //! (Algorithm 2 step 3 / Theorem 1's boundary-intersection clause).
 //!
 //! Semantically the merged condition equals monotone reachability avoiding
-//! the **unsafe closure**, which by MCC minimality equals reachability
-//! avoiding only the faults (both equalities are property-tested). This
-//! module therefore evaluates the condition that way; the *operational*
-//! merged form — detection messages walking around fault regions, exactly
-//! Algorithm 3 step 1 — lives in `mcc-routing::feasibility2` and is tested
-//! equivalent.
+//! the unsafe closure, so no MCC set is read: the entry points here forward
+//! to [`crate::condition::evaluate`], which Theorem 2 shares. The
+//! *operational* merged form — detection messages walking around fault
+//! regions, exactly Algorithm 3 step 1 — lives in
+//! `mcc-routing::feasibility2` and is tested equivalent.
 //!
-//! The per-MCC *unmerged* pair check is still exposed as
-//! [`pair_blocking_mcc`]: it is sufficient (when it fires, no minimal path
-//! exists) and is what boundary records let individual nodes evaluate
-//! locally; it is not necessary in multi-MCC compositions.
+//! The per-MCC *unmerged* pair check ([`Mcc2::in_forbidden_x`] with
+//! [`Mcc2::in_critical_x`], and the same on Y) is sufficient — when it
+//! fires, no minimal path exists — and is what boundary records let
+//! individual nodes evaluate locally; it is not necessary in multi-MCC
+//! compositions. The tests below pin both facts.
 //!
-//! Endpoint triage: the theorems assume safe endpoints. A can't-reach
-//! destination (safe source) is unreachable; a useless source (safe
-//! destination) is stuck; other labelled-endpoint combinations fall back to
-//! the exact fault-avoiding oracle.
+//! [`Mcc2::in_forbidden_x`]: crate::Mcc2::in_forbidden_x
+//! [`Mcc2::in_critical_x`]: crate::Mcc2::in_critical_x
 
 use mesh_topo::C2;
-use serde::{Deserialize, Serialize};
 
+use crate::condition::{evaluate, Existence};
 use crate::labelling::Labelling2;
-use crate::mcc2::{Mcc2, MccSet2, RegionAxis2};
+use crate::mcc2::MccSet2;
 use crate::oracle;
 
 /// Outcome of the 2-D existence condition.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum Existence2 {
-    /// A minimal path exists (both endpoints safe).
-    Exists,
-    /// No minimal path: the merged fault regions separate `s` from `d`
-    /// inside the Region of Minimal Paths.
-    Blocked,
-    /// No minimal path: the destination is can't-reach.
-    DestinationCantReach,
-    /// No minimal path: the source is useless.
-    SourceUseless,
-    /// An endpoint is faulty — invalid query.
-    EndpointFaulty,
-    /// Labelled endpoint(s): decided by the exact fault-avoiding oracle.
-    OracleExists,
-    /// Same, negative.
-    OracleBlocked,
-}
-
-impl Existence2 {
-    /// True when a minimal path exists.
-    pub fn exists(self) -> bool {
-        matches!(self, Existence2::Exists | Existence2::OracleExists)
-    }
-}
+pub type Existence2 = Existence;
 
 /// Evaluate the existence condition for canonical `s ≤ d`.
 ///
-/// `lab` must be the labelling for the quadrant of `(s, d)`.
+/// `lab` must be the labelling for the quadrant of `(s, d)`; the MCC set
+/// is not read (module docs).
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
 pub fn minimal_path_exists_2d(lab: &Labelling2, _mccs: &MccSet2, s: C2, d: C2) -> Existence2 {
-    evaluate_in(lab, s, d, &mut oracle::Useful2::scratch())
+    evaluate(lab, s, d, &mut oracle::Useful2::scratch())
 }
 
 /// [`minimal_path_exists_2d`] with a caller-provided scratch buffer for
@@ -81,79 +56,13 @@ pub fn minimal_path_exists_2d_in(
     d: C2,
     useful: &mut oracle::Useful2,
 ) -> Existence2 {
-    evaluate_in(lab, s, d, useful)
-}
-
-/// [`minimal_path_exists_2d_in`] over the labelling alone: the merged
-/// regions are the unsafe closure (module docs), so no MCC set is read.
-///
-/// # Panics
-/// If `s` does not precede `d` componentwise.
-pub fn evaluate_in(lab: &Labelling2, s: C2, d: C2, useful: &mut oracle::Useful2) -> Existence2 {
-    assert!(
-        s.dominated_by(d),
-        "condition requires canonical coordinates with s <= d, got {s:?} {d:?}"
-    );
-    let ss = lab.status(s);
-    let sd = lab.status(d);
-    if ss.is_faulty() || sd.is_faulty() {
-        return Existence2::EndpointFaulty;
-    }
-    if s == d {
-        return Existence2::Exists;
-    }
-    match (ss.is_unsafe(), sd.is_unsafe()) {
-        (false, false) => {
-            // Safe endpoints: avoiding the closure loses nothing
-            // (property-tested); this is the semantic content of Lemma 1
-            // with merged regions.
-            useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
-            if useful.contains(s) {
-                Existence2::Exists
-            } else {
-                Existence2::Blocked
-            }
-        }
-        (false, true) if sd.is_cant_reach() => Existence2::DestinationCantReach,
-        (true, false) if ss.is_useless() => Existence2::SourceUseless,
-        _ => {
-            let ok = oracle::reachable_2d_in(
-                s,
-                d,
-                |c| lab.status_get(c).map(|st| st.is_faulty()).unwrap_or(true),
-                useful,
-            );
-            if ok {
-                Existence2::OracleExists
-            } else {
-                Existence2::OracleBlocked
-            }
-        }
-    }
-}
-
-/// The *unmerged* per-MCC pair condition: the first MCC (and axis) for which
-/// `s` lies in the forbidden region and `d` in the matching critical region.
-///
-/// Sufficient for blocking — a hit means no minimal path — but not
-/// necessary: compositions of several MCCs (or an MCC and the mesh border)
-/// can block even though no single component's pair fires. The boundary
-/// construction exists precisely to merge those regions.
-pub fn pair_blocking_mcc(mccs: &MccSet2, s: C2, d: C2) -> Option<(&Mcc2, RegionAxis2)> {
-    for m in mccs.iter() {
-        if m.in_forbidden_x(s) && m.in_critical_x(d) {
-            return Some((m, RegionAxis2::X));
-        }
-        if m.in_forbidden_y(s) && m.in_critical_y(d) {
-            return Some((m, RegionAxis2::Y));
-        }
-    }
-    None
+    evaluate(lab, s, d, useful)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mcc2::{Mcc2, RegionAxis2};
     use crate::status::BorderPolicy;
     use mesh_topo::coord::c2;
     use mesh_topo::{Frame2, Mesh2D};
@@ -166,6 +75,16 @@ mod tests {
         let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
         let set = MccSet2::compute(&lab);
         (lab, set)
+    }
+
+    /// The unmerged per-MCC pair condition: the first MCC (and axis) for
+    /// which `s` lies in the forbidden region and `d` in the matching
+    /// critical region.
+    fn single_mcc_blocking(mccs: &MccSet2, s: C2, d: C2) -> Option<(&Mcc2, RegionAxis2)> {
+        let axes = [RegionAxis2::X, RegionAxis2::Y];
+        let blocks = |m: &Mcc2, a| m.in_forbidden(a, s) && m.in_critical(a, d);
+        mccs.iter()
+            .find_map(|m| axes.into_iter().find(|&a| blocks(m, a)).map(|a| (m, a)))
     }
 
     #[test]
@@ -184,7 +103,7 @@ mod tests {
         let r = minimal_path_exists_2d(&lab, &set, c2(3, 0), c2(3, 7));
         assert_eq!(r, Existence2::Blocked);
         // The unmerged pair condition agrees here (single MCC).
-        let (m, axis) = pair_blocking_mcc(&set, c2(3, 0), c2(3, 7)).unwrap();
+        let (m, axis) = single_mcc_blocking(&set, c2(3, 0), c2(3, 7)).unwrap();
         assert_eq!(axis, RegionAxis2::Y);
         assert_eq!(m.fault_count, 1);
         // Two-column RMP can route around it.
@@ -196,7 +115,7 @@ mod tests {
         let (lab, set) = setup(&[c2(4, 3)], 8, 8);
         let r = minimal_path_exists_2d(&lab, &set, c2(0, 3), c2(7, 3));
         assert_eq!(r, Existence2::Blocked);
-        let (_, axis) = pair_blocking_mcc(&set, c2(0, 3), c2(7, 3)).unwrap();
+        let (_, axis) = single_mcc_blocking(&set, c2(0, 3), c2(7, 3)).unwrap();
         assert_eq!(axis, RegionAxis2::X);
     }
 
@@ -226,7 +145,7 @@ mod tests {
             minimal_path_exists_2d(&lab, &set, s, d),
             Existence2::Blocked
         );
-        let (m, axis) = pair_blocking_mcc(&set, s, d).unwrap();
+        let (m, axis) = single_mcc_blocking(&set, s, d).unwrap();
         assert_eq!(axis, RegionAxis2::Y);
         assert!(m.fault_count == 5);
     }
@@ -243,7 +162,7 @@ mod tests {
             Existence2::Blocked
         );
         assert!(
-            pair_blocking_mcc(&set, s, d).is_none(),
+            single_mcc_blocking(&set, s, d).is_none(),
             "unmerged pair must miss this"
         );
     }
@@ -270,7 +189,7 @@ mod tests {
             if !lab.status(s).is_safe() || !lab.status(d).is_safe() {
                 continue;
             }
-            if pair_blocking_mcc(&set, s, d).is_some() {
+            if single_mcc_blocking(&set, s, d).is_some() {
                 fired += 1;
                 assert!(
                     !minimal_path_exists_2d(&lab, &set, s, d).exists(),

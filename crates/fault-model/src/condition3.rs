@@ -2,57 +2,33 @@
 //!
 //! The paper's Theorem 2 states the condition in terms of boundary
 //! intersections, whose operational (detection-message) form lives in the
-//! routing crate. This module provides the *semantic evaluation* of the
-//! theorem: with both endpoints safe, a minimal path exists iff the
-//! destination is monotonically reachable while avoiding the **unsafe
-//! closure** — by the MCC minimality theorem this is equivalent to avoiding
-//! only the faults (the crate's property tests verify that equivalence, and
-//! the detection-walk implementation is tested against this function).
+//! routing crate. Its *semantic evaluation* is the one Theorem 1 shares,
+//! [`crate::condition::evaluate`]: with both endpoints safe, a minimal path
+//! exists iff the destination is monotonically reachable while avoiding
+//! the unsafe closure — by the MCC minimality theorem this is equivalent
+//! to avoiding only the faults (the crate's property tests verify that
+//! equivalence, and the detection floods are tested against it).
 //!
-//! Endpoint triage mirrors the 2-D case: faulty endpoints are invalid, a
+//! Endpoint triage is the 2-D one: faulty endpoints are invalid, a
 //! can't-reach destination (safe source) is unreachable, a useless source
 //! (safe destination) is stuck, and queries with labelled endpoints fall
 //! back to the exact fault-avoiding oracle.
 
 use mesh_topo::C3;
-use serde::{Deserialize, Serialize};
 
+use crate::condition::{evaluate, Existence};
 use crate::labelling::Labelling3;
 use crate::oracle;
 
 /// Outcome of the 3-D existence condition.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum Existence3 {
-    /// A minimal path exists (both endpoints safe).
-    Exists,
-    /// No minimal path: the fault regions separate `s` from `d` inside the
-    /// Region of Minimal Paths.
-    Blocked,
-    /// No minimal path: the destination is can't-reach.
-    DestinationCantReach,
-    /// No minimal path: the source is useless.
-    SourceUseless,
-    /// An endpoint is faulty — invalid query.
-    EndpointFaulty,
-    /// Labelled endpoint(s): decided by the exact fault-avoiding oracle.
-    OracleExists,
-    /// Same, negative.
-    OracleBlocked,
-}
-
-impl Existence3 {
-    /// True when a minimal path exists.
-    pub fn exists(self) -> bool {
-        matches!(self, Existence3::Exists | Existence3::OracleExists)
-    }
-}
+pub type Existence3 = Existence;
 
 /// Evaluate the existence condition for canonical `s ≤ d` under `lab`.
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
 pub fn minimal_path_exists_3d(lab: &Labelling3, s: C3, d: C3) -> Existence3 {
-    minimal_path_exists_3d_in(lab, s, d, &mut oracle::Useful3::scratch())
+    evaluate(lab, s, d, &mut oracle::Useful3::scratch())
 }
 
 /// [`minimal_path_exists_3d`] with a caller-provided scratch buffer for
@@ -66,45 +42,7 @@ pub fn minimal_path_exists_3d_in(
     d: C3,
     useful: &mut oracle::Useful3,
 ) -> Existence3 {
-    assert!(
-        s.dominated_by(d),
-        "condition requires canonical coordinates with s <= d, got {s:?} {d:?}"
-    );
-    let ss = lab.status(s);
-    let sd = lab.status(d);
-    if ss.is_faulty() || sd.is_faulty() {
-        return Existence3::EndpointFaulty;
-    }
-    if s == d {
-        return Existence3::Exists;
-    }
-    match (ss.is_unsafe(), sd.is_unsafe()) {
-        (false, false) => {
-            // Avoiding the closure loses nothing for safe endpoints
-            // (property-tested); this is the semantic content of Theorem 2.
-            useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
-            if useful.contains(s) {
-                Existence3::Exists
-            } else {
-                Existence3::Blocked
-            }
-        }
-        (false, true) if sd.is_cant_reach() => Existence3::DestinationCantReach,
-        (true, false) if ss.is_useless() => Existence3::SourceUseless,
-        _ => {
-            let ok = oracle::reachable_3d_in(
-                s,
-                d,
-                |c| lab.status_get(c).map(|st| st.is_faulty()).unwrap_or(true),
-                useful,
-            );
-            if ok {
-                Existence3::OracleExists
-            } else {
-                Existence3::OracleBlocked
-            }
-        }
-    }
+    evaluate(lab, s, d, useful)
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //! * [`components`] — connected components of unsafe nodes,
 //! * [`mcc2`] / [`mcc3`] — Minimal Connected Components: shape extraction,
 //!   profiles, corners and sections,
-//! * [`condition2`] / [`condition3`] — the sufficient & necessary conditions
-//!   for existence of a minimal path (Lemma 1 / Theorem 1 / Theorem 2),
+//! * [`condition`] — the sufficient & necessary condition for existence of
+//!   a minimal path, evaluated once over the node space; [`condition2`] /
+//!   [`condition3`] are its Lemma 1 / Theorem 1 and Theorem 2 entry points,
 //! * [`models`] — orientation-keyed lazy caches of the labellings and
 //!   fault blocks of one fault configuration (the compute layer behind
 //!   the prepared-trial path of `mcc-routing`, which builds no MCC set),
@@ -27,8 +28,9 @@
 //! [`labelling`] is also Algorithm 4 of Section 4 ([`Labelling3`]), whose
 //! Figure 5 example is pinned by this crate's tests; [`mcc2`]/[`mcc3`]
 //! realize the MCC shape machinery
-//! (boundaries, corners, sections) of Sections 3–4; [`condition2`] is
-//! Lemma 1/Theorem 1, [`condition3`] Theorem 2; [`rfb`] is the
+//! (boundaries, corners, sections) of Sections 3–4; [`condition`]
+//! evaluates Lemma 1/Theorem 1 ([`condition2`]) and Theorem 2
+//! ([`condition3`]); [`rfb`] is the
 //! faulty-block baseline of the Section 6 evaluation.
 //!
 //! All labelling-level computation happens in *canonical coordinates*: the
@@ -74,6 +76,7 @@
 #![warn(missing_docs)]
 
 pub mod components;
+pub mod condition;
 pub mod condition2;
 pub mod condition3;
 pub mod incremental;

@@ -1,23 +1,18 @@
 //! Minimal Connected Components in 3-D meshes.
 //!
 //! A 3-D MCC is an 18-connected component (face + planar diagonal, see
-//! [`crate::components`]) of the unsafe set of a 3-D labelling. Unlike the 2-D case its plane sections need not be convex —
-//! the paper's Figure 5 component has a hole at `(6,6,5)` in its `z = 5`
-//! section — so shapes are kept as explicit cell sets plus derived
-//! *line-extent* tables:
+//! [`crate::components`]) of the unsafe set of a 3-D labelling. Unlike the
+//! 2-D case its plane sections need not be convex — the paper's Figure 5
+//! component has a hole at `(6,6,5)` in its `z = 5` section — so shapes
+//! are kept as explicit cell sets with per-plane 2-D *sections*, which the
+//! identification protocol walks.
 //!
-//! * for every axis line through the component (e.g. the X-line at fixed
-//!   `(y, z)`) the minimum and maximum occupied coordinate,
-//! * per-plane 2-D *sections*, which the identification protocol walks.
+//! No routing step reads the shapes: Theorem 2 and Algorithm 6's exact
+//! rule use the labelling's unsafe closure (DESIGN.md §1); the shapes'
+//! readers are listed in DESIGN.md §9 (*What a trial builds*).
 //!
-//! From the line extents come the 3-D forbidden/critical regions: `Q_Y(M)`
-//! is everything strictly below the whole Y-extent of its `(x, z)` line,
-//! `Q'_Y(M)` everything strictly above, and analogously for X and Z.
-//!
-//! Storage is bounding-box-local and flat: membership is a
-//! [`mesh_topo::NodeSet`] bitset over the box and the line-extent tables are
-//! dense arrays indexed by the box-relative plane coordinates — the former
-//! `HashSet<C3>` / `BTreeMap` representation is gone. Note the trade-off:
+//! Membership is a [`mesh_topo::NodeSet`] bitset over the bounding box, so
+//! [`Mcc3::contains`] is one index computation. Note the trade-off:
 //! per-component memory is O(bounding-box volume), not O(cells) — compact
 //! for the localized regions fault injection produces, but a long diagonal
 //! chain of cells would allocate its whole spanning box (one bit per box
@@ -28,9 +23,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::components::Components3;
 use crate::labelling::Labelling3;
-
-/// Sentinel line extent meaning "the component does not touch this line".
-const NO_LINE: (i32, i32) = (i32::MAX, i32::MIN);
 
 /// One Minimal Connected Component of a 3-D labelling (canonical coords).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,12 +39,6 @@ pub struct Mcc3 {
     box_space: NodeSpace3,
     /// Membership bitset over `box_space`.
     cell_set: NodeSet,
-    /// Per-X-line extents, indexed by box-relative `(y, z)`.
-    line_x: Vec<(i32, i32)>,
-    /// Per-Y-line extents, indexed by box-relative `(x, z)`.
-    line_y: Vec<(i32, i32)>,
-    /// Per-Z-line extents, indexed by box-relative `(x, y)`.
-    line_z: Vec<(i32, i32)>,
 }
 
 /// All MCCs of one 3-D labelling.
@@ -69,29 +55,15 @@ impl Mcc3 {
         for &c in &cells[1..] {
             bounds.include(c);
         }
-        let (bx, by, bz) = (
+        let box_space = NodeSpace3::new(
             bounds.hi.x - bounds.lo.x + 1,
             bounds.hi.y - bounds.lo.y + 1,
             bounds.hi.z - bounds.lo.z + 1,
         );
-        let box_space = NodeSpace3::new(bx, by, bz);
         let mut cell_set = NodeSet::new(box_space.len());
-        let mut line_x = vec![NO_LINE; (by * bz) as usize];
-        let mut line_y = vec![NO_LINE; (bx * bz) as usize];
-        let mut line_z = vec![NO_LINE; (bx * by) as usize];
         let mut fault_count = 0;
         for &c in &cells {
-            let r = c - bounds.lo;
-            cell_set.insert(box_space.index(r));
-            let ex = &mut line_x[(r.z * by + r.y) as usize];
-            ex.0 = ex.0.min(c.x);
-            ex.1 = ex.1.max(c.x);
-            let ey = &mut line_y[(r.z * bx + r.x) as usize];
-            ey.0 = ey.0.min(c.y);
-            ey.1 = ey.1.max(c.y);
-            let ez = &mut line_z[(r.y * bx + r.x) as usize];
-            ez.0 = ez.0.min(c.z);
-            ez.1 = ez.1.max(c.z);
+            cell_set.insert(box_space.index(c - bounds.lo));
             if lab.status(c).is_faulty() {
                 fault_count += 1;
             }
@@ -104,9 +76,6 @@ impl Mcc3 {
             sacrificed_count,
             box_space,
             cell_set,
-            line_x,
-            line_y,
-            line_z,
         }
     }
 
@@ -130,47 +99,6 @@ impl Mcc3 {
         }
         self.cell_set
             .contains(self.box_space.index(c - self.bounds.lo))
-    }
-
-    /// The occupied extent `[lo, hi]` of the axis line through `c`, if the
-    /// component touches that line. For `axis = Y` the line is
-    /// `{(c.x, *, c.z)}`, etc.
-    pub fn line_extent(&self, axis: Axis3, c: C3) -> Option<(i32, i32)> {
-        let (lo, hi) = (self.bounds.lo, self.bounds.hi);
-        let (bx, by) = (hi.x - lo.x + 1, hi.y - lo.y + 1);
-        let entry = match axis {
-            Axis3::X => {
-                if c.y < lo.y || c.y > hi.y || c.z < lo.z || c.z > hi.z {
-                    return None;
-                }
-                self.line_x[((c.z - lo.z) * by + (c.y - lo.y)) as usize]
-            }
-            Axis3::Y => {
-                if c.x < lo.x || c.x > hi.x || c.z < lo.z || c.z > hi.z {
-                    return None;
-                }
-                self.line_y[((c.z - lo.z) * bx + (c.x - lo.x)) as usize]
-            }
-            Axis3::Z => {
-                if c.x < lo.x || c.x > hi.x || c.y < lo.y || c.y > hi.y {
-                    return None;
-                }
-                self.line_z[((c.y - lo.y) * bx + (c.x - lo.x)) as usize]
-            }
-        };
-        (entry != NO_LINE).then_some(entry)
-    }
-
-    /// `c ∈ Q_axis(M)`: strictly on the negative side of the component's
-    /// whole extent on `c`'s axis line.
-    pub fn in_forbidden(&self, axis: Axis3, c: C3) -> bool {
-        matches!(self.line_extent(axis, c), Some((lo, _)) if c.get(axis) < lo)
-    }
-
-    /// `c ∈ Q'_axis(M)`: strictly on the positive side of the component's
-    /// whole extent on `c`'s axis line.
-    pub fn in_critical(&self, axis: Axis3, c: C3) -> bool {
-        matches!(self.line_extent(axis, c), Some((_, hi)) if c.get(axis) > hi)
     }
 
     /// The 2-D section of the component on the plane `axis = plane`
@@ -285,31 +213,6 @@ mod tests {
         let small = set.component_containing(c3(7, 8, 4)).unwrap();
         assert_eq!(small.section_planes(Axis3::Z), vec![4]);
         assert_eq!(small.section_planes(Axis3::X), vec![7]);
-    }
-
-    #[test]
-    fn line_extents_and_regions() {
-        let (_, set) = figure5();
-        let big = set.component_containing(c3(5, 5, 5)).unwrap();
-        // Z-line through (5,5): cells (5,5,5),(5,5,6),(5,5,7) -> extent 5..7.
-        assert_eq!(big.line_extent(Axis3::Z, c3(5, 5, 0)), Some((5, 7)));
-        assert!(big.in_forbidden(Axis3::Z, c3(5, 5, 3)));
-        assert!(big.in_critical(Axis3::Z, c3(5, 5, 9)));
-        assert!(!big.in_forbidden(Axis3::Z, c3(5, 5, 6))); // inside, not below
-                                                           // Lines the component does not touch yield no regions.
-        assert_eq!(big.line_extent(Axis3::Z, c3(0, 0, 0)), None);
-        assert!(!big.in_forbidden(Axis3::Z, c3(0, 0, 0)));
-    }
-
-    #[test]
-    fn hole_is_not_in_forbidden_or_critical() {
-        let (_, set) = figure5();
-        let big = set.component_containing(c3(5, 5, 5)).unwrap();
-        let hole = c3(6, 6, 5);
-        // The hole sits between cells on its X-line ((5,6,5) and (7,6,5)):
-        // neither strictly below nor strictly above the extent.
-        assert!(!big.in_forbidden(Axis3::X, hole));
-        assert!(!big.in_critical(Axis3::X, hole));
     }
 
     #[test]

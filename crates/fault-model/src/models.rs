@@ -12,9 +12,9 @@
 //!
 //! No trial step reads the MCC shapes ([`MccSet2`] / [`MccSet3`]): the
 //! existence conditions and the exact routers use the labelling's unsafe
-//! closure. Their readers — region statistics, the `PairRecords` ablation,
-//! the protocols and [`IncrementalModels`](crate::IncrementalModels) —
-//! build them on their own, the last through [`ModelSpace`].
+//! closure. Their readers — region statistics, the protocols and
+//! [`IncrementalModels`](crate::IncrementalModels) — build them on their
+//! own, the last through [`ModelSpace`].
 //!
 //! A [`ModelCache`] ([`ModelCache2`] / [`ModelCache3`]) therefore memoizes
 //! each model the first time an orientation asks for it and hands out

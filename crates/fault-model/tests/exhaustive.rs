@@ -32,30 +32,23 @@ mod reference;
 #[path = "reference/rfb.rs"]
 mod rfb_reference;
 
-use fault_model::mcc2::MccSet2;
-use fault_model::oracle;
-use fault_model::{
-    minimal_path_exists_2d, minimal_path_exists_3d, BorderPolicy, FaultBlocks, Labelling,
-    ModelSpace, NodeStatus,
-};
+use fault_model::condition::evaluate;
+use fault_model::oracle::Useful;
+use fault_model::{BorderPolicy, FaultBlocks, Labelling, NodeStatus};
 use fault_sets::FaultSets;
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
 use rfb_reference::{RefBlocks2, RefBlocks3};
 
 /// Fault sets per checked range.
 const CHUNK: u64 = 256;
 
 /// The per-dimension references.
-trait Dim: ModelSpace {
+trait Dim: Space {
     fn mesh(extents: [i32; 3], torus: bool) -> Mesh<Self>;
     /// The hash reference's statuses on a mesh, by canonical index.
     fn hash(mesh: &Mesh<Self>, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus>;
     /// The reference block model: disabled set, blocks, sacrificed count.
     fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize);
-    /// The existence condition for the canonical pair `s`, `d`.
-    fn condition(lab: &Labelling<Self>, mccs: &Self::Mccs, s: Self::Coord, d: Self::Coord) -> bool;
-    /// The reachability oracle for the canonical pair `s`, `d`.
-    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool;
 }
 
 impl Dim for NodeSpace2 {
@@ -75,12 +68,6 @@ impl Dim for NodeSpace2 {
         let r = RefBlocks2::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
     }
-    fn condition(lab: &Labelling<Self>, mccs: &MccSet2, s: Self::Coord, d: Self::Coord) -> bool {
-        minimal_path_exists_2d(lab, mccs, s, d).exists()
-    }
-    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
-        oracle::reachable_2d(s, d, blocked)
-    }
 }
 
 impl Dim for NodeSpace3 {
@@ -99,12 +86,6 @@ impl Dim for NodeSpace3 {
     fn ref_blocks(mesh: &Mesh3D) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize) {
         let r = RefBlocks3::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
-    }
-    fn condition(lab: &Labelling<Self>, _: &Self::Mccs, s: Self::Coord, d: Self::Coord) -> bool {
-        minimal_path_exists_3d(lab, s, d).exists()
-    }
-    fn reachable(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> bool {
-        oracle::reachable_3d(s, d, blocked)
     }
 }
 
@@ -150,7 +131,7 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
     // MCC capture within block capture, and the condition against the
     // oracle. The border-safe labelling of each frame a pair uses is
     // computed once.
-    let mut models: Vec<(S::Frame, Labelling<S>, S::Mccs)> = Vec::new();
+    let mut models: Vec<(S::Frame, Labelling<S>)> = Vec::new();
     for frame in S::all_frames(mesh) {
         let i = model(&mut models, mesh, frame);
         let lab = &models[i].1;
@@ -168,10 +149,10 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
         for &d in &healthy {
             let frame = S::frame_for_pair(mesh, s, d);
             let i = model(&mut models, mesh, frame);
-            let (_, lab, mccs) = &models[i];
             let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
-            let claim = S::condition(lab, mccs, cs, cd);
-            let truth = S::reachable(cs, cd, |c| mesh.is_faulty(S::from_canon(frame, c)));
+            let claim = evaluate(&models[i].1, cs, cd, &mut Useful::scratch()).exists();
+            let blocked = |c| mesh.is_faulty(S::from_canon(frame, c));
+            let truth = Useful::<S>::compute(cs, cd, blocked).contains(cs);
             if claim != truth {
                 return Err(format!("condition {s} -> {d}: {claim}, oracle {truth}"));
             }
@@ -180,10 +161,10 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
     Ok(())
 }
 
-/// The position in `models` of the border-safe labelling and MCCs of
-/// `mesh` under `frame`, computed on first use.
+/// The position in `models` of the border-safe labelling of `mesh` under
+/// `frame`, computed on first use.
 fn model<S: Dim>(
-    models: &mut Vec<(S::Frame, Labelling<S>, S::Mccs)>,
+    models: &mut Vec<(S::Frame, Labelling<S>)>,
     mesh: &Mesh<S>,
     frame: S::Frame,
 ) -> usize {
@@ -191,8 +172,7 @@ fn model<S: Dim>(
         return i;
     }
     let lab = Labelling::<S>::compute(mesh, frame, BorderPolicy::BorderSafe);
-    let mccs = S::mccs(&lab);
-    models.push((frame, lab, mccs));
+    models.push((frame, lab));
     models.len() - 1
 }
 

@@ -5,8 +5,9 @@
 //!   avoiding the whole *unsafe closure* exists — no healthy node an MCC
 //!   captures could ever have helped a minimal routing.
 //! * **Shape**: every 2-D MCC is HV-convex (contiguous rows/columns).
-//! * **Condition exactness**: `minimal_path_exists_2d/3d` agrees with the
-//!   fault-avoiding oracle for every endpoint combination.
+//! * **Condition exactness**: the existence condition of Theorems 1 and 2
+//!   (`fault_model::condition::evaluate`) agrees with the fault-avoiding
+//!   oracle for every endpoint combination, on meshes and tori.
 //! * **Model ordering**: MCC sacrifices ≤ RFB sacrifices; RFB success
 //!   implies MCC success.
 //! * **Representation equivalence**: the flat bitset pipeline
@@ -18,13 +19,11 @@
 mod reference;
 
 use fault_model::components::{Components2, Components3};
+use fault_model::condition::evaluate;
 use fault_model::mcc2::MccSet2;
 use fault_model::mcc3::MccSet3;
-use fault_model::oracle;
-use fault_model::{
-    minimal_path_exists_2d, minimal_path_exists_3d, BorderPolicy, FaultBlocks2, FaultBlocks3,
-    Labelling2, Labelling3,
-};
+use fault_model::oracle::{self, Useful};
+use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, Labelling2, Labelling3};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
 use proptest::prelude::*;
@@ -64,6 +63,34 @@ fn canon_pair3(s: C3, d: C3) -> (C3, C3) {
         c3(s.x.min(d.x), s.y.min(d.y), s.z.min(d.z)),
         c3(s.x.max(d.x), s.y.max(d.y), s.z.max(d.z)),
     )
+}
+
+/// The existence condition equals the fault-avoiding oracle for the
+/// healthy pair `(s, d)`, evaluated through the pair's frame.
+fn condition_exact<S: Space>(
+    mesh: &Mesh<S>,
+    s: S::Coord,
+    d: S::Coord,
+) -> Result<(), TestCaseError> {
+    let frame = S::frame_for_pair(mesh, s, d);
+    let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+    let lab = Labelling::<S>::compute(mesh, frame, BorderPolicy::BorderSafe);
+    let claim = evaluate(&lab, cs, cd, &mut Useful::scratch()).exists();
+    let blocked = |c| mesh.is_faulty(S::from_canon(frame, c));
+    let truth = Useful::<S>::compute(cs, cd, blocked).contains(cs);
+    prop_assert_eq!(
+        claim,
+        truth,
+        "condition mismatch: s={:?} d={:?} cs={:?} cd={:?} statuses {:?} {:?} faults={:?}",
+        s,
+        d,
+        cs,
+        cd,
+        lab.status(cs),
+        lab.status(cd),
+        mesh.faults()
+    );
+    Ok(())
 }
 
 proptest! {
@@ -119,13 +146,7 @@ proptest! {
     fn condition2_exact(mesh in arb_mesh2(), sx in 0..W, sy in 0..W, dx in 0..W, dy in 0..W) {
         let (s, d) = canon_pair2(c2(sx, sy), c2(dx, dy));
         prop_assume!(mesh.is_healthy(s) && mesh.is_healthy(d));
-        let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-        let set = MccSet2::compute(&lab);
-        let claim = minimal_path_exists_2d(&lab, &set, s, d).exists();
-        let truth = oracle::reachable_2d(s, d, |c| mesh.is_faulty(c) || !mesh.contains(c));
-        prop_assert_eq!(claim, truth,
-            "condition mismatch: s={} d={} s_status={:?} d_status={:?} faults={:?}",
-            s, d, lab.status(s), lab.status(d), mesh.faults());
+        condition_exact(&mesh, s, d)?;
     }
 
     /// The 3-D existence condition equals ground truth.
@@ -135,11 +156,7 @@ proptest! {
                         dx in 0..K, dy in 0..K, dz in 0..K) {
         let (s, d) = canon_pair3(c3(sx, sy, sz), c3(dx, dy, dz));
         prop_assume!(mesh.is_healthy(s) && mesh.is_healthy(d));
-        let lab = Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-        let claim = minimal_path_exists_3d(&lab, s, d).exists();
-        let truth = oracle::reachable_3d(s, d, |c| mesh.is_faulty(c) || !mesh.contains(c));
-        prop_assert_eq!(claim, truth,
-            "condition mismatch: s={} d={} faults={:?}", s, d, mesh.faults());
+        condition_exact(&mesh, s, d)?;
     }
 
     /// MCC is the finer model: it never sacrifices more healthy nodes than
@@ -357,15 +374,7 @@ proptest! {
         let (w, h) = (mesh.width(), mesh.height());
         let (s, d) = (c2(sx % w, sy % h), c2(dx % w, dy % h));
         prop_assume!(mesh.is_healthy(s) && mesh.is_healthy(d));
-        let frame = Frame2::for_pair(&mesh, s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let lab = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
-        let set = MccSet2::compute(&lab);
-        let claim = minimal_path_exists_2d(&lab, &set, cs, cd).exists();
-        let truth = oracle::reachable_2d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
-        prop_assert_eq!(claim, truth,
-            "torus condition mismatch: s={} d={} cs={} cd={} faults={:?}",
-            s, d, cs, cd, mesh.faults());
+        condition_exact(&mesh, s, d)?;
     }
 
     /// The 3-D existence condition stays exact on tori.
@@ -376,13 +385,7 @@ proptest! {
         let (nx, ny, nz) = (mesh.nx(), mesh.ny(), mesh.nz());
         let (s, d) = (c3(sx % nx, sy % ny, sz % nz), c3(dx % nx, dy % ny, dz % nz));
         prop_assume!(mesh.is_healthy(s) && mesh.is_healthy(d));
-        let frame = Frame3::for_pair(&mesh, s, d);
-        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let lab = Labelling3::compute(&mesh, frame, BorderPolicy::BorderSafe);
-        let claim = minimal_path_exists_3d(&lab, cs, cd).exists();
-        let truth = oracle::reachable_3d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
-        prop_assert_eq!(claim, truth,
-            "torus condition mismatch: s={} d={} faults={:?}", s, d, mesh.faults());
+        condition_exact(&mesh, s, d)?;
     }
 }
 

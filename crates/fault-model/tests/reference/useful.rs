@@ -9,7 +9,7 @@
 
 #![allow(dead_code)]
 
-use mesh_topo::{NodeSet, C2, C3};
+use mesh_topo::{Coord, NodeSet, C2, C3};
 
 /// The backward reachability set in 2-D: all nodes `u` in `[s, d]` from which
 /// `d` is monotonically reachable avoiding blocked nodes.

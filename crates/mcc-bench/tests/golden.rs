@@ -16,8 +16,9 @@
 use mcc_bench::runner::run_scenario;
 use mcc_bench::scenario::Scenario;
 
-/// Kept out of debug builds: its 4th row trips `Router3::route`'s
-/// "exact rule can never strand a feasible route" debug assertion — the
+/// Kept out of debug builds: its 4th row trips the exact route's
+/// "exact rule can never strand a feasible route" debug check
+/// (`mcc_routing::route_space`) — the
 /// 3-D feasibility-detection defect that is ROADMAP's first open item
 /// ("3-D feasibility detection must agree with Theorem 2"). Release
 /// builds, and the CI golden loop, still diff it.

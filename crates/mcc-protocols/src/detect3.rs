@@ -11,11 +11,16 @@
 //! * reports success by retracing its parent chain when it reaches the
 //!   flood's target face.
 //!
+//! The first two are `mcc_routing::feasibility3::Surface::for_each_move`
+//! and the last `Surface::arrived`, over the node's neighbor statuses: the
+//! same functions the semantic floods call, so the rule is stated once.
+//!
 //! Tests verify the verdict equals the semantic `detect_3d` on random
 //! instances, and the message counts feed experiment E5.
 
 use fault_model::NodeStatus;
-use mesh_topo::{Axis3, Dir3, Mesh3D, NodeSpace3, C3};
+use mcc_routing::feasibility3::SURFACES;
+use mesh_topo::{Axis3, Box3, Coord, Dir3, Mesh3D, NodeSpace3, C3};
 use sim_net::{RunStats, SimNet};
 
 use crate::labelling::DistLabelling3;
@@ -54,16 +59,6 @@ pub enum Detect3Msg {
     },
 }
 
-/// The per-surface axis assignment: `(main axes, detour axis, target axis)`
-/// — the pairing of Algorithm 6.
-pub fn surface_axes(kind: usize) -> ([Axis3; 2], Axis3, Axis3) {
-    match kind {
-        0 => ([Axis3::Y, Axis3::Z], Axis3::X, Axis3::Y),
-        1 => ([Axis3::X, Axis3::Z], Axis3::Y, Axis3::Z),
-        _ => ([Axis3::X, Axis3::Y], Axis3::Z, Axis3::X),
-    }
-}
-
 /// Run the three detection floods from canonical safe `s` toward `d` over a
 /// converged distributed labelling. Returns `(feasible, stats)`.
 ///
@@ -83,7 +78,10 @@ pub fn detect_distributed_3d(
     let space = mesh.space();
     let mut net: SimNet<NodeSpace3, Detect3State, Detect3Msg> =
         SimNet::new(space, |_| Detect3State::default());
-    for i in 0..net.len() {
+    // Floods and their replies never leave the RMP box, so only its nodes
+    // need their statuses.
+    for c in Box3::spanning(s, d).iter() {
+        let i = space.index(c);
         let mut nbr_status = [None; 6];
         for dir in Dir3::ALL {
             if let Some(n) = space.step(i, dir) {
@@ -94,21 +92,10 @@ pub fn detect_distributed_3d(
         st.status = lab.net.state(i).status;
         st.nbr_status = nbr_status;
     }
-    let mut trivially_ok = [false; 3];
-    for (kind, ok) in trivially_ok.iter_mut().enumerate() {
-        let (_, _, target) = surface_axes(kind);
-        if s.get(target) == d.get(target) {
-            *ok = true;
-        } else {
-            net.post(
-                space.index(s),
-                Detect3Msg::Flood {
-                    kind,
-                    d,
-                    path: vec![],
-                },
-            );
-        }
+    let trivially_ok = SURFACES.map(|surface| surface.arrived(s, d));
+    for kind in (0..3).filter(|&kind| !trivially_ok[kind]) {
+        let path = vec![];
+        net.post(space.index(s), Detect3Msg::Flood { kind, d, path });
     }
     let max_rounds = 4 * (mesh.nx() + mesh.ny() + mesh.nz()) as usize + 32;
     let stats = net.run(max_rounds, move |state, inbox, ctx| {
@@ -124,8 +111,8 @@ pub fn detect_distributed_3d(
                     state.joined[kind] = true;
                     let mut path = path.clone();
                     path.push(me);
-                    let (main, detour, target) = surface_axes(kind);
-                    if me.get(target) == d.get(target) {
+                    let surface = SURFACES[kind];
+                    if surface.arrived(me, d) {
                         path.pop();
                         if let Some(&back) = path.last() {
                             ctx.send(space.index(back), Detect3Msg::Reply { kind, path });
@@ -134,35 +121,17 @@ pub fn detect_distributed_3d(
                         }
                         continue;
                     }
-                    let nbr_safe = |axis: Axis3| {
+                    let nbr_safe = |axis: Axis3, _| {
                         matches!(
                             state.nbr_status[axis.pos().index()],
                             Some(st) if st.is_safe()
                         )
                     };
-                    let mut any_main_blocked = false;
-                    for axis in main {
-                        if me.get(axis) >= d.get(axis) {
-                            continue;
-                        }
-                        if nbr_safe(axis) {
-                            let n = space.step(me_i, axis.pos()).expect("safe => in-mesh");
-                            ctx.send(
-                                n,
-                                Detect3Msg::Flood {
-                                    kind,
-                                    d,
-                                    path: path.clone(),
-                                },
-                            );
-                        } else {
-                            any_main_blocked = true;
-                        }
-                    }
-                    if any_main_blocked && me.get(detour) < d.get(detour) && nbr_safe(detour) {
-                        let n = space.step(me_i, detour.pos()).expect("safe => in-mesh");
-                        ctx.send(n, Detect3Msg::Flood { kind, d, path });
-                    }
+                    surface.for_each_move(me, d, nbr_safe, |v| {
+                        let path = path.clone();
+                        ctx.send(space.index(v), Detect3Msg::Flood { kind, d, path });
+                        false
+                    });
                 }
                 Detect3Msg::Reply { kind, path } => {
                     let mut path = path.clone();

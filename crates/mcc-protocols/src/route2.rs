@@ -2,8 +2,9 @@
 //!
 //! Phase one: two detection messages walk from the source (`+Y` with `+X`
 //! detours; `+X` with `+Y` detours), each deciding purely from the
-//! neighbor-status knowledge of the node it sits on, and *reply messages*
-//! retrace the walk back to the source — message costs included.
+//! neighbor-status knowledge of the node it sits on by the step rule the
+//! semantic walks use (`mcc_routing::feasibility2::walk_step`), and *reply
+//! messages* retrace the walk back to the source — message costs included.
 //!
 //! Phase two: the data message is forwarded hop by hop. At every node the
 //! candidate directions are the preferred ones whose neighbor is safe, and
@@ -15,7 +16,10 @@
 //! with `mcc_routing::detect_2d`, and the data message is delivered over a
 //! minimal path whenever the semantic condition admits one.
 
-use mesh_topo::{Dir2, Mesh2D, NodeSpace2, Path2, C2};
+use std::ops::ControlFlow;
+
+use mcc_routing::feasibility2::{walk_step, WALKS};
+use mesh_topo::{Coord, Dir2, Mesh2D, NodeSpace2, Path2, C2};
 use sim_net::{RunStats, SimNet};
 
 use crate::boundary2::{BoundState, Boundary2};
@@ -98,24 +102,18 @@ pub fn route_distributed_2d(mesh: &Mesh2D, bound: &Boundary2, s: C2, d: C2) -> D
         "distributed routing requires safe endpoints"
     );
     // Phase one: launch both detection walks.
-    net.post(
-        space.index(s),
-        RouteMsg::Detect {
-            main: Dir2::Yp,
-            side: Dir2::Xp,
-            d,
-            path: vec![],
-        },
-    );
-    net.post(
-        space.index(s),
-        RouteMsg::Detect {
-            main: Dir2::Xp,
-            side: Dir2::Yp,
-            d,
-            path: vec![],
-        },
-    );
+    for (main, side) in WALKS {
+        let path = vec![];
+        net.post(
+            space.index(s),
+            RouteMsg::Detect {
+                main,
+                side,
+                d,
+                path,
+            },
+        );
+    }
     let max_rounds = (6 * (w + h)) as usize + 32;
     let mut stats = net.run(max_rounds, make_step(space));
     // Read verdicts at the source.
@@ -158,23 +156,14 @@ fn make_step(
                     let (main, side, d) = (*main, *side, *d);
                     let mut path = path.clone();
                     path.push(me);
-                    let safe = |dir: Dir2| {
-                        space.step(me_i, dir).is_some()
-                            && matches!(state.base.nbr_status[dir.index()], Some(st) if st.is_safe())
+                    let safe = |v: C2| {
+                        me.dir_to(v).is_some_and(|dir| {
+                            space.step(me_i, dir).is_some()
+                                && matches!(state.base.nbr_status[dir.index()], Some(st) if st.is_safe())
+                        })
                     };
-                    let verdict = if me.get(main.axis()) == d.get(main.axis()) {
-                        Some(true) // reached the target edge of the RMP
-                    } else if safe(main) {
-                        None // keep walking along main
-                    } else if me.get(side.axis()) == d.get(side.axis()) {
-                        Some(false) // cannot detour without leaving the RMP
-                    } else if safe(side) {
-                        None
-                    } else {
-                        Some(false) // defensively unreachable (closure property)
-                    };
-                    match verdict {
-                        Some(ok) => {
+                    match walk_step(me, d, main, side, safe) {
+                        ControlFlow::Break(ok) => {
                             // Reply toward the source.
                             path.pop();
                             if let Some(&back) = path.last() {
@@ -183,22 +172,14 @@ fn make_step(
                                 state.verdicts.push((main, ok)); // walk ended at s
                             }
                         }
-                        None => {
-                            let dir = if me.get(main.axis()) < d.get(main.axis()) && safe(main) {
-                                main
-                            } else {
-                                side
+                        ControlFlow::Continue(next) => {
+                            let msg = RouteMsg::Detect {
+                                main,
+                                side,
+                                d,
+                                path,
                             };
-                            let next = space.step(me_i, dir).expect("walk stays in-mesh");
-                            ctx.send(
-                                next,
-                                RouteMsg::Detect {
-                                    main,
-                                    side,
-                                    d,
-                                    path,
-                                },
-                            );
+                            ctx.send(space.index(next), msg);
                         }
                     }
                 }

@@ -12,7 +12,7 @@
 //! global state leaks into the data path.
 
 use fault_model::{BorderPolicy, Labelling3};
-use mesh_topo::{Dir3, Mesh3D, Path3, C3};
+use mesh_topo::{Coord, Dir3, Mesh3D, Path3, C3};
 use sim_net::RunStats;
 
 use crate::detect3::detect_distributed_3d;

@@ -5,17 +5,18 @@
 //!   getting stuck in dead ends the labelling would have flagged. The gap
 //!   between its delivery rate and the oracle quantifies the value of fault
 //!   information.
-//! * [`route_rfb_2d`] / [`route_rfb_3d`] — routing under the rectangular /
-//!   cuboid block model: identical two-phase structure to the MCC router but
-//!   with the coarser disabled set, so feasibility is refused more often.
+//! * [`route_rfb_2d_in`] / [`route_rfb_3d_in`] — routing under the
+//!   rectangular / cuboid block model: identical two-phase structure to
+//!   the MCC router but with the coarser disabled set, so feasibility is
+//!   refused more often.
 //!
 //! Both run the one minimal-forwarding walk of the MCC routers, written
-//! once over the node space; the per-dimension functions only wrap its
-//! result in the dimension's outcome record.
+//! once over the node space (`greedy`, `rfb`); the per-dimension
+//! functions only wrap its result in the dimension's outcome record.
 
 use fault_model::oracle::{Useful, Useful2, Useful3};
 use fault_model::{FaultBlocks2, FaultBlocks3, Labelling, Labelling2, Labelling3};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, Space, C2, C3};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
 
 use crate::policy::Policy;
 use crate::trace::{RouteOutcome2, RouteOutcome3};
@@ -29,7 +30,6 @@ use crate::walk::{walk, Walk};
 /// # Panics
 /// If `s` does not precede `d` componentwise.
 pub fn route_greedy_2d(lab: &Labelling2, s: C2, d: C2, policy: &mut Policy) -> RouteOutcome2 {
-    assert!(s.dominated_by(d), "router requires canonical s <= d");
     RouteOutcome2::new(s, greedy(lab, s, d, policy), 0)
 }
 
@@ -38,37 +38,30 @@ pub fn route_greedy_2d(lab: &Labelling2, s: C2, d: C2, policy: &mut Policy) -> R
 /// # Panics
 /// If `s` does not precede `d` componentwise.
 pub fn route_greedy_3d(lab: &Labelling3, s: C3, d: C3, policy: &mut Policy) -> RouteOutcome3 {
-    assert!(s.dominated_by(d), "router requires canonical s <= d");
     RouteOutcome3::new(s, greedy(lab, s, d, policy), 0)
 }
 
-/// The greedy walk over healthy nodes; `None` if an endpoint is faulty or
-/// off the mesh.
-fn greedy<S: Space>(
+/// The greedy walk over healthy nodes for canonical `s ≤ d`; `None` if an
+/// endpoint is faulty or off the mesh.
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+pub(crate) fn greedy<S: Space>(
     lab: &Labelling<S>,
     s: S::Coord,
     d: S::Coord,
     policy: &mut Policy,
 ) -> Option<Walk<S::Coord>> {
+    assert!(s.dominated_by(d), "router requires canonical s <= d");
     let healthy = |c| lab.status_get(c).is_some_and(|t| !t.is_faulty());
     (healthy(s) && healthy(d)).then(|| walk(s, d, policy, healthy, |u| u))
 }
 
 /// Routing under the 2-D rectangular-block model. `s`, `d` are **mesh**
 /// coordinates (the block model is orientation-free; canonicalization is
-/// internal). Refuses whenever the block model sees no minimal path.
-pub fn route_rfb_2d(
-    blocks: &FaultBlocks2,
-    mesh: &Mesh2D,
-    s: C2,
-    d: C2,
-    policy: &mut Policy,
-) -> RouteOutcome2 {
-    route_rfb_2d_in(blocks, mesh, s, d, policy, &mut Useful2::scratch())
-}
-
-/// [`route_rfb_2d`] with a caller-provided scratch buffer for the
-/// block-useful set (see [`FaultBlocks2::minimal_path_exists_in`]).
+/// internal). Refuses whenever the block model sees no minimal path; the
+/// block-useful set is swept into the caller's `useful` (see
+/// [`FaultBlocks2::minimal_path_exists_in`]).
 pub fn route_rfb_2d_in(
     blocks: &FaultBlocks2,
     mesh: &Mesh2D,
@@ -85,34 +78,8 @@ pub fn route_rfb_2d_in(
     )
 }
 
-/// The tail of [`route_rfb_2d_in`], reusing a block-useful set the caller
-/// just computed for exactly this `(s, d)` — what
-/// [`FaultBlocks2::minimal_path_exists_in`] leaves behind when it admits
-/// the pair. Skips one box sweep; content-identical input means
-/// identical outcomes.
-pub(crate) fn route_rfb_2d_reusing(
-    mesh: &Mesh2D,
-    s: C2,
-    d: C2,
-    policy: &mut Policy,
-    useful: &Useful2,
-) -> RouteOutcome2 {
-    RouteOutcome2::new(s, rfb(mesh, s, d, policy, useful), 0)
-}
-
-/// Routing under the 3-D cuboid-block model (mesh coordinates).
-pub fn route_rfb_3d(
-    blocks: &FaultBlocks3,
-    mesh: &Mesh3D,
-    s: C3,
-    d: C3,
-    policy: &mut Policy,
-) -> RouteOutcome3 {
-    route_rfb_3d_in(blocks, mesh, s, d, policy, &mut Useful3::scratch())
-}
-
-/// [`route_rfb_3d`] with a caller-provided scratch buffer for the
-/// block-useful set (see [`FaultBlocks3::minimal_path_exists_in`]).
+/// Routing under the 3-D cuboid-block model (mesh coordinates; see
+/// [`route_rfb_2d_in`]).
 pub fn route_rfb_3d_in(
     blocks: &FaultBlocks3,
     mesh: &Mesh3D,
@@ -129,21 +96,12 @@ pub fn route_rfb_3d_in(
     )
 }
 
-/// 3-D form of [`route_rfb_2d_reusing`].
-pub(crate) fn route_rfb_3d_reusing(
-    mesh: &Mesh3D,
-    s: C3,
-    d: C3,
-    policy: &mut Policy,
-    useful: &Useful3,
-) -> RouteOutcome3 {
-    RouteOutcome3::new(s, rfb(mesh, s, d, policy, useful), 0)
-}
-
 /// The block router's walk over the block-useful set `useful` of the mesh
 /// pair `(s, d)`, in the pair's canonical frame with the path mapped back
-/// to mesh coordinates; `None` if the source is not block-useful.
-fn rfb<S: Space>(
+/// to mesh coordinates; `None` if the source is not block-useful. The
+/// trial pipeline calls it straight after the admission check, whose sweep
+/// is exactly this set.
+pub(crate) fn rfb<S: Space>(
     mesh: &Mesh<S>,
     s: S::Coord,
     d: S::Coord,
@@ -240,7 +198,14 @@ mod tests {
         }
         let blocks = FaultBlocks2::compute(&mesh);
         for mut policy in Policy::suite(7) {
-            let out = route_rfb_2d(&blocks, &mesh, c2(0, 0), c2(8, 8), &mut policy);
+            let out = route_rfb_2d_in(
+                &blocks,
+                &mesh,
+                c2(0, 0),
+                c2(8, 8),
+                &mut policy,
+                &mut Useful2::scratch(),
+            );
             assert!(out.delivered());
             assert!(out.path.is_minimal(&mesh, c2(0, 0), c2(8, 8)));
             // Never touches a disabled node.
@@ -259,7 +224,14 @@ mod tests {
         let blocks = FaultBlocks2::compute(&mesh);
         let d = c2(3, 4); // healthy, inside the 2x2 block
         assert!(mesh.is_healthy(d));
-        let out = route_rfb_2d(&blocks, &mesh, c2(0, 0), d, &mut Policy::x_first());
+        let out = route_rfb_2d_in(
+            &blocks,
+            &mesh,
+            c2(0, 0),
+            d,
+            &mut Policy::x_first(),
+            &mut Useful2::scratch(),
+        );
         assert_eq!(out.result, RouteResult::Infeasible);
         let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
         use fault_model::mcc2::MccSet2;
@@ -284,7 +256,14 @@ mod tests {
             (c3(5, 0, 5), c3(0, 5, 0)),
         ];
         for (s, d) in pairs {
-            let out = route_rfb_3d(&blocks, &mesh, s, d, &mut Policy::balanced());
+            let out = route_rfb_3d_in(
+                &blocks,
+                &mesh,
+                s,
+                d,
+                &mut Policy::balanced(),
+                &mut Useful3::scratch(),
+            );
             assert!(out.delivered(), "{s} -> {d}");
             assert!(out.path.is_minimal(&mesh, s, d));
         }

@@ -14,11 +14,18 @@
 //! The walks need only node-local status: a detour step is always possible
 //! because a safe node with both positive neighbors unsafe would have been
 //! labelled useless, contradicting its safety — the closure is exactly what
-//! makes this local rule complete.
+//! makes this local rule complete. [`walk_step`] states that rule once, for
+//! the walks below and for the message protocol of `mcc-protocols`.
+
+use std::ops::ControlFlow;
 
 use fault_model::Labelling2;
-use mesh_topo::{Dir2, C2};
+use mesh_topo::{Coord, Dir2, C2};
 use serde::{Deserialize, Serialize};
+
+/// The two detection walks as `(main, side)` directions: the `+Y` walk
+/// with `+X` detours, then the `+X` walk with `+Y` detours.
+pub const WALKS: [(Dir2, Dir2); 2] = [(Dir2::Yp, Dir2::Xp), (Dir2::Xp, Dir2::Yp)];
 
 /// Result of the source feasibility check.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -42,7 +49,7 @@ impl Detection2 {
 /// Run the two detection walks for canonical safe `s ≤ d`.
 ///
 /// Endpoints must be safe under `lab` (the theorems' precondition; callers
-/// triage labelled endpoints first — see `fault_model::condition2`).
+/// triage labelled endpoints first — see `fault_model::condition`).
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise, or an endpoint is unsafe.
@@ -53,40 +60,60 @@ pub fn detect_2d(lab: &Labelling2, s: C2, d: C2) -> Detection2 {
         "detection requires safe endpoints; triage labelled endpoints first"
     );
     let mut hops = 0;
-    let y_ok = walk(lab, s, d, Dir2::Yp, Dir2::Xp, &mut hops);
-    let x_ok = walk(lab, s, d, Dir2::Xp, Dir2::Yp, &mut hops);
+    let [(y_main, y_side), (x_main, x_side)] = WALKS;
+    let y_ok = walk(lab, s, d, y_main, y_side, &mut hops);
+    let x_ok = walk(lab, s, d, x_main, x_side, &mut hops);
     Detection2 { y_ok, x_ok, hops }
 }
 
-/// Wall-hugging monotone walk: advance along `main` whenever the next node
-/// is safe, detour along `side` when blocked, fail when a detour would
-/// leave the RMP.
+/// Wall-hugging monotone walk from `s`, one [`walk_step`] per node.
 fn walk(lab: &Labelling2, s: C2, d: C2, main: Dir2, side: Dir2, hops: &mut usize) -> bool {
     let mut pos = s;
     loop {
-        if pos.get(main.axis()) == d.get(main.axis()) {
-            return true; // reached the target edge of the RMP
+        match walk_step(pos, d, main, side, |v| lab.is_safe(v)) {
+            ControlFlow::Continue(next) => {
+                pos = next;
+                *hops += 1;
+            }
+            ControlFlow::Break(ok) => return ok,
         }
-        let fwd = pos.step(main);
-        if lab.is_safe(fwd) {
-            pos = fwd;
-            *hops += 1;
-            continue;
-        }
-        // Blocked along `main`: detour along `side`.
-        if pos.get(side.axis()) == d.get(side.axis()) {
-            return false; // cannot detour without leaving the RMP
-        }
-        let det = pos.step(side);
-        debug_assert!(
-            lab.is_safe(det),
-            "safe node {pos:?} with both positive neighbors unsafe cannot exist"
-        );
-        if !lab.is_safe(det) {
-            return false; // defensive: should be unreachable
-        }
-        pos = det;
-        *hops += 1;
+    }
+}
+
+/// What a detection walk does at `at` on its way to `d`: advance along
+/// `main` whenever that neighbor is safe, detour along `side` when it is
+/// blocked, succeed on reaching the target edge of the RMP (`main`'s
+/// coordinate equals `d`'s) and fail when a detour would leave the RMP.
+/// Returns the next node, or the verdict once the walk ends. `safe` is
+/// asked only about neighbors inside the RMP.
+#[inline]
+pub fn walk_step(
+    at: C2,
+    d: C2,
+    main: Dir2,
+    side: Dir2,
+    safe: impl Fn(C2) -> bool,
+) -> ControlFlow<bool, C2> {
+    if at.get(main.axis()) == d.get(main.axis()) {
+        return ControlFlow::Break(true); // reached the target edge of the RMP
+    }
+    let fwd = at.step(main);
+    if safe(fwd) {
+        return ControlFlow::Continue(fwd);
+    }
+    if at.get(side.axis()) == d.get(side.axis()) {
+        return ControlFlow::Break(false); // cannot detour without leaving the RMP
+    }
+    let detour = at.step(side);
+    let detour_safe = safe(detour);
+    debug_assert!(
+        detour_safe,
+        "safe node {at:?} with both positive neighbors unsafe cannot exist"
+    );
+    if detour_safe {
+        ControlFlow::Continue(detour)
+    } else {
+        ControlFlow::Break(false) // defensive: should be unreachable
     }
 }
 

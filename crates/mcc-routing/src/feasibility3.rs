@@ -13,11 +13,16 @@
 //!
 //! A minimal path exists iff all three floods succeed — the operational form
 //! of Theorem 2, property-tested against the semantic condition.
+//!
+//! [`Surface::for_each_move`] and [`Surface::arrived`] state the forwarding
+//! rule of one flood once, over a node, the destination and the safety of
+//! the node's in-box `+` neighbours; the breadth-first floods below and
+//! the message protocol of `mcc-protocols` both call them.
 
 use std::collections::VecDeque;
 
 use fault_model::Labelling3;
-use mesh_topo::{Axis3, NodeSet, NodeSpace3, C3};
+use mesh_topo::{Axis3, Coord, NodeSet, NodeSpace3, C3};
 use serde::{Deserialize, Serialize};
 
 /// Result of the source feasibility check in 3-D.
@@ -37,6 +42,82 @@ impl Detection3 {
     /// True iff routing may be activated (all three floods succeeded).
     pub fn feasible(self) -> bool {
         self.x_surface_ok && self.y_surface_ok && self.z_surface_ok
+    }
+}
+
+/// One surface flood of Algorithm 6: the axes it spreads along, the axis
+/// of its `+` turns, and the axis whose face it targets.
+#[derive(Clone, Copy, Debug)]
+pub struct Surface {
+    /// The two axes the flood always moves along.
+    main: [Axis3; 2],
+    /// The axis of the "+turn" around fault regions.
+    detour: Axis3,
+    /// The flood succeeds on the face where this coordinate equals the
+    /// destination's.
+    target: Axis3,
+}
+
+/// The three floods in the paper's pairing: the `(-X)`, `(-Y)` and `(-Z)`
+/// surfaces, in that order.
+pub const SURFACES: [Surface; 3] = [
+    Surface::new([Axis3::Y, Axis3::Z], Axis3::X, Axis3::Y),
+    Surface::new([Axis3::X, Axis3::Z], Axis3::Y, Axis3::Z),
+    Surface::new([Axis3::X, Axis3::Y], Axis3::Z, Axis3::X),
+];
+
+impl Surface {
+    const fn new(main: [Axis3; 2], detour: Axis3, target: Axis3) -> Surface {
+        Surface {
+            main,
+            detour,
+            target,
+        }
+    }
+
+    /// True once the flood at `u` has reached its target face.
+    #[inline]
+    pub fn arrived(self, u: C3, d: C3) -> bool {
+        u.get(self.target) == d.get(self.target)
+    }
+
+    /// Call `enter` with each `+` neighbour the flood at `u` enters, in
+    /// the order `main[0]`, `main[1]`, `detour`: each neighbour along a
+    /// main axis inside the RMP `[.., d]` that is safe, and the detour
+    /// neighbour — inside the RMP, safe — only when some in-box main
+    /// neighbour is unsafe (the paper's "+turn"). A main axis already at
+    /// the RMP's face is skipped. `safe(axis, v)` reports whether `v`, the
+    /// neighbour along `axis`, is safe; it is asked only about neighbours
+    /// inside the RMP, in the same order. `enter` returns true to stop the
+    /// flood (it has arrived); the return value says whether it stopped.
+    #[inline]
+    pub fn for_each_move(
+        self,
+        u: C3,
+        d: C3,
+        safe: impl Fn(Axis3, C3) -> bool,
+        mut enter: impl FnMut(C3) -> bool,
+    ) -> bool {
+        let mut any_main_blocked = false;
+        for axis in self.main {
+            if u.get(axis) >= d.get(axis) {
+                continue; // face of the RMP along this axis
+            }
+            let v = u.step(axis.pos());
+            if !safe(axis, v) {
+                any_main_blocked = true;
+            } else if enter(v) {
+                return true;
+            }
+        }
+        let detour = self.detour;
+        if any_main_blocked && u.get(detour) < d.get(detour) {
+            let v = u.step(detour.pos());
+            if safe(detour, v) {
+                return enter(v);
+            }
+        }
+        false
     }
 }
 
@@ -85,16 +166,8 @@ pub fn detect_3d_in(lab: &Labelling3, s: C3, d: C3, scratch: &mut FloodScratch3)
         lab.is_safe(s) && lab.is_safe(d),
         "detection requires safe endpoints; triage labelled endpoints first"
     );
-    // Flood main axes / detour axis / target face, per the paper's pairing.
-    const SURFACES: [([Axis3; 2], Axis3, Axis3); 3] = [
-        ([Axis3::Y, Axis3::Z], Axis3::X, Axis3::Y),
-        ([Axis3::X, Axis3::Z], Axis3::Y, Axis3::Z),
-        ([Axis3::X, Axis3::Y], Axis3::Z, Axis3::X),
-    ];
     let mut visited = 0;
-    let [x, y, z] = SURFACES.map(|(main, detour, target)| {
-        flood(lab, s, d, main, detour, target, &mut visited, scratch)
-    });
+    let [x, y, z] = SURFACES.map(|surface| flood(lab, s, d, surface, &mut visited, scratch));
     Detection3 {
         x_surface_ok: x,
         y_surface_ok: y,
@@ -104,27 +177,22 @@ pub fn detect_3d_in(lab: &Labelling3, s: C3, d: C3, scratch: &mut FloodScratch3)
 }
 
 /// Surface flood: breadth-first propagation from `s` over safe nodes of the
-/// RMP. Moves along the two `main` axes are always allowed; a move along
-/// the `detour` axis is taken only by a node with a blocked `main` move
-/// (the "+turn" of the paper). Succeeds upon reaching the face where the
-/// `target` coordinate equals the destination's.
+/// RMP along [`Surface::for_each_move`], succeeding upon reaching the
+/// target face.
 ///
 /// The visited map is a flat `NodeSet` bitset over the `[s, d]` RMP box
 /// (the flood never leaves it), so per-detection cost scales with the
 /// routing box, not the whole mesh — and no coordinate is ever re-hashed.
 /// Both the bitset and the queue live in the caller's [`FloodScratch3`].
-#[allow(clippy::too_many_arguments)] // axis roles + counters are clearest flat
 fn flood(
     lab: &Labelling3,
     s: C3,
     d: C3,
-    main: [Axis3; 2],
-    detour: Axis3,
-    target: Axis3,
+    surface: Surface,
     visited_count: &mut usize,
     scratch: &mut FloodScratch3,
 ) -> bool {
-    if s.get(target) == d.get(target) {
+    if surface.arrived(s, d) {
         return true;
     }
     let space = NodeSpace3::new(d.x - s.x + 1, d.y - s.y + 1, d.z - s.z + 1);
@@ -136,33 +204,26 @@ fn flood(
     queue.push_back(s);
     while let Some(u) = queue.pop_front() {
         *visited_count += 1;
-        let mut any_main_blocked = false;
-        for axis in main {
-            if u.get(axis) >= d.get(axis) {
-                continue; // face of the RMP along this axis
-            }
-            let v = u.step(axis.pos());
-            if lab.is_safe(v) {
-                if v.get(target) == d.get(target) {
+        let safe = |_, v| lab.is_safe(v);
+        // Out of line, `enter` costs the flood about a fifth of its time:
+        // `for_each_move` calls it from two places.
+        let arrived = surface.for_each_move(
+            u,
+            d,
+            safe,
+            #[inline(always)]
+            |v| {
+                if surface.arrived(v, d) {
                     return true;
                 }
                 if seen.insert(space.index(v - s)) {
                     queue.push_back(v);
                 }
-            } else {
-                any_main_blocked = true;
-            }
-        }
-        if any_main_blocked && u.get(detour) < d.get(detour) {
-            let v = u.step(detour.pos());
-            if lab.is_safe(v) {
-                if v.get(target) == d.get(target) {
-                    return true;
-                }
-                if seen.insert(space.index(v - s)) {
-                    queue.push_back(v);
-                }
-            }
+                false
+            },
+        );
+        if arrived {
+            return true;
         }
     }
     false

@@ -9,10 +9,10 @@
 //! * [`policy`] — pluggable fully-adaptive selection policies (the paper
 //!   lets "any fully adaptive and minimal routing process" pick among the
 //!   surviving preferred directions),
-//! * [`router2`] / [`router3`] — the two-phase routing processes
-//!   (Algorithms 3 and 6): feasibility check at the source, then per-hop
-//!   forwarding that never enters a detour area (one private walk, shared
-//!   with the baselines),
+//! * [`router2`] / [`router3`] — the entry points of the two-phase routing
+//!   processes (Algorithms 3 and 6): feasibility check at the source, then
+//!   per-hop forwarding that never enters a detour area (one private walk,
+//!   shared with the baselines),
 //! * [`baseline`] — comparison routers: greedy (no fault information) and
 //!   rectangular/cuboid-block routing,
 //! * [`trace`] — route outcomes, adaptivity and path-quality metrics,
@@ -22,8 +22,8 @@
 //!   (orientation-keyed) plus reusable scratch buffers, so a batch of
 //!   trials against one fault configuration pays for model construction
 //!   once instead of once per pair,
-//! * [`route_space`] — [`RouteSpace`], the per-dimension steps (Theorem 1
-//!   or 2, Algorithm 3 or 6, the baselines) the one trial pipeline calls.
+//! * [`route_space`] — the two-phase route written once over the node
+//!   space, and [`RouteSpace`], its one per-dimension step: detection.
 //!
 //! Module ↔ paper map: [`feasibility2`] and [`router2`] are Algorithm 3
 //! (Section 3, 2-D routing); [`feasibility3`] and [`router3`] are
@@ -79,7 +79,7 @@ pub use feasibility2::{detect_2d, Detection2};
 pub use feasibility3::{detect_3d, detect_3d_in, Detection3, FloodScratch3};
 pub use policy::Policy;
 pub use prepared::{PreparedMesh, PreparedMesh2, PreparedMesh3};
-pub use route_space::RouteSpace;
+pub use route_space::{route_in, RouteSpace};
 pub use router2::Router2;
 pub use router3::{RouteScratch3, Router3};
 pub use trace::{RouteOutcome2, RouteOutcome3, RouteSummary};

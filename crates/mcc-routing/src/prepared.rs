@@ -18,11 +18,11 @@
 //!   flood — runs in scratch buffers owned by the prepared mesh, so
 //!   steady-state trials allocate only their output paths.
 //!
-//! One body serves both dimensions: the oracle and the block check go
-//! through the generic `Useful<S>` and `FaultBlocks<S>`, and only the steps
-//! the paper states per dimension — the existence condition, the exact
-//! router and the baselines — are reached through [`RouteSpace`].
-//! [`PreparedMesh2`] and [`PreparedMesh3`] name its two instances.
+//! One body serves both dimensions: the oracle, the existence condition,
+//! the block check, the routes and the baselines are all generic, and
+//! only detection — the one step the paper states per dimension — is
+//! reached through [`RouteSpace`]. [`PreparedMesh2`] and [`PreparedMesh3`]
+//! name its two instances.
 //!
 //! Results are **identical** to the fresh-per-trial functions (the fresh
 //! functions are thin wrappers over this path, and a property-test battery
@@ -54,12 +54,15 @@
 //! }
 //! ```
 
+use fault_model::condition::evaluate;
 use fault_model::oracle::Useful;
 use fault_model::ModelCache;
 use mesh_topo::{Mesh, NodeSpace2, NodeSpace3};
 
+use crate::baseline::{greedy, rfb};
 use crate::policy::Policy;
-use crate::route_space::RouteSpace;
+use crate::route_space::{route_exact_reusing, RouteSpace};
+use crate::trace::RouteSummary;
 use crate::trial::{TrialOptions, TrialResult};
 
 /// A fault configuration prepared for a batch of routing trials:
@@ -75,7 +78,7 @@ pub struct PreparedMesh<'m, S: RouteSpace> {
     /// router (which reuses the condition's sweep) — kept separate from
     /// `useful` so the block-model check in between cannot clobber it.
     cond_useful: Useful<S>,
-    /// The exact router's own scratch (the 3-D detection flood).
+    /// Detection's own scratch (the 3-D flood).
     scratch: S::RouteScratch,
 }
 
@@ -130,7 +133,7 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
         let oracle_ok = self.useful.contains(cs);
         // The condition's sweep stays in `cond_useful` for the router; the
         // block check's sweep stays in `useful` for the block router.
-        let mcc_ok = opts.eval_mcc && S::mcc_ok(lab, cs, cd, &mut self.cond_useful);
+        let mcc_ok = opts.eval_mcc && evaluate(lab, cs, cd, &mut self.cond_useful).exists();
         let rfb_ok = blocks.is_some_and(|b| b.minimal_path_exists_in(mesh, s, d, &mut self.useful));
         let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
 
@@ -143,14 +146,14 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
         };
 
         if opts.eval_greedy {
-            let greedy = S::route_greedy(lab, cs, cd, &mut Policy::random(policy_seed));
-            result.greedy_ok = greedy.delivered;
+            let walk = greedy(lab, cs, cd, &mut Policy::random(policy_seed));
+            result.greedy_ok = RouteSummary::new(cs, walk, 0).delivered;
         }
 
         if endpoints_safe && opts.eval_mcc {
             // `cond_useful` still holds the condition's closure sweep for
             // exactly this canonical pair (or is unread: s == d).
-            let out = S::route_reusing(
+            let (walk, cost) = route_exact_reusing(
                 lab,
                 cs,
                 cd,
@@ -158,6 +161,7 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
                 &self.cond_useful,
                 &mut self.scratch,
             );
+            let out = RouteSummary::new(cs, walk, cost);
             result.detection_cost = out.detection_cost;
             if out.delivered {
                 result.mcc_delivered = true;
@@ -168,13 +172,14 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
         if rfb_ok {
             // `useful` still holds the block check's sweep, which admitted
             // this pair — the block router forwards straight over it.
-            let out = S::route_rfb_reusing(
+            let walk = rfb(
                 mesh,
                 s,
                 d,
                 &mut Policy::random(policy_seed ^ 0x51),
                 &self.useful,
             );
+            let out = RouteSummary::new(s, walk, 0);
             if out.delivered {
                 result.rfb_adaptivity = out.adaptivity;
             }

@@ -1,166 +1,156 @@
-//! The per-pair steps the paper makes dimension-specific, behind one
-//! trait.
+//! The two-phase route of Algorithms 3 and 6, written once over the node
+//! space, and the one step of it the paper makes dimension-specific.
 //!
-//! Everything around a routing trial — model caching, the reachability
-//! oracle, the block check, frame handling, result assembly — is written
-//! once over a node space ([`crate::prepared::PreparedMesh`], the shard
-//! bodies of `mesh-service`). What the paper states once per dimension
-//! stays twinned, and [`RouteSpace`] names exactly that:
+//! Both algorithms run the same two phases at the source: step 1 checks
+//! feasibility with detection messages, and only if they admit the pair
+//! does step 2 forward the message over the preferred directions whose
+//! neighbour is safe and not in a detour area (the one shared walk). The
+//! existence condition gating the MCC model is one function too
+//! ([`fault_model::condition::evaluate`]), because Theorems 1 and 2 are
+//! both evaluated as reachability that avoids the unsafe closure
+//! (DESIGN.md §1). What differs is detection alone — two boundary walks in
+//! 2-D ([`crate::feasibility2`]), three surface floods in 3-D
+//! ([`crate::feasibility3`], with scratch of their own) — so [`RouteSpace`]
+//! names exactly that step.
 //!
-//! * the existence condition gating the MCC model — Theorem 1 in 2-D,
-//!   Theorem 2 in 3-D;
-//! * the exact router — Algorithm 3 in 2-D, Algorithm 6 in 3-D (whose
-//!   detection floods need scratch of their own);
-//! * the Section 6 baselines it is compared against — the
-//!   information-free greedy router and the faulty-block router.
-//!
-//! Every method forwards to the existing per-dimension function, so a
-//! generic caller runs exactly the code a dimension-specific one did. No
-//! hook reads an MCC set: the condition and the exact rule are evaluated
-//! over the labelling's unsafe closure (DESIGN.md §1, §9).
+//! Everything around it — endpoint triage, the exact rule's
+//! backward-reachability set over the unsafe closure, the walk and its
+//! never-stranded check — is the generic code below, which the routers
+//! ([`crate::Router2`], [`crate::Router3`]), the trial pipeline
+//! ([`crate::prepared::PreparedMesh`]) and the shard bodies of
+//! `mesh-service` ([`route_in`]) call. No step reads an MCC set.
 
-use fault_model::condition2;
-use fault_model::minimal_path_exists_3d_in;
-use fault_model::oracle::{Useful, Useful2, Useful3};
-use fault_model::{Labelling, Labelling2, Labelling3, ModelSpace};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, C2, C3};
+use fault_model::oracle::Useful;
+use fault_model::{Labelling, ModelSpace};
+use mesh_topo::{Coord, NodeSpace2, NodeSpace3, C2, C3};
 
-use crate::baseline;
-use crate::feasibility3::FloodScratch3;
+use crate::feasibility2::detect_2d;
+use crate::feasibility3::{detect_3d_in, FloodScratch3};
 use crate::policy::Policy;
 use crate::trace::RouteSummary;
-use crate::{router2, router3};
+use crate::walk::{walk, Walk};
 
-/// A node space with the paper's per-dimension routing steps.
+/// A node space with the paper's per-dimension routing step: detection.
 pub trait RouteSpace: ModelSpace {
-    /// The exact router's per-route scratch beside its reachability set:
-    /// the detection-flood state of Algorithm 6 in 3-D, nothing in 2-D.
+    /// Detection's per-route scratch: the flood state of Algorithm 6 in
+    /// 3-D, nothing in 2-D.
     type RouteScratch: Clone + std::fmt::Debug + Default;
 
-    /// The existence condition on the canonical pair, over the labelling
-    /// alone. The condition's sweep is left in `useful`.
-    fn mcc_ok(
+    /// Step 1 of Algorithm 3 or 6 for canonical safe `s ≤ d`: whether the
+    /// detection messages admit the pair, and their cost (hops in 2-D,
+    /// visited nodes in 3-D).
+    fn detect(
         lab: &Labelling<Self>,
         s: Self::Coord,
         d: Self::Coord,
-        useful: &mut Useful<Self>,
-    ) -> bool;
-
-    /// Route the canonical pair with the exact rule, reusing the
-    /// backward-reachability set the admission gate just left in `useful`
-    /// for exactly this pair (the trial form: no second sweep).
-    fn route_reusing(
-        lab: &Labelling<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-        useful: &Useful<Self>,
         scratch: &mut Self::RouteScratch,
-    ) -> RouteSummary;
-
-    /// Route the canonical pair with the exact rule, sweeping the
-    /// backward-reachability set into `useful` once detection admits the
-    /// pair (the service form).
-    fn route_in(
-        lab: &Labelling<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-        useful: &mut Useful<Self>,
-        scratch: &mut Self::RouteScratch,
-    ) -> RouteSummary;
-
-    /// The information-free greedy baseline on the canonical pair.
-    fn route_greedy(
-        lab: &Labelling<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-    ) -> RouteSummary;
-
-    /// The faulty-block baseline on the **mesh** pair, forwarding over the
-    /// block-useful set the block check just left in `useful`.
-    fn route_rfb_reusing(
-        mesh: &Mesh<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
-        policy: &mut Policy,
-        useful: &Useful<Self>,
-    ) -> RouteSummary;
+    ) -> (bool, usize);
 }
 
 impl RouteSpace for NodeSpace2 {
     type RouteScratch = ();
 
-    fn mcc_ok(lab: &Labelling2, s: C2, d: C2, useful: &mut Useful2) -> bool {
-        condition2::evaluate_in(lab, s, d, useful).exists()
-    }
-
-    fn route_reusing(
-        lab: &Labelling2,
-        s: C2,
-        d: C2,
-        policy: &mut Policy,
-        useful: &Useful2,
-        _: &mut (),
-    ) -> RouteSummary {
-        router2::route_exact_reusing(lab, s, d, policy, useful).summary()
-    }
-
-    fn route_in(
-        lab: &Labelling2,
-        s: C2,
-        d: C2,
-        policy: &mut Policy,
-        useful: &mut Useful2,
-        _: &mut (),
-    ) -> RouteSummary {
-        router2::route_exact_in(lab, s, d, policy, useful).summary()
-    }
-
-    fn route_greedy(lab: &Labelling2, s: C2, d: C2, policy: &mut Policy) -> RouteSummary {
-        baseline::route_greedy_2d(lab, s, d, policy).summary()
-    }
-
-    fn route_rfb_reusing(m: &Mesh2D, s: C2, d: C2, p: &mut Policy, u: &Useful2) -> RouteSummary {
-        baseline::route_rfb_2d_reusing(m, s, d, p, u).summary()
+    fn detect(lab: &Labelling<Self>, s: C2, d: C2, _: &mut ()) -> (bool, usize) {
+        let det = detect_2d(lab, s, d);
+        (det.feasible(), det.hops)
     }
 }
 
 impl RouteSpace for NodeSpace3 {
     type RouteScratch = FloodScratch3;
 
-    fn mcc_ok(lab: &Labelling3, s: C3, d: C3, useful: &mut Useful3) -> bool {
-        minimal_path_exists_3d_in(lab, s, d, useful).exists()
+    fn detect(lab: &Labelling<Self>, s: C3, d: C3, flood: &mut FloodScratch3) -> (bool, usize) {
+        let det = detect_3d_in(lab, s, d, flood);
+        (det.feasible(), det.visited)
     }
+}
 
-    fn route_reusing(
-        lab: &Labelling3,
-        s: C3,
-        d: C3,
-        policy: &mut Policy,
-        useful: &Useful3,
-        flood: &mut FloodScratch3,
-    ) -> RouteSummary {
-        router3::route_exact_reusing(lab, s, d, policy, useful, flood).summary()
-    }
+/// A route's walk (`None` if the source refused it) and its detection
+/// cost.
+pub(crate) type Routed<C> = (Option<Walk<C>>, usize);
 
-    fn route_in(
-        lab: &Labelling3,
-        s: C3,
-        d: C3,
-        policy: &mut Policy,
-        useful: &mut Useful3,
-        flood: &mut FloodScratch3,
-    ) -> RouteSummary {
-        router3::route_exact_in(lab, s, d, policy, useful, flood).summary()
-    }
+/// Route the canonical pair with the exact rule, sweeping the
+/// backward-reachability set into `useful` once detection admits the pair
+/// (the service form).
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+pub fn route_in<S: RouteSpace>(
+    lab: &Labelling<S>,
+    s: S::Coord,
+    d: S::Coord,
+    policy: &mut Policy,
+    useful: &mut Useful<S>,
+    scratch: &mut S::RouteScratch,
+) -> RouteSummary {
+    let (walk, cost) = route_exact_in(lab, s, d, policy, useful, scratch);
+    RouteSummary::new(s, walk, cost)
+}
 
-    fn route_greedy(lab: &Labelling3, s: C3, d: C3, policy: &mut Policy) -> RouteSummary {
-        baseline::route_greedy_3d(lab, s, d, policy).summary()
-    }
+/// The walk of [`route_in`].
+pub(crate) fn route_exact_in<S: RouteSpace>(
+    lab: &Labelling<S>,
+    s: S::Coord,
+    d: S::Coord,
+    policy: &mut Policy,
+    useful: &mut Useful<S>,
+    scratch: &mut S::RouteScratch,
+) -> Routed<S::Coord> {
+    route(lab, s, d, policy, scratch, move || {
+        useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
+        move |v| useful.contains(v)
+    })
+}
 
-    fn route_rfb_reusing(m: &Mesh3D, s: C3, d: C3, p: &mut Policy, u: &Useful3) -> RouteSummary {
-        baseline::route_rfb_3d_reusing(m, s, d, p, u).summary()
+/// [`route_exact_in`] reusing a backward-reachability set the caller just
+/// computed for exactly this `(s, d)` over the unsafe closure — what the
+/// safe-endpoints branch of the existence condition leaves behind (the
+/// trial form). Skips one box sweep per route; the set's content is
+/// identical to what [`route_exact_in`] would recompute, so outcomes are
+/// unchanged. (The buffer is never read when `s == d`, the one case where
+/// the condition skips the sweep.)
+pub(crate) fn route_exact_reusing<S: RouteSpace>(
+    lab: &Labelling<S>,
+    s: S::Coord,
+    d: S::Coord,
+    policy: &mut Policy,
+    useful: &Useful<S>,
+    scratch: &mut S::RouteScratch,
+) -> Routed<S::Coord> {
+    route(lab, s, d, policy, scratch, || |v| useful.contains(v))
+}
+
+/// The route every entry point runs. Source-side triage first: refuse
+/// labelled endpoints (the model routes between safe nodes; cf. the
+/// endpoint triage of `fault_model::condition`), then run detection. Once
+/// it admits the pair, `useful()` builds the exact rule's test (the
+/// neighbour is not in a detour area) and the shared walk forwards.
+///
+/// # Panics
+/// If `s` does not precede `d` componentwise.
+fn route<S: RouteSpace, F: Fn(S::Coord) -> bool>(
+    lab: &Labelling<S>,
+    s: S::Coord,
+    d: S::Coord,
+    policy: &mut Policy,
+    scratch: &mut S::RouteScratch,
+    useful: impl FnOnce() -> F,
+) -> Routed<S::Coord> {
+    assert!(s.dominated_by(d), "router requires canonical s <= d");
+    if !lab.is_safe(s) || !lab.is_safe(d) {
+        return (None, 0);
     }
+    let (admitted, cost) = S::detect(lab, s, d, scratch);
+    if !admitted {
+        return (None, cost);
+    }
+    let useful = useful();
+    // Never forward into a fault region or a detour area.
+    let walk = walk(s, d, policy, |v| lab.is_safe(v) && useful(v), |u| u);
+    if cfg!(debug_assertions) {
+        if let Some(u) = walk.stuck_at {
+            panic!("exact rule can never strand a feasible route (at {u:?})");
+        }
+    }
+    (Some(walk), cost)
 }

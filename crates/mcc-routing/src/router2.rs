@@ -7,24 +7,15 @@
 //! neighbor behind it lies in a detour area for the current destination.
 //! Any [`Policy`] then picks the forwarding direction.
 //!
-//! Two exclusion rules are provided:
+//! The exclusion rule is the merged-region semantics of the boundary
+//! construction: a neighbor is excluded iff the destination is not
+//! monotonically reachable from it while avoiding the unsafe closure (the
+//! precomputed [`Useful2`] set). With this rule the router is provably
+//! stuck-free and minimal whenever feasibility held.
 //!
-//! * [`DecisionRule::BoundaryExact`] — the merged-region semantics of the
-//!   boundary construction: a neighbor is excluded iff the destination is
-//!   not monotonically reachable from it while avoiding the unsafe closure
-//!   (the precomputed [`Useful2`] set). With this rule the router is
-//!   provably stuck-free and minimal whenever feasibility held.
-//! * [`DecisionRule::PairRecords`] — the *unmerged* per-MCC records: a
-//!   neighbor is excluded iff some single MCC has the destination in its
-//!   critical region and the neighbor in the matching forbidden region.
-//!   This is what a node could decide from one MCC's boundary record alone,
-//!   without the merge step; the router can then strand in multi-region
-//!   compositions, and the delta is an ablation the benchmark measures.
-//!
-//! The per-hop forwarding itself is the walk every router shares
-//! (`crate::walk`); this module keeps what Algorithm 3 adds to it: the
-//! detection walks, the exclusion rule, and the exact rule's guarantee
-//! that the candidate set never empties.
+//! Both phases are the two-phase route of [`crate::route_space`], written
+//! once over the node space; only the detection walks are 2-D. This module
+//! keeps the 2-D entry points and their outcome record.
 
 use fault_model::mcc2::MccSet2;
 use fault_model::oracle::Useful2;
@@ -32,58 +23,44 @@ use fault_model::Labelling2;
 use mesh_topo::C2;
 use serde::{Deserialize, Serialize};
 
-use crate::feasibility2::detect_2d;
 use crate::policy::Policy;
+use crate::route_space::route_exact_in;
 use crate::trace::RouteOutcome2;
-use crate::walk::walk;
 
-/// Per-hop direction-exclusion rule (see module docs).
+/// Per-hop direction-exclusion rule: the exact one is the only rule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum DecisionRule {
     /// Merged-region (exact) boundary information.
     #[default]
     BoundaryExact,
-    /// Unmerged per-MCC records (ablation).
-    PairRecords,
 }
 
 /// The two-phase 2-D router over one labelled quadrant.
 #[derive(Clone, Debug)]
 pub struct Router2<'a> {
     lab: &'a Labelling2,
-    mccs: &'a MccSet2,
 }
 
 impl<'a> Router2<'a> {
-    /// A router using the labelling and MCC decomposition of the
-    /// destination quadrant. All coordinates are canonical. Only the
-    /// [`DecisionRule::PairRecords`] ablation reads `mccs`.
-    pub fn new(lab: &'a Labelling2, mccs: &'a MccSet2) -> Router2<'a> {
-        Router2 { lab, mccs }
+    /// A router using the labelling of the destination quadrant. All
+    /// coordinates are canonical. The MCC set is not read: the exact rule
+    /// needs only the labelling's unsafe closure.
+    pub fn new(lab: &'a Labelling2, _mccs: &'a MccSet2) -> Router2<'a> {
+        Router2 { lab }
     }
 
     /// Route from `s` to `d` (canonical, `s ≤ d`) with the exact rule.
-    pub fn route(&self, s: C2, d: C2, policy: &mut Policy) -> RouteOutcome2 {
-        self.route_with_rule(s, d, policy, DecisionRule::BoundaryExact)
-    }
-
-    /// Route with an explicit decision rule.
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
-    pub fn route_with_rule(
-        &self,
-        s: C2,
-        d: C2,
-        policy: &mut Policy,
-        rule: DecisionRule,
-    ) -> RouteOutcome2 {
+    pub fn route(&self, s: C2, d: C2, policy: &mut Policy) -> RouteOutcome2 {
+        let rule = DecisionRule::BoundaryExact;
         self.route_with_rule_in(s, d, policy, rule, &mut Useful2::scratch())
     }
 
-    /// [`Router2::route_with_rule`] with a caller-provided scratch buffer
-    /// for the backward-reachability set, so batched trials recompute it
-    /// in place instead of allocating per route.
+    /// [`Router2::route`] with a caller-provided scratch buffer for the
+    /// backward-reachability set, so batched trials recompute it in place
+    /// instead of allocating per route.
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
@@ -92,99 +69,12 @@ impl<'a> Router2<'a> {
         s: C2,
         d: C2,
         policy: &mut Policy,
-        rule: DecisionRule,
+        _rule: DecisionRule,
         useful: &mut Useful2,
     ) -> RouteOutcome2 {
-        match rule {
-            DecisionRule::BoundaryExact => route_exact_in(self.lab, s, d, policy, useful),
-            DecisionRule::PairRecords => route(self.lab, s, d, policy, rule, || {
-                |v| !self.pair_forbidden(v, d)
-            }),
-        }
+        let (walk, hops) = route_exact_in(self.lab, s, d, policy, useful, &mut ());
+        RouteOutcome2::new(s, walk, hops)
     }
-
-    /// The unmerged-record exclusion: some single MCC has `d` critical and
-    /// `v` forbidden on the same axis.
-    fn pair_forbidden(&self, v: C2, d: C2) -> bool {
-        self.mccs.iter().any(|m| {
-            (m.in_critical_x(d) && m.in_forbidden_x(v))
-                || (m.in_critical_y(d) && m.in_forbidden_y(v))
-        })
-    }
-}
-
-/// The exact rule over the labelling alone (it reads no MCC record),
-/// sweeping the backward-reachability set into `useful` once detection
-/// admits the pair.
-///
-/// # Panics
-/// If `s` does not precede `d` componentwise.
-pub(crate) fn route_exact_in(
-    lab: &Labelling2,
-    s: C2,
-    d: C2,
-    policy: &mut Policy,
-    useful: &mut Useful2,
-) -> RouteOutcome2 {
-    route(lab, s, d, policy, DecisionRule::BoundaryExact, move || {
-        useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
-        move |v| useful.contains(v)
-    })
-}
-
-/// [`route_exact_in`] reusing a backward-reachability set the caller just
-/// computed for exactly this `(s, d)` over the unsafe closure — what the
-/// safe-endpoints branch of the existence condition produces. Skips one
-/// box sweep per route; the set's content is identical to what
-/// [`route_exact_in`] would recompute, so outcomes are unchanged. (The
-/// buffer is never read when `s == d`, the one case where the condition
-/// skips the sweep.)
-pub(crate) fn route_exact_reusing(
-    lab: &Labelling2,
-    s: C2,
-    d: C2,
-    policy: &mut Policy,
-    useful: &Useful2,
-) -> RouteOutcome2 {
-    route(lab, s, d, policy, DecisionRule::BoundaryExact, || {
-        |v| useful.contains(v)
-    })
-}
-
-/// The route every entry point runs. Source-side triage first: refuse
-/// labelled endpoints (the model routes between safe nodes; cf. the
-/// endpoint triage of condition2), then run the detection walks. Once
-/// they admit the pair, `clear()` builds `rule`'s exclusion test (true if
-/// a neighbor is not in a detour area) and the shared walk forwards.
-///
-/// # Panics
-/// If `s` does not precede `d` componentwise.
-fn route<F: Fn(C2) -> bool>(
-    lab: &Labelling2,
-    s: C2,
-    d: C2,
-    policy: &mut Policy,
-    rule: DecisionRule,
-    clear: impl FnOnce() -> F,
-) -> RouteOutcome2 {
-    assert!(s.dominated_by(d), "router requires canonical s <= d");
-    if !lab.is_safe(s) || !lab.is_safe(d) {
-        return RouteOutcome2::new(s, None, 0);
-    }
-    let det = detect_2d(lab, s, d);
-    if !det.feasible() {
-        return RouteOutcome2::new(s, None, det.hops);
-    }
-    let clear = clear();
-    // Never forward into a fault region or a detour area.
-    let walk = walk(s, d, policy, |v| lab.is_safe(v) && clear(v), |u| u);
-    if let Some(u) = walk.stuck_at {
-        debug_assert!(
-            rule == DecisionRule::PairRecords,
-            "exact rule can never strand a feasible route (at {u:?})"
-        );
-    }
-    RouteOutcome2::new(s, Some(walk), det.hops)
 }
 
 #[cfg(test)]
@@ -306,34 +196,6 @@ mod tests {
             }
         }
         assert!(delivered > 100, "too few delivered routes: {delivered}");
-    }
-
-    #[test]
-    fn pair_records_rule_can_strand_but_never_misroutes() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(37);
-        for _ in 0..300 {
-            let mut mesh = Mesh2D::new(12, 12);
-            for _ in 0..rng.gen_range(0..18) {
-                let c = c2(rng.gen_range(0..12), rng.gen_range(0..12));
-                if mesh.is_healthy(c) {
-                    mesh.inject_fault(c);
-                }
-            }
-            let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-            let set = MccSet2::compute(&lab);
-            let router = Router2::new(&lab, &set);
-            let (ax, ay) = (rng.gen_range(0..12), rng.gen_range(0..12));
-            let (bx, by) = (rng.gen_range(0..12), rng.gen_range(0..12));
-            let s = c2(ax.min(bx), ay.min(by));
-            let d = c2(ax.max(bx), ay.max(by));
-            let mut policy = Policy::random(rng.gen());
-            let out = router.route_with_rule(s, d, &mut policy, DecisionRule::PairRecords);
-            if out.result == RouteResult::Delivered {
-                assert!(out.path.is_minimal(&mesh, s, d));
-            }
-        }
     }
 
     #[test]

@@ -3,22 +3,22 @@
 //! Same two-phase structure as the 2-D router ([`crate::router2`]): the
 //! feasibility floods of [`crate::feasibility3`] run at the source, then
 //! per-hop forwarding picks among the preferred directions that do not lead
-//! into a detour area. The exact rule uses the merged-region semantics
-//! (precomputed [`Useful3`] over the unsafe closure); the ablation rule uses
-//! unmerged per-MCC line-shadow records. The forwarding walk is the one
-//! every router shares (`crate::walk`); the detection floods and the
-//! line-shadow records are what stays 3-D.
+//! into a detour area, under the same exact rule (the precomputed
+//! [`Useful3`] over the unsafe closure). Both phases are the two-phase
+//! route of [`crate::route_space`]; only the detection floods are 3-D, and
+//! they need flood state of their own beside the reachability set
+//! ([`RouteScratch3`]).
 
 use fault_model::mcc3::MccSet3;
 use fault_model::oracle::Useful3;
 use fault_model::Labelling3;
-use mesh_topo::{Axis3, C3};
+use mesh_topo::C3;
 
-use crate::feasibility3::{detect_3d_in, FloodScratch3};
+use crate::feasibility3::FloodScratch3;
 use crate::policy::Policy;
+use crate::route_space::route_exact_in;
 use crate::router2::DecisionRule;
 use crate::trace::RouteOutcome3;
-use crate::walk::walk;
 
 /// Reusable buffers for one 3-D route: the backward-reachability set and
 /// the detection-flood state. One instance carried across a batch of
@@ -50,37 +50,26 @@ impl Default for RouteScratch3 {
 #[derive(Clone, Debug)]
 pub struct Router3<'a> {
     lab: &'a Labelling3,
-    mccs: &'a MccSet3,
 }
 
 impl<'a> Router3<'a> {
-    /// A router using the labelling and MCC decomposition of the
-    /// destination octant. All coordinates are canonical. Only the
-    /// [`DecisionRule::PairRecords`] ablation reads `mccs`.
-    pub fn new(lab: &'a Labelling3, mccs: &'a MccSet3) -> Router3<'a> {
-        Router3 { lab, mccs }
+    /// A router using the labelling of the destination octant. All
+    /// coordinates are canonical. The MCC set is not read: the exact rule
+    /// needs only the labelling's unsafe closure.
+    pub fn new(lab: &'a Labelling3, _mccs: &'a MccSet3) -> Router3<'a> {
+        Router3 { lab }
     }
 
     /// Route from `s` to `d` (canonical, `s ≤ d`) with the exact rule.
-    pub fn route(&self, s: C3, d: C3, policy: &mut Policy) -> RouteOutcome3 {
-        self.route_with_rule(s, d, policy, DecisionRule::BoundaryExact)
-    }
-
-    /// Route with an explicit decision rule.
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
-    pub fn route_with_rule(
-        &self,
-        s: C3,
-        d: C3,
-        policy: &mut Policy,
-        rule: DecisionRule,
-    ) -> RouteOutcome3 {
+    pub fn route(&self, s: C3, d: C3, policy: &mut Policy) -> RouteOutcome3 {
+        let rule = DecisionRule::BoundaryExact;
         self.route_with_rule_in(s, d, policy, rule, &mut RouteScratch3::new())
     }
 
-    /// [`Router3::route_with_rule`] with caller-provided scratch buffers
+    /// [`Router3::route`] with caller-provided scratch buffers
     /// (backward-reachability set + detection-flood state), so batched
     /// trials recompute them in place instead of allocating per route.
     ///
@@ -91,105 +80,13 @@ impl<'a> Router3<'a> {
         s: C3,
         d: C3,
         policy: &mut Policy,
-        rule: DecisionRule,
+        _rule: DecisionRule,
         scratch: &mut RouteScratch3,
     ) -> RouteOutcome3 {
         let RouteScratch3 { useful, flood } = scratch;
-        match rule {
-            DecisionRule::BoundaryExact => route_exact_in(self.lab, s, d, policy, useful, flood),
-            DecisionRule::PairRecords => route(self.lab, s, d, policy, rule, flood, || {
-                |v| !self.pair_forbidden(v, d)
-            }),
-        }
+        let (walk, visited) = route_exact_in(self.lab, s, d, policy, useful, flood);
+        RouteOutcome3::new(s, walk, visited)
     }
-
-    /// The unmerged-record exclusion via 3-D line shadows.
-    fn pair_forbidden(&self, v: C3, d: C3) -> bool {
-        self.mccs.iter().any(|m| {
-            Axis3::ALL
-                .into_iter()
-                .any(|axis| m.in_critical(axis, d) && m.in_forbidden(axis, v))
-        })
-    }
-}
-
-/// The exact rule over the labelling alone (it reads no MCC record),
-/// sweeping the backward-reachability set into `useful` once detection
-/// admits the pair.
-///
-/// # Panics
-/// If `s` does not precede `d` componentwise.
-pub(crate) fn route_exact_in(
-    lab: &Labelling3,
-    s: C3,
-    d: C3,
-    policy: &mut Policy,
-    useful: &mut Useful3,
-    flood: &mut FloodScratch3,
-) -> RouteOutcome3 {
-    route(
-        lab,
-        s,
-        d,
-        policy,
-        DecisionRule::BoundaryExact,
-        flood,
-        move || {
-            useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
-            move |v| useful.contains(v)
-        },
-    )
-}
-
-/// [`route_exact_in`] reusing a backward-reachability set the caller just
-/// computed for exactly this `(s, d)` over the unsafe closure (see the
-/// 2-D twin [`crate::router2::route_exact_reusing`]).
-pub(crate) fn route_exact_reusing(
-    lab: &Labelling3,
-    s: C3,
-    d: C3,
-    policy: &mut Policy,
-    useful: &Useful3,
-    flood: &mut FloodScratch3,
-) -> RouteOutcome3 {
-    let exact = DecisionRule::BoundaryExact;
-    route(lab, s, d, policy, exact, flood, || |v| useful.contains(v))
-}
-
-/// The route every entry point runs: refuse labelled endpoints, run the
-/// detection floods, and once they admit the pair, forward over the
-/// neighbors that `clear()` passes (see the 2-D twin
-/// `crate::router2::route`).
-///
-/// # Panics
-/// If `s` does not precede `d` componentwise.
-fn route<F: Fn(C3) -> bool>(
-    lab: &Labelling3,
-    s: C3,
-    d: C3,
-    policy: &mut Policy,
-    rule: DecisionRule,
-    flood: &mut FloodScratch3,
-    clear: impl FnOnce() -> F,
-) -> RouteOutcome3 {
-    assert!(s.dominated_by(d), "router requires canonical s <= d");
-    if !lab.is_safe(s) || !lab.is_safe(d) {
-        return RouteOutcome3::new(s, None, 0);
-    }
-    let det = detect_3d_in(lab, s, d, flood);
-    if !det.feasible() {
-        return RouteOutcome3::new(s, None, det.visited);
-    }
-    let clear = clear();
-    // Never forward into a fault region or a detour area.
-    let walk = walk(s, d, policy, |v| lab.is_safe(v) && clear(v), |u| u);
-    if let Some(u) = walk.stuck_at {
-        debug_assert!(
-            rule == DecisionRule::PairRecords,
-            "exact rule can never strand a feasible route (at {u:?})"
-        );
-    }
-    RouteOutcome3::new(s, Some(walk), det.visited)
 }
 
 #[cfg(test)]
@@ -317,45 +214,5 @@ mod tests {
             }
         }
         assert!(delivered > 100, "too few delivered routes: {delivered}");
-    }
-
-    #[test]
-    fn pair_records_rule_never_misroutes() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(43);
-        for _ in 0..150 {
-            let mut mesh = Mesh3D::kary(7);
-            for _ in 0..rng.gen_range(0..25) {
-                let c = c3(
-                    rng.gen_range(0..7),
-                    rng.gen_range(0..7),
-                    rng.gen_range(0..7),
-                );
-                if mesh.is_healthy(c) {
-                    mesh.inject_fault(c);
-                }
-            }
-            let lab = Labelling3::compute(&mesh, Frame3::identity(&mesh), BorderPolicy::BorderSafe);
-            let set = MccSet3::compute(&lab);
-            let router = Router3::new(&lab, &set);
-            let a = c3(
-                rng.gen_range(0..7),
-                rng.gen_range(0..7),
-                rng.gen_range(0..7),
-            );
-            let b = c3(
-                rng.gen_range(0..7),
-                rng.gen_range(0..7),
-                rng.gen_range(0..7),
-            );
-            let s = c3(a.x.min(b.x), a.y.min(b.y), a.z.min(b.z));
-            let d = c3(a.x.max(b.x), a.y.max(b.y), a.z.max(b.z));
-            let mut policy = Policy::random(rng.gen());
-            let out = router.route_with_rule(s, d, &mut policy, DecisionRule::PairRecords);
-            if out.result == RouteResult::Delivered {
-                assert!(out.path.is_minimal(&mesh, s, d));
-            }
-        }
     }
 }

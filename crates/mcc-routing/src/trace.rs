@@ -70,6 +70,27 @@ fn settle<C: Coord>(s: C, walk: Option<Walk<C>>) -> (RouteResult, Path<C>, usize
     }
 }
 
+/// Average allowed forwarding directions per hop; 0 for a route of no hops.
+fn adaptivity(sum: usize, hops: usize) -> f64 {
+    if hops == 0 {
+        return 0.0;
+    }
+    sum as f64 / hops as f64
+}
+
+impl RouteSummary {
+    /// The summary of an attempt from `s` (see [`settle`]).
+    pub(crate) fn new<C: Coord>(s: C, walk: Option<Walk<C>>, detection_cost: usize) -> Self {
+        let (result, path, adaptivity_sum) = settle(s, walk);
+        RouteSummary {
+            delivered: result == RouteResult::Delivered,
+            hops: path.hops(),
+            adaptivity: adaptivity(adaptivity_sum, path.hops()),
+            detection_cost,
+        }
+    }
+}
+
 impl RouteOutcome2 {
     /// The record of an attempt from `s` (see [`settle`]).
     pub(crate) fn new(s: C2, walk: Option<Walk<C2>>, detection_hops: usize) -> RouteOutcome2 {
@@ -100,10 +121,7 @@ impl RouteOutcome2 {
     /// Average number of allowed forwarding directions per hop (1.0 means
     /// the route was fully forced; 2.0 means every hop was free in 2-D).
     pub fn adaptivity(&self) -> f64 {
-        if self.path.hops() == 0 {
-            return 0.0;
-        }
-        self.adaptivity_sum as f64 / self.path.hops() as f64
+        adaptivity(self.adaptivity_sum, self.path.hops())
     }
 }
 
@@ -136,10 +154,7 @@ impl RouteOutcome3 {
 
     /// Average number of allowed forwarding directions per hop.
     pub fn adaptivity(&self) -> f64 {
-        if self.path.hops() == 0 {
-            return 0.0;
-        }
-        self.adaptivity_sum as f64 / self.path.hops() as f64
+        adaptivity(self.adaptivity_sum, self.path.hops())
     }
 }
 

@@ -27,8 +27,9 @@
 //! Every request body — route, query, their seed-sampled forms, churn
 //! check and apply, churn resolution, the digest and the snapshot's fault
 //! words — is written once, over the node space of the shard's models;
-//! the per-dimension steps of the paper (Theorem 1 or 2, Algorithm 3 or
-//! 6) come from [`mcc_routing::RouteSpace`]. Only the durable and wire
+//! a route is [`mcc_routing::route_in`], whose one per-dimension step,
+//! the detection of Algorithm 3 or 6, comes from
+//! [`mcc_routing::RouteSpace`]. Only the durable and wire
 //! forms keep their 2-D/3-D variants: [`Request`] names its coordinates,
 //! and [`ChurnRecord`]'s encoding, dimension tag included, is WAL data, so
 //! a small per-space mapping ties each variant to the models of its
@@ -39,7 +40,7 @@ use std::path::{Path, PathBuf};
 
 use fault_model::oracle::Useful;
 use fault_model::{BorderPolicy, IncrementalModels};
-use mcc_routing::{Policy, RouteSpace};
+use mcc_routing::{route_in, Policy, RouteSpace};
 use mesh_topo::coord::{C2, C3};
 use mesh_topo::nodeset::NodeSet;
 use mesh_topo::par::Parallelism;
@@ -308,7 +309,7 @@ pub struct StateDigest {
 
 /// One dimension's shard state: the maintained models plus the route
 /// scratch every route request reuses — the backward-reachability set and
-/// the exact router's own scratch (the 3-D detection flood).
+/// detection's own scratch (the 3-D flood).
 #[derive(Clone, Debug)]
 struct Models<S: ShardSpace> {
     inc: IncrementalModels<S>,
@@ -520,7 +521,7 @@ impl<S: ShardSpace> Models<S> {
         let frame = S::frame_for_pair(self.inc.mesh(), s, d);
         let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
         let m = self.inc.models(frame);
-        let out = S::route_in(
+        let out = route_in(
             m.lab,
             cs,
             cd,

@@ -54,6 +54,17 @@ pub trait Coord: sealed::Sealed + Copy + Eq + Hash + Debug + Display + 'static {
     fn axis_sign(d: Self::Dir) -> (usize, bool);
     /// The neighbor one step along `d` (may fall outside the mesh).
     fn step(self, d: Self::Dir) -> Self;
+
+    /// Componentwise dominance: `self ≤ other` on every axis.
+    ///
+    /// A minimal (`+`-direction) route from `s` to `d` visits exactly the
+    /// nodes `u` with `s.dominated_by(u) && u.dominated_by(d)` — the Region
+    /// of Minimal Paths (RMP).
+    #[inline]
+    fn dominated_by(self, other: Self) -> bool {
+        let (a, b) = (self.xyz(), other.xyz());
+        a[0] <= b[0] && a[1] <= b[1] && a[2] <= b[2]
+    }
 }
 
 impl Coord for C2 {
@@ -223,16 +234,6 @@ impl C2 {
         }
     }
 
-    /// Componentwise dominance: `self.x <= other.x && self.y <= other.y`.
-    ///
-    /// A minimal (+X/+Y) route from `s` to `d` visits exactly the nodes `u`
-    /// with `s.dominated_by(u) && u.dominated_by(d)` — the Region of Minimal
-    /// Paths (RMP).
-    #[inline]
-    pub fn dominated_by(self, other: C2) -> bool {
-        self.x <= other.x && self.y <= other.y
-    }
-
     /// Coordinate along `axis`.
     #[inline]
     pub fn get(self, axis: Axis2) -> i32 {
@@ -283,12 +284,6 @@ impl C3 {
             y: self.y + dy,
             z: self.z + dz,
         }
-    }
-
-    /// Componentwise dominance (see [`C2::dominated_by`]).
-    #[inline]
-    pub fn dominated_by(self, other: C3) -> bool {
-        self.x <= other.x && self.y <= other.y && self.z <= other.z
     }
 
     /// Coordinate along `axis`.

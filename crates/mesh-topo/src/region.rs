@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::coord::{C2, C3};
+use crate::coord::{Coord, C2, C3};
 
 /// An axis-aligned rectangle with **inclusive** bounds `[x0..=x1] × [y0..=y1]`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
