@@ -22,8 +22,18 @@
 //!   recomputed — it is cheap relative to the labelling family and has no
 //!   per-orientation structure to exploit.
 //!
+//! Validation is one routine, [`CheckedBatch::new`], over a node space and
+//! a fault bitset: it costs O(b log b) in the batch's b nodes, with no
+//! mesh-sized scratch, and its checked batch carries the sorted indices
+//! [`apply_checked`] flips. [`check`], [`try_apply`] and a journal fold
+//! (which flips a bare bitset through [`CheckedBatch::flip`] and builds
+//! the models once at the end) all go through it, so a write-ahead caller
+//! that checks, journals, then applies validates each batch once.
+//!
 //! Synchronization is **per orientation slot and lazy**: [`apply`] only
-//! records the delta in a generation log; a slot replays the log entries it
+//! flips the fault bits and records the delta in a generation log (no
+//! entry at all while no slot is live: a slot built later starts from the
+//! mesh as it then is); a slot replays the log entries it
 //! has not seen the next time [`models`] asks for its orientation. A heal
 //! whose effect never reaches a slot's orientation still replays there, but
 //! the replay touches only the perturbation's closure cone — update cost
@@ -47,6 +57,9 @@
 //! per-dimension MCC and block models through [`ModelSpace`].
 //!
 //! [`apply`]: IncrementalModels::apply
+//! [`apply_checked`]: IncrementalModels::apply_checked
+//! [`check`]: IncrementalModels::check
+//! [`try_apply`]: IncrementalModels::try_apply
 //! [`models`]: IncrementalModels::models
 //! [`statuses_repaired`]: IncrementalModels::statuses_repaired
 //! [`mccs_extracted`]: IncrementalModels::mccs_extracted
@@ -74,7 +87,7 @@
 //! assert_eq!(m.mccs.len(), 1);
 //! ```
 
-use mesh_topo::{Mesh, NodeSet, NodeSpace2, NodeSpace3};
+use mesh_topo::{Coord, Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
 
 use crate::components::Components;
 use crate::labelling::Labelling;
@@ -128,6 +141,125 @@ impl<C: std::fmt::Display> std::fmt::Display for ChurnError<C> {
 }
 
 impl<C: std::fmt::Display + std::fmt::Debug> std::error::Error for ChurnError<C> {}
+
+/// A churn batch that passed validation against one fault set: the
+/// batch as given, plus its node indices to inject and to heal, each
+/// ascending.
+///
+/// [`CheckedBatch::new`] is the one validation routine. It costs
+/// O(b log b) in the batch's b nodes and allocates nothing mesh-sized:
+///
+/// 1. each node is mapped to its index ([`ChurnError::OutOfBounds`]),
+/// 2. each set is sorted and scanned for repeats
+///    ([`ChurnError::DuplicateInjected`], [`ChurnError::DuplicateHealed`]),
+///    then each healed node is looked up among the injected ones
+///    ([`ChurnError::Overlap`]),
+/// 3. each node is probed in the fault bitset
+///    ([`ChurnError::AlreadyFaulty`], [`ChurnError::NotFaulty`]).
+///
+/// A batch with several faults reports the one a node-by-node scan in
+/// that order reports: the injected set is scanned for bounds and repeats
+/// before the healed set, and within a check the first offending node in
+/// input order wins.
+#[derive(Debug)]
+pub struct CheckedBatch<'b, C> {
+    injected: &'b [C],
+    healed: &'b [C],
+    inject: Vec<usize>,
+    heal: Vec<usize>,
+}
+
+impl<'b, C: Coord> CheckedBatch<'b, C> {
+    /// Validate `injected`/`healed` against the fault set `faulty` over
+    /// `space` (see the type docs for the checks and their order).
+    pub fn new<S: Space<Coord = C>>(
+        space: S,
+        faulty: &NodeSet,
+        injected: &'b [C],
+        healed: &'b [C],
+    ) -> Result<CheckedBatch<'b, C>, ChurnError<C>> {
+        let inject = sorted_indices(space, injected, ChurnError::DuplicateInjected)?;
+        let heal = sorted_indices(space, healed, ChurnError::DuplicateHealed)?;
+        if let Some(&c) = healed
+            .iter()
+            .find(|&&c| inject.binary_search(&space.index(c)).is_ok())
+        {
+            return Err(ChurnError::Overlap(c));
+        }
+        if let Some(&c) = injected.iter().find(|&&c| faulty.contains(space.index(c))) {
+            return Err(ChurnError::AlreadyFaulty(c));
+        }
+        if let Some(&c) = healed.iter().find(|&&c| !faulty.contains(space.index(c))) {
+            return Err(ChurnError::NotFaulty(c));
+        }
+        Ok(CheckedBatch {
+            injected,
+            healed,
+            inject,
+            heal,
+        })
+    }
+
+    /// Flip the batch into the fault set it was checked against.
+    pub fn flip(&self, faulty: &mut NodeSet) {
+        for &i in &self.inject {
+            faulty.insert(i);
+        }
+        for &i in &self.heal {
+            faulty.remove(i);
+        }
+    }
+}
+
+/// The indices of `coords`, ascending, or the error a scan in input order
+/// meets first: a node outside `space`, or a repeat of an earlier node
+/// (reported through `repeat`).
+fn sorted_indices<S: Space>(
+    space: S,
+    coords: &[S::Coord],
+    repeat: fn(S::Coord) -> ChurnError<S::Coord>,
+) -> Result<Vec<usize>, ChurnError<S::Coord>> {
+    let mut indices = Vec::with_capacity(coords.len());
+    let mut outside = None;
+    for (at, &c) in coords.iter().enumerate() {
+        match space.index_checked(c) {
+            Some(i) => indices.push(i),
+            None => {
+                outside = Some(at);
+                break;
+            }
+        }
+    }
+    indices.sort_unstable();
+    if indices.windows(2).any(|w| w[0] == w[1]) {
+        return Err(repeat(
+            coords[first_repeat(space, &coords[..indices.len()])],
+        ));
+    }
+    if let Some(at) = outside {
+        return Err(ChurnError::OutOfBounds(coords[at]));
+    }
+    Ok(indices)
+}
+
+/// The position of the first node of `coords` (all inside `space`) whose
+/// index an earlier node already took; `coords` must hold a repeat.
+fn first_repeat<S: Space>(space: S, coords: &[S::Coord]) -> usize {
+    let mut keyed: Vec<(usize, usize)> = coords
+        .iter()
+        .enumerate()
+        .map(|(at, &c)| (space.index(c), at))
+        .collect();
+    keyed.sort_unstable();
+    // Within a run of equal indices the positions ascend, so each later
+    // member of a run is a repeat; the earliest of them is met first.
+    keyed
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
+        .expect("coords hold a repeat")
+}
 
 /// One recorded churn batch.
 #[derive(Clone, Debug)]
@@ -290,23 +422,13 @@ impl<S: ModelSpace> IncrementalModels<S> {
         injected: &[S::Coord],
         healed: &[S::Coord],
     ) -> Result<(), ChurnError<S::Coord>> {
-        let (inj, heal) = self.validated_sets(injected, healed)?;
-        let flipped = self.mesh.inject_fault_set(&inj) + self.mesh.heal_fault_set(&heal);
-        debug_assert_eq!(flipped, injected.len() + healed.len());
-        self.generation += 1;
-        self.log.push(LogEntry {
-            gen: self.generation,
-            injected: injected.to_vec(),
-            healed: healed.to_vec(),
-        });
-        self.compact();
+        let batch = self.checked(injected, healed)?;
+        self.apply_checked(batch);
         Ok(())
     }
 
     /// Validate a churn batch without applying it — exactly the checks
-    /// [`try_apply`] runs before mutating anything. A write-ahead-logging
-    /// caller validates first, journals the batch, and only then applies
-    /// it, so the apply step cannot fail after the log record is durable.
+    /// [`try_apply`] runs before mutating anything.
     ///
     /// [`try_apply`]: IncrementalModels::try_apply
     pub fn check(
@@ -314,53 +436,42 @@ impl<S: ModelSpace> IncrementalModels<S> {
         injected: &[S::Coord],
         healed: &[S::Coord],
     ) -> Result<(), ChurnError<S::Coord>> {
-        self.validated_sets(injected, healed).map(|_| ())
+        self.checked(injected, healed).map(drop)
     }
 
-    /// The shared validation pass behind [`check`] and [`try_apply`]:
-    /// check order matches the historical assert order (duplicates,
-    /// overlap, already-faulty, not-faulty) so which error a multiply
-    /// malformed batch reports stays stable.
+    /// Validate a churn batch against the current mesh and keep the
+    /// result for [`apply_checked`]. A write-ahead-logging caller validates
+    /// first, journals the batch, and only then applies it, so the apply
+    /// step cannot fail after the log record is durable, and the batch is
+    /// validated once.
     ///
-    /// [`check`]: IncrementalModels::check
-    /// [`try_apply`]: IncrementalModels::try_apply
-    fn validated_sets(
+    /// [`apply_checked`]: IncrementalModels::apply_checked
+    pub fn checked<'b>(
         &self,
-        injected: &[S::Coord],
-        healed: &[S::Coord],
-    ) -> Result<(NodeSet, NodeSet), ChurnError<S::Coord>> {
-        let space = self.mesh.space();
-        let faulty = self.mesh.fault_set();
-        let mut inj = NodeSet::new(space.node_count());
-        for &c in injected {
-            let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
-            if !inj.insert(i) {
-                return Err(ChurnError::DuplicateInjected(c));
-            }
+        injected: &'b [S::Coord],
+        healed: &'b [S::Coord],
+    ) -> Result<CheckedBatch<'b, S::Coord>, ChurnError<S::Coord>> {
+        CheckedBatch::new(self.mesh.space(), self.mesh.fault_set(), injected, healed)
+    }
+
+    /// Apply a batch [`checked`] against the current state: flip its bits
+    /// in the cost of the batch and, if any orientation slot is live,
+    /// record the delta for its lazy replay. Infallible; a batch checked
+    /// against an earlier state is a caller bug.
+    ///
+    /// [`checked`]: IncrementalModels::checked
+    pub fn apply_checked(&mut self, batch: CheckedBatch<'_, S::Coord>) {
+        let flipped = self.mesh.inject_indices(&batch.inject) + self.mesh.heal_indices(&batch.heal);
+        debug_assert_eq!(flipped, batch.inject.len() + batch.heal.len());
+        self.generation += 1;
+        if self.slots.iter().any(Option::is_some) {
+            self.log.push(LogEntry {
+                gen: self.generation,
+                injected: batch.injected.to_vec(),
+                healed: batch.healed.to_vec(),
+            });
         }
-        let mut heal = NodeSet::new(space.node_count());
-        for &c in healed {
-            let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
-            if !heal.insert(i) {
-                return Err(ChurnError::DuplicateHealed(c));
-            }
-        }
-        for &c in healed {
-            if inj.contains(space.index(c)) {
-                return Err(ChurnError::Overlap(c));
-            }
-        }
-        for &c in injected {
-            if faulty.contains(space.index(c)) {
-                return Err(ChurnError::AlreadyFaulty(c));
-            }
-        }
-        for &c in healed {
-            if !faulty.contains(space.index(c)) {
-                return Err(ChurnError::NotFaulty(c));
-            }
-        }
-        Ok((inj, heal))
+        self.compact();
     }
 
     /// Drop slots too stale to replay and log entries every live slot has
@@ -504,6 +615,20 @@ mod tests {
             assert_slot_matches_fresh(&mut inc, frame);
         }
         assert!(inc.statuses_repaired() > 0, "replays must have done work");
+    }
+
+    #[test]
+    fn churn_logs_only_while_a_slot_is_live() {
+        let mut inc = IncrementalModels2::new(Mesh2D::new(8, 8), BorderPolicy::BorderSafe);
+        for i in 0..5 {
+            inc.apply(&[c2(i, i)], &[]);
+        }
+        assert!(inc.log.is_empty(), "no slot to replay an entry");
+        let frame = Frame2::identity(inc.mesh());
+        assert_slot_matches_fresh(&mut inc, frame);
+        inc.apply(&[c2(7, 0)], &[c2(2, 2)]);
+        assert_eq!(inc.log.len(), 1, "the live slot needs the delta");
+        assert_slot_matches_fresh(&mut inc, frame);
     }
 
     #[test]

@@ -106,7 +106,9 @@ mod testutil;
 pub use components::{Components, Splice};
 pub use condition2::{minimal_path_exists_2d, minimal_path_exists_2d_in, Existence2};
 pub use condition3::{minimal_path_exists_3d, minimal_path_exists_3d_in, Existence3};
-pub use incremental::{ChurnError, IncrementalModels, IncrementalModels2, IncrementalModels3};
+pub use incremental::{
+    CheckedBatch, ChurnError, IncrementalModels, IncrementalModels2, IncrementalModels3,
+};
 pub use labelling::{Labelling, Labelling2, Labelling3};
 pub use mcc2::Mcc2;
 pub use mcc3::Mcc3;

@@ -21,6 +21,9 @@
 //! cargo test --release -p fault-model --test gray_churn -- --include-ignored
 //! ```
 
+// Only the range checker serves the walk.
+#[allow(dead_code)]
+#[path = "fault_sets/list.rs"]
 mod fault_sets;
 
 use fault_model::components::Components;

@@ -32,7 +32,7 @@
 //! cargo test --release -p mcc-protocols --test detection_equiv -- --include-ignored
 //! ```
 
-#[path = "../../fault-model/tests/fault_sets/mod.rs"]
+#[path = "../../fault-model/tests/fault_sets/list.rs"]
 mod fault_sets;
 
 use std::collections::{HashSet, VecDeque};

@@ -53,7 +53,7 @@ pub enum ServiceError {
         detail: String,
     },
     /// The journal is structurally damaged beyond what torn-tail recovery
-    /// handles (sequence gap, geometry mismatch, invalid replayed op).
+    /// handles (sequence gap, geometry mismatch, a journaled op that does not apply).
     Corrupt {
         /// The damaged file.
         path: PathBuf,

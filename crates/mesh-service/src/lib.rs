@@ -12,7 +12,8 @@
 //!   appended to a per-shard write-ahead log (length-prefixed, checksummed
 //!   records) *before* it is applied; periodic snapshots (the serialized
 //!   fault `NodeSet` plus a generation counter) truncate the log; recovery
-//!   loads the snapshot, replays the committed WAL suffix and discards the
+//!   loads the snapshot, folds the committed WAL suffix into its fault set
+//!   (building the models once, at the end) and discards the
 //!   torn tail at the first bad checksum,
 //! * **fault injection** ([`crash`]) — every append/snapshot/truncate
 //!   boundary passes through a [`crash::CrashPoint`] hook, so the test

@@ -3,7 +3,7 @@
 //! Only state-mutating requests reach the WAL, and after admission and
 //! validation every one of them has been *resolved* to explicit coordinate
 //! lists (seed-driven random churn is sampled by the shard before
-//! journaling), so replay is a pure function of the journal — the
+//! journaling), so recovery is a pure function of the journal — the
 //! determinism argument of the recovery path rests on this.
 
 use mesh_topo::coord::{c2, c3, C2, C3};

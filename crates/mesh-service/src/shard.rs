@@ -7,22 +7,27 @@
 //! stats) or mutate the fault configuration (churn), and every mutation
 //! follows the write-ahead discipline:
 //!
-//! 1. **check** — validate the batch against the current state
-//!    ([`fault_model`]'s `check`, surfaced as
+//! 1. **check** — validate the batch against the current state, once
+//!    ([`fault_model`]'s `checked`, surfaced as
 //!    [`ServiceError::Rejected`]
 //!    without touching anything),
 //! 2. **journal** — append the resolved record to the WAL,
-//! 3. **apply** — mutate the models; infallible after step 1, so a durable
-//!    record always corresponds to an applicable op.
+//! 3. **apply** — flip the checked batch into the models; infallible after
+//!    step 1, so a durable record always corresponds to an applicable op.
 //!
 //! Recovery ([`ShardCore::open`]) is the inverse: delete a stale snapshot
-//! temp file, load the snapshot (if any), rebuild the mesh from the spec
-//! plus the snapshot's fault words, replay the WAL's clean prefix
-//! (skipping records the snapshot already covers, rejecting sequence
-//! gaps), and truncate the torn tail. Determinism: every journaled record
-//! is a *resolved* coordinate batch — seed-driven sampling happens before
-//! journaling — so replay is a pure fold over the journal, independent of
-//! wall clock and restart count.
+//! temp file, load the snapshot (if any), and fold the WAL's clean prefix
+//! into the snapshot's fault words. The WAL streams through a bounded
+//! buffer; each record past the snapshot is checked in order — sequence
+//! number (a gap is corruption; records the snapshot already covers are
+//! skipped), decoding, dimension, then the same batch checks a live churn
+//! runs — and flips its bits. Only then are the models built, once, over
+//! the folded faults, and the torn tail truncated. A recovered mesh
+//! therefore lists its faults in index order, as after a snapshot load;
+//! nothing in the service reads that order. Determinism: every journaled
+//! record is a *resolved* coordinate batch — seed-driven sampling happens
+//! before journaling — so recovery is a pure fold over the journal,
+//! independent of wall clock and restart count.
 //!
 //! Every request body — route, query, their seed-sampled forms, churn
 //! check and apply, churn resolution, the digest and the snapshot's fault
@@ -35,11 +40,12 @@
 //! a small per-space mapping ties each variant to the models of its
 //! dimension. A request of the other dimension is rejected.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use fault_model::oracle::Useful;
-use fault_model::{BorderPolicy, IncrementalModels};
+use fault_model::{BorderPolicy, CheckedBatch, IncrementalModels};
 use mcc_routing::{route_in, Policy, RouteSpace};
 use mesh_topo::coord::{C2, C3};
 use mesh_topo::nodeset::NodeSet;
@@ -52,7 +58,7 @@ use crate::crash::CrashPoint;
 use crate::error::ServiceError;
 use crate::ops::ChurnRecord;
 use crate::snapshot::{self, Snapshot};
-use crate::wal::{decode_records, SyncPolicy, Wal};
+use crate::wal::{RecordReader, SyncPolicy, Wal};
 
 /// WAL file name inside a shard directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -276,7 +282,7 @@ pub struct ShardStats {
     pub gen: u64,
     /// Generation the last snapshot covers.
     pub snapshot_gen: u64,
-    /// Churn ops applied by this incarnation (excludes replayed ops).
+    /// Churn ops applied by this incarnation (excludes recovered ops).
     pub ops_applied: u64,
     /// Committed WAL bytes.
     pub wal_bytes: u64,
@@ -389,26 +395,17 @@ impl ShardSpace for NodeSpace3 {
 }
 
 impl ShardModels {
-    /// Build the models from snapshot fault words (or fault-free for
-    /// `None`), validating the word count against the geometry.
-    fn from_fault_words(
+    /// Recover the models: fold the journal past `snap_gen` into the
+    /// snapshot's fault set `faults`, then build every model once. Returns
+    /// the models and the generation the journal reaches.
+    fn recover(
         spec: &ShardSpec,
-        faults: Option<(usize, Vec<u64>)>,
-    ) -> Result<ShardModels, String> {
-        let nodes = spec.geom.node_count();
-        let set = match faults {
-            None => None,
-            Some((nbits, words)) => {
-                if nbits != nodes || words.len() != nbits.div_ceil(64) {
-                    return Err(format!(
-                        "fault set covers {nbits} nodes in {} words, geometry has {nodes}",
-                        words.len()
-                    ));
-                }
-                Some(NodeSet::from_raw_words(nbits, words))
-            }
-        };
-        Ok(match spec.geom {
+        faults: NodeSet,
+        snap_gen: u64,
+        journal: &mut RecordReader<impl Read>,
+        wal_path: &Path,
+    ) -> Result<(ShardModels, u64), ServiceError> {
+        match spec.geom {
             Geometry::M2 {
                 width,
                 height,
@@ -419,7 +416,8 @@ impl ShardModels {
                 } else {
                     Mesh2D::new(width, height)
                 };
-                ShardModels::D2(Box::new(Models::new(mesh, set, spec.border)))
+                Models::recover(mesh, spec.border, faults, snap_gen, journal, wal_path)
+                    .map(|(m, gen)| (ShardModels::D2(Box::new(m)), gen))
             }
             Geometry::M3 { nx, ny, nz, wrap } => {
                 let mesh = if wrap {
@@ -427,23 +425,66 @@ impl ShardModels {
                 } else {
                     Mesh3D::new(nx, ny, nz)
                 };
-                ShardModels::D3(Box::new(Models::new(mesh, set, spec.border)))
+                Models::recover(mesh, spec.border, faults, snap_gen, journal, wal_path)
+                    .map(|(m, gen)| (ShardModels::D3(Box::new(m)), gen))
             }
-        })
+        }
     }
 }
 
 impl<S: ShardSpace> Models<S> {
-    /// Fault-free models over `mesh`, or with the faults of `set`.
-    fn new(mut mesh: Mesh<S>, set: Option<NodeSet>, border: BorderPolicy) -> Models<S> {
-        if let Some(set) = set {
-            mesh.inject_fault_set(&set);
+    /// Fold the journal's records past `snap_gen` into `faults`, then
+    /// build the models over `mesh` with the folded faults; returns them
+    /// with the generation the records reach. Each record is checked in
+    /// order: its sequence number, its decoding, its dimension, then the
+    /// fault-model batch checks against the faults folded so far; the
+    /// first that fails is corruption.
+    fn recover(
+        mut mesh: Mesh<S>,
+        border: BorderPolicy,
+        mut faults: NodeSet,
+        snap_gen: u64,
+        journal: &mut RecordReader<impl Read>,
+        wal_path: &Path,
+    ) -> Result<(Models<S>, u64), ServiceError> {
+        let corrupt = |detail| ServiceError::Corrupt {
+            path: wal_path.to_path_buf(),
+            detail,
+        };
+        let space = mesh.space();
+        let mut gen = snap_gen;
+        while let Some((seq, payload)) = journal
+            .next_record()
+            .map_err(|e| ServiceError::io(wal_path, e))?
+        {
+            // Records the snapshot already covers linger when a crash hit
+            // between the snapshot rename and the WAL truncation.
+            if seq <= snap_gen {
+                continue;
+            }
+            if seq != gen + 1 {
+                return Err(corrupt(format!(
+                    "sequence gap: have generation {gen}, next record {seq}"
+                )));
+            }
+            let rec = ChurnRecord::decode(payload).map_err(corrupt)?;
+            Self::batch(&rec)
+                .and_then(|(injected, healed)| {
+                    CheckedBatch::new(space, &faults, injected, healed).map_err(|e| e.to_string())
+                })
+                .map_err(|detail| {
+                    corrupt(format!("journaled record {seq} does not apply: {detail}"))
+                })?
+                .flip(&mut faults);
+            gen = seq;
         }
-        Models {
+        mesh.inject_fault_set(&faults);
+        let models = Models {
             inc: IncrementalModels::new(mesh, border),
             useful: Useful::scratch(),
             scratch: Default::default(),
-        }
+        };
+        Ok((models, gen))
     }
 
     /// The fault set as `(nbits, words)` — the snapshot payload.
@@ -458,20 +499,23 @@ impl<S: ShardSpace> Models<S> {
             .ok_or_else(|| format!("churn batch is {}-D but shard is {}-D", rec.dim(), S::DIMS))
     }
 
-    /// Validate a churn record against the current state without applying
-    /// it (dimension match plus the fault-model batch checks).
-    fn check(&self, rec: &ChurnRecord) -> Result<(), String> {
-        let (injected, healed) = Self::batch(rec)?;
-        self.inc.check(injected, healed).map_err(|e| e.to_string())
-    }
-
-    /// Validate and apply a churn record in one step: the fault-model
-    /// batch checks run once, inside `try_apply`.
-    fn try_apply(&mut self, rec: &ChurnRecord) -> Result<(), String> {
-        let (injected, healed) = Self::batch(rec)?;
-        self.inc
-            .try_apply(injected, healed)
-            .map_err(|e| e.to_string())
+    /// The write-ahead steps of a churn: check `rec` (dimension match plus
+    /// the fault-model batch checks, run once), `journal` it, then apply
+    /// the checked batch, which cannot fail.
+    fn churn(
+        &mut self,
+        rec: &ChurnRecord,
+        journal: impl FnOnce() -> Result<(), ServiceError>,
+    ) -> Result<(), ServiceError> {
+        let rejected = |reason| ServiceError::Rejected { reason };
+        let (injected, healed) = Self::batch(rec).map_err(rejected)?;
+        let batch = self
+            .inc
+            .checked(injected, healed)
+            .map_err(|e| rejected(e.to_string()))?;
+        journal()?;
+        self.inc.apply_checked(batch);
+        Ok(())
     }
 
     /// The full comparable state in the identity orientation. `gen` is the
@@ -575,6 +619,22 @@ impl<S: ShardSpace> Models<S> {
     }
 }
 
+/// The fault set a snapshot carries, checked against the geometry; the
+/// empty set without a snapshot.
+fn snapshot_faults(spec: &ShardSpec, faults: Option<(usize, Vec<u64>)>) -> Result<NodeSet, String> {
+    let nodes = spec.geom.node_count();
+    let Some((nbits, words)) = faults else {
+        return Ok(NodeSet::new(nodes));
+    };
+    if nbits != nodes || words.len() != nbits.div_ceil(64) {
+        return Err(format!(
+            "fault set covers {nbits} nodes in {} words, geometry has {nodes}",
+            words.len()
+        ));
+    }
+    Ok(NodeSet::from_raw_words(nbits, words))
+}
+
 /// Sample (inject, heal) index singletons for steady-state churn: heal a
 /// uniform faulty node when any exist, inject a healthy node found by
 /// random probing with a linear-scan fallback.
@@ -664,44 +724,35 @@ impl ShardCore {
             }
             None => (None, 0),
         };
-        let mut models = ShardModels::from_fault_words(&spec, faults).map_err(|detail| {
-            ServiceError::Corrupt {
-                path: snap_path,
-                detail,
-            }
+        let faults = snapshot_faults(&spec, faults).map_err(|detail| ServiceError::Corrupt {
+            path: snap_path,
+            detail,
         })?;
 
         let wal_path = dir.join(WAL_FILE);
-        let buf = match fs::read(&wal_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        let journal: Box<dyn Read> = match File::open(&wal_path) {
+            Ok(f) => Box::new(f),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Box::new(std::io::empty()),
             Err(e) => return Err(ServiceError::io(&wal_path, e)),
         };
-        let (records, clean_len) = decode_records(&buf);
-        let mut gen = snap_gen;
-        for (seq, payload) in records {
-            // Records the snapshot already covers linger when a crash hit
-            // between the snapshot rename and the WAL truncation.
-            if seq <= snap_gen {
-                continue;
-            }
-            if seq != gen + 1 {
-                return Err(ServiceError::Corrupt {
-                    path: wal_path,
-                    detail: format!("sequence gap: have generation {gen}, next record {seq}"),
-                });
-            }
-            let rec = ChurnRecord::decode(&payload).map_err(|detail| ServiceError::Corrupt {
-                path: wal_path.clone(),
-                detail,
-            })?;
-            each!(&mut models, m => m.try_apply(&rec)).map_err(|detail| ServiceError::Corrupt {
-                path: wal_path.clone(),
-                detail: format!("journaled record {seq} does not apply: {detail}"),
-            })?;
-            gen = seq;
-        }
-        let wal = Wal::open_at(&wal_path, clean_len as u64, spec.sync)?;
+        ShardCore::recover(dir, spec, crash, recoveries, (faults, snap_gen), journal)
+    }
+
+    /// Recovery proper: fold `journal` (the WAL's bytes) into the
+    /// snapshot's fault set and generation `snap`, build the models once,
+    /// and reopen the WAL truncated to its clean prefix.
+    fn recover(
+        dir: &Path,
+        spec: ShardSpec,
+        crash: CrashPoint,
+        recoveries: u64,
+        (faults, snap_gen): (NodeSet, u64),
+        journal: impl Read,
+    ) -> Result<ShardCore, ServiceError> {
+        let wal_path = dir.join(WAL_FILE);
+        let mut journal = RecordReader::new(journal);
+        let (models, gen) = ShardModels::recover(&spec, faults, snap_gen, &mut journal, &wal_path)?;
+        let wal = Wal::open_at(&wal_path, journal.clean_len(), spec.sync)?;
         Ok(ShardCore {
             dir: dir.to_path_buf(),
             spec,
@@ -815,12 +866,10 @@ impl ShardCore {
     /// The write-ahead churn path: check → journal → apply → maybe
     /// snapshot.
     fn churn(&mut self, rec: ChurnRecord) -> Result<Response, ServiceError> {
-        each!(&self.models, m => m.check(&rec))
-            .map_err(|reason| ServiceError::Rejected { reason })?;
         let seq = self.gen + 1;
-        self.wal.append(seq, &rec.encode(), &self.crash)?;
-        // Infallible after the check above.
-        each!(&mut self.models, m => m.try_apply(&rec)).unwrap_or_else(|e| panic!("{e}"));
+        let (wal, crash) = (&mut self.wal, &self.crash);
+        let journal = || wal.append(seq, &rec.encode(), crash);
+        each!(&mut self.models, m => m.churn(&rec, journal))?;
         self.gen = seq;
         self.ops_applied += 1;
         if self.spec.snapshot_every > 0 && self.gen - self.snapshot_gen >= self.spec.snapshot_every
@@ -868,4 +917,70 @@ fn check_snapshot_spec(snap: &Snapshot, spec: &ShardSpec, path: &Path) -> Result
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::TempDir;
+    use crate::wal::READ_CHUNK;
+
+    /// A byte source that remembers the largest read it was asked for.
+    struct Counting<R> {
+        inner: R,
+        largest: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn recovery_reads_a_long_journal_through_a_bounded_buffer() {
+        let spec = ShardSpec::new(
+            Geometry::M3 {
+                nx: 6,
+                ny: 6,
+                nz: 6,
+                wrap: false,
+            },
+            0,
+        );
+        for records in [500u64, 8000] {
+            let dir = TempDir::new("bounded");
+            let mut core = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+                .expect("fresh shard");
+            for seed in 0..records {
+                core.handle(&Request::ChurnRandom { seed }).expect("churn");
+            }
+            let want = core.digest();
+            drop(core);
+            let wal_len = fs::metadata(dir.join(WAL_FILE)).expect("wal").len();
+
+            let mut journal = Counting {
+                inner: File::open(dir.join(WAL_FILE)).expect("wal"),
+                largest: 0,
+            };
+            let empty = (NodeSet::new(spec.geom.node_count()), 0);
+            let mut core =
+                ShardCore::recover(dir.path(), spec, CrashPoint::none(), 0, empty, &mut journal)
+                    .expect("recover");
+            assert_eq!(core.gen(), records);
+            assert_eq!(core.digest(), want);
+            assert_eq!(core.stats().wal_bytes, wal_len);
+            assert_eq!(
+                journal.largest, READ_CHUNK,
+                "{records} records ({wal_len} bytes) read through a larger buffer"
+            );
+            if records > 500 {
+                assert!(
+                    wal_len > 4 * READ_CHUNK as u64,
+                    "the long journal spans chunks"
+                );
+            }
+        }
+    }
 }

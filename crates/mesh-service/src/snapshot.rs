@@ -22,7 +22,7 @@
 //! [`write()`] streams to `snapshot.tmp` and renames it over `snapshot.bin` —
 //! the POSIX-atomic publish. A crash before the rename leaves a stale temp
 //! file that recovery deletes; a crash after the rename but before the WAL
-//! truncation leaves WAL records the snapshot already covers, which replay
+//! truncation leaves WAL records the snapshot already covers, which recovery
 //! skips by sequence number.
 
 use std::fs::{self, OpenOptions};

@@ -16,9 +16,11 @@
 //! # Torn tails
 //!
 //! The log is an append-only stream of records. A crash mid-append leaves a
-//! torn suffix; [`decode_records`] stops at the first record that is
+//! torn suffix; [`RecordReader`] stops at the first record that is
 //! incomplete or fails its checksum and reports the clean prefix length, and
-//! [`Wal::open_at`] truncates the file back to that prefix. Committed
+//! [`Wal::open_at`] truncates the file back to that prefix. The reader
+//! streams the log through a bounded buffer; [`decode_records`] is the
+//! same decoder over an in-memory stream. Committed
 //! records are never reinterpreted: decoding is sequential from offset 0,
 //! so damage at byte `t` can only affect records at or after `t`.
 //!
@@ -30,7 +32,7 @@
 //! survives and fsync would only slow the battery down.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crash::{CrashPoint, CrashSite};
@@ -65,34 +67,114 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode the clean prefix of a record stream.
+/// Bytes a [`RecordReader`] asks its source for at a time: its buffer
+/// holds this many, or one whole record if a record is larger.
+pub const READ_CHUNK: usize = 64 * 1024;
+
+/// The record decoder: reads a record stream from any byte source through
+/// a bounded buffer and yields its intact records one at a time.
+///
+/// Decoding never fails on the bytes: a short, oversized or
+/// checksum-damaged record simply ends the clean prefix (a torn tail is
+/// data, not an error), and every later call yields nothing. Only the
+/// source's own read errors surface. The buffer holds [`READ_CHUNK`]
+/// bytes, or the largest record met, so memory does not grow with the
+/// length of the stream.
+#[derive(Debug)]
+pub struct RecordReader<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// `buf[head..tail]` is read but not yet decoded.
+    head: usize,
+    tail: usize,
+    /// Byte length of the intact records yielded so far.
+    clean: u64,
+    /// The clean prefix has ended.
+    ended: bool,
+}
+
+impl<R: Read> RecordReader<R> {
+    /// Decode the record stream `src` from its first byte.
+    pub fn new(src: R) -> RecordReader<R> {
+        RecordReader {
+            src,
+            buf: vec![0; READ_CHUNK],
+            head: 0,
+            tail: 0,
+            clean: 0,
+            ended: false,
+        }
+    }
+
+    /// Byte length of the clean prefix decoded so far — after the last
+    /// record, the length [`Wal::open_at`] truncates the log to.
+    pub fn clean_len(&self) -> u64 {
+        self.clean
+    }
+
+    /// Make `n` unread bytes available; false if the source ends first.
+    fn fill(&mut self, n: usize) -> io::Result<bool> {
+        while self.tail - self.head < n {
+            if self.head + n > self.buf.len() {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+                if n > self.buf.len() {
+                    self.buf.resize(n, 0);
+                }
+            }
+            match self.src.read(&mut self.buf[self.tail..]) {
+                Ok(0) => return Ok(false),
+                Ok(k) => self.tail += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// The next intact record as `(seq, payload)`, or `None` once the
+    /// clean prefix has ended.
+    pub fn next_record(&mut self) -> io::Result<Option<(u64, &[u8])>> {
+        if self.ended || !self.fill(4)? {
+            self.ended = true;
+            return Ok(None);
+        }
+        let len = Reader::new(&self.buf[self.head..self.tail])
+            .take_u32()
+            .expect("four bytes are buffered") as usize;
+        if len > MAX_PAYLOAD || !self.fill(RECORD_OVERHEAD + len)? {
+            self.ended = true;
+            return Ok(None);
+        }
+        let start = self.head;
+        let body = &self.buf[start..start + 12 + len];
+        let mut r = Reader::new(&self.buf[start + 4..start + RECORD_OVERHEAD + len]);
+        let seq = r.take_u64().expect("the record is buffered");
+        let payload = r.take(len).expect("the record is buffered");
+        let check = r.take_u64().expect("the record is buffered");
+        if fnv1a64(body) != check {
+            self.ended = true;
+            return Ok(None);
+        }
+        self.head += RECORD_OVERHEAD + len;
+        self.clean += (RECORD_OVERHEAD + len) as u64;
+        Ok(Some((seq, payload)))
+    }
+}
+
+/// Decode the clean prefix of a record stream held in memory.
 ///
 /// Returns the `(seq, payload)` of every intact record in order, plus the
-/// byte length of the clean prefix they occupy. Decoding never fails: a
-/// short, oversized or checksum-damaged record simply ends the prefix (a
-/// torn tail is data, not an error).
+/// byte length of the clean prefix they occupy: [`RecordReader`] over
+/// `buf`, collected.
 pub fn decode_records(buf: &[u8]) -> (Vec<(u64, Vec<u8>)>, usize) {
+    let mut reader = RecordReader::new(buf);
     let mut records = Vec::new();
-    let mut r = Reader::new(buf);
-    let mut clean = 0usize;
-    loop {
-        let start = r.pos();
-        let Some(len) = r.take_u32() else { break };
-        if len as usize > MAX_PAYLOAD {
-            break;
-        }
-        let Some(seq) = r.take_u64() else { break };
-        let Some(payload) = r.take(len as usize) else {
-            break;
-        };
-        let Some(check) = r.take_u64() else { break };
-        if fnv1a64(&buf[start..start + 12 + len as usize]) != check {
-            break;
-        }
+    while let Some((seq, payload)) = reader.next_record().expect("a byte slice reads infallibly") {
         records.push((seq, payload.to_vec()));
-        clean = r.pos();
     }
-    (records, clean)
+    (records, reader.clean_len() as usize)
 }
 
 /// An open write-ahead log file positioned at its clean end.
@@ -106,7 +188,7 @@ pub struct Wal {
 
 impl Wal {
     /// Open (creating if absent) the log at `path`, truncating it to
-    /// `clean_len` — the clean-prefix length a prior [`decode_records`]
+    /// `clean_len` — the clean-prefix length a prior [`RecordReader`]
     /// pass reported — and positioning for appends.
     pub fn open_at(path: &Path, clean_len: u64, sync: SyncPolicy) -> Result<Wal, ServiceError> {
         let file = OpenOptions::new()
@@ -230,6 +312,55 @@ mod tests {
         let (recs, clean) = decode_records(&buf);
         assert_eq!(recs.len(), 1);
         assert_eq!(clean, first.len());
+    }
+
+    /// Hands out one byte per read, failing every other call with
+    /// `Interrupted`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = self.bytes.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn the_reader_decodes_any_split_of_the_stream_and_records_past_its_chunk() {
+        let big = vec![0xa5; READ_CHUNK + 100];
+        let mut buf = Vec::new();
+        for (seq, payload) in [(1, b"alpha".as_slice()), (2, &big), (3, b""), (4, b"delta")] {
+            buf.extend_from_slice(&encode_record(seq, payload));
+        }
+        let clean = buf.len();
+        buf.extend_from_slice(&encode_record(5, b"torn")[..9]);
+        let want = decode_records(&buf);
+        assert_eq!((want.0.len(), want.1), (4, clean));
+        assert_eq!(want.0[1], (2, big));
+
+        let mut reader = RecordReader::new(Trickle {
+            bytes: &buf,
+            interrupt: false,
+        });
+        let mut got = Vec::new();
+        while let Some((seq, payload)) = reader.next_record().expect("interrupts are retried") {
+            got.push((seq, payload.to_vec()));
+        }
+        assert_eq!((got, reader.clean_len() as usize), want);
+        assert_eq!(
+            reader.next_record().expect("ended"),
+            None,
+            "the end is sticky"
+        );
     }
 
     #[test]

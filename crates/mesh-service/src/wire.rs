@@ -59,11 +59,6 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Current offset from the start of the buffer.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Consume `n` raw bytes.
     pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.remaining() < n {

@@ -7,15 +7,35 @@
 //! [`ChurnError`] check, a batch of the wrong dimension, a payload
 //! [`ChurnRecord::decode`] rejects, or a sequence gap. Records at or below
 //! the snapshot generation are skipped unread.
+//!
+//! The fold ≡ replay battery then builds random journals over 2-D and 3-D
+//! meshes and tori — a snapshot or none, records the snapshot covers,
+//! valid churn, sometimes one bad record of any of the kinds above at a
+//! random position, sometimes a torn tail — and requires `ShardCore::open`
+//! to reach the same [`StateDigest`] or the same `Corrupt` error as the
+//! per-record `IncrementalModels::try_apply` replay in `reference/replay.rs`.
+//! `cargo test` runs a slice; the full battery is the ignored test:
+//!
+//! ```text
+//! cargo test --release -p mesh-service --test recovery -- --include-ignored
+//! ```
 
+#[path = "reference/replay.rs"]
+mod reference;
+
+use std::io::Write;
 use std::path::Path;
 
+use fault_model::ChurnError;
 use mesh_service::ops::ChurnRecord;
 use mesh_service::prelude::*;
-use mesh_service::shard::{ShardCore, WAL_FILE};
-use mesh_service::wal::Wal;
+use mesh_service::shard::{ShardCore, SNAP_FILE, SNAP_TMP, WAL_FILE};
+use mesh_service::snapshot::{self, Snapshot};
+use mesh_service::wal::{encode_record, Wal};
 use mesh_topo::coord::{c2, c3, C2};
-use mesh_topo::Parallelism;
+use mesh_topo::{Coord, NodeSet, NodeSpace2, NodeSpace3, Parallelism, Space};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn spec() -> ShardSpec {
     ShardSpec::new(
@@ -200,4 +220,329 @@ fn records_the_snapshot_covers_are_skipped_unread() {
         healed: vec![],
     });
     assert_eq!(r, Ok(Response::Churn { gen: 5 }));
+}
+
+/// The kinds of bad record a battery journal may carry.
+#[derive(Clone, Copy, Debug)]
+enum Bad {
+    /// A batch failing one `ChurnError` check (0–5, in variant order).
+    Churn(u8),
+    /// A batch of the other dimension.
+    WrongDim,
+    /// A payload `ChurnRecord::decode` rejects.
+    Undecodable,
+    /// A valid batch under a sequence number past the next.
+    Gap,
+    /// A valid batch repeating the last sequence number.
+    Repeat,
+}
+
+/// Builds one random journal over the node space `S`.
+struct Journal<'a, S: Space> {
+    rng: &'a mut SmallRng,
+    space: S,
+    /// The faults the valid records so far leave.
+    faults: NodeSet,
+    record: fn(Vec<S::Coord>, Vec<S::Coord>) -> ChurnRecord,
+    other_dim: ChurnRecord,
+}
+
+impl<S: Space> Journal<'_, S> {
+    fn node(&mut self, faulty: bool) -> Option<S::Coord> {
+        let n = self.space.node_count();
+        let have = self.faults.len();
+        if (faulty && have == 0) || (!faulty && have == n) {
+            return None;
+        }
+        loop {
+            let i = self.rng.gen_range(0..n);
+            if self.faults.contains(i) == faulty {
+                return Some(self.space.coord(i));
+            }
+        }
+    }
+
+    /// Up to `k` distinct nodes of one state, not among `avoid`.
+    fn nodes(&mut self, faulty: bool, k: usize, avoid: &[S::Coord]) -> Vec<S::Coord> {
+        let mut out: Vec<S::Coord> = Vec::new();
+        for _ in 0..k {
+            if let Some(c) = self.node(faulty) {
+                if !out.contains(&c) && !avoid.contains(&c) {
+                    out.push(c);
+                }
+            }
+        }
+        out
+    }
+
+    /// A valid batch, folded into `faults`.
+    fn valid(&mut self) -> Vec<u8> {
+        let k = self.rng.gen_range(0..4);
+        let injected = self.nodes(false, k, &[]);
+        let k = self.rng.gen_range(0..4);
+        let healed = self.nodes(true, k, &[]);
+        for c in &injected {
+            self.faults.insert(self.space.index(*c));
+        }
+        for c in &healed {
+            self.faults.remove(self.space.index(*c));
+        }
+        (self.record)(injected, healed).encode()
+    }
+
+    /// A batch failing check `which`, or a valid-looking one if the mesh
+    /// cannot host that failure (no faults to heal twice, say).
+    fn failing(&mut self, which: u8) -> Vec<u8> {
+        let mut injected = self.nodes(false, 2, &[]);
+        let mut healed = self.nodes(true, 2, &injected);
+        match which {
+            0 => {
+                let ext = self.space.extents();
+                let mut p = self.space.coord(0).xyz();
+                let axis = self.rng.gen_range(0..S::DIMS);
+                p[axis] = if self.rng.gen_bool(0.5) {
+                    -1
+                } else {
+                    ext[axis] as i32
+                };
+                let at = self.rng.gen_range(0..=healed.len());
+                healed.insert(at, S::Coord::from_xyz(p));
+            }
+            1 => injected.extend(injected.first().copied()),
+            2 => healed.extend(healed.first().copied()),
+            3 => healed.extend(injected.last().copied()),
+            4 => {
+                healed.clear();
+                injected.extend(self.node(true));
+            }
+            _ => {
+                injected.clear();
+                healed.extend(self.node(false));
+            }
+        }
+        (self.record)(injected, healed).encode()
+    }
+
+    /// Journal `records` valid records past a snapshot at `snap_gen` under
+    /// `dir`, with records it covers, and maybe one bad record and a torn
+    /// tail.
+    fn write(&mut self, dir: &Path, snap_gen: u64, records: u64) {
+        let mut wal = Wal::open_at(&dir.join(WAL_FILE), 0, SyncPolicy::Never).expect("open wal");
+        let none = CrashPoint::none();
+        for _ in 0..self.rng.gen_range(0..=snap_gen.min(3)) {
+            let seq = self.rng.gen_range(1..=snap_gen);
+            let which = self.rng.gen_range(0..6);
+            let payload = self.failing(which);
+            wal.append(seq, &payload, &none).expect("append");
+        }
+        let bad = self.rng.gen_bool(0.5).then(|| {
+            let kind = match self.rng.gen_range(0..10) {
+                k @ 0..=5 => Bad::Churn(k),
+                6 => Bad::WrongDim,
+                7 => Bad::Undecodable,
+                8 => Bad::Gap,
+                _ => Bad::Repeat,
+            };
+            (self.rng.gen_range(1..=records), kind)
+        });
+        for k in 1..=records {
+            let seq = snap_gen + k;
+            let (seq, payload) = match bad {
+                Some((at, kind)) if at == k => match kind {
+                    Bad::Churn(which) => (seq, self.failing(which)),
+                    Bad::WrongDim => (seq, self.other_dim.encode()),
+                    Bad::Undecodable => (seq, vec![self.rng.gen_range(4..=255)]),
+                    Bad::Gap => (seq + 1, self.valid()),
+                    Bad::Repeat => (seq - 1, self.valid()),
+                },
+                _ => (seq, self.valid()),
+            };
+            wal.append(seq, &payload, &none).expect("append");
+            if self.rng.gen_range(0..20) == 0 && snap_gen > 0 {
+                // A covered record between live ones is skipped too.
+                let payload = self.failing(0);
+                wal.append(self.rng.gen_range(1..=snap_gen), &payload, &none)
+                    .expect("append");
+            }
+        }
+        drop(wal);
+        if self.rng.gen_bool(0.3) {
+            let torn = encode_record(snap_gen + records + 1, &self.valid());
+            let cut = self.rng.gen_range(1..torn.len());
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(dir.join(WAL_FILE))
+                .expect("wal");
+            f.write_all(&torn[..cut]).expect("torn tail");
+        }
+    }
+}
+
+/// One random journal: its spec, snapshot and WAL under `dir`.
+fn random_journal(rng: &mut SmallRng, dir: &Path) -> ShardSpec {
+    let wrap = rng.gen_bool(0.5);
+    let lo = if wrap { 3 } else { 2 };
+    let geom = if rng.gen_bool(0.5) {
+        Geometry::M2 {
+            width: rng.gen_range(lo..8),
+            height: rng.gen_range(lo..8),
+            wrap,
+        }
+    } else {
+        Geometry::M3 {
+            nx: rng.gen_range(lo..5),
+            ny: rng.gen_range(lo..5),
+            nz: rng.gen_range(lo..5),
+            wrap,
+        }
+    };
+    let spec = ShardSpec::new(geom, 0);
+    let n = geom.node_count();
+    let faults = NodeSet::from_indices(
+        n,
+        (0..rng.gen_range(0..n / 3 + 1)).map(|_| rng.gen_range(0..n)),
+    );
+    let snap_gen = if rng.gen_bool(0.7) {
+        let gen = rng.gen_range(1..6);
+        let snap = Snapshot {
+            dim: geom.dim(),
+            wrap,
+            border: spec.border,
+            extents: geom.extents(),
+            gen,
+            nbits: n as u64,
+            words: faults.words().to_vec(),
+        };
+        snapshot::write(
+            &dir.join(SNAP_FILE),
+            &dir.join(SNAP_TMP),
+            &snap,
+            SyncPolicy::Never,
+            &CrashPoint::none(),
+        )
+        .expect("snapshot");
+        gen
+    } else {
+        0
+    };
+    let faults = if snap_gen > 0 {
+        faults
+    } else {
+        NodeSet::new(n)
+    };
+    let records = rng.gen_range(1..24);
+    let e = geom.extents();
+    match geom {
+        Geometry::M2 { .. } => Journal {
+            rng,
+            space: if wrap {
+                NodeSpace2::torus(e[0], e[1])
+            } else {
+                NodeSpace2::new(e[0], e[1])
+            },
+            faults,
+            record: |injected, healed| ChurnRecord::D2 { injected, healed },
+            other_dim: ChurnRecord::D3 {
+                injected: vec![c3(0, 0, 0)],
+                healed: vec![],
+            },
+        }
+        .write(dir, snap_gen, records),
+        Geometry::M3 { .. } => Journal {
+            rng,
+            space: if wrap {
+                NodeSpace3::torus(e[0], e[1], e[2])
+            } else {
+                NodeSpace3::new(e[0], e[1], e[2])
+            },
+            faults,
+            record: |injected, healed| ChurnRecord::D3 { injected, healed },
+            other_dim: ChurnRecord::D2 {
+                injected: vec![],
+                healed: vec![c2(0, 0)],
+            },
+        }
+        .write(dir, snap_gen, records),
+    }
+    spec
+}
+
+/// Recover `journals` random journals both ways; returns how many
+/// recovered and how many were corrupt.
+fn fold_matches_replay(seed: u64, journals: usize) -> (usize, usize) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut ok, mut corrupt) = (0, 0);
+    for j in 0..journals {
+        let dir = TempDir::new("fold");
+        let spec = random_journal(&mut rng, dir.path());
+        // The replay only reads; the fold truncates a torn tail.
+        let want = reference::recover(dir.path(), &spec);
+        let got = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+            .map(|mut core| core.digest());
+        assert_eq!(got, want, "journal {j} of seed {seed} ({spec:?})");
+        match want {
+            Ok(_) => ok += 1,
+            Err(ServiceError::Corrupt { .. }) => corrupt += 1,
+            Err(e) => panic!("journal {j}: unexpected {e}"),
+        }
+    }
+    (ok, corrupt)
+}
+
+#[test]
+fn fold_matches_replay_on_random_journals() {
+    let (ok, corrupt) = fold_matches_replay(1, 150);
+    assert!(
+        ok >= 30 && corrupt >= 30,
+        "{ok} recovered, {corrupt} corrupt"
+    );
+}
+
+#[test]
+#[ignore = "full battery; run in release with --include-ignored"]
+fn fold_matches_replay_on_random_journals_full() {
+    for seed in 2..6 {
+        let (ok, corrupt) = fold_matches_replay(seed, 1000);
+        assert!(
+            ok >= 300 && corrupt >= 300,
+            "{ok} recovered, {corrupt} corrupt"
+        );
+    }
+}
+
+/// Each failing batch the battery journals fails the check it names.
+#[test]
+fn the_failing_batches_fail_the_check_they_name() {
+    let mut rng = SmallRng::seed_from_u64(9);
+    let space = NodeSpace2::new(6, 6);
+    let faults = NodeSet::from_indices(36, [3, 8, 20, 33]);
+    let mut journal = Journal {
+        rng: &mut rng,
+        space,
+        faults: faults.clone(),
+        record: |injected, healed| ChurnRecord::D2 { injected, healed },
+        other_dim: ChurnRecord::D3 {
+            injected: vec![],
+            healed: vec![],
+        },
+    };
+    for which in 0..6u8 {
+        for _ in 0..20 {
+            let rec = ChurnRecord::decode(&journal.failing(which)).expect("decodes");
+            let ChurnRecord::D2 { injected, healed } = rec else {
+                unreachable!("a 2-D record")
+            };
+            let err = fault_model::CheckedBatch::new(space, &faults, &injected, &healed)
+                .expect_err("a failing batch");
+            let got = match err {
+                ChurnError::OutOfBounds(_) => 0,
+                ChurnError::DuplicateInjected(_) => 1,
+                ChurnError::DuplicateHealed(_) => 2,
+                ChurnError::Overlap(_) => 3,
+                ChurnError::AlreadyFaulty(_) => 4,
+                ChurnError::NotFaulty(_) => 5,
+            };
+            assert_eq!(got, which, "{injected:?} / {healed:?}");
+        }
+    }
 }

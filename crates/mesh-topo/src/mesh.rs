@@ -129,8 +129,24 @@ impl<S: Space> Mesh<S> {
             self.node_count(),
             "delta/mesh size mismatch"
         );
+        self.inject_each(delta.iter())
+    }
+
+    /// Batch-inject the nodes at `indices` (linear indices of
+    /// [`Mesh::space`]), in the cost of the batch rather than of the mesh.
+    /// Already-faulty nodes are left untouched; new faults are appended to
+    /// the fault list in the order given, so an ascending slice lists them
+    /// as [`Mesh::inject_fault_set`] does. Returns how many nodes flipped.
+    ///
+    /// # Panics
+    /// If an index lies outside the node space.
+    pub fn inject_indices(&mut self, indices: &[usize]) -> usize {
+        self.inject_each(indices.iter().copied())
+    }
+
+    fn inject_each(&mut self, indices: impl Iterator<Item = usize>) -> usize {
         let mut flipped = 0;
-        for i in delta.iter() {
+        for i in indices {
             if self.faulty.insert(i) {
                 self.fault_list.push(self.space.coord(i));
                 flipped += 1;
@@ -152,10 +168,35 @@ impl<S: Space> Mesh<S> {
             self.node_count(),
             "delta/mesh size mismatch"
         );
-        let before = self.fault_list.len();
-        let space = self.space;
-        self.fault_list.retain(|&f| !delta.contains(space.index(f)));
         self.faulty.difference_with(delta);
+        self.drop_healed()
+    }
+
+    /// Batch-heal the nodes at `indices` (linear indices of
+    /// [`Mesh::space`]) with no mesh-sized delta: the bits flip in the
+    /// cost of the batch, then one pass over the fault list drops them
+    /// (injection order of the survivors is preserved). Healthy nodes are
+    /// ignored. Returns how many nodes flipped.
+    ///
+    /// # Panics
+    /// If an index lies outside the node space.
+    pub fn heal_indices(&mut self, indices: &[usize]) -> usize {
+        let mut flipped = 0;
+        for &i in indices {
+            flipped += usize::from(self.faulty.remove(i));
+        }
+        if flipped > 0 {
+            self.drop_healed();
+        }
+        flipped
+    }
+
+    /// Drop from the fault list every node the bitset no longer holds;
+    /// returns how many went.
+    fn drop_healed(&mut self) -> usize {
+        let before = self.fault_list.len();
+        let (space, faulty) = (self.space, &self.faulty);
+        self.fault_list.retain(|&f| faulty.contains(space.index(f)));
         before - self.fault_list.len()
     }
 
@@ -440,6 +481,39 @@ mod tests {
         b.heal_fault(c2(3, 4));
         assert_eq!(a.fault_set(), b.fault_set());
         assert_eq!(a.faults(), b.faults());
+    }
+
+    #[test]
+    fn index_slice_flips_match_the_set_flips() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        fn check<S: Space>(mut a: Mesh<S>, rng: &mut SmallRng) {
+            let n = a.node_count();
+            let mut b = a.clone();
+            for _ in 0..40 {
+                // Ascending, distinct batches that may name nodes already
+                // in the target state (both forms ignore those).
+                let mut pick = || -> Vec<usize> {
+                    let k = rng.gen_range(0..5);
+                    let mut v: Vec<usize> = (0..k).map(|_| rng.gen_range(0..n)).collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                let (inject, heal) = (pick(), pick());
+                let heal: Vec<usize> = heal.into_iter().filter(|i| !inject.contains(i)).collect();
+                let set = |v: &[usize]| NodeSet::from_indices(n, v.iter().copied());
+                assert_eq!(a.inject_indices(&inject), b.inject_fault_set(&set(&inject)));
+                assert_eq!(a.heal_indices(&heal), b.heal_fault_set(&set(&heal)));
+                assert_eq!(a.faults(), b.faults());
+                assert_eq!(a.fault_set(), b.fault_set());
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(5);
+        check(Mesh2D::new(7, 5), &mut rng);
+        check(Mesh2D::torus(4, 6), &mut rng);
+        check(Mesh3D::new(3, 4, 2), &mut rng);
+        check(Mesh3D::torus_kary(3), &mut rng);
     }
 
     #[test]

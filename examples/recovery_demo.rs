@@ -58,7 +58,7 @@ fn main() {
     println!("shard killed (ServiceError::ShardPanicked)");
 
     // ...and the service has already rebuilt it, under the shard's lock,
-    // from snapshot + WAL replay.
+    // from its snapshot and WAL.
     let after = stats(&svc);
     assert_eq!((after.gen, after.faults), (before.gen, before.faults));
     println!(
