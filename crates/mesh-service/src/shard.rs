@@ -739,8 +739,8 @@ impl ShardCore {
     }
 
     /// Recovery proper: fold `journal` (the WAL's bytes) into the
-    /// snapshot's fault set and generation `snap`, build the models once,
-    /// and reopen the WAL truncated to its clean prefix.
+    /// snapshot's fault set and generation, build the models once, and
+    /// reopen the WAL truncated to its clean prefix.
     fn recover(
         dir: &Path,
         spec: ShardSpec,
