@@ -15,7 +15,7 @@
 //!   re-discovered, and they are spliced into the component list at their
 //!   sorted position ([`Splice`](crate::Splice)) while every other
 //!   component keeps its cells and its stable internal handle,
-//! * the MCC shapes by the same splice on the MCC list: only re-discovered
+//! * the MCC records by the same splice on the MCC list: only re-discovered
 //!   or status-touched components are re-extracted, every other MCC is
 //!   left in place,
 //! * the orientation-free block model is invalidated wholesale and lazily
@@ -49,12 +49,13 @@
 //!
 //! Every repaired model is **bit-for-bit equal** to recomputing from
 //! scratch on the churned mesh — statuses, unsafe sets, component ids and
-//! cell order, MCC shapes, and therefore every routing decision made on
+//! cell order, MCC records, and therefore every routing decision made on
 //! top. The equivalence battery in `tests/churn_equiv.rs` pins this after
 //! every step of random inject/heal traces (DESIGN.md §12).
 //!
-//! The cache is written once over the node space and reaches the
-//! per-dimension MCC and block models through [`ModelSpace`].
+//! The cache is written once over the node space: the labelling,
+//! components, MCC records ([`MccSet`]) and block model it keeps are each
+//! one generic type, so no per-dimension hook is needed.
 //!
 //! [`apply`]: IncrementalModels::apply
 //! [`apply_checked`]: IncrementalModels::apply_checked
@@ -91,7 +92,7 @@ use mesh_topo::{Coord, Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
 
 use crate::components::Components;
 use crate::labelling::Labelling;
-use crate::models::{repair_mccs, ModelSpace};
+use crate::mcc::MccSet;
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
@@ -272,23 +273,23 @@ struct LogEntry<C> {
 
 /// The incrementally maintained models of one orientation.
 #[derive(Clone, Debug)]
-struct IncSlot<S: ModelSpace> {
+struct IncSlot<S: Space> {
     /// Generation the models below reflect.
     synced: u64,
     lab: Labelling<S>,
     comps: Components<S>,
-    mccs: S::Mccs,
+    mccs: MccSet<S::Coord>,
 }
 
 /// Borrowed views of one orientation's incrementally maintained models.
 #[derive(Debug)]
-pub struct IncModelsRef<'a, S: ModelSpace> {
+pub struct IncModelsRef<'a, S: Space> {
     /// The labelling of the requested orientation.
     pub lab: &'a Labelling<S>,
     /// Its component decomposition.
     pub comps: &'a Components<S>,
-    /// Its MCC shapes.
-    pub mccs: &'a S::Mccs,
+    /// Its MCC records.
+    pub mccs: &'a MccSet<S::Coord>,
 }
 
 /// Borrowed views of one 2-D orientation's maintained models.
@@ -299,7 +300,7 @@ pub type IncModelsRef3<'a> = IncModelsRef<'a, NodeSpace3>;
 
 /// Owned, churn-capable model cache over a mesh (see the module docs).
 #[derive(Clone, Debug)]
-pub struct IncrementalModels<S: ModelSpace> {
+pub struct IncrementalModels<S: Space> {
     mesh: Mesh<S>,
     border: BorderPolicy,
     /// Bumped by every [`IncrementalModels::apply`].
@@ -326,7 +327,7 @@ pub type IncrementalModels2 = IncrementalModels<NodeSpace2>;
 /// The incrementally maintained models of a 3-D mesh (8 octant slots).
 pub type IncrementalModels3 = IncrementalModels<NodeSpace3>;
 
-impl<S: ModelSpace> IncrementalModels<S> {
+impl<S: Space> IncrementalModels<S> {
     /// Take ownership of `mesh`; nothing is computed until requested.
     pub fn new(mesh: Mesh<S>, border: BorderPolicy) -> IncrementalModels<S> {
         IncrementalModels {
@@ -505,7 +506,7 @@ impl<S: ModelSpace> IncrementalModels<S> {
         if rebuild {
             let lab = Labelling::compute(&self.mesh, frame, self.border);
             let comps = Components::compute(&lab);
-            let mccs = S::mccs(&lab);
+            let mccs = MccSet::compute(&lab);
             self.slots[idx] = Some(IncSlot {
                 synced: self.generation,
                 lab,
@@ -528,8 +529,7 @@ impl<S: ModelSpace> IncrementalModels<S> {
             changed.sort_unstable();
             changed.dedup();
             let splice = slot.comps.repair(&slot.lab, &changed);
-            self.mccs_extracted +=
-                repair_mccs(&mut slot.mccs, &slot.lab, &slot.comps, &splice, &changed);
+            self.mccs_extracted += slot.mccs.repair(&slot.lab, &slot.comps, &splice, &changed);
             slot.synced = self.generation;
         }
         let slot = self.slots[idx].as_ref().expect("just filled");
@@ -558,10 +558,7 @@ mod tests {
     use mesh_topo::coord::{c2, c3};
     use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2};
 
-    fn assert_slot_matches_fresh<S: ModelSpace>(inc: &mut IncrementalModels<S>, frame: S::Frame)
-    where
-        S::Mccs: PartialEq,
-    {
+    fn assert_slot_matches_fresh<S: Space>(inc: &mut IncrementalModels<S>, frame: S::Frame) {
         let mesh = inc.mesh().clone();
         let border = inc.border();
         let m = inc.models(frame);
@@ -571,7 +568,7 @@ mod tests {
         }
         assert_eq!(m.lab.unsafe_set(), lab.unsafe_set());
         assert_eq!(m.comps.cells, Components::compute(&lab).cells);
-        assert_eq!(m.mccs, &S::mccs(&lab));
+        assert_eq!(m.mccs, &MccSet::compute(&lab));
     }
 
     #[test]
@@ -871,7 +868,7 @@ mod tests {
         /// large enough that a one-node heal stays below the bulk-tier
         /// cut-over (the bulk tier recomputes from scratch and is immune
         /// to the skipped path).
-        fn case<S: ModelSpace>(mesh: Mesh<S>, frame: S::Frame, heal: S::Coord, probe: S::Coord) {
+        fn case<S: Space>(mesh: Mesh<S>, frame: S::Frame, heal: S::Coord, probe: S::Coord) {
             let mut inc = IncrementalModels::<S>::new(mesh, BorderPolicy::BorderSafe);
             assert!(inc.models(frame).lab.status(probe).is_useless());
 

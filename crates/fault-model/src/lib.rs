@@ -9,8 +9,10 @@
 //! * [`labelling`] — the recursive labelling closure (Algorithm 1 and
 //!   Algorithm 4 of the paper), written once over the node space,
 //! * [`components`] — connected components of unsafe nodes,
-//! * [`mcc2`] / [`mcc3`] — Minimal Connected Components: shape extraction,
-//!   profiles, corners and sections,
+//! * [`mcc`] — Minimal Connected Components: one record (cells, box,
+//!   fault and sacrificed counts) written once over the node space;
+//!   [`mcc2`] / [`mcc3`] derive the 2-D forbidden/critical regions and the
+//!   3-D plane sections from its cells,
 //! * [`condition`] — the sufficient & necessary condition for existence of
 //!   a minimal path, evaluated once over the node space; [`condition2`] /
 //!   [`condition3`] are its Lemma 1 / Theorem 1 and Theorem 2 entry points,
@@ -26,9 +28,9 @@
 //! Module ↔ paper map: [`status`] and [`labelling`] implement the node
 //! states and Algorithm 1 of Section 3 (2-D model, [`Labelling2`]);
 //! [`labelling`] is also Algorithm 4 of Section 4 ([`Labelling3`]), whose
-//! Figure 5 example is pinned by this crate's tests; [`mcc2`]/[`mcc3`]
-//! realize the MCC shape machinery
-//! (boundaries, corners, sections) of Sections 3–4; [`condition`]
+//! Figure 5 example is pinned by this crate's tests; [`mcc`] extracts the
+//! MCCs of Sections 3–4 and [`mcc2`]/[`mcc3`] their region shapes
+//! (forbidden and critical regions, sections); [`condition`]
 //! evaluates Lemma 1/Theorem 1 ([`condition2`]) and Theorem 2
 //! ([`condition3`]); [`rfb`] is the
 //! faulty-block baseline of the Section 6 evaluation.
@@ -86,6 +88,7 @@ pub mod labelling;
 mod labelling2;
 #[cfg(test)]
 mod labelling3;
+pub mod mcc;
 pub mod mcc2;
 pub mod mcc3;
 pub mod models;
@@ -110,9 +113,10 @@ pub use incremental::{
     CheckedBatch, ChurnError, IncrementalModels, IncrementalModels2, IncrementalModels3,
 };
 pub use labelling::{Labelling, Labelling2, Labelling3};
+pub use mcc::{Mcc, MccSet};
 pub use mcc2::Mcc2;
 pub use mcc3::Mcc3;
-pub use models::{ModelCache, ModelCache2, ModelCache3, ModelSpace};
+pub use models::{ModelCache, ModelCache2, ModelCache3};
 pub use regime::{AdversarialReport, FaultRegime, Schedule};
 pub use rfb::{FaultBlocks, FaultBlocks2, FaultBlocks3};
 pub use status::{BorderPolicy, NodeStatus};

@@ -1,33 +1,39 @@
-//! Minimal Connected Components in 2-D meshes: shape extraction.
+//! 2-D shape queries on an MCC, derived from its cells.
 //!
-//! Each connected component of the unsafe set (8-connectivity, see
-//! [`crate::components`]) is an MCC. Wang's structural theorem (re-checked by
-//! our property tests) says a closed MCC is a *rectilinear-monotone
-//! polygonal* region; the property our region machinery relies on is
+//! Wang's structural theorem (re-checked by our property tests and the
+//! exhaustive battery) says a closed 2-D MCC is a *rectilinear-monotone
+//! polygonal* region; the property the region queries rely on is
 //! HV-convexity:
 //!
 //! * its occupancy in every column `x` is one contiguous interval
 //!   `[bot(x), top(x)]`, and likewise in every row.
 //!
-//! From the profiles we obtain the forbidden region `Q` and critical region
-//! `Q'` of the component per axis:
+//! From those intervals follow the forbidden region `Q` and critical
+//! region `Q'` of the component per axis:
 //!
 //! * `Q_Y(M)` — nodes strictly below `M` in an `M`-spanned column (a routing
 //!   that enters it while the destination lies above `M` is doomed),
 //! * `Q'_Y(M)` — nodes strictly above `M` in an `M`-spanned column,
 //! * `Q_X` / `Q'_X` — the row-wise (left / right) analogues.
 //!
-//! The module also identifies the *initialization corner* and *opposite
-//! corner* used by the distributed identification process of the paper.
+//! No routing step reads them (Lemma 1 and Theorem 1 are evaluated on the
+//! labelling's unsafe closure); they are the semantic twin the protocol
+//! records of `mcc-protocols` and the region tests compare against. Each
+//! query scans the cells, so the record stores nothing beyond
+//! [`Mcc`]'s cells, box and counts.
 
-use mesh_topo::{Rect, C2};
-use serde::{Deserialize, Serialize};
+use mesh_topo::C2;
 
-use crate::components::Components2;
-use crate::labelling::Labelling2;
+use crate::mcc::{Mcc, MccSet};
+
+/// One Minimal Connected Component of a 2-D labelling.
+pub type Mcc2 = Mcc<C2>;
+
+/// All MCCs of one 2-D labelling.
+pub type MccSet2 = MccSet<C2>;
 
 /// The axis a forbidden/critical region pair refers to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RegionAxis2 {
     /// `Q_X` (left of the MCC) / `Q'_X` (right of the MCC).
     X,
@@ -35,121 +41,23 @@ pub enum RegionAxis2 {
     Y,
 }
 
-/// One Minimal Connected Component of a 2-D labelling, with its shape
-/// profiles and region predicates. Coordinates are canonical.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Mcc2 {
-    /// All member cells.
-    pub cells: Vec<C2>,
-    /// Bounding rectangle.
-    pub bounds: Rect,
-    /// Number of faulty cells.
-    pub fault_count: usize,
-    /// Number of healthy (useless / can't-reach) cells.
-    pub sacrificed_count: usize,
-    /// Per-column lowest occupied y, indexed by `x - bounds.x0`.
-    col_bot: Vec<i32>,
-    /// Per-column highest occupied y.
-    col_top: Vec<i32>,
-    /// Per-row lowest occupied x, indexed by `y - bounds.y0`.
-    row_lo: Vec<i32>,
-    /// Per-row highest occupied x.
-    row_hi: Vec<i32>,
+/// The `[min, max]` of `key` over the cells `on` selects, if any.
+fn span(cells: &[C2], on: impl Fn(C2) -> bool, key: impl Fn(C2) -> i32) -> Option<(i32, i32)> {
+    cells.iter().filter(|&&c| on(c)).fold(None, |acc, &c| {
+        let k = key(c);
+        Some(acc.map_or((k, k), |(lo, hi): (i32, i32)| (lo.min(k), hi.max(k))))
+    })
 }
 
-/// All MCCs of one labelling.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MccSet2 {
-    /// The components, indexed by component id (position).
-    pub mccs: Vec<Mcc2>,
-}
-
-impl Mcc2 {
-    pub(crate) fn from_cells(cells: Vec<C2>, lab: &Labelling2) -> Mcc2 {
-        debug_assert!(!cells.is_empty());
-        let mut bounds = Rect::point(cells[0]);
-        for &c in &cells[1..] {
-            bounds.include(c);
-        }
-        let w = (bounds.x1 - bounds.x0 + 1) as usize;
-        let h = (bounds.y1 - bounds.y0 + 1) as usize;
-        let mut col_bot = vec![i32::MAX; w];
-        let mut col_top = vec![i32::MIN; w];
-        let mut row_lo = vec![i32::MAX; h];
-        let mut row_hi = vec![i32::MIN; h];
-        let mut fault_count = 0;
-        for &c in &cells {
-            let ci = (c.x - bounds.x0) as usize;
-            let ri = (c.y - bounds.y0) as usize;
-            col_bot[ci] = col_bot[ci].min(c.y);
-            col_top[ci] = col_top[ci].max(c.y);
-            row_lo[ri] = row_lo[ri].min(c.x);
-            row_hi[ri] = row_hi[ri].max(c.x);
-            if lab.status(c).is_faulty() {
-                fault_count += 1;
-            }
-        }
-        let sacrificed_count = cells.len() - fault_count;
-        Mcc2 {
-            cells,
-            bounds,
-            fault_count,
-            sacrificed_count,
-            col_bot,
-            col_top,
-            row_lo,
-            row_hi,
-        }
-    }
-
-    /// Total number of cells.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// MCCs are never empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
+impl Mcc<C2> {
     /// The occupied y-interval `[bot, top]` of column `x`, if spanned.
     pub fn col_interval(&self, x: i32) -> Option<(i32, i32)> {
-        if x < self.bounds.x0 || x > self.bounds.x1 {
-            return None;
-        }
-        let i = (x - self.bounds.x0) as usize;
-        if self.col_bot[i] > self.col_top[i] {
-            None
-        } else {
-            Some((self.col_bot[i], self.col_top[i]))
-        }
+        span(&self.cells, |c| c.x == x, |c| c.y)
     }
 
     /// The occupied x-interval `[lo, hi]` of row `y`, if spanned.
     pub fn row_interval(&self, y: i32) -> Option<(i32, i32)> {
-        if y < self.bounds.y0 || y > self.bounds.y1 {
-            return None;
-        }
-        let i = (y - self.bounds.y0) as usize;
-        if self.row_lo[i] > self.row_hi[i] {
-            None
-        } else {
-            Some((self.row_lo[i], self.row_hi[i]))
-        }
-    }
-
-    /// True if the component occupies cell `c`.
-    ///
-    /// Valid for *closed* MCCs (contiguous row/column intervals) — the form
-    /// guaranteed by the labelling closure and asserted by
-    /// [`Mcc2::is_hv_convex`].
-    pub fn contains(&self, c: C2) -> bool {
-        match self.col_interval(c.x) {
-            Some((bot, top)) => c.y >= bot && c.y <= top,
-            None => false,
-        }
+        span(&self.cells, |c| c.y == y, |c| c.x)
     }
 
     /// `c ∈ Q_Y(M)` — strictly below the component in a spanned column.
@@ -194,142 +102,39 @@ impl Mcc2 {
 
     /// Structural check: every row/column occupancy of the component is one
     /// contiguous interval and every row/column of the bounding box is
-    /// occupied (HV-convexity). `true` for every closed MCC; the region
-    /// predicates above assume it.
+    /// occupied (HV-convexity). `true` for every closed MCC on a mesh; the
+    /// region predicates above assume it.
     pub fn is_hv_convex(&self) -> bool {
-        // Count cells per column/row and compare with interval widths.
-        let w = (self.bounds.x1 - self.bounds.x0 + 1) as usize;
-        let h = (self.bounds.y1 - self.bounds.y0 + 1) as usize;
-        let mut col_n = vec![0i64; w];
-        let mut row_n = vec![0i64; h];
-        for &c in &self.cells {
-            col_n[(c.x - self.bounds.x0) as usize] += 1;
-            row_n[(c.y - self.bounds.y0) as usize] += 1;
-        }
-        for x in self.bounds.x0..=self.bounds.x1 {
-            match self.col_interval(x) {
-                Some((bot, top)) => {
-                    if col_n[(x - self.bounds.x0) as usize] != (top - bot + 1) as i64 {
-                        return false; // hole in the column
-                    }
-                }
-                None => return false, // bounding box column not spanned
-            }
-        }
-        for y in self.bounds.y0..=self.bounds.y1 {
-            match self.row_interval(y) {
-                Some((lo, hi)) => {
-                    if row_n[(y - self.bounds.y0) as usize] != (hi - lo + 1) as i64 {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// The `(+Y-X)`-corner cell of the component: among the cells with
-    /// maximum y, the one with minimum x (the paper's corner naming for the
-    /// section identification process).
-    pub fn corner_cell_yx(&self) -> C2 {
-        *self
-            .cells
-            .iter()
-            .max_by_key(|c| (c.y, -c.x))
-            .expect("MCC is never empty")
-    }
-
-    /// The `(+X-Y)`-corner cell: among the cells with maximum x, the one
-    /// with minimum y.
-    pub fn corner_cell_xy(&self) -> C2 {
-        *self
-            .cells
-            .iter()
-            .max_by_key(|c| (c.x, -c.y))
-            .expect("MCC is never empty")
-    }
-
-    /// The *initialization corner* of the identification process: the safe
-    /// node diagonally up-left of the `(+Y-X)`-corner cell; its `+X` and
-    /// `+Y` neighbors are edge nodes of the MCC.
-    pub fn init_corner(&self) -> C2 {
-        let t = self.corner_cell_yx();
-        C2 {
-            x: t.x - 1,
-            y: t.y + 1,
-        }
-    }
-
-    /// The *opposite corner*: the safe node diagonally down-right of the
-    /// (min-y, then max-x) cell; its `-X` and `-Y` neighbors are edge nodes.
-    pub fn opposite_corner(&self) -> C2 {
-        let b = *self
-            .cells
-            .iter()
-            .min_by_key(|c| (c.y, -c.x))
-            .expect("MCC is never empty");
-        C2 {
-            x: b.x + 1,
-            y: b.y - 1,
-        }
-    }
-}
-
-impl MccSet2 {
-    /// Extract all MCCs of a labelling.
-    pub fn compute(lab: &Labelling2) -> MccSet2 {
-        let comps = Components2::compute(lab);
-        MccSet2 {
-            mccs: comps
-                .cells
-                .into_iter()
-                .map(|cells| Mcc2::from_cells(cells, lab))
-                .collect(),
-        }
-    }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.mccs.len()
-    }
-
-    /// True if there are no unsafe nodes.
-    pub fn is_empty(&self) -> bool {
-        self.mccs.is_empty()
-    }
-
-    /// Iterate the components.
-    pub fn iter(&self) -> impl Iterator<Item = &Mcc2> {
-        self.mccs.iter()
-    }
-
-    /// Total healthy nodes captured by fault regions.
-    pub fn total_sacrificed(&self) -> usize {
-        self.mccs.iter().map(|m| m.sacrificed_count).sum()
+        let b = self.bounds;
+        let solid = |interval: Option<(i32, i32)>, count: usize| {
+            interval.is_some_and(|(lo, hi)| (hi - lo + 1) as usize == count)
+        };
+        let count = |on: &dyn Fn(&C2) -> bool| self.cells.iter().filter(|c| on(c)).count();
+        (b.x0..=b.x1).all(|x| solid(self.col_interval(x), count(&|c| c.x == x)))
+            && (b.y0..=b.y1).all(|y| solid(self.row_interval(y), count(&|c| c.y == y)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labelling::Labelling2;
     use crate::status::BorderPolicy;
     use mesh_topo::coord::c2;
     use mesh_topo::{Frame2, Mesh2D};
 
-    fn mccs_of(faults: &[C2], w: i32, h: i32) -> (Labelling2, MccSet2) {
+    fn mccs_of(faults: &[C2], w: i32, h: i32) -> MccSet2 {
         let mut mesh = Mesh2D::new(w, h);
         for &f in faults {
             mesh.inject_fault(f);
         }
         let lab = Labelling2::compute(&mesh, Frame2::identity(&mesh), BorderPolicy::BorderSafe);
-        let set = MccSet2::compute(&lab);
-        (lab, set)
+        MccSet2::compute(&lab)
     }
 
     #[test]
     fn single_fault_profiles() {
-        let (_, set) = mccs_of(&[c2(4, 5)], 10, 10);
+        let set = mccs_of(&[c2(4, 5)], 10, 10);
         assert_eq!(set.len(), 1);
         let m = &set.mccs[0];
         assert_eq!(m.len(), 1);
@@ -343,7 +148,7 @@ mod tests {
 
     #[test]
     fn region_membership_single_cell() {
-        let (_, set) = mccs_of(&[c2(4, 5)], 10, 10);
+        let set = mccs_of(&[c2(4, 5)], 10, 10);
         let m = &set.mccs[0];
         assert!(m.in_forbidden_y(c2(4, 0)));
         assert!(m.in_critical_y(c2(4, 9)));
@@ -361,7 +166,7 @@ mod tests {
         // Faults on x+y = 10, x in 3..=7 — the closure thickens this into a
         // connected monotone band.
         let faults: Vec<C2> = (3..=7).map(|x| c2(x, 10 - x)).collect();
-        let (_, set) = mccs_of(&faults, 14, 14);
+        let set = mccs_of(&faults, 14, 14);
         assert_eq!(set.len(), 1, "closure must bridge antidiagonal faults");
         let m = &set.mccs[0];
         assert!(m.is_hv_convex());
@@ -377,7 +182,7 @@ mod tests {
         // "/"-oriented faults are 8-connected: one MCC, nothing sacrificed,
         // ascending profiles, still HV-convex.
         let faults: Vec<C2> = (3..=7).map(|x| c2(x, x)).collect();
-        let (_, set) = mccs_of(&faults, 14, 14);
+        let set = mccs_of(&faults, 14, 14);
         assert_eq!(set.len(), 1);
         let m = &set.mccs[0];
         assert_eq!(m.sacrificed_count, 0);
@@ -390,7 +195,7 @@ mod tests {
     #[test]
     fn vertical_wall_profiles() {
         let faults: Vec<C2> = (2..=6).map(|y| c2(5, y)).collect();
-        let (_, set) = mccs_of(&faults, 10, 10);
+        let set = mccs_of(&faults, 10, 10);
         let m = &set.mccs[0];
         assert_eq!(m.col_interval(5), Some((2, 6)));
         assert_eq!(m.sacrificed_count, 0);
@@ -403,23 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn corners_of_staircase() {
-        let faults: Vec<C2> = (3..=7).map(|x| c2(x, 10 - x)).collect();
-        let (lab, set) = mccs_of(&faults, 14, 14);
-        let m = &set.mccs[0];
-        let ic = m.init_corner();
-        let oc = m.opposite_corner();
-        // Corners are safe nodes diagonally adjacent to extreme cells.
-        assert!(lab.status(ic).is_safe());
-        assert!(lab.status(oc).is_safe());
-        assert!(m.contains(c2(ic.x + 1, ic.y - 1)));
-        assert!(m.contains(c2(oc.x - 1, oc.y + 1)));
-        assert_eq!(c2(ic.x + 1, ic.y - 1), m.corner_cell_yx());
-    }
-
-    #[test]
     fn disjoint_mccs_do_not_interfere() {
-        let (_, set) = mccs_of(&[c2(2, 2), c2(8, 8)], 12, 12);
+        let set = mccs_of(&[c2(2, 2), c2(8, 8)], 12, 12);
         assert_eq!(set.len(), 2);
         assert_eq!(set.total_sacrificed(), 0);
         let a = &set.mccs[0];
@@ -429,7 +219,7 @@ mod tests {
     #[test]
     fn contains_agrees_with_cells() {
         let faults: Vec<C2> = vec![c2(4, 6), c2(5, 5), c2(6, 4), c2(5, 6), c2(4, 5)];
-        let (_, set) = mccs_of(&faults, 12, 12);
+        let set = mccs_of(&faults, 12, 12);
         for m in set.iter() {
             for &c in &m.cells {
                 assert!(m.contains(c));

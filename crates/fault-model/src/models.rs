@@ -10,11 +10,11 @@
 //! * [`Labelling2`](crate::Labelling2) / [`Labelling3`](crate::Labelling3) —
 //!   one per orientation.
 //!
-//! No trial step reads the MCC shapes ([`MccSet2`] / [`MccSet3`]): the
+//! No trial step reads the MCC records ([`MccSet`](crate::MccSet)): the
 //! existence conditions and the exact routers use the labelling's unsafe
 //! closure. Their readers — region statistics, the protocols and
-//! [`IncrementalModels`](crate::IncrementalModels) — build them on their
-//! own, the last through [`ModelSpace`].
+//! [`IncrementalModels`](crate::IncrementalModels) — call
+//! [`MccSet::compute`](crate::MccSet::compute) on their own.
 //!
 //! A [`ModelCache`] ([`ModelCache2`] / [`ModelCache3`]) therefore memoizes
 //! each model the first time an orientation asks for it and hands out
@@ -44,101 +44,9 @@
 
 use mesh_topo::{Mesh, NodeSpace2, NodeSpace3, Space};
 
-use crate::components::{Components, Splice};
 use crate::labelling::Labelling;
-use crate::mcc2::{Mcc2, MccSet2};
-use crate::mcc3::{Mcc3, MccSet3};
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
-
-/// The per-dimension model that [`IncrementalModels`](crate::IncrementalModels)
-/// holds beside the generic labelling, components and block model: the MCC
-/// shapes (2-D profiles vs 3-D sections).
-pub trait ModelSpace: Space {
-    /// One MCC's shape.
-    type Mcc: Clone + std::fmt::Debug;
-    /// The MCC decomposition of a labelling.
-    type Mccs: Clone + PartialEq + std::fmt::Debug;
-
-    /// Extract every MCC of `lab`.
-    fn mccs(lab: &Labelling<Self>) -> Self::Mccs;
-    /// Extract the MCC of one component from its cells (in discovery
-    /// order) and their statuses in `lab`.
-    fn mcc_from_cells(cells: Vec<Self::Coord>, lab: &Labelling<Self>) -> Self::Mcc;
-    /// The MCCs of a decomposition, indexed by component position.
-    fn mcc_list(mccs: &mut Self::Mccs) -> &mut Vec<Self::Mcc>;
-    /// The number of MCCs in a decomposition.
-    fn mcc_count(mccs: &Self::Mccs) -> usize;
-}
-
-impl ModelSpace for NodeSpace2 {
-    type Mcc = Mcc2;
-    type Mccs = MccSet2;
-
-    fn mccs(lab: &Labelling<Self>) -> MccSet2 {
-        MccSet2::compute(lab)
-    }
-    fn mcc_from_cells(cells: Vec<Self::Coord>, lab: &Labelling<Self>) -> Mcc2 {
-        Mcc2::from_cells(cells, lab)
-    }
-    fn mcc_list(mccs: &mut MccSet2) -> &mut Vec<Mcc2> {
-        &mut mccs.mccs
-    }
-    fn mcc_count(mccs: &MccSet2) -> usize {
-        mccs.len()
-    }
-}
-
-impl ModelSpace for NodeSpace3 {
-    type Mcc = Mcc3;
-    type Mccs = MccSet3;
-
-    fn mccs(lab: &Labelling<Self>) -> MccSet3 {
-        MccSet3::compute(lab)
-    }
-    fn mcc_from_cells(cells: Vec<Self::Coord>, lab: &Labelling<Self>) -> Mcc3 {
-        Mcc3::from_cells(cells, lab)
-    }
-    fn mcc_list(mccs: &mut MccSet3) -> &mut Vec<Mcc3> {
-        &mut mccs.mccs
-    }
-    fn mcc_count(mccs: &MccSet3) -> usize {
-        mccs.len()
-    }
-}
-
-/// Repair the MCC shapes after a component repair: `comps` is the
-/// repaired decomposition, `splice` what [`Components::repair`] returned,
-/// and `changed` the dirty region it was given. The splice drops the MCCs
-/// of removed components and extracts those of re-discovered ones in
-/// place; a carried component holding **any** status-changed cell is
-/// re-extracted too — a cell can flip useless→faulty without a membership
-/// change, which moves the fault/sacrificed split even though the shape is
-/// untouched. No other MCC is read or written, and the result is
-/// bit-for-bit equal to `S::mccs(lab)` (DESIGN.md §12). Returns the
-/// number of MCCs extracted.
-pub(crate) fn repair_mccs<S: ModelSpace>(
-    mccs: &mut S::Mccs,
-    lab: &Labelling<S>,
-    comps: &Components<S>,
-    splice: &Splice,
-    changed: &[usize],
-) -> usize {
-    let list = S::mcc_list(mccs);
-    let extract = |p: usize| S::mcc_from_cells(comps.cells[p].clone(), lab);
-    splice.apply(list, extract);
-    let mut dirty: Vec<usize> = changed
-        .iter()
-        .filter_map(|&i| comps.position_at(i))
-        .filter(|p| splice.inserted.binary_search(p).is_err())
-        .collect();
-    dirty.sort_unstable();
-    dirty.dedup();
-    for &p in &dirty {
-        list[p] = extract(p);
-    }
-    splice.inserted.len() + dirty.len()
-}
 
 /// Borrowed views of every model a trial needs, fetched (and lazily
 /// computed) in one call so the borrows coexist.

@@ -57,7 +57,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::labelling::Labelling;
-use crate::models::ModelSpace;
 use crate::oracle::Useful;
 use crate::status::BorderPolicy;
 
@@ -129,7 +128,7 @@ impl FaultRegime {
     /// `border` is only consulted by [`FaultRegime::AdversarialBoundary`]
     /// (its violation predicate labels the mesh); all other regimes are
     /// purely spatial.
-    pub fn inject<S: ModelSpace>(
+    pub fn inject<S: Space>(
         &self,
         mesh: &mut Mesh<S>,
         count: usize,
@@ -521,7 +520,7 @@ const ANNEAL_STEPS: usize = 200;
 /// Evaluate the violation predicate for `faults` against pair `(s, d)` on
 /// an otherwise-clean `mesh` (restored before returning). Returns
 /// `(oracle_ok, endpoints_safe)`.
-fn probe<S: ModelSpace>(
+fn probe<S: Space>(
     mesh: &mut Mesh<S>,
     faults: &[S::Coord],
     s: S::Coord,
@@ -577,7 +576,7 @@ fn cheb<S: Space>(a: S::Coord, b: S::Coord) -> i32 {
 /// a working set holds at most one fault per axis neighbor of an endpoint
 /// (`2·DIMS`). Returns `None` when no violation is found (e.g. degenerate
 /// pairs or wrapped meshes).
-pub fn adversarial_search<S: ModelSpace>(
+pub fn adversarial_search<S: Space>(
     mesh: &Mesh<S>,
     s: S::Coord,
     d: S::Coord,
@@ -688,7 +687,7 @@ pub fn adversarial_search<S: ModelSpace>(
 /// (targeting `protected[0] → protected[1]` when given, else the mesh
 /// corner pair), padded up to `count` with uniformly sampled filler from
 /// a derived seed stream.
-fn inject_adversarial<S: ModelSpace>(
+fn inject_adversarial<S: Space>(
     mesh: &mut Mesh<S>,
     count: usize,
     seed: u64,

@@ -8,11 +8,11 @@
 //! These helpers compute the per-instance numbers; the `mcc-bench` crate
 //! aggregates them over seeds into the tables of `EXPERIMENTS.md`.
 
-use mesh_topo::Mesh;
+use mesh_topo::{Mesh, Space};
 use serde::{Deserialize, Serialize};
 
 use crate::labelling::Labelling;
-use crate::models::ModelSpace;
+use crate::mcc::MccSet;
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
 
@@ -36,7 +36,7 @@ pub struct RegionStats {
 }
 
 /// Compute [`RegionStats`] for a 2-D or 3-D mesh.
-pub fn region_stats<S: ModelSpace>(mesh: &Mesh<S>, policy: BorderPolicy) -> RegionStats {
+pub fn region_stats<S: Space>(mesh: &Mesh<S>, policy: BorderPolicy) -> RegionStats {
     let labs: Vec<Labelling<S>> = S::all_frames(mesh)
         .into_iter()
         .map(|f| Labelling::compute(mesh, f, policy))
@@ -52,14 +52,13 @@ pub fn region_stats<S: ModelSpace>(mesh: &Mesh<S>, policy: BorderPolicy) -> Regi
         }
     }
     let blocks = FaultBlocks::compute(mesh);
-    let mut mccs = S::mccs(canonical);
     RegionStats {
         faults: mesh.fault_count(),
         mcc_sacrificed,
         mcc_sacrificed_worst,
         mcc_sacrificed_union: union,
         rfb_sacrificed: blocks.sacrificed_count(),
-        mcc_count: S::mcc_list(&mut mccs).len(),
+        mcc_count: MccSet::compute(canonical).len(),
         rfb_count: blocks.blocks().len(),
     }
 }
@@ -75,7 +74,7 @@ mod tests {
 
     /// MCCs never sacrifice more than blocks, and the canonical, worst
     /// and union counts nest, over `seeds` uniform fault sets of `count`.
-    fn assert_models_nest<S: ModelSpace>(clean: Mesh<S>, count: usize, seeds: u64) {
+    fn assert_models_nest<S: Space>(clean: Mesh<S>, count: usize, seeds: u64) {
         for seed in 0..seeds {
             let mut mesh = clean.clone();
             FaultRegime::Uniform.inject(&mut mesh, count, seed, &[], B);

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::components::Components;
 use crate::labelling::Labelling;
-use crate::models::{repair_mccs, ModelSpace};
+use crate::mcc::MccSet;
 use crate::status::BorderPolicy;
 
 /// `mesh` with `draws` random nodes injected (repeats collapse).
@@ -58,7 +58,7 @@ pub(crate) fn churn<S: Space>(
 /// Random churn through labelling, component and MCC repair on `clean`
 /// (seeded with `draws` random faults), checked against a fresh MCC
 /// extraction after each of `rounds` batches.
-pub(crate) fn mcc_repair_tracks_compute<S: ModelSpace>(
+pub(crate) fn mcc_repair_tracks_compute<S: Space>(
     clean: Mesh<S>,
     seed: u64,
     draws: usize,
@@ -69,14 +69,14 @@ pub(crate) fn mcc_repair_tracks_compute<S: ModelSpace>(
     let identity = S::identity_frame(&mesh);
     let mut lab = Labelling::<S>::compute(&mesh, identity, BorderPolicy::BorderSafe);
     let mut comps = Components::compute(&lab);
-    let mut set = S::mccs(&lab);
+    let mut set = MccSet::compute(&lab);
     for _ in 0..rounds {
         let (injected, healed) = churn(&mut rng, &mut mesh, 4);
         let changed = lab.repair(&injected, &healed);
         let splice = comps.repair(&lab, &changed);
-        repair_mccs::<S>(&mut set, &lab, &comps, &splice, &changed);
+        set.repair(&lab, &comps, &splice, &changed);
         assert!(
-            set == S::mccs(&lab),
+            set == MccSet::compute(&lab),
             "repaired MCCs diverged from a fresh extraction"
         );
     }

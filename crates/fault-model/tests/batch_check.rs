@@ -14,7 +14,7 @@
 mod reference;
 
 use fault_model::{BorderPolicy, CheckedBatch, ChurnError, IncrementalModels};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,7 +61,7 @@ fn draw<C: Coord>(rng: &mut SmallRng, ext: [usize; 3], dims: usize, seen: &[C]) 
 
 /// Check `batches` random batches against `mesh` and its churn; returns
 /// how often each outcome (see [`kind`]) came up.
-fn battery<S: fault_model::ModelSpace>(mesh: Mesh<S>, seed: u64, batches: usize) -> [usize; 7] {
+fn battery<S: Space>(mesh: Mesh<S>, seed: u64, batches: usize) -> [usize; 7] {
     let mut rng = SmallRng::seed_from_u64(seed);
     let space = mesh.space();
     let (ext, dims) = (space.extents(), S::DIMS);

@@ -10,8 +10,8 @@
 //! * node statuses and the unsafe [`NodeSet`](mesh_topo::NodeSet),
 //! * component cell lists (membership *and* discovery order) and the
 //!   component id of every node (a safe node must have none),
-//! * MCC shapes — `Mcc2`/`Mcc3` are `PartialEq`, so cells, bounds,
-//!   profiles and fault/sacrificed splits are all compared at once, and
+//! * MCC records — `Mcc` is `PartialEq`, so cells, bounds and
+//!   fault/sacrificed splits are all compared at once, and
 //!   the list order pins the ids,
 //! * the rectangular block model after its lazy recompute.
 //!
@@ -27,7 +27,7 @@ use fault_model::components::Components;
 use fault_model::incremental::{
     IncrementalModels, IncrementalModels2, IncrementalModels3, LOG_CAP,
 };
-use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, ModelSpace};
+use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, MccSet};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
 use proptest::prelude::*;
@@ -72,10 +72,7 @@ fn decode_step<S: Space>(
 }
 
 /// Pin every maintained model of `frame` against from-scratch twins.
-fn assert_models_equal_fresh<S: ModelSpace>(inc: &mut IncrementalModels<S>, frame: S::Frame)
-where
-    S::Mccs: PartialEq,
-{
+fn assert_models_equal_fresh<S: Space>(inc: &mut IncrementalModels<S>, frame: S::Frame) {
     let mesh = inc.mesh().clone();
     let b = inc.border();
     let m = inc.models(frame);
@@ -93,7 +90,7 @@ where
             "component id diverged at {c}"
         );
     }
-    assert_eq!(m.mccs, &S::mccs(&lab), "MCCs diverged");
+    assert_eq!(m.mccs, &MccSet::compute(&lab), "MCCs diverged");
 }
 
 /// The sync lags of the lag battery: replays of one, two and seven

@@ -6,6 +6,10 @@
 //! * the labelling kernel equals the hash reference on meshes and the
 //!   wrapped worklist closure on tori, in every frame under both border
 //!   policies, and its unsafe set equals its statuses;
+//! * the MCC records of each of those labellings partition its unsafe set,
+//!   each record's fault and sacrificed counts match the statuses of its
+//!   cells, its `bounds` is the box of its cells, and on 2-D meshes every
+//!   MCC is HV-convex;
 //! * the block kernel equals the reference closure of `reference/rfb.rs`:
 //!   the disabled set, the block list (order included) and the sacrificed
 //!   count;
@@ -34,7 +38,7 @@ mod rfb_reference;
 
 use fault_model::condition::evaluate;
 use fault_model::oracle::Useful;
-use fault_model::{BorderPolicy, FaultBlocks, Labelling, NodeStatus};
+use fault_model::{BorderPolicy, FaultBlocks, Labelling, Mcc, MccSet, NodeStatus};
 use fault_sets::FaultSets;
 use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
 use rfb_reference::{RefBlocks2, RefBlocks3};
@@ -49,6 +53,11 @@ trait Dim: Space {
     fn hash(mesh: &Mesh<Self>, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus>;
     /// The reference block model: disabled set, blocks, sacrificed count.
     fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize);
+    /// The dimension's structural theorem for one MCC of a mesh labelling:
+    /// HV-convexity in 2-D, nothing in 3-D (sections may have holes).
+    fn shape_holds(_: &Mcc<Self::Coord>) -> bool {
+        true
+    }
 }
 
 impl Dim for NodeSpace2 {
@@ -67,6 +76,9 @@ impl Dim for NodeSpace2 {
     fn ref_blocks(mesh: &Mesh2D) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize) {
         let r = RefBlocks2::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
+    }
+    fn shape_holds(m: &Mcc<Self::Coord>) -> bool {
+        m.is_hv_convex()
     }
 }
 
@@ -109,6 +121,8 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
                     ));
                 }
             }
+            check_mccs(&lab, mesh.wraps())
+                .map_err(|e| format!("MCC records ({policy:?}, {frame:?}): {e}"))?;
         }
     }
 
@@ -157,6 +171,52 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
                 return Err(format!("condition {s} -> {d}: {claim}, oracle {truth}"));
             }
         }
+    }
+    Ok(())
+}
+
+/// Check the MCC records of `lab` against its statuses.
+fn check_mccs<S: Dim>(lab: &Labelling<S>, wraps: bool) -> Result<(), String> {
+    let space = lab.space();
+    let mut covered = NodeSet::new(space.node_count());
+    for (p, m) in MccSet::compute(lab).iter().enumerate() {
+        let (mut lo, mut hi) = (m.cells[0].xyz(), m.cells[0].xyz());
+        let mut faults = 0;
+        for &c in &m.cells {
+            if !lab.is_unsafe(c) {
+                return Err(format!("MCC {p} holds the safe node {c}"));
+            }
+            if !covered.insert(space.index(c)) {
+                return Err(format!("{c} lies in two MCCs"));
+            }
+            faults += usize::from(lab.status(c).is_faulty());
+            let q = c.xyz();
+            for a in 0..3 {
+                lo[a] = lo[a].min(q[a]);
+                hi[a] = hi[a].max(q[a]);
+            }
+        }
+        if (m.fault_count, m.sacrificed_count) != (faults, m.cells.len() - faults) {
+            return Err(format!(
+                "MCC {p} counts {} faulty / {} sacrificed, its cells {faults} / {}",
+                m.fault_count,
+                m.sacrificed_count,
+                m.cells.len() - faults
+            ));
+        }
+        let want = S::Coord::block(Coord::from_xyz(lo), Coord::from_xyz(hi));
+        if m.bounds != want {
+            return Err(format!(
+                "MCC {p} bounds {:?}, its cells span {want:?}",
+                m.bounds
+            ));
+        }
+        if !wraps && !S::shape_holds(m) {
+            return Err(format!("MCC {p} breaks the shape theorem: {:?}", m.cells));
+        }
+    }
+    if covered != *lab.unsafe_set() {
+        return Err("the MCCs do not cover the unsafe set".into());
     }
     Ok(())
 }

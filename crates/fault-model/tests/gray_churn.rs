@@ -28,9 +28,9 @@ mod fault_sets;
 
 use fault_model::components::Components;
 use fault_model::labelling::BULK_REPAIR_FANOUT;
-use fault_model::{BorderPolicy, IncrementalModels, Labelling, ModelSpace};
+use fault_model::{BorderPolicy, IncrementalModels, Labelling, MccSet};
 use fault_sets::{first_failure_in, workers, Failure};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
 
 /// Walk steps per checked range.
 const CHUNK: u64 = 512;
@@ -46,7 +46,7 @@ fn nodes(code: u64) -> Vec<usize> {
 }
 
 /// Compare the maintained models of `frame` with a from-scratch build.
-fn models_equal_fresh<S: ModelSpace>(
+fn models_equal_fresh<S: Space>(
     inc: &mut IncrementalModels<S>,
     frame: S::Frame,
 ) -> Result<(), String> {
@@ -68,7 +68,7 @@ fn models_equal_fresh<S: ModelSpace>(
     {
         return Err(format!("{frame:?}: component of {c} diverged"));
     }
-    if *m.mccs != S::mccs(&lab) {
+    if *m.mccs != MccSet::compute(&lab) {
         return Err(format!("{frame:?}: MCCs diverged"));
     }
     Ok(())
@@ -77,7 +77,7 @@ fn models_equal_fresh<S: ModelSpace>(
 /// Walk every fault set of the `window` box of `host`, its low corner at
 /// `corner` (wrapping on a torus), in Gray-code order; panic with the
 /// first divergence. Returns the number of steps checked.
-fn walk<S: ModelSpace + Sync>(host: &Mesh<S>, window: [i32; 3], corner: [i32; 3]) -> u64
+fn walk<S: Space + Sync>(host: &Mesh<S>, window: [i32; 3], corner: [i32; 3]) -> u64
 where
     S::Coord: Sync,
     S::Frame: Sync,

@@ -11,7 +11,7 @@
 //! On a mismatch the test prints the whole table as it now stands, so an
 //! intended change (and only an intended one) can be pasted back in.
 
-use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
+use fault_model::{BorderPolicy, FaultRegime};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
 
@@ -83,7 +83,7 @@ fn flat<S: Space>(cs: &[S::Coord]) -> Vec<[i32; 3]> {
 
 /// The digests of one case: the injected fault list, and the schedule's
 /// initial faults plus its first three steps (0 without a schedule).
-fn digests<S: ModelSpace>(
+fn digests<S: Space>(
     regime: FaultRegime,
     clean: Mesh<S>,
     count: usize,

@@ -25,7 +25,7 @@
 //! virtual time through [`crate::service_load`].
 
 use fault_model::stats::{region_stats, RegionStats};
-use fault_model::{FaultRegime, IncrementalModels, Labelling, ModelSpace};
+use fault_model::{FaultRegime, IncrementalModels, Labelling, MccSet};
 use mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_protocols::labelling::{DistLabelling, DistLabelling3};
 use mcc_routing::trial::{TrialOptions, TrialResult};
@@ -581,7 +581,7 @@ impl SeedBody for ChurnSeed {
     }
 }
 
-fn churn_seed<S: ModelSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
+fn churn_seed<S: Space>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
     let sc = c.sc;
     let mut rng = SmallRng::seed_from_u64(mix_trial_seed(c.seed, c.n));
     let fseed = mix_fault_seed(c.seed, c.n);
@@ -643,7 +643,7 @@ fn churn_seed<S: ModelSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
         let frame = S::identity_frame(&mesh);
         let m = inc.models(frame);
         let lab = Labelling::compute(&mesh, frame, sc.border);
-        let mut mccs = S::mccs(&lab);
+        let mccs = MccSet::compute(&lab);
         out.checks += 1;
         let ok = m.lab.iter().zip(lab.iter()).all(|((_, a), (_, b))| a == b)
             && m.lab.unsafe_set() == lab.unsafe_set()
@@ -652,7 +652,7 @@ fn churn_seed<S: ModelSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
             out.matched += 1;
         }
         out.unsafe_end = lab.unsafe_set().len();
-        out.mccs_end = S::mcc_list(&mut mccs).len();
+        out.mccs_end = mccs.len();
     }
     out.repaired = inc.statuses_repaired();
     out

@@ -76,8 +76,8 @@
 
 use std::fmt;
 
-use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
-use mesh_topo::Mesh;
+use fault_model::{BorderPolicy, FaultRegime};
+use mesh_topo::{Mesh, Space};
 
 use crate::toml_lite::{Doc, ParseError, Table, Value};
 use Presence::{Always, Only, Optional};
@@ -867,7 +867,7 @@ impl Scenario {
     /// Inject one `(fault count, seed)` cell into a 2-D or 3-D mesh
     /// through the active fault regime, never touching `protected` nodes.
     /// Returns the number of faults injected.
-    pub fn inject<S: ModelSpace>(
+    pub fn inject<S: Space>(
         &self,
         mesh: &mut Mesh<S>,
         count: usize,

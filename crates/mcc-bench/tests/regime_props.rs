@@ -10,7 +10,7 @@
 //!   and pinned digests for fixed seeds force the CI thread-matrix legs
 //!   (`MCC_THREADS=1` vs `=0`) to produce byte-identical populations.
 
-use fault_model::{BorderPolicy, FaultRegime, ModelSpace};
+use fault_model::{BorderPolicy, FaultRegime};
 use mcc_bench::scenario::Scenario;
 use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
 use proptest::prelude::*;
@@ -66,7 +66,7 @@ fn digest<S: Space>(mesh: &Mesh<S>) -> u64 {
 
 /// Inject `regime` into two fresh copies of `clean`; returns both
 /// injected counts and whether the fault lists agree.
-fn resample<S: ModelSpace>(
+fn resample<S: Space>(
     regime: FaultRegime,
     clean: &Mesh<S>,
     count: usize,

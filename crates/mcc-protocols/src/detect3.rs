@@ -20,7 +20,7 @@
 
 use fault_model::NodeStatus;
 use mcc_routing::feasibility3::SURFACES;
-use mesh_topo::{Axis3, Box3, Coord, Dir3, Mesh3D, NodeSpace3, C3};
+use mesh_topo::{Axis3, Coord, Dir3, Mesh3D, NodeSpace3, C3};
 use sim_net::{RunStats, SimNet};
 
 use crate::labelling::DistLabelling3;
@@ -75,32 +75,32 @@ pub fn detect_distributed_3d(
         lab.status(s).is_safe() && lab.status(d).is_safe(),
         "detection requires safe endpoints"
     );
+    // Floods and their replies never leave the RMP box `[s, d]`, so the
+    // network is that box alone: node `c` of the mesh is node `c - s`.
     let space = mesh.space();
-    let mut net: SimNet<NodeSpace3, Detect3State, Detect3Msg> =
-        SimNet::new(space, |_| Detect3State::default());
-    // Floods and their replies never leave the RMP box, so only its nodes
-    // need their statuses.
-    for c in Box3::spanning(s, d).iter() {
-        let i = space.index(c);
+    let local = NodeSpace3::new(d.x - s.x + 1, d.y - s.y + 1, d.z - s.z + 1);
+    let mut net: SimNet<NodeSpace3, Detect3State, Detect3Msg> = SimNet::new(local, |j| {
+        let i = space.index(s + local.coord(j));
         let mut nbr_status = [None; 6];
         for dir in Dir3::ALL {
             if let Some(n) = space.step(i, dir) {
                 nbr_status[dir.index()] = Some(lab.net.state(n).status);
             }
         }
-        let st = net.state_mut(i);
-        st.status = lab.net.state(i).status;
-        st.nbr_status = nbr_status;
-    }
+        Detect3State {
+            status: lab.net.state(i).status,
+            nbr_status,
+            ..Detect3State::default()
+        }
+    });
     let trivially_ok = SURFACES.map(|surface| surface.arrived(s, d));
     for kind in (0..3).filter(|&kind| !trivially_ok[kind]) {
         let path = vec![];
-        net.post(space.index(s), Detect3Msg::Flood { kind, d, path });
+        net.post(0, Detect3Msg::Flood { kind, d, path });
     }
     let max_rounds = 4 * (mesh.nx() + mesh.ny() + mesh.nz()) as usize + 32;
     let stats = net.run(max_rounds, move |state, inbox, ctx| {
-        let me_i = ctx.me();
-        let me = space.coord(me_i);
+        let me = s + local.coord(ctx.me());
         for (_, msg) in inbox {
             match msg {
                 Detect3Msg::Flood { kind, d, path } => {
@@ -115,7 +115,7 @@ pub fn detect_distributed_3d(
                     if surface.arrived(me, d) {
                         path.pop();
                         if let Some(&back) = path.last() {
-                            ctx.send(space.index(back), Detect3Msg::Reply { kind, path });
+                            ctx.send(local.index(back - s), Detect3Msg::Reply { kind, path });
                         } else {
                             state.verdicts.push((kind, true));
                         }
@@ -129,7 +129,7 @@ pub fn detect_distributed_3d(
                     };
                     surface.for_each_move(me, d, nbr_safe, |v| {
                         let path = path.clone();
-                        ctx.send(space.index(v), Detect3Msg::Flood { kind, d, path });
+                        ctx.send(local.index(v - s), Detect3Msg::Flood { kind, d, path });
                         false
                     });
                 }
@@ -137,7 +137,10 @@ pub fn detect_distributed_3d(
                     let mut path = path.clone();
                     path.pop();
                     if let Some(&back) = path.last() {
-                        ctx.send(space.index(back), Detect3Msg::Reply { kind: *kind, path });
+                        ctx.send(
+                            local.index(back - s),
+                            Detect3Msg::Reply { kind: *kind, path },
+                        );
                     } else {
                         state.verdicts.push((*kind, true));
                     }
@@ -145,7 +148,7 @@ pub fn detect_distributed_3d(
             }
         }
     });
-    let verdicts = &net.state_at(s).verdicts;
+    let verdicts = &net.state(0).verdicts;
     let ok = (0..3).all(|kind| trivially_ok[kind] || verdicts.iter().any(|&(k, v)| k == kind && v));
     (ok, stats)
 }

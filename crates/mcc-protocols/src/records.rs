@@ -2,7 +2,8 @@
 //!
 //! A [`RegionShape`] is what the identification walk reconstructs: the cell
 //! set of one MCC, with per-column/row interval tables for the region
-//! predicates (the distributed twin of `fault_model::Mcc2`). A
+//! predicates. Its semantic twin is `fault_model::Mcc2`, which derives
+//! the same intervals from its cells on demand. A
 //! [`BoundaryRecord2`] is what the boundary construction deposits at the
 //! nodes of a boundary line: the root region's shape (whose critical region
 //! the destination is tested against) plus every shape whose forbidden

@@ -21,8 +21,8 @@
 //! `mesh-service` ([`route_in`]) call. No step reads an MCC set.
 
 use fault_model::oracle::Useful;
-use fault_model::{Labelling, ModelSpace};
-use mesh_topo::{Coord, NodeSpace2, NodeSpace3, C2, C3};
+use fault_model::Labelling;
+use mesh_topo::{Coord, NodeSpace2, NodeSpace3, Space, C2, C3};
 
 use crate::feasibility2::detect_2d;
 use crate::feasibility3::{detect_3d_in, FloodScratch3};
@@ -31,7 +31,7 @@ use crate::trace::RouteSummary;
 use crate::walk::{walk, Walk};
 
 /// A node space with the paper's per-dimension routing step: detection.
-pub trait RouteSpace: ModelSpace {
+pub trait RouteSpace: Space {
     /// Detection's per-route scratch: the flood state of Algorithm 6 in
     /// 3-D, nothing in 2-D.
     type RouteScratch: Clone + std::fmt::Debug + Default;

@@ -607,7 +607,7 @@ impl<S: ShardSpace> Models<S> {
         Ok(Response::Region {
             status: format!("{:?}", m.lab.status(c)),
             in_unsafe: m.lab.unsafe_set().contains(i),
-            mccs: S::mcc_count(m.mccs),
+            mccs: m.mccs.len(),
         })
     }
 

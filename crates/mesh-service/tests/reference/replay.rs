@@ -13,12 +13,12 @@
 use std::fs;
 use std::path::Path;
 
-use fault_model::{BorderPolicy, IncrementalModels, ModelSpace};
+use fault_model::{BorderPolicy, IncrementalModels};
 use mesh_service::ops::ChurnRecord;
 use mesh_service::shard::{Geometry, ShardSpec, SNAP_FILE, WAL_FILE};
 use mesh_service::wal::decode_records;
 use mesh_service::{snapshot, ServiceError, StateDigest};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet};
+use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, Space};
 
 /// A record's batch, if it has the models' dimension.
 type Batch<'r, C> = Option<(&'r [C], &'r [C])>;
@@ -81,7 +81,7 @@ struct Replay<'p> {
 }
 
 impl Replay<'_> {
-    fn run<S: ModelSpace>(
+    fn run<S: Space>(
         self,
         mut mesh: Mesh<S>,
         batch: impl for<'r> Fn(&'r ChurnRecord) -> Batch<'r, S::Coord>,
@@ -122,7 +122,7 @@ impl Replay<'_> {
 }
 
 /// The digest `ShardCore::digest` takes, of `inc` at generation `gen`.
-fn digest<S: ModelSpace>(inc: &mut IncrementalModels<S>, gen: u64) -> StateDigest {
+fn digest<S: Space>(inc: &mut IncrementalModels<S>, gen: u64) -> StateDigest {
     let frame = S::identity_frame(inc.mesh());
     let faults = inc.mesh().fault_set().clone();
     let m = inc.models(frame);
