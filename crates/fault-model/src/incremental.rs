@@ -506,7 +506,7 @@ impl<S: Space> IncrementalModels<S> {
         if rebuild {
             let lab = Labelling::compute(&self.mesh, frame, self.border);
             let comps = Components::compute(&lab);
-            let mccs = MccSet::compute(&lab);
+            let mccs = MccSet::from_components(&comps, &lab);
             self.slots[idx] = Some(IncSlot {
                 synced: self.generation,
                 lab,

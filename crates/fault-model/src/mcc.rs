@@ -83,12 +83,22 @@ impl<C: Coord> Mcc<C> {
 impl<C: Coord> MccSet<C> {
     /// Extract all MCCs of a labelling.
     pub fn compute<S: Space<Coord = C>>(lab: &Labelling<S>) -> MccSet<C> {
-        let comps = Components::compute(lab);
+        MccSet::from_components(&Components::compute(lab), lab)
+    }
+
+    /// The MCCs of `comps`, the component decomposition of `lab`: one
+    /// record per component, in component order. A caller that keeps the
+    /// components builds the records from them instead of discovering the
+    /// components a second time.
+    pub fn from_components<S: Space<Coord = C>>(
+        comps: &Components<S>,
+        lab: &Labelling<S>,
+    ) -> MccSet<C> {
         MccSet {
             mccs: comps
                 .cells
-                .into_iter()
-                .map(|cells| Mcc::from_cells(cells, lab))
+                .iter()
+                .map(|cells| Mcc::from_cells(cells.clone(), lab))
                 .collect(),
         }
     }

@@ -9,7 +9,9 @@
 //! * the MCC records of each of those labellings partition its unsafe set,
 //!   each record's fault and sacrificed counts match the statuses of its
 //!   cells, its `bounds` is the box of its cells, and on 2-D meshes every
-//!   MCC is HV-convex;
+//!   MCC is HV-convex; the records built from a kept decomposition
+//!   (`MccSet::from_components`) equal `MccSet::compute`'s, position by
+//!   position;
 //! * the block kernel equals the reference closure of `reference/rfb.rs`:
 //!   the disabled set, the block list (order included) and the sacrificed
 //!   count;
@@ -38,7 +40,7 @@ mod rfb_reference;
 
 use fault_model::condition::evaluate;
 use fault_model::oracle::Useful;
-use fault_model::{BorderPolicy, FaultBlocks, Labelling, Mcc, MccSet, NodeStatus};
+use fault_model::{BorderPolicy, Components, FaultBlocks, Labelling, Mcc, MccSet, NodeStatus};
 use fault_sets::FaultSets;
 use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
 use rfb_reference::{RefBlocks2, RefBlocks3};
@@ -175,11 +177,22 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
     Ok(())
 }
 
-/// Check the MCC records of `lab` against its statuses.
+/// Check the MCC records of `lab` against its statuses. The records are
+/// built from a kept decomposition, as the incremental models build them,
+/// and must equal [`MccSet::compute`]'s, record `p` holding exactly the
+/// cells of component `p`.
 fn check_mccs<S: Dim>(lab: &Labelling<S>, wraps: bool) -> Result<(), String> {
     let space = lab.space();
+    let comps = Components::compute(lab);
+    let mccs = MccSet::from_components(&comps, lab);
+    if mccs != MccSet::compute(lab) {
+        return Err("from_components differs from compute".into());
+    }
     let mut covered = NodeSet::new(space.node_count());
-    for (p, m) in MccSet::compute(lab).iter().enumerate() {
+    for (p, m) in mccs.iter().enumerate() {
+        if m.cells != comps.cells[p] {
+            return Err(format!("MCC {p} does not hold the cells of component {p}"));
+        }
         let (mut lo, mut hi) = (m.cells[0].xyz(), m.cells[0].xyz());
         let mut faults = 0;
         for &c in &m.cells {

@@ -25,34 +25,34 @@ const PIN_3D_Z: &[[i32; 3]] = &[[1, 0, 1], [1, 1, 0], [0, 1, 1]];
 /// One line per case: `case inject-digest schedule-digest` (hex; the
 /// schedule digest is 0 for regimes without a schedule).
 const PINS: &str = "\
-uniform/2d/mesh        33a3e1e44aba244b 0
+uniform/2d/mesh        8a2daffc8c8f0505 0
 clustered/2d/mesh      f6aa99c5cd1ced6b 0
 front/2d/mesh          a38cd2aba9f3d98e 0
 plane-axis0/2d/mesh    f8c21ecdd469de2c 73291a02e8f0f560
 plane-axis1/2d/mesh    47eee64ba325044a b44c0de066ed08e9
-transient/2d/mesh      4420c6fe1bffa7c8 d854cec403365e64
-adversarial/2d/mesh    a04a5ffc00bea88f 0
-uniform/3d/mesh        7801e81775f9c2d1 0
+transient/2d/mesh      4b61b2840d8fa442 dd179cb44668338e
+adversarial/2d/mesh    0f156884ded1df65 0
+uniform/3d/mesh        89a1311bd3457a54 0
 clustered/3d/mesh      4bb7f5413c1d45d6 0
 front/3d/mesh          a160d47547c1fa52 0
 plane-axis0/3d/mesh    827e33bb93c0e051 816eff0993d45174
 plane-axis1/3d/mesh    0e8b4fcbd6e2a8f5 5b2d75dda57ab1b7
 plane-axis2/3d/mesh    d362456bad1581d3 74c5f4a4984a6855
-transient/3d/mesh      824edb50f9899e49 954c118a3e148e
-adversarial/3d/mesh    17f5069048bc3ff1 0
-uniform/2d/torus       33a3e1e44aba244b 0
+transient/3d/mesh      6db213e9e5098286 29f3c1b178f3244c
+adversarial/3d/mesh    d5a41b0f6ba0d3b2 0
+uniform/2d/torus       8a2daffc8c8f0505 0
 clustered/2d/torus     bd85d4349a8cb286 0
 front/2d/torus         2480f57542691420 0
 plane-axis0/2d/torus   f8c21ecdd469de2c 73291a02e8f0f560
 plane-axis1/2d/torus   47eee64ba325044a b44c0de066ed08e9
-transient/2d/torus     4420c6fe1bffa7c8 d854cec403365e64
-uniform/3d/torus       7801e81775f9c2d1 0
+transient/2d/torus     4b61b2840d8fa442 dd179cb44668338e
+uniform/3d/torus       89a1311bd3457a54 0
 clustered/3d/torus     85928ef25c53e3f5 0
 front/3d/torus         d48f59b9a42f4b51 0
 plane-axis0/3d/torus   827e33bb93c0e051 816eff0993d45174
 plane-axis1/3d/torus   0e8b4fcbd6e2a8f5 5b2d75dda57ab1b7
 plane-axis2/3d/torus   d362456bad1581d3 74c5f4a4984a6855
-transient/3d/torus     824edb50f9899e49 954c118a3e148e
+transient/3d/torus     6db213e9e5098286 29f3c1b178f3244c
 ";
 
 struct Fnv(u64);

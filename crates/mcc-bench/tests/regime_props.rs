@@ -133,18 +133,18 @@ fn fixed_seed_fault_sets_match_pinned_digests() {
         ),
     ];
     let expected_2d: [u64; 5] = [
-        0x68ad_e389_de92_eb17,
+        0x25da_b771_2df5_0bc3,
         0xe232_3c47_e733_22c0,
         0x881c_c2c1_d7a1_7b16,
         0xebcf_2eaf_5af0_1a05,
-        0xb727_b457_af06_f7de,
+        0xf85f_07d3_35e6_b2ef,
     ];
     let expected_3d: [u64; 5] = [
-        0xb9c4_210a_95f9_8b7f,
+        0x4406_fbba_6f13_b04c,
         0x3c8c_ad6c_f71f_c1bd,
         0xe01e_beed_1a7a_ac00,
         0x0d8f_f70a_946b_055d,
-        0x9adc_83b9_d5c5_c03c,
+        0x8732_068b_2722_7c8e,
     ];
     for (i, (name, regime)) in regimes.iter().enumerate() {
         let mut mesh = Mesh2D::new(16, 16);

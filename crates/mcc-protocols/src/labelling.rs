@@ -363,8 +363,8 @@ mod tests {
         let frame = Frame2::identity(&mesh);
         let new = DistLabelling2::run(&mesh, frame);
         let reference = RunStats {
-            rounds: 4,
-            messages: 536,
+            rounds: 3,
+            messages: 528,
             max_inflight: 528,
             quiescent: true,
         };

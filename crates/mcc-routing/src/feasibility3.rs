@@ -320,6 +320,44 @@ mod tests {
         assert!(checked > 150, "too few safe-endpoint trials: {checked}");
     }
 
+    /// Detection must agree with Theorem 2's semantic condition on a
+    /// fixed fault set of the 3×3×3 mesh, source (0,0,0).
+    fn assert_detection_matches_condition(faults: &[C3], d: C3) {
+        use fault_model::minimal_path_exists_3d;
+        let lab = lab_of(faults, 3);
+        let s = c3(0, 0, 0);
+        assert!(
+            lab.is_safe(s) && lab.is_safe(d),
+            "witness endpoints are safe"
+        );
+        assert_eq!(
+            detect_3d(&lab, s, d).feasible(),
+            minimal_path_exists_3d(&lab, s, d).exists(),
+            "detection disagrees with the condition for d={d} faults={faults:?}"
+        );
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: the floods admit a pair the condition blocks (a face is not counted as a block)"]
+    fn witness_planar_false_admit() {
+        assert_detection_matches_condition(&[c3(2, 1, 0), c3(1, 2, 0)], c3(2, 2, 0));
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: the (-Z) flood refuses a pair the condition admits"]
+    fn witness_planar_false_refusal() {
+        assert_detection_matches_condition(&[c3(2, 0, 0), c3(1, 0, 1)], c3(2, 0, 2));
+    }
+
+    #[test]
+    #[ignore = "ROADMAP item 1: the (-X) flood refuses a pair in a one-wide box"]
+    fn witness_one_wide_false_refusal() {
+        assert_detection_matches_condition(
+            &[c3(1, 0, 0), c3(0, 1, 0), c3(1, 1, 1), c3(0, 2, 1)],
+            c3(2, 2, 1),
+        );
+    }
+
     #[test]
     fn degenerate_pairs() {
         let lab = lab_of(&[c3(4, 4, 4)], 6);

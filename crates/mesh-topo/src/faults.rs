@@ -17,10 +17,13 @@
 //! Sampling runs entirely on the flat node-state layer
 //! ([`crate::nodeset`]): candidates are linear node indices, and
 //! eligibility/membership checks are [`NodeSet`] bit tests instead of the
-//! per-call `HashSet` rebuilds of the original implementation. The RNG draw
-//! sequence is unchanged, so a given seed produces the same fault set the
-//! hash-based sampler produced — the determinism regression test below
-//! pins that equivalence.
+//! per-call `HashSet` rebuilds of the original implementation.
+//!
+//! Every sample is a pure function of the seed, the pool and the count.
+//! [`sample_uniform`] is a forward partial Fisher–Yates shuffle: it makes
+//! one draw per chosen fault, and its samples from one seed are
+//! prefix-nested across counts. [`sample_clustered`] draws exactly what the
+//! hash-based sampler it replaced drew; a regression test below pins that.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -44,7 +47,20 @@ pub fn eligible_indices<S: Space>(mesh: &Mesh<S>, protected: &[S::Coord]) -> Vec
     for i in protected.iter().filter_map(|&c| space.index_checked(c)) {
         eligible.remove(i);
     }
-    eligible.iter().collect()
+    let mut pool = Vec::with_capacity(eligible.len());
+    for (wi, &word) in eligible.words().iter().enumerate() {
+        let base = wi * 64;
+        if word == u64::MAX {
+            pool.extend(base..base + 64);
+        } else {
+            let mut bits = word;
+            while bits != 0 {
+                pool.push(base + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+    pool
 }
 
 /// A uniformly random node of `space`: one draw per axis, in `x, y, z`
@@ -59,11 +75,22 @@ pub fn random_node<S: Space>(space: S, rng: &mut SmallRng) -> S::Coord {
     S::Coord::from_xyz(p)
 }
 
-/// Choose `count` distinct indices uniformly at random from `pool`
-/// (shuffle-and-truncate, preserving the historical draw sequence).
+/// Choose `min(count, pool.len())` distinct indices uniformly at random
+/// from `pool`, in draw order.
+///
+/// A forward partial Fisher–Yates shuffle: step `i` swaps a uniform draw
+/// from `pool[i..]` into slot `i`, so the sample costs one draw per chosen
+/// index, not one per pool entry. The first `k` draws of a seed are the
+/// same whatever `count` is, so a smaller sample is a prefix of a larger
+/// one from the same seed and pool.
 pub fn sample_uniform(mut pool: Vec<usize>, count: usize, rng: &mut SmallRng) -> Vec<usize> {
-    pool.shuffle(rng);
-    pool.truncate(count.min(pool.len()));
+    let n = pool.len();
+    let k = count.min(n);
+    for i in 0..k {
+        let j = rng.gen_range(i..n);
+        pool.swap(i, j);
+    }
+    pool.truncate(k);
     pool
 }
 
@@ -298,19 +325,95 @@ mod tests {
         }
     }
 
-    /// The hash-based sampler this module replaced, kept verbatim as the
-    /// reference for the determinism regression below: same seed must give
-    /// the same fault set under both representations.
+    /// The uniform sample is `min(count, pool)` distinct members of the
+    /// pool, for pools that are not ranges and counts below, at and above
+    /// the pool size.
+    #[test]
+    fn uniform_sample_is_a_distinct_subset_of_the_pool() {
+        for seed in 0..40u64 {
+            let n = seed as usize % 13;
+            let pool: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+            for count in [0, 1, n / 2, n, n + 5] {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let sample = sample_uniform(pool.clone(), count, &mut rng);
+                assert_eq!(sample.len(), count.min(n), "seed {seed} count {count}");
+                let mut sorted = sample.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), sample.len(), "seed {seed}: repeated index");
+                assert!(sample.iter().all(|i| pool.contains(i)), "seed {seed}");
+            }
+        }
+    }
+
+    /// With one seed and pool, a smaller sample is a prefix of a larger
+    /// one: the draws for the first `k` slots do not depend on `count`.
+    #[test]
+    fn uniform_samples_are_prefix_nested() {
+        let pool: Vec<usize> = (0..200).collect();
+        for seed in [0u64, 5, 99, 0xdead_beef] {
+            let draw =
+                |count| sample_uniform(pool.clone(), count, &mut SmallRng::seed_from_u64(seed));
+            let full = draw(pool.len());
+            for k in [0, 1, 7, 60, 199] {
+                assert_eq!(draw(k), full[..k], "seed {seed} k {k}");
+            }
+        }
+    }
+
+    /// Every pool member is drawn equally often. Over 4,000 fixed seeds a
+    /// 3-of-10 sample includes each member 1,200 times in expectation; the
+    /// chi-square statistic of the ten inclusion counts must stay below
+    /// 27.88, the 0.999 quantile of chi-square with 9 degrees of freedom.
+    /// (Inclusions are negatively correlated, so the statistic runs below
+    /// that distribution and the bound is conservative.)
+    #[test]
+    fn uniform_inclusion_counts_pass_chi_square() {
+        let (n, k, seeds) = (10usize, 3usize, 4_000u64);
+        let mut hits = vec![0u64; n];
+        for seed in 0..seeds {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in sample_uniform((0..n).collect(), k, &mut rng) {
+                hits[i] += 1;
+            }
+        }
+        let expected = (seeds as usize * k) as f64 / n as f64;
+        let chi2: f64 = hits
+            .iter()
+            .map(|&h| (h as f64 - expected).powi(2) / expected)
+            .sum();
+        assert!(chi2 < 27.88, "chi-square {chi2:.2} over {hits:?}");
+    }
+
+    /// On a 16³ mesh (64 words, most of them all-ones when few nodes are
+    /// faulty), `eligible_indices` lists exactly `NodeSet::iter`'s members,
+    /// in its order, with and without faults beside the protected nodes.
+    #[test]
+    fn eligible_indices_match_nodeset_iter_on_full_words() {
+        let protected = [c3(0, 0, 0), c3(5, 7, 9), c3(15, 15, 15), c3(3, 0, 0)];
+        for faults in [0usize, 3, 40] {
+            let mut m = Mesh3D::kary(16);
+            uniform(&mut m, faults, faults as u64, &protected);
+            let space = m.space();
+            let mut expect = NodeSet::from_raw_words(
+                space.node_count(),
+                m.fault_set().words().iter().map(|w| !w).collect(),
+            );
+            for &c in &protected {
+                expect.remove(space.index(c));
+            }
+            let expect: Vec<usize> = expect.iter().collect();
+            assert_eq!(expect.len(), 4096 - faults - protected.len());
+            assert_eq!(eligible_indices(&m, &protected), expect, "{faults} faults");
+        }
+    }
+
+    /// The hash-based clustered sampler this module replaced, kept verbatim
+    /// as the reference for the determinism regression below: same seed
+    /// must give the same fault set under both representations.
     mod hash_reference {
         use super::*;
         use std::collections::HashSet;
-
-        pub fn choose_uniform<C: Copy>(eligible: &[C], count: usize, rng: &mut SmallRng) -> Vec<C> {
-            let mut pool: Vec<C> = eligible.to_vec();
-            pool.shuffle(rng);
-            pool.truncate(count.min(pool.len()));
-            pool
-        }
 
         pub fn choose_clustered<C: Copy + Eq + std::hash::Hash>(
             eligible: &[C],
@@ -373,14 +476,14 @@ mod tests {
         }
     }
 
-    /// Determinism regression: the NodeSet-based sampler draws exactly the
-    /// fault sets the hash-based sampler drew, for the same seeds, in both
-    /// patterns and both dimensions (including injection order).
+    /// Determinism regression: the NodeSet-based clustered sampler draws
+    /// exactly the fault sets the hash-based sampler drew, for the same
+    /// seeds, in both dimensions (including injection order).
     #[test]
     fn sampling_matches_hash_reference() {
         for seed in [0u64, 1, 7, 42, 1234, 0xdead_beef] {
             for &(count, clusters) in &[(10usize, 1usize), (30, 3), (70, 5)] {
-                // 2-D, uniform and clustered.
+                // 2-D.
                 let protected = [c2(0, 0), c2(11, 11)];
                 let reference = Mesh2D::new(12, 12);
                 let eligible: Vec<C2> = reference
@@ -388,21 +491,15 @@ mod tests {
                     .filter(|c| !protected.contains(c))
                     .collect();
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let expect_uniform = hash_reference::choose_uniform(&eligible, count, &mut rng);
-                let mut rng = SmallRng::seed_from_u64(seed);
                 let expect_clustered =
                     hash_reference::choose_clustered(&eligible, count, clusters, &mut rng, |c| {
                         crate::dir::Dir2::ALL.iter().map(|&d| c.step(d)).collect()
                     });
-
-                let mut m = Mesh2D::new(12, 12);
-                uniform(&mut m, count, seed, &protected);
-                assert_eq!(m.faults(), expect_uniform, "2d uniform seed {seed}");
                 let mut m = Mesh2D::new(12, 12);
                 clustered(&mut m, count, clusters, seed, &protected);
                 assert_eq!(m.faults(), expect_clustered, "2d clustered seed {seed}");
 
-                // 3-D, clustered (the pattern that exercised the hash sets).
+                // 3-D.
                 let reference3 = Mesh3D::kary(7);
                 let eligible3: Vec<C3> = reference3.nodes().collect();
                 let mut rng = SmallRng::seed_from_u64(seed);

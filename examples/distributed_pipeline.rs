@@ -7,12 +7,19 @@
 //! cargo run --example distributed_pipeline
 //! ```
 
+use std::io::{self, Write};
+
 use mcc_mesh::mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_mesh::mcc_protocols::route2::route_distributed_2d;
 use mcc_mesh::mesh_topo::coord::c2;
 use mcc_mesh::mesh_topo::{Frame2, Mesh2D};
 
-fn main() {
+fn main() -> io::Result<()> {
+    render(&mut io::stdout().lock())
+}
+
+/// Write the example's report to `out`.
+pub fn render(out: &mut impl Write) -> io::Result<()> {
     let mut mesh = Mesh2D::new(20, 20);
     // Interior fault clusters (the identification walks assume regions do
     // not touch the mesh border; see DESIGN.md).
@@ -29,41 +36,53 @@ fn main() {
         mesh.inject_fault(c);
     }
 
-    println!("constructing MCC information on a 20x20 message-passing mesh...");
+    writeln!(
+        out,
+        "constructing MCC information on a 20x20 message-passing mesh..."
+    )?;
     let (bound, stats) = build_pipeline_2d(&mesh, Frame2::identity(&mesh));
-    println!(
+    writeln!(
+        out,
         "  labelling:      {:>6} messages, {:>3} rounds",
         stats.labelling.messages, stats.labelling.rounds
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  component ids:  {:>6} messages, {:>3} rounds",
         stats.components.messages, stats.components.rounds
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  identification: {:>6} messages, {:>3} rounds",
         stats.identification.messages, stats.identification.rounds
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  boundaries:     {:>6} messages, {:>3} rounds",
         stats.boundary.messages, stats.boundary.rounds
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  total:          {:>6} messages ({} boundary records stored)",
         stats.total_messages(),
         bound.total_records()
-    );
+    )?;
 
     let (s, d) = (c2(0, 0), c2(19, 19));
-    println!("\nrouting {s} -> {d} with node-local information only...");
-    let out = route_distributed_2d(&mesh, &bound, s, d);
-    println!("  detection verdict: feasible = {}", out.feasible);
-    let path = out.path.expect("feasible routing must deliver");
-    println!(
+    writeln!(
+        out,
+        "\nrouting {s} -> {d} with node-local information only..."
+    )?;
+    let routed = route_distributed_2d(&mesh, &bound, s, d);
+    writeln!(out, "  detection verdict: feasible = {}", routed.feasible)?;
+    let path = routed.path.expect("feasible routing must deliver");
+    writeln!(
+        out,
         "  delivered over {} hops (D(s,d) = {}), {} routing-phase messages",
         path.hops(),
         s.dist(d),
-        out.stats.messages
-    );
+        routed.stats.messages
+    )?;
     assert_eq!(
         path.hops() as u32,
         s.dist(d),
@@ -74,9 +93,11 @@ fn main() {
     let (s2, d2) = (c2(5, 0), c2(5, 19));
     // Column 5 carries the fault (5,6): a single-column RMP cannot avoid it.
     let out2 = route_distributed_2d(&mesh, &bound, s2, d2);
-    println!(
+    writeln!(
+        out,
         "\nrouting {s2} -> {d2}: feasible = {} (expected false)",
         out2.feasible
-    );
+    )?;
     assert!(!out2.feasible);
+    Ok(())
 }

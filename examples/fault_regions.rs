@@ -8,12 +8,19 @@
 //! Legend: `#` faulty, `u` useless, `c` can't-reach, `b` healthy node
 //! disabled by the rectangular-block model only, `.` free.
 
+use std::io::{self, Write};
+
 use mcc_mesh::fault_model::mcc2::MccSet2;
 use mcc_mesh::fault_model::{BorderPolicy, FaultBlocks2, FaultRegime, Labelling2};
 use mcc_mesh::mesh_topo::coord::c2;
 use mcc_mesh::mesh_topo::{Frame2, Mesh2D};
 
-fn main() {
+fn main() -> io::Result<()> {
+    render(&mut io::stdout().lock())
+}
+
+/// Write the example's report to `out`.
+pub fn render(out: &mut impl Write) -> io::Result<()> {
     let mut mesh = Mesh2D::new(24, 16);
     // A staircase, a "/" diagonal and some random sprinkle.
     for x in 4..=8 {
@@ -28,13 +35,19 @@ fn main() {
     let mccs = MccSet2::compute(&lab);
     let blocks = FaultBlocks2::compute(&mesh);
 
-    println!(
+    writeln!(
+        out,
         "faults: {}   MCC captures: {} healthy   RFB disables: {} healthy",
         mesh.fault_count(),
         lab.sacrificed_count(),
         blocks.sacrificed_count()
-    );
-    println!("MCCs: {}   blocks: {}\n", mccs.len(), blocks.blocks().len());
+    )?;
+    writeln!(
+        out,
+        "MCCs: {}   blocks: {}\n",
+        mccs.len(),
+        blocks.blocks().len()
+    )?;
 
     for y in (0..mesh.height()).rev() {
         let mut row = String::with_capacity(mesh.width() as usize * 2);
@@ -57,12 +70,13 @@ fn main() {
             row.push(ch);
             row.push(' ');
         }
-        println!("{row}");
+        writeln!(out, "{row}")?;
     }
 
-    println!("\nper-MCC summary (canonical quadrant):");
+    writeln!(out, "\nper-MCC summary (canonical quadrant):")?;
     for (id, m) in mccs.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  MCC #{}: {:>3} cells ({} faulty + {} captured), bbox x {}..{}, y {}..{}, HV-convex: {}",
             id,
             m.len(),
@@ -73,6 +87,7 @@ fn main() {
             m.bounds.y0,
             m.bounds.y1,
             m.is_hv_convex()
-        );
+        )?;
     }
+    Ok(())
 }

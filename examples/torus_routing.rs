@@ -11,6 +11,8 @@
 //! cargo run --example torus_routing
 //! ```
 
+use std::io::{self, Write};
+
 use mcc_mesh::fault_model::mcc2::MccSet2;
 use mcc_mesh::fault_model::{minimal_path_exists_2d, BorderPolicy, FaultRegime, Labelling2};
 use mcc_mesh::mcc_routing::policy::Policy;
@@ -19,53 +21,61 @@ use mcc_mesh::mcc_routing::{Router2, TrialOptions};
 use mcc_mesh::mesh_topo::coord::c2;
 use mcc_mesh::mesh_topo::{Frame2, Mesh2D};
 
-fn main() {
+fn main() -> io::Result<()> {
+    render(&mut io::stdout().lock())
+}
+
+/// Write the example's report to `out`.
+pub fn render(out: &mut impl Write) -> io::Result<()> {
     // A 16x16 torus with 24 random faults (source/destination spared).
     let (s, d) = (c2(14, 2), c2(3, 13));
     let mut mesh = Mesh2D::torus_kary(16);
     let injected = FaultRegime::Uniform.inject(&mut mesh, 24, 7, &[s, d], BorderPolicy::BorderSafe);
-    println!(
+    writeln!(
+        out,
         "torus: 16x16 = {} nodes, {injected} faults; D({s}, {d}) = {} (Lee), \
          {} on the open mesh",
         mesh.node_count(),
         mesh.dist(s, d),
         s.dist(d),
-    );
+    )?;
 
     // The torus frame reflects per-axis toward the shorter arc, then
     // rotates the source onto the origin: the canonical destination is
     // the Lee-distance vector and the routing box never meets the seam.
     let frame = Frame2::for_pair(&mesh, s, d);
     let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-    println!("canonical pair: {cs} -> {cd}");
+    writeln!(out, "canonical pair: {cs} -> {cd}")?;
 
     let lab = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
     let mccs = MccSet2::compute(&lab);
-    println!(
+    writeln!(
+        out,
         "labelling: {} unsafe nodes, {} fault regions",
         lab.unsafe_count(),
         mccs.len()
-    );
+    )?;
 
     let verdict = minimal_path_exists_2d(&lab, &mccs, cs, cd);
-    println!("existence condition: {verdict:?}");
+    writeln!(out, "existence condition: {verdict:?}")?;
     if verdict.exists() {
         let router = Router2::new(&lab, &mccs);
-        let out = router.route(cs, cd, &mut Policy::balanced());
-        assert!(out.delivered());
-        assert_eq!(out.path.hops() as u32, mesh.dist(s, d));
+        let routed = router.route(cs, cd, &mut Policy::balanced());
+        assert!(routed.delivered());
+        assert_eq!(routed.path.hops() as u32, mesh.dist(s, d));
         // Map the canonical route back to torus coordinates: steps that
         // cross the seam show up as jumps between opposite edges.
-        let mesh_path: Vec<_> = out
+        let mesh_path: Vec<_> = routed
             .path
             .nodes()
             .iter()
             .map(|&c| frame.from_canon(c))
             .collect();
-        println!(
+        writeln!(
+            out,
             "delivered over {} Lee-minimal hops: {mesh_path:?}",
-            out.path.hops()
-        );
+            routed.path.hops()
+        )?;
     }
 
     // Batch more pairs against the same fault configuration: the
@@ -87,5 +97,9 @@ fn main() {
         assert_eq!(t.mcc_ok, t.oracle_ok, "the MCC condition is exact on tori");
         delivered += t.mcc_delivered as usize;
     }
-    println!("batched trials: {delivered} delivered over one prepared torus");
+    writeln!(
+        out,
+        "batched trials: {delivered} delivered over one prepared torus"
+    )?;
+    Ok(())
 }
