@@ -13,13 +13,13 @@
 //! Discovery runs on the flat node-state layer: the labelling's
 //! [`mesh_topo::NodeSet`] of unsafe nodes is scanned word-by-word for
 //! unvisited seeds, and the BFS frontier holds linear node indices whose
-//! neighbors come from [`Space::for_region_neighbors`] (the 8-neighborhood
-//! of a [`NodeSpace2`], the 18-neighborhood of a [`NodeSpace3`]) — no
+//! neighbors come from [`NodeSpace::for_region_neighbors`] (the
+//! 8-neighborhood in 2-D, the 18-neighborhood in 3-D) — no
 //! hashing, no per-node coordinate arithmetic beyond one decode per visit.
-//! [`Components`] is written once over the node space; [`Components2`] and
+//! [`Components`] is written once over the coordinate type; [`Components2`] and
 //! [`Components3`] are its two instantiations.
 
-use mesh_topo::{NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, NodeGrid, NodeSet, NodeSpace, C2, C3};
 
 use crate::labelling::Labelling;
 
@@ -84,8 +84,8 @@ impl Splice {
 /// Handles depend on the churn history; positions do not, and they are all
 /// the public API (including [`Debug`](std::fmt::Debug)) ever shows.
 #[derive(Clone)]
-pub struct Components<S: Space> {
-    space: S,
+pub struct Components<C: Coord> {
+    space: NodeSpace<C>,
     /// Handle of each node's component, [`NO_COMPONENT`] if it is safe.
     handle: NodeGrid<u32>,
     /// Position of each handle; [`NO_COMPONENT`] for a free handle.
@@ -95,20 +95,20 @@ pub struct Components<S: Space> {
     /// Handles no component holds, reused last-freed first.
     free: Vec<u32>,
     /// Cells of each component, in discovery (BFS) order.
-    pub cells: Vec<Vec<S::Coord>>,
+    pub cells: Vec<Vec<C>>,
 }
 
 /// Component decomposition of a 2-D labelling (8-connectivity).
-pub type Components2 = Components<NodeSpace2>;
+pub type Components2 = Components<C2>;
 
 /// Component decomposition of a 3-D labelling (18-connectivity).
-pub type Components3 = Components<NodeSpace3>;
+pub type Components3 = Components<C3>;
 
-impl<S: Space> Components<S> {
+impl<C: Coord> Components<C> {
     /// Decompose the unsafe set of `lab` into connected components.
-    pub fn compute(lab: &Labelling<S>) -> Components<S> {
+    pub fn compute(lab: &Labelling<C>) -> Components<C> {
         let (space, unsafe_set) = (lab.space(), lab.unsafe_set());
-        let mut handle = NodeGrid::new(space.node_count(), NO_COMPONENT);
+        let mut handle = NodeGrid::new(space.len(), NO_COMPONENT);
         let mut cells = Vec::new();
         let mut queue = Vec::new();
         for start in unsafe_set.iter() {
@@ -147,7 +147,7 @@ impl<S: Space> Components<S> {
 
     /// Component id (position in `cells`) of canonical `c`, if it is
     /// unsafe.
-    pub fn component_of(&self, c: S::Coord) -> Option<u32> {
+    pub fn component_of(&self, c: C) -> Option<u32> {
         self.space
             .index_checked(c)
             .and_then(|i| self.position_at(i))
@@ -176,7 +176,7 @@ impl<S: Space> Components<S> {
     ///
     /// Returns the [`Splice`] it applied to `cells`, which MCC repair
     /// replays on the MCC list.
-    pub fn repair(&mut self, lab: &Labelling<S>, changed: &[usize]) -> Splice {
+    pub fn repair(&mut self, lab: &Labelling<C>, changed: &[usize]) -> Splice {
         let (space, unsafe_set) = (self.space, lab.unsafe_set());
         let mut removed: Vec<usize> = Vec::new();
         let mut added: Vec<usize> = Vec::new();
@@ -220,7 +220,7 @@ impl<S: Space> Components<S> {
         // exactly as in a full compute. Each seed that starts a component
         // is its smallest index (every cleared-and-unsafe node is a seed),
         // so the rebuilt components come out in min-cell-index order.
-        let mut rebuilt: Vec<(u32, Vec<S::Coord>)> = Vec::new();
+        let mut rebuilt: Vec<(u32, Vec<C>)> = Vec::new();
         let mut queue = Vec::new();
         for &start in &seeds {
             if self.handle[start] == NO_COMPONENT {
@@ -266,10 +266,10 @@ impl<S: Space> Components<S> {
 /// the node grid as positions, never the history-dependent handles, so two
 /// decompositions of one labelling print identically however they were
 /// reached.
-impl<S: Space> std::fmt::Debug for Components<S> {
+impl<C: Coord> std::fmt::Debug for Components<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        struct Positions<'a, S: Space>(&'a Components<S>);
-        impl<S: Space> std::fmt::Debug for Positions<'_, S> {
+        struct Positions<'a, C: Coord>(&'a Components<C>);
+        impl<C: Coord> std::fmt::Debug for Positions<'_, C> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 let ids = (0..self.0.handle.len())
                     .map(|i| self.0.position_at(i).map_or(NO_COMPONENT, |p| p as u32));
@@ -287,14 +287,14 @@ impl<S: Space> std::fmt::Debug for Components<S> {
 /// The component BFS: label every unsafe node reachable from `start`
 /// through not-yet-labelled unsafe nodes with `mark`, and return them in
 /// discovery order.
-fn discover<S: Space>(
-    space: S,
+fn discover<C: Coord>(
+    space: NodeSpace<C>,
     unsafe_set: &NodeSet,
     id: &mut NodeGrid<u32>,
     start: usize,
     mark: u32,
     queue: &mut Vec<usize>,
-) -> Vec<S::Coord> {
+) -> Vec<C> {
     let mut cells = Vec::new();
     queue.clear();
     queue.push(start);
@@ -317,7 +317,7 @@ mod tests {
     use crate::labelling::{Labelling2, Labelling3};
     use crate::status::BorderPolicy;
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2};
+    use mesh_topo::{Frame, Frame2, Frame3, Mesh, Mesh2D, Mesh3D};
 
     #[test]
     fn two_isolated_faults_two_components() {
@@ -414,11 +414,11 @@ mod tests {
     /// A repaired decomposition must be indistinguishable from a fresh one:
     /// same cells in the same order, and the same `component_of` on every
     /// node (a now-safe node must map to `None`).
-    fn assert_comps_match<S: Space>(lab: &Labelling<S>, comps: &Components<S>) {
+    fn assert_comps_match<C: Coord>(lab: &Labelling<C>, comps: &Components<C>) {
         let fresh = Components::compute(lab);
         assert_eq!(comps.cells, fresh.cells, "cells/order diverged");
         let space = lab.space();
-        for i in 0..space.node_count() {
+        for i in 0..space.len() {
             let c = space.coord(i);
             assert_eq!(
                 comps.component_of(c),
@@ -531,8 +531,8 @@ mod tests {
 
     /// Random churn through labelling and component repair, checked
     /// against recomputation after every batch.
-    fn repair_tracks_compute_under_churn<S: Space>(
-        clean: Mesh<S>,
+    fn repair_tracks_compute_under_churn<C: Coord>(
+        clean: Mesh<C>,
         seed: u64,
         draws: usize,
         rounds: usize,
@@ -541,8 +541,8 @@ mod tests {
         use rand::{rngs::SmallRng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut mesh = with_random_faults(clean, &mut rng, draws);
-        let identity = S::identity_frame(&mesh);
-        let mut lab = Labelling::<S>::compute(&mesh, identity, BorderPolicy::BorderSafe);
+        let identity = Frame::identity(&mesh);
+        let mut lab = Labelling::<C>::compute(&mesh, identity, BorderPolicy::BorderSafe);
         let mut comps = Components::compute(&lab);
         for _ in 0..rounds {
             let (injected, healed) = churn(&mut rng, &mut mesh, 3);

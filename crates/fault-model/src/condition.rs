@@ -18,7 +18,7 @@
 //! destination) is stuck; other labelled-endpoint combinations fall back to
 //! the exact fault-avoiding oracle.
 
-use mesh_topo::{Coord, Space};
+use mesh_topo::Coord;
 use serde::{Deserialize, Serialize};
 
 use crate::labelling::Labelling;
@@ -58,12 +58,7 @@ impl Existence {
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-pub fn evaluate<S: Space>(
-    lab: &Labelling<S>,
-    s: S::Coord,
-    d: S::Coord,
-    useful: &mut Useful<S>,
-) -> Existence {
+pub fn evaluate<C: Coord>(lab: &Labelling<C>, s: C, d: C, useful: &mut Useful<C>) -> Existence {
     assert!(
         s.dominated_by(d),
         "condition requires canonical coordinates with s <= d, got {s:?} {d:?}"

@@ -88,7 +88,7 @@
 //! assert_eq!(m.mccs.len(), 1);
 //! ```
 
-use mesh_topo::{Coord, Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, NodeSet, NodeSpace, C2, C3};
 
 use crate::components::Components;
 use crate::labelling::Labelling;
@@ -173,8 +173,8 @@ pub struct CheckedBatch<'b, C> {
 impl<'b, C: Coord> CheckedBatch<'b, C> {
     /// Validate `injected`/`healed` against the fault set `faulty` over
     /// `space` (see the type docs for the checks and their order).
-    pub fn new<S: Space<Coord = C>>(
-        space: S,
+    pub fn new(
+        space: NodeSpace<C>,
         faulty: &NodeSet,
         injected: &'b [C],
         healed: &'b [C],
@@ -215,11 +215,11 @@ impl<'b, C: Coord> CheckedBatch<'b, C> {
 /// The indices of `coords`, ascending, or the error a scan in input order
 /// meets first: a node outside `space`, or a repeat of an earlier node
 /// (reported through `repeat`).
-fn sorted_indices<S: Space>(
-    space: S,
-    coords: &[S::Coord],
-    repeat: fn(S::Coord) -> ChurnError<S::Coord>,
-) -> Result<Vec<usize>, ChurnError<S::Coord>> {
+fn sorted_indices<C: Coord>(
+    space: NodeSpace<C>,
+    coords: &[C],
+    repeat: fn(C) -> ChurnError<C>,
+) -> Result<Vec<usize>, ChurnError<C>> {
     let mut indices = Vec::with_capacity(coords.len());
     let mut outside = None;
     for (at, &c) in coords.iter().enumerate() {
@@ -245,7 +245,7 @@ fn sorted_indices<S: Space>(
 
 /// The position of the first node of `coords` (all inside `space`) whose
 /// index an earlier node already took; `coords` must hold a repeat.
-fn first_repeat<S: Space>(space: S, coords: &[S::Coord]) -> usize {
+fn first_repeat<C: Coord>(space: NodeSpace<C>, coords: &[C]) -> usize {
     let mut keyed: Vec<(usize, usize)> = coords
         .iter()
         .enumerate()
@@ -273,43 +273,43 @@ struct LogEntry<C> {
 
 /// The incrementally maintained models of one orientation.
 #[derive(Clone, Debug)]
-struct IncSlot<S: Space> {
+struct IncSlot<C: Coord> {
     /// Generation the models below reflect.
     synced: u64,
-    lab: Labelling<S>,
-    comps: Components<S>,
-    mccs: MccSet<S::Coord>,
+    lab: Labelling<C>,
+    comps: Components<C>,
+    mccs: MccSet<C>,
 }
 
 /// Borrowed views of one orientation's incrementally maintained models.
 #[derive(Debug)]
-pub struct IncModelsRef<'a, S: Space> {
+pub struct IncModelsRef<'a, C: Coord> {
     /// The labelling of the requested orientation.
-    pub lab: &'a Labelling<S>,
+    pub lab: &'a Labelling<C>,
     /// Its component decomposition.
-    pub comps: &'a Components<S>,
+    pub comps: &'a Components<C>,
     /// Its MCC records.
-    pub mccs: &'a MccSet<S::Coord>,
+    pub mccs: &'a MccSet<C>,
 }
 
 /// Borrowed views of one 2-D orientation's maintained models.
-pub type IncModelsRef2<'a> = IncModelsRef<'a, NodeSpace2>;
+pub type IncModelsRef2<'a> = IncModelsRef<'a, C2>;
 
 /// Borrowed views of one 3-D orientation's maintained models.
-pub type IncModelsRef3<'a> = IncModelsRef<'a, NodeSpace3>;
+pub type IncModelsRef3<'a> = IncModelsRef<'a, C3>;
 
 /// Owned, churn-capable model cache over a mesh (see the module docs).
 #[derive(Clone, Debug)]
-pub struct IncrementalModels<S: Space> {
-    mesh: Mesh<S>,
+pub struct IncrementalModels<C: Coord> {
+    mesh: Mesh<C>,
     border: BorderPolicy,
     /// Bumped by every [`IncrementalModels::apply`].
     generation: u64,
     /// Churn batches not yet replayed by every live slot, ascending `gen`.
-    log: Vec<LogEntry<S::Coord>>,
+    log: Vec<LogEntry<C>>,
     /// One slot per orientation.
-    slots: Vec<Option<IncSlot<S>>>,
-    blocks: Option<FaultBlocks<S>>,
+    slots: Vec<Option<IncSlot<C>>>,
+    blocks: Option<FaultBlocks<C>>,
     /// Generation `blocks` reflects (meaningless while `blocks` is `None`).
     blocks_synced: u64,
     /// Total statuses changed by slot replays — the incremental work done.
@@ -322,20 +322,20 @@ pub struct IncrementalModels<S: Space> {
 }
 
 /// The incrementally maintained models of a 2-D mesh (4 quadrant slots).
-pub type IncrementalModels2 = IncrementalModels<NodeSpace2>;
+pub type IncrementalModels2 = IncrementalModels<C2>;
 
 /// The incrementally maintained models of a 3-D mesh (8 octant slots).
-pub type IncrementalModels3 = IncrementalModels<NodeSpace3>;
+pub type IncrementalModels3 = IncrementalModels<C3>;
 
-impl<S: Space> IncrementalModels<S> {
+impl<C: Coord> IncrementalModels<C> {
     /// Take ownership of `mesh`; nothing is computed until requested.
-    pub fn new(mesh: Mesh<S>, border: BorderPolicy) -> IncrementalModels<S> {
+    pub fn new(mesh: Mesh<C>, border: BorderPolicy) -> IncrementalModels<C> {
         IncrementalModels {
             mesh,
             border,
             generation: 0,
             log: Vec::new(),
-            slots: (0..S::ORIENTATIONS).map(|_| None).collect(),
+            slots: (0..C::ORIENTATIONS).map(|_| None).collect(),
             blocks: None,
             blocks_synced: 0,
             repaired_statuses: 0,
@@ -345,7 +345,7 @@ impl<S: Space> IncrementalModels<S> {
     }
 
     /// The current (churned) mesh.
-    pub fn mesh(&self) -> &Mesh<S> {
+    pub fn mesh(&self) -> &Mesh<C> {
         &self.mesh
     }
 
@@ -385,9 +385,9 @@ impl<S: Space> IncrementalModels<S> {
     /// rebuild nor replay).
     ///
     /// [`models`]: IncrementalModels::models
-    pub fn slot_current(&self, frame: S::Frame) -> bool {
+    pub fn slot_current(&self, frame: Frame<C>) -> bool {
         matches!(
-            &self.slots[S::frame_index(frame)],
+            &self.slots[frame.index()],
             Some(sl) if sl.lab.frame() == frame && sl.synced == self.generation
         )
     }
@@ -406,7 +406,7 @@ impl<S: Space> IncrementalModels<S> {
     /// callers fed untrusted batches use [`try_apply`] instead.
     ///
     /// [`try_apply`]: IncrementalModels::try_apply
-    pub fn apply(&mut self, injected: &[S::Coord], healed: &[S::Coord]) {
+    pub fn apply(&mut self, injected: &[C], healed: &[C]) {
         if let Err(e) = self.try_apply(injected, healed) {
             panic!("{e}");
         }
@@ -418,11 +418,7 @@ impl<S: Space> IncrementalModels<S> {
     /// resident service can reject a malformed request and keep serving.
     ///
     /// [`apply`]: IncrementalModels::apply
-    pub fn try_apply(
-        &mut self,
-        injected: &[S::Coord],
-        healed: &[S::Coord],
-    ) -> Result<(), ChurnError<S::Coord>> {
+    pub fn try_apply(&mut self, injected: &[C], healed: &[C]) -> Result<(), ChurnError<C>> {
         let batch = self.checked(injected, healed)?;
         self.apply_checked(batch);
         Ok(())
@@ -432,11 +428,7 @@ impl<S: Space> IncrementalModels<S> {
     /// [`try_apply`] runs before mutating anything.
     ///
     /// [`try_apply`]: IncrementalModels::try_apply
-    pub fn check(
-        &self,
-        injected: &[S::Coord],
-        healed: &[S::Coord],
-    ) -> Result<(), ChurnError<S::Coord>> {
+    pub fn check(&self, injected: &[C], healed: &[C]) -> Result<(), ChurnError<C>> {
         self.checked(injected, healed).map(drop)
     }
 
@@ -449,9 +441,9 @@ impl<S: Space> IncrementalModels<S> {
     /// [`apply_checked`]: IncrementalModels::apply_checked
     pub fn checked<'b>(
         &self,
-        injected: &'b [S::Coord],
-        healed: &'b [S::Coord],
-    ) -> Result<CheckedBatch<'b, S::Coord>, ChurnError<S::Coord>> {
+        injected: &'b [C],
+        healed: &'b [C],
+    ) -> Result<CheckedBatch<'b, C>, ChurnError<C>> {
         CheckedBatch::new(self.mesh.space(), self.mesh.fault_set(), injected, healed)
     }
 
@@ -461,7 +453,7 @@ impl<S: Space> IncrementalModels<S> {
     /// against an earlier state is a caller bug.
     ///
     /// [`checked`]: IncrementalModels::checked
-    pub fn apply_checked(&mut self, batch: CheckedBatch<'_, S::Coord>) {
+    pub fn apply_checked(&mut self, batch: CheckedBatch<'_, C>) {
         let flipped = self.mesh.inject_indices(&batch.inject) + self.mesh.heal_indices(&batch.heal);
         debug_assert_eq!(flipped, batch.inject.len() + batch.heal.len());
         self.generation += 1;
@@ -500,8 +492,8 @@ impl<S: Space> IncrementalModels<S> {
     /// replays the labelling repair of each churn batch it has not seen,
     /// then repairs components and MCCs in place **once**, over the merged
     /// dirty regions of those batches.
-    pub fn models(&mut self, frame: S::Frame) -> IncModelsRef<'_, S> {
-        let idx = S::frame_index(frame);
+    pub fn models(&mut self, frame: Frame<C>) -> IncModelsRef<'_, C> {
+        let idx = frame.index();
         let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
         if rebuild {
             let lab = Labelling::compute(&self.mesh, frame, self.border);
@@ -542,7 +534,7 @@ impl<S: Space> IncrementalModels<S> {
 
     /// The orientation-free block model of the current mesh, recomputed
     /// lazily after churn (any applied batch invalidates it wholesale).
-    pub fn blocks(&mut self) -> &FaultBlocks<S> {
+    pub fn blocks(&mut self) -> &FaultBlocks<C> {
         if !self.blocks_current() {
             self.blocks = Some(FaultBlocks::compute(&self.mesh));
             self.blocks_synced = self.generation;
@@ -558,7 +550,7 @@ mod tests {
     use mesh_topo::coord::{c2, c3};
     use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2};
 
-    fn assert_slot_matches_fresh<S: Space>(inc: &mut IncrementalModels<S>, frame: S::Frame) {
+    fn assert_slot_matches_fresh<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>) {
         let mesh = inc.mesh().clone();
         let border = inc.border();
         let m = inc.models(frame);
@@ -868,14 +860,14 @@ mod tests {
         /// large enough that a one-node heal stays below the bulk-tier
         /// cut-over (the bulk tier recomputes from scratch and is immune
         /// to the skipped path).
-        fn case<S: Space>(mesh: Mesh<S>, frame: S::Frame, heal: S::Coord, probe: S::Coord) {
-            let mut inc = IncrementalModels::<S>::new(mesh, BorderPolicy::BorderSafe);
+        fn case<C: Coord>(mesh: Mesh<C>, frame: Frame<C>, heal: C, probe: C) {
+            let mut inc = IncrementalModels::<C>::new(mesh, BorderPolicy::BorderSafe);
             assert!(inc.models(frame).lab.status(probe).is_useless());
 
             SKIP_HEAL_RETRACTION.with(|f| f.set(true));
             inc.apply(&[], &[heal]);
             let stale = inc.models(frame).lab.status(probe);
-            let fresh = Labelling::<S>::compute(inc.mesh(), frame, BorderPolicy::BorderSafe);
+            let fresh = Labelling::<C>::compute(inc.mesh(), frame, BorderPolicy::BorderSafe);
             assert!(
                 fresh.status(probe).is_safe(),
                 "ground truth: the label must retract"
@@ -894,7 +886,7 @@ mod tests {
             torus.inject_fault(c);
         }
         let frame = Frame2::identity(&torus);
-        case::<NodeSpace2>(torus, frame, c2(1, 2), c2(11, 2));
+        case::<C2>(torus, frame, c2(1, 2), c2(11, 2));
 
         // 3-D seam: the corner (5,5,5) is sealed only by its three wrapped
         // `+` neighbors; healing (0,5,5) must retract it across the X wrap.
@@ -903,6 +895,6 @@ mod tests {
             torus.inject_fault(c);
         }
         let frame = Frame3::identity(&torus);
-        case::<NodeSpace3>(torus, frame, c3(0, 5, 5), c3(5, 5, 5));
+        case::<C3>(torus, frame, c3(0, 5, 5), c3(5, 5, 5));
     }
 }

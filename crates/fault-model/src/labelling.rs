@@ -40,7 +40,7 @@
 //! property-tested equal to the definitional worklist closure over the
 //! wrapped neighbor relation (`tests/properties.rs`).
 
-use mesh_topo::{Coord, Mesh, NodeGrid, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, NodeGrid, NodeSet, NodeSpace, C2, C3};
 
 use crate::rows::{Rows, RunFill};
 use crate::status::{BorderPolicy, NodeStatus};
@@ -50,24 +50,24 @@ use crate::status::{BorderPolicy, NodeStatus};
 /// All coordinates exposed by this type are **canonical** (post-reflection);
 /// use [`Labelling::frame`] to translate to and from mesh coordinates.
 #[derive(Clone, Debug)]
-pub struct Labelling<S: Space> {
-    frame: S::Frame,
+pub struct Labelling<C: Coord> {
+    frame: Frame<C>,
     policy: BorderPolicy,
-    space: S,
+    space: NodeSpace<C>,
     status: NodeGrid<NodeStatus>,
     unsafe_set: NodeSet,
 }
 
 /// The 2-D labelling (Algorithm 1), one per quadrant orientation.
-pub type Labelling2 = Labelling<NodeSpace2>;
+pub type Labelling2 = Labelling<C2>;
 
 /// The 3-D labelling (Algorithm 4), one per octant orientation.
-pub type Labelling3 = Labelling<NodeSpace3>;
+pub type Labelling3 = Labelling<C3>;
 
-impl<S: Space> Labelling<S> {
+impl<C: Coord> Labelling<C> {
     /// Run the labelling closure for `mesh` under `frame`.
-    pub fn compute(mesh: &Mesh<S>, frame: S::Frame, policy: BorderPolicy) -> Labelling<S> {
-        let faults = mesh.faults().iter().map(|&f| S::to_canon(frame, f).xyz());
+    pub fn compute(mesh: &Mesh<C>, frame: Frame<C>, policy: BorderPolicy) -> Labelling<C> {
+        let faults = mesh.faults().iter().map(|&f| frame.to_canon(f).xyz());
         Labelling::from_faults(mesh.space(), frame, policy, faults)
     }
 
@@ -75,8 +75,8 @@ impl<S: Space> Labelling<S> {
     /// `faults`, then the statuses and the unsafe set, written from the
     /// row words.
     fn from_faults(
-        space: S,
-        frame: S::Frame,
+        space: NodeSpace<C>,
+        frame: Frame<C>,
         policy: BorderPolicy,
         faults: impl Iterator<Item = [i32; 3]>,
     ) -> Self {
@@ -97,7 +97,7 @@ impl<S: Space> Labelling<S> {
         let mut useless = flipped.clone();
         close(rows, border_blocks, &flipped, &mut useless);
 
-        let mut status = NodeGrid::new(space.node_count(), NodeStatus::SAFE);
+        let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
         let st = status.as_mut_slice();
         // Word `i` is word `i % wpr` of row `i / wpr`.
         let (row, x0) = (|i: usize| i / wpr, |i: usize| i % wpr * 64);
@@ -138,7 +138,7 @@ impl<S: Space> Labelling<S> {
 
     /// The orientation frame this labelling was computed under.
     #[inline]
-    pub fn frame(&self) -> S::Frame {
+    pub fn frame(&self) -> Frame<C> {
         self.frame
     }
 
@@ -150,7 +150,7 @@ impl<S: Space> Labelling<S> {
 
     /// The linear index space of the underlying mesh (canonical coords).
     #[inline]
-    pub fn space(&self) -> S {
+    pub fn space(&self) -> NodeSpace<C> {
         self.space
     }
 
@@ -159,19 +159,19 @@ impl<S: Space> Labelling<S> {
     /// # Panics
     /// If `c` is outside the mesh.
     #[inline]
-    pub fn status(&self, c: S::Coord) -> NodeStatus {
+    pub fn status(&self, c: C) -> NodeStatus {
         self.status[self.space.index(c)]
     }
 
     /// Status at canonical `c`, or `None` if outside the mesh.
     #[inline]
-    pub fn status_get(&self, c: S::Coord) -> Option<NodeStatus> {
+    pub fn status_get(&self, c: C) -> Option<NodeStatus> {
         self.space.index_checked(c).map(|i| self.status[i])
     }
 
     /// True if canonical `c` is inside the mesh and unsafe.
     #[inline]
-    pub fn is_unsafe(&self, c: S::Coord) -> bool {
+    pub fn is_unsafe(&self, c: C) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| self.unsafe_set.contains(i))
@@ -179,7 +179,7 @@ impl<S: Space> Labelling<S> {
 
     /// True if canonical `c` is inside the mesh and safe.
     #[inline]
-    pub fn is_safe(&self, c: S::Coord) -> bool {
+    pub fn is_safe(&self, c: C) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| !self.unsafe_set.contains(i))
@@ -187,8 +187,8 @@ impl<S: Space> Labelling<S> {
 
     /// Status of the node at **mesh** coordinate `c`.
     #[inline]
-    pub fn status_mesh(&self, c: S::Coord) -> NodeStatus {
-        self.status[self.space.index(S::to_canon(self.frame, c))]
+    pub fn status_mesh(&self, c: C) -> NodeStatus {
+        self.status[self.space.index(self.frame.to_canon(c))]
     }
 
     /// The unsafe nodes (faulty + labelled) as a bitset over
@@ -215,9 +215,9 @@ impl<S: Space> Labelling<S> {
 
     /// Iterate `(canonical coordinate, status)` for all nodes, in index
     /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (S::Coord, NodeStatus)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (C, NodeStatus)> + '_ {
         let space = self.space;
-        (0..space.node_count()).map(move |i| (space.coord(i), self.status[i]))
+        (0..space.len()).map(move |i| (space.coord(i), self.status[i]))
     }
 
     /// Incrementally repair this labelling after a fault-churn batch on the
@@ -241,18 +241,16 @@ impl<S: Space> Labelling<S> {
     ///
     /// Returns the canonical indices whose status byte changed, sorted
     /// ascending — the dirty region that drives component and MCC repair.
-    pub fn repair(&mut self, injected: &[S::Coord], healed: &[S::Coord]) -> Vec<usize> {
+    pub fn repair(&mut self, injected: &[C], healed: &[C]) -> Vec<usize> {
         let (space, frame) = (self.space, self.frame);
-        let canon = |cs: &[S::Coord]| -> Vec<usize> {
-            cs.iter()
-                .map(|&c| space.index(S::to_canon(frame, c)))
-                .collect()
+        let canon = |cs: &[C]| -> Vec<usize> {
+            cs.iter().map(|&c| space.index(frame.to_canon(c))).collect()
         };
         let (inj, heal) = (canon(injected), canon(healed));
         if inj.is_empty() && heal.is_empty() {
             return Vec::new();
         }
-        let mut changed = if (inj.len() + heal.len()) * BULK_REPAIR_FANOUT >= space.node_count() {
+        let mut changed = if (inj.len() + heal.len()) * BULK_REPAIR_FANOUT >= space.len() {
             self.repair_bulk(&inj, &heal)
         } else {
             self.repair_worklist(&inj, &heal)
@@ -393,14 +391,14 @@ fn clear<const CLOSURE: bool>(st: &mut NodeStatus) {
 /// The neighbor geometry of a node space for the node-granular repair:
 /// per-axis extents (`x` fastest), the wrap mode and the border policy.
 #[derive(Clone, Copy)]
-struct Raster<S> {
-    space: S,
+struct Raster<C> {
+    space: NodeSpace<C>,
     ext: [usize; 3],
     border_blocks: bool,
 }
 
-impl<S: Space> Raster<S> {
-    fn new(space: S, policy: BorderPolicy) -> Raster<S> {
+impl<C: Coord> Raster<C> {
+    fn new(space: NodeSpace<C>, policy: BorderPolicy) -> Raster<C> {
         Raster {
             space,
             ext: space.extents(),
@@ -413,11 +411,11 @@ impl<S: Space> Raster<S> {
     fn coords(&self, i: usize) -> [usize; 3] {
         let mut c = [0; 3];
         let mut rest = i;
-        for (ca, &ext) in c.iter_mut().zip(&self.ext).take(S::DIMS - 1) {
+        for (ca, &ext) in c.iter_mut().zip(&self.ext).take(C::DIMS - 1) {
             *ca = rest % ext;
             rest /= ext;
         }
-        c[S::DIMS - 1] = rest;
+        c[C::DIMS - 1] = rest;
         c
     }
 
@@ -456,14 +454,14 @@ impl<S: Space> Raster<S> {
     #[inline(always)]
     fn fires<const CLOSURE: bool>(&self, s: &[NodeStatus], i: usize) -> bool {
         let c = self.coords(i);
-        (0..S::DIMS).all(|a| self.input_blocks::<CLOSURE>(s, self.input::<CLOSURE>(i, a, c[a])))
+        (0..C::DIMS).all(|a| self.input_blocks::<CLOSURE>(s, self.input::<CLOSURE>(i, a, c[a])))
     }
 
     /// Call `f` with every node whose rule reads `i` — its neighbors in the
     /// direction opposite to the closure's read direction, `x` first.
     #[inline(always)]
     fn for_readers<const CLOSURE: bool>(&self, i: usize, mut f: impl FnMut(usize)) {
-        for (a, &c) in self.coords(i).iter().enumerate().take(S::DIMS) {
+        for (a, &c) in self.coords(i).iter().enumerate().take(C::DIMS) {
             // The reader of `i` along `a` is the node `i` reads along `a`
             // under the mirror closure.
             let j = if CLOSURE == USELESS {

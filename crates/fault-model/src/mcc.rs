@@ -15,7 +15,7 @@
 //! derived from the cells on demand, so a record's memory is O(cells),
 //! whatever its bounding-box volume.
 
-use mesh_topo::{Coord, Space};
+use mesh_topo::Coord;
 
 use crate::components::{Components, Splice};
 use crate::labelling::Labelling;
@@ -42,7 +42,7 @@ pub struct MccSet<C: Coord> {
 
 impl<C: Coord> Mcc<C> {
     /// The MCC of one component from its cells and their statuses in `lab`.
-    pub(crate) fn from_cells<S: Space<Coord = C>>(cells: Vec<C>, lab: &Labelling<S>) -> Mcc<C> {
+    pub(crate) fn from_cells(cells: Vec<C>, lab: &Labelling<C>) -> Mcc<C> {
         debug_assert!(!cells.is_empty());
         let (mut lo, mut hi) = (cells[0].xyz(), cells[0].xyz());
         let mut fault_count = 0;
@@ -82,7 +82,7 @@ impl<C: Coord> Mcc<C> {
 
 impl<C: Coord> MccSet<C> {
     /// Extract all MCCs of a labelling.
-    pub fn compute<S: Space<Coord = C>>(lab: &Labelling<S>) -> MccSet<C> {
+    pub fn compute(lab: &Labelling<C>) -> MccSet<C> {
         MccSet::from_components(&Components::compute(lab), lab)
     }
 
@@ -90,10 +90,7 @@ impl<C: Coord> MccSet<C> {
     /// record per component, in component order. A caller that keeps the
     /// components builds the records from them instead of discovering the
     /// components a second time.
-    pub fn from_components<S: Space<Coord = C>>(
-        comps: &Components<S>,
-        lab: &Labelling<S>,
-    ) -> MccSet<C> {
+    pub fn from_components(comps: &Components<C>, lab: &Labelling<C>) -> MccSet<C> {
         MccSet {
             mccs: comps
                 .cells
@@ -138,10 +135,10 @@ impl<C: Coord> MccSet<C> {
     /// though the cells are untouched. No other MCC is read or written, and
     /// the result is bit-for-bit equal to [`MccSet::compute`] (DESIGN.md
     /// §12). Returns the number of MCCs extracted.
-    pub(crate) fn repair<S: Space<Coord = C>>(
+    pub(crate) fn repair(
         &mut self,
-        lab: &Labelling<S>,
-        comps: &Components<S>,
+        lab: &Labelling<C>,
+        comps: &Components<C>,
         splice: &Splice,
         changed: &[usize],
     ) -> usize {

@@ -42,7 +42,7 @@
 //! assert!(m.blocks.expect("requested").is_disabled(c2(4, 4)));
 //! ```
 
-use mesh_topo::{Mesh, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, C2, C3};
 
 use crate::labelling::Labelling;
 use crate::rfb::FaultBlocks;
@@ -51,47 +51,47 @@ use crate::status::BorderPolicy;
 /// Borrowed views of every model a trial needs, fetched (and lazily
 /// computed) in one call so the borrows coexist.
 #[derive(Debug)]
-pub struct ModelsRef<'a, S: Space> {
+pub struct ModelsRef<'a, C: Coord> {
     /// The labelling of the requested orientation.
-    pub lab: &'a Labelling<S>,
+    pub lab: &'a Labelling<C>,
     /// The orientation-free block model, if requested.
-    pub blocks: Option<&'a FaultBlocks<S>>,
+    pub blocks: Option<&'a FaultBlocks<C>>,
 }
 
 /// Borrowed views of the 2-D models (rectangular blocks).
-pub type ModelsRef2<'a> = ModelsRef<'a, NodeSpace2>;
+pub type ModelsRef2<'a> = ModelsRef<'a, C2>;
 
 /// Borrowed views of the 3-D models (cuboid blocks).
-pub type ModelsRef3<'a> = ModelsRef<'a, NodeSpace3>;
+pub type ModelsRef3<'a> = ModelsRef<'a, C3>;
 
 /// Lazy per-orientation model cache over one fault configuration.
 #[derive(Clone, Debug)]
-pub struct ModelCache<'m, S: Space> {
-    mesh: &'m Mesh<S>,
+pub struct ModelCache<'m, C: Coord> {
+    mesh: &'m Mesh<C>,
     border: BorderPolicy,
-    blocks: Option<FaultBlocks<S>>,
-    slots: Vec<Option<Labelling<S>>>,
+    blocks: Option<FaultBlocks<C>>,
+    slots: Vec<Option<Labelling<C>>>,
 }
 
 /// The model cache over a 2-D mesh (4 quadrant slots).
-pub type ModelCache2<'m> = ModelCache<'m, NodeSpace2>;
+pub type ModelCache2<'m> = ModelCache<'m, C2>;
 
 /// The model cache over a 3-D mesh (8 octant slots).
-pub type ModelCache3<'m> = ModelCache<'m, NodeSpace3>;
+pub type ModelCache3<'m> = ModelCache<'m, C3>;
 
-impl<'m, S: Space> ModelCache<'m, S> {
+impl<'m, C: Coord> ModelCache<'m, C> {
     /// An empty cache for `mesh`; nothing is computed until requested.
-    pub fn new(mesh: &'m Mesh<S>, border: BorderPolicy) -> ModelCache<'m, S> {
+    pub fn new(mesh: &'m Mesh<C>, border: BorderPolicy) -> ModelCache<'m, C> {
         ModelCache {
             mesh,
             border,
             blocks: None,
-            slots: (0..S::ORIENTATIONS).map(|_| None).collect(),
+            slots: (0..C::ORIENTATIONS).map(|_| None).collect(),
         }
     }
 
     /// The mesh this cache describes.
-    pub fn mesh(&self) -> &'m Mesh<S> {
+    pub fn mesh(&self) -> &'m Mesh<C> {
         self.mesh
     }
 
@@ -106,8 +106,8 @@ impl<'m, S: Space> ModelCache<'m, S> {
     /// different frame is recomputed rather than wrongly reused. Mesh
     /// frames are unique per index, so mesh behavior (and its
     /// ≤ `1 + ORIENTATIONS` compute bound) is unchanged.
-    pub fn models(&mut self, frame: S::Frame, want_blocks: bool) -> ModelsRef<'_, S> {
-        let idx = S::frame_index(frame);
+    pub fn models(&mut self, frame: Frame<C>, want_blocks: bool) -> ModelsRef<'_, C> {
+        let idx = frame.index();
         let slot = &mut self.slots[idx];
         if !matches!(slot, Some(lab) if lab.frame() == frame) {
             *slot = Some(Labelling::compute(self.mesh, frame, self.border));

@@ -43,7 +43,7 @@
 //! * [`Useful::recompute`] asks a `blocked` closure once per box node and
 //!   hands the rows to the same sweep.
 
-use mesh_topo::{Coord, NodeSet, NodeSpace2, NodeSpace3, Space, C2, C3};
+use mesh_topo::{Coord, Frame, NodeSet, NodeSpace, C2, C3};
 
 use crate::rows::{put_bits, reverse_row, take_bits, RunFill};
 
@@ -95,9 +95,9 @@ pub fn reachable_3d_in(s: C3, d: C3, blocked: impl Fn(C3) -> bool, useful: &mut 
 /// The set is stored as reversed bit rows along `x` and filled by the
 /// word-parallel sweep of the module docs.
 #[derive(Clone, Debug)]
-pub struct Useful<S: Space> {
-    s: S::Coord,
-    d: S::Coord,
+pub struct Useful<C: Coord> {
+    s: C,
+    d: C,
     /// Rows per `z` plane (the box's `y` extent).
     wy: usize,
     /// Words per row.
@@ -108,17 +108,17 @@ pub struct Useful<S: Space> {
 }
 
 /// The backward reachability set in 2-D.
-pub type Useful2 = Useful<NodeSpace2>;
+pub type Useful2 = Useful<C2>;
 
 /// The backward reachability set in 3-D.
-pub type Useful3 = Useful<NodeSpace3>;
+pub type Useful3 = Useful<C3>;
 
-impl<S: Space> Useful<S> {
+impl<C: Coord> Useful<C> {
     /// An empty scratch instance (a degenerate one-node box) whose storage
     /// is meant to be recycled through [`Useful::recompute`] or
     /// [`Useful::recompute_set`].
-    pub fn scratch() -> Useful<S> {
-        let origin = S::Coord::from_xyz([0; 3]);
+    pub fn scratch() -> Useful<C> {
+        let origin = C::from_xyz([0; 3]);
         Useful {
             s: origin,
             d: origin,
@@ -135,11 +135,11 @@ impl<S: Space> Useful<S> {
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
-    pub fn recompute(&mut self, s: S::Coord, d: S::Coord, blocked: impl Fn(S::Coord) -> bool) {
+    pub fn recompute(&mut self, s: C, d: C, blocked: impl Fn(C) -> bool) {
         let (x0, x1) = (s.xyz()[0], d.xyz()[0]);
         self.sweep(s, d, |y, z, row| {
             for (i, x) in (x0..=x1).rev().enumerate() {
-                if !blocked(S::Coord::from_xyz([x, y, z])) {
+                if !blocked(C::from_xyz([x, y, z])) {
                     row[i / 64] |= 1 << (i % 64);
                 }
             }
@@ -149,7 +149,7 @@ impl<S: Space> Useful<S> {
     /// Recompute the useful set for a new box `[s, d]` whose blocked nodes
     /// are the members of `set`, a bitset over `space`. `frame` maps box
     /// coordinates to `space` coordinates (a node `c` is blocked iff
-    /// `set` holds `space.index(S::from_canon(frame, c))`); `None` means
+    /// `set` holds `space.index(frame.from_canon(c))`); `None` means
     /// the set is indexed by the box coordinates themselves, as a
     /// labelling's unsafe set is. Each row is copied out of the set's
     /// words whole; no node is visited on its own.
@@ -159,31 +159,31 @@ impl<S: Space> Useful<S> {
     /// inside `space`'s extents.
     pub fn recompute_set(
         &mut self,
-        s: S::Coord,
-        d: S::Coord,
+        s: C,
+        d: C,
         set: &NodeSet,
-        space: S,
-        frame: Option<S::Frame>,
+        space: NodeSpace<C>,
+        frame: Option<Frame<C>>,
     ) {
         let (lo, hi, ext) = (s.xyz(), d.xyz(), space.extents());
         assert!(
             (0..3).all(|k| 0 <= lo[k] && lo[k] <= hi[k] && (hi[k] as usize) < ext[k]),
             "oracle requires canonical s <= d inside {space:?}, got {s:?} {d:?}"
         );
-        let to_space = |c| frame.map_or(c, |f| S::from_canon(f, c));
+        let to_space = |c| frame.map_or(c, |f| f.from_canon(c));
         // The node-space run of each row starts at the image of `d.x`
         // when the frame reflects `x` (the run is then already reversed)
         // and at the image of `s.x` otherwise.
-        let flip = frame.is_some_and(S::flips_x);
+        let flip = frame.is_some_and(|f| f.flips(0));
         let xs = if flip { hi[0] } else { lo[0] };
         let wx = (hi[0] - lo[0] + 1) as usize;
         let width = ext[0];
-        let mstart = to_space(S::Coord::from_xyz([xs, lo[1], lo[2]])).xyz()[0] as usize;
+        let mstart = to_space(C::from_xyz([xs, lo[1], lo[2]])).xyz()[0] as usize;
         // Nodes before the wrap seam; a torus row may continue at x = 0.
         let head = wx.min(width - mstart);
         let words = set.words();
         self.sweep(s, d, |y, z, row| {
-            let start = space.index(to_space(S::Coord::from_xyz([xs, y, z])));
+            let start = space.index(to_space(C::from_xyz([xs, y, z])));
             if let [one] = row {
                 let mut run = take_bits(words, start, head);
                 if head < wx {
@@ -215,7 +215,7 @@ impl<S: Space> Useful<S> {
     ///
     /// # Panics
     /// If `s` does not precede `d` componentwise.
-    pub fn compute(s: S::Coord, d: S::Coord, blocked: impl Fn(S::Coord) -> bool) -> Useful<S> {
+    pub fn compute(s: C, d: C, blocked: impl Fn(C) -> bool) -> Useful<C> {
         let mut u = Useful::scratch();
         u.recompute(s, d, blocked);
         u
@@ -224,7 +224,7 @@ impl<S: Space> Useful<S> {
     /// The word-parallel sweep: shape the rows for `[s, d]`, then, from
     /// `d`'s row backward, let `fill(y, z, row)` set the row's free bits
     /// (the row arrives zeroed) and turn them into its useful bits.
-    fn sweep(&mut self, s: S::Coord, d: S::Coord, mut fill: impl FnMut(i32, i32, &mut [u64])) {
+    fn sweep(&mut self, s: C, d: C, mut fill: impl FnMut(i32, i32, &mut [u64])) {
         let (lo, hi) = (s.xyz(), d.xyz());
         assert!(
             (0..3).all(|k| lo[k] <= hi[k]),
@@ -265,7 +265,7 @@ impl<S: Space> Useful<S> {
 
     /// True if `c` lies in `[s, d]` and `d` is monotonically reachable from it.
     #[inline]
-    pub fn contains(&self, c: S::Coord) -> bool {
+    pub fn contains(&self, c: C) -> bool {
         let (c, lo, hi) = (c.xyz(), self.s.xyz(), self.d.xyz());
         if (0..3).any(|k| c[k] < lo[k] || c[k] > hi[k]) {
             return false;

@@ -27,7 +27,7 @@
 //!
 //! Every regime is written once over the node space: [`FaultRegime::inject`],
 //! [`FaultRegime::schedule`] and [`adversarial_search`] take a
-//! [`Mesh<S>`](mesh_topo::Mesh) of either dimension.
+//! [`Mesh<C>`](mesh_topo::Mesh) of either dimension.
 //!
 //! # Determinism contract
 //!
@@ -50,7 +50,7 @@
 use std::collections::VecDeque;
 
 use mesh_topo::faults::{eligible_indices, sample_clustered, sample_uniform};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, Space, C2, C3};
+use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D, NodeSet, C2, C3};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -128,12 +128,12 @@ impl FaultRegime {
     /// `border` is only consulted by [`FaultRegime::AdversarialBoundary`]
     /// (its violation predicate labels the mesh); all other regimes are
     /// purely spatial.
-    pub fn inject<S: Space>(
+    pub fn inject<C: Coord>(
         &self,
-        mesh: &mut Mesh<S>,
+        mesh: &mut Mesh<C>,
         count: usize,
         seed: u64,
-        protected: &[S::Coord],
+        protected: &[C],
         border: BorderPolicy,
     ) -> usize {
         let space = mesh.space();
@@ -147,25 +147,11 @@ impl FaultRegime {
             }
             FaultRegime::Clustered { clusters } => {
                 let eligible = eligible_indices(mesh, protected);
-                sample_clustered(
-                    space.node_count(),
-                    &eligible,
-                    count,
-                    clusters,
-                    &mut rng,
-                    neighbors,
-                )
+                sample_clustered(space.len(), &eligible, count, clusters, &mut rng, neighbors)
             }
             FaultRegime::CorrelatedFront { fronts } => {
                 let eligible = eligible_indices(mesh, protected);
-                sample_front(
-                    space.node_count(),
-                    &eligible,
-                    count,
-                    fronts,
-                    &mut rng,
-                    neighbors,
-                )
+                sample_front(space.len(), &eligible, count, fronts, &mut rng, neighbors)
             }
             FaultRegime::SweepingPlane { axis } => {
                 let mut order = plane_order(mesh, protected, axis, seed);
@@ -222,17 +208,17 @@ impl FaultRegime {
     /// exactly what [`inject`](FaultRegime::inject) would inject for the
     /// same `(count, seed, protected)`, so drivers can inject the initial
     /// population and then step the schedule without drift.
-    pub fn schedule<S: Space>(
+    pub fn schedule<C: Coord>(
         &self,
-        mesh: &Mesh<S>,
+        mesh: &Mesh<C>,
         count: usize,
         seed: u64,
-        protected: &[S::Coord],
-    ) -> Option<Schedule<S::Coord>> {
+        protected: &[C],
+    ) -> Option<Schedule<C>> {
         match *self {
             FaultRegime::SweepingPlane { axis } => {
                 let space = mesh.space();
-                let order: Vec<S::Coord> = plane_order(mesh, protected, axis, seed)
+                let order: Vec<C> = plane_order(mesh, protected, axis, seed)
                     .into_iter()
                     .map(|i| space.coord(i))
                     .collect();
@@ -322,16 +308,11 @@ fn sample_front(
 /// last one means the last one); the seed draws the sweep direction
 /// (ascending or descending coordinate). The sort is stable, so ties keep
 /// node-iteration order — part of the determinism contract.
-fn plane_order<S: Space>(
-    mesh: &Mesh<S>,
-    protected: &[S::Coord],
-    axis: usize,
-    seed: u64,
-) -> Vec<usize> {
+fn plane_order<C: Coord>(mesh: &Mesh<C>, protected: &[C], axis: usize, seed: u64) -> Vec<usize> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let descending = rng.gen_range(0..2) == 1;
     let space = mesh.space();
-    let axis = axis.min(S::DIMS - 1);
+    let axis = axis.min(C::DIMS - 1);
     let mut order = eligible_indices(mesh, protected);
     order.sort_by_key(|&i| {
         let k = space.coord(i).xyz()[axis];
@@ -375,14 +356,14 @@ fn transient_on_rounds(period: usize, duty: f64) -> usize {
     (((period as f64) * duty).round() as usize).clamp(1, period.saturating_sub(1).max(1))
 }
 
-fn transient_sites<S: Space>(
-    mesh: &Mesh<S>,
-    protected: &[S::Coord],
+fn transient_sites<C: Coord>(
+    mesh: &Mesh<C>,
+    protected: &[C],
     count: usize,
     period: usize,
     duty: f64,
     seed: u64,
-) -> TransientSites<S::Coord> {
+) -> TransientSites<C> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let space = mesh.space();
     let period = period.max(2);
@@ -520,20 +501,20 @@ const ANNEAL_STEPS: usize = 200;
 /// Evaluate the violation predicate for `faults` against pair `(s, d)` on
 /// an otherwise-clean `mesh` (restored before returning). Returns
 /// `(oracle_ok, endpoints_safe)`.
-fn probe<S: Space>(
-    mesh: &mut Mesh<S>,
-    faults: &[S::Coord],
-    s: S::Coord,
-    d: S::Coord,
+fn probe<C: Coord>(
+    mesh: &mut Mesh<C>,
+    faults: &[C],
+    s: C,
+    d: C,
     border: BorderPolicy,
 ) -> (bool, bool) {
     for &f in faults {
         mesh.inject_fault(f);
     }
-    let frame = S::frame_for_pair(mesh, s, d);
-    let lab = Labelling::<S>::compute(mesh, frame, border);
+    let frame = Frame::for_pair(mesh, s, d);
+    let lab = Labelling::<C>::compute(mesh, frame, border);
     let endpoints_safe = lab.status_mesh(s).is_safe() && lab.status_mesh(d).is_safe();
-    let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
     let mut useful = Useful::scratch();
     useful.recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
     let oracle_ok = useful.contains(cs);
@@ -564,7 +545,7 @@ fn score(oracle_ok: bool, endpoints_safe: bool, len: usize, adj: i64) -> i64 {
 }
 
 /// Chebyshev (max-axis) distance.
-fn cheb<S: Space>(a: S::Coord, b: S::Coord) -> i32 {
+fn cheb<C: Coord>(a: C, b: C) -> i32 {
     let (a, b) = (a.xyz(), b.xyz());
     (0..3).map(|k| (a[k] - b[k]).abs()).max().unwrap_or(0)
 }
@@ -576,37 +557,35 @@ fn cheb<S: Space>(a: S::Coord, b: S::Coord) -> i32 {
 /// a working set holds at most one fault per axis neighbor of an endpoint
 /// (`2·DIMS`). Returns `None` when no violation is found (e.g. degenerate
 /// pairs or wrapped meshes).
-pub fn adversarial_search<S: Space>(
-    mesh: &Mesh<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub fn adversarial_search<C: Coord>(
+    mesh: &Mesh<C>,
+    s: C,
+    d: C,
     restarts: usize,
     seed: u64,
     border: BorderPolicy,
-) -> Option<AdversarialReport<S::Coord>> {
+) -> Option<AdversarialReport<C>> {
     if mesh.wraps() || s == d || !mesh.is_healthy(s) || !mesh.is_healthy(d) {
         return None;
     }
     let mut scratch = mesh.clone();
-    let pool: Vec<S::Coord> = mesh
+    let pool: Vec<C> = mesh
         .nodes()
-        .filter(|&c| {
-            c != s && c != d && mesh.is_healthy(c) && (cheb::<S>(c, s) <= 2 || cheb::<S>(c, d) <= 2)
-        })
+        .filter(|&c| c != s && c != d && mesh.is_healthy(c) && (cheb(c, s) <= 2 || cheb(c, d) <= 2))
         .collect();
     if pool.len() < 2 {
         return None;
     }
-    let max_set = (2 * S::DIMS).min(pool.len());
-    let adjacency = |set: &[S::Coord]| -> i64 {
+    let max_set = (2 * C::DIMS).min(pool.len());
+    let adjacency = |set: &[C]| -> i64 {
         set.iter()
             .filter(|&&f| mesh.are_neighbors(f, s) || mesh.are_neighbors(f, d))
             .count() as i64
     };
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut best: Option<Vec<S::Coord>> = None;
+    let mut best: Option<Vec<C>> = None;
     for _ in 0..restarts.max(1) {
-        let mut cur: Vec<S::Coord> = {
+        let mut cur: Vec<C> = {
             let mut p = pool.clone();
             p.shuffle(&mut rng);
             p.truncate(rng.gen_range(2..=max_set));
@@ -687,18 +666,18 @@ pub fn adversarial_search<S: Space>(
 /// (targeting `protected[0] → protected[1]` when given, else the mesh
 /// corner pair), padded up to `count` with uniformly sampled filler from
 /// a derived seed stream.
-fn inject_adversarial<S: Space>(
-    mesh: &mut Mesh<S>,
+fn inject_adversarial<C: Coord>(
+    mesh: &mut Mesh<C>,
     count: usize,
     seed: u64,
-    protected: &[S::Coord],
+    protected: &[C],
     border: BorderPolicy,
     restarts: usize,
 ) -> usize {
     let space = mesh.space();
     let (s, d) = match protected {
         [s, d, ..] => (*s, *d),
-        _ => (space.coord(0), space.coord(space.node_count() - 1)),
+        _ => (space.coord(0), space.coord(space.len() - 1)),
     };
     let mut injected = 0usize;
     if let Some(report) = adversarial_search(mesh, s, d, restarts, seed, border) {
@@ -713,7 +692,7 @@ fn inject_adversarial<S: Space>(
         // Filler stream is decoupled from the search stream so a changed
         // search never perturbs the padding draw.
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xadfa_u64.rotate_left(32));
-        let mut shield: Vec<S::Coord> = protected.to_vec();
+        let mut shield: Vec<C> = protected.to_vec();
         if !shield.contains(&s) {
             shield.push(s);
         }

@@ -31,7 +31,7 @@
 //! of the min corners; no trial reads it (DESIGN.md §6, "The faulty-block
 //! kernel").
 
-use mesh_topo::{Coord, Mesh, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, NodeSet, NodeSpace, C2, C3};
 
 use crate::oracle::Useful;
 use crate::rows::{push_runs, reverse_row, Rows, RunFill};
@@ -42,21 +42,21 @@ use crate::rows::{push_runs, reverse_row, Rows, RunFill};
 /// All coordinates are mesh coordinates: the model is
 /// orientation-independent.
 #[derive(Clone, Debug)]
-pub struct FaultBlocks<S: Space> {
-    space: S,
+pub struct FaultBlocks<C: Coord> {
+    space: NodeSpace<C>,
     disabled: NodeSet,
     fault_count: usize,
 }
 
 /// The rectangular-block model of a 2-D mesh.
-pub type FaultBlocks2 = FaultBlocks<NodeSpace2>;
+pub type FaultBlocks2 = FaultBlocks<C2>;
 
 /// The cuboid-block model of a 3-D mesh.
-pub type FaultBlocks3 = FaultBlocks<NodeSpace3>;
+pub type FaultBlocks3 = FaultBlocks<C3>;
 
-impl<S: Space> FaultBlocks<S> {
+impl<C: Coord> FaultBlocks<C> {
     /// Compute the block closure of the mesh's fault set.
-    pub fn compute(mesh: &Mesh<S>) -> FaultBlocks<S> {
+    pub fn compute(mesh: &Mesh<C>) -> FaultBlocks<C> {
         let mut p = Percolation::new(mesh);
         p.close();
         // On a mesh the closure is already a union of full boxes (module
@@ -74,22 +74,22 @@ impl<S: Space> FaultBlocks<S> {
     /// The fault blocks: disjoint, each fully disabled, in ascending
     /// linear index of their min corners. Derived from the disabled set
     /// on each call.
-    pub fn blocks(&self) -> Vec<<S::Coord as Coord>::Block> {
+    pub fn blocks(&self) -> Vec<C::Block> {
         let rows = Rows::of(self.space);
         let mut boxes = component_boxes(rows, &rows.unpack(&self.disabled));
         // Each box is full, so its min corner is its component's first node.
         let [nx, ny, _] = rows.ext;
         boxes.sort_unstable_by_key(|b| (b.lo[2] * ny + b.lo[1]) * nx + b.lo[0]);
-        let corner = |c: [usize; 3]| S::Coord::from_xyz(c.map(|v| v as i32));
+        let corner = |c: [usize; 3]| C::from_xyz(c.map(|v| v as i32));
         boxes
             .iter()
-            .map(|b| S::Coord::block(corner(b.lo), corner(b.hi)))
+            .map(|b| C::block(corner(b.lo), corner(b.hi)))
             .collect()
     }
 
     /// True if `c` is inside some fault block (faulty or disabled).
     #[inline]
-    pub fn is_disabled(&self, c: S::Coord) -> bool {
+    pub fn is_disabled(&self, c: C) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| self.disabled.contains(i))
@@ -106,13 +106,13 @@ impl<S: Space> FaultBlocks<S> {
     }
 }
 
-impl<S: Space> FaultBlocks<S> {
+impl<C: Coord> FaultBlocks<C> {
     /// Existence of a minimal path from `s` to `d` **under the block model**:
     /// a monotone path (after canonicalization) avoiding every disabled node.
     /// This is how block-based routing decides success — endpoints inside a
     /// block or separated by blocks fail even when the physical fault set
     /// would admit a minimal path. `s`, `d` are mesh coordinates.
-    pub fn minimal_path_exists(&self, mesh: &Mesh<S>, s: S::Coord, d: S::Coord) -> bool {
+    pub fn minimal_path_exists(&self, mesh: &Mesh<C>, s: C, d: C) -> bool {
         self.minimal_path_exists_in(mesh, s, d, &mut Useful::scratch())
     }
 
@@ -122,16 +122,16 @@ impl<S: Space> FaultBlocks<S> {
     /// `true`, `useful` holds the block-useful set of the canonical pair.
     pub fn minimal_path_exists_in(
         &self,
-        mesh: &Mesh<S>,
-        s: S::Coord,
-        d: S::Coord,
-        useful: &mut Useful<S>,
+        mesh: &Mesh<C>,
+        s: C,
+        d: C,
+        useful: &mut Useful<C>,
     ) -> bool {
         if self.is_disabled(s) || self.is_disabled(d) {
             return false;
         }
-        let frame = S::frame_for_pair(mesh, s, d);
-        let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+        let frame = Frame::for_pair(mesh, s, d);
+        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
         useful.recompute_set(cs, cd, &self.disabled, self.space, Some(frame));
         useful.contains(cs)
     }
@@ -168,7 +168,7 @@ struct Percolation {
 impl Percolation {
     /// The state of `mesh`'s faults before any propagation, every row
     /// dirty.
-    fn new<S: Space>(mesh: &Mesh<S>) -> Percolation {
+    fn new<C: Coord>(mesh: &Mesh<C>) -> Percolation {
         let rows = Rows::of(mesh.space());
         let mut p = Percolation {
             rows,

@@ -10,7 +10,7 @@
 //! bits, one carry-propagating add per word finds every free run that
 //! starts at a seed ([`RunFill`]).
 
-use mesh_topo::{NodeSet, Space};
+use mesh_topo::{Coord, NodeSet, NodeSpace};
 
 /// The carry of a run fill across the words of one row, low word first.
 #[derive(Default)]
@@ -55,12 +55,12 @@ pub(crate) struct Rows {
 }
 
 impl Rows {
-    pub(crate) fn of<S: Space>(space: S) -> Rows {
+    pub(crate) fn of<C: Coord>(space: NodeSpace<C>) -> Rows {
         let ext = space.extents();
         Rows {
             ext,
             wpr: ext[0].div_ceil(64),
-            dims: S::DIMS,
+            dims: C::DIMS,
             wrap: space.wraps(),
         }
     }

@@ -8,7 +8,7 @@
 //! These helpers compute the per-instance numbers; the `mcc-bench` crate
 //! aggregates them over seeds into the tables of `EXPERIMENTS.md`.
 
-use mesh_topo::{Mesh, Space};
+use mesh_topo::{Coord, Frame, Mesh};
 use serde::{Deserialize, Serialize};
 
 use crate::labelling::Labelling;
@@ -36,8 +36,8 @@ pub struct RegionStats {
 }
 
 /// Compute [`RegionStats`] for a 2-D or 3-D mesh.
-pub fn region_stats<S: Space>(mesh: &Mesh<S>, policy: BorderPolicy) -> RegionStats {
-    let labs: Vec<Labelling<S>> = S::all_frames(mesh)
+pub fn region_stats<C: Coord>(mesh: &Mesh<C>, policy: BorderPolicy) -> RegionStats {
+    let labs: Vec<Labelling<C>> = Frame::all(mesh)
         .into_iter()
         .map(|f| Labelling::compute(mesh, f, policy))
         .collect();
@@ -74,7 +74,7 @@ mod tests {
 
     /// MCCs never sacrifice more than blocks, and the canonical, worst
     /// and union counts nest, over `seeds` uniform fault sets of `count`.
-    fn assert_models_nest<S: Space>(clean: Mesh<S>, count: usize, seeds: u64) {
+    fn assert_models_nest<C: Coord>(clean: Mesh<C>, count: usize, seeds: u64) {
         for seed in 0..seeds {
             let mut mesh = clean.clone();
             FaultRegime::Uniform.inject(&mut mesh, count, seed, &[], B);

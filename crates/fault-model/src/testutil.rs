@@ -1,7 +1,7 @@
 //! Random churn shared by the unit tests of both dimensions.
 
 use mesh_topo::faults::random_node;
-use mesh_topo::{Mesh, Space};
+use mesh_topo::{Coord, Frame, Mesh};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -11,11 +11,11 @@ use crate::mcc::MccSet;
 use crate::status::BorderPolicy;
 
 /// `mesh` with `draws` random nodes injected (repeats collapse).
-pub(crate) fn with_random_faults<S: Space>(
-    mut mesh: Mesh<S>,
+pub(crate) fn with_random_faults<C: Coord>(
+    mut mesh: Mesh<C>,
     rng: &mut SmallRng,
     draws: usize,
-) -> Mesh<S> {
+) -> Mesh<C> {
     for _ in 0..draws {
         mesh.inject_fault(random_node(mesh.space(), rng));
     }
@@ -26,11 +26,11 @@ pub(crate) fn with_random_faults<S: Space>(
 /// healed)`: below `max` draws of distinct healthy nodes to inject, then
 /// below `max` draws of distinct faults (of the mesh before the batch) to
 /// heal.
-pub(crate) fn churn<S: Space>(
+pub(crate) fn churn<C: Coord>(
     rng: &mut SmallRng,
-    mesh: &mut Mesh<S>,
+    mesh: &mut Mesh<C>,
     max: usize,
-) -> (Vec<S::Coord>, Vec<S::Coord>) {
+) -> (Vec<C>, Vec<C>) {
     let mut injected = Vec::new();
     for _ in 0..rng.gen_range(0..max) {
         let c = random_node(mesh.space(), rng);
@@ -58,16 +58,16 @@ pub(crate) fn churn<S: Space>(
 /// Random churn through labelling, component and MCC repair on `clean`
 /// (seeded with `draws` random faults), checked against a fresh MCC
 /// extraction after each of `rounds` batches.
-pub(crate) fn mcc_repair_tracks_compute<S: Space>(
-    clean: Mesh<S>,
+pub(crate) fn mcc_repair_tracks_compute<C: Coord>(
+    clean: Mesh<C>,
     seed: u64,
     draws: usize,
     rounds: usize,
 ) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut mesh = with_random_faults(clean, &mut rng, draws);
-    let identity = S::identity_frame(&mesh);
-    let mut lab = Labelling::<S>::compute(&mesh, identity, BorderPolicy::BorderSafe);
+    let identity = Frame::identity(&mesh);
+    let mut lab = Labelling::<C>::compute(&mesh, identity, BorderPolicy::BorderSafe);
     let mut comps = Components::compute(&lab);
     let mut set = MccSet::compute(&lab);
     for _ in 0..rounds {

@@ -14,7 +14,7 @@
 mod reference;
 
 use fault_model::{BorderPolicy, CheckedBatch, ChurnError, IncrementalModels};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,15 +61,15 @@ fn draw<C: Coord>(rng: &mut SmallRng, ext: [usize; 3], dims: usize, seen: &[C]) 
 
 /// Check `batches` random batches against `mesh` and its churn; returns
 /// how often each outcome (see [`kind`]) came up.
-fn battery<S: Space>(mesh: Mesh<S>, seed: u64, batches: usize) -> [usize; 7] {
+fn battery<C: Coord>(mesh: Mesh<C>, seed: u64, batches: usize) -> [usize; 7] {
     let mut rng = SmallRng::seed_from_u64(seed);
     let space = mesh.space();
-    let (ext, dims) = (space.extents(), S::DIMS);
+    let (ext, dims) = (space.extents(), C::DIMS);
     let mut inc = IncrementalModels::new(mesh, BorderPolicy::BorderSafe);
     let mut seen = [0usize; 7];
     for step in 0..batches {
-        let mut both: Vec<S::Coord> = Vec::new();
-        let injected: Vec<S::Coord> = (0..rng.gen_range(0..5))
+        let mut both: Vec<C> = Vec::new();
+        let injected: Vec<C> = (0..rng.gen_range(0..5))
             .map(|_| {
                 let c = draw(&mut rng, ext, dims, &both);
                 both.push(c);
@@ -78,7 +78,7 @@ fn battery<S: Space>(mesh: Mesh<S>, seed: u64, batches: usize) -> [usize; 7] {
             .collect();
         // Heals lean on the faults so that valid heals come up too.
         let faults = inc.mesh().faults().to_vec();
-        let healed: Vec<S::Coord> = (0..rng.gen_range(0..5))
+        let healed: Vec<C> = (0..rng.gen_range(0..5))
             .map(|_| {
                 let c = if !faults.is_empty() && rng.gen_bool(0.6) {
                     faults[rng.gen_range(0..faults.len())]

@@ -29,7 +29,7 @@ use fault_model::incremental::{
 };
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, MccSet};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2, C3};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,11 +45,11 @@ fn border(blocked: bool) -> BorderPolicy {
 /// One churn step decoded from raw proptest integers: the distinct healthy
 /// nodes of `inject` (up to 3) and up to one heal per `picks` entry (up to
 /// 3), both clamped to currently-legal nodes.
-fn decode_step<S: Space>(
-    mesh: &Mesh<S>,
-    inject: impl Iterator<Item = S::Coord>,
+fn decode_step<C: Coord>(
+    mesh: &Mesh<C>,
+    inject: impl Iterator<Item = C>,
     picks: &[u8],
-) -> (Vec<S::Coord>, Vec<S::Coord>) {
+) -> (Vec<C>, Vec<C>) {
     let (space, faulty) = (mesh.space(), mesh.fault_set());
     let mut injected = Vec::new();
     for c in inject {
@@ -72,7 +72,7 @@ fn decode_step<S: Space>(
 }
 
 /// Pin every maintained model of `frame` against from-scratch twins.
-fn assert_models_equal_fresh<S: Space>(inc: &mut IncrementalModels<S>, frame: S::Frame) {
+fn assert_models_equal_fresh<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>) {
     let mesh = inc.mesh().clone();
     let b = inc.border();
     let m = inc.models(frame);
@@ -241,7 +241,7 @@ proptest! {
         let frames = Frame2::all(inc.mesh());
         for (step, raw) in trace.iter().enumerate() {
             let inject = raw.0.iter().map(|&(x, y)| c2(x.rem_euclid(w), y.rem_euclid(h)));
-            let (injected, healed) = decode_step::<NodeSpace2>(inc.mesh(), inject, &raw.1);
+            let (injected, healed) = decode_step::<C2>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
             // Stagger sync: the first orientation every step, the rest only
             // every other step, so slots replay logs of varying depth.
@@ -283,7 +283,7 @@ proptest! {
         let frames = Frame3::all(inc.mesh());
         for (step, raw) in trace.iter().enumerate() {
             let inject = raw.0.iter().map(|&(x, y, z)| c3(x.rem_euclid(k), y.rem_euclid(k), z.rem_euclid(k)));
-            let (injected, healed) = decode_step::<NodeSpace3>(inc.mesh(), inject, &raw.1);
+            let (injected, healed) = decode_step::<C3>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
             assert_models_equal_fresh(&mut inc, frames[0]);
             if step % 2 == 1 {

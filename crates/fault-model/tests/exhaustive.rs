@@ -42,27 +42,27 @@ use fault_model::condition::evaluate;
 use fault_model::oracle::Useful;
 use fault_model::{BorderPolicy, Components, FaultBlocks, Labelling, Mcc, MccSet, NodeStatus};
 use fault_sets::FaultSets;
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D, NodeSet, C2, C3};
 use rfb_reference::{RefBlocks2, RefBlocks3};
 
 /// Fault sets per checked range.
 const CHUNK: u64 = 256;
 
 /// The per-dimension references.
-trait Dim: Space {
+trait Dim: Coord {
     fn mesh(extents: [i32; 3], torus: bool) -> Mesh<Self>;
     /// The hash reference's statuses on a mesh, by canonical index.
-    fn hash(mesh: &Mesh<Self>, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus>;
+    fn hash(mesh: &Mesh<Self>, frame: Frame<Self>, policy: BorderPolicy) -> Vec<NodeStatus>;
     /// The reference block model: disabled set, blocks, sacrificed count.
-    fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize);
+    fn ref_blocks(mesh: &Mesh<Self>) -> (NodeSet, Vec<Self::Block>, usize);
     /// The dimension's structural theorem for one MCC of a mesh labelling:
     /// HV-convexity in 2-D, nothing in 3-D (sections may have holes).
-    fn shape_holds(_: &Mcc<Self::Coord>) -> bool {
+    fn shape_holds(_: &Mcc<Self>) -> bool {
         true
     }
 }
 
-impl Dim for NodeSpace2 {
+impl Dim for C2 {
     fn mesh(e: [i32; 3], torus: bool) -> Mesh2D {
         if torus {
             Mesh2D::torus(e[0], e[1])
@@ -70,21 +70,21 @@ impl Dim for NodeSpace2 {
             Mesh2D::new(e[0], e[1])
         }
     }
-    fn hash(mesh: &Mesh2D, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus> {
+    fn hash(mesh: &Mesh2D, frame: Frame<Self>, policy: BorderPolicy) -> Vec<NodeStatus> {
         let st = reference::HashLabelling2::compute(mesh, frame, policy).status;
         let space = mesh.space();
         (0..space.len()).map(|i| st[&space.coord(i)]).collect()
     }
-    fn ref_blocks(mesh: &Mesh2D) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize) {
+    fn ref_blocks(mesh: &Mesh2D) -> (NodeSet, Vec<Self::Block>, usize) {
         let r = RefBlocks2::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
     }
-    fn shape_holds(m: &Mcc<Self::Coord>) -> bool {
+    fn shape_holds(m: &Mcc<Self>) -> bool {
         m.is_hv_convex()
     }
 }
 
-impl Dim for NodeSpace3 {
+impl Dim for C3 {
     fn mesh(e: [i32; 3], torus: bool) -> Mesh3D {
         if torus {
             Mesh3D::torus(e[0], e[1], e[2])
@@ -92,28 +92,28 @@ impl Dim for NodeSpace3 {
             Mesh3D::new(e[0], e[1], e[2])
         }
     }
-    fn hash(mesh: &Mesh3D, frame: Self::Frame, policy: BorderPolicy) -> Vec<NodeStatus> {
+    fn hash(mesh: &Mesh3D, frame: Frame<Self>, policy: BorderPolicy) -> Vec<NodeStatus> {
         let st = reference::HashLabelling3::compute(mesh, frame, policy).status;
         let space = mesh.space();
         (0..space.len()).map(|i| st[&space.coord(i)]).collect()
     }
-    fn ref_blocks(mesh: &Mesh3D) -> (NodeSet, Vec<<Self::Coord as Coord>::Block>, usize) {
+    fn ref_blocks(mesh: &Mesh3D) -> (NodeSet, Vec<Self::Block>, usize) {
         let r = RefBlocks3::compute(mesh);
         (r.disabled, r.blocks, r.sacrificed)
     }
 }
 
 /// Check every invariant on `mesh`.
-fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
+fn check<C: Dim>(mesh: &Mesh<C>) -> Result<(), String> {
     let space = mesh.space();
     // The labelling kernel against its oracles.
     for policy in [BorderPolicy::BorderSafe, BorderPolicy::BorderBlocked] {
-        for frame in S::all_frames(mesh) {
-            let lab = Labelling::<S>::compute(mesh, frame, policy);
+        for frame in Frame::all(mesh) {
+            let lab = Labelling::<C>::compute(mesh, frame, policy);
             let want = if mesh.wraps() {
                 reference::worklist_closure(mesh, frame)
             } else {
-                S::hash(mesh, frame, policy)
+                <C as Dim>::hash(mesh, frame, policy)
             };
             for (c, st) in lab.iter() {
                 if st != want[space.index(c)] || lab.is_unsafe(c) != st.is_unsafe() {
@@ -130,7 +130,7 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
 
     // The block kernel against the reference closure.
     let blocks = FaultBlocks::compute(mesh);
-    let (disabled, ref_blocks, sacrificed) = S::ref_blocks(mesh);
+    let (disabled, ref_blocks, sacrificed) = C::ref_blocks(mesh);
     if let Some(c) = mesh
         .nodes()
         .find(|&c| blocks.is_disabled(c) != disabled.contains(space.index(c)))
@@ -147,8 +147,8 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
     // MCC capture within block capture, and the condition against the
     // oracle. The border-safe labelling of each frame a pair uses is
     // computed once.
-    let mut models: Vec<(S::Frame, Labelling<S>)> = Vec::new();
-    for frame in S::all_frames(mesh) {
+    let mut models: Vec<(Frame<C>, Labelling<C>)> = Vec::new();
+    for frame in Frame::all(mesh) {
         let i = model(&mut models, mesh, frame);
         let lab = &models[i].1;
         if let Some(c) = mesh
@@ -160,15 +160,15 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
             ));
         }
     }
-    let healthy: Vec<S::Coord> = mesh.nodes().filter(|&c| mesh.is_healthy(c)).collect();
+    let healthy: Vec<C> = mesh.nodes().filter(|&c| mesh.is_healthy(c)).collect();
     for &s in &healthy {
         for &d in &healthy {
-            let frame = S::frame_for_pair(mesh, s, d);
+            let frame = Frame::for_pair(mesh, s, d);
             let i = model(&mut models, mesh, frame);
-            let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+            let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
             let claim = evaluate(&models[i].1, cs, cd, &mut Useful::scratch()).exists();
-            let blocked = |c| mesh.is_faulty(S::from_canon(frame, c));
-            let truth = Useful::<S>::compute(cs, cd, blocked).contains(cs);
+            let blocked = |c| mesh.is_faulty(frame.from_canon(c));
+            let truth = Useful::<C>::compute(cs, cd, blocked).contains(cs);
             if claim != truth {
                 return Err(format!("condition {s} -> {d}: {claim}, oracle {truth}"));
             }
@@ -181,14 +181,14 @@ fn check<S: Dim>(mesh: &Mesh<S>) -> Result<(), String> {
 /// built from a kept decomposition, as the incremental models build them,
 /// and must equal [`MccSet::compute`]'s, record `p` holding exactly the
 /// cells of component `p`.
-fn check_mccs<S: Dim>(lab: &Labelling<S>, wraps: bool) -> Result<(), String> {
+fn check_mccs<C: Dim>(lab: &Labelling<C>, wraps: bool) -> Result<(), String> {
     let space = lab.space();
     let comps = Components::compute(lab);
     let mccs = MccSet::from_components(&comps, lab);
     if mccs != MccSet::compute(lab) {
         return Err("from_components differs from compute".into());
     }
-    let mut covered = NodeSet::new(space.node_count());
+    let mut covered = NodeSet::new(space.len());
     for (p, m) in mccs.iter().enumerate() {
         if m.cells != comps.cells[p] {
             return Err(format!("MCC {p} does not hold the cells of component {p}"));
@@ -217,14 +217,14 @@ fn check_mccs<S: Dim>(lab: &Labelling<S>, wraps: bool) -> Result<(), String> {
                 m.cells.len() - faults
             ));
         }
-        let want = S::Coord::block(Coord::from_xyz(lo), Coord::from_xyz(hi));
+        let want = C::block(Coord::from_xyz(lo), Coord::from_xyz(hi));
         if m.bounds != want {
             return Err(format!(
                 "MCC {p} bounds {:?}, its cells span {want:?}",
                 m.bounds
             ));
         }
-        if !wraps && !S::shape_holds(m) {
+        if !wraps && !C::shape_holds(m) {
             return Err(format!("MCC {p} breaks the shape theorem: {:?}", m.cells));
         }
     }
@@ -236,28 +236,25 @@ fn check_mccs<S: Dim>(lab: &Labelling<S>, wraps: bool) -> Result<(), String> {
 
 /// The position in `models` of the border-safe labelling of `mesh` under
 /// `frame`, computed on first use.
-fn model<S: Dim>(
-    models: &mut Vec<(S::Frame, Labelling<S>)>,
-    mesh: &Mesh<S>,
-    frame: S::Frame,
+fn model<C: Dim>(
+    models: &mut Vec<(Frame<C>, Labelling<C>)>,
+    mesh: &Mesh<C>,
+    frame: Frame<C>,
 ) -> usize {
     if let Some(i) = models.iter().position(|m| m.0 == frame) {
         return i;
     }
-    let lab = Labelling::<S>::compute(mesh, frame, BorderPolicy::BorderSafe);
+    let lab = Labelling::<C>::compute(mesh, frame, BorderPolicy::BorderSafe);
     models.push((frame, lab));
     models.len() - 1
 }
 
 /// Check every set of at most `max` faults on the mesh (or torus) of
 /// `extents`; panic with the first failure.
-fn exhaust<S: Dim + Sync>(extents: [i32; 3], torus: bool, max: usize) -> u64
-where
-    S::Coord: Sync,
-{
-    let clean = S::mesh(extents, torus);
+fn exhaust<C: Dim + Sync>(extents: [i32; 3], torus: bool, max: usize) -> u64 {
+    let clean = C::mesh(extents, torus);
     let space = clean.space();
-    let sets = FaultSets::new(space.node_count(), max);
+    let sets = FaultSets::new(space.len(), max);
     let failure = sets.first_failure(CHUNK, |faults| {
         let mut mesh = clean.clone();
         for &i in faults {
@@ -266,7 +263,7 @@ where
         check(&mesh)
     });
     if let Some(f) = failure {
-        let faults: Vec<S::Coord> = f.faults.iter().map(|&i| space.coord(i)).collect();
+        let faults: Vec<C> = f.faults.iter().map(|&i| space.coord(i)).collect();
         panic!(
             "{extents:?} (torus: {torus}), set {} with faults {faults:?}: {}",
             f.index, f.message
@@ -278,20 +275,17 @@ where
 #[test]
 fn model_invariants_hold_on_every_small_fault_set_slice() {
     for torus in [false, true] {
-        assert_eq!(exhaust::<NodeSpace2>([3, 4, 1], torus, 2), 1 + 12 + 66);
+        assert_eq!(exhaust::<C2>([3, 4, 1], torus, 2), 1 + 12 + 66);
     }
-    assert_eq!(exhaust::<NodeSpace3>([3, 3, 3], false, 2), 1 + 27 + 351);
-    assert_eq!(exhaust::<NodeSpace3>([3, 3, 3], true, 1), 1 + 27);
+    assert_eq!(exhaust::<C3>([3, 3, 3], false, 2), 1 + 27 + 351);
+    assert_eq!(exhaust::<C3>([3, 3, 3], true, 1), 1 + 27);
 }
 
 #[test]
 #[ignore = "the full battery; run in release with --include-ignored"]
 fn model_invariants_hold_on_every_small_fault_set_full() {
     for torus in [false, true] {
-        assert_eq!(exhaust::<NodeSpace2>([4, 4, 1], torus, 16), 1 << 16);
-        assert_eq!(
-            exhaust::<NodeSpace3>([3, 3, 3], torus, 3),
-            1 + 27 + 351 + 2925
-        );
+        assert_eq!(exhaust::<C2>([4, 4, 1], torus, 16), 1 << 16);
+        assert_eq!(exhaust::<C3>([3, 3, 3], torus, 3), 1 + 27 + 351 + 2925);
     }
 }

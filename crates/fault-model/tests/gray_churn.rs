@@ -30,7 +30,7 @@ use fault_model::components::Components;
 use fault_model::labelling::BULK_REPAIR_FANOUT;
 use fault_model::{BorderPolicy, IncrementalModels, Labelling, MccSet};
 use fault_sets::{first_failure_in, workers, Failure};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D};
 
 /// Walk steps per checked range.
 const CHUNK: u64 = 512;
@@ -46,9 +46,9 @@ fn nodes(code: u64) -> Vec<usize> {
 }
 
 /// Compare the maintained models of `frame` with a from-scratch build.
-fn models_equal_fresh<S: Space>(
-    inc: &mut IncrementalModels<S>,
-    frame: S::Frame,
+fn models_equal_fresh<C: Coord>(
+    inc: &mut IncrementalModels<C>,
+    frame: Frame<C>,
 ) -> Result<(), String> {
     let lab = Labelling::compute(inc.mesh(), frame, inc.border());
     let m = inc.models(frame);
@@ -77,11 +77,7 @@ fn models_equal_fresh<S: Space>(
 /// Walk every fault set of the `window` box of `host`, its low corner at
 /// `corner` (wrapping on a torus), in Gray-code order; panic with the
 /// first divergence. Returns the number of steps checked.
-fn walk<S: Space + Sync>(host: &Mesh<S>, window: [i32; 3], corner: [i32; 3]) -> u64
-where
-    S::Coord: Sync,
-    S::Frame: Sync,
-{
+fn walk<C: Coord + Sync>(host: &Mesh<C>, window: [i32; 3], corner: [i32; 3]) -> u64 {
     let space = host.space();
     let ext = space.extents();
     let mut cells = Vec::new();
@@ -89,13 +85,13 @@ where
         for y in 0..window[1] {
             for x in 0..window[0] {
                 let at = |a: usize, v: i32| (corner[a] + v).rem_euclid(ext[a] as i32);
-                cells.push(S::Coord::from_xyz([at(0, x), at(1, y), at(2, z)]));
+                cells.push(C::from_xyz([at(0, x), at(1, y), at(2, z)]));
             }
         }
     }
     // One-node batches must take the worklist repair, not the relabel.
-    assert!(space.node_count() > BULK_REPAIR_FANOUT);
-    let frames = S::all_frames(host);
+    assert!(space.len() > BULK_REPAIR_FANOUT);
+    let frames = Frame::all(host);
     let mesh_at = |code: u64| {
         let mut mesh = host.clone();
         for i in nodes(code) {
@@ -133,7 +129,7 @@ where
         None
     });
     if let Some(f) = failure {
-        let faults: Vec<S::Coord> = f.faults.iter().map(|&i| cells[i]).collect();
+        let faults: Vec<C> = f.faults.iter().map(|&i| cells[i]).collect();
         panic!(
             "{ext:?} (torus: {}), step {} to faults {faults:?}: {}",
             host.wraps(),

@@ -25,14 +25,14 @@ use fault_model::mcc3::MccSet3;
 use fault_model::oracle::{self, Useful};
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, Labelling2, Labelling3};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
+use mesh_topo::{Coord, Frame, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2, C3};
 use proptest::prelude::*;
 
 const W: i32 = 12;
 const K: i32 = 8;
 
 /// `mesh` with every (deduplicated) node of `faults` injected.
-fn with_faults<S: Space>(mut mesh: Mesh<S>, faults: impl IntoIterator<Item = S::Coord>) -> Mesh<S> {
+fn with_faults<C: Coord>(mut mesh: Mesh<C>, faults: impl IntoIterator<Item = C>) -> Mesh<C> {
     for c in faults {
         if mesh.is_healthy(c) {
             mesh.inject_fault(c);
@@ -67,17 +67,13 @@ fn canon_pair3(s: C3, d: C3) -> (C3, C3) {
 
 /// The existence condition equals the fault-avoiding oracle for the
 /// healthy pair `(s, d)`, evaluated through the pair's frame.
-fn condition_exact<S: Space>(
-    mesh: &Mesh<S>,
-    s: S::Coord,
-    d: S::Coord,
-) -> Result<(), TestCaseError> {
-    let frame = S::frame_for_pair(mesh, s, d);
-    let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
-    let lab = Labelling::<S>::compute(mesh, frame, BorderPolicy::BorderSafe);
+fn condition_exact<C: Coord>(mesh: &Mesh<C>, s: C, d: C) -> Result<(), TestCaseError> {
+    let frame = Frame::for_pair(mesh, s, d);
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
+    let lab = Labelling::<C>::compute(mesh, frame, BorderPolicy::BorderSafe);
     let claim = evaluate(&lab, cs, cd, &mut Useful::scratch()).exists();
-    let blocked = |c| mesh.is_faulty(S::from_canon(frame, c));
-    let truth = Useful::<S>::compute(cs, cd, blocked).contains(cs);
+    let blocked = |c| mesh.is_faulty(frame.from_canon(c));
+    let truth = Useful::<C>::compute(cs, cd, blocked).contains(cs);
     prop_assert_eq!(
         claim,
         truth,
@@ -411,7 +407,7 @@ struct WideCoverage {
 }
 
 /// `mesh` with each node faulty with a random probability below 30 %.
-fn random_faults<S: Space>(mut mesh: Mesh<S>, rng: &mut SmallRng) -> Mesh<S> {
+fn random_faults<C: Coord>(mut mesh: Mesh<C>, rng: &mut SmallRng) -> Mesh<C> {
     let share = rng.gen_range(0.0..0.3);
     for i in 0..mesh.node_count() {
         if rng.gen_bool(share) {
@@ -423,16 +419,16 @@ fn random_faults<S: Space>(mut mesh: Mesh<S>, rng: &mut SmallRng) -> Mesh<S> {
 
 /// Check every frame and both policies of `mesh`; `hash` gives the mesh
 /// reference's statuses for one frame and policy, by canonical index.
-fn check_wide<S: Space>(
-    mesh: &Mesh<S>,
-    hash: impl Fn(S::Frame, BorderPolicy) -> Vec<fault_model::NodeStatus>,
+fn check_wide<C: Coord>(
+    mesh: &Mesh<C>,
+    hash: impl Fn(Frame<C>, BorderPolicy) -> Vec<fault_model::NodeStatus>,
     cov: &mut WideCoverage,
 ) {
     let space = mesh.space();
     cov.words[space.extents()[0].div_ceil(64) - 1] += 1;
     for policy in [BorderPolicy::BorderSafe, BorderPolicy::BorderBlocked] {
-        for frame in S::all_frames(mesh) {
-            let lab = fault_model::Labelling::<S>::compute(mesh, frame, policy);
+        for frame in Frame::all(mesh) {
+            let lab = fault_model::Labelling::<C>::compute(mesh, frame, policy);
             let want = if mesh.wraps() {
                 reference::worklist_closure(mesh, frame)
             } else {

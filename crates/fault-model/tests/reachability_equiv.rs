@@ -27,7 +27,7 @@ mod reference;
 
 use fault_model::oracle::Useful;
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D, NodeSet, NodeSpace, C2, C3};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,20 +35,20 @@ use rand::{Rng, SeedableRng};
 const MAX_WIDTH: i32 = 130;
 
 /// The per-node reference sweep of one dimension.
-trait Reference: Space {
+trait Reference: Coord {
     type Ref;
-    fn sweep(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> Self::Ref;
-    fn contains(r: &Self::Ref, c: Self::Coord) -> bool;
+    fn sweep(s: Self, d: Self, blocked: impl Fn(Self) -> bool) -> Self::Ref;
+    fn contains(r: &Self::Ref, c: Self) -> bool;
     fn count(r: &Self::Ref) -> usize;
     fn mesh(extents: [i32; 3], torus: bool) -> Mesh<Self>;
 }
 
-impl Reference for NodeSpace2 {
+impl Reference for C2 {
     type Ref = reference::Useful2;
-    fn sweep(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> Self::Ref {
+    fn sweep(s: Self, d: Self, blocked: impl Fn(Self) -> bool) -> Self::Ref {
         reference::Useful2::compute(s, d, blocked)
     }
-    fn contains(r: &Self::Ref, c: Self::Coord) -> bool {
+    fn contains(r: &Self::Ref, c: Self) -> bool {
         r.contains(c)
     }
     fn count(r: &Self::Ref) -> usize {
@@ -63,12 +63,12 @@ impl Reference for NodeSpace2 {
     }
 }
 
-impl Reference for NodeSpace3 {
+impl Reference for C3 {
     type Ref = reference::Useful3;
-    fn sweep(s: Self::Coord, d: Self::Coord, blocked: impl Fn(Self::Coord) -> bool) -> Self::Ref {
+    fn sweep(s: Self, d: Self, blocked: impl Fn(Self) -> bool) -> Self::Ref {
         reference::Useful3::compute(s, d, blocked)
     }
-    fn contains(r: &Self::Ref, c: Self::Coord) -> bool {
+    fn contains(r: &Self::Ref, c: Self) -> bool {
         r.contains(c)
     }
     fn count(r: &Self::Ref) -> usize {
@@ -98,13 +98,13 @@ struct Coverage {
 
 /// Every node of the box `[s, d]`, plus a one-node margin outside it
 /// where the node space allows one (`contains` must say no there).
-fn box_nodes<S: Space>(s: S::Coord, d: S::Coord) -> Vec<S::Coord> {
+fn box_nodes<C: Coord>(s: C, d: C) -> Vec<C> {
     let (lo, hi) = (s.xyz(), d.xyz());
     let mut out = Vec::new();
     for z in lo[2] - 1..=hi[2] + 1 {
         for y in lo[1] - 1..=hi[1] + 1 {
             for x in lo[0] - 1..=hi[0] + 1 {
-                out.push(S::Coord::from_xyz([x, y, z]));
+                out.push(C::from_xyz([x, y, z]));
             }
         }
     }
@@ -112,36 +112,30 @@ fn box_nodes<S: Space>(s: S::Coord, d: S::Coord) -> Vec<S::Coord> {
 }
 
 /// Assert the kernel's current set equals the reference on `[s, d]`.
-fn assert_same<S: Reference>(
-    kernel: &Useful<S>,
-    want: &S::Ref,
-    s: S::Coord,
-    d: S::Coord,
-    what: &str,
-) {
-    for c in box_nodes::<S>(s, d) {
+fn assert_same<C: Reference>(kernel: &Useful<C>, want: &C::Ref, s: C, d: C, what: &str) {
+    for c in box_nodes(s, d) {
         assert_eq!(
             kernel.contains(c),
-            S::contains(want, c),
+            C::contains(want, c),
             "{what}: box {s}..{d} differs at {c}"
         );
     }
-    assert_eq!(kernel.count(), S::count(want), "{what}: box {s}..{d} count");
+    assert_eq!(kernel.count(), C::count(want), "{what}: box {s}..{d} count");
 }
 
 /// Run both entry points on one box and compare each with the reference.
 /// `frame` maps box coordinates to `space` coordinates (`None`: identity).
-fn check_box<S: Reference>(
-    kernel: &mut Useful<S>,
-    space: S,
+fn check_box<C: Reference>(
+    kernel: &mut Useful<C>,
+    space: NodeSpace<C>,
     set: &NodeSet,
-    frame: Option<S::Frame>,
-    s: S::Coord,
-    d: S::Coord,
+    frame: Option<Frame<C>>,
+    s: C,
+    d: C,
     cov: &mut Coverage,
 ) {
-    let blocked = |c: S::Coord| set.contains(space.index(frame.map_or(c, |f| S::from_canon(f, c))));
-    let want = S::sweep(s, d, blocked);
+    let blocked = |c: C| set.contains(space.index(frame.map_or(c, |f| f.from_canon(c))));
+    let want = C::sweep(s, d, blocked);
     kernel.recompute_set(s, d, set, space, frame);
     assert_same(kernel, &want, s, d, "set entry");
     kernel.recompute(s, d, blocked);
@@ -151,11 +145,11 @@ fn check_box<S: Reference>(
     let wx = hi[0] - lo[0] + 1;
     cov.boxes += 1;
     cov.words[(wx as usize).div_ceil(64) - 1] += 1;
-    cov.blocked += usize::from(!S::contains(&want, s));
+    cov.blocked += usize::from(!C::contains(&want, s));
     cov.widest = cov.widest.max(wx);
     if let Some(f) = frame {
         let xs: Vec<i32> = (lo[0]..=hi[0])
-            .map(|x| S::from_canon(f, S::Coord::from_xyz([x, lo[1], lo[2]])).xyz()[0])
+            .map(|x| f.from_canon(C::from_xyz([x, lo[1], lo[2]])).xyz()[0])
             .collect();
         let span = xs.iter().max().unwrap() - xs.iter().min().unwrap() + 1;
         cov.seam += usize::from(span != wx);
@@ -164,14 +158,14 @@ fn check_box<S: Reference>(
 
 /// A random set over `space` with each node a member with probability
 /// `share`.
-fn random_set<S: Space>(rng: &mut SmallRng, space: S, share: f64) -> NodeSet {
-    let n = space.node_count();
+fn random_set<C: Coord>(rng: &mut SmallRng, space: NodeSpace<C>, share: f64) -> NodeSet {
+    let n = space.len();
     NodeSet::from_indices(n, (0..n).filter(|_| rng.gen_bool(share)))
 }
 
 /// A random canonical box inside `extents`; its `x` width is drawn
 /// uniformly from what the extent allows, up to [`MAX_WIDTH`].
-fn random_box<S: Space>(rng: &mut SmallRng, extents: [i32; 3]) -> (S::Coord, S::Coord) {
+fn random_box<C: Coord>(rng: &mut SmallRng, extents: [i32; 3]) -> (C, C) {
     let (mut lo, mut hi) = ([0; 3], [0; 3]);
     for k in 0..3 {
         let cap = if k == 0 {
@@ -183,23 +177,23 @@ fn random_box<S: Space>(rng: &mut SmallRng, extents: [i32; 3]) -> (S::Coord, S::
         lo[k] = rng.gen_range(0..=extents[k] - w);
         hi[k] = lo[k] + w - 1;
     }
-    (S::Coord::from_xyz(lo), S::Coord::from_xyz(hi))
+    (C::from_xyz(lo), C::from_xyz(hi))
 }
 
 /// One random case: a mesh or torus, a blocked set, then a per-pair
 /// frame, every reflection frame and the identity indexing in turn.
-fn case<S: Reference>(rng: &mut SmallRng, kernel: &mut Useful<S>, torus: bool, cov: &mut Coverage) {
+fn case<C: Reference>(rng: &mut SmallRng, kernel: &mut Useful<C>, torus: bool, cov: &mut Coverage) {
     let lo = if torus { 3 } else { 1 };
     // A box is at most as wide as the mesh, and a torus pair frame keeps
     // at most half the ring plus one node, so these extents keep every
     // box within MAX_WIDTH.
     let max_x = if torus { 2 * MAX_WIDTH - 1 } else { MAX_WIDTH };
-    let small = if S::DIMS == 2 { 7 } else { 4 };
+    let small = if C::DIMS == 2 { 7 } else { 4 };
     let mut extents = [rng.gen_range(lo..=max_x), rng.gen_range(lo..=small), 1];
-    if S::DIMS == 3 {
+    if C::DIMS == 3 {
         extents[2] = rng.gen_range(lo..=small);
     }
-    let mesh = S::mesh(extents, torus);
+    let mesh = C::mesh(extents, torus);
     let space = mesh.space();
     let share = if rng.gen_bool(0.1) {
         0.0
@@ -208,18 +202,17 @@ fn case<S: Reference>(rng: &mut SmallRng, kernel: &mut Useful<S>, torus: bool, c
     };
     let set = random_set(rng, space, share);
 
-    let pick =
-        |rng: &mut SmallRng| S::Coord::from_xyz([0, 1, 2].map(|k| rng.gen_range(0..extents[k])));
+    let pick = |rng: &mut SmallRng| C::from_xyz([0, 1, 2].map(|k| rng.gen_range(0..extents[k])));
     let (s, d) = (pick(rng), pick(rng));
-    let frame = S::frame_for_pair(&mesh, s, d);
-    let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+    let frame = Frame::for_pair(&mesh, s, d);
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
     check_box(kernel, space, &set, Some(frame), cs, cd, cov);
 
-    for f in S::all_frames(&mesh) {
-        let (bs, bd) = random_box::<S>(rng, extents);
+    for f in Frame::all(&mesh) {
+        let (bs, bd) = random_box::<C>(rng, extents);
         check_box(kernel, space, &set, Some(f), bs, bd, cov);
     }
-    let (bs, bd) = random_box::<S>(rng, extents);
+    let (bs, bd) = random_box::<C>(rng, extents);
     check_box(kernel, space, &set, None, bs, bd, cov);
 }
 
@@ -230,8 +223,8 @@ fn battery(seed: u64, cases: usize) -> (Coverage, Coverage) {
     let (mut k2, mut k3) = (Useful::scratch(), Useful::scratch());
     for i in 0..cases {
         let torus = i % 2 == 1;
-        case::<NodeSpace2>(&mut rng, &mut k2, torus, &mut cov2);
-        case::<NodeSpace3>(&mut rng, &mut k3, torus, &mut cov3);
+        case::<C2>(&mut rng, &mut k2, torus, &mut cov2);
+        case::<C3>(&mut rng, &mut k3, torus, &mut cov3);
     }
     (cov2, cov3)
 }
@@ -286,7 +279,7 @@ fn seam_tie_rows_read_both_sides_of_the_wrap() {
     let mut kernel = Useful::scratch();
     kernel.recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
     let want = reference::Useful2::compute(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
-    assert_same::<NodeSpace2>(&kernel, &want, cs, cd, "2-D seam tie");
+    assert_same::<C2>(&kernel, &want, cs, cd, "2-D seam tie");
     assert!(kernel.contains(cs), "the gap at (1, 7) lets s through");
 
     let mut mesh = Mesh3D::torus(8, 8, 8);
@@ -306,6 +299,6 @@ fn seam_tie_rows_read_both_sides_of_the_wrap() {
     let mut kernel = Useful::scratch();
     kernel.recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
     let want = reference::Useful3::compute(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
-    assert_same::<NodeSpace3>(&kernel, &want, cs, cd, "3-D seam tie");
+    assert_same::<C3>(&kernel, &want, cs, cd, "3-D seam tie");
     assert!(kernel.contains(cs), "the y = 7 gap lets s through");
 }

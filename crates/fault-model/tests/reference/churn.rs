@@ -8,25 +8,25 @@
 //! routine reports the same `Ok` or the same `ChurnError`.
 
 use fault_model::ChurnError;
-use mesh_topo::{Mesh, NodeSet, Space};
+use mesh_topo::{Coord, Mesh, NodeSet};
 
 /// The injected and healed sets of a valid batch, or the error the
 /// node-by-node scan meets first.
-pub fn validated_sets<S: Space>(
-    mesh: &Mesh<S>,
-    injected: &[S::Coord],
-    healed: &[S::Coord],
-) -> Result<(NodeSet, NodeSet), ChurnError<S::Coord>> {
+pub fn validated_sets<C: Coord>(
+    mesh: &Mesh<C>,
+    injected: &[C],
+    healed: &[C],
+) -> Result<(NodeSet, NodeSet), ChurnError<C>> {
     let space = mesh.space();
     let faulty = mesh.fault_set();
-    let mut inj = NodeSet::new(space.node_count());
+    let mut inj = NodeSet::new(space.len());
     for &c in injected {
         let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
         if !inj.insert(i) {
             return Err(ChurnError::DuplicateInjected(c));
         }
     }
-    let mut heal = NodeSet::new(space.node_count());
+    let mut heal = NodeSet::new(space.len());
     for &c in healed {
         let i = space.index_checked(c).ok_or(ChurnError::OutOfBounds(c))?;
         if !heal.insert(i) {

@@ -13,7 +13,7 @@
 use std::collections::{HashMap, HashSet};
 
 use fault_model::{BorderPolicy, NodeStatus};
-use mesh_topo::{Coord, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
+use mesh_topo::{Coord, Frame, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2, C3};
 
 /// The 8-neighborhood (face + diagonal) used for 2-D region connectivity.
 const NEIGHBORS_8: [(i32, i32); 8] = [
@@ -210,27 +210,27 @@ impl HashLabelling3 {
 /// coordinates of `frame`: a node is useless once its `+` neighbor on
 /// every axis blocks forward, and can't-reach once its `-` neighbor on
 /// every axis blocks backward. Statuses are indexed by canonical node.
-pub fn worklist_closure<S: Space>(mesh: &Mesh<S>, frame: S::Frame) -> Vec<NodeStatus> {
+pub fn worklist_closure<C: Coord>(mesh: &Mesh<C>, frame: Frame<C>) -> Vec<NodeStatus> {
     let space = mesh.space();
     let ext = space.extents();
-    let mut st = vec![NodeStatus::SAFE; space.node_count()];
+    let mut st = vec![NodeStatus::SAFE; space.len()];
     for &f in mesh.faults() {
-        st[space.index(S::to_canon(frame, f))] = NodeStatus::FAULT;
+        st[space.index(frame.to_canon(f))] = NodeStatus::FAULT;
     }
-    let nbr = |c: S::Coord, axis: usize, step: i32| {
+    let nbr = |c: C, axis: usize, step: i32| {
         let mut p = c.xyz();
         p[axis] = (p[axis] + step).rem_euclid(ext[axis] as i32);
-        space.index(S::Coord::from_xyz(p))
+        space.index(C::from_xyz(p))
     };
     loop {
         let mut changed = false;
         for c in mesh.nodes() {
             let i = space.index(c);
-            if !st[i].blocks_forward() && (0..S::DIMS).all(|a| st[nbr(c, a, 1)].blocks_forward()) {
+            if !st[i].blocks_forward() && (0..C::DIMS).all(|a| st[nbr(c, a, 1)].blocks_forward()) {
                 st[i].mark_useless();
                 changed = true;
             }
-            if !st[i].blocks_backward() && (0..S::DIMS).all(|a| st[nbr(c, a, -1)].blocks_backward())
+            if !st[i].blocks_backward() && (0..C::DIMS).all(|a| st[nbr(c, a, -1)].blocks_backward())
             {
                 st[i].mark_cant_reach();
                 changed = true;

@@ -13,7 +13,7 @@
 
 use fault_model::{BorderPolicy, FaultRegime};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
 const SEED: u64 = 0x005e_ed0f_fa17;
@@ -77,32 +77,32 @@ impl Fnv {
     }
 }
 
-fn flat<S: Space>(cs: &[S::Coord]) -> Vec<[i32; 3]> {
+fn flat<C: Coord>(cs: &[C]) -> Vec<[i32; 3]> {
     cs.iter().map(|&c| c.xyz()).collect()
 }
 
 /// The digests of one case: the injected fault list, and the schedule's
 /// initial faults plus its first three steps (0 without a schedule).
-fn digests<S: Space>(
+fn digests<C: Coord>(
     regime: FaultRegime,
-    clean: Mesh<S>,
+    clean: Mesh<C>,
     count: usize,
-    protected: &[S::Coord],
+    protected: &[C],
 ) -> (u64, u64) {
     let mut mesh = clean.clone();
     let n = regime.inject(&mut mesh, count, SEED, protected, B);
     assert_eq!(n, mesh.fault_count());
     let mut inject = Fnv::new();
-    inject.coords(&flat::<S>(mesh.faults()));
+    inject.coords(&flat(mesh.faults()));
     let Some(mut schedule) = regime.schedule(&clean, count, SEED, protected) else {
         return (inject.0, 0);
     };
     let mut sched = Fnv::new();
-    sched.coords(&flat::<S>(&schedule.initial_faults()));
+    sched.coords(&flat(&schedule.initial_faults()));
     for _ in 0..3 {
         let (injected, healed) = schedule.step(FLIPS);
-        sched.coords(&flat::<S>(&injected));
-        sched.coords(&flat::<S>(&healed));
+        sched.coords(&flat(&injected));
+        sched.coords(&flat(&healed));
     }
     (inject.0, sched.0)
 }
@@ -187,7 +187,7 @@ fn adversarial_3d_set_depends_on_the_z_axis() {
     let (s, d) = (c3(1, 1, 1), c3(4, 4, 10));
     let report = fault_model::regime::adversarial_search(&mesh, s, d, 8, 7, B)
         .expect("the search finds a violation");
-    let got: Vec<[i32; 3]> = flat::<mesh_topo::NodeSpace3>(&report.faults);
+    let got: Vec<[i32; 3]> = flat(&report.faults);
     assert!(report.violates());
     for f in &got {
         let near = |e: [i32; 3]| (0..3).all(|k| (f[k] - e[k]).abs() <= 2);

@@ -31,7 +31,7 @@
 mod reference;
 
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, FaultRegime};
-use mesh_topo::{Coord, Mesh2D, Mesh3D, NodeSet, Space};
+use mesh_topo::{Coord, Mesh2D, Mesh3D, NodeSet, NodeSpace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use reference::{RefBlocks2, RefBlocks3};
@@ -94,8 +94,8 @@ fn fault_count(rng: &mut SmallRng, nodes: usize) -> usize {
 /// boxes are pairwise at ℓ1 distance ≥ 3: the shape of a mesh's closure
 /// under the block rule, which therefore needs no fill. (At distance 2 a
 /// node between two boxes would have two disabled neighbors.)
-fn assert_separated_full_boxes<S: Space>(space: S, disabled: &NodeSet) {
-    let mut seen = NodeSet::new(space.node_count());
+fn assert_separated_full_boxes<C: Coord>(space: NodeSpace<C>, disabled: &NodeSet) {
+    let mut seen = NodeSet::new(space.len());
     let mut boxes: Vec<([i32; 3], [i32; 3])> = Vec::new();
     for start in disabled.iter() {
         if !seen.insert(start) {

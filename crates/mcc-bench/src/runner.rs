@@ -9,8 +9,8 @@
 //! rows are scattered back by seed index regardless of thread
 //! interleaving.
 //!
-//! The worker count comes from the scenario's `threads` knob after the
-//! `MCC_THREADS` environment override (see [`worker_count`]). It sizes the
+//! The worker count comes from the `MCC_THREADS` environment variable
+//! (see [`worker_count`]). It sizes the
 //! seed sweep only; each seed's kernels run sequentially. The count is a
 //! pure performance knob: rows never depend on it.
 //!
@@ -32,7 +32,7 @@ use mcc_routing::trial::{TrialOptions, TrialResult};
 use mcc_routing::{PreparedMesh, RouteSpace};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::faults::random_node;
-use mesh_topo::{Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Frame, Frame2, Frame3, Mesh, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_net::RunStats;
@@ -172,7 +172,7 @@ trait SeedBody {
     /// What one seed contributes to the row.
     type Out: Send;
     /// Run `cell` on `mesh`, a fresh fault-free copy of the network.
-    fn run<S: RouteSpace>(cell: Cell<'_>, mesh: Mesh<S>) -> Self::Out;
+    fn run<C: RouteSpace>(cell: Cell<'_>, mesh: Mesh<C>) -> Self::Out;
 }
 
 /// Construct the scenario's network (mesh or torus) and run `B` on it: the
@@ -202,7 +202,12 @@ fn sweep<B: SeedBody>(sc: &Scenario, workers: usize, n: usize) -> Vec<B::Out> {
 /// scenarios obey the same knob rules as loaded ones.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
     scenario.validate()?;
-    let workers = worker_count(scenario)?;
+    run_with_workers(scenario, worker_count()?)
+}
+
+/// [`run_scenario`] of a valid scenario on a seed sweep of `workers`
+/// threads.
+fn run_with_workers(scenario: &Scenario, workers: usize) -> Result<ScenarioReport, ScenarioError> {
     let rows = match scenario.table {
         TableKind::Regions => TableRows::Regions(run_regions(scenario, workers)),
         TableKind::Routing => TableRows::Routing(run_routing(scenario, workers)?),
@@ -222,7 +227,7 @@ struct Regions;
 
 impl SeedBody for Regions {
     type Out = RegionStats;
-    fn run<S: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RegionStats {
+    fn run<C: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<C>) -> RegionStats {
         c.sc.inject(&mut mesh, c.n, mix_fault_seed(c.seed, c.n), &[]);
         region_stats(&mesh, c.sc.border)
     }
@@ -261,11 +266,7 @@ fn run_regions(sc: &Scenario, workers: usize) -> Vec<RegionRow> {
 /// sequence — and therefore every existing table — is untouched.
 /// [`Scenario::validate`] guarantees the network's diameter reaches
 /// `min_dist`.
-fn random_pair<S: Space>(
-    rng: &mut SmallRng,
-    mesh: &Mesh<S>,
-    min_dist: u32,
-) -> (S::Coord, S::Coord) {
+fn random_pair<C: Coord>(rng: &mut SmallRng, mesh: &Mesh<C>, min_dist: u32) -> (C, C) {
     loop {
         let s = random_node(mesh.space(), rng);
         let d = random_node(mesh.space(), rng);
@@ -283,11 +284,11 @@ const PAIR_SAMPLE_ATTEMPTS: usize = 100_000;
 /// (the batched path injects faults first, so endpoints are rejected
 /// rather than protected), or `None` once [`PAIR_SAMPLE_ATTEMPTS`] draws
 /// have all failed.
-fn random_healthy_pair<S: Space>(
+fn random_healthy_pair<C: Coord>(
     rng: &mut SmallRng,
-    mesh: &Mesh<S>,
+    mesh: &Mesh<C>,
     min_dist: u32,
-) -> Option<(S::Coord, S::Coord)> {
+) -> Option<(C, C)> {
     (0..PAIR_SAMPLE_ATTEMPTS)
         .map(|_| random_pair(rng, mesh, min_dist))
         .find(|&(s, d)| mesh.is_healthy(s) && mesh.is_healthy(d))
@@ -309,7 +310,7 @@ struct Routing;
 
 impl SeedBody for Routing {
     type Out = Result<Vec<TrialResult>, ScenarioError>;
-    fn run<S: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> Self::Out {
+    fn run<C: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<C>) -> Self::Out {
         let sc = c.sc;
         let opts = TrialOptions {
             border: sc.border,
@@ -329,7 +330,7 @@ impl SeedBody for Routing {
         };
         let mut left = sc.pairs_per_seed;
         let mut stranded = false;
-        let mut pm = PreparedMesh::<S>::new(&mesh, opts);
+        let mut pm = PreparedMesh::<C>::new(&mesh, opts);
         let trials = std::iter::from_fn(|| {
             if left == 0 {
                 return None;
@@ -493,9 +494,9 @@ struct Labellings;
 
 impl SeedBody for Labellings {
     type Out = RunStats;
-    fn run<S: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<S>) -> RunStats {
+    fn run<C: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<C>) -> RunStats {
         c.sc.inject(&mut mesh, c.n, mix_interior_seed(c.seed, c.n), &[]);
-        DistLabelling::<S>::run(&mesh, S::identity_frame(&mesh)).stats
+        DistLabelling::<C>::run(&mesh, Frame::identity(&mesh)).stats
     }
 }
 
@@ -576,12 +577,12 @@ fn run_churn(sc: &Scenario, workers: usize) -> Vec<ChurnRow> {
 
 impl SeedBody for ChurnSeed {
     type Out = ChurnSeed;
-    fn run<S: RouteSpace>(c: Cell<'_>, mesh: Mesh<S>) -> ChurnSeed {
+    fn run<C: RouteSpace>(c: Cell<'_>, mesh: Mesh<C>) -> ChurnSeed {
         churn_seed(c, mesh)
     }
 }
 
-fn churn_seed<S: Space>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
+fn churn_seed<C: Coord>(c: Cell<'_>, mut mesh: Mesh<C>) -> ChurnSeed {
     let sc = c.sc;
     let mut rng = SmallRng::seed_from_u64(mix_trial_seed(c.seed, c.n));
     let fseed = mix_fault_seed(c.seed, c.n);
@@ -640,7 +641,7 @@ fn churn_seed<S: Space>(c: Cell<'_>, mut mesh: Mesh<S>) -> ChurnSeed {
         out.healed += healed.len();
 
         let mesh = inc.mesh().clone();
-        let frame = S::identity_frame(&mesh);
+        let frame = Frame::identity(&mesh);
         let m = inc.models(frame);
         let lab = Labelling::compute(&mesh, frame, sc.border);
         let mccs = MccSet::compute(&lab);
@@ -898,11 +899,7 @@ mod tests {
         for sc in [routing, labelling, churn] {
             let rows: Vec<String> = [1usize, 2, 4]
                 .into_iter()
-                .map(|threads| {
-                    let mut sc = sc.clone();
-                    sc.threads = threads;
-                    format!("{:?}", run_scenario(&sc).unwrap().rows)
-                })
+                .map(|threads| format!("{:?}", run_with_workers(&sc, threads).unwrap().rows))
                 .collect();
             assert_eq!(rows[0], rows[1], "{}: 1 vs 2 threads", sc.name);
             assert_eq!(rows[0], rows[2], "{}: 1 vs 4 threads", sc.name);

@@ -38,7 +38,6 @@
 //! router = "all"               # all | mcc | rfb | greedy (routing tables)
 //! min_dist_frac = 0.5          # min endpoint separation / largest dim
 //! pairs_per_seed = 1           # routing pairs batched per fault config
-//! threads = 0                  # worker threads (0 = all cores)
 //! ```
 //!
 //! Service scenarios (`table = "service"`) add a `[load]` section
@@ -77,7 +76,7 @@
 use std::fmt;
 
 use fault_model::{BorderPolicy, FaultRegime};
-use mesh_topo::{Mesh, Space};
+use mesh_topo::{Coord, Mesh};
 
 use crate::toml_lite::{Doc, ParseError, Table, Value};
 use Presence::{Always, Only, Optional};
@@ -377,10 +376,6 @@ pub struct Scenario {
     /// Source/destination pairs evaluated per seed against one fault
     /// configuration (routing tables only; see the module docs).
     pub pairs_per_seed: u64,
-    /// Worker-thread budget for the runner: `0` (the default) uses every
-    /// detected core, any other value caps the pool. The `MCC_THREADS`
-    /// environment variable overrides this knob at run time.
-    pub threads: usize,
     /// Churn rounds per seed (churn tables only; `[churn] rounds`). Each
     /// round heals and re-injects `max(1, round(churn_rate × faults))`
     /// faults, keeping the fault population stable.
@@ -469,25 +464,25 @@ fn invalid(msg: impl Into<String>) -> ScenarioError {
     ScenarioError::new(msg)
 }
 
-/// Largest worker pool `run.threads` or `MCC_THREADS` may request. A
+/// Largest worker pool `MCC_THREADS` may request. A
 /// four-digit cap catches unit mix-ups (e.g. a nanosecond or node count
 /// pasted into the wrong knob) before the runner tries to spawn thousands
 /// of OS threads.
 pub const MAX_THREADS: usize = 1024;
 
-/// The worker count `sc` runs with: the `MCC_THREADS` environment variable
-/// when set, else `run.threads`, with `0` resolved to every detected core.
-/// It sizes only the seed sweep. A malformed or over-cap `MCC_THREADS` is
-/// an error, not silently ignored.
-pub fn worker_count(sc: &Scenario) -> Result<usize, ScenarioError> {
+/// The worker count scenarios run with: the `MCC_THREADS` environment
+/// variable, every detected core when it is unset or `0`. It sizes only the
+/// seed sweep. A malformed or over-cap `MCC_THREADS` is an error, not
+/// silently ignored.
+pub fn worker_count() -> Result<usize, ScenarioError> {
     let env = std::env::var_os("MCC_THREADS").map(|v| v.to_string_lossy().into_owned());
-    resolve_workers(sc.threads, env.as_deref())
+    resolve_workers(env.as_deref())
 }
 
 /// [`worker_count`] as a pure function of the `MCC_THREADS` value.
-fn resolve_workers(threads: usize, env: Option<&str>) -> Result<usize, ScenarioError> {
+fn resolve_workers(env: Option<&str>) -> Result<usize, ScenarioError> {
     let threads = match env {
-        None => threads,
+        None => 0,
         Some(v) => match v.trim().parse::<usize>() {
             Ok(n) if n <= MAX_THREADS => n,
             _ => {
@@ -553,7 +548,7 @@ const SECTIONS: [Section; 8] = [
     ("mesh", Always, &["dims"], &["wrap"]),
     ("faults", Always, &["counts"], &["pattern", "clusters", "border"]),
     ("faults.regime", Optional, &["kind"], &[]),
-    ("run", Always, &["seeds"], &["router", "min_dist_frac", "pairs_per_seed", "threads"]),
+    ("run", Always, &["seeds"], &["router", "min_dist_frac", "pairs_per_seed"]),
     ("churn", Only(TableKind::Churn), &["rounds"], &["rate"]),
     (
         "load", Optional,
@@ -867,12 +862,12 @@ impl Scenario {
     /// Inject one `(fault count, seed)` cell into a 2-D or 3-D mesh
     /// through the active fault regime, never touching `protected` nodes.
     /// Returns the number of faults injected.
-    pub fn inject<S: Space>(
+    pub fn inject<C: Coord>(
         &self,
-        mesh: &mut Mesh<S>,
+        mesh: &mut Mesh<C>,
         count: usize,
         seed: u64,
-        protected: &[S::Coord],
+        protected: &[C],
     ) -> usize {
         self.regime
             .inject(mesh, count, seed, protected, self.border)
@@ -1001,7 +996,6 @@ impl Scenario {
             seed_end,
             min_dist_frac: run.or("min_dist_frac", 0.5)?,
             pairs_per_seed: run.or("pairs_per_seed", 1)?,
-            threads: run.or("threads", 0)?,
             churn_rounds,
             churn_rate,
             load,
@@ -1075,15 +1069,6 @@ impl Scenario {
                 "`run.pairs_per_seed` must be a positive integer (0 pairs would \
                  produce empty rows)",
             ));
-        }
-        // `0` means "all detected cores"; anything else is a literal pool
-        // size, capped at [`MAX_THREADS`].
-        if self.threads > MAX_THREADS {
-            return Err(invalid(format!(
-                "`run.threads` must be 0 (all cores) or a pool size up to \
-                 {MAX_THREADS}, got {}",
-                self.threads
-            )));
         }
         if self.table == TableKind::Churn {
             if self.churn_rounds < 1 {
@@ -1378,11 +1363,6 @@ impl Scenario {
             "pairs_per_seed",
             Value::Int(self.pairs_per_seed as i64),
         );
-        // Emitted only when set: the default (0 = all cores) stays
-        // implicit so pre-existing scenario files round-trip byte-for-byte.
-        if self.threads != 0 {
-            doc.set("run", "threads", Value::Int(self.threads as i64));
-        }
         // Only churn tables carry a [churn] section (a SECTIONS rule).
         if self.table == TableKind::Churn {
             doc.set("churn", "rounds", Value::Int(self.churn_rounds as i64));
@@ -1437,7 +1417,6 @@ impl Scenario {
             seed_end: seeds,
             min_dist_frac: 0.5,
             pairs_per_seed: 1,
-            threads: 0,
             churn_rounds: 0,
             churn_rate: DEFAULT_CHURN_RATE,
             load: None,
@@ -1586,7 +1565,6 @@ mod tests {
         assert_eq!(s.router, RouterChoice::All);
         assert_eq!(s.min_dist_frac, 0.5);
         assert_eq!(s.pairs_per_seed, 1);
-        assert_eq!(s.threads, 0, "threads defaults to 0 = all cores");
     }
 
     #[test]
@@ -1602,33 +1580,15 @@ mod tests {
     }
 
     #[test]
-    fn threads_parses_validates_and_round_trips() {
-        let base = "name = \"d\"\ntable = \"routing\"\n[mesh]\ndims = [8, 8]\n\
-             [faults]\ncounts = [4]\n[run]\nseeds = [0, 2]\n";
-        let s = Scenario::from_toml(&format!("{base}threads = 4\n")).unwrap();
-        assert_eq!(s.threads, 4);
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(back.threads, 4, "threads must round-trip");
-        // 0 (all cores) is the default and stays implicit in the TOML so
-        // pre-existing scenario files keep rendering byte-for-byte.
-        let default = Scenario::from_toml(base).unwrap();
-        assert_eq!(default.threads, 0);
-        assert!(!default.to_toml().contains("threads"));
-        assert!(Scenario::from_toml(&format!("{base}threads = -2\n")).is_err());
-        assert!(Scenario::from_toml(&format!("{base}threads = 5000\n")).is_err());
-    }
-
-    #[test]
     fn mcc_threads_overrides_and_rejects_bad_values() {
         let cores = mesh_topo::detected_cores();
-        assert_eq!(resolve_workers(3, None).unwrap(), 3);
-        assert_eq!(resolve_workers(0, None).unwrap(), cores);
-        assert_eq!(resolve_workers(3, Some("1")).unwrap(), 1);
-        assert_eq!(resolve_workers(3, Some(" 2 ")).unwrap(), 2);
-        assert_eq!(resolve_workers(3, Some("0")).unwrap(), cores);
-        assert_eq!(resolve_workers(3, Some("1024")).unwrap(), 1024);
+        assert_eq!(resolve_workers(None).unwrap(), cores);
+        assert_eq!(resolve_workers(Some("1")).unwrap(), 1);
+        assert_eq!(resolve_workers(Some(" 2 ")).unwrap(), 2);
+        assert_eq!(resolve_workers(Some("0")).unwrap(), cores);
+        assert_eq!(resolve_workers(Some("1024")).unwrap(), 1024);
         for bad in ["", "two", "-1", "1.5", "1025", "99999999999999999999"] {
-            let err = resolve_workers(3, Some(bad)).unwrap_err().to_string();
+            let err = resolve_workers(Some(bad)).unwrap_err().to_string();
             assert!(err.contains("MCC_THREADS"), "{bad:?}: {err}");
         }
     }

@@ -12,7 +12,7 @@
 
 use fault_model::{BorderPolicy, FaultRegime};
 use mcc_bench::scenario::Scenario;
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space};
+use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
 use proptest::prelude::*;
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
@@ -53,10 +53,10 @@ fn sampling_regime_strategy() -> impl Strategy<Value = FaultRegime> {
 
 /// FNV-1a over the fault list in injection order: any change to
 /// membership *or* placement changes the digest.
-fn digest<S: Space>(mesh: &Mesh<S>) -> u64 {
+fn digest<C: Coord>(mesh: &Mesh<C>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &c in mesh.faults() {
-        for v in &c.xyz()[..S::DIMS] {
+        for v in &c.xyz()[..C::DIMS] {
             h ^= *v as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
@@ -66,9 +66,9 @@ fn digest<S: Space>(mesh: &Mesh<S>) -> u64 {
 
 /// Inject `regime` into two fresh copies of `clean`; returns both
 /// injected counts and whether the fault lists agree.
-fn resample<S: Space>(
+fn resample<C: Coord>(
     regime: FaultRegime,
-    clean: &Mesh<S>,
+    clean: &Mesh<C>,
     count: usize,
     seed: u64,
 ) -> (usize, usize, bool) {

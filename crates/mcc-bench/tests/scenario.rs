@@ -598,10 +598,25 @@ fn schema_errors_and_run_errors_print_differently() {
     };
     let schema = stderr_of("warp.toml", unknown_key);
     let run = stderr_of("dense.toml", DENSE);
+    // A TOML parse error names its line; a retired knob is an unknown key.
+    let parse = stderr_of("broken.toml", "name = \"broken\"\ntable =\n");
+    let threads = stderr_of(
+        "threads.toml",
+        "name = \"t\"\ntable = \"regions\"\n[mesh]\ndims = [8, 8]\n\
+         [faults]\ncounts = [4]\n[run]\nseeds = [0, 2]\nthreads = 2\n",
+    );
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
     assert!(
         schema.contains("invalid scenario") && schema.contains("warp"),
         "stderr: {schema}"
+    );
+    assert!(
+        parse.contains("line 2") && !parse.contains("panicked"),
+        "stderr: {parse}"
+    );
+    assert!(
+        threads.contains("invalid scenario") && threads.contains("threads"),
+        "stderr: {threads}"
     );
     assert!(
         run.contains("run failed: 34 faults") && !run.contains("invalid scenario"),

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use fault_model::NodeStatus;
-use mesh_topo::{Dir2, Mesh2D, NodeSpace2, C2};
+use mesh_topo::{Dir2, Mesh2D, C2};
 use sim_net::{RunStats, SimNet};
 
 use crate::ident2::Ident2;
@@ -54,7 +54,7 @@ pub struct BoundState {
 /// The completed boundary-construction network.
 pub struct Boundary2 {
     /// Per-node state (canonical coordinates).
-    pub net: SimNet<NodeSpace2, BoundState, BoundMsg>,
+    pub net: SimNet<C2, BoundState, BoundMsg>,
     /// Rounds/messages of this phase.
     pub stats: RunStats,
 }
@@ -64,7 +64,7 @@ impl Boundary2 {
     pub fn run(mesh: &Mesh2D, ident: &Ident2) -> Boundary2 {
         let (w, h) = (mesh.width(), mesh.height());
         let space = mesh.space();
-        let mut net: SimNet<NodeSpace2, BoundState, BoundMsg> =
+        let mut net: SimNet<C2, BoundState, BoundMsg> =
             SimNet::new(space, |_| BoundState::default());
         for i in 0..net.len() {
             let src = ident.net.state(i);
@@ -215,14 +215,6 @@ impl PipelineStats {
             + self.components.messages
             + self.identification.messages
             + self.boundary.messages
-    }
-
-    /// Total rounds across all phases.
-    pub fn total_rounds(&self) -> usize {
-        self.labelling.rounds
-            + self.components.rounds
-            + self.identification.rounds
-            + self.boundary.rounds
     }
 }
 

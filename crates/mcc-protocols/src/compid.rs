@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use fault_model::NodeStatus;
-use mesh_topo::{Frame2, Mesh2D, NodeSpace2, C2};
+use mesh_topo::{Frame2, Mesh2D, C2};
 use sim_net::{RunStats, SimNet};
 
 use crate::labelling::DistLabelling2;
@@ -40,7 +40,7 @@ pub struct CompState {
 /// The converged component-identification network.
 pub struct DistComponents2 {
     /// Per-node state (canonical coordinates).
-    pub net: SimNet<NodeSpace2, CompState, Msg>,
+    pub net: SimNet<C2, CompState, Msg>,
     /// Rounds/messages of this phase.
     pub stats: RunStats,
 }
@@ -49,8 +49,7 @@ impl DistComponents2 {
     /// Run the gossip until component ids converge.
     pub fn run(mesh: &Mesh2D, lab: &DistLabelling2) -> DistComponents2 {
         let space = mesh.space();
-        let mut net: SimNet<NodeSpace2, CompState, Msg> =
-            SimNet::new(space, |_| CompState::default());
+        let mut net: SimNet<C2, CompState, Msg> = SimNet::new(space, |_| CompState::default());
         // Seed statuses from the labelling phase.
         for i in 0..net.len() {
             let c = space.coord(i);

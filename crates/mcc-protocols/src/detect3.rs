@@ -79,7 +79,7 @@ pub fn detect_distributed_3d(
     // network is that box alone: node `c` of the mesh is node `c - s`.
     let space = mesh.space();
     let local = NodeSpace3::new(d.x - s.x + 1, d.y - s.y + 1, d.z - s.z + 1);
-    let mut net: SimNet<NodeSpace3, Detect3State, Detect3Msg> = SimNet::new(local, |j| {
+    let mut net: SimNet<C3, Detect3State, Detect3Msg> = SimNet::new(local, |j| {
         let i = space.index(s + local.coord(j));
         let mut nbr_status = [None; 6];
         for dir in Dir3::ALL {

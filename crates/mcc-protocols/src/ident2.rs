@@ -99,7 +99,7 @@ pub struct IdentState {
 /// The completed identification network.
 pub struct Ident2 {
     /// Per-node state (canonical coordinates).
-    pub net: SimNet<NodeSpace2, IdentState, IdentMsg>,
+    pub net: SimNet<C2, IdentState, IdentMsg>,
     /// Rounds/messages of this phase.
     pub stats: RunStats,
     width: i32,
@@ -132,7 +132,7 @@ impl Ident2 {
     pub fn run(mesh: &Mesh2D, comps: &DistComponents2) -> Ident2 {
         let (w, h) = (mesh.width(), mesh.height());
         let space = mesh.space();
-        let mut net: SimNet<NodeSpace2, IdentState, IdentMsg> =
+        let mut net: SimNet<C2, IdentState, IdentMsg> =
             SimNet::new(space, |_| IdentState::default());
         // Seed from the component phase.
         for i in 0..net.len() {

@@ -18,14 +18,14 @@
 //! neighbors.
 //!
 //! Runs on the flat engine: nodes are linear indices of the mesh's
-//! [`Space`], and once the label wavefront has passed, converged nodes are
-//! never dispatched again (the engine's active set), so convergence tails
-//! cost messages — not whole-mesh scans. The pre-refactor implementation
-//! survives beside `tests/parity.rs` as the oracle that pins this one
-//! stats-identical.
+//! [`NodeSpace`](mesh_topo::NodeSpace), and once the label wavefront has
+//! passed, converged nodes are never dispatched again (the engine's active
+//! set), so convergence tails cost messages — not whole-mesh scans. The
+//! pre-refactor implementation survives beside `tests/parity.rs` as the
+//! oracle that pins this one stats-identical.
 
 use fault_model::{Labelling, NodeStatus};
-use mesh_topo::{Mesh, NodeSpace2, NodeSpace3, Space};
+use mesh_topo::{Coord, Frame, Mesh, C2, C3};
 use sim_net::{RunStats, SimNet};
 
 /// Per-node protocol state (2-D and 3-D share the shape).
@@ -45,37 +45,37 @@ pub struct LabelState {
 pub type LabelMsg = (bool, bool);
 
 /// Result of running the distributed labelling on one orientation.
-pub struct DistLabelling<S: Space> {
+pub struct DistLabelling<C: Coord> {
     /// The converged network (canonical coordinates).
-    pub net: SimNet<S, LabelState, LabelMsg>,
+    pub net: SimNet<C, LabelState, LabelMsg>,
     /// Rounds/messages of the labelling run.
     pub stats: RunStats,
-    frame: S::Frame,
+    frame: Frame<C>,
 }
 
 /// The distributed labelling of a 2-D mesh (Algorithm 1).
-pub type DistLabelling2 = DistLabelling<NodeSpace2>;
+pub type DistLabelling2 = DistLabelling<C2>;
 
 /// The distributed labelling of a 3-D mesh (Algorithm 4).
-pub type DistLabelling3 = DistLabelling<NodeSpace3>;
+pub type DistLabelling3 = DistLabelling<C3>;
 
-impl<S: Space> DistLabelling<S> {
+impl<C: Coord> DistLabelling<C> {
     /// Run the protocol for `mesh` under `frame`.
     ///
     /// # Panics
     /// If the run does not go quiet within its round cap (it always does:
     /// see the cap's derivation).
-    pub fn run(mesh: &Mesh<S>, frame: S::Frame) -> DistLabelling<S> {
+    pub fn run(mesh: &Mesh<C>, frame: Frame<C>) -> DistLabelling<C> {
         let space = mesh.space();
-        let mut net: SimNet<S, LabelState, LabelMsg> =
+        let mut net: SimNet<C, LabelState, LabelMsg> =
             SimNet::new(space, |_| LabelState::default());
         for &f in mesh.faults() {
-            net.state_at_mut(S::to_canon(frame, f)).status = NodeStatus::FAULT;
+            net.state_at_mut(frame.to_canon(f)).status = NodeStatus::FAULT;
         }
         // Each node's two label flags flip at most once, and every round
         // after round 0 that sends anything flipped one; the run then needs
         // one round to absorb the last announcements and one silent round.
-        let max_rounds = 2 * space.node_count() + 3;
+        let max_rounds = 2 * space.len() + 3;
         let ext = space.extents();
         let strides = [1, ext[0], ext[0] * ext[1]];
         let wrap = space.wraps();
@@ -101,14 +101,14 @@ impl<S: Space> DistLabelling<S> {
                         .iter()
                         .position(|&n| n == from)
                         .expect("sender is a neighbor"),
-                    None => mesh_slot(me, from, &strides[..S::DIMS]),
+                    None => mesh_slot(me, from, &strides[..C::DIMS]),
                 };
                 state.nbr_blocks[slot] = blocks;
             }
             // Re-evaluate rules (out-of-mesh counts as safe: BorderSafe):
             // useless once every `+` neighbor blocks forward, can't-reach
             // once every `-` neighbor blocks backward.
-            let nbrs = &state.nbr_blocks[..2 * S::DIMS];
+            let nbrs = &state.nbr_blocks[..2 * C::DIMS];
             if !state.status.blocks_forward()
                 && !state.status.is_faulty()
                 && nbrs.iter().step_by(2).all(|b| b.0)
@@ -139,17 +139,17 @@ impl<S: Space> DistLabelling<S> {
     }
 
     /// Status of the node at canonical `c`.
-    pub fn status(&self, c: S::Coord) -> NodeStatus {
+    pub fn status(&self, c: C) -> NodeStatus {
         self.net.state_at(c).status
     }
 
     /// The frame the protocol ran under.
-    pub fn frame(&self) -> S::Frame {
+    pub fn frame(&self) -> Frame<C> {
         self.frame
     }
 
     /// True if the converged labels equal the centralized closure.
-    pub fn matches(&self, reference: &Labelling<S>) -> bool {
+    pub fn matches(&self, reference: &Labelling<C>) -> bool {
         self.net
             .iter_coords()
             .all(|(c, s)| s.status == reference.status(c))

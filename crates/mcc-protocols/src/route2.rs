@@ -92,8 +92,7 @@ pub fn route_distributed_2d(mesh: &Mesh2D, bound: &Boundary2, s: C2, d: C2) -> D
     );
     let (w, h) = (mesh.width(), mesh.height());
     let space = mesh.space();
-    let mut net: SimNet<NodeSpace2, RouteState, RouteMsg> =
-        SimNet::new(space, |_| RouteState::default());
+    let mut net: SimNet<C2, RouteState, RouteMsg> = SimNet::new(space, |_| RouteState::default());
     for i in 0..net.len() {
         net.state_mut(i).base = bound.net.state(i).clone();
     }
@@ -140,7 +139,7 @@ pub fn route_distributed_2d(mesh: &Mesh2D, bound: &Boundary2, s: C2, d: C2) -> D
 /// forwarding), parameterized by the mesh linearization.
 fn make_step(
     space: NodeSpace2,
-) -> impl FnMut(&mut RouteState, sim_net::Inbox<'_, RouteMsg>, &mut sim_net::Ctx<'_, NodeSpace2, RouteMsg>)
+) -> impl FnMut(&mut RouteState, sim_net::Inbox<'_, RouteMsg>, &mut sim_net::Ctx<'_, C2, RouteMsg>)
 {
     move |state, inbox, ctx| {
         let me_i = ctx.me();

@@ -47,7 +47,7 @@ use mcc_protocols::route2::route_distributed_2d;
 use mcc_protocols::DistLabelling3;
 use mcc_routing::{detect_2d, detect_3d};
 use mesh_topo::coord::{c2, c3};
-use mesh_topo::{Coord, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
+use mesh_topo::{Coord, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2, C3};
 
 /// Fault sets per checked range.
 const CHUNK: u64 = 8;
@@ -67,15 +67,12 @@ fn canonical_pairs<C: Coord>(nodes: &[C]) -> Vec<(C, C)> {
 
 /// Check every set of at most `max` faults among `sites` on `clean`; panic
 /// with the first failure. Returns the number of sets.
-fn exhaust<S: Space + Sync>(
-    clean: &Mesh<S>,
-    sites: &[S::Coord],
+fn exhaust<C: Coord + Sync>(
+    clean: &Mesh<C>,
+    sites: &[C],
     max: usize,
-    check: impl Fn(&Mesh<S>) -> Result<(), String> + Sync,
-) -> u64
-where
-    S::Coord: Sync,
-{
+    check: impl Fn(&Mesh<C>) -> Result<(), String> + Sync,
+) -> u64 {
     let sets = FaultSets::new(sites.len(), max);
     let failure = sets.first_failure(CHUNK, |faults| {
         let mut mesh = clean.clone();
@@ -85,7 +82,7 @@ where
         check(&mesh)
     });
     if let Some(f) = failure {
-        let faults: Vec<S::Coord> = f.faults.iter().map(|&i| sites[i]).collect();
+        let faults: Vec<C> = f.faults.iter().map(|&i| sites[i]).collect();
         panic!("set {} with faults {faults:?}: {}", f.index, f.message);
     }
     sets.len()

@@ -16,7 +16,7 @@
 
 use fault_model::oracle::{Useful, Useful2, Useful3};
 use fault_model::{FaultBlocks2, FaultBlocks3, Labelling, Labelling2, Labelling3};
-use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D, Space, C2, C3};
+use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D, C2, C3};
 
 use crate::policy::Policy;
 use crate::trace::{RouteOutcome2, RouteOutcome3};
@@ -46,12 +46,12 @@ pub fn route_greedy_3d(lab: &Labelling3, s: C3, d: C3, policy: &mut Policy) -> R
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-pub(crate) fn greedy<S: Space>(
-    lab: &Labelling<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub(crate) fn greedy<C: Coord>(
+    lab: &Labelling<C>,
+    s: C,
+    d: C,
     policy: &mut Policy,
-) -> Option<Walk<S::Coord>> {
+) -> Option<Walk<C>> {
     assert!(s.dominated_by(d), "router requires canonical s <= d");
     let healthy = |c| lab.status_get(c).is_some_and(|t| !t.is_faulty());
     (healthy(s) && healthy(d)).then(|| walk(s, d, policy, healthy, |u| u))
@@ -101,20 +101,20 @@ pub fn route_rfb_3d_in(
 /// to mesh coordinates; `None` if the source is not block-useful. The
 /// trial pipeline calls it straight after the admission check, whose sweep
 /// is exactly this set.
-pub(crate) fn rfb<S: Space>(
-    mesh: &Mesh<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub(crate) fn rfb<C: Coord>(
+    mesh: &Mesh<C>,
+    s: C,
+    d: C,
     policy: &mut Policy,
-    useful: &Useful<S>,
-) -> Option<Walk<S::Coord>> {
-    let frame = S::frame_for_pair(mesh, s, d);
-    let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+    useful: &Useful<C>,
+) -> Option<Walk<C>> {
+    let frame = Frame::for_pair(mesh, s, d);
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
     if !useful.contains(cs) {
         return None;
     }
     let contains = |v| useful.contains(v);
-    let walk = walk(cs, cd, policy, contains, |u| S::from_canon(frame, u));
+    let walk = walk(cs, cd, policy, contains, |u| frame.from_canon(u));
     assert!(walk.stuck_at.is_none(), "block-useful set cannot strand");
     Some(walk)
 }

@@ -57,7 +57,7 @@
 use fault_model::condition::evaluate;
 use fault_model::oracle::Useful;
 use fault_model::ModelCache;
-use mesh_topo::{Mesh, NodeSpace2, NodeSpace3};
+use mesh_topo::{Frame, Mesh, C2, C3};
 
 use crate::baseline::{greedy, rfb};
 use crate::policy::Policy;
@@ -68,30 +68,30 @@ use crate::trial::{TrialOptions, TrialResult};
 /// A fault configuration prepared for a batch of routing trials:
 /// orientation-keyed model cache plus reusable trial scratch.
 #[derive(Clone, Debug)]
-pub struct PreparedMesh<'m, S: RouteSpace> {
-    models: ModelCache<'m, S>,
+pub struct PreparedMesh<'m, C: RouteSpace> {
+    models: ModelCache<'m, C>,
     opts: TrialOptions,
     /// Reachability buffer for the oracle, the block-model check and the
     /// block router (which reuses the check's sweep).
-    useful: Useful<S>,
+    useful: Useful<C>,
     /// Reachability buffer for the MCC existence condition and the MCC
     /// router (which reuses the condition's sweep) — kept separate from
     /// `useful` so the block-model check in between cannot clobber it.
-    cond_useful: Useful<S>,
+    cond_useful: Useful<C>,
     /// Detection's own scratch (the 3-D flood).
-    scratch: S::RouteScratch,
+    scratch: C::RouteScratch,
 }
 
 /// A 2-D fault configuration prepared for a batch of routing trials.
-pub type PreparedMesh2<'m> = PreparedMesh<'m, NodeSpace2>;
+pub type PreparedMesh2<'m> = PreparedMesh<'m, C2>;
 
 /// A 3-D fault configuration prepared for a batch of routing trials.
-pub type PreparedMesh3<'m> = PreparedMesh<'m, NodeSpace3>;
+pub type PreparedMesh3<'m> = PreparedMesh<'m, C3>;
 
-impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
+impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
     /// Prepare `mesh` for trials under `opts`. Nothing is computed until
     /// the first trial demands it.
-    pub fn new(mesh: &'m Mesh<S>, opts: TrialOptions) -> PreparedMesh<'m, S> {
+    pub fn new(mesh: &'m Mesh<C>, opts: TrialOptions) -> PreparedMesh<'m, C> {
         PreparedMesh {
             models: ModelCache::new(mesh, opts.border),
             opts,
@@ -102,7 +102,7 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
     }
 
     /// The mesh this prepared state describes.
-    pub fn mesh(&self) -> &'m Mesh<S> {
+    pub fn mesh(&self) -> &'m Mesh<C> {
         self.models.mesh()
     }
 
@@ -116,15 +116,15 @@ impl<'m, S: RouteSpace> PreparedMesh<'m, S> {
     ///
     /// # Panics
     /// If either endpoint is faulty.
-    pub fn run_trial(&mut self, s: S::Coord, d: S::Coord, policy_seed: u64) -> TrialResult {
+    pub fn run_trial(&mut self, s: C, d: C, policy_seed: u64) -> TrialResult {
         let mesh = self.models.mesh();
         assert!(
             mesh.is_healthy(s) && mesh.is_healthy(d),
             "trial endpoints must be healthy"
         );
         let opts = self.opts;
-        let frame = S::frame_for_pair(mesh, s, d);
-        let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+        let frame = Frame::for_pair(mesh, s, d);
+        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
         let m = self.models.models(frame, opts.eval_rfb);
         let (lab, blocks) = (m.lab, m.blocks);
 
@@ -193,18 +193,18 @@ mod tests {
     use super::*;
     use fault_model::{BorderPolicy, FaultRegime};
     use mesh_topo::coord::c2;
-    use mesh_topo::{Coord, Mesh2D, Mesh3D};
+    use mesh_topo::{Mesh2D, Mesh3D};
 
     /// Run 40 pairs of the `k`-ary `mesh` through one prepared mesh and
     /// through fresh trials, requiring bit-identical results; returns the
     /// prepared mesh.
-    fn batch_matches_fresh<S: RouteSpace>(mesh: &Mesh<S>, k: i32) -> PreparedMesh<'_, S> {
+    fn batch_matches_fresh<C: RouteSpace>(mesh: &Mesh<C>, k: i32) -> PreparedMesh<'_, C> {
         let opts = TrialOptions::default();
         let mut pm = PreparedMesh::new(mesh, opts);
         let mut trials = 0;
         for seed in 0..40u64 {
             let at = |m: [i32; 3], c: [i32; 3]| {
-                S::Coord::from_xyz([0, 1, 2].map(|i| (seed as i32 * m[i] + c[i]) % k))
+                C::from_xyz([0, 1, 2].map(|i| (seed as i32 * m[i] + c[i]) % k))
             };
             let (a, b) = (at([7, 3, 5], [0; 3]), at([5, 11, 13], [2, 4, 1]));
             if !mesh.is_healthy(a) || !mesh.is_healthy(b) {

@@ -22,7 +22,7 @@
 
 use fault_model::oracle::Useful;
 use fault_model::Labelling;
-use mesh_topo::{Coord, NodeSpace2, NodeSpace3, Space, C2, C3};
+use mesh_topo::{Coord, C2, C3};
 
 use crate::feasibility2::detect_2d;
 use crate::feasibility3::{detect_3d_in, FloodScratch3};
@@ -30,8 +30,9 @@ use crate::policy::Policy;
 use crate::trace::RouteSummary;
 use crate::walk::{walk, Walk};
 
-/// A node space with the paper's per-dimension routing step: detection.
-pub trait RouteSpace: Space {
+/// A dimension's coordinate with the paper's per-dimension routing step:
+/// detection.
+pub trait RouteSpace: Coord {
     /// Detection's per-route scratch: the flood state of Algorithm 6 in
     /// 3-D, nothing in 2-D.
     type RouteScratch: Clone + std::fmt::Debug + Default;
@@ -41,13 +42,13 @@ pub trait RouteSpace: Space {
     /// visited nodes in 3-D).
     fn detect(
         lab: &Labelling<Self>,
-        s: Self::Coord,
-        d: Self::Coord,
+        s: Self,
+        d: Self,
         scratch: &mut Self::RouteScratch,
     ) -> (bool, usize);
 }
 
-impl RouteSpace for NodeSpace2 {
+impl RouteSpace for C2 {
     type RouteScratch = ();
 
     fn detect(lab: &Labelling<Self>, s: C2, d: C2, _: &mut ()) -> (bool, usize) {
@@ -56,7 +57,7 @@ impl RouteSpace for NodeSpace2 {
     }
 }
 
-impl RouteSpace for NodeSpace3 {
+impl RouteSpace for C3 {
     type RouteScratch = FloodScratch3;
 
     fn detect(lab: &Labelling<Self>, s: C3, d: C3, flood: &mut FloodScratch3) -> (bool, usize) {
@@ -75,27 +76,27 @@ pub(crate) type Routed<C> = (Option<Walk<C>>, usize);
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-pub fn route_in<S: RouteSpace>(
-    lab: &Labelling<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub fn route_in<C: RouteSpace>(
+    lab: &Labelling<C>,
+    s: C,
+    d: C,
     policy: &mut Policy,
-    useful: &mut Useful<S>,
-    scratch: &mut S::RouteScratch,
+    useful: &mut Useful<C>,
+    scratch: &mut C::RouteScratch,
 ) -> RouteSummary {
     let (walk, cost) = route_exact_in(lab, s, d, policy, useful, scratch);
     RouteSummary::new(s, walk, cost)
 }
 
 /// The walk of [`route_in`].
-pub(crate) fn route_exact_in<S: RouteSpace>(
-    lab: &Labelling<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub(crate) fn route_exact_in<C: RouteSpace>(
+    lab: &Labelling<C>,
+    s: C,
+    d: C,
     policy: &mut Policy,
-    useful: &mut Useful<S>,
-    scratch: &mut S::RouteScratch,
-) -> Routed<S::Coord> {
+    useful: &mut Useful<C>,
+    scratch: &mut C::RouteScratch,
+) -> Routed<C> {
     route(lab, s, d, policy, scratch, move || {
         useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
         move |v| useful.contains(v)
@@ -109,14 +110,14 @@ pub(crate) fn route_exact_in<S: RouteSpace>(
 /// identical to what [`route_exact_in`] would recompute, so outcomes are
 /// unchanged. (The buffer is never read when `s == d`, the one case where
 /// the condition skips the sweep.)
-pub(crate) fn route_exact_reusing<S: RouteSpace>(
-    lab: &Labelling<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub(crate) fn route_exact_reusing<C: RouteSpace>(
+    lab: &Labelling<C>,
+    s: C,
+    d: C,
     policy: &mut Policy,
-    useful: &Useful<S>,
-    scratch: &mut S::RouteScratch,
-) -> Routed<S::Coord> {
+    useful: &Useful<C>,
+    scratch: &mut C::RouteScratch,
+) -> Routed<C> {
     route(lab, s, d, policy, scratch, || |v| useful.contains(v))
 }
 
@@ -128,19 +129,19 @@ pub(crate) fn route_exact_reusing<S: RouteSpace>(
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-fn route<S: RouteSpace, F: Fn(S::Coord) -> bool>(
-    lab: &Labelling<S>,
-    s: S::Coord,
-    d: S::Coord,
+fn route<C: RouteSpace, F: Fn(C) -> bool>(
+    lab: &Labelling<C>,
+    s: C,
+    d: C,
     policy: &mut Policy,
-    scratch: &mut S::RouteScratch,
+    scratch: &mut C::RouteScratch,
     useful: impl FnOnce() -> F,
-) -> Routed<S::Coord> {
+) -> Routed<C> {
     assert!(s.dominated_by(d), "router requires canonical s <= d");
     if !lab.is_safe(s) || !lab.is_safe(d) {
         return (None, 0);
     }
-    let (admitted, cost) = S::detect(lab, s, d, scratch);
+    let (admitted, cost) = C::detect(lab, s, d, scratch);
     if !admitted {
         return (None, cost);
     }

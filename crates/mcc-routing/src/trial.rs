@@ -142,10 +142,10 @@ pub fn run_trial_3d(mesh: &Mesh3D, s: C3, d: C3, policy_seed: u64) -> TrialResul
 ///
 /// # Panics
 /// If either endpoint is faulty.
-pub fn run_trial_with<S: RouteSpace>(
-    mesh: &Mesh<S>,
-    s: S::Coord,
-    d: S::Coord,
+pub fn run_trial_with<C: RouteSpace>(
+    mesh: &Mesh<C>,
+    s: C,
+    d: C,
     policy_seed: u64,
     opts: &TrialOptions,
 ) -> TrialResult {

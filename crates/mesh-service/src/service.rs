@@ -118,11 +118,6 @@ impl MeshService {
         })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Serve `req` on `shard` with virtual arrival time `sched_ns`, on the
     /// caller's thread. Waits for the shard's lock if another caller holds
     /// it.

@@ -50,7 +50,7 @@ use mcc_routing::{route_in, Policy, RouteSpace};
 use mesh_topo::coord::{C2, C3};
 use mesh_topo::nodeset::NodeSet;
 use mesh_topo::par::Parallelism;
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSpace2, NodeSpace3};
+use mesh_topo::{Frame, Mesh, Mesh2D, Mesh3D};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -317,19 +317,19 @@ pub struct StateDigest {
 /// scratch every route request reuses — the backward-reachability set and
 /// detection's own scratch (the 3-D flood).
 #[derive(Clone, Debug)]
-struct Models<S: ShardSpace> {
-    inc: IncrementalModels<S>,
-    useful: Useful<S>,
-    scratch: S::RouteScratch,
+struct Models<C: ShardSpace> {
+    inc: IncrementalModels<C>,
+    useful: Useful<C>,
+    scratch: C::RouteScratch,
 }
 
 /// The dimension-erased models a shard owns.
 #[derive(Clone, Debug)]
 enum ShardModels {
     /// 2-D models (boxed: the caches are KiB-sized, the enum should not be).
-    D2(Box<Models<NodeSpace2>>),
+    D2(Box<Models<C2>>),
     /// 3-D models.
-    D3(Box<Models<NodeSpace3>>),
+    D3(Box<Models<C3>>),
 }
 
 /// Evaluate `$body` with `$m` bound to the shard's models, whichever their
@@ -347,18 +347,18 @@ macro_rules! each {
 /// nodes to heal.
 type Batch<'r, C> = (&'r [C], &'r [C]);
 
-/// The per-space mapping between a shard's models and the durable
+/// The per-dimension mapping between a shard's models and the durable
 /// 2-D/3-D variants of [`ChurnRecord`] (and of [`Request`]).
 trait ShardSpace: RouteSpace {
     /// The shard's models, if they have this dimension.
     fn of(models: &mut ShardModels) -> Option<&mut Models<Self>>;
     /// A batch of this dimension as a record.
-    fn record(injected: Vec<Self::Coord>, healed: Vec<Self::Coord>) -> ChurnRecord;
+    fn record(injected: Vec<Self>, healed: Vec<Self>) -> ChurnRecord;
     /// `rec`'s batch, if it has this dimension.
-    fn batch(rec: &ChurnRecord) -> Option<Batch<'_, Self::Coord>>;
+    fn batch(rec: &ChurnRecord) -> Option<Batch<'_, Self>>;
 }
 
-impl ShardSpace for NodeSpace2 {
+impl ShardSpace for C2 {
     fn of(models: &mut ShardModels) -> Option<&mut Models<Self>> {
         match models {
             ShardModels::D2(m) => Some(m),
@@ -376,7 +376,7 @@ impl ShardSpace for NodeSpace2 {
     }
 }
 
-impl ShardSpace for NodeSpace3 {
+impl ShardSpace for C3 {
     fn of(models: &mut ShardModels) -> Option<&mut Models<Self>> {
         match models {
             ShardModels::D3(m) => Some(m),
@@ -432,7 +432,7 @@ impl ShardModels {
     }
 }
 
-impl<S: ShardSpace> Models<S> {
+impl<C: ShardSpace> Models<C> {
     /// Fold the journal's records past `snap_gen` into `faults`, then
     /// build the models over `mesh` with the folded faults; returns them
     /// with the generation the records reach. Each record is checked in
@@ -440,13 +440,13 @@ impl<S: ShardSpace> Models<S> {
     /// fault-model batch checks against the faults folded so far; the
     /// first that fails is corruption.
     fn recover(
-        mut mesh: Mesh<S>,
+        mut mesh: Mesh<C>,
         border: BorderPolicy,
         mut faults: NodeSet,
         snap_gen: u64,
         journal: &mut RecordReader<impl Read>,
         wal_path: &Path,
-    ) -> Result<(Models<S>, u64), ServiceError> {
+    ) -> Result<(Models<C>, u64), ServiceError> {
         let corrupt = |detail| ServiceError::Corrupt {
             path: wal_path.to_path_buf(),
             detail,
@@ -494,9 +494,9 @@ impl<S: ShardSpace> Models<S> {
     }
 
     /// `rec`'s batch, or the rejection of a batch of the other dimension.
-    fn batch(rec: &ChurnRecord) -> Result<Batch<'_, S::Coord>, String> {
-        S::batch(rec)
-            .ok_or_else(|| format!("churn batch is {}-D but shard is {}-D", rec.dim(), S::DIMS))
+    fn batch(rec: &ChurnRecord) -> Result<Batch<'_, C>, String> {
+        C::batch(rec)
+            .ok_or_else(|| format!("churn batch is {}-D but shard is {}-D", rec.dim(), C::DIMS))
     }
 
     /// The write-ahead steps of a churn: check `rec` (dimension match plus
@@ -522,7 +522,7 @@ impl<S: ShardSpace> Models<S> {
     /// durable generation the caller tracks (the internal model generation
     /// restarts at zero on recovery and is deliberately not compared).
     fn digest(&mut self, gen: u64) -> StateDigest {
-        let frame = S::identity_frame(self.inc.mesh());
+        let frame = Frame::identity(self.inc.mesh());
         let faults = self.inc.mesh().fault_set().clone();
         let m = self.inc.models(frame);
         StateDigest {
@@ -548,22 +548,22 @@ impl<S: ShardSpace> Models<S> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mesh = self.inc.mesh();
         let space = mesh.space();
-        let (inj, heal) = sample_flip(&mut rng, mesh.fault_set(), space.node_count());
-        S::record(
+        let (inj, heal) = sample_flip(&mut rng, mesh.fault_set(), space.len());
+        C::record(
             inj.into_iter().map(|i| space.coord(i)).collect(),
             heal.into_iter().map(|i| space.coord(i)).collect(),
         )
     }
 
-    fn route(&mut self, s: S::Coord, d: S::Coord, seed: u64) -> Result<Response, ServiceError> {
+    fn route(&mut self, s: C, d: C, seed: u64) -> Result<Response, ServiceError> {
         let space = self.inc.mesh().space();
         if space.index_checked(s).is_none() || space.index_checked(d).is_none() {
             return Err(ServiceError::Rejected {
                 reason: format!("route endpoints {s:?} -> {d:?} outside the mesh"),
             });
         }
-        let frame = S::frame_for_pair(self.inc.mesh(), s, d);
-        let (cs, cd) = (S::to_canon(frame, s), S::to_canon(frame, d));
+        let frame = Frame::for_pair(self.inc.mesh(), s, d);
+        let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
         let m = self.inc.models(frame);
         let out = route_in(
             m.lab,
@@ -583,7 +583,7 @@ impl<S: ShardSpace> Models<S> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mesh = self.inc.mesh();
         let space = mesh.space();
-        let pair = sample_pair(&mut rng, space.node_count(), |i, j| {
+        let pair = sample_pair(&mut rng, space.len(), |i, j| {
             let (a, b) = (space.coord(i), space.coord(j));
             mesh.is_healthy(a) && mesh.is_healthy(b) && space.dist(a, b) >= min_dist.max(1)
         });
@@ -595,14 +595,14 @@ impl<S: ShardSpace> Models<S> {
         self.route(space.coord(i), space.coord(j), seed)
     }
 
-    fn query(&mut self, c: S::Coord) -> Result<Response, ServiceError> {
+    fn query(&mut self, c: C) -> Result<Response, ServiceError> {
         let space = self.inc.mesh().space();
         let Some(i) = space.index_checked(c) else {
             return Err(ServiceError::Rejected {
                 reason: format!("query node {c:?} outside the mesh"),
             });
         };
-        let frame = S::identity_frame(self.inc.mesh());
+        let frame = Frame::identity(self.inc.mesh());
         let m = self.inc.models(frame);
         Ok(Response::Region {
             status: format!("{:?}", m.lab.status(c)),
@@ -614,7 +614,7 @@ impl<S: ShardSpace> Models<S> {
     fn query_random(&mut self, seed: u64) -> Result<Response, ServiceError> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let space = self.inc.mesh().space();
-        let c = space.coord(rng.gen_range(0..space.node_count()));
+        let c = space.coord(rng.gen_range(0..space.len()));
         self.query(c)
     }
 }
@@ -786,23 +786,23 @@ impl ShardCore {
         each!(&mut self.models, m => m.digest(self.gen))
     }
 
-    /// The models of `S`'s dimension, or the rejection of a request of
+    /// The models of `C`'s dimension, or the rejection of a request of
     /// that dimension.
-    fn models_of<S: ShardSpace>(&mut self) -> Result<&mut Models<S>, ServiceError> {
+    fn models_of<C: ShardSpace>(&mut self) -> Result<&mut Models<C>, ServiceError> {
         let shard = self.spec.geom.dim();
-        S::of(&mut self.models).ok_or_else(|| wrong_dim(S::DIMS as u8, shard))
+        C::of(&mut self.models).ok_or_else(|| wrong_dim(C::DIMS as u8, shard))
     }
 
     /// Serve one request.
     pub fn handle(&mut self, req: &Request) -> Result<Response, ServiceError> {
         match req {
-            Request::Route2 { s, d, seed } => self.models_of::<NodeSpace2>()?.route(*s, *d, *seed),
-            Request::Route3 { s, d, seed } => self.models_of::<NodeSpace3>()?.route(*s, *d, *seed),
+            Request::Route2 { s, d, seed } => self.models_of::<C2>()?.route(*s, *d, *seed),
+            Request::Route3 { s, d, seed } => self.models_of::<C3>()?.route(*s, *d, *seed),
             Request::RouteRandom { seed, min_dist } => {
                 each!(&mut self.models, m => m.route_random(*seed, *min_dist))
             }
-            Request::Query2(c) => self.models_of::<NodeSpace2>()?.query(*c),
-            Request::Query3(c) => self.models_of::<NodeSpace3>()?.query(*c),
+            Request::Query2(c) => self.models_of::<C2>()?.query(*c),
+            Request::Query3(c) => self.models_of::<C3>()?.query(*c),
             Request::QueryRandom { seed } => each!(&mut self.models, m => m.query_random(*seed)),
             Request::Churn2 { injected, healed } => self.churn(ChurnRecord::D2 {
                 injected: injected.clone(),

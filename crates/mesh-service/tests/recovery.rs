@@ -33,7 +33,7 @@ use mesh_service::shard::{ShardCore, SNAP_FILE, SNAP_TMP, WAL_FILE};
 use mesh_service::snapshot::{self, Snapshot};
 use mesh_service::wal::{encode_record, Wal};
 use mesh_topo::coord::{c2, c3, C2};
-use mesh_topo::{Coord, NodeSet, NodeSpace2, NodeSpace3, Parallelism, Space};
+use mesh_topo::{Coord, NodeSet, NodeSpace, NodeSpace2, NodeSpace3, Parallelism};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -237,19 +237,19 @@ enum Bad {
     Repeat,
 }
 
-/// Builds one random journal over the node space `S`.
-struct Journal<'a, S: Space> {
+/// Builds one random journal over a node space with coordinates `C`.
+struct Journal<'a, C: Coord> {
     rng: &'a mut SmallRng,
-    space: S,
+    space: NodeSpace<C>,
     /// The faults the valid records so far leave.
     faults: NodeSet,
-    record: fn(Vec<S::Coord>, Vec<S::Coord>) -> ChurnRecord,
+    record: fn(Vec<C>, Vec<C>) -> ChurnRecord,
     other_dim: ChurnRecord,
 }
 
-impl<S: Space> Journal<'_, S> {
-    fn node(&mut self, faulty: bool) -> Option<S::Coord> {
-        let n = self.space.node_count();
+impl<C: Coord> Journal<'_, C> {
+    fn node(&mut self, faulty: bool) -> Option<C> {
+        let n = self.space.len();
         let have = self.faults.len();
         if (faulty && have == 0) || (!faulty && have == n) {
             return None;
@@ -263,8 +263,8 @@ impl<S: Space> Journal<'_, S> {
     }
 
     /// Up to `k` distinct nodes of one state, not among `avoid`.
-    fn nodes(&mut self, faulty: bool, k: usize, avoid: &[S::Coord]) -> Vec<S::Coord> {
-        let mut out: Vec<S::Coord> = Vec::new();
+    fn nodes(&mut self, faulty: bool, k: usize, avoid: &[C]) -> Vec<C> {
+        let mut out: Vec<C> = Vec::new();
         for _ in 0..k {
             if let Some(c) = self.node(faulty) {
                 if !out.contains(&c) && !avoid.contains(&c) {
@@ -299,14 +299,14 @@ impl<S: Space> Journal<'_, S> {
             0 => {
                 let ext = self.space.extents();
                 let mut p = self.space.coord(0).xyz();
-                let axis = self.rng.gen_range(0..S::DIMS);
+                let axis = self.rng.gen_range(0..C::DIMS);
                 p[axis] = if self.rng.gen_bool(0.5) {
                     -1
                 } else {
                     ext[axis] as i32
                 };
                 let at = self.rng.gen_range(0..=healed.len());
-                healed.insert(at, S::Coord::from_xyz(p));
+                healed.insert(at, C::from_xyz(p));
             }
             1 => injected.extend(injected.first().copied()),
             2 => healed.extend(healed.first().copied()),

@@ -18,7 +18,7 @@ use mesh_service::ops::ChurnRecord;
 use mesh_service::shard::{Geometry, ShardSpec, SNAP_FILE, WAL_FILE};
 use mesh_service::wal::decode_records;
 use mesh_service::{snapshot, ServiceError, StateDigest};
-use mesh_topo::{Mesh, Mesh2D, Mesh3D, NodeSet, Space};
+use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D, NodeSet};
 
 /// A record's batch, if it has the models' dimension.
 type Batch<'r, C> = Option<(&'r [C], &'r [C])>;
@@ -81,10 +81,10 @@ struct Replay<'p> {
 }
 
 impl Replay<'_> {
-    fn run<S: Space>(
+    fn run<C: Coord>(
         self,
-        mut mesh: Mesh<S>,
-        batch: impl for<'r> Fn(&'r ChurnRecord) -> Batch<'r, S::Coord>,
+        mut mesh: Mesh<C>,
+        batch: impl for<'r> Fn(&'r ChurnRecord) -> Batch<'r, C>,
     ) -> Result<StateDigest, ServiceError> {
         let corrupt = |detail| ServiceError::Corrupt {
             path: self.wal_path.to_path_buf(),
@@ -110,7 +110,7 @@ impl Replay<'_> {
                 corrupt(format!(
                     "journaled record {seq} does not apply: churn batch is {}-D but shard is {}-D",
                     rec.dim(),
-                    S::DIMS
+                    C::DIMS
                 ))
             })?;
             inc.try_apply(injected, healed)
@@ -122,8 +122,8 @@ impl Replay<'_> {
 }
 
 /// The digest `ShardCore::digest` takes, of `inc` at generation `gen`.
-fn digest<S: Space>(inc: &mut IncrementalModels<S>, gen: u64) -> StateDigest {
-    let frame = S::identity_frame(inc.mesh());
+fn digest<C: Coord>(inc: &mut IncrementalModels<C>, gen: u64) -> StateDigest {
+    let frame = Frame::identity(inc.mesh());
     let faults = inc.mesh().fault_set().clone();
     let m = inc.models(frame);
     StateDigest {

@@ -31,6 +31,9 @@ mod sealed {
 pub trait Coord: sealed::Sealed + Copy + Eq + Hash + Debug + Display + 'static {
     /// Number of axes.
     const DIMS: usize;
+    /// Number of orientation frames, one per reflection of the axes
+    /// (`2^DIMS`).
+    const ORIENTATIONS: usize = 1 << Self::DIMS;
     /// The region-connectivity offsets `[dx, dy, dz]` (`dz` is 0 in 2-D):
     /// the 8-neighborhood in 2-D, the 18-neighborhood (faces and planar
     /// diagonals, no space diagonal) in 3-D, faces first, in the fixed
@@ -252,13 +255,6 @@ impl C2 {
         }
     }
 
-    /// True if `self` and `other` differ in exactly one dimension by one —
-    /// i.e. they are connected by a mesh link.
-    #[inline]
-    pub fn is_neighbor(self, other: C2) -> bool {
-        self.dist(other) == 1
-    }
-
     /// The direction from `self` to a neighboring node, if adjacent.
     pub fn dir_to(self, other: C2) -> Option<Dir2> {
         Dir2::ALL.into_iter().find(|&d| self.step(d) == other)
@@ -306,12 +302,6 @@ impl C3 {
         }
     }
 
-    /// True if `self` and `other` are connected by a mesh link.
-    #[inline]
-    pub fn is_neighbor(self, other: C3) -> bool {
-        self.dist(other) == 1
-    }
-
     /// The direction from `self` to a neighboring node, if adjacent.
     pub fn dir_to(self, other: C3) -> Option<Dir3> {
         Dir3::ALL.into_iter().find(|&d| self.step(d) == other)
@@ -334,28 +324,6 @@ impl C3 {
             Axis3::Z => C2 {
                 x: self.x,
                 y: self.y,
-            },
-        }
-    }
-
-    /// Inverse of [`C3::project`]: re-insert coordinate `v` along `axis`.
-    #[inline]
-    pub fn unproject(p: C2, axis: Axis3, v: i32) -> C3 {
-        match axis {
-            Axis3::X => C3 {
-                x: v,
-                y: p.x,
-                z: p.y,
-            },
-            Axis3::Y => C3 {
-                x: p.x,
-                y: v,
-                z: p.y,
-            },
-            Axis3::Z => C3 {
-                x: p.x,
-                y: p.y,
-                z: v,
             },
         }
     }
@@ -449,12 +417,11 @@ mod tests {
     }
 
     #[test]
-    fn project_unproject_roundtrip() {
+    fn project_drops_the_axis() {
         let p = c3(4, 5, 6);
-        for axis in [Axis3::X, Axis3::Y, Axis3::Z] {
-            let q = p.project(axis);
-            assert_eq!(C3::unproject(q, axis, p.get(axis)), p);
-        }
+        assert_eq!(p.project(Axis3::X), c2(5, 6));
+        assert_eq!(p.project(Axis3::Y), c2(4, 6));
+        assert_eq!(p.project(Axis3::Z), c2(4, 5));
     }
 
     #[test]

@@ -31,8 +31,7 @@ use rand::Rng;
 
 use crate::coord::Coord;
 use crate::mesh::Mesh;
-use crate::nodeset::NodeSet;
-use crate::space::Space;
+use crate::nodeset::{NodeSet, NodeSpace};
 
 /// Linear indices of the nodes of `mesh` eligible for injection: healthy
 /// and not in `protected`, in ascending index order, which is
@@ -40,10 +39,10 @@ use crate::space::Space;
 /// sequence, so every sampler caller must build its candidate list through
 /// here (or reproduce this order exactly). A protected coordinate outside
 /// the space excludes nothing.
-pub fn eligible_indices<S: Space>(mesh: &Mesh<S>, protected: &[S::Coord]) -> Vec<usize> {
+pub fn eligible_indices<C: Coord>(mesh: &Mesh<C>, protected: &[C]) -> Vec<usize> {
     let space = mesh.space();
     let healthy = mesh.fault_set().words().iter().map(|w| !w).collect();
-    let mut eligible = NodeSet::from_raw_words(space.node_count(), healthy);
+    let mut eligible = NodeSet::from_raw_words(space.len(), healthy);
     for i in protected.iter().filter_map(|&c| space.index_checked(c)) {
         eligible.remove(i);
     }
@@ -66,13 +65,13 @@ pub fn eligible_indices<S: Space>(mesh: &Mesh<S>, protected: &[S::Coord]) -> Vec
 /// A uniformly random node of `space`: one draw per axis, in `x, y, z`
 /// order (the order is part of every caller's reproducible draw
 /// sequence).
-pub fn random_node<S: Space>(space: S, rng: &mut SmallRng) -> S::Coord {
+pub fn random_node<C: Coord>(space: NodeSpace<C>, rng: &mut SmallRng) -> C {
     let ext = space.extents();
     let mut p = [0; 3];
-    for (axis, v) in p.iter_mut().enumerate().take(S::DIMS) {
+    for (axis, v) in p.iter_mut().enumerate().take(C::DIMS) {
         *v = rng.gen_range(0..ext[axis] as i32);
     }
-    S::Coord::from_xyz(p)
+    C::from_xyz(p)
 }
 
 /// Choose `min(count, pool.len())` distinct indices uniformly at random
@@ -177,12 +176,7 @@ mod tests {
 
     /// Inject `count` uniformly sampled faults, drawing exactly as the
     /// uniform fault regime does.
-    fn uniform<S: Space>(
-        mesh: &mut Mesh<S>,
-        count: usize,
-        seed: u64,
-        protected: &[S::Coord],
-    ) -> usize {
+    fn uniform<C: Coord>(mesh: &mut Mesh<C>, count: usize, seed: u64, protected: &[C]) -> usize {
         let mut rng = SmallRng::seed_from_u64(seed);
         let chosen = sample_uniform(eligible_indices(mesh, protected), count, &mut rng);
         inject(mesh, chosen)
@@ -190,18 +184,18 @@ mod tests {
 
     /// Inject `count` clustered faults, drawing exactly as the clustered
     /// fault regime does.
-    fn clustered<S: Space>(
-        mesh: &mut Mesh<S>,
+    fn clustered<C: Coord>(
+        mesh: &mut Mesh<C>,
         count: usize,
         clusters: usize,
         seed: u64,
-        protected: &[S::Coord],
+        protected: &[C],
     ) -> usize {
         let mut rng = SmallRng::seed_from_u64(seed);
         let space = mesh.space();
         let eligible = eligible_indices(mesh, protected);
         let chosen = sample_clustered(
-            space.node_count(),
+            space.len(),
             &eligible,
             count,
             clusters,
@@ -211,7 +205,7 @@ mod tests {
         inject(mesh, chosen)
     }
 
-    fn inject<S: Space>(mesh: &mut Mesh<S>, chosen: Vec<usize>) -> usize {
+    fn inject<C: Coord>(mesh: &mut Mesh<C>, chosen: Vec<usize>) -> usize {
         for &i in &chosen {
             mesh.inject_fault(mesh.space().coord(i));
         }
@@ -396,7 +390,7 @@ mod tests {
             uniform(&mut m, faults, faults as u64, &protected);
             let space = m.space();
             let mut expect = NodeSet::from_raw_words(
-                space.node_count(),
+                space.len(),
                 m.fault_set().words().iter().map(|w| !w).collect(),
             );
             for &c in &protected {

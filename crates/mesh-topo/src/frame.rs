@@ -32,7 +32,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::coord::{Coord, C2, C3};
 use crate::mesh::Mesh;
-use crate::nodeset::NodeSpace;
 
 /// Pick reflection + rotation for one torus axis: reflect when the `-` arc
 /// is strictly shorter, then rotate the (possibly reflected) source onto 0.
@@ -74,10 +73,10 @@ pub type Frame3 = Frame<C3>;
 
 impl<C: Coord> Frame<C> {
     /// The reflection frame of `mesh` flipping the axes set in `flip`.
-    fn reflection(mesh: &Mesh<NodeSpace<C>>, flip: [bool; 3]) -> Self {
+    fn reflection(mesh: &Mesh<C>, flip: [bool; 3]) -> Self {
         Frame {
             flip,
-            ext: mesh.space().ext(),
+            ext: mesh.space().extents().map(|k| k as i32),
             off: [0; 3],
             wrap: false,
             coord: PhantomData,
@@ -85,7 +84,7 @@ impl<C: Coord> Frame<C> {
     }
 
     /// The identity frame for `mesh` (no reflection, no rotation).
-    pub fn identity(mesh: &Mesh<NodeSpace<C>>) -> Self {
+    pub fn identity(mesh: &Mesh<C>) -> Self {
         Self::reflection(mesh, [false; 3])
     }
 
@@ -98,7 +97,7 @@ impl<C: Coord> Frame<C> {
     /// is the origin and `to_canon(d)` the Lee-distance vector. Both pieces
     /// are torus automorphisms, so the fault set seen through the frame is
     /// an exact relabelling.
-    pub fn for_pair(mesh: &Mesh<NodeSpace<C>>, s: C, d: C) -> Self {
+    pub fn for_pair(mesh: &Mesh<C>, s: C, d: C) -> Self {
         let (s, d) = (s.xyz(), d.xyz());
         let mut frame = Self::identity(mesh);
         frame.wrap = mesh.wraps();
@@ -114,8 +113,8 @@ impl<C: Coord> Frame<C> {
 
     /// Every reflection frame of `mesh`, in [`Frame::index`] order
     /// (reflections only; rotations are pair-specific).
-    pub fn all(mesh: &Mesh<NodeSpace<C>>) -> Vec<Self> {
-        (0..1usize << C::DIMS)
+    pub fn all(mesh: &Mesh<C>) -> Vec<Self> {
+        (0..C::ORIENTATIONS)
             .map(|i| Self::reflection(mesh, [i & 1 != 0, i & 2 != 0, i & 4 != 0]))
             .collect()
     }
@@ -130,7 +129,7 @@ impl<C: Coord> Frame<C> {
 
     /// True if the frame reflects `axis` (0 for x).
     #[inline]
-    pub(crate) fn flips(&self, axis: usize) -> bool {
+    pub fn flips(&self, axis: usize) -> bool {
         self.flip[axis]
     }
 

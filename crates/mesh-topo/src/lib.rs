@@ -19,9 +19,6 @@
 //!   [`NodeSpace`] over the coordinate type, named [`NodeSpace2`] /
 //!   [`NodeSpace3`]), the packed [`NodeSet`] bitset and the dense
 //!   [`NodeGrid`] value array that every hot mesh kernel runs on,
-//! * [`space`] — the [`Space`] trait that lets the mesh, and the fault
-//!   model's injection, closure, repair, component and cache layers, be
-//!   written once for both dimensions,
 //! * [`path`] — routing paths and minimality/validity checks.
 //!
 //! In the paper's vocabulary this crate is the *network model* of Section 2:
@@ -69,7 +66,6 @@ pub mod nodeset;
 pub mod par;
 pub mod path;
 pub mod region;
-pub mod space;
 
 pub use coord::{Coord, C2, C3};
 pub use dir::{Axis2, Axis3, Dir2, Dir3};
@@ -79,4 +75,3 @@ pub use nodeset::{NodeGrid, NodeSet, NodeSpace, NodeSpace2, NodeSpace3};
 pub use par::{detected_cores, Parallelism};
 pub use path::{Path, Path2, Path3};
 pub use region::{Box3, Rect};
-pub use space::Space;

@@ -7,9 +7,10 @@
 //! failure; link faults are modelled, as in the paper, by disabling the
 //! adjacent nodes.
 //!
-//! [`Mesh<S>`] is written once over the node [`Space`]; [`Mesh2D`] and
-//! [`Mesh3D`] name its two dimensions. Only the constructors and the
-//! per-axis extent getters are per-dimension.
+//! [`Mesh<C>`] is written once over the coordinate type, holding its
+//! [`NodeSpace<C>`]; [`Mesh2D`] and [`Mesh3D`] name its two dimensions.
+//! Only the constructors and the per-axis extent getters are
+//! per-dimension.
 //!
 //! Fault membership is a packed [`NodeSet`] over the mesh's linear
 //! [`NodeSpace2`]/[`NodeSpace3`] index space — `is_faulty` is a shift and
@@ -17,30 +18,29 @@
 //! sampling) can grab the bitset directly via [`Mesh::fault_set`] instead
 //! of re-deriving it per call.
 
-use crate::coord::Coord;
-use crate::nodeset::{NodeSet, NodeSpace2, NodeSpace3};
-use crate::space::Space;
+use crate::coord::{Coord, C2, C3};
+use crate::nodeset::{NodeSet, NodeSpace, NodeSpace2, NodeSpace3};
 
-/// A mesh (or torus) over the node space `S`, with a set of faulty nodes.
+/// A mesh (or torus) with coordinates `C`, with a set of faulty nodes.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Mesh<S: Space> {
-    space: S,
+pub struct Mesh<C: Coord> {
+    space: NodeSpace<C>,
     faulty: NodeSet,
-    fault_list: Vec<S::Coord>,
+    fault_list: Vec<C>,
 }
 
 /// A `width × height` 2-D mesh with a set of faulty nodes.
-pub type Mesh2D = Mesh<NodeSpace2>;
+pub type Mesh2D = Mesh<C2>;
 
 /// An `nx × ny × nz` 3-D mesh with a set of faulty nodes.
-pub type Mesh3D = Mesh<NodeSpace3>;
+pub type Mesh3D = Mesh<C3>;
 
-impl<S: Space> Mesh<S> {
+impl<C: Coord> Mesh<C> {
     /// A fault-free mesh over `space`.
-    fn over(space: S) -> Self {
+    fn over(space: NodeSpace<C>) -> Self {
         Mesh {
             space,
-            faulty: NodeSet::new(space.node_count()),
+            faulty: NodeSet::new(space.len()),
             fault_list: Vec::new(),
         }
     }
@@ -54,45 +54,45 @@ impl<S: Space> Mesh<S> {
     /// Topology-aware distance between two nodes: Manhattan on a mesh, Lee
     /// distance (per-axis shorter arc) on a torus.
     #[inline]
-    pub fn dist(&self, a: S::Coord, b: S::Coord) -> u32 {
+    pub fn dist(&self, a: C, b: C) -> u32 {
         self.space.dist(a, b)
     }
 
     /// True if both coordinates address nodes of this network and the nodes
     /// share a link (wrap links included on a torus).
-    pub fn are_neighbors(&self, a: S::Coord, b: S::Coord) -> bool {
+    pub fn are_neighbors(&self, a: C, b: C) -> bool {
         self.contains(a) && self.contains(b) && self.space.dist(a, b) == 1
     }
 
     /// Total number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.space.node_count()
+        self.space.len()
     }
 
     /// The linear index space of this mesh's nodes.
     #[inline]
-    pub fn space(&self) -> S {
+    pub fn space(&self) -> NodeSpace<C> {
         self.space
     }
 
     /// True if `c` addresses a node of this mesh.
     #[inline]
-    pub fn contains(&self, c: S::Coord) -> bool {
+    pub fn contains(&self, c: C) -> bool {
         self.space.index_checked(c).is_some()
     }
 
     /// The full extent of the mesh as an inclusive rectangle (2-D) or box
     /// (3-D).
-    pub fn bounds(&self) -> <S::Coord as Coord>::Block {
-        S::Coord::block(self.space.coord(0), self.space.coord(self.node_count() - 1))
+    pub fn bounds(&self) -> C::Block {
+        C::block(self.space.coord(0), self.space.coord(self.node_count() - 1))
     }
 
     /// Mark `c` faulty. Returns `true` if the node was previously healthy.
     ///
     /// # Panics
     /// If `c` is outside the mesh.
-    pub fn inject_fault(&mut self, c: S::Coord) -> bool {
+    pub fn inject_fault(&mut self, c: C) -> bool {
         assert!(self.contains(c), "fault injected outside mesh: {c:?}");
         if self.faulty.insert(self.space.index(c)) {
             self.fault_list.push(c);
@@ -107,7 +107,7 @@ impl<S: Space> Mesh<S> {
     ///
     /// # Panics
     /// If `c` is outside the mesh.
-    pub fn heal_fault(&mut self, c: S::Coord) -> bool {
+    pub fn heal_fault(&mut self, c: C) -> bool {
         assert!(self.contains(c), "fault healed outside mesh: {c:?}");
         if self.faulty.remove(self.space.index(c)) {
             self.fault_list.retain(|&f| f != c);
@@ -202,7 +202,7 @@ impl<S: Space> Mesh<S> {
 
     /// True if the node exists and is faulty.
     #[inline]
-    pub fn is_faulty(&self, c: S::Coord) -> bool {
+    pub fn is_faulty(&self, c: C) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| self.faulty.contains(i))
@@ -210,7 +210,7 @@ impl<S: Space> Mesh<S> {
 
     /// True if the node exists and is healthy.
     #[inline]
-    pub fn is_healthy(&self, c: S::Coord) -> bool {
+    pub fn is_healthy(&self, c: C) -> bool {
         self.space
             .index_checked(c)
             .is_some_and(|i| !self.faulty.contains(i))
@@ -218,7 +218,7 @@ impl<S: Space> Mesh<S> {
 
     /// All injected faults, in injection order.
     #[inline]
-    pub fn faults(&self) -> &[S::Coord] {
+    pub fn faults(&self) -> &[C] {
         &self.fault_list
     }
 
@@ -238,31 +238,25 @@ impl<S: Space> Mesh<S> {
     /// [`Dir3::ALL`](crate::Dir3::ALL) order (`+X, -X, +Y, -Y[, +Z, -Z]`):
     /// 2–4 (3–6) of them on a mesh, where border nodes lose probes, and
     /// always 4 (6) on a torus, where steps wrap.
-    pub fn neighbors(&self, c: S::Coord) -> impl Iterator<Item = S::Coord> + '_ {
+    pub fn neighbors(&self, c: C) -> impl Iterator<Item = C> + '_ {
         let ext = self.space.extents().map(|e| e as i32);
-        (0..2 * S::DIMS)
+        (0..2 * C::DIMS)
             .map(move |k| {
                 let mut p = c.xyz();
                 p[k / 2] += if k % 2 == 0 { 1 } else { -1 };
                 if self.wraps() {
-                    for axis in 0..S::DIMS {
+                    for axis in 0..C::DIMS {
                         p[axis] = p[axis].rem_euclid(ext[axis]);
                     }
                 }
-                S::Coord::from_xyz(p)
+                C::from_xyz(p)
             })
             .filter(|&n| self.contains(n))
     }
 
     /// Iterate all node coordinates in index order (x fastest).
-    pub fn nodes(&self) -> impl Iterator<Item = S::Coord> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = C> + '_ {
         (0..self.node_count()).map(|i| self.space.coord(i))
-    }
-
-    /// Remove all faults.
-    pub fn clear_faults(&mut self) {
-        self.faulty.clear();
-        self.fault_list.clear();
     }
 }
 
@@ -391,9 +385,6 @@ mod tests {
         assert!(!m.is_healthy(c2(9, 9))); // off-mesh is neither healthy...
         assert!(!m.is_faulty(c2(9, 9))); // ...nor faulty
         assert_eq!(m.fault_count(), 1);
-        m.clear_faults();
-        assert_eq!(m.fault_count(), 0);
-        assert!(m.is_healthy(c2(2, 2)));
     }
 
     #[test]
@@ -487,7 +478,7 @@ mod tests {
     fn index_slice_flips_match_the_set_flips() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
-        fn check<S: Space>(mut a: Mesh<S>, rng: &mut SmallRng) {
+        fn check<C: Coord>(mut a: Mesh<C>, rng: &mut SmallRng) {
             let n = a.node_count();
             let mut b = a.clone();
             for _ in 0..40 {

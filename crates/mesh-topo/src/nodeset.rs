@@ -9,9 +9,8 @@
 //! coordinate to its row-major index and back, and enumerates neighbor
 //! indices without allocating. [`NodeSet`] is a `u64`-word bitset over such
 //! a space — membership is one shift and mask, iteration scans whole words
-//! with `trailing_zeros`, and set algebra (union / intersection /
-//! difference) is word-parallel. [`NodeGrid`] is the matching dense value
-//! array.
+//! with `trailing_zeros`, and set difference is word-parallel.
+//! [`NodeGrid`] is the matching dense value array.
 //!
 //! Index layout: `x` fastest, then `y`, then `z` — `i = (z·ny + y)·nx + x`.
 //!
@@ -84,8 +83,8 @@ impl<C: Coord> NodeSpace<C> {
 
     /// Per-axis extents, `x` first; 1 past the space's axes.
     #[inline]
-    pub(crate) fn ext(self) -> [i32; 3] {
-        self.ext
+    pub fn extents(self) -> [usize; 3] {
+        self.ext.map(|k| k as usize)
     }
 
     /// True if this space wraps around (it is a torus).
@@ -353,7 +352,7 @@ impl NodeSpace<C3> {
 ///
 /// One bit per node in `u64` words: membership tests are a shift and mask,
 /// iteration scans whole words with `trailing_zeros` (64 absent nodes per
-/// loop step), and union/intersection/difference run word-parallel. This is
+/// loop step), and difference runs word-parallel. This is
 /// the frontier/visited/membership representation of every hot mesh kernel
 /// (labelling closures, component BFS, detection floods, fault sampling).
 ///
@@ -470,30 +469,6 @@ impl NodeSet {
         // larger than any seen before actually allocates.
         self.words.resize(nbits.div_ceil(64), 0);
         self.nbits = nbits;
-    }
-
-    /// In-place union: `self ∪= other`.
-    ///
-    /// # Panics
-    /// If the sets cover differently sized spaces.
-    pub fn union_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.nbits, other.nbits, "node set size mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-        self.recount();
-    }
-
-    /// In-place intersection: `self ∩= other`.
-    ///
-    /// # Panics
-    /// If the sets cover differently sized spaces.
-    pub fn intersect_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.nbits, other.nbits, "node set size mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-        self.recount();
     }
 
     /// In-place difference: `self ∖= other`.
@@ -932,12 +907,7 @@ mod tests {
     fn set_algebra() {
         let a0 = NodeSet::from_indices(100, [1, 2, 3, 70]);
         let b = NodeSet::from_indices(100, [2, 3, 4, 99]);
-        let mut u = a0.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4, 70, 99]);
-        let mut i = a0.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![2, 3]);
+        let i = NodeSet::from_indices(100, [2, 3]);
         let mut d = a0.clone();
         d.difference_with(&b);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 70]);

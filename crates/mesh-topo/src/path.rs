@@ -10,7 +10,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::coord::{Coord, C2, C3};
 use crate::mesh::Mesh;
-use crate::space::Space;
 
 /// A (possibly partial) route through a mesh with coordinates `C`: the
 /// sequence of visited nodes, starting at the source.
@@ -64,7 +63,7 @@ impl<C: Coord> Path<C> {
 
     /// True if consecutive nodes are linked in `mesh` (wrap links count on
     /// a torus) and all nodes lie in `mesh` and are healthy.
-    pub fn is_valid<S: Space<Coord = C>>(&self, mesh: &Mesh<S>) -> bool {
+    pub fn is_valid(&self, mesh: &Mesh<C>) -> bool {
         if self.nodes.is_empty() {
             return false;
         }
@@ -79,7 +78,7 @@ impl<C: Coord> Path<C> {
     /// True if this is a complete **minimal** route from `s` to `d`: valid,
     /// starts at `s`, ends at `d`, and takes exactly `D(s, d)` hops (the
     /// topology-aware distance: Manhattan on a mesh, Lee on a torus).
-    pub fn is_minimal<S: Space<Coord = C>>(&self, mesh: &Mesh<S>, s: C, d: C) -> bool {
+    pub fn is_minimal(&self, mesh: &Mesh<C>, s: C, d: C) -> bool {
         self.is_valid(mesh)
             && self.nodes.first() == Some(&s)
             && self.nodes.last() == Some(&d)

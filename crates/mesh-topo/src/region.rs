@@ -65,15 +65,6 @@ impl Rect {
         self.x0 <= other.x1 && other.x0 <= self.x1 && self.y0 <= other.y1 && other.y0 <= self.y1
     }
 
-    /// True if the rectangles intersect or touch (are within Chebyshev
-    /// distance one) — the merge criterion for rectangular faulty blocks.
-    pub fn touches(&self, other: &Rect) -> bool {
-        self.x0 - 1 <= other.x1
-            && other.x0 - 1 <= self.x1
-            && self.y0 - 1 <= other.y1
-            && other.y0 - 1 <= self.y1
-    }
-
     /// The smallest rectangle containing both.
     pub fn union(&self, other: &Rect) -> Rect {
         Rect {
@@ -146,17 +137,6 @@ impl Box3 {
             && other.lo.z <= self.hi.z
     }
 
-    /// True if the boxes intersect or touch (within Chebyshev distance one) —
-    /// the merge criterion for cuboid faulty blocks.
-    pub fn touches(&self, other: &Box3) -> bool {
-        self.lo.x - 1 <= other.hi.x
-            && other.lo.x - 1 <= self.hi.x
-            && self.lo.y - 1 <= other.hi.y
-            && other.lo.y - 1 <= self.hi.y
-            && self.lo.z - 1 <= other.hi.z
-            && other.lo.z - 1 <= self.hi.z
-    }
-
     /// The smallest box containing both.
     pub fn union(&self, other: &Box3) -> Box3 {
         Box3 {
@@ -220,11 +200,8 @@ mod tests {
         let b = Rect::spanning(c2(3, 0), c2(4, 2)); // adjacent, not overlapping
         let c = Rect::spanning(c2(5, 0), c2(6, 2)); // gap of one column
         assert!(!a.intersects(&b));
-        assert!(a.touches(&b));
-        assert!(!a.touches(&c));
-        // diagonal touch counts
-        let d = Rect::spanning(c2(3, 3), c2(4, 4));
-        assert!(a.touches(&d));
+        assert!(!a.intersects(&c));
+        assert!(a.intersects(&Rect::spanning(c2(2, 2), c2(4, 4))));
     }
 
     #[test]
@@ -268,10 +245,8 @@ mod tests {
         let a = Box3::spanning(c3(0, 0, 0), c3(1, 1, 1));
         let b = Box3::spanning(c3(2, 0, 0), c3(3, 1, 1));
         assert!(!a.intersects(&b));
-        assert!(a.touches(&b));
         let u = a.union(&b);
         assert!(u.contains(c3(3, 1, 1)) && u.contains(c3(0, 0, 0)));
-        let far = Box3::point(c3(5, 5, 5));
-        assert!(!a.touches(&far));
+        assert!(u.intersects(&a) && u.intersects(&b));
     }
 }

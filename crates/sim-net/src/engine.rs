@@ -1,7 +1,7 @@
 //! The flat, index-addressed synchronous round engine.
 //!
-//! Nodes are linear indices `0..space.node_count()` into dense state and
-//! inbox arrays; the network is a `Copy` [`Space`] value — a mesh or torus
+//! Nodes are linear indices `0..space.len()` into dense state and
+//! inbox arrays; the network is a `Copy` [`NodeSpace`] value — a mesh or torus
 //! node space — instead of a boxed link closure, and two nodes are linked
 //! when their topology-aware distance is 1 (torus wrap links included).
 //! Message delivery is a **double buffer**: every send of a round lands in
@@ -25,7 +25,7 @@
 //! identically to the pre-refactor hash engine; the parity tests in
 //! `mcc-protocols`, which keep that engine as their oracle, pin this.
 
-use mesh_topo::{NodeSet, Space};
+use mesh_topo::{Coord, NodeSet, NodeSpace};
 
 use crate::stats::RunStats;
 use crate::topology::linked;
@@ -58,16 +58,16 @@ impl std::error::Error for SendError {}
 
 /// Per-step context handed to a node's handler: the current round number
 /// and an outbox for neighbor sends.
-pub struct Ctx<'a, T: Space, M> {
+pub struct Ctx<'a, C: Coord, M> {
     /// The current round (0-based within this `run`).
     pub round: usize,
     me: u32,
-    space: T,
+    space: NodeSpace<C>,
     outbox: &'a mut Vec<(u32, u32, M)>,
     sent: usize,
 }
 
-impl<T: Space, M> Ctx<'_, T, M> {
+impl<C: Coord, M> Ctx<'_, C, M> {
     /// The index of the node executing the handler.
     #[inline]
     pub fn me(&self) -> usize {
@@ -76,7 +76,7 @@ impl<T: Space, M> Ctx<'_, T, M> {
 
     /// The coordinate of the node executing the handler.
     #[inline]
-    pub fn coord(&self) -> T::Coord {
+    pub fn coord(&self) -> C {
         self.space.coord(self.me as usize)
     }
 
@@ -178,13 +178,14 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     }
 }
 
-/// A deterministic synchronous network over the node space `T`.
+/// A deterministic synchronous network over a node space with coordinates
+/// `C`.
 ///
 /// `S` is the per-node state, `M` the message payload. Nodes are addressed
 /// by the space's linear index; [`SimNet::state_at`] bridges from
 /// coordinates where convenient.
-pub struct SimNet<T: Space, S, M> {
-    space: T,
+pub struct SimNet<C: Coord, S, M> {
+    space: NodeSpace<C>,
     states: Vec<S>,
     /// This round's messages, `(from, payload)`, in arrival order.
     inbox_data: Vec<(u32, M)>,
@@ -201,11 +202,11 @@ pub struct SimNet<T: Space, S, M> {
     stats: RunStats,
 }
 
-impl<T: Space, S, M> SimNet<T, S, M> {
+impl<C: Coord, S, M> SimNet<C, S, M> {
     /// Build a network over `space` with per-node initial state from
     /// `init` (called with each node's linear index, in index order).
-    pub fn new(space: T, init: impl FnMut(usize) -> S) -> Self {
-        let n = space.node_count();
+    pub fn new(space: NodeSpace<C>, init: impl FnMut(usize) -> S) -> Self {
+        let n = space.len();
         let states: Vec<S> = (0..n).map(init).collect();
         SimNet {
             space,
@@ -232,7 +233,7 @@ impl<T: Space, S, M> SimNet<T, S, M> {
 
     /// The network's node space.
     #[inline]
-    pub fn space(&self) -> T {
+    pub fn space(&self) -> NodeSpace<C> {
         self.space
     }
 
@@ -252,7 +253,7 @@ impl<T: Space, S, M> SimNet<T, S, M> {
     ///
     /// # Panics
     /// If `c` is not a node of the network.
-    pub fn state_at(&self, c: T::Coord) -> &S {
+    pub fn state_at(&self, c: C) -> &S {
         let i = self
             .space
             .index_checked(c)
@@ -264,7 +265,7 @@ impl<T: Space, S, M> SimNet<T, S, M> {
     ///
     /// # Panics
     /// If `c` is not a node of the network.
-    pub fn state_at_mut(&mut self, c: T::Coord) -> &mut S {
+    pub fn state_at_mut(&mut self, c: C) -> &mut S {
         let i = self
             .space
             .index_checked(c)
@@ -278,7 +279,7 @@ impl<T: Space, S, M> SimNet<T, S, M> {
     }
 
     /// Iterate `(coordinate, &state)` in index order.
-    pub fn iter_coords(&self) -> impl Iterator<Item = (T::Coord, &S)> + '_ {
+    pub fn iter_coords(&self) -> impl Iterator<Item = (C, &S)> + '_ {
         self.states
             .iter()
             .enumerate()
@@ -343,7 +344,7 @@ impl<T: Space, S, M> SimNet<T, S, M> {
     pub fn run(
         &mut self,
         max_rounds: usize,
-        mut step: impl FnMut(&mut S, Inbox<'_, M>, &mut Ctx<'_, T, M>),
+        mut step: impl FnMut(&mut S, Inbox<'_, M>, &mut Ctx<'_, C, M>),
     ) -> RunStats {
         let mut run_stats = RunStats::default();
         for round in 0..max_rounds {
@@ -361,8 +362,8 @@ impl<T: Space, S, M> SimNet<T, S, M> {
                     active,
                     ..
                 } = self;
-                let space: T = *space;
-                let n = space.node_count();
+                let space: NodeSpace<C> = *space;
+                let n = space.len();
                 let mut dispatch = |i: usize| {
                     let inbox = Inbox {
                         data: inbox_data,
@@ -401,9 +402,9 @@ impl<T: Space, S, M> SimNet<T, S, M> {
 mod tests {
     use super::*;
     use mesh_topo::coord::{c2, c3};
-    use mesh_topo::{Dir2, NodeSpace2, NodeSpace3};
+    use mesh_topo::{Dir2, NodeSpace2, NodeSpace3, C2, C3};
 
-    fn line_net(n: i32) -> SimNet<NodeSpace2, u32, u32> {
+    fn line_net(n: i32) -> SimNet<C2, u32, u32> {
         SimNet::new(NodeSpace2::new(n, 1), |_| 0u32)
     }
 
@@ -472,7 +473,7 @@ mod tests {
     fn flood_counts_messages_and_skips_quiet_nodes() {
         // Flood from the corner of a 4x4 mesh; every node forwards once.
         let space = NodeSpace2::new(4, 4);
-        let mut net: SimNet<NodeSpace2, bool, ()> = SimNet::new(space, |_| false);
+        let mut net: SimNet<C2, bool, ()> = SimNet::new(space, |_| false);
         net.post(space.index(c2(0, 0)), ());
         let stats = net.run(100, move |seen, inbox, ctx| {
             if !inbox.is_empty() && !*seen {
@@ -526,7 +527,7 @@ mod tests {
 
     #[test]
     fn state_access_by_coordinate_and_index() {
-        let mut net: SimNet<NodeSpace3, u32, ()> = SimNet::new(NodeSpace3::new(3, 3, 3), |_| 0);
+        let mut net: SimNet<C3, u32, ()> = SimNet::new(NodeSpace3::new(3, 3, 3), |_| 0);
         *net.state_at_mut(c3(1, 2, 0)) = 42;
         let i = net.space().index(c3(1, 2, 0));
         assert_eq!(*net.state(i), 42);

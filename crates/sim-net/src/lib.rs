@@ -13,13 +13,13 @@
 //! * execution is fully deterministic: nodes step in index order and each
 //!   inbox is grouped in sender order.
 //!
-//! The engine is **flat and index-addressed**: it runs over a
-//! [`mesh_topo::Space`] — a mesh's own node space, such as
-//! [`mesh_topo::NodeSpace2`] — which names nodes by linear index and links
-//! the nodes at distance 1 (torus wrap links included). Per-round delivery
-//! reuses one double-buffered message slab, and an active-node bitset
-//! skips converged nodes entirely (see the [`engine`] module docs for the
-//! layout, and DESIGN.md §7 for the complexity budget). The pre-refactor hash-addressed engine survives as
+//! The engine is **flat and index-addressed**: it runs over a mesh's own
+//! [`mesh_topo::NodeSpace`], such as [`mesh_topo::NodeSpace2`], which
+//! names nodes by linear index and links the nodes at distance 1 (torus
+//! wrap links included). Per-round delivery reuses one double-buffered
+//! message slab, and an active-node bitset skips converged nodes entirely
+//! (see the [`engine`] module docs for the layout, and DESIGN.md §7 for
+//! the complexity budget). The pre-refactor hash-addressed engine survives as
 //! a test oracle beside `mcc-protocols`' `tests/parity.rs`.
 //!
 //! [`SimNet::run`] drives rounds until quiescence (no messages in flight)
@@ -33,11 +33,11 @@
 //! A six-node line flooding a token one hop per round:
 //!
 //! ```
-//! use mesh_topo::NodeSpace2;
+//! use mesh_topo::{NodeSpace2, C2};
 //! use sim_net::SimNet;
 //!
 //! // A 6x1 mesh; state records the hop count at which the token arrived.
-//! let mut net: SimNet<NodeSpace2, usize, usize> = SimNet::new(NodeSpace2::new(6, 1), |_| 0);
+//! let mut net: SimNet<C2, usize, usize> = SimNet::new(NodeSpace2::new(6, 1), |_| 0);
 //! net.post(0, 0);
 //! let stats = net.run(100, |state, inbox, ctx| {
 //!     for &(_, hops) in inbox {

@@ -1,18 +1,18 @@
 //! The link relation of a simulated network.
 //!
-//! The engine runs over a `Copy` [`Space`] — a mesh or torus node space —
+//! The engine runs over a `Copy` [`NodeSpace`] — a mesh or torus node space —
 //! and needs only one fact about its links: two nodes share a link when
 //! both exist and their topology-aware distance is 1. This module holds
 //! that check, which [`crate::Ctx::send`] and [`crate::Ctx::try_send`]
 //! apply to every send; there is no separate link-relation type.
 
-use mesh_topo::Space;
+use mesh_topo::{Coord, NodeSpace};
 
 /// True if nodes `a` and `b` of `space` share a link: both exist and their
 /// topology-aware distance is 1, so torus wrap links count.
 #[inline]
-pub(crate) fn linked<T: Space>(space: T, a: usize, b: usize) -> bool {
-    let n = space.node_count();
+pub(crate) fn linked<C: Coord>(space: NodeSpace<C>, a: usize, b: usize) -> bool {
+    let n = space.len();
     a < n && b < n && space.dist(space.coord(a), space.coord(b)) == 1
 }
 

@@ -11,10 +11,18 @@
 //! cargo run --example recovery_demo
 //! ```
 
+use std::io::{self, Write};
+
 use mcc_mesh::mesh_service::prelude::*;
 use mcc_mesh::mesh_topo::coord::c2;
 
-fn main() {
+fn main() -> io::Result<()> {
+    render(&mut io::stdout().lock())
+}
+
+/// Run the demo, writing its report to `out`. Panics if the service loses
+/// or misreports state across the crash or the restart.
+pub fn render(out: &mut impl Write) -> io::Result<()> {
     // Journals live under a self-cleaning temp directory; point `root` at
     // a real path to keep state across runs.
     let root = TempDir::new("recovery-demo");
@@ -28,7 +36,7 @@ fn main() {
     );
 
     let svc = MeshService::start(ServiceConfig::new(root.path()), &[spec]).unwrap();
-    println!("service up over {}", root.path().display());
+    writeln!(out, "service up over {}", root.path().display())?;
 
     // Journal some churn: an explicit batch, then seeded random ones.
     svc.call(
@@ -44,10 +52,11 @@ fn main() {
         svc.call(0, Request::ChurnRandom { seed }, 0).unwrap();
     }
     let before = stats(&svc);
-    println!(
+    writeln!(
+        out,
         "journaled: gen {} ({} faults, snapshot at gen {})",
         before.gen, before.faults, before.snapshot_gen
-    );
+    )?;
 
     // Panic the shard mid-request (the default panic hook still prints
     // the message). The caller gets a typed error...
@@ -55,16 +64,17 @@ fn main() {
         svc.call(0, Request::Panic, 0),
         Err(ServiceError::ShardPanicked)
     );
-    println!("shard killed (ServiceError::ShardPanicked)");
+    writeln!(out, "shard killed (ServiceError::ShardPanicked)")?;
 
     // ...and the service has already rebuilt it, under the shard's lock,
     // from its snapshot and WAL.
     let after = stats(&svc);
     assert_eq!((after.gen, after.faults), (before.gen, before.faults));
-    println!(
+    writeln!(
+        out,
         "service recovered it: gen {} ({} faults, {} recovery)",
         after.gen, after.faults, after.recoveries
-    );
+    )?;
 
     // Routing still works over the recovered models.
     let r = svc
@@ -77,15 +87,16 @@ fn main() {
             0,
         )
         .unwrap();
-    println!("post-recovery route: {r:?}");
+    writeln!(out, "post-recovery route: {r:?}")?;
 
     // A full process restart resumes from the same journal.
     svc.shutdown();
     let svc = MeshService::start(ServiceConfig::new(root.path()), &[spec]).unwrap();
     let resumed = stats(&svc);
     assert_eq!(resumed.gen, before.gen);
-    println!("process restart resumed at gen {}", resumed.gen);
+    writeln!(out, "process restart resumed at gen {}", resumed.gen)?;
     svc.shutdown();
+    Ok(())
 }
 
 fn stats(svc: &MeshService) -> mcc_mesh::mesh_service::ShardStats {
