@@ -37,9 +37,9 @@
 //! let mut cache = ModelCache2::new(&mesh, BorderPolicy::BorderSafe);
 //!
 //! let frame = Frame2::for_pair(&mesh, c2(7, 0), c2(0, 7)); // flipped X
-//! let m = cache.models(frame, true);
+//! let m = cache.models(frame);
 //! assert!(m.lab.is_safe(frame.to_canon(c2(0, 0))));
-//! assert!(m.blocks.expect("requested").is_disabled(c2(4, 4)));
+//! assert!(m.blocks.is_disabled(c2(4, 4)));
 //! ```
 
 use mesh_topo::{Coord, Frame, Mesh, C2, C3};
@@ -54,8 +54,8 @@ use crate::status::BorderPolicy;
 pub struct ModelsRef<'a, C: Coord> {
     /// The labelling of the requested orientation.
     pub lab: &'a Labelling<C>,
-    /// The orientation-free block model, if requested.
-    pub blocks: Option<&'a FaultBlocks<C>>,
+    /// The orientation-free block model.
+    pub blocks: &'a FaultBlocks<C>,
 }
 
 /// Borrowed views of the 2-D models (rectangular blocks).
@@ -97,8 +97,7 @@ impl<'m, C: Coord> ModelCache<'m, C> {
 
     /// Fetch the models for `frame`'s orientation, computing whatever this
     /// cache has not seen yet: the labelling on first use of the
-    /// orientation, the block model on first use with `want_blocks` (any
-    /// orientation).
+    /// orientation, the block model on first use of any orientation.
     ///
     /// Slots are keyed by the frame's reflection index but guarded by
     /// **full-frame** equality: on a torus, frames with the same
@@ -106,22 +105,17 @@ impl<'m, C: Coord> ModelCache<'m, C> {
     /// different frame is recomputed rather than wrongly reused. Mesh
     /// frames are unique per index, so mesh behavior (and its
     /// ≤ `1 + ORIENTATIONS` compute bound) is unchanged.
-    pub fn models(&mut self, frame: Frame<C>, want_blocks: bool) -> ModelsRef<'_, C> {
+    pub fn models(&mut self, frame: Frame<C>) -> ModelsRef<'_, C> {
         let idx = frame.index();
         let slot = &mut self.slots[idx];
         if !matches!(slot, Some(lab) if lab.frame() == frame) {
             *slot = Some(Labelling::compute(self.mesh, frame, self.border));
         }
-        if want_blocks && self.blocks.is_none() {
-            self.blocks = Some(FaultBlocks::compute(self.mesh));
-        }
         ModelsRef {
             lab: self.slots[idx].as_ref().expect("just filled"),
-            blocks: if want_blocks {
-                self.blocks.as_ref()
-            } else {
-                None
-            },
+            blocks: self
+                .blocks
+                .get_or_insert_with(|| FaultBlocks::compute(self.mesh)),
         }
     }
 
@@ -134,7 +128,7 @@ impl<'m, C: Coord> ModelCache<'m, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultBlocks2, Labelling2};
+    use crate::{FaultBlocks2, FaultBlocks3, Labelling2};
     use mesh_topo::coord::{c2, c3};
     use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D};
 
@@ -147,13 +141,13 @@ mod tests {
         let mut cache = ModelCache2::new(&mesh, BorderPolicy::BorderSafe);
         for frame in Frame2::all(&mesh) {
             let fresh_lab = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
-            let m = cache.models(frame, true);
+            let m = cache.models(frame);
             for c in mesh.nodes() {
                 let cc = frame.to_canon(c);
                 assert_eq!(m.lab.status(cc), fresh_lab.status(cc), "{frame:?} {c}");
             }
             assert_eq!(
-                m.blocks.expect("requested").sacrificed_count(),
+                m.blocks.sacrificed_count(),
                 FaultBlocks2::compute(&mesh).sacrificed_count()
             );
         }
@@ -176,7 +170,7 @@ mod tests {
             (c2(0, 0), c2(3, 2)), // repeat: hits the cached slot again
         ] {
             let frame = Frame2::for_pair(&mesh, s, d);
-            let m = cache.models(frame, true);
+            let m = cache.models(frame);
             assert_eq!(m.lab.frame(), frame, "slot must hold the asked frame");
             let fresh = Labelling2::compute(&mesh, frame, BorderPolicy::BorderSafe);
             for c in mesh.nodes() {
@@ -193,12 +187,11 @@ mod tests {
         let mut cache = ModelCache3::new(&mesh, BorderPolicy::BorderSafe);
         assert_eq!(cache.orientations_computed(), 0);
         let frame = Frame3::for_pair(&mesh, c3(0, 0, 0), c3(5, 5, 5));
-        let m = cache.models(frame, false);
-        assert!(m.blocks.is_none());
+        let blocks: *const FaultBlocks3 = cache.models(frame).blocks;
         assert_eq!(cache.orientations_computed(), 1);
-        // Asking again for the blocks fills them in beside the same slot.
-        let m = cache.models(frame, true);
-        assert!(m.blocks.is_some());
+        // Asking again reuses the same slot and the same block model.
+        let again: *const FaultBlocks3 = cache.models(frame).blocks;
         assert_eq!(cache.orientations_computed(), 1);
+        assert!(std::ptr::eq(blocks, again));
     }
 }

@@ -114,12 +114,6 @@ impl FaultRegime {
         }
     }
 
-    /// True for the regimes the legacy `[faults] pattern = …` key can
-    /// express (and that scenario TOML still emits in legacy form).
-    pub fn is_legacy(&self) -> bool {
-        matches!(self, FaultRegime::Uniform | FaultRegime::Clustered { .. })
-    }
-
     /// Inject `count` faults into `mesh`, never touching `protected`
     /// nodes. Returns the number actually injected (short only when the
     /// mesh runs out of eligible nodes, or when the adversarial search

@@ -4,8 +4,8 @@
 //! and figure of the evaluation (see `EXPERIMENTS.md` at the workspace
 //! root). Experiments are described declaratively: a [`scenario::Scenario`]
 //! (deserialized from the TOML files under `scenarios/`) fixes mesh
-//! dimensions, fault pattern and ramp, border policy, router choice and
-//! seed range, and [`runner::run_scenario`] turns it into table rows. The
+//! dimensions, fault regime and ramp, and seed range, and
+//! [`runner::run_scenario`] turns it into table rows. The
 //! `tables` binary prints the rows for the scenario files it is given.
 //! Performance numbers come from the separate `repobench/` harness, not
 //! from this crate.

@@ -25,7 +25,7 @@
 //! virtual time through [`crate::service_load`].
 
 use fault_model::stats::{region_stats, RegionStats};
-use fault_model::{FaultRegime, IncrementalModels, Labelling, MccSet};
+use fault_model::{BorderPolicy, FaultRegime, IncrementalModels, Labelling, MccSet};
 use mcc_protocols::boundary2::build_pipeline_2d;
 use mcc_protocols::labelling::{DistLabelling, DistLabelling3};
 use mcc_routing::trial::{TrialOptions, TrialResult};
@@ -229,7 +229,7 @@ impl SeedBody for Regions {
     type Out = RegionStats;
     fn run<C: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<C>) -> RegionStats {
         c.sc.inject(&mut mesh, c.n, mix_fault_seed(c.seed, c.n), &[]);
-        region_stats(&mesh, c.sc.border)
+        region_stats(&mesh, BorderPolicy::BorderSafe)
     }
 }
 
@@ -312,12 +312,6 @@ impl SeedBody for Routing {
     type Out = Result<Vec<TrialResult>, ScenarioError>;
     fn run<C: RouteSpace>(c: Cell<'_>, mut mesh: Mesh<C>) -> Self::Out {
         let sc = c.sc;
-        let opts = TrialOptions {
-            border: sc.border,
-            eval_mcc: sc.router.wants_mcc(),
-            eval_rfb: sc.router.wants_rfb(),
-            eval_greedy: sc.router.wants_greedy(),
-        };
         let min_dist = (sc.dims.max_extent() as f64 * sc.min_dist_frac).round() as u32;
         let mut rng = SmallRng::seed_from_u64(mix_trial_seed(c.seed, c.n));
         let legacy_pair = if sc.pairs_per_seed == 1 {
@@ -330,7 +324,7 @@ impl SeedBody for Routing {
         };
         let mut left = sc.pairs_per_seed;
         let mut stranded = false;
-        let mut pm = PreparedMesh::<C>::new(&mesh, opts);
+        let mut pm = PreparedMesh::<C>::new(&mesh, TrialOptions::default());
         let trials = std::iter::from_fn(|| {
             if left == 0 {
                 return None;
@@ -602,7 +596,7 @@ fn churn_seed<C: Coord>(c: Cell<'_>, mut mesh: Mesh<C>) -> ChurnSeed {
         }
     }
     let (space, nodes) = (mesh.space(), mesh.node_count());
-    let mut inc = IncrementalModels::new(mesh, sc.border);
+    let mut inc = IncrementalModels::new(mesh, BorderPolicy::BorderSafe);
     let mut out = ChurnSeed {
         injected: 0,
         healed: 0,
@@ -643,7 +637,7 @@ fn churn_seed<C: Coord>(c: Cell<'_>, mut mesh: Mesh<C>) -> ChurnSeed {
         let mesh = inc.mesh().clone();
         let frame = Frame::identity(&mesh);
         let m = inc.models(frame);
-        let lab = Labelling::compute(&mesh, frame, sc.border);
+        let lab = Labelling::compute(&mesh, frame, BorderPolicy::BorderSafe);
         let mccs = MccSet::compute(&lab);
         out.checks += 1;
         let ok = m.lab.iter().zip(lab.iter()).all(|((_, a), (_, b))| a == b)
@@ -698,8 +692,7 @@ fn run_overhead_3d(sc: &Scenario, workers: usize, x: i32, y: i32, z: i32) -> Vec
 
 impl ScenarioReport {
     /// Render the report as the aligned text table the `tables` binary
-    /// prints. Column choice honors the scenario's router selection; a
-    /// service ramp renders as [`ServiceLoadReport::render`].
+    /// prints; a service ramp renders as [`ServiceLoadReport::render`].
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let sc = &self.scenario;
@@ -734,35 +727,33 @@ impl ScenarioReport {
                 }
             }
             TableRows::Routing(rows) => {
-                let mut header = format!("{:>7} {:>8}", "faults", "oracle");
-                for (on, name) in [
-                    (sc.router.wants_mcc(), "MCC"),
-                    (sc.router.wants_rfb(), "RFB"),
-                    (sc.router.wants_greedy(), "greedy"),
-                    (sc.router.wants_mcc(), "adaptM"),
-                    (sc.router.wants_rfb(), "adaptR"),
-                    (sc.router.wants_mcc(), "detect"),
-                ] {
-                    if on {
-                        let _ = write!(header, " {name:>8}");
-                    }
-                }
-                let _ = writeln!(out, "{header} {:>8}", "safe-ep");
+                let _ = writeln!(
+                    out,
+                    "{:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+                    "faults",
+                    "oracle",
+                    "MCC",
+                    "RFB",
+                    "greedy",
+                    "adaptM",
+                    "adaptR",
+                    "detect",
+                    "safe-ep"
+                );
                 for r in rows {
-                    let mut line = format!("{:>7} {:>8.3}", r.faults, r.oracle);
-                    for (on, value) in [
-                        (sc.router.wants_mcc(), r.mcc),
-                        (sc.router.wants_rfb(), r.rfb),
-                        (sc.router.wants_greedy(), r.greedy),
-                        (sc.router.wants_mcc(), r.mcc_adaptivity),
-                        (sc.router.wants_rfb(), r.rfb_adaptivity),
-                        (sc.router.wants_mcc(), r.detection_cost),
-                    ] {
-                        if on {
-                            let _ = write!(line, " {value:>8.3}");
-                        }
-                    }
-                    let _ = writeln!(out, "{line} {:>8.3}", r.endpoints_safe);
+                    let _ = writeln!(
+                        out,
+                        "{:>7} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
+                        r.faults,
+                        r.oracle,
+                        r.mcc,
+                        r.rfb,
+                        r.greedy,
+                        r.mcc_adaptivity,
+                        r.rfb_adaptivity,
+                        r.detection_cost,
+                        r.endpoints_safe
+                    );
                 }
             }
             TableRows::Labelling(rows) => {
@@ -906,6 +897,45 @@ mod tests {
         }
     }
 
+    /// Every shipped scenario's quick table, swept by one worker, is
+    /// byte-identical to its golden (`tests/golden.rs` diffs the default
+    /// worker budget). The scenarios run side by side to keep the test
+    /// short; each one's seed sweep stays on one worker.
+    #[test]
+    fn every_quick_golden_matches_under_one_worker() {
+        let root = env!("CARGO_MANIFEST_DIR");
+        let mut stems: Vec<String> = std::fs::read_dir(format!("{root}/../../scenarios"))
+            .expect("scenarios/ exists")
+            .map(|e| e.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        stems.sort();
+        // Its debug build trips the exact route's "can never strand" check
+        // (ROADMAP item 1), as in `tests/golden.rs`.
+        const DEBUG_PANICS: &str = "e8_clustered_routing_3d";
+        stems.retain(|stem| !(cfg!(debug_assertions) && stem == DEBUG_PANICS));
+        assert!(stems.len() >= 19, "scenarios found: {stems:?}");
+        let drifted =
+            parallel_seeds_with(0..stems.len() as u64, mesh_topo::detected_cores(), |i| {
+                let stem = &stems[i as usize];
+                let sc = Scenario::load(format!("{root}/../../scenarios/{stem}.toml"))
+                    .unwrap_or_else(|e| panic!("{stem} parses: {e}"))
+                    .quick();
+                let golden =
+                    std::fs::read_to_string(format!("{root}/tests/golden/{stem}_quick.txt"))
+                        .unwrap_or_else(|e| panic!("{stem} has a golden: {e}"));
+                let report =
+                    run_with_workers(&sc, 1).unwrap_or_else(|e| panic!("{stem} runs: {e}"));
+                (format!("{}\n", report.render()) != golden).then(|| stem.clone())
+            });
+        let drifted: Vec<String> = drifted.into_iter().flatten().collect();
+        assert!(
+            drifted.is_empty(),
+            "one-worker tables drifted from their goldens: {drifted:?}"
+        );
+    }
+
     #[test]
     fn regions_scenario_runs_on_rectangular_mesh() {
         let mut sc = Scenario::regions_2d(10, &[3, 6], 4);
@@ -965,23 +995,5 @@ mod tests {
             let rendered = report.render();
             assert!(rendered.contains("verified"), "got: {rendered}");
         }
-    }
-
-    #[test]
-    fn router_choice_skips_baselines() {
-        let mut sc = Scenario::routing_2d(10, &[6], 8);
-        sc.router = crate::scenario::RouterChoice::Mcc;
-        let report = run_scenario(&sc).unwrap();
-        match &report.rows {
-            TableRows::Routing(rows) => {
-                // Baselines were never evaluated, so their columns stay 0.
-                assert!(rows.iter().all(|r| r.rfb == 0.0 && r.greedy == 0.0));
-                assert!(rows.iter().all(|r| r.mcc <= 1.0));
-            }
-            _ => panic!("wrong table kind"),
-        }
-        let rendered = report.render();
-        assert!(!rendered.contains("RFB"));
-        assert!(rendered.contains("MCC"));
     }
 }

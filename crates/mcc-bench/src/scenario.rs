@@ -1,8 +1,8 @@
 //! Declarative experiment descriptions.
 //!
 //! A [`Scenario`] captures everything the paper's tables vary — mesh
-//! dimensions (2-D or 3-D), fault pattern, fault-count ramp, border policy,
-//! router choice and seed range — as *data*, loaded from TOML files under
+//! dimensions (2-D or 3-D), fault regime, fault-count ramp and seed
+//! range — as *data*, loaded from TOML files under
 //! `scenarios/` (see `EXPERIMENTS.md` for the experiment → file map). The
 //! runner in [`crate::runner`] turns a scenario into table rows; new
 //! workloads are new TOML files, not new code.
@@ -20,13 +20,10 @@
 //!
 //! [faults]
 //! counts = [5, 10, 20, 40]    # the fault-count ramp
-//! pattern = "uniform"          # uniform | clustered (legacy shorthand)
-//! clusters = 3                 # cluster count (clustered pattern only)
-//! border = "safe"              # safe | blocked
 //!
-//! [faults.regime]              # extended fault regimes — exclusive with
-//! kind = "front"               # `pattern`; kind = uniform | clustered |
-//! fronts = 2                   # front | plane | transient | adversarial.
+//! [faults.regime]              # optional; uniform when absent
+//! kind = "front"               # uniform | clustered | front | plane
+//! fronts = 2                   #   | transient | adversarial
 //! # clusters = 3               # clustered: cluster seed points
 //! # axis = "x"                 # plane: sweep axis (x | y | z)
 //! # period = 6                 # transient: rounds per on/off cycle
@@ -35,7 +32,6 @@
 //!
 //! [run]
 //! seeds = [0, 400]             # half-open seed range [start, end)
-//! router = "all"               # all | mcc | rfb | greedy (routing tables)
 //! min_dist_frac = 0.5          # min endpoint separation / largest dim
 //! pairs_per_seed = 1           # routing pairs batched per fault config
 //! ```
@@ -58,6 +54,10 @@
 //! ```
 //!
 //! Churn tables add `[churn]` (`rounds`, `rate`).
+//!
+//! Every run labels under the border-safe policy (DESIGN.md §4), and every
+//! routing trial evaluates every model: the oracle, the MCC condition and
+//! route, the block check and route, and greedy.
 //!
 //! The section table `SECTIONS` in this module is the single source of
 //! the schema: every section, the keys it accepts and requires, and which
@@ -272,67 +272,12 @@ impl Default for ServiceProfile {
     }
 }
 
-/// Which router's columns the report keeps (routing tables).
-///
-/// Every trial still computes the labelling and the oracle (ground
-/// truth); deselecting a model skips the rest of its work — MCC
-/// extraction/detection/routing, the block model, or the greedy walk —
-/// and hides its columns from the rendered table.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RouterChoice {
-    /// All models: MCC, the block baseline, and greedy.
-    #[default]
-    All,
-    /// The paper's MCC router only.
-    Mcc,
-    /// The rectangular/cuboid fault-block baseline only.
-    Rfb,
-    /// The information-free greedy baseline only.
-    Greedy,
-}
-
-/// `run.router` names.
-const ROUTERS: [(&str, RouterChoice); 4] = [
-    ("all", RouterChoice::All),
-    ("mcc", RouterChoice::Mcc),
-    ("rfb", RouterChoice::Rfb),
-    ("greedy", RouterChoice::Greedy),
-];
-
-impl RouterChoice {
-    fn as_str(self) -> &'static str {
-        name_of(&ROUTERS, self)
-    }
-
-    /// Whether MCC columns are reported.
-    pub fn wants_mcc(self) -> bool {
-        matches!(self, RouterChoice::All | RouterChoice::Mcc)
-    }
-
-    /// Whether block-baseline columns are reported.
-    pub fn wants_rfb(self) -> bool {
-        matches!(self, RouterChoice::All | RouterChoice::Rfb)
-    }
-
-    /// Whether greedy columns are reported.
-    pub fn wants_greedy(self) -> bool {
-        matches!(self, RouterChoice::All | RouterChoice::Greedy)
-    }
-}
-
-/// `faults.border` names.
-const BORDERS: [(&str, BorderPolicy); 2] = [
-    ("safe", BorderPolicy::BorderSafe),
-    ("blocked", BorderPolicy::BorderBlocked),
-];
-
 /// `faults.regime.axis` names of the sweeping plane.
 const AXES: [(&str, usize); 3] = [("x", 0), ("y", 1), ("z", 2)];
 
 /// Every fault regime with its default knobs, and the keys its
 /// `[faults.regime]` section accepts beside `kind`. Kinds are named by
-/// [`FaultRegime::name`]; the legacy ones double as `faults.pattern`
-/// values, with `clusters` read from `[faults]`.
+/// [`FaultRegime::name`].
 #[rustfmt::skip]
 const REGIMES: [(FaultRegime, Keys); 6] = [
     (FaultRegime::Uniform, &[]),
@@ -358,14 +303,9 @@ pub struct Scenario {
     /// Fault-count ramp (one table row per entry).
     pub fault_counts: Vec<usize>,
     /// How faults come into being (spatial law and, for schedule-bearing
-    /// regimes, temporal law). The legacy `pattern = "uniform"/"clustered"`
-    /// keys map onto [`FaultRegime::Uniform`]/[`FaultRegime::Clustered`];
-    /// the extended regimes live in the `[faults.regime]` section.
+    /// regimes, temporal law): the `[faults.regime]` section, uniform when
+    /// the section is absent.
     pub regime: FaultRegime,
-    /// Labelling border policy.
-    pub border: BorderPolicy,
-    /// Router/model selection for routing tables.
-    pub router: RouterChoice,
     /// First seed (inclusive).
     pub seed_start: u64,
     /// Last seed (exclusive). `seed_end - seed_start` trials per row.
@@ -546,9 +486,9 @@ type Section = (&'static str, Presence, Keys, Keys);
 const SECTIONS: [Section; 8] = [
     ("", Always, &["name", "table"], &[]),
     ("mesh", Always, &["dims"], &["wrap"]),
-    ("faults", Always, &["counts"], &["pattern", "clusters", "border"]),
+    ("faults", Always, &["counts"], &[]),
     ("faults.regime", Optional, &["kind"], &[]),
-    ("run", Always, &["seeds"], &["router", "min_dist_frac", "pairs_per_seed"]),
+    ("run", Always, &["seeds"], &["min_dist_frac", "pairs_per_seed"]),
     ("churn", Only(TableKind::Churn), &["rounds"], &["rate"]),
     (
         "load", Optional,
@@ -762,18 +702,6 @@ impl<'a> Reader<'a> {
         lookup(&self.path("kind"), &kind, kinds)
     }
 
-    /// The legacy regime that `faults.pattern` names, uniform by default.
-    fn pattern(&self) -> Result<FaultRegime, ScenarioError> {
-        let Some(pattern) = self.get::<String>("pattern")? else {
-            return Ok(FaultRegime::Uniform);
-        };
-        let legacy = REGIMES
-            .iter()
-            .filter(|(regime, _)| regime.is_legacy())
-            .map(|&(regime, _)| (regime.name(), regime));
-        lookup(&self.path("pattern"), &pattern, legacy)
-    }
-
     /// `default` with each knob this section sets.
     fn regime(&self, default: FaultRegime) -> Result<FaultRegime, ScenarioError> {
         Ok(match default {
@@ -796,30 +724,6 @@ impl<'a> Reader<'a> {
             },
         })
     }
-}
-
-/// The knobs of `regime` as scenario keys, the inverse of
-/// [`Reader::regime`].
-fn regime_knobs(regime: FaultRegime) -> Vec<(&'static str, Value)> {
-    let int = |v: usize| Value::Int(v as i64);
-    match regime {
-        FaultRegime::Uniform => vec![],
-        FaultRegime::Clustered { clusters } => vec![("clusters", int(clusters))],
-        FaultRegime::CorrelatedFront { fronts } => vec![("fronts", int(fronts))],
-        FaultRegime::SweepingPlane { axis } => vec![("axis", text(AXES[axis.min(2)].0))],
-        FaultRegime::TransientSchedule { period, duty } => {
-            vec![("period", int(period)), ("duty", Value::Float(duty))]
-        }
-        FaultRegime::AdversarialBoundary { restarts } => vec![("restarts", int(restarts))],
-    }
-}
-
-fn text(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-fn int_array(items: impl IntoIterator<Item = i64>) -> Value {
-    Value::Array(items.into_iter().map(Value::Int).collect())
 }
 
 /// The most nodes one scenario mesh may have: the largest 2-D mesh the
@@ -870,7 +774,7 @@ impl Scenario {
         protected: &[C],
     ) -> usize {
         self.regime
-            .inject(mesh, count, seed, protected, self.border)
+            .inject(mesh, count, seed, protected, BorderPolicy::BorderSafe)
     }
 
     /// A copy with the seed range shrunk to roughly a tenth, for `--quick`
@@ -926,26 +830,8 @@ impl Scenario {
                 .then(|| Reader::of(doc, name))
         };
         let regime = match optional("faults.regime") {
-            Some(reg) => {
-                if faults.has("pattern") || faults.has("clusters") {
-                    return Err(invalid(
-                        "`faults.pattern`/`faults.clusters` and a [faults.regime] \
-                         section are mutually exclusive — the regime table already \
-                         names the sampling law",
-                    ));
-                }
-                reg.regime(reg.regime_kind()?.0)?
-            }
-            None => {
-                let pattern = faults.pattern()?;
-                if pattern == FaultRegime::Uniform && faults.has("clusters") {
-                    return Err(invalid(
-                        "`faults.clusters` is only meaningful with `pattern = \
-                         \"clustered\"` (it would be silently ignored here)",
-                    ));
-                }
-                faults.regime(pattern)?
-            }
+            Some(reg) => reg.regime(reg.regime_kind()?.0)?,
+            None => FaultRegime::Uniform,
         };
         let [seed_start, seed_end] = run.need("seeds")?;
         let (churn_rounds, churn_rate) = match optional("churn") {
@@ -990,8 +876,6 @@ impl Scenario {
             wrap: mesh.or("wrap", false)?,
             fault_counts: faults.need("counts")?,
             regime,
-            border: faults.named("border", &BORDERS)?.unwrap_or_default(),
-            router: run.named("router", &ROUTERS)?.unwrap_or_default(),
             seed_start,
             seed_end,
             min_dist_frac: run.or("min_dist_frac", 0.5)?,
@@ -1011,7 +895,7 @@ impl Scenario {
     /// Runs at scenario-load time ([`Scenario::from_toml`] /
     /// [`Scenario::load`]) and again at the top of
     /// [`crate::runner::run_scenario`], so programmatically built
-    /// scenarios (public fields, legacy constructors) cannot slip past
+    /// scenarios (public fields, programmatic constructors) cannot slip past
     /// it either. Guards against the historical silent misbehaviors:
     /// `pairs_per_seed = 0` produced empty rows rendered as `NaN`
     /// columns, fault counts at or beyond the node count spun the
@@ -1329,77 +1213,7 @@ impl Scenario {
         Ok(())
     }
 
-    /// Serialize back to the TOML schema. Round-trips through
-    /// [`Scenario::from_toml`].
-    pub fn to_toml(&self) -> String {
-        let extents = |dims: MeshDims| int_array(dims.extents().into_iter().map(i64::from));
-        let mut doc = Doc::default();
-        doc.set("", "name", text(&self.name));
-        doc.set("", "table", text(self.table.as_str()));
-        doc.set("mesh", "dims", extents(self.dims));
-        doc.set("mesh", "wrap", Value::Bool(self.wrap));
-        let counts = self.fault_counts.iter().map(|&n| n as i64);
-        doc.set("faults", "counts", int_array(counts));
-        doc.set("faults", "border", text(name_of(&BORDERS, self.border)));
-        // The legacy regimes keep emitting the legacy `pattern` keys so
-        // every pre-regime scenario file round-trips byte-for-byte; the
-        // extended regimes render as a typed [faults.regime] section
-        // (which the BTreeMap section order places right after [faults]).
-        let (section, name) = if self.regime.is_legacy() {
-            ("faults", "pattern")
-        } else {
-            ("faults.regime", "kind")
-        };
-        doc.set(section, name, text(self.regime.name()));
-        for (key, value) in regime_knobs(self.regime) {
-            doc.set(section, key, value);
-        }
-        let seeds = [self.seed_start as i64, self.seed_end as i64];
-        doc.set("run", "seeds", int_array(seeds));
-        doc.set("run", "router", text(self.router.as_str()));
-        doc.set("run", "min_dist_frac", Value::Float(self.min_dist_frac));
-        doc.set(
-            "run",
-            "pairs_per_seed",
-            Value::Int(self.pairs_per_seed as i64),
-        );
-        // Only churn tables carry a [churn] section (a SECTIONS rule).
-        if self.table == TableKind::Churn {
-            doc.set("churn", "rounds", Value::Int(self.churn_rounds as i64));
-            doc.set("churn", "rate", Value::Float(self.churn_rate));
-        }
-        if let Some(load) = &self.load {
-            doc.set("load", "initial_rps", Value::Int(load.initial_rps.into()));
-            doc.set(
-                "load",
-                "increment_rps",
-                Value::Int(load.increment_rps.into()),
-            );
-            doc.set("load", "max_rps", Value::Int(load.max_rps.into()));
-            doc.set("load", "step_secs", Value::Float(load.step_secs));
-            let mix = load.mix().map(Value::Float).to_vec();
-            doc.set("load", "mix", Value::Array(mix));
-            doc.set("load", "pool", Value::Int(load.pool as i64));
-            if let Some(alt) = load.alt_dims {
-                doc.set("load", "alt_dims", extents(alt));
-            }
-            doc.set("load", "fail_limit", Value::Float(load.fail_limit));
-        }
-        if let Some(service) = &self.service {
-            doc.set("service", "queue_cap", Value::Int(service.queue_cap as i64));
-            doc.set("service", "deadline_ms", Value::Float(service.deadline_ms));
-            let costs = service.cost_us.map(|c| c as i64);
-            doc.set("service", "cost_us", int_array(costs));
-            doc.set(
-                "service",
-                "snapshot_every",
-                Value::Int(service.snapshot_every as i64),
-            );
-        }
-        doc.render()
-    }
-
-    // ---- programmatic constructors used by the legacy sweep API ----
+    // ---- programmatic constructors for tests and examples ----
 
     /// A uniform-fault `table` scenario over `dims`, named after both
     /// (e.g. "routing 3-D").
@@ -1411,8 +1225,6 @@ impl Scenario {
             wrap: false,
             fault_counts: counts.to_vec(),
             regime: FaultRegime::Uniform,
-            border: BorderPolicy::BorderSafe,
-            router: RouterChoice::All,
             seed_start: 0,
             seed_end: seeds,
             min_dist_frac: 0.5,
@@ -1523,13 +1335,13 @@ mod tests {
 
         [faults]
         counts = [10, 20]
-        pattern = "clustered"
+
+        [faults.regime]
+        kind = "clustered"
         clusters = 4
-        border = "safe"
 
         [run]
         seeds = [0, 50]
-        router = "mcc"
         min_dist_frac = 0.75
     "#;
 
@@ -1547,8 +1359,6 @@ mod tests {
         );
         assert_eq!(s.fault_counts, vec![10, 20]);
         assert_eq!(s.regime, FaultRegime::Clustered { clusters: 4 });
-        assert_eq!(s.border, BorderPolicy::BorderSafe);
-        assert_eq!(s.router, RouterChoice::Mcc);
         assert_eq!((s.seed_start, s.seed_end), (0, 50));
         assert_eq!(s.min_dist_frac, 0.75);
     }
@@ -1561,8 +1371,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.regime, FaultRegime::Uniform);
-        assert_eq!(s.border, BorderPolicy::BorderSafe);
-        assert_eq!(s.router, RouterChoice::All);
         assert_eq!(s.min_dist_frac, 0.5);
         assert_eq!(s.pairs_per_seed, 1);
     }
@@ -1573,8 +1381,6 @@ mod tests {
              [faults]\ncounts = [4]\n[run]\nseeds = [0, 2]\n";
         let s = Scenario::from_toml(&format!("{base}pairs_per_seed = 16\n")).unwrap();
         assert_eq!(s.pairs_per_seed, 16);
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(back.pairs_per_seed, 16, "pairs_per_seed must round-trip");
         assert!(Scenario::from_toml(&format!("{base}pairs_per_seed = 0\n")).is_err());
         assert!(Scenario::from_toml(&format!("{base}pairs_per_seed = -3\n")).is_err());
     }
@@ -1619,13 +1425,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn toml_round_trip() {
-        let s = Scenario::from_toml(EXAMPLE).unwrap();
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(s, back);
-    }
-
     const CHURN_BASE: &str = "name = \"c\"\ntable = \"churn\"\n[mesh]\ndims = [16, 16]\n\
          [faults]\ncounts = [8, 16]\n[run]\nseeds = [0, 4]\n";
 
@@ -1636,8 +1435,6 @@ mod tests {
         assert_eq!(s.table, TableKind::Churn);
         assert_eq!(s.churn_rounds, 12);
         assert_eq!(s.churn_rate, 0.25);
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(s, back, "churn knobs must round-trip");
         // `rate` is optional and defaults to 0.25.
         let defaulted = Scenario::from_toml(&format!("{CHURN_BASE}[churn]\nrounds = 3\n")).unwrap();
         assert_eq!(defaulted.churn_rate, 0.25);
@@ -1752,8 +1549,6 @@ mod tests {
         // The optional threshold defaults.
         assert_eq!(load.fail_limit, LoadProfile::DEFAULT_FAIL_LIMIT);
         assert_eq!(load.max_steps(), 5);
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(s, back, "load knobs must round-trip");
     }
 
     #[test]
@@ -1838,8 +1633,6 @@ mod tests {
         assert_eq!(service.deadline_ms, 12.0);
         assert_eq!(service.cost_us, [12_000, 6_000, 24_000]);
         assert_eq!(service.snapshot_every, 8);
-        let back = Scenario::from_toml(&s.to_toml()).unwrap();
-        assert_eq!(s, back, "service knobs must round-trip");
         // Every [service] key is optional; omissions fall back to defaults.
         let s = Scenario::from_toml(&format!("{SERVICE_BASE}[service]\nqueue_cap = 4\n")).unwrap();
         let service = s.service.as_ref().unwrap();
@@ -1905,36 +1698,51 @@ mod tests {
     const REGIME_BASE: &str = "name = \"r\"\ntable = \"routing\"\n[mesh]\ndims = [16, 16]\n\
          [faults]\ncounts = [8]\n[run]\nseeds = [0, 4]\n";
 
-    /// Satellite: unknown keys anywhere in `[faults]` are a typed error,
-    /// not a silent no-op — the canonical foot-gun being `clusters` left
-    /// behind after switching `pattern` back to `"uniform"`.
+    /// Unknown keys anywhere in `[faults]` are a typed error, not a
+    /// silent no-op: a regime knob such as `clusters` belongs in
+    /// `[faults.regime]`, and a non-integer cluster count there is an
+    /// error, not the default 3.
     #[test]
     fn faults_rejects_unknown_and_orphaned_keys() {
-        let err = Scenario::from_toml(
-            "name = \"r\"\ntable = \"routing\"\n[mesh]\ndims = [16, 16]\n\
-             [faults]\ncounts = [8]\nclusterz = 3\n[run]\nseeds = [0, 4]\n",
-        )
-        .unwrap_err();
+        let err =
+            Scenario::from_toml(&REGIME_BASE.replace("counts = [8]", "counts = [8]\nclusterz = 3"))
+                .unwrap_err();
         assert!(
             err.to_string().contains("unknown key `clusterz`"),
             "got: {err}"
         );
-        let err = Scenario::from_toml(
-            "name = \"r\"\ntable = \"routing\"\n[mesh]\ndims = [16, 16]\n\
-             [faults]\ncounts = [8]\npattern = \"uniform\"\nclusters = 3\n\
-             [run]\nseeds = [0, 4]\n",
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("clusters"), "got: {err}");
-        assert!(err.to_string().contains("ignored"), "got: {err}");
-        // A non-integer cluster count is a typed error, not the default 3.
         for clusters in ["2.5", "\"nine\""] {
-            let faults = format!("counts = [8]\npattern = \"clustered\"\nclusters = {clusters}");
-            let err = Scenario::from_toml(&REGIME_BASE.replace("counts = [8]", &faults));
+            let section = format!("[faults.regime]\nkind = \"clustered\"\nclusters = {clusters}\n");
+            let err = Scenario::from_toml(&format!("{REGIME_BASE}{section}"));
             let err = err.unwrap_err().to_string();
             assert!(
-                err.contains("`faults.clusters` must be"),
+                err.contains("`faults.regime.clusters` must be"),
                 "{clusters}: {err}"
+            );
+        }
+    }
+
+    /// The model selection, the border policy and the pre-regime fault
+    /// spelling are not scenario keys: each is an unknown-key error that
+    /// names the key and its section.
+    #[test]
+    fn removed_keys_are_unknown_key_errors() {
+        let faults =
+            |key: &str| REGIME_BASE.replace("counts = [8]", &format!("counts = [8]\n{key}"));
+        for (text, key, section) in [
+            (
+                format!("{REGIME_BASE}router = \"all\"\n"),
+                "router",
+                "[run]",
+            ),
+            (faults("border = \"safe\""), "border", "[faults]"),
+            (faults("pattern = \"uniform\""), "pattern", "[faults]"),
+            (faults("clusters = 3"), "clusters", "[faults]"),
+        ] {
+            let err = Scenario::from_toml(&text).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("unknown key `{key}` in {section}")),
+                "{key}: {err}"
             );
         }
     }
@@ -2001,18 +1809,7 @@ mod tests {
         ] {
             let s = Scenario::from_toml(&format!("{REGIME_BASE}{section}")).unwrap();
             assert_eq!(s.regime, want, "section: {section}");
-            let back = Scenario::from_toml(&s.to_toml()).unwrap();
-            assert_eq!(s, back, "regime must round-trip: {section}");
         }
-    }
-
-    #[test]
-    fn regime_section_excludes_legacy_pattern_keys() {
-        let text = "name = \"r\"\ntable = \"routing\"\n[mesh]\ndims = [16, 16]\n\
-             [faults]\ncounts = [8]\npattern = \"uniform\"\n[run]\nseeds = [0, 4]\n\
-             [faults.regime]\nkind = \"front\"\n";
-        let err = Scenario::from_toml(text).unwrap_err();
-        assert!(err.to_string().contains("mutually exclusive"), "got: {err}");
     }
 
     #[test]

@@ -285,7 +285,6 @@ pub fn run_service_load(sc: &Scenario) -> Result<ServiceLoadReport, ScenarioErro
         .iter()
         .map(|&dims| {
             let mut spec = ShardSpec::new(dims_geometry(dims, sc.wrap), profile.snapshot_every);
-            spec.border = sc.border;
             spec.sync = SyncPolicy::Never;
             spec
         })

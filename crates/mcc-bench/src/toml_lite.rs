@@ -1,4 +1,4 @@
-//! A minimal TOML reader/writer for scenario files.
+//! A minimal TOML reader for scenario files.
 //!
 //! The build environment is offline, so instead of the `toml` crate the
 //! scenario layer uses this self-contained parser for the subset of TOML the
@@ -11,8 +11,8 @@
 //! * `#` comments and blank lines.
 //!
 //! Everything parses into [`Doc`], an ordered map of sections each holding an
-//! ordered `key → Value` map; [`Doc::render`] writes the same subset back out
-//! so documents round-trip.
+//! ordered `key → Value` map. Scenarios are read, never written: a
+//! [`Value`]'s `Display` quotes it in error messages.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -73,53 +73,39 @@ impl Value {
             _ => None,
         }
     }
-
-    fn render(&self, out: &mut String) {
-        match self {
-            Value::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        _ => out.push(ch),
-                    }
-                }
-                out.push('"');
-            }
-            Value::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() {
-                    let _ = write!(out, "{v:.1}");
-                } else {
-                    let _ = write!(out, "{v}");
-                }
-            }
-            Value::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.render(out);
-                }
-                out.push(']');
-            }
-        }
-    }
 }
 
+/// Writes the value as TOML, for error messages that quote it.
 impl std::fmt::Display for Value {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.render(&mut out);
-        f.write_str(&out)
+        match self {
+            Value::Str(s) => {
+                f.write_char('"')?;
+                for ch in s.chars() {
+                    match ch {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        '\n' => f.write_str("\\n")?,
+                        _ => f.write_char(ch)?,
+                    }
+                }
+                f.write_char('"')
+            }
+            Value::Float(v) if v.fract() == 0.0 && v.is_finite() => write!(f, "{v:.1}"),
+            Value::Float(v) => write!(f, "{v}"),
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Bool(v) => write!(f, "{v}"),
+            Value::Array(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+        }
     }
 }
 
@@ -243,35 +229,6 @@ impl Doc {
         } else {
             self.sections.get(section)?.get(key)
         }
-    }
-
-    /// Set a key in a section (or the root for `""`), creating the section.
-    pub fn set(&mut self, section: &str, key: &str, value: Value) {
-        let table = if section.is_empty() {
-            &mut self.root
-        } else {
-            self.sections.entry(section.to_string()).or_default()
-        };
-        table.insert(key.to_string(), value);
-    }
-
-    /// Render back to TOML text (root keys first, then sections).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (key, value) in &self.root {
-            let _ = write!(out, "{key} = ");
-            value.render(&mut out);
-            out.push('\n');
-        }
-        for (name, table) in &self.sections {
-            let _ = writeln!(out, "\n[{name}]");
-            for (key, value) in table {
-                let _ = write!(out, "{key} = ");
-                value.render(&mut out);
-                out.push('\n');
-            }
-        }
-        out
     }
 }
 
@@ -424,14 +381,6 @@ mod tests {
             doc.get("", "s").unwrap().as_str(),
             Some(r#"a # not a "comment""#)
         );
-    }
-
-    #[test]
-    fn round_trip() {
-        let text = "name = \"demo\"\n\n[mesh]\ndims = [8, 8]\n";
-        let doc = Doc::parse(text).unwrap();
-        let rendered = doc.render();
-        assert_eq!(Doc::parse(&rendered).unwrap(), doc);
     }
 
     #[test]

@@ -1,54 +1,34 @@
 //! Property battery for the fault-regime layer (see DESIGN.md §15).
 //!
-//! Two contracts:
-//!
-//! * **Schema identity** — for every regime kind, `to_toml` → `from_toml`
-//!   is the identity on scenarios (the typed `[faults.regime]` table
-//!   loses nothing), over arbitrary knob values.
-//! * **Sampling determinism** — a regime's fault set is a pure function
-//!   of `(mesh, count, seed, protected)`; resampling is bit-identical,
-//!   and pinned digests for fixed seeds force the CI thread-matrix legs
-//!   (`MCC_THREADS=1` vs `=0`) to produce byte-identical populations.
+//! The contract is **sampling determinism**: a regime's fault set is a
+//! pure function of `(mesh, count, seed, protected)`; resampling is
+//! bit-identical, and pinned digests for fixed seeds force the CI
+//! thread-matrix legs (`MCC_THREADS=1` vs `=0`) to produce byte-identical
+//! populations.
 
 use fault_model::{BorderPolicy, FaultRegime};
-use mcc_bench::scenario::Scenario;
 use mesh_topo::{Coord, Mesh, Mesh2D, Mesh3D};
 use proptest::prelude::*;
 
 const B: BorderPolicy = BorderPolicy::BorderSafe;
 
-/// Build the regime for one drawn knob tuple; callers bound the kind
-/// index to include or exclude the (slow) adversarial search. Duty
-/// cycles are drawn in hundredths so their decimal rendering survives
-/// the TOML float round-trip exactly.
-fn regime_from(kind: usize, knob: usize, period: usize, pct: u32) -> FaultRegime {
-    match kind {
+/// Arbitrary regime with knobs inside their validated ranges, without
+/// the adversarial search, whose annealing loop is too slow for a
+/// per-case property run (its determinism is pinned by
+/// `fault-model/tests/regime_adversarial.rs`).
+fn sampling_regime_strategy() -> impl Strategy<Value = FaultRegime> {
+    (0usize..5, 1usize..8, 2usize..16, 1u32..100).prop_map(|(kind, knob, period, pct)| match kind {
         0 => FaultRegime::Uniform,
         1 => FaultRegime::Clustered { clusters: knob },
         2 => FaultRegime::CorrelatedFront {
             fronts: (knob % 5) + 1,
         },
         3 => FaultRegime::SweepingPlane { axis: knob % 2 },
-        4 => FaultRegime::TransientSchedule {
+        _ => FaultRegime::TransientSchedule {
             period,
             duty: f64::from(pct) / 100.0,
         },
-        _ => FaultRegime::AdversarialBoundary { restarts: knob },
-    }
-}
-
-/// Arbitrary regime with knobs inside their validated ranges.
-fn regime_strategy() -> impl Strategy<Value = FaultRegime> {
-    (0usize..6, 1usize..8, 2usize..16, 1u32..100)
-        .prop_map(|(kind, knob, period, pct)| regime_from(kind, knob, period, pct))
-}
-
-/// Like [`regime_strategy`] but without the adversarial search, whose
-/// annealing loop is too slow for a per-case property run (its
-/// determinism is pinned by `fault-model/tests/regime_adversarial.rs`).
-fn sampling_regime_strategy() -> impl Strategy<Value = FaultRegime> {
-    (0usize..5, 1usize..8, 2usize..16, 1u32..100)
-        .prop_map(|(kind, knob, period, pct)| regime_from(kind, knob, period, pct))
+    })
 }
 
 /// FNV-1a over the fault list in injection order: any change to
@@ -79,20 +59,6 @@ fn resample<C: Coord>(
 }
 
 proptest! {
-    /// `to_toml` → `from_toml` is the identity for every regime kind.
-    /// A 2-D routing scenario accepts all of them (the adversarial
-    /// regime's table/pairs constraints included), so the round-trip
-    /// exercises both the legacy `pattern` keys and `[faults.regime]`.
-    #[test]
-    fn scenario_toml_round_trips_every_regime(regime in regime_strategy()) {
-        let mut sc = Scenario::routing_2d(16, &[4], 4);
-        sc.regime = regime;
-        sc.validate().expect("strategy stays inside validated ranges");
-        let back = Scenario::from_toml(&sc.to_toml())
-            .expect("rendered scenario parses");
-        prop_assert_eq!(sc, back);
-    }
-
     /// Regime sampling is a pure function of its inputs: resampling on a
     /// fresh mesh reproduces the fault set bit-for-bit, in both
     /// dimensions, and never exceeds the requested count.

@@ -6,37 +6,40 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use mcc_bench::scenario::{LoadProfile, MeshDims, Scenario, ServiceProfile};
+use mcc_bench::scenario::Scenario;
 use mcc_bench::service_load::{run_service_load, ServiceLoadReport};
 
 /// A sub-second service ramp over a mixed 2-D/3-D shard pool, costed so
 /// the top step is far beyond the shards' virtual service capacity.
+const SERVICE: &str = "\
+name = \"service 2-D\"
+table = \"service\"
+[mesh]
+dims = [12, 12]
+[faults]
+counts = [8]
+[run]
+seeds = [7, 8]
+[load]
+initial_rps = 100
+increment_rps = 100
+max_rps = 300
+step_secs = 0.05
+mix = [0.5, 0.3, 0.2]
+pool = 2
+alt_dims = [6, 6, 6]
+# Let the whole ramp run: this battery inspects the full shed curve
+# rather than stopping at first saturation.
+fail_limit = 0.95
+[service]
+queue_cap = 8
+deadline_ms = 4.0
+cost_us = [12000, 6000, 24000]
+snapshot_every = 4
+";
+
 fn service_scenario() -> Scenario {
-    Scenario::service_2d(
-        12,
-        8,
-        7,
-        LoadProfile {
-            initial_rps: 100,
-            increment_rps: 100,
-            max_rps: 300,
-            step_secs: 0.05,
-            mix_routing: 0.5,
-            mix_labelling: 0.3,
-            mix_churn: 0.2,
-            pool: 2,
-            alt_dims: Some(MeshDims::D3 { x: 6, y: 6, z: 6 }),
-            // Let the whole ramp run: this battery inspects the full shed
-            // curve rather than stopping at first saturation.
-            fail_limit: 0.95,
-        },
-        ServiceProfile {
-            queue_cap: 8,
-            deadline_ms: 4.0,
-            cost_us: [12_000, 6_000, 24_000],
-            snapshot_every: 4,
-        },
-    )
+    Scenario::from_toml(SERVICE).expect("the service scenario is valid")
 }
 
 /// One step of [`deterministic_view`]: (step, rps, ops, admitted,
@@ -112,19 +115,19 @@ fn run_service_load_refuses_other_tables() {
     assert!(err.to_string().contains("service"), "got: {err}");
 }
 
-/// Write a scenario to a fresh temp file and return its path.
-fn write_scenario(sc: &Scenario, name: &str) -> PathBuf {
+/// Write a scenario document to a fresh temp file and return its path.
+fn write_scenario(text: &str, name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mcc-service-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
-    std::fs::write(&path, sc.to_toml()).expect("write scenario");
+    std::fs::write(&path, text).expect("write scenario");
     path
 }
 
 #[test]
 fn tables_binary_prints_the_service_shed_table() {
     let sc = service_scenario();
-    let path = write_scenario(&sc, "svc-tables.toml");
+    let path = write_scenario(SERVICE, "svc-tables.toml");
     let run = Command::new(env!("CARGO_BIN_EXE_tables"))
         .arg(&path)
         .output()

@@ -359,6 +359,15 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "ROADMAP item 1: the floods admit a pair in a one-wide box that the condition blocks (reaching the face is not reaching d)"]
+    fn witness_one_wide_false_admit() {
+        assert_detection_matches_condition(
+            &[c3(1, 0, 0), c3(0, 1, 0), c3(2, 1, 1), c3(1, 2, 1)],
+            c3(2, 2, 1),
+        );
+    }
+
+    #[test]
     fn degenerate_pairs() {
         let lab = lab_of(&[c3(4, 4, 4)], 6);
         assert!(detect_3d(&lab, c3(1, 1, 1), c3(1, 1, 1)).feasible());

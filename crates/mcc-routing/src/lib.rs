@@ -39,6 +39,7 @@
 //! ([`run_trial_with`]):
 //!
 //! ```
+//! use fault_model::BorderPolicy;
 //! use mcc_routing::{run_trial_2d, TrialOptions};
 //! use mcc_routing::trial::run_trial_with;
 //! use mesh_topo::coord::c2;
@@ -53,10 +54,11 @@
 //! assert_eq!(t.mcc_ok, t.oracle_ok, "Theorem 1 is exact");
 //! assert!(t.mcc_delivered && t.mcc_hops == 22);
 //!
-//! // The same trial with the block baseline switched off.
-//! let opts = TrialOptions { eval_rfb: false, ..TrialOptions::default() };
+//! // The same trial under the blocked-border ablation: the far corner
+//! // is labelled unsafe, so the MCC router never starts.
+//! let opts = TrialOptions { border: BorderPolicy::BorderBlocked };
 //! let t = run_trial_with(&mesh, c2(0, 0), c2(11, 11), 7, &opts);
-//! assert!(!t.rfb_ok);
+//! assert!(t.oracle_ok && !t.endpoints_safe && !t.mcc_delivered);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -70,7 +70,6 @@ use crate::trial::{TrialOptions, TrialResult};
 #[derive(Clone, Debug)]
 pub struct PreparedMesh<'m, C: RouteSpace> {
     models: ModelCache<'m, C>,
-    opts: TrialOptions,
     /// Reachability buffer for the oracle, the block-model check and the
     /// block router (which reuses the check's sweep).
     useful: Useful<C>,
@@ -94,7 +93,6 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
     pub fn new(mesh: &'m Mesh<C>, opts: TrialOptions) -> PreparedMesh<'m, C> {
         PreparedMesh {
             models: ModelCache::new(mesh, opts.border),
-            opts,
             useful: Useful::scratch(),
             cond_useful: Useful::scratch(),
             scratch: Default::default(),
@@ -122,10 +120,9 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
             mesh.is_healthy(s) && mesh.is_healthy(d),
             "trial endpoints must be healthy"
         );
-        let opts = self.opts;
         let frame = Frame::for_pair(mesh, s, d);
         let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let m = self.models.models(frame, opts.eval_rfb);
+        let m = self.models.models(frame);
         let (lab, blocks) = (m.lab, m.blocks);
 
         self.useful
@@ -133,24 +130,21 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
         let oracle_ok = self.useful.contains(cs);
         // The condition's sweep stays in `cond_useful` for the router; the
         // block check's sweep stays in `useful` for the block router.
-        let mcc_ok = opts.eval_mcc && evaluate(lab, cs, cd, &mut self.cond_useful).exists();
-        let rfb_ok = blocks.is_some_and(|b| b.minimal_path_exists_in(mesh, s, d, &mut self.useful));
+        let mcc_ok = evaluate(lab, cs, cd, &mut self.cond_useful).exists();
+        let rfb_ok = blocks.minimal_path_exists_in(mesh, s, d, &mut self.useful);
         let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
 
+        let walk = greedy(lab, cs, cd, &mut Policy::random(policy_seed));
         let mut result = TrialResult {
             oracle_ok,
             mcc_ok,
             rfb_ok,
+            greedy_ok: RouteSummary::new(cs, walk, 0).delivered,
             endpoints_safe,
             ..TrialResult::default()
         };
 
-        if opts.eval_greedy {
-            let walk = greedy(lab, cs, cd, &mut Policy::random(policy_seed));
-            result.greedy_ok = RouteSummary::new(cs, walk, 0).delivered;
-        }
-
-        if endpoints_safe && opts.eval_mcc {
+        if endpoints_safe {
             // `cond_useful` still holds the condition's closure sweep for
             // exactly this canonical pair (or is unread: s == d).
             let (walk, cost) = route_exact_reusing(
@@ -192,7 +186,6 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
 mod tests {
     use super::*;
     use fault_model::{BorderPolicy, FaultRegime};
-    use mesh_topo::coord::c2;
     use mesh_topo::{Mesh2D, Mesh3D};
 
     /// Run 40 pairs of the `k`-ary `mesh` through one prepared mesh and
@@ -232,21 +225,5 @@ mod tests {
         let mut mesh = Mesh3D::kary(8);
         FaultRegime::Uniform.inject(&mut mesh, 40, 9, &[], BorderPolicy::BorderSafe);
         batch_matches_fresh(&mesh, 8);
-    }
-
-    #[test]
-    fn model_selection_is_honored() {
-        let mut mesh = Mesh2D::new(10, 10);
-        mesh.inject_fault(c2(4, 4));
-        let opts = TrialOptions {
-            eval_mcc: false,
-            eval_rfb: false,
-            eval_greedy: false,
-            ..TrialOptions::default()
-        };
-        let mut pm = PreparedMesh2::new(&mesh, opts);
-        let t = pm.run_trial(c2(0, 0), c2(9, 9), 3);
-        assert!(t.oracle_ok);
-        assert!(!t.mcc_ok && !t.rfb_ok && !t.greedy_ok && !t.mcc_delivered);
     }
 }

@@ -9,7 +9,7 @@
 //! * **greedy** — did an information-free adaptive walk deliver?
 //!
 //! plus routing metrics (hops, adaptivity, detection cost) for the models
-//! that actually routed. The benchmark harness aggregates trials into the
+//! that routed. The benchmark harness aggregates trials into the
 //! tables of `EXPERIMENTS.md`.
 //!
 //! The per-trial functions here are thin wrappers over the prepared-mesh
@@ -86,38 +86,26 @@ impl TrialResult {
 }
 
 /// Knobs shared by the trial runners, threaded down from the scenario
-/// layer: which border policy the labelling uses and which models are
-/// evaluated at all. Skipping a model skips its computation beyond the
-/// parts other columns need — the labelling always runs (the greedy
-/// baseline and `endpoints_safe` depend on it), but `eval_mcc: false`
-/// skips the existence condition, detection and routing, and `eval_rfb:
-/// false` skips the block model entirely. No setting builds an MCC set:
-/// the condition and the router read the labelling alone.
+/// layer: the border policy the labelling uses. Every trial evaluates
+/// every model — the oracle, the MCC condition and route, the block
+/// check and route, and greedy. No step builds an MCC set: the condition
+/// and the router read the labelling alone.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct TrialOptions {
     /// Border policy for the MCC labelling.
     pub border: BorderPolicy,
-    /// Evaluate the MCC model's existence condition and router.
-    pub eval_mcc: bool,
-    /// Evaluate the rectangular/cuboid block baseline.
-    pub eval_rfb: bool,
-    /// Evaluate the information-free greedy baseline.
-    pub eval_greedy: bool,
 }
 
 impl Default for TrialOptions {
     fn default() -> Self {
         TrialOptions {
             border: BorderPolicy::BorderSafe,
-            eval_mcc: true,
-            eval_rfb: true,
-            eval_greedy: true,
         }
     }
 }
 
 /// Run one 2-D trial with the paper-faithful defaults (border-safe
-/// labelling, all models evaluated).
+/// labelling).
 ///
 /// # Panics
 /// If either endpoint is faulty.
@@ -126,7 +114,7 @@ pub fn run_trial_2d(mesh: &Mesh2D, s: C2, d: C2, policy_seed: u64) -> TrialResul
 }
 
 /// Run one 3-D trial with the paper-faithful defaults (border-safe
-/// labelling, all models evaluated).
+/// labelling).
 ///
 /// # Panics
 /// If either endpoint is faulty.

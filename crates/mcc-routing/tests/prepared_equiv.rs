@@ -2,8 +2,8 @@
 //! observationally identical to the fresh-per-trial functions, and to the
 //! decomposed public calls that build every MCC set.
 //!
-//! For random meshes, fault ramps, border policies and `TrialOptions`
-//! combinations, a batch of pairs run through one
+//! For random meshes, fault ramps and both border policies (the one
+//! `TrialOptions` knob), a batch of pairs run through one
 //! [`PreparedMesh2`]/[`PreparedMesh3`] must produce `TrialResult`s whose
 //! every field — including the adaptivity and detection floats, compared
 //! bit-for-bit — equals a fresh `run_trial_*_with` call on the same
@@ -15,8 +15,8 @@
 //! that against the pipeline spelled out in public calls — `MccSet2/3::
 //! compute`, `minimal_path_exists_{2d,3d}_in`, `Router2/3::new(lab,
 //! &mccs)` under `BoundaryExact`, `FaultBlocks::compute` and the two
-//! baselines — on meshes and tori of both dimensions, under every
-//! `TrialOptions`. `cargo test` runs a slice; the full battery is the
+//! baselines — on meshes and tori of both dimensions, under both border
+//! policies. `cargo test` runs a slice; the full battery is the
 //! ignored test, run in release:
 //!
 //! ```text
@@ -39,33 +39,27 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn options(border_blocked: bool, mcc: bool, rfb: bool, greedy: bool) -> TrialOptions {
+fn options(border_blocked: bool) -> TrialOptions {
     TrialOptions {
         border: if border_blocked {
             BorderPolicy::BorderBlocked
         } else {
             BorderPolicy::BorderSafe
         },
-        eval_mcc: mcc,
-        eval_rfb: rfb,
-        eval_greedy: greedy,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// 2-D: every pair of a batch agrees with its fresh twin, across all
-    /// 16 `TrialOptions` combinations and both border policies.
+    /// 2-D: every pair of a batch agrees with its fresh twin, under both
+    /// border policies.
     #[test]
     fn prepared_equals_fresh_2d(
         dims in (6..14i32, 6..14i32),
         faults in proptest::collection::vec((0..14i32, 0..14i32), 0..24),
         pairs in proptest::collection::vec((0..14i32, 0..14i32, 0..14i32, 0..14i32), 1..10),
         border_blocked in any::<bool>(),
-        eval_mcc in any::<bool>(),
-        eval_rfb in any::<bool>(),
-        eval_greedy in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let (w, h) = dims;
@@ -76,7 +70,7 @@ proptest! {
                 mesh.inject_fault(c);
             }
         }
-        let opts = options(border_blocked, eval_mcc, eval_rfb, eval_greedy);
+        let opts = options(border_blocked);
         let mut pm = PreparedMesh2::new(&mesh, opts);
         for (i, (sx, sy, dx, dy)) in pairs.into_iter().enumerate() {
             let s = c2(sx % w, sy % h);
@@ -105,9 +99,6 @@ proptest! {
             1..8,
         ),
         border_blocked in any::<bool>(),
-        eval_mcc in any::<bool>(),
-        eval_rfb in any::<bool>(),
-        eval_greedy in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let k = k.0;
@@ -118,7 +109,7 @@ proptest! {
                 mesh.inject_fault(c);
             }
         }
-        let opts = options(border_blocked, eval_mcc, eval_rfb, eval_greedy);
+        let opts = options(border_blocked);
         let mut pm = PreparedMesh3::new(&mesh, opts);
         for (i, (sx, sy, sz, dx, dy, dz)) in pairs.into_iter().enumerate() {
             let s = c3(sx % k, sy % k, sz % k);
@@ -145,9 +136,6 @@ proptest! {
         dims in (3..12i32, 3..12i32),
         faults in proptest::collection::vec((0..12i32, 0..12i32), 0..20),
         pairs in proptest::collection::vec((0..12i32, 0..12i32, 0..12i32, 0..12i32), 1..10),
-        eval_mcc in any::<bool>(),
-        eval_rfb in any::<bool>(),
-        eval_greedy in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let (w, h) = dims;
@@ -158,7 +146,7 @@ proptest! {
                 mesh.inject_fault(c);
             }
         }
-        let opts = options(false, eval_mcc, eval_rfb, eval_greedy);
+        let opts = TrialOptions::default();
         let mut pm = PreparedMesh2::new(&mesh, opts);
         // Run the batch twice: the second lap re-hits every slot with a
         // frame already seen, the aliasing case the full-frame key guards.
@@ -189,9 +177,6 @@ proptest! {
             (0..7i32, 0..7i32, 0..7i32, 0..7i32, 0..7i32, 0..7i32),
             1..8,
         ),
-        eval_mcc in any::<bool>(),
-        eval_rfb in any::<bool>(),
-        eval_greedy in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let (nx, ny, nz) = dims;
@@ -202,7 +187,7 @@ proptest! {
                 mesh.inject_fault(c);
             }
         }
-        let opts = options(false, eval_mcc, eval_rfb, eval_greedy);
+        let opts = TrialOptions::default();
         let mut pm = PreparedMesh3::new(&mesh, opts);
         let pairs2 = pairs.clone();
         for (i, (sx, sy, sz, dx, dy, dz)) in pairs.into_iter().chain(pairs2).enumerate() {
@@ -228,7 +213,7 @@ proptest! {
 /// seeds and the fields they fill are those of `PreparedMesh::run_trial`.
 fn assemble(
     [oracle_ok, mcc_ok, rfb_ok, endpoints_safe]: [bool; 4],
-    greedy: Option<RouteSummary>,
+    greedy: RouteSummary,
     mcc: Option<RouteSummary>,
     rfb: Option<RouteSummary>,
 ) -> TrialResult {
@@ -237,7 +222,7 @@ fn assemble(
         mcc_ok,
         rfb_ok,
         endpoints_safe,
-        greedy_ok: greedy.is_some_and(|g| g.delivered),
+        greedy_ok: greedy.delivered,
         ..TrialResult::default()
     };
     if let Some(out) = mcc {
@@ -264,14 +249,11 @@ fn decomposed_2d(mesh: &Mesh2D, s: C2, d: C2, seed: u64, opts: &TrialOptions) ->
     let blocks = FaultBlocks2::compute(mesh);
     let oracle_ok = oracle::reachable_2d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
     let mut useful = Useful2::scratch();
-    let mcc_ok =
-        opts.eval_mcc && minimal_path_exists_2d_in(&lab, &mccs, cs, cd, &mut useful).exists();
-    let rfb_ok = opts.eval_rfb && blocks.minimal_path_exists_in(mesh, s, d, &mut useful);
+    let mcc_ok = minimal_path_exists_2d_in(&lab, &mccs, cs, cd, &mut useful).exists();
+    let rfb_ok = blocks.minimal_path_exists_in(mesh, s, d, &mut useful);
     let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
-    let greedy = opts
-        .eval_greedy
-        .then(|| baseline::route_greedy_2d(&lab, cs, cd, &mut Policy::random(seed)).summary());
-    let mcc = (opts.eval_mcc && endpoints_safe).then(|| {
+    let greedy = baseline::route_greedy_2d(&lab, cs, cd, &mut Policy::random(seed)).summary();
+    let mcc = endpoints_safe.then(|| {
         let policy = &mut Policy::random(seed ^ 0x9e37_79b9);
         Router2::new(&lab, &mccs)
             .route_with_rule_in(cs, cd, policy, DecisionRule::BoundaryExact, &mut useful)
@@ -298,13 +280,11 @@ fn decomposed_3d(mesh: &Mesh3D, s: C3, d: C3, seed: u64, opts: &TrialOptions) ->
     let blocks = FaultBlocks3::compute(mesh);
     let oracle_ok = oracle::reachable_3d(cs, cd, |c| mesh.is_faulty(frame.from_canon(c)));
     let mut useful = Useful3::scratch();
-    let mcc_ok = opts.eval_mcc && minimal_path_exists_3d_in(&lab, cs, cd, &mut useful).exists();
-    let rfb_ok = opts.eval_rfb && blocks.minimal_path_exists_in(mesh, s, d, &mut useful);
+    let mcc_ok = minimal_path_exists_3d_in(&lab, cs, cd, &mut useful).exists();
+    let rfb_ok = blocks.minimal_path_exists_in(mesh, s, d, &mut useful);
     let endpoints_safe = lab.is_safe(cs) && lab.is_safe(cd);
-    let greedy = opts
-        .eval_greedy
-        .then(|| baseline::route_greedy_3d(&lab, cs, cd, &mut Policy::random(seed)).summary());
-    let mcc = (opts.eval_mcc && endpoints_safe).then(|| {
+    let greedy = baseline::route_greedy_3d(&lab, cs, cd, &mut Policy::random(seed)).summary();
+    let mcc = endpoints_safe.then(|| {
         let policy = &mut Policy::random(seed ^ 0x9e37_79b9);
         Router3::new(&lab, &mccs)
             .route_with_rule_in(
@@ -329,17 +309,16 @@ fn decomposed_3d(mesh: &Mesh3D, s: C3, d: C3, seed: u64, opts: &TrialOptions) ->
 }
 
 /// Run `cases` random 2-D and `cases` random 3-D fault configurations
-/// from `seed`, every other one a torus, each under the `TrialOptions`
-/// combination of its index (all 16 in turn), and require every pair of a
-/// batch through one prepared mesh to equal its decomposed trial. Returns
-/// the number of pairs checked.
+/// from `seed`, every other one a torus, alternating the border policy
+/// every two cases, and require every pair of a batch through one
+/// prepared mesh to equal its decomposed trial. Returns the number of
+/// pairs checked.
 fn decomposed_battery(seed: u64, cases: usize) -> usize {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut pairs = 0;
     for case in 0..cases {
         let torus = case % 2 == 1;
-        let bit = |k: usize| (case / 2) >> k & 1 == 1;
-        let opts = options(bit(0), bit(1), bit(2), bit(3));
+        let opts = options(case / 2 % 2 == 1);
         let lo = if torus { 3 } else { 2 };
         let share = rng.gen_range(0.0..0.3);
 
@@ -399,7 +378,7 @@ fn decomposed_battery(seed: u64, cases: usize) -> usize {
 
 #[test]
 fn trial_matches_mcc_set_pipeline_slice() {
-    // Five laps of the 16 option combinations, each on a mesh and a torus.
+    // Forty laps of both border policies, each on a mesh and a torus.
     assert!(decomposed_battery(41, 160) > 1_500);
 }
 
