@@ -9,15 +9,16 @@
 //!
 //! * the labelling of each orientation is patched in place by
 //!   [`Labelling::repair`] (dirty-region worklist or bulk re-sweep), once
-//!   per unseen churn batch,
-//! * the component decomposition by [`Components::repair`], once per sync
-//!   over the merged dirty regions: only the components a flip touched are
-//!   re-discovered, and they are spliced into the component list at their
-//!   sorted position ([`Splice`](crate::Splice)) while every other
-//!   component keeps its cells and its stable internal handle,
-//! * the MCC records by the same splice on the MCC list: only re-discovered
-//!   or status-touched components are re-extracted, every other MCC is
-//!   left in place,
+//!   per unseen churn batch, on every [`labelling`] or [`models`] call,
+//! * the component decomposition by [`Components::repair`], once per
+//!   [`models`] call over the statuses changed since the previous one:
+//!   only the components a flip touched are re-discovered, and they are
+//!   spliced into the component list at their sorted position
+//!   ([`Splice`](crate::Splice)) while every other component keeps its
+//!   cells and its stable internal handle,
+//! * the MCC records by the same splice on the MCC list, in the same
+//!   [`models`] call: only re-discovered or status-touched components are
+//!   re-extracted, every other MCC is left in place,
 //! * the orientation-free block model is invalidated wholesale and lazily
 //!   recomputed — it is cheap relative to the labelling family and has no
 //!   per-orientation structure to exploit.
@@ -34,18 +35,28 @@
 //! flips the fault bits and records the delta in a generation log (no
 //! entry at all while no slot is live: a slot built later starts from the
 //! mesh as it then is); a slot replays the log entries it
-//! has not seen the next time [`models`] asks for its orientation. A heal
-//! whose effect never reaches a slot's orientation still replays there, but
-//! the replay touches only the perturbation's closure cone — update cost
-//! scales with the batch, not the mesh, and not the number of fault
-//! regions: a sync costs O(changed statuses + affected components +
+//! has not seen the next time [`labelling`] or [`models`] asks for its
+//! orientation. A heal whose effect never reaches a slot's orientation
+//! still replays there, but the replay touches only the perturbation's
+//! closure cone — update cost scales with the batch, not the mesh, and not
+//! the number of fault regions.
+//!
+//! Each slot holds two layers. The **labelling layer** is synced on every
+//! call; a router, which reads only the safe/unsafe labelling (Algorithms
+//! 3 and 6), calls [`labelling`] and pays for nothing else. The **region
+//! layer** — components and MCC records — is built on the slot's first
+//! [`models`] call and repaired only by later [`models`] calls; between
+//! them every labelling replay adds its changed statuses to the slot's
+//! pending [`NodeSet`], one bit per node of the space, so the pending
+//! memory is bounded by the node count however long the region layer
+//! lags. A region repair costs O(changed statuses + affected components +
 //! log #components), plus moving the component and MCC lists' entries
 //! behind the first changed position. [`statuses_repaired`],
-//! [`mccs_extracted`] and [`slot_rebuilds`] count that work
-//! deterministically. The log is compacted once every
+//! [`mccs_extracted`], [`slot_rebuilds`] and [`region_builds`] count that
+//! work deterministically. The log is compacted once every
 //! live slot has advanced past an entry, and a slot left behind by more
-//! than [`LOG_CAP`] generations is dropped and rebuilt from scratch on
-//! next use, bounding both memory and replay time.
+//! than [`LOG_CAP`] generations is dropped — both layers — and rebuilt
+//! from scratch on next use, bounding both memory and replay time.
 //!
 //! Every repaired model is **bit-for-bit equal** to recomputing from
 //! scratch on the churned mesh — statuses, unsafe sets, component ids and
@@ -61,10 +72,12 @@
 //! [`apply_checked`]: IncrementalModels::apply_checked
 //! [`check`]: IncrementalModels::check
 //! [`try_apply`]: IncrementalModels::try_apply
+//! [`labelling`]: IncrementalModels::labelling
 //! [`models`]: IncrementalModels::models
 //! [`statuses_repaired`]: IncrementalModels::statuses_repaired
 //! [`mccs_extracted`]: IncrementalModels::mccs_extracted
 //! [`slot_rebuilds`]: IncrementalModels::slot_rebuilds
+//! [`region_builds`]: IncrementalModels::region_builds
 //!
 //! # Examples
 //!
@@ -271,14 +284,25 @@ struct LogEntry<C> {
     healed: Vec<C>,
 }
 
-/// The incrementally maintained models of one orientation.
+/// The incrementally maintained models of one orientation: the labelling
+/// layer, synced on every use, and the region layer, built and repaired
+/// only by [`IncrementalModels::models`].
 #[derive(Clone, Debug)]
 struct IncSlot<C: Coord> {
-    /// Generation the models below reflect.
+    /// Generation the labelling reflects.
     synced: u64,
     lab: Labelling<C>,
+    region: Option<RegionLayer<C>>,
+}
+
+/// The components and MCC records of one orientation, repaired lazily.
+#[derive(Clone, Debug)]
+struct RegionLayer<C: Coord> {
     comps: Components<C>,
     mccs: MccSet<C>,
+    /// Nodes whose status a labelling repair changed since `comps` and
+    /// `mccs` were last repaired: at most one bit per node of the space.
+    pending: NodeSet,
 }
 
 /// Borrowed views of one orientation's incrementally maintained models.
@@ -317,6 +341,8 @@ pub struct IncrementalModels<C: Coord> {
     /// Slots built from scratch (first use, torus re-rotation, or dropped
     /// past [`LOG_CAP`]).
     slot_rebuilds: usize,
+    /// Region layers built from scratch.
+    region_builds: usize,
     /// MCCs extracted by slot repairs.
     mccs_extracted: usize,
 }
@@ -340,6 +366,7 @@ impl<C: Coord> IncrementalModels<C> {
             blocks_synced: 0,
             repaired_statuses: 0,
             slot_rebuilds: 0,
+            region_builds: 0,
             mccs_extracted: 0,
         }
     }
@@ -372,18 +399,31 @@ impl<C: Coord> IncrementalModels<C> {
         self.slot_rebuilds
     }
 
-    /// Number of MCCs slot repairs have extracted — the re-discovered
+    /// Number of region layers (components plus MCC records) built from
+    /// scratch: the first [`models`] call on a slot, and the first after
+    /// that slot was rebuilt. Traffic that only reads [`labelling`] builds
+    /// none.
+    ///
+    /// [`models`]: IncrementalModels::models
+    /// [`labelling`]: IncrementalModels::labelling
+    pub fn region_builds(&self) -> usize {
+        self.region_builds
+    }
+
+    /// Number of MCCs region repairs have extracted — the re-discovered
     /// components plus the carried ones with a changed status. A repair
     /// reuses every other MCC, so this grows with the churn, not with the
-    /// number of fault regions. Rebuilt slots are not counted here.
+    /// number of fault regions. Region builds are not counted here.
     pub fn mccs_extracted(&self) -> usize {
         self.mccs_extracted
     }
 
-    /// True if the slot holding `frame`'s orientation exists and already
-    /// reflects the current generation (a [`models`] call would neither
-    /// rebuild nor replay).
+    /// True if the slot holding `frame`'s orientation exists and its
+    /// labelling already reflects the current generation (a [`labelling`]
+    /// call would neither rebuild nor replay; a [`models`] call may still
+    /// build or repair the slot's components and MCC records).
     ///
+    /// [`labelling`]: IncrementalModels::labelling
     /// [`models`]: IncrementalModels::models
     pub fn slot_current(&self, frame: Frame<C>) -> bool {
         matches!(
@@ -486,50 +526,90 @@ impl<C: Coord> IncrementalModels<C> {
         self.log.retain(|e| e.gen > keep_after);
     }
 
-    /// Fetch the maintained models for `frame`'s orientation, bringing its
-    /// slot up to the current generation first: an empty (or, on a torus,
+    /// The maintained labelling of `frame`'s orientation, brought up to the
+    /// current generation first: an empty (or, on a torus,
     /// differently-rotated) slot is built from scratch; a lagging slot
-    /// replays the labelling repair of each churn batch it has not seen,
-    /// then repairs components and MCCs in place **once**, over the merged
-    /// dirty regions of those batches.
+    /// replays the labelling repair of each churn batch it has not seen.
+    /// Components and MCC records are neither built nor repaired; if the
+    /// slot holds them, the changed statuses are kept for the next
+    /// [`models`] call.
+    ///
+    /// [`models`]: IncrementalModels::models
+    pub fn labelling(&mut self, frame: Frame<C>) -> &Labelling<C> {
+        let idx = self.sync_labelling(frame);
+        &self.slots[idx].as_ref().expect("just synced").lab
+    }
+
+    /// Fetch the maintained models for `frame`'s orientation: the
+    /// labelling synced as by [`labelling`], then the components and MCC
+    /// records, built on the slot's first `models` call and afterwards
+    /// repaired in place **once** per call, over the statuses changed
+    /// since the previous one.
+    ///
+    /// [`labelling`]: IncrementalModels::labelling
     pub fn models(&mut self, frame: Frame<C>) -> IncModelsRef<'_, C> {
+        let idx = self.sync_labelling(frame);
+        let slot = self.slots[idx].as_mut().expect("just synced");
+        match &mut slot.region {
+            Some(region) if !region.pending.is_empty() => {
+                // A node that flipped and flipped back since the last call
+                // stays pending: a harmless dirty mark, since the component
+                // and MCC repairs only need a superset of the flipped nodes.
+                let changed: Vec<usize> = region.pending.iter().collect();
+                region.pending.clear();
+                let splice = region.comps.repair(&slot.lab, &changed);
+                let mccs = &mut region.mccs;
+                self.mccs_extracted += mccs.repair(&slot.lab, &region.comps, &splice, &changed);
+            }
+            Some(_) => {}
+            None => {
+                let comps = Components::compute(&slot.lab);
+                let mccs = MccSet::from_components(&comps, &slot.lab);
+                slot.region = Some(RegionLayer {
+                    comps,
+                    mccs,
+                    pending: NodeSet::new(self.mesh.space().len()),
+                });
+                self.region_builds += 1;
+            }
+        }
+        let slot = self.slots[idx].as_ref().expect("just synced");
+        let region = slot.region.as_ref().expect("just built");
+        IncModelsRef {
+            lab: &slot.lab,
+            comps: &region.comps,
+            mccs: &region.mccs,
+        }
+    }
+
+    /// Bring the labelling of `frame`'s slot up to the current generation
+    /// (see [`labelling`](IncrementalModels::labelling)); returns the
+    /// slot's index.
+    fn sync_labelling(&mut self, frame: Frame<C>) -> usize {
         let idx = frame.index();
         let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
         if rebuild {
-            let lab = Labelling::compute(&self.mesh, frame, self.border);
-            let comps = Components::compute(&lab);
-            let mccs = MccSet::from_components(&comps, &lab);
             self.slots[idx] = Some(IncSlot {
                 synced: self.generation,
-                lab,
-                comps,
-                mccs,
+                lab: Labelling::compute(&self.mesh, frame, self.border),
+                region: None,
             });
             self.slot_rebuilds += 1;
         }
         let slot = self.slots[idx].as_mut().expect("just filled");
         if slot.synced < self.generation {
-            // A node that flips and flips back inside the window stays in
-            // the merged list: a harmless dirty mark, since the component
-            // and MCC repairs only need a superset of the flipped nodes.
-            let mut changed = Vec::new();
             for e in self.log.iter().filter(|e| e.gen > slot.synced) {
                 let step = slot.lab.repair(&e.injected, &e.healed);
                 self.repaired_statuses += step.len();
-                changed.extend(step);
+                if let Some(region) = &mut slot.region {
+                    for i in step {
+                        region.pending.insert(i);
+                    }
+                }
             }
-            changed.sort_unstable();
-            changed.dedup();
-            let splice = slot.comps.repair(&slot.lab, &changed);
-            self.mccs_extracted += slot.mccs.repair(&slot.lab, &slot.comps, &splice, &changed);
             slot.synced = self.generation;
         }
-        let slot = self.slots[idx].as_ref().expect("just filled");
-        IncModelsRef {
-            lab: &slot.lab,
-            comps: &slot.comps,
-            mccs: &slot.mccs,
-        }
+        idx
     }
 
     /// The orientation-free block model of the current mesh, recomputed
@@ -550,15 +630,19 @@ mod tests {
     use mesh_topo::coord::{c2, c3};
     use mesh_topo::{Frame2, Frame3, Mesh2D, Mesh3D, C2};
 
+    fn assert_labelling_eq<C: Coord>(got: &Labelling<C>, want: &Labelling<C>) {
+        for ((c, a), (_, b)) in got.iter().zip(want.iter()) {
+            assert_eq!(a, b, "status diverged at {c} for {:?}", want.frame());
+        }
+        assert_eq!(got.unsafe_set(), want.unsafe_set());
+    }
+
     fn assert_slot_matches_fresh<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>) {
         let mesh = inc.mesh().clone();
         let border = inc.border();
         let m = inc.models(frame);
         let lab = Labelling::compute(&mesh, frame, border);
-        for ((c, a), (_, b)) in m.lab.iter().zip(lab.iter()) {
-            assert_eq!(a, b, "status diverged at {c} for {frame:?}");
-        }
-        assert_eq!(m.lab.unsafe_set(), lab.unsafe_set());
+        assert_labelling_eq(m.lab, &lab);
         assert_eq!(m.comps.cells, Components::compute(&lab).cells);
         assert_eq!(m.mccs, &MccSet::compute(&lab));
     }
@@ -756,6 +840,77 @@ mod tests {
             "extracted {} MCCs",
             inc.mccs_extracted() - extracted
         );
+    }
+
+    #[test]
+    fn label_only_syncs_build_no_regions() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // The 125-region lattice above, churned one heal plus one inject
+        // at a time while every octant syncs through `labelling` alone.
+        let k = 16;
+        let mut mesh = Mesh3D::kary(k);
+        for n in 0..125 {
+            mesh.inject_fault(c3(3 * (n % 5) + 1, 3 * (n / 5 % 5) + 1, 3 * (n / 25) + 1));
+        }
+        let mut inc = IncrementalModels3::new(mesh, BorderPolicy::BorderSafe);
+        let frames = Frame3::all(inc.mesh());
+        let identity = Frame3::identity(inc.mesh());
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut churn = |inc: &mut IncrementalModels3| {
+            let faults = inc.mesh().faults().to_vec();
+            let heal = faults[rng.gen_range(0..faults.len())];
+            let inject = loop {
+                let c = c3(
+                    rng.gen_range(0..k),
+                    rng.gen_range(0..k),
+                    rng.gen_range(0..k),
+                );
+                if inc.mesh().is_healthy(c) {
+                    break c;
+                }
+            };
+            inc.apply(&[inject], &[heal]);
+        };
+        for _ in 0..100 {
+            churn(&mut inc);
+            for &frame in &frames {
+                inc.labelling(frame);
+            }
+        }
+        assert_eq!(inc.slot_rebuilds(), 8, "one labelling build per octant");
+        assert!(inc.statuses_repaired() > 0, "replays must have done work");
+        assert_eq!(
+            (inc.region_builds(), inc.mccs_extracted()),
+            (0, 0),
+            "labelling syncs touch no components or MCC records"
+        );
+        for &frame in &frames {
+            let fresh = Labelling::compute(inc.mesh(), frame, BorderPolicy::BorderSafe);
+            assert_labelling_eq(inc.labelling(frame), &fresh);
+        }
+
+        assert_slot_matches_fresh(&mut inc, identity);
+        assert_eq!(inc.region_builds(), 1, "the first models call builds");
+        assert_eq!(inc.mccs_extracted(), 0, "a build is not a repair");
+
+        // Labelling-only syncs past LOG_CAP keep the slot live and leave
+        // its region layer pending; the next models call repairs it.
+        for _ in 0..(LOG_CAP + 8) {
+            churn(&mut inc);
+            inc.labelling(identity);
+        }
+        let region = |inc: &IncrementalModels3| {
+            let slot = inc.slots[identity.index()].as_ref().expect("live slot");
+            slot.region.as_ref().expect("built region").pending.clone()
+        };
+        let pending = region(&inc);
+        assert!(!pending.is_empty(), "replays left statuses pending");
+        assert_eq!(pending.capacity(), inc.mesh().node_count());
+        assert_slot_matches_fresh(&mut inc, identity);
+        assert!(region(&inc).is_empty(), "models consumed the pending set");
+        assert_eq!(inc.region_builds(), 1, "a lagging region is repaired");
+        assert_eq!(inc.slot_rebuilds(), 8);
     }
 
     #[test]

@@ -15,13 +15,17 @@
 //!   the list order pins the ids,
 //! * the rectangular block model after its lazy recompute.
 //!
-//! Orientation sync is deliberately staggered (one orientation synced every
-//! step, the rest every few steps) so the log-replay path — not just the
-//! single-batch repair — is what the battery exercises. The service-shaped
-//! lag battery goes further: many fault regions, and every octant synced at
+//! At every step each orientation is, at random, left alone, synced
+//! through `labelling` alone (whose result is pinned against
+//! [`Labelling::compute`]) or synced through `models` (every model
+//! pinned), so the log-replay path — not just the single-batch repair —
+//! is what the battery exercises, and a region layer is repaired over the
+//! statuses of several labelling-only syncs. The service-shaped lag
+//! battery goes further: many fault regions, and every octant synced at
 //! lags from one step to past [`LOG_CAP`], so a sync both replays long
-//! windows and drops and rebuilds its slot. Its full size runs with
-//! `--include-ignored` in release.
+//! windows and drops and rebuilds its slot, with stretches of
+//! labelling-only syncs longer than [`LOG_CAP`] before a `models` call.
+//! Its full size runs with `--include-ignored` in release.
 
 use fault_model::components::Components;
 use fault_model::incremental::{
@@ -71,16 +75,28 @@ fn decode_step<C: Coord>(
     (injected, healed)
 }
 
+/// Pin a maintained labelling against its from-scratch twin: statuses
+/// and the unsafe set.
+fn assert_labelling_eq<C: Coord>(got: &Labelling<C>, fresh: &Labelling<C>) {
+    for ((c, a), (_, f)) in got.iter().zip(fresh.iter()) {
+        assert_eq!(a, f, "status diverged at {c} for {:?}", fresh.frame());
+    }
+    assert_eq!(got.unsafe_set(), fresh.unsafe_set(), "unsafe set diverged");
+}
+
+/// Sync `frame` through `labelling` alone and pin the result.
+fn assert_labelling_equals_fresh<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>) {
+    let fresh = Labelling::compute(&inc.mesh().clone(), frame, inc.border());
+    assert_labelling_eq(inc.labelling(frame), &fresh);
+}
+
 /// Pin every maintained model of `frame` against from-scratch twins.
 fn assert_models_equal_fresh<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>) {
     let mesh = inc.mesh().clone();
     let b = inc.border();
     let m = inc.models(frame);
     let lab = Labelling::compute(&mesh, frame, b);
-    for ((c, a), (_, f)) in m.lab.iter().zip(lab.iter()) {
-        assert_eq!(a, f, "status diverged at {c} for {frame:?}");
-    }
-    assert_eq!(m.lab.unsafe_set(), lab.unsafe_set(), "unsafe set diverged");
+    assert_labelling_eq(m.lab, &lab);
     let comps = Components::compute(&lab);
     assert_eq!(m.comps.cells, comps.cells, "component cells diverged");
     for (c, _) in lab.iter() {
@@ -93,14 +109,32 @@ fn assert_models_equal_fresh<C: Coord>(inc: &mut IncrementalModels<C>, frame: Fr
     assert_eq!(m.mccs, &MccSet::compute(&lab), "MCCs diverged");
 }
 
+/// Leave `frame` alone, or sync it through `labelling` or `models` and
+/// pin what the call returns, as `rng` picks (one in three each).
+fn sync_at_random<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>, rng: &mut SmallRng) {
+    match rng.gen_range(0..3) {
+        0 => {}
+        1 => assert_labelling_equals_fresh(inc, frame),
+        _ => assert_models_equal_fresh(inc, frame),
+    }
+}
+
 /// The sync lags of the lag battery: replays of one, two and seven
 /// batches, the longest replay the log allows, and one lag past it, which
 /// drops the slot and rebuilds it on the next sync.
 const LAGS: [u64; 5] = [1, 2, 7, LOG_CAP - 1, LOG_CAP + 1];
 
+/// How many generations an octant of the lag battery syncs through
+/// `labelling` alone after a `models` call: none, a few, and a stretch
+/// longer than [`LOG_CAP`], which a slot kept live by short lags carries
+/// as one pending region repair.
+const STRETCHES: [u64; 3] = [0, 5, LOG_CAP + 9];
+
 /// Service-shaped lag battery: a `k`³ mesh at about 1.5 % faults, one heal
 /// plus one inject per step, and each of the first `octants` octants synced
-/// (and checked against fresh models) at lags drawn from [`LAGS`]. Steps
+/// (and checked against fresh models) at lags drawn from [`LAGS`]. After
+/// each `models` call an octant syncs through `labelling` alone (checked
+/// against a fresh labelling) for a stretch drawn from [`STRETCHES`]. Steps
 /// `flip` and `flip + 1` inject and then heal the same node while no
 /// octant syncs, so every window spanning them replays a node that flips
 /// and flips back.
@@ -123,6 +157,11 @@ fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
     let frames = &Frame3::all(inc.mesh())[..octants];
     let flip = steps / 2;
     let mut next_sync = vec![0; octants];
+    // The step from which an octant's next sync calls `models`, and the
+    // step of its last `models` call.
+    let mut models_from = vec![0; octants];
+    let mut last_models = vec![0; octants];
+    let mut long_pending_repairs = 0;
     let mut flipped = None;
     for step in 0..steps {
         if step == flip - 1 {
@@ -146,7 +185,17 @@ fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
         inc.apply(&[inject], &[heal]);
         for (o, &frame) in frames.iter().enumerate() {
             if next_sync[o] == step {
-                assert_models_equal_fresh(&mut inc, frame);
+                if step < models_from[o] {
+                    assert_labelling_equals_fresh(&mut inc, frame);
+                } else {
+                    let builds = inc.region_builds();
+                    assert_models_equal_fresh(&mut inc, frame);
+                    if inc.region_builds() == builds && step - last_models[o] > LOG_CAP {
+                        long_pending_repairs += 1;
+                    }
+                    last_models[o] = step;
+                    models_from[o] = step + STRETCHES[rng.gen_range(0..STRETCHES.len())];
+                }
                 let lag = LAGS[rng.gen_range(0..LAGS.len())];
                 next_sync[o] = step + if step == flip - 1 { lag.max(2) } else { lag };
             }
@@ -158,6 +207,10 @@ fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
     assert!(
         inc.slot_rebuilds() > octants,
         "some slot must have lagged past LOG_CAP and been rebuilt"
+    );
+    assert!(
+        long_pending_repairs > 0,
+        "some region must have been repaired after more than LOG_CAP labelling-only generations"
     );
     assert!(inc.statuses_repaired() > 0, "replays must have done work");
 }
@@ -217,12 +270,14 @@ proptest! {
     /// 2-D: every orientation's maintained labelling, components and MCCs
     /// stay bit-for-bit equal to from-scratch recomputation after every
     /// step of a random inject/heal trace, on mesh and torus, both border
-    /// policies.
+    /// policies, whichever of `labelling`, `models` or neither each step
+    /// calls.
     #[test]
     fn incremental_equals_fresh_2d(
         dims in (7..13i32, 7..13i32),
         torus in any::<bool>(),
         border_blocked in any::<bool>(),
+        sync_seed in any::<u64>(),
         init in proptest::collection::vec((0..13i32, 0..13i32), 0..18),
         trace in proptest::collection::vec(
             (proptest::collection::vec((0..13i32, 0..13i32), 0..3),
@@ -239,15 +294,15 @@ proptest! {
         }
         let mut inc = IncrementalModels2::new(mesh, border(border_blocked));
         let frames = Frame2::all(inc.mesh());
-        for (step, raw) in trace.iter().enumerate() {
+        let mut rng = SmallRng::seed_from_u64(sync_seed);
+        for raw in &trace {
             let inject = raw.0.iter().map(|&(x, y)| c2(x.rem_euclid(w), y.rem_euclid(h)));
             let (injected, healed) = decode_step::<C2>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
-            // Stagger sync: the first orientation every step, the rest only
-            // every other step, so slots replay logs of varying depth.
-            let sync = if step % 2 == 0 { frames.len() } else { 1 };
-            for &frame in frames.iter().take(sync) {
-                assert_models_equal_fresh(&mut inc, frame);
+            // Random sync per orientation, so slots replay logs of varying
+            // depth and regions repair over several labelling-only syncs.
+            for &frame in &frames {
+                sync_at_random(&mut inc, frame, &mut rng);
             }
             let fresh_blocks = FaultBlocks2::compute(&inc.mesh().clone());
             prop_assert_eq!(inc.blocks().blocks(), fresh_blocks.blocks());
@@ -263,6 +318,7 @@ proptest! {
         k in 5..8i32,
         torus in any::<bool>(),
         border_blocked in any::<bool>(),
+        sync_seed in any::<u64>(),
         init in proptest::collection::vec((0..8i32, 0..8i32, 0..8i32), 0..16),
         trace in proptest::collection::vec(
             (proptest::collection::vec((0..8i32, 0..8i32, 0..8i32), 0..3),
@@ -277,22 +333,19 @@ proptest! {
             }
         }
         let mut inc = IncrementalModels3::new(mesh, border(border_blocked));
-        // Eight octant slots are too slow to pin all per step; pin the two
-        // that stagger most (identity synced every step, one reflected
-        // octant every other step) plus a full pass at the end.
         let frames = Frame3::all(inc.mesh());
-        for (step, raw) in trace.iter().enumerate() {
+        let mut rng = SmallRng::seed_from_u64(sync_seed);
+        for raw in &trace {
             let inject = raw.0.iter().map(|&(x, y, z)| c3(x.rem_euclid(k), y.rem_euclid(k), z.rem_euclid(k)));
             let (injected, healed) = decode_step::<C3>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
-            assert_models_equal_fresh(&mut inc, frames[0]);
-            if step % 2 == 1 {
-                assert_models_equal_fresh(&mut inc, frames[5]);
+            for &frame in &frames {
+                sync_at_random(&mut inc, frame, &mut rng);
             }
             let fresh_blocks = FaultBlocks3::compute(&inc.mesh().clone());
             prop_assert_eq!(inc.blocks().blocks(), fresh_blocks.blocks());
         }
-        for frame in [frames[0], frames[3], frames[5], frames[7]] {
+        for frame in frames {
             assert_models_equal_fresh(&mut inc, frame);
         }
     }

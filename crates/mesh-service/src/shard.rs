@@ -4,8 +4,12 @@
 //! A [`ShardCore`] is the synchronous state machine [`crate::service`]
 //! drives on each caller's thread, one call at a time under the shard's
 //! lock. Requests either read the maintained models (route, query,
-//! stats) or mutate the fault configuration (churn), and every mutation
-//! follows the write-ahead discipline:
+//! stats) or mutate the fault configuration (churn). A route reads only
+//! the labelling of its pair's orientation — Algorithms 3 and 6 route on
+//! the safe/unsafe labelling alone — so it syncs just that layer of the
+//! `IncrementalModels` slot; the components and MCC records are built
+//! and repaired only when a query or the digest reads them. Every
+//! mutation follows the write-ahead discipline:
 //!
 //! 1. **check** — validate the batch against the current state, once
 //!    ([`fault_model`]'s `checked`, surfaced as
@@ -555,6 +559,9 @@ impl<C: ShardSpace> Models<C> {
         )
     }
 
+    /// Route `s` → `d` over the labelling of the pair's orientation,
+    /// synced to the current generation; the slot's components and MCC
+    /// records are left for the next query to repair.
     fn route(&mut self, s: C, d: C, seed: u64) -> Result<Response, ServiceError> {
         let space = self.inc.mesh().space();
         if space.index_checked(s).is_none() || space.index_checked(d).is_none() {
@@ -564,9 +571,9 @@ impl<C: ShardSpace> Models<C> {
         }
         let frame = Frame::for_pair(self.inc.mesh(), s, d);
         let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let m = self.inc.models(frame);
+        let lab = self.inc.labelling(frame);
         let out = route_in(
-            m.lab,
+            lab,
             cs,
             cd,
             &mut Policy::random(seed),
@@ -595,6 +602,10 @@ impl<C: ShardSpace> Models<C> {
         self.route(space.coord(i), space.coord(j), seed)
     }
 
+    /// The label, unsafe membership and identity-orientation MCC count
+    /// at `c`: the full models of the identity slot, built on its first
+    /// query or digest and afterwards repaired over the statuses changed
+    /// since the previous one.
     fn query(&mut self, c: C) -> Result<Response, ServiceError> {
         let space = self.inc.mesh().space();
         let Some(i) = space.index_checked(c) else {
@@ -936,6 +947,94 @@ mod tests {
             self.largest = self.largest.max(buf.len());
             self.inner.read(buf)
         }
+    }
+
+    #[test]
+    fn routes_sync_only_the_labelling_until_a_query() {
+        use fault_model::{Labelling, MccSet};
+        use mesh_topo::coord::c3;
+
+        let k = 10;
+        let spec = ShardSpec::new(
+            Geometry::M3 {
+                nx: k,
+                ny: k,
+                nz: k,
+                wrap: false,
+            },
+            0,
+        );
+        let dir = TempDir::new("route-labelling");
+        let mut core = ShardCore::open(dir.path(), spec, Parallelism::SEQ, CrashPoint::none())
+            .expect("fresh shard");
+        let mut rng = SmallRng::seed_from_u64(3);
+        let node = |rng: &mut SmallRng| {
+            c3(
+                rng.gen_range(0..k),
+                rng.gen_range(0..k),
+                rng.gen_range(0..k),
+            )
+        };
+        // Grow about thirty scattered faults, churning one step at a time,
+        // with routes over every orientation in between.
+        let mut delivered = 0;
+        for step in 0..60u64 {
+            let m = core.models_of::<C3>().expect("3-D shard");
+            let (mesh, mut injected) = (m.inc.mesh(), Vec::new());
+            let c = node(&mut rng);
+            if mesh.is_healthy(c) {
+                injected.push(c);
+            }
+            let healed = match mesh.faults() {
+                faults if step % 2 == 1 && !faults.is_empty() => {
+                    vec![faults[rng.gen_range(0..faults.len())]]
+                }
+                _ => Vec::new(),
+            };
+            core.handle(&Request::Churn3 { injected, healed })
+                .expect("churn");
+            for seed in 0..8 {
+                let route = Request::RouteRandom {
+                    seed: step * 8 + seed,
+                    min_dist: 4,
+                };
+                let reply = core.handle(&route);
+                if matches!(
+                    reply,
+                    Ok(Response::Route {
+                        delivered: true,
+                        ..
+                    })
+                ) {
+                    delivered += 1;
+                }
+            }
+        }
+        assert!(delivered > 0, "routes ran");
+        let inc = &core.models_of::<C3>().expect("3-D shard").inc;
+        assert!(inc.slot_rebuilds() > 1, "routes synced several octants");
+        assert!(inc.statuses_repaired() > 0, "routes replayed churn");
+        assert_eq!(
+            (inc.region_builds(), inc.mccs_extracted()),
+            (0, 0),
+            "route-only traffic builds no components or MCC records"
+        );
+
+        let mesh = inc.mesh().clone();
+        let lab = Labelling::compute(&mesh, Frame::identity(&mesh), spec.border);
+        let mccs = MccSet::compute(&lab).len();
+        assert!(mccs > 1, "the churn left several regions");
+        let probes = mesh.faults().iter().take(3).copied();
+        for c in probes.chain([c3(0, 0, 0), c3(k - 1, k - 1, k - 1)]) {
+            let want = Response::Region {
+                status: format!("{:?}", lab.status(c)),
+                in_unsafe: lab.unsafe_set().contains(mesh.space().index(c)),
+                mccs,
+            };
+            assert_eq!(core.handle(&Request::Query3(c)).expect("query"), want);
+        }
+        let inc = &core.models_of::<C3>().expect("3-D shard").inc;
+        assert_eq!(inc.region_builds(), 1, "the first query builds once");
     }
 
     #[test]
