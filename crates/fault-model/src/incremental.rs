@@ -1,15 +1,14 @@
-//! Incrementally maintained model caches under fault churn.
+//! Incrementally maintained models under fault churn.
 //!
-//! [`ModelCache2`](crate::ModelCache2) memoizes the models of one *frozen*
-//! fault configuration — it borrows the mesh, so any churn forces the caller
-//! to throw the whole cache away. [`IncrementalModels`]
-//! ([`IncrementalModels2`] / [`IncrementalModels3`]) instead **owns** its
-//! mesh and keeps the full model stack alive across batched fault
-//! injections and heals:
+//! [`IncrementalModels`] ([`IncrementalModels2`] / [`IncrementalModels3`])
+//! is the workspace's one model cache. It **owns** its mesh and keeps the
+//! models of each orientation alive across batched fault injections and
+//! heals; a batch of routing trials over one frozen fault configuration
+//! (`mcc_routing::PreparedMesh`) is the case with no churn at all:
 //!
 //! * the labelling of each orientation is patched in place by
-//!   [`Labelling::repair`] (dirty-region worklist or bulk re-sweep), once
-//!   per unseen churn batch, on every [`labelling`] or [`models`] call,
+//!   [`Labelling::repair`] (dirty-region worklist or bulk re-sweep) on the
+//!   first [`labelling`] or [`models`] call after churn,
 //! * the component decomposition by [`Components::repair`], once per
 //!   [`models`] call over the statuses changed since the previous one:
 //!   only the components a flip touched are re-discovered, and they are
@@ -19,9 +18,9 @@
 //! * the MCC records by the same splice on the MCC list, in the same
 //!   [`models`] call: only re-discovered or status-touched components are
 //!   re-extracted, every other MCC is left in place,
-//! * the orientation-free block model is invalidated wholesale and lazily
-//!   recomputed — it is cheap relative to the labelling family and has no
-//!   per-orientation structure to exploit.
+//! * the orientation-free block model is dropped by every batch and
+//!   recomputed lazily — it is cheap relative to the labelling family and
+//!   has no per-orientation structure to exploit.
 //!
 //! Validation is one routine, [`CheckedBatch::new`], over a node space and
 //! a fault bitset: it costs O(b log b) in the batch's b nodes, with no
@@ -31,32 +30,32 @@
 //! the models once at the end) all go through it, so a write-ahead caller
 //! that checks, journals, then applies validates each batch once.
 //!
-//! Synchronization is **per orientation slot and lazy**: [`apply`] only
-//! flips the fault bits and records the delta in a generation log (no
-//! entry at all while no slot is live: a slot built later starts from the
-//! mesh as it then is); a slot replays the log entries it
-//! has not seen the next time [`labelling`] or [`models`] asks for its
-//! orientation. A heal whose effect never reaches a slot's orientation
-//! still replays there, but the replay touches only the perturbation's
-//! closure cone — update cost scales with the batch, not the mesh, and not
-//! the number of fault regions.
+//! Synchronization is **per orientation slot and lazy**. A labelling is a
+//! function of the fault set alone, not of the order of the churn that
+//! produced it, so a lagging slot needs only the net difference between
+//! its fault set and the mesh's. [`apply`] flips the fault bits and marks
+//! the batch's nodes in each live slot's stale [`NodeSet`] (allocated by
+//! the first batch that reaches the slot). The next [`labelling`] or
+//! [`models`] call for that orientation takes the stale nodes whose fault
+//! bit differs between the mesh and the slot's labelling and repairs them
+//! as one batch: a node injected and healed in between repairs nothing,
+//! and the repair touches only the perturbation's closure cone. However
+//! long the lag, a slot costs one bit per node, and once its net
+//! difference reaches `nodes /` [`BULK_REPAIR_FANOUT`] the repair
+//! re-sweeps the grid, so a sync never costs much more than a rebuild.
 //!
 //! Each slot holds two layers. The **labelling layer** is synced on every
 //! call; a router, which reads only the safe/unsafe labelling (Algorithms
 //! 3 and 6), calls [`labelling`] and pays for nothing else. The **region
 //! layer** — components and MCC records — is built on the slot's first
 //! [`models`] call and repaired only by later [`models`] calls; between
-//! them every labelling replay adds its changed statuses to the slot's
-//! pending [`NodeSet`], one bit per node of the space, so the pending
-//! memory is bounded by the node count however long the region layer
-//! lags. A region repair costs O(changed statuses + affected components +
-//! log #components), plus moving the component and MCC lists' entries
-//! behind the first changed position. [`statuses_repaired`],
-//! [`mccs_extracted`], [`slot_rebuilds`] and [`region_builds`] count that
-//! work deterministically. The log is compacted once every
-//! live slot has advanced past an entry, and a slot left behind by more
-//! than [`LOG_CAP`] generations is dropped — both layers — and rebuilt
-//! from scratch on next use, bounding both memory and replay time.
+//! them every labelling sync adds its changed statuses to the slot's
+//! pending [`NodeSet`], so the pending memory is also bounded by the node
+//! count however long the region layer lags. A region repair costs
+//! O(changed statuses + affected components + log #components), plus
+//! moving the component and MCC lists' entries behind the first changed
+//! position. [`statuses_repaired`], [`mccs_extracted`], [`slot_rebuilds`]
+//! and [`region_builds`] count that work deterministically.
 //!
 //! Every repaired model is **bit-for-bit equal** to recomputing from
 //! scratch on the churned mesh — statuses, unsafe sets, component ids and
@@ -78,6 +77,7 @@
 //! [`mccs_extracted`]: IncrementalModels::mccs_extracted
 //! [`slot_rebuilds`]: IncrementalModels::slot_rebuilds
 //! [`region_builds`]: IncrementalModels::region_builds
+//! [`BULK_REPAIR_FANOUT`]: crate::labelling::BULK_REPAIR_FANOUT
 //!
 //! # Examples
 //!
@@ -108,11 +108,6 @@ use crate::labelling::Labelling;
 use crate::mcc::MccSet;
 use crate::rfb::FaultBlocks;
 use crate::status::BorderPolicy;
-
-/// Maximum number of generations a slot may lag behind before it is
-/// dropped and rebuilt from scratch instead of replayed. Also bounds the
-/// retained delta log.
-pub const LOG_CAP: u64 = 32;
 
 /// A churn batch rejected by validation — the mesh and every maintained
 /// model are untouched (validation runs strictly before any mutation).
@@ -156,9 +151,8 @@ impl<C: std::fmt::Display> std::fmt::Display for ChurnError<C> {
 
 impl<C: std::fmt::Display + std::fmt::Debug> std::error::Error for ChurnError<C> {}
 
-/// A churn batch that passed validation against one fault set: the
-/// batch as given, plus its node indices to inject and to heal, each
-/// ascending.
+/// A churn batch that passed validation against one fault set: its node
+/// indices to inject and to heal, each ascending.
 ///
 /// [`CheckedBatch::new`] is the one validation routine. It costs
 /// O(b log b) in the batch's b nodes and allocates nothing mesh-sized:
@@ -176,22 +170,20 @@ impl<C: std::fmt::Display + std::fmt::Debug> std::error::Error for ChurnError<C>
 /// before the healed set, and within a check the first offending node in
 /// input order wins.
 #[derive(Debug)]
-pub struct CheckedBatch<'b, C> {
-    injected: &'b [C],
-    healed: &'b [C],
+pub struct CheckedBatch {
     inject: Vec<usize>,
     heal: Vec<usize>,
 }
 
-impl<'b, C: Coord> CheckedBatch<'b, C> {
+impl CheckedBatch {
     /// Validate `injected`/`healed` against the fault set `faulty` over
     /// `space` (see the type docs for the checks and their order).
-    pub fn new(
+    pub fn new<C: Coord>(
         space: NodeSpace<C>,
         faulty: &NodeSet,
-        injected: &'b [C],
-        healed: &'b [C],
-    ) -> Result<CheckedBatch<'b, C>, ChurnError<C>> {
+        injected: &[C],
+        healed: &[C],
+    ) -> Result<CheckedBatch, ChurnError<C>> {
         let inject = sorted_indices(space, injected, ChurnError::DuplicateInjected)?;
         let heal = sorted_indices(space, healed, ChurnError::DuplicateHealed)?;
         if let Some(&c) = healed
@@ -206,12 +198,7 @@ impl<'b, C: Coord> CheckedBatch<'b, C> {
         if let Some(&c) = healed.iter().find(|&&c| !faulty.contains(space.index(c))) {
             return Err(ChurnError::NotFaulty(c));
         }
-        Ok(CheckedBatch {
-            injected,
-            healed,
-            inject,
-            heal,
-        })
+        Ok(CheckedBatch { inject, heal })
     }
 
     /// Flip the batch into the fault set it was checked against.
@@ -275,23 +262,15 @@ fn first_repeat<C: Coord>(space: NodeSpace<C>, coords: &[C]) -> usize {
         .expect("coords hold a repeat")
 }
 
-/// One recorded churn batch.
-#[derive(Clone, Debug)]
-struct LogEntry<C> {
-    /// The generation this batch produced.
-    gen: u64,
-    injected: Vec<C>,
-    healed: Vec<C>,
-}
-
 /// The incrementally maintained models of one orientation: the labelling
 /// layer, synced on every use, and the region layer, built and repaired
 /// only by [`IncrementalModels::models`].
 #[derive(Clone, Debug)]
 struct IncSlot<C: Coord> {
-    /// Generation the labelling reflects.
-    synced: u64,
     lab: Labelling<C>,
+    /// Mesh indices a batch flipped since `lab` was last synced. Empty and
+    /// unallocated until the first batch reaches the slot.
+    stale: NodeSet,
     region: Option<RegionLayer<C>>,
 }
 
@@ -316,30 +295,18 @@ pub struct IncModelsRef<'a, C: Coord> {
     pub mccs: &'a MccSet<C>,
 }
 
-/// Borrowed views of one 2-D orientation's maintained models.
-pub type IncModelsRef2<'a> = IncModelsRef<'a, C2>;
-
-/// Borrowed views of one 3-D orientation's maintained models.
-pub type IncModelsRef3<'a> = IncModelsRef<'a, C3>;
-
 /// Owned, churn-capable model cache over a mesh (see the module docs).
 #[derive(Clone, Debug)]
 pub struct IncrementalModels<C: Coord> {
     mesh: Mesh<C>,
     border: BorderPolicy,
-    /// Bumped by every [`IncrementalModels::apply`].
-    generation: u64,
-    /// Churn batches not yet replayed by every live slot, ascending `gen`.
-    log: Vec<LogEntry<C>>,
     /// One slot per orientation.
     slots: Vec<Option<IncSlot<C>>>,
+    /// The block model of the current mesh; churn drops it.
     blocks: Option<FaultBlocks<C>>,
-    /// Generation `blocks` reflects (meaningless while `blocks` is `None`).
-    blocks_synced: u64,
-    /// Total statuses changed by slot replays — the incremental work done.
+    /// Total statuses changed by slot syncs — the incremental work done.
     repaired_statuses: usize,
-    /// Slots built from scratch (first use, torus re-rotation, or dropped
-    /// past [`LOG_CAP`]).
+    /// Slots built from scratch (first use or torus re-rotation).
     slot_rebuilds: usize,
     /// Region layers built from scratch.
     region_builds: usize,
@@ -359,11 +326,8 @@ impl<C: Coord> IncrementalModels<C> {
         IncrementalModels {
             mesh,
             border,
-            generation: 0,
-            log: Vec::new(),
             slots: (0..C::ORIENTATIONS).map(|_| None).collect(),
             blocks: None,
-            blocks_synced: 0,
             repaired_statuses: 0,
             slot_rebuilds: 0,
             region_builds: 0,
@@ -381,22 +345,22 @@ impl<C: Coord> IncrementalModels<C> {
         self.border
     }
 
-    /// Number of churn batches applied so far.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Total node statuses changed across all slot replays — grows with the
-    /// perturbation sizes, not with mesh size or churn count.
+    /// Total node statuses changed across all slot syncs — each sync
+    /// counts the statuses its net fault difference changed, so this grows
+    /// with the perturbation sizes, not with mesh size or churn count.
     pub fn statuses_repaired(&self) -> usize {
         self.repaired_statuses
     }
 
     /// Number of slots built from scratch rather than repaired: first use
-    /// of an orientation, a torus slot asked for another rotation, or a
-    /// slot dropped for lagging more than [`LOG_CAP`] generations.
+    /// of an orientation, or a torus slot asked for another rotation.
     pub fn slot_rebuilds(&self) -> usize {
         self.slot_rebuilds
+    }
+
+    /// Number of orientation slots that hold a labelling.
+    pub fn live_slots(&self) -> usize {
+        self.slots.iter().flatten().count()
     }
 
     /// Number of region layers (components plus MCC records) built from
@@ -418,27 +382,27 @@ impl<C: Coord> IncrementalModels<C> {
         self.mccs_extracted
     }
 
-    /// True if the slot holding `frame`'s orientation exists and its
-    /// labelling already reflects the current generation (a [`labelling`]
-    /// call would neither rebuild nor replay; a [`models`] call may still
-    /// build or repair the slot's components and MCC records).
+    /// True if the slot holding `frame`'s orientation exists and no batch
+    /// has reached it since its labelling was synced (a [`labelling`] call
+    /// would neither rebuild nor repair; a [`models`] call may still build
+    /// or repair the slot's components and MCC records).
     ///
     /// [`labelling`]: IncrementalModels::labelling
     /// [`models`]: IncrementalModels::models
     pub fn slot_current(&self, frame: Frame<C>) -> bool {
         matches!(
             &self.slots[frame.index()],
-            Some(sl) if sl.lab.frame() == frame && sl.synced == self.generation
+            Some(sl) if sl.lab.frame() == frame && sl.stale.is_empty()
         )
     }
 
-    /// True if the block model exists and reflects the current generation.
+    /// True if the block model exists (churn drops it).
     pub fn blocks_current(&self) -> bool {
-        self.blocks.is_some() && self.blocks_synced == self.generation
+        self.blocks.is_some()
     }
 
-    /// Apply one churn batch: inject every fault in `injected`, heal every
-    /// fault in `healed`, and record the delta for lazy slot replay.
+    /// Apply one churn batch: inject every fault in `injected` and heal
+    /// every fault in `healed`; live slots catch up on their next use.
     ///
     /// The two sets must be disjoint, `injected` all healthy and `healed`
     /// all faulty — batches are *deltas*, not wishes; an overlapping or
@@ -453,9 +417,9 @@ impl<C: Coord> IncrementalModels<C> {
     }
 
     /// Fallible twin of [`apply`]: validate the batch first and return a
-    /// typed [`ChurnError`] instead of panicking. On `Err` the mesh, the
-    /// generation counter and every maintained model are untouched, so a
-    /// resident service can reject a malformed request and keep serving.
+    /// typed [`ChurnError`] instead of panicking. On `Err` the mesh and
+    /// every maintained model are untouched, so a resident service can
+    /// reject a malformed request and keep serving.
     ///
     /// [`apply`]: IncrementalModels::apply
     pub fn try_apply(&mut self, injected: &[C], healed: &[C]) -> Result<(), ChurnError<C>> {
@@ -479,65 +443,54 @@ impl<C: Coord> IncrementalModels<C> {
     /// validated once.
     ///
     /// [`apply_checked`]: IncrementalModels::apply_checked
-    pub fn checked<'b>(
-        &self,
-        injected: &'b [C],
-        healed: &'b [C],
-    ) -> Result<CheckedBatch<'b, C>, ChurnError<C>> {
+    pub fn checked(&self, injected: &[C], healed: &[C]) -> Result<CheckedBatch, ChurnError<C>> {
         CheckedBatch::new(self.mesh.space(), self.mesh.fault_set(), injected, healed)
     }
 
-    /// Apply a batch [`checked`] against the current state: flip its bits
-    /// in the cost of the batch and, if any orientation slot is live,
-    /// record the delta for its lazy replay. Infallible; a batch checked
-    /// against an earlier state is a caller bug.
+    /// Apply a batch [`checked`] against the current state: flip its bits,
+    /// mark them stale in every live slot and drop the block model, all in
+    /// the cost of the batch. Infallible; a batch checked against an
+    /// earlier state is a caller bug.
     ///
     /// [`checked`]: IncrementalModels::checked
-    pub fn apply_checked(&mut self, batch: CheckedBatch<'_, C>) {
+    pub fn apply_checked(&mut self, batch: CheckedBatch) {
         let flipped = self.mesh.inject_indices(&batch.inject) + self.mesh.heal_indices(&batch.heal);
         debug_assert_eq!(flipped, batch.inject.len() + batch.heal.len());
-        self.generation += 1;
-        if self.slots.iter().any(Option::is_some) {
-            self.log.push(LogEntry {
-                gen: self.generation,
-                injected: batch.injected.to_vec(),
-                healed: batch.healed.to_vec(),
-            });
-        }
-        self.compact();
-    }
-
-    /// Drop slots too stale to replay and log entries every live slot has
-    /// already consumed.
-    fn compact(&mut self) {
-        let cutoff = self.generation.saturating_sub(LOG_CAP);
-        for slot in &mut self.slots {
-            if matches!(slot, Some(sl) if sl.synced < cutoff) {
-                *slot = None;
+        self.blocks = None;
+        let nodes = self.mesh.space().len();
+        for slot in self.slots.iter_mut().flatten() {
+            if slot.stale.capacity() == 0 {
+                slot.stale = NodeSet::new(nodes);
+            }
+            for &i in batch.inject.iter().chain(&batch.heal) {
+                slot.stale.insert(i);
             }
         }
-        let keep_after = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|sl| sl.synced)
-            .min()
-            .unwrap_or(self.generation);
-        self.log.retain(|e| e.gen > keep_after);
     }
 
     /// The maintained labelling of `frame`'s orientation, brought up to the
-    /// current generation first: an empty (or, on a torus,
-    /// differently-rotated) slot is built from scratch; a lagging slot
-    /// replays the labelling repair of each churn batch it has not seen.
-    /// Components and MCC records are neither built nor repaired; if the
-    /// slot holds them, the changed statuses are kept for the next
-    /// [`models`] call.
+    /// current mesh first: an empty (or, on a torus, differently-rotated)
+    /// slot is built from scratch; a lagging slot repairs its net fault
+    /// difference. Components and MCC records are neither built nor
+    /// repaired; if the slot holds them, the changed statuses are kept for
+    /// the next [`models`] call.
     ///
     /// [`models`]: IncrementalModels::models
     pub fn labelling(&mut self, frame: Frame<C>) -> &Labelling<C> {
         let idx = self.sync_labelling(frame);
         &self.slots[idx].as_ref().expect("just synced").lab
+    }
+
+    /// The labelling of `frame`'s orientation, synced as by [`labelling`],
+    /// and the block model of the current mesh, in one borrow — the two
+    /// models a routing trial reads.
+    ///
+    /// [`labelling`]: IncrementalModels::labelling
+    pub fn labelling_and_blocks(&mut self, frame: Frame<C>) -> (&Labelling<C>, &FaultBlocks<C>) {
+        let idx = self.sync_labelling(frame);
+        self.blocks();
+        let lab = &self.slots[idx].as_ref().expect("just synced").lab;
+        (lab, self.blocks.as_ref().expect("just built"))
     }
 
     /// Fetch the maintained models for `frame`'s orientation: the
@@ -582,44 +535,52 @@ impl<C: Coord> IncrementalModels<C> {
         }
     }
 
-    /// Bring the labelling of `frame`'s slot up to the current generation
-    /// (see [`labelling`](IncrementalModels::labelling)); returns the
-    /// slot's index.
+    /// Bring the labelling of `frame`'s slot up to the current mesh (see
+    /// [`labelling`](IncrementalModels::labelling)); returns the slot's
+    /// index.
     fn sync_labelling(&mut self, frame: Frame<C>) -> usize {
         let idx = frame.index();
-        let rebuild = !matches!(&self.slots[idx], Some(sl) if sl.lab.frame() == frame);
-        if rebuild {
-            self.slots[idx] = Some(IncSlot {
-                synced: self.generation,
-                lab: Labelling::compute(&self.mesh, frame, self.border),
-                region: None,
-            });
-            self.slot_rebuilds += 1;
-        }
-        let slot = self.slots[idx].as_mut().expect("just filled");
-        if slot.synced < self.generation {
-            for e in self.log.iter().filter(|e| e.gen > slot.synced) {
-                let step = slot.lab.repair(&e.injected, &e.healed);
-                self.repaired_statuses += step.len();
-                if let Some(region) = &mut slot.region {
-                    for i in step {
-                        region.pending.insert(i);
-                    }
+        let slot = match &mut self.slots[idx] {
+            Some(sl) if sl.lab.frame() == frame => sl,
+            slot => {
+                self.slot_rebuilds += 1;
+                slot.insert(IncSlot {
+                    lab: Labelling::compute(&self.mesh, frame, self.border),
+                    stale: NodeSet::new(0),
+                    region: None,
+                })
+            }
+        };
+        if !slot.stale.is_empty() {
+            // Only the net difference matters: a stale node whose fault bit
+            // the labelling already shows flipped back in between.
+            let (space, faulty) = (self.mesh.space(), self.mesh.fault_set());
+            let (mut injected, mut healed) = (Vec::new(), Vec::new());
+            for i in slot.stale.iter() {
+                let c = space.coord(i);
+                match (faulty.contains(i), slot.lab.status_mesh(c).is_faulty()) {
+                    (true, false) => injected.push(c),
+                    (false, true) => healed.push(c),
+                    _ => {}
                 }
             }
-            slot.synced = self.generation;
+            slot.stale.clear();
+            let changed = slot.lab.repair(&injected, &healed);
+            self.repaired_statuses += changed.len();
+            if let Some(region) = &mut slot.region {
+                for i in changed {
+                    region.pending.insert(i);
+                }
+            }
         }
         idx
     }
 
     /// The orientation-free block model of the current mesh, recomputed
-    /// lazily after churn (any applied batch invalidates it wholesale).
+    /// lazily after churn (any applied batch drops it).
     pub fn blocks(&mut self) -> &FaultBlocks<C> {
-        if !self.blocks_current() {
-            self.blocks = Some(FaultBlocks::compute(&self.mesh));
-            self.blocks_synced = self.generation;
-        }
-        self.blocks.as_ref().expect("just filled")
+        self.blocks
+            .get_or_insert_with(|| FaultBlocks::compute(&self.mesh))
     }
 }
 
@@ -687,21 +648,109 @@ mod tests {
         for frame in frames {
             assert_slot_matches_fresh(&mut inc, frame);
         }
-        assert!(inc.statuses_repaired() > 0, "replays must have done work");
+        assert!(inc.statuses_repaired() > 0, "syncs must have done work");
     }
 
     #[test]
-    fn churn_logs_only_while_a_slot_is_live() {
+    fn churn_marks_only_live_slots_and_allocates_their_stale_sets_lazily() {
         let mut inc = IncrementalModels2::new(Mesh2D::new(8, 8), BorderPolicy::BorderSafe);
         for i in 0..5 {
             inc.apply(&[c2(i, i)], &[]);
         }
-        assert!(inc.log.is_empty(), "no slot to replay an entry");
+        assert_eq!(inc.live_slots(), 0, "no slot to mark");
         let frame = Frame2::identity(inc.mesh());
         assert_slot_matches_fresh(&mut inc, frame);
+        let stale =
+            |inc: &IncrementalModels2| inc.slots[frame.index()].as_ref().unwrap().stale.clone();
+        assert_eq!(stale(&inc).capacity(), 0, "a built slot holds no stale set");
         inc.apply(&[c2(7, 0)], &[c2(2, 2)]);
-        assert_eq!(inc.log.len(), 1, "the live slot needs the delta");
+        let marked = stale(&inc);
+        assert_eq!(marked.capacity(), 64, "the first batch allocates it");
+        let space = inc.mesh().space();
+        let want = NodeSet::from_indices(64, [space.index(c2(7, 0)), space.index(c2(2, 2))]);
+        assert_eq!(marked, want, "marked with both nodes of the batch");
         assert_slot_matches_fresh(&mut inc, frame);
+        assert!(stale(&inc).is_empty(), "the sync consumed it");
+    }
+
+    #[test]
+    fn a_node_injected_and_healed_between_syncs_repairs_nothing() {
+        let mut mesh = Mesh2D::new(16, 16);
+        for c in [c2(4, 4), c2(5, 6), c2(9, 9)] {
+            mesh.inject_fault(c);
+        }
+        let mut inc = IncrementalModels2::new(mesh, BorderPolicy::BorderSafe);
+        let frame = Frame2::identity(inc.mesh());
+        assert_slot_matches_fresh(&mut inc, frame);
+        let repaired = inc.statuses_repaired();
+        inc.apply(&[c2(5, 5)], &[]);
+        inc.apply(&[], &[c2(5, 5)]);
+        assert!(!inc.slot_current(frame), "both batches marked the slot");
+        assert_slot_matches_fresh(&mut inc, frame);
+        assert!(inc.slot_current(frame));
+        assert_eq!(inc.statuses_repaired(), repaired, "no net difference");
+        assert_eq!(inc.slot_rebuilds(), 1);
+    }
+
+    #[test]
+    fn torus_rotations_never_alias_slots() {
+        // On a torus every pair brings its own rotation; frames sharing a
+        // reflection index must be rebuilt, never reused, and a churn batch
+        // between rotations must reach the slot that survives it.
+        let mut mesh = Mesh2D::torus(8, 6);
+        for c in [c2(2, 2), c2(3, 2), c2(6, 4)] {
+            mesh.inject_fault(c);
+        }
+        let mut inc = IncrementalModels2::new(mesh, BorderPolicy::BorderSafe);
+        let churn = [
+            (vec![c2(5, 1)], vec![]),
+            (vec![c2(7, 5)], vec![c2(3, 2)]),
+            (vec![], vec![c2(5, 1)]),
+            (vec![c2(1, 3)], vec![]),
+        ];
+        for ((s, d), (injected, healed)) in [
+            (c2(0, 0), c2(3, 2)),
+            (c2(1, 1), c2(4, 3)), // same reflection, different rotation
+            (c2(5, 5), c2(1, 1)),
+            (c2(5, 5), c2(1, 1)), // repeat: the churned slot is repaired
+        ]
+        .into_iter()
+        .zip(churn)
+        {
+            let frame = Frame2::for_pair(inc.mesh(), s, d);
+            assert_eq!(
+                inc.models(frame).lab.frame(),
+                frame,
+                "slot must hold the asked frame"
+            );
+            assert_slot_matches_fresh(&mut inc, frame);
+            inc.apply(&injected, &healed);
+            assert_slot_matches_fresh(&mut inc, frame);
+        }
+        assert_eq!(inc.slot_rebuilds(), 3, "the repeat rotation is not rebuilt");
+    }
+
+    #[test]
+    fn labelling_and_blocks_match_fresh_every_orientation() {
+        let mut mesh = Mesh2D::new(10, 10);
+        for c in [c2(3, 3), c2(4, 3), c2(7, 6)] {
+            mesh.inject_fault(c);
+        }
+        let mut inc = IncrementalModels2::new(mesh, BorderPolicy::BorderSafe);
+        for (injected, healed) in [(vec![], vec![]), (vec![c2(4, 4)], vec![c2(7, 6)])] {
+            inc.apply(&injected, &healed);
+            let mesh = inc.mesh().clone();
+            for frame in Frame2::all(&mesh) {
+                let (lab, blocks) = inc.labelling_and_blocks(frame);
+                let fresh = Labelling::compute(&mesh, frame, BorderPolicy::BorderSafe);
+                assert_labelling_eq(lab, &fresh);
+                let fresh = FaultBlocks2::compute(&mesh);
+                assert_eq!(blocks.blocks(), fresh.blocks());
+                assert_eq!(blocks.sacrificed_count(), fresh.sacrificed_count());
+            }
+        }
+        assert_eq!(inc.live_slots(), 4);
+        assert_eq!(inc.slot_rebuilds(), 4, "the churn was repaired in place");
     }
 
     #[test]
@@ -714,8 +763,8 @@ mod tests {
         inc.models(frame);
         assert!(inc.slot_current(frame));
         // A heal far outside the cached labelling's unsafe region still
-        // invalidates the slot — staleness is generation-based, and the
-        // replay (not the validity test) is what localizes the work.
+        // stales the slot — every batch marks every live slot, and the
+        // repair (not the validity test) is what localizes the work.
         inc.apply(&[], &[c2(3, 3)]);
         assert!(!inc.slot_current(frame), "churn must stale the slot");
         inc.models(frame);
@@ -748,16 +797,26 @@ mod tests {
     }
 
     #[test]
-    fn lagging_slot_is_dropped_and_rebuilt_after_log_cap() {
-        let mut mesh = Mesh2D::new(9, 9);
-        mesh.inject_fault(c2(4, 4));
+    fn a_long_lag_syncs_in_place_through_the_bulk_tier() {
+        use crate::labelling::BULK_REPAIR_FANOUT;
+        // 256 nodes: a net difference of 6 flips or more takes the bulk
+        // tier, one of 5 or fewer the worklist tier.
+        let mut mesh = Mesh2D::new(16, 16);
+        mesh.inject_fault(c2(8, 8));
+        let nodes = mesh.node_count();
         let mut inc = IncrementalModels2::new(mesh, BorderPolicy::BorderSafe);
         let frames = Frame2::all(inc.mesh());
         inc.models(frames[0]);
         inc.models(frames[1]);
-        // Churn far past LOG_CAP, keeping only frames[0] in sync.
-        for i in 0..(LOG_CAP + 10) {
-            let c = c2((i % 7) as i32, (i / 7 % 7) as i32 + 1);
+        let rebuilds = inc.slot_rebuilds();
+        let net = |before: &NodeSet, inc: &IncrementalModels2| {
+            let after = inc.mesh().fault_set();
+            after.difference_iter(before).count() + before.difference_iter(after).count()
+        };
+        // A lag of 42 batches on frames[1], with frames[0] in sync.
+        let before = inc.mesh().fault_set().clone();
+        for i in 0..42 {
+            let c = c2(i % 14 + 1, i / 14 * 5 + 1);
             if inc.mesh().is_healthy(c) {
                 inc.apply(&[c], &[]);
             } else {
@@ -766,14 +825,21 @@ mod tests {
             inc.models(frames[0]);
         }
         assert!(
-            inc.log.len() <= LOG_CAP as usize + 1,
-            "log must stay bounded, got {}",
-            inc.log.len()
+            net(&before, &inc) * BULK_REPAIR_FANOUT >= nodes,
+            "bulk tier"
         );
-        assert!(inc.slots[frames[1].index()].is_none(), "stale slot dropped");
-        // The rebuilt slot still matches a from-scratch computation.
+        assert_slot_matches_fresh(&mut inc, frames[1]);
+        // A short lag on the same mesh.
+        let before = inc.mesh().fault_set().clone();
+        inc.apply(&[c2(12, 12)], &[c2(8, 8)]);
+        inc.apply(&[c2(3, 12)], &[]);
+        assert!(
+            net(&before, &inc) * BULK_REPAIR_FANOUT < nodes,
+            "worklist tier"
+        );
         assert_slot_matches_fresh(&mut inc, frames[1]);
         assert_slot_matches_fresh(&mut inc, frames[0]);
+        assert_eq!(inc.slot_rebuilds(), rebuilds, "every lag synced in place");
     }
 
     #[test]
@@ -811,7 +877,6 @@ mod tests {
             }
             inc.apply(&injected, &healed);
             assert_slot_matches_fresh(&mut inc, frame);
-            assert!(inc.blocks_current() || inc.generation() > 0);
         }
     }
 
@@ -834,7 +899,7 @@ mod tests {
         inc.apply(&[c3(15, 15, 15)], &[c3(7, 7, 7)]);
         assert_slot_matches_fresh(&mut inc, frame);
         assert_eq!(inc.models(frame).comps.len(), 125);
-        assert_eq!(inc.slot_rebuilds(), rebuilds, "a replay rebuilds nothing");
+        assert_eq!(inc.slot_rebuilds(), rebuilds, "a repair rebuilds nothing");
         assert!(
             inc.mccs_extracted() - extracted <= 2,
             "extracted {} MCCs",
@@ -879,7 +944,7 @@ mod tests {
             }
         }
         assert_eq!(inc.slot_rebuilds(), 8, "one labelling build per octant");
-        assert!(inc.statuses_repaired() > 0, "replays must have done work");
+        assert!(inc.statuses_repaired() > 0, "syncs must have done work");
         assert_eq!(
             (inc.region_builds(), inc.mccs_extracted()),
             (0, 0),
@@ -894,9 +959,9 @@ mod tests {
         assert_eq!(inc.region_builds(), 1, "the first models call builds");
         assert_eq!(inc.mccs_extracted(), 0, "a build is not a repair");
 
-        // Labelling-only syncs past LOG_CAP keep the slot live and leave
-        // its region layer pending; the next models call repairs it.
-        for _ in 0..(LOG_CAP + 8) {
+        // Forty labelling-only syncs keep the slot live and leave its
+        // region layer pending; the next models call repairs it.
+        for _ in 0..40 {
             churn(&mut inc);
             inc.labelling(identity);
         }
@@ -905,7 +970,7 @@ mod tests {
             slot.region.as_ref().expect("built region").pending.clone()
         };
         let pending = region(&inc);
-        assert!(!pending.is_empty(), "replays left statuses pending");
+        assert!(!pending.is_empty(), "syncs left statuses pending");
         assert_eq!(pending.capacity(), inc.mesh().node_count());
         assert_slot_matches_fresh(&mut inc, identity);
         assert!(region(&inc).is_empty(), "models consumed the pending set");
@@ -961,15 +1026,14 @@ mod tests {
         ];
         for (injected, healed, want) in cases {
             assert_eq!(inc.try_apply(&injected, &healed), Err(want));
-            assert_eq!(inc.generation(), 0, "rejected batch must not bump gen");
             assert_eq!(inc.mesh().fault_set(), &before_faults);
             assert!(inc.slot_current(frame), "rejected batch must not stale");
         }
 
         // A valid batch after the rejections still applies cleanly.
         assert_eq!(inc.try_apply(&[c2(4, 4)], &[c2(2, 2)]), Ok(()));
-        assert_eq!(inc.generation(), 1);
         assert!(inc.mesh().is_healthy(c2(2, 2)));
+        assert!(!inc.slot_current(frame));
     }
 
     #[test]
@@ -989,9 +1053,9 @@ mod tests {
             inc.try_apply(&[c3(5, 0, 0)], &[]),
             Err(ChurnError::OutOfBounds(c3(5, 0, 0)))
         );
-        assert_eq!(inc.generation(), 0);
+        assert_eq!(inc.mesh().faults(), [c3(1, 1, 1)]);
         assert_eq!(inc.try_apply(&[c3(2, 2, 2)], &[c3(1, 1, 1)]), Ok(()));
-        assert_eq!(inc.generation(), 1);
+        assert_eq!(inc.mesh().faults(), [c3(2, 2, 2)]);
     }
 
     /// The mutation-style negative test: with the heal-retraction path of

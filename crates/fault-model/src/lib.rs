@@ -16,9 +16,10 @@
 //! * [`condition`] — the sufficient & necessary condition for existence of
 //!   a minimal path, evaluated once over the node space; [`condition2`] /
 //!   [`condition3`] are its Lemma 1 / Theorem 1 and Theorem 2 entry points,
-//! * [`models`] — orientation-keyed lazy caches of the labellings and
-//!   fault blocks of one fault configuration (the compute layer behind
-//!   the prepared-trial path of `mcc-routing`, which builds no MCC set),
+//! * [`incremental`] — the one model cache: per-orientation labellings,
+//!   components and MCC records plus the fault blocks of one mesh, kept
+//!   equal to a recompute across fault churn (the compute layer behind
+//!   both the prepared-trial path of `mcc-routing` and the service shards),
 //! * [`rfb`] — the rectangular / cuboid faulty-block baseline models the
 //!   paper compares against, written once over the node space,
 //! * [`oracle`] — exact monotone-reachability ground truth used to validate
@@ -91,7 +92,6 @@ mod labelling3;
 pub mod mcc;
 pub mod mcc2;
 pub mod mcc3;
-pub mod models;
 pub mod oracle;
 pub mod regime;
 pub mod rfb;
@@ -116,7 +116,6 @@ pub use labelling::{Labelling, Labelling2, Labelling3};
 pub use mcc::{Mcc, MccSet};
 pub use mcc2::Mcc2;
 pub use mcc3::Mcc3;
-pub use models::{ModelCache, ModelCache2, ModelCache3};
 pub use regime::{AdversarialReport, FaultRegime, Schedule};
 pub use rfb::{FaultBlocks, FaultBlocks2, FaultBlocks3};
 pub use status::{BorderPolicy, NodeStatus};

@@ -18,19 +18,17 @@
 //! At every step each orientation is, at random, left alone, synced
 //! through `labelling` alone (whose result is pinned against
 //! [`Labelling::compute`]) or synced through `models` (every model
-//! pinned), so the log-replay path — not just the single-batch repair —
-//! is what the battery exercises, and a region layer is repaired over the
-//! statuses of several labelling-only syncs. The service-shaped lag
-//! battery goes further: many fault regions, and every octant synced at
-//! lags from one step to past [`LOG_CAP`], so a sync both replays long
-//! windows and drops and rebuilds its slot, with stretches of
-//! labelling-only syncs longer than [`LOG_CAP`] before a `models` call.
-//! Its full size runs with `--include-ignored` in release.
+//! pinned), so a sync over the net difference of several batches — not
+//! just the single-batch repair — is what the battery exercises, and a
+//! region layer is repaired over the statuses of several labelling-only
+//! syncs. The service-shaped lag battery goes further: many fault
+//! regions, and every octant synced at lags from one step to past 32, so
+//! a sync repairs long windows in place, with stretches of labelling-only
+//! syncs longer than 32 generations before a `models` call. Its full size
+//! runs with `--include-ignored` in release.
 
 use fault_model::components::Components;
-use fault_model::incremental::{
-    IncrementalModels, IncrementalModels2, IncrementalModels3, LOG_CAP,
-};
+use fault_model::incremental::{IncrementalModels, IncrementalModels2, IncrementalModels3};
 use fault_model::{BorderPolicy, FaultBlocks2, FaultBlocks3, Labelling, MccSet};
 use mesh_topo::coord::{c2, c3};
 use mesh_topo::{Coord, Frame, Frame2, Frame3, Mesh, Mesh2D, Mesh3D, C2, C3};
@@ -119,16 +117,15 @@ fn sync_at_random<C: Coord>(inc: &mut IncrementalModels<C>, frame: Frame<C>, rng
     }
 }
 
-/// The sync lags of the lag battery: replays of one, two and seven
-/// batches, the longest replay the log allows, and one lag past it, which
-/// drops the slot and rebuilds it on the next sync.
-const LAGS: [u64; 5] = [1, 2, 7, LOG_CAP - 1, LOG_CAP + 1];
+/// The sync lags of the lag battery: one, two and seven batches, and two
+/// lags past 32, each repaired in place over its net difference.
+const LAGS: [u64; 5] = [1, 2, 7, 33, 40];
 
 /// How many generations an octant of the lag battery syncs through
 /// `labelling` alone after a `models` call: none, a few, and a stretch
-/// longer than [`LOG_CAP`], which a slot kept live by short lags carries
-/// as one pending region repair.
-const STRETCHES: [u64; 3] = [0, 5, LOG_CAP + 9];
+/// past 32, which a slot kept live by short lags carries as one pending
+/// region repair.
+const STRETCHES: [u64; 3] = [0, 5, 41];
 
 /// Service-shaped lag battery: a `k`³ mesh at about 1.5 % faults, one heal
 /// plus one inject per step, and each of the first `octants` octants synced
@@ -136,8 +133,8 @@ const STRETCHES: [u64; 3] = [0, 5, LOG_CAP + 9];
 /// each `models` call an octant syncs through `labelling` alone (checked
 /// against a fresh labelling) for a stretch drawn from [`STRETCHES`]. Steps
 /// `flip` and `flip + 1` inject and then heal the same node while no
-/// octant syncs, so every window spanning them replays a node that flips
-/// and flips back.
+/// octant syncs, so every window spanning them marks a node that flips
+/// and flips back, which the window's net difference leaves out.
 fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let random_node = |rng: &mut SmallRng| {
@@ -190,7 +187,7 @@ fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
                 } else {
                     let builds = inc.region_builds();
                     assert_models_equal_fresh(&mut inc, frame);
-                    if inc.region_builds() == builds && step - last_models[o] > LOG_CAP {
+                    if inc.region_builds() == builds && step - last_models[o] > 32 {
                         long_pending_repairs += 1;
                     }
                     last_models[o] = step;
@@ -204,15 +201,12 @@ fn lagged_octants_equal_fresh(k: i32, steps: u64, octants: usize, seed: u64) {
     for &frame in frames {
         assert_models_equal_fresh(&mut inc, frame);
     }
-    assert!(
-        inc.slot_rebuilds() > octants,
-        "some slot must have lagged past LOG_CAP and been rebuilt"
-    );
+    assert_eq!(inc.slot_rebuilds(), octants, "every lag synced in place");
     assert!(
         long_pending_repairs > 0,
-        "some region must have been repaired after more than LOG_CAP labelling-only generations"
+        "some region must have been repaired after more than 32 labelling-only generations"
     );
-    assert!(inc.statuses_repaired() > 0, "replays must have done work");
+    assert!(inc.statuses_repaired() > 0, "syncs must have done work");
 }
 
 /// The bounded slice of the lag battery: a 16³ mesh, 150 steps, every
@@ -252,7 +246,11 @@ fn replayed_and_rebuilt_models_print_identically() {
         replayed.apply(&injected, &healed);
         replayed.models(frame);
     }
-    assert_eq!(replayed.slot_rebuilds(), 1, "every later sync replayed");
+    assert_eq!(
+        replayed.slot_rebuilds(),
+        1,
+        "every later sync repaired in place"
+    );
     let mut rebuilt = IncrementalModels3::new(replayed.mesh().clone(), BorderPolicy::BorderSafe);
     let print = |inc: &mut IncrementalModels3| {
         let m = inc.models(frame);
@@ -299,7 +297,7 @@ proptest! {
             let inject = raw.0.iter().map(|&(x, y)| c2(x.rem_euclid(w), y.rem_euclid(h)));
             let (injected, healed) = decode_step::<C2>(inc.mesh(), inject, &raw.1);
             inc.apply(&injected, &healed);
-            // Random sync per orientation, so slots replay logs of varying
+            // Random sync per orientation, so slots repair lags of varying
             // depth and regions repair over several labelling-only syncs.
             for &frame in &frames {
                 sync_at_random(&mut inc, frame, &mut rng);

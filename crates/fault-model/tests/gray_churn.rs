@@ -6,16 +6,17 @@
 //! node and the walk over `0..2^n` visits every fault set of `n` nodes,
 //! each step one inject or one heal on [`IncrementalModels`]. After step
 //! `i`, orientation `o` is synced when `i` is a multiple of `o + 1`, so its
-//! repair replays the last `o + 1` one-node batches, and is pinned against
-//! a from-scratch build: statuses, unsafe set, component cells, the
-//! component of every node, and MCC shapes.
+//! repair takes the net difference of the last `o + 1` one-node batches,
+//! and is pinned against a from-scratch build: statuses, unsafe set,
+//! component cells, the component of every node, and MCC shapes.
 //!
 //! The walk is split into the fixed ranges of [`fault_sets`]: each range
 //! starts from fresh models at the set just before its first step, so every
 //! step is checked once and the divergence reported is the first in walk
-//! order whatever the worker count. `cargo test` walks the 3×4 mesh and
-//! torus; the full walk (the 4×4 mesh and torus, the 2×3×3 and 3×3×2
-//! meshes) is the ignored test, run in release:
+//! order whatever the worker count. `cargo test` walks a 3×4 window of a
+//! mesh and of a torus; the full walk (4×4 windows of a mesh and a torus,
+//! 2×3×3 and 3×3×2 windows of a 3-D mesh) is the ignored test, run in
+//! release:
 //!
 //! ```text
 //! cargo test --release -p fault-model --test gray_churn -- --include-ignored
@@ -89,8 +90,9 @@ fn walk<C: Coord + Sync>(host: &Mesh<C>, window: [i32; 3], corner: [i32; 3]) -> 
             }
         }
     }
-    // One-node batches must take the worklist repair, not the relabel.
-    assert!(space.len() > BULK_REPAIR_FANOUT);
+    // Every sync's net difference (at most one node per lagged batch)
+    // must take the worklist repair, not the relabel.
+    assert!(space.len() > C::ORIENTATIONS * BULK_REPAIR_FANOUT);
     let frames = Frame::all(host);
     let mesh_at = |code: u64| {
         let mut mesh = host.clone();
@@ -142,19 +144,25 @@ fn walk<C: Coord + Sync>(host: &Mesh<C>, window: [i32; 3], corner: [i32; 3]) -> 
 
 #[test]
 fn repair_matches_recompute_along_the_gray_walk_slice() {
-    // A 3×4 window in the corner of a 7×7 mesh, and across the seams of
-    // a 7×7 torus.
-    assert_eq!(walk(&Mesh2D::new(7, 7), [3, 4, 1], [0, 0, 0]), 1 << 12);
-    assert_eq!(walk(&Mesh2D::torus(7, 7), [3, 4, 1], [-1, -2, 0]), 1 << 12);
+    // A 3×4 window in the corner of a 14×14 mesh, and across the seams
+    // of a 14×14 torus.
+    assert_eq!(walk(&Mesh2D::new(14, 14), [3, 4, 1], [0, 0, 0]), 1 << 12);
+    assert_eq!(
+        walk(&Mesh2D::torus(14, 14), [3, 4, 1], [-1, -2, 0]),
+        1 << 12
+    );
 }
 
 #[test]
 #[ignore = "the full walk; run in release with --include-ignored"]
 fn repair_matches_recompute_along_the_gray_walk_full() {
-    assert_eq!(walk(&Mesh2D::new(7, 7), [4, 4, 1], [0, 0, 0]), 1 << 16);
-    assert_eq!(walk(&Mesh2D::torus(7, 7), [4, 4, 1], [-2, -2, 0]), 1 << 16);
-    assert_eq!(walk(&Mesh3D::kary(4), [2, 3, 3], [0, 0, 0]), 1 << 18);
-    assert_eq!(walk(&Mesh3D::kary(4), [3, 3, 2], [0, 0, 0]), 1 << 18);
+    assert_eq!(walk(&Mesh2D::new(14, 14), [4, 4, 1], [0, 0, 0]), 1 << 16);
+    assert_eq!(
+        walk(&Mesh2D::torus(14, 14), [4, 4, 1], [-2, -2, 0]),
+        1 << 16
+    );
+    assert_eq!(walk(&Mesh3D::kary(8), [2, 3, 3], [0, 0, 0]), 1 << 18);
+    assert_eq!(walk(&Mesh3D::kary(8), [3, 3, 2], [0, 0, 0]), 1 << 18);
 }
 
 #[test]

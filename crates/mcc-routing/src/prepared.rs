@@ -10,7 +10,8 @@
 //! [`PreparedMesh`] amortizes that work across every pair evaluated
 //! against one fault configuration:
 //!
-//! * models are fetched through a [`fault_model::ModelCache`] — the block
+//! * models are fetched from an [`IncrementalModels`] over a copy of the
+//!   mesh — the workspace's one model cache, here never churned: the block
 //!   model computed once per mesh, the labelling once per orientation
 //!   actually encountered (≤ 4 in 2-D, ≤ 8 in 3-D);
 //! * per-trial transient state — the oracle/condition/block reachability
@@ -56,7 +57,7 @@
 
 use fault_model::condition::evaluate;
 use fault_model::oracle::Useful;
-use fault_model::ModelCache;
+use fault_model::IncrementalModels;
 use mesh_topo::{Frame, Mesh, C2, C3};
 
 use crate::baseline::{greedy, rfb};
@@ -69,7 +70,9 @@ use crate::trial::{TrialOptions, TrialResult};
 /// orientation-keyed model cache plus reusable trial scratch.
 #[derive(Clone, Debug)]
 pub struct PreparedMesh<'m, C: RouteSpace> {
-    models: ModelCache<'m, C>,
+    mesh: &'m Mesh<C>,
+    /// The models of `mesh`, built over a copy of it.
+    models: IncrementalModels<C>,
     /// Reachability buffer for the oracle, the block-model check and the
     /// block router (which reuses the check's sweep).
     useful: Useful<C>,
@@ -92,7 +95,8 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
     /// the first trial demands it.
     pub fn new(mesh: &'m Mesh<C>, opts: TrialOptions) -> PreparedMesh<'m, C> {
         PreparedMesh {
-            models: ModelCache::new(mesh, opts.border),
+            mesh,
+            models: IncrementalModels::new(mesh.clone(), opts.border),
             useful: Useful::scratch(),
             cond_useful: Useful::scratch(),
             scratch: Default::default(),
@@ -101,12 +105,12 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
 
     /// The mesh this prepared state describes.
     pub fn mesh(&self) -> &'m Mesh<C> {
-        self.models.mesh()
+        self.mesh
     }
 
     /// Number of frame orientations whose models have been computed so far.
     pub fn orientations_computed(&self) -> usize {
-        self.models.orientations_computed()
+        self.models.live_slots()
     }
 
     /// Run one trial against the cached models. Identical results to
@@ -115,15 +119,14 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
     /// # Panics
     /// If either endpoint is faulty.
     pub fn run_trial(&mut self, s: C, d: C, policy_seed: u64) -> TrialResult {
-        let mesh = self.models.mesh();
+        let mesh = self.mesh;
         assert!(
             mesh.is_healthy(s) && mesh.is_healthy(d),
             "trial endpoints must be healthy"
         );
         let frame = Frame::for_pair(mesh, s, d);
         let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
-        let m = self.models.models(frame);
-        let (lab, blocks) = (m.lab, m.blocks);
+        let (lab, blocks) = self.models.labelling_and_blocks(frame);
 
         self.useful
             .recompute_set(cs, cd, mesh.fault_set(), mesh.space(), Some(frame));
@@ -186,6 +189,7 @@ impl<'m, C: RouteSpace> PreparedMesh<'m, C> {
 mod tests {
     use super::*;
     use fault_model::{BorderPolicy, FaultRegime};
+    use mesh_topo::coord::c3;
     use mesh_topo::{Mesh2D, Mesh3D};
 
     /// Run 40 pairs of the `k`-ary `mesh` through one prepared mesh and
@@ -225,5 +229,29 @@ mod tests {
         let mut mesh = Mesh3D::kary(8);
         FaultRegime::Uniform.inject(&mut mesh, 40, 9, &[], BorderPolicy::BorderSafe);
         batch_matches_fresh(&mesh, 8);
+    }
+
+    #[test]
+    fn models_are_lazy_per_orientation_and_the_block_model_is_built_once() {
+        let mut mesh = Mesh3D::kary(6);
+        mesh.inject_fault(c3(3, 3, 3));
+        let mut pm = PreparedMesh3::new(&mesh, TrialOptions::default());
+        assert_eq!(pm.orientations_computed(), 0);
+        assert!(!pm.models.blocks_current(), "nothing computed yet");
+        pm.run_trial(c3(0, 0, 0), c3(5, 5, 5), 1);
+        assert_eq!(pm.orientations_computed(), 1);
+        assert!(pm.models.blocks_current());
+        // The same orientation reuses its slot; another builds one more
+        // slot. The block model, never dropped, is never rebuilt.
+        pm.run_trial(c3(1, 0, 0), c3(5, 4, 5), 2);
+        assert_eq!(pm.orientations_computed(), 1);
+        pm.run_trial(c3(5, 5, 5), c3(0, 0, 0), 3);
+        assert_eq!(pm.orientations_computed(), 2);
+        assert!(pm.models.blocks_current());
+        assert_eq!(
+            pm.models.slot_rebuilds(),
+            2,
+            "one labelling per orientation"
+        );
     }
 }

@@ -523,8 +523,7 @@ impl<C: ShardSpace> Models<C> {
     }
 
     /// The full comparable state in the identity orientation. `gen` is the
-    /// durable generation the caller tracks (the internal model generation
-    /// restarts at zero on recovery and is deliberately not compared).
+    /// durable generation the caller tracks (the models keep none).
     fn digest(&mut self, gen: u64) -> StateDigest {
         let frame = Frame::identity(self.inc.mesh());
         let faults = self.inc.mesh().fault_set().clone();
@@ -560,7 +559,7 @@ impl<C: ShardSpace> Models<C> {
     }
 
     /// Route `s` → `d` over the labelling of the pair's orientation,
-    /// synced to the current generation; the slot's components and MCC
+    /// synced to the current fault set; the slot's components and MCC
     /// records are left for the next query to repair.
     fn route(&mut self, s: C, d: C, seed: u64) -> Result<Response, ServiceError> {
         let space = self.inc.mesh().space();
@@ -1013,7 +1012,7 @@ mod tests {
         assert!(delivered > 0, "routes ran");
         let inc = &core.models_of::<C3>().expect("3-D shard").inc;
         assert!(inc.slot_rebuilds() > 1, "routes synced several octants");
-        assert!(inc.statuses_repaired() > 0, "routes replayed churn");
+        assert!(inc.statuses_repaired() > 0, "routes repaired churn");
         assert_eq!(
             (inc.region_builds(), inc.mccs_extracted()),
             (0, 0),
