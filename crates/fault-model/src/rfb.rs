@@ -11,13 +11,18 @@
 //! counts sacrificed healthy nodes against.
 //!
 //! The rule is 2-neighbour bootstrap percolation, run on bit rows along
-//! `x` (`crate::rows`) with a dirty-row worklist. With its off-row neighbor
+//! `x` (`crate::rows`) with a dirty worklist. With its off-row neighbor
 //! rows held fixed, a row closes in a few word operations: a node with two
 //! disabled off-row neighbors is disabled outright, a node with one is
 //! disabled once an in-row neighbor is (a run fill each way along the
 //! row), and a node with none once both in-row neighbors are (a shift and
-//! an AND). A row that changes marks its neighbor rows dirty, and sweeps
-//! up and down the grid settle the dirty rows until none is left.
+//! an AND). Rows of at most 64 nodes are packed `⌊64/nx⌋` to a word
+//! (`rows::Lanes`) and a word settles all its rows at once: the rows
+//! beside a row in the word are lane shifts, and the run fill is one
+//! segmented add per word that carries no bit across a lane. Wider rows
+//! settle a row at a time. A word or row that changes marks its neighbors
+//! dirty, and sweeps up and down the grid settle the dirty ones until
+//! none is left.
 //!
 //! On a mesh that closure is the model: a connected set closed under the
 //! rule is already a full box, and two boxes closer than ℓ1 distance 3
@@ -31,10 +36,12 @@
 //! of the min corners; no trial reads it (DESIGN.md §6, "The faulty-block
 //! kernel").
 
+use std::borrow::Cow;
+
 use mesh_topo::{Coord, Frame, Mesh, NodeSet, NodeSpace, C2, C3};
 
 use crate::oracle::Useful;
-use crate::rows::{push_runs, reverse_row, Rows, RunFill};
+use crate::rows::{push_runs, reverse_row, Lanes, Rows, RunFill};
 
 /// The faulty-block decomposition of a mesh or torus.
 ///
@@ -61,12 +68,12 @@ impl<C: Coord> FaultBlocks<C> {
         p.close();
         // On a mesh the closure is already a union of full boxes (module
         // docs): only a torus can need the fill.
-        while p.rows.wrap && p.fill(&component_boxes(p.rows, &p.disabled)) {
+        while p.rows.wrap && p.fill(&component_boxes(p.rows, &p.disabled_rows())) {
             p.close();
         }
         FaultBlocks {
             space: mesh.space(),
-            disabled: p.rows.pack(&p.disabled),
+            disabled: p.into_set(),
             fault_count: mesh.fault_count(),
         }
     }
@@ -153,11 +160,17 @@ impl Bounds {
 }
 
 /// The scratch state of one [`FaultBlocks::compute`].
+///
+/// Rows of at most 64 nodes are settled a word of [`Lanes`] at a time,
+/// wider ones a row at a time; `disabled` and `dirty` hold words in the
+/// first case and rows in the second. The two are *units* below.
 struct Percolation {
     rows: Rows,
-    /// The disabled set, as rows.
+    /// The lane layout, if a row fits in one word.
+    lanes: Option<Lanes>,
+    /// The disabled set, by units.
     disabled: Vec<u64>,
-    /// The rows to settle, and how many there are.
+    /// The units to settle, and how many there are.
     dirty: Vec<bool>,
     pending: usize,
     /// Row-sized buffers for [`Percolation::settle`] on rows of more
@@ -166,33 +179,45 @@ struct Percolation {
 }
 
 impl Percolation {
-    /// The state of `mesh`'s faults before any propagation, every row
+    /// The state of `mesh`'s faults before any propagation, every unit
     /// dirty.
     fn new<C: Coord>(mesh: &Mesh<C>) -> Percolation {
         let rows = Rows::of(mesh.space());
-        let mut p = Percolation {
-            rows,
-            disabled: rows.zeroed(),
-            dirty: vec![true; rows.count()],
-            pending: rows.count(),
-            // Narrower rows use stack buffers (`settle`), so these stay
-            // empty and allocate nothing.
-            scratch: std::array::from_fn(|_| vec![0; if rows.wpr > 2 { rows.wpr } else { 0 }]),
-        };
+        let lanes = Lanes::of(rows);
+        let mut disabled = lanes.map_or_else(|| rows.zeroed(), Lanes::zeroed);
         for &f in mesh.faults() {
-            rows.toggle(&mut p.disabled, f.xyz());
+            match lanes {
+                Some(l) => l.toggle(&mut disabled, f.xyz()),
+                None => rows.toggle(&mut disabled, f.xyz()),
+            }
         }
-        p
+        let units = lanes.map_or(rows.count(), Lanes::count);
+        Percolation {
+            rows,
+            lanes,
+            disabled,
+            dirty: vec![true; units],
+            pending: units,
+            // Rows of one or two words use no buffers (`settle`), so these
+            // stay empty and allocate nothing.
+            scratch: std::array::from_fn(|_| vec![0; if rows.wpr > 2 { rows.wpr } else { 0 }]),
+        }
     }
 
-    /// The rows next to row `r` (at `y`, `z`) along `y` and `z`; the first
-    /// `n` are set.
+    /// The units next to unit `u` (at `yz`: the `y` of a row, the index
+    /// in its plane of a word, and `z`) along `y` and `z`, `u` itself left
+    /// out; the first `n` are set.
     #[inline(always)]
-    fn neighbors(&self, r: usize, y: usize, z: usize) -> ([usize; 4], usize) {
+    fn neighbors(&self, u: usize, yz: [usize; 2]) -> ([usize; 4], usize) {
+        let rows = self.rows;
         let (mut out, mut n) = ([0; 4], 0);
-        for a in 1..self.rows.dims {
+        for a in 1..rows.dims {
             for up in [true, false] {
-                if let Some(j) = self.rows.step(r, [y, z], a, up) {
+                let j = match self.lanes {
+                    Some(l) => l.step(u, yz, a, up),
+                    None => rows.step(u, yz, a, up),
+                };
+                if let Some(j) = j.filter(|&j| j != u) {
                     out[n] = j;
                     n += 1;
                 }
@@ -201,52 +226,45 @@ impl Percolation {
         (out, n)
     }
 
-    fn mark(&mut self, r: usize) {
-        if !self.dirty[r] {
-            self.dirty[r] = true;
+    fn mark(&mut self, u: usize) {
+        if !self.dirty[u] {
+            self.dirty[u] = true;
             self.pending += 1;
         }
     }
 
-    fn mark_neighbors(&mut self, r: usize, y: usize, z: usize) {
-        let (nbrs, n) = self.neighbors(r, y, z);
-        for &j in &nbrs[..n] {
-            self.mark(j);
-        }
-    }
-
-    /// Settle the dirty rows in sweeps up and down the grid, alternately,
-    /// until none is left. A row that changes marks its neighbor rows
-    /// dirty, and a row later in the same sweep sees the change at once.
+    /// Settle the dirty units in sweeps up and down the grid, alternately,
+    /// until none is left. A unit that changes marks its neighbors dirty,
+    /// and a unit later in the same sweep sees the change at once.
     fn close(&mut self) {
-        // Rows of one or two words get their own copies of the sweep, in
-        // which the row width `W` is a constant the compiler folds and the
-        // row buffers live on the stack; `W = 0` reads the width at run
-        // time.
-        match self.rows.wpr {
-            1 => self.sweep::<1>(),
-            2 => self.sweep::<2>(),
-            _ => self.sweep::<0>(),
+        // Rows of two words get their own copy of the row sweep, in which
+        // the row width `W` is a constant the compiler folds and the row
+        // buffers live on the stack; `W = 0` reads the width at run time.
+        match (self.lanes, self.rows.wpr) {
+            (Some(l), _) => self.sweep(l.wpp, |p, w, jz| p.settle_word(l, w, jz)),
+            (None, 2) => self.sweep(self.rows.ext[1], Self::settle::<2>),
+            _ => self.sweep(self.rows.ext[1], Self::settle::<0>),
         }
     }
 
-    /// [`Percolation::close`] for rows of `W` words (`0`: any width).
-    fn sweep<const W: usize>(&mut self) {
-        let [_, ny, nz] = self.rows.ext;
+    /// [`Percolation::close`] over `plane` units per `z` plane.
+    #[inline(always)]
+    fn sweep(&mut self, plane: usize, mut settle: impl FnMut(&mut Self, usize, [usize; 2])) {
+        let nz = self.rows.ext[2];
         let mut up = true;
         while self.pending > 0 {
             for kz in 0..nz {
-                for ky in 0..ny {
-                    let (y, z) = if up {
-                        (ky, kz)
+                for ky in 0..plane {
+                    let yz @ [y, z] = if up {
+                        [ky, kz]
                     } else {
-                        (ny - 1 - ky, nz - 1 - kz)
+                        [plane - 1 - ky, nz - 1 - kz]
                     };
-                    let r = z * ny + y;
-                    if self.dirty[r] {
-                        self.dirty[r] = false;
+                    let u = z * plane + y;
+                    if self.dirty[u] {
+                        self.dirty[u] = false;
                         self.pending -= 1;
-                        self.settle::<W>(r, y, z);
+                        settle(self, u, yz);
                     }
                 }
             }
@@ -254,9 +272,88 @@ impl Percolation {
         }
     }
 
-    /// Close row `r` (at `y`, `z`) under the rule with its neighbor rows
-    /// held fixed, and mark dirty each neighbor row that the nodes it
-    /// gains can change: one that does not already hold them all.
+    /// Close word `w` under the rule with the words around it held fixed,
+    /// and mark dirty each neighbor word that the nodes it gains can
+    /// change.
+    ///
+    /// A lane's `y` neighbors are the lanes beside it, and past either end
+    /// of the word the nearest lane of the neighbor word (on a torus whose
+    /// plane is one word, the word's own far lane); its `z` neighbors are
+    /// the same lane of the words a plane away. Counted bit-sliced as in
+    /// [`Percolation::settle`], a round gives the seeds, and the free runs
+    /// that hold one fill in every lane at once ([`Lanes::spread`]). The
+    /// lanes beside a lane change with the word, so the rounds repeat
+    /// until the word is stable. Phantom lanes need no mask: the only lane
+    /// beside one that can hold a node is the last real lane, and one
+    /// disabled neighbor off an empty row disables none of its nodes. The
+    /// bits the `y` shift pushes above the last lane are harmless the same
+    /// way: they reach `any` and `free`, never a seed.
+    #[inline(always)]
+    fn settle_word(&mut self, l: Lanes, w: usize, jz @ [j, _]: [usize; 2]) {
+        let (nx, d) = (self.rows.ext[0] as u32, &self.disabled);
+        // The offsets of the last real lanes of `w` and of the word before
+        // it along `y`.
+        let (edge, edge_below) = (l.edge(j), l.edge(if j == 0 { l.wpp - 1 } else { j - 1 }));
+        // The fixed inputs: the planes either side, and the lanes entering
+        // from the words either side along `y`.
+        let planes = if self.rows.dims == 3 {
+            [true, false].map(|up| l.step(w, jz, 2, up))
+        } else {
+            [None; 2]
+        };
+        let (mut z_any, mut z_two) = (0, 0);
+        for n in planes.into_iter().flatten() {
+            z_two |= z_any & d[n];
+            z_any |= d[n];
+        }
+        // On a torus whose plane is one word, that word is its own `y`
+        // neighbor, read from `cur` in every round instead.
+        let (mut below, mut above) = (l.step(w, jz, 1, false), l.step(w, jz, 1, true));
+        let own = below == Some(w);
+        if own {
+            (below, above) = (None, None);
+        }
+        let from_below = below.map_or(0, |n| l.take(d[n], edge_below));
+        let from_above = above.map_or(0, |n| l.put(d[n], edge));
+        let old = d[w];
+        let mut cur = old;
+        loop {
+            let mut y_lo = cur.checked_shl(nx).unwrap_or(0) | from_below;
+            let mut y_hi = cur.checked_shr(nx).unwrap_or(0) | from_above;
+            if own {
+                y_lo |= l.take(cur, edge);
+                y_hi |= l.put(cur, edge);
+            }
+            let any = z_any | y_lo | y_hi;
+            let two = z_two | (z_any & (y_lo | y_hi)) | (y_lo & y_hi);
+            let (lo, hi) = l.x_neighbors(cur);
+            let seeds = cur | two | (any & (lo | hi)) | (lo & hi);
+            if seeds == cur {
+                break;
+            }
+            cur = l.spread(any | seeds, seeds);
+        }
+        if cur == old {
+            return;
+        }
+        self.disabled[w] = cur;
+        let gained = cur & !old;
+        let d = &self.disabled;
+        // The same lanes a plane away, and the lane of the word either
+        // side along `y` next to lane 0 or to the last real lane.
+        let across = planes.map(|n| n.filter(|&n| gained & !d[n] != 0));
+        let along = [
+            below.filter(|&n| l.put(gained, edge_below) & !d[n] != 0),
+            above.filter(|&n| l.take(gained, edge) & !d[n] != 0),
+        ];
+        for n in across.into_iter().chain(along).flatten() {
+            self.mark(n);
+        }
+    }
+
+    /// Close row `r` under the rule with its neighbor rows held fixed,
+    /// and mark dirty each neighbor row that the nodes it gains can
+    /// change: one that does not already hold them all.
     ///
     /// Off the row, `any` and `two` count the disabled neighbor rows
     /// bit-sliced. A node in `two` is disabled, and so is a node whose two
@@ -265,8 +362,8 @@ impl Percolation {
     /// node fills ([`spread`]). Rounds of these repeat until none adds a
     /// node.
     #[inline(always)]
-    fn settle<const W: usize>(&mut self, r: usize, y: usize, z: usize) {
-        let (nbrs, n) = self.neighbors(r, y, z);
+    fn settle<const W: usize>(&mut self, r: usize, yz: [usize; 2]) {
+        let (nbrs, n) = self.neighbors(r, yz);
         let rows = self.rows;
         let wpr = if W == 0 { rows.wpr } else { W };
         let mut stack = [[0; W]; 7];
@@ -309,15 +406,39 @@ impl Percolation {
         }
     }
 
+    /// The disabled set as rows.
+    fn disabled_rows(&self) -> Cow<'_, [u64]> {
+        match self.lanes {
+            Some(l) => Cow::Owned(l.to_rows(&self.disabled)),
+            None => Cow::Borrowed(&self.disabled),
+        }
+    }
+
+    /// The disabled set as a [`NodeSet`].
+    fn into_set(self) -> NodeSet {
+        match self.lanes {
+            Some(l) => l.pack(self.disabled),
+            None => self.rows.pack(&self.disabled),
+        }
+    }
+
     /// Disable every node of every box that is not full, and queue the
-    /// changed rows and their neighbors. Returns true if any node changed.
+    /// changed units and their neighbors. Returns true if any node changed.
     fn fill(&mut self, boxes: &[Bounds]) -> bool {
         let (ny, wpr) = (self.rows.ext[1], self.rows.wpr);
         let mut filled = false;
         for b in boxes.iter().filter(|b| !b.full()) {
             for z in b.lo[2]..=b.hi[2] {
                 for y in b.lo[1]..=b.hi[1] {
-                    let r = z * ny + y;
+                    // The row's unit and its place, its first word and the
+                    // bit of `x = 0`.
+                    let (u, yz, first, at) = match self.lanes {
+                        Some(l) => {
+                            let (w, at) = l.at(y, z);
+                            (w, [y / l.per, z], w, at)
+                        }
+                        None => (z * ny + y, [y, z], (z * ny + y) * wpr, 0),
+                    };
                     let mut changed = false;
                     for k in 0..wpr {
                         let (w0, w1) = (k * 64, k * 64 + 63);
@@ -326,14 +447,17 @@ impl Percolation {
                         }
                         let (from, to) = (b.lo[0].max(w0) - w0, b.hi[0].min(w1) - w0);
                         let m = (u64::MAX >> (63 - to)) & (u64::MAX << from);
-                        let w = &mut self.disabled[r * wpr + k];
-                        changed |= m & !*w != 0;
-                        *w |= m;
+                        let w = &mut self.disabled[first + k];
+                        changed |= m << at & !*w != 0;
+                        *w |= m << at;
                     }
                     if changed {
                         filled = true;
-                        self.mark(r);
-                        self.mark_neighbors(r, y, z);
+                        self.mark(u);
+                        let (nbrs, n) = self.neighbors(u, yz);
+                        for &j in &nbrs[..n] {
+                            self.mark(j);
+                        }
                     }
                 }
             }
@@ -495,11 +619,6 @@ fn spread(nx: usize, free: &[u64], seeds: &[u64], out: &mut [u64], tmp: [&mut [u
         (out[k] >> 1 | above) & free[k] & !out[k] != 0
     });
     if !down {
-        return;
-    }
-    if let ([f], [s], [o]) = (free, seeds, &mut *out) {
-        let rev = |w: u64| w.reverse_bits() >> (64 - nx);
-        *o |= rev(RunFill::default().word(rev(*f), rev(*s)));
         return;
     }
     let [rf, rs] = tmp;

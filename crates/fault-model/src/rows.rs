@@ -9,6 +9,12 @@
 //! to the fill). With the row stored so that the fill runs toward higher
 //! bits, one carry-propagating add per word finds every free run that
 //! starts at a seed ([`RunFill`]).
+//!
+//! The block closure packs rows of at most 64 nodes `⌊64/nx⌋` to a word
+//! instead ([`Lanes`]), where the same add is segmented so that no carry
+//! crosses a row. When `nx` divides 64, [`Rows::pack`] and
+//! [`Rows::unpack`] gather and scatter whole rows a word at a time with
+//! the same layout, which is then exactly the [`NodeSet`] one.
 
 use mesh_topo::{Coord, NodeSet, NodeSpace};
 
@@ -120,13 +126,16 @@ impl Rows {
         rows[r * self.wpr + x / 64] ^= 1 << (x % 64);
     }
 
-    /// `rows` as a [`NodeSet`].
+    /// `rows` as a [`NodeSet`]. When `nx` divides 64, each set word is
+    /// `64 / nx` whole rows ([`gather`]).
     pub(crate) fn pack(self, rows: &[u64]) -> NodeSet {
         let (nx, wpr) = (self.ext[0], self.wpr);
         let nbits = self.count() * nx;
         let mut words = vec![0u64; nbits.div_ceil(64)];
         if nx % 64 == 0 {
             words.copy_from_slice(rows);
+        } else if 64 % nx == 0 {
+            gather(rows, nx, &mut words);
         } else {
             for (r, row) in rows.chunks_exact(wpr).enumerate() {
                 for (k, &w) in row.iter().enumerate().filter(|&(_, &w)| w != 0) {
@@ -146,10 +155,211 @@ impl Rows {
     /// [`Rows::pack`].
     pub(crate) fn unpack(self, set: &NodeSet) -> Vec<u64> {
         let (nx, mut rows) = (self.ext[0], self.zeroed());
+        if 64 % nx == 0 {
+            scatter(set.words(), nx, &mut rows);
+            return rows;
+        }
         for (r, row) in rows.chunks_exact_mut(self.wpr).enumerate() {
             put_bits(row, 0, set.words(), r * nx, nx);
         }
         rows
+    }
+}
+
+/// Rows of at most 64 nodes, `per = ⌊64/nx⌋` to a word: row `y` of `z`
+/// plane `z` is lane `y % per` of word `z·wpp + y / per`, node `x` at bit
+/// `(y % per)·nx + x`. Each plane is padded to `wpp = ⌈ny/per⌉` whole
+/// words, so a plane's last word may hold *phantom* lanes (rows `y ≥
+/// ny`), and the `64 − per·nx` bits above the last lane are padding; both
+/// stay zero. When `nx` divides 64 and the planes need no padding, the
+/// words are exactly the [`NodeSet`] layout.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lanes {
+    rows: Rows,
+    /// Lanes (rows) per word.
+    pub(crate) per: usize,
+    /// Words per `z` plane.
+    pub(crate) wpp: usize,
+    /// The words as a grid `[nx, wpp, nz]`, for [`Rows::step`].
+    words: Rows,
+    /// Bit 0 of each lane, and the bit just past the last lane.
+    starts: u64,
+    /// The top bit of each lane.
+    tops: u64,
+    /// The bits of lane 0.
+    lane: u64,
+    /// The bit offset of the last lane of a word, and of the last real
+    /// lane of a plane's last word.
+    edge: [u32; 2],
+}
+
+impl Lanes {
+    /// The lane layout of `rows`, if a row fits in one word.
+    pub(crate) fn of(rows: Rows) -> Option<Lanes> {
+        let [nx, ny, nz] = rows.ext;
+        if nx > 64 {
+            return None;
+        }
+        let per = 64 / nx;
+        let wpp = ny.div_ceil(per);
+        let low = |n: usize| u64::MAX >> (64 - n);
+        let starts = (0..=per)
+            .filter(|l| l * nx < 64)
+            .fold(0, |m, l| m | 1 << (l * nx));
+        Some(Lanes {
+            rows,
+            per,
+            wpp,
+            words: Rows {
+                ext: [nx, wpp, nz],
+                ..rows
+            },
+            starts,
+            tops: (starts & low(per * nx)) << (nx - 1),
+            lane: low(nx),
+            edge: [per - 1, (ny - 1) % per].map(|l| (l * nx) as u32),
+        })
+    }
+
+    /// The number of words.
+    pub(crate) fn count(self) -> usize {
+        self.wpp * self.rows.ext[2]
+    }
+
+    /// All words, zeroed.
+    pub(crate) fn zeroed(self) -> Vec<u64> {
+        vec![0; self.count()]
+    }
+
+    /// The word holding row `y` of plane `z`, and the bit offset of the
+    /// row's lane.
+    #[inline(always)]
+    pub(crate) fn at(self, y: usize, z: usize) -> (usize, u32) {
+        let lane = y % self.per;
+        (
+            z * self.wpp + y / self.per,
+            (lane * self.rows.ext[0]) as u32,
+        )
+    }
+
+    /// The bit offset of the last real lane of word `j` of a plane.
+    #[inline(always)]
+    pub(crate) fn edge(self, j: usize) -> u32 {
+        self.edge[usize::from(j + 1 == self.wpp)]
+    }
+
+    /// The lane of `word` at bit offset `at`, moved to lane 0.
+    #[inline(always)]
+    pub(crate) fn take(self, word: u64, at: u32) -> u64 {
+        word >> at & self.lane
+    }
+
+    /// Lane 0 of `word`, moved to bit offset `at`.
+    #[inline(always)]
+    pub(crate) fn put(self, word: u64, at: u32) -> u64 {
+        (word & self.lane) << at
+    }
+
+    /// The word one step from word `w` (word `j` of plane `z`) along axis
+    /// `a` (1 = `y`, 2 = `z`), toward `+a` if `up`: [`Rows::step`] on the
+    /// grid of words. On a torus whose plane is one word, the `y` step is
+    /// `w` itself.
+    #[inline(always)]
+    pub(crate) fn step(self, w: usize, jz: [usize; 2], a: usize, up: bool) -> Option<usize> {
+        self.words.step(w, jz, a, up)
+    }
+
+    /// Flip the node at `[x, y, z]` in `words`.
+    #[inline]
+    pub(crate) fn toggle(self, words: &mut [u64], [x, y, z]: [i32; 3]) {
+        let (w, at) = self.at(y as usize, z as usize);
+        words[w] ^= 1 << (at + x as u32);
+    }
+
+    /// Each node's `-x` and `+x` neighbor in `word`, lane by lane; on a
+    /// torus a lane's bit 0 and top bit are neighbors.
+    #[inline(always)]
+    pub(crate) fn x_neighbors(self, word: u64) -> (u64, u64) {
+        let (mut lo, mut hi) = (word << 1 & !self.starts, word >> 1 & !self.tops);
+        if self.rows.wrap {
+            let edge = self.rows.ext[0] as u32 - 1;
+            lo |= (word & self.tops) >> edge;
+            hi |= (word & self.starts) << edge;
+        }
+        (lo, hi)
+    }
+
+    /// The run fill of [`RunFill::word`] in every lane at once: every bit
+    /// of `free` that a run of `free` bits reaches from a bit of `seeds`
+    /// (a subset of `free`) stepping toward higher bits, within its lane.
+    /// The add is segmented: each lane's top bit is left out of the sum
+    /// and XORed back in, so no carry crosses into the next lane.
+    #[inline(always)]
+    pub(crate) fn fill_up(self, free: u64, seeds: u64) -> u64 {
+        let (rest, h) = (free & !seeds, self.tops);
+        let sh = seeds << 1 & !self.starts;
+        let sum = ((rest & !h) + (sh & !h)) ^ ((rest ^ sh) & h);
+        ((sum ^ rest) & free) | seeds
+    }
+
+    /// Every bit of `free` in a run of its lane that holds a bit of
+    /// `seeds`: [`Lanes::fill_up`] and, where a run reaches below its
+    /// lowest seed, the same fill on the bit-reversed word.
+    #[inline(always)]
+    pub(crate) fn spread(self, free: u64, seeds: u64) -> u64 {
+        let up = self.fill_up(free, seeds);
+        if (up >> 1 & !self.tops) & free & !up == 0 {
+            return up;
+        }
+        up | self.reverse(self.fill_up(self.reverse(free), self.reverse(seeds)))
+    }
+
+    /// `word` with its lanes in reverse order and each lane reversed: an
+    /// involution on words whose padding is zero.
+    #[inline(always)]
+    fn reverse(self, word: u64) -> u64 {
+        word.reverse_bits() >> (64 - self.per * self.rows.ext[0])
+    }
+
+    /// `words` as rows of one word each.
+    pub(crate) fn to_rows(self, words: &[u64]) -> Vec<u64> {
+        let ([nx, ny, _], mut rows) = (self.rows.ext, self.rows.zeroed());
+        for (plane, out) in words.chunks_exact(self.wpp).zip(rows.chunks_exact_mut(ny)) {
+            scatter(plane, nx, out);
+        }
+        rows
+    }
+
+    /// `words` as a [`NodeSet`]: the words themselves when they are its
+    /// layout.
+    pub(crate) fn pack(self, words: Vec<u64>) -> NodeSet {
+        let [nx, ny, nz] = self.rows.ext;
+        if 64 % nx == 0 && (nz == 1 || ny % self.per == 0) {
+            NodeSet::from_raw_words(self.rows.count() * nx, words)
+        } else {
+            self.rows.pack(&self.to_rows(&words))
+        }
+    }
+}
+
+/// Gather rows of `nx` bits (`nx` at most 64), one word each, `⌊64/nx⌋`
+/// to a word of `words`, row `per·w + l` at bit `l·nx` of word `w`.
+fn gather(rows: &[u64], nx: usize, words: &mut [u64]) {
+    for (word, group) in words.iter_mut().zip(rows.chunks(64 / nx)) {
+        *word = group
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (l, &r)| acc | r << (l * nx));
+    }
+}
+
+/// The inverse of [`gather`]: fill `rows` from `words`.
+fn scatter(words: &[u64], nx: usize, rows: &mut [u64]) {
+    let lane = u64::MAX >> (64 - nx);
+    for (&word, group) in words.iter().zip(rows.chunks_mut(64 / nx)) {
+        for (l, r) in group.iter_mut().enumerate() {
+            *r = word >> (l * nx) & lane;
+        }
     }
 }
 
@@ -216,5 +426,59 @@ pub(crate) fn put_bits(row: &mut [u64], at: usize, words: &[u64], start: usize, 
             row[w + 1] |= bits >> (64 - b);
         }
         done += n;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `pack`, `unpack` and the lane layout against a bit-by-bit
+    /// reference, for every row width from 1 to 130 nodes (one, two and
+    /// three words; padded, exact and phantom lanes) over a few `ny·nz`
+    /// shapes.
+    #[test]
+    fn pack_unpack_and_lanes_match_bitwise_reference() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        for nx in 1..=130 {
+            for [ny, nz] in [[1, 1], [3, 1], [5, 2], [4, 3], [7, 2]] {
+                let rows = Rows {
+                    ext: [nx, ny, nz],
+                    wpr: nx.div_ceil(64),
+                    dims: 3,
+                    wrap: false,
+                };
+                let mut words = rows.zeroed();
+                let mut set = NodeSet::new(rows.count() * nx);
+                let lanes = Lanes::of(rows);
+                let mut lane_words = lanes.map(Lanes::zeroed);
+                for r in 0..rows.count() {
+                    for x in 0..nx {
+                        if rng.gen_range(0..3) == 0 {
+                            let (y, z) = (r % ny, r / ny);
+                            rows.toggle(&mut words, [x, y, z].map(|v| v as i32));
+                            set.insert(r * nx + x);
+                            if let (Some(l), Some(lw)) = (lanes, &mut lane_words) {
+                                l.toggle(lw, [x, y, z].map(|v| v as i32));
+                            }
+                        }
+                    }
+                }
+                let shape = [nx, ny, nz];
+                assert_eq!(rows.pack(&words), set, "pack {shape:?}");
+                assert_eq!(rows.unpack(&set), words, "unpack {shape:?}");
+                assert_eq!(
+                    rows.unpack(&rows.pack(&words)),
+                    words,
+                    "round trip {shape:?}"
+                );
+                if let (Some(l), Some(lw)) = (lanes, lane_words) {
+                    assert_eq!(l.to_rows(&lw), words, "lanes to rows {shape:?}");
+                    assert_eq!(l.pack(lw), set, "lanes pack {shape:?}");
+                }
+            }
+        }
     }
 }
