@@ -19,30 +19,35 @@
 //! node space and [`Labelling2`] / [`Labelling3`] are its two
 //! instantiations.
 //!
-//! The closures run on **bit rows** along `x` (`crate::rows`), not per
-//! node. Rule 3 makes a node's label depend only on its `-` neighbors, so
-//! one sweep of the rows in increasing `(z, y)` order sees its `-y` and
-//! `-z` neighbor rows final. Within a row a candidate is a healthy node
-//! whose off-row inputs all block; a candidate is labelled once its `-x`
-//! neighbor blocks, so the labels are the candidate runs that start next to
-//! a fault (or the border), and one carry-propagating add per word finds
-//! them. Rule 2 is the same kernel run on the point reflection of the grid
-//! (each fault placed at its reflected coordinate, each label mapped back),
-//! so the one kernel body serves both closures and both dimensions. The
-//! statuses and the unsafe set are then written from the row words,
-//! touching only unsafe nodes.
-//! The hash-based worklist formulation is preserved as a test oracle beside
-//! `tests/properties.rs` and property-tested equal.
+//! The closures run on **words of bit rows** along `x` (`crate::rows`),
+//! not per node. Rule 3 makes a node's label depend only on its `-`
+//! neighbors, so one pass in increasing `(z, y)` order sees its `-y` and
+//! `-z` neighbors final. A candidate is a healthy node whose off-row
+//! inputs all block; a candidate is labelled once its `-x` neighbor
+//! blocks, so the labels are the candidate runs that start next to a
+//! fault (or the border), and one carry-propagating add finds them. Rows
+//! of at most 64 nodes are packed `⌊64/nx⌋` to a word (`rows::Lanes`) and
+//! a word settles all its rows in at most that many rounds, each lane
+//! reading the lane below it in the same word; wider rows settle one at a
+//! time over several words. Rule 2 is the same kernel run on the point
+//! reflection of the grid (each fault placed at its reflected coordinate,
+//! each label mapped back), so the one kernel body serves both closures
+//! and both dimensions. The statuses and the unsafe set are then written
+//! from the words, touching only unsafe nodes (DESIGN.md §6, "Labelling
+//! on lanes").
+//! The hash-based worklist formulation is preserved as a test oracle
+//! (`tests/reference/`) and checked equal in `tests/labelling_equiv.rs`.
 //!
 //! On a **torus** the rules read the wrapped neighbors, whose ring cycles
-//! defeat the single-pass argument: a row is redone until its seam input is
-//! settled, and the sweeps repeat until no row changes. The fixpoint is
-//! property-tested equal to the definitional worklist closure over the
-//! wrapped neighbor relation (`tests/properties.rs`).
+//! defeat the single-pass argument: a word or row is redone until its seam
+//! input is settled, and the passes repeat until nothing changes. The
+//! fixpoint is checked equal to the definitional worklist closure over
+//! the wrapped neighbor relation (`tests/labelling_equiv.rs`,
+//! `tests/properties.rs`).
 
 use mesh_topo::{Coord, Frame, Mesh, NodeGrid, NodeSet, NodeSpace, C2, C3};
 
-use crate::rows::{Rows, RunFill};
+use crate::rows::{Bases, Lanes, Rows, RunFill};
 use crate::status::{BorderPolicy, NodeStatus};
 
 /// The fixpoint of the labelling closure for one orientation of a mesh.
@@ -72,8 +77,11 @@ impl<C: Coord> Labelling<C> {
     }
 
     /// Both closures over the faults at the canonical coordinates
-    /// `faults`, then the statuses and the unsafe set, written from the
-    /// row words.
+    /// `faults`, on lanes when a row fits in a word and on rows otherwise.
+    ///
+    /// Rule 3 reads the `-` neighbors, the kernel's own orientation. Rule
+    /// 2 reads the `+` neighbors, so it runs on the point reflection of
+    /// the grid (`flipped`: each fault at its reflected coordinate).
     fn from_faults(
         space: NodeSpace<C>,
         frame: Frame<C>,
@@ -81,58 +89,35 @@ impl<C: Coord> Labelling<C> {
         faults: impl Iterator<Item = [i32; 3]>,
     ) -> Self {
         let rows = Rows::of(space);
-        let ([nx, ny, nz], wpr) = (rows.ext, rows.wpr);
-        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
-        // Rule 3 reads the `-` neighbors, the kernel's own orientation.
-        // Rule 2 reads the `+` neighbors, so it runs on the point
-        // reflection of the grid (`flipped`).
-        let (mut fault_rows, mut flipped) = (rows.zeroed(), rows.zeroed());
-        let far = [nx, ny, nz].map(|n| n as i32 - 1);
-        for [x, y, z] in faults {
-            rows.toggle(&mut fault_rows, [x, y, z]);
-            rows.toggle(&mut flipped, [far[0] - x, far[1] - y, far[2] - z]);
-        }
-        let mut unsafe_rows = fault_rows.clone();
-        close(rows, border_blocks, &fault_rows, &mut unsafe_rows);
-        let mut useless = flipped.clone();
-        close(rows, border_blocks, &flipped, &mut useless);
-
+        let lanes = Lanes::of(rows);
+        let [nx, ny, _] = rows.ext;
+        let far = rows.ext.map(|n| n as i32 - 1);
+        let zeroed = || lanes.map_or_else(|| rows.zeroed(), Lanes::zeroed);
+        let (mut fault_words, mut flipped) = (zeroed(), zeroed());
         let mut status = NodeGrid::new(space.len(), NodeStatus::SAFE);
         let st = status.as_mut_slice();
-        // Word `i` is word `i % wpr` of row `i / wpr`.
-        let (row, x0) = (|i: usize| i / wpr, |i: usize| i % wpr * 64);
-        for (i, (&f, &blocked)) in fault_rows.iter().zip(&unsafe_rows).enumerate() {
-            let mut bits = blocked;
-            while bits != 0 {
-                let b = bits.trailing_zeros();
-                bits &= bits - 1;
-                st[row(i) * nx + x0(i) + b as usize] = if f >> b & 1 != 0 {
-                    NodeStatus::FAULT
-                } else {
-                    let mut cant = NodeStatus::SAFE;
-                    cant.mark_cant_reach();
-                    cant
-                };
+        for [x, y, z] in faults {
+            st[(z as usize * ny + y as usize) * nx + x as usize] = NodeStatus::FAULT;
+            let back = [far[0] - x, far[1] - y, far[2] - z];
+            match lanes {
+                Some(l) => {
+                    l.toggle(&mut fault_words, [x, y, z]);
+                    l.toggle(&mut flipped, back);
+                }
+                None => {
+                    rows.toggle(&mut fault_words, [x, y, z]);
+                    rows.toggle(&mut flipped, back);
+                }
             }
         }
-        // The useless nodes, reflected back.
-        let last = rows.count() - 1;
-        for (i, (&f, &blocked)) in flipped.iter().zip(&useless).enumerate() {
-            let mut bits = blocked & !f;
-            while bits != 0 {
-                let x = nx - 1 - (x0(i) + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                let r = last - row(i);
-                st[r * nx + x].mark_useless();
-                unsafe_rows[r * wpr + x / 64] |= 1 << (x % 64);
-            }
-        }
+        let border_blocks = matches!(policy, BorderPolicy::BorderBlocked);
+        let unsafe_set = label(rows, lanes, border_blocks, st, fault_words, flipped);
         Labelling {
             frame,
             policy,
             space,
             status,
-            unsafe_set: rows.pack(&unsafe_rows),
+            unsafe_set,
         }
     }
 
@@ -234,7 +219,7 @@ impl<C: Coord> Labelling<C> {
     /// from the perturbed seeds only — O(perturbation + retraction cone),
     /// independent of mesh size. Once the batch is a sizeable fraction of
     /// the mesh (`1/`[`BULK_REPAIR_FANOUT`]) the worklist's per-node
-    /// overhead loses to the row kernels and the repair falls back to
+    /// overhead loses to the word kernels and the repair falls back to
     /// relabelling with the kernels [`Labelling::compute`] uses. Both tiers
     /// return the same statuses and the same changed list; the tier
     /// cut-over is a pure function of batch and mesh size.
@@ -294,8 +279,9 @@ impl<C: Coord> Labelling<C> {
             .collect()
     }
 
-    /// Bulk repair tier: relabel the churned fault set with the row
-    /// kernels. The changed list comes from diffing a pre-churn snapshot.
+    /// Bulk repair tier: relabel the churned fault set with the word
+    /// kernels of [`Labelling::compute`]. The changed list comes from
+    /// diffing a pre-churn snapshot.
     fn repair_bulk(&mut self, inj: &[usize], heal: &[usize]) -> Vec<usize> {
         let snapshot = self.status.as_slice().to_vec();
         flip(self.status.as_mut_slice(), inj, heal);
@@ -532,9 +518,205 @@ impl<C: Coord> Raster<C> {
     }
 }
 
-/// One closure over whole rows, in rule 3's orientation: a healthy node is
-/// labelled once its `-x`, `-y` (and `-z`) neighbors all block. `blocked`
-/// holds the rows of `faults` on entry and faults plus labels on return.
+/// A word layout of the node space that the closures run on: [`Lanes`]
+/// for rows of at most 64 nodes, [`Rows`] for wider ones.
+trait Words: Copy {
+    /// One closure, in rule 3's orientation: a healthy node is labelled
+    /// once its `-x`, `-y` (and `-z`) neighbors all block. `blocked` holds
+    /// `faults` on entry and faults plus labels on return.
+    fn close(self, border_blocks: bool, faults: &[u64], blocked: &mut [u64]);
+
+    /// The linear node index of bit 0 of each word, in word order
+    /// (endless: zip it with the words).
+    fn bases(self) -> Bases;
+
+    /// The words as a [`NodeSet`].
+    fn pack(self, words: Vec<u64>) -> NodeSet;
+}
+
+impl Words for Lanes {
+    fn close(self, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
+        close_lanes(self, border_blocks, faults, blocked)
+    }
+
+    fn bases(self) -> Bases {
+        Lanes::bases(self)
+    }
+
+    fn pack(self, words: Vec<u64>) -> NodeSet {
+        Lanes::pack(self, words)
+    }
+}
+
+impl Words for Rows {
+    fn close(self, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
+        // Rows of two words get their own copy of the sweep, in which the
+        // row width `W` is a constant the compiler folds; `W = 0` reads
+        // the width at run time.
+        if self.wpr == 2 {
+            sweep::<2>(self, border_blocks, faults, blocked)
+        } else {
+            sweep::<0>(self, border_blocks, faults, blocked)
+        }
+    }
+
+    fn bases(self) -> Bases {
+        Bases::new(self.wpr, self.ext[0], 64)
+    }
+
+    fn pack(self, words: Vec<u64>) -> NodeSet {
+        Rows::pack(self, &words)
+    }
+}
+
+/// [`close_and_write`] on `lanes`, or on `rows` if a row does not fit in
+/// a word. Not generic, so the kernels and their callers are compiled,
+/// and inlined into each other, in this crate whichever crate computes
+/// the labelling.
+fn label(
+    rows: Rows,
+    lanes: Option<Lanes>,
+    border_blocks: bool,
+    st: &mut [NodeStatus],
+    faults: Vec<u64>,
+    flipped: Vec<u64>,
+) -> NodeSet {
+    match lanes {
+        Some(l) => close_and_write(l, border_blocks, st, faults, flipped),
+        None => close_and_write(rows, border_blocks, st, faults, flipped),
+    }
+}
+
+/// Both closures on the layout `l` over the fault words `faults` and
+/// those of the point reflection `flipped`, then the statuses (into `st`,
+/// which holds the faults and is safe elsewhere) and the unsafe set,
+/// written from the words: each set bit is one status write at its word's
+/// base index plus the bit, touching only labelled nodes. A label at
+/// linear index `i` of the reflection is node `N − 1 − i`.
+fn close_and_write<L: Words>(
+    l: L,
+    border_blocks: bool,
+    st: &mut [NodeStatus],
+    faults: Vec<u64>,
+    flipped: Vec<u64>,
+) -> NodeSet {
+    let mut blocked = faults.clone();
+    l.close(border_blocks, &faults, &mut blocked);
+    let mut useless = flipped.clone();
+    l.close(border_blocks, &flipped, &mut useless);
+
+    let mut cant = NodeStatus::SAFE;
+    cant.mark_cant_reach();
+    for ((at, &f), &b) in l.bases().zip(&faults).zip(&blocked) {
+        // Labels are rare: most words hold faults alone.
+        if b != f {
+            for_bits(b & !f, |bit| st[at + bit] = cant);
+        }
+    }
+    let mut unsafe_set = l.pack(blocked);
+    let last = st.len() - 1;
+    for ((at, &f), &u) in l.bases().zip(&flipped).zip(&useless) {
+        if u == f {
+            continue;
+        }
+        for_bits(u & !f, |bit| {
+            let i = last - (at + bit);
+            st[i].mark_useless();
+            unsafe_set.insert(i);
+        });
+    }
+    unsafe_set
+}
+
+/// Call `f` with the position of each set bit of `word`, lowest first.
+#[inline(always)]
+fn for_bits(mut word: u64, mut f: impl FnMut(usize)) {
+    while word != 0 {
+        f(word.trailing_zeros() as usize);
+        word &= word - 1;
+    }
+}
+
+/// One closure on [`Lanes`] ([`Words::close`]).
+///
+/// The words are settled in increasing `(z, j)` order, so on a mesh the
+/// word a plane below and the word before along `y` are final when a word
+/// is reached, and one pass is the fixpoint. A word's free nodes are its
+/// healthy nodes whose `-z` input blocks. Each round, a free node whose
+/// `-y` input blocks is a candidate — lane 0 reads the last real lane of
+/// the word before, the other lanes the lane below them (`cur << nx`) —
+/// and the candidates whose `-x` input blocks seed a fill up each lane
+/// ([`Lanes::fill_up`]). A round settles at least the lowest unsettled
+/// lane, so on a mesh at most `per` rounds reach the word's fixpoint.
+///
+/// Past a mesh border an input blocks everything under `border_blocks`
+/// (and lane starts seed the fill) and nothing otherwise (an open `-y` or
+/// `-z` input leaves a lane no candidates). On a torus the `x` wrap is in
+/// [`Lanes::x_neighbors`], the `y` and `z` wraps read the far word as it
+/// stands when the word is reached (on a one-word plane, the word
+/// itself), rounds repeat until the word is stable and the pass repeats
+/// until no word changes, which settles any input read stale.
+fn close_lanes(l: Lanes, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
+    let ([nx, _, nz], wrap, wpp) = (l.rows.ext, l.rows.wrap, l.wpp);
+    let border = if border_blocks { u64::MAX } else { 0 };
+    // A torus has no border along `x`: its wrap is in `x_neighbors`.
+    let border_seeds = if wrap { 0 } else { border & l.starts };
+    // The offsets of the last lane of a word and of the last real lane of
+    // a plane, and the real lanes of a plane's inner and last words.
+    let (top, last) = (((l.per - 1) * nx) as u32, l.edge(wpp - 1));
+    let (inner, outer) = (l.real(0), l.real(wpp - 1));
+    let rounds = if wrap { usize::MAX } else { l.per };
+    loop {
+        let mut changed = false;
+        for z in 0..nz {
+            let plane = z * wpp;
+            // The plane of the `-z` inputs; in 2-D every one blocks.
+            let (under, z_open) = match (l.rows.dims, z) {
+                (2, _) => (None, u64::MAX),
+                (_, 0) if !wrap => (None, border),
+                (_, 0) => (Some((nz - 1) * wpp), 0),
+                _ => (Some(plane - wpp), 0),
+            };
+            // The word before along `y` as settled (final on a mesh).
+            let mut prev = 0;
+            for j in 0..wpp {
+                let w = plane + j;
+                let f = faults[w];
+                let z_in = under.map_or(z_open, |p| blocked[p + j]);
+                let free = !f & z_in & if j + 1 == wpp { outer } else { inner };
+                // Lane 0's `-y` input: the last real lane of the word
+                // before (of the plane's last word on the wrap).
+                let lane0 = match j {
+                    0 if !wrap => border & l.lane,
+                    0 => l.take(blocked[plane + wpp - 1], last),
+                    _ => l.take(prev, top),
+                };
+                let old = blocked[w];
+                let mut cur = old;
+                for _ in 0..rounds {
+                    let cand = free & (cur.checked_shl(nx as u32).unwrap_or(0) | lane0);
+                    let seeds = cand & (l.x_neighbors(cur).0 | border_seeds);
+                    let new = f | l.fill_up(cand, seeds);
+                    if new == cur {
+                        break;
+                    }
+                    cur = new;
+                }
+                prev = cur;
+                if cur != old {
+                    blocked[w] = cur;
+                    changed = true;
+                }
+            }
+        }
+        if !(wrap && changed) {
+            break;
+        }
+    }
+}
+
+/// One closure on [`Rows`] of more than 64 nodes ([`Words::close`]),
+/// for rows of `W` words (`0`: any width).
 ///
 /// On a mesh one sweep in increasing row order is the fixpoint: a row's
 /// `-y` and `-z` neighbor rows are final when it is reached. A row's
@@ -545,18 +727,6 @@ impl<C: Coord> Raster<C> {
 /// nothing otherwise. On a torus a row's bit 0 reads bit `nx − 1`, so the
 /// row is redone until it is stable, and the sweep repeats until no row
 /// changes.
-fn close(rows: Rows, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
-    // Rows of one or two words get their own copies of the sweep, in
-    // which the row width `W` is a constant the compiler folds; `W = 0`
-    // reads the width at run time.
-    match rows.wpr {
-        1 => sweep::<1>(rows, border_blocks, faults, blocked),
-        2 => sweep::<2>(rows, border_blocks, faults, blocked),
-        _ => sweep::<0>(rows, border_blocks, faults, blocked),
-    }
-}
-
-/// [`close`] for rows of `W` words (`0`: any width).
 fn sweep<const W: usize>(rows: Rows, border_blocks: bool, faults: &[u64], blocked: &mut [u64]) {
     let [nx, ny, nz] = rows.ext;
     let wpr = if W == 0 { rows.wpr } else { W };

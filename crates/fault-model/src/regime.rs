@@ -160,11 +160,13 @@ impl FaultRegime {
                 return inject_adversarial(mesh, count, seed, protected, border, restarts);
             }
         };
-        let n = chosen.len();
-        for i in chosen {
-            mesh.inject_fault(space.coord(i));
-        }
-        n
+        let injected = mesh.inject_indices(&chosen);
+        debug_assert_eq!(
+            injected,
+            chosen.len(),
+            "the samplers draw healthy nodes once"
+        );
+        injected
     }
 
     /// [`inject`](FaultRegime::inject) on a 2-D mesh. Kept as a named
@@ -659,7 +661,9 @@ pub fn adversarial_search<C: Coord>(
 /// Inject the adversarial regime's fault set: the found violating set
 /// (targeting `protected[0] → protected[1]` when given, else the mesh
 /// corner pair), padded up to `count` with uniformly sampled filler from
-/// a derived seed stream.
+/// a derived seed stream. Once a witness is injected, the padding keeps
+/// the oracle routing its pair ([`pad_around`]), so the table shows the
+/// endpoint-safety gap alone.
 fn inject_adversarial<C: Coord>(
     mesh: &mut Mesh<C>,
     count: usize,
@@ -674,7 +678,8 @@ fn inject_adversarial<C: Coord>(
         _ => (space.coord(0), space.coord(space.len() - 1)),
     };
     let mut injected = 0usize;
-    if let Some(report) = adversarial_search(mesh, s, d, restarts, seed, border) {
+    let report = adversarial_search(mesh, s, d, restarts, seed, border);
+    if let Some(report) = &report {
         for &f in report.faults.iter().take(count) {
             if mesh.is_healthy(f) {
                 mesh.inject_fault(f);
@@ -693,12 +698,48 @@ fn inject_adversarial<C: Coord>(
         if !shield.contains(&d) {
             shield.push(d);
         }
-        for i in sample_uniform(eligible_indices(mesh, &shield), count - injected, &mut rng) {
-            mesh.inject_fault(space.coord(i));
-            injected += 1;
-        }
+        let pool = eligible_indices(mesh, &shield);
+        let padding = match report {
+            Some(_) => pad_around(mesh, s, d, pool, count - injected, &mut rng),
+            None => sample_uniform(pool, count - injected, &mut rng),
+        };
+        injected += mesh.inject_indices(&padding);
     }
     injected
+}
+
+/// Up to `count` padding faults for `mesh` from `pool`, drawn one at a
+/// time by the partial Fisher–Yates walk of [`sample_uniform`] (the same
+/// draws while none is skipped); a draw after which the reachability
+/// oracle refuses the pair `(s, d)` is skipped.
+fn pad_around<C: Coord>(
+    mesh: &Mesh<C>,
+    s: C,
+    d: C,
+    mut pool: Vec<usize>,
+    count: usize,
+    rng: &mut SmallRng,
+) -> Vec<usize> {
+    let frame = Frame::for_pair(mesh, s, d);
+    let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
+    let (mut faults, mut useful) = (mesh.fault_set().clone(), Useful::scratch());
+    let mut padding = Vec::with_capacity(count);
+    let n = pool.len();
+    for i in 0..n {
+        if padding.len() == count {
+            break;
+        }
+        pool.swap(i, rng.gen_range(i..n));
+        let f = pool[i];
+        faults.insert(f);
+        useful.recompute_set(cs, cd, &faults, mesh.space(), Some(frame));
+        if useful.contains(cs) {
+            padding.push(f);
+        } else {
+            faults.remove(f);
+        }
+    }
+    padding
 }
 
 #[cfg(test)]

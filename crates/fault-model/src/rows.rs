@@ -1,5 +1,5 @@
-//! Bit rows along `x`: the layout and the carry-add run fill shared by the
-//! three word-parallel closures — the reachability sweep of
+//! Bit rows along `x`: the layouts and the carry-add run fill shared by
+//! the three word-parallel closures — the reachability sweep of
 //! [`Useful`](crate::oracle::Useful), the labelling closures of
 //! [`Labelling`](crate::Labelling) and the block closure of
 //! [`FaultBlocks`](crate::FaultBlocks).
@@ -10,11 +10,14 @@
 //! bits, one carry-propagating add per word finds every free run that
 //! starts at a seed ([`RunFill`]).
 //!
-//! The block closure packs rows of at most 64 nodes `⌊64/nx⌋` to a word
-//! instead ([`Lanes`]), where the same add is segmented so that no carry
-//! crosses a row. When `nx` divides 64, [`Rows::pack`] and
-//! [`Rows::unpack`] gather and scatter whole rows a word at a time with
-//! the same layout, which is then exactly the [`NodeSet`] one.
+//! The labelling and block closures pack rows of at most 64 nodes
+//! `⌊64/nx⌋` to a word instead ([`Lanes`]), where the same add is
+//! segmented so that no carry crosses a row; wider rows stay on [`Rows`].
+//! A lane word is a run of whole rows of one plane, so it packs into a
+//! [`NodeSet`] with one shifted OR ([`Lanes::pack`]); when `nx` divides 64
+//! and the planes need no padding the words already are the set's.
+//! [`Rows::pack`] and [`Rows::unpack`] gather and scatter whole rows a
+//! word at a time in that layout when `nx` divides 64.
 
 use mesh_topo::{Coord, NodeSet, NodeSpace};
 
@@ -175,19 +178,22 @@ impl Rows {
 /// words are exactly the [`NodeSet`] layout.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lanes {
-    rows: Rows,
+    /// The rows the lanes hold.
+    pub(crate) rows: Rows,
     /// Lanes (rows) per word.
     pub(crate) per: usize,
     /// Words per `z` plane.
     pub(crate) wpp: usize,
+    /// `⌊(2⁶⁴ − 1) / per⌋ + 1` (unused when `per` is 1), for [`Lanes::at`].
+    recip: u64,
     /// The words as a grid `[nx, wpp, nz]`, for [`Rows::step`].
     words: Rows,
     /// Bit 0 of each lane, and the bit just past the last lane.
-    starts: u64,
+    pub(crate) starts: u64,
     /// The top bit of each lane.
     tops: u64,
     /// The bits of lane 0.
-    lane: u64,
+    pub(crate) lane: u64,
     /// The bit offset of the last lane of a word, and of the last real
     /// lane of a plane's last word.
     edge: [u32; 2],
@@ -210,6 +216,11 @@ impl Lanes {
             rows,
             per,
             wpp,
+            recip: if per > 1 {
+                u64::MAX / per as u64 + 1
+            } else {
+                0
+            },
             words: Rows {
                 ext: [nx, wpp, nz],
                 ..rows
@@ -235,10 +246,16 @@ impl Lanes {
     /// row's lane.
     #[inline(always)]
     pub(crate) fn at(self, y: usize, z: usize) -> (usize, u32) {
-        let lane = y % self.per;
+        // `y / per` by the multiply-high of Lemire, Kaser and Kurz, exact
+        // for 32-bit `y` (a coordinate is an `i32`); no division.
+        let j = if self.per == 1 {
+            y
+        } else {
+            ((u128::from(self.recip) * y as u128) >> 64) as usize
+        };
         (
-            z * self.wpp + y / self.per,
-            (lane * self.rows.ext[0]) as u32,
+            z * self.wpp + j,
+            ((y - j * self.per) * self.rows.ext[0]) as u32,
         )
     }
 
@@ -246,6 +263,19 @@ impl Lanes {
     #[inline(always)]
     pub(crate) fn edge(self, j: usize) -> u32 {
         self.edge[usize::from(j + 1 == self.wpp)]
+    }
+
+    /// The bits of the real lanes of word `j` of a plane.
+    #[inline(always)]
+    pub(crate) fn real(self, j: usize) -> u64 {
+        u64::MAX >> (64 - self.rows.ext[0] as u32 - self.edge(j))
+    }
+
+    /// The linear node index of bit 0 of each word, in word order: word
+    /// `j` of plane `z` starts at row `z·ny + j·per`.
+    pub(crate) fn bases(self) -> Bases {
+        let [nx, ny, _] = self.rows.ext;
+        Bases::new(self.wpp, ny * nx, self.per * nx)
     }
 
     /// The lane of `word` at bit offset `at`, moved to lane 0.
@@ -331,14 +361,63 @@ impl Lanes {
     }
 
     /// `words` as a [`NodeSet`]: the words themselves when they are its
-    /// layout.
+    /// layout. Otherwise the real lanes of a word are consecutive rows of
+    /// one plane, so each word is ORed in whole at the index of its bit 0
+    /// ([`Lanes::bases`]); its phantom lanes are zero.
     pub(crate) fn pack(self, words: Vec<u64>) -> NodeSet {
         let [nx, ny, nz] = self.rows.ext;
+        let nbits = self.rows.count() * nx;
         if 64 % nx == 0 && (nz == 1 || ny % self.per == 0) {
-            NodeSet::from_raw_words(self.rows.count() * nx, words)
-        } else {
-            self.rows.pack(&self.to_rows(&words))
+            return NodeSet::from_raw_words(nbits, words);
         }
+        let mut set = vec![0u64; nbits.div_ceil(64)];
+        for (at, &w) in self.bases().zip(&words) {
+            let wide = u128::from(w) << (at % 64);
+            set[at / 64] |= wide as u64;
+            if let Some(next) = set.get_mut(at / 64 + 1) {
+                *next |= (wide >> 64) as u64;
+            }
+        }
+        NodeSet::from_raw_words(nbits, set)
+    }
+}
+
+/// The linear node index of bit 0 of each word of a layout whose words
+/// come in groups of `group` (a plane of lanes, or a row): word `j` of
+/// group `g` starts at `g·stride + j·step`. Counted up without a division.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Bases {
+    group: usize,
+    stride: usize,
+    step: usize,
+    /// The start of the current group, and the next word's index in it.
+    at: usize,
+    j: usize,
+}
+
+impl Bases {
+    pub(crate) fn new(group: usize, stride: usize, step: usize) -> Bases {
+        Bases {
+            group,
+            stride,
+            step,
+            at: 0,
+            j: 0,
+        }
+    }
+}
+
+impl Iterator for Bases {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        let base = self.at + self.j * self.step;
+        self.j += 1;
+        if self.j == self.group {
+            (self.at, self.j) = (self.at + self.stride, 0);
+        }
+        Some(base)
     }
 }
 
@@ -434,6 +513,27 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`Lanes::at`] divides by the lanes per word with a multiply: it
+    /// must equal the division for every lane count, over small rows and
+    /// the largest `y` a coordinate can hold.
+    #[test]
+    fn lane_position_matches_division() {
+        for nx in 1..=64 {
+            let rows = Rows {
+                ext: [nx, 1, 1],
+                wpr: 1,
+                dims: 3,
+                wrap: false,
+            };
+            let l = Lanes::of(rows).expect("a row fits in a word");
+            let top = i32::MAX as usize;
+            for y in (0..5_000).chain(top - 5_000..=top) {
+                let want = (y / l.per, (y % l.per * nx) as u32);
+                assert_eq!(l.at(y, 0), want, "nx {nx}, y {y}");
+            }
+        }
+    }
 
     /// `pack`, `unpack` and the lane layout against a bit-by-bit
     /// reference, for every row width from 1 to 130 nodes (one, two and

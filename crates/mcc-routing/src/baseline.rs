@@ -20,7 +20,7 @@ use mesh_topo::{Coord, Frame, Mesh, Mesh2D, Mesh3D, C2, C3};
 
 use crate::policy::Policy;
 use crate::trace::{RouteOutcome2, RouteOutcome3};
-use crate::walk::{walk, Walk};
+use crate::walk::{walk, Trail, Walk};
 
 /// Greedy fault-information-free routing in 2-D (canonical `s ≤ d`).
 ///
@@ -46,12 +46,12 @@ pub fn route_greedy_3d(lab: &Labelling3, s: C3, d: C3, policy: &mut Policy) -> R
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-pub(crate) fn greedy<C: Coord>(
+pub(crate) fn greedy<C: Coord, T: Trail<C>>(
     lab: &Labelling<C>,
     s: C,
     d: C,
     policy: &mut Policy,
-) -> Option<Walk<C>> {
+) -> Option<Walk<C, T>> {
     assert!(s.dominated_by(d), "router requires canonical s <= d");
     let healthy = |c| lab.status_get(c).is_some_and(|t| !t.is_faulty());
     (healthy(s) && healthy(d)).then(|| walk(s, d, policy, healthy, |u| u))
@@ -101,13 +101,13 @@ pub fn route_rfb_3d_in(
 /// to mesh coordinates; `None` if the source is not block-useful. The
 /// trial pipeline calls it straight after the admission check, whose sweep
 /// is exactly this set.
-pub(crate) fn rfb<C: Coord>(
+pub(crate) fn rfb<C: Coord, T: Trail<C>>(
     mesh: &Mesh<C>,
     s: C,
     d: C,
     policy: &mut Policy,
     useful: &Useful<C>,
-) -> Option<Walk<C>> {
+) -> Option<Walk<C, T>> {
     let frame = Frame::for_pair(mesh, s, d);
     let (cs, cd) = (frame.to_canon(s), frame.to_canon(d));
     if !useful.contains(cs) {

@@ -28,7 +28,7 @@ use crate::feasibility2::detect_2d;
 use crate::feasibility3::{detect_3d_in, FloodScratch3};
 use crate::policy::Policy;
 use crate::trace::RouteSummary;
-use crate::walk::{walk, Walk};
+use crate::walk::{walk, Trail, Walk};
 
 /// A dimension's coordinate with the paper's per-dimension routing step:
 /// detection.
@@ -66,9 +66,9 @@ impl RouteSpace for C3 {
     }
 }
 
-/// A route's walk (`None` if the source refused it) and its detection
-/// cost.
-pub(crate) type Routed<C> = (Option<Walk<C>>, usize);
+/// A route's walk (`None` if the source refused it), recording the trail
+/// `T`, and its detection cost.
+pub(crate) type Routed<C, T> = (Option<Walk<C, T>>, usize);
 
 /// Route the canonical pair with the exact rule, sweeping the
 /// backward-reachability set into `useful` once detection admits the pair
@@ -89,14 +89,14 @@ pub fn route_in<C: RouteSpace>(
 }
 
 /// The walk of [`route_in`].
-pub(crate) fn route_exact_in<C: RouteSpace>(
+pub(crate) fn route_exact_in<C: RouteSpace, T: Trail<C>>(
     lab: &Labelling<C>,
     s: C,
     d: C,
     policy: &mut Policy,
     useful: &mut Useful<C>,
     scratch: &mut C::RouteScratch,
-) -> Routed<C> {
+) -> Routed<C, T> {
     route(lab, s, d, policy, scratch, move || {
         useful.recompute_set(s, d, lab.unsafe_set(), lab.space(), None);
         move |v| useful.contains(v)
@@ -110,14 +110,14 @@ pub(crate) fn route_exact_in<C: RouteSpace>(
 /// identical to what [`route_exact_in`] would recompute, so outcomes are
 /// unchanged. (The buffer is never read when `s == d`, the one case where
 /// the condition skips the sweep.)
-pub(crate) fn route_exact_reusing<C: RouteSpace>(
+pub(crate) fn route_exact_reusing<C: RouteSpace, T: Trail<C>>(
     lab: &Labelling<C>,
     s: C,
     d: C,
     policy: &mut Policy,
     useful: &Useful<C>,
     scratch: &mut C::RouteScratch,
-) -> Routed<C> {
+) -> Routed<C, T> {
     route(lab, s, d, policy, scratch, || |v| useful.contains(v))
 }
 
@@ -129,14 +129,14 @@ pub(crate) fn route_exact_reusing<C: RouteSpace>(
 ///
 /// # Panics
 /// If `s` does not precede `d` componentwise.
-fn route<C: RouteSpace, F: Fn(C) -> bool>(
+fn route<C: RouteSpace, T: Trail<C>, F: Fn(C) -> bool>(
     lab: &Labelling<C>,
     s: C,
     d: C,
     policy: &mut Policy,
     scratch: &mut C::RouteScratch,
     useful: impl FnOnce() -> F,
-) -> Routed<C> {
+) -> Routed<C, T> {
     assert!(s.dominated_by(d), "router requires canonical s <= d");
     if !lab.is_safe(s) || !lab.is_safe(d) {
         return (None, 0);

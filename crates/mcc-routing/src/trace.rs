@@ -1,9 +1,9 @@
 //! Route outcomes and path-quality metrics.
 
-use mesh_topo::{Coord, Path, Path2, Path3, C2, C3};
+use mesh_topo::{Coord, Path2, Path3, C2, C3};
 use serde::{Deserialize, Serialize};
 
-use crate::walk::Walk;
+use crate::walk::{Hops, Trail, Walk};
 
 /// Why a routing attempt ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -60,13 +60,13 @@ pub struct RouteSummary {
     pub detection_cost: usize,
 }
 
-/// The result, path and adaptivity sum of an attempt from `s` that `walk`
-/// finished, or that was refused before its first hop (`None`).
-fn settle<C: Coord>(s: C, walk: Option<Walk<C>>) -> (RouteResult, Path<C>, usize) {
+/// The result, trail and adaptivity sum of an attempt from `s` that
+/// `walk` finished, or that was refused before its first hop (`None`).
+fn settle<C: Coord, T: Trail<C>>(s: C, walk: Option<Walk<C, T>>) -> (RouteResult, T, usize) {
     match walk {
-        Some(w) if w.stuck_at.is_some() => (RouteResult::Stuck, w.path, w.adaptivity_sum),
-        Some(w) => (RouteResult::Delivered, w.path, w.adaptivity_sum),
-        None => (RouteResult::Infeasible, Path::start(s), 0),
+        Some(w) if w.stuck_at.is_some() => (RouteResult::Stuck, w.trail, w.adaptivity_sum),
+        Some(w) => (RouteResult::Delivered, w.trail, w.adaptivity_sum),
+        None => (RouteResult::Infeasible, T::start(s), 0),
     }
 }
 
@@ -79,13 +79,14 @@ fn adaptivity(sum: usize, hops: usize) -> f64 {
 }
 
 impl RouteSummary {
-    /// The summary of an attempt from `s` (see [`settle`]).
-    pub(crate) fn new<C: Coord>(s: C, walk: Option<Walk<C>>, detection_cost: usize) -> Self {
-        let (result, path, adaptivity_sum) = settle(s, walk);
+    /// The summary of an attempt from `s` (see [`settle`]), from a walk
+    /// that counted its hops and recorded no path.
+    pub(crate) fn new<C: Coord>(s: C, walk: Option<Walk<C, Hops>>, detection_cost: usize) -> Self {
+        let (result, Hops(hops), adaptivity_sum) = settle(s, walk);
         RouteSummary {
             delivered: result == RouteResult::Delivered,
-            hops: path.hops(),
-            adaptivity: adaptivity(adaptivity_sum, path.hops()),
+            hops,
+            adaptivity: adaptivity(adaptivity_sum, hops),
             detection_cost,
         }
     }
@@ -93,7 +94,11 @@ impl RouteSummary {
 
 impl RouteOutcome2 {
     /// The record of an attempt from `s` (see [`settle`]).
-    pub(crate) fn new(s: C2, walk: Option<Walk<C2>>, detection_hops: usize) -> RouteOutcome2 {
+    pub(crate) fn new(
+        s: C2,
+        walk: Option<Walk<C2, Path2>>,
+        detection_hops: usize,
+    ) -> RouteOutcome2 {
         let (result, path, adaptivity_sum) = settle(s, walk);
         RouteOutcome2 {
             result,
@@ -127,7 +132,11 @@ impl RouteOutcome2 {
 
 impl RouteOutcome3 {
     /// The record of an attempt from `s` (see [`settle`]).
-    pub(crate) fn new(s: C3, walk: Option<Walk<C3>>, detection_cost: usize) -> RouteOutcome3 {
+    pub(crate) fn new(
+        s: C3,
+        walk: Option<Walk<C3, Path3>>,
+        detection_cost: usize,
+    ) -> RouteOutcome3 {
         let (result, path, adaptivity_sum) = settle(s, walk);
         RouteOutcome3 {
             result,
